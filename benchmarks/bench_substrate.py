@@ -222,8 +222,7 @@ def test_substrate_throughput(benchmark, emit):
 
     # Compute-bound tail: compiled batch execution across the filter
     # selectivity range (the 1% case is bounded by predicate evaluation
-    # over all 5k rows, the 99% case by output materialization), the
-    # same GROUP BY aggregate forced down the tree-walking row path, and
+    # over all 5k rows, the 99% case by output materialization), and
     # the filter-position rewrite (pushing a WHERE conjunct beneath the
     # join into the owning scan vs filtering the joined rows).
     rows.extend(
@@ -257,12 +256,6 @@ def test_substrate_throughput(benchmark, emit):
             ],
         ]
     )
-    agg_sql = "SELECT grp, AVG(val) FROM items GROUP BY grp"
-    db.compiled_execution = False
-    rows.append(
-        ["aggregate scan (tree-walk)", _rate(lambda: db.execute(agg_sql), _iters(20))]
-    )
-    db.compiled_execution = True
     fj_sql = (
         "SELECT COUNT(*) FROM items i JOIN grps g "
         "ON i.grp = g.grp WHERE i.val > 90.0"
@@ -752,6 +745,17 @@ def test_substrate_throughput(benchmark, emit):
         ]
     )
 
+    # The "aggregate scan (5k rows)" statement with read provenance on:
+    # what tracing adds to a scan (row ids and one ReadRecord per row
+    # read). Measured last, so the collector debt of its 5k records per
+    # call lands in no other case's timed region.
+    agg_sql = "SELECT grp, AVG(val) FROM items GROUP BY grp"
+    db.track_reads = True
+    rows.append(
+        ["aggregate scan (traced)", _rate(lambda: db.execute(agg_sql), _iters(20))]
+    )
+    db.track_reads = False
+
     benchmark(
         lambda: db_indexed.execute("SELECT * FROM items WHERE id = 2500")
     )
@@ -854,12 +858,6 @@ def test_substrate_throughput(benchmark, emit):
     assert rates["aggregate scan (5k rows)"] >= 903
     assert rates["hash join (5k x 50)"] >= 1200
     assert rates["sharded aggregate (partial/final)"] >= 381.5
-    # The same aggregate through the compiled batch pipeline vs the
-    # tree-walking row path, same database and plan shape.
-    assert (
-        rates["aggregate scan (5k rows)"]
-        > rates["aggregate scan (tree-walk)"] * 5
-    )
     # Pushing the WHERE conjunct beneath the join (into the owning
     # scan) must beat filtering the materialized join output.
     assert (

@@ -29,6 +29,7 @@ from pathlib import Path
 #: The compute-tail headliners tracked per commit, in column order.
 HEADLINE = [
     "aggregate scan (5k rows)",
+    "aggregate scan (traced)",
     "hash join (5k x 50)",
     "filtered scan 50% selectivity",
     "sharded aggregate (partial/final)",

@@ -244,21 +244,16 @@ class Database:
         #: this so rejected writers learn the quorum is lost (and that
         #: the condition is temporary), not that they hit a replica.
         self.read_only_reason: str | None = None
-        #: When True, SELECTs record per-row read provenance on their
-        #: transaction. TROD switches this on when it attaches.
+        #: When True, SELECTs record read provenance on their
+        #: transaction: each scan hands the ``(row_id, values)`` pairs
+        #: that survive its filter to ``Transaction.record_reads``, a
+        #: batch at a time. TROD switches this on when it attaches.
         self.track_reads = False
-        #: Rows a scan pulls between cooperative-scheduler yield points
-        #: (and the granularity of streamed-cursor memory use). 0
-        #: disables the yield points entirely.
+        #: Rows a scan pulls between cooperative-scheduler yield points,
+        #: and the most a streamed cursor's scan reads ahead in one
+        #: chunk. 0 disables the yield points entirely (and leaves the
+        #: cursor's read-ahead bounded only by what it already fetched).
         self.scan_batch_size = 256
-        #: Compile cached SELECT plans into batch-at-a-time programs
-        #: (repro.db.sql.compile): expressions lower to specialized
-        #: Python once per cached plan and operators process whole row
-        #: batches per call. Results are identical to the row-at-a-time
-        #: interpreter; turn off to debug with the closure tree. Read
-        #: provenance (``track_reads``) and attached observers always
-        #: force the row path regardless of this knob.
-        self.compiled_execution = True
         #: Plan the WHERE clause's single-table conjuncts beneath joins,
         #: inside their owning table's scan. Off, every WHERE conjunct
         #: runs in one filter above the joins — useful to measure what
@@ -656,9 +651,8 @@ class Database:
             sql,
             self.catalog_epoch,
             txn.isolation,
-            # Both knobs change the physical plan (compiled programs,
-            # filter placement); flipping one must not serve stale trees.
-            self.compiled_execution,
+            # The knob changes the physical plan (filter placement);
+            # flipping it must not serve stale trees.
             self.predicate_pushdown_enabled,
         )
         entry = self._plan_cache.get(key)
@@ -707,7 +701,8 @@ class Database:
         """Execute one statement, autocommitting when no txn is passed.
 
         ``stream=True`` asks for a *streamed* SELECT result: rows flow
-        lazily from the executor's generator pipeline instead of being
+        lazily from the executor's batch pipeline, in chunks no larger
+        than the consumer has already fetched, instead of being
         materialized, and the result is pinned to the statement's
         snapshot before this method returns — it keeps serving that
         snapshot even though the backing (ephemeral or autocommitted)

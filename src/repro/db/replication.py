@@ -34,7 +34,6 @@ sharded facade uses for scatter reads.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -1334,23 +1333,6 @@ class ShardedReadRouter:
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         return self.execute(sql, params)
-
-    def execute_as_of(
-        self, sql: str, global_csn: int, params: Sequence[Any] = ()
-    ) -> ResultSet:
-        """Deprecated: use ``SELECT ... AS OF <csn>`` through ``execute``."""
-        warnings.warn(
-            "ShardedReadRouter.execute_as_of is deprecated; use the "
-            "SELECT ... AS OF <csn> clause through execute()/repro.connect()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        stmt = self.sharded._parse(sql)
-        if not isinstance(stmt, SelectStmt):
-            raise ReplicationError(
-                "AS OF execution supports SELECT statements only"
-            )
-        return self._select_as_of(stmt, global_csn, params, sql)
 
     def _select_as_of(
         self, stmt: SelectStmt, global_csn: int, params: Sequence[Any], sql: str

@@ -28,7 +28,6 @@ single database. The pieces:
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from typing import Any, Callable, Iterator, Sequence
 
@@ -53,6 +52,7 @@ from repro.db.schema import TableSchema
 from repro.db.sql import planner
 from repro.db.sql.executor import (
     ExecContext,
+    LimitNode,
     PlanNode,
     RowsNode,
     _drain_rows,
@@ -109,11 +109,8 @@ def _compile_shard_plan(database: Database, plan: PlanNode) -> None:
     the per-shard ``executor_stats`` mirror honest: one ``plans_compiled``
     tick per freshly built plan, exactly like the single-node cache.
     """
-    if database.compiled_execution:
-        compile_plan_programs(plan, database)
-        stats = getattr(database, "executor_stats", None)
-        if stats is not None:
-            stats["plans_compiled"] += 1
+    compile_plan_programs(plan, database)
+    database.executor_stats["plans_compiled"] += 1
 
 
 def stable_hash(value: Any) -> int:
@@ -285,14 +282,14 @@ class BroadcastRowsNode(PlanNode):
     def describe(self) -> str:
         return f"Broadcast({self.table} AS {self.binding}, {len(self._rows)} rows)"
 
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
+    def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
+        rows = self._rows
         filter_fn = self.filter_fn
-        if filter_fn is None:
-            yield from self._rows
-            return
-        for values in self._rows:
-            if filter_fn(values, ctx.params) is True:
-                yield values
+        params = ctx.params
+        if filter_fn is not None:
+            rows = [v for v in rows if filter_fn(v, params) is True]
+        if rows:
+            yield rows
 
 
 #: Aggregates with a partial/final decomposition (DISTINCT forms excluded).
@@ -640,15 +637,6 @@ class ShardedDatabase:
             shard.track_reads = value
 
     @property
-    def compiled_execution(self) -> bool:
-        return all(shard.compiled_execution for shard in self.shards)
-
-    @compiled_execution.setter
-    def compiled_execution(self, value: bool) -> None:
-        for shard in self.shards:
-            shard.compiled_execution = value
-
-    @property
     def predicate_pushdown_enabled(self) -> bool:
         return all(shard.predicate_pushdown_enabled for shard in self.shards)
 
@@ -869,34 +857,6 @@ class ShardedDatabase:
         finally:
             for branch in ephemeral.values():
                 branch.abort()
-
-    def execute_as_of(
-        self,
-        sql: str,
-        global_csn: int,
-        params: Sequence[Any] = (),
-        db_for: Callable[[str], Database] | None = None,
-    ) -> ResultSet:
-        """Deprecated: use ``SELECT ... AS OF <csn>`` through ``execute``.
-
-        Kept as a thin shim over the same historical-read path the AS OF
-        clause takes, so pre-facade callers keep working.
-        """
-        warnings.warn(
-            "ShardedDatabase.execute_as_of is deprecated; use the "
-            "SELECT ... AS OF <csn> clause through execute()/repro.connect()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        stmt = self._parse(sql)
-        if not isinstance(stmt, SelectStmt):
-            raise ExecutionError("AS OF execution supports SELECT statements only")
-        if stmt.param_count != len(params):
-            raise ExecutionError(
-                f"statement expects {stmt.param_count} parameter(s), "
-                f"got {len(params)}"
-            )
-        return self._select_as_of(stmt, global_csn, params, db_for, sql)
 
     def _select_as_of(
         self,
@@ -1189,33 +1149,20 @@ class ShardedDatabase:
         is complete, keep yielding).
 
         Callers pass ``cap`` only when no provenance or observer needs
-        the full drain; a capped drain records no reads and emits no
-        statement trace.
+        the full drain. The cap is a LIMIT over the shard's plan, so the
+        shard's scan stops at the row that fills it.
         """
+        if cap is not None:
+            plan = LimitNode(plan, lambda _row, _params: cap, None)
         ctx = ExecContext(
             database=shard,
             txn=txn,
             params=params,
             query_text=sql or "",
-            track_reads=False if cap is not None else shard.track_reads,
+            track_reads=shard.track_reads,
             batch_size=0,
         )
-        if cap is not None:
-            capped: list[tuple] = []
-            for row in plan.rows(ctx):
-                capped.append(row)
-                if len(capped) >= cap:
-                    # Stopping the pull terminates the shard's scan: the
-                    # plan below is all generators.
-                    break
-            return capped
         rows = _drain_rows(plan, ctx)
-        if ctx.track_reads:
-            # Parity with Database._execute_select: a consulted-but-empty
-            # table still yields one null read record per shard.
-            for table in sorted(ctx.scanned_tables):
-                if not ctx.read_counts.get(table):
-                    txn.record_read(table, None, None, sql or "")
         if shard.observers:
             # TROD interposition parity: each shard's observers see the
             # statement trace for the work executed on that shard.

@@ -6,9 +6,10 @@ module lowers the same tree **once per cached plan** into straight-line
 Python source (slot-indexed tuple access, short-circuit AND/OR, constant
 and parameter hoisting), compiles it with ``compile()``/``exec``, and
 returns functions that process a whole batch of rows per call. The
-executor's batch operators (:meth:`PlanNode.batches`) drive these; the
-row-at-a-time path keeps using the closure tree, which is what preserves
-TROD read-provenance byte-for-byte.
+executor's batch operators (:meth:`PlanNode.batches`) drive these; a plan
+built without programs (an uncached one) runs the closure tree inside
+the same operators, which is also the reference the tests hold the
+generated code to.
 
 Semantics are the closure tree's, exactly: SQL three-valued logic with the
 engine's truth normalization, ``compare_values`` total-order comparisons
@@ -63,7 +64,7 @@ __all__ = [
 ]
 
 #: Wrapper distinguishing bool group keys from 1/1.0 in raw-keyed dicts,
-#: matching the SortKey grouping the row-at-a-time aggregate uses
+#: matching the SortKey grouping the closure aggregate uses
 #: (compare_values orders bool apart from numerics, but Python's
 #: ``hash(True) == hash(1)`` with ``True == 1`` would merge them).
 _BOOL_KEY = ("__repro_bool_key__",)
@@ -469,8 +470,14 @@ def compile_scalar(expr: Expr, layout: planner.Layout) -> Callable | None:
         return None
 
 
-def compile_predicate_batch(expr: Expr, layout: planner.Layout) -> Callable | None:
-    """``(rows, params) -> list[row]`` keeping rows where expr IS TRUE."""
+def compile_predicate_batch(
+    expr: Expr, layout: planner.Layout, pairs: bool = False
+) -> Callable | None:
+    """``(rows, params) -> list[row]`` keeping rows where expr IS TRUE.
+
+    With ``pairs`` the batch holds ``(row_id, values)`` pairs — a scan
+    recording read provenance — and the predicate reads ``values``.
+    """
     try:
         env: dict = {"ExecutionError": ExecutionError}
         emitter = _Emitter(layout, env, row="r")
@@ -483,10 +490,14 @@ def compile_predicate_batch(expr: Expr, layout: planner.Layout) -> Callable | No
         emitter.indent = 1
         emitter.line("out = []")
         emitter.line("ap = out.append")
-        emitter.line("for r in rows:")
+        if pairs:
+            emitter.line("for x in rows:")
+            emitter.line("    r = x[1]")
+        else:
+            emitter.line("for r in rows:")
         emitter.lines.extend(per_row)
         emitter.line(f"    if {frag} is True:")
-        emitter.line("        ap(r)")
+        emitter.line("        ap(x)" if pairs else "        ap(r)")
         emitter.line("return out")
         return _assemble("_pred", "rows, p", emitter, env)
     except Exception:

@@ -2,23 +2,30 @@
 
 ``execute_statement`` is the single entry point the database uses after
 parsing. SELECTs are compiled into a small tree of pull-based plan nodes
-(scan -> join -> filter -> aggregate -> sort -> project -> limit); DML and
-DDL execute directly against the transaction / catalog.
+(scan -> join -> filter -> aggregate -> sort -> project -> limit) that
+exchange *batches* of rows (:meth:`PlanNode.batches`) — traced or not,
+streamed or drained, single-node or scatter branch; DML and DDL execute
+directly against the transaction / catalog.
 
-Read provenance: every row a scan produces (after pushed-down filtering)
-is recorded on the transaction as a :class:`ReadRecord`; when a statement
-scans a table but matches nothing, a single null read is recorded — this
-is exactly the shape of the paper's Table 2.
+Read provenance: row ids ride with a scan's value batches, and every row
+the scan produces (after pushed-down filtering) is recorded on the
+transaction as a :class:`ReadRecord`, one bulk call per batch; when a
+statement scans a table but matches nothing, a single null read is
+recorded — this is exactly the shape of the paper's Table 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain, islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from repro.db.expr import Expr, Literal, split_conjuncts
+from repro.db.expr import ColumnRef, Expr, Literal, conjoin, split_conjuncts
 from repro.db.result import ResultSet
 from repro.db.schema import Column, TableSchema
+from repro.db.sql import compile as codegen
 from repro.db.sql import planner
 from repro.db.sql.functions import make_accumulator
 from repro.db.sql.nodes import (
@@ -36,7 +43,6 @@ from repro.db.sql.nodes import (
 )
 from repro.db.sql.planner import CompiledExpr, Layout, compile_expr
 from repro.db.types import SortKey, coerce, type_from_sql_name
-from repro.db.expr import ColumnRef, FuncCall
 from repro.errors import (
     ExecutionError,
     IntegrityError,
@@ -64,61 +70,54 @@ class ExecContext:
     #: execution path — single-node, scatter branches, merge plans —
     #: inherits the same batching.
     batch_size: int = -1
-    #: table name -> number of read records emitted by scans this statement.
+    #: table scanned this statement -> read records its scans emitted.
     read_counts: dict[str, int] = field(default_factory=dict)
-    scanned_tables: set[str] = field(default_factory=set)
-    #: Whether this execution may run the compiled batch pipeline.
-    #: Computed in ``__post_init__``: read provenance and observers force
-    #: the row-at-a-time path, which records reads per row — the batch
-    #: programs never see individual row pulls, so TROD traces must come
-    #: from the interpreter to stay byte-identical.
-    use_compiled: bool = field(init=False, default=False)
-    #: The owning database's ``executor_stats`` dict (shared counters).
-    exec_stats: dict[str, int] | None = field(init=False, default=None)
+    #: Most rows the next scan chunk may pull; None is unbounded. An
+    #: operator that needs only so many more rows narrows it around each
+    #: pull from its child (LIMIT to its remaining need, a join to one
+    #: probe row), a blocking operator lifts it, and a streamed cursor
+    #: starts it at one row — so no scan pulls, or records a read for, a
+    #: row the consumer never asked for.
+    row_budget: int | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 0:
-            self.batch_size = getattr(self.database, "scan_batch_size", 0)
-        self.use_compiled = (
-            bool(getattr(self.database, "compiled_execution", False))
-            and not self.track_reads
-            and not getattr(self.database, "observers", None)
-        )
-        self.exec_stats = getattr(self.database, "executor_stats", None)
+            self.batch_size = self.database.scan_batch_size
 
 
-def _iter_batches(rows: Iterable[tuple], size: int) -> Iterator[list[tuple]]:
-    """Chunk an arbitrary row iterator into lists of at most ``size``."""
-    if size <= 0:
-        size = 1024
-    chunk: list[tuple] = []
-    append = chunk.append
-    for row in rows:
-        append(row)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-            append = chunk.append
-    if chunk:
-        yield chunk
+#: Strips the row id off a scan's ``(row_id, values)`` pair.
+_VALUES_OF_PAIR = itemgetter(1)
+
+
+@cache
+def _scheduler():
+    """``repro.runtime.scheduler``, imported on first use and kept.
+
+    A module-level import would cycle (repro.runtime's __init__ imports
+    the workflow module, which imports this package back); an import
+    statement per scan is 5% of a ten-microsecond index probe.
+    """
+    from repro.runtime import scheduler
+
+    return scheduler
 
 
 class PlanNode:
     layout: Layout
-
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        raise NotImplementedError
+    #: The input of a single-input operator; leaves have none.
+    child: "PlanNode | None" = None
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         """Batch-at-a-time row production: chunks of ``list[tuple]``.
 
-        Operators with compiled programs override this to process whole
-        batches per call; the default adapter chunks :meth:`rows`, so any
-        node composes into a batch pipeline unchanged. Chunk boundaries
-        carry no meaning — consumers must produce identical results for
-        any chunking, including empty chunks.
+        The only way a plan runs. Operators carrying compiled programs
+        process a whole chunk per call; a plan built without them
+        (uncached) takes the planner-closure branch inside the same
+        method. Chunk boundaries carry no meaning — consumers must
+        produce identical results for any chunking — and a chunk is never
+        mutated by its consumer.
         """
-        yield from _iter_batches(self.rows(ctx), ctx.batch_size)
+        raise NotImplementedError
 
     def count_only(self, ctx: ExecContext) -> int | None:
         """Output row count without materializing rows, or None.
@@ -136,7 +135,7 @@ class PlanNode:
         return type(self).__name__
 
     def children_nodes(self) -> list["PlanNode"]:
-        return []
+        return [] if self.child is None else [self.child]
 
     def explain(self, depth: int = 0) -> list[str]:
         """Indented plan tree, root first (the EXPLAIN output)."""
@@ -152,14 +151,40 @@ class SingleRowNode(PlanNode):
     def __init__(self):
         self.layout = Layout()
 
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        yield ()
-
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         yield [()]
 
     def describe(self) -> str:
         return "SingleRow"
+
+
+def _bounded_chunks(
+    source: Iterator, ctx: ExecContext, batch: int = 0, table: str = ""
+) -> Iterator[list]:
+    """Chunks no larger than the row budget, cut at the yield points.
+
+    ``ctx.row_budget`` is read afresh for every pull: the consumer
+    narrows it to what it still needs. Under a scheduler (``batch``
+    non-zero) a chunk also never straddles a yield point, and a
+    SCAN_BATCH checkpoint on ``table`` fires after every ``batch`` rows
+    pulled — never after a short tail — so concurrent readers interleave
+    at the same deterministic row boundaries whatever the chunking.
+    """
+    until_yield = batch
+    while True:
+        size = ctx.row_budget
+        if batch and (size is None or size > until_yield):
+            size = until_yield
+        chunk = list(islice(source, size))
+        if not chunk:
+            return
+        if batch:
+            until_yield -= len(chunk)
+            if not until_yield:
+                api = _scheduler()
+                api.maybe_checkpoint(api.CheckpointKind.SCAN_BATCH, table)
+                until_yield = batch
+        yield chunk
 
 
 class RowsNode(PlanNode):
@@ -182,12 +207,10 @@ class RowsNode(PlanNode):
     def describe(self) -> str:
         return f"{self.label}({len(self._rows)} rows)"
 
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        yield from self._rows
-
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        if self._rows:
-            yield list(self._rows)
+        # No more than the consumer still needs at a time: a LIMIT over
+        # a big gather projects only the rows it returns.
+        return _bounded_chunks(iter(self._rows), ctx)
 
 
 class ScanNode(PlanNode):
@@ -204,15 +227,27 @@ class ScanNode(PlanNode):
         self.table = table
         self.binding = binding
         self.schema = schema
-        self.filter_fn = filter_fn
         self.probe = probe  # (HashIndex, key expr fns evaluated without rows)
         self.layout = Layout.for_table(binding, schema.column_names)
         #: Human-readable filter text for EXPLAIN (set by the planner).
         self.filter_sql: str | None = None
-        #: The merged pushed-down filter expression (set by the planner)
-        #: and its compiled batch form (set by ``compile_plan_programs``).
+        #: The merged pushed-down filter expression (set by the planner).
         self.filter_expr: Expr | None = None
+        #: Whole-batch forms of the filter, over value tuples and over
+        #: ``(row_id, values)`` pairs: the planner closure until a
+        #: generated program replaces it — at ``compile_plan_programs``
+        #: for values, at the plan's first traced execution for pairs,
+        #: so a database that never traces generates one program, not two.
         self._c_filter: Callable | None = None
+        self._c_filter_pairs: Callable | None = None
+        self._pairs_program_due = False
+        if filter_fn is not None:
+            self._c_filter = lambda chunk, params: [
+                v for v in chunk if filter_fn(v, params) is True
+            ]
+            self._c_filter_pairs = lambda chunk, params: [
+                x for x in chunk if filter_fn(x[1], params) is True
+            ]
 
     def describe(self) -> str:
         parts = [f"Scan({self.table}"]
@@ -250,110 +285,60 @@ class ScanNode(PlanNode):
             ]
         return ctx.txn.scan(self.table)
 
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        ctx.scanned_tables.add(self.table)
-        track = ctx.track_reads
-        filter_fn = self.filter_fn
-        source = self._resolve_source(ctx)
-        # Imported here, not at module level: repro.runtime's package
-        # __init__ imports the workflow module, which imports this
-        # package back — after first use this is a sys.modules lookup.
-        from repro.runtime.scheduler import CheckpointKind, maybe_checkpoint
-
-        batch = ctx.batch_size
-        # Count *down* to the next yield point instead of taking a modulo
-        # every row: one decrement + compare per row, one reset per batch.
-        countdown = batch
-        for row_id, values in source:
-            if batch:
-                countdown -= 1
-                if not countdown:
-                    # Cooperative yield: under a scheduler running at
-                    # 'batch' granularity, long scans hand the baton over
-                    # here so concurrent readers interleave at
-                    # deterministic row-batch boundaries. A no-op on
-                    # unscheduled threads.
-                    maybe_checkpoint(CheckpointKind.SCAN_BATCH, self.table)
-                    countdown = batch
-            if filter_fn is not None and filter_fn(values, ctx.params) is not True:
-                continue
-            if track:
-                ctx.txn.record_read(self.table, row_id, values, ctx.query_text)
-                ctx.read_counts[self.table] = ctx.read_counts.get(self.table, 0) + 1
-            yield values
-
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        """Batch scan: whole chunks of values, filtered a batch at a time.
+        """Batch scan: whole chunks, filtered and recorded a chunk at a time.
 
-        Unfiltered latest-state scans serve straight off the store's
-        shared materialized row list when the transaction's snapshot
-        covers the table's last write (:meth:`Transaction.scan_materialized`
-        — same locking and liveness side effects as ``scan``). Under a
-        live cooperative scheduler chunks are exactly ``ctx.batch_size``
-        rows with a SCAN_BATCH checkpoint per full chunk — the identical
-        yield cadence the row path has — otherwise the whole scan is one
-        chunk.
+        An untracked latest-state scan with no row budget serves straight
+        off the store's shared materialized row list when the
+        transaction's snapshot covers the table's last write
+        (:meth:`Transaction.scan_materialized` — same locking and
+        liveness side effects as ``scan``). Every other scan pulls
+        ``(row_id, values)`` pairs, so under ``ctx.track_reads`` the
+        survivors of the pushed-down filter become the chunk's read
+        records. With neither a row budget nor a live cooperative
+        scheduler the whole scan is one chunk.
         """
-        if ctx.track_reads:
-            # Provenance needs per-row read records: delegate entirely.
-            yield from _iter_batches(self.rows(ctx), ctx.batch_size)
-            return
-        ctx.scanned_tables.add(self.table)
-        from repro.runtime.scheduler import (
-            CheckpointKind,
-            current_scheduler,
-            maybe_checkpoint,
-        )
-
-        pairs: Iterable[tuple[int, tuple]] | None = None
-        if self.probe is not None:
-            pairs = self._resolve_source(ctx)
-            values_list = [values for _rid, values in pairs]
+        table = self.table
+        params = ctx.params
+        stats = ctx.database.executor_stats
+        ctx.read_counts.setdefault(table, 0)
+        track = ctx.track_reads
+        rows = None
+        if self.probe is None and not track and ctx.row_budget is None:
+            rows = ctx.txn.scan_materialized(table)
+        if rows is None:
+            rows = self._resolve_source(ctx)
+            if not track:
+                rows = map(_VALUES_OF_PAIR, rows)
+        batch = ctx.batch_size if _scheduler().current_scheduler() is not None else 0
+        if batch or ctx.row_budget is not None:
+            chunks = _bounded_chunks(iter(rows), ctx, batch, table)
         else:
-            # Shared values-only list straight off the store — zero
-            # per-execution extraction. Operators never mutate chunks,
-            # so serving it as a chunk is safe.
-            values_list = ctx.txn.scan_materialized(self.table)
-            if values_list is None:
-                values_list = [
-                    values for _rid, values in self._resolve_source(ctx)
-                ]
-        stats = ctx.exec_stats
-        batch = ctx.batch_size
-        scheduled = batch and current_scheduler() is not None
-        if not scheduled:
-            # No scheduler to yield to: one chunk, no slicing overhead.
-            out = self._filter_batch(values_list, ctx)
-            if stats is not None:
-                stats["batches_processed"] += 1
+            # A list goes out uncopied: it may be the store's shared one,
+            # and consumers never mutate chunks.
+            chunk = rows if type(rows) is list else list(rows)
+            chunks = (chunk,) if chunk else ()
+        if track and self._pairs_program_due:
+            self._pairs_program_due = False
+            self._c_filter_pairs = (
+                codegen.compile_predicate_batch(
+                    self.filter_expr, self.layout, pairs=True
+                )
+                or self._c_filter_pairs
+            )
+        keep = self._c_filter_pairs if track else self._c_filter
+        for chunk in chunks:
+            out = chunk
+            if keep is not None:
+                out = keep(chunk, params)
+                stats["rows_filtered_at_scan"] += len(chunk) - len(out)
+            stats["batches_processed"] += 1
+            if track:
+                ctx.txn.record_reads(table, out, ctx.query_text)
+                ctx.read_counts[table] += len(out)
+                out = list(map(_VALUES_OF_PAIR, out))
             if out:
                 yield out
-            return
-        for start in range(0, len(values_list), batch):
-            chunk = values_list[start : start + batch]
-            if len(chunk) == batch:
-                # Same cadence as the row path: a checkpoint fires after
-                # every ``batch`` pulled rows (never after a short tail).
-                maybe_checkpoint(CheckpointKind.SCAN_BATCH, self.table)
-            out = self._filter_batch(chunk, ctx)
-            if stats is not None:
-                stats["batches_processed"] += 1
-            if out:
-                yield out
-
-    def _filter_batch(self, chunk: list[tuple], ctx: ExecContext) -> list[tuple]:
-        if self.filter_fn is None:
-            return chunk
-        c_filter = self._c_filter
-        if c_filter is not None:
-            out = c_filter(chunk, ctx.params)
-        else:
-            filter_fn = self.filter_fn
-            params = ctx.params
-            out = [v for v in chunk if filter_fn(v, params) is True]
-        if ctx.exec_stats is not None:
-            ctx.exec_stats["rows_filtered_at_scan"] += len(chunk) - len(out)
-        return out
 
     def _probe_candidates(self, ctx: ExecContext) -> "Iterable[int]":
         """Candidate row ids from the index; may be a read-only live view."""
@@ -380,44 +365,54 @@ class FilterNode(PlanNode):
         expr: Expr | None = None,
     ):
         self.child = child
-        self.predicate = predicate
         self.layout = child.layout
         self.sql = sql
-        #: Raw predicate expression (for batch compilation) and its
-        #: compiled whole-batch form (set by ``compile_plan_programs``).
+        #: Raw predicate expression (for batch compilation) and the
+        #: whole-batch form of the predicate: the planner closure until
+        #: ``compile_plan_programs`` swaps in a generated program.
         self.expr = expr
-        self._c_batch: Callable | None = None
+        self._c_batch: Callable = lambda chunk, params: [
+            row for row in chunk if predicate(row, params) is True
+        ]
 
     def describe(self) -> str:
         return f"Filter[{self.sql}]" if self.sql else "Filter"
 
-    def children_nodes(self) -> list["PlanNode"]:
-        return [self.child]
-
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        predicate = self.predicate
-        for row in self.child.rows(ctx):
-            if predicate(row, ctx.params) is True:
-                yield row
-
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         c_batch = self._c_batch
-        predicate = self.predicate
         params = ctx.params
-        stats = ctx.exec_stats
+        stats = ctx.database.executor_stats
         for chunk in self.child.batches(ctx):
-            if c_batch is not None:
-                out = c_batch(chunk, params)
-            else:
-                out = [row for row in chunk if predicate(row, params) is True]
-            if stats is not None:
-                stats["rows_filtered_post_join"] += len(chunk) - len(out)
+            out = c_batch(chunk, params)
+            stats["rows_filtered_post_join"] += len(chunk) - len(out)
             if out:
                 yield out
 
 
+def _pull(
+    chunks: Iterator[list[tuple]], ctx: ExecContext, budget: int | None
+) -> list[tuple] | None:
+    """The next chunk (None at the end), pulled under a narrower row budget.
+
+    ``ctx.row_budget`` drops to ``budget`` for just this pull — never
+    rises — so the scans that run inside it read no further than the
+    caller can use.
+    """
+    outer = ctx.row_budget
+    if budget is not None and (outer is None or budget < outer):
+        ctx.row_budget = budget
+    chunk = next(chunks, None)
+    ctx.row_budget = outer
+    return chunk
+
+
 class HashJoinNode(PlanNode):
-    """Equi-join; builds on the right child, probes from the left."""
+    """Equi-join; builds on the right child, probes from the left.
+
+    With no keys every row lands in one bucket and the residual is the
+    whole join condition: the nested-loop join for non-equi conditions
+    and cross joins.
+    """
 
     def __init__(
         self,
@@ -448,48 +443,65 @@ class HashJoinNode(PlanNode):
         self._count_key_slot: int | None = None
 
     def describe(self) -> str:
+        if not self.left_keys:
+            return f"NestedLoopJoin({self.kind})"
         return f"HashJoin({self.kind}, {len(self.left_keys)} key(s))"
 
     def children_nodes(self) -> list["PlanNode"]:
         return [self.left, self.right]
 
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        table: dict[tuple, list[tuple]] = {}
-        for row in self.right.rows(ctx):
-            key = tuple(fn(row, ctx.params) for fn in self.right_keys)
+    def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
+        build = self._c_build or self._build_chunk
+        probe = self._c_probe or self._probe_chunk
+        params = ctx.params
+        table: dict = {}
+        # The build side drains whole, whatever the parent still needs.
+        outer = ctx.row_budget
+        ctx.row_budget = None
+        for chunk in self.right.batches(ctx):
+            build(chunk, params, table)
+        ctx.row_budget = outer
+        left = self.left.batches(ctx)
+        # One probe row can fan out into any number of join rows, so
+        # under a row budget only a single-row pull is certain not to
+        # scan past the row that satisfies the consumer.
+        while (
+            chunk := _pull(left, ctx, None if ctx.row_budget is None else 1)
+        ) is not None:
+            out = probe(chunk, params, table)
+            if out:
+                yield out
+
+    def _build_chunk(self, chunk: list[tuple], params: Sequence[Any], table: dict):
+        """Planner-closure twin of the compiled build program."""
+        right_keys = self.right_keys
+        for row in chunk:
+            key = tuple(fn(row, params) for fn in right_keys)
             if None in key:
                 continue  # NULL never equi-joins
             table.setdefault(key, []).append(row)
+
+    def _probe_chunk(
+        self, chunk: list[tuple], params: Sequence[Any], table: dict
+    ) -> list[tuple]:
+        """Planner-closure twin of the compiled probe program."""
+        left_keys = self.left_keys
+        residual = self.residual
         null_right = (None,) * self._right_width
-        for left_row in self.left.rows(ctx):
-            key = tuple(fn(left_row, ctx.params) for fn in self.left_keys)
+        out = []
+        for left_row in chunk:
+            key = tuple(fn(left_row, params) for fn in left_keys)
             matched = False
             if None not in key:
                 for right_row in table.get(key, ()):
                     combined = left_row + right_row
-                    if (
-                        self.residual is not None
-                        and self.residual(combined, ctx.params) is not True
-                    ):
+                    if residual is not None and residual(combined, params) is not True:
                         continue
                     matched = True
-                    yield combined
+                    out.append(combined)
             if not matched and self.kind == "left":
-                yield left_row + null_right
-
-    def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        build, probe = self._c_build, self._c_probe
-        if build is None or probe is None:
-            yield from _iter_batches(self.rows(ctx), ctx.batch_size)
-            return
-        params = ctx.params
-        table: dict = {}
-        for chunk in self.right.batches(ctx):
-            build(chunk, params, table)
-        for chunk in self.left.batches(ctx):
-            out = probe(chunk, params, table)
-            if out:
-                yield out
+                out.append(left_row + null_right)
+        return out
 
     def count_only(self, ctx: ExecContext) -> int | None:
         """Inner equi-join output count without materializing join rows.
@@ -512,7 +524,6 @@ class HashJoinNode(PlanNode):
         ):
             return None
         from collections import Counter
-        from operator import itemgetter
 
         table: dict = {}
         for chunk in self.right.batches(ctx):
@@ -527,47 +538,6 @@ class HashJoinNode(PlanNode):
                 if size:
                     total += count * size
         return total
-
-
-class NestedLoopJoinNode(PlanNode):
-    """General join for non-equi conditions (and cross joins)."""
-
-    def __init__(
-        self,
-        left: PlanNode,
-        right: PlanNode,
-        condition: CompiledExpr | None,
-        kind: str,
-    ):
-        self.left = left
-        self.right = right
-        self.condition = condition
-        self.kind = kind
-        self.layout = left.layout.concat(right.layout)
-        self._right_width = len(right.layout)
-
-    def describe(self) -> str:
-        return f"NestedLoopJoin({self.kind})"
-
-    def children_nodes(self) -> list["PlanNode"]:
-        return [self.left, self.right]
-
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        right_rows = list(self.right.rows(ctx))
-        null_right = (None,) * self._right_width
-        for left_row in self.left.rows(ctx):
-            matched = False
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if (
-                    self.condition is not None
-                    and self.condition(combined, ctx.params) is not True
-                ):
-                    continue
-                matched = True
-                yield combined
-            if not matched and self.kind == "left":
-                yield left_row + null_right
 
 
 @dataclass
@@ -613,63 +583,63 @@ class AggregateNode(PlanNode):
         aggs = ", ".join(s.name for s in self.agg_specs)
         return f"Aggregate(groups={len(self.key_fns)}, aggs=[{aggs}])"
 
-    def children_nodes(self) -> list["PlanNode"]:
-        return [self.child]
-
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        groups: dict[tuple, list] = {}
-        order: list[tuple] = []
-        for row in self.child.rows(ctx):
-            key = tuple(fn(row, ctx.params) for fn in self.key_fns)
-            hashable = tuple(SortKey(v) for v in key)
-            accs = groups.get(hashable)
-            if accs is None:
-                accs = [
-                    make_accumulator(s.name, s.star, s.distinct)
-                    for s in self.agg_specs
-                ]
-                groups[hashable] = accs
-                order.append(key)
-            for spec, acc in zip(self.agg_specs, accs):
-                if spec.star:
-                    acc.add(None)
-                else:
-                    acc.add(spec.arg(row, ctx.params))
-        if not groups and self.global_group:
-            accs = [
-                make_accumulator(s.name, s.star, s.distinct) for s in self.agg_specs
-            ]
-            yield tuple(a.result() for a in accs)
-            return
-        for key in order:
-            hashable = tuple(SortKey(v) for v in key)
-            accs = groups[hashable]
-            yield key + tuple(a.result() for a in accs)
-
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        progs = self._c_progs
-        if progs is None:
-            yield from _iter_batches(self.rows(ctx), ctx.batch_size)
-            return
-        chunk_fn, init_fn, fin_fn = progs
+        # Blocking: the input drains whole, whatever the parent needs.
+        outer = ctx.row_budget
+        ctx.row_budget = None
+        if self._c_progs is None:
+            out = self._closure_groups(ctx)
+        else:
+            out = self._compiled_groups(ctx, *self._c_progs)
+        ctx.row_budget = outer
+        if out:
+            yield out
+
+    def _compiled_groups(
+        self, ctx: ExecContext, chunk_fn: Callable, init_fn: Callable, fin_fn: Callable
+    ) -> list[tuple]:
         if self._pure_count_star:
             # Global COUNT(*): ask the child for the bare count (eager
             # aggregation). None means unsupported — and, by the
             # count_only contract, that nothing was consumed yet.
             count = self.child.count_only(ctx)
             if count is not None:
-                yield [(count,) * len(self.agg_specs)]
-                return
+                return [(count,) * len(self.agg_specs)]
         params = ctx.params
         groups: dict = {}
         order: list = []
         for chunk in self.child.batches(ctx):
             chunk_fn(chunk, params, groups, order)
         if not order:
-            if self.global_group:
-                yield [fin_fn(init_fn())]
-            return
-        yield [key + fin_fn(state) for key, state in order]
+            return [fin_fn(init_fn())] if self.global_group else []
+        return [key + fin_fn(state) for key, state in order]
+
+    def _closure_groups(self, ctx: ExecContext) -> list[tuple]:
+        """Planner-closure twin of the compiled accumulation programs."""
+        params = ctx.params
+        specs = self.agg_specs
+        groups: dict[tuple, tuple[tuple, list]] = {}
+        for chunk in self.child.batches(ctx):
+            for row in chunk:
+                key = tuple(fn(row, params) for fn in self.key_fns)
+                hashable = tuple(SortKey(v) for v in key)
+                entry = groups.get(hashable)
+                if entry is None:
+                    entry = groups[hashable] = (
+                        key,
+                        [make_accumulator(s.name, s.star, s.distinct) for s in specs],
+                    )
+                for spec, acc in zip(specs, entry[1]):
+                    if spec.star:
+                        acc.add(None)
+                    else:
+                        acc.add(spec.arg(row, params))
+        if not groups and self.global_group:
+            accs = [make_accumulator(s.name, s.star, s.distinct) for s in specs]
+            return [tuple(a.result() for a in accs)]
+        return [
+            key + tuple(a.result() for a in accs) for key, accs in groups.values()
+        ]
 
 
 class SortNode(PlanNode):
@@ -682,40 +652,35 @@ class SortNode(PlanNode):
         dirs = ", ".join("asc" if asc else "desc" for _fn, asc in self.keys)
         return f"Sort({dirs})"
 
-    def children_nodes(self) -> list["PlanNode"]:
-        return [self.child]
-
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        materialized = list(self.child.rows(ctx))
-        yield from self._sorted(materialized, ctx)
-
-    def _sorted(self, materialized: list[tuple], ctx: ExecContext) -> list[tuple]:
+    def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
+        materialized: list[tuple] = []
+        # Blocking: the input drains whole, whatever the parent needs.
+        outer = ctx.row_budget
+        ctx.row_budget = None
+        for chunk in self.child.batches(ctx):
+            materialized.extend(chunk)
+        ctx.row_budget = outer
         # Stable multi-key sort: apply keys from last to first.
         for fn, ascending in reversed(self.keys):
             materialized.sort(
                 key=lambda row: SortKey(fn(row, ctx.params)), reverse=not ascending
             )
-        return materialized
-
-    def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        materialized: list[tuple] = []
-        for chunk in self.child.batches(ctx):
-            materialized.extend(chunk)
         if materialized:
-            yield self._sorted(materialized, ctx)
+            yield materialized
 
 
 class ProjectNode(PlanNode):
     def __init__(self, child: PlanNode, exprs: list[CompiledExpr], names: list[str]):
         self.child = child
-        self.exprs = exprs
         self.names = names
         #: Raw projection expressions over the child layout (set by the
-        #: planner) and the compiled whole-batch projection (set by
-        #: ``compile_plan_programs``).
+        #: planner) and the whole-batch projection: the planner closures
+        #: until ``compile_plan_programs`` swaps in a generated program.
         self.raw_exprs: list[Expr] | None = None
         self.input_layout: Layout | None = None
-        self._c_batch: Callable | None = None
+        self._c_batch: Callable = lambda chunk, params: [
+            tuple(fn(row, params) for fn in exprs) for row in chunk
+        ]
         self.layout = Layout()
         for name in names:
             try:
@@ -727,24 +692,11 @@ class ProjectNode(PlanNode):
     def describe(self) -> str:
         return f"Project({', '.join(self.names)})"
 
-    def children_nodes(self) -> list["PlanNode"]:
-        return [self.child]
-
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        exprs = self.exprs
-        for row in self.child.rows(ctx):
-            yield tuple(fn(row, ctx.params) for fn in exprs)
-
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         c_batch = self._c_batch
         params = ctx.params
-        if c_batch is not None:
-            for chunk in self.child.batches(ctx):
-                yield c_batch(chunk, params)
-            return
-        exprs = self.exprs
         for chunk in self.child.batches(ctx):
-            yield [tuple(fn(row, params) for fn in exprs) for row in chunk]
+            yield c_batch(chunk, params)
 
 
 class DistinctNode(PlanNode):
@@ -754,18 +706,6 @@ class DistinctNode(PlanNode):
 
     def describe(self) -> str:
         return "Distinct"
-
-    def children_nodes(self) -> list["PlanNode"]:
-        return [self.child]
-
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for row in self.child.rows(ctx):
-            key = tuple(SortKey(v) for v in row)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         seen: set[tuple] = set()
@@ -796,32 +736,6 @@ class LimitNode(PlanNode):
     def describe(self) -> str:
         return "Limit"
 
-    def children_nodes(self) -> list["PlanNode"]:
-        return [self.child]
-
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        limit = self.limit((), ctx.params) if self.limit is not None else None
-        offset = self.offset((), ctx.params) if self.offset is not None else 0
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
-            raise ExecutionError(f"LIMIT must be a non-negative integer, got {limit!r}")
-        if not isinstance(offset, int) or offset < 0:
-            raise ExecutionError(f"OFFSET must be a non-negative integer, got {offset!r}")
-        if limit == 0:
-            return
-        produced = 0
-        skipped = 0
-        for row in self.child.rows(ctx):
-            if skipped < offset:
-                skipped += 1
-                continue
-            produced += 1
-            yield row
-            if limit is not None and produced >= limit:
-                # Stop pulling immediately after the last wanted row:
-                # the entire pipeline below is generators, so this is
-                # what terminates the scan early for LIMIT queries.
-                return
-
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         limit = self.limit((), ctx.params) if self.limit is not None else None
         offset = self.offset((), ctx.params) if self.offset is not None else 0
@@ -832,19 +746,22 @@ class LimitNode(PlanNode):
         if limit == 0:
             return
         to_skip = offset
-        produced = 0
-        for chunk in self.child.batches(ctx):
+        #: Input rows still wanted (skipped ones included); None = all.
+        need = None if limit is None else limit + offset
+        chunks = self.child.batches(ctx)
+        # Handing the remaining need down as the row budget is what stops
+        # the scans below right at the last wanted row.
+        while need != 0 and (chunk := _pull(chunks, ctx, need)) is not None:
+            if need is not None:
+                if len(chunk) > need:
+                    chunk = chunk[:need]
+                need -= len(chunk)
             if to_skip:
-                if to_skip >= len(chunk):
-                    to_skip -= len(chunk)
-                    continue
-                chunk = chunk[to_skip:]
-                to_skip = 0
-            if limit is not None and produced + len(chunk) >= limit:
-                yield chunk[: limit - produced]
-                return
-            produced += len(chunk)
-            yield chunk
+                skipped = min(to_skip, len(chunk))
+                to_skip -= skipped
+                chunk = chunk[skipped:]
+            if chunk:
+                yield chunk
 
 
 # ---------------------------------------------------------------------------
@@ -873,16 +790,12 @@ def build_select_plan(
     else:
         plan = build_from_where(stmt, database, txn)
         result = plan_projection(stmt, plan, plan.layout)
-    if getattr(database, "compiled_execution", False) and getattr(
-        database, "plan_cache_enabled", True
-    ):
+    if database.plan_cache_enabled:
         # Compile once per *cached* plan: with the plan cache disabled
         # every statement would pay codegen with no reuse to amortize
-        # it, so replanned statements stay on the closure path.
+        # it, so replanned statements take the closure branches.
         compile_plan_programs(result[0], database)
-        stats = getattr(database, "executor_stats", None)
-        if stats is not None:
-            stats["plans_compiled"] += 1
+        database.executor_stats["plans_compiled"] += 1
     return result
 
 
@@ -900,22 +813,24 @@ def compile_plan_programs(plan: PlanNode, database: "Database") -> None:
     plan._c_done = True
     for child in plan.children_nodes():
         compile_plan_programs(child, database)
-    from repro.db.sql import compile as codegen
-
     if isinstance(plan, ScanNode):
         if plan.filter_expr is not None:
-            plan._c_filter = codegen.compile_predicate_batch(
-                plan.filter_expr, plan.layout
+            plan._c_filter = (
+                codegen.compile_predicate_batch(plan.filter_expr, plan.layout)
+                or plan._c_filter
             )
+            plan._pairs_program_due = True
     elif isinstance(plan, FilterNode):
         if plan.expr is not None:
-            plan._c_batch = codegen.compile_predicate_batch(
-                plan.expr, plan.child.layout
+            plan._c_batch = (
+                codegen.compile_predicate_batch(plan.expr, plan.child.layout)
+                or plan._c_batch
             )
     elif isinstance(plan, ProjectNode):
         if plan.raw_exprs is not None and plan.input_layout is not None:
-            plan._c_batch = codegen.compile_projection_batch(
-                plan.raw_exprs, plan.input_layout
+            plan._c_batch = (
+                codegen.compile_projection_batch(plan.raw_exprs, plan.input_layout)
+                or plan._c_batch
             )
     elif isinstance(plan, HashJoinNode):
         if plan.raw_left_keys is not None and plan.raw_right_keys is not None:
@@ -949,39 +864,41 @@ def compile_plan_programs(plan: PlanNode, database: "Database") -> None:
             plan._c_progs = codegen.compile_aggregate_programs(
                 plan.raw_group_exprs or [], metas, plan.input_layout
             )
-def _pipeline_blocking(node: PlanNode) -> bool:
-    """Whether the subtree must consume all input before the first row.
-
-    LIMIT over a streaming (non-blocking) subtree keeps the row-at-a-time
-    path so its short-circuit stops the scan after the last wanted row;
-    over a Sort/Aggregate the input is fully drained either way and the
-    batch pipeline wins.
-    """
-    if isinstance(node, (SortNode, AggregateNode)):
-        return True
-    if isinstance(node, (FilterNode, ProjectNode, DistinctNode, LimitNode)):
-        return _pipeline_blocking(node.child)
-    return False
 
 
 def _drain_rows(plan: PlanNode, ctx: ExecContext) -> list[tuple]:
-    """Materialize a plan's full output, batch pipeline when eligible."""
-    if ctx.use_compiled and not (
-        isinstance(plan, LimitNode) and not _pipeline_blocking(plan.child)
-    ):
-        chunks = plan.batches(ctx)
-        first = next(chunks, None)
-        if first is None:
-            return []
-        second = next(chunks, None)
-        if second is None:
-            return first
-        out = list(first)
-        out.extend(second)
-        for chunk in chunks:
-            out.extend(chunk)
-        return out
-    return list(plan.rows(ctx))
+    """Materialize a plan's full output, then close its read provenance.
+
+    Under ``ctx.track_reads`` a table that was consulted but matched
+    nothing still yields one null read record (Table 2's "Check if
+    (U1, F2) exists" rows).
+    """
+    chunks = list(plan.batches(ctx))
+    if len(chunks) == 1:
+        rows = chunks[0]  # as is: a chunk may be shared, so never extended
+    else:
+        rows = list(chain.from_iterable(chunks))
+    if ctx.track_reads:
+        for table, count in sorted(ctx.read_counts.items()):
+            if not count:
+                ctx.txn.record_read(table, None, None, ctx.query_text)
+    return rows
+
+
+def _stream_rows(plan: PlanNode, ctx: ExecContext) -> Iterator[tuple]:
+    """A plan's output one row at a time, for a streamed cursor.
+
+    The row budget starts at one row and doubles per chunk up to the scan
+    batch size: priming the cursor, ``first()`` or ``one()`` touch only
+    the rows they hand out, while a consumer that keeps fetching soon
+    gets whole batches — never buffering more than it has already taken.
+    """
+    ctx.row_budget = 1
+    for chunk in plan.batches(ctx):
+        yield from chunk
+        ctx.row_budget *= 2
+        if ctx.batch_size and ctx.row_budget > ctx.batch_size:
+            ctx.row_budget = ctx.batch_size
 
 
 def build_from_where(
@@ -1043,16 +960,8 @@ def build_from_where(
     def make_scan(binding: str, canonical: str, schema: TableSchema) -> PlanNode:
         own_layout = Layout.for_table(binding, schema.column_names)
         own_conjuncts = pushed.get(binding.lower(), [])
-        filter_fn = None
-        merged: Expr | None = None
-        if own_conjuncts:
-            for conjunct in own_conjuncts:
-                from repro.db.expr import BinaryOp
-
-                merged = (
-                    conjunct if merged is None else BinaryOp("AND", merged, conjunct)
-                )
-            filter_fn = compile_expr(merged, own_layout)
+        merged = conjoin(own_conjuncts)
+        filter_fn = compile_expr(merged, own_layout) if own_conjuncts else None
         probe = _find_probe(database, canonical, schema, own_conjuncts, binding, txn)
         if scan_factory is not None:
             node = scan_factory(
@@ -1093,18 +1002,10 @@ def build_from_where(
             join_conjuncts, accumulated, {binding.lower()}, full_layout
         )
         combined_layout = plan.layout.concat(right.layout)
-        residual_fn = None
-        merged_residual: Expr | None = None
-        if residual:
-            for conjunct in residual:
-                from repro.db.expr import BinaryOp
-
-                merged_residual = (
-                    conjunct
-                    if merged_residual is None
-                    else BinaryOp("AND", merged_residual, conjunct)
-                )
-            residual_fn = compile_expr(merged_residual, combined_layout)
+        merged_residual = conjoin(residual)
+        residual_fn = (
+            compile_expr(merged_residual, combined_layout) if residual else None
+        )
         if pairs:
             left_keys = [compile_expr(l, plan.layout) for l, _ in pairs]
             right_keys = [compile_expr(r, right.layout) for _, r in pairs]
@@ -1118,16 +1019,12 @@ def build_from_where(
             join_node.raw_residual = merged_residual
             plan = join_node
         else:
-            plan = NestedLoopJoinNode(plan, right, residual_fn, join.kind)
+            plan = HashJoinNode(plan, right, [], [], residual_fn, join.kind)
         accumulated.add(binding.lower())
 
     remaining = [c for i, c in enumerate(conjuncts) if i not in consumed]
     if remaining:
-        merged = None
-        for conjunct in remaining:
-            from repro.db.expr import BinaryOp
-
-            merged = conjunct if merged is None else BinaryOp("AND", merged, conjunct)
+        merged = conjoin(remaining)
         plan = FilterNode(
             plan, compile_expr(merged, plan.layout), sql=merged.sql(), expr=merged
         )
@@ -1272,10 +1169,11 @@ def plan_projection(
     ) or (stmt.having is not None)
 
     if has_aggregates:
+        # Sorting for aggregate queries happens inside, before projection.
         plan = _plan_aggregate(stmt, plan, input_layout, proj)
-        # Sorting for aggregate queries references output columns.
-        plan = _plan_order_distinct_limit(stmt, plan, out_names, aggregated=True)
-        return plan, out_names
+        if stmt.distinct:
+            plan = DistinctNode(plan)
+        return _plan_limit(stmt, plan), out_names
 
     # Non-aggregate path: sort before projection when the ORDER BY
     # references input columns; otherwise after, by output names.
@@ -1307,14 +1205,7 @@ def plan_projection(
             for item in stmt.order_by
         ]
         plan = SortNode(plan, fns)
-    if stmt.limit is not None or stmt.offset is not None:
-        empty = Layout()
-        plan = LimitNode(
-            plan,
-            compile_expr(stmt.limit, empty) if stmt.limit is not None else None,
-            compile_expr(stmt.offset, empty) if stmt.offset is not None else None,
-        )
-    return plan, out_names
+    return _plan_limit(stmt, plan), out_names
 
 
 def _plan_aggregate(
@@ -1389,26 +1280,20 @@ def _plan_aggregate(
     return project
 
 
-def _plan_order_distinct_limit(
-    stmt: SelectStmt, plan: PlanNode, out_names: list[str], aggregated: bool
-) -> PlanNode:
-    if stmt.distinct:
-        plan = DistinctNode(plan)
-    if stmt.limit is not None or stmt.offset is not None:
-        empty = Layout()
-        plan = LimitNode(
-            plan,
-            compile_expr(stmt.limit, empty) if stmt.limit is not None else None,
-            compile_expr(stmt.offset, empty) if stmt.offset is not None else None,
-        )
-    return plan
+def _plan_limit(stmt: SelectStmt, plan: PlanNode) -> PlanNode:
+    if stmt.limit is None and stmt.offset is None:
+        return plan
+    empty = Layout()
+    return LimitNode(
+        plan,
+        compile_expr(stmt.limit, empty) if stmt.limit is not None else None,
+        compile_expr(stmt.offset, empty) if stmt.offset is not None else None,
+    )
 
 
 def _default_name(expr: Expr) -> str:
     if isinstance(expr, ColumnRef):
         return expr.column
-    if isinstance(expr, FuncCall):
-        return expr.sql()
     return expr.sql()
 
 
@@ -1451,7 +1336,7 @@ def execute_statement(
     if isinstance(stmt, SelectStmt):
         return _execute_select(database, txn, stmt, params, query_text, stream)
     if isinstance(stmt, InsertStmt):
-        return _execute_insert(database, txn, stmt, params)
+        return _execute_insert(database, txn, stmt, params, query_text)
     if isinstance(stmt, UpdateStmt):
         return _execute_update(database, txn, stmt, params, query_text)
     if isinstance(stmt, DeleteStmt):
@@ -1495,24 +1380,23 @@ def _execute_select(
     if stream and not ctx.track_reads:
         # Cursor streaming: hand the generator pipeline to the ResultSet
         # instead of draining it. The caller must prime() the result
-        # while the transaction is live (Database.execute does); read
-        # provenance requires full materialization, so TROD-attached
-        # databases never take this path.
+        # while the transaction is live (Database.execute does); a
+        # statement trace carries every read and the row count, so
+        # TROD-attached databases drain instead.
         return ResultSet(
-            columns=out_names, kind="select", source=plan.rows(ctx)
+            columns=out_names, kind="select", source=_stream_rows(plan, ctx)
         )
-    rows = _drain_rows(plan, ctx)
-    if ctx.track_reads:
-        # A table that was consulted but matched nothing still yields one
-        # null read record (Table 2's "Check if (U1, F2) exists" rows).
-        for table in sorted(ctx.scanned_tables):
-            if not ctx.read_counts.get(table):
-                txn.record_read(table, None, None, query_text)
-    return ResultSet(columns=out_names, rows=rows, kind="select")
+    return ResultSet(
+        columns=out_names, rows=_drain_rows(plan, ctx), kind="select"
+    )
 
 
 def _execute_insert(
-    database: "Database", txn: "Transaction", stmt: InsertStmt, params: Sequence[Any]
+    database: "Database",
+    txn: "Transaction",
+    stmt: InsertStmt,
+    params: Sequence[Any],
+    query_text: str = "",
 ) -> ResultSet:
     schema = database.catalog.get(stmt.table)
     columns = stmt.columns or list(schema.column_names)
@@ -1534,7 +1418,7 @@ def _execute_insert(
             database=database,
             txn=txn,
             params=params,
-            query_text="",
+            query_text=query_text,
             track_reads=database.track_reads,
         )
         # Materialize first: the SELECT may read the target table, and

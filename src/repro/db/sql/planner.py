@@ -491,7 +491,7 @@ def fold_constants(expr: Expr) -> Expr:
     error still surfaces at execution, exactly where it used to. The only
     non-constant rewrites applied are the left-literal short circuits
     ``FALSE AND x -> FALSE`` and ``TRUE OR x -> TRUE``, which the
-    row-at-a-time evaluator performs without touching ``x`` anyway.
+    closure evaluator performs without touching ``x`` anyway.
     (``TRUE AND x`` is *not* ``x``: AND normalizes truthy operands.)
     """
     from repro.db.expr import Scope

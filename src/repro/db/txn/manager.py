@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.txn.locks import LockManager, LockMode
 from repro.db.txn.wal import WalAbort, WalChange, WalCommit, WalPrepare
@@ -169,9 +169,9 @@ class Transaction:
         read snapshot covers the table's last committed write — i.e. the
         latest state *is* the snapshot state. Otherwise returns None and
         the caller falls back to :meth:`scan`. Side effects (liveness
-        check, SERIALIZABLE shared lock) are identical to ``scan``, so
-        the executor's batch path schedules and conflicts the same way
-        as the row-at-a-time path.
+        check, SERIALIZABLE shared lock) are identical to ``scan``, so a
+        statement schedules and conflicts the same way whichever of the
+        two serves it.
         """
         self._check_active()
         canonical = self._manager.database.catalog.resolve(table)
@@ -303,10 +303,20 @@ class Transaction:
     def record_read(
         self, table: str, row_id: int | None, values: tuple | None, query: str
     ) -> None:
+        self.record_reads(table, ((row_id, values),), query)
+
+    def record_reads(
+        self, table: str, pairs: Iterable[tuple[int | None, tuple | None]], query: str
+    ) -> None:
+        """One :class:`ReadRecord` per ``(row_id, values)`` pair, in order.
+
+        The executor's scans call this once per batch of rows that
+        survived the pushed-down filter.
+        """
         canonical = self._manager.database.catalog.resolve(table)
-        record = ReadRecord(table=canonical, row_id=row_id, values=values, query=query)
-        self.read_records.append(record)
-        self._statement_reads.append(record)
+        records = [ReadRecord(canonical, row_id, values, query) for row_id, values in pairs]
+        self.read_records.extend(records)
+        self._statement_reads.extend(records)
 
     # -- lifecycle ------------------------------------------------------------
 

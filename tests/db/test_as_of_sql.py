@@ -128,12 +128,14 @@ class TestSharded:
         assert sharded.execute("SELECT COUNT(*) FROM t").scalar() == 9
 
     def test_matches_deprecated_execute_as_of(self):
+        """A parameterised CSN reads what the literal one does (the call
+        shape the removed ``execute_as_of(sql, csn)`` shim's users moved
+        to — the test keeps its name from then)."""
         sharded = self.make()
         sql = "SELECT id FROM t ORDER BY id"
-        with pytest.warns(DeprecationWarning):
-            old = sharded.execute_as_of(sql, 5).rows
-        new = sharded.execute(sql + " AS OF 5").rows
-        assert old == new
+        by_param = sharded.execute(sql + " AS OF ?", (5,)).rows
+        assert by_param == sharded.execute(sql + " AS OF 5").rows
+        assert by_param == [(i,) for i in range(5)]
 
     def test_rejected_inside_insert_select(self):
         sharded = self.make()

@@ -1,10 +1,11 @@
-"""Compiled vectorized execution: differential, parity, and stats tests.
+"""Compiled programs vs planner closures inside the one batch pipeline.
 
-The batch pipeline with compiled programs must be a pure performance
-transformation: every query returns exactly the rows the interpreted
-row-at-a-time path returns, read provenance stays byte-identical when
-tracking is on (the engine falls back to the per-row path), and the
-``executor_stats`` counters describe what the pipeline actually did.
+A cached plan carries generated batch programs; an uncached one
+(``plan_cache_enabled = False``) runs the planner's closures in the same
+operators. The programs must be a pure performance transformation: every
+query returns exactly the rows the closures return, read provenance is
+byte-identical when tracking is on, and the ``executor_stats`` counters
+describe what the pipeline actually did.
 """
 
 import dataclasses
@@ -14,17 +15,22 @@ import pytest
 from repro.db import Database, IsolationLevel, ShardedDatabase
 
 
-def build_db(compiled: bool = True, pushdown: bool = True) -> Database:
+def build_db(programs: bool = True, pushdown: bool = True) -> Database:
     db = Database()
-    db.compiled_execution = compiled
+    db.plan_cache_enabled = programs
     db.predicate_pushdown_enabled = pushdown
     _populate(db)
     return db
 
 
-def build_sharded(compiled: bool = True) -> ShardedDatabase:
+def build_sharded(programs: bool = True) -> ShardedDatabase:
+    """``programs=False`` replans every shard-local statement (routed
+    reads, partial aggregates) on closures; scatter branches and
+    coordinator merges live in the cluster's own caches and always carry
+    programs."""
     sdb = ShardedDatabase(3, shard_keys={"items": "id"})
-    sdb.compiled_execution = compiled
+    for shard in sdb.shards:
+        shard.plan_cache_enabled = programs
     _populate(sdb)
     return sdb
 
@@ -96,46 +102,44 @@ def _canon(rows):
 
 
 class TestDifferential:
-    """Compiled batch pipeline vs interpreted row pipeline."""
+    """Generated programs vs the planner closures they were lowered from."""
 
     def test_single_node_all_query_shapes(self):
-        compiled = build_db(compiled=True)
-        interpreted = build_db(compiled=False)
+        compiled = build_db(programs=True)
+        closures = build_db(programs=False)
         for sql in QUERIES:
             got = compiled.query(sql).rows
-            want = interpreted.query(sql).rows
+            want = closures.query(sql).rows
             assert got == want, sql
             # Value types must match too (1 vs 1.0 vs True).
             for g, w in zip(got, want):
                 assert tuple(map(type, g)) == tuple(map(type, w)), sql
+        # The twins really took different branches of the pipeline.
+        assert compiled.executor_stats["plans_compiled"] >= len(QUERIES)
+        assert closures.executor_stats["plans_compiled"] == 0
+        assert closures.executor_stats["batches_processed"] > 0
 
     def test_sharded_all_query_shapes(self):
-        compiled = build_sharded(compiled=True)
-        interpreted = build_sharded(compiled=False)
+        compiled = build_sharded(programs=True)
+        replanned = build_sharded(programs=False)
+        closures = build_db(programs=False)
         for sql in QUERIES:
             got = compiled.execute(sql).rows
-            want = interpreted.execute(sql).rows
+            want = replanned.execute(sql).rows
             # Shard gather order is deterministic, but ordered queries
             # must match exactly; unordered compare as multisets.
             if "ORDER BY" in sql:
                 assert got == want, sql
             else:
                 assert _canon(got) == _canon(want), sql
+            # ... and both agree with single-node closures.
+            assert _canon(got) == _canon(closures.query(sql).rows), sql
 
     def test_pushdown_knob_is_result_invariant(self):
         pushed = build_db(pushdown=True)
         unpushed = build_db(pushdown=False)
         for sql in QUERIES:
             assert pushed.query(sql).rows == unpushed.query(sql).rows, sql
-
-    def test_toggling_compilation_invalidates_cached_plans(self):
-        db = build_db(compiled=True)
-        sql = "SELECT COUNT(*) FROM items WHERE val > 6.0"
-        first = db.query(sql).rows
-        db.compiled_execution = False
-        assert db.query(sql).rows == first
-        db.compiled_execution = True
-        assert db.query(sql).rows == first
 
 
 class _TraceCollector:
@@ -155,11 +159,11 @@ def _read_tuples(traces):
 
 
 class TestTrodParity:
-    """Provenance must be byte-identical with compilation enabled."""
+    """Provenance must be byte-identical with or without programs."""
 
     def test_track_reads_identical_single_node(self):
-        baseline = build_db(compiled=False)
-        subject = build_db(compiled=True)
+        baseline = build_db(programs=False)
+        subject = build_db(programs=True)
         for db in (baseline, subject):
             db.track_reads = True
         probe = [
@@ -181,8 +185,8 @@ class TestTrodParity:
             assert _read_tuples(got.traces) == _read_tuples(want.traces), sql
 
     def test_track_reads_identical_sharded(self):
-        baseline = build_sharded(compiled=False)
-        subject = build_sharded(compiled=True)
+        baseline = build_sharded(programs=False)
+        subject = build_sharded(programs=True)
         for sdb in (baseline, subject):
             sdb.track_reads = True
         sql = "SELECT grp, COUNT(*) FROM items GROUP BY grp"
@@ -201,23 +205,23 @@ class TestTrodParity:
             reads.append((_canon(rows), collected))
         assert reads[0] == reads[1]
 
-    def test_observer_presence_forces_row_path(self):
-        db = build_db(compiled=True)
+    def test_traced_statement_runs_the_batch_pipeline(self):
+        """Tracing changes what is recorded, not which executor runs."""
+        db = build_db()
+        sql = "SELECT id FROM items WHERE val > 6.0"
+        untraced = db.query(sql).rows
+        db.track_reads = True
         collector = _TraceCollector()
         db.add_observer(collector)
         before = db.executor_stats["batches_processed"]
-        rows_observed = db.query("SELECT id FROM items WHERE val > 6.0").rows
-        assert db.executor_stats["batches_processed"] == before
-        db.remove_observer(collector)
-        assert (
-            db.query("SELECT id FROM items WHERE val > 6.0").rows
-            == rows_observed
-        )
+        assert db.query(sql).rows == untraced
+        assert db.executor_stats["batches_processed"] > before
+        assert len(collector.traces[-1].reads) == len(untraced)
 
 
 class TestExecutorStats:
     def test_plans_compiled_counts_cache_misses_only(self):
-        db = build_db(compiled=True)
+        db = build_db()
         start = db.executor_stats["plans_compiled"]
         db.query("SELECT id FROM items WHERE val > 6.0")
         after_first = db.executor_stats["plans_compiled"]
@@ -225,23 +229,38 @@ class TestExecutorStats:
         db.query("SELECT id FROM items WHERE val > 6.0")
         assert db.executor_stats["plans_compiled"] == after_first
 
+    def test_pairs_filter_is_generated_by_the_first_traced_run(self, monkeypatch):
+        """An untraced cache miss generates one scan-filter program, not two."""
+        from repro.db.sql import compile as codegen
+
+        calls = []
+        generate = codegen.compile_predicate_batch
+
+        def counting(expr, layout, pairs=False):
+            calls.append(pairs)
+            return generate(expr, layout, pairs)
+
+        monkeypatch.setattr(codegen, "compile_predicate_batch", counting)
+        db = build_db()
+        sql = "SELECT id FROM items WHERE val > 6.0"
+        untraced = db.query(sql).rows
+        assert calls == [False]
+        db.track_reads = True
+        assert db.query(sql).rows == untraced
+        assert calls == [False, True]
+        assert db.query(sql).rows == untraced
+        assert calls == [False, True]
+
     def test_rows_filtered_at_scan_vs_post_join(self):
-        db = build_db(compiled=True)
+        db = build_db()
         db.query("SELECT id FROM items WHERE val > 100.0")
         stats = db.executor_stats
         # All 301 item rows are filtered out inside the scan.
         assert stats["rows_filtered_at_scan"] >= 301
         assert stats["batches_processed"] >= 1
 
-    def test_disabled_compilation_leaves_batch_counters_still(self):
-        db = build_db(compiled=False)
-        db.query("SELECT id FROM items WHERE val > 6.0")
-        stats = db.executor_stats
-        assert stats["plans_compiled"] == 0
-        assert stats["batches_processed"] == 0
-
     def test_sharded_stats_aggregate_across_shards(self):
-        sdb = build_sharded(compiled=True)
+        sdb = build_sharded()
         sdb.execute("SELECT id FROM items WHERE val > 100.0")
         stats = sdb.executor_stats
         assert stats["plans_compiled"] >= 1
@@ -252,7 +271,7 @@ class TestTransactionalVisibility:
     """Batch scans must honor snapshots and private writes."""
 
     def test_own_uncommitted_writes_visible(self):
-        db = build_db(compiled=True)
+        db = build_db()
         txn = db.begin()
         db.execute(
             "INSERT INTO items VALUES (7777, 'g0', 1.5)", txn=txn
@@ -265,7 +284,7 @@ class TestTransactionalVisibility:
         assert db.query("SELECT id FROM items WHERE id = 7777").rows == []
 
     def test_snapshot_ignores_later_commits(self):
-        db = build_db(compiled=True)
+        db = build_db()
         txn = db.begin(IsolationLevel.SNAPSHOT)
         before = db.execute("SELECT COUNT(*) FROM items", txn=txn).rows
         db.execute("INSERT INTO items VALUES (8888, 'g1', 2.0)")
@@ -277,7 +296,7 @@ class TestTransactionalVisibility:
         )
 
     def test_writes_invalidate_materialized_values(self):
-        db = build_db(compiled=True)
+        db = build_db()
         sql = "SELECT COUNT(*) FROM items WHERE val > 6.0"
         first = db.query(sql).rows[0][0]
         db.execute("INSERT INTO items VALUES (9999, 'g2', 7.5)")

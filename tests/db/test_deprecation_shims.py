@@ -1,8 +1,7 @@
-"""Old entry points keep working (as thin shims) after the API unification."""
+"""Old entry points keep working after the API unification (the
+``execute_as_of`` shims, deprecated since then, are gone)."""
 
 import warnings
-
-import pytest
 
 from repro.db import (
     Database,
@@ -11,7 +10,6 @@ from repro.db import (
     Session,
     ShardedDatabase,
 )
-from repro.db.replication import ShardedReadRouter
 
 
 def sharded_with_history() -> ShardedDatabase:
@@ -23,21 +21,6 @@ def sharded_with_history() -> ShardedDatabase:
 
 
 class TestExecuteAsOfShims:
-    def test_sharded_execute_as_of_warns_and_still_answers(self):
-        sharded = sharded_with_history()
-        with pytest.warns(DeprecationWarning, match="AS OF"):
-            result = sharded.execute_as_of("SELECT COUNT(*) FROM t", 3)
-        assert result.scalar() == 3
-
-    def test_sharded_router_execute_as_of_warns_and_still_answers(self):
-        sharded = sharded_with_history()
-        sharded.attach_replicas(1)
-        sharded.catch_up_replicas()
-        router = ShardedReadRouter(sharded)
-        with pytest.warns(DeprecationWarning, match="AS OF"):
-            result = router.execute_as_of("SELECT COUNT(*) FROM t", 4)
-        assert result.scalar() == 4
-
     def test_new_clause_emits_no_warning(self):
         sharded = sharded_with_history()
         with warnings.catch_warnings():

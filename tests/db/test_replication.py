@@ -680,16 +680,13 @@ class TestShardedReplication:
     def test_execute_as_of_via_replicas(self):
         sharded = self.build(n_replicas=1, mode="sync")
         before = sharded.last_global_csn
-        expected = sharded.execute_as_of(
-            "SELECT id, val FROM items ORDER BY id", before
-        ).rows
+        sql = "SELECT id, val FROM items ORDER BY id AS OF ?"
+        expected = sharded.execute(sql, (before,)).rows
         gtxn = sharded.begin()
         sharded.execute("UPDATE items SET val = 0.0 WHERE val > 0", txn=gtxn)
         gtxn.commit()
         router = ShardedReadRouter(sharded)
-        via_replicas = router.execute_as_of(
-            "SELECT id, val FROM items ORDER BY id", before
-        )
+        via_replicas = router.execute(sql, (before,))
         assert via_replicas.rows == expected
         assert router.stats["replica_reads"] == 3  # every shard covered
 

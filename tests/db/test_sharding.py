@@ -552,10 +552,10 @@ class TestShardedTimeTravel:
         sdb, checkpoints = self.build()
         for step, csn in enumerate(checkpoints):
             assert (
-                sdb.execute_as_of("SELECT COUNT(*) FROM kv", csn).scalar()
+                sdb.execute("SELECT COUNT(*) FROM kv AS OF ?", (csn,)).scalar()
                 == (step + 1) * 4
             )
-        assert sdb.execute_as_of("SELECT COUNT(*) FROM kv", 0).scalar() == 0
+        assert sdb.execute("SELECT COUNT(*) FROM kv AS OF ?", (0,)).scalar() == 0
 
     def test_as_of_matches_single_db_history(self):
         # The sharded AS OF state equals replaying the same commits on a
@@ -606,10 +606,12 @@ class TestShardedTimeTravel:
         for _store, shard in sdb.named_shards():
             shard.vacuum(shard.last_csn)
         with pytest.raises(TimeTravelError, match="horizon"):
-            sdb.execute_as_of("SELECT COUNT(*) FROM kv", checkpoints[0])
+            sdb.execute("SELECT COUNT(*) FROM kv AS OF ?", (checkpoints[0],))
         # The latest state is still readable.
         assert (
-            sdb.execute_as_of("SELECT COUNT(*) FROM kv", checkpoints[-1]).scalar()
+            sdb.execute(
+                "SELECT COUNT(*) FROM kv AS OF ?", (checkpoints[-1],)
+            ).scalar()
             == 16
         )
 
@@ -617,8 +619,8 @@ class TestShardedTimeTravel:
         sdb, checkpoints = self.build()
         before = sdb.last_global_csn
         sdb.execute("UPDATE kv SET v = 'patched'")
-        assert sdb.execute_as_of(
-            "SELECT COUNT(*) FROM kv WHERE v = 'patched'", before
+        assert sdb.execute(
+            "SELECT COUNT(*) FROM kv WHERE v = 'patched' AS OF ?", (before,)
         ).scalar() == 0
         assert (
             sdb.execute("SELECT COUNT(*) FROM kv WHERE v = 'patched'").scalar() == 16
