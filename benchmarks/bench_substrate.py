@@ -21,6 +21,7 @@ mode (``REPRO_BENCH_SMOKE=1``) and gates on
 ``benchmarks/compare_baseline.py``.
 """
 
+import gc
 import json
 import os
 import tempfile
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from repro.cluster import reshard as cluster_reshard
 from repro.cluster.detector import HeartbeatDetector
-from repro.core.events import DataEvent
+from repro.core.events import DataEvent, TxnEvent
 from repro.core.provenance import ProvenanceStore
 from repro.db import ConnectionPool, Database, IsolationLevel, ShardedDatabase, connect
 from repro.db.multistore import MultiStoreCoordinator
@@ -128,29 +129,72 @@ def build_sharded_db() -> ShardedDatabase:
     return sharded
 
 
-def build_provenance() -> ProvenanceStore:
+def _kv_store() -> ProvenanceStore:
     prov = ProvenanceStore(checkpoint_interval=None)
     schema = TableSchema(
         "kv", [Column("k", ColumnType.INTEGER), Column("v", ColumnType.INTEGER)]
     )
     prov.register_app_table(schema)
-    events = [
-        DataEvent(
-            txn_num=i,
-            txn_name=f"TXN{i}",
-            table="kv",
-            kind="Update" if i % 3 == 0 and i > N_EVENTS // 2 else "Insert",
-            query="bench",
-            row_id=(i % (N_EVENTS // 2)) + 1
-            if i % 3 == 0 and i > N_EVENTS // 2
-            else i + 1,
-            values={"k": i, "v": i},
-            csn=i + 1,
-        )
-        for i in range(N_EVENTS)
-    ]
-    prov.ingest(events)
     return prov
+
+
+def _kv_events(n_writes: int, mixed: bool = False) -> list:
+    """A kv write history: inserts, then updates of earlier rows mixed in.
+
+    ``mixed`` gives every write the shape it has in a traced request
+    stream: the read that found the row, the write, and its transaction's
+    commit record — three events per write, into two provenance tables.
+    """
+    events: list = []
+    for i in range(n_writes):
+        update = i % 3 == 0 and i > n_writes // 2
+        row_id = (i % (n_writes // 2)) + 1 if update else i + 1
+        if mixed:
+            events.append(
+                DataEvent(
+                    txn_num=i, txn_name=f"TXN{i}", table="kv", kind="Read",
+                    query="bench", row_id=row_id if update else None,
+                    values={"k": i, "v": i} if update else None, csn=None,
+                )
+            )
+        events.append(
+            DataEvent(
+                txn_num=i,
+                txn_name=f"TXN{i}",
+                table="kv",
+                kind="Update" if update else "Insert",
+                query="bench",
+                row_id=row_id,
+                values={"k": i, "v": i},
+                csn=i + 1,
+            )
+        )
+        if mixed:
+            events.append(
+                TxnEvent(
+                    txn_num=i, txn_name=f"TXN{i}", ts=i, req_id=f"R{i // 5}",
+                    handler="bench", label="put", isolation="SERIALIZABLE",
+                    status="Committed", csn=i + 1, snapshot_csn=i,
+                )
+            )
+    return events
+
+
+def build_provenance() -> ProvenanceStore:
+    prov = _kv_store()
+    prov.ingest(_kv_events(N_EVENTS))
+    return prov
+
+
+def _ingest_rate(n_writes: int) -> float:
+    """Events per second of one flush-sized ``ProvenanceStore.ingest``."""
+    prov = _kv_store()
+    events = _kv_events(n_writes, mixed=True)
+    gc.collect()
+    start = time.perf_counter_ns()
+    prov.ingest(events)
+    elapsed_s = (time.perf_counter_ns() - start) / 1e9
+    return len(events) / elapsed_s
 
 
 def test_substrate_throughput(benchmark, emit):
@@ -470,7 +514,10 @@ def test_substrate_throughput(benchmark, emit):
     read_sql = "SELECT * FROM items WHERE id = ?"
     # Baseline BEFORE attaching replicas: with a sync set attached, every
     # autocommitted primary read would ship its empty commit to all
-    # replicas inside the timed region and deflate the baseline.
+    # replicas inside the timed region and deflate the baseline. Collect
+    # first: build_db just allocated 5k rows, and the full collector pass
+    # it has earned is several times this case's 5 ms timed region.
+    gc.collect()
     single_primary_rate = _rate(
         lambda: primary.execute(read_sql, (2500,)), _iters(300)
     )
@@ -755,6 +802,17 @@ def test_substrate_throughput(benchmark, emit):
         ["aggregate scan (traced)", _rate(lambda: db.execute(agg_sql), _iters(20))]
     )
     db.track_reads = False
+
+    # One trace-buffer flush: 60k events (20k writes, each with its read
+    # and its commit record) through ProvenanceStore.ingest, in events/s.
+    # After everything else, behind a collection and on a store of its
+    # own: its allocation burst (a few objects per event, all of them
+    # surviving) would otherwise land full collector passes in whichever
+    # case ran next.
+    rows.append(
+        ["provenance ingest (60k mixed events)", _ingest_rate(_iters(20_000))]
+    )
+    gc.collect()
 
     benchmark(
         lambda: db_indexed.execute("SELECT * FROM items WHERE id = 2500")

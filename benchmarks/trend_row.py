@@ -26,7 +26,8 @@ import json
 import sys
 from pathlib import Path
 
-#: The compute-tail headliners tracked per commit, in column order.
+#: The headline cases tracked per commit, in column order (ops/s; the
+#: provenance ingest case is events/s).
 HEADLINE = [
     "aggregate scan (5k rows)",
     "aggregate scan (traced)",
@@ -35,6 +36,7 @@ HEADLINE = [
     "sharded aggregate (partial/final)",
     "point query (index probe)",
     "full scan latest (live cache)",
+    "provenance ingest (60k mixed events)",
 ]
 
 HEADER = "date,sha," + ",".join(

@@ -49,6 +49,10 @@ _EVENT_META = [
 
 _WRITE_KINDS = ("Insert", "Update", "Delete")
 
+#: Stands in for the ``values`` of a read that matched nothing or a delete:
+#: every data column of the event row stays NULL.
+_NO_VALUES: dict[str, Any] = {}
+
 #: Per-table checkpoint cap; exceeding it thins the older half so memory
 #: stays O(cap * table size) while coverage still spans the history.
 _MAX_TABLE_CHECKPOINTS = 16
@@ -107,6 +111,10 @@ class ProvenanceStore:
         self._app_schemas: dict[str, TableSchema] = {}
         #: app table -> {app column -> event-table column}
         self._column_maps: dict[str, dict[str, str]] = {}
+        #: app table -> (event table, app column names in event-row order,
+        #: the same as a set): what ingest needs to lay an event's
+        #: ``values`` dict out as the tail of a positional row.
+        self._event_layouts: dict[str, tuple[str, tuple, frozenset]] = {}
         #: Create materialized checkpoints automatically every N ingested
         #: commits (None disables automatic checkpointing).
         self.checkpoint_interval = checkpoint_interval
@@ -207,6 +215,9 @@ class ProvenanceStore:
         self._event_tables[canonical] = name
         self._app_schemas[canonical] = schema
         self._column_maps[canonical] = column_map
+        self._event_layouts[canonical] = (
+            name, schema.column_names, frozenset(schema.column_names)
+        )
         # The table starts empty, so its live state is trivially current.
         self._live[canonical] = _LiveState({}, 0)
         self.db.execute(
@@ -248,62 +259,110 @@ class ProvenanceStore:
         self, table: str, rows: Iterable[tuple[int, tuple]], csn: int
     ) -> int:
         """Record the full content of ``table`` as Type='Snapshot' events."""
-        schema = self.app_schema(table)
         event_table = self.event_table_of(table)
-        column_map = self._column_maps[table.lower()]
         # A new base snapshot redefines the table's reconstruction floor.
         self.invalidate_checkpoints(table)
-        txn = self.db.begin()
-        count = 0
-        snapshot_rows: dict[int, tuple] = {}
-        try:
-            for row_id, values in rows:
-                snapshot_rows[row_id] = tuple(values)
-                record: dict[str, Any] = {
-                    "TxnId": "SNAPSHOT",
-                    "TxnNum": 0,
-                    "Type": "Snapshot",
-                    "Query": "base snapshot",
-                    "Csn": csn,
-                    "Seq": self._next_seq,
-                    "RowId": row_id,
-                }
-                self._next_seq += 1
-                for col, value in zip(schema.column_names, values):
-                    record[column_map[col]] = value
-                self.db.insert_row(event_table, record, txn=txn)
-                count += 1
-            txn.commit()
-        except Exception:
-            txn.abort()
-            raise
+        snapshot_rows = {row_id: tuple(values) for row_id, values in rows}
+        event_rows = [
+            ("SNAPSHOT", 0, "Snapshot", "base snapshot", csn, seq, row_id, *values)
+            for seq, (row_id, values) in enumerate(
+                snapshot_rows.items(), self._next_seq
+            )
+        ]
+        self.db.insert_rows(event_table, event_rows)
+        self._next_seq += len(event_rows)
         # The snapshot *is* the live state as of its csn.
         self._live[table.lower()] = _LiveState(snapshot_rows, csn)
-        return count
+        return len(event_rows)
 
     def ingest(self, events: list[TraceEvent]) -> int:
-        """Store a batch of drained trace events in one transaction."""
+        """Store a batch of drained trace events in one transaction.
+
+        The events become positional rows grouped per provenance table
+        (each group in event order, ``Seq`` numbered across groups in
+        event order), every group is one ``insert_rows`` — one table lock
+        per table per flush — and only once the transaction has
+        committed do ``Seq`` allocation, the checkpoint counters and the
+        live-state fold advance: a batch that fails leaves no trace.
+        """
         if not events:
             return 0
+        groups: dict[str, list[tuple]] = {}
+        writes: list[DataEvent] = []
+        seq, commits, high_csn = self._next_seq, 0, self._max_write_csn
+        layouts = self._event_layouts
+        for event in events:
+            if isinstance(event, DataEvent):
+                layout = layouts.get(event.table.lower())
+                if layout is None:
+                    # Untraced table (e.g. created after attach without a
+                    # hook): skip rather than fail the whole batch.
+                    continue
+                table, columns, known = layout
+                values = event.values or _NO_VALUES
+                if not values.keys() <= known:
+                    raise ProvenanceError(
+                        f"{event.kind} event on {event.table!r} names unknown "
+                        f"column(s) {sorted(values.keys() - known)}"
+                    )
+                row = (
+                    event.txn_name, event.txn_num, event.kind, event.query,
+                    event.csn, seq, event.row_id, *map(values.get, columns),
+                )
+                seq += 1
+                if event.kind in _WRITE_KINDS:
+                    writes.append(event)
+                    if event.csn is not None and event.csn > high_csn:
+                        high_csn = event.csn
+            elif isinstance(event, TxnEvent):
+                table = "Executions"
+                row = (
+                    event.txn_name, event.txn_num, event.ts, event.handler,
+                    event.req_id, f"func:{event.label}" if event.label else "",
+                    event.isolation, event.status, event.csn,
+                    event.snapshot_csn, event.auth_user,
+                )
+                if event.status == "Committed" and event.csn is not None:
+                    commits += 1
+                    if event.csn > high_csn:
+                        high_csn = event.csn
+            elif isinstance(event, RequestEvent):
+                table = "Requests"
+                row = (
+                    event.req_id, event.handler,
+                    json.dumps(list(event.args), default=repr),
+                    json.dumps(event.kwargs, default=repr),
+                    event.auth_user, event.start_ts, event.end_ts,
+                    event.status, event.output_repr, event.error,
+                )
+            elif isinstance(event, WorkflowEdgeEvent):
+                table = "WorkflowEdges"
+                row = (event.req_id, event.caller, event.callee, event.seq, event.ts)
+            elif isinstance(event, SideEffectEvent):
+                table = "SideEffects"
+                row = (
+                    event.req_id, event.handler, event.channel,
+                    event.payload_repr, event.ts,
+                )
+            else:  # pragma: no cover - event union is closed
+                raise ProvenanceError(f"unknown event type {type(event)}")
+            group = groups.get(table)
+            if group is None:
+                group = groups[table] = []
+            group.append(row)
         txn = self.db.begin()
         try:
-            for event in events:
-                if isinstance(event, TxnEvent):
-                    self._ingest_txn(event, txn)
-                elif isinstance(event, DataEvent):
-                    self._ingest_data(event, txn)
-                elif isinstance(event, RequestEvent):
-                    self._ingest_request(event, txn)
-                elif isinstance(event, WorkflowEdgeEvent):
-                    self._ingest_edge(event, txn)
-                elif isinstance(event, SideEffectEvent):
-                    self._ingest_side_effect(event, txn)
-                else:  # pragma: no cover - event union is closed
-                    raise ProvenanceError(f"unknown event type {type(event)}")
+            for table in list(groups):
+                self.db.insert_rows(table, groups.pop(table), txn=txn)
             txn.commit()
         except Exception:
             txn.abort()
             raise
+        self._next_seq = seq
+        self._commits_since_checkpoint += commits
+        self._max_write_csn = high_csn
+        for event in writes:
+            self._note_write(event)
         if (
             self.checkpoint_interval is not None
             and self._commits_since_checkpoint >= self.checkpoint_interval
@@ -311,68 +370,22 @@ class ProvenanceStore:
             self.create_checkpoint()
         return len(events)
 
-    def _ingest_txn(self, event: TxnEvent, txn) -> None:
-        if event.status == "Committed" and event.csn is not None:
-            self._commits_since_checkpoint += 1
-            if event.csn > self._max_write_csn:
-                self._max_write_csn = event.csn
-        metadata = f"func:{event.label}" if event.label else ""
-        self.db.insert_row(
-            "Executions",
-            {
-                "TxnId": event.txn_name,
-                "TxnNum": event.txn_num,
-                "Timestamp": event.ts,
-                "HandlerName": event.handler,
-                "ReqId": event.req_id,
-                "Metadata": metadata,
-                "Isolation": event.isolation,
-                "Status": event.status,
-                "Csn": event.csn,
-                "SnapshotCsn": event.snapshot_csn,
-                "AuthUser": event.auth_user,
-            },
-            txn=txn,
-        )
-
-    def _ingest_data(self, event: DataEvent, txn) -> None:
+    def _note_write(self, event: DataEvent) -> None:
+        """Account one ingested (committed) write event: checkpoints it
+        makes stale, then the live-state fold."""
         table = event.table.lower()
-        if table not in self._event_tables:
-            # Untraced table (e.g. created after attach without a hook):
-            # skip rather than fail the whole batch.
-            return
-        if event.kind in _WRITE_KINDS:
-            if event.csn is not None and event.csn > self._max_write_csn:
-                self._max_write_csn = event.csn
-            # An event landing at or before an existing checkpoint would
-            # make that checkpoint stale — drop the affected ones.
-            checkpoints = self._checkpoints.get(table)
-            if (
-                checkpoints
-                and event.csn is not None
-                and event.csn <= checkpoints[-1][0]
-            ):
-                kept = [e for e in checkpoints if e[0] < event.csn]
-                self._discard_payloads(
-                    table, checkpoints[len(kept):]
-                )
-                self._checkpoints[table] = kept
-            self._fold_live(table, event)
-        record: dict[str, Any] = {
-            "TxnId": event.txn_name,
-            "TxnNum": event.txn_num,
-            "Type": event.kind,
-            "Query": event.query,
-            "Csn": event.csn,
-            "Seq": self._next_seq,
-            "RowId": event.row_id,
-        }
-        self._next_seq += 1
-        if event.values is not None:
-            column_map = self._column_maps[table]
-            for col, value in event.values.items():
-                record[column_map[col]] = value
-        self.db.insert_row(self._event_tables[table], record, txn=txn)
+        # An event landing at or before an existing checkpoint would
+        # make that checkpoint stale — drop the affected ones.
+        checkpoints = self._checkpoints.get(table)
+        if (
+            checkpoints
+            and event.csn is not None
+            and event.csn <= checkpoints[-1][0]
+        ):
+            kept = [e for e in checkpoints if e[0] < event.csn]
+            self._discard_payloads(table, checkpoints[len(kept):])
+            self._checkpoints[table] = kept
+        self._fold_live(table, event)
 
     def _fold_live(self, table: str, event: DataEvent) -> None:
         """Apply one committed write event to the table's live state.
@@ -402,50 +415,6 @@ class ProvenanceStore:
             live.rows[event.row_id] = tuple(
                 event.values.get(col) for col in schema.column_names
             )
-
-    def _ingest_request(self, event: RequestEvent, txn) -> None:
-        self.db.insert_row(
-            "Requests",
-            {
-                "ReqId": event.req_id,
-                "HandlerName": event.handler,
-                "ArgsJson": json.dumps(list(event.args), default=repr),
-                "KwargsJson": json.dumps(event.kwargs, default=repr),
-                "AuthUser": event.auth_user,
-                "StartTs": event.start_ts,
-                "EndTs": event.end_ts,
-                "Status": event.status,
-                "Output": event.output_repr,
-                "Error": event.error,
-            },
-            txn=txn,
-        )
-
-    def _ingest_edge(self, event: WorkflowEdgeEvent, txn) -> None:
-        self.db.insert_row(
-            "WorkflowEdges",
-            {
-                "ReqId": event.req_id,
-                "Caller": event.caller,
-                "Callee": event.callee,
-                "Seq": event.seq,
-                "Timestamp": event.ts,
-            },
-            txn=txn,
-        )
-
-    def _ingest_side_effect(self, event: SideEffectEvent, txn) -> None:
-        self.db.insert_row(
-            "SideEffects",
-            {
-                "ReqId": event.req_id,
-                "HandlerName": event.handler,
-                "Channel": event.channel,
-                "Payload": event.payload_repr,
-                "Timestamp": event.ts,
-            },
-            txn=txn,
-        )
 
     # ------------------------------------------------------------------
     # Queries

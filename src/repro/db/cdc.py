@@ -10,10 +10,12 @@ TROD's interposition layer is exactly such a CDC subscriber.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
+
+from repro.db.txn.wal import WalChange
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangeRecord:
     """One committed row change."""
 
@@ -64,25 +66,35 @@ class CdcStream:
         values: tuple | None,
         old_values: tuple | None,
     ) -> ChangeRecord:
-        record = ChangeRecord(
-            seq=self._next_seq,
-            csn=csn,
-            txn_id=txn_id,
-            table=table,
-            op=op,
-            row_id=row_id,
-            values=values,
-            old_values=old_values,
-        )
-        self._next_seq += 1
-        self._history.append(record)
+        """Publish one change (the one-record :meth:`emit_commit`)."""
+        change = WalChange(op, table, row_id, values, old_values)
+        return self.emit_commit(csn, txn_id, (change,))[0]
+
+    def emit_commit(
+        self, csn: int, txn_id: int, changes: Iterable[WalChange]
+    ) -> list[ChangeRecord]:
+        """Publish one commit's applied changes in order; returns the records.
+
+        The whole commit enters the history (and retention trims it)
+        before the first subscriber call, so a subscriber that reads the
+        history sees the commit complete.
+        """
+        records = [
+            ChangeRecord(seq, csn, txn_id, c.table, c.op, c.row_id, c.values, c.old_values)
+            for seq, c in enumerate(changes, self._next_seq)
+        ]
+        self._next_seq += len(records)
+        self._history += records
         if self._retain is not None and len(self._history) > self._retain:
             overflow = len(self._history) - self._retain
             del self._history[:overflow]
             self._dropped += overflow
-        for subscriber in list(self._subscribers):
-            subscriber(record)
-        return record
+        subscribers = list(self._subscribers)
+        if subscribers:
+            for record in records:
+                for subscriber in subscribers:
+                    subscriber(record)
+        return records
 
     def since(self, seq: int = 0) -> Iterator[ChangeRecord]:
         """Records with sequence number > ``seq`` still retained.

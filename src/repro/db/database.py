@@ -347,8 +347,7 @@ class Database:
             index = index_set.create_sorted_index(name, columns)
         else:
             index = index_set.create_hash_index(name, columns, unique=unique)
-        for row_id, values in self._stores[key].scan(None):
-            index.add(row_id, values)
+        index.add_many(self._stores[key].latest_rows())
         self._index_meta.append(
             {
                 "name": name,
@@ -472,7 +471,7 @@ class Database:
             for key, store in self._stores.items():
                 store.finish_recovery()
                 last = max(last, store.last_write_csn)
-                self._indexes[key].populate(store.scan(None))
+                self._indexes[key].on_insert_many(store.latest_rows())
             manager.last_csn = last
             for index_meta in meta.get("indexes", []):
                 self.create_index(
@@ -858,21 +857,35 @@ class Database:
         values: dict[str, Any],
         txn: Transaction | None = None,
     ) -> int:
-        """Programmatic INSERT used by tooling (bypasses SQL parsing)."""
+        """Programmatic INSERT of one row (the one-row :meth:`insert_rows`)."""
+        return self.insert_rows(table, (values,), txn=txn)[0]
+
+    def insert_rows(
+        self,
+        table: str,
+        rows: Sequence[dict[str, Any] | Sequence[Any]],
+        txn: Transaction | None = None,
+    ) -> Sequence[int]:
+        """Programmatic multi-row INSERT used by tooling (bypasses SQL parsing).
+
+        Each row is a column -> value mapping or a sequence in schema
+        order. All rows are coerced before any is buffered, the batch
+        takes the table lock once, and without ``txn`` it commits as one
+        transaction. Returns the new row ids, in row order.
+        """
         if self.read_only:
             raise ReadOnlyError(
                 f"database {self.name!r} is read-only: "
                 + (self.read_only_reason or "this is a read-only replica")
             )
-        schema = self.catalog.get(table)
-        coerced = schema.coerce_row(values)
+        coerced = self.catalog.get(table).coerce_rows(rows)
         autocommit = txn is None
         active = txn if txn is not None else self.begin()
         try:
-            row_id = active.insert(table, coerced)
+            row_ids = active.insert_many(table, coerced)
             if autocommit:
                 active.commit()
-            return row_id
+            return row_ids
         except Exception:
             if autocommit:
                 self.txn_manager.abort(active)
@@ -901,11 +914,8 @@ class Database:
         Row ids are preserved; indexes are maintained. Only meaningful on
         a table with no committed history of its own.
         """
-        store = self.store(table)
-        indexes = self.index_set(table)
-        for row_id, values in rows:
-            store.apply_insert(values, 0, row_id=row_id)
-            indexes.on_insert(row_id, values)
+        self.store(table).apply_inserts(rows, 0)
+        self.index_set(table).on_insert_many(rows)
 
     # -- maintenance ----------------------------------------------------------
 
@@ -967,7 +977,7 @@ class Database:
         last = recover_into(stores, wal.commits())
         db.txn_manager.last_csn = last
         for key, store in stores.items():
-            db._indexes[key].populate(store.scan(None))
+            db._indexes[key].on_insert_many(store.latest_rows())
         for commit in wal.commits():
             db.txn_manager.commit_index[commit.txn_id] = commit.csn
             db.txn_manager.csn_index[commit.csn] = commit.txn_id

@@ -11,15 +11,22 @@ PRIMARY KEY / UNIQUE constraints at commit time.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable
+import math
+from typing import Iterable, Sequence
 
 from repro.db.schema import TableSchema
-from repro.db.types import row_sort_key
+from repro.db.types import index_key
 from repro.errors import IntegrityError, SchemaError
 
 #: Shared empty result for missing keys; frozen so a probe that holds it
 #: cannot accidentally grow a phantom bucket.
 _EMPTY_IDS: frozenset[int] = frozenset()
+
+#: Largest batch a sorted index takes row by row. An insort is a binary
+#: search and one memmove of half the list; extend-then-sort re-compares
+#: the whole list once. Measured at 20k, 200k and 1M entries, the sort
+#: wins from about 250 new rows on, whatever the index size.
+_INSORT_UP_TO = 256
 
 
 class HashIndex:
@@ -37,14 +44,23 @@ class HashIndex:
         return tuple(values[i] for i in self._positions)
 
     def add(self, row_id: int, values: tuple) -> None:
-        key = self.key_of(values)
-        bucket = self._map.setdefault(key, set())
-        if self.unique and bucket and row_id not in bucket and None not in key:
-            raise IntegrityError(
-                f"unique violation on {self.schema.name}({', '.join(self.columns)}): "
-                f"key {key!r}"
-            )
-        bucket.add(row_id)
+        self.add_many(((row_id, values),))
+
+    def add_many(self, rows: Iterable[tuple[int, tuple]]) -> None:
+        """Index ``(row_id, values)`` pairs, in order."""
+        key_of, buckets, unique = self.key_of, self._map, self.unique
+        for row_id, values in rows:
+            key = key_of(values)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {row_id}
+                continue
+            if unique and bucket and row_id not in bucket and None not in key:
+                raise IntegrityError(
+                    f"unique violation on {self.schema.name}({', '.join(self.columns)}): "
+                    f"key {key!r}"
+                )
+            bucket.add(row_id)
 
     def remove(self, row_id: int, values: tuple) -> None:
         key = self.key_of(values)
@@ -87,34 +103,57 @@ class SortedIndex:
         self.schema = schema
         self.columns = tuple(schema.column(c).name for c in columns)
         self._positions = tuple(schema.index_of(c) for c in self.columns)
-        # Entries are (sort_key, row_id); sort_key wraps values in SortKey
-        # so NULLs and mixed types order deterministically.
-        self._entries: list[tuple[tuple, int]] = []
+        # Sorted flat tuples ``index_key(columns) + (row_id,)``: NULLs and
+        # mixed types order as compare_values orders them, and every
+        # comparison sort/insort/bisect makes stays in C.
+        self._entries: list[tuple] = []
 
     def key_of(self, values: tuple) -> tuple:
-        return row_sort_key(tuple(values[i] for i in self._positions))
+        return index_key([values[i] for i in self._positions])
 
     def add(self, row_id: int, values: tuple) -> None:
-        bisect.insort(self._entries, (self.key_of(values), row_id))
+        self.add_many(((row_id, values),))
+
+    def add_many(self, rows: Iterable[tuple[int, tuple]]) -> None:
+        """Index ``(row_id, values)`` pairs."""
+        key_of = self.key_of
+        new = sorted([key_of(values) + (row_id,) for row_id, values in rows])
+        entries = self._entries
+        if not new:
+            return
+        if not entries or new[0] > entries[-1]:
+            entries.extend(new)
+        elif len(new) <= _INSORT_UP_TO:
+            for entry in new:
+                bisect.insort(entries, entry)
+        else:
+            # Two sorted runs: timsort merges them in one linear pass.
+            entries.extend(new)
+            entries.sort()
 
     def remove(self, row_id: int, values: tuple) -> None:
-        key = self.key_of(values)
-        lo = bisect.bisect_left(self._entries, (key, row_id))
-        if lo < len(self._entries) and self._entries[lo] == (key, row_id):
+        entry = self.key_of(values) + (row_id,)
+        lo = bisect.bisect_left(self._entries, entry)
+        if lo < len(self._entries) and self._entries[lo] == entry:
             self._entries.pop(lo)
 
     def scan_between(self, low: tuple | None, high: tuple | None) -> list[int]:
-        """Row ids with low <= key <= high (either bound may be None)."""
-        out = []
-        low_key = row_sort_key(tuple(low)) if low is not None else None
-        high_key = row_sort_key(tuple(high)) if high is not None else None
-        for sort_key, row_id in self._entries:
-            if low_key is not None and sort_key < low_key:
-                continue
-            if high_key is not None and sort_key > high_key:
-                break
-            out.append(row_id)
-        return out
+        """Row ids with low <= key <= high, in key order.
+
+        Either bound may be None (open). A bound shorter than the
+        index's column tuple bounds that prefix, inclusively.
+        """
+        entries = self._entries
+        # A key is a strict prefix of its entries, so it sorts just
+        # before them; padded with +inf (row ids and classes are finite
+        # numbers) it sorts just after.
+        lo = 0 if low is None else bisect.bisect_left(entries, index_key(low))
+        hi = (
+            len(entries)
+            if high is None
+            else bisect.bisect_right(entries, index_key(high) + (math.inf,))
+        )
+        return [entry[-1] for entry in entries[lo:hi]]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -160,15 +199,16 @@ class IndexSet:
             )
         del self.indexes[name.lower()]
 
-    def populate(self, rows: Iterable[tuple[int, tuple]]) -> None:
-        for row_id, values in rows:
-            self.on_insert(row_id, values)
-
     # -- maintenance hooks (called while a commit applies) ---------------
 
     def on_insert(self, row_id: int, values: tuple) -> None:
+        self.on_insert_many(((row_id, values),))
+
+    def on_insert_many(self, rows: Sequence[tuple[int, tuple]]) -> None:
+        """Index ``(row_id, values)`` pairs (one commit's run, a restore,
+        or a whole table at recovery) in every index, one index at a time."""
         for index in self.indexes.values():
-            index.add(row_id, values)
+            index.add_many(rows)
 
     def on_update(self, row_id: int, old_values: tuple, new_values: tuple) -> None:
         for index in self.indexes.values():
@@ -180,6 +220,14 @@ class IndexSet:
             index.remove(row_id, values)
 
     # -- constraint checks ------------------------------------------------
+
+    @property
+    def has_unique(self) -> bool:
+        """Whether any index here can reject a row (:meth:`check_insert`)."""
+        return any(
+            isinstance(index, HashIndex) and index.unique
+            for index in self.indexes.values()
+        )
 
     def check_insert(self, values: tuple, ignore_row_id: int | None = None) -> None:
         """Raise :class:`IntegrityError` if ``values`` breaks a unique index."""

@@ -10,10 +10,11 @@ paper's SQL) to schemas.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.db.types import ColumnType, coerce
+from repro.db.types import STORAGE_TYPES, ColumnType, coerce
 from repro.errors import IntegrityError, SchemaError, TypeCoercionError
 
 
@@ -79,6 +80,11 @@ class TableSchema:
         if self.primary_key:
             uniques.insert(0, self.primary_key)
         self.unique_constraints: tuple[tuple[str, ...], ...] = tuple(uniques)
+        #: Per column: the Python type :func:`coerce` returns unchanged, and
+        #: whether NULL is allowed.
+        self._stored_as = tuple(
+            (STORAGE_TYPES[col.col_type], col.nullable) for col in self.columns
+        )
 
     # -- column access ------------------------------------------------
 
@@ -110,31 +116,54 @@ class TableSchema:
     # -- row validation -------------------------------------------------
 
     def coerce_row(self, values: Mapping[str, Any] | Sequence[Any]) -> tuple:
-        """Validate and coerce a row into a storage tuple in schema order.
+        """Validate and coerce one row (the one-row :meth:`coerce_rows`)."""
+        return self.coerce_rows((values,))[0]
 
-        Accepts either a mapping of column name -> value (missing columns
-        take their defaults) or a sequence in schema order (must be the
-        exact arity). NOT NULL violations raise :class:`IntegrityError`.
+    def coerce_rows(
+        self, rows: Iterable[Mapping[str, Any] | Sequence[Any]]
+    ) -> list[tuple]:
+        """Validate and coerce rows into storage tuples in schema order.
+
+        Each row is either a mapping of column name -> value (missing
+        columns take their defaults) or a sequence in schema order (must
+        be the exact arity). NOT NULL violations raise
+        :class:`IntegrityError`. A value whose Python type is exactly its
+        column's storage type (or a NULL in a nullable column) needs no
+        conversion; only rows holding anything else pay for :func:`coerce`.
         """
-        if isinstance(values, Mapping):
-            lowered = {k.lower(): v for k, v in values.items()}
-            unknown = set(lowered) - set(self._by_name)
-            if unknown:
-                raise SchemaError(
-                    f"unknown column(s) {sorted(unknown)} for table {self.name!r}"
-                )
-            raw = [
-                lowered.get(col.name.lower(), col.default) for col in self.columns
-            ]
-        else:
-            raw = list(values)
-            if len(raw) != len(self.columns):
-                raise SchemaError(
-                    f"table {self.name!r} expects {len(self.columns)} values, "
-                    f"got {len(raw)}"
-                )
+        width, stored_as = len(self.columns), self._stored_as
         out = []
-        for col, value in zip(self.columns, raw):
+        for values in rows:
+            if isinstance(values, Mapping):
+                row = self._positional(values)
+            else:
+                row = tuple(values)
+                if len(row) != width:
+                    raise SchemaError(
+                        f"table {self.name!r} expects {width} values, "
+                        f"got {len(row)}"
+                    )
+            for value, (kind, nullable) in zip(row, stored_as):
+                if type(value) is not kind and not (value is None and nullable):
+                    row = self._coerce_each(row)
+                    break
+            out.append(row)
+        return out
+
+    def _positional(self, values: Mapping[str, Any]) -> tuple:
+        lowered = {k.lower(): v for k, v in values.items()}
+        unknown = set(lowered) - set(self._by_name)
+        if unknown:
+            raise SchemaError(
+                f"unknown column(s) {sorted(unknown)} for table {self.name!r}"
+            )
+        return tuple(
+            lowered.get(col.name.lower(), col.default) for col in self.columns
+        )
+
+    def _coerce_each(self, row: tuple) -> tuple:
+        out = []
+        for col, value in zip(self.columns, row):
             try:
                 coerced = coerce(value, col.col_type)
             except TypeCoercionError as exc:

@@ -30,9 +30,11 @@ snapshot-consistent while writers commit underneath them.
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.db.schema import TableSchema
 from repro.errors import DatabaseError
@@ -43,7 +45,7 @@ INFINITY = None
 _BEGIN = attrgetter("begin")
 
 
-@dataclass
+@dataclass(slots=True)
 class RowVersion:
     """One committed version of one row."""
 
@@ -132,36 +134,62 @@ class TableStore:
 
     # -- write path (called by the transaction manager at commit) --------
 
-    def reserve_row_id(self) -> int:
-        row_id = self._next_row_id
-        self._next_row_id += 1
-        return row_id
+    def reserve_row_ids(self, count: int) -> range:
+        """``count`` fresh, contiguous row ids."""
+        first = self._next_row_id
+        self._next_row_id = first + count
+        return range(first, first + count)
 
     def apply_insert(self, values: tuple, csn: int, row_id: int | None = None) -> int:
         """Install a new row visible from ``csn``; returns its row id."""
         if row_id is None:
-            row_id = self.reserve_row_id()
-        else:
-            if row_id >= self._next_row_id:
-                self._next_row_id = row_id + 1
-            if row_id in self._live:
-                raise DatabaseError(
-                    f"{self.schema.name}: row {row_id} already live at insert"
-                )
-        version = self._new_version(row_id, csn, values)
-        chain = self._versions.get(row_id)
-        if chain is None:
-            self._versions[row_id] = [version]
-            self._add_sorted(self._all_ids, row_id)
-        else:
-            chain.append(version)
-        self._live[row_id] = version
-        self._add_sorted(self._live_ids, row_id)
+            row_id = self.reserve_row_ids(1)[0]
+        self.apply_inserts(((row_id, values),), csn)
+        return row_id
+
+    def apply_inserts(self, rows: Sequence[tuple[int, tuple]], csn: int) -> None:
+        """Install ``(row_id, values)`` pairs as new rows visible from ``csn``.
+
+        Every id is checked before any row is installed: one that is live
+        already, or given twice, raises with the store untouched.
+        """
+        if not rows:
+            return
+        row_ids = [row_id for row_id, _values in rows]
+        # Engine-assigned ids always ascend; explicit ones (restore,
+        # recovery) may come in any order.
+        ascending = all(map(operator.lt, row_ids, itertools.islice(row_ids, 1, None)))
+        live, versions, new_version = self._live, self._versions, self._new_version
+        distinct = ascending or len(set(row_ids)) == len(row_ids)
+        if not (distinct and live.keys().isdisjoint(row_ids)):
+            taken = set(live)
+            for row_id in row_ids:
+                if row_id in taken:
+                    raise DatabaseError(
+                        f"{self.schema.name}: row {row_id} already live at insert"
+                    )
+                taken.add(row_id)
+        fresh: list[int] = []  # ids with no earlier (dead) version chain
+        for row_id, values in rows:
+            version = new_version(row_id, csn, values)
+            chain = versions.get(row_id)
+            if chain is None:
+                versions[row_id] = [version]
+                fresh.append(row_id)
+            else:
+                chain.append(version)
+            live[row_id] = version
+        for ids, new in ((self._all_ids, fresh), (self._live_ids, row_ids)):
+            if ascending and new and (not ids or new[0] > ids[-1]):
+                ids.extend(new)
+            else:
+                for row_id in new:
+                    self._add_sorted(ids, row_id)
+        self._next_row_id = max(self._next_row_id, max(row_ids) + 1)
         self._scan_rows = None
         self._scan_values = None
         self.last_write_csn = csn
-        self.write_epoch += 1
-        return row_id
+        self.write_epoch += len(row_ids)
 
     def apply_update(self, row_id: int, values: tuple, csn: int) -> tuple:
         """Supersede the live version of ``row_id``; returns the old values."""

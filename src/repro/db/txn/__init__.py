@@ -7,7 +7,6 @@ from repro.db.txn.manager import (
     Transaction,
     TransactionManager,
     TransactionStatus,
-    WriteOp,
 )
 from repro.db.txn.wal import WalCommit, WriteAheadLog
 
@@ -21,5 +20,4 @@ __all__ = [
     "TransactionStatus",
     "WalCommit",
     "WriteAheadLog",
-    "WriteOp",
 ]

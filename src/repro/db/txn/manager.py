@@ -17,7 +17,9 @@ committed data and keeps CDC/WAL emission trivially in commit order.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.txn.locks import LockManager, LockMode
@@ -50,15 +52,8 @@ class TransactionStatus(enum.Enum):
 #: Sentinel marking a row deleted in a transaction's private overlay.
 _DELETED = object()
 
-
-@dataclass
-class WriteOp:
-    """One buffered write, applied at commit in execution order."""
-
-    op: str  # 'insert' | 'update' | 'delete'
-    table: str  # canonical name
-    row_id: int
-    values: tuple | None  # new values (None for delete)
+#: What one batch of :meth:`TransactionManager._apply` shares.
+_KIND_AND_TABLE = attrgetter("op", "table")
 
 
 @dataclass
@@ -95,7 +90,10 @@ class Transaction:
         #: Free-form metadata attached by the runtime (req_id, handler,
         #: function label) and consumed by TROD's interposition layer.
         self.info: dict[str, Any] = dict(info or {})
-        self.write_ops: list[WriteOp] = []
+        #: Buffered writes, applied at commit in execution order. They are
+        #: already in their WAL form: an insert is logged as buffered, an
+        #: update or delete once commit has filled in the old values.
+        self.write_ops: list[WalChange] = []
         self.read_records: list[ReadRecord] = []
         self._overlay: dict[str, dict[int, Any]] = {}  # table -> row_id -> values|_DELETED
         self._inserted: dict[str, list[int]] = {}  # table -> ordered new row ids
@@ -217,19 +215,46 @@ class Transaction:
 
     def insert(self, table: str, values: tuple) -> int:
         """Buffer an insert; returns the new row id (visible to self)."""
+        return self.insert_many(table, (values,))[0]
+
+    def insert_many(self, table: str, rows: Sequence[tuple]) -> Sequence[int]:
+        """Buffer inserts of coerced rows; returns their new row ids.
+
+        One liveness check, catalog resolve and table lock for the whole
+        batch. Without unique constraints nothing a row does can fail,
+        and the ids are one contiguous reservation; with them, each row
+        is checked against the rows buffered before it, exactly as a
+        loop of single inserts would (a violation leaves those buffered
+        and this row's id unreserved).
+        """
         self._check_active()
-        canonical = self._manager.database.catalog.resolve(table)
+        database = self._manager.database
+        canonical = database.catalog.resolve(table)
         if self.isolation is IsolationLevel.SERIALIZABLE:
             self._lock(canonical, LockMode.EXCLUSIVE)
-        self._check_unique_locally(canonical, values, ignore_row_id=None)
-        store = self._manager.database.store(canonical)
-        row_id = store.reserve_row_id()
-        self._overlay.setdefault(canonical, {})[row_id] = values
-        self._inserted.setdefault(canonical, []).append(row_id)
-        self.write_ops.append(
-            WriteOp(op="insert", table=canonical, row_id=row_id, values=values)
+        store = database.store(canonical)
+        if not database.catalog.get(canonical).unique_constraints:
+            return self._buffer_inserts(canonical, store.reserve_row_ids(len(rows)), rows)
+        row_ids = []
+        for values in rows:
+            self._check_unique_locally(canonical, values, ignore_row_id=None)
+            row_ids += self._buffer_inserts(
+                canonical, store.reserve_row_ids(1), (values,)
+            )
+        return row_ids
+
+    def _buffer_inserts(
+        self, canonical: str, row_ids: Sequence[int], rows: Sequence[tuple]
+    ) -> Sequence[int]:
+        self._overlay.setdefault(canonical, {}).update(zip(row_ids, rows))
+        self._inserted.setdefault(canonical, []).extend(row_ids)
+        self.write_ops.extend(
+            [
+                WalChange("insert", canonical, row_id, values, None)
+                for row_id, values in zip(row_ids, rows)
+            ]
         )
-        return row_id
+        return row_ids
 
     def insert_with_id(self, table: str, values: tuple, row_id: int) -> int:
         """Insert preserving an explicit row id.
@@ -250,11 +275,7 @@ class Transaction:
         store = self._manager.database.store(canonical)
         if row_id >= store._next_row_id:
             store._next_row_id = row_id + 1
-        self._overlay.setdefault(canonical, {})[row_id] = values
-        self._inserted.setdefault(canonical, []).append(row_id)
-        self.write_ops.append(
-            WriteOp(op="insert", table=canonical, row_id=row_id, values=values)
-        )
+        self._buffer_inserts(canonical, (row_id,), (values,))
         return row_id
 
     def update(self, table: str, row_id: int, values: tuple) -> None:
@@ -268,9 +289,7 @@ class Transaction:
             )
         self._check_unique_locally(canonical, values, ignore_row_id=row_id)
         self._overlay.setdefault(canonical, {})[row_id] = values
-        self.write_ops.append(
-            WriteOp(op="update", table=canonical, row_id=row_id, values=values)
-        )
+        self.write_ops.append(WalChange("update", canonical, row_id, values, None))
 
     def delete(self, table: str, row_id: int) -> None:
         self._check_active()
@@ -282,9 +301,7 @@ class Transaction:
                 f"{self.name}: cannot delete missing row {row_id} in {canonical}"
             )
         self._overlay.setdefault(canonical, {})[row_id] = _DELETED
-        self.write_ops.append(
-            WriteOp(op="delete", table=canonical, row_id=row_id, values=None)
-        )
+        self.write_ops.append(WalChange("delete", canonical, row_id, None, None))
 
     def pending_rows(self, table: str) -> list[tuple[int, tuple]]:
         """Rows this transaction has written (and not deleted), by row id.
@@ -437,16 +454,7 @@ class TransactionManager:
                 WalPrepare(
                     gtxn_id=gtxn_id,
                     txn_id=txn.txn_id,
-                    changes=tuple(
-                        WalChange(
-                            op=op.op,
-                            table=op.table,
-                            row_id=op.row_id,
-                            values=op.values,
-                            old_values=None,
-                        )
-                        for op in txn.write_ops
-                    ),
+                    changes=tuple(txn.write_ops),
                 )
             )
             txn.prepared_gtxn = gtxn_id
@@ -473,7 +481,7 @@ class TransactionManager:
                 self.abort(txn)
                 raise
         csn = self.last_csn + 1
-        changes = self._apply(txn, csn)
+        changes = self._apply(txn.write_ops, csn)
         if self.database.backend is not None:
             self.database.backend.on_commit(len(changes))
         self.last_csn = csn
@@ -482,35 +490,12 @@ class TransactionManager:
         self.commit_index[txn.txn_id] = csn
         self.csn_index[csn] = txn.txn_id
         self.active.pop(txn.txn_id, None)
+        cdc_records: list = []
         if changes:
             self.database.wal.append(
-                WalCommit(
-                    csn=csn,
-                    txn_id=txn.txn_id,
-                    changes=tuple(
-                        WalChange(
-                            op=c.op,
-                            table=c.table,
-                            row_id=c.row_id,
-                            values=c.values,
-                            old_values=c.old_values,
-                        )
-                        for c in changes
-                    ),
-                )
+                WalCommit(csn=csn, txn_id=txn.txn_id, changes=tuple(changes))
             )
-        cdc_records = [
-            self.database.cdc.emit(
-                csn=csn,
-                txn_id=txn.txn_id,
-                table=c.table,
-                op=c.op,
-                row_id=c.row_id,
-                values=c.values,
-                old_values=c.old_values,
-            )
-            for c in changes
-        ]
+            cdc_records = self.database.cdc.emit_commit(csn, txn.txn_id, changes)
         self.locks.release_all(txn.txn_id)
         self.stats["committed"] += 1
         self.database.notify("txn_committed", txn, csn, cdc_records)
@@ -539,18 +524,7 @@ class TransactionManager:
         record so the prepare stops reading as in-doubt on later opens.
         """
         csn = self.last_csn + 1
-        for change in prepare.changes:
-            store = self.database.store(change.table)
-            indexes = self.database.index_set(change.table)
-            if change.op == "insert":
-                store.apply_insert(change.values, csn, row_id=change.row_id)
-                indexes.on_insert(change.row_id, change.values)
-            elif change.op == "update":
-                old = store.apply_update(change.row_id, change.values, csn)
-                indexes.on_update(change.row_id, old, change.values)
-            else:
-                old = store.apply_delete(change.row_id, csn)
-                indexes.on_delete(change.row_id, old)
+        self._apply(prepare.changes, csn)
         self.last_csn = csn
         self.commit_index[prepare.txn_id] = csn
         self.csn_index[csn] = prepare.txn_id
@@ -596,37 +570,51 @@ class TransactionManager:
         existing rows is rejected, because each new key is checked against
         the pre-commit index state.
         """
+        checked = {
+            table
+            for table in txn._overlay
+            if self.database.index_set(table).has_unique
+        }
+        if not checked:
+            return
         final_values: dict[tuple[str, int], tuple | None] = {}
         for op in txn.write_ops:
-            final_values[(op.table, op.row_id)] = op.values
+            if op.table in checked:
+                final_values[(op.table, op.row_id)] = op.values
         for (table, row_id), values in final_values.items():
             if values is None:
                 continue
             self.database.index_set(table).check_insert(values, ignore_row_id=row_id)
 
-    def _apply(self, txn: Transaction, csn: int) -> list["_AppliedChange"]:
-        applied: list[_AppliedChange] = []
-        for op in txn.write_ops:
-            store = self.database.store(op.table)
-            indexes = self.database.index_set(op.table)
-            if op.op == "insert":
-                store.apply_insert(op.values, csn, row_id=op.row_id)
-                indexes.on_insert(op.row_id, op.values)
-                applied.append(
-                    _AppliedChange("insert", op.table, op.row_id, op.values, None)
-                )
-            elif op.op == "update":
-                old = store.apply_update(op.row_id, op.values, csn)
-                indexes.on_update(op.row_id, old, op.values)
-                applied.append(
-                    _AppliedChange("update", op.table, op.row_id, op.values, old)
-                )
+    def _apply(self, ops: Iterable[WalChange], csn: int) -> list[WalChange]:
+        """Install buffered writes at ``csn``; returns the applied changes.
+
+        Each run of consecutive same-table inserts goes to the store and
+        its indexes as one batch (a one-row run is the degenerate case),
+        and its buffered ops are its applied changes as they stand.
+        """
+        applied: list[WalChange] = []
+        for (kind, table), run in itertools.groupby(ops, _KIND_AND_TABLE):
+            store = self.database.store(table)
+            indexes = self.database.index_set(table)
+            if kind == "insert":
+                inserts = list(run)
+                rows = [(op.row_id, op.values) for op in inserts]
+                store.apply_inserts(rows, csn)
+                indexes.on_insert_many(rows)
+                applied += inserts
+            elif kind == "update":
+                for op in run:
+                    old = store.apply_update(op.row_id, op.values, csn)
+                    indexes.on_update(op.row_id, old, op.values)
+                    applied.append(
+                        WalChange("update", table, op.row_id, op.values, old)
+                    )
             else:
-                old = store.apply_delete(op.row_id, csn)
-                indexes.on_delete(op.row_id, old)
-                applied.append(
-                    _AppliedChange("delete", op.table, op.row_id, None, old)
-                )
+                for op in run:
+                    old = store.apply_delete(op.row_id, csn)
+                    indexes.on_delete(op.row_id, old)
+                    applied.append(WalChange("delete", table, op.row_id, None, old))
         return applied
 
     # -- locks -------------------------------------------------------------------
@@ -650,12 +638,3 @@ class TransactionManager:
 
     def txn_at_csn(self, csn: int) -> int | None:
         return self.csn_index.get(csn)
-
-
-@dataclass
-class _AppliedChange:
-    op: str
-    table: str
-    row_id: int
-    values: tuple | None
-    old_values: tuple | None

@@ -43,7 +43,7 @@ from repro.errors import WalError
 from repro.faults import fault_point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalChange:
     """One row change inside a commit."""
 

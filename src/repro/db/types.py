@@ -9,7 +9,7 @@ rest of the engine never special-cases type logic.
 from __future__ import annotations
 
 import enum
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import TypeCoercionError
 
@@ -46,6 +46,17 @@ SQL_TYPE_NAMES: dict[str, ColumnType] = {
     "BOOLEAN": ColumnType.BOOLEAN,
     "TIMESTAMP": ColumnType.TIMESTAMP,
     "DATETIME": ColumnType.TIMESTAMP,
+}
+
+
+#: The Python type a non-NULL value of each column type is stored as:
+#: :func:`coerce` returns a value of exactly this type unchanged.
+STORAGE_TYPES: dict[ColumnType, type] = {
+    ColumnType.INTEGER: int,
+    ColumnType.FLOAT: float,
+    ColumnType.TEXT: str,
+    ColumnType.BOOLEAN: bool,
+    ColumnType.TIMESTAMP: int,
 }
 
 
@@ -111,16 +122,8 @@ def coerce(value: Any, col_type: ColumnType) -> Any:
     raise TypeCoercionError(f"unknown column type {col_type!r}")  # pragma: no cover
 
 
-_TYPE_ORDER = {bool: 0, int: 1, float: 1, str: 2}
-
-
-def _sort_class(value: Any) -> int:
-    """Cross-type ordering class: NULL < BOOLEAN < numbers < TEXT."""
-    if value is None:
-        return -1
-    if isinstance(value, bool):
-        return 0
-    return _TYPE_ORDER[type(value)]
+#: Cross-type ordering class: NULL < BOOLEAN < numbers < TEXT.
+_SORT_CLASS = {type(None): -1, bool: 0, int: 1, float: 1, str: 2}
 
 
 def compare_values(a: Any, b: Any) -> int:
@@ -130,7 +133,7 @@ def compare_values(a: Any, b: Any) -> int:
     different kinds order by kind (bool < numeric < text) so mixed columns
     still sort deterministically.
     """
-    ka, kb = _sort_class(a), _sort_class(b)
+    ka, kb = _SORT_CLASS[type(a)], _SORT_CLASS[type(b)]
     if ka != kb:
         return -1 if ka < kb else 1
     if a is None and b is None:
@@ -158,9 +161,19 @@ class SortKey:
         return hash(self.value)
 
 
-def row_sort_key(values: tuple) -> tuple:
-    """Key for sorting whole rows (tuples) with NULL-safe semantics."""
-    return tuple(SortKey(v) for v in values)
+def index_key(values: Iterable[Any]) -> tuple:
+    """Flat ``(class, value, class, value, ...)`` key of a column tuple.
+
+    Tuples of these order exactly as :func:`compare_values` orders the
+    columns left to right, but compare entirely in C: a value is only
+    ever compared with one of its own class, because the class in front
+    of it decides first. Sorted indexes store this form, so ``sort``,
+    ``insort`` and ``bisect`` never call back into Python.
+    """
+    key: tuple = ()
+    for value in values:
+        key += (_SORT_CLASS[type(value)], value)
+    return key
 
 
 def render_value(value: Any) -> str:

@@ -1,0 +1,296 @@
+"""Provenance ingest held to a plain-Python model.
+
+``ProvenanceStore.ingest`` groups a batch per provenance table and inserts
+each group at once. What must not depend on that: the rows, row ids and
+``Seq`` of every provenance table, every ``reconstruct_rows`` answer and
+every checkpoint payload. The model below derives all of them from the
+event list alone, with no engine code, for a batch that mixes all five
+event kinds, reads that matched nothing, deletes, partial ``values``
+dicts, an aborted transaction and a table nobody registered.
+"""
+
+import json
+
+import pytest
+
+from repro.core.events import (
+    DataEvent,
+    RequestEvent,
+    SideEffectEvent,
+    TxnEvent,
+    WorkflowEdgeEvent,
+)
+from repro.core.provenance import ProvenanceStore
+from repro.db.schema import Column, TableSchema
+from repro.db.types import ColumnType
+
+ACCOUNTS = TableSchema(
+    "accounts",
+    [
+        Column("id", ColumnType.INTEGER),
+        Column("owner", ColumnType.TEXT),
+        Column("balance", ColumnType.FLOAT),
+    ],
+)
+#: 'Type' collides with event metadata, so its event column is 'Type_'.
+AUDIT = TableSchema(
+    "audit", [Column("Type", ColumnType.TEXT), Column("detail", ColumnType.TEXT)]
+)
+APP_COLUMNS = {"accounts": ("id", "owner", "balance"), "audit": ("Type", "detail")}
+EVENT_TABLES = {"accounts": "AccountsEvents", "audit": "AuditLog"}
+SNAPSHOT = [(1, (1, "ann", 10.0)), (2, (2, "bob", 20.0))]
+BASE_CSN = 4
+
+
+def txn(num, status="Committed", csn=None, req="R1", label="step"):
+    return TxnEvent(
+        txn_num=num, txn_name=f"TXN{num}", ts=100 + num, req_id=req,
+        handler="transfer", label=label, isolation="SERIALIZABLE",
+        status=status, csn=csn, snapshot_csn=(csn or BASE_CSN) - 1,
+        auth_user="ann" if num % 2 else None,
+    )
+
+
+def data(num, table, kind, row_id, values, csn=None, query="q"):
+    return DataEvent(
+        txn_num=num, txn_name=f"TXN{num}", table=table, kind=kind,
+        query=f"{query}{num}", row_id=row_id, values=values, csn=csn,
+    )
+
+
+def batches():
+    """Three flushes' worth of events."""
+    first = [
+        data(5, "accounts", "Read", 1, {"id": 1, "owner": "ann", "balance": 10.0}),
+        data(5, "accounts", "Read", None, None),  # matched nothing
+        data(5, "untraced", "Read", 9, {"x": 1}),  # skipped, consumes no Seq
+        txn(5, csn=5),
+        data(5, "accounts", "Update", 1, {"id": 1, "owner": "ann", "balance": 7.5}, csn=5),
+        data(5, "accounts", "Insert", 3, {"id": 3, "owner": "cy"}, csn=5),  # partial
+        data(5, "audit", "Insert", 1, {"Type": "debit", "detail": "2.5"}, csn=5),
+        WorkflowEdgeEvent(req_id="R1", caller="transfer", callee="notify", seq=1, ts=107),
+        SideEffectEvent(req_id="R1", handler="notify", channel="email",
+                        payload_repr="{'to': 'ann'}", ts=108),
+        txn(6, status="Aborted", label=""),
+        RequestEvent(req_id="R1", handler="transfer", args=("ann", 2.5),
+                     kwargs={"memo": "rent"}, auth_user="ann", start_ts=100,
+                     end_ts=109, status="OK", output_repr="'done'", error=None),
+    ]
+    second = [
+        txn(7, csn=6, req="R2"),
+        data(7, "accounts", "Delete", 2, None, csn=6),
+        data(7, "audit", "Insert", 2, {"detail": "closed"}, csn=6),
+        data(7, "accounts", "Update", 3, {"id": 3, "owner": "cy", "balance": 1.0}, csn=6),
+        RequestEvent(req_id="R2", handler="close", args=(), kwargs={},
+                     auth_user=None, start_ts=110, end_ts=111, status="Error",
+                     output_repr=None, error="boom"),
+    ]
+    third = [
+        txn(8, csn=7, req=None),
+        data(8, "accounts", "Insert", 2, {"id": 2, "owner": "bob2", "balance": 0.0}, csn=7),
+        data(8, "accounts", "Read", 2, {"id": 2, "owner": "bob2", "balance": 0.0}),
+    ]
+    return [first, second, third]
+
+
+class Model:
+    """What the provenance tables must hold, from the events alone."""
+
+    def __init__(self):
+        self.tables = {
+            name: [] for name in
+            ("Executions", "Requests", "WorkflowEdges", "SideEffects",
+             "AccountsEvents", "AuditLog")
+        }
+        self.seq = 1
+        for row_id, values in SNAPSHOT:
+            self.tables["AccountsEvents"].append(
+                ("SNAPSHOT", 0, "Snapshot", "base snapshot", BASE_CSN, self.seq,
+                 row_id, *values)
+            )
+            self.seq += 1
+
+    def add(self, event):
+        if isinstance(event, DataEvent):
+            if event.table not in APP_COLUMNS:
+                return
+            values = event.values or {}
+            self.tables[EVENT_TABLES[event.table]].append(
+                (event.txn_name, event.txn_num, event.kind, event.query,
+                 event.csn, self.seq, event.row_id,
+                 *[values.get(col) for col in APP_COLUMNS[event.table]])
+            )
+            self.seq += 1
+        elif isinstance(event, TxnEvent):
+            self.tables["Executions"].append(
+                (event.txn_name, event.txn_num, event.ts, event.handler,
+                 event.req_id, f"func:{event.label}" if event.label else "",
+                 event.isolation, event.status, event.csn, event.snapshot_csn,
+                 event.auth_user)
+            )
+        elif isinstance(event, RequestEvent):
+            self.tables["Requests"].append(
+                (event.req_id, event.handler, json.dumps(list(event.args)),
+                 json.dumps(event.kwargs), event.auth_user, event.start_ts,
+                 event.end_ts, event.status, event.output_repr, event.error)
+            )
+        elif isinstance(event, WorkflowEdgeEvent):
+            self.tables["WorkflowEdges"].append(
+                (event.req_id, event.caller, event.callee, event.seq, event.ts)
+            )
+        else:
+            self.tables["SideEffects"].append(
+                (event.req_id, event.handler, event.channel, event.payload_repr,
+                 event.ts)
+            )
+
+    def stored(self, table):
+        """``(row_id, values)``: ids count up per table in event order."""
+        return list(enumerate(self.tables[table], 1))
+
+    def state(self, app_table, upto_csn):
+        """The app table as of ``upto_csn``, folded from its event rows."""
+        rows = [
+            r for r in self.tables[EVENT_TABLES[app_table]]
+            if r[2] == "Snapshot"
+            or (r[2] in ("Insert", "Update", "Delete") and r[4] <= upto_csn)
+        ]
+        state = {}
+        for row in sorted(rows, key=lambda r: (r[4], r[5])):
+            if row[2] == "Delete":
+                state.pop(row[6], None)
+            else:
+                state[row[6]] = tuple(row[7:])
+        return sorted(state.items())
+
+
+def make_store(checkpoint_interval=None):
+    prov = ProvenanceStore(checkpoint_interval=checkpoint_interval)
+    prov.register_app_table(ACCOUNTS)
+    prov.register_app_table(AUDIT, event_table="AuditLog")
+    assert prov.capture_snapshot("accounts", SNAPSHOT, BASE_CSN) == 2
+    return prov
+
+
+@pytest.fixture
+def ingested():
+    prov, model = make_store(), Model()
+    for batch in batches():
+        assert prov.ingest(batch) == len(batch)
+        for event in batch:
+            model.add(event)
+    return prov, model
+
+
+class TestTablesMatchTheModel:
+    def test_rows_row_ids_and_seq_of_every_table(self, ingested):
+        prov, model = ingested
+        for table in model.tables:
+            assert prov.db.snapshot_rows(table) == model.stored(table), table
+        assert prov._next_seq == model.seq
+        # Seq is one counter across the event tables, in event order.
+        seqs = sorted(
+            row[5]
+            for table in EVENT_TABLES.values()
+            for row in model.tables[table]
+        )
+        assert seqs == list(range(1, model.seq))
+
+    def test_event_table_layout_and_collision_rename(self, ingested):
+        prov, _model = ingested
+        assert prov.db.catalog.get("AuditLog").column_names == (
+            "TxnId", "TxnNum", "Type", "Query", "Csn", "Seq", "RowId",
+            "Type_", "detail",
+        )
+        assert prov.query(
+            "SELECT Type, Type_, detail FROM AuditLog ORDER BY Seq"
+        ).rows == [("Insert", "debit", "2.5"), ("Insert", None, "closed")]
+
+    def test_one_commit_one_lock_per_table_per_flush(self):
+        prov = make_store()
+        manager = prov.db.txn_manager
+        commits = manager.stats["committed"]
+        locks = manager.locks.stats["acquisitions"]
+        batch = batches()[0]
+        prov.ingest(batch)
+        assert manager.stats["committed"] == commits + 1
+        # Executions, Requests, WorkflowEdges, SideEffects, two event tables.
+        assert manager.locks.stats["acquisitions"] == locks + 6
+        # One WAL change and one CDC record per stored event, grouped per
+        # table and in event order inside each group.
+        commit = list(prov.db.wal.commits())[-1]
+        assert len(commit.changes) == len(batch) - 1  # the untraced read
+        tables = [change.table for change in commit.changes]
+        assert tables == sorted(tables, key=tables.index)
+        assert [r.row_id for r in prov.db.cdc.history()[-len(commit.changes):]] == [
+            change.row_id for change in commit.changes
+        ]
+
+    def test_queries_over_the_ingested_rows(self, ingested):
+        prov, _model = ingested
+        assert [t["TxnId"] for t in prov.txns_of_request("R1")] == ["TXN5"]
+        assert prov.tables_used_by_txn("TXN7") == {"accounts", "audit"}
+        assert prov.request_args("R1") == ("transfer", ("ann", 2.5), {"memo": "rent"}, "ann")
+        kinds = [e["Type"] for e in prov.data_events_of_txn("TXN5", "accounts")]
+        assert kinds == ["Read", "Read", "Update", "Insert"]
+        assert [w["RowId"] for w in prov.writes_between(5, 7, tables=["accounts"])] == [
+            2, 3, 2
+        ]
+
+
+class TestReconstructionMatchesTheModel:
+    @pytest.mark.parametrize("csn", [4, 5, 6, 7, 99])
+    def test_reconstruct_rows_from_events_and_from_checkpoints(self, ingested, csn):
+        prov, model = ingested
+        for table in APP_COLUMNS:
+            expected = model.state(table, csn)
+            prov.invalidate_checkpoints()
+            assert prov.reconstruct_rows(table, csn) == expected  # full replay
+            prov.create_checkpoint(5)
+            assert prov.reconstruct_rows(table, csn) == expected  # from a checkpoint
+            prov.create_checkpoint()
+            assert prov.reconstruct_rows(table, csn) == expected  # from the nearest
+
+    def test_checkpoint_payload_is_the_folded_live_state(self, ingested):
+        prov, model = ingested
+        assert prov.create_checkpoint() == 7
+        for table in APP_COLUMNS:
+            entry = prov._checkpoints[table][-1]
+            assert entry[0] == 7
+            assert list(prov._checkpoint_rows(table, entry)) == model.state(table, 7)
+        assert prov.checkpoint_stats["full_restores"] == 0  # folded, not replayed
+
+    def test_automatic_checkpoints_fall_where_the_commit_count_says(self):
+        prov, model = make_store(checkpoint_interval=2), Model()
+        for batch in batches():
+            prov.ingest(batch)
+            for event in batch:
+                model.add(event)
+        # Flush 1 holds one commit, flush 2 the second (checkpoint at its
+        # csn 6), flush 3 the third (one since: no checkpoint yet).
+        assert prov.checkpoint_csns("accounts") == [6]
+        assert prov._commits_since_checkpoint == 1
+        entry = prov._checkpoints["accounts"][0]
+        assert list(prov._checkpoint_rows("accounts", entry)) == model.state("accounts", 6)
+
+    def test_a_late_write_drops_the_checkpoints_it_makes_stale(self, ingested):
+        prov, model = ingested
+        prov.create_checkpoint(5)
+        prov.create_checkpoint(7)
+        late = data(9, "accounts", "Update", 1, {"id": 1, "owner": "ann", "balance": 0.0}, csn=6)
+        prov.ingest([late])
+        model.add(late)
+        assert prov.checkpoint_csns("accounts") == [5]
+        assert prov.checkpoint_csns("audit") == [5, 7]
+        for csn in (5, 6, 7):
+            assert prov.reconstruct_rows("accounts", csn) == model.state("accounts", csn)
+
+    def test_restore_into_a_dev_database(self, ingested):
+        from repro.db import Database
+
+        prov, model = ingested
+        dev = Database()
+        assert prov.restore_into(dev, 6) == {"accounts": 2, "audit": 2}
+        for table in APP_COLUMNS:
+            assert dev.snapshot_rows(table) == model.state(table, 6)
+        assert dev.store("accounts").stats()["next_row_id"] == 4

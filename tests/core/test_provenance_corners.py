@@ -213,3 +213,78 @@ class TestAbortedTransactions:
             "SELECT COUNT(*) FROM ForumEvents WHERE Type = 'Insert'"
         ).scalar()
         assert inserts == 2
+
+
+class TestFailedIngest:
+    """A batch that fails to ingest must leave no trace (it used to fold
+    its writes into the live state before its transaction committed)."""
+
+    @staticmethod
+    def _store():
+        from repro.core.provenance import ProvenanceStore
+        from repro.db.schema import Column, TableSchema
+        from repro.db.types import ColumnType
+
+        prov = ProvenanceStore(checkpoint_interval=None)
+        prov.register_app_table(
+            TableSchema(
+                "kv", [Column("id", ColumnType.INTEGER), Column("v", ColumnType.TEXT)]
+            )
+        )
+        return prov
+
+    @staticmethod
+    def _insert(row_id, values, csn):
+        from repro.core.events import DataEvent
+
+        return DataEvent(
+            txn_num=csn, txn_name=f"TXN{csn}", table="kv", kind="Insert",
+            query="INSERT INTO kv ...", row_id=row_id, values=values, csn=csn,
+        )
+
+    def test_failed_ingest_leaves_checkpoints_and_tables_untouched(self):
+        from repro.errors import TypeCoercionError
+
+        prov = self._store()
+        prov.ingest([self._insert(1, {"id": 1, "v": "kept"}, 1)])
+        before = (
+            prov._next_seq,
+            prov._max_write_csn,
+            prov._commits_since_checkpoint,
+            dict(prov._live["kv"].rows),
+            prov.event_count,
+        )
+        with pytest.raises(TypeCoercionError, match=r"KvEvents\.id"):
+            prov.ingest(
+                [
+                    self._insert(77, {"id": 77, "v": "good"}, 2),
+                    self._insert(78, {"id": "not-an-int", "v": "bad"}, 3),
+                ]
+            )
+        after = (
+            prov._next_seq,
+            prov._max_write_csn,
+            prov._commits_since_checkpoint,
+            dict(prov._live["kv"].rows),
+            prov.event_count,
+        )
+        assert after == before
+        assert prov._checkpoints == {}
+        # The rolled-back events reach neither a checkpoint nor a replay.
+        csn = prov.create_checkpoint()
+        assert prov._checkpoint_rows("kv", prov._checkpoints["kv"][-1]) == (
+            (1, (1, "kept")),
+        )
+        assert prov.reconstruct_rows("kv", csn + 10) == [(1, (1, "kept"))]
+        # And the store still ingests: Seq continues where it stopped.
+        prov.ingest([self._insert(2, {"id": 2, "v": "next"}, 4)])
+        seqs = prov.query("SELECT Seq FROM KvEvents ORDER BY Seq").column("Seq")
+        assert seqs == [1, 2]
+
+    def test_unknown_column_in_event_fails_the_batch_by_name(self):
+        from repro.errors import ProvenanceError
+
+        prov = self._store()
+        with pytest.raises(ProvenanceError, match="nope"):
+            prov.ingest([self._insert(1, {"id": 1, "nope": 2}, 1)])
+        assert prov._next_seq == 1 and prov.event_count == 1  # TraceSchemas row

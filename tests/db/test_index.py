@@ -123,8 +123,8 @@ class TestIndexSet:
         with pytest.raises(SchemaError):
             index_set.create_hash_index("IX", ["b"])
 
-    def test_populate_existing_rows(self):
+    def test_on_insert_many_existing_rows(self):
         index_set = IndexSet(make_schema())
         index = index_set.create_hash_index("ix", ["a"])
-        index_set.populate([(1, ("x", 1, "p")), (2, ("y", 2, "q"))])
+        index_set.on_insert_many([(1, ("x", 1, "p")), (2, ("y", 2, "q"))])
         assert index.lookup(("x",)) == {1}

@@ -9,7 +9,7 @@ from repro.db.types import (
     coerce,
     infer_type,
     render_value,
-    row_sort_key,
+    index_key,
     sql_literal,
     type_from_sql_name,
 )
@@ -117,10 +117,14 @@ class TestComparison:
         ordered = sorted(values, key=SortKey)
         assert ordered == [None, True, 1, 2, "a", "b"]
 
-    def test_row_sort_key(self):
-        rows = [(2, "b"), (1, "z"), (1, "a"), (None, "x")]
-        ordered = sorted(rows, key=row_sort_key)
-        assert ordered == [(None, "x"), (1, "a"), (1, "z"), (2, "b")]
+    def test_index_key(self):
+        rows = [(2, "b"), (1, "z"), (1, "a"), (None, "x"), (True, "t"), ("s", 1)]
+        ordered = sorted(rows, key=index_key)
+        assert ordered == [
+            (None, "x"), (True, "t"), (1, "a"), (1, "z"), (2, "b"), ("s", 1)
+        ]
+        # A key is a strict prefix of (so sorts just before) anything it leads.
+        assert index_key((1,)) < index_key((1, "a")) < index_key((1.5,))
 
 
 class TestRendering:
