@@ -23,12 +23,13 @@ def main() -> None:
         conn.execute("INSERT INTO inventory VALUES (?, ?)", (f"SKU{i}", 100))
     cluster.catch_up()
     restock_point = conn.last_commit_csn
+    routing = cluster.replica_set.stats  # who answered each read, and why
 
     # Replicas are now caught up: reads are served by them round-robin.
     for _ in range(6):
         conn.execute("SELECT stock FROM inventory WHERE sku = ?", ("SKU1",))
-    print(f"after catch-up: {cluster.stats['replica_reads']} replica reads, "
-          f"{cluster.stats['stale_fallbacks']} stale fallbacks")
+    print(f"after catch-up: {routing['replica_reads']} replica reads, "
+          f"{routing['stale_fallbacks']} stale fallbacks")
 
     # A write the replicas have NOT applied yet (async shipping): the
     # session floor forces the read back to the primary — the connection
@@ -40,7 +41,7 @@ def main() -> None:
         "SELECT stock FROM inventory WHERE sku = ?", ("SKU1",)
     ).scalar()
     print(f"read-your-writes under lag: stock={seen} "
-          f"(stale fallbacks now {cluster.stats['stale_fallbacks']})")
+          f"(stale fallbacks now {routing['stale_fallbacks']})")
 
     # A *fresh* session has no floor: its reads may legally see the
     # slightly stale replica state until the stream catches up.

@@ -36,13 +36,11 @@ from repro.db.connection import (
 from repro.db.database import Database, StatementTrace
 from repro.db.replication import (
     Applier,
-    ReadRouter,
     Replica,
     ReplicaSet,
     ReplicatedDatabase,
     ReplicationLog,
     Session,
-    ShardedReadRouter,
     ShipRecord,
 )
 from repro.db.result import ResultSet, Row
@@ -77,7 +75,6 @@ __all__ = [
     "POSTGRES_PROFILE",
     "PROFILES",
     "ReadRecord",
-    "ReadRouter",
     "Replica",
     "ReplicaSet",
     "ReplicatedDatabase",
@@ -88,7 +85,6 @@ __all__ = [
     "Session",
     "ShardRouter",
     "ShardedDatabase",
-    "ShardedReadRouter",
     "ShardedTimeTravel",
     "ShipRecord",
     "SimulatedBackend",

@@ -1,12 +1,12 @@
 """One engine, one API: ``repro.connect()`` over every deployment shape.
 
-Three PRs of growth left the substrate with divergent entry points —
-``Database.execute``, the ``ShardedDatabase`` facade, ``Session`` +
-``ReadRouter``/``ShardedReadRouter``, and the ``TimeTravel`` /
-``execute_as_of`` side-channels. This module folds them into a single
-DB-API-flavored surface, the way the paper's debugger argument demands:
-apps, workloads, and TROD are written once and run unchanged over a
-single node, a hash-sharded cluster, or a replica-routed deployment.
+The substrate grew divergent entry points — ``Database.execute``, the
+``ShardedDatabase`` facade, per-topology read routers, and the
+``TimeTravel`` / ``execute_as_of`` side-channels. This module is the
+single DB-API-flavored surface that replaced them, the way the paper's
+debugger argument demands: apps, workloads, and TROD are written once and
+run unchanged over a single node, a hash-sharded cluster, or a
+replica-routed deployment.
 
 * :class:`Engine` — the protocol every deployment shape implements
   (:class:`~repro.db.database.Database`,
@@ -23,9 +23,13 @@ single node, a hash-sharded cluster, or a replica-routed deployment.
   objects with attribute-style column access.
 
 Reads through a connection never consume CSNs, on any engine: SELECTs run
-under transactions that are aborted afterwards (the trick the replica
-router and the sharded scatter path already used), so the commit clock
+under transactions that are aborted afterwards, so the commit clock
 advances identically whether a workload runs on one node or twelve.
+There is one replica-aware read path: both cluster engines expose
+``execute_read(sql, params, floor=, on_stale=, prefer_replica=)``, and
+the choice between a replica and the primary is made only by
+:meth:`ReplicaSet.read_target <repro.db.replication.ReplicaSet.read_target>`
+/ ``as_of_target``, which also count it (``ReplicaSet.stats``).
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.db.database import Database
-from repro.db.replication import ReplicaSet, ReplicatedDatabase, Session
+from repro.db.replication import (
+    ReplicaSet,
+    ReplicatedDatabase,
+    Session,
+    _read_on,
+)
 from repro.db.result import ResultSet, Row, _name_slots
 from repro.db.sharding import ShardedDatabase
 from repro.db.sql.nodes import (
@@ -193,7 +202,6 @@ class Connection:
         self.trod = trod
         self.read_preference = read_preference
         self._closed = False
-        self._sharded_router = None  # lazy ShardedReadRouter
         # Statement classification reuses the engine's parse cache when it
         # has one; a custom Engine without the private hook still works.
         self._parse = getattr(engine, "_parse", parse_sql)
@@ -356,45 +364,21 @@ class Connection:
                 stream=True,
             )
         if isinstance(engine, ShardedDatabase):
-            if engine.replica_sets and pref != "primary":
-                router = self._router(pref)
-                return router.execute(sql, params, session=self.session)
-            if stmt.as_of is not None:
-                return engine.execute(sql, params)
-            # Primaries, ephemeral scatter read: burns no CSNs.
-            return engine.select_routed(sql, params)
+            return engine.execute_read(
+                sql,
+                params,
+                floor=self.session.last_global_csn,
+                on_stale="wait" if pref == "wait" else "primary",
+                prefer_replica=pref != "primary",
+            )
         if stmt.as_of is not None:
             # Historical reads manage their own ephemeral snapshot.
             return engine.execute(sql, params)
-        # Single node: read under an aborted transaction so the commit
-        # clock advances identically across every engine a workload runs
-        # on (autocommitted reads would consume CSNs here but nowhere
-        # else). On a real Database the result streams: the abort below
-        # is safe because the pipeline is primed (snapshot-pinned)
-        # before execute returns.
-        txn = engine.begin()
-        try:
-            if isinstance(engine, Database):
-                return engine.execute(sql, params, txn=txn, stream=True)
-            # Custom Engine implementations only promise the documented
-            # surface (no ``stream`` keyword); they materialize.
-            return engine.execute(sql, params, txn=txn)
-        finally:
-            txn.abort()
-
-    def _router(self, read_preference: str | None = None):
-        from repro.db.replication import ShardedReadRouter
-
-        pref = (
-            self.read_preference if read_preference is None else read_preference
-        )
-        on_stale = "wait" if pref == "wait" else "primary"
-        if self._sharded_router is None or self._sharded_router.on_stale != on_stale:
-            # Rebuilt when read_preference is reassigned mid-connection
-            # (or overridden per statement), so the sharded path honors
-            # the change like the others do.
-            self._sharded_router = ShardedReadRouter(self.engine, on_stale=on_stale)
-        return self._sharded_router
+        # Single node: the same CSN-free read the cluster engines use. On
+        # a real Database the result streams; custom Engine
+        # implementations only promise the documented surface (no
+        # ``stream`` keyword), so they materialize.
+        return _read_on(engine, sql, params, stream=isinstance(engine, Database))
 
     # -- write path -------------------------------------------------------
 

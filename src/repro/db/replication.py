@@ -21,21 +21,33 @@ change stream*, never by copying loose state. The pieces:
   modes, per-replica lag tracking, catch-up with truncation-triggered
   resync, and promotion: fence the old primary, drain every acknowledged
   record, promote the most-caught-up replica, re-point the log.
-* :class:`Session` / :class:`ReadRouter` — session guarantees as routing:
-  a session carries the CSN of its last write and reads are served only by
-  replicas at/after it (read-your-writes), falling back to the primary or
-  forcing a catch-up when every replica is stale.
+* :class:`Session` — session guarantees as routing: a session carries
+  the CSN of its last write, and :meth:`ReplicaSet.read_target` /
+  :meth:`ReplicaSet.as_of_target` — the only two places that choose
+  between a replica and the primary — serve its reads from replicas
+  at/after it (read-your-writes), falling back to the primary or forcing
+  a catch-up when every replica is stale. Every engine reaches them
+  through ``execute_read`` (:class:`ReplicatedDatabase` here,
+  :class:`~repro.db.sharding.ShardedDatabase` per shard), which is what
+  :func:`repro.connect` calls; "which node answered, and why" is counted
+  once, in :attr:`ReplicaSet.stats`.
 
 Replicas are read-only by convention, and reads against them must not
-consume CSNs (that would desynchronize the shipped stream), so the router
-serves SELECTs under a transaction it *aborts* — the same trick the
-sharded facade uses for scatter reads.
+consume CSNs (that would desynchronize the shipped stream), so
+:func:`_read_on` serves SELECTs under a transaction it *aborts* — the
+same trick the sharded facade uses for scatter reads.
+
+TROD observes primaries only, so a replica set whose primary has
+``track_reads`` on serves every read from that primary: the events a
+SELECT produces must not depend on the read preference. That is the cost
+of tracing a replicated deployment — replicas stop offloading reads while
+a debugger is attached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.db.cdc import ChangeRecord
 from repro.db.database import Database
@@ -43,20 +55,11 @@ from repro.db.index import SortedIndex
 from repro.db.result import ResultSet
 from repro.db.schema import TableSchema
 from repro.db.sql.executor import evaluate_as_of
-from repro.db.sql.nodes import (
-    CreateIndexStmt,
-    CreateTableStmt,
-    DropIndexStmt,
-    DropTableStmt,
-    SelectStmt,
-)
-from repro.db.txn.manager import IsolationLevel, Transaction, TransactionStatus
+from repro.db.sql.nodes import SelectStmt
+from repro.db.txn.manager import IsolationLevel, Transaction
 from repro.errors import ReplicationError, UnavailableError
 from repro.faults import fault_point
 from repro.runtime.scheduler import CheckpointKind, maybe_checkpoint
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.db.sharding import ShardedDatabase
 
 
 @dataclass(frozen=True)
@@ -373,7 +376,17 @@ class ReplicaSet:
             "degradations": 0,
             "restorations": 0,
             "reprovisions": 0,
+            # Which node answered each read, and why (:meth:`read_target`
+            # and :meth:`as_of_target` are the only writers).
+            "replica_reads": 0,
+            "primary_reads": 0,
+            "stale_fallbacks": 0,
+            "catch_up_waits": 0,
         }
+        #: Called after :meth:`resync` swaps a replica's database for a
+        #: fresh one, so an owner caching per-database state (the sharded
+        #: facade's scatter plans) can drop what pins the old instance.
+        self.on_resync: Callable[[], None] | None = None
         for _ in range(n_replicas):
             self.add_replica()
         self._unsub: Callable[[], None] | None = None
@@ -489,8 +502,7 @@ class ReplicaSet:
 
         Coverage means the replica has applied the commit (its CSN is
         at/after ``csn``) *and* its bootstrap horizon predates it — the
-        qualification every AS-OF read uses, on routers, the replicated
-        engine, and sharded time travel alike.
+        qualification :meth:`as_of_target` applies for every engine.
         """
         for replica in self.healthy_replicas():
             if (
@@ -515,6 +527,57 @@ class ReplicaSet:
             raise ReplicationError(f"unknown routing policy {policy!r}")
         self._rr += 1
         return eligible[self._rr % len(eligible)]
+
+    def read_target(
+        self,
+        floor: int = 0,
+        on_stale: str = "primary",
+        prefer_replica: bool = True,
+        policy: str = "round_robin",
+    ) -> Database:
+        """The database that serves one live read; counts the decision.
+
+        A replica at/after ``floor`` (the session-guarantee minimum: the
+        CSN of the caller's last acknowledged write) chosen by ``policy``;
+        when every replica is stale, ``on_stale='wait'`` forces a catch-up
+        and picks again, ``'primary'`` falls back to the primary.
+        ``prefer_replica=False`` pins the read to the primary — as does a
+        primary with ``track_reads`` on: TROD observes primaries only, and
+        the events a read emits must not depend on who was asked to serve
+        it (see the module docstring).
+        """
+        if on_stale not in ("primary", "wait"):
+            raise ReplicationError(f"unknown on_stale mode {on_stale!r}")
+        if not (prefer_replica and self.replicas) or self.primary.track_reads:
+            self.stats["primary_reads"] += 1
+            return self.primary
+        replica = self.pick(policy, min_csn=floor)
+        if replica is None and on_stale == "wait":
+            self.catch_up()
+            self.stats["catch_up_waits"] += 1
+            replica = self.pick(policy, min_csn=floor)
+        if replica is None:
+            self.stats["stale_fallbacks"] += 1
+            return self.primary
+        self.stats["replica_reads"] += 1
+        return replica.database
+
+    def as_of_target(self, csn: int, prefer_replica: bool = True) -> Database:
+        """The database that serves one ``AS OF csn`` read.
+
+        Any replica whose shipped history covers ``csn`` answers
+        identically to the primary (session floors do not apply to
+        historical reads); otherwise — or with ``prefer_replica=False``,
+        or under tracing, as in :meth:`read_target` — the primary.
+        """
+        replica = None
+        if prefer_replica and not self.primary.track_reads:
+            replica = self.covering_replica(csn)
+        if replica is None:
+            self.stats["primary_reads"] += 1
+            return self.primary
+        self.stats["replica_reads"] += 1
+        return replica.database
 
     # -- shipping ---------------------------------------------------------
 
@@ -685,7 +748,7 @@ class ReplicaSet:
     def resync(self, replica: Replica | str) -> None:
         """Rebuild a replica from a fresh primary snapshot (in place).
 
-        The :class:`Replica` wrapper keeps its identity so routers holding
+        The :class:`Replica` wrapper keeps its identity so callers holding
         references keep working; only the database underneath is new.
         Downstream chains fed from this replica are rebased onto the new
         database (their replicas resync from it).
@@ -699,6 +762,8 @@ class ReplicaSet:
         for upstream, downstream in self.chains:
             if upstream is replica:
                 downstream.rebase(replica.database)
+        if self.on_resync is not None:
+            self.on_resync()
 
     # -- cascading chains -------------------------------------------------
 
@@ -768,7 +833,11 @@ class ReplicaSet:
         drain (its position fell out of a retention-bounded log) — or is
         itself crashed — is resynced (re-provisioned) from the *new*
         primary. The old primary stays fenced: it accepts no further
-        transactions or commits.
+        transactions or commits. Its observers (other than the ship log,
+        which is re-created) and its ``track_reads`` move to the promoted
+        database, so an attached TROD keeps tracing across the failover;
+        the drain above ran before the hand-over, so no acknowledged
+        commit is reported to them twice.
 
         Only one promotion may run at a time: a second call while one is
         in flight (a heartbeat detector firing during a manual failover,
@@ -834,6 +903,10 @@ class ReplicaSet:
         self.primary = target.database
         self.primary.read_only = False  # promoted: it now takes writes
         self.primary.read_only_reason = None
+        for observer in list(old_primary.observers):
+            old_primary.remove_observer(observer)
+            self.primary.add_observer(observer)
+        self.primary.track_reads = old_primary.track_reads
         # The new primary starts with a full healthy replica set view; any
         # quorum degradation belonged to the old topology.
         self.degraded = False
@@ -900,7 +973,7 @@ class Session:
 
     Carries the CSN of the session's last acknowledged write — local CSN
     against a single primary, global CSN against a sharded cluster — and
-    the routers only serve its reads from replicas at/after that point.
+    the read targets only serve its reads from replicas at/after that point.
     """
 
     def __init__(self, name: str = "session"):
@@ -922,104 +995,27 @@ class Session:
 
 
 def _read_on(
-    database: Database, sql: str, params: Sequence[Any], stream: bool = False
+    database: Any, sql: str, params: Sequence[Any], stream: bool = False
 ) -> ResultSet:
     """Run a SELECT without consuming a CSN (replica reads must not).
 
     Autocommitted reads advance the commit clock; on a replica that would
-    desynchronize the shipped stream. Reads therefore run under a
-    transaction that is aborted afterwards — aborts burn no CSN. With
-    ``stream=True`` the result streams: the pipeline is pinned to its
-    snapshot before ``execute`` returns, so the abort below is safe.
+    desynchronize the shipped stream — and on a single node it would make
+    the clock advance differently from every other engine a workload runs
+    on. Reads therefore run under a transaction that is aborted
+    afterwards — aborts burn no CSN. With ``stream=True`` (a real
+    :class:`Database` only; the :class:`~repro.db.connection.Engine`
+    protocol promises no such keyword) the result streams: the pipeline
+    is pinned to its snapshot before ``execute`` returns, so the abort
+    below is safe.
     """
     txn = database.begin()
     try:
-        return database.execute(sql, params, txn=txn, stream=stream)
+        if stream:
+            return database.execute(sql, params, txn=txn, stream=True)
+        return database.execute(sql, params, txn=txn)
     finally:
         txn.abort()
-
-
-class ReadRouter:
-    """Replica-aware statement routing for one primary + its replica set.
-
-    SELECTs go to a replica chosen by ``policy`` among those satisfying
-    the session's causal floor; writes (and DDL) go to the primary and
-    advance the session token. When no replica satisfies the floor,
-    ``on_stale='primary'`` falls back to the primary and
-    ``on_stale='wait'`` forces a catch-up first (simulating "wait for
-    the replica", then reads from it).
-    """
-
-    def __init__(
-        self,
-        replica_set: ReplicaSet,
-        policy: str = "round_robin",
-        on_stale: str = "primary",
-    ):
-        if on_stale not in ("primary", "wait"):
-            raise ReplicationError(f"unknown on_stale mode {on_stale!r}")
-        self.replica_set = replica_set
-        self.policy = policy
-        self.on_stale = on_stale
-        self.stats = {
-            "replica_reads": 0,
-            "primary_reads": 0,
-            "stale_fallbacks": 0,
-            "catch_up_waits": 0,
-            "writes": 0,
-        }
-
-    def execute(
-        self, sql: str, params: Sequence[Any] = (), session: Session | None = None
-    ) -> ResultSet:
-        rs = self.replica_set
-        stmt = rs.primary._parse(sql)
-        if not isinstance(stmt, SelectStmt):
-            result = rs.primary.execute(sql, params)
-            if result.kind in ("insert", "update", "delete"):
-                if session is not None:
-                    session.note_write(rs.primary.last_csn)
-                self.stats["writes"] += 1
-            elif result.kind == "ddl":
-                # DDL ship records consume no CSN, so no session floor
-                # can gate their visibility; synchronize the replicas
-                # now so every later read sees the new catalog.
-                rs.catch_up()
-            return result
-        if stmt.as_of is not None:
-            # Historical read: only a replica whose shipped history
-            # covers the CSN answers identically; session floors don't
-            # apply.
-            replica = rs.covering_replica(evaluate_as_of(stmt, params))
-            if replica is not None:
-                self.stats["replica_reads"] += 1
-                return replica.database.execute(sql, params)
-            self.stats["primary_reads"] += 1
-            return rs.primary.execute(sql, params)
-        floor = session.last_write_csn if session is not None else 0
-        replica = rs.pick(self.policy, min_csn=floor)
-        if replica is None and rs.replicas and self.on_stale == "wait":
-            rs.catch_up()
-            self.stats["catch_up_waits"] += 1
-            replica = rs.pick(self.policy, min_csn=floor)
-        if replica is None:
-            key = "stale_fallbacks" if rs.replicas else "primary_reads"
-            self.stats[key] += 1
-            return _read_on(rs.primary, sql, params)
-        self.stats["replica_reads"] += 1
-        return _read_on(replica.database, sql, params)
-
-    def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        return self.execute(sql, params)
-
-    def rows_as_of(self, table: str, csn: int) -> list[tuple[int, tuple]]:
-        """An AS-OF read served by any replica whose history covers it."""
-        replica = self.replica_set.covering_replica(csn)
-        if replica is not None:
-            self.stats["replica_reads"] += 1
-            return replica.database.time_travel.rows_as_of(table, csn)
-        self.stats["primary_reads"] += 1
-        return self.replica_set.primary.time_travel.rows_as_of(table, csn)
 
 
 class ReplicatedDatabase:
@@ -1031,10 +1027,9 @@ class ReplicatedDatabase:
     :func:`repro.connect` (and anything written against the
     :class:`~repro.db.connection.Engine` protocol) runs over it unchanged.
     Writes, DDL, and explicit transactions execute on the primary;
-    :meth:`execute_read` serves SELECTs from replicas subject to a
-    session-guarantee CSN floor, falling back to the primary (or forcing a
-    catch-up) when every replica is stale. ``AS OF`` reads go to any
-    replica whose shipped history covers the target CSN.
+    :meth:`execute_read` serves SELECTs from whichever database
+    :meth:`ReplicaSet.read_target` / :meth:`ReplicaSet.as_of_target` name
+    (the routing counters live in ``replica_set.stats``).
     """
 
     def __init__(
@@ -1059,12 +1054,6 @@ class ReplicatedDatabase:
                 ack_quorum=ack_quorum,
             )
         self.policy = policy
-        self.stats = {
-            "replica_reads": 0,
-            "primary_reads": 0,
-            "stale_fallbacks": 0,
-            "catch_up_waits": 0,
-        }
 
     # -- plumbing ---------------------------------------------------------
 
@@ -1136,47 +1125,28 @@ class ReplicatedDatabase:
     ) -> ResultSet:
         """A SELECT served by a replica at/after ``floor``, CSN-free.
 
-        ``floor`` is the session-guarantee minimum (the CSN of the
-        caller's last acknowledged write); ``on_stale='wait'`` forces a
-        catch-up instead of falling back to the primary;
-        ``prefer_replica=False`` pins the read to the primary. Reads never
-        consume CSNs, on whichever database serves them. With
-        ``stream=True`` non-historical reads return a streamed result
-        pinned to the serving database's snapshot.
+        ``floor``, ``on_stale`` and ``prefer_replica`` are
+        :meth:`ReplicaSet.read_target`'s; ``AS OF`` reads go to
+        :meth:`ReplicaSet.as_of_target`. Reads never consume CSNs, on
+        whichever database serves them. With ``stream=True``
+        non-historical reads return a streamed result pinned to the
+        serving database's snapshot.
         """
-        if on_stale not in ("primary", "wait"):
-            raise ReplicationError(f"unknown on_stale mode {on_stale!r}")
         stmt = self.primary._parse(sql)
         if not isinstance(stmt, SelectStmt):
             raise ReplicationError(
                 "execute_read supports SELECT statements only"
             )
-        rs = self.replica_set
         if stmt.as_of is not None:
-            replica = (
-                rs.covering_replica(evaluate_as_of(stmt, params))
-                if prefer_replica
-                else None
+            # Historical reads manage their own ephemeral snapshot.
+            target = self.replica_set.as_of_target(
+                evaluate_as_of(stmt, params), prefer_replica
             )
-            if replica is not None:
-                self.stats["replica_reads"] += 1
-                return replica.database.execute(sql, params)
-            self.stats["primary_reads"] += 1
-            return self.primary.execute(sql, params)
-        if not prefer_replica:
-            self.stats["primary_reads"] += 1
-            return _read_on(self.primary, sql, params, stream=stream)
-        replica = rs.pick(self.policy, min_csn=floor)
-        if replica is None and rs.replicas and on_stale == "wait":
-            rs.catch_up()
-            self.stats["catch_up_waits"] += 1
-            replica = rs.pick(self.policy, min_csn=floor)
-        if replica is None:
-            key = "stale_fallbacks" if rs.replicas else "primary_reads"
-            self.stats[key] += 1
-            return _read_on(self.primary, sql, params, stream=stream)
-        self.stats["replica_reads"] += 1
-        return _read_on(replica.database, sql, params, stream=stream)
+            return target.execute(sql, params)
+        target = self.replica_set.read_target(
+            floor, on_stale, prefer_replica, self.policy
+        )
+        return _read_on(target, sql, params, stream=stream)
 
     def explain(self, sql: str) -> list[str]:
         return self.primary.explain(sql)
@@ -1222,9 +1192,9 @@ class ReplicatedDatabase:
     def failover(self, target: Replica | str | None = None) -> Database:
         """Promote a replica (see :meth:`ReplicaSet.promote`).
 
-        An attached TROD observer keeps tracing: replicas apply commits
-        through real transactions, so observer hooks must be re-registered
-        on the promoted database by the caller if tracing should continue.
+        An attached TROD observer keeps tracing: the promotion hands the
+        demoted primary's observers and ``track_reads`` to the promoted
+        database.
         """
         return self.replica_set.promote(target)
 
@@ -1232,129 +1202,4 @@ class ReplicatedDatabase:
         return (
             f"<ReplicatedDatabase primary={self.primary.name!r} "
             f"replicas={len(self.replica_set)} mode={self.replica_set.mode}>"
-        )
-
-
-class ShardedReadRouter:
-    """Replica-aware routing over a :class:`ShardedDatabase`.
-
-    Requires :meth:`ShardedDatabase.attach_replicas`. Scatter-gather
-    SELECTs are served per shard by that shard's replica set (DML and 2PC
-    stay on the primaries); the session token is the *global* CSN of the
-    session's last write, translated through the aligned commit log into
-    each shard's local floor.
-    """
-
-    def __init__(
-        self,
-        sharded: "ShardedDatabase",
-        policy: str = "round_robin",
-        on_stale: str = "primary",
-    ):
-        if not sharded.replica_sets:
-            raise ReplicationError(
-                "sharded database has no replicas; call attach_replicas() first"
-            )
-        if on_stale not in ("primary", "wait"):
-            raise ReplicationError(f"unknown on_stale mode {on_stale!r}")
-        self.sharded = sharded
-        self.policy = policy
-        self.on_stale = on_stale
-        self.stats = {
-            "replica_reads": 0,
-            "primary_reads": 0,
-            "stale_fallbacks": 0,
-            "catch_up_waits": 0,
-            "writes": 0,
-        }
-
-    def _floors(self, session: Session | None) -> dict[str, int]:
-        if session is None or session.last_global_csn == 0:
-            return {}
-        return self.sharded.coordinator.local_csns_at(session.last_global_csn)
-
-    def _chooser(self, floors: dict[str, int]) -> Callable[[str], Database]:
-        def choose(store: str) -> Database:
-            rs = self.sharded.replica_sets.get(store)
-            if rs is None or not rs.replicas:
-                self.stats["primary_reads"] += 1
-                return self.sharded.shard_named(store)
-            floor = floors.get(store, 0)
-            replica = rs.pick(self.policy, min_csn=floor)
-            if replica is None and self.on_stale == "wait":
-                rs.catch_up()
-                self.stats["catch_up_waits"] += 1
-                replica = rs.pick(self.policy, min_csn=floor)
-            if replica is None:
-                self.stats["stale_fallbacks"] += 1
-                return rs.primary
-            self.stats["replica_reads"] += 1
-            return replica.database
-
-        return choose
-
-    def execute(
-        self, sql: str, params: Sequence[Any] = (), session: Session | None = None
-    ) -> ResultSet:
-        sharded = self.sharded
-        stmt = sharded._parse(sql)
-        if isinstance(stmt, SelectStmt):
-            if stmt.as_of is not None:
-                # Historical read: replicas qualify by CSN coverage, not
-                # by the session floor.
-                return self._select_as_of(
-                    stmt, evaluate_as_of(stmt, params), params, sql
-                )
-            return sharded.select_routed(
-                sql, params, db_for=self._chooser(self._floors(session))
-            )
-        if isinstance(
-            stmt, (CreateTableStmt, DropTableStmt, CreateIndexStmt, DropIndexStmt)
-        ):
-            result = sharded.execute(sql, params)  # DDL: primaries fan-out
-            # DDL records consume no CSN, so the per-shard floors cannot
-            # gate them; synchronize replicas before any routed read.
-            sharded.catch_up_replicas()
-            return result
-        # DML: explicit global transaction so the global CSN is known for
-        # the session token (autocommit would swallow it).
-        gtxn = sharded.begin()
-        try:
-            result = sharded.execute(sql, params, txn=gtxn)
-            global_csn = gtxn.commit()
-        except Exception:
-            if gtxn.status is TransactionStatus.ACTIVE:
-                gtxn.abort()
-            raise
-        if session is not None:
-            session.note_global_write(global_csn)
-        self.stats["writes"] += 1
-        return result
-
-    def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        return self.execute(sql, params)
-
-    def _select_as_of(
-        self, stmt: SelectStmt, global_csn: int, params: Sequence[Any], sql: str
-    ) -> ResultSet:
-        """An AS-OF scatter read served by replicas that cover the CSN."""
-        local_csns = self.sharded.time_travel.local_csns_at(global_csn)
-
-        def choose(store: str) -> Database:
-            rs = self.sharded.replica_sets.get(store)
-            replica = (
-                rs.covering_replica(local_csns[store]) if rs is not None else None
-            )
-            if replica is not None:
-                self.stats["replica_reads"] += 1
-                return replica.database
-            self.stats["primary_reads"] += 1
-            return self.sharded.shard_named(store)
-
-        return self.sharded._select_as_of(stmt, global_csn, params, choose, sql)
-
-    def catch_up_all(self, limit: int | None = None) -> int:
-        """Catch up every shard's replicas; returns records applied."""
-        return sum(
-            rs.catch_up(limit=limit) for rs in self.sharded.replica_sets.values()
         )

@@ -100,6 +100,10 @@ _FENCE_MAX_SPINS = 100_000
 #: statements only join the shards they actually touch.
 TxnGetter = Callable[[str], Transaction]
 
+#: (store-name, shard-local AS-OF csn or None for a live read) -> the
+#: database that serves that shard's part of one routed SELECT.
+ReadTarget = Callable[[str, int | None], Database]
+
 
 def _compile_shard_plan(database: Database, plan: PlanNode) -> None:
     """Attach compiled batch programs to one cached sharded plan.
@@ -459,9 +463,9 @@ class ShardedDatabase:
         #: switch exists for differential testing and benchmarking the
         #: gather-everything path.
         self.limit_pushdown_enabled = True
-        #: Per-shard replica sets (``attach_replicas``); reads routed via
-        #: a :class:`~repro.db.replication.ShardedReadRouter` are then
-        #: served by replicas while DML and 2PC stay on the primaries.
+        #: Per-shard replica sets (``attach_replicas``); :meth:`execute_read`
+        #: then serves each shard's reads from its set's read target while
+        #: DML and 2PC stay on the primaries.
         self.replica_sets: dict[str, ReplicaSet] = {}
         #: Online-resharding state. While a migration's brief write fence
         #: is up, new write transactions park in a cooperative wait until
@@ -773,14 +777,10 @@ class ShardedDatabase:
                 f"got {len(params)}"
             )
         if isinstance(stmt, SelectStmt):
-            if stmt.as_of is not None:
-                # Historical read pinned to a global CSN; independent of
-                # any enclosing global transaction's branches.
-                return self._select_as_of(
-                    stmt, evaluate_as_of(stmt, params), params, None, sql
-                )
-            if txn is not None:
+            if txn is not None and stmt.as_of is None:
                 return self._execute_select(stmt, params, self._branch_getter(txn), sql)
+            # Autocommit, or a historical read pinned to a global CSN —
+            # independent of any enclosing global transaction's branches.
             return self._ephemeral_select(stmt, params, sql, None)
         autocommit = txn is None
         gtxn = txn if txn is not None else self.begin()
@@ -802,19 +802,54 @@ class ShardedDatabase:
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         return self.execute(sql, params)
 
+    def execute_read(
+        self,
+        sql: str,
+        params: Sequence[Any] = (),
+        floor: int = 0,
+        on_stale: str = "primary",
+        prefer_replica: bool = True,
+    ) -> ResultSet:
+        """A SELECT with each shard's reads served by its replica set.
+
+        The sharded twin of :meth:`ReplicatedDatabase.execute_read
+        <repro.db.replication.ReplicatedDatabase.execute_read>`: ``floor``
+        is the *global* CSN of the caller's last acknowledged write,
+        translated through the aligned commit log into each shard's local
+        floor; per shard, :meth:`ReplicaSet.read_target
+        <repro.db.replication.ReplicaSet.read_target>` (or ``as_of_target``
+        for an ``AS OF`` read) names the database that answers. A shard
+        without a replica set is served by its primary.
+        """
+        floors = self.coordinator.local_csns_at(floor) if floor else {}
+
+        def db_for(store: str, as_of: int | None) -> Database:
+            replica_set = self.replica_sets.get(store)
+            if replica_set is None:
+                return self._by_name[store]
+            if as_of is not None:
+                return replica_set.as_of_target(as_of, prefer_replica)
+            return replica_set.read_target(
+                floors.get(store, 0), on_stale, prefer_replica
+            )
+
+        return self.select_routed(sql, params, db_for)
+
     def select_routed(
         self,
         sql: str,
         params: Sequence[Any] = (),
-        db_for: Callable[[str], Database] | None = None,
+        db_for: ReadTarget | None = None,
     ) -> ResultSet:
-        """Run a SELECT with each shard's reads served by ``db_for(store)``.
+        """Run a SELECT with each shard's reads served by ``db_for``.
 
-        The replica-aware read path: ``db_for`` picks the database that
-        answers for a shard (a replica, or the primary). Choices are
-        memoized per statement so one scatter never straddles two
-        databases for the same shard, and the ephemeral read transactions
-        are aborted afterwards — replica reads must not consume CSNs.
+        The one scatter entry for routed reads: ``db_for(store, as_of)``
+        picks the database that answers for a shard (a replica, or the
+        primary; ``as_of`` is the shard-local CSN of a historical read,
+        None for a live one). It is asked once per shard per statement, so
+        one scatter never straddles two databases for the same shard, and
+        the ephemeral read transactions are aborted afterwards — replica
+        reads must not consume CSNs.
         """
         stmt = self._parse(sql)
         if not isinstance(stmt, SelectStmt):
@@ -824,10 +859,6 @@ class ShardedDatabase:
                 f"statement expects {stmt.param_count} parameter(s), "
                 f"got {len(params)}"
             )
-        if stmt.as_of is not None:
-            return self._select_as_of(
-                stmt, evaluate_as_of(stmt, params), params, db_for, sql
-            )
         return self._ephemeral_select(stmt, params, sql, db_for)
 
     def _ephemeral_select(
@@ -835,66 +866,53 @@ class ShardedDatabase:
         stmt: SelectStmt,
         params: Sequence[Any],
         sql: str | None,
-        db_for: Callable[[str], Database] | None,
+        db_for: ReadTarget | None,
     ) -> ResultSet:
-        chosen: dict[str, Database] = {}
-        base = db_for if db_for is not None else self._by_name.__getitem__
+        """Run a SELECT under per-shard transactions aborted afterwards.
 
-        def resolve(store: str) -> Database:
-            if store not in chosen:
-                chosen[store] = base(store)
-            return chosen[store]
-
-        ephemeral: dict[str, Transaction] = {}
-
-        def get_txn(store: str) -> Transaction:
-            if store not in ephemeral:
-                ephemeral[store] = resolve(store).begin()
-            return ephemeral[store]
-
-        try:
-            return self._execute_select(stmt, params, get_txn, sql, db_for=resolve)
-        finally:
-            for branch in ephemeral.values():
-                branch.abort()
-
-    def _select_as_of(
-        self,
-        stmt: SelectStmt,
-        global_csn: int,
-        params: Sequence[Any],
-        db_for: Callable[[str], Database] | None,
-        sql: str | None,
-    ) -> ResultSet:
-        """Run a SELECT against the cluster state at a global CSN.
-
-        The aligned commit log translates the global CSN onto each shard's
-        local CSN; every shard then answers from that local snapshot, so
-        the merged result is the transactionally consistent cross-shard
-        state the coordinator committed at that point. ``db_for`` lets a
-        replica-aware router serve the historical read from a replica
-        whose shipped history covers the target CSN (replicas preserve
-        CSNs, so their version stores answer AS-OF queries identically).
+        A live read sees each serving database's latest commit. An
+        ``AS OF`` read sees the cluster state at a global CSN: the aligned
+        commit log translates it onto each shard's local CSN and every
+        shard answers from that local snapshot, so the merged result is
+        the transactionally consistent cross-shard state the coordinator
+        committed at that point (replicas preserve CSNs, so one whose
+        shipped history covers the target answers identically).
         """
-        if global_csn < self.reshard_horizon:
-            raise TimeTravelError(
-                f"global csn {global_csn} predates the reshard horizon "
-                f"({self.reshard_horizon}); that history lives only on "
-                "the pre-reshard stores"
-            )
-        local_csns = self.time_travel.local_csns_at(global_csn)
-        base = db_for if db_for is not None else self._by_name.__getitem__
-        chosen: dict[str, Database] = {}
-        snapshots: dict[str, Transaction] = {}
+        global_csn = (
+            evaluate_as_of(stmt, params) if stmt.as_of is not None else None
+        )
+        local_csns: dict[str, int] | None = None
+        if global_csn is not None:
+            if global_csn < self.reshard_horizon:
+                raise TimeTravelError(
+                    f"global csn {global_csn} predates the reshard horizon "
+                    f"({self.reshard_horizon}); that history lives only on "
+                    "the pre-reshard stores"
+                )
+            local_csns = self.time_travel.local_csns_at(global_csn)
+        serving: dict[str, Database] = {}
+        branches: dict[str, Transaction] = {}
 
         def resolve(store: str) -> Database:
-            if store not in chosen:
-                chosen[store] = base(store)
-            return chosen[store]
+            database = serving.get(store)
+            if database is None:
+                if db_for is None:
+                    database = self._by_name[store]
+                else:
+                    database = db_for(
+                        store, None if local_csns is None else local_csns[store]
+                    )
+                serving[store] = database
+            return database
 
         def get_txn(store: str) -> Transaction:
-            if store not in snapshots:
-                shard = resolve(store)
+            branch = branches.get(store)
+            if branch is not None:
+                return branch
+            shard = resolve(store)
+            if local_csns is None:
+                branch = shard.begin()
+            else:
                 if local_csns[store] < shard.history_horizon:
                     raise TimeTravelError(
                         f"global csn {global_csn} maps to {store} csn "
@@ -905,13 +923,13 @@ class ShardedDatabase:
                 # Rewind the snapshot from "latest at begin" to the
                 # aligned-log position for this global CSN.
                 branch.snapshot_csn = local_csns[store]
-                snapshots[store] = branch
-            return snapshots[store]
+            branches[store] = branch
+            return branch
 
         try:
             return self._execute_select(stmt, params, get_txn, sql, db_for=resolve)
         finally:
-            for branch in snapshots.values():
+            for branch in branches.values():
                 branch.abort()
 
     def table_rows(self, table: str) -> list[dict[str, Any]]:
@@ -1208,9 +1226,9 @@ class ShardedDatabase:
         """Scatter a SELECT to the target shards and merge the streams.
 
         ``db_for(store)`` names the database that answers for a shard —
-        the primary by default, a replica when a replica-aware router is
-        driving. It must agree with ``get_txn``: the branch returned for
-        a store must belong to the database ``db_for`` names.
+        the primary by default, a replica when :meth:`execute_read` chose
+        one. It must agree with ``get_txn``: the branch returned for a
+        store must belong to the database ``db_for`` names.
         """
         if db_for is None:
             db_for = self._by_name.__getitem__
@@ -1778,16 +1796,20 @@ class ShardedDatabase:
         """Give every shard a log-shipping replica set.
 
         Replicas bootstrap from each shard's current snapshot and then
-        follow its commit stream (see :mod:`repro.db.replication`); wire a
-        :class:`~repro.db.replication.ShardedReadRouter` on top to serve
-        scatter-gather SELECTs from them. DML, 2PC, and DDL continue to
-        run on the primaries (DDL reaches replicas through the shipped
-        stream like any other change).
+        follow its commit stream (see :mod:`repro.db.replication`);
+        :meth:`execute_read` — what :func:`repro.connect` calls for every
+        SELECT — then serves scatter-gather reads from them, shard by
+        shard. DML, 2PC, and DDL continue to run on the primaries (DDL
+        reaches replicas through the shipped stream like any other
+        change).
         """
         for store, shard in self.named_shards():
             replica_set = self.replica_sets.get(store)
             if replica_set is None:
                 replica_set = ReplicaSet(shard, mode=mode, log_retain=log_retain)
+                # A resync replaces a replica database; cached scan nodes
+                # keyed by the old instance would pin its full data copy.
+                replica_set.on_resync = self._select_cache.clear
                 self.replica_sets[store] = replica_set
             for _ in range(n_replicas):
                 replica_set.add_replica()
@@ -1795,21 +1817,10 @@ class ShardedDatabase:
 
     def catch_up_replicas(self, limit: int | None = None) -> int:
         """Apply pending ship records on every shard's replicas."""
-        resyncs_before = sum(
-            rs.stats["resyncs"] for rs in self.replica_sets.values()
-        )
-        applied = sum(
+        return sum(
             replica_set.catch_up(limit=limit)
             for replica_set in self.replica_sets.values()
         )
-        if (
-            sum(rs.stats["resyncs"] for rs in self.replica_sets.values())
-            != resyncs_before
-        ):
-            # A resync replaced a replica database; cached scan nodes
-            # keyed by the old instance would pin its full data copy.
-            self._select_cache.clear()
-        return applied
 
     def failover(self, store: str) -> Database:
         """Promote a replica of ``store`` to primary and re-point the shard.
@@ -1819,7 +1830,9 @@ class ShardedDatabase:
         store name — in the shard list, the 2PC coordinator, and the
         replica set (which keeps shipping to the remaining replicas).
         Scatter/aggregate plan caches are dropped: their compiled nodes
-        are bound to the demoted database's stores.
+        are bound to the demoted database's stores. An attached TROD
+        keeps tracing: the promotion hands the demoted primary's
+        observers and ``track_reads`` to the promoted database.
         """
         replica_set = self.replica_sets.get(store)
         if replica_set is None:

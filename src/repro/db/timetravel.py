@@ -9,7 +9,7 @@ items used in replayed transactions" optimization — ablation A1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.errors import TimeTravelError, TransactionError
 
@@ -124,35 +124,35 @@ class ShardedTimeTravel:
         except TransactionError as exc:
             raise TimeTravelError(str(exc)) from None
 
-    def _reader(self, store: str, shard: "Database", local_csn: int) -> "Database":
-        """The database that answers a historical read for one shard.
+    def _shards_at(
+        self, global_csn: int, prefer_replicas: bool
+    ) -> Iterator[tuple["Database", int]]:
+        """``(serving database, local csn)`` per shard for a global CSN.
 
-        Replicas preserve CSNs, so any replica whose applied position has
-        reached ``local_csn`` (and whose bootstrap horizon predates it)
-        serves the read identically — offloading AS-OF traffic from the
-        primary exactly like the live read path does.
+        With ``prefer_replicas`` each shard's
+        :meth:`~repro.db.replication.ReplicaSet.as_of_target` names the
+        database: replicas preserve CSNs, so one whose shipped history
+        covers the local CSN serves the read identically — offloading
+        AS-OF traffic from the primary exactly like the live read path.
         """
-        replica_set = self._sharded.replica_sets.get(store)
-        if replica_set is not None:
-            replica = replica_set.covering_replica(local_csn)
-            if replica is not None:
-                return replica.database
-        return shard
+        local_csns = self.local_csns_at(global_csn)
+        for store, shard in self._sharded.named_shards():
+            replica_set = self._sharded.replica_sets.get(store)
+            if prefer_replicas and replica_set is not None:
+                shard = replica_set.as_of_target(local_csns[store])
+            yield shard, local_csns[store]
 
     def rows_as_of(
         self, table: str, global_csn: int, prefer_replicas: bool = False
     ) -> list[dict[str, Any]]:
         """All rows of ``table`` across shards, as of a global commit."""
-        local_csns = self.local_csns_at(global_csn)
         out: list[dict[str, Any]] = []
-        for store, shard in self._sharded.named_shards():
-            if prefer_replicas:
-                shard = self._reader(store, shard, local_csns[store])
+        for shard, local_csn in self._shards_at(global_csn, prefer_replicas):
             schema = shard.catalog.get(table)
             out.extend(
                 schema.row_dict(values)
                 for _row_id, values in TimeTravel(shard).rows_as_of(
-                    table, local_csns[store]
+                    table, local_csn
                 )
             )
         return out
@@ -164,13 +164,10 @@ class ShardedTimeTravel:
         prefer_replicas: bool = False,
     ) -> dict[str, list[dict[str, Any]]]:
         """Merged cross-shard snapshot of selected tables at a global CSN."""
-        local_csns = self.local_csns_at(global_csn)
         out: dict[str, list[dict[str, Any]]] = {}
-        for store, shard in self._sharded.named_shards():
-            if prefer_replicas:
-                shard = self._reader(store, shard, local_csns[store])
+        for shard, local_csn in self._shards_at(global_csn, prefer_replicas):
             for name, rows in TimeTravel(shard).state_as_of(
-                local_csns[store], tables
+                local_csn, tables
             ).items():
                 out.setdefault(name, []).extend(rows)
         return out

@@ -263,14 +263,15 @@ class ShardedWorkload:
 class ReplicatedReadWorkload:
     """Read-heavy session traffic against a replicated database.
 
-    Drives a :class:`~repro.db.replication.ReadRouter` (or
-    ``ShardedReadRouter``) with a pool of sessions: most operations are
+    Drives one :func:`repro.connect` connection per session over a
+    replicated engine (a ``ReplicaSet``, a ``ReplicatedDatabase``, or a
+    ``ShardedDatabase`` with replicas attached): most operations are
     Zipf-popular point reads served by replicas; the rest update the
-    chosen row and immediately read it back *through the router* — the
-    read-your-writes probe. In async ship mode replicas are only caught
-    up every ``ship_every`` operations, so those probes routinely race
-    replication lag and must be saved by the session token (stale
-    fallback or forced catch-up), never by luck.
+    chosen row and immediately read it back *through the same
+    connection* — the read-your-writes probe. In async ship mode replicas
+    are only caught up every ``ship_every`` operations, so those probes
+    routinely race replication lag and must be saved by the session token
+    (stale fallback or forced catch-up), never by luck.
     """
 
     TABLE_DDL = "CREATE TABLE kv (k INTEGER, val INTEGER)"
@@ -301,54 +302,78 @@ class ReplicatedReadWorkload:
 
     def run(
         self,
-        router,
+        engine,
         count: int,
         write_ratio: float = 0.2,
         ship_every: int | None = 25,
+        read_preference: str = "replica",
     ) -> dict[str, int]:
-        """Drive ``count`` operations; returns op counts + router stats.
+        """Drive ``count`` operations; returns op counts + routing counters.
 
+        The routing counters (``replica_reads`` / ``primary_reads`` /
+        ``stale_fallbacks`` / ``catch_up_waits``) are this run's share of
+        ``ReplicaSet.stats``, summed over the engine's replica sets.
         Raises :class:`~repro.errors.ReplicationError` if a session ever
         fails to read its own write — the invariant this workload exists
         to hammer.
         """
+        from repro.db.connection import connect
         from repro.db.replication import Session
         from repro.errors import ReplicationError
 
-        catch_up = getattr(router, "catch_up_all", None) or (
-            lambda: router.replica_set.catch_up()
-        )
-        sessions = [Session(f"s{i}") for i in range(self.n_sessions)]
+        if hasattr(engine, "replica_sets"):  # sharded: one set per shard
+            replica_sets = list(engine.replica_sets.values())
+            catch_up = engine.catch_up_replicas
+        else:
+            replica_sets = [getattr(engine, "replica_set", engine)]
+            catch_up = engine.catch_up
+
+        def routing_counters() -> dict[str, int]:
+            return {
+                key: sum(rs.stats[key] for rs in replica_sets)
+                for key in (
+                    "replica_reads",
+                    "primary_reads",
+                    "stale_fallbacks",
+                    "catch_up_waits",
+                )
+            }
+
+        before = routing_counters()
+        conns = [
+            connect(
+                engine, session=Session(f"s{i}"), read_preference=read_preference
+            )
+            for i in range(self.n_sessions)
+        ]
         write_mark = int(write_ratio * 100)
         counts = {"reads": 0, "writes": 0, "ryw_checks": 0}
         for i in range(count):
-            session = sessions[self._sessions.sample()]
+            conn = conns[self._sessions.sample()]
             key = self._keys.sample()
             if self._mix.sample() < write_mark:
                 self._counter += 1
-                router.execute(
-                    "UPDATE kv SET val = ? WHERE k = ?",
-                    (self._counter, key),
-                    session=session,
+                conn.execute(
+                    "UPDATE kv SET val = ? WHERE k = ?", (self._counter, key)
                 )
-                observed = router.execute(
-                    "SELECT val FROM kv WHERE k = ?", (key,), session=session
+                observed = conn.execute(
+                    "SELECT val FROM kv WHERE k = ?", (key,)
                 ).scalar()
                 if observed != self._counter:
                     raise ReplicationError(
-                        f"session {session.name} wrote val={self._counter} "
-                        f"to k={key} but read back {observed!r}"
+                        f"session {conn.session.name} wrote "
+                        f"val={self._counter} to k={key} but read back "
+                        f"{observed!r}"
                     )
                 counts["writes"] += 1
                 counts["ryw_checks"] += 1
             else:
-                router.execute(
-                    "SELECT val FROM kv WHERE k = ?", (key,), session=session
-                )
+                conn.execute("SELECT val FROM kv WHERE k = ?", (key,))
                 counts["reads"] += 1
             if ship_every and i % ship_every == ship_every - 1:
                 catch_up()
-        counts.update(router.stats)
+        for key, value in routing_counters().items():
+            counts[key] = value - before[key]
         return counts
 
 

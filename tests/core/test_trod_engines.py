@@ -7,8 +7,11 @@ reads, writes, transaction outcomes in the provenance store — has the
 same shape.
 """
 
+import pytest
+
 from repro.core import Trod
 from repro.db import Database, ReplicatedDatabase, ShardedDatabase, connect
+from repro.db.connection import READ_PREFERENCES
 
 
 def drive(conn) -> None:
@@ -42,9 +45,9 @@ def read_events(trod: Trod) -> list[tuple]:
     )
 
 
-def run_engine(engine) -> Trod:
+def run_engine(engine, read_preference: str = "replica") -> Trod:
     trod = Trod(engine)
-    conn = connect(engine, trod=trod)
+    conn = connect(engine, trod=trod, read_preference=read_preference)
     drive(conn)
     return trod
 
@@ -63,10 +66,31 @@ class TestEventStreamParity:
         facade = run_engine(ShardedDatabase(1, shard_keys={"acct": "id"}))
         assert write_events(facade) == write_events(single)
 
-    def test_replicated_engine_matches_single_node(self):
+    @pytest.mark.parametrize("read_preference", READ_PREFERENCES)
+    def test_replicated_engine_matches_single_node(self, read_preference):
+        # Sync replicas are always caught up, so nothing but the tracing
+        # rule keeps the SELECT on the observed primary: the events a
+        # read produces must not depend on the read preference.
         single = run_engine(Database())
-        replicated = run_engine(ReplicatedDatabase(n_replicas=2))
+        cluster = ReplicatedDatabase(n_replicas=2, mode="sync")
+        replicated = run_engine(cluster, read_preference)
         assert write_events(replicated) == write_events(single)
+        assert read_events(replicated) == read_events(single) != []
+        assert cluster.replica_set.stats["replica_reads"] == 0
+        assert cluster.replica_set.stats["primary_reads"] == 1
+
+    @pytest.mark.parametrize("read_preference", READ_PREFERENCES)
+    def test_sharded_engine_with_replicas_matches_single_node(
+        self, read_preference
+    ):
+        single = run_engine(Database())
+        sharded = ShardedDatabase(3, shard_keys={"acct": "id"})
+        sharded.attach_replicas(1, mode="sync")
+        traced = run_engine(sharded, read_preference)
+        assert write_events(traced) == write_events(single)
+        assert read_events(traced) == read_events(single) != []
+        assert sharded.cluster_stats["replica_reads"] == 0
+        assert sharded.cluster_stats["primary_reads"] == 1
 
     def test_txn_outcomes_are_visible_on_the_sharded_facade(self):
         trod = run_engine(ShardedDatabase(2, shard_keys={"acct": "id"}))
@@ -96,8 +120,6 @@ class TestEventStreamParity:
         # Pre-attach rows would snapshot under the global CSN space while
         # per-shard commit events carry local CSNs; refuse rather than
         # record a silently inconsistent provenance baseline.
-        import pytest
-
         from repro.errors import TrodError
 
         sharded = ShardedDatabase(2, shard_keys={"acct": "id"})
@@ -126,3 +148,63 @@ class TestEventStreamParity:
             ).scalar()
             == 1
         )
+
+
+class TestTracingSurvivesFailover:
+    """The promoted database inherits the interposition observer and
+    ``track_reads``: an INSERT and a SELECT after a failover reach the
+    provenance store, and no commit is recorded twice."""
+
+    @staticmethod
+    def drive_across(conn, fail_over) -> None:
+        conn.execute("CREATE TABLE acct (id INTEGER, bal INTEGER)")
+        for i in range(4):
+            conn.execute("INSERT INTO acct VALUES (?, ?)", (i, 100))
+        fail_over()
+        conn.execute("INSERT INTO acct VALUES (?, ?)", (9, 900))
+        conn.execute("SELECT bal FROM acct WHERE id = 9")
+
+    @staticmethod
+    def check(trod: Trod) -> None:
+        inserts = [row for row in write_events(trod) if row[0] == "Insert"]
+        # Each of the five inserts exactly once — the four shipped before
+        # the failover were drained into the promoted replica, which must
+        # not report them a second time.
+        assert inserts == [("Insert", i, 100) for i in range(4)] + [
+            ("Insert", 9, 900)
+        ]
+        assert read_events(trod) == [(9, 900)]
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_replicated_engine(self, mode):
+        cluster = ReplicatedDatabase(n_replicas=2, mode=mode)
+        trod = Trod(cluster)
+        conn = connect(cluster, trod=trod)
+        old_primary = cluster.primary
+        self.drive_across(conn, cluster.failover)
+        assert cluster.primary is not old_primary
+        assert cluster.track_reads
+        assert trod.interposition in cluster.primary.observers
+        assert trod.interposition not in old_primary.observers
+        self.check(trod)
+        trod.detach()
+        assert trod.interposition not in cluster.primary.observers
+        assert not cluster.track_reads
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_sharded_engine(self, mode):
+        sharded = ShardedDatabase(2, shard_keys={"acct": "id"})
+        sharded.attach_replicas(1, mode=mode)
+        trod = Trod(sharded)
+        conn = connect(sharded, trod=trod)
+
+        def fail_over_every_shard() -> None:
+            for store in sharded.store_names:
+                sharded.failover(store)
+
+        self.drive_across(conn, fail_over_every_shard)
+        assert sharded.track_reads
+        assert all(
+            trod.interposition in shard.observers for shard in sharded.shards
+        )
+        self.check(trod)

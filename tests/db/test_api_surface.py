@@ -7,6 +7,7 @@ in the tier-1 suite too.
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,17 @@ class TestApiSurface:
         ]
         assert not missing, f"repro.db.__all__ dangles: {missing}"
 
+    def test_read_routers_are_gone(self):
+        # Deleted, not deprecated: connect() is the one replica-aware
+        # read path (docs/api.md, "Removed").
+        import repro.db
+        import repro.db.replication
+
+        for name in ("ReadRouter", "ShardedReadRouter"):
+            assert name not in repro.db.__all__
+            assert not hasattr(repro.db, name)
+            assert not hasattr(repro.db.replication, name)
+
     def test_engine_protocol_documents_the_contract(self):
         from repro.db import (
             Database,
@@ -50,6 +62,61 @@ class TestApiSurface:
         for engine in engines:
             for attr in _ENGINE_SURFACE:
                 assert hasattr(engine, attr), (type(engine).__name__, attr)
+
+
+def sharded_with_history():
+    from repro.db import ShardedDatabase
+
+    sharded = ShardedDatabase(2, shard_keys={"t": "id"})
+    sharded.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
+    for i in range(6):
+        sharded.execute("INSERT INTO t VALUES (?, ?)", (i, i))
+    return sharded
+
+
+class TestDirectEntryPoints:
+    """The engine-level surfaces beneath ``connect()`` stay usable on
+    their own: tests and apps written against them must keep working."""
+
+    def test_as_of_clause_emits_no_warning(self):
+        sharded = sharded_with_history()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            assert (
+                sharded.execute("SELECT COUNT(*) FROM t AS OF 3").scalar() == 3
+            )
+
+    def test_database_execute(self):
+        from repro.db import Database
+
+        db = Database()
+        db.execute("CREATE TABLE t (x INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        assert db.execute("SELECT x FROM t").scalar() == 1
+
+    def test_sharded_execute(self):
+        assert sharded_with_history().execute("SELECT COUNT(*) FROM t").scalar() == 6
+
+    def test_replica_set_with_session_through_connect(self):
+        import repro
+        from repro.db import Database, ReplicaSet, Session
+
+        db = Database()
+        db.execute("CREATE TABLE t (x INTEGER)")
+        replica_set = ReplicaSet(db, n_replicas=1, mode="sync")
+        conn = repro.connect(replica_set, session=Session())
+        conn.execute("INSERT INTO t VALUES (5)")
+        assert conn.execute("SELECT x FROM t").scalar() == 5
+        assert replica_set.stats["replica_reads"] == 1
+
+    def test_time_travel_objects(self):
+        from repro.db import Database
+
+        db = Database()
+        db.execute("CREATE TABLE t (x INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        db.execute("UPDATE t SET x = 2")
+        assert db.time_travel.rows_as_of("t", 1)[0][1] == (1,)
 
 
 @pytest.mark.parametrize("example", MIGRATED_EXAMPLES)

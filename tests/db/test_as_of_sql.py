@@ -172,7 +172,7 @@ class TestReplicated:
             ).scalar()
             == "third"
         )
-        assert cluster.stats["replica_reads"] == 1
+        assert cluster.replica_set.stats["replica_reads"] == 1
 
     def test_uncovered_csn_falls_back_to_primary(self):
         cluster = ReplicatedDatabase(history_db(), n_replicas=1, mode="async")
@@ -183,4 +183,4 @@ class TestReplicated:
             conn.execute("SELECT v FROM t WHERE id = 1 AS OF 1").scalar()
             == "first"
         )
-        assert cluster.stats["primary_reads"] == 1
+        assert cluster.replica_set.stats["primary_reads"] == 1

@@ -258,15 +258,15 @@ class TestReadPreferences:
         conn = connect(cluster)
         for _ in range(4):
             conn.execute("SELECT COUNT(*) FROM t")
-        assert cluster.stats["replica_reads"] == 4
+        assert cluster.replica_set.stats["replica_reads"] == 4
 
     def test_primary_preference_pins_reads(self):
         cluster = self.make_cluster()
         conn = connect(cluster, read_preference="primary")
         for _ in range(4):
             conn.execute("SELECT COUNT(*) FROM t")
-        assert cluster.stats["replica_reads"] == 0
-        assert cluster.stats["primary_reads"] == 4
+        assert cluster.replica_set.stats["replica_reads"] == 0
+        assert cluster.replica_set.stats["primary_reads"] == 4
 
     def test_read_your_writes_under_lag(self):
         cluster = self.make_cluster()
@@ -277,15 +277,15 @@ class TestReadPreferences:
         assert (
             conn.execute("SELECT v FROM t WHERE id = 1").scalar() == "fresh"
         )
-        assert cluster.stats["stale_fallbacks"] == 1
+        assert cluster.replica_set.stats["stale_fallbacks"] == 1
 
     def test_wait_preference_catches_up_instead(self):
         cluster = self.make_cluster()
         conn = connect(cluster, read_preference="wait")
         conn.execute("UPDATE t SET v = ? WHERE id = ?", ("w", 1))
         assert conn.execute("SELECT v FROM t WHERE id = 1").scalar() == "w"
-        assert cluster.stats["catch_up_waits"] == 1
-        assert cluster.stats["stale_fallbacks"] == 0
+        assert cluster.replica_set.stats["catch_up_waits"] == 1
+        assert cluster.replica_set.stats["stale_fallbacks"] == 0
 
     def test_read_preference_reassignment_reaches_sharded_routing(self):
         sharded = ShardedDatabase(2, shard_keys={"t": "id"})
@@ -294,12 +294,13 @@ class TestReadPreferences:
         conn.execute("INSERT INTO t VALUES (?, ?)", (1, "a"))
         sharded.attach_replicas(1)
         conn.execute("SELECT COUNT(*) FROM t")
-        assert conn._router().on_stale == "primary"
+        assert sharded.cluster_stats["catch_up_waits"] == 0
+        assert sharded.cluster_stats["replica_reads"] == 2
         conn.read_preference = "wait"
         conn.execute("UPDATE t SET v = ? WHERE id = ?", ("b", 1))
         conn.execute("SELECT v FROM t WHERE id = 1")
-        assert conn._router().on_stale == "wait"
-        assert conn._router().stats["catch_up_waits"] >= 1
+        assert sharded.cluster_stats["catch_up_waits"] >= 1
+        assert sharded.cluster_stats["stale_fallbacks"] == 0
 
     def test_sharded_replica_routing(self):
         sharded = ShardedDatabase(2, shard_keys={"t": "id"})

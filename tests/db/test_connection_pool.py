@@ -157,7 +157,7 @@ class TestPooledSessionGuarantees:
             == "fresh"
         )
         pool.checkin(reader)
-        assert cluster.stats["stale_fallbacks"] == 1
+        assert cluster.replica_set.stats["stale_fallbacks"] == 1
 
     def test_explicit_session_is_shared_outside_the_pool(self):
         session = Session("external")

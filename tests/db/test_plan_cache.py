@@ -281,13 +281,14 @@ class TestShardedMergePlanCache:
     def test_replica_served_reads_share_the_merge_plan(self):
         sharded = self.build()
         sharded.attach_replicas(1, mode="sync")
-        from repro.db.replication import ShardedReadRouter
+        from repro.db.connection import connect
 
-        router = ShardedReadRouter(sharded)
+        conn = connect(sharded)
         sql = "SELECT id, val FROM items WHERE val > ? ORDER BY id"
         via_primary = sharded.execute(sql, (3.0,))
         misses = sharded.stats["select_cache_misses"]
-        via_replica = router.execute(sql, (3.0,))
+        via_replica = conn.execute(sql, (3.0,))
+        assert sharded.cluster_stats["replica_reads"] > 0
         # Same merged plan entry: per-database scan nodes differ, but the
         # coordinator plan is shared (a hit, not a recompile).
         assert sharded.stats["select_cache_misses"] == misses

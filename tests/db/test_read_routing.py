@@ -1,0 +1,265 @@
+"""The one replica-aware read path, held to a table.
+
+``ReplicaSet.read_target`` / ``as_of_target`` are the only code that
+chooses between a replica and the primary, and every engine reaches them
+through ``repro.connect()``. This file states the routing decision as a
+plain-Python model — *who answers* — and checks it over
+
+    engine          {ReplicaSet via connect, ReplicatedDatabase,
+                     ShardedDatabase + replicas}
+  x read_preference {primary, replica, wait}
+  x replica state   {caught up, behind the session floor, crashed,
+                     none attached}
+  x statement       {live, AS OF covered, AS OF below a replica's
+                     bootstrap horizon}
+
+asserting the serving node through ``ReplicaSet.stats`` deltas,
+read-your-writes for the session, rows identical to the model (and so to
+the primary), and that no read consumes a CSN on any node.
+"""
+
+import gc
+import itertools
+import weakref
+
+import pytest
+
+import repro
+from repro.db import Database, ReplicaSet, ReplicatedDatabase, ShardedDatabase
+from repro.db.connection import READ_PREFERENCES
+
+ENGINES = ("replica_set", "replicated", "sharded")
+STATES = ("caught_up", "behind", "crashed", "none")
+STATEMENTS = ("live", "as_of_covered", "as_of_below_horizon")
+ROUTING_COUNTERS = (
+    "replica_reads",
+    "primary_reads",
+    "stale_fallbacks",
+    "catch_up_waits",
+)
+N_KEYS = 12
+N_SHARDS = 3
+
+LIVE_SQL = "SELECT k, v FROM t ORDER BY k"
+AS_OF_SQL = "SELECT k, v FROM t ORDER BY k AS OF ?"
+BUMP_SQL = "UPDATE t SET v = v + 1"  # every row: every shard, one 2PC
+
+
+def who_answers(read_preference: str, state: str, statement: str) -> dict:
+    """The model: routing-counter deltas *per replica set asked*."""
+    answer = dict.fromkeys(ROUTING_COUNTERS, 0)
+    if statement == "live":
+        if read_preference == "primary" or state == "none":
+            answer["primary_reads"] = 1
+        elif state == "caught_up":
+            answer["replica_reads"] = 1
+        else:
+            # Every replica is below the floor (or down). 'wait' forces a
+            # catch-up: a lagging replica then serves, a dead one cannot.
+            if read_preference == "wait":
+                answer["catch_up_waits"] = 1
+            if read_preference == "wait" and state == "behind":
+                answer["replica_reads"] = 1
+            else:
+                answer["stale_fallbacks"] = 1
+    elif (
+        read_preference != "primary"
+        and statement == "as_of_covered"
+        and state in ("caught_up", "behind")
+    ):
+        # Coverage, not the session floor, qualifies a historical read:
+        # a replica behind the floor still covers an older bookmark.
+        answer["replica_reads"] = 1
+    else:
+        answer["primary_reads"] = 1
+    return answer
+
+
+class Cluster:
+    """One engine in one replica state, with a model of its history."""
+
+    def __init__(self, engine_kind: str, state: str, read_preference: str):
+        self.sharded = engine_kind == "sharded"
+        n_replicas = 0 if state == "none" else 2
+        if self.sharded:
+            engine = ShardedDatabase(N_SHARDS, shard_keys={"t": "k"})
+        else:
+            engine = Database(name="primary")
+        self._seed(engine)
+        # Replicas bootstrap one commit *after* this bookmark: it sits
+        # strictly under their time-travel horizon.
+        self.below_horizon = engine.last_commit_csn
+        self.model = {self.below_horizon: self._rows(0)}
+        engine.execute(BUMP_SQL)
+        if self.sharded:
+            engine.attach_replicas(n_replicas, mode="async")
+            self.replica_sets = list(engine.replica_sets.values())
+            self.catch_up = engine.catch_up_replicas
+        else:
+            replica_set = ReplicaSet(engine, n_replicas=n_replicas, mode="async")
+            self.replica_sets = [replica_set]
+            self.catch_up = replica_set.catch_up
+            engine = (
+                replica_set
+                if engine_kind == "replica_set"
+                else ReplicatedDatabase(replica_set=replica_set)
+            )
+        self.conn = repro.connect(engine, read_preference=read_preference)
+        # One shipped write (the covered AS OF bookmark), one more that
+        # sets the session floor and — in 'behind' — stays unshipped.
+        self.conn.execute(BUMP_SQL)
+        self.covered = self.conn.last_commit_csn
+        self.model[self.covered] = self._rows(2)
+        self.catch_up()
+        self.conn.execute(BUMP_SQL)
+        self.latest = self._rows(3)
+        if state != "behind":
+            self.catch_up()
+        if state == "crashed":
+            for replica in self.replicas():
+                replica.database.crashed = True
+
+    @staticmethod
+    def _seed(engine) -> None:
+        engine.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+        txn = engine.begin()
+        for k in range(N_KEYS):
+            engine.execute("INSERT INTO t VALUES (?, ?)", (k, 10 * k), txn=txn)
+        txn.commit()
+
+    @staticmethod
+    def _rows(bumps: int) -> list[tuple]:
+        return [(k, 10 * k + bumps) for k in range(N_KEYS)]
+
+    def replicas(self):
+        return [r for rs in self.replica_sets for r in rs.replicas]
+
+    def counters(self) -> dict[str, int]:
+        return {
+            key: sum(rs.stats[key] for rs in self.replica_sets)
+            for key in ROUTING_COUNTERS
+        }
+
+    def csn_positions(self) -> tuple[list[int], list[int]]:
+        """Every node's commit clock (crashed nodes included)."""
+        return (
+            [rs.primary.txn_manager.last_csn for rs in self.replica_sets],
+            [r.database.txn_manager.last_csn for r in self.replicas()],
+        )
+
+
+@pytest.mark.parametrize(
+    "engine_kind, read_preference, state, statement",
+    list(itertools.product(ENGINES, READ_PREFERENCES, STATES, STATEMENTS)),
+)
+def test_routing_table(engine_kind, read_preference, state, statement):
+    cluster = Cluster(engine_kind, state, read_preference)
+    counters_before = cluster.counters()
+    primaries_before, replicas_before = cluster.csn_positions()
+
+    if statement == "live":
+        rows = cluster.conn.execute(LIVE_SQL).rows
+        # Read-your-writes: the session's last (maybe unshipped) write.
+        expected_rows = cluster.latest
+    else:
+        bookmark = (
+            cluster.covered
+            if statement == "as_of_covered"
+            else cluster.below_horizon
+        )
+        rows = cluster.conn.execute(AS_OF_SQL, (bookmark,)).rows
+        expected_rows = cluster.model[bookmark]
+    assert [tuple(row) for row in rows] == expected_rows
+
+    # Who answered: the model's delta, once per replica set asked (the
+    # statement touches every shard).
+    per_set = who_answers(read_preference, state, statement)
+    counters_after = cluster.counters()
+    assert {
+        key: counters_after[key] - counters_before[key]
+        for key in ROUTING_COUNTERS
+    } == {key: per_set[key] * len(cluster.replica_sets) for key in per_set}
+    if cluster.sharded:
+        stats = cluster.conn.engine.cluster_stats
+        assert {key: stats[key] for key in ROUTING_COUNTERS} == counters_after
+
+    # No read consumes a CSN on any node. A 'wait' catch-up is the one
+    # thing that may move a (live) replica's clock — up to its primary's.
+    primaries_after, replicas_after = cluster.csn_positions()
+    assert primaries_after == primaries_before
+    if per_set["catch_up_waits"] and state == "behind":
+        assert cluster.replica_sets[0].max_lag() == 0
+        assert all(
+            after > before
+            for before, after in zip(replicas_before, replicas_after)
+        )
+    else:
+        assert replicas_after == replicas_before
+
+
+def test_sharded_engine_without_replica_sets_reads_primaries():
+    # No attach_replicas() at all: nothing to count, same rows, no CSNs.
+    sharded = ShardedDatabase(N_SHARDS, shard_keys={"t": "k"})
+    Cluster._seed(sharded)
+    before = [shard.last_csn for shard in sharded.shards]
+    bookmark = sharded.last_commit_csn
+    for read_preference in READ_PREFERENCES:
+        conn = repro.connect(sharded, read_preference=read_preference)
+        assert conn.execute(LIVE_SQL).rows == Cluster._rows(0)
+        assert conn.execute(AS_OF_SQL, (bookmark,)).rows == Cluster._rows(0)
+    assert [shard.last_csn for shard in sharded.shards] == before
+    assert not set(ROUTING_COUNTERS) & set(sharded.cluster_stats)
+
+
+def test_counters_survive_reconnects_and_preference_flips():
+    # They live on the replica set, not on whatever object happened to
+    # route the statement: a new connection (which re-wraps a bare
+    # ReplicaSet) or a per-statement override accumulates, never resets.
+    db = Database()
+    Cluster._seed(db)
+    replica_set = ReplicaSet(db, n_replicas=1, mode="sync")
+    repro.connect(replica_set).execute(LIVE_SQL)
+    conn = repro.connect(replica_set)
+    conn.execute(LIVE_SQL)
+    conn.execute(LIVE_SQL, read_preference="wait")
+    conn.execute(LIVE_SQL, read_preference="primary")
+    assert replica_set.stats["replica_reads"] == 3
+    assert replica_set.stats["primary_reads"] == 1
+
+
+def test_unknown_on_stale_mode_is_rejected():
+    from repro.errors import ReplicationError
+
+    cluster = ReplicatedDatabase(n_replicas=1)
+    cluster.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+    with pytest.raises(ReplicationError, match="on_stale"):
+        cluster.execute_read("SELECT * FROM t", on_stale="nearest")
+
+
+def test_wait_read_that_resyncs_releases_the_replaced_replicas():
+    # A 'wait' read whose catch-up finds the replica's position truncated
+    # out of a retention-bounded log rebuilds it from a snapshot. The
+    # sharded scatter-plan cache keys scan nodes by database instance:
+    # unless the resync invalidates it, the cached plan pins both dead
+    # databases (and their full data copies) for the cluster's lifetime.
+    sharded = ShardedDatabase(2, shard_keys={"t": "k"})
+    conn = repro.connect(sharded)
+    conn.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+    for k in range(8):
+        conn.execute("INSERT INTO t VALUES (?, ?)", (k, 0))
+    sharded.attach_replicas(1, mode="async", log_retain=2)
+    sql = "SELECT k, v FROM t WHERE v >= ? ORDER BY k"
+    conn.execute(sql, (0,))  # caches a scatter plan over the replicas
+    doomed = [
+        weakref.ref(replica.database)
+        for rs in sharded.replica_sets.values()
+        for replica in rs.replicas
+    ]
+    for k in range(8):
+        conn.execute("UPDATE t SET v = ? WHERE k = ?", (k + 1, k))
+    rows = conn.execute(sql, (0,), read_preference="wait").rows
+    assert rows == [(k, k + 1) for k in range(8)]
+    assert sharded.cluster_stats["resyncs"] == 2
+    assert sharded.cluster_stats["catch_up_waits"] == 2
+    gc.collect()
+    assert [ref() for ref in doomed] == [None, None]

@@ -14,14 +14,13 @@ import random
 
 import pytest
 
+import repro
 from repro.db import Database, IsolationLevel, ShardedDatabase
 from repro.db.replication import (
     Applier,
-    ReadRouter,
     ReplicaSet,
     ReplicationLog,
     Session,
-    ShardedReadRouter,
 )
 from repro.errors import (
     FencedError,
@@ -310,62 +309,62 @@ class TestSessionGuarantees:
     def test_read_your_writes_falls_back_to_primary_under_lag(self):
         db = build_primary()
         rs = ReplicaSet(db, n_replicas=2, mode="async")
-        router = ReadRouter(rs, on_stale="primary")
         session = Session("u1")
-        router.execute("INSERT INTO t VALUES (1, 'g0', 7.0)", session=session)
+        conn = repro.connect(rs, session=session)
+        conn.execute("INSERT INTO t VALUES (1, 'g0', 7.0)")
         assert session.last_write_csn == db.last_csn
         # Replicas have not shipped; the session must still see its write.
-        result = router.execute("SELECT v FROM t WHERE k = 1", session=session)
+        result = conn.execute("SELECT v FROM t WHERE k = 1")
         assert result.scalar() == 7.0
-        assert router.stats["stale_fallbacks"] == 1
+        assert rs.stats["stale_fallbacks"] == 1
         rs.catch_up()
-        result = router.execute("SELECT v FROM t WHERE k = 1", session=session)
+        result = conn.execute("SELECT v FROM t WHERE k = 1")
         assert result.scalar() == 7.0
-        assert router.stats["replica_reads"] == 1
+        assert rs.stats["replica_reads"] == 1
 
     def test_wait_mode_catches_up_and_serves_from_replica(self):
         db = build_primary()
         rs = ReplicaSet(db, n_replicas=1, mode="async")
-        router = ReadRouter(rs, on_stale="wait")
-        session = Session("u1")
-        router.execute("INSERT INTO t VALUES (1, 'g0', 7.0)", session=session)
-        result = router.execute("SELECT v FROM t WHERE k = 1", session=session)
+        conn = repro.connect(rs, session=Session("u1"), read_preference="wait")
+        conn.execute("INSERT INTO t VALUES (1, 'g0', 7.0)")
+        result = conn.execute("SELECT v FROM t WHERE k = 1")
         assert result.scalar() == 7.0
-        assert router.stats["catch_up_waits"] == 1
-        assert router.stats["replica_reads"] == 1
-        assert router.stats["stale_fallbacks"] == 0
+        assert rs.stats["catch_up_waits"] == 1
+        assert rs.stats["replica_reads"] == 1
+        assert rs.stats["stale_fallbacks"] == 0
         assert rs.max_lag() == 0
 
     def test_sessionless_reads_round_robin_across_replicas(self):
         db = build_primary(rows=4)
         rs = ReplicaSet(db, n_replicas=3, mode="sync")
-        router = ReadRouter(rs)
+        conn = repro.connect(rs)
         for _ in range(6):
-            assert router.execute("SELECT COUNT(*) FROM t").scalar() == 4
-        assert router.stats["replica_reads"] == 6
-        assert router.stats["primary_reads"] == 0
+            assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 4
+        assert rs.stats["replica_reads"] == 6
+        assert rs.stats["primary_reads"] == 0
 
     def test_other_sessions_unaffected_by_writers_token(self):
         db = build_primary()
         rs = ReplicaSet(db, n_replicas=1, mode="async")
-        router = ReadRouter(rs, on_stale="primary")
-        writer, reader = Session("w"), Session("r")
-        router.execute("INSERT INTO t VALUES (1, 'g0', 7.0)", session=writer)
+        writer = repro.connect(rs, session=Session("w"))
+        reader = repro.connect(rs, session=Session("r"))
+        writer.execute("INSERT INTO t VALUES (1, 'g0', 7.0)")
         # The reader never wrote; a (stale) replica serves it fine.
-        router.execute("SELECT COUNT(*) FROM t", session=reader)
-        assert router.stats["replica_reads"] == 1
-        assert router.stats["stale_fallbacks"] == 0
+        reader.execute("SELECT COUNT(*) FROM t")
+        assert rs.stats["replica_reads"] == 1
+        assert rs.stats["stale_fallbacks"] == 0
 
     def test_rows_as_of_served_by_covering_replica(self):
         db = build_primary(rows=3)
         rs = ReplicaSet(db, n_replicas=1, mode="sync")
         csn = db.last_csn
         db.execute("DELETE FROM t WHERE k = 0")
-        router = ReadRouter(rs)
-        rows = router.rows_as_of("t", csn)
-        assert rows == db.time_travel.rows_as_of("t", csn)
+        rows = repro.connect(rs).execute("SELECT * FROM t AS OF ?", (csn,)).rows
+        assert rows == [
+            values for _row_id, values in db.time_travel.rows_as_of("t", csn)
+        ]
         assert len(rows) == 3
-        assert router.stats["replica_reads"] == 1
+        assert rs.stats["replica_reads"] == 1
 
 
 class TestFailover:
@@ -452,19 +451,16 @@ class TestFailover:
         assert not db.fenced
         db.execute("INSERT INTO t VALUES (99, 'g0', 0.0)")  # still serving
 
-    def test_ddl_through_router_is_immediately_readable(self):
+    def test_ddl_through_connection_is_immediately_readable(self):
         db = build_primary()
         rs = ReplicaSet(db, n_replicas=2, mode="async")
-        router = ReadRouter(rs, on_stale="primary")
-        session = Session("ddl-user")
-        router.execute("CREATE TABLE u (x INTEGER)", session=session)
+        conn = repro.connect(rs, session=Session("ddl-user"))
+        conn.execute("CREATE TABLE u (x INTEGER)")
         # The very next routed read may land on any replica; the new
         # table must be visible there (DDL records carry no CSN floor).
         for _ in range(4):
-            assert (
-                router.execute("SELECT COUNT(*) FROM u", session=session)
-                .scalar() == 0
-            )
+            assert conn.execute("SELECT COUNT(*) FROM u").scalar() == 0
+        assert rs.stats["replica_reads"] == 4
 
 
 QUERIES = [
@@ -485,7 +481,6 @@ class TestDifferentialReplicaVsPrimary:
         # Replicas attach before DDL: their history covers CSN 0, so
         # AS-OF reads can be compared over the whole timeline.
         rs = ReplicaSet(db, n_replicas=2, mode="async")
-        router = ReadRouter(rs, on_stale="primary")
         db.execute("CREATE TABLE t (k INTEGER, grp TEXT, v FLOAT)")
         db.execute("CREATE INDEX ix_t_k ON t (k)")
         live: set[int] = set()
@@ -531,16 +526,13 @@ class TestDifferentialReplicaVsPrimary:
         for round_no in range(62):
             random_writes()
             # Read-your-writes probe while replicas lag arbitrarily.
-            session = Session(f"s{round_no}")
+            conn = repro.connect(rs, session=Session(f"s{round_no}"))
             probe_key = next_key
-            router.execute(
-                "INSERT INTO t VALUES (?, 'ryw', 123.5)", (probe_key,),
-                session=session,
-            )
+            conn.execute("INSERT INTO t VALUES (?, 'ryw', 123.5)", (probe_key,))
             next_key += 1
             live.add(probe_key)
-            observed = router.execute(
-                "SELECT v FROM t WHERE k = ?", (probe_key,), session=session
+            observed = conn.execute(
+                "SELECT v FROM t WHERE k = ?", (probe_key,)
             ).scalar()
             assert observed == 123.5
             compared += 1
@@ -633,49 +625,38 @@ class TestShardedReplication:
 
     def test_routed_reads_match_primary_reads(self):
         sharded = self.build(n_replicas=2, mode="sync")
-        router = ShardedReadRouter(sharded)
+        conn = repro.connect(sharded)
         for sql, params in self.SHARDED_QUERIES:
-            via_replicas = router.execute(sql, params)
+            via_replicas = conn.execute(sql, params)
             via_primaries = sharded.execute(sql, params)
             assert via_replicas.rows == via_primaries.rows, sql
             assert via_replicas.columns == via_primaries.columns
-        assert router.stats["replica_reads"] > 0
-        assert router.stats["stale_fallbacks"] == 0
+        assert sharded.cluster_stats["replica_reads"] > 0
+        assert sharded.cluster_stats["stale_fallbacks"] == 0
 
     def test_dml_stays_on_primaries_and_ships(self):
         sharded = self.build(n_replicas=1, mode="async")
-        router = ShardedReadRouter(sharded, on_stale="primary")
         session = Session("u")
-        router.execute(
-            "UPDATE items SET val = 99.0 WHERE id = ?", (3,), session=session
-        )
+        conn = repro.connect(sharded, session=session)
+        conn.execute("UPDATE items SET val = 99.0 WHERE id = ?", (3,))
         assert session.last_global_csn == sharded.last_global_csn
         # Replicas lag; the session still reads its write (fallback).
-        observed = router.execute(
-            "SELECT val FROM items WHERE id = ?", (3,), session=session
-        )
+        observed = conn.execute("SELECT val FROM items WHERE id = ?", (3,))
         assert observed.scalar() == 99.0
-        assert router.stats["stale_fallbacks"] >= 1
+        assert sharded.cluster_stats["stale_fallbacks"] >= 1
         sharded.catch_up_replicas()
-        observed = router.execute(
-            "SELECT val FROM items WHERE id = ?", (3,), session=session
-        )
+        observed = conn.execute("SELECT val FROM items WHERE id = ?", (3,))
         assert observed.scalar() == 99.0
-        assert router.stats["replica_reads"] >= 1
+        assert sharded.cluster_stats["replica_reads"] >= 1
 
     def test_wait_mode_sharded(self):
         sharded = self.build(n_replicas=1, mode="async")
-        router = ShardedReadRouter(sharded, on_stale="wait")
-        session = Session("u")
-        router.execute(
-            "UPDATE items SET val = -1.0 WHERE id = ?", (5,), session=session
-        )
-        observed = router.execute(
-            "SELECT val FROM items WHERE id = ?", (5,), session=session
-        )
+        conn = repro.connect(sharded, session=Session("u"), read_preference="wait")
+        conn.execute("UPDATE items SET val = -1.0 WHERE id = ?", (5,))
+        observed = conn.execute("SELECT val FROM items WHERE id = ?", (5,))
         assert observed.scalar() == -1.0
-        assert router.stats["catch_up_waits"] >= 1
-        assert router.stats["stale_fallbacks"] == 0
+        assert sharded.cluster_stats["catch_up_waits"] >= 1
+        assert sharded.cluster_stats["stale_fallbacks"] == 0
 
     def test_execute_as_of_via_replicas(self):
         sharded = self.build(n_replicas=1, mode="sync")
@@ -685,10 +666,9 @@ class TestShardedReplication:
         gtxn = sharded.begin()
         sharded.execute("UPDATE items SET val = 0.0 WHERE val > 0", txn=gtxn)
         gtxn.commit()
-        router = ShardedReadRouter(sharded)
-        via_replicas = router.execute(sql, (before,))
+        via_replicas = repro.connect(sharded).execute(sql, (before,))
         assert via_replicas.rows == expected
-        assert router.stats["replica_reads"] == 3  # every shard covered
+        assert sharded.cluster_stats["replica_reads"] == 3  # every shard covered
 
     def test_sharded_time_travel_prefer_replicas(self):
         sharded = self.build(n_replicas=1, mode="sync")
@@ -726,10 +706,9 @@ class TestShardedReplication:
         rs = sharded.replica_sets["shard1"]
         assert rs.primary is promoted
         sharded.catch_up_replicas()
-        router = ShardedReadRouter(sharded)
-        rows = router.execute("SELECT COUNT(*) FROM items")
+        rows = repro.connect(sharded).execute("SELECT COUNT(*) FROM items")
         assert rows.scalar() == 63
-        assert router.stats["replica_reads"] == 3
+        assert sharded.cluster_stats["replica_reads"] == 3
 
     def test_failover_without_replicas_raises(self):
         sharded = ShardedDatabase(2, shard_keys={"items": "id"})
@@ -737,21 +716,17 @@ class TestShardedReplication:
         with pytest.raises(ReplicationError):
             sharded.failover("shard0")
 
-    def test_ddl_through_sharded_router_is_readable(self):
+    def test_ddl_through_sharded_connection_is_readable(self):
         sharded = self.build(n_replicas=1, mode="async")
-        router = ShardedReadRouter(sharded)
-        router.execute("CREATE TABLE extra (id INTEGER, x FLOAT)")
+        conn = repro.connect(sharded)
+        conn.execute("CREATE TABLE extra (id INTEGER, x FLOAT)")
         # Routed reads go to replicas; the shipped DDL must be there.
-        assert router.execute("SELECT COUNT(*) FROM extra").scalar() == 0
-
-    def test_router_requires_replicas(self):
-        sharded = ShardedDatabase(2, shard_keys={"items": "id"})
-        with pytest.raises(ReplicationError):
-            ShardedReadRouter(sharded)
+        assert conn.execute("SELECT COUNT(*) FROM extra").scalar() == 0
+        assert sharded.cluster_stats["replica_reads"] == 3
 
     def test_snapshot_reads_on_replicas_match(self):
         sharded = self.build(n_replicas=1, mode="sync")
-        router = ShardedReadRouter(sharded)
+        conn = repro.connect(sharded)
         # SNAPSHOT-level global reads still come from primaries (they
         # join the 2PC transaction); routed reads are the ephemeral path.
         gtxn = sharded.begin(IsolationLevel.SNAPSHOT)
@@ -759,4 +734,5 @@ class TestShardedReplication:
             "SELECT COUNT(*) FROM items", txn=gtxn
         ).scalar()
         gtxn.commit()
-        assert router.execute("SELECT COUNT(*) FROM items").scalar() == via_txn
+        assert conn.execute("SELECT COUNT(*) FROM items").scalar() == via_txn
+        assert sharded.cluster_stats["replica_reads"] == 3

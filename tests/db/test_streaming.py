@@ -235,7 +235,7 @@ class TestCursorStreaming:
         result = conn.execute("SELECT k FROM t")
         assert result.streaming
         assert sorted(r[0] for r in result) == list(range(15))
-        assert cluster.stats["replica_reads"] == 1
+        assert cluster.replica_set.stats["replica_reads"] == 1
 
 
 class TestShortCircuit:
@@ -375,12 +375,12 @@ class TestPerStatementReadPreference:
         cluster = self.make_cluster()
         conn = connect(cluster)  # default: replica
         conn.execute("SELECT COUNT(*) FROM t")
-        assert cluster.stats["replica_reads"] == 1
+        assert cluster.replica_set.stats["replica_reads"] == 1
         conn.execute("SELECT COUNT(*) FROM t", read_preference="primary")
-        assert cluster.stats["primary_reads"] == 1
+        assert cluster.replica_set.stats["primary_reads"] == 1
         # The connection default is untouched.
         conn.execute("SELECT COUNT(*) FROM t")
-        assert cluster.stats["replica_reads"] == 2
+        assert cluster.replica_set.stats["replica_reads"] == 2
 
     def test_wait_override_forces_catch_up(self):
         cluster = self.make_cluster()
@@ -390,15 +390,15 @@ class TestPerStatementReadPreference:
             "SELECT v FROM t WHERE k = ?", (1,), read_preference="wait"
         ).scalar()
         assert value == "fresh"
-        assert cluster.stats["catch_up_waits"] == 1
-        assert cluster.stats["stale_fallbacks"] == 0
+        assert cluster.replica_set.stats["catch_up_waits"] == 1
+        assert cluster.replica_set.stats["stale_fallbacks"] == 0
 
     def test_cursor_passes_the_override_through(self):
         cluster = self.make_cluster()
         cur = connect(cluster).cursor()
         cur.execute("SELECT COUNT(*) FROM t", read_preference="primary")
         assert cur.fetchone() == (10,)
-        assert cluster.stats["primary_reads"] == 1
+        assert cluster.replica_set.stats["primary_reads"] == 1
 
     def test_unknown_override_rejected(self):
         conn = connect(seeded_db(3))
@@ -410,24 +410,27 @@ class TestPerStatementReadPreference:
                 "INSERT INTO t VALUES (9, 'x')", read_preference="nearest"
             )
 
-    def test_sharded_override_reuses_router_rebuild_path(self):
+    def test_sharded_override_keeps_the_routing_counters(self):
         sdb = seeded_sharded(40, shards=2)
         sdb.attach_replicas(1)
         sdb.catch_up_replicas()
         conn = connect(sdb)  # default replica
         conn.execute("SELECT COUNT(*) FROM t")
-        assert conn._router().on_stale == "primary"
+        assert sdb.cluster_stats["replica_reads"] == 2
+        assert sdb.cluster_stats["catch_up_waits"] == 0
         conn.execute("UPDATE t SET v = ? WHERE k = ?", ("x", 1))
-        # The override rebuilds the cached router in wait mode for this
-        # statement; the replicas lag, so the wait mode must catch them
-        # up rather than fall back.
+        # The override switches this one statement to wait mode; the
+        # replicas lag, so it must catch them up rather than fall back.
         value = conn.execute(
             "SELECT v FROM t WHERE k = ?", (1,), read_preference="wait"
         ).scalar()
         assert value == "x"
-        assert conn._sharded_router.on_stale == "wait"
-        assert conn._sharded_router.stats["catch_up_waits"] >= 1
-        # Primary override bypasses the router entirely.
-        before = conn._sharded_router.stats["replica_reads"]
+        assert sdb.cluster_stats["catch_up_waits"] == 1
+        assert sdb.cluster_stats["stale_fallbacks"] == 0
+        # The counters live on the replica sets: flipping the preference
+        # per statement accumulates into them instead of resetting them.
+        assert sdb.cluster_stats["replica_reads"] == 3
+        # Primary override never asks a replica.
         conn.execute("SELECT COUNT(*) FROM t", read_preference="primary")
-        assert conn._sharded_router.stats["replica_reads"] == before
+        assert sdb.cluster_stats["replica_reads"] == 3
+        assert sdb.cluster_stats["primary_reads"] == 2

@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.db import Database, ShardedDatabase
-from repro.db.replication import (
-    ReadRouter,
-    ReplicaSet,
-    ShardedReadRouter,
-)
+import repro
+from repro.db import Database, ReplicatedDatabase, ShardedDatabase
+from repro.db.replication import ReplicaSet
 from repro.workload.generators import ReplicatedReadWorkload
 
 
@@ -17,8 +14,7 @@ class TestReplicatedReadWorkload:
         workload = ReplicatedReadWorkload(n_keys=40, n_sessions=4, seed=7)
         workload.seed_database(db)
         rs = ReplicaSet(db, n_replicas=2, mode="async")
-        router = ReadRouter(rs, on_stale="primary")
-        counts = workload.run(router, 300, write_ratio=0.3, ship_every=20)
+        counts = workload.run(rs, 300, write_ratio=0.3, ship_every=20)
         assert counts["ryw_checks"] == counts["writes"] > 0
         assert counts["reads"] > counts["writes"]  # read-heavy
         assert counts["replica_reads"] > 0
@@ -30,8 +26,9 @@ class TestReplicatedReadWorkload:
         workload = ReplicatedReadWorkload(n_keys=40, n_sessions=4, seed=8)
         workload.seed_database(db)
         rs = ReplicaSet(db, n_replicas=2, mode="async")
-        router = ReadRouter(rs, on_stale="wait")
-        counts = workload.run(router, 200, write_ratio=0.3, ship_every=20)
+        counts = workload.run(
+            rs, 200, write_ratio=0.3, ship_every=20, read_preference="wait"
+        )
         assert counts["stale_fallbacks"] == 0
         assert counts["catch_up_waits"] > 0
 
@@ -40,8 +37,7 @@ class TestReplicatedReadWorkload:
         workload = ReplicatedReadWorkload(n_keys=40, n_sessions=4, seed=9)
         workload.seed_database(db)
         rs = ReplicaSet(db, n_replicas=3, mode="sync")
-        router = ReadRouter(rs, on_stale="primary")
-        counts = workload.run(router, 200, write_ratio=0.2, ship_every=None)
+        counts = workload.run(rs, 200, write_ratio=0.2, ship_every=None)
         assert counts["stale_fallbacks"] == 0
         assert counts["primary_reads"] == 0
         assert counts["replica_reads"] == counts["reads"] + counts["ryw_checks"]
@@ -51,38 +47,37 @@ class TestReplicatedReadWorkload:
         workload = ReplicatedReadWorkload(n_keys=60, n_sessions=6, seed=10)
         workload.seed_database(sharded)
         sharded.attach_replicas(2, mode="async")
-        router = ShardedReadRouter(sharded, on_stale="primary")
-        counts = workload.run(router, 250, write_ratio=0.25, ship_every=25)
+        counts = workload.run(sharded, 250, write_ratio=0.25, ship_every=25)
         assert counts["ryw_checks"] == counts["writes"] > 0
         assert counts["replica_reads"] > 0
         # Final state agrees between primaries and caught-up replicas.
         sharded.catch_up_replicas()
         expected = sharded.execute("SELECT k, val FROM kv ORDER BY k").rows
-        routed = router.execute("SELECT k, val FROM kv ORDER BY k").rows
+        routed = repro.connect(sharded).execute(
+            "SELECT k, val FROM kv ORDER BY k"
+        ).rows
         assert routed == expected
 
-    def test_violation_detection_trips_on_a_broken_router(self):
+    def test_violation_detection_trips_on_a_broken_engine(self):
         from repro.errors import ReplicationError
 
         db = Database()
         workload = ReplicatedReadWorkload(n_keys=10, n_sessions=2, seed=11)
         workload.seed_database(db)
         rs = ReplicaSet(db, n_replicas=1, mode="async")
-        router = ReadRouter(rs, on_stale="primary")
 
-        class SessionlessRouter:
-            """Drops the session token — stale reads go unprotected."""
+        class FloorlessCluster(ReplicatedDatabase):
+            """Drops the session floor — stale reads go unprotected."""
 
-            def __init__(self, inner):
-                self.inner = inner
-                self.stats = inner.stats
-
-            def execute(self, sql, params=(), session=None):
-                return self.inner.execute(sql, params, session=None)
+            def execute_read(self, sql, params=(), floor=0, **routing):
+                return super().execute_read(sql, params, floor=0, **routing)
 
         with pytest.raises(ReplicationError, match="read back"):
-            # With no token, a lagging replica eventually serves a stale
+            # With no floor, a lagging replica eventually serves a stale
             # read-your-writes probe; the workload must catch it.
             workload.run(
-                SessionlessRouter(router), 300, write_ratio=0.5, ship_every=50
+                FloorlessCluster(replica_set=rs),
+                300,
+                write_ratio=0.5,
+                ship_every=50,
             )
