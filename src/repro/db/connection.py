@@ -324,7 +324,8 @@ class Connection:
         return Cursor(self)
 
     def explain(self, sql: str, params: Sequence[Any] = ()) -> list[str]:
-        """The engine's plan for a SELECT (distributed strategy included)."""
+        """The engine's plan for a SELECT, UPDATE or DELETE (distributed
+        strategy included)."""
         self._check_open()
         engine = self.engine
         if isinstance(engine, ShardedDatabase):

@@ -27,9 +27,9 @@ from repro.db.result import ResultSet
 from repro.db.schema import Catalog, Column, TableSchema
 from repro.db.types import ColumnType
 from repro.db.sql.executor import (
+    DmlNode,
+    build_dml_plan,
     build_select_plan,
-    compile_delete_plan,
-    compile_update_plan,
     evaluate_as_of,
     execute_statement,
 )
@@ -260,8 +260,9 @@ class Database:
         #: the rewrite buys.
         self.predicate_pushdown_enabled = True
         #: Batch-executor counters (mirrors ``plan_cache_stats``):
-        #: plans compiled, batches processed, and rows removed by
-        #: scan-level vs post-join filters.
+        #: SELECT plans compiled, batches processed (the match phase of
+        #: an UPDATE or DELETE is one), and rows removed by scan-level
+        #: vs post-join filters.
         self.executor_stats = {
             "plans_compiled": 0,
             "batches_processed": 0,
@@ -272,10 +273,11 @@ class Database:
         self._stores: dict[str, TableStore] = {}
         self._indexes: dict[str, IndexSet] = {}
         self._stmt_cache: dict[str, Statement] = {}
-        #: Compiled plans keyed by (sql, catalog epoch, isolation) for
-        #: SELECT and ("dml", sql, catalog epoch) for UPDATE/DELETE. Plan
-        #: nodes carry no per-execution state, so one compiled tree serves
-        #: every execution of the same statement shape.
+        #: Compiled plans keyed by (sql, catalog epoch, isolation, ...)
+        #: for SELECT and ("dml", sql, catalog epoch, isolation) for
+        #: UPDATE/DELETE. Plan nodes carry no per-execution state, so one
+        #: compiled tree serves every execution of the same statement
+        #: shape.
         self._plan_cache: dict[tuple, Any] = {}
         #: Bumped by every DDL / catalog change; stale plans (which hold
         #: references to schemas and index objects) never survive a bump.
@@ -665,30 +667,34 @@ class Database:
         self._plan_cache[key] = entry
         return entry
 
-    def dml_plan(self, stmt: UpdateStmt | DeleteStmt, sql: str | None) -> Any:
-        """Compiled WHERE/assignment closures for UPDATE/DELETE statements.
+    def dml_plan(
+        self, stmt: UpdateStmt | DeleteStmt, txn: Transaction, sql: str | None
+    ) -> DmlNode:
+        """The plan of an UPDATE or DELETE, from the plan cache when possible.
 
-        Shares the epoch-invalidated plan cache with SELECT plans (keys are
-        disjoint tuples). Isolation is not part of the key: DML scans never
-        take index probes, so the compiled closures are isolation-agnostic.
+        A :class:`~repro.db.sql.executor.DmlNode`: the match-phase scan —
+        the access path a SELECT with the same WHERE gets, index probe
+        and pushed-down filter (compiled from the plan's first reuse on)
+        included — plus an UPDATE's assignment closures. Shares the
+        epoch-invalidated plan cache with SELECT plans (keys are disjoint
+        tuples); as there, ``sql`` is the key (None disables caching) and
+        the isolation level is part of it because it decides index-probe
+        eligibility.
         """
-        compile_fn = (
-            compile_update_plan if isinstance(stmt, UpdateStmt) else compile_delete_plan
-        )
         if not self.plan_cache_enabled or sql is None:
-            return compile_fn(self, stmt)
-        key = ("dml", sql, self.catalog_epoch)
+            return build_dml_plan(stmt, self, txn)
+        key = ("dml", sql, self.catalog_epoch, txn.isolation)
         entry = self._plan_cache.get(key)
         if entry is not None:
             self.plan_cache_stats["dml_hits"] += 1
-            return entry[0]
+            entry.child.compile_pairs_filter()  # generated code, from reuse on
+            return entry
         self.plan_cache_stats["dml_misses"] += 1
-        compiled = compile_fn(self, stmt)
+        entry = build_dml_plan(stmt, self, txn)
         if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
             self._plan_cache.clear()
-        # Wrapped in a 1-tuple so a None delete predicate still caches.
-        self._plan_cache[key] = (compiled,)
-        return compiled
+        self._plan_cache[key] = entry
+        return entry
 
     def execute(
         self,
@@ -834,17 +840,24 @@ class Database:
         return self.execute(sql, params)
 
     def explain(self, sql: str) -> list[str]:
-        """The plan tree a SELECT would execute (root first, indented).
+        """The plan tree a statement would execute (root first, indented).
 
         Useful for verifying pushdown, join algorithm, and index-probe
-        decisions; only SELECT statements have plans.
+        decisions. SELECT, UPDATE and DELETE have plans; the latter two
+        print as ``Update(table)`` / ``Delete(table)`` over the scan that
+        finds their rows.
         """
         stmt = self._parse(sql)
-        if not isinstance(stmt, SelectStmt):
-            raise ExecutionError("EXPLAIN supports SELECT statements only")
+        if not isinstance(stmt, (SelectStmt, UpdateStmt, DeleteStmt)):
+            raise ExecutionError(
+                "EXPLAIN supports SELECT, UPDATE and DELETE statements only"
+            )
         txn = self.txn_manager.begin()
         try:
-            plan, _names = self.select_plan(stmt, txn, sql)
+            if isinstance(stmt, SelectStmt):
+                plan, _names = self.select_plan(stmt, txn, sql)
+            else:
+                plan = self.dml_plan(stmt, txn, sql)
             return plan.explain()
         finally:
             self.txn_manager.abort(txn)

@@ -945,11 +945,25 @@ class ShardedDatabase:
         Pass the statement's ``params`` to see the routing decision for a
         parameterized point lookup; without them, a ``key = ?`` pin
         cannot be evaluated and the plan conservatively shows full
-        fan-out.
+        fan-out. An UPDATE or DELETE prints the shards it is routed to
+        over shard 0's plan of it.
         """
         stmt = self._parse(sql)
+        if isinstance(stmt, (UpdateStmt, DeleteStmt)):
+            db0 = self.shards[0]
+            canonical = db0.catalog.resolve(stmt.table.table)
+            targets = self.router.routed_shards(
+                canonical,
+                db0.catalog.get(canonical),
+                split_conjuncts(stmt.where),
+                params,
+            )
+            lines = [f"ShardedWrite(targets=[{', '.join(targets)}])"]
+            return lines + ["  " + line for line in db0.explain(sql)]
         if not isinstance(stmt, SelectStmt):
-            raise ExecutionError("EXPLAIN supports SELECT statements only")
+            raise ExecutionError(
+                "EXPLAIN supports SELECT, UPDATE and DELETE statements only"
+            )
         refs = stmt.table_refs()
         lines: list[str] = []
         if refs:

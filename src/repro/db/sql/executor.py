@@ -4,8 +4,11 @@
 parsing. SELECTs are compiled into a small tree of pull-based plan nodes
 (scan -> join -> filter -> aggregate -> sort -> project -> limit) that
 exchange *batches* of rows (:meth:`PlanNode.batches`) — traced or not,
-streamed or drained, single-node or scatter branch; DML and DDL execute
-directly against the transaction / catalog.
+streamed or drained, single-node or scatter branch. UPDATE and DELETE
+find their rows through the same scan node a SELECT's WHERE would get
+(:meth:`ScanNode.match_pairs`: index probe, pushed compiled filter), then
+write through the transaction; INSERT and DDL execute directly against
+the transaction / catalog.
 
 Read provenance: row ids ride with a scan's value batches, and every row
 the scan produces (after pushed-down filtering) is recorded on the
@@ -236,8 +239,9 @@ class ScanNode(PlanNode):
         #: Whole-batch forms of the filter, over value tuples and over
         #: ``(row_id, values)`` pairs: the planner closure until a
         #: generated program replaces it — at ``compile_plan_programs``
-        #: for values, at the plan's first traced execution for pairs,
-        #: so a database that never traces generates one program, not two.
+        #: for values, at the plan's first traced execution for pairs
+        #: (a DML match: at its plan's first cache hit), so a database
+        #: that never traces generates one program, not two.
         self._c_filter: Callable | None = None
         self._c_filter_pairs: Callable | None = None
         self._pairs_program_due = False
@@ -265,6 +269,10 @@ class ScanNode(PlanNode):
     def _resolve_source(self, ctx: ExecContext) -> Iterable[tuple[int, tuple]]:
         """The ``(row_id, values)`` source, pinned at call time."""
         if self.probe is not None:
+            # A probe reads the shared index, so it takes the table lock
+            # a scan would — before looking, or a writer could commit
+            # between the lookup and the row fetch.
+            ctx.txn.read_lock(self.table)
             # ``candidates`` may be a live view of an index bucket; it is
             # only read (sorted() copies), never mutated.
             candidates: Iterable[int] = self._probe_candidates(ctx)
@@ -318,14 +326,8 @@ class ScanNode(PlanNode):
             # and consumers never mutate chunks.
             chunk = rows if type(rows) is list else list(rows)
             chunks = (chunk,) if chunk else ()
-        if track and self._pairs_program_due:
-            self._pairs_program_due = False
-            self._c_filter_pairs = (
-                codegen.compile_predicate_batch(
-                    self.filter_expr, self.layout, pairs=True
-                )
-                or self._c_filter_pairs
-            )
+        if track:
+            self.compile_pairs_filter()
         keep = self._c_filter_pairs if track else self._c_filter
         for chunk in chunks:
             out = chunk
@@ -339,6 +341,39 @@ class ScanNode(PlanNode):
                 out = list(map(_VALUES_OF_PAIR, out))
             if out:
                 yield out
+
+    def compile_pairs_filter(self) -> None:
+        """Swap the generated pairs program in for the closure, if one is due."""
+        if self._pairs_program_due:
+            self._pairs_program_due = False
+            self._c_filter_pairs = (
+                codegen.compile_predicate_batch(
+                    self.filter_expr, self.layout, pairs=True
+                )
+                or self._c_filter_pairs
+            )
+
+    def match_pairs(self, ctx: ExecContext) -> list[tuple[int, tuple]]:
+        """The match phase of an UPDATE or DELETE, drained whole.
+
+        Every ``(row_id, values)`` pair of this scan's source — index
+        probe or table scan, own writes included — that passes the pushed
+        filter, in row-id order. One chunk whatever the scheduler or the
+        row budget says, so no write lands before the last row is matched
+        and a statement yields nowhere it did not before; and no read
+        records: the rows a write touched are its provenance.
+        """
+        pairs = self._resolve_source(ctx)
+        if type(pairs) is not list:
+            pairs = list(pairs)
+        stats = ctx.database.executor_stats
+        keep = self._c_filter_pairs
+        if keep is not None:
+            scanned = len(pairs)
+            pairs = keep(pairs, ctx.params)
+            stats["rows_filtered_at_scan"] += scanned - len(pairs)
+        stats["batches_processed"] += 1
+        return pairs
 
     def _probe_candidates(self, ctx: ExecContext) -> "Iterable[int]":
         """Candidate row ids from the index; may be a read-only live view."""
@@ -930,15 +965,7 @@ def build_from_where(
         for column in schema.column_names:
             full_layout.add(binding, column)
 
-    conjuncts = [
-        planner.fold_constants(c) for c in split_conjuncts(stmt.where)
-    ]
-    # A conjunct folded to TRUE filters nothing; drop it entirely.
-    conjuncts = [
-        c
-        for c in conjuncts
-        if not (isinstance(c, Literal) and c.value is True)
-    ]
+    conjuncts = _where_conjuncts(stmt.where)
     consumed: set[int] = set()
     pushdown = getattr(database, "predicate_pushdown_enabled", True)
 
@@ -958,22 +985,10 @@ def build_from_where(
                     consumed.add(i)
 
     def make_scan(binding: str, canonical: str, schema: TableSchema) -> PlanNode:
-        own_layout = Layout.for_table(binding, schema.column_names)
-        own_conjuncts = pushed.get(binding.lower(), [])
-        merged = conjoin(own_conjuncts)
-        filter_fn = compile_expr(merged, own_layout) if own_conjuncts else None
-        probe = _find_probe(database, canonical, schema, own_conjuncts, binding, txn)
-        if scan_factory is not None:
-            node = scan_factory(
-                binding, canonical, schema, filter_fn, probe, own_conjuncts
-            )
-            if node is not None:
-                return node
-        scan = ScanNode(canonical, binding, schema, filter_fn, probe)
-        if own_conjuncts:
-            scan.filter_sql = " AND ".join(c.sql() for c in own_conjuncts)
-            scan.filter_expr = merged
-        return scan
+        return _table_scan(
+            database, txn, binding, canonical, schema,
+            pushed.get(binding.lower(), []), scan_factory,
+        )
 
     binding0, canonical0, schema0 = bindings[0]
     plan: PlanNode = make_scan(binding0, canonical0, schema0)
@@ -1030,6 +1045,49 @@ def build_from_where(
         )
 
     return plan
+
+
+def _where_conjuncts(where: Expr | None) -> list[Expr]:
+    """A WHERE clause as constant-folded conjuncts, the TRUE ones dropped."""
+    conjuncts = [planner.fold_constants(c) for c in split_conjuncts(where)]
+    # A conjunct folded to TRUE filters nothing; drop it entirely.
+    return [
+        c
+        for c in conjuncts
+        if not (isinstance(c, Literal) and c.value is True)
+    ]
+
+
+def _table_scan(
+    database: "Database",
+    txn: "Transaction",
+    binding: str,
+    canonical: str,
+    schema: TableSchema,
+    own_conjuncts: list[Expr],
+    scan_factory: ScanFactory | None = None,
+) -> PlanNode:
+    """The access path for one table: probe choice plus pushed-down filter.
+
+    ``own_conjuncts`` are the WHERE conjuncts that reference this table
+    alone. The one place a scan is planned — under a SELECT's joins and
+    as the match phase of an UPDATE or DELETE.
+    """
+    own_layout = Layout.for_table(binding, schema.column_names)
+    merged = conjoin(own_conjuncts)
+    filter_fn = compile_expr(merged, own_layout) if own_conjuncts else None
+    probe = _find_probe(database, canonical, schema, own_conjuncts, binding, txn)
+    if scan_factory is not None:
+        node = scan_factory(
+            binding, canonical, schema, filter_fn, probe, own_conjuncts
+        )
+        if node is not None:
+            return node
+    scan = ScanNode(canonical, binding, schema, filter_fn, probe)
+    if own_conjuncts:
+        scan.filter_sql = " AND ".join(c.sql() for c in own_conjuncts)
+        scan.filter_expr = merged
+    return scan
 
 
 def _find_probe(
@@ -1446,27 +1504,77 @@ def _execute_insert(
     return ResultSet(kind="insert", rowcount=len(row_ids), row_ids=row_ids)
 
 
-def compile_update_plan(
-    database: "Database", stmt: UpdateStmt
-) -> tuple[CompiledExpr | None, list[tuple[int, Column, CompiledExpr]]]:
-    """Compiled WHERE predicate and assignment closures of an UPDATE."""
-    schema = database.catalog.get(stmt.table.table)
-    layout = Layout.for_table(stmt.table.binding, schema.column_names)
-    where_fn = compile_expr(stmt.where, layout) if stmt.where is not None else None
-    assign = []
-    for column, expr in stmt.assignments:
-        col = schema.column(column)
-        assign.append((schema.index_of(column), col, compile_expr(expr, layout)))
-    return where_fn, assign
+class DmlNode(PlanNode):
+    """An UPDATE or DELETE: its match-phase scan, and what to assign.
+
+    The plan :meth:`Database.dml_plan` caches. ``child`` is the
+    :class:`ScanNode` a SELECT with the same WHERE would run; ``assign``
+    holds an UPDATE's ``(column slot, column, value closure)`` triples
+    (none for a DELETE).
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        scan: ScanNode,
+        assign: list[tuple[int, Column, CompiledExpr]],
+    ):
+        self.kind = kind
+        self.child = scan
+        self.layout = scan.layout
+        self.assign = assign
+
+    def describe(self) -> str:
+        return f"{self.kind.capitalize()}({self.child.table})"
 
 
-def compile_delete_plan(
-    database: "Database", stmt: DeleteStmt
-) -> CompiledExpr | None:
-    """Compiled WHERE predicate of a DELETE."""
-    schema = database.catalog.get(stmt.table.table)
-    layout = Layout.for_table(stmt.table.binding, schema.column_names)
-    return compile_expr(stmt.where, layout) if stmt.where is not None else None
+def build_dml_plan(
+    stmt: UpdateStmt | DeleteStmt, database: "Database", txn: "Transaction"
+) -> DmlNode:
+    """Plan the match phase (and assignments) of an UPDATE or DELETE.
+
+    The single table owns every WHERE conjunct, so all of them are
+    pushed into its scan and any of them may pick the index probe.
+    """
+    ref = stmt.table
+    canonical = database.catalog.resolve(ref.table)
+    schema = database.catalog.get(ref.table)
+    scan = _table_scan(
+        database, txn, ref.binding, canonical, schema, _where_conjuncts(stmt.where)
+    )
+    # Generated code only where reuse amortizes it: the filter's program is
+    # due at the plan's first cache hit (``Database.dml_plan``), so a plan
+    # that runs once — every plan of a replay's fresh database — runs on
+    # its closure.
+    scan._pairs_program_due = (
+        database.plan_cache_enabled and scan.filter_expr is not None
+    )
+    if isinstance(stmt, DeleteStmt):
+        return DmlNode("delete", scan, [])
+    assign = [
+        (schema.index_of(column), schema.column(column), compile_expr(expr, scan.layout))
+        for column, expr in stmt.assignments
+    ]
+    return DmlNode("update", scan, assign)
+
+
+def _match_rows(
+    database: "Database",
+    txn: "Transaction",
+    stmt: UpdateStmt | DeleteStmt,
+    params: Sequence[Any],
+    query_text: str,
+) -> tuple[DmlNode, list[tuple[int, tuple]]]:
+    """The plan of an UPDATE or DELETE and every row it matches."""
+    plan = database.dml_plan(stmt, txn, query_text or None)
+    ctx = ExecContext(
+        database=database,
+        txn=txn,
+        params=params,
+        query_text=query_text,
+        track_reads=False,
+    )
+    return plan, plan.child.match_pairs(ctx)
 
 
 def _execute_update(
@@ -1476,16 +1584,11 @@ def _execute_update(
     params: Sequence[Any],
     query_text: str = "",
 ) -> ResultSet:
-    schema = database.catalog.get(stmt.table.table)
-    where_fn, assign = database.dml_plan(stmt, query_text or None)
-    matches = [
-        (row_id, values)
-        for row_id, values in txn.scan(stmt.table.table)
-        if where_fn is None or where_fn(values, params) is True
-    ]
+    plan, matches = _match_rows(database, txn, stmt, params, query_text)
+    schema = plan.child.schema
     for row_id, values in matches:
         new_values = list(values)
-        for index, col, fn in assign:
+        for index, col, fn in plan.assign:
             try:
                 new_values[index] = coerce(fn(values, params), col.col_type)
             except TypeCoercionError as exc:
@@ -1507,15 +1610,11 @@ def _execute_delete(
     params: Sequence[Any],
     query_text: str = "",
 ) -> ResultSet:
-    where_fn = database.dml_plan(stmt, query_text or None)
-    matches = [
-        row_id
-        for row_id, values in txn.scan(stmt.table.table)
-        if where_fn is None or where_fn(values, params) is True
-    ]
-    for row_id in matches:
+    _plan, matches = _match_rows(database, txn, stmt, params, query_text)
+    row_ids = [row_id for row_id, _ in matches]
+    for row_id in row_ids:
         txn.delete(stmt.table.table, row_id)
-    return ResultSet(kind="delete", rowcount=len(matches), row_ids=matches)
+    return ResultSet(kind="delete", rowcount=len(row_ids), row_ids=row_ids)
 
 
 def _execute_create_table(

@@ -19,12 +19,20 @@ the version-chain path but locate the candidate version by bisecting on
 Scans are *pinned at call time*: :meth:`TableStore.scan` resolves its row
 source when called and returns an iterator that keeps serving that exact
 state however long the caller takes to drain it. Latest-state scans pin
-the shared materialized row list (writers never mutate a published list —
-they null the slot and a later scan rebuilds), so any number of concurrent
-readers iterate the same list with zero per-reader copies; the iterator's
-reference keeps the snapshot alive across invalidations. This is what
-lets streamed cursors and batch-yielding cooperative scans stay
+the shared materialized row list, so any number of concurrent readers
+iterate the same list with zero per-reader copies; the iterator's
+reference keeps the snapshot alive however many writes follow. This is
+what lets streamed cursors and batch-yielding cooperative scans stay
 snapshot-consistent while writers commit underneath them.
+
+The list is *patched copy-on-read*, never mutated and not rebuilt per
+write: a write notes ``row_id -> values | deleted`` beside the published
+list (O(1), the values are in hand, so the paged store reads no page),
+and the next :meth:`TableStore.latest_rows` publishes a fresh copy with
+the notes applied — a memcpy and one bisect per written row. Only when
+the notes outgrow a fixed fraction of the list does the write drop list
+and notes, and the next reader rebuild from the live rows; that bounds
+the notes' memory and keeps bulk loads off the patch path.
 """
 
 from __future__ import annotations
@@ -43,6 +51,10 @@ from repro.errors import DatabaseError
 INFINITY = None
 
 _BEGIN = attrgetter("begin")
+
+#: A published row list is dropped (and later rebuilt whole) once more
+#: than one in this many of its rows have a write noted against them.
+_PATCH_LIMIT_DIVISOR = 8
 
 
 @dataclass(slots=True)
@@ -83,13 +95,17 @@ class TableStore:
         #: snapshot-scan iteration order, cached so scans stop re-sorting.
         self._all_ids: list[int] = []
         #: Materialized ``(row_id, values)`` list for latest-state scans,
-        #: rebuilt lazily after any write invalidates it. Read-mostly
-        #: tables scan straight off this list.
+        #: as last published (None until a reader asks, and again after
+        #: the notes below outgrew it). Never mutated once published.
         self._scan_rows: list[tuple[int, tuple]] | None = None
-        #: Values-only projection of ``_scan_rows`` for the batch
-        #: executor, which needs no row ids (reads are untracked on the
-        #: batch path). Same publish-then-never-mutate discipline.
+        #: Values-only projection of ``_scan_rows``, index for index, for
+        #: the batch executor, which needs no row ids. Same
+        #: publish-then-never-mutate discipline.
         self._scan_values: list[tuple] | None = None
+        #: Writes applied since ``_scan_rows`` was published: row id ->
+        #: its values now, or None once deleted. Empty while no list is
+        #: published; the next ``latest_rows`` folds it into a fresh copy.
+        self._scan_notes: dict[int, tuple | None] = {}
         #: Bumped by every applied write (and by vacuum); a scan pinned at
         #: epoch e keeps serving epoch-e rows even after the counter
         #: moves on — tests and diagnostics use it to prove pinning.
@@ -186,8 +202,7 @@ class TableStore:
                 for row_id in new:
                     self._add_sorted(ids, row_id)
         self._next_row_id = max(self._next_row_id, max(row_ids) + 1)
-        self._scan_rows = None
-        self._scan_values = None
+        self._note_writes(rows)
         self.last_write_csn = csn
         self.write_epoch += len(row_ids)
 
@@ -199,8 +214,7 @@ class TableStore:
         version = self._new_version(row_id, csn, values)
         self._versions[row_id].append(version)
         self._live[row_id] = version
-        self._scan_rows = None
-        self._scan_values = None
+        self._note_writes(((row_id, values),))
         self.last_write_csn = csn
         self.write_epoch += 1
         return old_values
@@ -212,11 +226,32 @@ class TableStore:
         self._seal_version(current, csn)
         del self._live[row_id]
         self._remove_sorted(self._live_ids, row_id)
-        self._scan_rows = None
-        self._scan_values = None
+        self._note_writes(((row_id, None),))
         self.last_write_csn = csn
         self.write_epoch += 1
         return old_values
+
+    def _note_writes(self, rows: Sequence[tuple[int, tuple | None]]) -> None:
+        """Note applied writes against the published row list, if any.
+
+        ``rows`` pairs each written row id with its values now (None: the
+        row was deleted). Past the limit the list and its notes go, and
+        the next reader rebuilds — so the notes never outgrow a fraction
+        of the list they patch.
+        """
+        published = self._scan_rows
+        if published is None:
+            return
+        notes = self._scan_notes
+        if (len(notes) + len(rows)) * _PATCH_LIMIT_DIVISOR > len(published):
+            self._drop_scan_lists()
+        else:
+            notes.update(rows)
+
+    def _drop_scan_lists(self) -> None:
+        self._scan_rows = None
+        self._scan_values = None
+        self._scan_notes = {}
 
     def _live_version(self, row_id: int) -> RowVersion:
         version = self._live.get(row_id)
@@ -272,8 +307,8 @@ class TableStore:
     def latest_rows(self) -> list[tuple[int, tuple]]:
         """The shared materialized latest-state row list (do not mutate).
 
-        Writers never mutate a published list — they null the cache slot
-        and a later scan rebuilds — so holding a reference pins a
+        A published list is never mutated — writes since it was published
+        are folded into a fresh copy here — so holding a reference pins a
         consistent snapshot for as long as needed, at zero copy cost.
         """
         rows = self._scan_rows
@@ -281,6 +316,8 @@ class TableStore:
             live = self._live
             rows = [(rid, live[rid].values) for rid in self._live_ids]
             self._scan_rows = rows
+        elif self._scan_notes:
+            rows = self._publish_patched()
         return rows
 
     def latest_values(self) -> list[tuple]:
@@ -290,11 +327,33 @@ class TableStore:
         executor scans off this list directly so hot queries pay zero
         per-execution extraction cost.
         """
+        rows = self.latest_rows()  # folds any noted writes into both lists
         values = self._scan_values
         if values is None:
-            values = [v for _rid, v in self.latest_rows()]
+            values = [v for _rid, v in rows]
             self._scan_values = values
         return values
+
+    def _publish_patched(self) -> list[tuple[int, tuple]]:
+        """Publish copies of the row lists with the noted writes applied.
+
+        One bisect per written row id; ``(row_id,)`` sorts just before
+        ``(row_id, values)``, so the comparison never reaches the values.
+        Each note replaces the row's old entry, if it has one, by its new
+        entry, if it has one — an update, insert, delete or no-op alike.
+        """
+        rows = list(self._scan_rows)
+        values = None if self._scan_values is None else list(self._scan_values)
+        for row_id, now in self._scan_notes.items():
+            at = bisect.bisect_left(rows, (row_id,))
+            end = at + (at < len(rows) and rows[at][0] == row_id)
+            rows[at:end] = () if now is None else ((row_id, now),)
+            if values is not None:
+                values[at:end] = () if now is None else (now,)
+        self._scan_rows = rows
+        self._scan_values = values
+        self._scan_notes = {}
+        return rows
 
     def _scan_versions(
         self, row_ids: list[int], csn: int
@@ -363,8 +422,7 @@ class TableStore:
             if chain[-1].end is None
         }
         self._live_ids = sorted(self._live)
-        self._scan_rows = None
-        self._scan_values = None
+        self._drop_scan_lists()
         self.write_epoch += 1
 
     def stats(self) -> dict[str, int]:

@@ -147,16 +147,29 @@ class Transaction:
         read transaction is finished as soon as the pipeline is primed,
         and the stream stays consistent with its snapshot regardless.
         """
-        self._check_active()
-        canonical = self._manager.database.catalog.resolve(table)
-        if self.isolation is IsolationLevel.SERIALIZABLE:
-            self._lock(canonical, LockMode.SHARED)
+        canonical = self.read_lock(table)
         store = self._manager.database.store(canonical)
         return self._scan_pinned(
             store.scan(self._read_csn()),
             self._overlay.get(canonical, {}),
             self._inserted.get(canonical, ()),
         )
+
+    def read_lock(self, table: str) -> str:
+        """What every read of ``table`` does first; returns its canonical name.
+
+        The liveness check and, under SERIALIZABLE, the shared table lock
+        (strict 2PL: held to commit). :meth:`scan` comes through here
+        (:meth:`scan_materialized` does the same after its overlay test),
+        and so do the executor's index probes — a probe that skipped the
+        lock would let a concurrent writer commit between two reads of
+        one transaction.
+        """
+        self._check_active()
+        canonical = self._manager.database.catalog.resolve(table)
+        if self.isolation is IsolationLevel.SERIALIZABLE:
+            self._lock(canonical, LockMode.SHARED)
+        return canonical
 
     def scan_materialized(self, table: str) -> "list[tuple] | None":
         """The shared materialized values list when it matches this txn's view.

@@ -1,0 +1,325 @@
+"""UPDATE/DELETE access paths against a plain-Python model.
+
+The match phase of an UPDATE or DELETE is the scan a SELECT with the same
+WHERE would run: an index probe where one applies (SERIALIZABLE only), a
+table scan otherwise, the transaction's own writes merged in either way.
+Whichever path serves it, the statement must do exactly what a loop over
+the visible rows does. The model below is that loop; the matrix crosses
+
+    index        none | hash (k) | sorted (k) | hash (k, g)
+    isolation    SERIALIZABLE | SNAPSHOT | READ_COMMITTED
+    predicate    equality | range | equality + residual | NULL key |
+                 no match | no WHERE
+    transaction  autocommit | a matching row inserted earlier | the indexed
+                 column changed earlier (the shared index is stale both
+                 ways) | a matching row deleted earlier
+    statement    UPDATE | DELETE
+    plan cache   on | off
+
+on a :class:`Database` and on every shard of a :class:`ShardedDatabase`,
+and compares ``rowcount``, ``row_ids``, the final rows, the WAL and CDC
+changes of the commit, and the read provenance (none: a write's
+provenance is the rows it wrote).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.db import Database, IsolationLevel, ShardedDatabase
+
+TABLE_DDL = "CREATE TABLE t (k INTEGER, g INTEGER, v INTEGER)"
+
+
+def initial_rows() -> list[tuple]:
+    """24 rows: ``k`` repeats (and is NULL every eighth row), ``v`` is unique."""
+    return [
+        (None if i % 8 == 7 else i % 6, i % 4, i * 10) for i in range(24)
+    ]
+
+
+INDEXES = {
+    "none": None,
+    "hash": "CREATE INDEX ix ON t (k)",
+    "sorted": "CREATE SORTED INDEX ix ON t (k)",
+    "hash2": "CREATE INDEX ix ON t (k, g)",
+}
+
+#: name -> (WHERE text, params, the same predicate over (k, g, v))
+PREDICATES = {
+    "equality": ("WHERE k = ?", (3,), lambda k, g, v: k == 3),
+    "range": (
+        "WHERE k >= ? AND k < ?",
+        (2, 5),
+        lambda k, g, v: k is not None and 2 <= k < 5,
+    ),
+    "equality+residual": (
+        "WHERE k = ? AND g = ? AND v >= ?",
+        (3, 1, 100),
+        lambda k, g, v: k == 3 and g == 1 and v >= 100,
+    ),
+    "null key": ("WHERE k = ?", (None,), lambda k, g, v: False),
+    "no match": ("WHERE k = ?", (999,), lambda k, g, v: False),
+    "no where": ("", (), lambda k, g, v: True),
+}
+
+#: (index, predicate) -> what the SERIALIZABLE plan's scan line must show.
+#: Every other cell, and every cell under weaker isolation, is a plain scan.
+PROBES = {
+    ("hash", "equality"): "probe=ix[k]",
+    ("hash", "equality+residual"): "probe=ix[k]",
+    ("hash", "null key"): "probe=ix[k]",
+    ("hash", "no match"): "probe=ix[k]",
+    ("sorted", "range"): "range=ix[k]",
+    ("hash2", "equality+residual"): "probe=ix[k, g]",
+}
+
+STATEMENTS = {
+    "update": ("UPDATE t SET g = g + 10 {where}", lambda k, g, v: (k, g + 10, v)),
+    "delete": ("DELETE FROM t {where}", None),
+}
+
+#: Earlier statements of the same transaction: (sql, params, model op).
+#: Model ops are ("insert", values) | ("update", predicate, rewrite) |
+#: ("delete", predicate), over (k, g, v).
+STATES = {
+    "autocommit": [],
+    "inserted": [
+        ("INSERT INTO t VALUES (?, ?, ?)", (3, 1, 500), ("insert", (3, 1, 500))),
+    ],
+    "key changed": [
+        # Moves a row into every k = 3 predicate; the shared index still
+        # files it under k = 1 ...
+        (
+            "UPDATE t SET k = 3 WHERE v = 130",
+            (),
+            ("update", lambda k, g, v: v == 130, lambda k, g, v: (3, g, v)),
+        ),
+        # ... and one out of them, which the shared index still files
+        # under k = 3.
+        (
+            "UPDATE t SET k = 40 WHERE v = 210",
+            (),
+            ("update", lambda k, g, v: v == 210, lambda k, g, v: (40, g, v)),
+        ),
+    ],
+    "deleted": [
+        ("DELETE FROM t WHERE v = 210", (), ("delete", lambda k, g, v: v == 210)),
+    ],
+}
+
+
+class Model:
+    """One node's table as a dict, and the changes a transaction made to it."""
+
+    def __init__(self, rows: list[tuple[int, tuple]]):
+        self.rows = dict(rows)
+        self.next_row_id = max(self.rows, default=0) + 1
+        #: (op, row_id, values, old_values) in execution order.
+        self.changes: list[tuple] = []
+
+    def apply(self, op: tuple) -> list[int]:
+        """Run one model op; returns the row ids it wrote, ascending."""
+        if op[0] == "insert":
+            row_id = self.next_row_id
+            self.next_row_id += 1
+            self.rows[row_id] = op[1]
+            self.changes.append(("insert", row_id, op[1], None))
+            return [row_id]
+        matches = [rid for rid in sorted(self.rows) if op[1](*self.rows[rid])]
+        for row_id in matches:
+            old = self.rows[row_id]
+            if op[0] == "update":
+                self.rows[row_id] = op[2](*old)
+                self.changes.append(("update", row_id, self.rows[row_id], old))
+            else:
+                del self.rows[row_id]
+                self.changes.append(("delete", row_id, None, old))
+        return matches
+
+
+class Traces:
+    """Observer collecting every statement trace a node emits."""
+
+    def __init__(self) -> None:
+        self.seen: list = []
+
+    def statement_executed(self, _txn, trace) -> None:
+        self.seen.append(trace)
+
+
+class Node:
+    """One :class:`Database` under test, with its model and its probes."""
+
+    def __init__(self, db: Database):
+        self.db = db
+        db.track_reads = True  # a SELECT would now record its reads
+        self.traces = Traces()
+        db.add_observer(self.traces)
+        self.model = Model(db.snapshot_rows("t"))
+        self.wal_commits = len(db.wal)
+        self.cdc_seq = max((r.seq for r in db.cdc.history()), default=0)
+
+    def check(self, label: str) -> None:
+        db, model = self.db, self.model
+        assert dict(db.snapshot_rows("t")) == model.rows, label
+        new_commits = list(db.wal.commits())[self.wal_commits:]
+        logged = [
+            (c.op, c.row_id, c.values, c.old_values)
+            for commit in new_commits
+            for c in commit.changes
+        ]
+        assert logged == model.changes, label
+        assert len(new_commits) == (1 if model.changes else 0), label
+        published = [
+            (r.op, r.row_id, r.values, r.old_values)
+            for r in db.cdc.since(self.cdc_seq)
+        ]
+        assert published == model.changes, label
+        assert all(r.table == "t" for r in db.cdc.since(self.cdc_seq)), label
+        assert [t.reads for t in self.traces.seen] == [[]] * len(self.traces.seen), label
+        # The indexes followed the commit: a fresh probe finds the new state.
+        for k in (3, 40):
+            expected = sorted(v for key, _g, v in model.rows.values() if key == k)
+            got = sorted(db.execute("SELECT v FROM t WHERE k = ?", (k,)).column("v"))
+            assert got == expected, label
+
+
+def single_node(index: str, cache: bool) -> tuple[Database, list[Node]]:
+    db = Database()
+    db.plan_cache_enabled = cache
+    db.execute(TABLE_DDL)
+    db.insert_rows("t", initial_rows())
+    if INDEXES[index]:
+        db.execute(INDEXES[index])
+    return db, [Node(db)]
+
+
+def sharded(index: str, cache: bool) -> tuple[ShardedDatabase, list[Node]]:
+    # Sharded on v: no predicate below pins it, so every statement under
+    # test scatters to, and is planned on, both shards.
+    engine = ShardedDatabase(2, shard_keys={"t": "v"})
+    for shard in engine.shards:
+        shard.plan_cache_enabled = cache
+    engine.execute(TABLE_DDL)
+    for row in initial_rows():
+        engine.execute("INSERT INTO t VALUES (?, ?, ?)", row)
+    if INDEXES[index]:
+        engine.execute(INDEXES[index])
+    nodes = [Node(shard) for shard in engine.shards]
+    assert all(node.model.rows for node in nodes)  # both shards hold rows
+    return engine, nodes
+
+
+ENGINES = {"single": single_node, "sharded": sharded}
+
+
+def owner(engine, nodes: list[Node], values: tuple) -> Node:
+    """The node an INSERT of ``values`` lands on."""
+    if len(nodes) == 1:
+        return nodes[0]
+    schema = nodes[0].db.catalog.get("t")
+    store = engine.router.shard_for_row("t", schema, values)
+    return nodes[engine.store_names.index(store)]
+
+
+def apply_everywhere(engine, nodes: list[Node], op: tuple) -> list[list[int]]:
+    """Run a model op on the node(s) it reaches; the row ids it wrote, per node."""
+    if op[0] == "insert":
+        target = owner(engine, nodes, op[1])
+        return [node.model.apply(op) if node is target else [] for node in nodes]
+    return [node.model.apply(op) for node in nodes]
+
+
+def plan_lines(db: Database, sql: str, isolation: IsolationLevel) -> list[str]:
+    """``explain`` under a given isolation level (explain itself is 2PL)."""
+    txn = db.begin(isolation)
+    try:
+        return db.dml_plan(db._parse(sql), txn, sql).explain()
+    finally:
+        txn.abort()
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("isolation", list(IsolationLevel), ids=lambda i: i.value)
+@pytest.mark.parametrize("index", sorted(INDEXES))
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+def test_dml_matches_model(engine_name, index, isolation, cache):
+    serializable = isolation is IsolationLevel.SERIALIZABLE
+    for predicate, (where, params, matches) in PREDICATES.items():
+        for statement, (template, rewrite) in STATEMENTS.items():
+            sql = " ".join(template.format(where=where).split())
+            dml = (statement, matches, rewrite) if rewrite else (statement, matches)
+            for state, earlier in STATES.items():
+                label = f"{engine_name}/{index}/{isolation.value}/{predicate}/{statement}/{state}"
+                engine, nodes = ENGINES[engine_name](index, cache)
+
+                # The access path, on every node that will run the statement.
+                probe = PROBES.get((index, predicate)) if serializable else None
+                for node in nodes:
+                    lines = plan_lines(node.db, sql, isolation)
+                    assert lines[0] == f"{statement.capitalize()}(t)", label
+                    assert lines[1].startswith("  Scan(t)"), label
+                    if probe is None:
+                        assert "=ix[" not in lines[1], label
+                    else:
+                        assert probe in lines[1], label
+                    if serializable:
+                        assert node.db.explain(sql) == lines, label
+
+                if state == "autocommit" and serializable:
+                    result = engine.execute(sql, params)
+                else:
+                    txn = engine.begin(isolation)
+                    for pre_sql, pre_params, op in earlier:
+                        engine.execute(pre_sql, pre_params, txn=txn)
+                        apply_everywhere(engine, nodes, op)
+                    result = engine.execute(sql, params, txn=txn)
+                    txn.commit()
+                per_node = apply_everywhere(engine, nodes, dml)
+                expected = [row_id for row_ids in per_node for row_id in row_ids]
+
+                assert result.kind == statement, label
+                assert result.rowcount == len(expected), label
+                assert list(result.row_ids) == expected, label
+                for node, row_ids in zip(nodes, per_node):
+                    trace = node.traces.seen[-1]  # the statement under test
+                    assert (trace.sql, trace.kind) == (sql, statement), label
+                    assert trace.rowcount == len(row_ids), label
+                    assert trace.writes == [(statement, "t", r) for r in row_ids], label
+                    node.check(label)
+                if hasattr(engine, "close"):
+                    engine.close()
+
+
+def test_update_of_the_probed_column_moves_the_row_between_probes():
+    """An UPDATE that rewrites the column it probed keeps the index right."""
+    db, (node,) = single_node("hash", cache=True)
+    assert "probe=ix[k]" in db.explain("UPDATE t SET k = k + 100 WHERE k = ?")[1]
+    moved = db.execute("UPDATE t SET k = k + 100 WHERE k = ?", (3,))
+    assert moved.rowcount == 3 and list(moved.row_ids) == sorted(moved.row_ids)
+    assert db.execute("UPDATE t SET v = 0 WHERE k = ?", (3,)).rowcount == 0
+    assert db.execute("DELETE FROM t WHERE k = ?", (103,)).rowcount == 3
+    assert db.execute("SELECT COUNT(*) FROM t").scalar() == 21
+
+
+def test_match_drains_before_the_first_write():
+    """A row an UPDATE moves *into* its own predicate is not matched twice."""
+    for index in sorted(INDEXES):
+        db, _nodes = single_node(index, cache=True)
+        # k = 2 rows become k = 3 rows; the k = 3 rows become k = 4 rows.
+        before = db.execute("SELECT COUNT(*) FROM t WHERE k IN (2, 3)").scalar()
+        result = db.execute("UPDATE t SET k = k + 1 WHERE k >= 2 AND k < 4")
+        assert result.rowcount == before, index
+        assert db.execute("SELECT COUNT(*) FROM t WHERE k = 2").scalar() == 0, index
+
+
+def test_dml_records_no_reads_where_a_select_does():
+    db, (node,) = single_node("hash", cache=True)
+    txn = db.begin()
+    db.execute("UPDATE t SET v = 1 WHERE k = ?", (3,), txn=txn)
+    db.execute("DELETE FROM t WHERE k = ?", (4,), txn=txn)
+    assert txn.read_records == []
+    db.execute("SELECT v FROM t WHERE k = ?", (3,), txn=txn)
+    assert len(txn.read_records) == 3  # tracking was on all along
+    txn.commit()

@@ -83,9 +83,11 @@ class TestExplainShapes:
         assert "HashJoin(inner, 1 key(s))" in plan
         assert "filter[(t.b = 1)]" in plan
 
-    def test_explain_rejects_dml(self, db):
-        with pytest.raises(ExecutionError):
+    def test_explain_rejects_statements_without_a_plan(self, db):
+        with pytest.raises(ExecutionError, match="SELECT, UPDATE and DELETE"):
             db.explain("INSERT INTO t VALUES ('x', 1)")
+        with pytest.raises(ExecutionError):
+            db.explain("CREATE INDEX ix_b ON t (b)")
 
     def test_explain_has_no_side_effects(self, db):
         before = db.txn_manager.stats["aborted"]
@@ -97,3 +99,80 @@ class TestExplainShapes:
         lines = db.explain("SELECT a FROM t WHERE b = 1 ORDER BY a")
         assert lines[0].startswith("Sort") or lines[0].startswith("Project")
         assert any(line.startswith("  ") for line in lines[1:])
+
+
+class TestExplainDml:
+    """UPDATE and DELETE print over the scan that finds their rows."""
+
+    def test_update_over_a_plain_scan(self, db):
+        assert db.explain("UPDATE t SET b = b + 1 WHERE b > 1") == [
+            "Update(t)",
+            "  Scan(t) filter[(b > 1)]",
+        ]
+
+    def test_delete_without_where(self, db):
+        assert db.explain("DELETE FROM t") == ["Delete(t)", "  Scan(t)"]
+
+    def test_match_phase_takes_the_hash_probe(self, db):
+        db.execute("CREATE INDEX ix_a ON t (a)")
+        assert db.explain("UPDATE t SET b = 0 WHERE a = ? AND b < 5") == [
+            "Update(t)",
+            "  Scan(t) probe=ix_a[a] filter[(a = ?) AND (b < 5)]",
+        ]
+        assert db.explain("DELETE FROM t WHERE a = 'x'") == [
+            "Delete(t)",
+            "  Scan(t) probe=ix_a[a] filter[(a = 'x')]",
+        ]
+
+    def test_match_phase_takes_the_range_probe(self, db):
+        db.execute("CREATE SORTED INDEX ix_b ON t (b)")
+        plan = text_of(db, "DELETE FROM t WHERE b BETWEEN 1 AND 3")
+        assert "range=ix_b[b]" in plan
+
+    def test_same_access_path_as_the_select(self, db):
+        db.execute("CREATE INDEX ix_a ON t (a)")
+        for where in ("a = 'x'", "a = 'x' AND b = 2", "b = 2", "a > 'x'"):
+            select_scan = db.explain(f"SELECT * FROM t WHERE {where}")[-1]
+            update_scan = db.explain(f"UPDATE t SET b = 1 WHERE {where}")[-1]
+            assert update_scan.strip() == select_scan.strip()
+
+    def test_alias_surfaces(self, db):
+        plan = text_of(db, "UPDATE t AS x SET b = 1 WHERE x.a = 'k'")
+        assert "Update(t)" in plan and "Scan(t AS x)" in plan
+
+    def test_constant_false_predicate_stays_in_the_scan(self, db):
+        plan = db.explain("DELETE FROM t WHERE 1 = 0")
+        assert plan[0] == "Delete(t)" and "filter[" in plan[1]
+        db.execute("INSERT INTO t VALUES ('x', 1)")
+        assert db.execute("DELETE FROM t WHERE 1 = 0").rowcount == 0
+        assert db.execute("DELETE FROM t WHERE 1 = 1").rowcount == 1
+
+    def test_explain_dml_has_no_side_effects(self, db):
+        db.execute("INSERT INTO t VALUES ('x', 1)")
+        csn = db.last_csn
+        db.explain("DELETE FROM t")
+        assert db.last_csn == csn
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 1
+
+    def test_unknown_column_is_a_planning_error(self, db):
+        from repro.errors import PlanningError
+
+        with pytest.raises(PlanningError):
+            db.explain("UPDATE t SET b = 1 WHERE nope = 1")
+
+    def test_sharded_explain_shows_routing_over_the_shard_plan(self):
+        from repro.db import ShardedDatabase
+
+        sharded = ShardedDatabase(2, shard_keys={"t": "a"})
+        sharded.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        sharded.execute("CREATE INDEX ix_a ON t (a)")
+        routed = sharded.explain("UPDATE t SET b = 1 WHERE a = ?", (7,))
+        assert routed[0].startswith("ShardedWrite(targets=[shard")
+        assert routed[0].count("shard") == 1  # pinned to one shard
+        assert routed[1:] == [
+            "  Update(t)",
+            "    Scan(t) probe=ix_a[a] filter[(a = ?)]",
+        ]
+        fanned = sharded.explain("DELETE FROM t WHERE b = 1")
+        assert fanned[0] == "ShardedWrite(targets=[shard0, shard1])"
+        assert fanned[1] == "  Delete(t)"

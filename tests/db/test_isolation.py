@@ -157,3 +157,79 @@ class TestSerializable2PL:
         t1.abort()
         db.execute("UPDATE t SET v = 20 WHERE k = 'a'")
         assert db.execute("SELECT v FROM t").scalar() == 20
+
+
+class TestIndexProbeTakesTheTableLock:
+    """A read served by an index probe locks like the scan it replaces.
+
+    Without the shared lock, ``SELECT v FROM t WHERE k = 1`` twice in one
+    SERIALIZABLE transaction read 10, then 20: another transaction's
+    UPDATE committed in between, where the same read with no index to
+    probe blocks the writer.
+    """
+
+    #: access path -> (index DDL, WHERE template over one key)
+    PATHS = {
+        "hash probe": ("CREATE INDEX ix_k ON t (k)", "k = {0}"),
+        "range probe": ("CREATE SORTED INDEX ix_k ON t (k)", "k BETWEEN {0} AND {0}"),
+        "scan": (None, "k = {0}"),
+    }
+
+    @pytest.fixture(params=sorted(PATHS))
+    def case(self, request):
+        """(database, where) with the access path proven by explain."""
+        ddl, where = self.PATHS[request.param]
+        database = Database()
+        database.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+        database.execute("INSERT INTO t VALUES (1, 10)")
+        if ddl is not None:
+            database.execute(ddl)
+        scan_line = database.explain(f"SELECT v FROM t WHERE {where.format(1)}")[-1]
+        assert ("=ix_k" in scan_line) == (ddl is not None)
+        return database, where.format
+
+    def test_point_read_is_repeatable(self, case):
+        db, where = case
+        sql = f"SELECT v FROM t WHERE {where(1)}"
+        reader = db.begin(IsolationLevel.SERIALIZABLE)
+        assert db.execute(sql, txn=reader).scalar() == 10
+        assert db.txn_manager.locks.held_by(reader.txn_id) == {"table:t"}
+        with pytest.raises(LockTimeoutError):
+            db.execute("UPDATE t SET v = 20 WHERE k = 1")
+        assert db.execute(sql, txn=reader).scalar() == 10
+        reader.commit()
+        db.execute("UPDATE t SET v = 20 WHERE k = 1")
+        assert db.execute(sql).scalar() == 20
+
+    def test_read_that_matches_nothing_still_locks(self, case):
+        """Phantom protection: the empty answer must stay empty."""
+        db, where = case
+        sql = f"SELECT v FROM t WHERE {where(7)}"
+        reader = db.begin(IsolationLevel.SERIALIZABLE)
+        assert db.execute(sql, txn=reader).rows == []
+        with pytest.raises(LockTimeoutError):
+            db.execute("INSERT INTO t VALUES (7, 70)")
+        assert db.execute(sql, txn=reader).rows == []
+        reader.commit()
+
+    def test_update_matching_nothing_holds_its_shared_lock(self, case):
+        db, where = case
+        writer = db.begin(IsolationLevel.SERIALIZABLE)
+        sql = f"UPDATE t SET v = 0 WHERE {where(7)}"
+        assert db.execute(sql, txn=writer).rowcount == 0
+        locks = db.txn_manager.locks
+        assert locks.held_by(writer.txn_id) == {"table:t"}
+        assert locks.mode_of("table:t").value == "S"
+        other = db.begin(IsolationLevel.SERIALIZABLE)
+        db.execute("SELECT * FROM t", txn=other)  # readers still share
+        with pytest.raises(LockTimeoutError):
+            db.execute("INSERT INTO t VALUES (7, 70)", txn=other)
+        writer.commit()
+
+    def test_snapshot_reads_take_no_lock(self, case):
+        db, where = case
+        reader = db.begin(IsolationLevel.SNAPSHOT)
+        db.execute(f"SELECT v FROM t WHERE {where(1)}", txn=reader)
+        assert db.txn_manager.locks.held_by(reader.txn_id) == set()
+        db.execute("UPDATE t SET v = 20 WHERE k = 1")  # not blocked
+        reader.commit()

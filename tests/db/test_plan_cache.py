@@ -178,6 +178,41 @@ class TestDmlPlanCache:
         assert db.plan_cache_stats["dml_hits"] == 2
 
 
+    def test_isolation_is_part_of_the_dml_key(self):
+        """Probes apply only under SERIALIZABLE, so each level plans its own."""
+        db = fresh_db()
+        db.execute("CREATE INDEX ix_id ON items (id)")
+        sql = "UPDATE items SET val = val + 1 WHERE id = ?"
+        db.execute(sql, (1,))  # autocommit: SERIALIZABLE
+        assert db.plan_cache_stats["dml_misses"] == 1
+        for isolation in (IsolationLevel.SNAPSHOT, IsolationLevel.READ_COMMITTED):
+            txn = db.begin(isolation=isolation)
+            assert db.execute(sql, (2,), txn=txn).rowcount == 1
+            assert db.execute(sql, (3,), txn=txn).rowcount == 1
+            txn.commit()
+        assert db.plan_cache_stats["dml_misses"] == 3
+        assert db.plan_cache_stats["dml_hits"] == 2
+        plans = {
+            key[3]: plan for key, plan in db._plan_cache.items() if key[0] == "dml"
+        }
+        assert set(plans) == set(IsolationLevel)
+        assert plans[IsolationLevel.SERIALIZABLE].child.probe is not None
+        assert plans[IsolationLevel.SNAPSHOT].child.probe is None
+        assert plans[IsolationLevel.READ_COMMITTED].child.probe is None
+        assert db.execute(
+            "SELECT val FROM items WHERE id IN (1, 2, 3) ORDER BY id"
+        ).column("val") == [2.0, 4.0, 5.0]
+
+    def test_dml_and_select_share_the_epoch_invalidation(self):
+        db = fresh_db()
+        sql = "DELETE FROM items WHERE id = ?"
+        assert "probe=" not in "\n".join(db.explain(sql))
+        db.execute("CREATE INDEX ix_id ON items (id)")
+        # The cached scan-only plan did not survive the DDL.
+        assert "probe=ix_id[id]" in db.explain(sql)[1]
+        assert db.execute(sql, (5,)).rowcount == 1
+
+
 class TestDropIndexDdl:
     def test_drop_missing_index_raises(self):
         db = fresh_db()
