@@ -153,8 +153,8 @@ def _kv_events(n_writes: int, mixed: bool = False) -> list:
             events.append(
                 DataEvent(
                     txn_num=i, txn_name=f"TXN{i}", table="kv", kind="Read",
-                    query="bench", row_id=row_id if update else None,
-                    values={"k": i, "v": i} if update else None, csn=None,
+                    query="bench", csn=None,
+                    rows=[(row_id, (i, i)) if update else (None, None)],
                 )
             )
         events.append(
@@ -164,9 +164,8 @@ def _kv_events(n_writes: int, mixed: bool = False) -> list:
                 table="kv",
                 kind="Update" if update else "Insert",
                 query="bench",
-                row_id=row_id,
-                values={"k": i, "v": i},
                 csn=i + 1,
+                rows=[(row_id, (i, i))],
             )
         )
         if mixed:
@@ -793,9 +792,8 @@ def test_substrate_throughput(benchmark, emit):
     )
 
     # The "aggregate scan (5k rows)" statement with read provenance on:
-    # what tracing adds to a scan (row ids and one ReadRecord per row
-    # read). Measured last, so the collector debt of its 5k records per
-    # call lands in no other case's timed region.
+    # what tracing adds to a scan (row ids, and one ReadSet holding the
+    # scan's pair list).
     agg_sql = "SELECT grp, AVG(val) FROM items GROUP BY grp"
     db.track_reads = True
     rows.append(

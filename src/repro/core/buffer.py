@@ -2,10 +2,16 @@
 
 §3.7: "we implement always-on tracing using a high-performance in-memory
 buffer". Appends must be as close to free as possible because they sit on
-the request hot path; draining to the provenance database happens out of
-band. The buffer is a bounded ring: when full, it either signals that a
-flush is needed or (in ``drop_oldest`` mode) overwrites the oldest
-entries, counting the drops.
+the request hot path. An event may be a batch (a scan chunk's read set is
+one event), so everything here is counted in *trace rows* — the weight
+each append declares — not in event objects: ``capacity``, ``len()``,
+``appended``, ``dropped``. The buffer is bounded: once it holds
+``capacity`` rows an append either signals that a flush is needed — the
+tracer then drains it into the provenance database inline, on the
+request that filled it, not out of band as in the paper — or (in
+``drop_oldest`` mode) makes room by dropping the oldest events, counting
+the rows dropped. A batch is never split, so the buffer can overshoot its
+capacity by less than one batch.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Any
 
 
 class TraceBuffer:
-    """Bounded append-only event buffer with O(1) append."""
+    """Bounded append-only event buffer with O(1) append, sized in rows."""
 
     def __init__(self, capacity: int = 65536, drop_oldest: bool = False):
         if capacity <= 0:
@@ -22,22 +28,26 @@ class TraceBuffer:
         self.capacity = capacity
         self.drop_oldest = drop_oldest
         self._items: list[Any] = []
+        #: Each buffered event's weight; kept only to drop by weight.
+        self._weights: list[int] = []
+        self._rows = 0
         self.appended = 0
         self.dropped = 0
         self.flushes = 0
 
-    def append(self, event: Any) -> bool:
-        """Add one event; returns True when the buffer wants a flush."""
-        self.appended += 1
-        if len(self._items) >= self.capacity:
-            if self.drop_oldest:
+    def append(self, event: Any, weight: int = 1) -> bool:
+        """Add one event of ``weight`` trace rows; True when a flush is due."""
+        self.appended += weight
+        if self.drop_oldest:
+            while self._items and self._rows + weight > self.capacity:
                 self._items.pop(0)
-                self.dropped += 1
-            else:
-                self._items.append(event)
-                return True
+                oldest = self._weights.pop(0)
+                self._rows -= oldest
+                self.dropped += oldest
+            self._weights.append(weight)
         self._items.append(event)
-        return len(self._items) >= self.capacity
+        self._rows += weight
+        return self._rows >= self.capacity
 
     def extend(self, events: list[Any]) -> bool:
         need_flush = False
@@ -48,7 +58,7 @@ class TraceBuffer:
     def drain(self) -> list[Any]:
         """Remove and return everything buffered (oldest first)."""
         items = self._items
-        self._items = []
+        self._items, self._weights, self._rows = [], [], 0
         self.flushes += 1
         return items
 
@@ -56,15 +66,16 @@ class TraceBuffer:
         return list(self._items)
 
     def __len__(self) -> int:
-        return len(self._items)
+        """Trace rows buffered (the sum of the buffered events' weights)."""
+        return self._rows
 
     @property
     def high_water(self) -> bool:
-        return len(self._items) >= self.capacity
+        return self._rows >= self.capacity
 
     def stats(self) -> dict[str, int]:
         return {
-            "buffered": len(self._items),
+            "buffered": self._rows,
             "appended": self.appended,
             "dropped": self.dropped,
             "flushes": self.flushes,

@@ -2,14 +2,15 @@
 
 These are the in-memory shapes that flow through the trace buffer before
 being flattened into provenance tables. One committed transaction yields
-one :class:`TxnEvent` plus one :class:`DataEvent` per row read or written
-— the rows of the paper's Tables 1 and 2 respectively.
+one :class:`TxnEvent` (a row of the paper's Table 1) plus
+:class:`DataEvent` batches whose rows are the rows it read or wrote (the
+rows of Table 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 
 @dataclass(frozen=True)
@@ -31,21 +32,24 @@ class TxnEvent:
 
 @dataclass(frozen=True)
 class DataEvent:
-    """One data operation (a row of Table 2 / ``<Table>Events``).
+    """A batch of data operations of one kind by one statement on one
+    table (each of ``rows`` becomes a row of Table 2 / ``<Table>Events``).
 
-    ``values`` maps app-table column name to value; it is None for reads
-    that matched nothing (logged with null data columns, as in Table 2)
-    and for deletes.
+    ``rows`` holds positional ``(row_id, values)`` pairs in operation
+    order, ``values`` in the app table's column order: a scan chunk's
+    read set as the executor recorded it, or a run of a commit's
+    changes. ``values`` is None for deletes and, with a None ``row_id``,
+    for a read that matched nothing (logged with null data columns, as
+    in Table 2). A single operation is a batch of one.
     """
 
     txn_num: int
     txn_name: str
     table: str  # canonical app-table name
-    kind: str  # 'Read' | 'Insert' | 'Update' | 'Delete' | 'Snapshot'
+    kind: str  # 'Read' | 'Insert' | 'Update' | 'Delete'
     query: str
-    row_id: int | None
-    values: dict[str, Any] | None
     csn: int | None  # commit CSN for writes; None for reads
+    rows: Sequence[tuple[int | None, tuple | None]]
 
 
 @dataclass(frozen=True)

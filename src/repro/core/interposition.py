@@ -4,9 +4,9 @@ One object implements both interposition surfaces:
 
 * **database observer** — ``txn_began`` / ``statement_executed`` /
   ``txn_committed`` / ``txn_aborted`` / ``table_created``, capturing
-  transaction metadata, read sets (from the executor's read records), and
-  write sets (from CDC at commit, so aborted work never produces write
-  provenance);
+  transaction metadata, read sets (the executor's, one event per scan
+  chunk, its pair list as recorded), and write sets (from CDC at commit,
+  so aborted work never produces write provenance);
 * **runtime hooks** — ``request_started`` / ``request_finished`` /
   ``handler_called`` / ``side_effect``, capturing request lifecycles and
   workflow edges.
@@ -19,6 +19,7 @@ Every hook self-times with ``perf_counter_ns`` and accumulates into
 from __future__ import annotations
 
 import time
+from itertools import groupby
 from typing import TYPE_CHECKING, Any
 
 from repro.core.events import (
@@ -47,6 +48,8 @@ class InterpositionLayer:
         #: not txn id: on a sharded engine each shard assigns its own txn
         #: ids, and branches of different global transactions may collide.
         self._txn_statements: dict[int, list["StatementTrace"]] = {}
+        #: req_id -> workflow edges emitted so far, for the requests in
+        #: flight that have called a child handler.
         self._edge_seq: dict[str, int] = {}
         self.overhead_ns = 0
         self.requests_traced = 0
@@ -67,22 +70,10 @@ class InterpositionLayer:
         statements = self._txn_statements.setdefault(id(txn), [])
         statements.append(trace)
         # Read provenance is emitted immediately (writes wait for commit).
-        for read in trace.reads:
-            values = None
-            if read.values is not None:
-                schema = self._trod.database.catalog.get(read.table)
-                values = dict(zip(schema.column_names, read.values))
+        for table, query, pairs in trace.reads:
             self._emit(
-                DataEvent(
-                    txn_num=txn.txn_id,
-                    txn_name=txn.name,
-                    table=read.table,
-                    kind="Read",
-                    query=read.query,
-                    row_id=read.row_id,
-                    values=values,
-                    csn=None,
-                )
+                DataEvent(txn.txn_id, txn.name, table, "Read", query, None, pairs),
+                len(pairs),
             )
         self.overhead_ns += time.perf_counter_ns() - start
 
@@ -92,24 +83,24 @@ class InterpositionLayer:
         start = time.perf_counter_ns()
         self._emit(self._txn_event(txn, status="Committed", csn=csn))
         statements = self._txn_statements.pop(id(txn), [])
-        for change in changes:
-            schema = self._trod.database.catalog.get(change.table)
-            values = (
-                dict(zip(schema.column_names, change.values))
-                if change.values is not None
-                else None
-            )
+        # The query text of a change is that of the first statement that
+        # wrote the row the same way.
+        queries: dict[tuple[str, str, int], str] = {}
+        for trace in statements:
+            for write in trace.writes:
+                queries.setdefault(write, trace.sql)
+
+        def run_key(change: "ChangeRecord") -> tuple[str, str, str]:
+            write = (change.op, change.table, change.row_id)
+            return change.table, change.op, queries.get(write, "")
+
+        for (table, op, query), run in groupby(changes, run_key):
+            rows = [(change.row_id, change.values) for change in run]
             self._emit(
                 DataEvent(
-                    txn_num=txn.txn_id,
-                    txn_name=txn.name,
-                    table=change.table,
-                    kind=change.op.capitalize(),
-                    query=self._query_of(statements, change),
-                    row_id=change.row_id,
-                    values=values,
-                    csn=csn,
-                )
+                    txn.txn_id, txn.name, table, op.capitalize(), query, csn, rows
+                ),
+                len(rows),
             )
         self.overhead_ns += time.perf_counter_ns() - start
 
@@ -139,14 +130,6 @@ class InterpositionLayer:
             auth_user=info.get("auth_user"),
         )
 
-    @staticmethod
-    def _query_of(statements: list["StatementTrace"], change: "ChangeRecord") -> str:
-        for trace in statements:
-            for op, table, row_id in trace.writes:
-                if op == change.op and table == change.table and row_id == change.row_id:
-                    return trace.sql
-        return ""
-
     # ------------------------------------------------------------------
     # Runtime hook interface
     # ------------------------------------------------------------------
@@ -155,7 +138,6 @@ class InterpositionLayer:
         start = time.perf_counter_ns()
         ctx._trod_start_ts = self._trod.clock.tick()
         ctx._trod_request = request
-        self._edge_seq[ctx.req_id] = 0
         self.overhead_ns += time.perf_counter_ns() - start
 
     def request_finished(self, ctx: Any, result: Any) -> None:
@@ -175,6 +157,7 @@ class InterpositionLayer:
                 error=result.error,
             )
         )
+        self._edge_seq.pop(ctx.req_id, None)
         self.requests_traced += 1
         self.overhead_ns += time.perf_counter_ns() - start
 
@@ -208,9 +191,10 @@ class InterpositionLayer:
 
     # ------------------------------------------------------------------
 
-    def _emit(self, event: Any) -> None:
-        self.events_emitted += 1
-        if self._trod.buffer.append(event):
+    def _emit(self, event: Any, weight: int = 1) -> None:
+        """Buffer one event; ``weight`` is the trace rows it carries."""
+        self.events_emitted += weight
+        if self._trod.buffer.append(event, weight):
             self._trod.request_flush()
 
     @property

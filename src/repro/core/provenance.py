@@ -49,10 +49,6 @@ _EVENT_META = [
 
 _WRITE_KINDS = ("Insert", "Update", "Delete")
 
-#: Stands in for the ``values`` of a read that matched nothing or a delete:
-#: every data column of the event row stays NULL.
-_NO_VALUES: dict[str, Any] = {}
-
 #: Per-table checkpoint cap; exceeding it thins the older half so memory
 #: stays O(cap * table size) while coverage still spans the history.
 _MAX_TABLE_CHECKPOINTS = 16
@@ -103,7 +99,9 @@ class ProvenanceStore:
         db: Database | None = None,
         checkpoint_interval: int | None = 256,
     ):
-        self.db = db or Database(name="provenance")
+        # Nobody subscribes to the provenance database's own change
+        # stream, so by default it retains (and so builds) no record of it.
+        self.db = db or Database(name="provenance", cdc_retain=0)
         self._next_seq = 1
         #: app table (canonical) -> event table name
         self._event_tables: dict[str, str] = {}
@@ -215,9 +213,7 @@ class ProvenanceStore:
         self._event_tables[canonical] = name
         self._app_schemas[canonical] = schema
         self._column_maps[canonical] = column_map
-        self._event_layouts[canonical] = (
-            name, schema.column_names, frozenset(schema.column_names)
-        )
+        self._event_layouts[canonical] = (name, (None,) * len(schema.columns))
         # The table starts empty, so its live state is trivially current.
         self._live[canonical] = _LiveState({}, 0)
         self.db.execute(
@@ -276,45 +272,59 @@ class ProvenanceStore:
         return len(event_rows)
 
     def ingest(self, events: list[TraceEvent]) -> int:
-        """Store a batch of drained trace events in one transaction.
+        """Store a batch of drained trace events in one transaction;
+        returns the trace rows they carried.
 
         The events become positional rows grouped per provenance table
         (each group in event order, ``Seq`` numbered across groups in
-        event order), every group is one ``insert_rows`` — one table lock
-        per table per flush — and only once the transaction has
-        committed do ``Seq`` allocation, the checkpoint counters and the
-        live-state fold advance: a batch that fails leaves no trace.
+        event order; a :class:`DataEvent` batch is laid out straight
+        from its ``(row_id, values)`` tuples), every group is one
+        ``insert_rows`` — one table lock per table per flush — and only
+        once the transaction has committed do ``Seq`` allocation, the
+        checkpoint counters and the live-state fold advance: a batch
+        that fails leaves no trace.
         """
         if not events:
             return 0
         groups: dict[str, list[tuple]] = {}
         writes: list[DataEvent] = []
         seq, commits, high_csn = self._next_seq, 0, self._max_write_csn
+        count = 0
         layouts = self._event_layouts
         for event in events:
             if isinstance(event, DataEvent):
+                count += len(event.rows)
                 layout = layouts.get(event.table.lower())
                 if layout is None:
                     # Untraced table (e.g. created after attach without a
                     # hook): skip rather than fail the whole batch.
                     continue
-                table, columns, known = layout
-                values = event.values or _NO_VALUES
-                if not values.keys() <= known:
-                    raise ProvenanceError(
-                        f"{event.kind} event on {event.table!r} names unknown "
-                        f"column(s) {sorted(values.keys() - known)}"
-                    )
-                row = (
+                table, nulls = layout
+                width = len(nulls)
+                group = groups.setdefault(table, [])
+                meta = (
                     event.txn_name, event.txn_num, event.kind, event.query,
-                    event.csn, seq, event.row_id, *map(values.get, columns),
+                    event.csn,
                 )
-                seq += 1
+                for row_id, values in event.rows:
+                    if values is None:
+                        # A read that matched nothing, or a delete: every
+                        # data column of the event row stays NULL.
+                        values = nulls
+                    elif len(values) != width:
+                        raise ProvenanceError(
+                            f"{event.kind} event on {event.table!r} row "
+                            f"{row_id} carries {len(values)} values for "
+                            f"{width} columns"
+                        )
+                    group.append((*meta, seq, row_id, *values))
+                    seq += 1
                 if event.kind in _WRITE_KINDS:
                     writes.append(event)
                     if event.csn is not None and event.csn > high_csn:
                         high_csn = event.csn
-            elif isinstance(event, TxnEvent):
+                continue
+            if isinstance(event, TxnEvent):
                 table = "Executions"
                 row = (
                     event.txn_name, event.txn_num, event.ts, event.handler,
@@ -346,10 +356,8 @@ class ProvenanceStore:
                 )
             else:  # pragma: no cover - event union is closed
                 raise ProvenanceError(f"unknown event type {type(event)}")
-            group = groups.get(table)
-            if group is None:
-                group = groups[table] = []
-            group.append(row)
+            groups.setdefault(table, []).append(row)
+            count += 1
         txn = self.db.begin()
         try:
             for table in list(groups):
@@ -368,11 +376,11 @@ class ProvenanceStore:
             and self._commits_since_checkpoint >= self.checkpoint_interval
         ):
             self.create_checkpoint()
-        return len(events)
+        return count
 
     def _note_write(self, event: DataEvent) -> None:
-        """Account one ingested (committed) write event: checkpoints it
-        makes stale, then the live-state fold."""
+        """Account one ingested (committed) batch of writes: checkpoints
+        it makes stale, then the live-state fold."""
         table = event.table.lower()
         # An event landing at or before an existing checkpoint would
         # make that checkpoint stale — drop the affected ones.
@@ -388,7 +396,7 @@ class ProvenanceStore:
         self._fold_live(table, event)
 
     def _fold_live(self, table: str, event: DataEvent) -> None:
-        """Apply one committed write event to the table's live state.
+        """Apply one committed batch of writes to the table's live state.
 
         The fold mirrors :meth:`_apply_event_rows` exactly; anything it
         cannot apply faithfully (no csn, csn below the state's watermark,
@@ -398,23 +406,20 @@ class ProvenanceStore:
         live = self._live.get(table)
         if live is None:
             return
-        if (
-            event.csn is None
-            or event.csn < live.csn
-            or event.row_id is None
-            or (event.kind != "Delete" and event.values is None)
-        ):
-            self._live.pop(table, None)
+        if event.csn is None or event.csn < live.csn:
+            del self._live[table]
             return
+        deleting = event.kind == "Delete"
+        for row_id, values in event.rows:
+            if row_id is None or (values is None and not deleting):
+                del self._live[table]
+                return
+            if deleting:
+                live.rows.pop(row_id, None)
+            else:
+                live.rows[row_id] = values
         live.csn = event.csn
-        live.dirty += 1
-        if event.kind == "Delete":
-            live.rows.pop(event.row_id, None)
-        else:
-            schema = self._app_schemas[table]
-            live.rows[event.row_id] = tuple(
-                event.values.get(col) for col in schema.column_names
-            )
+        live.dirty += len(event.rows)
 
     # ------------------------------------------------------------------
     # Queries

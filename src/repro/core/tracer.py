@@ -156,11 +156,17 @@ class Trod:
     # ------------------------------------------------------------------
 
     def request_flush(self) -> None:
-        """Called when the trace buffer fills (out-of-band in the paper)."""
+        """Called when the trace buffer holds ``capacity`` trace rows.
+
+        The flush runs inline, on the request whose event filled the
+        buffer — the paper drains out of band; here that request stalls
+        for the whole ingest.
+        """
         self.flush()
 
     def flush(self) -> int:
-        """Drain buffered events into the provenance database."""
+        """Drain buffered events into the provenance database; returns
+        the trace rows drained."""
         events = self.buffer.drain()
         if not events:
             return 0

@@ -49,7 +49,7 @@ from repro.db.sharding import ShardedDatabase, ShardRouter
 from repro.db.timetravel import ShardedTimeTravel, TimeTravel
 from repro.db.txn.manager import (
     IsolationLevel,
-    ReadRecord,
+    ReadSet,
     Transaction,
     TransactionStatus,
 )
@@ -74,7 +74,7 @@ __all__ = [
     "NULL_PROFILE",
     "POSTGRES_PROFILE",
     "PROFILES",
-    "ReadRecord",
+    "ReadSet",
     "Replica",
     "ReplicaSet",
     "ReplicatedDatabase",

@@ -10,7 +10,7 @@ TROD's interposition layer is exactly such a CDC subscriber.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.db.txn.wal import WalChange
 
@@ -71,14 +71,29 @@ class CdcStream:
         return self.emit_commit(csn, txn_id, (change,))[0]
 
     def emit_commit(
-        self, csn: int, txn_id: int, changes: Iterable[WalChange]
+        self,
+        csn: int,
+        txn_id: int,
+        changes: Sequence[WalChange],
+        observed: bool = True,
     ) -> list[ChangeRecord]:
         """Publish one commit's applied changes in order; returns the records.
 
         The whole commit enters the history (and retention trims it)
         before the first subscriber call, so a subscriber that reads the
         history sees the commit complete.
+
+        Records are built only when something can read them: a
+        subscriber, a history that retains at least one, or the caller
+        (``observed``: the committing database has observers to hand
+        them to). Otherwise the commit is accounted as building and then
+        trimming its records would leave it — sequence numbers consumed,
+        every record ``dropped`` — and nothing is returned.
         """
+        if not (observed or self._subscribers or self._retain != 0):
+            self._next_seq += len(changes)
+            self._dropped += len(changes)
+            return []
         records = [
             ChangeRecord(seq, csn, txn_id, c.table, c.op, c.row_id, c.values, c.old_values)
             for seq, c in enumerate(changes, self._next_seq)

@@ -49,7 +49,7 @@ from repro.db.storage import TableStore
 from repro.db.timetravel import TimeTravel
 from repro.db.txn.manager import (
     IsolationLevel,
-    ReadRecord,
+    ReadSet,
     Transaction,
     TransactionManager,
     TransactionStatus,
@@ -129,20 +129,30 @@ def _schema_from_meta(meta: dict[str, Any]) -> TableSchema:
 class StatementTrace:
     """What one executed statement did; handed to observers.
 
-    Reads are per-row :class:`ReadRecord` entries; writes are
-    ``(op, table, row_id)`` triples so TROD can later attach the query
-    text to the CDC records the commit will emit.
+    Reads are :class:`ReadSet` entries, one per scan chunk (flatten with
+    ``ReadSet.rows()``); writes are ``(op, table, row_id)`` triples so
+    TROD can later attach the query text to the CDC records the commit
+    will emit.
     """
 
     sql: str
     kind: str  # 'select' | 'insert' | 'update' | 'delete' | 'ddl'
-    reads: list[ReadRecord] = field(default_factory=list)
+    reads: list[ReadSet] = field(default_factory=list)
     writes: list[tuple[str, str, int]] = field(default_factory=list)
     rowcount: int = 0
 
 
 class Database:
-    """An embedded, transactional, multi-version SQL database."""
+    """An embedded, transactional, multi-version SQL database.
+
+    ``cdc_retain`` bounds the change stream's history (``cdc.since``):
+    None, the default, keeps every committed ``ChangeRecord``; N keeps
+    the newest N; 0 keeps none, and then a commit with no observer and
+    no subscriber builds no record at all — only ``cdc.dropped`` and the
+    sequence numbers advance. TROD's provenance database, whose change
+    stream nobody reads, is opened with 0; an observer or subscriber
+    attached later still gets every record from then on.
+    """
 
     def __init__(
         self,

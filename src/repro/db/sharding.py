@@ -1532,16 +1532,13 @@ class ShardedDatabase:
             rows: list[tuple] = []
             for store in self.store_names:
                 branch = get_txn(store)
-                track = db_for(store).track_reads
-                gathered_here = 0
-                for row_id, values in branch.scan(canonical):
-                    rows.append(values)
-                    gathered_here += 1
-                    if track:
-                        branch.record_read(canonical, row_id, values, sql or "")
-                if track and gathered_here == 0:
+                pairs = list(branch.scan(canonical))
+                rows += [values for _row_id, values in pairs]
+                if db_for(store).track_reads:
                     # Consulted-but-empty parity (Table 2's null reads).
-                    branch.record_read(canonical, None, None, sql or "")
+                    branch.record_reads(
+                        canonical, pairs or [(None, None)], sql or ""
+                    )
             broadcast_rows[canonical] = rows
 
         def factory(binding, canonical, schema, filter_fn, probe, own_conjuncts):

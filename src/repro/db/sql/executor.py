@@ -10,11 +10,11 @@ find their rows through the same scan node a SELECT's WHERE would get
 write through the transaction; INSERT and DDL execute directly against
 the transaction / catalog.
 
-Read provenance: row ids ride with a scan's value batches, and every row
-the scan produces (after pushed-down filtering) is recorded on the
-transaction as a :class:`ReadRecord`, one bulk call per batch; when a
-statement scans a table but matches nothing, a single null read is
-recorded — this is exactly the shape of the paper's Table 2.
+Read provenance: row ids ride with a scan's value batches, and the rows
+a scan produces (after pushed-down filtering) are recorded on the
+transaction a chunk at a time, each chunk's pair list as one
+:class:`ReadSet`; when a statement scans a table but matches nothing, a
+single null read is recorded — this is exactly the shape of the paper's Table 2.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from repro.db.txn.locks import LockManager, LockMode
 from repro.db.txn.manager import (
     IsolationLevel,
-    ReadRecord,
+    ReadSet,
     Transaction,
     TransactionManager,
     TransactionStatus,
@@ -14,7 +14,7 @@ __all__ = [
     "IsolationLevel",
     "LockManager",
     "LockMode",
-    "ReadRecord",
+    "ReadSet",
     "Transaction",
     "TransactionManager",
     "TransactionStatus",

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.db.txn.locks import LockManager, LockMode
 from repro.db.txn.wal import WalAbort, WalChange, WalCommit, WalPrepare
@@ -56,19 +55,24 @@ _DELETED = object()
 _KIND_AND_TABLE = attrgetter("op", "table")
 
 
-@dataclass
-class ReadRecord:
-    """Provenance of one row read (or one empty result) by a statement.
+class ReadSet(NamedTuple):
+    """Provenance of one chunk of rows a statement read from one table.
 
-    ``row_id``/``values`` are None when a query matched nothing — the
-    paper's Table 2 logs such reads with null data columns, and replay's
-    dependency analysis still needs to know the table was consulted.
+    ``pairs`` is the scan chunk's ``(row_id, values)`` list, held as the
+    filter returned it and never mutated. A query that matched nothing
+    is the read set ``[(None, None)]`` — the paper's Table 2 logs such
+    reads with null data columns, and replay's dependency analysis still
+    needs to know the table was consulted.
     """
 
     table: str
-    row_id: int | None
-    values: tuple | None
     query: str
+    pairs: Sequence[tuple[int | None, tuple | None]]
+
+    def rows(self) -> Iterator[tuple[str, int | None, tuple | None, str]]:
+        """One ``(table, row_id, values, query)`` per row read, in order."""
+        for row_id, values in self.pairs:
+            yield self.table, row_id, values, self.query
 
 
 class Transaction:
@@ -94,10 +98,10 @@ class Transaction:
         #: already in their WAL form: an insert is logged as buffered, an
         #: update or delete once commit has filled in the old values.
         self.write_ops: list[WalChange] = []
-        self.read_records: list[ReadRecord] = []
+        self.read_records: list[ReadSet] = []
         self._overlay: dict[str, dict[int, Any]] = {}  # table -> row_id -> values|_DELETED
         self._inserted: dict[str, list[int]] = {}  # table -> ordered new row ids
-        self._statement_reads: list[ReadRecord] = []
+        self._statement_reads: list[ReadSet] = []
         self._statement_csn = snapshot_csn
         self.commit_csn: int | None = None
         #: Set when this branch was durably prepared on behalf of a
@@ -124,7 +128,7 @@ class Transaction:
         if self.isolation is IsolationLevel.READ_COMMITTED:
             self._statement_csn = self._manager.last_csn
 
-    def statement_reads(self) -> list[ReadRecord]:
+    def statement_reads(self) -> list[ReadSet]:
         return list(self._statement_reads)
 
     def _read_csn(self) -> int | None:
@@ -333,20 +337,23 @@ class Transaction:
     def record_read(
         self, table: str, row_id: int | None, values: tuple | None, query: str
     ) -> None:
-        self.record_reads(table, ((row_id, values),), query)
+        self.record_reads(table, [(row_id, values)], query)
 
     def record_reads(
-        self, table: str, pairs: Iterable[tuple[int | None, tuple | None]], query: str
+        self, table: str, pairs: Sequence[tuple[int | None, tuple | None]], query: str
     ) -> None:
-        """One :class:`ReadRecord` per ``(row_id, values)`` pair, in order.
+        """One :class:`ReadSet` for the ``(row_id, values)`` pairs, as given.
 
-        The executor's scans call this once per batch of rows that
-        survived the pushed-down filter.
+        The executor's scans call this once per chunk of rows that
+        survived the pushed-down filter; the caller must not mutate
+        ``pairs`` afterwards. An empty chunk records nothing.
         """
+        if not pairs:
+            return
         canonical = self._manager.database.catalog.resolve(table)
-        records = [ReadRecord(canonical, row_id, values, query) for row_id, values in pairs]
-        self.read_records.extend(records)
-        self._statement_reads.extend(records)
+        read_set = ReadSet(canonical, query, pairs)
+        self.read_records.append(read_set)
+        self._statement_reads.append(read_set)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -508,7 +515,9 @@ class TransactionManager:
             self.database.wal.append(
                 WalCommit(csn=csn, txn_id=txn.txn_id, changes=tuple(changes))
             )
-            cdc_records = self.database.cdc.emit_commit(csn, txn.txn_id, changes)
+            cdc_records = self.database.cdc.emit_commit(
+                csn, txn.txn_id, changes, observed=bool(self.database.observers)
+            )
         self.locks.release_all(txn.txn_id)
         self.stats["committed"] += 1
         self.database.notify("txn_committed", txn, csn, cdc_records)

@@ -18,6 +18,17 @@ class TestAppend:
         assert buffer.append(1) is False
         assert buffer.append(2) is True  # reached capacity
 
+    def test_a_batch_counts_its_rows(self):
+        buffer = TraceBuffer(capacity=10)
+        assert buffer.append("batch", 7) is False
+        assert len(buffer) == 7 and buffer.peek() == ["batch"]
+        # Heavier than the remaining room: kept whole, and the flush is due.
+        assert buffer.append("big", 5) is True
+        assert len(buffer) == 12 and buffer.high_water
+        assert buffer.drain() == ["batch", "big"]
+        assert len(buffer) == 0 and not buffer.high_water
+        assert buffer.append("one") is False
+
     def test_extend(self):
         buffer = TraceBuffer(capacity=10)
         need = buffer.extend([1, 2, 3])
@@ -36,6 +47,19 @@ class TestDropOldest:
             buffer.append(i)
         assert buffer.drain() == [2, 3, 4]
         assert buffer.dropped == 2
+
+    def test_overflow_drops_by_weight(self):
+        buffer = TraceBuffer(capacity=10, drop_oldest=True)
+        for event, weight in (("a", 4), ("b", 4), ("c", 1)):
+            buffer.append(event, weight)
+        # Six rows do not fit beside nine: "a" and "b" make room, "c" stays.
+        assert buffer.append("d", 6) is False
+        assert buffer.peek() == ["c", "d"]
+        assert (len(buffer), buffer.dropped) == (7, 8)
+        # A batch heavier than the whole buffer empties it and is kept.
+        assert buffer.append("huge", 25) is True
+        assert buffer.drain() == ["huge"]
+        assert (buffer.dropped, buffer.appended) == (15, 40)
 
     def test_without_drop_oldest_buffer_grows_past_capacity(self):
         buffer = TraceBuffer(capacity=2)
@@ -57,6 +81,14 @@ class TestStats:
         assert stats["flushes"] == 1
         assert stats["buffered"] == 1
         assert stats["capacity"] == 4
+
+    def test_stats_count_rows_not_events(self):
+        buffer = TraceBuffer(capacity=100)
+        buffer.append("batch", 40)
+        buffer.append("row")
+        stats = buffer.stats()
+        assert (stats["appended"], stats["buffered"]) == (41, 41)
+        assert buffer.peek() == ["batch", "row"]
 
     def test_peek_does_not_drain(self):
         buffer = TraceBuffer()

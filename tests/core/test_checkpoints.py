@@ -107,9 +107,8 @@ class TestCheckpointInvalidation:
                     table="forum_sub",
                     kind="Insert",
                     query="late arrival",
-                    row_id=9999,
-                    values={"userId": "UX", "forum": "F9"},
                     csn=ck - 1,
+                    rows=[(9999, ("UX", "F9"))],
                 )
             ]
         )
@@ -175,9 +174,8 @@ def ingest_writes(prov, n: int, start_csn: int = 1):
                 table="items",
                 kind="Insert",
                 query="ins",
-                row_id=csn,
-                values={"k": f"k{csn}", "v": csn},
                 csn=csn,
+                rows=[(csn, (f"k{csn}", csn))],
             )
         )
     prov.ingest(events)
@@ -245,9 +243,8 @@ class TestIncrementalLiveState:
                     table="items",
                     kind="Insert",
                     query="late",
-                    row_id=999,
-                    values={"k": "late", "v": 0},
                     csn=2,
+                    rows=[(999, ("late", 0))],
                 )
             ]
         )

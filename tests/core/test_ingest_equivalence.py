@@ -5,8 +5,8 @@ each group at once. What must not depend on that: the rows, row ids and
 ``Seq`` of every provenance table, every ``reconstruct_rows`` answer and
 every checkpoint payload. The model below derives all of them from the
 event list alone, with no engine code, for a batch that mixes all five
-event kinds, reads that matched nothing, deletes, partial ``values``
-dicts, an aborted transaction and a table nobody registered.
+event kinds, reads that matched nothing, deletes, rows with NULL
+columns, an aborted transaction and a table nobody registered.
 """
 
 import json
@@ -21,6 +21,7 @@ from repro.core.events import (
     WorkflowEdgeEvent,
 )
 from repro.core.provenance import ProvenanceStore
+from repro.db import Database
 from repro.db.schema import Column, TableSchema
 from repro.db.types import ColumnType
 
@@ -52,9 +53,12 @@ def txn(num, status="Committed", csn=None, req="R1", label="step"):
 
 
 def data(num, table, kind, row_id, values, csn=None, query="q"):
+    """A one-row batch; ``values`` by column name, absent columns NULL."""
+    if values is not None:
+        values = tuple(values.get(col) for col in APP_COLUMNS.get(table, values))
     return DataEvent(
         txn_num=num, txn_name=f"TXN{num}", table=table, kind=kind,
-        query=f"{query}{num}", row_id=row_id, values=values, csn=csn,
+        query=f"{query}{num}", csn=csn, rows=[(row_id, values)],
     )
 
 
@@ -114,13 +118,13 @@ class Model:
         if isinstance(event, DataEvent):
             if event.table not in APP_COLUMNS:
                 return
-            values = event.values or {}
-            self.tables[EVENT_TABLES[event.table]].append(
-                (event.txn_name, event.txn_num, event.kind, event.query,
-                 event.csn, self.seq, event.row_id,
-                 *[values.get(col) for col in APP_COLUMNS[event.table]])
-            )
-            self.seq += 1
+            for row_id, values in event.rows:
+                values = values or (None,) * len(APP_COLUMNS[event.table])
+                self.tables[EVENT_TABLES[event.table]].append(
+                    (event.txn_name, event.txn_num, event.kind, event.query,
+                     event.csn, self.seq, row_id, *values)
+                )
+                self.seq += 1
         elif isinstance(event, TxnEvent):
             self.tables["Executions"].append(
                 (event.txn_name, event.txn_num, event.ts, event.handler,
@@ -164,8 +168,8 @@ class Model:
         return sorted(state.items())
 
 
-def make_store(checkpoint_interval=None):
-    prov = ProvenanceStore(checkpoint_interval=checkpoint_interval)
+def make_store(checkpoint_interval=None, db=None):
+    prov = ProvenanceStore(db=db, checkpoint_interval=checkpoint_interval)
     prov.register_app_table(ACCOUNTS)
     prov.register_app_table(AUDIT, event_table="AuditLog")
     assert prov.capture_snapshot("accounts", SNAPSHOT, BASE_CSN) == 2
@@ -216,14 +220,23 @@ class TestTablesMatchTheModel:
         assert manager.stats["committed"] == commits + 1
         # Executions, Requests, WorkflowEdges, SideEffects, two event tables.
         assert manager.locks.stats["acquisitions"] == locks + 6
-        # One WAL change and one CDC record per stored event, grouped per
-        # table and in event order inside each group.
+        # One WAL change per stored event, grouped per table and in event
+        # order inside each group.
         commit = list(prov.db.wal.commits())[-1]
         assert len(commit.changes) == len(batch) - 1  # the untraced read
         tables = [change.table for change in commit.changes]
         assert tables == sorted(tables, key=tables.index)
-        assert [r.row_id for r in prov.db.cdc.history()[-len(commit.changes):]] == [
+        # And one CDC record per WAL change — on a store built over a
+        # database that retains them; the default store's keeps none.
+        assert len(prov.db.cdc) == 0
+        retaining = make_store(db=Database(name="provenance"))
+        retaining.ingest(batch)
+        changes = list(retaining.db.wal.commits())[-1].changes
+        assert [change.row_id for change in changes] == [
             change.row_id for change in commit.changes
+        ]
+        assert [r.row_id for r in retaining.db.cdc.history()[-len(changes):]] == [
+            change.row_id for change in changes
         ]
 
     def test_queries_over_the_ingested_rows(self, ingested):
@@ -286,8 +299,6 @@ class TestReconstructionMatchesTheModel:
             assert prov.reconstruct_rows("accounts", csn) == model.state("accounts", csn)
 
     def test_restore_into_a_dev_database(self, ingested):
-        from repro.db import Database
-
         prov, model = ingested
         dev = Database()
         assert prov.restore_into(dev, 6) == {"accounts": 2, "audit": 2}

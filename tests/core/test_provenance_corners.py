@@ -239,14 +239,14 @@ class TestFailedIngest:
 
         return DataEvent(
             txn_num=csn, txn_name=f"TXN{csn}", table="kv", kind="Insert",
-            query="INSERT INTO kv ...", row_id=row_id, values=values, csn=csn,
+            query="INSERT INTO kv ...", csn=csn, rows=[(row_id, values)],
         )
 
     def test_failed_ingest_leaves_checkpoints_and_tables_untouched(self):
         from repro.errors import TypeCoercionError
 
         prov = self._store()
-        prov.ingest([self._insert(1, {"id": 1, "v": "kept"}, 1)])
+        prov.ingest([self._insert(1, (1, "kept"), 1)])
         before = (
             prov._next_seq,
             prov._max_write_csn,
@@ -257,8 +257,8 @@ class TestFailedIngest:
         with pytest.raises(TypeCoercionError, match=r"KvEvents\.id"):
             prov.ingest(
                 [
-                    self._insert(77, {"id": 77, "v": "good"}, 2),
-                    self._insert(78, {"id": "not-an-int", "v": "bad"}, 3),
+                    self._insert(77, (77, "good"), 2),
+                    self._insert(78, ("not-an-int", "bad"), 3),
                 ]
             )
         after = (
@@ -277,14 +277,27 @@ class TestFailedIngest:
         )
         assert prov.reconstruct_rows("kv", csn + 10) == [(1, (1, "kept"))]
         # And the store still ingests: Seq continues where it stopped.
-        prov.ingest([self._insert(2, {"id": 2, "v": "next"}, 4)])
+        prov.ingest([self._insert(2, (2, "next"), 4)])
         seqs = prov.query("SELECT Seq FROM KvEvents ORDER BY Seq").column("Seq")
         assert seqs == [1, 2]
 
     def test_unknown_column_in_event_fails_the_batch_by_name(self):
+        """Rows are positional, so a column the table does not have shows
+        as a row of the wrong arity; the error names the event and row."""
+        from repro.core.events import DataEvent
         from repro.errors import ProvenanceError
 
         prov = self._store()
-        with pytest.raises(ProvenanceError, match="nope"):
-            prov.ingest([self._insert(1, {"id": 1, "nope": 2}, 1)])
+        with pytest.raises(
+            ProvenanceError, match=r"Insert event on 'kv' row 2 carries 3 values for 2"
+        ):
+            prov.ingest(
+                [
+                    DataEvent(
+                        txn_num=1, txn_name="TXN1", table="kv", kind="Insert",
+                        query="INSERT INTO kv ...", csn=1,
+                        rows=[(1, (1, "ok")), (2, (2, "x", "nope"))],
+                    )
+                ]
+            )
         assert prov._next_seq == 1 and prov.event_count == 1  # TraceSchemas row

@@ -204,6 +204,22 @@ class TestWorkflowEdgesAndEffects:
             "validateCart", "reserveInventory", "chargePayment", "createOrder",
         ]
 
+    def test_no_per_request_state_outlives_the_request(self, ecommerce_env):
+        _db, runtime, trod = ecommerce_env
+        runtime.submit("registerUser", "U1", "u@x", "4111")
+        runtime.submit("restock", "S1", 10)
+        for cart in ("C1", "C2"):
+            runtime.submit("addToCart", cart, "U1", "S1", 1, 2.0)
+            assert runtime.submit("checkout", cart, "U1").ok  # child handlers
+        failed = runtime.submit("checkout", "no-such-cart", "U1")
+        assert not failed.ok  # fails inside a child handler
+        layer = trod.interposition
+        assert layer.requests_traced == 7
+        assert layer._edge_seq == {} and layer._txn_statements == {}
+        # Edge numbering still restarts with every request.
+        for req_id in ("R4", "R6"):
+            assert [e["Seq"] for e in trod.debugger.workflow(req_id)] == [1, 2, 3, 4]
+
     def test_side_effects_traced(self, ecommerce_env):
         _db, runtime, trod = ecommerce_env
         runtime.submit("weeklyReport")
@@ -218,6 +234,34 @@ class TestOverheadAccounting:
         assert stats["requests_traced"] == 3
         assert stats["events_emitted"] > 0
         assert stats["tracing_overhead_us_per_request"] > 0
+
+    def test_a_traced_scan_buffers_a_batch_not_an_object_per_row(self):
+        import gc
+
+        from repro.db.cdc import ChangeRecord
+
+        database = Database()
+        database.execute("CREATE TABLE count_probe (k INTEGER, v TEXT)")
+        database.insert_rows("count_probe", [(i, f"v{i}") for i in range(1000)])
+        trod = Trod(database).attach()
+        trod.flush()
+        assert database.execute("SELECT COUNT(*) FROM count_probe").scalar() == 1000
+        # 1000 Read rows and the commit, in (at most) a read batch, the
+        # transaction event and nothing per row.
+        assert len(trod.buffer) == trod.buffer.stats()["buffered"] == 1001
+        assert len(trod.buffer.peek()) <= 3
+        assert trod.flush() == 1001
+        events = trod.provenance.event_table_of("count_probe")
+        assert trod.query(
+            f"SELECT COUNT(*) FROM {events} WHERE Type = 'Read'"
+        ).scalar() == 1000
+        # The provenance database built no change record for the flush.
+        prov_db = trod.provenance.db
+        assert len(prov_db.cdc) == 0 and prov_db.cdc.dropped >= 2002
+        assert not [
+            o for o in gc.get_objects()
+            if type(o) is ChangeRecord and o.table == events.lower()
+        ]
 
     def test_buffer_autoflush_on_capacity(self):
         database = Database()

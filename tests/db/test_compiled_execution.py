@@ -151,11 +151,7 @@ class _TraceCollector:
 
 
 def _read_tuples(traces):
-    return [
-        (r.table, r.row_id, r.values, r.query)
-        for t in traces
-        for r in t.reads
-    ]
+    return [row for t in traces for read_set in t.reads for row in read_set.rows()]
 
 
 class TestTrodParity:
@@ -216,7 +212,7 @@ class TestTrodParity:
         before = db.executor_stats["batches_processed"]
         assert db.query(sql).rows == untraced
         assert db.executor_stats["batches_processed"] > before
-        assert len(collector.traces[-1].reads) == len(untraced)
+        assert len(_read_tuples(collector.traces[-1:])) == len(untraced)
 
 
 class TestExecutorStats:

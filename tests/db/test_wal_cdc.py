@@ -353,6 +353,48 @@ class TestCdcRetentionEdges:
         self._fill(stream, 2)
         assert seen == [1, 2, 3, 4, 5]
 
+    def test_unread_commits_are_accounted_exactly_as_built_then_trimmed(self):
+        changes = [
+            WalChange("insert", "t", i, (str(i),), None) for i in range(1, 4)
+        ]
+        unread, trimmed = CdcStream(retain=0), CdcStream(retain=0)
+        for csn in (1, 2):
+            assert unread.emit_commit(csn, csn, changes, observed=False) == []
+            built = trimmed.emit_commit(csn, csn, changes)
+            assert [r.seq for r in built] == [3 * csn - 2, 3 * csn - 1, 3 * csn]
+        for stream in (unread, trimmed):
+            assert (stream.first_seq, stream.dropped, len(stream)) == (7, 6, 0)
+            assert list(stream.since(0)) == [] and stream.history() == []
+        # A retaining stream, or one with a subscriber, builds regardless.
+        assert len(CdcStream(retain=1).emit_commit(1, 1, changes, observed=False)) == 3
+        seen: list[int] = []
+        unread.subscribe(lambda record: seen.append(record.seq))
+        assert len(unread.emit_commit(3, 3, changes, observed=False)) == 3
+        assert seen == [7, 8, 9] and unread.dropped == 9
+
+    def test_a_database_retaining_nothing_still_feeds_its_readers(self):
+        db = Database(cdc_retain=0)
+        db.execute("CREATE TABLE t (k INTEGER)")
+        db.execute("INSERT INTO t VALUES (1), (2)")
+        assert (len(db.cdc), db.cdc.dropped, db.cdc.first_seq) == (0, 2, 3)
+        commits: list[list] = []
+
+        class Observer:
+            def txn_committed(self, txn, csn, changes):
+                commits.append([(r.seq, r.op, r.values) for r in changes])
+
+        db.add_observer(Observer())
+        db.execute("INSERT INTO t VALUES (3)")
+        assert commits == [[(3, "insert", (3,))]]
+        db.observers.clear()
+        published: list[int] = []
+        unsubscribe = db.cdc.subscribe(lambda record: published.append(record.seq))
+        db.execute("UPDATE t SET k = k + 10 WHERE k < 3")
+        unsubscribe()
+        db.execute("DELETE FROM t")
+        assert published == [4, 5]
+        assert (len(db.cdc), db.cdc.dropped, db.cdc.first_seq) == (0, 8, 9)
+
     def test_replication_tap_survives_cdc_truncation(self):
         """The ReplicationLog taps commits, not CdcStream history — a
         tight CDC retention must not lose shipped changes."""

@@ -250,7 +250,11 @@ class TestTraceParityUnderBatching:
                         trace.sql,
                         trace.kind,
                         trace.rowcount,
-                        tuple((r.table, r.row_id) for r in trace.reads),
+                        tuple(
+                            (table, row_id)
+                            for read_set in trace.reads
+                            for table, row_id, _values, _query in read_set.rows()
+                        ),
                     )
                 )
 
@@ -285,6 +289,7 @@ class TestTraceParityUnderBatching:
         assert sorted(per_granularity["txn"]) == sorted(
             per_granularity["batch"]
         )
+        assert sum(len(reads) for *_trace, reads in per_granularity["txn"]) == 450
 
 
 class TestShipLoop:
