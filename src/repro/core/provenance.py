@@ -113,8 +113,12 @@ class ProvenanceStore:
         #: the same as a set): what ingest needs to lay an event's
         #: ``values`` dict out as the tail of a positional row.
         self._event_layouts: dict[str, tuple[str, tuple, frozenset]] = {}
-        #: Create materialized checkpoints automatically every N ingested
-        #: commits (None disables automatic checkpointing).
+        #: Automatic checkpointing (None disables it): a checkpoint is
+        #: considered once per :meth:`ingest` — i.e. per trace-buffer
+        #: flush — and taken when at least this many commits have been
+        #: ingested since the last one. It lands at the flush's last CSN,
+        #: not every N commits: a history ingested in one flush gets one
+        #: checkpoint, at its end.
         self.checkpoint_interval = checkpoint_interval
         #: app table -> ascending [(csn, ((row_id, values), ...)), ...];
         #: each entry is the table's full live state as of that csn, so
@@ -122,6 +126,9 @@ class ProvenanceStore:
         self._checkpoints: dict[str, list[tuple[int, tuple]]] = {}
         self._commits_since_checkpoint = 0
         self._max_write_csn = 0
+        #: app table -> CSN of its (earliest) base snapshot, when it has
+        #: one: no state before it can be reconstructed.
+        self._snapshot_csns: dict[str, int] = {}
         #: app table -> incrementally folded live state (see _LiveState).
         self._live: dict[str, _LiveState] = {}
         #: Checkpoints whose row payload exceeds this many rows spill to
@@ -267,8 +274,11 @@ class ProvenanceStore:
         ]
         self.db.insert_rows(event_table, event_rows)
         self._next_seq += len(event_rows)
+        key = table.lower()
+        if event_rows:
+            self._snapshot_csns[key] = min(csn, self._snapshot_csns.get(key, csn))
         # The snapshot *is* the live state as of its csn.
-        self._live[table.lower()] = _LiveState(snapshot_rows, csn)
+        self._live[key] = _LiveState(snapshot_rows, csn)
         return len(event_rows)
 
     def ingest(self, events: list[TraceEvent]) -> int:
@@ -469,46 +479,67 @@ class ProvenanceStore:
         transaction actually uses (ablation A1); ``exclude_req`` drops the
         replayed request's own writes (re-execution recreates them).
         """
+        if high_csn <= low_csn:
+            return []  # an empty range: nothing to ask the event tables
         names = (
             [t.lower() for t in tables]
             if tables is not None
             else sorted(self._event_tables)
         )
         out: list[dict] = []
+        req_of: dict[str, str | None] = {}
         for table in names:
             if table not in self._event_tables:
                 continue
-            event_table = self._event_tables[table]
             rows = self.query(
-                f"SELECT E.ReqId AS ReqId, F.* FROM {event_table} AS F"
-                " LEFT JOIN Executions AS E ON F.TxnId = E.TxnId"
-                " WHERE F.Csn > ? AND F.Csn <= ?"
-                " AND F.Type IN ('Insert', 'Update', 'Delete')",
+                f"SELECT * FROM {self._event_tables[table]}"
+                " WHERE Csn > ? AND Csn <= ?"
+                " AND Type IN ('Insert', 'Update', 'Delete')",
                 (low_csn, high_csn),
             ).as_dicts()
             for row in rows:
-                if exclude_req is not None and row.get("ReqId") == exclude_req:
-                    continue
-                if row.get("Query") == "[redacted]":
+                if row["Query"] == "[redacted]":
                     # Erased under the privacy extension: replay proceeds
                     # from partial data (§5) rather than leaking values.
                     continue
-                row["_table"] = self._app_schemas[table].name
-                out.append(row)
+                txn_id = row["TxnId"]
+                if txn_id not in req_of:
+                    req_of[txn_id] = self._req_of_txn(txn_id)
+                if exclude_req is not None and req_of[txn_id] == exclude_req:
+                    continue
+                out.append(
+                    {
+                        "ReqId": req_of[txn_id],
+                        **row,
+                        "_table": self._app_schemas[table].name,
+                    }
+                )
         out.sort(key=lambda r: (r["Csn"], r["Seq"]))
         return out
 
+    def _req_of_txn(self, txn_name: str) -> str | None:
+        """The request a transaction ran for (None: no ``Executions`` row)."""
+        first = self.query(
+            "SELECT ReqId FROM Executions WHERE TxnId = ?"
+            " ORDER BY TxnNum, Csn LIMIT 1",
+            (txn_name,),
+        ).first()
+        return first[0] if first else None
+
+    def events_of_txn(self, txn_name: str) -> dict[str, list[dict]]:
+        """A transaction's data events in ``Seq`` order, keyed by the
+        (canonical) app table — only the tables it read or wrote; one
+        ``TxnId`` probe per event table."""
+        found = {}
+        for table in self._event_tables:
+            events = self.data_events_of_txn(txn_name, table)
+            if events:
+                found[table] = events
+        return found
+
     def tables_used_by_txn(self, txn_name: str) -> set[str]:
         """App tables a transaction read or wrote (canonical names)."""
-        used: set[str] = set()
-        for table, event_table in self._event_tables.items():
-            count = self.query(
-                f"SELECT COUNT(*) FROM {event_table} WHERE TxnId = ?",
-                (txn_name,),
-            ).scalar()
-            if count:
-                used.add(table)
-        return used
+        return set(self.events_of_txn(txn_name))
 
     def data_events_of_txn(self, txn_name: str, table: str) -> list[dict]:
         event_table = self.event_table_of(table)
@@ -527,68 +558,55 @@ class ProvenanceStore:
         Restores from the nearest checkpoint at or before ``upto_csn`` and
         applies only the write events after it; without a usable
         checkpoint, applies the base snapshot and then every committed
-        write event with ``Csn <= upto_csn`` in (Csn, Seq) order.
+        write event with ``Csn <= upto_csn`` in (Csn, Seq) order. Either
+        way the events come off the ``Csn`` index as positional rows: a
+        Read event's ``Csn`` is NULL, outside any range, so none is
+        fetched.
         """
-        schema = self.app_schema(table)
+        key = table.lower()
         event_table = self.event_table_of(table)
-        column_map = self._column_maps[table.lower()]
         checkpoint = self._nearest_checkpoint(table, upto_csn)
         if checkpoint is not None:
-            base_csn = checkpoint[0]
-            base_rows = self._checkpoint_rows(table.lower(), checkpoint)
             self.checkpoint_stats["checkpoint_restores"] += 1
-            state: dict[int, tuple] = dict(base_rows)
-            if upto_csn > base_csn:
-                rows = self.query(
+            state: dict[int, tuple] = dict(self._checkpoint_rows(key, checkpoint))
+            after_csn, kinds = checkpoint[0], "'Insert', 'Update', 'Delete'"
+        else:
+            self.checkpoint_stats["full_restores"] += 1
+            snapshot_csn = self._snapshot_csns.get(key)
+            if snapshot_csn is not None and snapshot_csn > upto_csn:
+                raise ProvenanceError(
+                    f"cannot reconstruct {table!r} at csn {upto_csn}: base "
+                    f"snapshot was taken at csn {snapshot_csn}"
+                )
+            state = {}
+            # A lower bound below every CSN keeps the range two-sided: the
+            # index probe then starts past the NULL keys of the Read events.
+            after_csn, kinds = -1, "'Snapshot', 'Insert', 'Update', 'Delete'"
+        if upto_csn > after_csn:
+            self._apply_event_rows(
+                state,
+                self.query(
                     f"SELECT * FROM {event_table}"
-                    " WHERE Csn > ? AND Csn <= ? AND"
-                    " Type IN ('Insert', 'Update', 'Delete')"
+                    f" WHERE Csn > ? AND Csn <= ? AND Type IN ({kinds})"
                     " ORDER BY Csn ASC, Seq ASC",
-                    (base_csn, upto_csn),
-                ).as_dicts()
-                self._apply_event_rows(state, rows, schema, column_map)
-            return sorted(state.items())
-        self.checkpoint_stats["full_restores"] += 1
-        rows = self.query(
-            f"SELECT * FROM {event_table}"
-            " WHERE Type = 'Snapshot' OR (Csn <= ? AND"
-            " Type IN ('Insert', 'Update', 'Delete'))"
-            " ORDER BY Csn ASC, Seq ASC",
-            (upto_csn,),
-        ).as_dicts()
-        snapshot_csns = [r["Csn"] for r in rows if r["Type"] == "Snapshot"]
-        if snapshot_csns and min(snapshot_csns) > upto_csn:
-            raise ProvenanceError(
-                f"cannot reconstruct {table!r} at csn {upto_csn}: base "
-                f"snapshot was taken at csn {min(snapshot_csns)}"
+                    (after_csn, upto_csn),
+                ).rows,
             )
-        state = {}
-        self._apply_event_rows(state, rows, schema, column_map)
         return sorted(state.items())
 
     @staticmethod
-    def _apply_event_rows(
-        state: dict[int, tuple],
-        rows: list[dict],
-        schema: TableSchema,
-        column_map: dict[str, str],
-    ) -> None:
-        """Fold ordered event rows into a ``row_id -> values`` state."""
+    def _apply_event_rows(state: dict[int, tuple], rows: list[tuple]) -> None:
+        """Fold ordered event rows — positional, as :meth:`ingest` lays
+        them out: ``Type`` / ``Query`` / ``RowId`` in slots 2 / 3 / 6, the
+        app columns the tail — into a ``row_id -> values`` state."""
+        tail = len(_EVENT_META)
         for row in rows:
-            kind = row["Type"]
-            row_id = row["RowId"]
-            if kind == "Delete":
-                state.pop(row_id, None)
-                continue
-            if row.get("Query") == "[redacted]":
-                # The row's values were erased; reconstruction proceeds
-                # from partial data — the row is simply absent.
-                state.pop(row_id, None)
-                continue
-            values = tuple(
-                row[column_map[col]] for col in schema.column_names
-            )
-            state[row_id] = values
+            if row[2] == "Delete" or row[3] == "[redacted]":
+                # A redacted row's values were erased; reconstruction
+                # proceeds from partial data — the row is simply absent.
+                state.pop(row[6], None)
+            else:
+                state[row[6]] = row[tail:]
 
     # ------------------------------------------------------------------
     # Checkpoints (replay accelerator)
@@ -761,24 +779,34 @@ class ProvenanceStore:
     def checkpoint_csns(self, table: str) -> list[int]:
         return [csn for csn, _rows in self._checkpoints.get(table.lower(), [])]
 
+    def reconstruct_state(
+        self, upto_csn: int, tables: Iterable[str] | None = None
+    ) -> dict[str, list[tuple[int, tuple]]]:
+        """Traced tables (all, or ``tables``) as of ``upto_csn``: app
+        table name -> its :meth:`reconstruct_rows`. One state may be
+        loaded into any number of databases."""
+        names = tables if tables is not None else sorted(self._app_schemas)
+        return {
+            self.app_schema(table).name: self.reconstruct_rows(table, upto_csn)
+            for table in names
+        }
+
+    def load_state(
+        self, target: Database, state: dict[str, list[tuple[int, tuple]]]
+    ) -> dict[str, int]:
+        """Create (where missing) and fill ``state``'s tables in a dev
+        database; the row lists are only read."""
+        for table, rows in state.items():
+            if not target.catalog.has_table(table):
+                target.create_table(self.app_schema(table))
+            target.bulk_load(table, rows)
+        return {table: len(rows) for table, rows in state.items()}
+
     def restore_into(
         self, target: Database, upto_csn: int, tables: Iterable[str] | None = None
     ) -> dict[str, int]:
         """Materialize traced tables at ``upto_csn`` into a dev database."""
-        names = (
-            [t.lower() for t in tables]
-            if tables is not None
-            else sorted(self._app_schemas)
-        )
-        counts: dict[str, int] = {}
-        for table in names:
-            schema = self.app_schema(table)
-            if not target.catalog.has_table(schema.name):
-                target.create_table(schema)
-            rows = self.reconstruct_rows(table, upto_csn)
-            target.bulk_load(schema.name, rows)
-            counts[schema.name] = len(rows)
-        return counts
+        return self.load_state(target, self.reconstruct_state(upto_csn, tables))
 
     @property
     def event_count(self) -> int:

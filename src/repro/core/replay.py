@@ -124,21 +124,34 @@ class _ReplayState:
         engine: "ReplayEngine",
         req_id: str,
         txns: list[dict],
+        events: dict[str, dict[str, list[dict]]],
+        tables: list[str] | None,
         dev_db: Database,
-        dependency_filter: bool,
         breakpoint_cb: Callable[[BreakpointInfo], None] | None,
     ):
         self.engine = engine
         self.req_id = req_id
         self.txns = txns
+        #: original TxnId -> its data events by table (events_of_txn).
+        self.events = events
+        #: Under the dependency filter, the tables the request used.
+        self.tables = tables
         self.dev_db = dev_db
-        self.dependency_filter = dependency_filter
         self.breakpoint_cb = breakpoint_cb
         self.steps: list[ReplayStep] = []
-        self.applied_csn = txns[0]["SnapshotCsn"] if txns else 0
+        self.applied_csn = txns[0]["SnapshotCsn"]
         self.step_index = 0
         #: dev-database txn_id -> replay step index (for write grouping).
         self.txn_step_map: dict[int, int] = {}
+        #: Every write the request can be shown, fetched once: the window
+        #: from its first snapshot to its last injection bound, in
+        #: (Csn, Seq) order; each step injects its slice.
+        self.window = engine.trod.provenance.writes_between(
+            self.applied_csn,
+            max(self._injection_bound(txn) for txn in txns),
+            tables=tables,
+            exclude_req=req_id,
+        )
 
     def register_txn(self, txn: Transaction, index: int) -> None:
         self.txn_step_map[txn.txn_id] = index
@@ -191,20 +204,14 @@ class _ReplayState:
     def _inject_up_to(self, bound: int, original: dict) -> list[InjectedWrite]:
         if bound <= self.applied_csn:
             return []
-        tables = None
-        if self.dependency_filter:
-            tables = self.engine.trod.provenance.tables_used_by_txn(
-                original["TxnId"]
-            )
-            if not tables:
-                self.applied_csn = bound
-                return []
-        events = self.engine.trod.provenance.writes_between(
-            self.applied_csn, bound, tables=tables, exclude_req=self.req_id
-        )
+        events = [e for e in self.window if self.applied_csn < e["Csn"] <= bound]
+        if self.tables is not None:
+            # Only what this step's own transaction read or wrote.
+            used = self.events[original["TxnId"]]
+            events = [e for e in events if e["_table"].lower() in used]
+        injected = self.engine.apply_writes(self.dev_db, events)
         self.applied_csn = bound
-        self.engine.apply_writes(self.dev_db, events)
-        return list(self.engine.last_applied)
+        return injected
 
 
 class ReplayEngine:
@@ -212,7 +219,6 @@ class ReplayEngine:
 
     def __init__(self, trod: "Trod"):
         self.trod = trod
-        self.last_applied: list[InjectedWrite] = []
 
     # ------------------------------------------------------------------
 
@@ -228,22 +234,25 @@ class ReplayEngine:
         self.trod.provenance.restore_into(dev, upto_csn, tables=tables)
         return dev
 
-    def apply_writes(self, dev_db: Database, events: list[dict]) -> int:
-        """Apply write events (from provenance) to the dev database.
+    def apply_writes(
+        self, dev_db: Database, events: list[dict]
+    ) -> list[InjectedWrite]:
+        """Apply write events (from provenance) to the dev database;
+        returns them as applied.
 
         Runs as a single transaction labeled ``_trod.injector`` so that
         injected changes are distinguishable from replayed execution.
         """
         applied: list[InjectedWrite] = []
         if not events:
-            self.last_applied = []
-            return 0
+            return applied
+        provenance = self.trod.provenance
         txn = dev_db.begin(info={"handler": "_trod.injector", "label": "inject"})
         try:
             for event in events:
                 table = event["_table"]
-                schema = self.trod.provenance.app_schema(table)
-                column_map = self.trod.provenance._column_maps[table.lower()]
+                schema = provenance.app_schema(table)
+                column_map = provenance._column_maps[table.lower()]
                 kind = event["Type"]
                 row_id = event["RowId"]
                 values_dict = None
@@ -273,8 +282,7 @@ class ReplayEngine:
         except Exception:
             txn.abort()
             raise
-        self.last_applied = applied
-        return len(applied)
+        return applied
 
     # ------------------------------------------------------------------
 
@@ -299,12 +307,13 @@ class ReplayEngine:
                 f"request {req_id!r} has no committed transactions to replay"
             )
         base_csn = txns[0]["SnapshotCsn"]
-        tables = None
-        if dependency_filter:
-            used: set[str] = set()
-            for txn in txns:
-                used |= provenance.tables_used_by_txn(txn["TxnId"])
-            tables = sorted(used)
+        # One pass over each transaction's events answers which tables to
+        # restore, which writes each step may be shown, and what each
+        # step originally wrote.
+        events = {
+            txn["TxnId"]: provenance.events_of_txn(txn["TxnId"]) for txn in txns
+        }
+        tables = sorted(set().union(*events.values())) if dependency_filter else None
         if dev_db is None:
             dev_db = Database(name=f"dev-{req_id}")
         provenance.restore_into(dev_db, base_csn, tables=tables)
@@ -313,8 +322,9 @@ class ReplayEngine:
             engine=self,
             req_id=req_id,
             txns=txns,
+            events=events,
+            tables=tables,
             dev_db=dev_db,
-            dependency_filter=dependency_filter,
             breakpoint_cb=breakpoint_cb,
         )
         source_runtime = self.trod.runtime
@@ -417,7 +427,7 @@ class ReplayEngine:
         # may legitimately differ in the dev database).
         replay_writes = self._replay_writes_by_step(dev_db, cdc_start, state)
         for index, original in enumerate(txns):
-            original_set = self._original_writes(original["TxnId"])
+            original_set = self._original_writes(state.events[original["TxnId"]])
             replayed_set = replay_writes.get(index, [])
             if sorted(original_set) != sorted(replayed_set):
                 divergences.append(
@@ -426,21 +436,22 @@ class ReplayEngine:
                 )
         return divergences
 
-    def _original_writes(self, txn_name: str) -> list[tuple]:
+    def _original_writes(self, events: dict[str, list[dict]]) -> list[tuple]:
+        """``(table, kind, values)`` of a transaction's recorded writes."""
         out: list[tuple] = []
         provenance = self.trod.provenance
-        for table in provenance.traced_tables():
-            schema = provenance.app_schema(table)
-            for event in provenance.data_events_of_txn(txn_name, table):
+        for table, table_events in events.items():
+            columns = provenance.app_schema(table).column_names
+            column_map = provenance._column_maps[table]
+            for event in table_events:
                 if event["Type"] not in ("Insert", "Update", "Delete"):
                     continue
-                column_map = provenance._column_maps[table.lower()]
                 values = (
-                    tuple(event[column_map[c]] for c in schema.column_names)
+                    tuple(event[column_map[c]] for c in columns)
                     if event["Type"] != "Delete"
                     else None
                 )
-                out.append((table.lower(), event["Type"], values))
+                out.append((table, event["Type"], values))
         return out
 
     def _replay_writes_by_step(

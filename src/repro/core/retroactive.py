@@ -172,11 +172,14 @@ class RetroactiveEngine:
         requests = [self._request_of(r) for r in req_ids]
         followup_requests = [self._request_of(r) for r in followups]
         base_csn = self._base_csn(req_ids)
+        # Every pilot and every ordering starts from the same past state:
+        # reconstructed here once, loaded into each fresh dev database.
+        base_state = provenance.reconstruct_state(base_csn)
 
         # Pilot: discover the patched code's transaction footprints.
         pilots: list[list[TxnStep]] = []
         for req_index, request in enumerate(requests):
-            footprints = self._pilot(request, registry, base_csn)
+            footprints = self._pilot(request, registry, base_state)
             pilots.append(
                 [
                     TxnStep(
@@ -210,7 +213,7 @@ class RetroactiveEngine:
                     requests,
                     followup_requests,
                     registry,
-                    base_csn,
+                    base_state,
                     invariant,
                 )
             )
@@ -266,15 +269,15 @@ class RetroactiveEngine:
                 bases.append(txns[0]["SnapshotCsn"])
         return min(bases) if bases else self.trod.base_csn
 
-    def _fresh_dev_db(self, base_csn: int, name: str) -> Database:
+    def _fresh_dev_db(self, base_state: dict[str, list], name: str) -> Database:
         dev = Database(name=name)
-        self.trod.provenance.restore_into(dev, base_csn)
+        self.trod.provenance.load_state(dev, base_state)
         return dev
 
     def _pilot(
-        self, request: Request, registry: HandlerRegistry, base_csn: int
+        self, request: Request, registry: HandlerRegistry, base_state: dict[str, list]
     ) -> list[tuple[frozenset[str], frozenset[str]]]:
-        dev = self._fresh_dev_db(base_csn, name=f"pilot-{request.req_id}")
+        dev = self._fresh_dev_db(base_state, name=f"pilot-{request.req_id}")
         dev.track_reads = True
         collector = _FootprintCollector()
         dev.add_observer(collector)
@@ -300,10 +303,10 @@ class RetroactiveEngine:
         requests: list[Request],
         followups: list[Request],
         registry: HandlerRegistry,
-        base_csn: int,
+        base_state: dict[str, list],
         invariant: Callable[[Database], list[str]] | None,
     ) -> OrderingOutcome:
-        dev = self._fresh_dev_db(base_csn, name=f"retro-{index}")
+        dev = self._fresh_dev_db(base_state, name=f"retro-{index}")
         runtime = Runtime(dev, registry=registry, seed=self._seed())
         fresh = [
             Request(

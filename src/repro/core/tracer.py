@@ -48,6 +48,11 @@ class Trod:
     transaction/statement events flow into one provenance stream), or a
     :class:`~repro.db.replication.ReplicatedDatabase` (the primary is
     observed; replicas replay the same commits by construction).
+
+    ``checkpoint_interval`` is handed to the :class:`ProvenanceStore`: a
+    provenance checkpoint is considered once per :meth:`flush` and taken
+    when at least that many commits were ingested since the last one —
+    so checkpoints are as dense as flushes, not one every N commits.
     """
 
     def __init__(

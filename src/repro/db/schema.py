@@ -59,6 +59,7 @@ class TableSchema:
             raise SchemaError(f"table {name!r} must have at least one column")
         self.name = name
         self.columns: tuple[Column, ...] = tuple(columns)
+        self.column_names: tuple[str, ...] = tuple(c.name for c in self.columns)
         self._by_name: dict[str, int] = {}
         for idx, col in enumerate(self.columns):
             key = col.name.lower()
@@ -87,10 +88,6 @@ class TableSchema:
         )
 
     # -- column access ------------------------------------------------
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
 
     def has_column(self, name: str) -> bool:
         return name.lower() in self._by_name

@@ -51,7 +51,7 @@ from repro.db.sql.functions import (
     call_scalar,
     make_accumulator,
 )
-from repro.db.types import compare_values
+from repro.db.types import SORT_CLASS, compare_values
 from repro.errors import ExecutionError
 
 __all__ = [
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 #: Wrapper distinguishing bool group keys from 1/1.0 in raw-keyed dicts,
-#: matching the SortKey grouping the closure aggregate uses
+#: matching the (class, value) grouping the closure aggregate uses
 #: (compare_values orders bool apart from numerics, but Python's
 #: ``hash(True) == hash(1)`` with ``True == 1`` would merge them).
 _BOOL_KEY = ("__repro_bool_key__",)
@@ -87,18 +87,6 @@ def _pget(params: Sequence[Any], index: int) -> Any:
             f"statement uses parameter #{index + 1} but only "
             f"{len(params)} were supplied"
         ) from None
-
-
-def _in_const(value: Any, items: tuple, saw_null: bool, negated: bool) -> Any:
-    """IN over an all-literal list (``items`` excludes the NULL literals)."""
-    if value is None:
-        return None
-    for candidate in items:
-        if compare_values(value, candidate) == 0:
-            return not negated
-    if saw_null:
-        return None
-    return negated
 
 
 class _Emitter:
@@ -363,17 +351,23 @@ class _Emitter:
         return out
 
     def _emit_in(self, expr: InList) -> str:
+        """IN over an all-literal list: one membership test on the
+        ``(class, value)`` keys of its non-NULL items; a miss is NULL
+        when the list held a NULL literal."""
         if not all(isinstance(item, Literal) for item in expr.items):
             return self._fallback(expr)
         values = [item.value for item in expr.items]
-        saw_null = any(v is None for v in values)
-        items = tuple(v for v in values if v is not None)
-        operand = self.emit(expr.operand)
+        keys = self.bind(
+            frozenset((SORT_CLASS[type(v)], v) for v in values if v is not None)
+        )
+        miss = None if None in values else expr.negated
+        operand = self.tmp()
+        self.line(f"{operand} = {self.emit(expr.operand)}")
         out = self.tmp()
-        bound = self.bind(items)
-        self.env.setdefault("_in_const", _in_const)
+        classes = self.bind(SORT_CLASS)
         self.line(
-            f"{out} = _in_const({operand}, {bound}, {saw_null}, {expr.negated})"
+            f"{out} = None if {operand} is None else ({not expr.negated} if "
+            f"({classes}[{operand}.__class__], {operand}) in {keys} else {miss})"
         )
         return out
 

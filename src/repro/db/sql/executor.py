@@ -45,7 +45,7 @@ from repro.db.sql.nodes import (
     UpdateStmt,
 )
 from repro.db.sql.planner import CompiledExpr, Layout, compile_expr
-from repro.db.types import SortKey, coerce, type_from_sql_name
+from repro.db.types import SORT_CLASS, coerce, index_key, type_from_sql_name
 from repro.errors import (
     ExecutionError,
     IntegrityError,
@@ -281,16 +281,12 @@ class ScanNode(PlanNode):
                 merged = set(candidates)
                 merged.update(rid for rid, _ in pending)
                 candidates = merged
-            # Resolve probe hits against the transaction now: probes are
-            # bounded index lookups, and materializing them keeps a
-            # streamed pipeline independent of the transaction's later
-            # lifecycle (txn.get checks liveness on every call, whereas
+            # Resolve probe hits against the transaction now, as one set:
+            # probes are bounded index lookups, and materializing them
+            # keeps a streamed pipeline independent of the transaction's
+            # later lifecycle (txn.get_many checks liveness, whereas
             # txn.scan below returns an iterator pinned at call time).
-            return [
-                (rid, values)
-                for rid in sorted(candidates)
-                if (values := ctx.txn.get(self.table, rid)) is not None
-            ]
+            return ctx.txn.get_many(self.table, sorted(candidates))
         return ctx.txn.scan(self.table)
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
@@ -657,7 +653,7 @@ class AggregateNode(PlanNode):
         for chunk in self.child.batches(ctx):
             for row in chunk:
                 key = tuple(fn(row, params) for fn in self.key_fns)
-                hashable = tuple(SortKey(v) for v in key)
+                hashable = index_key(key)
                 entry = groups.get(hashable)
                 if entry is None:
                     entry = groups[hashable] = (
@@ -695,10 +691,13 @@ class SortNode(PlanNode):
         for chunk in self.child.batches(ctx):
             materialized.extend(chunk)
         ctx.row_budget = outer
-        # Stable multi-key sort: apply keys from last to first.
+        # Stable multi-key sort: apply keys from last to first. A key is
+        # its (class, value) pair, so the sort compares in C.
+        params = ctx.params
         for fn, ascending in reversed(self.keys):
             materialized.sort(
-                key=lambda row: SortKey(fn(row, ctx.params)), reverse=not ascending
+                key=lambda row: (SORT_CLASS[type(v := fn(row, params))], v),
+                reverse=not ascending,
             )
         if materialized:
             yield materialized
@@ -748,7 +747,7 @@ class DistinctNode(PlanNode):
         for chunk in self.child.batches(ctx):
             out = []
             for row in chunk:
-                key = tuple(SortKey(v) for v in row)
+                key = index_key(row)
                 if key not in seen:
                     add(key)
                     out.append(row)

@@ -230,6 +230,24 @@ class Transaction:
         store = self._manager.database.store(canonical)
         return store.get(row_id, self._read_csn())
 
+    def get_many(
+        self, table: str, row_ids: Iterable[int]
+    ) -> list[tuple[int, tuple]]:
+        """``(row_id, values)`` of those of ``row_ids`` that are visible,
+        in the order given — a loop of :meth:`get` with one liveness
+        check, one catalog resolve, one overlay and one read CSN."""
+        self._check_active()
+        canonical = self._manager.database.catalog.resolve(table)
+        overlay = self._overlay.get(canonical) or {}
+        get = self._manager.database.store(canonical).get
+        csn = self._read_csn()
+        found = []
+        for row_id in row_ids:
+            values = overlay[row_id] if row_id in overlay else get(row_id, csn)
+            if values is not None and values is not _DELETED:
+                found.append((row_id, values))
+        return found
+
     def insert(self, table: str, values: tuple) -> int:
         """Buffer an insert; returns the new row id (visible to self)."""
         return self.insert_many(table, (values,))[0]

@@ -122,8 +122,13 @@ def coerce(value: Any, col_type: ColumnType) -> Any:
     raise TypeCoercionError(f"unknown column type {col_type!r}")  # pragma: no cover
 
 
-#: Cross-type ordering class: NULL < BOOLEAN < numbers < TEXT.
-_SORT_CLASS = {type(None): -1, bool: 0, int: 1, float: 1, str: 2}
+#: Cross-type ordering class: NULL < BOOLEAN < numbers < TEXT. A
+#: ``(SORT_CLASS[type(v)], v)`` pair orders, hashes and tests equal as
+#: :func:`compare_values` does ``v`` — but entirely in C, because a value
+#: only ever meets one of its own class: the class in front decides
+#: first. ORDER BY, DISTINCT, GROUP BY, literal IN lists and sorted
+#: indexes all key on these pairs.
+SORT_CLASS = {type(None): -1, bool: 0, int: 1, float: 1, str: 2}
 
 
 def compare_values(a: Any, b: Any) -> int:
@@ -133,7 +138,7 @@ def compare_values(a: Any, b: Any) -> int:
     different kinds order by kind (bool < numeric < text) so mixed columns
     still sort deterministically.
     """
-    ka, kb = _SORT_CLASS[type(a)], _SORT_CLASS[type(b)]
+    ka, kb = SORT_CLASS[type(a)], SORT_CLASS[type(b)]
     if ka != kb:
         return -1 if ka < kb else 1
     if a is None and b is None:
@@ -143,36 +148,16 @@ def compare_values(a: Any, b: Any) -> int:
     return -1 if a < b else 1
 
 
-class SortKey:
-    """Adapter making :func:`compare_values` usable as a ``sorted`` key."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def __lt__(self, other: "SortKey") -> bool:
-        return compare_values(self.value, other.value) < 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SortKey) and compare_values(self.value, other.value) == 0
-
-    def __hash__(self) -> int:  # pragma: no cover - keys are not hashed today
-        return hash(self.value)
-
-
 def index_key(values: Iterable[Any]) -> tuple:
     """Flat ``(class, value, class, value, ...)`` key of a column tuple.
 
     Tuples of these order exactly as :func:`compare_values` orders the
-    columns left to right, but compare entirely in C: a value is only
-    ever compared with one of its own class, because the class in front
-    of it decides first. Sorted indexes store this form, so ``sort``,
-    ``insort`` and ``bisect`` never call back into Python.
+    columns left to right (see :data:`SORT_CLASS`), so ``sort``,
+    ``insort``, ``bisect`` and hashing never call back into Python.
     """
     key: tuple = ()
     for value in values:
-        key += (_SORT_CLASS[type(value)], value)
+        key += (SORT_CLASS[type(value)], value)
     return key
 
 

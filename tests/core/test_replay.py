@@ -3,9 +3,9 @@
 import pytest
 
 from repro.db import Database, IsolationLevel
-from repro.errors import ReplayDivergenceError, ReplayError
+from repro.errors import ReplayDivergenceError, ReplayError, TransactionError
 from repro.runtime import Request
-from repro.workload.generators import ForumWorkload
+from repro.workload.generators import CheckoutWorkload, ForumWorkload
 
 
 class TestFaithfulReplay:
@@ -82,6 +82,24 @@ class TestBreakpointsAndInjection:
         # Before txn 1: empty. Before txn 2: R2's row injected.
         assert counts == [0, 1]
 
+    def test_apply_writes_returns_what_it_applied(self, racy_moodle):
+        _db, _runtime, trod = racy_moodle
+        events = trod.debugger.interleaved_writes("R1")
+        assert [e["ReqId"] for e in events] == ["R2"]
+        dev = trod.replayer.build_dev_db(trod.base_csn)
+        applied = trod.replayer.apply_writes(dev, events)
+        assert [(w.table, w.kind, w.row_id, w.csn, w.txn_id, w.req_id) for w in applied] == [
+            (e["_table"], e["Type"], e["RowId"], e["Csn"], e["TxnId"], "R2")
+            for e in events
+        ]
+        assert applied[0].values == {"userId": "U1", "forum": "F2"}
+        # Injecting the same insert again fails: the transaction aborts,
+        # and the call raises rather than report an earlier call's list.
+        with pytest.raises(TransactionError):
+            trod.replayer.apply_writes(dev, events)
+        assert len(dev.table_rows("forum_sub")) == 1
+        assert trod.replayer.apply_writes(dev, []) == []
+
     def test_dependency_filter_restores_only_used_tables(self, racy_moodle):
         _db, _runtime, trod = racy_moodle
         result = trod.replayer.replay_request("R1", dependency_filter=True)
@@ -99,6 +117,52 @@ class TestBreakpointsAndInjection:
         result = trod.replayer.replay_request("R1")
         assert [s.label for s in result.steps] == ["isSubscribed", "DB.insert"]
         assert all(s.replayed_txn is not None for s in result.steps)
+
+
+class TestReplayCost:
+    """What a replay asks of the provenance database is set by the
+    request, not by how much history was captured around it."""
+
+    def test_statements_per_replay_do_not_grow_with_history(
+        self, ecommerce_env, monkeypatch
+    ):
+        database, runtime, trod = ecommerce_env
+        for table, column in (
+            ("carts", "cartId"), ("cart_items", "cartId"), ("inventory", "sku")
+        ):
+            database.execute(f"CREATE INDEX ix_{table} ON {table} ({column})")
+        generator = CheckoutWorkload(n_users=10, n_skus=5, seed=2)
+        generator.seed_database(runtime)
+        placed = []
+
+        def capture(orders):
+            for request in generator.requests(orders):
+                result = runtime.execute_request(request)
+                if request.handler == "checkout":
+                    placed.append(result.req_id)
+
+        statements = []
+        query = trod.provenance.query
+        monkeypatch.setattr(
+            trod.provenance,
+            "query",
+            lambda sql, params=(): statements.append(sql) or query(sql, params),
+        )
+
+        def replay_cost(req_id):
+            del statements[:]
+            result = trod.replayer.replay_request(req_id)
+            assert result.fidelity, result.divergences
+            assert len(result.steps) == 4
+            return len(statements)
+
+        capture(50)
+        early, late = replay_cost(placed[5]), replay_cost(placed[-1])
+        assert early == late <= 45
+        assert not any("COUNT(" in sql or "JOIN" in sql for sql in statements)
+        capture(350)
+        assert len(placed) == 400
+        assert replay_cost(placed[5]) == replay_cost(placed[-1]) == early
 
 
 class TestDivergenceDetection:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.moodle import subscribe_user_fixed
 from repro.errors import RetroactiveError
+from repro.workload.generators import CheckoutWorkload, ForumWorkload
 
 
 class TestPaperScenario:
@@ -127,6 +128,71 @@ class TestEngineMechanics:
         assert outcome.original_output == "True"
         assert outcome.output_repr == "True"
         assert not outcome.changed
+
+
+def counting_reconstructions(prov, monkeypatch) -> list:
+    calls = []
+    original = prov.reconstruct_rows
+
+    def counted(table, upto_csn):
+        calls.append((table, upto_csn))
+        return original(table, upto_csn)
+
+    monkeypatch.setattr(prov, "reconstruct_rows", counted)
+    return calls
+
+
+class TestOneReconstructionPerRun:
+    """Every pilot and every ordering loads one shared base state."""
+
+    def racy_pair_over_existing_rows(self, moodle_env):
+        database, runtime, trod = moodle_env
+        for user in ("U7", "U8"):  # R1, R2: rows the base state holds
+            runtime.submit("subscribeUser", user, "F2")
+        runtime.run_concurrent(  # R3, R4
+            ForumWorkload.racy_pair(), schedule=ForumWorkload.RACY_SCHEDULE
+        )
+        return trod
+
+    def test_orderings_equal_runs_with_their_own_reconstruction(
+        self, moodle_env, monkeypatch
+    ):
+        trod = self.racy_pair_over_existing_rows(moodle_env)
+        calls = counting_reconstructions(trod.provenance, monkeypatch)
+        result = trod.retroactive.run(["R3", "R4"], orderings="all")
+        # One per traced table, for two pilots and six orderings.
+        assert len(calls) == len(trod.provenance.traced_tables())
+        assert result.explored == result.naive_orderings == 6
+        base = [("U7", "F2"), ("U8", "F2")]
+        seen = set()
+        for outcome in result.outcomes:
+            alone = trod.retroactive.run(
+                ["R3", "R4"], orderings=[outcome.schedule]
+            ).outcomes[0]
+            assert outcome.final_state == alone.final_state
+            assert outcome.requests == alone.requests
+            # The base rows are there, and nothing an earlier ordering's
+            # database wrote came along with them.
+            rows = outcome.final_state["forum_sub"]
+            assert rows[-2:] == base and set(rows[:-2]) == {("U1", "F2")}
+            seen.add(len(rows))
+        assert seen == {3, 4}  # serial orderings dedupe, racy ones do not
+
+    def test_a_two_request_run_reconstructs_each_table_once(
+        self, ecommerce_env, monkeypatch
+    ):
+        _database, runtime, trod = ecommerce_env
+        generator = CheckoutWorkload(n_users=3, n_skus=2, seed=5)
+        generator.seed_database(runtime)
+        added, placed = [
+            runtime.execute_request(request).req_id
+            for request in generator.requests(1)
+        ]
+        calls = counting_reconstructions(trod.provenance, monkeypatch)
+        result = trod.retroactive.run([added, placed])
+        assert result.all_ok and result.explored >= 1
+        assert len(calls) == len(trod.provenance.traced_tables()) == 7
+        assert {csn for _table, csn in calls} == {result.base_csn}
 
 
 class TestRegressionScenario:

@@ -102,6 +102,25 @@ class TestEventStreamParity:
         # Commits from the writes; aborts from the CSN-free read path.
         assert "Committed" in statuses
 
+    def test_injection_set_holds_each_write_event_once_on_shards(self):
+        # Shards number their transactions independently, so Executions
+        # holds one "TXN1" per shard; resolving a write's request through
+        # a join on TxnId returned one copy of the event per such row.
+        engine = ShardedDatabase(2, shard_keys={"acct": "id"})
+        trod = Trod(engine)
+        conn = connect(engine, trod=trod)
+        conn.execute("CREATE TABLE acct (id INTEGER, bal INTEGER)")
+        for i in range(6):
+            conn.execute("INSERT INTO acct VALUES (?, ?)", (i, 100))
+        with conn.transaction(label="transfer") as txn:
+            txn.execute("UPDATE acct SET bal = bal - 30 WHERE id = 0")
+            txn.execute("UPDATE acct SET bal = bal + 30 WHERE id = 3")
+        trod.flush()
+        names = trod.query("SELECT TxnId FROM Executions").column("TxnId")
+        assert len(set(names)) < len(names)  # the collision is there
+        seqs = [w["Seq"] for w in trod.provenance.writes_between(0, 100)]
+        assert len(seqs) == len(set(seqs)) == len(write_events(trod)) == 8
+
     def test_attach_registers_every_shard(self):
         sharded = ShardedDatabase(3, shard_keys={"acct": "id"})
         trod = Trod(sharded)

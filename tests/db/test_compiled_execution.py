@@ -9,10 +9,12 @@ describe what the pipeline actually did.
 """
 
 import dataclasses
+from functools import cmp_to_key
 
 import pytest
 
 from repro.db import Database, IsolationLevel, ShardedDatabase
+from repro.db.types import compare_values
 
 
 def build_db(programs: bool = True, pushdown: bool = True) -> Database:
@@ -54,6 +56,13 @@ def _populate(db) -> None:
     db.execute("INSERT INTO grps VALUES (NULL, 'null-label')")
 
 
+#: 1, 1.0, TRUE, '1' and NULL in one column: 1 and 1.0 are one key, TRUE
+#: (which Python hashes and compares as 1) and '1' are two more.
+MIXED_KEY = (
+    "CASE WHEN id % 5 = 0 THEN 1 WHEN id % 5 = 1 THEN 1.0"
+    " WHEN id % 5 = 2 THEN TRUE WHEN id % 5 = 3 THEN '1' END"
+)
+
 #: Query shapes spanning every batch operator: scans with filters at
 #: each selectivity, projections with expressions, inner/left joins with
 #: and without residuals, aggregates (global, grouped, DISTINCT,
@@ -94,6 +103,16 @@ QUERIES = [
     "SELECT id FROM items WHERE grp IN ('g1', 'g2') ORDER BY id",
     "SELECT CASE WHEN val > 6 THEN 'hi' ELSE 'lo' END FROM items",
     "SELECT id FROM items WHERE grp IS NULL",
+    # One key column holding every comparison class at once.
+    f"SELECT DISTINCT {MIXED_KEY} FROM items WHERE id < 25",
+    f"SELECT {MIXED_KEY}, COUNT(*) FROM items WHERE id < 25 GROUP BY {MIXED_KEY}",
+    f"SELECT id, {MIXED_KEY} FROM items WHERE id < 25 ORDER BY {MIXED_KEY} DESC, id",
+    # Three-valued IN: a NULL item turns every miss into NULL.
+    (
+        "SELECT id, grp IN ('g1', NULL), grp NOT IN ('g1', NULL),"
+        " grp IN ('g1', 'g2'), grp NOT IN ('g1', 'g2'), id IN (1, 2.0, TRUE)"
+        " FROM items WHERE id < 4 OR id = 9000"
+    ),
 ]
 
 
@@ -118,6 +137,32 @@ class TestDifferential:
         assert compiled.executor_stats["plans_compiled"] >= len(QUERIES)
         assert closures.executor_stats["plans_compiled"] == 0
         assert closures.executor_stats["batches_processed"] > 0
+
+    @pytest.mark.parametrize("programs", [True, False])
+    def test_mixed_class_keys_follow_compare_values(self, programs):
+        db = build_db(programs=programs)
+        order = cmp_to_key(compare_values)
+        keys = [
+            key
+            for (key,) in db.query(
+                f"SELECT {MIXED_KEY} FROM items WHERE id < 25 ORDER BY {MIXED_KEY}"
+            ).rows
+        ]
+        assert keys == sorted(keys, key=order)
+        assert [type(k) for k in keys[:5] + keys[-5:]] == [type(None)] * 5 + [str] * 5
+        distinct = [key for (key,) in db.query(QUERIES[-4]).rows]
+        groups = db.query(QUERIES[-3]).rows
+        assert sorted(distinct, key=order) == [None, True, 1, "1"]
+        assert sorted(groups, key=lambda g: order(g[0])) == [
+            (None, 5), (True, 5), (1, 10), ("1", 5)
+        ]
+        assert db.query(QUERIES[-1]).rows == [
+            (0, None, None, False, True, False),
+            (1, True, False, True, False, True),
+            (2, None, None, True, False, True),
+            (3, None, None, False, True, False),
+            (9000, None, None, None, None, False),
+        ]
 
     def test_sharded_all_query_shapes(self):
         compiled = build_sharded(programs=True)

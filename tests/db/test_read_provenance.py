@@ -18,7 +18,7 @@ from repro.core import Trod
 from repro.db import Database, ShardedDatabase
 from repro.runtime.scheduler import CooperativeScheduler
 
-from test_compiled_execution import QUERIES, _populate
+from test_compiled_execution import MIXED_KEY, QUERIES, _populate
 
 # items(id, grp, val) / grps(grp, label) predicates in SQL's three-valued
 # logic: a comparison against NULL is never TRUE.
@@ -99,6 +99,16 @@ SCANS = {
     "SELECT id FROM items WHERE grp IS NULL": [
         ("items", lambda v: v[1] is None)
     ],
+    **{
+        sql: [("items", lambda v: v[0] < 25)]
+        for sql in QUERIES
+        if MIXED_KEY in sql
+    },
+    **{
+        sql: [("items", lambda v: v[0] < 4 or v[0] == 9000)]
+        for sql in QUERIES
+        if "NOT IN" in sql
+    },
     "SELECT * FROM nothing": [("nothing", ANY)],
     "SELECT i.id FROM items i JOIN nothing n ON i.id = n.id": [
         ("nothing", ANY),

@@ -105,6 +105,37 @@ class TestReadYourOwnWrites:
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 0
 
 
+    @pytest.mark.parametrize(
+        "isolation", [IsolationLevel.SERIALIZABLE, IsolationLevel.SNAPSHOT]
+    )
+    def test_get_many_is_a_loop_of_get(self, db, isolation):
+        ids = list(db.insert_rows("t", [(f"k{i}", i) for i in range(6)]))
+        txn = db.begin(isolation)
+        if isolation is IsolationLevel.SNAPSHOT:
+            # Committed after the snapshot: neither get may see it.
+            db.execute("UPDATE t SET v = 50 WHERE k = 'k5'")
+            ids += db.insert_rows("t", [("late", 7)])
+        txn.update("t", ids[1], ("k1", 100))
+        txn.delete("t", ids[2])
+        ids.append(txn.insert("t", ("own", 8)))
+        doomed = txn.insert("t", ("own-deleted", 9))
+        txn.delete("t", doomed)
+        asked = [ids[3], doomed, 999, *reversed(ids), ids[3]]
+        expected = [
+            (rid, values)
+            for rid in asked
+            if (values := txn.get("t", rid)) is not None
+        ]
+        assert txn.get_many("T", asked) == expected
+        found = dict(expected)
+        assert found[ids[1]] == ("k1", 100) and found[ids[-1]] == ("own", 8)
+        assert ids[2] not in found and doomed not in found and 999 not in found
+        assert found[ids[5]] == ("k5", 5)
+        txn.commit()
+        with pytest.raises(TransactionAborted):
+            txn.get_many("t", asked)
+
+
 class TestConstraints:
     def test_unique_checked_within_txn(self):
         db = Database()

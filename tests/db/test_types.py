@@ -1,10 +1,11 @@
 """Unit tests for column types, coercion, and value comparison."""
 
+from functools import cmp_to_key
+
 import pytest
 
 from repro.db.types import (
     ColumnType,
-    SortKey,
     compare_values,
     coerce,
     infer_type,
@@ -114,7 +115,7 @@ class TestComparison:
 
     def test_sort_key_sorts_mixed_values(self):
         values = ["b", None, 2, True, "a", 1]
-        ordered = sorted(values, key=SortKey)
+        ordered = sorted(values, key=cmp_to_key(compare_values))
         assert ordered == [None, True, 1, 2, "a", "b"]
 
     def test_index_key(self):

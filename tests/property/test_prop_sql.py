@@ -1,9 +1,13 @@
 """Property tests: SQL execution against a Python reference model."""
 
+from functools import cmp_to_key
+
 from hypothesis import given, settings, strategies as st
 
 from repro.db import Database
-from repro.db.types import SortKey
+from repro.db.types import compare_values
+
+SortKey = cmp_to_key(compare_values)
 
 value_strategy = st.one_of(
     st.none(), st.integers(-50, 50), st.text(alphabet="abc", max_size=3)
