@@ -53,7 +53,7 @@ from repro.db.sql.nodes import (
     DropTableStmt,
     SelectStmt,
 )
-from repro.db.sql.parser import parse_sql
+from repro.db.sql.parser import parse_cached
 from repro.db.txn.manager import IsolationLevel, TransactionStatus
 from repro.errors import FencedError, InterfaceError, UnavailableError
 from repro.faults import BackoffPolicy
@@ -202,9 +202,6 @@ class Connection:
         self.trod = trod
         self.read_preference = read_preference
         self._closed = False
-        # Statement classification reuses the engine's parse cache when it
-        # has one; a custom Engine without the private hook still works.
-        self._parse = getattr(engine, "_parse", parse_sql)
         self.max_failover_retries = max_failover_retries
         #: Cooperative-scheduler backoff between failover retries: retry
         #: N waits ``ticks(N-1)`` checkpoints before re-resolving the
@@ -267,7 +264,7 @@ class Connection:
                 f"unknown read_preference {read_preference!r} "
                 f"(choose from {', '.join(READ_PREFERENCES)})"
             )
-        stmt = self._parse(sql)
+        stmt = parse_cached(sql)
         if isinstance(stmt, SelectStmt):
             self.stats["reads"] += 1
             return self._retry_routed(

@@ -44,7 +44,7 @@ from repro.db.sql.nodes import (
     Statement,
     UpdateStmt,
 )
-from repro.db.sql.parser import parse_sql
+from repro.db.sql.parser import parse_cached
 from repro.db.storage import TableStore
 from repro.db.timetravel import TimeTravel
 from repro.db.txn.manager import (
@@ -65,7 +65,6 @@ from repro.errors import (
     WalError,
 )
 
-_STMT_CACHE_LIMIT = 1024
 _PLAN_CACHE_LIMIT = 512
 
 #: Environment knob: overrides the default storage backend when
@@ -270,11 +269,9 @@ class Database:
         #: the rewrite buys.
         self.predicate_pushdown_enabled = True
         #: Batch-executor counters (mirrors ``plan_cache_stats``):
-        #: SELECT plans compiled, batches processed (the match phase of
-        #: an UPDATE or DELETE is one), and rows removed by scan-level
-        #: vs post-join filters.
+        #: batches processed (the match phase of an UPDATE or DELETE is
+        #: one), and rows removed by scan-level vs post-join filters.
         self.executor_stats = {
-            "plans_compiled": 0,
             "batches_processed": 0,
             "rows_filtered_at_scan": 0,
             "rows_filtered_post_join": 0,
@@ -282,17 +279,15 @@ class Database:
         self.history_horizon = 0
         self._stores: dict[str, TableStore] = {}
         self._indexes: dict[str, IndexSet] = {}
-        self._stmt_cache: dict[str, Statement] = {}
-        #: Compiled plans keyed by (sql, catalog epoch, isolation, ...)
-        #: for SELECT and ("dml", sql, catalog epoch, isolation) for
-        #: UPDATE/DELETE. Plan nodes carry no per-execution state, so one
-        #: compiled tree serves every execution of the same statement
-        #: shape.
+        #: Plans keyed by (sql, catalog epoch, isolation, ...) for SELECT
+        #: and ("dml", sql, catalog epoch, isolation) for UPDATE/DELETE.
+        #: Plan nodes carry no per-execution state — only the programs
+        #: they generate the first time they run — so one tree serves
+        #: every execution of the same statement shape.
         self._plan_cache: dict[tuple, Any] = {}
         #: Bumped by every DDL / catalog change; stale plans (which hold
         #: references to schemas and index objects) never survive a bump.
         self.catalog_epoch = 0
-        self.plan_cache_enabled = True
         self.plan_cache_stats = {
             "hits": 0,
             "misses": 0,
@@ -636,27 +631,17 @@ class Database:
 
     # -- SQL --------------------------------------------------------------------
 
-    def _parse(self, sql: str) -> Statement:
-        cached = self._stmt_cache.get(sql)
-        if cached is not None:
-            return cached
-        stmt = parse_sql(sql)
-        if len(self._stmt_cache) >= _STMT_CACHE_LIMIT:
-            self._stmt_cache.clear()
-        self._stmt_cache[sql] = stmt
-        return stmt
-
     def select_plan(
         self, stmt: SelectStmt, txn: Transaction, sql: str | None
     ) -> tuple[Any, list[str]]:
-        """The compiled plan for ``stmt``, from the plan cache when possible.
+        """The plan for ``stmt``, from the plan cache when possible.
 
         ``sql`` is the cache key (None disables caching — e.g. the inner
         SELECT of INSERT ... SELECT has no statement text of its own). The
         isolation level is part of the key because it decides index-probe
         eligibility; the catalog epoch invalidates plans across DDL.
         """
-        if not self.plan_cache_enabled or sql is None:
+        if sql is None:
             return build_select_plan(stmt, self, txn)
         key = (
             sql,
@@ -684,20 +669,18 @@ class Database:
 
         A :class:`~repro.db.sql.executor.DmlNode`: the match-phase scan —
         the access path a SELECT with the same WHERE gets, index probe
-        and pushed-down filter (compiled from the plan's first reuse on)
-        included — plus an UPDATE's assignment closures. Shares the
-        epoch-invalidated plan cache with SELECT plans (keys are disjoint
-        tuples); as there, ``sql`` is the key (None disables caching) and
-        the isolation level is part of it because it decides index-probe
-        eligibility.
+        and pushed-down filter included — plus an UPDATE's SET list.
+        Shares the epoch-invalidated plan cache with SELECT plans (keys
+        are disjoint tuples); as there, ``sql`` is the key (None disables
+        caching) and the isolation level is part of it because it decides
+        index-probe eligibility.
         """
-        if not self.plan_cache_enabled or sql is None:
+        if sql is None:
             return build_dml_plan(stmt, self, txn)
         key = ("dml", sql, self.catalog_epoch, txn.isolation)
         entry = self._plan_cache.get(key)
         if entry is not None:
             self.plan_cache_stats["dml_hits"] += 1
-            entry.child.compile_pairs_filter()  # generated code, from reuse on
             return entry
         self.plan_cache_stats["dml_misses"] += 1
         entry = build_dml_plan(stmt, self, txn)
@@ -727,7 +710,7 @@ class Database:
         attached (statement traces carry rowcounts), and for non-SELECT
         statements.
         """
-        stmt = self._parse(sql)
+        stmt = parse_cached(sql)
         self._check_available()
         if self.read_only and not isinstance(stmt, SelectStmt):
             raise ReadOnlyError(
@@ -857,7 +840,7 @@ class Database:
         print as ``Update(table)`` / ``Delete(table)`` over the scan that
         finds their rows.
         """
-        stmt = self._parse(sql)
+        stmt = parse_cached(sql)
         if not isinstance(stmt, (SelectStmt, UpdateStmt, DeleteStmt)):
             raise ExecutionError(
                 "EXPLAIN supports SELECT, UPDATE and DELETE statements only"

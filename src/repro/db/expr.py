@@ -10,6 +10,7 @@ filtered out.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.db.types import compare_values
@@ -262,9 +263,7 @@ class BinaryOp(Expr):
             try:
                 return _ARITH_OPS[op](left, right)
             except TypeError:
-                raise ExecutionError(
-                    f"invalid operands for {op}: {left!r}, {right!r}"
-                ) from None
+                raise ExecutionError(f"invalid operands for {op}") from None
         raise ExecutionError(f"unknown operator {op!r}")  # pragma: no cover
 
     def sql(self) -> str:
@@ -290,7 +289,10 @@ class UnaryOp(Expr):
         if value is None:
             return None
         if self.op == "-":
-            return -value
+            try:
+                return -value
+            except TypeError:
+                raise ExecutionError("invalid operand for -") from None
         if self.op == "+":
             return value
         raise ExecutionError(f"unknown unary operator {self.op!r}")  # pragma: no cover
@@ -382,39 +384,41 @@ class Between(Expr):
         return f"({self.operand.sql()} {word} {self.low.sql()} AND {self.high.sql()})"
 
 
+@lru_cache(maxsize=512)
+def like_regex(pattern: str) -> re.Pattern:
+    """The regex a LIKE pattern means: ``%`` any run, ``_`` any one character.
+
+    Kept per pattern text, so a pattern that arrives as a parameter or a
+    column value is translated once, not once per row it is matched against.
+    """
+    out = []
+    for char in pattern:
+        if char == "%":
+            out.append(".*")
+        elif char == "_":
+            out.append(".")
+        else:
+            out.append(re.escape(char))
+    return re.compile("".join(out), re.DOTALL)
+
+
 class Like(Expr):
-    __slots__ = ("operand", "pattern", "negated", "_cache")
+    __slots__ = ("operand", "pattern", "negated")
 
     def __init__(self, operand: Expr, pattern: Expr, negated: bool = False):
         self.operand = operand
         self.pattern = pattern
         self.negated = negated
-        self._cache: tuple[str, re.Pattern] | None = None
 
     def children(self) -> tuple[Expr, ...]:
         return (self.operand, self.pattern)
-
-    def _regex_for(self, pattern: str) -> re.Pattern:
-        if self._cache is not None and self._cache[0] == pattern:
-            return self._cache[1]
-        out = []
-        for char in pattern:
-            if char == "%":
-                out.append(".*")
-            elif char == "_":
-                out.append(".")
-            else:
-                out.append(re.escape(char))
-        regex = re.compile("".join(out), re.DOTALL)
-        self._cache = (pattern, regex)
-        return regex
 
     def eval(self, scope: Scope) -> Any:
         value = self.operand.eval(scope)
         pattern = self.pattern.eval(scope)
         if value is None or pattern is None:
             return None
-        matched = bool(self._regex_for(str(pattern)).fullmatch(str(value)))
+        matched = bool(like_regex(str(pattern)).fullmatch(str(value)))
         return not matched if self.negated else matched
 
     def sql(self) -> str:

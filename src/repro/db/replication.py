@@ -56,6 +56,7 @@ from repro.db.result import ResultSet
 from repro.db.schema import TableSchema
 from repro.db.sql.executor import evaluate_as_of
 from repro.db.sql.nodes import SelectStmt
+from repro.db.sql.parser import parse_cached
 from repro.db.txn.manager import IsolationLevel, Transaction
 from repro.errors import ReplicationError, UnavailableError
 from repro.faults import fault_point
@@ -1082,9 +1083,6 @@ class ReplicatedDatabase:
     def time_travel(self):
         return self.primary.time_travel
 
-    def _parse(self, sql: str):
-        return self.primary._parse(sql)
-
     # -- the Engine surface -----------------------------------------------
 
     def execute(
@@ -1132,7 +1130,7 @@ class ReplicatedDatabase:
         non-historical reads return a streamed result pinned to the
         serving database's snapshot.
         """
-        stmt = self.primary._parse(sql)
+        stmt = parse_cached(sql)
         if not isinstance(stmt, SelectStmt):
             raise ReplicationError(
                 "execute_read supports SELECT statements only"

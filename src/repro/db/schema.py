@@ -159,20 +159,17 @@ class TableSchema:
         )
 
     def _coerce_each(self, row: tuple) -> tuple:
-        out = []
-        for col, value in zip(self.columns, row):
-            try:
-                coerced = coerce(value, col.col_type)
-            except TypeCoercionError as exc:
-                raise TypeCoercionError(
-                    f"{self.name}.{col.name}: {exc}"
-                ) from None
-            if coerced is None and not col.nullable:
-                raise IntegrityError(
-                    f"NOT NULL violation: {self.name}.{col.name}"
-                )
-            out.append(coerced)
-        return tuple(out)
+        return tuple(map(self.coerce_value, self.columns, row))
+
+    def coerce_value(self, col: Column, value: Any) -> Any:
+        """``value`` as column ``col`` stores it: coerced, NOT NULL enforced."""
+        try:
+            coerced = coerce(value, col.col_type)
+        except TypeCoercionError as exc:
+            raise TypeCoercionError(f"{self.name}.{col.name}: {exc}") from None
+        if coerced is None and not col.nullable:
+            raise IntegrityError(f"NOT NULL violation: {self.name}.{col.name}")
+        return coerced
 
     def row_dict(self, row: Sequence[Any]) -> dict[str, Any]:
         """Convert a storage tuple back to a column-name-keyed dict."""

@@ -42,6 +42,7 @@ from repro.db.expr import (
     IsNull,
     Literal,
     Param,
+    conjoin,
     split_conjuncts,
 )
 from repro.db.multistore import GlobalTransaction, MultiStoreCoordinator
@@ -49,6 +50,7 @@ from repro.faults import active as faults_active
 from repro.db.replication import ReplicaSet
 from repro.db.result import ResultSet
 from repro.db.schema import TableSchema
+from repro.db.sql import compile as codegen
 from repro.db.sql import planner
 from repro.db.sql.executor import (
     ExecContext,
@@ -57,7 +59,6 @@ from repro.db.sql.executor import (
     RowsNode,
     _drain_rows,
     build_from_where,
-    compile_plan_programs,
     evaluate_as_of,
     execute_statement,
     plan_projection,
@@ -75,13 +76,13 @@ from repro.db.sql.nodes import (
     Statement,
     UpdateStmt,
 )
-from repro.db.sql.planner import Layout, compile_expr
+from repro.db.sql.parser import parse_cached
+from repro.db.sql.planner import Layout, evaluate_rowless, limit_and_offset
 from repro.db.timetravel import ShardedTimeTravel
 from repro.db.txn.manager import IsolationLevel, Transaction
 from repro.db.types import coerce
 from repro.errors import (
     ExecutionError,
-    PlanningError,
     ReplicationError,
     SchemaError,
     TimeTravelError,
@@ -103,18 +104,6 @@ TxnGetter = Callable[[str], Transaction]
 #: (store-name, shard-local AS-OF csn or None for a live read) -> the
 #: database that serves that shard's part of one routed SELECT.
 ReadTarget = Callable[[str, int | None], Database]
-
-
-def _compile_shard_plan(database: Database, plan: PlanNode) -> None:
-    """Attach compiled batch programs to one cached sharded plan.
-
-    Scatter branches and coordinator merges cache plans outside
-    ``build_select_plan``, so they compile (and count) here — keeping
-    the per-shard ``executor_stats`` mirror honest: one ``plans_compiled``
-    tick per freshly built plan, exactly like the single-node cache.
-    """
-    compile_plan_programs(plan, database)
-    database.executor_stats["plans_compiled"] += 1
 
 
 def stable_hash(value: Any) -> int:
@@ -198,10 +187,12 @@ class ShardRouter:
                 continue
             try:
                 values = [
-                    coerce(_eval_const(e, params), col_type) for e in exprs
+                    coerce(evaluate_rowless(e, params), col_type) for e in exprs
                 ]
-            except (TypeCoercionError, IndexError):
-                continue  # un-coercible constant: cannot prune safely
+            except (TypeCoercionError, ExecutionError):
+                # Un-coercible, or unbound (EXPLAIN takes no parameters):
+                # cannot prune safely.
+                continue
             # NULL never equals anything, so NULL pins contribute no
             # owners; ``IN (1, NULL)`` must still visit 1's shard.
             non_null = [v for v in values if v is not None]
@@ -255,13 +246,6 @@ def _key_pinning_exprs(
     return None
 
 
-def _eval_const(expr: Expr, params: Sequence[Any]) -> Any:
-    if isinstance(expr, Literal):
-        return expr.value
-    assert isinstance(expr, Param)
-    return params[expr.index]
-
-
 class BroadcastRowsNode(PlanNode):
     """A join side replicated to every shard (the smaller relation).
 
@@ -275,23 +259,24 @@ class BroadcastRowsNode(PlanNode):
         binding: str,
         schema: TableSchema,
         rows: Sequence[tuple],
-        filter_fn: Any,
+        conjuncts: Sequence[Expr],
     ):
         self.layout = Layout.for_table(binding, schema.column_names)
         self.binding = binding
         self.table = schema.name
         self._rows = rows
-        self.filter_fn = filter_fn
+        self.filter_expr = conjoin(conjuncts)
+        if self.filter_expr is not None:
+            planner.check_scalar(self.filter_expr, self.layout)
 
     def describe(self) -> str:
         return f"Broadcast({self.table} AS {self.binding}, {len(self._rows)} rows)"
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         rows = self._rows
-        filter_fn = self.filter_fn
-        params = ctx.params
-        if filter_fn is not None:
-            rows = [v for v in rows if filter_fn(v, params) is True]
+        if self.filter_expr is not None:
+            keep = codegen.compile_predicate_batch(self.filter_expr, self.layout)
+            rows = keep(rows, ctx.params)
         if rows:
             yield rows
 
@@ -741,11 +726,6 @@ class ShardedDatabase:
                 gtxn.on(store)
         return gtxn
 
-    def _parse(self, sql: str) -> Statement:
-        # Shard 0's statement cache serves the whole facade (identical
-        # SQL text parses identically everywhere).
-        return self.shards[0]._parse(sql)
-
     def _note_targets(self, targets: Sequence[str]) -> None:
         if len(targets) < len(self.store_names):
             self.stats["routed_statements"] += 1
@@ -766,7 +746,7 @@ class ShardedDatabase:
         only within its owning shard's id space (ids from different
         shards may collide), so correlate rows by shard key, not row id.
         """
-        stmt = self._parse(sql)
+        stmt = parse_cached(sql)
         if isinstance(
             stmt, (CreateTableStmt, DropTableStmt, CreateIndexStmt, DropIndexStmt)
         ):
@@ -851,7 +831,7 @@ class ShardedDatabase:
         the ephemeral read transactions are aborted afterwards — replica
         reads must not consume CSNs.
         """
-        stmt = self._parse(sql)
+        stmt = parse_cached(sql)
         if not isinstance(stmt, SelectStmt):
             raise ExecutionError("select_routed supports SELECT statements only")
         if stmt.param_count != len(params):
@@ -948,7 +928,7 @@ class ShardedDatabase:
         fan-out. An UPDATE or DELETE prints the shards it is routed to
         over shard 0's plan of it.
         """
-        stmt = self._parse(sql)
+        stmt = parse_cached(sql)
         if isinstance(stmt, (UpdateStmt, DeleteStmt)):
             db0 = self.shards[0]
             canonical = db0.catalog.resolve(stmt.table.table)
@@ -1185,7 +1165,7 @@ class ShardedDatabase:
         shard's scan stops at the row that fills it.
         """
         if cap is not None:
-            plan = LimitNode(plan, lambda _row, _params: cap, None)
+            plan = LimitNode(plan, Literal(cap), None)
         ctx = ExecContext(
             database=shard,
             txn=txn,
@@ -1217,7 +1197,7 @@ class ShardedDatabase:
         params: Sequence[Any],
         sql: str | None,
     ) -> ResultSet:
-        plan, out_names = plan_projection(stmt, source, source.layout)
+        plan, out_names = plan_projection(stmt, source)
         ctx = ExecContext(
             database=self.shards[0],
             txn=None,  # type: ignore[arg-type]  # merge nodes never touch it
@@ -1319,21 +1299,8 @@ class ShardedDatabase:
         exprs = [item.expr for item in stmt.items if not item.star]
         if planner.find_aggregates(exprs):
             return None
-        empty = Layout()
-        try:
-            limit = compile_expr(stmt.limit, empty)((), params)
-            offset = (
-                compile_expr(stmt.offset, empty)((), params)
-                if stmt.offset is not None
-                else 0
-            )
-        except (ExecutionError, PlanningError, IndexError):
-            return None
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
-            return None
-        if not isinstance(offset, int) or isinstance(offset, bool) or offset < 0:
-            return None
-        return limit + offset
+        limit, offset = limit_and_offset(stmt.limit, stmt.offset, params)
+        return None if limit is None else limit + offset
 
     def _scatter_gather(
         self,
@@ -1373,10 +1340,8 @@ class ShardedDatabase:
                 self.stats["select_cache_misses"] += 1
             db0 = db_for(targets[0])
             node0 = build_from_where(stmt, db0, first)
-            _compile_shard_plan(db0, node0)
             source = RowsNode(node0.layout, (), label="ShardGather")
-            plan, names = plan_projection(stmt, source, node0.layout)
-            _compile_shard_plan(db0, plan)
+            plan, names = plan_projection(stmt, source)
             entry = {
                 "nodes": {(db0, db0.catalog_epoch): node0},
                 "source": source,
@@ -1410,7 +1375,6 @@ class ShardedDatabase:
                 for k in stale:
                     del entry["nodes"][k]
                 node = build_from_where(stmt, database, branch)
-                _compile_shard_plan(database, node)
                 entry["nodes"][node_key] = node
             if (
                 cap is not None
@@ -1541,11 +1505,11 @@ class ShardedDatabase:
                     )
             broadcast_rows[canonical] = rows
 
-        def factory(binding, canonical, schema, filter_fn, probe, own_conjuncts):
+        def factory(binding, canonical, schema, own_conjuncts):
             if binding.lower() == part_binding:
                 return None  # partitioned side: default shard-local scan
             return BroadcastRowsNode(
-                binding, schema, broadcast_rows[canonical], filter_fn
+                binding, schema, broadcast_rows[canonical], own_conjuncts
             )
 
         return factory
@@ -1587,10 +1551,7 @@ class ShardedDatabase:
             source = RowsNode(
                 decomposition.partial_layout, (), label="PartialAggGather"
             )
-            plan, names = plan_projection(
-                decomposition.final_stmt, source, decomposition.partial_layout
-            )
-            _compile_shard_plan(self.shards[0], plan)
+            plan, names = plan_projection(decomposition.final_stmt, source)
             decomposition.final_entry = {
                 "source": source, "plan": plan, "names": names,
             }
@@ -1628,7 +1589,6 @@ class ShardedDatabase:
                 )
             source_rows = [dict(zip(columns, row)) for row in inner.rows]
         else:
-            empty = Layout()
             source_rows = []
             for row_exprs in stmt.rows:
                 if len(row_exprs) != len(columns):
@@ -1638,7 +1598,7 @@ class ShardedDatabase:
                     )
                 source_rows.append(
                     {
-                        column: compile_expr(expr, empty)((), params)
+                        column: evaluate_rowless(expr, params)
                         for column, expr in zip(columns, row_exprs)
                     }
                 )

@@ -1,30 +1,34 @@
-"""Expression compilation: Expr trees -> specialized batch functions.
+"""Expression programs: Expr trees -> specialized batch functions.
 
-The planner's ``compile_expr`` lowers an expression into a tree of nested
-closures — correct, but every row pays one Python call per tree node. This
-module lowers the same tree **once per cached plan** into straight-line
-Python source (slot-indexed tuple access, short-circuit AND/OR, constant
-and parameter hoisting), compiles it with ``compile()``/``exec``, and
-returns functions that process a whole batch of rows per call. The
-executor's batch operators (:meth:`PlanNode.batches`) drive these; a plan
-built without programs (an uncached one) runs the closure tree inside
-the same operators, which is also the reference the tests hold the
-generated code to.
+Everything the executor evaluates per row runs here: a plan node hands
+over its expressions and its input :class:`~repro.db.sql.planner.Layout`
+and gets back a function that processes a whole batch of rows per call —
+straight-line Python source (slot-indexed tuple access, short-circuit
+AND/OR, constant and parameter hoisting) built from the tree, compiled
+with ``compile()`` and bound with ``exec``. A node generates a form the
+first time it runs it.
 
-Semantics are the closure tree's, exactly: SQL three-valued logic with the
-engine's truth normalization, ``compare_values`` total-order comparisons
-(with a direct-operator fast path guarded against NaN, whose ordering
-under ``compare_values`` differs from Python's), the planner's arithmetic
-error messages, and lazy CASE/AND/OR evaluation. Any construct this
-module does not specialize falls back to the planner closure for that
-subtree; any failure to compile at all makes the entry points return
-``None`` and the caller stays on the closure path.
+A program is a pure function of its expression and layout, and its source
+text says everything about it but the constants it binds, so code objects
+are kept per source text (:data:`_code_memo`): a plan that runs once — a
+replay's fresh dev database, a shard, a broadcast join rebuilt per
+statement — reuses what any database of the process already compiled.
+
+Semantics are ``Expr.eval``'s, exactly, and the property suite holds every
+form to it: SQL three-valued logic with the engine's truth normalization,
+``compare_values`` total-order comparisons (with a direct-operator fast
+path guarded against NaN, whose ordering under ``compare_values`` differs
+from Python's), the same error messages, and lazy CASE/AND/OR/IN
+evaluation. What a row could never evaluate — an unknown column, ``*``,
+an aggregate call — is a :class:`PlanningError`, as it is from
+:func:`~repro.db.sql.planner.check_scalar` at plan time; there is no
+other path to fall back to.
 """
 
 from __future__ import annotations
 
-import re
 import warnings
+from types import CodeType
 from typing import Any, Callable, Sequence
 
 from repro.db.expr import (
@@ -42,9 +46,9 @@ from repro.db.expr import (
     UnaryOp,
     _div,
     _mod,
+    like_regex,
 )
 from repro.db.sql import planner
-from repro.db.sql.planner import _like_regex
 from repro.db.sql.functions import (
     AGGREGATE_NAMES,
     _SCALARS,
@@ -52,19 +56,25 @@ from repro.db.sql.functions import (
     make_accumulator,
 )
 from repro.db.types import SORT_CLASS, compare_values
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PlanningError
 
 __all__ = [
     "compile_scalar",
     "compile_predicate_batch",
     "compile_projection_batch",
+    "compile_sort_key",
+    "compile_assignment",
     "compile_join_build",
     "compile_join_probe",
     "compile_aggregate_programs",
 ]
 
-#: Wrapper distinguishing bool group keys from 1/1.0 in raw-keyed dicts,
-#: matching the (class, value) grouping the closure aggregate uses
+#: Code objects by generated source text, dropped whole at the limit
+#: (like the plan cache).
+_CODE_MEMO_LIMIT = 4096
+_code_memo: dict[str, CodeType] = {}
+
+#: Wrapper distinguishing bool group keys from 1/1.0 in raw-keyed dicts
 #: (compare_values orders bool apart from numerics, but Python's
 #: ``hash(True) == hash(1)`` with ``True == 1`` would merge them).
 _BOOL_KEY = ("__repro_bool_key__",)
@@ -97,10 +107,10 @@ class _Emitter:
     indexing expression — all safe to reference more than once.
     """
 
-    def __init__(self, layout: planner.Layout, env: dict, row: str = "r"):
+    def __init__(self, layout: planner.Layout):
         self.layout = layout
-        self.env = env
-        self.row = row
+        self.env: dict = {"ExecutionError": ExecutionError}
+        self.row = "r"
         self.lines: list[str] = []
         self.prologue: list[str] = []
         self.indent = 1
@@ -140,6 +150,22 @@ class _Emitter:
             self.env.setdefault("_pget", _pget)
         return name
 
+    def per_row(self, exprs: Sequence[Expr]) -> tuple[list[str], list[str]]:
+        """Lower ``exprs`` as a row loop's body: (fragments, body lines)."""
+        outer, self.lines = self.lines, []
+        self.indent = 2
+        frags = [self.emit(e) for e in exprs]
+        body, self.lines = self.lines, outer
+        self.indent = 1
+        return frags, body
+
+    def assemble(self, fn_name: str, signature: str) -> Callable:
+        """Bind the accumulated source into a function."""
+        defaults = "".join(f", {name}={name}" for name in self.const_args)
+        body = self.prologue + self.lines
+        source = f"def {fn_name}({signature}{defaults}):\n" + "\n".join(body)
+        return _bind(source, fn_name, self.env)
+
     # -- expression lowering ------------------------------------------------
 
     def emit(self, expr: Expr) -> str:
@@ -175,17 +201,11 @@ class _Emitter:
             return self._emit_like(expr)
         if isinstance(expr, Case):
             return self._emit_case(expr)
-        if isinstance(expr, FuncCall):
+        if isinstance(expr, FuncCall) and expr.name not in AGGREGATE_NAMES:
             return self._emit_func(expr)
-        return self._fallback(expr)
-
-    def _fallback(self, expr: Expr) -> str:
-        """Unsupported subtree: delegate to the planner closure."""
-        closure = planner.compile_expr(expr, self.layout)
-        name = self.bind(closure, "_c")
-        out = self.tmp()
-        self.line(f"{out} = {name}({self.row}, p)")
-        return out
+        # ``*``, an aggregate call, a node type nobody taught this module:
+        # what check_scalar reports, by name, when the plan is built.
+        raise PlanningError(f"cannot compile expression {expr!r}")
 
     def _emit_binary(self, expr: BinaryOp) -> str:
         op = expr.op
@@ -210,7 +230,7 @@ class _Emitter:
             return self._emit_compare(expr, op)
         if op in ("+", "-", "*", "/", "%", "||"):
             return self._emit_arith(expr, op)
-        return self._fallback(expr)
+        raise PlanningError(f"unknown operator {op!r}")
 
     def _emit_compare(self, expr: BinaryOp, op: str) -> str:
         """Comparison with a NaN-guarded direct-operator fast path.
@@ -223,17 +243,19 @@ class _Emitter:
         guards at compile time so the hot ``col <op> constant`` shape
         pays one class check per row.
         """
-        out = self.tmp()
         py, zero = _CMP_PY[op], _CMP_ZERO[op]
         a_lit = isinstance(expr.left, Literal)
         b_lit = isinstance(expr.right, Literal)
+        a = self.localize(self.emit(expr.left))
+        b = self.localize(self.emit(expr.right))
+        out = self.tmp()
         if (a_lit and expr.left.value is None) or (
             b_lit and expr.right.value is None
         ):
+            # NULL whatever the other side is — which still ran, for the
+            # error it may raise.
             self.line(f"{out} = None")
             return out
-        a = self.localize(self.emit(expr.left))
-        b = self.localize(self.emit(expr.right))
         self.env.setdefault("_cmp", compare_values)
         none_checks = []
         if not a_lit:
@@ -301,25 +323,31 @@ class _Emitter:
         return out
 
     def _emit_arith(self, expr: BinaryOp, op: str) -> str:
-        out = self.tmp()
-        msg = self.bind(f"invalid operands for {op}", "_m")
-        self.line("try:")
-        self.indent += 1
+        """Arithmetic: only the operation sits in the ``try``, so a chain
+        of any length stays flat (CPython nests 20 blocks at most)."""
         a = self.localize(self.emit(expr.left))
         b = self.localize(self.emit(expr.right))
-        self.line(f"if {a} is None or {b} is None:")
-        self.line(f"    {out} = None")
-        self.line("else:")
         if op in ("+", "-", "*"):
-            self.line(f"    {out} = {a} {op} {b}")
+            value = f"{a} {op} {b}"
         elif op == "||":
-            self.line(f"    {out} = f'{{{a}}}{{{b}}}'")
+            value = f"f'{{{a}}}{{{b}}}'"
         else:
             helper = self.bind(_div if op == "/" else _mod, "_h")
-            self.line(f"    {out} = {helper}({a}, {b})")
-        self.indent -= 1
-        self.line("except TypeError:")
-        self.line(f"    raise ExecutionError({msg}) from None")
+            value = f"{helper}({a}, {b})"
+        return self._emit_guarded(
+            f"{a} is None or {b} is None", value, f"invalid operands for {op}"
+        )
+
+    def _emit_guarded(self, is_null: str, value: str, complaint: str) -> str:
+        """``value``, NULL under ``is_null``; a TypeError is ``complaint``."""
+        out = self.tmp()
+        self.line(f"if {is_null}:")
+        self.line(f"    {out} = None")
+        self.line("else:")
+        self.line("    try:")
+        self.line(f"        {out} = {value}")
+        self.line("    except TypeError:")
+        self.line(f"        raise ExecutionError({complaint!r}) from None")
         return out
 
     def _emit_unary(self, expr: UnaryOp) -> str:
@@ -329,9 +357,9 @@ class _Emitter:
             self.line(f"{out} = None if {operand} is None else not {operand}")
             return out
         if expr.op == "-":
-            out = self.tmp()
-            self.line(f"{out} = None if {operand} is None else -{operand}")
-            return out
+            return self._emit_guarded(
+                f"{operand} is None", f"-{operand}", "invalid operand for -"
+            )
         return operand  # unary '+'
 
     def _emit_between(self, expr: Between) -> str:
@@ -355,7 +383,7 @@ class _Emitter:
         ``(class, value)`` keys of its non-NULL items; a miss is NULL
         when the list held a NULL literal."""
         if not all(isinstance(item, Literal) for item in expr.items):
-            return self._fallback(expr)
+            return self._emit_in_lazy(expr)
         values = [item.value for item in expr.items]
         keys = self.bind(
             frozenset((SORT_CLASS[type(v)], v) for v in values if v is not None)
@@ -371,47 +399,64 @@ class _Emitter:
         )
         return out
 
-    def _emit_like(self, expr: Like) -> str:
-        if not (isinstance(expr.pattern, Literal) and expr.pattern.value is not None):
-            return self._fallback(expr)
-        regex = self.bind(_like_regex(str(expr.pattern.value)), "_rx")
+    def _emit_in_lazy(self, expr: InList) -> str:
+        """IN with computed items, each evaluated only if none before it
+        matched. The result starts as the miss and turns NULL at a NULL
+        item; a one-pass ``while`` gives the match its way out without
+        nesting a block per item."""
         operand = self.localize(self.emit(expr.operand))
+        out = self.tmp()
+        self.env.setdefault("_cmp", compare_values)
+        self.line(f"{out} = None if {operand} is None else {expr.negated}")
+        self.line(f"while {operand} is not None:")
+        self.indent += 1
+        for item in expr.items:
+            candidate = self.localize(self.emit(item))
+            self.line(f"if {candidate} is None:")
+            self.line(f"    {out} = None")
+            self.line(f"elif _cmp({operand}, {candidate}) == 0:")
+            self.line(f"    {out} = {not expr.negated}")
+            self.line("    break")
+        self.line("break")
+        self.indent -= 1
+        return out
+
+    def _emit_like(self, expr: Like) -> str:
+        operand = self.localize(self.emit(expr.operand))
+        if isinstance(expr.pattern, Literal) and expr.pattern.value is not None:
+            regex = self.bind(like_regex(str(expr.pattern.value)), "_rx")
+            is_null = f"{operand} is None"
+        else:
+            pattern = self.localize(self.emit(expr.pattern))
+            regex = f"{self.bind(like_regex, '_rx')}(str({pattern}))"
+            is_null = f"{operand} is None or {pattern} is None"
         out = self.tmp()
         matched = f"bool({regex}.fullmatch(str({operand})))"
         if expr.negated:
             matched = f"not {matched}"
-        self.line(f"{out} = None if {operand} is None else {matched}")
+        self.line(f"{out} = None if {is_null} else {matched}")
         return out
 
     def _emit_case(self, expr: Case) -> str:
+        """CASE as a one-pass ``while`` the first TRUE branch breaks out
+        of: a later branch costs no nesting level."""
         out = self.tmp()
-
-        def branch(index: int) -> None:
-            if index >= len(expr.branches):
-                if expr.default is not None:
-                    value = self.emit(expr.default)
-                    self.line(f"{out} = {value}")
-                else:
-                    self.line(f"{out} = None")
-                return
-            cond_expr, value_expr = expr.branches[index]
+        self.line("while True:")
+        self.indent += 1
+        for cond_expr, value_expr in expr.branches:
             cond = self.emit(cond_expr)
             self.line(f"if {cond} is True:")
             self.indent += 1
-            value = self.emit(value_expr)
-            self.line(f"{out} = {value}")
+            self.line(f"{out} = {self.emit(value_expr)}")
+            self.line("break")
             self.indent -= 1
-            self.line("else:")
-            self.indent += 1
-            branch(index + 1)
-            self.indent -= 1
-
-        branch(0)
+        default = "None" if expr.default is None else self.emit(expr.default)
+        self.line(f"{out} = {default}")
+        self.line("break")
+        self.indent -= 1
         return out
 
     def _emit_func(self, expr: FuncCall) -> str:
-        if expr.name in AGGREGATE_NAMES:
-            return self._fallback(expr)  # raises PlanningError, as before
         args = [self.emit(a) for a in expr.args]
         out = self.tmp()
         spec = _SCALARS.get(expr.name.upper())
@@ -428,23 +473,20 @@ class _Emitter:
         return out
 
 
-def _assemble(
-    fn_name: str, signature: str, emitter: _Emitter, env: dict
-) -> Callable:
-    defaults = "".join(f", {name}={name}" for name in emitter.const_args)
-    body = emitter.prologue + emitter.lines
-    if not body:
-        body = ["    pass"]
-    source = f"def {fn_name}({signature}{defaults}):\n" + "\n".join(body)
-    with warnings.catch_warnings():
-        # Generated identity tests like ``_t1 is True`` are deliberate
-        # (SQL truth normalization); silence CPython's literal-is lint.
-        warnings.simplefilter("ignore", SyntaxWarning)
-        code = compile(source, "<repro-codegen>", "exec")
+def _bind(source: str, fn_name: str, env: dict) -> Callable:
+    """The function ``source`` defines, bound to the constants in ``env``."""
+    code = _code_memo.get(source)
+    if code is None:
+        with warnings.catch_warnings():
+            # Generated identity tests like ``_t1 is True`` are deliberate
+            # (SQL truth normalization); silence CPython's literal-is lint.
+            warnings.simplefilter("ignore", SyntaxWarning)
+            code = compile(source, "<repro-codegen>", "exec")
+        if len(_code_memo) >= _CODE_MEMO_LIMIT:
+            _code_memo.clear()
+        _code_memo[source] = code
     exec(code, env)  # noqa: S102 - source is generated by this module
-    fn = env[fn_name]
-    fn._src = source
-    return fn
+    return env[fn_name]
 
 
 # ---------------------------------------------------------------------------
@@ -452,153 +494,163 @@ def _assemble(
 # ---------------------------------------------------------------------------
 
 
-def compile_scalar(expr: Expr, layout: planner.Layout) -> Callable | None:
-    """``(row, params) -> value``, or None if codegen fails."""
-    try:
-        env: dict = {"ExecutionError": ExecutionError}
-        emitter = _Emitter(layout, env, row="r")
-        frag = emitter.emit(expr)
-        emitter.line(f"return {frag}")
-        return _assemble("_scalar", "r, p", emitter, env)
-    except Exception:
-        return None
+def compile_scalar(expr: Expr, layout: planner.Layout) -> Callable:
+    """``(row, params) -> value``."""
+    emitter = _Emitter(layout)
+    emitter.line(f"return {emitter.emit(expr)}")
+    return emitter.assemble("_scalar", "r, p")
 
 
 def compile_predicate_batch(
     expr: Expr, layout: planner.Layout, pairs: bool = False
-) -> Callable | None:
+) -> Callable:
     """``(rows, params) -> list[row]`` keeping rows where expr IS TRUE.
 
     With ``pairs`` the batch holds ``(row_id, values)`` pairs — a scan
-    recording read provenance — and the predicate reads ``values``.
+    recording read provenance, or the match phase of an UPDATE or DELETE
+    — and the predicate reads ``values``.
     """
-    try:
-        env: dict = {"ExecutionError": ExecutionError}
-        emitter = _Emitter(layout, env, row="r")
-        emitter.indent = 2
-        saved = emitter.lines
-        emitter.lines = []
-        frag = emitter.emit(expr)
-        per_row = emitter.lines
-        emitter.lines = saved
-        emitter.indent = 1
+    emitter = _Emitter(layout)
+    (frag,), per_row = emitter.per_row([expr])
+    emitter.line("out = []")
+    emitter.line("ap = out.append")
+    if pairs:
+        emitter.line("for x in rows:")
+        emitter.line("    r = x[1]")
+    else:
+        emitter.line("for r in rows:")
+    emitter.lines.extend(per_row)
+    emitter.line(f"    if {frag} is True:")
+    emitter.line("        ap(x)" if pairs else "        ap(r)")
+    emitter.line("return out")
+    return emitter.assemble("_pred", "rows, p")
+
+
+def _compile_map(
+    fn_name: str, exprs: Sequence[Expr], layout: planner.Layout, pack: Callable
+) -> Callable:
+    """``(rows, params) -> [pack(emitter, fragments) for each row]``."""
+    emitter = _Emitter(layout)
+    frags, per_row = emitter.per_row(exprs)
+    packed = pack(emitter, frags)
+    if not per_row:
+        # Pure fragments (slots/constants/params): one list comprehension.
+        emitter.line(f"return [{packed} for r in rows]")
+    else:
         emitter.line("out = []")
         emitter.line("ap = out.append")
-        if pairs:
-            emitter.line("for x in rows:")
-            emitter.line("    r = x[1]")
-        else:
-            emitter.line("for r in rows:")
+        emitter.line("for r in rows:")
         emitter.lines.extend(per_row)
-        emitter.line(f"    if {frag} is True:")
-        emitter.line("        ap(x)" if pairs else "        ap(r)")
+        emitter.line(f"    ap({packed})")
         emitter.line("return out")
-        return _assemble("_pred", "rows, p", emitter, env)
-    except Exception:
-        return None
+    return emitter.assemble(fn_name, "rows, p")
 
 
 def compile_projection_batch(
     exprs: Sequence[Expr], layout: planner.Layout
-) -> Callable | None:
+) -> Callable:
     """``(rows, params) -> list[tuple]`` projecting each row."""
-    try:
-        env: dict = {"ExecutionError": ExecutionError}
-        emitter = _Emitter(layout, env, row="r")
-        emitter.indent = 2
-        saved = emitter.lines
-        emitter.lines = []
-        frags = [emitter.emit(e) for e in exprs]
-        per_row = emitter.lines
-        emitter.lines = saved
-        emitter.indent = 1
-        packed = f"({', '.join(frags)},)" if frags else "()"
-        if not per_row:
-            # Pure fragments (slots/constants/params): one list comprehension.
-            emitter.line(f"return [{packed} for r in rows]")
-        else:
-            emitter.line("out = []")
-            emitter.line("ap = out.append")
-            emitter.line("for r in rows:")
-            emitter.lines.extend(per_row)
-            emitter.line(f"    ap({packed})")
-            emitter.line("return out")
-        return _assemble("_proj", "rows, p", emitter, env)
-    except Exception:
-        return None
+    return _compile_map(
+        "_proj",
+        exprs,
+        layout,
+        lambda _emitter, frags: f"({', '.join(frags)},)" if frags else "()",
+    )
 
 
-def _emit_key(emitter: _Emitter, key_exprs: Sequence[Expr]) -> tuple[list[str], str]:
-    """Per-component fragments and the (scalar or tuple) dict key fragment.
+def compile_sort_key(expr: Expr, layout: planner.Layout) -> Callable:
+    """``(rows, params) -> list[(class, value)]``: each row's ORDER BY key.
 
+    A key is its ``SORT_CLASS`` pair, which orders as ``compare_values``
+    orders the value — so the sort over these compares in C.
+    """
+    return _compile_map(
+        "_sortkey",
+        [expr],
+        layout,
+        lambda emitter, frags: (
+            f"({emitter.bind(SORT_CLASS)}[({frags[0]}).__class__], {frags[0]})"
+        ),
+    )
+
+
+def compile_assignment(
+    targets: Sequence[tuple[int, Expr, Callable[[Any], Any]]],
+    layout: planner.Layout,
+) -> Callable:
+    """``(row, params) -> tuple``: the row an UPDATE's SET list makes of ``row``.
+
+    ``targets`` holds ``(slot, expr, store)`` per assignment, in SET order;
+    ``store(value)`` returns the value as the column stores it, or raises.
+    Every expression reads the row as it was matched, and each value is
+    stored before the next expression runs.
+    """
+    emitter = _Emitter(layout)
+    emitter.line("out = list(r)")
+    for slot, expr, store in targets:
+        value = emitter.emit(expr)
+        emitter.line(f"out[{slot}] = {emitter.bind(store, '_st')}({value})")
+    emitter.line("return tuple(out)")
+    return emitter.assemble("_assign", "r, p")
+
+
+def _emit_key(
+    emitter: _Emitter, key_exprs: Sequence[Expr]
+) -> tuple[list[str], str, str]:
+    """A join key as a loop body, its dict-key fragment and its NULL test.
+
+    One key column is its own (scalar) dict key, several are a tuple, and
+    none — a cross or non-equi join — is ``()``: one bucket, never NULL.
     ``emit`` always returns an atom (a slot access, temp, bound constant,
     or literal), so fragments are safely repeatable without localizing —
     which keeps a bare-column key statement-free and eligible for the
     probe comprehension fast path.
     """
-    frags = [emitter.emit(e) for e in key_exprs]
-    if len(frags) == 1:
-        return frags, frags[0]
-    return frags, f"({', '.join(frags)},)"
+    frags, per_row = emitter.per_row(key_exprs)
+    key = frags[0] if len(frags) == 1 else f"({', '.join(frags)}{',' if frags else ''})"
+    is_null = " or ".join(f"{f} is None" for f in frags) or "False"
+    return per_row, key, is_null
 
 
 def join_key_slot(
     key_exprs: Sequence[Expr], layout: planner.Layout
 ) -> int | None:
-    """The tuple slot index when the join key is one bare column.
+    """The tuple slot index when the join key is one bare column, else None.
 
     The count-only join fast path (eager aggregation for ``COUNT(*)``
     over an equi-join) needs to extract probe keys with ``itemgetter``
-    at C speed; that is only equivalent to the compiled probe when the
-    key fragment is literally ``r[slot]``. Decided here, against the
-    same emitter the probe uses, so the two can never disagree.
+    at C speed; that is only equivalent to the probe program when the
+    key fragment is literally ``r[slot]``.
     """
-    if len(key_exprs) != 1:
-        return None
-    try:
-        emitter = _Emitter(layout, {}, row="r")
-        frag = emitter.emit(key_exprs[0])
-        if emitter.lines:
-            return None
-        match = re.fullmatch(r"r\[(\d+)\]", frag)
-        return int(match.group(1)) if match else None
-    except Exception:
-        return None
+    if len(key_exprs) == 1:
+        key = key_exprs[0]
+        if isinstance(key, planner.SlotRef):
+            return key.index
+        if isinstance(key, ColumnRef):
+            return layout.slot(key.qualifier, key.column)
+    return None
 
 
 def compile_join_build(
     key_exprs: Sequence[Expr], layout: planner.Layout
-) -> Callable | None:
+) -> Callable:
     """``(rows, params, table) -> None`` building the hash side in place.
 
-    Single-column keys use the scalar value as the dict key; the matching
-    probe function does the same, so bucketing is identical to the closure
-    path's key tuples (tuple hashing delegates to the elements).
+    Rows whose key holds a NULL are left out: NULL never equi-joins.
     """
-    try:
-        env: dict = {"ExecutionError": ExecutionError}
-        emitter = _Emitter(layout, env, row="r")
-        emitter.indent = 2
-        saved = emitter.lines
-        emitter.lines = []
-        frags, key = _emit_key(emitter, key_exprs)
-        per_row = emitter.lines
-        emitter.lines = saved
-        emitter.indent = 1
-        emitter.line("get = table.get")
-        emitter.line("for r in rows:")
-        emitter.lines.extend(per_row)
-        null_check = " or ".join(f"{f} is None" for f in frags)
-        emitter.line(f"    if {null_check}:")
-        emitter.line("        continue")
-        emitter.line(f"    lst = get({key})")
-        emitter.line("    if lst is None:")
-        emitter.line(f"        table[{key}] = [r]")
-        emitter.line("    else:")
-        emitter.line("        lst.append(r)")
-        return _assemble("_build", "rows, p, table", emitter, env)
-    except Exception:
-        return None
+    emitter = _Emitter(layout)
+    per_row, key, is_null = _emit_key(emitter, key_exprs)
+    emitter.line("get = table.get")
+    emitter.line("for r in rows:")
+    emitter.lines.extend(per_row)
+    emitter.line(f"    if {is_null}:")
+    emitter.line("        continue")
+    emitter.line(f"    lst = get({key})")
+    emitter.line("    if lst is None:")
+    emitter.line(f"        table[{key}] = [r]")
+    emitter.line("    else:")
+    emitter.line("        lst.append(r)")
+    return emitter.assemble("_build", "rows, p, table")
 
 
 def compile_join_probe(
@@ -608,244 +660,188 @@ def compile_join_probe(
     combined_layout: planner.Layout,
     right_width: int,
     kind: str,
-) -> Callable | None:
+) -> Callable:
     """``(rows, params, table) -> list[combined_row]`` probing the hash side."""
-    try:
-        env: dict = {"ExecutionError": ExecutionError}
-        emitter = _Emitter(left_layout, env, row="r")
-        left_join = kind == "left"
-        simple = residual_expr is None and not left_join
-        emitter.indent = 2
-        saved = emitter.lines
-        emitter.lines = []
-        frags, key = _emit_key(emitter, key_exprs)
-        per_row = emitter.lines
-        emitter.lines = saved
-        emitter.indent = 1
-        if simple and not per_row and len(frags) == 1:
-            # Pure single-column inner join: one comprehension. A NULL key
-            # never appears in the table, so ``get`` misses naturally.
-            emitter.env["_empty"] = ()
-            emitter.line("get = table.get")
-            emitter.line(
-                f"return [r + rr for r in rows for rr in get({key}) or _empty]"
-            )
-            return _assemble("_probe", "rows, p, table", emitter, env)
-        emitter.line("out = []")
-        emitter.line("ap = out.append")
+    emitter = _Emitter(left_layout)
+    left_join = kind == "left"
+    per_row, key, is_null = _emit_key(emitter, key_exprs)
+    simple = residual_expr is None and not left_join
+    if simple and not per_row and len(key_exprs) == 1:
+        # Pure single-column inner join: one comprehension. A NULL key
+        # never appears in the table, so ``get`` misses naturally.
+        emitter.env["_empty"] = ()
         emitter.line("get = table.get")
+        emitter.line(f"return [r + rr for r in rows for rr in get({key}) or _empty]")
+        return emitter.assemble("_probe", "rows, p, table")
+    emitter.line("out = []")
+    emitter.line("ap = out.append")
+    emitter.line("get = table.get")
+    if left_join:
+        emitter.line(f"nullr = (None,) * {right_width}")
+    emitter.line("for r in rows:")
+    emitter.indent = 2
+    emitter.lines.extend(per_row)
+    if left_join:
+        emitter.line(f"m = None if ({is_null}) else get({key})")
+        emitter.line("if m is None:")
+        emitter.line("    ap(r + nullr)")
+        emitter.line("    continue")
+        emitter.line("matched = False")
+    else:
+        emitter.line(f"if {is_null}:")
+        emitter.line("    continue")
+        emitter.line(f"m = get({key})")
+        emitter.line("if m is None:")
+        emitter.line("    continue")
+    emitter.line("for rr in m:")
+    emitter.indent = 3
+    if residual_expr is not None:
+        # The residual reads the joined row; nothing after it reads ``r``.
+        emitter.row, emitter.layout = "c", combined_layout
+        emitter.line("c = r + rr")
+        emitter.line(f"if {emitter.emit(residual_expr)} is True:")
         if left_join:
-            emitter.line(f"nullr = (None,) * {right_width}")
-        emitter.line("for r in rows:")
-        emitter.indent = 2
-        emitter.lines.extend(per_row)
-        null_check = " or ".join(f"{f} is None" for f in frags)
+            emitter.line("    matched = True")
+        emitter.line("    ap(c)")
+    else:
         if left_join:
-            emitter.line(f"m = None if ({null_check}) else get({key})")
-            emitter.line("if m is None:")
-            emitter.line("    ap(r + nullr)")
-            emitter.line("    continue")
-            emitter.line("matched = False")
-        else:
-            emitter.line(f"if {null_check}:")
-            emitter.line("    continue")
-            emitter.line(f"m = get({key})")
-            emitter.line("if m is None:")
-            emitter.line("    continue")
-        emitter.line("for rr in m:")
-        emitter.indent = 3
-        if residual_expr is not None:
-            res_emitter = _Emitter(combined_layout, emitter.env, row="c")
-            res_emitter.lines = emitter.lines
-            res_emitter.indent = emitter.indent
-            res_emitter._n = emitter._n + 1000
-            res_emitter.const_args = emitter.const_args
-            res_emitter.prologue = emitter.prologue
-            res_emitter._params = emitter._params
-            emitter.line("c = r + rr")
-            frag = res_emitter.emit(residual_expr)
-            emitter.indent = res_emitter.indent
-            emitter.line(f"if {frag} is True:")
-            if left_join:
-                emitter.line("    matched = True")
-                emitter.line("    ap(c)")
-            else:
-                emitter.line("    ap(c)")
-        else:
-            if left_join:
-                emitter.line("matched = True")
-            emitter.line("ap(r + rr)")
-        emitter.indent = 2
-        if left_join:
-            emitter.line("if not matched:")
-            emitter.line("    ap(r + nullr)")
-        emitter.indent = 1
-        emitter.line("return out")
-        return _assemble("_probe", "rows, p, table", emitter, env)
-    except Exception:
-        return None
+            emitter.line("matched = True")
+        emitter.line("ap(r + rr)")
+    emitter.indent = 2
+    if left_join:
+        emitter.line("if not matched:")
+        emitter.line("    ap(r + nullr)")
+    emitter.indent = 1
+    emitter.line("return out")
+    return emitter.assemble("_probe", "rows, p, table")
 
 
 def compile_aggregate_programs(
     group_exprs: Sequence[Expr],
-    agg_metas: Sequence[tuple[str, bool, bool, Expr | None]],
+    aggregates: Sequence[FuncCall],
     layout: planner.Layout,
-) -> tuple[Callable, Callable, Callable] | None:
-    """Compiled grouped accumulation: ``(chunk_fn, init_fn, fin_fn)``.
+) -> tuple[Callable, Callable, Callable]:
+    """Grouped accumulation over ``aggregates``: ``(chunk_fn, init_fn, fin_fn)``.
 
     ``chunk_fn(rows, params, groups, order)`` folds one batch into the
     group states; ``init_fn()`` makes a fresh state (for the empty global
     group); ``fin_fn(state)`` finalizes one state into the aggregate value
     tuple. ``order`` accumulates ``(raw_key_tuple, state)`` in first-seen
-    order, matching the closure path's output ordering.
+    order, which is the output's.
 
     State layout: COUNT -> one counter slot; SUM/AVG -> (total, count)
     slots (``sum()`` over a list is the same left-to-right fold);
     MIN/MAX -> one best-so-far slot; DISTINCT variants keep real
     :class:`Accumulator` objects so set-based dedup semantics are shared.
     """
-    try:
-        env: dict = {"ExecutionError": ExecutionError, "_cmp": compare_values}
-        emitter = _Emitter(layout, env, row="r")
+    emitter = _Emitter(layout)
+    env = emitter.env
+    env["_cmp"] = compare_values
 
-        inits: list[str] = []  # python exprs building one state list
-        fins: list[str] = []  # python exprs over state var "st"
-        updates: list[tuple[str, ...]] = []  # lines per agg (row loop body)
-        slot = 0
-        pure_count_star = True
-        for name, star, distinct, arg_expr in agg_metas:
-            upper = name.upper()
-            if distinct or upper not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
-                maker = emitter.bind(
-                    (lambda n=name, s=star, d=distinct: make_accumulator(n, s, d)),
-                    "_mk",
-                )
-                inits.append(f"{maker}()")
-                fins.append(f"st[{slot}].result()")
-                if star:
-                    updates.append((f"st[{slot}].add(None)",))
-                else:
-                    updates.append(("__ARG__", f"st[{slot}].add(__V__)"))
-                slot += 1
-                pure_count_star = False
-                continue
-            if upper == "COUNT":
-                inits.append("0")
-                fins.append(f"st[{slot}]")
-                if star:
-                    updates.append((f"st[{slot}] += 1",))
-                else:
-                    updates.append(
-                        ("__ARG__", "if __V__ is not None:", f"    st[{slot}] += 1")
-                    )
-                    pure_count_star = False
-                slot += 1
-            elif upper in ("SUM", "AVG"):
-                inits.append("0")
-                inits.append("0")
-                if upper == "SUM":
-                    fins.append(f"(st[{slot}] if st[{slot + 1}] else None)")
-                else:
-                    fins.append(
-                        f"(st[{slot}] / st[{slot + 1}] if st[{slot + 1}] else None)"
-                    )
-                updates.append(
-                    (
-                        "__ARG__",
-                        "if __V__ is not None:",
-                        f"    st[{slot}] += __V__",
-                        f"    st[{slot + 1}] += 1",
-                    )
-                )
-                slot += 2
-                pure_count_star = False
-            else:  # MIN / MAX
-                inits.append("None")
-                fins.append(f"st[{slot}]")
-                op = "> 0" if upper == "MAX" else "< 0"
-                updates.append(
-                    (
-                        "__ARG__",
-                        "if __V__ is not None:",
-                        f"    _b = st[{slot}]",
-                        "    if _b is None:",
-                        f"        st[{slot}] = __V__",
-                        f"    elif _cmp(__V__, _b) {op}:",
-                        f"        st[{slot}] = __V__",
-                    )
-                )
-                slot += 1
-                pure_count_star = False
-
-        env["_BOOL_KEY"] = _BOOL_KEY
-        emitter.line("get = groups.get")
-        grouped = bool(group_exprs)
-        if grouped:
-            emitter.line("oap = order.append")
-            emitter.line("for r in rows:")
-            emitter.indent = 2
-            key_frags = [
-                emitter.localize(emitter.emit(e)) for e in group_exprs
-            ]
-            wrapped = [
-                f"({f} if {f}.__class__ is not bool else (_BOOL_KEY, {f}))"
-                for f in key_frags
-            ]
-            if len(wrapped) == 1:
-                key = wrapped[0]
+    inits: list[str] = []  # python exprs building one state list
+    fins: list[str] = []  # python exprs over state var "st"
+    updates: list[tuple[str, ...]] = []  # lines per agg (row loop body)
+    slot = 0
+    pure_count_star = True
+    for agg in aggregates:
+        name, star, distinct = agg.name, agg.star, agg.distinct
+        if distinct:
+            maker = emitter.bind(
+                (lambda n=name, s=star, d=distinct: make_accumulator(n, s, d)),
+                "_mk",
+            )
+            inits.append(f"{maker}()")
+            fins.append(f"st[{slot}].result()")
+            updates.append((f"st[{slot}].add(__V__)",))
+            slot += 1
+            pure_count_star = False
+        elif name == "COUNT":
+            inits.append("0")
+            fins.append(f"st[{slot}]")
+            if star:
+                updates.append((f"st[{slot}] += 1",))
             else:
-                key = f"({', '.join(wrapped)},)"
-            emitter.line(f"kk = {key}")
-            emitter.line("st = get(kk)")
-            emitter.line("if st is None:")
-            emitter.line(f"    st = groups[kk] = [{', '.join(inits)}]")
-            emitter.line(f"    oap((({', '.join(key_frags)},), st))")
-        else:
-            emitter.line("st = get(None)")
-            emitter.line("if st is None:")
-            emitter.line(f"    st = groups[None] = [{', '.join(inits)}]")
-            emitter.line("    order.append(((), st))")
-            if pure_count_star:
-                # Only COUNT(*): the whole batch folds in O(1).
-                for lines in updates:
-                    for text in lines:
-                        emitter.line(
-                            text.replace("+= 1", "+= len(rows)")
-                        )
-                emitter.line("return None")
-                emitter.indent = 1
-                chunk = _assemble(
-                    "_agg", "rows, p, groups, order", emitter, env
+                updates.append(("if __V__ is not None:", f"    st[{slot}] += 1"))
+                pure_count_star = False
+            slot += 1
+        elif name in ("SUM", "AVG"):
+            inits.append("0")
+            inits.append("0")
+            if name == "SUM":
+                fins.append(f"(st[{slot}] if st[{slot + 1}] else None)")
+            else:
+                fins.append(
+                    f"(st[{slot}] / st[{slot + 1}] if st[{slot + 1}] else None)"
                 )
-                return chunk, _make_init(inits, env), _make_fin(fins, env)
-            emitter.line("for r in rows:")
-            emitter.indent = 2
+            updates.append(
+                (
+                    "if __V__ is not None:",
+                    f"    st[{slot}] += __V__",
+                    f"    st[{slot + 1}] += 1",
+                )
+            )
+            slot += 2
+            pure_count_star = False
+        else:  # MIN / MAX
+            inits.append("None")
+            fins.append(f"st[{slot}]")
+            op = "> 0" if name == "MAX" else "< 0"
+            updates.append(
+                (
+                    "if __V__ is not None:",
+                    f"    _b = st[{slot}]",
+                    "    if _b is None:",
+                    f"        st[{slot}] = __V__",
+                    f"    elif _cmp(__V__, _b) {op}:",
+                    f"        st[{slot}] = __V__",
+                )
+            )
+            slot += 1
+            pure_count_star = False
 
-        # Per-row aggregate updates; each __ARG__ marker evaluates that
-        # aggregate's argument expression into __V__ at this point.
-        for (meta, lines) in zip(agg_metas, updates):
-            _name, star, _distinct, arg_expr = meta
-            value_frag = None
-            if not star and arg_expr is not None:
-                value_frag = emitter.localize(emitter.emit(arg_expr))
-            for text in lines:
-                if text == "__ARG__":
-                    continue
-                emitter.line(text.replace("__V__", value_frag or "None"))
-        emitter.indent = 1
-        chunk = _assemble("_agg", "rows, p, groups, order", emitter, env)
-        return chunk, _make_init(inits, env), _make_fin(fins, env)
-    except Exception:
-        return None
+    init_fn = _bind(f"def _init():\n    return [{', '.join(inits)}]", "_init", env)
+    packed = f"({', '.join(fins)},)" if fins else "()"  # GROUP BY alone: no aggregate
+    fin_fn = _bind(f"def _fin(st):\n    return {packed}", "_fin", env)
 
+    env["_BOOL_KEY"] = _BOOL_KEY
+    emitter.line("get = groups.get")
+    if group_exprs:
+        emitter.line("oap = order.append")
+        emitter.line("for r in rows:")
+        emitter.indent = 2
+        key_frags = [emitter.localize(emitter.emit(e)) for e in group_exprs]
+        wrapped = [
+            f"({f} if ({f}).__class__ is not bool else (_BOOL_KEY, {f}))"
+            for f in key_frags
+        ]
+        if len(wrapped) == 1:
+            key = wrapped[0]
+        else:
+            key = f"({', '.join(wrapped)},)"
+        emitter.line(f"kk = {key}")
+        emitter.line("st = get(kk)")
+        emitter.line("if st is None:")
+        emitter.line(f"    st = groups[kk] = [{', '.join(inits)}]")
+        emitter.line(f"    oap((({', '.join(key_frags)},), st))")
+    else:
+        emitter.line("st = get(None)")
+        emitter.line("if st is None:")
+        emitter.line(f"    st = groups[None] = [{', '.join(inits)}]")
+        emitter.line("    order.append(((), st))")
+        if pure_count_star:
+            # Only COUNT(*): the whole batch folds in O(1).
+            for lines in updates:
+                for text in lines:
+                    emitter.line(text.replace("+= 1", "+= len(rows)"))
+            return emitter.assemble("_agg", "rows, p, groups, order"), init_fn, fin_fn
+        emitter.line("for r in rows:")
+        emitter.indent = 2
 
-def _make_init(inits: list[str], env: dict) -> Callable:
-    source = f"def _init():\n    return [{', '.join(inits)}]"
-    exec(compile(source, "<repro-codegen>", "exec"), env)  # noqa: S102
-    return env["_init"]
-
-
-def _make_fin(fins: list[str], env: dict) -> Callable:
-    source = f"def _fin(st):\n    return ({', '.join(fins)},)"
-    exec(compile(source, "<repro-codegen>", "exec"), env)  # noqa: S102
-    return env["_fin"]
+    # Per-row aggregate updates; ``__V__`` stands for the aggregate's
+    # argument, evaluated right before its update lines.
+    for agg, lines in zip(aggregates, updates):
+        value = "None" if agg.star else emitter.localize(emitter.emit(agg.args[0]))
+        for text in lines:
+            emitter.line(text.replace("__V__", value))
+    emitter.indent = 1
+    return emitter.assemble("_agg", "rows, p, groups, order"), init_fn, fin_fn

@@ -20,17 +20,23 @@ single null read is recorded — this is exactly the shape of the paper's Table 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property, partial
 from itertools import chain, islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from repro.db.expr import ColumnRef, Expr, Literal, conjoin, split_conjuncts
+from repro.db.expr import (
+    ColumnRef,
+    Expr,
+    FuncCall,
+    Literal,
+    conjoin,
+    split_conjuncts,
+)
 from repro.db.result import ResultSet
 from repro.db.schema import Column, TableSchema
 from repro.db.sql import compile as codegen
 from repro.db.sql import planner
-from repro.db.sql.functions import make_accumulator
 from repro.db.sql.nodes import (
     CreateIndexStmt,
     CreateTableStmt,
@@ -44,15 +50,15 @@ from repro.db.sql.nodes import (
     TableRef,
     UpdateStmt,
 )
-from repro.db.sql.planner import CompiledExpr, Layout, compile_expr
-from repro.db.types import SORT_CLASS, coerce, index_key, type_from_sql_name
-from repro.errors import (
-    ExecutionError,
-    IntegrityError,
-    PlanningError,
-    SchemaError,
-    TypeCoercionError,
+from repro.db.sql.planner import (
+    Layout,
+    check_scalar,
+    checked_count,
+    evaluate_rowless,
+    limit_and_offset,
 )
+from repro.db.types import index_key, type_from_sql_name
+from repro.errors import ExecutionError, PlanningError, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.database import Database
@@ -113,12 +119,13 @@ class PlanNode:
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         """Batch-at-a-time row production: chunks of ``list[tuple]``.
 
-        The only way a plan runs. Operators carrying compiled programs
-        process a whole chunk per call; a plan built without them
-        (uncached) takes the planner-closure branch inside the same
-        method. Chunk boundaries carry no meaning — consumers must
-        produce identical results for any chunking — and a chunk is never
-        mutated by its consumer.
+        The only way a plan runs. An operator checks its expressions
+        against its input layout when it is built
+        (:func:`~repro.db.sql.planner.check_scalar`) and generates the
+        program that evaluates them over a whole chunk the first time it
+        runs (:mod:`repro.db.sql.compile`). Chunk boundaries carry no
+        meaning — consumers must produce identical results for any
+        chunking — and a chunk is never mutated by its consumer.
         """
         raise NotImplementedError
 
@@ -224,34 +231,37 @@ class ScanNode(PlanNode):
         table: str,
         binding: str,
         schema: TableSchema,
-        filter_fn: CompiledExpr | None,
-        probe: tuple[Any, list[CompiledExpr]] | None = None,
+        conjuncts: Sequence[Expr] = (),
+        probe: tuple | None = None,
     ):
         self.table = table
         self.binding = binding
         self.schema = schema
-        self.probe = probe  # (HashIndex, key expr fns evaluated without rows)
+        self.probe = probe  # see _find_probe
         self.layout = Layout.for_table(binding, schema.column_names)
-        #: Human-readable filter text for EXPLAIN (set by the planner).
-        self.filter_sql: str | None = None
-        #: The merged pushed-down filter expression (set by the planner).
-        self.filter_expr: Expr | None = None
-        #: Whole-batch forms of the filter, over value tuples and over
-        #: ``(row_id, values)`` pairs: the planner closure until a
-        #: generated program replaces it — at ``compile_plan_programs``
-        #: for values, at the plan's first traced execution for pairs
-        #: (a DML match: at its plan's first cache hit), so a database
-        #: that never traces generates one program, not two.
-        self._c_filter: Callable | None = None
-        self._c_filter_pairs: Callable | None = None
-        self._pairs_program_due = False
-        if filter_fn is not None:
-            self._c_filter = lambda chunk, params: [
-                v for v in chunk if filter_fn(v, params) is True
-            ]
-            self._c_filter_pairs = lambda chunk, params: [
-                x for x in chunk if filter_fn(x[1], params) is True
-            ]
+        #: The pushed-down filter: the conjuncts AND-ed, and their text
+        #: for EXPLAIN.
+        self.filter_expr = conjoin(conjuncts)
+        self.filter_sql = " AND ".join(c.sql() for c in conjuncts)
+        if self.filter_expr is not None:
+            check_scalar(self.filter_expr, self.layout)
+
+    @cached_property
+    def _keep_values(self) -> Callable | None:
+        """The filter over a chunk of value tuples."""
+        if self.filter_expr is None:
+            return None
+        return codegen.compile_predicate_batch(self.filter_expr, self.layout)
+
+    @cached_property
+    def _keep_pairs(self) -> Callable | None:
+        """The filter over a chunk of ``(row_id, values)`` pairs — its own
+        program, so a database that never traces or writes generates one."""
+        if self.filter_expr is None:
+            return None
+        return codegen.compile_predicate_batch(
+            self.filter_expr, self.layout, pairs=True
+        )
 
     def describe(self) -> str:
         parts = [f"Scan({self.table}"]
@@ -322,9 +332,7 @@ class ScanNode(PlanNode):
             # and consumers never mutate chunks.
             chunk = rows if type(rows) is list else list(rows)
             chunks = (chunk,) if chunk else ()
-        if track:
-            self.compile_pairs_filter()
-        keep = self._c_filter_pairs if track else self._c_filter
+        keep = self._keep_pairs if track else self._keep_values
         for chunk in chunks:
             out = chunk
             if keep is not None:
@@ -337,17 +345,6 @@ class ScanNode(PlanNode):
                 out = list(map(_VALUES_OF_PAIR, out))
             if out:
                 yield out
-
-    def compile_pairs_filter(self) -> None:
-        """Swap the generated pairs program in for the closure, if one is due."""
-        if self._pairs_program_due:
-            self._pairs_program_due = False
-            self._c_filter_pairs = (
-                codegen.compile_predicate_batch(
-                    self.filter_expr, self.layout, pairs=True
-                )
-                or self._c_filter_pairs
-            )
 
     def match_pairs(self, ctx: ExecContext) -> list[tuple[int, tuple]]:
         """The match phase of an UPDATE or DELETE, drained whole.
@@ -363,7 +360,7 @@ class ScanNode(PlanNode):
         if type(pairs) is not list:
             pairs = list(pairs)
         stats = ctx.database.executor_stats
-        keep = self._c_filter_pairs
+        keep = self._keep_pairs
         if keep is not None:
             scanned = len(pairs)
             pairs = keep(pairs, ctx.params)
@@ -373,13 +370,18 @@ class ScanNode(PlanNode):
 
     def _probe_candidates(self, ctx: ExecContext) -> "Iterable[int]":
         """Candidate row ids from the index; may be a read-only live view."""
+        params = ctx.params
         if self.probe[0] == "hash":
-            _kind, index, key_fns = self.probe
-            key = tuple(fn((), ctx.params) for fn in key_fns)
-            return index.lookup(key)
-        _kind, index, low_fn, high_fn = self.probe
-        low = (low_fn((), ctx.params),) if low_fn is not None else None
-        high = (high_fn((), ctx.params),) if high_fn is not None else None
+            _kind, index, key_exprs = self.probe
+            return index.lookup(
+                tuple(evaluate_rowless(expr, params) for expr in key_exprs)
+            )
+        _kind, index, low_expr, high_expr = self.probe
+        low = high = None
+        if low_expr is not None:
+            low = (evaluate_rowless(low_expr, params),)
+        if high_expr is not None:
+            high = (evaluate_rowless(high_expr, params),)
         if (low is not None and low[0] is None) or (
             high is not None and high[0] is None
         ):
@@ -388,33 +390,26 @@ class ScanNode(PlanNode):
 
 
 class FilterNode(PlanNode):
-    def __init__(
-        self,
-        child: PlanNode,
-        predicate: CompiledExpr,
-        sql: str = "",
-        expr: Expr | None = None,
-    ):
+    def __init__(self, child: PlanNode, expr: Expr, sql: str = ""):
         self.child = child
         self.layout = child.layout
-        self.sql = sql
-        #: Raw predicate expression (for batch compilation) and the
-        #: whole-batch form of the predicate: the planner closure until
-        #: ``compile_plan_programs`` swaps in a generated program.
         self.expr = expr
-        self._c_batch: Callable = lambda chunk, params: [
-            row for row in chunk if predicate(row, params) is True
-        ]
+        self.sql = sql
+        check_scalar(expr, self.layout)
+
+    @cached_property
+    def _keep(self) -> Callable:
+        return codegen.compile_predicate_batch(self.expr, self.layout)
 
     def describe(self) -> str:
         return f"Filter[{self.sql}]" if self.sql else "Filter"
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        c_batch = self._c_batch
+        keep = self._keep
         params = ctx.params
         stats = ctx.database.executor_stats
         for chunk in self.child.batches(ctx):
-            out = c_batch(chunk, params)
+            out = keep(chunk, params)
             stats["rows_filtered_post_join"] += len(chunk) - len(out)
             if out:
                 yield out
@@ -449,9 +444,9 @@ class HashJoinNode(PlanNode):
         self,
         left: PlanNode,
         right: PlanNode,
-        left_keys: list[CompiledExpr],
-        right_keys: list[CompiledExpr],
-        residual: CompiledExpr | None,
+        left_keys: Sequence[Expr],
+        right_keys: Sequence[Expr],
+        residual: Expr | None,
         kind: str,
     ):
         self.left = left
@@ -461,17 +456,27 @@ class HashJoinNode(PlanNode):
         self.residual = residual
         self.kind = kind
         self.layout = left.layout.concat(right.layout)
-        self._right_width = len(right.layout)
-        #: Raw key/residual expressions (set by the planner) and their
-        #: compiled batch forms (set by ``compile_plan_programs``).
-        self.raw_left_keys: list[Expr] | None = None
-        self.raw_right_keys: list[Expr] | None = None
-        self.raw_residual: Expr | None = None
-        self._c_build: Callable | None = None
-        self._c_probe: Callable | None = None
-        #: Probe-key tuple slot when the key is one bare column (set by
-        #: ``compile_plan_programs``); enables :meth:`count_only`.
-        self._count_key_slot: int | None = None
+        if residual is not None:
+            check_scalar(residual, self.layout)
+        for key in left_keys:
+            check_scalar(key, left.layout)
+        for key in right_keys:
+            check_scalar(key, right.layout)
+
+    @cached_property
+    def _build(self) -> Callable:
+        return codegen.compile_join_build(self.right_keys, self.right.layout)
+
+    @cached_property
+    def _probe(self) -> Callable:
+        return codegen.compile_join_probe(
+            self.left_keys,
+            self.left.layout,
+            self.residual,
+            self.layout,
+            len(self.right.layout),
+            self.kind,
+        )
 
     def describe(self) -> str:
         if not self.left_keys:
@@ -482,8 +487,8 @@ class HashJoinNode(PlanNode):
         return [self.left, self.right]
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        build = self._c_build or self._build_chunk
-        probe = self._c_probe or self._probe_chunk
+        build = self._build
+        probe = self._probe
         params = ctx.params
         table: dict = {}
         # The build side drains whole, whatever the parent still needs.
@@ -503,65 +508,31 @@ class HashJoinNode(PlanNode):
             if out:
                 yield out
 
-    def _build_chunk(self, chunk: list[tuple], params: Sequence[Any], table: dict):
-        """Planner-closure twin of the compiled build program."""
-        right_keys = self.right_keys
-        for row in chunk:
-            key = tuple(fn(row, params) for fn in right_keys)
-            if None in key:
-                continue  # NULL never equi-joins
-            table.setdefault(key, []).append(row)
-
-    def _probe_chunk(
-        self, chunk: list[tuple], params: Sequence[Any], table: dict
-    ) -> list[tuple]:
-        """Planner-closure twin of the compiled probe program."""
-        left_keys = self.left_keys
-        residual = self.residual
-        null_right = (None,) * self._right_width
-        out = []
-        for left_row in chunk:
-            key = tuple(fn(left_row, params) for fn in left_keys)
-            matched = False
-            if None not in key:
-                for right_row in table.get(key, ()):
-                    combined = left_row + right_row
-                    if residual is not None and residual(combined, params) is not True:
-                        continue
-                    matched = True
-                    out.append(combined)
-            if not matched and self.kind == "left":
-                out.append(left_row + null_right)
-        return out
-
     def count_only(self, ctx: ExecContext) -> int | None:
         """Inner equi-join output count without materializing join rows.
 
         Build side becomes a key -> multiplicity map; probe keys are
         histogrammed with :class:`collections.Counter` (a C loop) and the
-        count is the dot product. Matches the compiled probe exactly:
-        the key slot was proven to be a bare ``r[slot]`` by the code
-        generator, build-side NULL keys were skipped at build, and probe
-        NULL/absent keys miss the map. Only engages for inner joins with
-        no residual, where dropping the concatenated tuples is invisible
-        to a COUNT(*).
+        count is the dot product. Matches the probe program exactly:
+        the key is one bare column (``join_key_slot``), build-side NULL
+        keys were skipped at build, and probe NULL/absent keys miss the
+        map. Only engages for inner joins with no residual, where
+        dropping the concatenated tuples is invisible to a COUNT(*).
         """
-        build = self._c_build
-        if (
-            build is None
-            or self.kind != "inner"
-            or self.raw_residual is not None
-            or self._count_key_slot is None
-        ):
+        if self.kind != "inner" or self.residual is not None:
+            return None
+        key_slot = codegen.join_key_slot(self.left_keys, self.left.layout)
+        if key_slot is None:
             return None
         from collections import Counter
 
+        build = self._build
         table: dict = {}
         for chunk in self.right.batches(ctx):
             build(chunk, ctx.params, table)
         sizes = {key: len(matches) for key, matches in table.items()}
         get_size = sizes.get
-        key_of = itemgetter(self._count_key_slot)
+        key_of = itemgetter(key_slot)
         total = 0
         for chunk in self.left.batches(ctx):
             for key, count in Counter(map(key_of, chunk)).items():
@@ -571,71 +542,64 @@ class HashJoinNode(PlanNode):
         return total
 
 
-@dataclass
-class AggSpec:
-    name: str
-    star: bool
-    distinct: bool
-    arg: CompiledExpr | None
-
-
 class AggregateNode(PlanNode):
     """GROUP BY: output rows are (group key values..., aggregate values...)."""
 
     def __init__(
         self,
         child: PlanNode,
-        key_fns: list[CompiledExpr],
-        agg_specs: list[AggSpec],
-        global_group: bool,
+        group_exprs: Sequence[Expr],
+        aggregates: Sequence[FuncCall],
     ):
         self.child = child
-        self.key_fns = key_fns
-        self.agg_specs = agg_specs
-        self.global_group = global_group
+        self.group_exprs = group_exprs
+        self.aggregates = aggregates
+        self.global_group = not group_exprs
+        for expr in group_exprs:
+            check_scalar(expr, child.layout)
+        for agg in aggregates:
+            if not agg.star:
+                if len(agg.args) != 1:
+                    raise PlanningError(f"{agg.name}() takes exactly one argument")
+                check_scalar(agg.args[0], child.layout)
         self.layout = Layout()
-        for i in range(len(key_fns) + len(agg_specs)):
+        for i in range(len(group_exprs) + len(aggregates)):
             self.layout.add(None, f"_agg{i}")
-        #: Raw group/aggregate expressions over the child layout (set by
-        #: the planner) and the compiled ``(chunk_fn, init_fn, fin_fn)``
-        #: accumulation programs (set by ``compile_plan_programs``).
-        self.raw_group_exprs: list[Expr] | None = None
-        self.raw_aggs: list | None = None
-        self.input_layout: Layout | None = None
-        self._c_progs: tuple | None = None
         #: Global aggregate whose outputs are all plain COUNT(*) — the
         #: one shape a child's :meth:`PlanNode.count_only` can answer.
-        self._pure_count_star = global_group and all(
-            s.name.upper() == "COUNT" and s.star and not s.distinct
-            for s in agg_specs
+        self._pure_count_star = self.global_group and all(
+            agg.name == "COUNT" and agg.star and not agg.distinct
+            for agg in aggregates
+        )
+
+    @cached_property
+    def _programs(self) -> tuple[Callable, Callable, Callable]:
+        return codegen.compile_aggregate_programs(
+            self.group_exprs, self.aggregates, self.child.layout
         )
 
     def describe(self) -> str:
-        aggs = ", ".join(s.name for s in self.agg_specs)
-        return f"Aggregate(groups={len(self.key_fns)}, aggs=[{aggs}])"
+        aggs = ", ".join(agg.name for agg in self.aggregates)
+        return f"Aggregate(groups={len(self.group_exprs)}, aggs=[{aggs}])"
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         # Blocking: the input drains whole, whatever the parent needs.
         outer = ctx.row_budget
         ctx.row_budget = None
-        if self._c_progs is None:
-            out = self._closure_groups(ctx)
-        else:
-            out = self._compiled_groups(ctx, *self._c_progs)
+        out = self._groups(ctx)
         ctx.row_budget = outer
         if out:
             yield out
 
-    def _compiled_groups(
-        self, ctx: ExecContext, chunk_fn: Callable, init_fn: Callable, fin_fn: Callable
-    ) -> list[tuple]:
+    def _groups(self, ctx: ExecContext) -> list[tuple]:
         if self._pure_count_star:
             # Global COUNT(*): ask the child for the bare count (eager
             # aggregation). None means unsupported — and, by the
             # count_only contract, that nothing was consumed yet.
             count = self.child.count_only(ctx)
             if count is not None:
-                return [(count,) * len(self.agg_specs)]
+                return [(count,) * len(self.aggregates)]
+        chunk_fn, init_fn, fin_fn = self._programs
         params = ctx.params
         groups: dict = {}
         order: list = []
@@ -645,76 +609,53 @@ class AggregateNode(PlanNode):
             return [fin_fn(init_fn())] if self.global_group else []
         return [key + fin_fn(state) for key, state in order]
 
-    def _closure_groups(self, ctx: ExecContext) -> list[tuple]:
-        """Planner-closure twin of the compiled accumulation programs."""
-        params = ctx.params
-        specs = self.agg_specs
-        groups: dict[tuple, tuple[tuple, list]] = {}
-        for chunk in self.child.batches(ctx):
-            for row in chunk:
-                key = tuple(fn(row, params) for fn in self.key_fns)
-                hashable = index_key(key)
-                entry = groups.get(hashable)
-                if entry is None:
-                    entry = groups[hashable] = (
-                        key,
-                        [make_accumulator(s.name, s.star, s.distinct) for s in specs],
-                    )
-                for spec, acc in zip(specs, entry[1]):
-                    if spec.star:
-                        acc.add(None)
-                    else:
-                        acc.add(spec.arg(row, params))
-        if not groups and self.global_group:
-            accs = [make_accumulator(s.name, s.star, s.distinct) for s in specs]
-            return [tuple(a.result() for a in accs)]
-        return [
-            key + tuple(a.result() for a in accs) for key, accs in groups.values()
-        ]
-
 
 class SortNode(PlanNode):
-    def __init__(self, child: PlanNode, keys: list[tuple[CompiledExpr, bool]]):
+    def __init__(self, child: PlanNode, keys: Sequence[tuple[Expr, bool]]):
         self.child = child
-        self.keys = keys
+        self.keys = keys  # (expression, ascending) in ORDER BY order
         self.layout = child.layout
+        for expr, _ascending in keys:
+            check_scalar(expr, self.layout)
+
+    @cached_property
+    def _key_programs(self) -> list[tuple[Callable, bool]]:
+        return [
+            (codegen.compile_sort_key(expr, self.layout), ascending)
+            for expr, ascending in self.keys
+        ]
 
     def describe(self) -> str:
-        dirs = ", ".join("asc" if asc else "desc" for _fn, asc in self.keys)
+        dirs = ", ".join("asc" if asc else "desc" for _expr, asc in self.keys)
         return f"Sort({dirs})"
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        materialized: list[tuple] = []
+        rows: list[tuple] = []
         # Blocking: the input drains whole, whatever the parent needs.
         outer = ctx.row_budget
         ctx.row_budget = None
         for chunk in self.child.batches(ctx):
-            materialized.extend(chunk)
+            rows.extend(chunk)
         ctx.row_budget = outer
-        # Stable multi-key sort: apply keys from last to first. A key is
-        # its (class, value) pair, so the sort compares in C.
-        params = ctx.params
-        for fn, ascending in reversed(self.keys):
-            materialized.sort(
-                key=lambda row: (SORT_CLASS[type(v := fn(row, params))], v),
-                reverse=not ascending,
+        # Stable multi-key sort: apply keys from last to first, each pass
+        # ordering row positions by that key's (class, value) pairs.
+        for program, ascending in reversed(self._key_programs):
+            keys = program(rows, ctx.params)
+            order = sorted(
+                range(len(rows)), key=keys.__getitem__, reverse=not ascending
             )
-        if materialized:
-            yield materialized
+            rows = [rows[i] for i in order]
+        if rows:
+            yield rows
 
 
 class ProjectNode(PlanNode):
-    def __init__(self, child: PlanNode, exprs: list[CompiledExpr], names: list[str]):
+    def __init__(self, child: PlanNode, exprs: Sequence[Expr], names: list[str]):
         self.child = child
+        self.exprs = exprs
         self.names = names
-        #: Raw projection expressions over the child layout (set by the
-        #: planner) and the whole-batch projection: the planner closures
-        #: until ``compile_plan_programs`` swaps in a generated program.
-        self.raw_exprs: list[Expr] | None = None
-        self.input_layout: Layout | None = None
-        self._c_batch: Callable = lambda chunk, params: [
-            tuple(fn(row, params) for fn in exprs) for row in chunk
-        ]
+        for expr in exprs:
+            check_scalar(expr, child.layout)
         self.layout = Layout()
         for name in names:
             try:
@@ -723,14 +664,18 @@ class ProjectNode(PlanNode):
                 # Duplicate output names are legal in SQL; keep positional.
                 self.layout.add(None, f"{name}#{len(self.layout)}")
 
+    @cached_property
+    def _project(self) -> Callable:
+        return codegen.compile_projection_batch(self.exprs, self.child.layout)
+
     def describe(self) -> str:
         return f"Project({', '.join(self.names)})"
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        c_batch = self._c_batch
+        project = self._project
         params = ctx.params
         for chunk in self.child.batches(ctx):
-            yield c_batch(chunk, params)
+            yield project(chunk, params)
 
 
 class DistinctNode(PlanNode):
@@ -756,27 +701,20 @@ class DistinctNode(PlanNode):
 
 
 class LimitNode(PlanNode):
-    def __init__(
-        self,
-        child: PlanNode,
-        limit: CompiledExpr | None,
-        offset: CompiledExpr | None,
-    ):
+    def __init__(self, child: PlanNode, limit: Expr | None, offset: Expr | None):
         self.child = child
         self.limit = limit
         self.offset = offset
         self.layout = child.layout
+        for expr in (limit, offset):
+            if expr is not None:
+                check_scalar(expr, planner.NO_COLUMNS)
 
     def describe(self) -> str:
         return "Limit"
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        limit = self.limit((), ctx.params) if self.limit is not None else None
-        offset = self.offset((), ctx.params) if self.offset is not None else 0
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
-            raise ExecutionError(f"LIMIT must be a non-negative integer, got {limit!r}")
-        if not isinstance(offset, int) or offset < 0:
-            raise ExecutionError(f"OFFSET must be a non-negative integer, got {offset!r}")
+        limit, offset = limit_and_offset(self.limit, self.offset, ctx.params)
         if limit == 0:
             return
         to_skip = offset
@@ -803,15 +741,11 @@ class LimitNode(PlanNode):
 # ---------------------------------------------------------------------------
 
 
-#: Builds the access-path node for one table reference. Receives the
-#: pieces the default planner computed (pushed-down filter, chosen index
-#: probe, the pushed conjuncts themselves); returning None falls back to
-#: a plain ScanNode. The sharding layer uses this to substitute broadcast
-#: row sources for non-partitioned join sides.
-ScanFactory = Callable[
-    [str, str, TableSchema, CompiledExpr | None, tuple | None, list[Expr]],
-    PlanNode | None,
-]
+#: Builds the access-path node for one table reference from its binding,
+#: canonical name, schema and the conjuncts pushed down to it; returning
+#: None falls back to a plain ScanNode. The sharding layer uses this to
+#: substitute broadcast row sources for non-partitioned join sides.
+ScanFactory = Callable[[str, str, TableSchema, list[Expr]], PlanNode | None]
 
 
 def build_select_plan(
@@ -820,84 +754,8 @@ def build_select_plan(
     if stmt.from_table is None:
         if stmt.joins:
             raise PlanningError("JOIN without FROM")
-        result = plan_projection(stmt, SingleRowNode(), Layout())
-    else:
-        plan = build_from_where(stmt, database, txn)
-        result = plan_projection(stmt, plan, plan.layout)
-    if database.plan_cache_enabled:
-        # Compile once per *cached* plan: with the plan cache disabled
-        # every statement would pay codegen with no reuse to amortize
-        # it, so replanned statements take the closure branches.
-        compile_plan_programs(result[0], database)
-        database.executor_stats["plans_compiled"] += 1
-    return result
-
-
-def compile_plan_programs(plan: PlanNode, database: "Database") -> None:
-    """Attach compiled batch programs to a plan tree, once per plan.
-
-    Runs at plan-build time, so a cached plan pays code generation once
-    and every execution reuses the specialized functions. Any node whose
-    expressions fail to compile silently keeps its closure fallback (the
-    entry points in :mod:`repro.db.sql.compile` return None on failure
-    and the batch operators check for None).
-    """
-    if getattr(plan, "_c_done", False):
-        return
-    plan._c_done = True
-    for child in plan.children_nodes():
-        compile_plan_programs(child, database)
-    if isinstance(plan, ScanNode):
-        if plan.filter_expr is not None:
-            plan._c_filter = (
-                codegen.compile_predicate_batch(plan.filter_expr, plan.layout)
-                or plan._c_filter
-            )
-            plan._pairs_program_due = True
-    elif isinstance(plan, FilterNode):
-        if plan.expr is not None:
-            plan._c_batch = (
-                codegen.compile_predicate_batch(plan.expr, plan.child.layout)
-                or plan._c_batch
-            )
-    elif isinstance(plan, ProjectNode):
-        if plan.raw_exprs is not None and plan.input_layout is not None:
-            plan._c_batch = (
-                codegen.compile_projection_batch(plan.raw_exprs, plan.input_layout)
-                or plan._c_batch
-            )
-    elif isinstance(plan, HashJoinNode):
-        if plan.raw_left_keys is not None and plan.raw_right_keys is not None:
-            build = codegen.compile_join_build(
-                plan.raw_right_keys, plan.right.layout
-            )
-            probe = codegen.compile_join_probe(
-                plan.raw_left_keys,
-                plan.left.layout,
-                plan.raw_residual,
-                plan.layout,
-                len(plan.right.layout),
-                plan.kind,
-            )
-            if build is not None and probe is not None:
-                plan._c_build, plan._c_probe = build, probe
-                plan._count_key_slot = codegen.join_key_slot(
-                    plan.raw_left_keys, plan.left.layout
-                )
-    elif isinstance(plan, AggregateNode):
-        if plan.raw_aggs is not None and plan.input_layout is not None:
-            metas = [
-                (
-                    agg.name,
-                    agg.star,
-                    agg.distinct,
-                    agg.args[0] if not agg.star and agg.args else None,
-                )
-                for agg in plan.raw_aggs
-            ]
-            plan._c_progs = codegen.compile_aggregate_programs(
-                plan.raw_group_exprs or [], metas, plan.input_layout
-            )
+        return plan_projection(stmt, SingleRowNode())
+    return plan_projection(stmt, build_from_where(stmt, database, txn))
 
 
 def _drain_rows(plan: PlanNode, ctx: ExecContext) -> list[tuple]:
@@ -1015,33 +873,22 @@ def build_from_where(
         pairs, residual = planner.extract_equi_pairs(
             join_conjuncts, accumulated, {binding.lower()}, full_layout
         )
-        combined_layout = plan.layout.concat(right.layout)
-        merged_residual = conjoin(residual)
-        residual_fn = (
-            compile_expr(merged_residual, combined_layout) if residual else None
+        # A cross join that gained equi keys from WHERE is an inner join.
+        kind = "inner" if pairs and join.kind == "cross" else join.kind
+        plan = HashJoinNode(
+            plan,
+            right,
+            [l for l, _ in pairs],
+            [r for _, r in pairs],
+            conjoin(residual),
+            kind,
         )
-        if pairs:
-            left_keys = [compile_expr(l, plan.layout) for l, _ in pairs]
-            right_keys = [compile_expr(r, right.layout) for _, r in pairs]
-            # A cross join that gained equi keys from WHERE is an inner join.
-            kind = "inner" if join.kind == "cross" else join.kind
-            join_node = HashJoinNode(
-                plan, right, left_keys, right_keys, residual_fn, kind
-            )
-            join_node.raw_left_keys = [l for l, _ in pairs]
-            join_node.raw_right_keys = [r for _, r in pairs]
-            join_node.raw_residual = merged_residual
-            plan = join_node
-        else:
-            plan = HashJoinNode(plan, right, [], [], residual_fn, join.kind)
         accumulated.add(binding.lower())
 
     remaining = [c for i, c in enumerate(conjuncts) if i not in consumed]
     if remaining:
         merged = conjoin(remaining)
-        plan = FilterNode(
-            plan, compile_expr(merged, plan.layout), sql=merged.sql(), expr=merged
-        )
+        plan = FilterNode(plan, merged, sql=merged.sql())
 
     return plan
 
@@ -1072,21 +919,12 @@ def _table_scan(
     alone. The one place a scan is planned — under a SELECT's joins and
     as the match phase of an UPDATE or DELETE.
     """
-    own_layout = Layout.for_table(binding, schema.column_names)
-    merged = conjoin(own_conjuncts)
-    filter_fn = compile_expr(merged, own_layout) if own_conjuncts else None
-    probe = _find_probe(database, canonical, schema, own_conjuncts, binding, txn)
     if scan_factory is not None:
-        node = scan_factory(
-            binding, canonical, schema, filter_fn, probe, own_conjuncts
-        )
+        node = scan_factory(binding, canonical, schema, own_conjuncts)
         if node is not None:
             return node
-    scan = ScanNode(canonical, binding, schema, filter_fn, probe)
-    if own_conjuncts:
-        scan.filter_sql = " AND ".join(c.sql() for c in own_conjuncts)
-        scan.filter_expr = merged
-    return scan
+    probe = _find_probe(database, canonical, schema, own_conjuncts, txn)
+    return ScanNode(canonical, binding, schema, own_conjuncts, probe)
 
 
 def _find_probe(
@@ -1094,15 +932,15 @@ def _find_probe(
     canonical: str,
     schema: TableSchema,
     own_conjuncts: list[Expr],
-    binding: str,
     txn: "Transaction",
 ) -> tuple | None:
     """Choose an index access path from the pushed-down conjuncts.
 
     Equality conjuncts binding a hash index's columns yield a hash probe
-    ``("hash", index, key_fns)``; range conjuncts (<, <=, >, >=, BETWEEN)
+    ``("hash", index, key_exprs)``; range conjuncts (<, <=, >, >=, BETWEEN)
     on a single-column sorted index yield a range probe
-    ``("sorted", index, low_fn, high_fn)``.
+    ``("sorted", index, low_expr, high_expr)`` (None: unbounded). Keys and
+    bounds are literals or parameters, evaluated per execution.
 
     Probes apply only under SERIALIZABLE isolation: shared indexes
     reflect the latest committed state, which is exactly what a 2PL
@@ -1115,7 +953,6 @@ def _find_probe(
 
     if txn.isolation is not IsolationLevel.SERIALIZABLE:
         return None
-    empty = Layout()
 
     eq_values: dict[str, Expr] = {}
     bounds: dict[str, dict[str, Expr]] = {}  # col -> {"low": e, "high": e}
@@ -1163,10 +1000,7 @@ def _find_probe(
     if eq_values:
         index = database.index_set(canonical).equality_index_for(set(eq_values))
         if index is not None:
-            key_fns = [
-                compile_expr(eq_values[c.lower()], empty) for c in index.columns
-            ]
-            return ("hash", index, key_fns)
+            return ("hash", index, [eq_values[c.lower()] for c in index.columns])
 
     for column, sides in bounds.items():
         for index in database.index_set(canonical).indexes.values():
@@ -1175,11 +1009,7 @@ def _find_probe(
                 and len(index.columns) == 1
                 and index.columns[0].lower() == column
             ):
-                low = compile_expr(sides["low"], empty) if "low" in sides else None
-                high = (
-                    compile_expr(sides["high"], empty) if "high" in sides else None
-                )
-                return ("sorted", index, low, high)
+                return ("sorted", index, sides.get("low"), sides.get("high"))
     return None
 
 
@@ -1190,10 +1020,9 @@ def _flip_cmp(op: str) -> str | None:
     }.get(op)
 
 
-def plan_projection(
-    stmt: SelectStmt, plan: PlanNode, input_layout: Layout
-) -> tuple[PlanNode, list[str]]:
+def plan_projection(stmt: SelectStmt, plan: PlanNode) -> tuple[PlanNode, list[str]]:
     """Projection, aggregation, ORDER/DISTINCT/LIMIT on top of a row source."""
+    input_layout = plan.layout
     # Expand stars into concrete expressions.
     proj: list[tuple[Expr, str]] = []
     for item in stmt.items:
@@ -1227,49 +1056,31 @@ def plan_projection(
 
     if has_aggregates:
         # Sorting for aggregate queries happens inside, before projection.
-        plan = _plan_aggregate(stmt, plan, input_layout, proj)
+        plan = _plan_aggregate(stmt, plan, proj)
         if stmt.distinct:
             plan = DistinctNode(plan)
         return _plan_limit(stmt, plan), out_names
 
     # Non-aggregate path: sort before projection when the ORDER BY
     # references input columns; otherwise after, by output names.
-    order_fns: list[tuple[CompiledExpr, bool]] = []
-    order_on_input = True
-    for item in stmt.order_by:
-        try:
-            order_fns.append((compile_expr(item.expr, input_layout), item.ascending))
-        except PlanningError:
-            order_on_input = False
-            break
-    if stmt.order_by and order_on_input and not stmt.distinct:
-        plan = SortNode(plan, order_fns)
-        sort_done = True
-    else:
-        sort_done = False
-
-    exprs = [compile_expr(e, input_layout) for e, _ in proj]
-    project = ProjectNode(plan, exprs, out_names)
-    project.raw_exprs = [e for e, _ in proj]
-    project.input_layout = input_layout
-    plan = project
+    order_keys = [(item.expr, item.ascending) for item in stmt.order_by]
+    sort_first = (
+        bool(order_keys)
+        and not stmt.distinct
+        and all(planner.resolves(expr, input_layout) for expr, _ in order_keys)
+    )
+    if sort_first:
+        plan = SortNode(plan, order_keys)
+    plan = ProjectNode(plan, [e for e, _ in proj], out_names)
     if stmt.distinct:
         plan = DistinctNode(plan)
-    if stmt.order_by and not sort_done:
-        out_layout = plan.layout
-        fns = [
-            (compile_expr(item.expr, out_layout), item.ascending)
-            for item in stmt.order_by
-        ]
-        plan = SortNode(plan, fns)
+    if order_keys and not sort_first:
+        plan = SortNode(plan, order_keys)
     return _plan_limit(stmt, plan), out_names
 
 
 def _plan_aggregate(
-    stmt: SelectStmt,
-    plan: PlanNode,
-    input_layout: Layout,
-    proj: list[tuple[Expr, str]],
+    stmt: SelectStmt, plan: PlanNode, proj: list[tuple[Expr, str]]
 ) -> PlanNode:
     group_exprs = list(stmt.group_by)
     group_slots = {e.sql(): i for i, e in enumerate(group_exprs)}
@@ -1280,43 +1091,25 @@ def _plan_aggregate(
     agg_slots = {
         agg.sql(): len(group_exprs) + i for i, agg in enumerate(aggregates)
     }
-
-    key_fns = [compile_expr(e, input_layout) for e in group_exprs]
-    agg_specs = []
-    for agg in aggregates:
-        arg = None
-        if not agg.star:
-            if len(agg.args) != 1:
-                raise PlanningError(f"{agg.name}() takes exactly one argument")
-            arg = compile_expr(agg.args[0], input_layout)
-        agg_specs.append(
-            AggSpec(name=agg.name, star=agg.star, distinct=agg.distinct, arg=arg)
-        )
-    agg_node = AggregateNode(plan, key_fns, agg_specs, global_group=not group_exprs)
-    agg_node.raw_group_exprs = group_exprs
-    agg_node.raw_aggs = aggregates
-    agg_node.input_layout = input_layout
-    plan = agg_node
-    agg_layout = plan.layout
+    plan = AggregateNode(plan, group_exprs, aggregates)
 
     if stmt.having is not None:
-        rewritten = planner.rewrite_aggregate_expr(stmt.having, group_slots, agg_slots)
-        plan = FilterNode(plan, compile_expr(rewritten, agg_layout), expr=rewritten)
+        plan = FilterNode(
+            plan, planner.rewrite_aggregate_expr(stmt.having, group_slots, agg_slots)
+        )
 
-    out_exprs = []
-    raw_out_exprs: list[Expr] = []
+    out_exprs: list[Expr] = []
     alias_rewrites: dict[str, Expr] = {}
     for expr, name in proj:
         rewritten = planner.rewrite_aggregate_expr(expr, group_slots, agg_slots)
         alias_rewrites.setdefault(name.lower(), rewritten)
-        raw_out_exprs.append(rewritten)
-        out_exprs.append(compile_expr(rewritten, agg_layout))
+        out_exprs.append(rewritten)
 
     # ORDER BY for aggregate queries: rewrite over the agg row, then sort
     # before projection (so it may reference non-projected aggregates).
     # A bare column name that matches an output alias sorts by that output.
     if stmt.order_by:
-        fns = []
+        keys = []
         for item in stmt.order_by:
             if (
                 isinstance(item.expr, ColumnRef)
@@ -1328,24 +1121,16 @@ def _plan_aggregate(
                 rewritten = planner.rewrite_aggregate_expr(
                     item.expr, group_slots, agg_slots
                 )
-            fns.append((compile_expr(rewritten, agg_layout), item.ascending))
-        plan = SortNode(plan, fns)
+            keys.append((rewritten, item.ascending))
+        plan = SortNode(plan, keys)
 
-    project = ProjectNode(plan, out_exprs, [name for _, name in proj])
-    project.raw_exprs = raw_out_exprs
-    project.input_layout = agg_layout
-    return project
+    return ProjectNode(plan, out_exprs, [name for _, name in proj])
 
 
 def _plan_limit(stmt: SelectStmt, plan: PlanNode) -> PlanNode:
     if stmt.limit is None and stmt.offset is None:
         return plan
-    empty = Layout()
-    return LimitNode(
-        plan,
-        compile_expr(stmt.limit, empty) if stmt.limit is not None else None,
-        compile_expr(stmt.offset, empty) if stmt.offset is not None else None,
-    )
+    return LimitNode(plan, stmt.limit, stmt.offset)
 
 
 def _default_name(expr: Expr) -> str:
@@ -1367,14 +1152,10 @@ def evaluate_as_of(stmt: SelectStmt, params: Sequence[Any]) -> int:
     accepted the way shard-key routing accepts them).
     """
     assert stmt.as_of is not None
-    value = compile_expr(stmt.as_of, Layout())((), params)
+    value = evaluate_rowless(stmt.as_of, params)
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ExecutionError(
-            f"AS OF expects a non-negative integer CSN, got {value!r}"
-        )
-    return value
+    return checked_count(value, "AS OF expects a non-negative integer CSN")
 
 
 def execute_statement(
@@ -1486,7 +1267,6 @@ def _execute_insert(
             coerced = schema.coerce_row(dict(zip(columns, source_row)))
             row_ids.append(txn.insert(stmt.table, coerced))
         return ResultSet(kind="insert", rowcount=len(row_ids), row_ids=row_ids)
-    empty = Layout()
     row_ids = []
     for row_exprs in stmt.rows:
         if len(row_exprs) != len(columns):
@@ -1495,7 +1275,7 @@ def _execute_insert(
                 f"{len(columns)} column(s)"
             )
         values = {
-            column: compile_expr(expr, empty)((), params)
+            column: evaluate_rowless(expr, params)
             for column, expr in zip(columns, row_exprs)
         }
         coerced = schema.coerce_row(values)
@@ -1507,21 +1287,38 @@ class DmlNode(PlanNode):
     """An UPDATE or DELETE: its match-phase scan, and what to assign.
 
     The plan :meth:`Database.dml_plan` caches. ``child`` is the
-    :class:`ScanNode` a SELECT with the same WHERE would run; ``assign``
-    holds an UPDATE's ``(column slot, column, value closure)`` triples
-    (none for a DELETE).
+    :class:`ScanNode` a SELECT with the same WHERE would run;
+    ``assignments`` holds an UPDATE's ``(column, expression)`` pairs in
+    SET order (none for a DELETE).
     """
 
     def __init__(
-        self,
-        kind: str,
-        scan: ScanNode,
-        assign: list[tuple[int, Column, CompiledExpr]],
+        self, kind: str, scan: ScanNode, assignments: Sequence[tuple[str, Expr]] = ()
     ):
         self.kind = kind
         self.child = scan
         self.layout = scan.layout
-        self.assign = assign
+        self.assignments = assignments
+        for column, expr in assignments:
+            scan.schema.column(column)
+            check_scalar(expr, self.layout)
+
+    @cached_property
+    def assign(self) -> Callable:
+        """``(values, params) -> values`` with the SET list applied, each
+        value as its column stores it (or the column's complaint)."""
+        schema = self.child.schema
+        return codegen.compile_assignment(
+            [
+                (
+                    schema.index_of(column),
+                    expr,
+                    partial(schema.coerce_value, schema.column(column)),
+                )
+                for column, expr in self.assignments
+            ],
+            self.layout,
+        )
 
     def describe(self) -> str:
         return f"{self.kind.capitalize()}({self.child.table})"
@@ -1541,20 +1338,9 @@ def build_dml_plan(
     scan = _table_scan(
         database, txn, ref.binding, canonical, schema, _where_conjuncts(stmt.where)
     )
-    # Generated code only where reuse amortizes it: the filter's program is
-    # due at the plan's first cache hit (``Database.dml_plan``), so a plan
-    # that runs once — every plan of a replay's fresh database — runs on
-    # its closure.
-    scan._pairs_program_due = (
-        database.plan_cache_enabled and scan.filter_expr is not None
-    )
     if isinstance(stmt, DeleteStmt):
-        return DmlNode("delete", scan, [])
-    assign = [
-        (schema.index_of(column), schema.column(column), compile_expr(expr, scan.layout))
-        for column, expr in stmt.assignments
-    ]
-    return DmlNode("update", scan, assign)
+        return DmlNode("delete", scan)
+    return DmlNode("update", scan, stmt.assignments)
 
 
 def _match_rows(
@@ -1584,17 +1370,9 @@ def _execute_update(
     query_text: str = "",
 ) -> ResultSet:
     plan, matches = _match_rows(database, txn, stmt, params, query_text)
-    schema = plan.child.schema
+    assign = plan.assign
     for row_id, values in matches:
-        new_values = list(values)
-        for index, col, fn in plan.assign:
-            try:
-                new_values[index] = coerce(fn(values, params), col.col_type)
-            except TypeCoercionError as exc:
-                raise TypeCoercionError(f"{schema.name}.{col.name}: {exc}") from None
-            if new_values[index] is None and not col.nullable:
-                raise IntegrityError(f"NOT NULL violation: {schema.name}.{col.name}")
-        txn.update(stmt.table.table, row_id, tuple(new_values))
+        txn.update(stmt.table.table, row_id, assign(values, params))
     return ResultSet(
         kind="update",
         rowcount=len(matches),
@@ -1622,12 +1400,11 @@ def _execute_create_table(
     if stmt.if_not_exists and database.catalog.has_table(stmt.name):
         return ResultSet(kind="ddl")
     table_pk = {c.lower() for c in (stmt.primary_key or [])}
-    empty = Layout()
     columns = []
     for cdef in stmt.columns:
         default = None
         if cdef.default is not None:
-            default = compile_expr(cdef.default, empty)((), params)
+            default = evaluate_rowless(cdef.default, params)
         is_pk = cdef.primary_key or cdef.name.lower() in table_pk
         columns.append(
             Column(

@@ -65,6 +65,25 @@ def parse_sql(sql: str) -> Statement:
     return statement
 
 
+#: Parsed statements by their text, dropped whole at the limit. A parse
+#: is a pure function of the text and nothing mutates a statement after
+#: it, so every database of the process — a replay's dev database, each
+#: shard, a replica — shares one tree per statement.
+_STATEMENT_MEMO_LIMIT = 1024
+_statement_memo: dict[str, Statement] = {}
+
+
+def parse_cached(sql: str) -> Statement:
+    """:func:`parse_sql`, parsing each distinct text once."""
+    statement = _statement_memo.get(sql)
+    if statement is None:
+        statement = parse_sql(sql)
+        if len(_statement_memo) >= _STATEMENT_MEMO_LIMIT:
+            _statement_memo.clear()
+        _statement_memo[sql] = statement
+    return statement
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], sql: str):
         self._tokens = tokens

@@ -1,11 +1,12 @@
-"""Row layouts and expression compilation.
+"""Row layouts, name resolution and expression rewrites.
 
 The executor works on flat row tuples. A :class:`Layout` maps qualified and
-unqualified column names to tuple slots; :func:`compile_expr` translates an
-expression tree into a Python closure over ``(row, params)``, which is
-considerably faster than interpreting the tree per row — the declarative
-debugging benchmark joins provenance tables with 10^5 rows, so per-row cost
-matters.
+unqualified column names to tuple slots. Expressions have two evaluators
+with two jobs: everything evaluated per row runs as a generated program
+(:mod:`repro.db.sql.compile`), and everything no row feeds runs on the
+reference tree interpreter ``Expr.eval`` through :func:`evaluate_rowless`
+— as does constant folding. :func:`check_scalar` is the plan-time half of
+both: it reports what no row could evaluate.
 
 This module also hosts the aggregate rewrite: expressions over GROUP BY
 results are rebuilt so aggregate calls and group keys become direct slot
@@ -14,7 +15,6 @@ references into the aggregated row.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable, Sequence
 
 from repro.db.expr import (
@@ -29,17 +29,12 @@ from repro.db.expr import (
     Like,
     Literal,
     Param,
+    Scope,
     Star,
     UnaryOp,
-    _ARITH_OPS,
-    _COMPARISONS,
 )
-from repro.db.sql.functions import AGGREGATE_NAMES, call_scalar
-from repro.db.types import compare_values
+from repro.db.sql.functions import AGGREGATE_NAMES
 from repro.errors import ExecutionError, PlanningError
-
-#: A compiled expression: (row_tuple, params) -> value.
-CompiledExpr = Callable[[tuple, Sequence[Any]], Any]
 
 
 class Layout:
@@ -128,7 +123,7 @@ class SlotRef(Expr):
         self.index = index
         self.label = label
 
-    def eval(self, scope) -> Any:  # pragma: no cover - compiled path only
+    def eval(self, scope) -> Any:  # pragma: no cover - programs only
         raise ExecutionError("SlotRef cannot be interpreted")
 
     def sql(self) -> str:
@@ -136,219 +131,73 @@ class SlotRef(Expr):
 
 
 # ---------------------------------------------------------------------------
-# Compilation
+# Name resolution and row-less evaluation
 # ---------------------------------------------------------------------------
 
 
-def compile_expr(expr: Expr, layout: Layout) -> CompiledExpr:
-    """Compile ``expr`` into a closure over ``(row, params)``."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row, params: value
-    if isinstance(expr, Param):
-        index = expr.index
-        def eval_param(row: tuple, params: Sequence[Any]) -> Any:
-            try:
-                return params[index]
-            except IndexError:
-                raise ExecutionError(
-                    f"statement uses parameter #{index + 1} but only "
-                    f"{len(params)} were supplied"
-                ) from None
-        return eval_param
-    if isinstance(expr, SlotRef):
-        slot = expr.index
-        return lambda row, params: row[slot]
-    if isinstance(expr, ColumnRef):
-        slot = layout.slot(expr.qualifier, expr.column)
-        return lambda row, params: row[slot]
-    if isinstance(expr, Star):
-        raise PlanningError("'*' is not a scalar expression")
-    if isinstance(expr, BinaryOp):
-        return _compile_binary(expr, layout)
-    if isinstance(expr, UnaryOp):
-        operand = compile_expr(expr.operand, layout)
-        if expr.op == "NOT":
-            def eval_not(row: tuple, params: Sequence[Any]) -> Any:
-                value = operand(row, params)
-                return None if value is None else not value
-            return eval_not
-        if expr.op == "-":
-            def eval_neg(row: tuple, params: Sequence[Any]) -> Any:
-                value = operand(row, params)
-                return None if value is None else -value
-            return eval_neg
-        return operand  # unary '+'
-    if isinstance(expr, IsNull):
-        operand = compile_expr(expr.operand, layout)
-        if expr.negated:
-            return lambda row, params: operand(row, params) is not None
-        return lambda row, params: operand(row, params) is None
-    if isinstance(expr, InList):
-        return _compile_in_list(expr, layout)
-    if isinstance(expr, Between):
-        return _compile_between(expr, layout)
-    if isinstance(expr, Like):
-        return _compile_like(expr, layout)
-    if isinstance(expr, Case):
-        return _compile_case(expr, layout)
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATE_NAMES:
+def check_scalar(expr: Expr, layout: Layout) -> None:
+    """Raise the :class:`PlanningError` a per-row ``expr`` over ``layout`` earns.
+
+    Unknown and ambiguous columns, ``*`` and aggregate calls, reported in
+    evaluation order. Plan nodes call this when they are built, so these
+    errors surface from planning and ``EXPLAIN``; the nodes' programs are
+    only generated once they run.
+    """
+    if isinstance(expr, (Literal, Param)):
+        return  # nothing to resolve; most of what is evaluated without a row
+    for node in expr.walk():
+        if isinstance(node, ColumnRef):
+            layout.slot(node.qualifier, node.column)
+        elif isinstance(node, Star):
+            raise PlanningError("'*' is not a scalar expression")
+        elif isinstance(node, FuncCall) and node.name in AGGREGATE_NAMES:
             raise PlanningError(
-                f"aggregate {expr.name}() is not allowed in this context"
+                f"aggregate {node.name}() is not allowed in this context"
             )
-        args = [compile_expr(a, layout) for a in expr.args]
-        name = expr.name
-        return lambda row, params: call_scalar(
-            name, [a(row, params) for a in args]
-        )
-    raise PlanningError(f"cannot compile expression {expr!r}")  # pragma: no cover
 
 
-def _compile_binary(expr: BinaryOp, layout: Layout) -> CompiledExpr:
-    op = expr.op
-    left = compile_expr(expr.left, layout)
-    right = compile_expr(expr.right, layout)
-    if op == "AND":
-        def eval_and(row: tuple, params: Sequence[Any]) -> Any:
-            a = left(row, params)
-            if a is False:
-                return False
-            b = right(row, params)
-            if b is False:
-                return False
-            if a is None or b is None:
-                return None
-            return True
-        return eval_and
-    if op == "OR":
-        def eval_or(row: tuple, params: Sequence[Any]) -> Any:
-            a = left(row, params)
-            if a is True:
-                return True
-            b = right(row, params)
-            if b is True:
-                return True
-            if a is None or b is None:
-                return None
-            return False
-        return eval_or
-    if op in _COMPARISONS:
-        test = _COMPARISONS[op]
-        def eval_cmp(row: tuple, params: Sequence[Any]) -> Any:
-            a = left(row, params)
-            b = right(row, params)
-            if a is None or b is None:
-                return None
-            return test(compare_values(a, b))
-        return eval_cmp
-    if op in _ARITH_OPS:
-        fn = _ARITH_OPS[op]
-        def eval_arith(row: tuple, params: Sequence[Any]) -> Any:
-            try:
-                return fn(left(row, params), right(row, params))
-            except TypeError:
-                raise ExecutionError(f"invalid operands for {op}") from None
-        return eval_arith
-    raise PlanningError(f"unknown operator {op!r}")  # pragma: no cover
+def resolves(expr: Expr, layout: Layout) -> bool:
+    """Whether ``expr`` is a scalar expression over ``layout``'s columns."""
+    try:
+        check_scalar(expr, layout)
+    except PlanningError:
+        return False
+    return True
 
 
-def _compile_in_list(expr: InList, layout: Layout) -> CompiledExpr:
-    operand = compile_expr(expr.operand, layout)
-    items = [compile_expr(item, layout) for item in expr.items]
-    negated = expr.negated
-
-    def eval_in(row: tuple, params: Sequence[Any]) -> Any:
-        value = operand(row, params)
-        if value is None:
-            return None
-        saw_null = False
-        for item in items:
-            candidate = item(row, params)
-            if candidate is None:
-                saw_null = True
-            elif compare_values(value, candidate) == 0:
-                return not negated
-        if saw_null:
-            return None
-        return negated
-
-    return eval_in
+#: The layout of an expression no row feeds: any column is unknown.
+NO_COLUMNS = Layout()
 
 
-def _compile_between(expr: Between, layout: Layout) -> CompiledExpr:
-    operand = compile_expr(expr.operand, layout)
-    low = compile_expr(expr.low, layout)
-    high = compile_expr(expr.high, layout)
-    negated = expr.negated
+def evaluate_rowless(expr: Expr, params: Sequence[Any]) -> Any:
+    """Evaluate an expression that no row feeds, on the reference evaluator.
 
-    def eval_between(row: tuple, params: Sequence[Any]) -> Any:
-        value = operand(row, params)
-        lo = low(row, params)
-        hi = high(row, params)
-        if value is None or lo is None or hi is None:
-            return None
-        inside = compare_values(value, lo) >= 0 and compare_values(value, hi) <= 0
-        return not inside if negated else inside
-
-    return eval_between
+    LIMIT, OFFSET, AS OF, INSERT VALUES, column DEFAULT, index-probe keys
+    and bounds: each runs once per statement, so none is worth a program.
+    """
+    check_scalar(expr, NO_COLUMNS)
+    return expr.eval(Scope(params))
 
 
-def _like_regex(pattern: str) -> re.Pattern:
-    out = []
-    for char in pattern:
-        if char == "%":
-            out.append(".*")
-        elif char == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(char))
-    return re.compile("".join(out), re.DOTALL)
+def checked_count(value: Any, complaint: str) -> int:
+    """``value`` as a row or commit count: a non-negative int, never a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ExecutionError(f"{complaint}, got {value!r}")
+    return value
 
 
-def _compile_like(expr: Like, layout: Layout) -> CompiledExpr:
-    operand = compile_expr(expr.operand, layout)
-    negated = expr.negated
-    if isinstance(expr.pattern, Literal) and expr.pattern.value is not None:
-        regex = _like_regex(str(expr.pattern.value))
+def limit_and_offset(
+    limit: Expr | None, offset: Expr | None, params: Sequence[Any]
+) -> tuple[int | None, int]:
+    """A SELECT's LIMIT and OFFSET, evaluated and checked.
 
-        def eval_like_const(row: tuple, params: Sequence[Any]) -> Any:
-            value = operand(row, params)
-            if value is None:
-                return None
-            matched = bool(regex.fullmatch(str(value)))
-            return not matched if negated else matched
-
-        return eval_like_const
-    pattern_fn = compile_expr(expr.pattern, layout)
-
-    def eval_like(row: tuple, params: Sequence[Any]) -> Any:
-        value = operand(row, params)
-        pattern = pattern_fn(row, params)
-        if value is None or pattern is None:
-            return None
-        matched = bool(_like_regex(str(pattern)).fullmatch(str(value)))
-        return not matched if negated else matched
-
-    return eval_like
-
-
-def _compile_case(expr: Case, layout: Layout) -> CompiledExpr:
-    branches = [
-        (compile_expr(cond, layout), compile_expr(value, layout))
-        for cond, value in expr.branches
-    ]
-    default = compile_expr(expr.default, layout) if expr.default else None
-
-    def eval_case(row: tuple, params: Sequence[Any]) -> Any:
-        for cond, value in branches:
-            if cond(row, params) is True:
-                return value(row, params)
-        if default is not None:
-            return default(row, params)
-        return None
-
-    return eval_case
+    No LIMIT clause, or one that evaluates to NULL, is no limit (None).
+    """
+    count = None if limit is None else evaluate_rowless(limit, params)
+    skip = 0 if offset is None else evaluate_rowless(offset, params)
+    if count is not None:
+        checked_count(count, "LIMIT must be a non-negative integer")
+    return count, checked_count(skip, "OFFSET must be a non-negative integer")
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +210,8 @@ def bindings_used(expr: Expr, layout: Layout) -> set[str] | None:
 
     Unqualified columns are resolved through ``layout`` (the full FROM
     layout). Returns None when the expression references something the
-    layout cannot resolve — the caller then reports the error by compiling.
+    layout cannot resolve — the node that ends up owning the expression
+    then reports the error (:func:`check_scalar`).
     """
     out: set[str] = set()
     for node in expr.walk():
@@ -374,7 +224,7 @@ def bindings_used(expr: Expr, layout: Layout) -> set[str] | None:
             for (q, c), _slot in layout._qualified.items():
                 if c == col:
                     if owner is not None and owner != q:
-                        return None  # ambiguous; let compilation report it
+                        return None  # ambiguous; let check_scalar report it
                     owner = q
             if owner is None:
                 return None
@@ -490,12 +340,10 @@ def fold_constants(expr: Expr) -> Expr:
     literals; any evaluation error leaves the subtree unfolded so the
     error still surfaces at execution, exactly where it used to. The only
     non-constant rewrites applied are the left-literal short circuits
-    ``FALSE AND x -> FALSE`` and ``TRUE OR x -> TRUE``, which the
-    closure evaluator performs without touching ``x`` anyway.
+    ``FALSE AND x -> FALSE`` and ``TRUE OR x -> TRUE``, which both
+    evaluators perform without touching ``x`` anyway.
     (``TRUE AND x`` is *not* ``x``: AND normalizes truthy operands.)
     """
-    from repro.db.expr import Scope
-
     folded = map_children(expr, fold_constants)
     if isinstance(folded, BinaryOp) and isinstance(folded.left, Literal):
         if folded.op == "AND" and folded.left.value is False:

@@ -52,13 +52,24 @@ class TestBackend:
 
 
 class TestDatabaseMisc:
-    def test_statement_cache_reused(self):
-        db = Database()
-        db.execute("CREATE TABLE t (x INTEGER)")
-        db.execute("INSERT INTO t VALUES (?)", (1,))
-        stmt1 = db._parse("SELECT * FROM t WHERE x = ?")
-        stmt2 = db._parse("SELECT * FROM t WHERE x = ?")
-        assert stmt1 is stmt2
+    def test_parsed_statements_are_shared_across_databases(self, monkeypatch):
+        """One parse per statement text, whichever database runs it."""
+        from repro.db.sql import parser
+
+        parses = []
+        parse_sql = parser.parse_sql
+        monkeypatch.setattr(
+            parser, "parse_sql", lambda sql: parses.append(sql) or parse_sql(sql)
+        )
+        sql = "SELECT * FROM parsed_once WHERE x = ?"
+        for _ in range(2):
+            db = Database()
+            db.execute("CREATE TABLE parsed_once (x INTEGER)")
+            db.execute(sql, (1,))
+            db.execute(sql, (2,))
+        assert parses.count(sql) == 1
+        assert parser.parse_cached(sql) is parser.parse_cached(sql)
+        assert parser.parse_sql(sql) is not parser.parse_sql(sql)  # itself uncached
 
     def test_insert_row_programmatic(self):
         db = Database()

@@ -1,38 +1,34 @@
-"""Compiled programs vs planner closures inside the one batch pipeline.
+"""Generated programs inside the one batch pipeline, engine against engine.
 
-A cached plan carries generated batch programs; an uncached one
-(``plan_cache_enabled = False``) runs the planner's closures in the same
-operators. The programs must be a pure performance transformation: every
-query returns exactly the rows the closures return, read provenance is
-byte-identical when tracking is on, and the ``executor_stats`` counters
-describe what the pipeline actually did.
+Every plan runs generated programs, so there is no second evaluator inside
+the engine to compare with (``Expr.eval`` is the reference, and
+``tests/property/test_prop_compiled_expr.py`` holds every program form to
+it). What this module compares is the engine against itself along every
+axis that changes which programs run over which rows: predicate pushdown
+on and off, one node and three shards, a plan's first execution and its
+cache hits. Every query returns the same rows with the same value types,
+read provenance is byte-identical when tracking is on, and the
+``executor_stats`` counters describe what the pipeline actually did.
 """
 
-import dataclasses
 from functools import cmp_to_key
 
 import pytest
 
 from repro.db import Database, IsolationLevel, ShardedDatabase
 from repro.db.types import compare_values
+from repro.errors import ExecutionError, PlanningError
 
 
-def build_db(programs: bool = True, pushdown: bool = True) -> Database:
+def build_db(pushdown: bool = True) -> Database:
     db = Database()
-    db.plan_cache_enabled = programs
     db.predicate_pushdown_enabled = pushdown
     _populate(db)
     return db
 
 
-def build_sharded(programs: bool = True) -> ShardedDatabase:
-    """``programs=False`` replans every shard-local statement (routed
-    reads, partial aggregates) on closures; scatter branches and
-    coordinator merges live in the cluster's own caches and always carry
-    programs."""
+def build_sharded() -> ShardedDatabase:
     sdb = ShardedDatabase(3, shard_keys={"items": "id"})
-    for shard in sdb.shards:
-        shard.plan_cache_enabled = programs
     _populate(sdb)
     return sdb
 
@@ -116,31 +112,72 @@ QUERIES = [
 ]
 
 
+#: ``(sql, params)`` shapes that only planner closures ran before there
+#: was one evaluator: keyless joins, computed IN items and LIKE patterns,
+#: a broadcast join side's pushed filter, ORDER BY on input columns, on
+#: output aliases and on computed keys. With nothing to fall back to, a
+#: shape the code generator cannot lower fails here.
+PARAM_QUERIES = [
+    (
+        "SELECT i.id, g.grp FROM items i JOIN grps g"
+        " ON i.val > 11.0 AND g.label < 'label11' ORDER BY i.id, g.grp",
+        (),
+    ),
+    (
+        "SELECT i.id, g.label FROM items i CROSS JOIN grps g"
+        " WHERE i.id < 3 AND g.label LIKE ? ORDER BY i.id, g.label",
+        ("label3%",),
+    ),
+    (
+        "SELECT i.id, g.label FROM items i LEFT JOIN grps g"
+        " ON i.val < 1.0 AND g.label = 'label1' WHERE i.id < 30 ORDER BY i.id",
+        (),
+    ),
+    ("SELECT id FROM items WHERE id IN (?, ?, 290 - id) ORDER BY id", (3, 5.0)),
+    ("SELECT id, grp IN (?, NULL), id NOT IN (?, val + 1) FROM items WHERE id < 4", ("g1", 2)),
+    ("SELECT id FROM items WHERE grp LIKE ? ORDER BY id", ("g_",)),
+    ("SELECT id FROM items WHERE grp NOT LIKE ? || '%' AND id < 9", ("g1",)),
+    ("SELECT grp, grp LIKE grp, grp LIKE NULL FROM items WHERE id > 295", ()),
+    (
+        "SELECT i.id, g.label FROM items i JOIN grps g ON i.grp = g.grp"
+        " WHERE g.label LIKE ? AND i.id < 40 ORDER BY i.id",
+        ("label_",),
+    ),
+    ("SELECT grp FROM items WHERE id < 30 ORDER BY val DESC, id", ()),
+    ("SELECT id AS k, val FROM items WHERE id < 30 ORDER BY val, k DESC", ()),
+    ("SELECT id FROM items WHERE id < 30 ORDER BY (id * 7) % 11, id", ()),
+    ("SELECT id FROM items ORDER BY id LIMIT ? OFFSET ?", (4, 2)),
+    # GROUP BY with nothing to aggregate (generated code once read ``(,)``).
+    ("SELECT grp FROM items GROUP BY grp HAVING grp > ? ORDER BY grp", ("g3",)),
+]
+
+
 def _canon(rows):
     return sorted(rows, key=repr)
 
 
+def _same(got, want, label) -> None:
+    """Equal rows, value types included (1 vs 1.0 vs True)."""
+    assert got == want, label
+    for g, w in zip(got, want):
+        assert tuple(map(type, g)) == tuple(map(type, w)), label
+
+
 class TestDifferential:
-    """Generated programs vs the planner closures they were lowered from."""
+    """One set of programs, every arrangement of rows under them."""
 
-    def test_single_node_all_query_shapes(self):
-        compiled = build_db(programs=True)
-        closures = build_db(programs=False)
-        for sql in QUERIES:
-            got = compiled.query(sql).rows
-            want = closures.query(sql).rows
-            assert got == want, sql
-            # Value types must match too (1 vs 1.0 vs True).
-            for g, w in zip(got, want):
-                assert tuple(map(type, g)) == tuple(map(type, w)), sql
-        # The twins really took different branches of the pipeline.
-        assert compiled.executor_stats["plans_compiled"] >= len(QUERIES)
-        assert closures.executor_stats["plans_compiled"] == 0
-        assert closures.executor_stats["batches_processed"] > 0
+    def test_first_execution_matches_cache_hits(self):
+        db = build_db()
+        for sql, params in [(q, ()) for q in QUERIES] + PARAM_QUERIES:
+            hits = db.plan_cache_stats["hits"]
+            first = db.execute(sql, params).rows
+            again = db.execute(sql, params).rows
+            assert db.plan_cache_stats["hits"] == hits + 1, sql
+            _same(again, first, sql)
+        assert db.executor_stats["batches_processed"] > 0
 
-    @pytest.mark.parametrize("programs", [True, False])
-    def test_mixed_class_keys_follow_compare_values(self, programs):
-        db = build_db(programs=programs)
+    def test_mixed_class_keys_follow_compare_values(self):
+        db = build_db()
         order = cmp_to_key(compare_values)
         keys = [
             key
@@ -165,26 +202,118 @@ class TestDifferential:
         ]
 
     def test_sharded_all_query_shapes(self):
-        compiled = build_sharded(programs=True)
-        replanned = build_sharded(programs=False)
-        closures = build_db(programs=False)
-        for sql in QUERIES:
-            got = compiled.execute(sql).rows
-            want = replanned.execute(sql).rows
-            # Shard gather order is deterministic, but ordered queries
-            # must match exactly; unordered compare as multisets.
-            if "ORDER BY" in sql:
-                assert got == want, sql
-            else:
-                assert _canon(got) == _canon(want), sql
-            # ... and both agree with single-node closures.
-            assert _canon(got) == _canon(closures.query(sql).rows), sql
+        sharded = build_sharded()
+        single = build_db()
+        for sql, params in [(q, ()) for q in QUERIES] + PARAM_QUERIES:
+            want = single.execute(sql, params).rows
+            for run in ("first execution", "cache hit"):
+                got = sharded.execute(sql, params).rows
+                # Shard gather order is deterministic, but only ordered
+                # queries must match exactly; the rest are multisets.
+                if "ORDER BY" in sql:
+                    _same(got, want, (sql, run))
+                else:
+                    _same(_canon(got), _canon(want), (sql, run))
 
     def test_pushdown_knob_is_result_invariant(self):
         pushed = build_db(pushdown=True)
         unpushed = build_db(pushdown=False)
-        for sql in QUERIES:
-            assert pushed.query(sql).rows == unpushed.query(sql).rows, sql
+        for sql, params in [(q, ()) for q in QUERIES] + PARAM_QUERIES:
+            _same(
+                pushed.execute(sql, params).rows,
+                unpushed.execute(sql, params).rows,
+                sql,
+            )
+
+
+class TestShapesOnlyClosuresRan:
+    """The values, not just the agreement, of what the generator learned."""
+
+    def test_keyless_joins(self):
+        db = build_db()
+        assert db.explain(PARAM_QUERIES[0][0])[2].strip() == "NestedLoopJoin(inner)"
+        rows = db.execute(*PARAM_QUERIES[0]).rows
+        # val = 12.0 on ids 12, 25, ... (23 of them) x labels 0, 1, 10.
+        assert len(rows) == 23 * 3 and rows[:3] == [(12, "g0"), (12, "g1"), (12, "g10")]
+        assert db.execute(*PARAM_QUERIES[1]).rows == [
+            (i, label)
+            for i in range(3)
+            for label in sorted(["label3"] + [f"label3{d}" for d in range(10)])
+        ]
+        left = db.execute(*PARAM_QUERIES[2]).rows
+        assert len(left) == 30
+        assert [r for r in left if r[1] is not None] == [
+            (0, "label1"), (13, "label1"), (26, "label1")
+        ]
+
+    def test_computed_in_items_and_like_patterns(self):
+        db = build_db()
+        assert db.execute(*PARAM_QUERIES[3]).rows == [(3,), (5,), (145,)]
+        assert db.execute(*PARAM_QUERIES[4]).rows == [
+            (0, None, True),
+            (1, True, True),
+            (2, None, False),
+            (3, None, True),
+        ]
+        assert len(db.execute(*PARAM_QUERIES[5]).rows) == 300
+        assert db.execute(*PARAM_QUERIES[6]).rows == [
+            (i,) for i in range(9) if i % 7 != 1
+        ]
+        assert db.execute(*PARAM_QUERIES[7]).rows == [
+            (f"g{i % 7}", True, None) for i in range(296, 300)
+        ] + [(None, None, None)]
+
+    def test_update_assignments(self):
+        db = build_db()
+        sql = "UPDATE items SET val = val * ? + id, grp = grp || '-' || ? WHERE id < ?"
+        for run in range(2):  # the plan's first execution, then a cache hit
+            before = db.query("SELECT id, grp, val FROM items WHERE id < 5").rows
+            assert db.execute(sql, (2, "x", 5)).rowcount == 5
+            assert db.query("SELECT id, grp, val FROM items WHERE id < 5").rows == [
+                (i, f"{grp}-x", val * 2 + i) for i, grp, val in before
+            ]
+        # A value is stored, or refused, as its column would on INSERT.
+        assert db.execute("UPDATE items SET val = id WHERE id = 7").rowcount == 1
+        (stored,) = db.query("SELECT val FROM items WHERE id = 7").rows[0]
+        assert stored == 7.0 and type(stored) is float
+        with pytest.raises(Exception, match=r"items\.val: expected FLOAT"):
+            db.execute("UPDATE items SET val = grp WHERE id = 7")
+        with pytest.raises(ExecutionError, match="division by zero"):
+            db.execute("UPDATE items SET val = 1 / (id - id) WHERE id = 7")
+
+    def test_broadcast_side_filter_runs_on_every_shard(self):
+        sharded = build_sharded()
+        sql, params = PARAM_QUERIES[8]
+        before = sharded.stats["broadcast_joins"]
+        rows = sharded.execute(sql, params).rows
+        assert sharded.stats["broadcast_joins"] == before + 1
+        # grps' single-digit labels: g0..g6 are the groups items use.
+        assert rows == [(i, f"label{i % 7}") for i in range(40)]
+
+    def test_order_by_resolves_on_input_then_on_output(self):
+        db = build_db()
+        on_input = db.explain(PARAM_QUERIES[9][0])
+        assert on_input[0].startswith("Project") and on_input[1].strip().startswith("Sort")
+        on_alias = db.explain(PARAM_QUERIES[10][0])
+        assert on_alias[0].startswith("Sort") and on_alias[1].strip().startswith("Project")
+        with pytest.raises(PlanningError, match="unknown column nosuch"):
+            db.explain("SELECT id FROM items ORDER BY nosuch")
+        with pytest.raises(PlanningError, match=r"aggregate COUNT\(\) is not allowed"):
+            db.explain("SELECT id FROM items WHERE COUNT(*) > 1")
+
+    def test_long_chains_generate_flat_code(self):
+        """CPython nests 20 blocks and 100 indents; an expression may be longer."""
+        db = build_db()
+        total = " + ".join(["id"] * 60)
+        assert db.query(f"SELECT {total} FROM items WHERE id = 2").rows == [(120,)]
+        arms = " ".join(f"WHEN id = {i} THEN {i * i}" for i in range(150))
+        assert db.query(
+            f"SELECT CASE {arms} ELSE -1 END FROM items WHERE id IN (149, 150) ORDER BY id"
+        ).rows == [(149 * 149,), (-1,)]
+        items = ", ".join(f"id + {i}" for i in range(1, 120))
+        assert db.query(
+            f"SELECT COUNT(*) FROM items WHERE 299 IN ({items})"
+        ).rows == [(119,)]
 
 
 class _TraceCollector:
@@ -200,13 +329,11 @@ def _read_tuples(traces):
 
 
 class TestTrodParity:
-    """Provenance must be byte-identical with or without programs."""
+    """Provenance must be byte-identical on a first execution and a cache hit."""
 
     def test_track_reads_identical_single_node(self):
-        baseline = build_db(programs=False)
-        subject = build_db(programs=True)
-        for db in (baseline, subject):
-            db.track_reads = True
+        db = build_db()
+        db.track_reads = True
         probe = [
             "SELECT id FROM items WHERE val > 6.0",
             "SELECT grp, COUNT(*) FROM items GROUP BY grp",
@@ -214,37 +341,35 @@ class TestTrodParity:
             "SELECT id FROM items WHERE id > 100000",
         ]
         for sql in probe:
-            collectors = []
-            for db in (baseline, subject):
+            runs = []
+            for _run in ("first execution", "cache hit"):
                 collector = _TraceCollector()
                 db.add_observer(collector)
                 rows = db.query(sql).rows
                 db.remove_observer(collector)
-                collectors.append((rows, collector))
-            (want_rows, want), (got_rows, got) = collectors
-            assert got_rows == want_rows, sql
-            assert _read_tuples(got.traces) == _read_tuples(want.traces), sql
+                runs.append((rows, _read_tuples(collector.traces)))
+            assert runs[0] == runs[1], sql
+            assert runs[0][1], sql  # a null read at the least
 
     def test_track_reads_identical_sharded(self):
-        baseline = build_sharded(programs=False)
-        subject = build_sharded(programs=True)
-        for sdb in (baseline, subject):
-            sdb.track_reads = True
+        sdb = build_sharded()
+        sdb.track_reads = True
         sql = "SELECT grp, COUNT(*) FROM items GROUP BY grp"
-        reads = []
-        for sdb in (baseline, subject):
-            collected = []
+        runs = []
+        for _run in ("first execution", "cache hit"):
             collectors = []
             for shard in sdb.shards:
                 collector = _TraceCollector()
                 shard.add_observer(collector)
                 collectors.append((shard, collector))
             rows = sdb.execute(sql).rows
+            collected = []
             for shard, collector in collectors:
                 shard.remove_observer(collector)
                 collected.extend(_read_tuples(collector.traces))
-            reads.append((_canon(rows), collected))
-        assert reads[0] == reads[1]
+            runs.append((_canon(rows), collected))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 301
 
     def test_traced_statement_runs_the_batch_pipeline(self):
         """Tracing changes what is recorded, not which executor runs."""
@@ -261,17 +386,8 @@ class TestTrodParity:
 
 
 class TestExecutorStats:
-    def test_plans_compiled_counts_cache_misses_only(self):
-        db = build_db()
-        start = db.executor_stats["plans_compiled"]
-        db.query("SELECT id FROM items WHERE val > 6.0")
-        after_first = db.executor_stats["plans_compiled"]
-        assert after_first == start + 1
-        db.query("SELECT id FROM items WHERE val > 6.0")
-        assert db.executor_stats["plans_compiled"] == after_first
-
-    def test_pairs_filter_is_generated_by_the_first_traced_run(self, monkeypatch):
-        """An untraced cache miss generates one scan-filter program, not two."""
+    def test_each_filter_form_is_generated_by_its_first_run(self, monkeypatch):
+        """A scan generates the filter program it runs, when it first runs it."""
         from repro.db.sql import compile as codegen
 
         calls = []
@@ -284,6 +400,7 @@ class TestExecutorStats:
         monkeypatch.setattr(codegen, "compile_predicate_batch", counting)
         db = build_db()
         sql = "SELECT id FROM items WHERE val > 6.0"
+        assert db.explain(sql) and calls == []  # planning generates nothing
         untraced = db.query(sql).rows
         assert calls == [False]
         db.track_reads = True
@@ -291,6 +408,29 @@ class TestExecutorStats:
         assert calls == [False, True]
         assert db.query(sql).rows == untraced
         assert calls == [False, True]
+
+    def test_databases_share_compiled_code(self, monkeypatch):
+        """Two fresh databases running one statement call ``compile()`` once."""
+        from repro.db.sql import compile as codegen
+
+        compiled = []
+
+        def counting(source, *args, **kwargs):
+            compiled.append(source)
+            return compile(source, *args, **kwargs)
+
+        monkeypatch.setattr(codegen, "compile", counting, raising=False)
+        codegen._code_memo.clear()
+        sql = (
+            "SELECT grp, SUM(val * ?) FROM items WHERE id % 3 = 1"
+            " GROUP BY grp ORDER BY grp LIMIT 4"
+        )
+        first = build_db().execute(sql, (2,)).rows
+        sources = list(compiled)
+        assert len(sources) == len(set(sources)) >= 4  # filter, agg, sort, project
+        assert build_db().execute(sql, (2,)).rows == first
+        assert build_sharded().shards[0].execute(sql, (2,)).rows
+        assert compiled == sources
 
     def test_rows_filtered_at_scan_vs_post_join(self):
         db = build_db()
@@ -304,7 +444,7 @@ class TestExecutorStats:
         sdb = build_sharded()
         sdb.execute("SELECT id FROM items WHERE val > 100.0")
         stats = sdb.executor_stats
-        assert stats["plans_compiled"] >= 1
+        assert stats["batches_processed"] >= 3
         assert stats["rows_filtered_at_scan"] >= 301
 
 

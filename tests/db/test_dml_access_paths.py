@@ -14,7 +14,7 @@ the visible rows does. The model below is that loop; the matrix crosses
                  column changed earlier (the shared index is stale both
                  ways) | a matching row deleted earlier
     statement    UPDATE | DELETE
-    plan cache   on | off
+    plan         a cache hit | the plan's first execution
 
 on a :class:`Database` and on every shard of a :class:`ShardedDatabase`,
 and compares ``rowcount``, ``row_ids``, the final rows, the WAL and CDC
@@ -27,6 +27,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db import Database, IsolationLevel, ShardedDatabase
+from repro.db.sql.parser import parse_cached
 
 TABLE_DDL = "CREATE TABLE t (k INTEGER, g INTEGER, v INTEGER)"
 
@@ -185,9 +186,8 @@ class Node:
             assert got == expected, label
 
 
-def single_node(index: str, cache: bool) -> tuple[Database, list[Node]]:
+def single_node(index: str) -> tuple[Database, list[Node]]:
     db = Database()
-    db.plan_cache_enabled = cache
     db.execute(TABLE_DDL)
     db.insert_rows("t", initial_rows())
     if INDEXES[index]:
@@ -195,12 +195,10 @@ def single_node(index: str, cache: bool) -> tuple[Database, list[Node]]:
     return db, [Node(db)]
 
 
-def sharded(index: str, cache: bool) -> tuple[ShardedDatabase, list[Node]]:
+def sharded(index: str) -> tuple[ShardedDatabase, list[Node]]:
     # Sharded on v: no predicate below pins it, so every statement under
     # test scatters to, and is planned on, both shards.
     engine = ShardedDatabase(2, shard_keys={"t": "v"})
-    for shard in engine.shards:
-        shard.plan_cache_enabled = cache
     engine.execute(TABLE_DDL)
     for row in initial_rows():
         engine.execute("INSERT INTO t VALUES (?, ?, ?)", row)
@@ -235,16 +233,16 @@ def plan_lines(db: Database, sql: str, isolation: IsolationLevel) -> list[str]:
     """``explain`` under a given isolation level (explain itself is 2PL)."""
     txn = db.begin(isolation)
     try:
-        return db.dml_plan(db._parse(sql), txn, sql).explain()
+        return db.dml_plan(parse_cached(sql), txn, sql).explain()
     finally:
         txn.abort()
 
 
-@pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("cache_hit", [True, False], ids=["cache-hit", "first-run"])
 @pytest.mark.parametrize("isolation", list(IsolationLevel), ids=lambda i: i.value)
 @pytest.mark.parametrize("index", sorted(INDEXES))
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_dml_matches_model(engine_name, index, isolation, cache):
+def test_dml_matches_model(engine_name, index, isolation, cache_hit):
     serializable = isolation is IsolationLevel.SERIALIZABLE
     for predicate, (where, params, matches) in PREDICATES.items():
         for statement, (template, rewrite) in STATEMENTS.items():
@@ -252,7 +250,7 @@ def test_dml_matches_model(engine_name, index, isolation, cache):
             dml = (statement, matches, rewrite) if rewrite else (statement, matches)
             for state, earlier in STATES.items():
                 label = f"{engine_name}/{index}/{isolation.value}/{predicate}/{statement}/{state}"
-                engine, nodes = ENGINES[engine_name](index, cache)
+                engine, nodes = ENGINES[engine_name](index)
 
                 # The access path, on every node that will run the statement.
                 probe = PROBES.get((index, predicate)) if serializable else None
@@ -266,6 +264,10 @@ def test_dml_matches_model(engine_name, index, isolation, cache):
                         assert probe in lines[1], label
                     if serializable:
                         assert node.db.explain(sql) == lines, label
+                    if not cache_hit:
+                        # Forget the plan just explained: the statement
+                        # under test plans, and generates its programs, anew.
+                        node.db._plan_cache.clear()
 
                 if state == "autocommit" and serializable:
                     result = engine.execute(sql, params)
@@ -294,7 +296,7 @@ def test_dml_matches_model(engine_name, index, isolation, cache):
 
 def test_update_of_the_probed_column_moves_the_row_between_probes():
     """An UPDATE that rewrites the column it probed keeps the index right."""
-    db, (node,) = single_node("hash", cache=True)
+    db, (node,) = single_node("hash")
     assert "probe=ix[k]" in db.explain("UPDATE t SET k = k + 100 WHERE k = ?")[1]
     moved = db.execute("UPDATE t SET k = k + 100 WHERE k = ?", (3,))
     assert moved.rowcount == 3 and list(moved.row_ids) == sorted(moved.row_ids)
@@ -306,7 +308,7 @@ def test_update_of_the_probed_column_moves_the_row_between_probes():
 def test_match_drains_before_the_first_write():
     """A row an UPDATE moves *into* its own predicate is not matched twice."""
     for index in sorted(INDEXES):
-        db, _nodes = single_node(index, cache=True)
+        db, _nodes = single_node(index)
         # k = 2 rows become k = 3 rows; the k = 3 rows become k = 4 rows.
         before = db.execute("SELECT COUNT(*) FROM t WHERE k IN (2, 3)").scalar()
         result = db.execute("UPDATE t SET k = k + 1 WHERE k >= 2 AND k < 4")
@@ -315,7 +317,7 @@ def test_match_drains_before_the_first_write():
 
 
 def test_dml_records_no_reads_where_a_select_does():
-    db, (node,) = single_node("hash", cache=True)
+    db, (node,) = single_node("hash")
     txn = db.begin()
     db.execute("UPDATE t SET v = 1 WHERE k = ?", (3,), txn=txn)
     db.execute("DELETE FROM t WHERE k = ?", (4,), txn=txn)

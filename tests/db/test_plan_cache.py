@@ -1,9 +1,10 @@
 """Plan cache: cached plans must be invisible except for speed.
 
-Differential tests: every query is answered once through a warm cache and
-once with the cache disabled (fresh planning); results must be identical,
-including across DDL (CREATE INDEX / DROP INDEX / DROP TABLE), which bumps
-the catalog epoch and invalidates cached plans.
+Differential tests: every query is answered by a first execution (which
+plans it), by a cache hit, and by a freshly planned tree after the cache is
+emptied; results must be identical, including across DDL (CREATE INDEX /
+DROP INDEX / DROP TABLE), which bumps the catalog epoch and invalidates
+cached plans.
 """
 
 import pytest
@@ -36,14 +37,14 @@ QUERIES = [
 
 
 def differential(db: Database, sql: str, params=()):
-    """Execute with the plan cache on and off; assert identical results."""
+    """Execute through a cached plan and a fresh one; assert identical results."""
     cached = db.execute(sql, params)
+    hits = db.plan_cache_stats["hits"]
     cached_again = db.execute(sql, params)
-    db.plan_cache_enabled = False
-    try:
-        fresh = db.execute(sql, params)
-    finally:
-        db.plan_cache_enabled = True
+    assert db.plan_cache_stats["hits"] == hits + 1
+    db._plan_cache.clear()
+    fresh = db.execute(sql, params)
+    assert db.plan_cache_stats["hits"] == hits + 1  # planned anew
     assert cached.rows == fresh.rows == cached_again.rows
     assert cached.columns == fresh.columns
     return cached.rows
@@ -112,7 +113,7 @@ class TestPlanCacheDifferential:
 
 
 class TestDmlPlanCache:
-    """UPDATE/DELETE predicates compile once per (sql, catalog epoch)."""
+    """UPDATE/DELETE statements plan once per (sql, catalog epoch)."""
 
     def test_repeated_update_hits_cache(self):
         db = fresh_db()
@@ -131,17 +132,14 @@ class TestDmlPlanCache:
         assert db.plan_cache_stats["dml_hits"] == 2
         assert db.execute("SELECT COUNT(*) FROM items").scalar() == 197
 
-    def test_cached_dml_matches_fresh_compilation(self):
+    def test_cached_dml_matches_fresh_plan(self):
         db = fresh_db()
         sql = "UPDATE items SET val = ? WHERE grp = ?"
         assert db.execute(sql, (50.0, "g3")).rowcount == 20
-        db.plan_cache_enabled = False
-        try:
-            fresh_count = db.execute(sql, (50.0, "g3")).rowcount
-        finally:
-            db.plan_cache_enabled = True
-        assert fresh_count == 20
-        assert db.execute(sql, (50.0, "g3")).rowcount == 20
+        assert db.execute(sql, (50.0, "g3")).rowcount == 20  # a cache hit
+        db._plan_cache.clear()
+        assert db.execute(sql, (50.0, "g3")).rowcount == 20  # planned anew
+        assert db.plan_cache_stats["dml_misses"] == 2
         assert (
             db.execute("SELECT COUNT(*) FROM items WHERE val = 50.0").scalar()
             == 20
@@ -154,7 +152,7 @@ class TestDmlPlanCache:
         db.execute("DROP TABLE items")
         db.execute("CREATE TABLE items (id INTEGER, extra TEXT, grp TEXT, val FLOAT)")
         db.execute("INSERT INTO items VALUES (7, 'x', 'g', 1.0)")
-        # A stale compiled plan would index the old column layout.
+        # A stale plan would index the old column layout.
         assert db.execute(sql, (7,)).rowcount == 1
         assert db.plan_cache_stats["dml_misses"] == 2
 

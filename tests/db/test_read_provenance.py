@@ -316,19 +316,20 @@ def test_every_shard_reads_match_the_model(traced_cluster, sql):
         gtxn.abort()
 
 
-def test_uncached_plans_record_the_same_reads():
-    """The closure branches carry provenance exactly like the programs."""
-    closures = Database()
-    populate(closures)
-    closures.track_reads = True
-    closures.plan_cache_enabled = False
+def test_cache_hits_record_the_same_reads():
+    """A plan's later executions carry provenance exactly like its first."""
+    db = Database()
+    populate(db)
+    db.track_reads = True
     for sql in ALL_SHAPES:
-        txn = closures.begin()
-        closures.execute(sql, txn=txn)
-        assert as_tuples(txn.read_records) == expected_single(
-            sql, closures.snapshot_rows
-        ), sql
-        txn.abort()
+        want = expected_single(sql, db.snapshot_rows)
+        hits = db.plan_cache_stats["hits"]
+        for _run in ("first execution", "cache hit"):
+            txn = db.begin()
+            db.execute(sql, txn=txn)
+            assert as_tuples(txn.read_records) == want, (sql, _run)
+            txn.abort()
+        assert db.plan_cache_stats["hits"] == hits + 1, sql
 
 
 class TestInsertSelectProvenance:

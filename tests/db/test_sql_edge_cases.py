@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db import Database
+from repro.db import Database, ShardedDatabase
 from repro.errors import ExecutionError, PlanningError, SqlSyntaxError
 
 
@@ -180,3 +180,77 @@ class TestQueryErrors:
     def test_too_many_params(self, db):
         with pytest.raises(ExecutionError, match="parameter"):
             db.execute("SELECT a FROM t WHERE b = ?", (1, 2))
+
+    def test_operand_type_mismatches_are_execution_errors(self, db):
+        """Unary minus over text used to leak a raw TypeError."""
+        with pytest.raises(ExecutionError, match=r"^invalid operand for -$"):
+            db.execute("SELECT -'x' FROM t")
+        with pytest.raises(ExecutionError, match=r"^invalid operand for -$"):
+            db.execute("SELECT b FROM t WHERE -a = 1")
+        with pytest.raises(ExecutionError, match=r"^invalid operand for -$"):
+            db.execute("INSERT INTO t VALUES (?, -?, 0.5)", ("z", "nine"))
+        assert db.execute("SELECT -b, -c, -(-b) FROM t WHERE a = 'x'").rows == [
+            (-1, -1.5, 1)
+        ]
+
+    def test_one_message_per_error_whichever_evaluator_raises_it(self, db):
+        """Per row (a program) and row-less (``Expr.eval``) word it the same."""
+        with pytest.raises(ExecutionError) as per_row:
+            db.execute("SELECT b + a FROM t")
+        with pytest.raises(ExecutionError) as rowless:
+            db.execute("INSERT INTO t VALUES ('z', 1 + ?, 0.5)", ("a",))
+        assert str(per_row.value) == str(rowless.value) == "invalid operands for +"
+
+
+def _engine(name: str):
+    if name == "single":
+        engine = Database()
+    else:
+        engine = ShardedDatabase(2, shard_keys={"t": "a"})
+    engine.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+    for i in range(6):
+        engine.execute("INSERT INTO t VALUES (?, ?)", (i, f"r{i}"))
+    return engine
+
+
+@pytest.mark.parametrize("engine_name", ["single", "sharded"])
+class TestCountOperands:
+    """LIMIT, OFFSET and AS OF take a non-negative integer — and no boolean,
+    though ``isinstance(True, int)``."""
+
+    @pytest.mark.parametrize(
+        "sql, complaint",
+        [
+            ("SELECT a FROM t LIMIT ?", "LIMIT must be a non-negative integer"),
+            ("SELECT a FROM t ORDER BY a LIMIT ?", "LIMIT must be a non-negative integer"),
+            ("SELECT a FROM t LIMIT 2 OFFSET ?", "OFFSET must be a non-negative integer"),
+            ("SELECT COUNT(*) FROM t OFFSET ?", "OFFSET must be a non-negative integer"),
+            ("SELECT a FROM t AS OF ?", "AS OF expects a non-negative integer CSN"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, False, -1, "2", 1.5, None])
+    def test_rejected(self, engine_name, sql, complaint, value):
+        engine = _engine(engine_name)
+        if value is None and sql.endswith("LIMIT ?"):
+            assert len(engine.execute(sql, (None,)).rows) == 6  # LIMIT NULL: no limit
+            return
+        with pytest.raises(ExecutionError) as raised:
+            engine.execute(sql, (value,))
+        assert str(raised.value) == f"{complaint}, got {value!r}"
+
+    def test_accepted(self, engine_name):
+        engine = _engine(engine_name)
+        assert len(engine.execute("SELECT a FROM t LIMIT ?", (1,)).rows) == 1
+        assert engine.execute("SELECT a FROM t LIMIT ?", (0,)).rows == []
+        assert engine.execute(
+            "SELECT a FROM t ORDER BY a LIMIT ? OFFSET ?", (2, 3)
+        ).rows == [(3,), (4,)]
+        assert len(engine.execute("SELECT a FROM t LIMIT 1 + 1").rows) == 2
+        csn = engine.last_commit_csn
+        assert len(engine.execute("SELECT a FROM t AS OF ?", (csn,)).rows) == 6
+        assert len(engine.execute("SELECT a FROM t AS OF ?", (float(csn),)).rows) == 6
+
+    def test_a_column_is_no_count(self, engine_name):
+        engine = _engine(engine_name)
+        with pytest.raises(PlanningError, match="unknown column a"):
+            engine.execute("SELECT a FROM t LIMIT a")

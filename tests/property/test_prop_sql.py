@@ -124,7 +124,7 @@ class TestDmlModel:
 
 
 class TestExpressionCompilerConsistency:
-    """The compiled path (planner) must agree with the interpreter (expr)."""
+    """Generated programs must agree with the reference interpreter (expr)."""
 
     @given(
         st.integers(-5, 5),
@@ -134,20 +134,22 @@ class TestExpressionCompilerConsistency:
     @settings(max_examples=60, deadline=None)
     def test_binary_ops_agree(self, a, b, op):
         from repro.db.expr import BinaryOp, Literal, Scope
-        from repro.db.sql.planner import Layout, compile_expr
+        from repro.db.sql.compile import compile_scalar
+        from repro.db.sql.planner import Layout
 
         expr = BinaryOp(op, Literal(a), Literal(b))
         interpreted = expr.eval(Scope())
-        compiled = compile_expr(expr, Layout())((), ())
+        compiled = compile_scalar(expr, Layout())((), ())
         assert interpreted == compiled
 
     @given(st.lists(st.one_of(st.none(), st.booleans()), min_size=2, max_size=2))
     @settings(max_examples=30, deadline=None)
     def test_three_valued_logic_agrees(self, pair):
         from repro.db.expr import BinaryOp, Literal, Scope
-        from repro.db.sql.planner import Layout, compile_expr
+        from repro.db.sql.compile import compile_scalar
+        from repro.db.sql.planner import Layout
 
         a, b = pair
         for op in ("AND", "OR"):
             expr = BinaryOp(op, Literal(a), Literal(b))
-            assert expr.eval(Scope()) is compile_expr(expr, Layout())((), ())
+            assert expr.eval(Scope()) is compile_scalar(expr, Layout())((), ())
