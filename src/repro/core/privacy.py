@@ -20,12 +20,10 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.provenance import REDACTED
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tracer import Trod
-
-#: Marker written into the Query column of redacted events. The replay
-#: injector skips events carrying it.
-REDACTED = "[redacted]"
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,8 @@ class PrivacyManager:
             (REDACTED, value),
         )
         events_redacted = result.rowcount
-        # Checkpoints materialized before the redaction still hold the
-        # erased values; drop them so reconstruction cannot resurrect data.
+        # States reconstructed before the redaction still hold the erased
+        # values; drop them so reconstruction cannot resurrect data.
         provenance.invalidate_checkpoints(table)
 
         requests_scrubbed = self._scrub_request_args(value)

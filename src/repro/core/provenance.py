@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import bisect
 import json
-import os
 from collections import OrderedDict
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.core.events import (
     DataEvent,
@@ -49,40 +48,14 @@ _EVENT_META = [
 
 _WRITE_KINDS = ("Insert", "Update", "Delete")
 
-#: Per-table checkpoint cap; exceeding it thins the older half so memory
-#: stays O(cap * table size) while coverage still spans the history.
-_MAX_TABLE_CHECKPOINTS = 16
+#: Written into the ``Query`` column of a redacted event
+#: (:mod:`repro.core.privacy`); reconstruction treats the row as absent
+#: and replay injection skips it.
+REDACTED = "[redacted]"
 
-
-class _LiveState:
-    """Incrementally maintained live rows of one traced table.
-
-    Folding committed write events into this map at ingest time makes
-    :meth:`ProvenanceStore.create_checkpoint` O(table size) instead of
-    O(history): the materialized state is already there, no event replay
-    or SQL scan needed. ``dirty`` counts folds since the last checkpoint
-    taken from this state, so unchanged tables are skipped without even
-    a COUNT query. Any event the fold cannot apply faithfully (out of
-    order, missing values) drops the state; the next checkpoint falls
-    back to event replay and re-seeds it.
-    """
-
-    __slots__ = ("rows", "csn", "dirty")
-
-    def __init__(self, rows: dict[int, tuple], csn: int, dirty: int = 0):
-        self.rows = rows
-        self.csn = csn
-        self.dirty = dirty
-
-
-class _SpilledRows:
-    """Placeholder payload for a checkpoint written to disk."""
-
-    __slots__ = ("path", "count")
-
-    def __init__(self, path: str, count: int):
-        self.path = path
-        self.count = count
+#: Rows the reconstructed-state memo may hold across all its states; the
+#: newest state stays whatever its size.
+_STATE_MEMO_ROWS = 16384
 
 
 def default_event_table_name(table: str) -> str:
@@ -94,11 +67,7 @@ def default_event_table_name(table: str) -> str:
 class ProvenanceStore:
     """Ingests trace events and answers declarative debugging queries."""
 
-    def __init__(
-        self,
-        db: Database | None = None,
-        checkpoint_interval: int | None = 256,
-    ):
+    def __init__(self, db: Database | None = None):
         # Nobody subscribes to the provenance database's own change
         # stream, so by default it retains (and so builds) no record of it.
         self.db = db or Database(name="provenance", cdc_retain=0)
@@ -113,40 +82,19 @@ class ProvenanceStore:
         #: the same as a set): what ingest needs to lay an event's
         #: ``values`` dict out as the tail of a positional row.
         self._event_layouts: dict[str, tuple[str, tuple, frozenset]] = {}
-        #: Automatic checkpointing (None disables it): a checkpoint is
-        #: considered once per :meth:`ingest` — i.e. per trace-buffer
-        #: flush — and taken when at least this many commits have been
-        #: ingested since the last one. It lands at the flush's last CSN,
-        #: not every N commits: a history ingested in one flush gets one
-        #: checkpoint, at its end.
-        self.checkpoint_interval = checkpoint_interval
-        #: app table -> ascending [(csn, ((row_id, values), ...)), ...];
-        #: each entry is the table's full live state as of that csn, so
-        #: reconstruction replays only the events after the nearest one.
-        self._checkpoints: dict[str, list[tuple[int, tuple]]] = {}
-        self._commits_since_checkpoint = 0
-        self._max_write_csn = 0
         #: app table -> CSN of its (earliest) base snapshot, when it has
         #: one: no state before it can be reconstructed.
         self._snapshot_csns: dict[str, int] = {}
-        #: app table -> incrementally folded live state (see _LiveState).
-        self._live: dict[str, _LiveState] = {}
-        #: Checkpoints whose row payload exceeds this many rows spill to
-        #: disk (next to the provenance database's WAL) instead of being
-        #: pinned in memory. Spilling is disabled when the provenance
-        #: database has no on-disk WAL to anchor the spill directory.
-        self.spill_threshold = 2048
-        #: Spilled payloads loaded back for reconstruction, LRU by access.
-        self.spill_cache_size = 4
-        self._spill_cache: OrderedDict[tuple[str, int], tuple] = OrderedDict()
-        self.checkpoint_stats = {
-            "checkpoints": 0,
-            "checkpoint_restores": 0,
-            "full_restores": 0,
-            "spills": 0,
-            "spill_loads": 0,
-            "spill_cache_hits": 0,
-        }
+        #: (app table, csn) -> ``row_id -> values`` of the table as of
+        #: that csn, least recently used first: what reconstructions
+        #: computed, kept so the next one applies only the events after
+        #: the nearest state at or below its csn. A kept dict is never
+        #: handed out or altered.
+        self._states: OrderedDict[tuple[str, int], dict[int, tuple]] = OrderedDict()
+        #: app table -> ascending csns of its kept states.
+        self._state_csns: dict[str, list[int]] = {}
+        self._state_rows = 0
+        self.checkpoint_stats = {"checkpoint_restores": 0, "full_restores": 0}
         self._create_base_tables()
 
     # ------------------------------------------------------------------
@@ -212,8 +160,8 @@ class ProvenanceStore:
             columns.append(Column(name=out_name, col_type=col.col_type, nullable=True))
         self.db.create_table(TableSchema(name, columns))
         self.db.create_index(f"ix_{name}_txn".lower(), name, ["TxnId"])
-        # Range probes over Csn keep checkpointed reconstruction O(delta):
-        # the delta query reads only events after the checkpoint.
+        # Range probes over Csn keep reconstruction from a kept state
+        # O(delta): the query reads only the events after that state.
         self.db.create_index(
             f"ix_{name}_csn".lower(), name, ["Csn"], sorted_index=True
         )
@@ -221,8 +169,6 @@ class ProvenanceStore:
         self._app_schemas[canonical] = schema
         self._column_maps[canonical] = column_map
         self._event_layouts[canonical] = (name, (None,) * len(schema.columns))
-        # The table starts empty, so its live state is trivially current.
-        self._live[canonical] = _LiveState({}, 0)
         self.db.execute(
             "INSERT INTO TraceSchemas (TableName, EventTable, Ddl) VALUES (?, ?, ?)",
             (schema.name, name, schema.ddl()),
@@ -247,13 +193,6 @@ class ProvenanceStore:
     def traced_tables(self) -> list[str]:
         return [self._app_schemas[k].name for k in sorted(self._app_schemas)]
 
-    def create_app_tables_in(self, target: Database) -> None:
-        """Recreate every traced app table's schema in ``target`` (dev DB)."""
-        for key in sorted(self._app_schemas):
-            schema = self._app_schemas[key]
-            if not target.catalog.has_table(schema.name):
-                target.create_table(schema)
-
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
@@ -265,20 +204,15 @@ class ProvenanceStore:
         event_table = self.event_table_of(table)
         # A new base snapshot redefines the table's reconstruction floor.
         self.invalidate_checkpoints(table)
-        snapshot_rows = {row_id: tuple(values) for row_id, values in rows}
         event_rows = [
             ("SNAPSHOT", 0, "Snapshot", "base snapshot", csn, seq, row_id, *values)
-            for seq, (row_id, values) in enumerate(
-                snapshot_rows.items(), self._next_seq
-            )
+            for seq, (row_id, values) in enumerate(rows, self._next_seq)
         ]
         self.db.insert_rows(event_table, event_rows)
         self._next_seq += len(event_rows)
-        key = table.lower()
         if event_rows:
+            key = table.lower()
             self._snapshot_csns[key] = min(csn, self._snapshot_csns.get(key, csn))
-        # The snapshot *is* the live state as of its csn.
-        self._live[key] = _LiveState(snapshot_rows, csn)
         return len(event_rows)
 
     def ingest(self, events: list[TraceEvent]) -> int:
@@ -290,21 +224,23 @@ class ProvenanceStore:
         event order; a :class:`DataEvent` batch is laid out straight
         from its ``(row_id, values)`` tuples), every group is one
         ``insert_rows`` — one table lock per table per flush — and only
-        once the transaction has committed do ``Seq`` allocation, the
-        checkpoint counters and the live-state fold advance: a batch
-        that fails leaves no trace.
+        once the transaction has committed does ``Seq`` allocation advance
+        and do the kept states a write makes stale go: a batch that fails
+        leaves no trace.
         """
         if not events:
             return 0
         groups: dict[str, list[tuple]] = {}
-        writes: list[DataEvent] = []
-        seq, commits, high_csn = self._next_seq, 0, self._max_write_csn
+        #: app table -> lowest CSN of the writes this batch brings it.
+        written: dict[str, int] = {}
+        seq = self._next_seq
         count = 0
         layouts = self._event_layouts
         for event in events:
             if isinstance(event, DataEvent):
                 count += len(event.rows)
-                layout = layouts.get(event.table.lower())
+                key = event.table.lower()
+                layout = layouts.get(key)
                 if layout is None:
                     # Untraced table (e.g. created after attach without a
                     # hook): skip rather than fail the whole batch.
@@ -329,10 +265,8 @@ class ProvenanceStore:
                         )
                     group.append((*meta, seq, row_id, *values))
                     seq += 1
-                if event.kind in _WRITE_KINDS:
-                    writes.append(event)
-                    if event.csn is not None and event.csn > high_csn:
-                        high_csn = event.csn
+                if event.kind in _WRITE_KINDS and event.csn is not None:
+                    written[key] = min(event.csn, written.get(key, event.csn))
                 continue
             if isinstance(event, TxnEvent):
                 table = "Executions"
@@ -342,10 +276,6 @@ class ProvenanceStore:
                     event.isolation, event.status, event.csn,
                     event.snapshot_csn, event.auth_user,
                 )
-                if event.status == "Committed" and event.csn is not None:
-                    commits += 1
-                    if event.csn > high_csn:
-                        high_csn = event.csn
             elif isinstance(event, RequestEvent):
                 table = "Requests"
                 row = (
@@ -377,59 +307,10 @@ class ProvenanceStore:
             txn.abort()
             raise
         self._next_seq = seq
-        self._commits_since_checkpoint += commits
-        self._max_write_csn = high_csn
-        for event in writes:
-            self._note_write(event)
-        if (
-            self.checkpoint_interval is not None
-            and self._commits_since_checkpoint >= self.checkpoint_interval
-        ):
-            self.create_checkpoint()
+        for key, csn in written.items():
+            # A write at or before a kept state makes that state stale.
+            self._drop_states(key, csn)
         return count
-
-    def _note_write(self, event: DataEvent) -> None:
-        """Account one ingested (committed) batch of writes: checkpoints
-        it makes stale, then the live-state fold."""
-        table = event.table.lower()
-        # An event landing at or before an existing checkpoint would
-        # make that checkpoint stale — drop the affected ones.
-        checkpoints = self._checkpoints.get(table)
-        if (
-            checkpoints
-            and event.csn is not None
-            and event.csn <= checkpoints[-1][0]
-        ):
-            kept = [e for e in checkpoints if e[0] < event.csn]
-            self._discard_payloads(table, checkpoints[len(kept):])
-            self._checkpoints[table] = kept
-        self._fold_live(table, event)
-
-    def _fold_live(self, table: str, event: DataEvent) -> None:
-        """Apply one committed batch of writes to the table's live state.
-
-        The fold mirrors :meth:`_apply_event_rows` exactly; anything it
-        cannot apply faithfully (no csn, csn below the state's watermark,
-        missing row id or values) invalidates the state instead of
-        guessing — correctness falls back to event replay.
-        """
-        live = self._live.get(table)
-        if live is None:
-            return
-        if event.csn is None or event.csn < live.csn:
-            del self._live[table]
-            return
-        deleting = event.kind == "Delete"
-        for row_id, values in event.rows:
-            if row_id is None or (values is None and not deleting):
-                del self._live[table]
-                return
-            if deleting:
-                live.rows.pop(row_id, None)
-            else:
-                live.rows[row_id] = values
-        live.csn = event.csn
-        live.dirty += len(event.rows)
 
     # ------------------------------------------------------------------
     # Queries
@@ -498,7 +379,7 @@ class ProvenanceStore:
                 (low_csn, high_csn),
             ).as_dicts()
             for row in rows:
-                if row["Query"] == "[redacted]":
+                if row["Query"] == REDACTED:
                     # Erased under the privacy extension: replay proceeds
                     # from partial data (§5) rather than leaking values.
                     continue
@@ -537,10 +418,6 @@ class ProvenanceStore:
                 found[table] = events
         return found
 
-    def tables_used_by_txn(self, txn_name: str) -> set[str]:
-        """App tables a transaction read or wrote (canonical names)."""
-        return set(self.events_of_txn(txn_name))
-
     def data_events_of_txn(self, txn_name: str, table: str) -> list[dict]:
         event_table = self.event_table_of(table)
         return self.query(
@@ -555,21 +432,25 @@ class ProvenanceStore:
     def reconstruct_rows(self, table: str, upto_csn: int) -> list[tuple[int, tuple]]:
         """Rows of ``table`` as of ``upto_csn``, from provenance alone.
 
-        Restores from the nearest checkpoint at or before ``upto_csn`` and
-        applies only the write events after it; without a usable
-        checkpoint, applies the base snapshot and then every committed
-        write event with ``Csn <= upto_csn`` in (Csn, Seq) order. Either
-        way the events come off the ``Csn`` index as positional rows: a
-        Read event's ``Csn`` is NULL, outside any range, so none is
-        fetched.
+        Starts from the nearest kept state at or before ``upto_csn`` and
+        applies only the write events after it; with no such state,
+        applies the base snapshot and then every committed write event
+        with ``Csn <= upto_csn`` in (Csn, Seq) order. Either way the
+        events come off the ``Csn`` index as positional rows: a Read
+        event's ``Csn`` is NULL, outside any range, so none is fetched.
+        What was computed — anything but a kept state no event changed —
+        is kept for the next reconstruction; the list returned is the
+        caller's own.
         """
         key = table.lower()
         event_table = self.event_table_of(table)
-        checkpoint = self._nearest_checkpoint(table, upto_csn)
-        if checkpoint is not None:
+        csns = self._state_csns.get(key, ())
+        at = bisect.bisect_right(csns, upto_csn)
+        if at:
             self.checkpoint_stats["checkpoint_restores"] += 1
-            state: dict[int, tuple] = dict(self._checkpoint_rows(key, checkpoint))
-            after_csn, kinds = checkpoint[0], "'Insert', 'Update', 'Delete'"
+            after_csn, kinds = csns[at - 1], "'Insert', 'Update', 'Delete'"
+            state = self._states[key, after_csn]
+            self._states.move_to_end((key, after_csn))
         else:
             self.checkpoint_stats["full_restores"] += 1
             snapshot_csn = self._snapshot_csns.get(key)
@@ -578,20 +459,22 @@ class ProvenanceStore:
                     f"cannot reconstruct {table!r} at csn {upto_csn}: base "
                     f"snapshot was taken at csn {snapshot_csn}"
                 )
-            state = {}
+            state = None
             # A lower bound below every CSN keeps the range two-sided: the
             # index probe then starts past the NULL keys of the Read events.
             after_csn, kinds = -1, "'Snapshot', 'Insert', 'Update', 'Delete'"
+        delta = ()
         if upto_csn > after_csn:
-            self._apply_event_rows(
-                state,
-                self.query(
-                    f"SELECT * FROM {event_table}"
-                    f" WHERE Csn > ? AND Csn <= ? AND Type IN ({kinds})"
-                    " ORDER BY Csn ASC, Seq ASC",
-                    (after_csn, upto_csn),
-                ).rows,
-            )
+            delta = self.query(
+                f"SELECT * FROM {event_table}"
+                f" WHERE Csn > ? AND Csn <= ? AND Type IN ({kinds})"
+                " ORDER BY Csn ASC, Seq ASC",
+                (after_csn, upto_csn),
+            ).rows
+        if delta or state is None:
+            state = dict(state or ())
+            self._apply_event_rows(state, delta)
+            self._keep_state(key, upto_csn, state)
         return sorted(state.items())
 
     @staticmethod
@@ -601,7 +484,7 @@ class ProvenanceStore:
         app columns the tail — into a ``row_id -> values`` state."""
         tail = len(_EVENT_META)
         for row in rows:
-            if row[2] == "Delete" or row[3] == "[redacted]":
+            if row[2] == "Delete" or row[3] == REDACTED:
                 # A redacted row's values were erased; reconstruction
                 # proceeds from partial data — the row is simply absent.
                 state.pop(row[6], None)
@@ -609,175 +492,44 @@ class ProvenanceStore:
                 state[row[6]] = row[tail:]
 
     # ------------------------------------------------------------------
-    # Checkpoints (replay accelerator)
+    # Kept states (what a reconstruction starts from)
     # ------------------------------------------------------------------
 
-    def create_checkpoint(self, csn: int | None = None) -> int:
-        """Materialize every traced table's state as of ``csn``.
+    def _keep_state(self, key: str, csn: int, state: dict[int, tuple]) -> None:
+        """Memoise ``state`` as the newest entry, evicting least recently
+        used ones while the memo is over its bound. A state costs its
+        rows plus one, so empty states are bounded too."""
+        self._states[key, csn] = state
+        bisect.insort(self._state_csns.setdefault(key, []), csn)
+        self._state_rows += len(state) + 1
+        while self._state_rows > _STATE_MEMO_ROWS and len(self._states) > 1:
+            (old_key, old_csn), old = self._states.popitem(last=False)
+            self._state_csns[old_key].remove(old_csn)
+            self._state_rows -= len(old) + 1
 
-        ``csn`` defaults to the highest committed write CSN ingested so
-        far. Returns the checkpoint CSN. Subsequent reconstructions at or
-        after it replay only the delta, turning replay's dev-database
-        restore from O(history) into O(delta).
-        """
-        if csn is None:
-            csn = self._max_write_csn
-        for table in sorted(self._app_schemas):
-            entries = self._checkpoints.setdefault(table, [])
-            if entries and entries[-1][0] >= csn:
-                continue
-            live = self._live.get(table)
-            if live is not None and csn >= live.csn:
-                # Fast path: the incrementally folded state *is* the
-                # table at every csn from live.csn through ``csn`` (no
-                # later events exist). O(table size), O(1) in history.
-                if entries and live.dirty == 0:
-                    # Nothing folded since the newest checkpoint: it
-                    # already serves restores up to ``csn`` for free.
-                    continue
-                rows = sorted(live.rows.items())
-                live.dirty = 0
-            else:
-                # Slow path: no live state (invalidated) or an explicit
-                # historical ``csn`` below its watermark — replay events.
-                if entries and not self._has_events_between(
-                    table, entries[-1][0], csn
-                ):
-                    continue
-                try:
-                    rows = self.reconstruct_rows(table, csn)
-                except ProvenanceError:
-                    # e.g. the table's base snapshot postdates ``csn``.
-                    continue
-                if live is None and csn >= self._max_write_csn:
-                    # The result is current — re-seed the live state so
-                    # future checkpoints take the fast path again.
-                    self._live[table] = _LiveState(dict(rows), csn)
-            entries.append((csn, self._maybe_spill(table, csn, tuple(rows))))
-            self.checkpoint_stats["checkpoints"] += 1
-            if len(entries) > _MAX_TABLE_CHECKPOINTS:
-                # Thin the older half (keep every other entry plus the
-                # newest) so retention stays bounded but spread out.
-                thinned = entries[0::2]
-                if thinned[-1][0] != entries[-1][0]:
-                    thinned.append(entries[-1])
-                kept = {entry[0] for entry in thinned}
-                self._discard_payloads(
-                    table, [e for e in entries if e[0] not in kept]
-                )
-                self._checkpoints[table] = thinned
-        self._commits_since_checkpoint = 0
-        return csn
-
-    # -- checkpoint spill-to-disk ---------------------------------------
-
-    def _spill_dir(self) -> str | None:
-        """Directory for spilled checkpoints, or None to keep in memory.
-
-        Spills land beside the provenance database's WAL so they share
-        its durability domain and lifecycle (ephemeral data dirs clean
-        them up automatically).
-        """
-        wal = getattr(self.db, "wal", None)
-        path = wal.path if wal is not None else None
-        if not path:
-            return None
-        return os.path.join(os.path.dirname(path) or ".", "prov_spill")
-
-    def _maybe_spill(self, table: str, csn: int, rows: tuple) -> Any:
-        """Write a large payload to disk, returning its stub (or rows)."""
-        if len(rows) < self.spill_threshold:
-            return rows
-        spill_dir = self._spill_dir()
-        if spill_dir is None:
-            return rows
-        os.makedirs(spill_dir, exist_ok=True)
-        path = os.path.join(spill_dir, f"{table}-{csn}.ckpt.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(
-                [[row_id, list(values)] for row_id, values in rows], handle
-            )
-        self.checkpoint_stats["spills"] += 1
-        # A fresh spill is the likeliest next restore base: warm the cache.
-        self._cache_spilled(table, csn, rows)
-        return _SpilledRows(path, len(rows))
-
-    def _checkpoint_rows(self, table: str, entry: tuple[int, Any]) -> tuple:
-        """Resolve a checkpoint entry's payload, loading spills via LRU."""
-        csn, payload = entry
-        if not isinstance(payload, _SpilledRows):
-            return payload
-        cached = self._spill_cache.get((table, csn))
-        if cached is not None:
-            self._spill_cache.move_to_end((table, csn))
-            self.checkpoint_stats["spill_cache_hits"] += 1
-            return cached
-        with open(payload.path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        rows = tuple((row_id, tuple(values)) for row_id, values in data)
-        self.checkpoint_stats["spill_loads"] += 1
-        self._cache_spilled(table, csn, rows)
-        return rows
-
-    def _cache_spilled(self, table: str, csn: int, rows: tuple) -> None:
-        self._spill_cache[(table, csn)] = rows
-        self._spill_cache.move_to_end((table, csn))
-        while len(self._spill_cache) > self.spill_cache_size:
-            self._spill_cache.popitem(last=False)
-
-    def _discard_payloads(
-        self, table: str, entries: Iterable[tuple[int, Any]]
-    ) -> None:
-        """Release spilled files and cache slots of dropped checkpoints."""
-        for csn, payload in entries:
-            self._spill_cache.pop((table, csn), None)
-            if isinstance(payload, _SpilledRows):
-                try:
-                    os.unlink(payload.path)
-                except OSError:
-                    pass
-
-    def _has_events_between(self, table: str, low_csn: int, high_csn: int) -> bool:
-        """Whether any committed write events land in (low_csn, high_csn]."""
-        event_table = self._event_tables[table]
-        count = self.query(
-            f"SELECT COUNT(*) FROM {event_table}"
-            " WHERE Csn > ? AND Csn <= ? AND"
-            " Type IN ('Insert', 'Update', 'Delete')",
-            (low_csn, high_csn),
-        ).scalar()
-        return bool(count)
-
-    def _nearest_checkpoint(
-        self, table: str, upto_csn: int
-    ) -> tuple[int, tuple] | None:
-        """The latest checkpoint of ``table`` with csn <= ``upto_csn``."""
-        entries = self._checkpoints.get(table.lower())
-        if not entries:
-            return None
-        index = bisect.bisect_right(entries, upto_csn, key=lambda e: e[0])
-        if index == 0:
-            return None
-        return entries[index - 1]
+    def _drop_states(self, key: str, from_csn: float = float("-inf")) -> None:
+        """Forget the states of one table kept at or after ``from_csn``."""
+        csns = self._state_csns.get(key)
+        if not csns:
+            return
+        at = bisect.bisect_left(csns, from_csn)
+        for csn in csns[at:]:
+            self._state_rows -= len(self._states.pop((key, csn))) + 1
+        del csns[at:]
 
     def invalidate_checkpoints(self, table: str | None = None) -> None:
-        """Drop checkpoints (all tables, or one) after out-of-band edits.
+        """Drop kept states (all tables, or one) after out-of-band edits.
 
-        The privacy extension rewrites event rows in place; checkpoints
-        created beforehand would resurrect the erased values.
+        The privacy extension rewrites event rows in place; a state
+        reconstructed beforehand would resurrect the erased values.
         """
-        if table is None:
-            for name, entries in self._checkpoints.items():
-                self._discard_payloads(name, entries)
-            self._checkpoints.clear()
-            self._live.clear()
-        else:
-            key = table.lower()
-            self._discard_payloads(key, self._checkpoints.pop(key, ()))
-            self._live.pop(key, None)
+        keys = [table.lower()] if table is not None else list(self._state_csns)
+        for key in keys:
+            self._drop_states(key)
 
     def checkpoint_csns(self, table: str) -> list[int]:
-        return [csn for csn, _rows in self._checkpoints.get(table.lower(), [])]
+        """CSNs at which a state of ``table`` is kept, ascending."""
+        return list(self._state_csns.get(table.lower(), ()))
 
     def reconstruct_state(
         self, upto_csn: int, tables: Iterable[str] | None = None

@@ -291,7 +291,6 @@ class ReplayEngine:
         req_id: str,
         breakpoint_cb: Callable[[BreakpointInfo], None] | None = None,
         dependency_filter: bool = True,
-        dev_db: Database | None = None,
         strict: bool = False,
     ) -> ReplayResult:
         """Faithfully replay one traced request (§3.5)."""
@@ -314,8 +313,7 @@ class ReplayEngine:
             txn["TxnId"]: provenance.events_of_txn(txn["TxnId"]) for txn in txns
         }
         tables = sorted(set().union(*events.values())) if dependency_filter else None
-        if dev_db is None:
-            dev_db = Database(name=f"dev-{req_id}")
+        dev_db = Database(name=f"dev-{req_id}")
         provenance.restore_into(dev_db, base_csn, tables=tables)
 
         state = _ReplayState(

@@ -48,11 +48,6 @@ class Trod:
     transaction/statement events flow into one provenance stream), or a
     :class:`~repro.db.replication.ReplicatedDatabase` (the primary is
     observed; replicas replay the same commits by construction).
-
-    ``checkpoint_interval`` is handed to the :class:`ProvenanceStore`: a
-    provenance checkpoint is considered once per :meth:`flush` and taken
-    when at least that many commits were ingested since the last one —
-    so checkpoints are as dense as flushes, not one every N commits.
     """
 
     def __init__(
@@ -61,12 +56,9 @@ class Trod:
         provenance: ProvenanceStore | None = None,
         buffer_capacity: int = 65536,
         event_names: dict[str, str] | None = None,
-        checkpoint_interval: int | None = 256,
     ):
         self.database = database
-        self.provenance = provenance or ProvenanceStore(
-            checkpoint_interval=checkpoint_interval
-        )
+        self.provenance = provenance or ProvenanceStore()
         self.buffer = TraceBuffer(capacity=buffer_capacity)
         self.interposition = InterpositionLayer(self)
         self.clock: LogicalClock = LogicalClock()

@@ -1,11 +1,17 @@
-"""Provenance checkpoints: O(delta) dev-database restores for replay.
+"""Kept reconstructed states: O(delta) dev-database restores for replay.
 
-A checkpoint is a materialized table state at some CSN stored beside the
-event log; ``reconstruct_rows`` restores from the nearest one at or below
-the target CSN and replays only the remaining events. These tests pin the
-core contract: checkpointed reconstruction is *indistinguishable* from
-full-history reconstruction, at every CSN, including after redaction.
+``reconstruct_rows`` keeps each table state it computes, keyed by
+``(table, csn)`` in one bounded least-recently-used memo; the next
+reconstruction of that table starts from the nearest kept state at or
+below its CSN and applies only the events after it. These tests pin the
+core contract: a reconstruction that starts from a kept state is
+*indistinguishable* from one that starts from nothing, at every CSN,
+including after a redaction, a late event and an eviction.
 """
+
+from repro.core import provenance as provenance_module
+from repro.core.events import DataEvent
+
 
 def subscribe_history(moodle_env, n: int = 30, offset: int = 0):
     """Attach-time snapshot plus ``n`` subscription requests."""
@@ -16,332 +22,236 @@ def subscribe_history(moodle_env, n: int = 30, offset: int = 0):
     return database, runtime, trod
 
 
-def full_reconstruction(prov, table: str, csn: int):
-    """Reference result: reconstruct with checkpoints sidelined."""
-    saved = dict(prov._checkpoints)
+def cold_reconstruction(prov, table: str, csn: int):
+    """Reference result: the same call with nothing kept."""
     prov.invalidate_checkpoints()
-    try:
-        return prov.reconstruct_rows(table, csn)
-    finally:
-        prov._checkpoints = saved
+    return prov.reconstruct_rows(table, csn)
 
 
-class TestCheckpointedReconstruction:
-    def test_checkpoint_matches_full_history_at_every_csn(self, moodle_env):
+def late_insert(table: str, csn: int, row_id: int, values: tuple) -> DataEvent:
+    return DataEvent(
+        txn_num=999,
+        txn_name="TXN999",
+        table=table,
+        kind="Insert",
+        query="late arrival",
+        csn=csn,
+        rows=[(row_id, values)],
+    )
+
+
+class TestKeptStateReconstruction:
+    def test_kept_states_match_cold_reconstruction_at_every_csn(self, moodle_env):
+        database, runtime, trod = subscribe_history(moodle_env)
+        prov = trod.provenance
+        last = database.last_csn
+        cold = [cold_reconstruction(prov, "forum_sub", csn) for csn in range(last + 1)]
+        assert cold[0] != cold[last // 2] != cold[last]
+        prov.invalidate_checkpoints()
+        # An explicit checkpoint is a reconstruction somebody asked for.
+        prov.reconstruct_state(last // 2)
+        prov.reconstruct_state(last)
+        assert prov.checkpoint_csns("forum_sub") == [last // 2, last]
+        # First pass: every CSN starts from the nearest state below it (and
+        # is kept in turn); second pass: every CSN is itself a kept state,
+        # or lies above one no event has changed since.
+        for _pass in range(2):
+            for csn in range(last + 1):
+                assert prov.reconstruct_rows("forum_sub", csn) == cold[csn], csn
+
+    def test_restore_above_at_and_below_a_kept_state(self, moodle_env):
         database, runtime, trod = subscribe_history(moodle_env)
         prov = trod.provenance
         mid = database.last_csn // 2
-        prov.create_checkpoint(mid)
-        prov.create_checkpoint(database.last_csn)
-        assert prov.checkpoint_csns("forum_sub") == [mid, database.last_csn]
-        for csn in range(database.last_csn + 1):
-            assert prov.reconstruct_rows("forum_sub", csn) == \
-                full_reconstruction(prov, "forum_sub", csn)
-
-    def test_restore_uses_nearest_checkpoint(self, moodle_env):
-        database, runtime, trod = subscribe_history(moodle_env)
-        prov = trod.provenance
-        mid = database.last_csn // 2
-        prov.create_checkpoint(mid)
+        prov.reconstruct_rows("forum_sub", mid)
+        assert prov.checkpoint_csns("forum_sub") == [mid]
         before = dict(prov.checkpoint_stats)
-        prov.reconstruct_rows("forum_sub", mid - 1)  # below: full path
-        prov.reconstruct_rows("forum_sub", mid + 1)  # above: delta path
-        after = prov.checkpoint_stats
-        assert after["full_restores"] == before["full_restores"] + 1
-        assert after["checkpoint_restores"] == before["checkpoint_restores"] + 1
+        prov.reconstruct_rows("forum_sub", mid - 1)  # below: from nothing
+        assert prov.checkpoint_stats == {
+            **before, "full_restores": before["full_restores"] + 1
+        }
+        prov.reconstruct_rows("forum_sub", mid + 1)  # above: the delta
+        prov.reconstruct_rows("forum_sub", mid)  # at it: no event read
+        assert prov.checkpoint_stats == {
+            "full_restores": before["full_restores"] + 1,
+            "checkpoint_restores": before["checkpoint_restores"] + 2,
+        }
 
-    def test_automatic_checkpoints_from_ingest(self, moodle_env):
-        database, runtime, trod = moodle_env
-        trod.provenance.checkpoint_interval = 5
-        subscribe_history((database, runtime, trod), n=20)
-        assert trod.provenance.checkpoint_csns("forum_sub")
-        assert trod.provenance.checkpoint_stats["checkpoints"] > 0
+    def test_a_kept_state_is_served_without_reading_events(self, moodle_env):
+        database, runtime, trod = subscribe_history(moodle_env)
+        prov = trod.provenance
+        first = prov.reconstruct_rows("forum_sub", database.last_csn)
+        statements = []
+        plain_query = prov.query
+        prov.query = lambda *args: statements.append(args) or plain_query(*args)
+        assert prov.reconstruct_rows("forum_sub", database.last_csn) == first
+        assert statements == []
 
-    def test_build_dev_db_agrees_with_and_without_checkpoints(self, moodle_env):
+    def test_build_dev_db_agrees_warm_and_cold(self, moodle_env):
         database, runtime, trod = subscribe_history(moodle_env)
         prov = trod.provenance
         upto = database.last_csn
-        prov.create_checkpoint(upto)
-        dev_ck = trod.replayer.build_dev_db(upto)
-        saved = dict(prov._checkpoints)
         prov.invalidate_checkpoints()
-        dev_full = trod.replayer.build_dev_db(upto)
-        prov._checkpoints = saved
-        for table in dev_full.catalog.table_names():
-            assert dev_ck.table_rows(table) == dev_full.table_rows(table)
+        dev_cold = trod.replayer.build_dev_db(upto)
+        before = dict(prov.checkpoint_stats)
+        dev_warm = trod.replayer.build_dev_db(upto)
+        assert prov.checkpoint_stats["full_restores"] == before["full_restores"]
+        assert dev_cold.catalog.table_names()
+        for table in dev_cold.catalog.table_names():
+            assert dev_warm.table_rows(table) == dev_cold.table_rows(table)
 
-    def test_replay_fidelity_with_checkpoints(self, racy_moodle):
+    def test_replay_fidelity_on_a_warm_store(self, racy_moodle):
         database, runtime, trod = racy_moodle
-        trod.flush()
-        trod.provenance.create_checkpoint()
+        first = trod.replayer.replay_request("R1")
+        before = dict(trod.provenance.checkpoint_stats)
         result = trod.replayer.replay_request("R1")
+        served = trod.provenance.checkpoint_stats
+        assert served["checkpoint_restores"] > before["checkpoint_restores"]
+        assert served["full_restores"] == before["full_restores"]
         assert result.fidelity, result.divergences
         assert len(result.dev_db.table_rows("forum_sub")) == 2
+        assert result.steps == first.steps
+        assert result.dev_db.table_rows("forum_sub") == \
+            first.dev_db.table_rows("forum_sub")
 
 
-class TestCheckpointInvalidation:
-    def test_redaction_drops_checkpoints(self, racy_moodle):
+    def test_unfiltered_replay_agrees_warm_and_cold(self, racy_moodle):
+        """Without the dependency filter a replay restores every table."""
+        database, runtime, trod = racy_moodle
+        prov = trod.provenance
+
+        def replay():
+            result = trod.replayer.replay_request("R2", dependency_filter=False)
+            tables = result.dev_db.catalog.table_names()
+            return result.steps, result.divergences, result.output, {
+                table: result.dev_db.table_rows(table) for table in tables
+            }
+
+        cold = replay()
+        assert len(cold[3]) == len(prov.traced_tables()) and not cold[1]
+        full = prov.checkpoint_stats["full_restores"]
+        assert replay() == cold
+        assert prov.checkpoint_stats["full_restores"] == full
+
+
+class TestKeptStateInvalidation:
+    def test_redaction_drops_the_tables_states(self, racy_moodle):
         database, runtime, trod = racy_moodle
         trod.flush()
         prov = trod.provenance
-        prov.create_checkpoint()
-        assert prov.checkpoint_csns("forum_sub")
+        rows = prov.reconstruct_rows("forum_sub", database.last_csn)
+        assert any("U1" in values for _rid, values in rows)
+        prov.reconstruct_rows("courses", database.last_csn)
+        assert prov.checkpoint_csns("forum_sub") and prov.checkpoint_csns("courses")
         trod.privacy.forget_value("forum_sub", "userId", "U1")
-        # A stale checkpoint would resurrect the erased values.
+        # A stale state would resurrect the erased values.
         assert not prov.checkpoint_csns("forum_sub")
+        assert prov.checkpoint_csns("courses")  # other tables keep theirs
         rows = prov.reconstruct_rows("forum_sub", database.last_csn)
         assert all("U1" not in values for _rid, values in rows)
+        dev = trod.replayer.build_dev_db(database.last_csn)
+        assert all(row["userId"] != "U1" for row in dev.table_rows("forum_sub"))
 
-    def test_late_event_below_checkpoint_invalidates_it(self, moodle_env):
-        database, runtime, trod = subscribe_history(moodle_env, n=5)
+    def test_late_event_drops_exactly_the_states_at_or_after_its_csn(
+        self, moodle_env
+    ):
+        database, runtime, trod = subscribe_history(moodle_env, n=8)
         prov = trod.provenance
-        prov.create_checkpoint()
-        [ck] = prov.checkpoint_csns("forum_sub")
-        from repro.core.events import DataEvent
+        last = database.last_csn
+        kept = [last - 6, last - 4, last - 2, last]
+        for csn in kept:
+            prov.reconstruct_rows("forum_sub", csn)
+        prov.reconstruct_rows("courses", last)
+        assert prov.checkpoint_csns("forum_sub") == kept
+        prov.ingest([late_insert("forum_sub", last - 4, 9999, ("UX", "F9"))])
+        assert prov.checkpoint_csns("forum_sub") == [last - 6]
+        assert prov.checkpoint_csns("courses") == [last]
+        csns = range(last - 7, last + 1)
+        warm = [prov.reconstruct_rows("forum_sub", csn) for csn in csns]
+        for csn, rows in zip(csns, warm):
+            assert rows == cold_reconstruction(prov, "forum_sub", csn)
+            assert any(v[0] == "UX" for _rid, v in rows) == (csn >= last - 4)
 
-        prov.ingest(
-            [
-                DataEvent(
-                    txn_num=999,
-                    txn_name="TXN999",
-                    table="forum_sub",
-                    kind="Insert",
-                    query="late arrival",
-                    csn=ck - 1,
-                    rows=[(9999, ("UX", "F9"))],
-                )
-            ]
-        )
+    def test_new_base_snapshot_drops_the_tables_states(self, moodle_env):
+        database, runtime, trod = subscribe_history(moodle_env, n=3)
+        prov = trod.provenance
+        last = database.last_csn
+        prov.reconstruct_state(last)
+        assert prov.checkpoint_csns("courses") == [last]
+        prov.capture_snapshot("forum_sub", [(500, ("U500", "F1"))], last)
         assert prov.checkpoint_csns("forum_sub") == []
-        rows = prov.reconstruct_rows("forum_sub", database.last_csn)
-        assert any(values[0] == "UX" for _rid, values in rows)
+        assert prov.checkpoint_csns("courses") == [last]
+        assert (500, ("U500", "F1")) in prov.reconstruct_rows("forum_sub", last)
 
 
-def make_traced_store(tmp_path=None, **kwargs):
-    """A ProvenanceStore tracing one two-column app table directly."""
-    import os
+    def test_a_state_kept_past_the_end_of_history_goes_with_the_next_write(
+        self, moodle_env
+    ):
+        database, runtime, trod = subscribe_history(moodle_env, n=3)
+        prov = trod.provenance
+        ahead = database.last_csn + 5
+        before = prov.reconstruct_rows("forum_sub", ahead)
+        assert prov.checkpoint_csns("forum_sub") == [ahead]
+        subscribe_history((database, runtime, trod), n=1, offset=3)
+        assert database.last_csn < ahead
+        assert prov.checkpoint_csns("forum_sub") == []
+        assert len(prov.reconstruct_rows("forum_sub", ahead)) == len(before) + 1
 
-    from repro.core.provenance import ProvenanceStore
-    from repro.db.database import Database
-    from repro.db.schema import Column, TableSchema
-    from repro.db.types import ColumnType
-
-    wal_path = (
-        os.path.join(str(tmp_path), "wal.jsonl") if tmp_path is not None else None
-    )
-    # storage="memory" pinned: the no-spill test needs a WAL-less
-    # database, and under REPRO_STORAGE=paged a default Database always
-    # gets a WAL in its data dir.
-    prov = ProvenanceStore(
-        db=Database(name="prov", wal_path=wal_path, storage="memory"),
-        checkpoint_interval=None,
-        **kwargs,
-    )
-    prov.register_app_table(
-        TableSchema(
-            "items",
-            [Column("k", ColumnType.TEXT), Column("v", ColumnType.INTEGER)],
-        )
-    )
-    return prov
-
-
-def ingest_writes(prov, n: int, start_csn: int = 1):
-    """n committed single-insert transactions at consecutive CSNs."""
-    from repro.core.events import DataEvent, TxnEvent
-
-    events = []
-    for i in range(n):
-        csn = start_csn + i
-        events.append(
-            TxnEvent(
-                txn_num=csn,
-                txn_name=f"T{csn}",
-                ts=0,
-                handler="h",
-                req_id=f"R{csn}",
-                label=None,
-                isolation="SI",
-                status="Committed",
-                csn=csn,
-                snapshot_csn=csn - 1,
-            )
-        )
-        events.append(
-            DataEvent(
-                txn_num=csn,
-                txn_name=f"T{csn}",
-                table="items",
-                kind="Insert",
-                query="ins",
-                csn=csn,
-                rows=[(csn, (f"k{csn}", csn))],
-            )
-        )
-    prov.ingest(events)
+    def test_a_flush_that_writes_nothing_to_a_table_drops_none_of_its_states(
+        self, moodle_env
+    ):
+        database, runtime, trod = subscribe_history(moodle_env, n=3)
+        prov = trod.provenance
+        prov.reconstruct_state(database.last_csn)
+        kept = {table: prov.checkpoint_csns(table) for table in prov.traced_tables()}
+        assert all(kept.values())
+        runtime.submit("fetchSubscribers", "F1")  # reads forum_sub, writes nothing
+        assert trod.flush() > 0
+        assert {
+            table: prov.checkpoint_csns(table) for table in prov.traced_tables()
+        } == kept
 
 
-class TestIncrementalLiveState:
-    """create_checkpoint materializes from the incrementally folded live
-    state — O(table size), no event replay — whenever the target csn is
-    at or ahead of its watermark."""
-
-    def test_fast_path_agrees_with_event_replay(self):
-        prov = make_traced_store()
-        ingest_writes(prov, 25)
-        prov.create_checkpoint()
-        [ck] = prov.checkpoint_csns("items")
-        fast = prov.reconstruct_rows("items", ck)
-        assert fast == full_reconstruction(prov, "items", ck)
-        assert len(fast) == 25
-
-    def test_fast_path_skips_unchanged_without_querying(self):
-        prov = make_traced_store()
-        ingest_writes(prov, 5)
-        prov.create_checkpoint()
-        before = prov.checkpoint_stats["checkpoints"]
-        queries = prov.db.store("ItemsEvents").version_count()
-        prov.create_checkpoint()  # nothing new: skipped via dirty counter
-        assert prov.checkpoint_stats["checkpoints"] == before
-        assert prov.db.store("ItemsEvents").version_count() == queries
-
-    def test_historical_csn_uses_replay_path(self):
-        prov = make_traced_store()
-        ingest_writes(prov, 10)
-        stats_before = dict(prov.checkpoint_stats)
-        prov.create_checkpoint(5)  # below the live watermark
-        assert prov.checkpoint_csns("items") == [5]
-        assert prov.reconstruct_rows("items", 5) == \
-            full_reconstruction(prov, "items", 5)
-        # The historical build went through reconstruction, not the fold.
-        assert prov.checkpoint_stats["full_restores"] > \
-            stats_before["full_restores"]
-
-    def test_live_state_reseeds_after_invalidation(self):
-        prov = make_traced_store()
-        ingest_writes(prov, 8)
-        prov.invalidate_checkpoints()  # drops folds too (redaction path)
-        assert not prov._live
-        prov.create_checkpoint()  # slow path; re-seeds the fold
-        assert "items" in prov._live
-        ingest_writes(prov, 3, start_csn=9)
-        prov.create_checkpoint()  # fast path again
-        [_, ck] = prov.checkpoint_csns("items")
-        assert prov.reconstruct_rows("items", ck) == \
-            full_reconstruction(prov, "items", ck)
-
-    def test_out_of_order_event_invalidates_fold(self):
-        from repro.core.events import DataEvent
-
-        prov = make_traced_store()
-        ingest_writes(prov, 6)
-        prov.ingest(
-            [
-                DataEvent(
-                    txn_num=99,
-                    txn_name="T99",
-                    table="items",
-                    kind="Insert",
-                    query="late",
-                    csn=2,
-                    rows=[(999, ("late", 0))],
-                )
-            ]
-        )
-        assert "items" not in prov._live
-        prov.create_checkpoint()
-        [ck] = prov.checkpoint_csns("items")
-        rows = prov.reconstruct_rows("items", ck)
-        assert rows == full_reconstruction(prov, "items", ck)
-        assert any(values[0] == "late" for _rid, values in rows)
-
-
-class TestCheckpointSpill:
-    """Large checkpoint payloads spill to disk next to the provenance
-    WAL; reconstruction loads them back through a small LRU cache."""
-
-    def test_large_checkpoint_spills_and_loads_back(self, tmp_path):
-        from repro.core.provenance import _SpilledRows
-
-        prov = make_traced_store(tmp_path)
-        prov.spill_threshold = 50
-        ingest_writes(prov, 120)
-        prov.create_checkpoint()
-        [(ck, payload)] = prov._checkpoints["items"]
-        assert isinstance(payload, _SpilledRows)
-        assert payload.count == 120
-        assert prov.checkpoint_stats["spills"] == 1
-        # Warm cache serves the first restore; a cleared cache reloads.
-        rows = prov.reconstruct_rows("items", ck)
-        assert prov.checkpoint_stats["spill_cache_hits"] == 1
-        prov._spill_cache.clear()
-        assert prov.reconstruct_rows("items", ck) == rows
-        assert prov.checkpoint_stats["spill_loads"] == 1
-        assert rows == full_reconstruction(prov, "items", ck)
-
-    def test_spill_cache_evicts_by_access_order(self, tmp_path):
-        prov = make_traced_store(tmp_path)
-        prov.spill_threshold = 10
-        prov.spill_cache_size = 2
-        for round_num in range(4):
-            ingest_writes(prov, 15, start_csn=round_num * 15 + 1)
-            prov.create_checkpoint()
-        prov._spill_cache.clear()
-        for ck in prov.checkpoint_csns("items"):
-            prov.reconstruct_rows("items", ck)
-        assert len(prov._spill_cache) <= 2
-        assert prov.checkpoint_stats["spill_loads"] >= 4
-
-    def test_invalidation_removes_spill_files(self, tmp_path):
-        import os
-
-        prov = make_traced_store(tmp_path)
-        prov.spill_threshold = 10
-        ingest_writes(prov, 40)
-        prov.create_checkpoint()
-        [(_ck, payload)] = prov._checkpoints["items"]
-        assert os.path.exists(payload.path)
-        prov.invalidate_checkpoints("items")
-        assert not os.path.exists(payload.path)
-
-    def test_no_wal_means_no_spill(self):
-        prov = make_traced_store()  # in-memory provenance DB: no WAL file
-        prov.spill_threshold = 10
-        ingest_writes(prov, 40)
-        prov.create_checkpoint()
-        [(_ck, payload)] = prov._checkpoints["items"]
-        assert isinstance(payload, tuple)
-        assert prov.checkpoint_stats["spills"] == 0
-
-
-class TestCheckpointRetention:
-    def test_unchanged_tables_are_not_recheckpointed(self, moodle_env):
+class TestKeptStateRetention:
+    def test_memo_stays_within_its_row_bound(self, moodle_env, monkeypatch):
         database, runtime, trod = moodle_env
         prov = trod.provenance
-        # Only forum_sub receives writes; course/forum tables stay static.
-        subscribe_history((database, runtime, trod), n=4)
-        prov.create_checkpoint()
-        static_tables = [
-            t for t in prov.traced_tables() if t.lower() != "forum_sub"
-        ]
-        before = {t: prov.checkpoint_csns(t) for t in static_tables}
-        subscribe_history((database, runtime, trod), n=4, offset=4)
-        prov.create_checkpoint()
-        assert len(prov.checkpoint_csns("forum_sub")) == 2
-        for table in static_tables:
-            assert prov.checkpoint_csns(table) == before[table]
-
-    def test_per_table_checkpoints_stay_bounded(self, moodle_env):
-        database, runtime, trod = moodle_env
-        prov = trod.provenance
+        monkeypatch.setattr(provenance_module, "_STATE_MEMO_ROWS", 200)
         for i in range(50):
             subscribe_history((database, runtime, trod), n=1, offset=i)
-            prov.create_checkpoint()
-        from repro.core.provenance import _MAX_TABLE_CHECKPOINTS
+            prov.reconstruct_state(database.last_csn)
+            held = sum(len(state) + 1 for state in prov._states.values())
+            assert held == prov._state_rows <= 200
+        kept = prov.checkpoint_csns("forum_sub")
+        assert 0 < len(kept) < 50 and kept[-1] == database.last_csn
+        assert sorted(
+            (table, csn)
+            for table in prov.traced_tables()
+            for csn in prov.checkpoint_csns(table)
+        ) == sorted(prov._states)
+        # Eviction must not break correctness at any csn.
+        csns = range(0, database.last_csn + 1, 7)
+        warm = [prov.reconstruct_rows("forum_sub", csn) for csn in csns]
+        for csn, rows in zip(csns, warm):
+            assert rows == cold_reconstruction(prov, "forum_sub", csn)
 
-        count = len(prov.checkpoint_csns("forum_sub"))
-        assert count <= _MAX_TABLE_CHECKPOINTS + 1
-        # Thinning must not break correctness at any csn.
-        for csn in range(0, database.last_csn + 1, 7):
-            assert prov.reconstruct_rows("forum_sub", csn) == \
-                full_reconstruction(prov, "forum_sub", csn)
+    def test_the_newest_state_stays_whatever_its_size(
+        self, moodle_env, monkeypatch
+    ):
+        database, runtime, trod = subscribe_history(moodle_env)
+        prov = trod.provenance
+        monkeypatch.setattr(provenance_module, "_STATE_MEMO_ROWS", 5)
+        rows = prov.reconstruct_rows("forum_sub", database.last_csn)
+        assert len(rows) > 5
+        assert list(prov._states) == [("forum_sub", database.last_csn)]
+        prov.reconstruct_rows("forum_sub", database.last_csn - 1)
+        assert list(prov._states) == [("forum_sub", database.last_csn - 1)]
+
+    def test_empty_states_count_against_the_bound_too(self, moodle_env, monkeypatch):
+        database, runtime, trod = moodle_env
+        prov = trod.provenance
+        monkeypatch.setattr(provenance_module, "_STATE_MEMO_ROWS", 10)
+        # Nothing is ever below a descending visit: each one is kept.
+        for csn in range(100, 0, -1):
+            assert prov.reconstruct_rows("forum_sub", csn) == []
+        assert prov.checkpoint_csns("forum_sub") == list(range(1, 11))

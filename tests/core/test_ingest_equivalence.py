@@ -168,8 +168,8 @@ class Model:
         return sorted(state.items())
 
 
-def make_store(checkpoint_interval=None, db=None):
-    prov = ProvenanceStore(db=db, checkpoint_interval=checkpoint_interval)
+def make_store(db=None):
+    prov = ProvenanceStore(db=db)
     prov.register_app_table(ACCOUNTS)
     prov.register_app_table(AUDIT, event_table="AuditLog")
     assert prov.capture_snapshot("accounts", SNAPSHOT, BASE_CSN) == 2
@@ -242,7 +242,7 @@ class TestTablesMatchTheModel:
     def test_queries_over_the_ingested_rows(self, ingested):
         prov, _model = ingested
         assert [t["TxnId"] for t in prov.txns_of_request("R1")] == ["TXN5"]
-        assert prov.tables_used_by_txn("TXN7") == {"accounts", "audit"}
+        assert set(prov.events_of_txn("TXN7")) == {"accounts", "audit"}
         assert prov.request_args("R1") == ("transfer", ("ann", 2.5), {"memo": "rent"}, "ann")
         kinds = [e["Type"] for e in prov.data_events_of_txn("TXN5", "accounts")]
         assert kinds == ["Read", "Read", "Update", "Insert"]
@@ -253,43 +253,43 @@ class TestTablesMatchTheModel:
 
 class TestReconstructionMatchesTheModel:
     @pytest.mark.parametrize("csn", [4, 5, 6, 7, 99])
-    def test_reconstruct_rows_from_events_and_from_checkpoints(self, ingested, csn):
+    def test_reconstruct_rows_from_events_and_from_kept_states(self, ingested, csn):
         prov, model = ingested
         for table in APP_COLUMNS:
             expected = model.state(table, csn)
             prov.invalidate_checkpoints()
-            assert prov.reconstruct_rows(table, csn) == expected  # full replay
-            prov.create_checkpoint(5)
-            assert prov.reconstruct_rows(table, csn) == expected  # from a checkpoint
-            prov.create_checkpoint()
+            assert prov.reconstruct_rows(table, csn) == expected  # from nothing
+            prov.invalidate_checkpoints()
+            prov.reconstruct_rows(table, 5)
+            assert prov.reconstruct_rows(table, csn) == expected  # from csn 5
+            prov.reconstruct_rows(table, 7)
             assert prov.reconstruct_rows(table, csn) == expected  # from the nearest
 
-    def test_checkpoint_payload_is_the_folded_live_state(self, ingested):
+    def test_a_kept_state_is_the_folded_table(self, ingested):
         prov, model = ingested
-        assert prov.create_checkpoint() == 7
+        prov.reconstruct_state(7)
         for table in APP_COLUMNS:
-            entry = prov._checkpoints[table][-1]
-            assert entry[0] == 7
-            assert list(prov._checkpoint_rows(table, entry)) == model.state(table, 7)
-        assert prov.checkpoint_stats["full_restores"] == 0  # folded, not replayed
+            assert prov.checkpoint_csns(table) == [7]
+            assert sorted(prov._states[table, 7].items()) == model.state(table, 7)
 
-    def test_automatic_checkpoints_fall_where_the_commit_count_says(self):
-        prov, model = make_store(checkpoint_interval=2), Model()
+    def test_ingest_keeps_no_state_ahead_of_need(self):
+        prov, model = make_store(), Model()
         for batch in batches():
             prov.ingest(batch)
             for event in batch:
                 model.add(event)
-        # Flush 1 holds one commit, flush 2 the second (checkpoint at its
-        # csn 6), flush 3 the third (one since: no checkpoint yet).
+        assert not prov._states
+        assert prov.checkpoint_stats == {"checkpoint_restores": 0, "full_restores": 0}
+        # The first restore computes the state, the second starts from it.
+        for restores in ((0, 1), (1, 1)):
+            assert prov.reconstruct_rows("accounts", 6) == model.state("accounts", 6)
+            assert tuple(prov.checkpoint_stats.values()) == restores
         assert prov.checkpoint_csns("accounts") == [6]
-        assert prov._commits_since_checkpoint == 1
-        entry = prov._checkpoints["accounts"][0]
-        assert list(prov._checkpoint_rows("accounts", entry)) == model.state("accounts", 6)
 
-    def test_a_late_write_drops_the_checkpoints_it_makes_stale(self, ingested):
+    def test_a_late_write_drops_the_states_it_makes_stale(self, ingested):
         prov, model = ingested
-        prov.create_checkpoint(5)
-        prov.create_checkpoint(7)
+        prov.reconstruct_state(5)
+        prov.reconstruct_state(7)
         late = data(9, "accounts", "Update", 1, {"id": 1, "owner": "ann", "balance": 0.0}, csn=6)
         prov.ingest([late])
         model.add(late)

@@ -216,8 +216,8 @@ class TestAbortedTransactions:
 
 
 class TestFailedIngest:
-    """A batch that fails to ingest must leave no trace (it used to fold
-    its writes into the live state before its transaction committed)."""
+    """A batch that fails to ingest must leave no trace: tables, ``Seq``
+    and the kept states advance only once its transaction commits."""
 
     @staticmethod
     def _store():
@@ -225,7 +225,7 @@ class TestFailedIngest:
         from repro.db.schema import Column, TableSchema
         from repro.db.types import ColumnType
 
-        prov = ProvenanceStore(checkpoint_interval=None)
+        prov = ProvenanceStore()
         prov.register_app_table(
             TableSchema(
                 "kv", [Column("id", ColumnType.INTEGER), Column("v", ColumnType.TEXT)]
@@ -242,44 +242,45 @@ class TestFailedIngest:
             query="INSERT INTO kv ...", csn=csn, rows=[(row_id, values)],
         )
 
-    def test_failed_ingest_leaves_checkpoints_and_tables_untouched(self):
+    def test_failed_ingest_leaves_kept_states_and_tables_untouched(self):
         from repro.errors import TypeCoercionError
 
         prov = self._store()
         prov.ingest([self._insert(1, (1, "kept"), 1)])
-        before = (
-            prov._next_seq,
-            prov._max_write_csn,
-            prov._commits_since_checkpoint,
-            dict(prov._live["kv"].rows),
-            prov.event_count,
-        )
+        # Kept at csn 0 and 1: the failing batch writes at csn 0 and 3, so
+        # had any of it counted, both states would be gone.
+        assert prov.reconstruct_rows("kv", 1) == [(1, (1, "kept"))]
+        assert prov.reconstruct_rows("kv", 0) == []
+
+        def observed():
+            return (
+                prov._next_seq,
+                prov.checkpoint_csns("kv"),
+                {key: dict(state) for key, state in prov._states.items()},
+                prov._state_rows,
+                prov.event_count,
+            )
+
+        before = observed()
+        assert before[1] == [0, 1]
         with pytest.raises(TypeCoercionError, match=r"KvEvents\.id"):
             prov.ingest(
                 [
-                    self._insert(77, (77, "good"), 2),
+                    self._insert(77, (77, "good"), 0),
                     self._insert(78, ("not-an-int", "bad"), 3),
                 ]
             )
-        after = (
-            prov._next_seq,
-            prov._max_write_csn,
-            prov._commits_since_checkpoint,
-            dict(prov._live["kv"].rows),
-            prov.event_count,
-        )
-        assert after == before
-        assert prov._checkpoints == {}
-        # The rolled-back events reach neither a checkpoint nor a replay.
-        csn = prov.create_checkpoint()
-        assert prov._checkpoint_rows("kv", prov._checkpoints["kv"][-1]) == (
-            (1, (1, "kept")),
-        )
-        assert prov.reconstruct_rows("kv", csn + 10) == [(1, (1, "kept"))]
-        # And the store still ingests: Seq continues where it stopped.
-        prov.ingest([self._insert(2, (2, "next"), 4)])
+        assert observed() == before
+        # The rolled-back events reach no reconstruction, warm or cold.
+        assert prov.reconstruct_rows("kv", 10) == [(1, (1, "kept"))]
+        prov.invalidate_checkpoints()
+        assert prov.reconstruct_rows("kv", 10) == [(1, (1, "kept"))]
+        # And the store still ingests: Seq continues where it stopped, and
+        # a write that does commit drops the states at or after its csn.
+        prov.ingest([self._insert(2, (2, "next"), 1)])
         seqs = prov.query("SELECT Seq FROM KvEvents ORDER BY Seq").column("Seq")
         assert seqs == [1, 2]
+        assert prov.checkpoint_csns("kv") == []
 
     def test_unknown_column_in_event_fails_the_batch_by_name(self):
         """Rows are positional, so a column the table does not have shows

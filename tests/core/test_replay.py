@@ -157,12 +157,26 @@ class TestReplayCost:
             return len(statements)
 
         capture(50)
-        early, late = replay_cost(placed[5]), replay_cost(placed[-1])
-        assert early == late <= 45
+        cold = replay_cost(placed[5])  # nothing kept yet: every table in full
+        assert cold <= 45
         assert not any("COUNT(" in sql or "JOIN" in sql for sql in statements)
+        # A later request starts from the states that replay left (one delta
+        # read per table); the same request again finds its own, and reads
+        # no event to restore them.
+        assert replay_cost(placed[-1]) == cold
+        restores = dict(trod.provenance.checkpoint_stats)
+        warm = replay_cost(placed[5])
+        assert warm < cold
+        assert trod.provenance.checkpoint_stats == {
+            **restores,
+            "checkpoint_restores": restores["checkpoint_restores"] + cold - warm,
+        }
         capture(350)
         assert len(placed) == 400
-        assert replay_cost(placed[5]) == replay_cost(placed[-1]) == early
+        assert replay_cost(placed[5]) == warm
+        assert replay_cost(placed[-1]) == cold
+        trod.provenance.invalidate_checkpoints()
+        assert replay_cost(placed[5]) == cold
 
 
 class TestDivergenceDetection:

@@ -178,6 +178,25 @@ class TestOneReconstructionPerRun:
             seen.add(len(rows))
         assert seen == {3, 4}  # serial orderings dedupe, racy ones do not
 
+    def test_a_run_on_a_warm_store_is_the_run_on_a_cold_one(self, moodle_env):
+        trod = self.racy_pair_over_existing_rows(moodle_env)
+        prov = trod.provenance
+
+        def run():
+            result = trod.retroactive.run(["R3", "R4"], orderings="all")
+            return result.summary(), [
+                (o.schedule, o.final_state, o.requests) for o in result.outcomes
+            ]
+
+        cold = run()
+        stats = dict(prov.checkpoint_stats)
+        assert stats["full_restores"] == len(prov.traced_tables())
+        assert run() == cold
+        assert prov.checkpoint_stats == {
+            **stats,
+            "checkpoint_restores": stats["checkpoint_restores"] + stats["full_restores"],
+        }
+
     def test_a_two_request_run_reconstructs_each_table_once(
         self, ecommerce_env, monkeypatch
     ):
