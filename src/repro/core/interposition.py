@@ -5,8 +5,8 @@ One object implements both interposition surfaces:
 * **database observer** — ``txn_began`` / ``statement_executed`` /
   ``txn_committed`` / ``txn_aborted`` / ``table_created``, capturing
   transaction metadata, read sets (the executor's, one event per scan
-  chunk, its pair list as recorded), and write sets (from CDC at commit,
-  so aborted work never produces write provenance);
+  chunk, its pair list as recorded), and write sets (from the commit's
+  WAL record, so aborted work never produces write provenance);
 * **runtime hooks** — ``request_started`` / ``request_finished`` /
   ``handler_called`` / ``side_effect``, capturing request lifecycles and
   workflow edges.
@@ -32,10 +32,10 @@ from repro.core.events import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tracer import Trod
-    from repro.db.cdc import ChangeRecord
     from repro.db.database import StatementTrace
     from repro.db.schema import TableSchema
     from repro.db.txn.manager import Transaction
+    from repro.db.txn.wal import WalChange
 
 
 class InterpositionLayer:
@@ -44,7 +44,7 @@ class InterpositionLayer:
     def __init__(self, trod: "Trod"):
         self._trod = trod
         #: id(txn) -> list of StatementTrace, for attaching query text to
-        #: the CDC records the commit will emit. Keyed by object identity,
+        #: the WAL changes the commit will log. Keyed by object identity,
         #: not txn id: on a sharded engine each shard assigns its own txn
         #: ids, and branches of different global transactions may collide.
         self._txn_statements: dict[int, list["StatementTrace"]] = {}
@@ -78,7 +78,7 @@ class InterpositionLayer:
         self.overhead_ns += time.perf_counter_ns() - start
 
     def txn_committed(
-        self, txn: "Transaction", csn: int, changes: list["ChangeRecord"]
+        self, txn: "Transaction", csn: int, changes: tuple["WalChange", ...]
     ) -> None:
         start = time.perf_counter_ns()
         self._emit(self._txn_event(txn, status="Committed", csn=csn))
@@ -90,7 +90,7 @@ class InterpositionLayer:
             for write in trace.writes:
                 queries.setdefault(write, trace.sql)
 
-        def run_key(change: "ChangeRecord") -> tuple[str, str, str]:
+        def run_key(change: "WalChange") -> tuple[str, str, str]:
             write = (change.op, change.table, change.row_id)
             return change.table, change.op, queries.get(write, "")
 

@@ -68,9 +68,7 @@ class ProvenanceStore:
     """Ingests trace events and answers declarative debugging queries."""
 
     def __init__(self, db: Database | None = None):
-        # Nobody subscribes to the provenance database's own change
-        # stream, so by default it retains (and so builds) no record of it.
-        self.db = db or Database(name="provenance", cdc_retain=0)
+        self.db = db or Database(name="provenance")
         self._next_seq = 1
         #: app table (canonical) -> event table name
         self._event_tables: dict[str, str] = {}

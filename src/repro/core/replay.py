@@ -333,7 +333,7 @@ class ReplayEngine:
             seed=source_runtime.seed if source_runtime else 0,
         )
         handler, args, kwargs, auth_user = provenance.request_args(req_id)
-        cdc_start = len(dev_db.cdc)
+        start_csn = dev_db.last_csn
         result = dev_runtime.execute_request(
             Request(
                 handler=handler,
@@ -344,7 +344,7 @@ class ReplayEngine:
             )
         )
         divergences = self._check_fidelity(
-            request_row, txns, result, dev_db, cdc_start, state
+            request_row, txns, result, dev_db, start_csn, state
         )
         replay_result = ReplayResult(
             req_id=req_id,
@@ -399,7 +399,7 @@ class ReplayEngine:
         txns: list[dict],
         result: Any,
         dev_db: Database,
-        cdc_start: int,
+        start_csn: int,
         state: _ReplayState,
     ) -> list[str]:
         divergences: list[str] = []
@@ -423,7 +423,7 @@ class ReplayEngine:
             )
         # Per-step write-set comparison (row ids excluded: id allocation
         # may legitimately differ in the dev database).
-        replay_writes = self._replay_writes_by_step(dev_db, cdc_start, state)
+        replay_writes = self._replay_writes_by_step(dev_db, start_csn, state)
         for index, original in enumerate(txns):
             original_set = self._original_writes(state.events[original["TxnId"]])
             replayed_set = replay_writes.get(index, [])
@@ -453,21 +453,21 @@ class ReplayEngine:
         return out
 
     def _replay_writes_by_step(
-        self, dev_db: Database, cdc_start: int, state: _ReplayState
+        self, dev_db: Database, start_csn: int, state: _ReplayState
     ) -> dict[int, list[tuple]]:
-        """Group the dev database's CDC records by replay step.
+        """Group the dev database's WAL commits after ``start_csn`` by step.
 
         Injector transactions never enter ``txn_step_map`` (they are
         created directly on the dev database, not through the replay
-        runtime) so their records are skipped automatically.
+        runtime) so their commits are skipped automatically.
         """
-        records = dev_db.cdc.history()[cdc_start:]
         out: dict[int, list[tuple]] = {}
-        for record in records:
-            step = state.txn_step_map.get(record.txn_id)
+        for commit in dev_db.wal.commits(since_csn=start_csn):
+            step = state.txn_step_map.get(commit.txn_id)
             if step is None:
                 continue
-            out.setdefault(step, []).append(
-                (record.table, record.op.capitalize(), record.values)
+            out.setdefault(step, []).extend(
+                (change.table, change.op.capitalize(), change.values)
+                for change in commit.changes
             )
         return out

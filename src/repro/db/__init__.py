@@ -25,7 +25,6 @@ from repro.db.backend import (
     LatencyProfile,
     SimulatedBackend,
 )
-from repro.db.cdc import CdcStream, ChangeRecord
 from repro.db.connection import (
     Connection,
     ConnectionPool,
@@ -59,8 +58,6 @@ from repro.errors import FencedError, ReplicationError, UnavailableError
 __all__ = [
     "Applier",
     "Catalog",
-    "CdcStream",
-    "ChangeRecord",
     "Column",
     "ColumnType",
     "Connection",

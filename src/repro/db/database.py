@@ -1,7 +1,7 @@
 """The top-level Database object tying the substrate together.
 
 A :class:`Database` owns the catalog, the versioned table stores and their
-indexes, the transaction manager, the WAL, and the CDC stream. SQL comes in
+indexes, the transaction manager, and the WAL. SQL comes in
 through :meth:`execute`; TROD's interposition layer observes transaction
 and statement events through the observer interface, which is the paper's
 "interposes on every handler and database query" hook (§3.1), database side.
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.db.backend import SimulatedBackend
-from repro.db.cdc import CdcStream
 from repro.db.index import IndexSet
 from repro.db.pages import BufferPool, PageFileManager, PagedTableStore
 from repro.db.pages.buffer import DEFAULT_POOL_PAGES
@@ -130,8 +129,8 @@ class StatementTrace:
 
     Reads are :class:`ReadSet` entries, one per scan chunk (flatten with
     ``ReadSet.rows()``); writes are ``(op, table, row_id)`` triples so
-    TROD can later attach the query text to the CDC records the commit
-    will emit.
+    TROD can later attach the query text to the ``WalChange`` records
+    the commit will log.
     """
 
     sql: str
@@ -142,23 +141,13 @@ class StatementTrace:
 
 
 class Database:
-    """An embedded, transactional, multi-version SQL database.
-
-    ``cdc_retain`` bounds the change stream's history (``cdc.since``):
-    None, the default, keeps every committed ``ChangeRecord``; N keeps
-    the newest N; 0 keeps none, and then a commit with no observer and
-    no subscriber builds no record at all — only ``cdc.dropped`` and the
-    sequence numbers advance. TROD's provenance database, whose change
-    stream nobody reads, is opened with 0; an observer or subscriber
-    attached later still gets every record from then on.
-    """
+    """An embedded, transactional, multi-version SQL database."""
 
     def __init__(
         self,
         name: str = "db",
         backend: SimulatedBackend | None = None,
         wal_path: str | None = None,
-        cdc_retain: int | None = None,
         wal_group_size: int = 1,
         wal_fsync: bool = False,
         storage: str | None = None,
@@ -231,7 +220,6 @@ class Database:
             # commit crash could leave a partial commit on disk that tail
             # replay cannot fill in).
             self._buffer_pool.before_write = self.wal.flush
-        self.cdc = CdcStream(retain=cdc_retain)
         self.txn_manager = TransactionManager(self)
         self.observers: list[Any] = []
         #: Set by replication failover: a fenced (demoted) primary accepts

@@ -15,8 +15,8 @@ change stream*, never by copying loose state. The pieces:
   *transactionally*, preserving CSNs and row ids exactly. A caught-up
   replica is therefore bit-identical to the primary — including its
   version chains from the bootstrap point on, so time-travel / AS-OF
-  reads work on replicas, and including its own CDC stream, so replicas
-  can be chained or tapped by provenance just like primaries.
+  reads work on replicas, and including its own WAL, so replicas can be
+  chained or tapped by provenance just like primaries.
 * :class:`ReplicaSet` — N replicas behind one primary with sync/async ship
   modes, per-replica lag tracking, catch-up with truncation-triggered
   resync, and promotion: fence the old primary, drain every acknowledged
@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.db.cdc import ChangeRecord
 from repro.db.database import Database
 from repro.db.index import SortedIndex
 from repro.db.result import ResultSet
@@ -58,6 +57,7 @@ from repro.db.sql.executor import evaluate_as_of
 from repro.db.sql.nodes import SelectStmt
 from repro.db.sql.parser import parse_cached
 from repro.db.txn.manager import IsolationLevel, Transaction
+from repro.db.txn.wal import WalChange
 from repro.errors import ReplicationError, UnavailableError
 from repro.faults import fault_point
 from repro.runtime.scheduler import CheckpointKind, maybe_checkpoint
@@ -71,7 +71,7 @@ class ShipRecord:
     kind: str  # 'commit' | 'ddl'
     csn: int  # primary CSN after this record
     txn_id: int  # primary transaction id (0 for DDL)
-    changes: tuple[ChangeRecord, ...] = ()  # commit payload (may be empty)
+    changes: tuple[WalChange, ...] = ()  # the primary WAL record's own tuple
     ddl: tuple | None = None  # ('create_table', schema) | ('drop_table', name) | ...
 
 
@@ -116,9 +116,9 @@ class ReplicationLog:
     # -- observer hooks (called by the primary) ---------------------------
 
     def txn_committed(
-        self, txn: Any, csn: int, cdc_records: Sequence[ChangeRecord]
+        self, txn: Any, csn: int, changes: tuple[WalChange, ...]
     ) -> None:
-        self._append("commit", csn, txn.txn_id, changes=tuple(cdc_records))
+        self._append("commit", csn, txn.txn_id, changes=changes)
 
     def table_created(self, schema: TableSchema) -> None:
         self._append("ddl", self.primary.last_csn, 0, ddl=("create_table", schema))
@@ -149,7 +149,7 @@ class ReplicationLog:
         kind: str,
         csn: int,
         txn_id: int,
-        changes: tuple[ChangeRecord, ...] = (),
+        changes: tuple[WalChange, ...] = (),
         ddl: tuple | None = None,
     ) -> None:
         fault_point(
@@ -201,7 +201,7 @@ class Applier:
     """Replays ship records onto one replica database, transactionally.
 
     Commit records replay through a real transaction (so the replica's
-    WAL, CDC stream, indexes, and observers all behave exactly as on the
+    WAL, indexes, and observers all behave exactly as on the
     primary) and must land on the very next CSN — the replica's commit
     counter then assigns ``record.csn`` by construction, and the
     commit/CSN indexes are re-pointed at the *primary's* transaction id so
@@ -258,7 +258,7 @@ class Applier:
                     txn.update(change.table, change.row_id, change.values)
                 elif change.op == "delete":
                     txn.delete(change.table, change.row_id)
-                else:  # pragma: no cover - CDC emits only these three
+                else:  # pragma: no cover - the WAL logs only these three
                     raise ReplicationError(f"unknown change op {change.op!r}")
             txn.commit()
         except Exception:

@@ -74,10 +74,21 @@ __all__ = [
 _CODE_MEMO_LIMIT = 4096
 _code_memo: dict[str, CodeType] = {}
 
-#: Wrapper distinguishing bool group keys from 1/1.0 in raw-keyed dicts
-#: (compare_values orders bool apart from numerics, but Python's
+#: Wrapper distinguishing bool group and join keys from 1/1.0 in
+#: raw-keyed dicts (SQL's ``TRUE = 1`` is FALSE, but Python's
 #: ``hash(True) == hash(1)`` with ``True == 1`` would merge them).
-_BOOL_KEY = ("__repro_bool_key__",)
+BOOL_KEY = ("__repro_bool_key__",)
+
+
+def _dict_key(frags: Sequence[str]) -> str:
+    """The dict key of key fragments: one is its own (scalar) key, several
+    a tuple, none ``()``. A bool is wrapped so no number equals it; the
+    generated function must bind ``_BOOL_KEY``."""
+    wrapped = [
+        f"({f} if ({f}).__class__ is not bool else (_BOOL_KEY, {f}))" for f in frags
+    ]
+    return wrapped[0] if len(wrapped) == 1 else f"({''.join(w + ', ' for w in wrapped)})"
+
 
 _CMP_PY = {
     "=": "==", "==": "==", "!=": "!=", "<>": "!=",
@@ -599,17 +610,17 @@ def _emit_key(
 ) -> tuple[list[str], str, str]:
     """A join key as a loop body, its dict-key fragment and its NULL test.
 
-    One key column is its own (scalar) dict key, several are a tuple, and
-    none — a cross or non-equi join — is ``()``: one bucket, never NULL.
+    The dict key is ``_dict_key``'s: a cross or non-equi join's is ``()``,
+    one bucket, never NULL, and a BOOLEAN key never meets a number.
     ``emit`` always returns an atom (a slot access, temp, bound constant,
     or literal), so fragments are safely repeatable without localizing —
     which keeps a bare-column key statement-free and eligible for the
     probe comprehension fast path.
     """
     frags, per_row = emitter.per_row(key_exprs)
-    key = frags[0] if len(frags) == 1 else f"({', '.join(frags)}{',' if frags else ''})"
+    emitter.env["_BOOL_KEY"] = BOOL_KEY
     is_null = " or ".join(f"{f} is None" for f in frags) or "False"
-    return per_row, key, is_null
+    return per_row, _dict_key(frags), is_null
 
 
 def join_key_slot(
@@ -803,22 +814,14 @@ def compile_aggregate_programs(
     packed = f"({', '.join(fins)},)" if fins else "()"  # GROUP BY alone: no aggregate
     fin_fn = _bind(f"def _fin(st):\n    return {packed}", "_fin", env)
 
-    env["_BOOL_KEY"] = _BOOL_KEY
+    env["_BOOL_KEY"] = BOOL_KEY
     emitter.line("get = groups.get")
     if group_exprs:
         emitter.line("oap = order.append")
         emitter.line("for r in rows:")
         emitter.indent = 2
         key_frags = [emitter.localize(emitter.emit(e)) for e in group_exprs]
-        wrapped = [
-            f"({f} if ({f}).__class__ is not bool else (_BOOL_KEY, {f}))"
-            for f in key_frags
-        ]
-        if len(wrapped) == 1:
-            key = wrapped[0]
-        else:
-            key = f"({', '.join(wrapped)},)"
-        emitter.line(f"kk = {key}")
+        emitter.line(f"kk = {_dict_key(key_frags)}")
         emitter.line("st = get(kk)")
         emitter.line("if st is None:")
         emitter.line(f"    st = groups[kk] = [{', '.join(inits)}]")

@@ -515,9 +515,13 @@ class HashJoinNode(PlanNode):
         histogrammed with :class:`collections.Counter` (a C loop) and the
         count is the dot product. Matches the probe program exactly:
         the key is one bare column (``join_key_slot``), build-side NULL
-        keys were skipped at build, and probe NULL/absent keys miss the
-        map. Only engages for inner joins with no residual, where
-        dropping the concatenated tuples is invisible to a COUNT(*).
+        keys were skipped at build, probe NULL/absent keys miss the map,
+        and a bool probe key looks up the build side's wrapped key.
+        Counting raw keys never merges ``TRUE`` with ``1``: the key is a
+        stored column (FROM names only tables), whose type admits bools
+        or numbers, never both. Only engages for inner joins with no
+        residual, where dropping the concatenated tuples is invisible to
+        a COUNT(*).
         """
         if self.kind != "inner" or self.residual is not None:
             return None
@@ -533,10 +537,11 @@ class HashJoinNode(PlanNode):
         sizes = {key: len(matches) for key, matches in table.items()}
         get_size = sizes.get
         key_of = itemgetter(key_slot)
+        bool_key = codegen.BOOL_KEY
         total = 0
         for chunk in self.left.batches(ctx):
             for key, count in Counter(map(key_of, chunk)).items():
-                size = get_size(key)
+                size = get_size((bool_key, key) if key.__class__ is bool else key)
                 if size:
                     total += count * size
         return total

@@ -24,15 +24,23 @@ def _length(value: Any) -> Any:
     return None if value is None else len(str(value))
 
 
+def _arg(name: str, value: Any, convert: Callable[[Any], Any]) -> Any:
+    """``convert(value)``; a value it rejects is an ``ExecutionError``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ExecutionError(f"{name}() cannot take {value!r}") from None
+
+
 def _abs(value: Any) -> Any:
-    return None if value is None else abs(value)
+    return None if value is None else _arg("ABS", value, abs)
 
 
 def _round(value: Any, digits: Any = 0) -> Any:
     if value is None:
         return None
-    result = round(float(value), int(digits))
-    return int(result) if digits == 0 else result
+    result = round(_arg("ROUND", value, float), _arg("ROUND", digits, int))
+    return _arg("ROUND", result, int) if digits == 0 else result
 
 
 def _coalesce(*args: Any) -> Any:
@@ -57,12 +65,12 @@ def _substr(value: Any, start: Any, length: Any = None) -> Any:
     if value is None or start is None:
         return None
     text = str(value)
-    begin = int(start) - 1
+    begin = _arg("SUBSTR", start, int) - 1
     if begin < 0:
         begin = 0
     if length is None:
         return text[begin:]
-    return text[begin : begin + int(length)]
+    return text[begin : begin + _arg("SUBSTR", length, int)]
 
 
 def _trim(value: Any) -> Any:

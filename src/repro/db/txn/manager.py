@@ -11,7 +11,7 @@ engine exercises that path using the snapshot CSN recorded here.
 Writes are buffered privately inside the transaction (read-your-own-writes
 is provided by overlaying the buffer on the committed view) and applied to
 the version store only at commit, which makes every version in storage
-committed data and keeps CDC/WAL emission trivially in commit order.
+committed data and keeps WAL emission trivially in commit order.
 """
 
 from __future__ import annotations
@@ -519,7 +519,7 @@ class TransactionManager:
                 self.abort(txn)
                 raise
         csn = self.last_csn + 1
-        changes = self._apply(txn.write_ops, csn)
+        changes = tuple(self._apply(txn.write_ops, csn))
         if self.database.backend is not None:
             self.database.backend.on_commit(len(changes))
         self.last_csn = csn
@@ -528,17 +528,13 @@ class TransactionManager:
         self.commit_index[txn.txn_id] = csn
         self.csn_index[csn] = txn.txn_id
         self.active.pop(txn.txn_id, None)
-        cdc_records: list = []
+        # The WAL record is the commit's one record: observers receive
+        # its ``changes`` tuple itself.
         if changes:
-            self.database.wal.append(
-                WalCommit(csn=csn, txn_id=txn.txn_id, changes=tuple(changes))
-            )
-            cdc_records = self.database.cdc.emit_commit(
-                csn, txn.txn_id, changes, observed=bool(self.database.observers)
-            )
+            self.database.wal.append(WalCommit(csn, txn.txn_id, changes))
         self.locks.release_all(txn.txn_id)
         self.stats["committed"] += 1
-        self.database.notify("txn_committed", txn, csn, cdc_records)
+        self.database.notify("txn_committed", txn, csn, changes)
         return csn
 
     def abort(self, txn: Transaction) -> None:

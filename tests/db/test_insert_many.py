@@ -6,8 +6,8 @@ forms; ``insert_row`` / ``insert`` / ``apply_insert`` / ``on_insert`` are
 their one-row forms. Every test drives twin databases — one through the
 batch form, one through a loop of the one-row form inside one transaction
 — and requires them to be indistinguishable: row ids, read-your-own-writes,
-committed rows, index probes, WAL, CDC and the state recovered from the
-WAL. The suite also runs under ``REPRO_STORAGE=paged``.
+committed rows, index probes, WAL and the state recovered from the WAL.
+The suite also runs under ``REPRO_STORAGE=paged``.
 """
 
 import pytest
@@ -92,10 +92,6 @@ def observable(db: Database) -> dict:
         "wal": [
             (c.csn, c.txn_id, c.changes) for c in db.wal.commits()
         ],
-        "cdc": [
-            (r.seq, r.csn, r.table, r.op, r.row_id, r.values, r.old_values)
-            for r in db.cdc.history()
-        ],
         "last_csn": db.last_csn,
     }
 
@@ -142,10 +138,9 @@ class TestTwins:
             {"k": 3, "v": "c", "score": 1.0},
             {"k": 1, "v": "a", "score": 0.5},
         ]
-        # One WAL change and one CDC record per inserted row.
+        # One WAL change per inserted row.
         per_round = len(PLAIN_ROWS) + len(KEYED_ROWS)
         assert [len(c.changes) for c in batch.wal.commits()] == [per_round] * 2
-        assert len(batch.cdc) == 2 * per_round
         # A WAL written by the batch path rebuilds the same database.
         batch.wal.flush()
         single.wal.flush()

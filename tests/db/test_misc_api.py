@@ -133,7 +133,7 @@ class TestContextApi:
 
 class TestInterpositionInternals:
     def test_write_query_text_attached_from_statements(self, moodle_env):
-        """CDC records carry no SQL; the interposition layer matches them
+        """WAL changes carry no SQL; the interposition layer matches them
         back to statement traces by (op, table, row id)."""
         _db, runtime, trod = moodle_env
         runtime.submit("subscribeUser", "U1", "F1")

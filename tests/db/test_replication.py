@@ -183,8 +183,9 @@ class TestApplier:
         db.execute("UPDATE t SET v = 9.0 WHERE k = 1")
         rs.catch_up()
         replica = rs.replicas[0].database
-        ops = [(r.op, r.csn, r.values) for r in replica.cdc.history()]
-        assert ops == [(r.op, r.csn, r.values) for r in db.cdc.history()]
+        ops = [(c.csn, c.txn_id, c.changes) for c in replica.wal.commits()]
+        assert ops == [(c.csn, c.txn_id, c.changes) for c in db.wal.commits()]
+        assert [c.op for _, _, changes in ops for c in changes] == ["insert", "update"]
 
     def test_ddl_applies_on_replicas(self):
         db = Database()

@@ -828,7 +828,7 @@ class TestFacadeParity:
             def __init__(self):
                 self.events = []
 
-            def txn_committed(self, txn, csn, cdc):
+            def txn_committed(self, txn, csn, changes):
                 self.events.append("committed")
 
             def txn_aborted(self, txn):

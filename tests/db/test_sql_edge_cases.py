@@ -109,6 +109,41 @@ class TestJoinEdgeCases:
         )
         assert rs.rows == [("x", 10)]
 
+    def test_boolean_keys_never_meet_numbers(self, db):
+        """``TRUE = 1`` is FALSE, so no join pairs them; 1 and 1.0 still meet."""
+        db.execute("CREATE TABLE flags (k BOOLEAN)")
+        db.execute("CREATE TABLE nums (k INTEGER)")
+        db.execute("INSERT INTO flags VALUES (TRUE), (FALSE), (NULL)")
+        db.execute("INSERT INTO nums VALUES (1), (0), (NULL)")
+        assert db.execute("SELECT TRUE = 1").scalar() is False
+        for sql in (
+            "SELECT * FROM flags JOIN nums ON flags.k = nums.k",
+            "SELECT * FROM flags, nums WHERE flags.k = nums.k",
+            "SELECT * FROM nums JOIN flags ON nums.k = flags.k",
+        ):
+            assert db.execute(sql).rows == [], sql
+        for sql in (
+            "SELECT COUNT(*) FROM flags JOIN nums ON flags.k = nums.k",
+            "SELECT COUNT(*) FROM nums JOIN flags ON nums.k = flags.k",
+        ):
+            assert db.execute(sql).scalar() == 0, sql
+        assert db.execute(
+            "SELECT * FROM flags LEFT JOIN nums ON flags.k = nums.k"
+        ).rows == [(True, None), (False, None), (None, None)]
+        assert db.execute(
+            "SELECT COUNT(*) FROM flags AS x JOIN flags AS y ON x.k = y.k"
+        ).scalar() == 2
+        db.execute("CREATE TABLE reals (k FLOAT)")
+        db.execute("INSERT INTO reals VALUES (1.0), (2.0)")
+        assert db.execute(
+            "SELECT * FROM nums JOIN reals ON nums.k = reals.k"
+        ).rows == [(1, 1.0)]
+        for sql in (
+            "SELECT COUNT(*) FROM nums JOIN reals ON nums.k = reals.k",
+            "SELECT COUNT(*) FROM reals JOIN nums ON reals.k = nums.k",
+        ):
+            assert db.execute(sql).scalar() == 1, sql
+
 
 class TestDmlEdgeCases:
     def test_update_no_matches_is_zero_rowcount(self, db):
@@ -200,6 +235,39 @@ class TestQueryErrors:
         with pytest.raises(ExecutionError) as rowless:
             db.execute("INSERT INTO t VALUES ('z', 1 + ?, 0.5)", ("a",))
         assert str(per_row.value) == str(rowless.value) == "invalid operands for +"
+
+    def _function_error(self, db, per_row_sql, rowless_sql, message):
+        """A bad function argument raises the same ``ExecutionError`` per
+        row (a program) and row-less (``Expr.eval``)."""
+        with pytest.raises(ExecutionError) as per_row:
+            db.execute(per_row_sql)
+        with pytest.raises(ExecutionError) as rowless:
+            db.execute(rowless_sql)
+        assert str(per_row.value) == str(rowless.value) == message
+
+    def test_abs_of_text_is_an_execution_error(self, db):
+        self._function_error(
+            db, "SELECT ABS(a) FROM t WHERE b = 1", "SELECT ABS('x')",
+            "ABS() cannot take 'x'",
+        )
+
+    def test_round_of_text_is_an_execution_error(self, db):
+        self._function_error(
+            db, "SELECT ROUND(a) FROM t WHERE b = 1", "SELECT ROUND('x')",
+            "ROUND() cannot take 'x'",
+        )
+        with pytest.raises(ExecutionError, match=r"^ROUND\(\) cannot take 'x'$"):
+            db.execute("SELECT ROUND(c, a) FROM t WHERE b = 1")
+        assert db.execute("SELECT ROUND('2.5'), ROUND(2.567, 2)").rows == [(2, 2.57)]
+
+    def test_substr_with_text_position_is_an_execution_error(self, db):
+        self._function_error(
+            db, "SELECT SUBSTR('abc', a) FROM t WHERE b = 1", "SELECT SUBSTR('abc', 'x')",
+            "SUBSTR() cannot take 'x'",
+        )
+        with pytest.raises(ExecutionError, match=r"^SUBSTR\(\) cannot take 'x'$"):
+            db.execute("SELECT SUBSTR('abc', 1, a) FROM t WHERE b = 1")
+        assert db.execute("SELECT SUBSTR('abcdef', 2, 3)").scalar() == "bcd"
 
 
 def _engine(name: str):

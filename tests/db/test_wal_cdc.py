@@ -1,9 +1,8 @@
-"""WAL (durability/recovery) and CDC (change capture) tests."""
+"""WAL tests: durability, recovery, and the commit record observers receive."""
 
 import pytest
 
 from repro.db import Database
-from repro.db.cdc import CdcStream
 from repro.db.schema import Column, TableSchema
 from repro.db.storage import TableStore
 from repro.db.types import ColumnType
@@ -179,13 +178,20 @@ class TestCrashRecovery:
 
 
 class TestCdc:
+    """A commit's ``WalCommit`` is its one record: the WAL keeps it, and
+    observers and the replication log receive its ``changes`` tuple."""
+
     def test_records_carry_before_and_after_images(self):
         db = Database()
         db.execute("CREATE TABLE t (k TEXT, v INTEGER)")
         db.execute("INSERT INTO t VALUES ('a', 1)")
         db.execute("UPDATE t SET v = 2 WHERE k = 'a'")
         db.execute("DELETE FROM t WHERE k = 'a'")
-        ops = [(r.op, r.values, r.old_values) for r in db.cdc.history()]
+        ops = [
+            (c.op, c.values, c.old_values)
+            for commit in db.wal.commits()
+            for c in commit.changes
+        ]
         assert ops == [
             ("insert", ("a", 1), None),
             ("update", ("a", 2), ("a", 1)),
@@ -204,33 +210,11 @@ class TestCdc:
         db.execute("INSERT INTO t VALUES ('early')", txn=t2)
         t2.commit()
         t1.commit()
-        values = [r.values[0] for r in db.cdc.history()]
-        assert values == ["early", "late"]
-        csns = [r.csn for r in db.cdc.history()]
+        commits = list(db.wal.commits())
+        assert [c.changes[0].values[0] for c in commits] == ["early", "late"]
+        assert [c.txn_id for c in commits] == [t2.txn_id, t1.txn_id]
+        csns = [c.csn for c in commits]
         assert csns == sorted(csns)
-
-    def test_subscribers_and_unsubscribe(self):
-        stream = CdcStream()
-        seen = []
-        unsubscribe = stream.subscribe(seen.append)
-        stream.emit(1, 1, "t", "insert", 1, ("a",), None)
-        unsubscribe()
-        stream.emit(2, 2, "t", "insert", 2, ("b",), None)
-        assert len(seen) == 1
-
-    def test_retention_limit(self):
-        stream = CdcStream(retain=2)
-        for i in range(5):
-            stream.emit(i + 1, i + 1, "t", "insert", i + 1, (str(i),), None)
-        assert len(stream) == 2
-        assert stream.dropped == 3
-        assert [r.seq for r in stream.since(0)] == [4, 5]
-
-    def test_since_filters_by_seq(self):
-        stream = CdcStream()
-        for i in range(3):
-            stream.emit(i + 1, i + 1, "t", "insert", i + 1, (str(i),), None)
-        assert [r.seq for r in stream.since(1)] == [2, 3]
 
     def test_aborted_txn_emits_nothing(self):
         db = Database()
@@ -238,7 +222,29 @@ class TestCdc:
         txn = db.begin()
         db.execute("INSERT INTO t VALUES ('x')", txn=txn)
         txn.abort()
-        assert len(db.cdc) == 0
+        assert len(db.wal) == 0
+
+    def test_observers_and_ship_log_share_the_wal_record(self):
+        from repro.db.replication import ReplicaSet
+
+        db = Database()
+        db.execute("CREATE TABLE t (k INTEGER)")
+        rs = ReplicaSet(db, n_replicas=1, mode="sync")
+        received: list[tuple] = []
+
+        class Observer:
+            def txn_committed(self, txn, csn, changes):
+                received.append(changes)
+
+        db.add_observer(Observer())
+        db.execute("INSERT INTO t VALUES (1), (2)")
+        db.execute("SELECT k FROM t")  # read-only: an empty commit
+        (commit,) = db.wal.commits()
+        shipped = [r for r in rs.log.since(0) if r.kind == "commit"]
+        assert received[0] is commit.changes
+        assert shipped[0].changes is commit.changes
+        assert [c.row_id for c in commit.changes] == [1, 2]
+        assert received[1] == () and shipped[1].changes == ()
 
 
 class TestGroupCommit:
@@ -314,98 +320,18 @@ class TestGroupCommit:
 
 
 class TestCdcRetentionEdges:
-    """Catch-up after truncation, late-subscriber fan-out, and the
-    interaction between CDC retention and the replication tap."""
-
-    def _fill(self, stream: CdcStream, n: int) -> None:
-        for i in range(n):
-            stream.emit(i + 1, i + 1, "t", "insert", i + 1, (str(i),), None)
-
-    def test_since_after_truncation_detectable(self):
-        stream = CdcStream(retain=3)
-        self._fill(stream, 10)
-        # A consumer that checkpointed at seq 5 silently misses 6..7 if
-        # it trusts since() alone; first_seq exposes the gap.
-        assert stream.first_seq == 8
-        assert stream.first_seq > 5 + 1  # the gap check a consumer runs
-        assert [r.seq for r in stream.since(5)] == [8, 9, 10]
-        # A consumer checkpointed at the retention boundary is whole.
-        assert stream.first_seq <= 7 + 1
-        assert [r.seq for r in stream.since(7)] == [8, 9, 10]
-
-    def test_first_seq_on_empty_and_fully_evicted_streams(self):
-        stream = CdcStream(retain=2)
-        assert stream.first_seq == 1  # empty: next seq keeps checks sound
-        self._fill(stream, 2)
-        assert stream.first_seq == 1
-        # Evict everything: first_seq moves past the dropped tail.
-        self._fill(stream, 3)
-        assert stream.first_seq == 4
-
-    def test_late_subscriber_catch_up_then_live_ordering(self):
-        stream = CdcStream()
-        self._fill(stream, 3)
-        seen: list[int] = []
-        # The catch-up-then-subscribe idiom: drain history, then attach.
-        for record in stream.since(0):
-            seen.append(record.seq)
-        stream.subscribe(lambda r: seen.append(r.seq))
-        self._fill(stream, 2)
-        assert seen == [1, 2, 3, 4, 5]
-
-    def test_unread_commits_are_accounted_exactly_as_built_then_trimmed(self):
-        changes = [
-            WalChange("insert", "t", i, (str(i),), None) for i in range(1, 4)
-        ]
-        unread, trimmed = CdcStream(retain=0), CdcStream(retain=0)
-        for csn in (1, 2):
-            assert unread.emit_commit(csn, csn, changes, observed=False) == []
-            built = trimmed.emit_commit(csn, csn, changes)
-            assert [r.seq for r in built] == [3 * csn - 2, 3 * csn - 1, 3 * csn]
-        for stream in (unread, trimmed):
-            assert (stream.first_seq, stream.dropped, len(stream)) == (7, 6, 0)
-            assert list(stream.since(0)) == [] and stream.history() == []
-        # A retaining stream, or one with a subscriber, builds regardless.
-        assert len(CdcStream(retain=1).emit_commit(1, 1, changes, observed=False)) == 3
-        seen: list[int] = []
-        unread.subscribe(lambda record: seen.append(record.seq))
-        assert len(unread.emit_commit(3, 3, changes, observed=False)) == 3
-        assert seen == [7, 8, 9] and unread.dropped == 9
-
-    def test_a_database_retaining_nothing_still_feeds_its_readers(self):
-        db = Database(cdc_retain=0)
-        db.execute("CREATE TABLE t (k INTEGER)")
-        db.execute("INSERT INTO t VALUES (1), (2)")
-        assert (len(db.cdc), db.cdc.dropped, db.cdc.first_seq) == (0, 2, 3)
-        commits: list[list] = []
-
-        class Observer:
-            def txn_committed(self, txn, csn, changes):
-                commits.append([(r.seq, r.op, r.values) for r in changes])
-
-        db.add_observer(Observer())
-        db.execute("INSERT INTO t VALUES (3)")
-        assert commits == [[(3, "insert", (3,))]]
-        db.observers.clear()
-        published: list[int] = []
-        unsubscribe = db.cdc.subscribe(lambda record: published.append(record.seq))
-        db.execute("UPDATE t SET k = k + 10 WHERE k < 3")
-        unsubscribe()
-        db.execute("DELETE FROM t")
-        assert published == [4, 5]
-        assert (len(db.cdc), db.cdc.dropped, db.cdc.first_seq) == (0, 8, 9)
+    """Retention of the replication log, which taps commits directly."""
 
     def test_replication_tap_survives_cdc_truncation(self):
-        """The ReplicationLog taps commits, not CdcStream history — a
-        tight CDC retention must not lose shipped changes."""
+        """An async replica catches up from the ship log alone: no
+        resync is needed while the log retains every record."""
         from repro.db.replication import ReplicaSet
 
-        db = Database(cdc_retain=2)
+        db = Database()
         db.execute("CREATE TABLE t (k INTEGER)")
         rs = ReplicaSet(db, n_replicas=1, mode="async")
         for i in range(10):
             db.execute("INSERT INTO t VALUES (?)", (i,))
-        assert db.cdc.dropped > 0  # CDC history really was truncated
         rs.catch_up()
         replica = rs.replicas[0].database
         assert replica.execute("SELECT COUNT(*) FROM t").scalar() == 10
@@ -414,12 +340,11 @@ class TestCdcRetentionEdges:
     def test_replication_log_retention_mirrors_cdc_semantics(self):
         from repro.db.replication import ReplicationLog
 
-        db = Database(cdc_retain=2)
+        db = Database()
         db.execute("CREATE TABLE t (k INTEGER)")
         log = ReplicationLog(db, retain=2)
         for i in range(5):
             db.execute("INSERT INTO t VALUES (?)", (i,))
-        # Same accounting surface as CdcStream: first_seq/dropped expose
-        # the truncation to catch-up consumers on both streams.
+        # first_seq/dropped expose the truncation to catch-up consumers.
         assert log.first_seq == 4 and log.dropped == 3
-        assert db.cdc.first_seq == 4 and db.cdc.dropped == 3
+        assert [r.seq for r in log.since(0)] == [4, 5]

@@ -5,7 +5,7 @@ whole-trace integrity invariants — the properties that make the
 provenance database trustworthy as a debugging source:
 
 * every committed write event joins to exactly one Executions row;
-* write-event counts equal CDC record counts (nothing lost or invented);
+* write-event counts equal WAL change counts (nothing lost or invented);
 * every traced request's arguments re-parse (retroactive-ready);
 * sampled requests replay with full fidelity;
 * reconstruction from provenance agrees with the live database.
@@ -73,7 +73,7 @@ class TestTraceIntegrity:
 
     def test_write_events_match_cdc_exactly(self, soaked):
         db, _runtime, trod = soaked
-        cdc_count = len(db.cdc.history())
+        wal_count = sum(len(commit.changes) for commit in db.wal.commits())
         event_count = 0
         for table in trod.provenance.traced_tables():
             event_table = trod.provenance.event_table_of(table)
@@ -81,7 +81,7 @@ class TestTraceIntegrity:
                 f"SELECT COUNT(*) FROM {event_table}"
                 " WHERE Type IN ('Insert', 'Update', 'Delete')"
             ).scalar()
-        assert event_count == cdc_count
+        assert event_count == wal_count
 
     def test_committed_txn_csns_are_unique_and_ordered(self, soaked):
         _db, _runtime, trod = soaked

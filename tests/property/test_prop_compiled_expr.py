@@ -11,14 +11,14 @@ other exception escaping a program fails the test.
 
 Forms: scalar; predicate batch over value tuples and over ``(row_id,
 values)`` pairs; projection; sort key; UPDATE assignment; join build +
-probe (inner and left, with and without a residual, keyless, NULL keys);
-grouped and global aggregates (DISTINCT forms, a key column holding
-1 / 1.0 / TRUE / '1' / NULL at once).
+probe (inner and left, with and without a residual, keyless, NULL keys,
+key columns holding booleans and numbers at once); grouped and global
+aggregates (DISTINCT forms, a key column holding 1 / 1.0 / TRUE / '1' /
+NULL at once).
 
-Deliberately out of scope (documented engine edges, not codegen bugs): NaN
-values (group/join key identity differs from value semantics by design),
-and a join key column holding both booleans and numbers (the hash join
-buckets TRUE with 1 as Python hashes them, where ``=`` tells them apart).
+Deliberately out of scope (a documented engine edge, not a codegen bug):
+NaN values (group/join key identity differs from value semantics by
+design).
 """
 
 from functools import cmp_to_key
@@ -71,9 +71,14 @@ leaf_strategy = st.one_of(
 _CMP_OPS = ["=", "!=", "<", "<=", ">", ">="]
 _ARITH_OPS = ["+", "-", "*", "/", "%", "||"]
 _LOGIC_OPS = ["AND", "OR"]
-#: Total functions, one that does not exist, and one called with too few
-#: arguments (both runtime ``ExecutionError``s, by design).
-_FUNCTIONS = ["UPPER", "LENGTH", "TYPEOF", "COALESCE", "NO_SUCH_FN", "NULLIF"]
+#: Total functions, numeric ones a text argument makes fail, one that does
+#: not exist, and one called with too few arguments (all failures runtime
+#: ``ExecutionError``s, by design).
+_FUNCTIONS = [
+    "UPPER", "LENGTH", "TYPEOF", "COALESCE", "ABS", "ROUND", "NO_SUCH_FN", "NULLIF",
+]
+#: Two-argument forms whose second argument must be a number.
+_FUNCTIONS_2 = ["SUBSTR", "ROUND"]
 
 
 def _compound(children: st.SearchStrategy) -> st.SearchStrategy:
@@ -108,6 +113,9 @@ def _compound(children: st.SearchStrategy) -> st.SearchStrategy:
             st.one_of(st.none(), children),
         ),
         st.builds(FuncCall, st.sampled_from(_FUNCTIONS), st.tuples(children)),
+        st.builds(
+            FuncCall, st.sampled_from(_FUNCTIONS_2), st.tuples(children, children)
+        ),
     )
 
 
@@ -229,6 +237,11 @@ EDGES = [
     Case([(BinaryOp("=", _col("a"), Literal(1)), Literal("one")), (_BOOM, Literal(2))], None),
     Case([(IsNull(_col("a")), _col("b"))] * 150, UnaryOp("-", _col("a"))),
     FuncCall("COALESCE", [_col("a"), _BOOM]),
+    FuncCall("ABS", [_col("d")]),
+    FuncCall("ROUND", [_col("c")]),
+    FuncCall("ROUND", [_col("a"), _col("d")]),
+    FuncCall("SUBSTR", [_col("d"), _col("c")]),
+    FuncCall("SUBSTR", [_col("d"), Literal(1), _col("c")]),
 ]
 _chain = _col("a")
 for _ in range(60):
@@ -308,12 +321,13 @@ LEFT = planner.Layout.for_table("l", ["a", "b"])
 RIGHT = planner.Layout.for_table("r", ["c", "d"])
 JOINED = LEFT.concat(RIGHT)
 
-#: No booleans (see the module docstring); 1 and 1.0 must still meet.
+#: TRUE must never meet 1, while 1 and 1.0 must.
 key_value_strategy = st.one_of(
     st.none(),
     st.integers(-2, 2),
     st.sampled_from([-1.0, 0.0, 1.0, 2.5]),
     st.sampled_from(["", "a", "1"]),
+    st.booleans(),
 )
 side_row_strategy = st.tuples(key_value_strategy, key_value_strategy)
 
