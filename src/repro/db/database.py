@@ -267,11 +267,13 @@ class Database:
         self.history_horizon = 0
         self._stores: dict[str, TableStore] = {}
         self._indexes: dict[str, IndexSet] = {}
-        #: Plans keyed by (sql, catalog epoch, isolation, ...) for SELECT
-        #: and ("dml", sql, catalog epoch, isolation) for UPDATE/DELETE.
-        #: Plan nodes carry no per-execution state — only the programs
-        #: they generate the first time they run — so one tree serves
-        #: every execution of the same statement shape.
+        #: Plans keyed by (sql, catalog epoch, pushdown knob) for SELECT
+        #: and ("dml", sql, catalog epoch) for UPDATE/DELETE. A plan is a
+        #: function of the text and the catalog alone — no transaction or
+        #: isolation level enters it — and its nodes carry no
+        #: per-execution state, only the programs they generate the first
+        #: time they run, so one tree serves every execution of the same
+        #: statement shape.
         self._plan_cache: dict[tuple, Any] = {}
         #: Bumped by every DDL / catalog change; stale plans (which hold
         #: references to schemas and index objects) never survive a bump.
@@ -620,21 +622,21 @@ class Database:
     # -- SQL --------------------------------------------------------------------
 
     def select_plan(
-        self, stmt: SelectStmt, txn: Transaction, sql: str | None
+        self, stmt: SelectStmt, sql: str | None
     ) -> tuple[Any, list[str]]:
         """The plan for ``stmt``, from the plan cache when possible.
 
         ``sql`` is the cache key (None disables caching — e.g. the inner
-        SELECT of INSERT ... SELECT has no statement text of its own). The
-        isolation level is part of the key because it decides index-probe
-        eligibility; the catalog epoch invalidates plans across DDL.
+        SELECT of INSERT ... SELECT has no statement text of its own); the
+        catalog epoch invalidates plans across DDL. The isolation level
+        is not part of it: an index probe serves every level, a snapshot
+        read widening it at run time by the rows moved off their key since.
         """
         if sql is None:
-            return build_select_plan(stmt, self, txn)
+            return build_select_plan(stmt, self)
         key = (
             sql,
             self.catalog_epoch,
-            txn.isolation,
             # The knob changes the physical plan (filter placement);
             # flipping it must not serve stale trees.
             self.predicate_pushdown_enabled,
@@ -644,15 +646,13 @@ class Database:
             self.plan_cache_stats["hits"] += 1
             return entry
         self.plan_cache_stats["misses"] += 1
-        entry = build_select_plan(stmt, self, txn)
+        entry = build_select_plan(stmt, self)
         if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
             self._plan_cache.clear()
         self._plan_cache[key] = entry
         return entry
 
-    def dml_plan(
-        self, stmt: UpdateStmt | DeleteStmt, txn: Transaction, sql: str | None
-    ) -> DmlNode:
+    def dml_plan(self, stmt: UpdateStmt | DeleteStmt, sql: str | None) -> DmlNode:
         """The plan of an UPDATE or DELETE, from the plan cache when possible.
 
         A :class:`~repro.db.sql.executor.DmlNode`: the match-phase scan —
@@ -660,18 +660,17 @@ class Database:
         and pushed-down filter included — plus an UPDATE's SET list.
         Shares the epoch-invalidated plan cache with SELECT plans (keys
         are disjoint tuples); as there, ``sql`` is the key (None disables
-        caching) and the isolation level is part of it because it decides
-        index-probe eligibility.
+        caching) and one plan serves every isolation level.
         """
         if sql is None:
-            return build_dml_plan(stmt, self, txn)
-        key = ("dml", sql, self.catalog_epoch, txn.isolation)
+            return build_dml_plan(stmt, self)
+        key = ("dml", sql, self.catalog_epoch)
         entry = self._plan_cache.get(key)
         if entry is not None:
             self.plan_cache_stats["dml_hits"] += 1
             return entry
         self.plan_cache_stats["dml_misses"] += 1
-        entry = build_dml_plan(stmt, self, txn)
+        entry = build_dml_plan(stmt, self)
         if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
             self._plan_cache.clear()
         self._plan_cache[key] = entry
@@ -833,15 +832,11 @@ class Database:
             raise ExecutionError(
                 "EXPLAIN supports SELECT, UPDATE and DELETE statements only"
             )
-        txn = self.txn_manager.begin()
-        try:
-            if isinstance(stmt, SelectStmt):
-                plan, _names = self.select_plan(stmt, txn, sql)
-            else:
-                plan = self.dml_plan(stmt, txn, sql)
-            return plan.explain()
-        finally:
-            self.txn_manager.abort(txn)
+        if isinstance(stmt, SelectStmt):
+            plan, _names = self.select_plan(stmt, sql)
+        else:
+            plan = self.dml_plan(stmt, sql)
+        return plan.explain()
 
     # -- direct (non-SQL) access -----------------------------------------------
 

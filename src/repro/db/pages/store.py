@@ -334,11 +334,13 @@ class PagedTableStore(TableStore):
             chain.sort(key=_BEGIN)
             # A crash can leave a superseded version's end stamp stale
             # (its page missed the flush that carried its successor).
-            # Chains are begin-ordered and versions never overlap, so the
-            # correct end of every non-tail version is its successor's
-            # begin; restore any that disagree, on disk too.
+            # Chains are begin-ordered and versions never overlap, so a
+            # non-tail version left open, or ending after its successor
+            # begins, ends at that begin; restore it, on disk too. An
+            # end before the successor's begin is a delete followed by a
+            # re-insert under the same row id, and stays.
             for current, successor in zip(chain, chain[1:]):
-                if current.end != successor.begin:
+                if current.end is None or current.end > successor.begin:
                     store._seal_version(current, successor.begin)
         store._versions = chains
         store._next_row_id = max(

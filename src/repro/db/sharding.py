@@ -441,7 +441,7 @@ class ShardedDatabase:
         }
         self._agg_cache: dict[tuple, _AggDecomposition | None] = {}
         #: Compiled scatter-gather plans (per-shard FROM/WHERE nodes plus
-        #: the coordinator merge plan) keyed by (sql, epochs, isolation).
+        #: the coordinator merge plan) keyed by (sql, epochs).
         self._select_cache: dict[tuple, dict[str, Any]] = {}
         #: LIMIT pushdown: cap each shard's scan at limit+offset rows and
         #: stop draining shards once the coordinator is satisfied. Off
@@ -968,12 +968,8 @@ class ShardedDatabase:
                     f"broadcast=[{', '.join(sorted(broadcast))}], "
                     f"targets=[{', '.join(self.store_names)}])"
                 )
-        txn = self.shards[0].txn_manager.begin()
-        try:
-            plan, _names = self.shards[0].select_plan(stmt, txn, None)
-            lines.extend(plan.explain(depth=1))
-        finally:
-            self.shards[0].txn_manager.abort(txn)
+        plan, _names = self.shards[0].select_plan(stmt, None)
+        lines.extend(plan.explain(depth=1))
         return lines
 
     # -- DDL -----------------------------------------------------------------
@@ -1264,7 +1260,7 @@ class ShardedDatabase:
         for store in targets:
             shard = db_for(store)
             branch = get_txn(store)
-            node = build_from_where(stmt, shard, branch, scan_factory=scan_factory)
+            node = build_from_where(stmt, shard, scan_factory=scan_factory)
             if layout is None:
                 layout = node.layout
             gathered.extend(self._run_plan(shard, branch, node, params, sql))
@@ -1315,7 +1311,7 @@ class ShardedDatabase:
 
         Per-shard FROM/WHERE nodes and the coordinator projection carry
         no per-execution state, so they cache exactly like single-node
-        plans: keyed by (sql, catalog epochs, isolation), with the
+        plans: keyed by (sql, catalog epochs), with the
         gathered rows swapped into the shared RowsNode per execution.
         Per-database nodes key on (database, its catalog epoch): a shard
         may be served by its primary or any of its replicas, and a
@@ -1326,12 +1322,7 @@ class ShardedDatabase:
         visiting shards entirely once the cap is met — later shards never
         even begin their ephemeral read transactions.
         """
-        first = get_txn(targets[0])
-        key = (
-            ("select", sql, self._epochs(), first.isolation)
-            if sql is not None
-            else None
-        )
+        key = ("select", sql, self._epochs()) if sql is not None else None
         entry = self._select_cache.get(key) if key is not None else None
         if entry is not None:
             self.stats["select_cache_hits"] += 1
@@ -1339,7 +1330,7 @@ class ShardedDatabase:
             if key is not None:
                 self.stats["select_cache_misses"] += 1
             db0 = db_for(targets[0])
-            node0 = build_from_where(stmt, db0, first)
+            node0 = build_from_where(stmt, db0)
             source = RowsNode(node0.layout, (), label="ShardGather")
             plan, names = plan_projection(stmt, source)
             entry = {
@@ -1374,7 +1365,7 @@ class ShardedDatabase:
                 ]
                 for k in stale:
                     del entry["nodes"][k]
-                node = build_from_where(stmt, database, branch)
+                node = build_from_where(stmt, database)
                 entry["nodes"][node_key] = node
             if (
                 cap is not None
@@ -1543,7 +1534,6 @@ class ShardedDatabase:
             branch = get_txn(store)
             plan, _names = shard.select_plan(
                 decomposition.partial_stmt,
-                branch,
                 f"#shard-partial#{sql}" if sql is not None else None,
             )
             partial_rows.extend(self._run_plan(shard, branch, plan, params, sql))

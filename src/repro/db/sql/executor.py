@@ -247,6 +247,11 @@ class ScanNode(PlanNode):
             check_scalar(self.filter_expr, self.layout)
 
     @cached_property
+    def _probe_positions(self) -> tuple[int, ...]:
+        """The probe index's column positions in this table's rows."""
+        return tuple(self.schema.index_of(c) for c in self.probe[1].columns)
+
+    @cached_property
     def _keep_values(self) -> Callable | None:
         """The filter over a chunk of value tuples."""
         if self.filter_expr is None:
@@ -287,9 +292,13 @@ class ScanNode(PlanNode):
             # only read (sorted() copies), never mutated.
             candidates: Iterable[int] = self._probe_candidates(ctx)
             pending = ctx.txn.pending_rows(self.table)
-            if pending:
+            # Below the latest state the index can miss a row whose older
+            # version matches; every such row has left its key since.
+            later = ctx.txn.moved_since_snapshot(self.table, self._probe_positions)
+            if pending or later:
                 merged = set(candidates)
                 merged.update(rid for rid, _ in pending)
+                merged.update(later)
                 candidates = merged
             # Resolve probe hits against the transaction now, as one set:
             # probes are bounded index lookups, and materializing them
@@ -754,13 +763,13 @@ ScanFactory = Callable[[str, str, TableSchema, list[Expr]], PlanNode | None]
 
 
 def build_select_plan(
-    stmt: SelectStmt, database: "Database", txn: "Transaction"
+    stmt: SelectStmt, database: "Database"
 ) -> tuple[PlanNode, list[str]]:
     if stmt.from_table is None:
         if stmt.joins:
             raise PlanningError("JOIN without FROM")
         return plan_projection(stmt, SingleRowNode())
-    return plan_projection(stmt, build_from_where(stmt, database, txn))
+    return plan_projection(stmt, build_from_where(stmt, database))
 
 
 def _drain_rows(plan: PlanNode, ctx: ExecContext) -> list[tuple]:
@@ -801,7 +810,6 @@ def _stream_rows(plan: PlanNode, ctx: ExecContext) -> Iterator[tuple]:
 def build_from_where(
     stmt: SelectStmt,
     database: "Database",
-    txn: "Transaction",
     scan_factory: ScanFactory | None = None,
 ) -> PlanNode:
     """The FROM/JOIN/WHERE portion of a SELECT plan (no projection).
@@ -848,7 +856,7 @@ def build_from_where(
 
     def make_scan(binding: str, canonical: str, schema: TableSchema) -> PlanNode:
         return _table_scan(
-            database, txn, binding, canonical, schema,
+            database, binding, canonical, schema,
             pushed.get(binding.lower(), []), scan_factory,
         )
 
@@ -911,7 +919,6 @@ def _where_conjuncts(where: Expr | None) -> list[Expr]:
 
 def _table_scan(
     database: "Database",
-    txn: "Transaction",
     binding: str,
     canonical: str,
     schema: TableSchema,
@@ -928,7 +935,7 @@ def _table_scan(
         node = scan_factory(binding, canonical, schema, own_conjuncts)
         if node is not None:
             return node
-    probe = _find_probe(database, canonical, schema, own_conjuncts, txn)
+    probe = _find_probe(database, canonical, schema, own_conjuncts)
     return ScanNode(canonical, binding, schema, own_conjuncts, probe)
 
 
@@ -937,7 +944,6 @@ def _find_probe(
     canonical: str,
     schema: TableSchema,
     own_conjuncts: list[Expr],
-    txn: "Transaction",
 ) -> tuple | None:
     """Choose an index access path from the pushed-down conjuncts.
 
@@ -947,17 +953,18 @@ def _find_probe(
     ``("sorted", index, low_expr, high_expr)`` (None: unbounded). Keys and
     bounds are literals or parameters, evaluated per execution.
 
-    Probes apply only under SERIALIZABLE isolation: shared indexes
-    reflect the latest committed state, which is exactly what a 2PL
-    reader sees; under SNAPSHOT/READ_COMMITTED a probe could miss rows
-    whose old version matches, so those isolation levels scan.
+    Probes apply at every isolation level. Shared indexes hold the
+    latest committed state, which is what a 2PL reader sees. A reader
+    below it (a SNAPSHOT or READ_COMMITTED transaction that others
+    committed past, or ``AS OF``) adds the rows that left their key over
+    the index's columns after its snapshot
+    (:meth:`Transaction.moved_since_snapshot`): a row whose old version
+    matches either still has that key, and the index files it there, or
+    was deleted or re-keyed since, and that list has it. Every candidate
+    is read at the snapshot and re-checked by the pushed-down filter.
     """
     from repro.db.expr import Between, BinaryOp, ColumnRef, Literal, Param
     from repro.db.index import SortedIndex
-    from repro.db.txn.manager import IsolationLevel
-
-    if txn.isolation is not IsolationLevel.SERIALIZABLE:
-        return None
 
     eq_values: dict[str, Expr] = {}
     bounds: dict[str, dict[str, Expr]] = {}  # col -> {"low": e, "high": e}
@@ -1212,7 +1219,7 @@ def _execute_select(
     query_text: str,
     stream: bool = False,
 ) -> ResultSet:
-    plan, out_names = database.select_plan(stmt, txn, query_text or None)
+    plan, out_names = database.select_plan(stmt, query_text or None)
     ctx = ExecContext(
         database=database,
         txn=txn,
@@ -1251,7 +1258,7 @@ def _execute_insert(
                 "AS OF is not supported inside INSERT ... SELECT; "
                 "run the historical read separately"
             )
-        plan, out_names = database.select_plan(stmt.select, txn, None)
+        plan, out_names = database.select_plan(stmt.select, None)
         if len(out_names) != len(columns):
             raise ExecutionError(
                 f"INSERT ... SELECT supplies {len(out_names)} column(s) "
@@ -1329,9 +1336,7 @@ class DmlNode(PlanNode):
         return f"{self.kind.capitalize()}({self.child.table})"
 
 
-def build_dml_plan(
-    stmt: UpdateStmt | DeleteStmt, database: "Database", txn: "Transaction"
-) -> DmlNode:
+def build_dml_plan(stmt: UpdateStmt | DeleteStmt, database: "Database") -> DmlNode:
     """Plan the match phase (and assignments) of an UPDATE or DELETE.
 
     The single table owns every WHERE conjunct, so all of them are
@@ -1341,7 +1346,7 @@ def build_dml_plan(
     canonical = database.catalog.resolve(ref.table)
     schema = database.catalog.get(ref.table)
     scan = _table_scan(
-        database, txn, ref.binding, canonical, schema, _where_conjuncts(stmt.where)
+        database, ref.binding, canonical, schema, _where_conjuncts(stmt.where)
     )
     if isinstance(stmt, DeleteStmt):
         return DmlNode("delete", scan)
@@ -1356,7 +1361,7 @@ def _match_rows(
     query_text: str,
 ) -> tuple[DmlNode, list[tuple[int, tuple]]]:
     """The plan of an UPDATE or DELETE and every row it matches."""
-    plan = database.dml_plan(stmt, txn, query_text or None)
+    plan = database.dml_plan(stmt, query_text or None)
     ctx = ExecContext(
         database=database,
         txn=txn,

@@ -33,6 +33,17 @@ the notes applied — a memcpy and one bisect per written row. Only when
 the notes outgrow a fixed fraction of the list does the write drop list
 and notes, and the next reader rebuild from the live rows; that bounds
 the notes' memory and keeps bulk loads off the patch path.
+
+Snapshot reads through an index probe need one more thing: the latest-state
+index misses a row whose old version matched, so a probe at ``csn`` also
+looks at :meth:`TableStore.moved_after` — the rows that left their key
+over the index's columns after ``csn`` (deleted, or updated to another
+key), from a ``(csn, row_id)`` log kept in commit order. Inserts and
+updates that keep the key are not in it: the index already files those
+rows where their version at ``csn`` was. A log is built from the version
+chains the first time a read below the last write asks for it, and only
+then kept up by the write path, so a table never read historically pays
+nothing for it.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
+from array import array
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Sequence
@@ -117,6 +129,12 @@ class TableStore:
         #: before its horizon, never changing any state at or after it,
         #: so it does not move this.
         self.last_write_csn = 0
+        #: The logs behind :meth:`moved_after`, one per tuple of column
+        #: positions a historical read has asked about: the CSN and row
+        #: id of every delete, and of every update that changed one of
+        #: those columns, in commit order, as two parallel arrays.
+        #: Dropped by vacuum.
+        self._move_logs: dict[tuple[int, ...], tuple[array, array]] = {}
 
     # -- version lifecycle (storage-backend hooks) ------------------------
     #
@@ -215,6 +233,10 @@ class TableStore:
         self._versions[row_id].append(version)
         self._live[row_id] = version
         self._note_writes(((row_id, values),))
+        for positions, (csns, ids) in self._move_logs.items():
+            if any(old_values[i] != values[i] for i in positions):
+                csns.append(csn)
+                ids.append(row_id)
         self.last_write_csn = csn
         self.write_epoch += 1
         return old_values
@@ -227,6 +249,9 @@ class TableStore:
         del self._live[row_id]
         self._remove_sorted(self._live_ids, row_id)
         self._note_writes(((row_id, None),))
+        for csns, ids in self._move_logs.values():
+            csns.append(csn)
+            ids.append(row_id)
         self.last_write_csn = csn
         self.write_epoch += 1
         return old_values
@@ -355,6 +380,49 @@ class TableStore:
         self._scan_notes = {}
         return rows
 
+    def moved_after(self, csn: int, positions: tuple[int, ...]) -> Sequence[int]:
+        """Ids of the rows that left their key over ``positions`` after
+        ``csn`` — deleted, or updated to new values at one of those
+        column positions — in commit order.
+
+        A row whose version at ``csn`` has some key there, but whose
+        latest version is not filed under it, is among them: that is
+        what lets an index probe over the latest state answer a read at
+        ``csn``. Empty, and no log built, when ``csn`` covers the
+        table's last write.
+        """
+        if csn >= self.last_write_csn:
+            return ()
+        log = self._move_logs.get(positions)
+        if log is None:
+            log = self._move_logs[positions] = self._build_move_log(positions)
+        csns, ids = log
+        return ids[bisect.bisect_right(csns, csn):]
+
+    def _build_move_log(self, positions: tuple[int, ...]) -> tuple[array, array]:
+        """The :meth:`moved_after` log over ``positions``, from the chains.
+
+        Only rows with more than one version have their values read (a
+        page read each on the paged tier); a delete is an end stamp not
+        followed by a version beginning there.
+        """
+        entries = []
+        for row_id, chain in self._versions.items():
+            if len(chain) > 1:
+                keys = [
+                    tuple(version.values[i] for i in positions) for version in chain
+                ]
+                for at, (older, newer) in enumerate(zip(chain, chain[1:])):
+                    if older.end != newer.begin or keys[at] != keys[at + 1]:
+                        entries.append((older.end, row_id))
+            if chain[-1].end is not None:
+                entries.append((chain[-1].end, row_id))
+        entries.sort()
+        return (
+            array("q", [stamp for stamp, _ in entries]),
+            array("q", [row_id for _, row_id in entries]),
+        )
+
     def _scan_versions(
         self, row_ids: list[int], csn: int
     ) -> Iterator[tuple[int, tuple]]:
@@ -423,6 +491,7 @@ class TableStore:
         }
         self._live_ids = sorted(self._live)
         self._drop_scan_lists()
+        self._move_logs = {}
         self.write_epoch += 1
 
     def stats(self) -> dict[str, int]:

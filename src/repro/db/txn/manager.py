@@ -200,6 +200,24 @@ class Transaction:
             return None
         return store.latest_values()
 
+    def moved_since_snapshot(
+        self, table: str, positions: tuple[int, ...]
+    ) -> Sequence[int]:
+        """Ids of ``table``'s rows that left their key over ``positions``
+        in commits after this transaction's snapshot.
+
+        Shared indexes hold the latest committed state; a row whose
+        version in this snapshot matches an index probe over those
+        columns, but whose latest one does not, is among these. Empty
+        when the snapshot covers the table's last write — the check
+        :meth:`scan_materialized` makes.
+        """
+        csn = self._read_csn()
+        if csn is None:
+            return ()
+        canonical = self._manager.database.catalog.resolve(table)
+        return self._manager.database.store(canonical).moved_after(csn, positions)
+
     @staticmethod
     def _scan_pinned(
         committed: Iterator[tuple[int, tuple]],

@@ -178,6 +178,26 @@ class TestDurability:
         assert db2.history_horizon == horizon
         db2.close()
 
+    def test_reinserted_row_id_keeps_its_gap_on_reopen(self, tmp_path):
+        """A delete, then a re-insert under the same row id a commit
+        later: the row is absent in between, before and after reopen."""
+        data_dir = str(tmp_path / "data")
+        db = Database(storage="paged", data_dir=data_dir)
+        db.execute("CREATE TABLE t (k TEXT)")
+        db.execute("INSERT INTO t VALUES ('a')")
+        (row_id,) = db.store("t").live_row_ids()
+        db.execute("DELETE FROM t")
+        gap = db.last_csn
+        txn = db.begin()
+        txn.insert_with_id("t", ("b",), row_id)
+        txn.commit()
+        assert db.execute("SELECT k FROM t AS OF ?", (gap,)).rows == []
+        db.close()
+        db2 = Database(storage="paged", data_dir=data_dir)
+        assert db2.execute("SELECT k FROM t AS OF ?", (gap,)).rows == []
+        assert db2.execute("SELECT k FROM t").rows == [("b",)]
+        db2.close()
+
     def test_vacuum_compacts_file_and_preserves_reads(self, tmp_path):
         db = make_paged(tmp_path, page_size=512)
         db.execute("CREATE TABLE t (k INTEGER, v TEXT)")
