@@ -56,10 +56,12 @@ class TraceBuffer:
         return need_flush
 
     def drain(self) -> list[Any]:
-        """Remove and return everything buffered (oldest first)."""
+        """Remove and return everything buffered (oldest first); only a
+        drain that returns events counts as a flush."""
         items = self._items
-        self._items, self._weights, self._rows = [], [], 0
-        self.flushes += 1
+        if items:
+            self._items, self._weights, self._rows = [], [], 0
+            self.flushes += 1
         return items
 
     def peek(self) -> list[Any]:

@@ -133,17 +133,11 @@ class PerformanceProfiler:
     # -- persistence & queries ------------------------------------------------------------
 
     def flush(self) -> int:
+        """Store the pending records as one insert (one run of
+        ``PerfEvents`` rows, in record order); returns how many."""
         if not self._pending:
             return 0
-        db = self._trod.provenance.db
-        txn = db.begin()
-        try:
-            for record in self._pending:
-                db.insert_row("PerfEvents", record, txn=txn)
-            txn.commit()
-        except Exception:
-            txn.abort()
-            raise
+        self._trod.provenance.db.insert_rows("PerfEvents", self._pending)
         count = len(self._pending)
         self._pending = []
         return count

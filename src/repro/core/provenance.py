@@ -68,7 +68,10 @@ class ProvenanceStore:
     """Ingests trace events and answers declarative debugging queries."""
 
     def __init__(self, db: Database | None = None):
-        self.db = db or Database(name="provenance")
+        #: Its own database keeps every table as append-only segments (no
+        #: row versions: a redaction overwrites the only copy); a caller's
+        #: ``db`` keeps whatever storage it was opened with.
+        self.db = db or Database(name="provenance", storage="segment")
         self._next_seq = 1
         #: app table (canonical) -> event table name
         self._event_tables: dict[str, str] = {}

@@ -24,6 +24,7 @@ from repro.db.pages.buffer import DEFAULT_POOL_PAGES
 from repro.db.pages.page import DEFAULT_PAGE_SIZE
 from repro.db.result import ResultSet
 from repro.db.schema import Catalog, Column, TableSchema
+from repro.db.segments import SegmentStore
 from repro.db.types import ColumnType
 from repro.db.sql.executor import (
     DmlNode,
@@ -70,6 +71,9 @@ _PLAN_CACHE_LIMIT = 512
 #: ``Database(storage=None)``. CI uses it to run the whole suite paged.
 STORAGE_ENV_VAR = "REPRO_STORAGE"
 _STORAGE_BACKENDS = ("memory", "paged")
+#: Append-only, history-free tables (:mod:`repro.db.segments`): asked for
+#: by name only, by the database that owns them, never through the knob.
+_SEGMENT = "segment"
 
 #: File inside a paged data directory holding schemas, aliases, secondary
 #: index definitions, and the vacuum horizon — everything recovery needs
@@ -158,16 +162,23 @@ class Database:
         self.name = name
         self.backend = backend
         self.catalog = Catalog()
-        if storage is None:
-            storage = os.environ.get(STORAGE_ENV_VAR) or "memory"
-        if storage not in _STORAGE_BACKENDS:
-            raise StorageError(
-                f"unknown storage backend {storage!r} "
-                f"(expected one of {_STORAGE_BACKENDS})"
-            )
-        #: Which storage backend row versions live in: "memory" keeps
-        #: them in Python tuples, "paged" in slotted page files under
-        #: ``data_dir`` behind an LRU buffer pool.
+        if storage == _SEGMENT:
+            if data_dir is not None or wal_path is not None:
+                raise StorageError(
+                    "segment storage lives in memory only: no data_dir or wal_path"
+                )
+        else:
+            if storage is None:
+                storage = os.environ.get(STORAGE_ENV_VAR) or "memory"
+            if storage not in _STORAGE_BACKENDS:
+                raise StorageError(
+                    f"unknown storage backend {storage!r} "
+                    f"(expected one of {_STORAGE_BACKENDS})"
+                )
+        #: Which storage backend rows live in: "memory" keeps versions in
+        #: Python tuples, "paged" in slotted page files under ``data_dir``
+        #: behind an LRU buffer pool, and "segment" keeps no versions at
+        #: all, only runs of row tuples (the provenance database's tables).
         self.storage = storage
         self.data_dir: str | None = None
         self._page_manager: PageFileManager | None = None
@@ -265,7 +276,7 @@ class Database:
             "rows_filtered_post_join": 0,
         }
         self.history_horizon = 0
-        self._stores: dict[str, TableStore] = {}
+        self._stores: dict[str, TableStore | SegmentStore] = {}
         self._indexes: dict[str, IndexSet] = {}
         #: Plans keyed by (sql, catalog epoch, pushdown knob) for SELECT
         #: and ("dml", sql, catalog epoch) for UPDATE/DELETE. A plan is a
@@ -302,6 +313,8 @@ class Database:
             self._stores[key] = PagedTableStore(
                 schema, self._page_manager, self._buffer_pool, key, file
             )
+        elif self.storage == _SEGMENT:
+            self._stores[key] = SegmentStore(schema)
         else:
             self._stores[key] = TableStore(schema)
         self._indexes[key] = IndexSet(schema)
@@ -376,7 +389,7 @@ class Database:
         self._save_catalog_meta()
         self.notify("index_dropped", name, key)
 
-    def store(self, table: str) -> TableStore:
+    def store(self, table: str) -> TableStore | SegmentStore:
         return self._stores[self.catalog.resolve(table)]
 
     def index_set(self, table: str) -> IndexSet:

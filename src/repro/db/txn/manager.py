@@ -21,6 +21,7 @@ import itertools
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from repro.db.segments import RunPairs
 from repro.db.txn.locks import LockManager, LockMode
 from repro.db.txn.wal import WalAbort, WalChange, WalCommit, WalPrepare
 from repro.errors import (
@@ -275,10 +276,12 @@ class Transaction:
 
         One liveness check, catalog resolve and table lock for the whole
         batch. Without unique constraints nothing a row does can fail,
-        and the ids are one contiguous reservation; with them, each row
-        is checked against the rows buffered before it, exactly as a
-        loop of single inserts would (a violation leaves those buffered
-        and this row's id unreserved).
+        and the ids are one contiguous reservation — on a segment table
+        logged as one ``"append"`` change holding ``rows`` itself, which
+        the caller must not alter afterwards; with them, each row is
+        checked against the rows buffered before it, exactly as a loop
+        of single inserts would (a violation leaves those buffered and
+        this row's id unreserved).
         """
         self._check_active()
         database = self._manager.database
@@ -287,7 +290,12 @@ class Transaction:
             self._lock(canonical, LockMode.EXCLUSIVE)
         store = database.store(canonical)
         if not database.catalog.get(canonical).unique_constraints:
-            return self._buffer_inserts(canonical, store.reserve_row_ids(len(rows)), rows)
+            return self._buffer_inserts(
+                canonical,
+                store.reserve_row_ids(len(rows)),
+                rows,
+                append=database.storage == "segment",
+            )
         row_ids = []
         for values in rows:
             self._check_unique_locally(canonical, values, ignore_row_id=None)
@@ -297,16 +305,25 @@ class Transaction:
         return row_ids
 
     def _buffer_inserts(
-        self, canonical: str, row_ids: Sequence[int], rows: Sequence[tuple]
+        self,
+        canonical: str,
+        row_ids: Sequence[int],
+        rows: Sequence[tuple],
+        append: bool = False,
     ) -> Sequence[int]:
         self._overlay.setdefault(canonical, {}).update(zip(row_ids, rows))
         self._inserted.setdefault(canonical, []).extend(row_ids)
-        self.write_ops.extend(
-            [
-                WalChange("insert", canonical, row_id, values, None)
-                for row_id, values in zip(row_ids, rows)
-            ]
-        )
+        if append and rows:
+            self.write_ops.append(
+                WalChange("append", canonical, row_ids[0], rows, None)
+            )
+        else:
+            self.write_ops.extend(
+                [
+                    WalChange("insert", canonical, row_id, values, None)
+                    for row_id, values in zip(row_ids, rows)
+                ]
+            )
         return row_ids
 
     def insert_with_id(self, table: str, values: tuple, row_id: int) -> int:
@@ -603,7 +620,7 @@ class TransactionManager:
             (op.table, op.row_id) for op in txn.write_ops if op.op == "insert"
         }
         for op in txn.write_ops:
-            if op.op == "insert" or (op.table, op.row_id) in own_inserts:
+            if op.op in ("insert", "append") or (op.table, op.row_id) in own_inserts:
                 continue
             store = self.database.store(op.table)
             changed = store.last_change_csn(op.row_id)
@@ -633,7 +650,14 @@ class TransactionManager:
             return
         final_values: dict[tuple[str, int], tuple | None] = {}
         for op in txn.write_ops:
-            if op.table in checked:
+            if op.table not in checked:
+                continue
+            if op.op == "append":
+                final_values.update(
+                    ((op.table, row_id), values)
+                    for row_id, values in RunPairs(op.row_id, op.values)
+                )
+            else:
                 final_values[(op.table, op.row_id)] = op.values
         for (table, row_id), values in final_values.items():
             if values is None:
@@ -645,13 +669,20 @@ class TransactionManager:
 
         Each run of consecutive same-table inserts goes to the store and
         its indexes as one batch (a one-row run is the degenerate case),
-        and its buffered ops are its applied changes as they stand.
+        and its buffered ops are its applied changes as they stand. So
+        does each ``"append"``, whose rows the store keeps as they are
+        and the indexes take as pairs zipped on the fly.
         """
         applied: list[WalChange] = []
         for (kind, table), run in itertools.groupby(ops, _KIND_AND_TABLE):
             store = self.database.store(table)
             indexes = self.database.index_set(table)
-            if kind == "insert":
+            if kind == "append":
+                for op in run:
+                    store.apply_append(op.row_id, op.values, csn)
+                    indexes.on_insert_many(RunPairs(op.row_id, op.values))
+                    applied.append(op)
+            elif kind == "insert":
                 inserts = list(run)
                 rows = [(op.row_id, op.values) for op in inserts]
                 store.apply_inserts(rows, csn)

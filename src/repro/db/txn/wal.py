@@ -45,12 +45,17 @@ from repro.faults import fault_point
 
 @dataclass(frozen=True, slots=True)
 class WalChange:
-    """One row change inside a commit."""
+    """One row change inside a commit.
 
-    op: str  # 'insert' | 'update' | 'delete'
+    ``"append"`` is a segment table's run (:mod:`repro.db.segments`):
+    ``row_id`` is its first id and ``values`` its rows. Segment tables
+    live in memory only, so an append has no JSON form.
+    """
+
+    op: str  # 'insert' | 'update' | 'delete' | 'append'
     table: str
     row_id: int
-    values: tuple | None  # new values (None for delete)
+    values: tuple | None  # new values (None for delete; rows for append)
     old_values: tuple | None  # previous values (None for insert)
 
     def to_json(self) -> dict[str, Any]:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import Trod
 from repro.core.buffer import TraceBuffer
+from repro.db import Database
 
 
 class TestAppend:
@@ -81,6 +83,20 @@ class TestStats:
         assert stats["flushes"] == 1
         assert stats["buffered"] == 1
         assert stats["capacity"] == 4
+
+    def test_only_a_drain_that_returns_events_is_a_flush(self):
+        buffer = TraceBuffer()
+        assert buffer.drain() == []
+        buffer.append("x")
+        assert buffer.drain() == ["x"]
+        assert buffer.drain() == []
+        assert buffer.stats()["flushes"] == 1
+
+    def test_queries_on_an_idle_buffer_flush_nothing(self):
+        trod = Trod(Database())
+        for _ in range(5):
+            trod.query("SELECT COUNT(*) FROM Executions")
+        assert trod.buffer.stats()["flushes"] == 0
 
     def test_stats_count_rows_not_events(self):
         buffer = TraceBuffer(capacity=100)

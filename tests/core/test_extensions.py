@@ -57,6 +57,24 @@ class TestPerformanceProfiler:
         stats = profiler.handler_stats()
         assert sum(row["n"] for row in stats) == 1  # second request unmeasured
 
+    def test_a_flush_is_one_run_of_the_records_in_order(self, moodle_env):
+        _db, runtime, trod = moodle_env
+        profiler = trod.enable_profiling()
+        for i in range(3):
+            runtime.submit("subscribeUser", f"U{i}", "F1")
+        records = [tuple(record.values()) for record in profiler._pending]
+        assert len(records) > 3
+        db = trod.provenance.db
+        assert profiler.flush() == len(records)
+        assert [values for _rid, values in db.snapshot_rows("PerfEvents")] == records
+        (change,) = [
+            change
+            for commit in db.wal.commits()
+            for change in commit.changes
+            if change.table == "perfevents"
+        ]
+        assert (change.op, len(change.values)) == ("append", len(records))
+
     def test_profiling_before_attach_rejected(self):
         from repro.core import Trod
         from repro.db import Database
@@ -142,6 +160,17 @@ class TestPrivacy:
             "SELECT COUNT(*) FROM Executions WHERE HandlerName = 'subscribeUser'"
         ).scalar()
         assert count == 4
+
+    def test_erasure_reaches_reads_of_the_past(self, racy_moodle):
+        """A redaction overwrites the only copy of each event row: ``AS
+        OF`` a CSN before it finds the erased value nowhere."""
+        _db, _runtime, trod = racy_moodle
+        trod.flush()
+        before = trod.provenance.db.last_csn
+        sql = f"SELECT COUNT(*) FROM ForumEvents AS OF {before} WHERE UserId = 'U1'"
+        assert trod.query(sql).scalar() == 4
+        trod.privacy.forget_value("forum_sub", "userId", "U1")
+        assert trod.query(sql).scalar() == 0
 
     def test_request_args_scrubbed(self, racy_moodle):
         _db, _runtime, trod = racy_moodle

@@ -7,6 +7,11 @@ every checkpoint payload. The model below derives all of them from the
 event list alone, with no engine code, for a batch that mixes all five
 event kinds, reads that matched nothing, deletes, rows with NULL
 columns, an aborted transaction and a table nobody registered.
+
+Nor may they depend on what backs the provenance database: its own
+append-only segments (the default), or a caller's MVCC database in memory
+or on pages. Every test runs on all three, and the three are also held
+to each other directly.
 """
 
 import json
@@ -168,22 +173,40 @@ class Model:
         return sorted(state.items())
 
 
-def make_store(db=None):
-    prov = ProvenanceStore(db=db)
+#: What backs the provenance database: None is its own (segments).
+BACKINGS = {
+    "segment": lambda: None,
+    "memory": lambda: Database(name="provenance", storage="memory"),
+    "paged": lambda: Database(name="provenance", storage="paged"),
+}
+
+
+@pytest.fixture(params=list(BACKINGS))
+def backing(request):
+    return request.param
+
+
+def make_store(backing="segment"):
+    prov = ProvenanceStore(db=BACKINGS[backing]())
+    assert prov.db.storage == backing
     prov.register_app_table(ACCOUNTS)
     prov.register_app_table(AUDIT, event_table="AuditLog")
     assert prov.capture_snapshot("accounts", SNAPSHOT, BASE_CSN) == 2
     return prov
 
 
-@pytest.fixture
-def ingested():
-    prov, model = make_store(), Model()
+def ingest_all(backing):
+    prov, model = make_store(backing), Model()
     for batch in batches():
         assert prov.ingest(batch) == len(batch)
         for event in batch:
             model.add(event)
     return prov, model
+
+
+@pytest.fixture
+def ingested(backing):
+    return ingest_all(backing)
 
 
 class TestTablesMatchTheModel:
@@ -210,8 +233,8 @@ class TestTablesMatchTheModel:
             "SELECT Type, Type_, detail FROM AuditLog ORDER BY Seq"
         ).rows == [("Insert", "debit", "2.5"), ("Insert", None, "closed")]
 
-    def test_one_commit_one_lock_per_table_per_flush(self):
-        prov = make_store()
+    def test_one_commit_one_lock_per_table_per_flush(self, backing):
+        prov = make_store(backing)
         manager = prov.db.txn_manager
         commits = manager.stats["committed"]
         wal_commits = len(prov.db.wal)
@@ -222,17 +245,28 @@ class TestTablesMatchTheModel:
         assert len(prov.db.wal) == wal_commits + 1
         # Executions, Requests, WorkflowEdges, SideEffects, two event tables.
         assert manager.locks.stats["acquisitions"] == locks + 6
-        # One WAL change per stored event, grouped per table and in event
-        # order inside each group.
-        commit = list(prov.db.wal.commits())[-1]
-        assert len(commit.changes) == len(batch) - 1  # the untraced read
-        tables = [change.table for change in commit.changes]
+        # Changes grouped per table, in event order inside each group: one
+        # "append" run per table on segments, one change per stored event
+        # (all but the untraced read) on MVCC — the same rows either way.
+        changes = list(prov.db.wal.commits())[-1].changes
+        tables = [change.table for change in changes]
         assert tables == sorted(tables, key=tables.index)
-        # A store built over a caller's database logs the same changes.
-        other = make_store(db=Database(name="provenance"))
-        other.ingest(batch)
-        changes = list(other.db.wal.commits())[-1].changes
-        assert changes == commit.changes
+        if backing == "segment":
+            assert [change.op for change in changes] == ["append"] * 6
+            logged = [
+                (change.table, row_id, values)
+                for change in changes
+                for row_id, values in enumerate(change.values, change.row_id)
+            ]
+        else:
+            assert [change.op for change in changes] == ["insert"] * (len(batch) - 1)
+            logged = [(c.table, c.row_id, c.values) for c in changes]
+        twin = make_store("memory")
+        twin.ingest(batch)
+        assert logged == [
+            (c.table, c.row_id, c.values)
+            for c in list(twin.db.wal.commits())[-1].changes
+        ]
 
     def test_queries_over_the_ingested_rows(self, ingested):
         prov, _model = ingested
@@ -267,12 +301,8 @@ class TestReconstructionMatchesTheModel:
             assert prov.checkpoint_csns(table) == [7]
             assert sorted(prov._states[table, 7].items()) == model.state(table, 7)
 
-    def test_ingest_keeps_no_state_ahead_of_need(self):
-        prov, model = make_store(), Model()
-        for batch in batches():
-            prov.ingest(batch)
-            for event in batch:
-                model.add(event)
+    def test_ingest_keeps_no_state_ahead_of_need(self, ingested):
+        prov, model = ingested
         assert not prov._states
         assert prov.checkpoint_stats == {"checkpoint_restores": 0, "full_restores": 0}
         # The first restore computes the state, the second starts from it.
@@ -300,3 +330,42 @@ class TestReconstructionMatchesTheModel:
         for table in APP_COLUMNS:
             assert dev.snapshot_rows(table) == model.state(table, 6)
         assert dev.store("accounts").stats()["next_row_id"] == 4
+
+
+class TestBackingsAgree:
+    """The three backings held to each other directly, answer by answer."""
+
+    @staticmethod
+    def answers(prov):
+        out = {"seq": prov._next_seq}
+        for table in Model().tables:
+            out[table] = prov.db.snapshot_rows(table)
+        for table in APP_COLUMNS:
+            for csn in range(BASE_CSN, 9):
+                prov.invalidate_checkpoints()
+                out[table, csn, "from nothing"] = prov.reconstruct_rows(table, csn)
+            prov.invalidate_checkpoints()
+            for csn in range(BASE_CSN, 9):  # each from the state before it
+                out[table, csn, "from a kept state"] = prov.reconstruct_rows(table, csn)
+        out["restores"] = dict(prov.checkpoint_stats)
+        out["writes"] = prov.writes_between(0, 9)
+        out["events"] = {
+            txn: prov.events_of_txn(txn) for txn in ("SNAPSHOT", "TXN5", "TXN7", "TXN8")
+        }
+        out["txns"] = {
+            req: prov.txns_of_request(req, committed_only=False) for req in ("R1", "R2")
+        }
+        return out
+
+    def test_every_answer_is_the_same_on_every_backing(self):
+        answers = {backing: self.answers(ingest_all(backing)[0]) for backing in BACKINGS}
+        reference = answers["memory"]
+        # Nothing compared is empty by accident.
+        assert all(reference[table] for table in Model().tables)
+        assert reference["accounts", 8, "from nothing"]
+        assert reference["restores"]["checkpoint_restores"] > 0
+        assert len(reference["writes"]) == 7
+        assert all(reference["events"].values())
+        assert reference["txns"]["R1"] and reference["txns"]["R2"]
+        for backing, got in answers.items():
+            assert got == reference, backing
