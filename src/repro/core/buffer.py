@@ -5,13 +5,12 @@ buffer". Appends must be as close to free as possible because they sit on
 the request hot path. An event may be a batch (a scan chunk's read set is
 one event), so everything here is counted in *trace rows* — the weight
 each append declares — not in event objects: ``capacity``, ``len()``,
-``appended``, ``dropped``. The buffer is bounded: once it holds
-``capacity`` rows an append either signals that a flush is needed — the
-tracer then drains it into the provenance database inline, on the
-request that filled it, not out of band as in the paper — or (in
-``drop_oldest`` mode) makes room by dropping the oldest events, counting
-the rows dropped. A batch is never split, so the buffer can overshoot its
-capacity by less than one batch.
+``appended``. Once the buffer holds ``capacity`` rows an append signals
+that a flush is needed; the tracer then drains it into the provenance
+database inline, on the request that filled it, not out of band as in the
+paper. Nothing is ever dropped — replay must see every event — and a
+batch is never split, so the buffer can overshoot its capacity by less
+than one batch, and by more if the caller does not flush.
 """
 
 from __future__ import annotations
@@ -20,31 +19,20 @@ from typing import Any
 
 
 class TraceBuffer:
-    """Bounded append-only event buffer with O(1) append, sized in rows."""
+    """Append-only event buffer with O(1) append, sized in rows."""
 
-    def __init__(self, capacity: int = 65536, drop_oldest: bool = False):
+    def __init__(self, capacity: int = 65536):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.drop_oldest = drop_oldest
         self._items: list[Any] = []
-        #: Each buffered event's weight; kept only to drop by weight.
-        self._weights: list[int] = []
         self._rows = 0
         self.appended = 0
-        self.dropped = 0
         self.flushes = 0
 
     def append(self, event: Any, weight: int = 1) -> bool:
         """Add one event of ``weight`` trace rows; True when a flush is due."""
         self.appended += weight
-        if self.drop_oldest:
-            while self._items and self._rows + weight > self.capacity:
-                self._items.pop(0)
-                oldest = self._weights.pop(0)
-                self._rows -= oldest
-                self.dropped += oldest
-            self._weights.append(weight)
         self._items.append(event)
         self._rows += weight
         return self._rows >= self.capacity
@@ -60,7 +48,7 @@ class TraceBuffer:
         drain that returns events counts as a flush."""
         items = self._items
         if items:
-            self._items, self._weights, self._rows = [], [], 0
+            self._items, self._rows = [], 0
             self.flushes += 1
         return items
 
@@ -79,7 +67,6 @@ class TraceBuffer:
         return {
             "buffered": self._rows,
             "appended": self.appended,
-            "dropped": self.dropped,
             "flushes": self.flushes,
             "capacity": self.capacity,
         }

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.db.backend import SimulatedBackend
-from repro.db.index import IndexSet
+from repro.db.index import IndexSet, split_pairs
 from repro.db.pages import BufferPool, PageFileManager, PagedTableStore
 from repro.db.pages.buffer import DEFAULT_POOL_PAGES
 from repro.db.pages.page import DEFAULT_PAGE_SIZE
@@ -357,7 +357,7 @@ class Database:
             index = index_set.create_sorted_index(name, columns)
         else:
             index = index_set.create_hash_index(name, columns, unique=unique)
-        index.add_many(self._stores[key].latest_rows())
+        index.add_many(*split_pairs(self._stores[key].latest_rows()))
         self._index_meta.append(
             {
                 "name": name,
@@ -481,7 +481,7 @@ class Database:
             for key, store in self._stores.items():
                 store.finish_recovery()
                 last = max(last, store.last_write_csn)
-                self._indexes[key].on_insert_many(store.latest_rows())
+                self._indexes[key].on_insert_many(*split_pairs(store.latest_rows()))
             manager.last_csn = last
             for index_meta in meta.get("indexes", []):
                 self.create_index(
@@ -917,7 +917,7 @@ class Database:
         a table with no committed history of its own.
         """
         self.store(table).apply_inserts(rows, 0)
-        self.index_set(table).on_insert_many(rows)
+        self.index_set(table).on_insert_many(*split_pairs(rows))
 
     # -- maintenance ----------------------------------------------------------
 
@@ -979,7 +979,7 @@ class Database:
         last = recover_into(stores, wal.commits())
         db.txn_manager.last_csn = last
         for key, store in stores.items():
-            db._indexes[key].on_insert_many(store.latest_rows())
+            db._indexes[key].on_insert_many(*split_pairs(store.latest_rows()))
         for commit in wal.commits():
             db.txn_manager.commit_index[commit.txn_id] = commit.csn
             db.txn_manager.csn_index[commit.csn] = commit.txn_id

@@ -6,16 +6,22 @@ of each row; historical reads (time travel) always go through the version
 store. The transaction manager keeps indexes in sync by calling the
 ``on_*`` hooks as it applies a commit, and uses unique indexes to enforce
 PRIMARY KEY / UNIQUE constraints at commit time.
+
+A batch reaches an index as two parallel sequences, row ids and row
+tuples, and its keys are built by ``itemgetter`` mapped over the rows, so
+no per-row Python frame runs while a flush of many rows is indexed.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Container, Iterable, Sequence
 
 from repro.db.schema import TableSchema
-from repro.db.types import index_key
+from repro.db.types import SORT_CLASS, index_key
 from repro.errors import IntegrityError, SchemaError
 
 #: Shared empty result for missing keys; frozen so a probe that holds it
@@ -28,6 +34,14 @@ _EMPTY_IDS: frozenset[int] = frozenset()
 #: wins from about 250 new rows on, whatever the index size.
 _INSORT_UP_TO = 256
 
+_ROW_ID, _VALUES = itemgetter(0), itemgetter(1)
+
+
+def split_pairs(pairs: Sequence[tuple[int, tuple]]) -> tuple[list[int], list[tuple]]:
+    """``(row_id, values)`` pairs as the parallel id and row lists that
+    :meth:`IndexSet.on_insert_many` takes."""
+    return list(map(_ROW_ID, pairs)), list(map(_VALUES, pairs))
+
 
 class HashIndex:
     """Equality index mapping a column-tuple key to a set of row ids."""
@@ -36,26 +50,50 @@ class HashIndex:
         self.name = name
         self.schema = schema
         self.columns = tuple(schema.column(c).name for c in columns)
-        self._positions = tuple(schema.index_of(c) for c in self.columns)
+        self.positions = tuple(schema.index_of(c) for c in self.columns)
         self.unique = unique
+        #: A row's key columns: a tuple of them, or the one value.
+        self._key_columns = itemgetter(*self.positions)
         self._map: dict[tuple, set[int]] = {}
 
     def key_of(self, values: tuple) -> tuple:
-        return tuple(values[i] for i in self._positions)
+        return tuple(values[i] for i in self.positions)
 
     def add(self, row_id: int, values: tuple) -> None:
-        self.add_many(((row_id, values),))
+        self._file_each((row_id,), (self.key_of(values),))
 
-    def add_many(self, rows: Iterable[tuple[int, tuple]]) -> None:
-        """Index ``(row_id, values)`` pairs, in order."""
-        key_of, buckets, unique = self.key_of, self._map, self.unique
-        for row_id, values in rows:
-            key = key_of(values)
+    def add_many(self, row_ids: Sequence[int], rows: Sequence[tuple]) -> None:
+        """Index ``rows[i]`` under ``row_ids[i]``, in order.
+
+        A non-unique index files each stretch of consecutive equal keys
+        into its bucket with one ``set.update`` (``groupby`` and the dict
+        compare keys alike, so the buckets are the per-row loop's). A
+        unique index goes row by row, so a violation names the first
+        clashing key and leaves the rows before it indexed.
+        """
+        keys = map(self._key_columns, rows)
+        if len(self.positions) == 1:
+            keys = zip(keys)
+        if self.unique:
+            self._file_each(row_ids, keys)
+            return
+        buckets, ids = self._map, iter(row_ids)
+        for key, stretch in itertools.groupby(keys):
+            filed = itertools.islice(ids, len(list(stretch)))
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = set(filed)
+            else:
+                bucket.update(filed)
+
+    def _file_each(self, row_ids: Iterable[int], keys: Iterable[tuple]) -> None:
+        buckets, unique = self._map, self.unique
+        for row_id, key in zip(row_ids, keys):
             bucket = buckets.get(key)
             if bucket is None:
                 buckets[key] = {row_id}
                 continue
-            if unique and bucket and row_id not in bucket and None not in key:
+            if unique and row_id not in bucket and None not in key:
                 raise IntegrityError(
                     f"unique violation on {self.schema.name}({', '.join(self.columns)}): "
                     f"key {key!r}"
@@ -79,8 +117,9 @@ class HashIndex:
         """
         return self._map.get(tuple(key), _EMPTY_IDS)
 
-    def would_violate(self, values: tuple, ignore_row_id: int | None = None) -> bool:
-        """Whether inserting ``values`` would break uniqueness."""
+    def would_violate(self, values: tuple, ignore: Container[int] = ()) -> bool:
+        """Whether inserting ``values`` would break uniqueness with a row
+        whose id is not in ``ignore``."""
         if not self.unique:
             return False
         key = self.key_of(values)
@@ -89,7 +128,7 @@ class HashIndex:
         bucket = self._map.get(key)
         if not bucket:
             return False
-        return any(rid != ignore_row_id for rid in bucket)
+        return any(rid not in ignore for rid in bucket)
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._map.values())
@@ -102,22 +141,30 @@ class SortedIndex:
         self.name = name
         self.schema = schema
         self.columns = tuple(schema.column(c).name for c in columns)
-        self._positions = tuple(schema.index_of(c) for c in self.columns)
+        self.positions = tuple(schema.index_of(c) for c in self.columns)
+        self._getters = tuple(itemgetter(i) for i in self.positions)
         # Sorted flat tuples ``index_key(columns) + (row_id,)``: NULLs and
         # mixed types order as compare_values orders them, and every
         # comparison sort/insort/bisect makes stays in C.
         self._entries: list[tuple] = []
 
     def key_of(self, values: tuple) -> tuple:
-        return index_key([values[i] for i in self._positions])
+        return index_key([values[i] for i in self.positions])
 
     def add(self, row_id: int, values: tuple) -> None:
-        self.add_many(((row_id, values),))
+        bisect.insort(self._entries, self.key_of(values) + (row_id,))
 
-    def add_many(self, rows: Iterable[tuple[int, tuple]]) -> None:
-        """Index ``(row_id, values)`` pairs."""
-        key_of = self.key_of
-        new = sorted([key_of(values) + (row_id,) for row_id, values in rows])
+    def add_many(self, row_ids: Sequence[int], rows: Sequence[tuple]) -> None:
+        """Index ``rows[i]`` under ``row_ids[i]``.
+
+        The entries are zipped from columns, ``(class, value, ...,
+        row_id)``, which is ``key_of(values) + (row_id,)`` built in C.
+        """
+        columns: list[Iterable] = []
+        for getter in self._getters:
+            values = list(map(getter, rows))
+            columns += (map(SORT_CLASS.__getitem__, map(type, values)), values)
+        new = sorted(zip(*columns, row_ids))
         entries = self._entries
         if not new:
             return
@@ -165,13 +212,14 @@ class IndexSet:
     def __init__(self, schema: TableSchema):
         self.schema = schema
         self.indexes: dict[str, HashIndex | SortedIndex] = {}
-        # One unique hash index per declared unique constraint. These
-        # back commit-time enforcement and cannot be dropped.
-        self._constraint_indexes: set[str] = set()
+        #: One unique hash index per declared unique constraint, in the
+        #: schema's constraint order. These back enforcement and cannot
+        #: be dropped.
+        self.constraint_indexes: list[HashIndex] = []
         for i, constraint in enumerate(schema.unique_constraints):
             name = f"uq_{schema.name}_{i}_{'_'.join(constraint)}".lower()
             self.indexes[name] = HashIndex(name, schema, constraint, unique=True)
-            self._constraint_indexes.add(name)
+            self.constraint_indexes.append(self.indexes[name])
 
     def create_hash_index(self, name: str, columns: Iterable[str], unique: bool = False) -> HashIndex:
         if name.lower() in self.indexes:
@@ -192,7 +240,7 @@ class IndexSet:
             if if_exists:
                 return
             raise SchemaError(f"no index {name!r} on {self.schema.name}")
-        if name.lower() in self._constraint_indexes:
+        if any(index.name == name.lower() for index in self.constraint_indexes):
             raise SchemaError(
                 f"index {name!r} backs a UNIQUE constraint on "
                 f"{self.schema.name} and cannot be dropped"
@@ -202,13 +250,14 @@ class IndexSet:
     # -- maintenance hooks (called while a commit applies) ---------------
 
     def on_insert(self, row_id: int, values: tuple) -> None:
-        self.on_insert_many(((row_id, values),))
+        self.on_insert_many((row_id,), (values,))
 
-    def on_insert_many(self, rows: Sequence[tuple[int, tuple]]) -> None:
-        """Index ``(row_id, values)`` pairs (one commit's run, a restore,
-        or a whole table at recovery) in every index, one index at a time."""
+    def on_insert_many(self, row_ids: Sequence[int], rows: Sequence[tuple]) -> None:
+        """Index ``rows`` under the parallel ``row_ids`` (one commit's run,
+        a restore, or a whole table at recovery) in every index, one index
+        at a time."""
         for index in self.indexes.values():
-            index.add_many(rows)
+            index.add_many(row_ids, rows)
 
     def on_update(self, row_id: int, old_values: tuple, new_values: tuple) -> None:
         for index in self.indexes.values():
@@ -223,20 +272,44 @@ class IndexSet:
 
     @property
     def has_unique(self) -> bool:
-        """Whether any index here can reject a row (:meth:`check_insert`)."""
+        """Whether any index here can reject a row (:meth:`check_writes`)."""
         return any(
             isinstance(index, HashIndex) and index.unique
             for index in self.indexes.values()
         )
 
-    def check_insert(self, values: tuple, ignore_row_id: int | None = None) -> None:
-        """Raise :class:`IntegrityError` if ``values`` breaks a unique index."""
+    def check_writes(self, writes: Sequence[tuple[int, tuple | None]]) -> None:
+        """Raise :class:`IntegrityError` if filing ``writes`` would break a
+        unique index; the indexes are left as they are.
+
+        ``writes`` are ``(row_id, values)`` pairs, ``values`` None for a
+        delete, in the order a commit files them: each takes its row's
+        entry out and files the new values. So each write is checked
+        against the entries of rows no earlier write touched, and against
+        the keys earlier writes filed, which is exactly when the hooks
+        above would raise.
+        """
         for index in self.indexes.values():
-            if isinstance(index, HashIndex) and index.would_violate(values, ignore_row_id):
-                raise IntegrityError(
-                    f"unique violation on {self.schema.name}"
-                    f"({', '.join(index.columns)}): key {index.key_of(values)!r}"
-                )
+            if not (isinstance(index, HashIndex) and index.unique):
+                continue
+            # Row id -> the key earlier writes filed it under (None: none).
+            filed: dict[int, tuple | None] = {}
+            holders: dict[tuple, set[int]] = {}
+            for row_id, values in writes:
+                held = filed.get(row_id)
+                if held is not None:
+                    holders[held].discard(row_id)
+                key = None if values is None else index.key_of(values)
+                if key is None or None in key:
+                    filed[row_id] = None
+                    continue
+                filed[row_id] = key
+                if holders.get(key) or index.would_violate(values, ignore=filed):
+                    raise IntegrityError(
+                        f"unique violation on {self.schema.name}"
+                        f"({', '.join(index.columns)}): key {key!r}"
+                    )
+                holders.setdefault(key, set()).add(row_id)
 
     def equality_index_for(self, columns: set[str]) -> HashIndex | None:
         """A hash index whose column set is covered by ``columns``, if any."""

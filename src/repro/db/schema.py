@@ -86,6 +86,10 @@ class TableSchema:
         self._stored_as = tuple(
             (STORAGE_TYPES[col.col_type], col.nullable) for col in self.columns
         )
+        #: Type signatures (``tuple(map(type, row))``) of rows already
+        #: stored unchanged. Each column admits at most two types, its
+        #: storage type and NoneType, so the set stays small.
+        self._accepted: set[tuple[type, ...]] = set()
 
     # -- column access ------------------------------------------------
 
@@ -127,25 +131,37 @@ class TableSchema:
         :class:`IntegrityError`. A value whose Python type is exactly its
         column's storage type (or a NULL in a nullable column) needs no
         conversion; only rows holding anything else pay for :func:`coerce`.
+        That test depends on nothing but the row's type signature, so a
+        row whose signature an earlier row passed with is taken as it is,
+        with no per-value loop.
         """
-        width, stored_as = len(self.columns), self._stored_as
+        accepted = self._accepted
         out = []
         for values in rows:
-            if isinstance(values, Mapping):
+            if type(values) is tuple:
+                row = values
+            elif isinstance(values, Mapping):
                 row = self._positional(values)
             else:
                 row = tuple(values)
-                if len(row) != width:
-                    raise SchemaError(
-                        f"table {self.name!r} expects {width} values, "
-                        f"got {len(row)}"
-                    )
-            for value, (kind, nullable) in zip(row, stored_as):
-                if type(value) is not kind and not (value is None and nullable):
-                    row = self._coerce_each(row)
-                    break
+            if tuple(map(type, row)) not in accepted:
+                row = self._checked(row)
             out.append(row)
         return out
+
+    def _checked(self, row: tuple) -> tuple:
+        """``row`` after the per-value check (and :func:`coerce` if any
+        value needs it); its signature is remembered if it passed as is."""
+        if len(row) != len(self.columns):
+            raise SchemaError(
+                f"table {self.name!r} expects {len(self.columns)} values, "
+                f"got {len(row)}"
+            )
+        for value, (kind, nullable) in zip(row, self._stored_as):
+            if type(value) is not kind and not (value is None and nullable):
+                return self._coerce_each(row)
+        self._accepted.add(tuple(map(type, row)))
+        return row
 
     def _positional(self, values: Mapping[str, Any]) -> tuple:
         lowered = {k.lower(): v for k, v in values.items()}

@@ -64,23 +64,6 @@ class _Run:
         return self.first + len(self.rows)
 
 
-class RunPairs:
-    """``(row_id, values)`` pairs of one run, zipped afresh on each pass —
-    what an index is fed instead of a materialized pair per row."""
-
-    __slots__ = ("first", "rows")
-
-    def __init__(self, first: int, rows: Sequence[tuple]):
-        self.first = first
-        self.rows = rows
-
-    def __iter__(self) -> Iterator[tuple[int, tuple]]:
-        return zip(itertools.count(self.first), self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 def _scan_parts(parts: list[tuple[int, Sequence]]) -> Iterator[tuple[int, tuple]]:
     for first, rows in parts:
         for row_id, values in zip(itertools.count(first), rows):

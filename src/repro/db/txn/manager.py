@@ -21,7 +21,6 @@ import itertools
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from repro.db.segments import RunPairs
 from repro.db.txn.locks import LockManager, LockMode
 from repro.db.txn.wal import WalAbort, WalChange, WalCommit, WalPrepare
 from repro.errors import (
@@ -440,22 +439,30 @@ class Transaction:
     ) -> None:
         """Enforce unique constraints against this transaction's own view.
 
-        Under 2PL the table X lock makes this authoritative; under SNAPSHOT
-        isolation a cross-transaction re-check happens again at commit.
+        Each constraint's unique index names the committed rows holding
+        the key now; the rows that left a key since this transaction's
+        snapshot and the transaction's own writes are added, and every
+        candidate is re-read through this transaction's view — the probe
+        an index-served SELECT makes. Under 2PL the table X lock makes
+        this authoritative; under SNAPSHOT isolation a cross-transaction
+        re-check happens again at commit.
         """
-        schema = self._manager.database.catalog.get(canonical)
-        if not schema.unique_constraints:
+        indexes = self._manager.database.index_set(canonical).constraint_indexes
+        if not indexes:
             return
-        for constraint in schema.unique_constraints:
-            key = schema.key_for(constraint, values)
+        own = self._overlay.get(canonical, ())
+        for index in indexes:
+            key = index.key_of(values)
             if None in key:
                 continue
-            for row_id, existing in self.scan(canonical):
-                if row_id == ignore_row_id:
-                    continue
-                if schema.key_for(constraint, existing) == key:
+            candidates = set(index.lookup(key))
+            candidates.update(self.moved_since_snapshot(canonical, index.positions))
+            candidates.update(own)
+            candidates.discard(ignore_row_id)
+            for _row_id, existing in self.get_many(canonical, candidates):
+                if index.key_of(existing) == key:
                     raise IntegrityError(
-                        f"unique violation on {canonical}({', '.join(constraint)}): "
+                        f"unique violation on {canonical}({', '.join(index.columns)}): "
                         f"key {key!r}"
                     )
 
@@ -636,10 +643,13 @@ class TransactionManager:
 
         Needed for SNAPSHOT/READ_COMMITTED where a concurrent committer may
         have inserted a conflicting key after this transaction's local
-        check. Own rows (replaced by this txn's updates) are excluded.
-        Known limitation: a single commit swapping unique keys between two
-        existing rows is rejected, because each new key is checked against
-        the pre-commit index state.
+        check, and the only check a ``CREATE UNIQUE INDEX`` index gets.
+        Every buffered write is checked, in the order :meth:`_apply` files
+        it, against the committed index entries (see
+        :meth:`IndexSet.check_writes`). So a commit refused here has
+        applied nothing, and one that passes files every key cleanly:
+        deleting a key and inserting it again, or swapping keys through a
+        third value, commits unless another commit holds a key on the way.
         """
         checked = {
             table
@@ -648,30 +658,27 @@ class TransactionManager:
         }
         if not checked:
             return
-        final_values: dict[tuple[str, int], tuple | None] = {}
+        writes: dict[str, list[tuple[int, tuple | None]]] = {t: [] for t in checked}
         for op in txn.write_ops:
             if op.table not in checked:
                 continue
             if op.op == "append":
-                final_values.update(
-                    ((op.table, row_id), values)
-                    for row_id, values in RunPairs(op.row_id, op.values)
+                writes[op.table] += zip(
+                    range(op.row_id, op.row_id + len(op.values)), op.values
                 )
             else:
-                final_values[(op.table, op.row_id)] = op.values
-        for (table, row_id), values in final_values.items():
-            if values is None:
-                continue
-            self.database.index_set(table).check_insert(values, ignore_row_id=row_id)
+                writes[op.table].append((op.row_id, op.values))
+        for table, table_writes in writes.items():
+            self.database.index_set(table).check_writes(table_writes)
 
     def _apply(self, ops: Iterable[WalChange], csn: int) -> list[WalChange]:
         """Install buffered writes at ``csn``; returns the applied changes.
 
         Each run of consecutive same-table inserts goes to the store and
         its indexes as one batch (a one-row run is the degenerate case),
-        and its buffered ops are its applied changes as they stand. So
-        does each ``"append"``, whose rows the store keeps as they are
-        and the indexes take as pairs zipped on the fly.
+        and its buffered ops are its applied changes as they stand. So does each ``"append"``, whose
+        rows the store keeps as they are and the indexes take beside the
+        range of their ids.
         """
         applied: list[WalChange] = []
         for (kind, table), run in itertools.groupby(ops, _KIND_AND_TABLE):
@@ -680,13 +687,15 @@ class TransactionManager:
             if kind == "append":
                 for op in run:
                     store.apply_append(op.row_id, op.values, csn)
-                    indexes.on_insert_many(RunPairs(op.row_id, op.values))
+                    indexes.on_insert_many(
+                        range(op.row_id, op.row_id + len(op.values)), op.values
+                    )
                     applied.append(op)
             elif kind == "insert":
                 inserts = list(run)
                 rows = [(op.row_id, op.values) for op in inserts]
                 store.apply_inserts(rows, csn)
-                indexes.on_insert_many(rows)
+                indexes.on_insert_many(*zip(*rows))
                 applied += inserts
             elif kind == "update":
                 for op in run:

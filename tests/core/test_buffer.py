@@ -41,35 +41,13 @@ class TestAppend:
         with pytest.raises(ValueError):
             TraceBuffer(capacity=0)
 
-
-class TestDropOldest:
-    def test_overflow_drops_oldest(self):
-        buffer = TraceBuffer(capacity=3, drop_oldest=True)
-        for i in range(5):
-            buffer.append(i)
-        assert buffer.drain() == [2, 3, 4]
-        assert buffer.dropped == 2
-
-    def test_overflow_drops_by_weight(self):
-        buffer = TraceBuffer(capacity=10, drop_oldest=True)
-        for event, weight in (("a", 4), ("b", 4), ("c", 1)):
-            buffer.append(event, weight)
-        # Six rows do not fit beside nine: "a" and "b" make room, "c" stays.
-        assert buffer.append("d", 6) is False
-        assert buffer.peek() == ["c", "d"]
-        assert (len(buffer), buffer.dropped) == (7, 8)
-        # A batch heavier than the whole buffer empties it and is kept.
-        assert buffer.append("huge", 25) is True
-        assert buffer.drain() == ["huge"]
-        assert (buffer.dropped, buffer.appended) == (15, 40)
-
-    def test_without_drop_oldest_buffer_grows_past_capacity(self):
+    def test_buffer_grows_past_capacity_and_drops_nothing(self):
         buffer = TraceBuffer(capacity=2)
         for i in range(4):
             buffer.append(i)
         # Nothing dropped; caller is responsible for flushing.
+        assert len(buffer) == buffer.appended == 4
         assert buffer.drain() == [0, 1, 2, 3]
-        assert buffer.dropped == 0
 
 
 class TestStats:

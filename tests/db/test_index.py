@@ -57,7 +57,7 @@ class TestHashIndex:
         index = HashIndex("ix", make_schema(), ["a"], unique=True)
         index.add(1, ("x", 1, "p"))
         assert index.would_violate(("x", 9, "z")) is True
-        assert index.would_violate(("x", 9, "z"), ignore_row_id=1) is False
+        assert index.would_violate(("x", 9, "z"), ignore={1}) is False
 
 
 class TestSortedIndex:
@@ -92,22 +92,40 @@ class TestIndexSet:
         index_set = IndexSet(make_schema(unique_pair=True))
         index_set.on_insert(1, ("x", 1, "p"))
         with pytest.raises(IntegrityError):
-            index_set.check_insert(("x", 1, "other"))
-        index_set.check_insert(("x", 2, "other"))  # different key: fine
+            index_set.check_writes([(2, ("x", 1, "other"))])
+        index_set.check_writes([(2, ("x", 2, "other"))])  # different key: fine
+        index_set.check_writes([(1, ("x", 1, "other"))])  # its own entry
+
+    def test_check_writes_follows_write_order(self):
+        index_set = IndexSet(make_schema(unique_pair=True))
+        index_set.on_insert_many([1, 2], [("a", 1, "p"), ("b", 1, "q")])
+        # Row 1 leaves "a" before row 2 takes it, through a third key.
+        index_set.check_writes(
+            [(1, ("c", 1, "p")), (2, ("a", 1, "q")), (1, ("b", 1, "p"))]
+        )
+        # Taken while row 1 still holds it.
+        with pytest.raises(IntegrityError, match=r"key \('a', 1\)"):
+            index_set.check_writes([(2, ("a", 1, "q")), (1, ("c", 1, "p"))])
+        # Deleted and filed again; an earlier write's key is held.
+        index_set.check_writes([(1, None), (3, ("a", 1, "r"))])
+        with pytest.raises(IntegrityError, match=r"key \('z', 1\)"):
+            index_set.check_writes([(3, ("z", 1, "r")), (4, ("z", 1, "s"))])
+        index_set.check_writes([(3, ("z", 1, "r")), (3, ("y", 1, "r")), (4, ("z", 1, "s"))])
+        assert index_set.indexes["uq_t_0_a_b"].lookup(("a", 1)) == {1}
 
     def test_on_update_moves_entries(self):
         index_set = IndexSet(make_schema(unique_pair=True))
         index_set.on_insert(1, ("x", 1, "p"))
         index_set.on_update(1, ("x", 1, "p"), ("y", 1, "p"))
-        index_set.check_insert(("x", 1, "q"))  # old key freed
+        index_set.check_writes([(2, ("x", 1, "q"))])  # old key freed
         with pytest.raises(IntegrityError):
-            index_set.check_insert(("y", 1, "q"))
+            index_set.check_writes([(2, ("y", 1, "q"))])
 
     def test_on_delete_frees_key(self):
         index_set = IndexSet(make_schema(unique_pair=True))
         index_set.on_insert(1, ("x", 1, "p"))
         index_set.on_delete(1, ("x", 1, "p"))
-        index_set.check_insert(("x", 1, "q"))
+        index_set.check_writes([(2, ("x", 1, "q"))])
 
     def test_equality_index_for_prefers_widest_cover(self):
         index_set = IndexSet(make_schema())
@@ -126,5 +144,5 @@ class TestIndexSet:
     def test_on_insert_many_existing_rows(self):
         index_set = IndexSet(make_schema())
         index = index_set.create_hash_index("ix", ["a"])
-        index_set.on_insert_many([(1, ("x", 1, "p")), (2, ("y", 2, "q"))])
+        index_set.on_insert_many([1, 2], [("x", 1, "p"), ("y", 2, "q")])
         assert index.lookup(("x",)) == {1}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import Database, IsolationLevel, TransactionStatus
+from repro.db.txn.manager import Transaction
 from repro.errors import (
     IntegrityError,
     TransactionAborted,
@@ -152,6 +153,133 @@ class TestConstraints:
         txn = db.begin()
         db.execute("UPDATE u SET v = 2 WHERE k = 'x'", txn=txn)  # same key OK
         txn.commit()
+
+    @pytest.mark.parametrize(
+        "isolation", [IsolationLevel.SERIALIZABLE, IsolationLevel.SNAPSHOT]
+    )
+    def test_unique_probe_reads_no_scan(self, monkeypatch, isolation):
+        """The local check probes the constraint's index; a PRIMARY KEY
+        insert or update never walks the table."""
+        db = Database()
+        db.execute("CREATE TABLE p (id INTEGER PRIMARY KEY, v TEXT)")
+        db.insert_rows("p", [(i, f"v{i}") for i in range(200)])
+        scans = []
+        original = Transaction.scan
+        monkeypatch.setattr(
+            Transaction, "scan", lambda self, table: scans.append(table) or original(self, table)
+        )
+        txn = db.begin(isolation)
+        db.execute("INSERT INTO p VALUES (500, 'new')", txn=txn)
+        db.insert_rows("p", [(501, "a"), (502, "b")], txn=txn)
+        txn.update("p", 1, (600, "moved"))
+        with pytest.raises(IntegrityError, match=r"p\(id\): key \(7,\)"):
+            db.execute("INSERT INTO p VALUES (7, 'dup')", txn=txn)
+        with pytest.raises(IntegrityError, match=r"key \(501,\)"):
+            txn.update("p", 2, (501, "dup of own insert"))
+        txn.commit()
+        assert scans == []
+        assert db.execute("SELECT v FROM p WHERE id = 600").scalar() == "moved"
+
+    def test_snapshot_writer_sees_a_key_a_later_commit_moved_away(self):
+        db = Database()
+        db.execute("CREATE TABLE u (k TEXT UNIQUE, v INTEGER)")
+        db.execute("INSERT INTO u VALUES ('x', 1)")
+        writer = db.begin(IsolationLevel.SNAPSHOT)
+        # Committed after the snapshot: the index files the row under 'y',
+        # but the writer's snapshot still holds it under 'x'.
+        db.execute("UPDATE u SET k = 'y' WHERE k = 'x'")
+        with pytest.raises(IntegrityError, match=r"key \('x',\)"):
+            db.execute("INSERT INTO u VALUES ('x', 2)", txn=writer)
+        writer.abort()
+
+    @pytest.mark.parametrize(
+        "isolation", [IsolationLevel.SERIALIZABLE, IsolationLevel.SNAPSHOT]
+    )
+    def test_delete_then_reinsert_same_key_in_one_txn(self, isolation):
+        db = Database()
+        db.execute("CREATE TABLE u (k TEXT UNIQUE, v INTEGER)")
+        db.execute("INSERT INTO u VALUES ('x', 1), ('y', 2)")
+        txn = db.begin(isolation)
+        db.execute("DELETE FROM u WHERE k = 'x'", txn=txn)
+        db.execute("INSERT INTO u VALUES ('x', 3)", txn=txn)
+        # A swap through a third key commits too.
+        db.execute("UPDATE u SET k = 'tmp' WHERE k = 'y'", txn=txn)
+        db.execute("UPDATE u SET k = 'y' WHERE v = 3", txn=txn)
+        db.execute("UPDATE u SET k = 'x' WHERE k = 'tmp'", txn=txn)
+        txn.commit()
+        assert db.execute("SELECT k, v FROM u ORDER BY k").rows == [("x", 2), ("y", 3)]
+        with pytest.raises(IntegrityError):
+            db.execute("INSERT INTO u VALUES ('y', 4)")
+
+    def test_read_committed_own_row_rekeyed_by_a_concurrent_commit(self):
+        """READ_COMMITTED has no first-committer check: a row this writer
+        also wrote may hold its new key in the committed state. The commit
+        is refused whole rather than failing half-applied."""
+        db = Database()
+        db.execute("CREATE TABLE u (k TEXT UNIQUE, v INTEGER)")
+        db.execute("INSERT INTO u VALUES ('a', 1), ('b', 2)")
+        writer = db.begin(IsolationLevel.READ_COMMITTED)
+        db.execute("INSERT INTO u VALUES ('k', 3)", txn=writer)
+        db.execute("UPDATE u SET k = 'k' WHERE k = 'a'")  # another commit
+        # The writer moves that row back: its own rows then look distinct,
+        # but the committed row still holds 'k' until this applies.
+        db.execute("UPDATE u SET k = 'a', v = 9 WHERE v = 1", txn=writer)
+        with pytest.raises(IntegrityError, match=r"key \('k',\)"):
+            writer.commit()
+        assert db.execute("SELECT k, v FROM u ORDER BY v").rows == [("k", 1), ("b", 2)]
+
+    @staticmethod
+    def _assert_refused_whole(db, txn, rows, index, keys):
+        """``txn`` is aborted with nothing applied: table ``u`` holds
+        ``rows`` and its unique ``index`` files exactly ``keys``."""
+        assert txn.status is TransactionStatus.ABORTED
+        assert txn.txn_id not in db.txn_manager.commit_index
+        assert db.execute("SELECT k, v FROM u ORDER BY v").rows == rows
+        entries = db.index_set("u").indexes[index]._map
+        assert {key[0]: len(ids) for key, ids in entries.items()} == keys
+        # The next commit takes the CSN a half-applied commit would have
+        # left versions at; it sees none of them, and no lock blocks it.
+        db.execute("UPDATE u SET v = v + 10")
+        assert db.execute("SELECT k, v FROM u ORDER BY v").rows == [
+            (k, v + 10) for k, v in rows
+        ]
+
+    @pytest.mark.parametrize(
+        "isolation", [IsolationLevel.SERIALIZABLE, IsolationLevel.SNAPSHOT]
+    )
+    def test_create_unique_index_clash_refused_before_apply(self, isolation):
+        """A ``CREATE UNIQUE INDEX`` index is checked only at commit. A
+        write that takes a key before its holder leaves it would fail
+        while applying, so the commit is refused whole instead."""
+        db = Database()
+        db.execute("CREATE TABLE u (k TEXT, v INTEGER)")
+        db.execute("CREATE UNIQUE INDEX ux_k ON u (k)")
+        db.execute("INSERT INTO u VALUES ('a', 1), ('b', 2)")
+        txn = db.begin(isolation)
+        db.execute("UPDATE u SET k = 'a' WHERE v = 2", txn=txn)
+        db.execute("UPDATE u SET k = 'c' WHERE v = 1", txn=txn)
+        with pytest.raises(IntegrityError, match=r"u\(k\): key \('a',\)"):
+            txn.commit()
+        self._assert_refused_whole(db, txn, [("a", 1), ("b", 2)], "ux_k", {"a": 1, "b": 1})
+
+    def test_snapshot_swap_through_a_key_another_commit_took(self):
+        """Each intermediate key is checked, not only the final ones: the
+        swap's temporary key, taken by a commit after the snapshot, is
+        refused at commit with nothing applied."""
+        db = Database()
+        db.execute("CREATE TABLE u (k TEXT UNIQUE, v INTEGER)")
+        db.execute("INSERT INTO u VALUES ('x', 1), ('y', 2)")
+        writer = db.begin(IsolationLevel.SNAPSHOT)
+        db.execute("INSERT INTO u VALUES ('tmp', 3)")  # invisible to the writer
+        db.execute("UPDATE u SET k = 'tmp' WHERE v = 1", txn=writer)
+        db.execute("UPDATE u SET k = 'x' WHERE v = 2", txn=writer)
+        db.execute("UPDATE u SET k = 'y' WHERE v = 1", txn=writer)
+        with pytest.raises(IntegrityError, match=r"key \('tmp',\)"):
+            writer.commit()
+        self._assert_refused_whole(
+            db, writer, [("x", 1), ("y", 2), ("tmp", 3)], "uq_u_0_k",
+            {"x": 1, "y": 1, "tmp": 1},
+        )
 
     def test_direct_api_update_missing_row(self, db):
         txn = db.begin()

@@ -14,7 +14,7 @@ from functools import cmp_to_key
 
 from hypothesis import given, settings, strategies as st
 
-from repro.db.index import SortedIndex
+from repro.db.index import SortedIndex, split_pairs
 from repro.db.schema import Column, TableSchema
 from repro.db.types import ColumnType, compare_values
 
@@ -44,15 +44,13 @@ def bulk(seed: int) -> list[tuple]:
 
 
 #: add one row | add a small batch | add a bulk batch | remove the i-th live row
-programs = st.lists(
-    st.one_of(
-        st.tuples(st.just("add"), st.lists(st.tuples(values, values), min_size=1, max_size=1)),
-        st.tuples(st.just("add"), st.lists(st.tuples(values, values), max_size=30)),
-        st.tuples(st.just("add"), st.integers(0, 10**6).map(bulk)),
-        st.tuples(st.just("remove"), st.integers(0, 1000)),
-    ),
-    max_size=25,
+steps = st.one_of(
+    st.tuples(st.just("add"), st.lists(st.tuples(values, values), min_size=1, max_size=1)),
+    st.tuples(st.just("add"), st.lists(st.tuples(values, values), max_size=30)),
+    st.tuples(st.just("add"), st.integers(0, 10**6).map(bulk)),
+    st.tuples(st.just("remove"), st.integers(0, 1000)),
 )
+programs = st.lists(steps, max_size=25)
 bounds = st.one_of(st.none(), values.filter(lambda v: v is not None))
 
 
@@ -82,7 +80,7 @@ def run(program, columns):
             if len(rows) == 1:
                 index.add(*rows[0])
             else:
-                index.add_many(rows)
+                index.add_many(*split_pairs(rows))
             live.update(rows)
         elif live:
             row_id = sorted(live)[arg % len(live)]
