@@ -3,7 +3,8 @@
 Public surface:
 
 * :func:`connect` / :class:`Connection` / :class:`Cursor` — the unified
-  entry point over every deployment shape (see :mod:`repro.db.connection`)
+  entry point over every deployment shape (see :mod:`repro.db.connection`);
+  ``SELECT ... AS OF <csn>`` is the one way to read past states
 * :class:`Engine` — the protocol all deployment shapes implement
 * :class:`Database` — embedded multi-version SQL database
 * :class:`ShardedDatabase` — hash-partitioned execution over N stores
@@ -45,7 +46,6 @@ from repro.db.replication import (
 from repro.db.result import ResultSet, Row
 from repro.db.schema import Catalog, Column, TableSchema
 from repro.db.sharding import ShardedDatabase, ShardRouter
-from repro.db.timetravel import ShardedTimeTravel, TimeTravel
 from repro.db.txn.manager import (
     IsolationLevel,
     ReadSet,
@@ -82,12 +82,10 @@ __all__ = [
     "Session",
     "ShardRouter",
     "ShardedDatabase",
-    "ShardedTimeTravel",
     "ShipRecord",
     "SimulatedBackend",
     "StatementTrace",
     "TableSchema",
-    "TimeTravel",
     "Transaction",
     "TransactionStatus",
     "UnavailableError",

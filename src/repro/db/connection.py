@@ -1,12 +1,12 @@
 """One engine, one API: ``repro.connect()`` over every deployment shape.
 
 The substrate grew divergent entry points — ``Database.execute``, the
-``ShardedDatabase`` facade, per-topology read routers, and the
-``TimeTravel`` / ``execute_as_of`` side-channels. This module is the
-single DB-API-flavored surface that replaced them, the way the paper's
-debugger argument demands: apps, workloads, and TROD are written once and
-run unchanged over a single node, a hash-sharded cluster, or a
-replica-routed deployment.
+``ShardedDatabase`` facade, per-topology read routers, and side-channels
+for reading the past. This module is the single DB-API-flavored surface
+that replaced them (``SELECT ... AS OF <csn>`` is the one reader of
+history), the way the paper's debugger argument demands: apps, workloads,
+and TROD are written once and run unchanged over a single node, a
+hash-sharded cluster, or a replica-routed deployment.
 
 * :class:`Engine` — the protocol every deployment shape implements
   (:class:`~repro.db.database.Database`,

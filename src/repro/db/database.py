@@ -46,7 +46,6 @@ from repro.db.sql.nodes import (
 )
 from repro.db.sql.parser import parse_cached
 from repro.db.storage import TableStore
-from repro.db.timetravel import TimeTravel
 from repro.db.txn.manager import (
     IsolationLevel,
     ReadSet,
@@ -262,11 +261,6 @@ class Database:
         #: chunk. 0 disables the yield points entirely (and leaves the
         #: cursor's read-ahead bounded only by what it already fetched).
         self.scan_batch_size = 256
-        #: Plan the WHERE clause's single-table conjuncts beneath joins,
-        #: inside their owning table's scan. Off, every WHERE conjunct
-        #: runs in one filter above the joins — useful to measure what
-        #: the rewrite buys.
-        self.predicate_pushdown_enabled = True
         #: Batch-executor counters (mirrors ``plan_cache_stats``):
         #: batches processed (the match phase of an UPDATE or DELETE is
         #: one), and rows removed by scan-level vs post-join filters.
@@ -278,7 +272,7 @@ class Database:
         self.history_horizon = 0
         self._stores: dict[str, TableStore | SegmentStore] = {}
         self._indexes: dict[str, IndexSet] = {}
-        #: Plans keyed by (sql, catalog epoch, pushdown knob) for SELECT
+        #: Plans keyed by (sql, catalog epoch) for SELECT
         #: and ("dml", sql, catalog epoch) for UPDATE/DELETE. A plan is a
         #: function of the text and the catalog alone — no transaction or
         #: isolation level enters it — and its nodes carry no
@@ -647,13 +641,7 @@ class Database:
         """
         if sql is None:
             return build_select_plan(stmt, self)
-        key = (
-            sql,
-            self.catalog_epoch,
-            # The knob changes the physical plan (filter placement);
-            # flipping it must not serve stale trees.
-            self.predicate_pushdown_enabled,
-        )
+        key = (sql, self.catalog_epoch)
         entry = self._plan_cache.get(key)
         if entry is not None:
             self.plan_cache_stats["hits"] += 1
@@ -893,12 +881,11 @@ class Database:
                 self.txn_manager.abort(active)
             raise
 
-    def table_rows(self, table: str, csn: int | None = None) -> list[dict[str, Any]]:
-        """Committed rows of a table as dicts (latest or as-of ``csn``)."""
+    def table_rows(self, table: str) -> list[dict[str, Any]]:
+        """Latest committed rows of a table as dicts (the past: ``AS OF``)."""
         schema = self.catalog.get(table)
         return [
-            schema.row_dict(values)
-            for _row_id, values in self.store(table).scan(csn)
+            schema.row_dict(values) for _row_id, values in self.store(table).scan(None)
         ]
 
     def snapshot_rows(self, table: str) -> list[tuple[int, tuple]]:
@@ -929,10 +916,6 @@ class Database:
         self.history_horizon = max(self.history_horizon, keep_after_csn)
         self._save_catalog_meta()
         return removed
-
-    @property
-    def time_travel(self) -> TimeTravel:
-        return TimeTravel(self)
 
     @property
     def last_csn(self) -> int:

@@ -1079,10 +1079,6 @@ class ReplicatedDatabase:
         """The engine-neutral commit position (the primary's local CSN)."""
         return self.primary.last_csn
 
-    @property
-    def time_travel(self):
-        return self.primary.time_travel
-
     # -- the Engine surface -----------------------------------------------
 
     def execute(

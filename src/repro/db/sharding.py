@@ -21,9 +21,9 @@ single database. The pieces:
   explicit transaction) touching several shards commits through the
   existing two-phase commit in :class:`~repro.db.multistore.
   MultiStoreCoordinator`, so atomicity and the aligned commit log come
-  for free. That aligned log is what keeps time travel and provenance
-  replay working: a global CSN translates onto per-shard local CSNs (see
-  :class:`~repro.db.timetravel.ShardedTimeTravel`).
+  for free. That aligned log is what keeps ``SELECT ... AS OF`` and
+  provenance replay working: a global CSN translates onto per-shard local
+  CSNs (:meth:`~repro.db.multistore.MultiStoreCoordinator.local_csns_at`).
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from repro.db.sql.nodes import (
 )
 from repro.db.sql.parser import parse_cached
 from repro.db.sql.planner import Layout, evaluate_rowless, limit_and_offset
-from repro.db.timetravel import ShardedTimeTravel
 from repro.db.txn.manager import IsolationLevel, Transaction
 from repro.db.types import coerce
 from repro.errors import (
@@ -443,11 +442,6 @@ class ShardedDatabase:
         #: Compiled scatter-gather plans (per-shard FROM/WHERE nodes plus
         #: the coordinator merge plan) keyed by (sql, epochs).
         self._select_cache: dict[tuple, dict[str, Any]] = {}
-        #: LIMIT pushdown: cap each shard's scan at limit+offset rows and
-        #: stop draining shards once the coordinator is satisfied. Off
-        #: switch exists for differential testing and benchmarking the
-        #: gather-everything path.
-        self.limit_pushdown_enabled = True
         #: Per-shard replica sets (``attach_replicas``); :meth:`execute_read`
         #: then serves each shard's reads from its set's read target while
         #: DML and 2PC stay on the primaries.
@@ -594,10 +588,6 @@ class ShardedDatabase:
         """
         return self.coordinator.global_csn
 
-    @property
-    def time_travel(self) -> ShardedTimeTravel:
-        return ShardedTimeTravel(self)
-
     # -- the Engine observer surface ------------------------------------------
 
     def add_observer(self, observer: Any) -> None:
@@ -624,15 +614,6 @@ class ShardedDatabase:
     def track_reads(self, value: bool) -> None:
         for shard in self.shards:
             shard.track_reads = value
-
-    @property
-    def predicate_pushdown_enabled(self) -> bool:
-        return all(shard.predicate_pushdown_enabled for shard in self.shards)
-
-    @predicate_pushdown_enabled.setter
-    def predicate_pushdown_enabled(self, value: bool) -> None:
-        for shard in self.shards:
-            shard.predicate_pushdown_enabled = value
 
     @property
     def executor_stats(self) -> dict[str, int]:
@@ -869,7 +850,10 @@ class ShardedDatabase:
                     f"({self.reshard_horizon}); that history lives only on "
                     "the pre-reshard stores"
                 )
-            local_csns = self.time_travel.local_csns_at(global_csn)
+            try:
+                local_csns = self.coordinator.local_csns_at(global_csn)
+            except TransactionError as exc:
+                raise TimeTravelError(str(exc)) from None
         serving: dict[str, Database] = {}
         branches: dict[str, Transaction] = {}
 
@@ -1283,7 +1267,7 @@ class ShardedDatabase:
         ``limit + offset`` rows changes *which rows are scanned*, never
         which rows come back.
         """
-        if not self.limit_pushdown_enabled or stmt.limit is None:
+        if stmt.limit is None:
             return None
         if (
             stmt.order_by

@@ -837,7 +837,6 @@ def build_from_where(
 
     conjuncts = _where_conjuncts(stmt.where)
     consumed: set[int] = set()
-    pushdown = getattr(database, "predicate_pushdown_enabled", True)
 
     # Classify single-table conjuncts for pushdown (inner-join tables only;
     # pushing WHERE below a LEFT join's null-extended side changes results).
@@ -845,14 +844,13 @@ def build_from_where(
         join.table.binding.lower() for join in stmt.joins if join.kind == "left"
     }
     pushed: dict[str, list[Expr]] = {}
-    if pushdown:
-        for i, conjunct in enumerate(conjuncts):
-            used = planner.bindings_used(conjunct, full_layout)
-            if used is not None and len(used) == 1:
-                owner = next(iter(used))
-                if owner not in left_join_bindings:
-                    pushed.setdefault(owner, []).append(conjunct)
-                    consumed.add(i)
+    for i, conjunct in enumerate(conjuncts):
+        used = planner.bindings_used(conjunct, full_layout)
+        if used is not None and len(used) == 1:
+            owner = next(iter(used))
+            if owner not in left_join_bindings:
+                pushed.setdefault(owner, []).append(conjunct)
+                consumed.add(i)
 
     def make_scan(binding: str, canonical: str, schema: TableSchema) -> PlanNode:
         return _table_scan(

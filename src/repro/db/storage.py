@@ -3,8 +3,8 @@
 Every committed write creates a :class:`RowVersion` stamped with the commit
 sequence number (CSN) at which it became visible (``begin``) and, once
 superseded or deleted, the CSN at which it stopped being visible (``end``).
-Keeping every version is what gives the engine time travel: TROD's replay
-engine reconstructs "the database as of CSN *c*" directly from this store.
+Keeping every version is what gives the engine time travel: ``SELECT ...
+AS OF <csn>`` reads "the database as of CSN *c*" directly from this store.
 
 The store itself is oblivious to transactions: the transaction manager
 buffers writes privately and calls the ``apply_*`` methods only at commit,

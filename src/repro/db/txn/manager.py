@@ -33,6 +33,7 @@ from repro.errors import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
+    from repro.db.index import HashIndex
 
 
 class IsolationLevel(enum.Enum):
@@ -101,6 +102,8 @@ class Transaction:
         self.read_records: list[ReadSet] = []
         self._overlay: dict[str, dict[int, Any]] = {}  # table -> row_id -> values|_DELETED
         self._inserted: dict[str, list[int]] = {}  # table -> ordered new row ids
+        #: Constraint index -> key -> ids of own writes filed under it.
+        self._own_keys: dict["HashIndex", dict[tuple, set[int]]] = {}
         self._statement_reads: list[ReadSet] = []
         self._statement_csn = snapshot_csn
         self.commit_csn: int | None = None
@@ -301,6 +304,7 @@ class Transaction:
             row_ids += self._buffer_inserts(
                 canonical, store.reserve_row_ids(1), (values,)
             )
+            self._file_own_keys(canonical, row_ids[-1], values)
         return row_ids
 
     def _buffer_inserts(
@@ -345,6 +349,7 @@ class Transaction:
         if row_id >= store._next_row_id:
             store._next_row_id = row_id + 1
         self._buffer_inserts(canonical, (row_id,), (values,))
+        self._file_own_keys(canonical, row_id, values)
         return row_id
 
     def update(self, table: str, row_id: int, values: tuple) -> None:
@@ -358,6 +363,7 @@ class Transaction:
             )
         self._check_unique_locally(canonical, values, ignore_row_id=row_id)
         self._overlay.setdefault(canonical, {})[row_id] = values
+        self._file_own_keys(canonical, row_id, values)
         self.write_ops.append(WalChange("update", canonical, row_id, values, None))
 
     def delete(self, table: str, row_id: int) -> None:
@@ -441,23 +447,20 @@ class Transaction:
 
         Each constraint's unique index names the committed rows holding
         the key now; the rows that left a key since this transaction's
-        snapshot and the transaction's own writes are added, and every
-        candidate is re-read through this transaction's view — the probe
-        an index-served SELECT makes. Under 2PL the table X lock makes
-        this authoritative; under SNAPSHOT isolation a cross-transaction
-        re-check happens again at commit.
+        snapshot and the transaction's own writes filed under the key
+        (:meth:`_file_own_keys`) are added, and every candidate is re-read
+        through this transaction's view — the probe an index-served SELECT
+        makes. Under 2PL the table X lock makes this authoritative; under
+        SNAPSHOT isolation a cross-transaction re-check happens again at
+        commit.
         """
-        indexes = self._manager.database.index_set(canonical).constraint_indexes
-        if not indexes:
-            return
-        own = self._overlay.get(canonical, ())
-        for index in indexes:
+        for index in self._manager.database.index_set(canonical).constraint_indexes:
             key = index.key_of(values)
             if None in key:
                 continue
             candidates = set(index.lookup(key))
             candidates.update(self.moved_since_snapshot(canonical, index.positions))
-            candidates.update(own)
+            candidates.update(self._own_keys.get(index, {}).get(key, ()))
             candidates.discard(ignore_row_id)
             for _row_id, existing in self.get_many(canonical, candidates):
                 if index.key_of(existing) == key:
@@ -465,6 +468,16 @@ class Transaction:
                         f"unique violation on {canonical}({', '.join(index.columns)}): "
                         f"key {key!r}"
                     )
+
+    def _file_own_keys(self, canonical: str, row_id: int, values: tuple) -> None:
+        """File an accepted own write under its key in each constraint.
+
+        An entry outlives a later update or delete of the row; the re-read
+        in :meth:`_check_unique_locally` drops such a stale candidate.
+        """
+        for index in self._manager.database.index_set(canonical).constraint_indexes:
+            filed = self._own_keys.setdefault(index, {})
+            filed.setdefault(index.key_of(values), set()).add(row_id)
 
 
 class TransactionManager:
@@ -477,7 +490,7 @@ class TransactionManager:
         self.last_csn = 0
         self.active: dict[int, Transaction] = {}
         #: txn_id -> commit csn for every committed transaction; TROD's
-        #: provenance and the time-travel layer use this mapping.
+        #: provenance uses this mapping.
         self.commit_index: dict[int, int] = {}
         self.csn_index: dict[int, int] = {}  # csn -> txn_id
         #: Called when a lock acquisition must wait; the runtime points this

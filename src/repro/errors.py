@@ -136,7 +136,7 @@ class CrashPoint(FaultInjected):
 
 
 class TimeTravelError(DatabaseError):
-    """A time-travel request referenced an impossible point in history."""
+    """An ``AS OF`` read named a CSN outside the readable history."""
 
 
 class InterfaceError(DatabaseError):

@@ -95,7 +95,7 @@ class TestSelfContainment:
         db.vacuum(keep_after_csn=db.last_csn)
         # Production time travel to the pre-bug state is now impossible...
         with pytest.raises(TimeTravelError):
-            db.time_travel.rows_as_of("forum_sub", 0)
+            db.execute("SELECT * FROM forum_sub AS OF 0")
         # ...but replay never needed it: provenance is self-contained.
         result = trod.replayer.replay_request("R1")
         assert result.fidelity, result.divergences
@@ -112,9 +112,9 @@ class TestSelfContainment:
         )
         assert retro.all_ok
 
-    def test_provenance_restore_matches_timetravel_restore(self, racy_moodle):
+    def test_provenance_restore_matches_version_store(self, racy_moodle):
         """Two independent reconstruction paths must agree: the version
-        store's time travel and the provenance roll-forward."""
+        store's history and the provenance roll-forward."""
         db, _runtime, trod = racy_moodle
         trod.flush()
         for csn in range(trod.base_csn, db.last_csn + 1):

@@ -108,14 +108,14 @@ class TestDirectEntryPoints:
         assert conn.execute("SELECT x FROM t").scalar() == 5
         assert replica_set.stats["replica_reads"] == 1
 
-    def test_time_travel_objects(self):
+    def test_database_as_of(self):
         from repro.db import Database
 
         db = Database()
         db.execute("CREATE TABLE t (x INTEGER)")
         db.execute("INSERT INTO t VALUES (1)")
         db.execute("UPDATE t SET x = 2")
-        assert db.time_travel.rows_as_of("t", 1)[0][1] == (1,)
+        assert db.execute("SELECT x FROM t AS OF 1").scalar() == 1
 
 
 @pytest.mark.parametrize("example", MIGRATED_EXAMPLES)

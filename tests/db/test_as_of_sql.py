@@ -1,4 +1,4 @@
-"""First-class time travel: the SELECT ... AS OF <csn> clause."""
+"""Time travel: the SELECT ... AS OF <csn> clause, the one reader of the past."""
 
 import pytest
 
@@ -53,13 +53,10 @@ class TestSingleNode:
         ).scalar()
         assert [read(1), read(2), read(3)] == ["first", "second", "third"]
 
-    def test_equivalent_to_time_travel_store_scan(self):
+    def test_equivalent_to_version_store_scan(self):
         db = history_db()
         via_sql = db.execute("SELECT id, v FROM t AS OF 2").rows
-        via_tt = [
-            values for _rid, values in db.time_travel.rows_as_of("t", 2)
-        ]
-        assert via_sql == via_tt
+        assert via_sql == [values for _rid, values in db.store("t").scan(2)]
 
     def test_consumes_no_csn(self):
         db = history_db()
@@ -111,6 +108,82 @@ class TestSingleNode:
             txn.abort()
 
 
+def insert_update_delete_db() -> Database:
+    """Commits 1-4: insert a, insert b, update a, delete b."""
+    db = Database()
+    db.execute("CREATE TABLE t (k TEXT NOT NULL, v INTEGER)")
+    db.execute("INSERT INTO t VALUES ('a', 1)")  # csn 1
+    db.execute("INSERT INTO t VALUES ('b', 2)")  # csn 2
+    db.execute("UPDATE t SET v = 10 WHERE k = 'a'")  # csn 3
+    db.execute("DELETE FROM t WHERE k = 'b'")  # csn 4
+    return db
+
+
+class TestHistory:
+    """Whole-table reads of a history with an insert, update and delete."""
+
+    def rows_at(self, db: Database, csn: int) -> list[tuple]:
+        return db.execute("SELECT k, v FROM t AS OF ?", (csn,)).rows
+
+    def test_state_at_each_csn(self):
+        db = insert_update_delete_db()
+        assert self.rows_at(db, 1) == [("a", 1)]
+        assert self.rows_at(db, 2) == [("a", 1), ("b", 2)]
+        assert self.rows_at(db, 3) == [("a", 10), ("b", 2)]
+        assert self.rows_at(db, 4) == [("a", 10)]
+
+    def test_csn_zero_is_empty(self):
+        assert self.rows_at(insert_update_delete_db(), 0) == []
+
+    def test_state_before_a_transaction(self):
+        """The state a transaction saw is ``AS OF`` its CSN minus one."""
+        db = insert_update_delete_db()
+        txn_id = db.txn_manager.txn_at_csn(3)  # the UPDATE
+        csn = db.txn_manager.csn_of(txn_id)
+        assert csn == 3
+        assert self.rows_at(db, csn - 1) == [("a", 1), ("b", 2)]
+        assert self.rows_at(db, csn) == [("a", 10), ("b", 2)]
+
+    def test_open_transaction_has_no_csn_and_is_not_read(self):
+        db = insert_update_delete_db()
+        txn = db.begin()
+        db.execute("INSERT INTO t VALUES ('c', 3)", txn=txn)
+        assert db.txn_manager.csn_of(txn.txn_id) is None
+        assert self.rows_at(db, db.last_csn) == [("a", 10)]
+        csn = txn.commit()
+        assert db.txn_manager.csn_of(txn.txn_id) == csn
+        assert self.rows_at(db, csn - 1) == [("a", 10)]
+        assert self.rows_at(db, csn) == [("a", 10), ("c", 3)]
+
+    def test_vacuum_keeps_newer_history(self):
+        db = insert_update_delete_db()
+        assert db.vacuum(keep_after_csn=3) > 0
+        with pytest.raises(TimeTravelError, match="vacuum horizon"):
+            self.rows_at(db, 1)
+        assert self.rows_at(db, 3) == [("a", 10), ("b", 2)]
+        assert self.rows_at(db, 4) == [("a", 10)]
+
+    def test_vacuumed_csn_raises_instead_of_reading_empty(self):
+        """Vacuumed to 4, the versions of csn 2 are gone: a read of the
+        version store alone answers ``[]`` where the state held two rows."""
+        db = insert_update_delete_db()
+        db.vacuum(keep_after_csn=4)
+        with pytest.raises(TimeTravelError, match="vacuum horizon"):
+            self.rows_at(db, 2)
+
+    def test_future_csn_raises_instead_of_reading_latest(self):
+        db = insert_update_delete_db()
+        db.vacuum(keep_after_csn=4)
+        with pytest.raises(TimeTravelError, match="future"):
+            self.rows_at(db, 99)
+
+    def test_latest_reads_unaffected_by_vacuum(self):
+        db = insert_update_delete_db()
+        db.vacuum(keep_after_csn=4)
+        assert db.execute("SELECT k, v FROM t").rows == [("a", 10)]
+        assert db.table_rows("t") == [{"k": "a", "v": 10}]
+
+
 class TestSharded:
     def make(self) -> ShardedDatabase:
         sharded = ShardedDatabase(3, shard_keys={"t": "id"})
@@ -127,10 +200,7 @@ class TestSharded:
         )
         assert sharded.execute("SELECT COUNT(*) FROM t").scalar() == 9
 
-    def test_matches_deprecated_execute_as_of(self):
-        """A parameterised CSN reads what the literal one does (the call
-        shape the removed ``execute_as_of(sql, csn)`` shim's users moved
-        to — the test keeps its name from then)."""
+    def test_parameterised_csn_matches_literal(self):
         sharded = self.make()
         sql = "SELECT id FROM t ORDER BY id"
         by_param = sharded.execute(sql + " AS OF ?", (5,)).rows

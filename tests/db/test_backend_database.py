@@ -85,13 +85,21 @@ class TestDatabaseMisc:
         txn.abort()
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 0
 
-    def test_table_rows_as_of(self):
+    def test_table_rows_reads_latest(self):
         db = Database()
         db.execute("CREATE TABLE t (k TEXT)")
         db.execute("INSERT INTO t VALUES ('a')")
         db.execute("INSERT INTO t VALUES ('b')")
-        assert db.table_rows("t", csn=1) == [{"k": "a"}]
-        assert len(db.table_rows("t")) == 2
+        assert db.table_rows("t") == [{"k": "a"}, {"k": "b"}]
+        assert db.execute("SELECT k FROM t AS OF 1").rows == [("a",)]
+
+    def test_table_rows_takes_no_csn(self):
+        """The past is read through ``AS OF`` only, which checks the range."""
+        db = Database()
+        db.execute("CREATE TABLE t (k TEXT)")
+        db.execute("INSERT INTO t VALUES ('a')")
+        with pytest.raises(TypeError):
+            db.table_rows("t", csn=1)
 
     def test_observer_receives_events(self):
         events = []

@@ -4,11 +4,13 @@ Every plan runs generated programs, so there is no second evaluator inside
 the engine to compare with (``Expr.eval`` is the reference, and
 ``tests/property/test_prop_compiled_expr.py`` holds every program form to
 it). What this module compares is the engine against itself along every
-axis that changes which programs run over which rows: predicate pushdown
-on and off, one node and three shards, a plan's first execution and its
-cache hits. Every query returns the same rows with the same value types,
-read provenance is byte-identical when tracking is on, and the
-``executor_stats`` counters describe what the pipeline actually did.
+axis that changes which programs run over which rows: one node and three
+shards, a plan's first execution and its cache hits. Every query returns
+the same rows with the same value types, read provenance is byte-identical
+when tracking is on, and the ``executor_stats`` counters describe what the
+pipeline actually did. Where a WHERE conjunct runs — pushed into a scan or
+above a join — is held to a nested-loop model instead, by
+``tests/property/test_prop_sql.py``.
 """
 
 from functools import cmp_to_key
@@ -20,9 +22,8 @@ from repro.db.types import compare_values
 from repro.errors import ExecutionError, PlanningError
 
 
-def build_db(pushdown: bool = True) -> Database:
+def build_db() -> Database:
     db = Database()
-    db.predicate_pushdown_enabled = pushdown
     _populate(db)
     return db
 
@@ -214,16 +215,6 @@ class TestDifferential:
                     _same(got, want, (sql, run))
                 else:
                     _same(_canon(got), _canon(want), (sql, run))
-
-    def test_pushdown_knob_is_result_invariant(self):
-        pushed = build_db(pushdown=True)
-        unpushed = build_db(pushdown=False)
-        for sql, params in [(q, ()) for q in QUERIES] + PARAM_QUERIES:
-            _same(
-                pushed.execute(sql, params).rows,
-                unpushed.execute(sql, params).rows,
-                sql,
-            )
 
 
 class TestShapesOnlyClosuresRan:

@@ -132,7 +132,6 @@ class TestApplier:
         txn_id = db.txn_manager.txn_at_csn(csn)
         assert replica.txn_manager.txn_at_csn(csn) == txn_id
         assert replica.txn_manager.csn_of(txn_id) == csn
-        assert replica.time_travel.csn_before_txn(txn_id) == csn - 1
 
     def test_commit_index_survives_skewed_txn_counters(self):
         """Aborted primary txns skew local vs primary txn ids; the
@@ -260,7 +259,7 @@ class TestReplicaSet:
         # ...but the pre-bootstrap past is behind the horizon.
         assert database.history_horizon == base
         with pytest.raises(TimeTravelError):
-            database.time_travel.rows_as_of("t", base - 1)
+            database.execute("SELECT * FROM t AS OF ?", (base - 1,))
 
     def test_replicas_are_read_only(self):
         db = build_primary()
@@ -361,9 +360,7 @@ class TestSessionGuarantees:
         csn = db.last_csn
         db.execute("DELETE FROM t WHERE k = 0")
         rows = repro.connect(rs).execute("SELECT * FROM t AS OF ?", (csn,)).rows
-        assert rows == [
-            values for _row_id, values in db.time_travel.rows_as_of("t", csn)
-        ]
+        assert rows == [values for _row_id, values in db.store("t").scan(csn)]
         assert len(rows) == 3
         assert rs.stats["replica_reads"] == 1
 
@@ -403,8 +400,8 @@ class TestFailover:
         db.execute("UPDATE t SET v = 2.0 WHERE k = 1")
         promoted = rs.promote()
         assert promoted.execute("SELECT v FROM t WHERE k = 1").scalar() == 2.0
-        as_of = promoted.time_travel.rows_as_of("t", csn_before_update)
-        assert [values for _rid, values in as_of] == [(1, "g0", 1.0)]
+        as_of = promoted.execute("SELECT * FROM t AS OF ?", (csn_before_update,))
+        assert as_of.rows == [(1, "g0", 1.0)]
 
     def test_remaining_replicas_follow_new_primary(self):
         db = build_primary()
@@ -671,19 +668,19 @@ class TestShardedReplication:
         assert via_replicas.rows == expected
         assert sharded.cluster_stats["replica_reads"] == 3  # every shard covered
 
-    def test_sharded_time_travel_prefer_replicas(self):
+    def test_as_of_via_replicas_sees_rows_deleted_later(self):
         sharded = self.build(n_replicas=1, mode="sync")
         csn = sharded.last_global_csn
         gtxn = sharded.begin()
         sharded.execute("DELETE FROM items WHERE id < 10", txn=gtxn)
         gtxn.commit()
-        from_primaries = sharded.time_travel.rows_as_of("items", csn)
-        from_replicas = sharded.time_travel.rows_as_of(
-            "items", csn, prefer_replicas=True
-        )
-        key = lambda row: row["id"]
-        assert sorted(from_replicas, key=key) == sorted(from_primaries, key=key)
-        assert len(from_replicas) == 60
+        sql = "SELECT id, grp, val FROM items ORDER BY id AS OF ?"
+        from_primaries = sharded.execute(sql, (csn,)).rows
+        from_replicas = repro.connect(sharded).execute(sql, (csn,)).rows
+        assert from_replicas == from_primaries
+        assert [row[0] for row in from_replicas] == list(range(60))
+        assert sharded.cluster_stats["replica_reads"] == 3
+        assert sharded.execute("SELECT COUNT(*) FROM items").scalar() == 50
 
     def test_shard_failover_mid_workload(self):
         sharded = self.build(n_replicas=2, mode="async")

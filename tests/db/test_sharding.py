@@ -19,6 +19,7 @@ from repro.errors import (
     IntegrityError,
     SchemaError,
     TimeTravelError,
+    TransactionError,
 )
 
 N_ROWS = 120
@@ -534,7 +535,7 @@ class TestShardedWrites:
             )
 
 
-class TestShardedTimeTravel:
+class TestShardedAsOf:
     def build(self):
         sdb = ShardedDatabase(3, shard_keys={"kv": "k"})
         sdb.execute("CREATE TABLE kv (k INTEGER, v TEXT)")
@@ -571,25 +572,21 @@ class TestShardedTimeTravel:
                     "INSERT INTO kv VALUES (?, ?)", (k, f"s{step}"), txn=txn
                 )
             local_csns.append(txn.commit())
+        sql = "SELECT k, v FROM kv ORDER BY k AS OF ?"
         for global_csn, local_csn in zip(checkpoints, local_csns):
-            got = sorted(
-                (r["k"], r["v"]) for r in sdb.time_travel.rows_as_of("kv", global_csn)
-            )
-            want = sorted(
-                (r["k"], r["v"]) for r in single.table_rows("kv", csn=local_csn)
-            )
-            assert got == want
+            got = sdb.execute(sql, (global_csn,)).rows
+            assert got == single.execute(sql, (local_csn,)).rows
 
-    def test_rows_as_of_and_state_as_of(self):
+    def test_whole_table_as_of(self):
         sdb, checkpoints = self.build()
-        rows = sdb.time_travel.rows_as_of("kv", checkpoints[1])
+        rows = sdb.execute("SELECT * FROM kv AS OF ?", (checkpoints[1],)).rows
         assert len(rows) == 8
-        state = sdb.time_travel.state_as_of(checkpoints[0])
-        assert sorted(r["k"] for r in state["kv"]) == [0, 1, 2, 3]
+        keys = sdb.execute("SELECT k FROM kv ORDER BY k AS OF ?", (checkpoints[0],))
+        assert [k for (k,) in keys.rows] == [0, 1, 2, 3]
 
     def test_local_csn_translation(self):
         sdb, checkpoints = self.build()
-        local = sdb.time_travel.local_csns_at(checkpoints[-1])
+        local = sdb.coordinator.local_csns_at(checkpoints[-1])
         assert set(local) == set(sdb.store_names)
         for store, shard in sdb.named_shards():
             assert local[store] == shard.last_csn
@@ -597,9 +594,9 @@ class TestShardedTimeTravel:
     def test_future_global_csn_rejected(self):
         sdb, _checkpoints = self.build()
         with pytest.raises(TimeTravelError):
-            sdb.time_travel.rows_as_of("kv", 99)
-        with pytest.raises(TimeTravelError):
-            sdb.time_travel.local_csns_at(-1)
+            sdb.execute("SELECT * FROM kv AS OF 99")
+        with pytest.raises(TransactionError):
+            sdb.coordinator.local_csns_at(-1)
 
     def test_as_of_below_vacuum_horizon_rejected(self):
         sdb, checkpoints = self.build()

@@ -292,26 +292,27 @@ def seeded_sharded(n: int = 400, shards: int = 4) -> ShardedDatabase:
 
 class TestShardedLimitPushdown:
     @pytest.mark.parametrize(
-        "sql,params",
+        "base,limit,offset",
         [
-            ("SELECT * FROM t LIMIT 7", ()),
-            ("SELECT * FROM t LIMIT 7 OFFSET 3", ()),
-            ("SELECT k FROM t WHERE k < 50 LIMIT 5", ()),
-            ("SELECT k FROM t LIMIT ?", (9,)),
-            ("SELECT * FROM t LIMIT 0", ()),
-            ("SELECT * FROM t ORDER BY k LIMIT 4", ()),
-            ("SELECT * FROM t ORDER BY k DESC LIMIT 4 OFFSET 2", ()),
-            ("SELECT DISTINCT v FROM t LIMIT 3", ()),
-            ("SELECT COUNT(*) FROM t LIMIT 1", ()),
-            ("SELECT k FROM t WHERE k IN (1, 2, 3) LIMIT 2", ()),
+            ("SELECT * FROM t", 7, 0),
+            ("SELECT * FROM t", 7, 3),
+            ("SELECT k FROM t WHERE k < 50", 5, 0),
+            ("SELECT k FROM t", 9, 0),
+            ("SELECT * FROM t", 0, 0),
+            ("SELECT * FROM t ORDER BY k", 4, 0),
+            ("SELECT * FROM t ORDER BY k DESC", 4, 2),
+            ("SELECT DISTINCT v FROM t", 3, 0),
+            ("SELECT COUNT(*) FROM t", 1, 0),
+            ("SELECT k FROM t WHERE k IN (1, 2, 3)", 2, 0),
         ],
     )
-    def test_pushdown_is_row_identical_to_gather_all(self, sql, params):
+    def test_limited_rows_are_a_window_of_the_full_result(self, base, limit, offset):
+        """Shard streams are concatenated in target order, so a capped
+        gather returns the un-LIMITed statement's ``[offset:offset + limit]``."""
         sdb = seeded_sharded()
-        with_pushdown = sdb.execute(sql, params).rows
-        sdb.limit_pushdown_enabled = False
-        without = sdb.execute(sql, params).rows
-        assert with_pushdown == without
+        window = sdb.execute(base).rows[offset : offset + limit]
+        assert sdb.execute(f"{base} LIMIT {limit} OFFSET {offset}").rows == window
+        assert sdb.execute(f"{base} LIMIT ? OFFSET ?", (limit, offset)).rows == window
 
     def test_coordinator_stops_draining_satisfied_shards(self):
         sdb = seeded_sharded()
@@ -361,8 +362,8 @@ class TestShardedLimitPushdown:
         sdb.attach_replicas(1, mode="sync")
         conn = connect(sdb)
         rows = conn.execute("SELECT k FROM t LIMIT 6").rows
-        sdb.limit_pushdown_enabled = False
-        assert conn.execute("SELECT k FROM t LIMIT 6").rows == rows
+        assert rows == conn.execute("SELECT k FROM t").rows[:6]
+        assert sdb.stats["limit_pushdown_queries"] == 1
 
 
 class TestPerStatementReadPreference:

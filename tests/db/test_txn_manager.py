@@ -211,6 +211,47 @@ class TestConstraints:
         with pytest.raises(IntegrityError):
             db.execute("INSERT INTO u VALUES ('y', 4)")
 
+    def test_own_key_deleted_or_moved_away_can_be_taken_again(self):
+        db = Database()
+        db.execute("CREATE TABLE u (k TEXT UNIQUE, v INTEGER)")
+        txn = db.begin()
+        db.execute("INSERT INTO u VALUES ('x', 1)", txn=txn)
+        db.execute("DELETE FROM u WHERE k = 'x'", txn=txn)
+        db.execute("INSERT INTO u VALUES ('x', 2)", txn=txn)
+        db.execute("UPDATE u SET k = 'z' WHERE v = 2", txn=txn)
+        db.execute("INSERT INTO u VALUES ('x', 3)", txn=txn)
+        with pytest.raises(IntegrityError, match=r"key \('z',\)"):
+            db.execute("INSERT INTO u VALUES ('z', 4)", txn=txn)
+        txn.commit()
+        assert db.execute("SELECT k, v FROM u ORDER BY v").rows == [("z", 2), ("x", 3)]
+
+    @pytest.mark.parametrize(
+        "isolation", [IsolationLevel.SERIALIZABLE, IsolationLevel.SNAPSHOT]
+    )
+    def test_unique_check_rereads_a_bounded_number_of_own_rows(
+        self, monkeypatch, isolation
+    ):
+        """An insert's local check re-reads only the own rows filed under
+        its key, so one transaction writing N keyed rows is O(N), not
+        O(N^2): the ids each check asks ``get_many`` for do not grow."""
+        asked = []
+        original = Transaction.get_many
+
+        def counting(self, table, row_ids):
+            row_ids = list(row_ids)
+            asked.append(len(row_ids))
+            return original(self, table, row_ids)
+
+        monkeypatch.setattr(Transaction, "get_many", counting)
+        db = Database()
+        db.execute("CREATE TABLE p (id INTEGER PRIMARY KEY, v TEXT)")
+        txn = db.begin(isolation)
+        for i in range(300):
+            db.execute("INSERT INTO p VALUES (?, 'v')", (i,), txn=txn)
+        txn.commit()
+        assert len(asked) == 300 and max(asked) == 0
+        assert db.execute("SELECT COUNT(*) FROM p").scalar() == 300
+
     def test_read_committed_own_row_rekeyed_by_a_concurrent_commit(self):
         """READ_COMMITTED has no first-committer check: a row this writer
         also wrote may hold its new key in the committed state. The commit

@@ -8,6 +8,8 @@ cluster — the results (including historical reads at per-engine CSN
 bookmarks) must match statement for statement.
 """
 
+import os
+
 import pytest
 
 from repro.db import (
@@ -20,6 +22,12 @@ from repro.workload.generators import ConnectionWorkload
 
 N_STATEMENTS = 150
 
+#: Workload seeds; CI's chaos-seed matrix adds each of its seeds through
+#: ``REPRO_CHAOS_SEED``, the variable ``tests/cluster/test_chaos.py`` reads.
+SEEDS = [0, 1, 7]
+if os.environ.get("REPRO_CHAOS_SEED"):
+    SEEDS.append(int(os.environ["REPRO_CHAOS_SEED"]))
+
 
 def make_engines():
     sharded = ShardedDatabase(3, shard_keys={"ledger": "acct"})
@@ -30,7 +38,7 @@ def make_engines():
     }
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("seed", SEEDS)
 def test_same_stream_same_results_on_all_engines(seed):
     fingerprints = {}
     for name, engine in make_engines().items():

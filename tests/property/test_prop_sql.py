@@ -99,6 +99,80 @@ class TestSelectModel:
         assert sorted(rs.rows) == expected
 
 
+small_strategy = st.one_of(st.none(), st.integers(-3, 3))
+side_strategy = st.lists(st.tuples(small_strategy, small_strategy), max_size=8)
+
+
+class TestJoinFilterPlacement:
+    """Single-table WHERE conjuncts under a join, against a nested loop.
+
+    The planner runs such a conjunct inside its table's scan when the
+    table is an inner-join input. On a LEFT JOIN's null-extended side it
+    must filter after the join, where an unmatched row's NULLs meet it:
+    ``r.y IS NULL`` keeps unmatched left rows and drops matched ones whose
+    ``y`` is set, which a pushed-down filter would get wrong.
+    """
+
+    @staticmethod
+    def statement(left_join: bool, lt: int, right_pred: str) -> str:
+        join = "LEFT JOIN" if left_join else "JOIN"
+        return (
+            f"SELECT l.a, l.x, r.b, r.y FROM l {join} r ON l.a = r.b"
+            f" WHERE l.x > {lt} AND {right_pred}"
+        )
+
+    def test_filters_are_placed_as_the_property_assumes(self):
+        db = Database()
+        db.execute("CREATE TABLE l (a INTEGER, x INTEGER)")
+        db.execute("CREATE TABLE r (b INTEGER, y INTEGER)")
+        inner = db.explain(self.statement(False, 0, "r.y IS NULL"))
+        assert inner[2:] == [
+            "    Scan(l) filter[(l.x > 0)]",
+            "    Scan(r) filter[(r.y IS NULL)]",
+        ]
+        left = db.explain(self.statement(True, 0, "r.y IS NULL"))
+        assert left[1:] == [
+            "  Filter[(r.y IS NULL)]",
+            "    HashJoin(left, 1 key(s))",
+            "      Scan(l) filter[(l.x > 0)]",
+            "      Scan(r)",
+        ]
+
+    @given(
+        side_strategy,
+        side_strategy,
+        st.booleans(),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_join_with_side_filters_matches_nested_loop(
+        self, left, right, left_join, lt, rt, right_is_null
+    ):
+        db = Database()
+        db.execute("CREATE TABLE l (a INTEGER, x INTEGER)")
+        db.execute("CREATE TABLE r (b INTEGER, y INTEGER)")
+        db.insert_rows("l", left)
+        db.insert_rows("r", right)
+        right_pred = "r.y IS NULL" if right_is_null else f"r.y < {rt}"
+        joined = []
+        for a, x in left:
+            matches = [(b, y) for b, y in right if a is not None and a == b]
+            if left_join and not matches:
+                matches = [(None, None)]
+            joined += [(a, x, b, y) for b, y in matches]
+
+        def where(row) -> bool:  # NULL comparisons are not true
+            _a, x, _b, y = row
+            keep_right = y is None if right_is_null else y is not None and y < rt
+            return x is not None and x > lt and keep_right
+
+        expected = [row for row in joined if where(row)]
+        rows = db.execute(self.statement(left_join, lt, right_pred)).rows
+        assert sorted(rows, key=repr) == sorted(expected, key=repr)
+
+
 class TestDmlModel:
     @given(rows_strategy, st.integers(-20, 20), st.integers(-50, 50))
     @settings(max_examples=40, deadline=None)
