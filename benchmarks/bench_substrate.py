@@ -6,10 +6,11 @@ without an index, scans, hash joins, commits), so readers can interpret
 the absolute numbers in E7/E8 relative to the substrate's speed.
 
 The read-path cases are differential: latest-state scans are measured
-against an inline replica of the seed's sort-and-walk scan, repeated
-queries with the plan cache on and off, and provenance restores with and
-without a checkpoint. Sharded cases run the same table hash-partitioned
-over 4 stores: routed point lookups, scatter-gather scans, pushed-down
+against an inline replica of the seed's sort-and-walk scan, and
+provenance restores with and without a checkpoint; a repeated query is
+served from the plan memo. Sharded cases run the same table
+hash-partitioned over 4 stores: routed point lookups, scatter-gather
+scans, pushed-down
 aggregates, and write-heavy multi-shard 2PC commits. Replication cases
 measure cluster read capacity at 3 replicas vs the single primary,
 async catch-up apply rate, failover (promote) latency, and the WAL
@@ -307,7 +308,7 @@ def test_substrate_throughput(benchmark, emit):
         ["filter below join (pushdown)", _rate(lambda: db.execute(fj_sql), _iters(200))]
     )
 
-    # Repeated statement shape, served from the plan cache.
+    # Repeated statement shape, served from the plan memo.
     probe_sql = "SELECT * FROM items WHERE id = ?"
     rows.append(
         [

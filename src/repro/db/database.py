@@ -28,10 +28,13 @@ from repro.db.segments import SegmentStore
 from repro.db.types import ColumnType
 from repro.db.sql.executor import (
     DmlNode,
+    PlanNode,
     build_dml_plan,
     build_select_plan,
+    catalog_shape_id,
     evaluate_as_of,
     execute_statement,
+    memo_plan,
 )
 from repro.db.sql.nodes import (
     CreateIndexStmt,
@@ -63,8 +66,6 @@ from repro.errors import (
     UnavailableError,
     WalError,
 )
-
-_PLAN_CACHE_LIMIT = 512
 
 #: Environment knob: overrides the default storage backend when
 #: ``Database(storage=None)``. CI uses it to run the whole suite paged.
@@ -272,17 +273,12 @@ class Database:
         self.history_horizon = 0
         self._stores: dict[str, TableStore | SegmentStore] = {}
         self._indexes: dict[str, IndexSet] = {}
-        #: Plans keyed by (sql, catalog epoch) for SELECT
-        #: and ("dml", sql, catalog epoch) for UPDATE/DELETE. A plan is a
-        #: function of the text and the catalog alone — no transaction or
-        #: isolation level enters it — and its nodes carry no
-        #: per-execution state, only the programs they generate the first
-        #: time they run, so one tree serves every execution of the same
-        #: statement shape.
-        self._plan_cache: dict[tuple, Any] = {}
-        #: Bumped by every DDL / catalog change; stale plans (which hold
-        #: references to schemas and index objects) never survive a bump.
+        #: Bumped by every DDL / catalog change.
         self.catalog_epoch = 0
+        #: :attr:`catalog_shape`, until the next DDL drops it.
+        self._catalog_shape: int | None = None
+        #: Plan-memo lookups keyed by this catalog
+        #: (:func:`~repro.db.sql.executor.memo_plan`).
         self.plan_cache_stats = {
             "hits": 0,
             "misses": 0,
@@ -295,9 +291,25 @@ class Database:
     # -- schema management ---------------------------------------------------
 
     def bump_catalog_epoch(self) -> None:
-        """Invalidate cached plans after any catalog or index change."""
+        """Note a catalog or index change: plans are keyed anew."""
         self.catalog_epoch += 1
-        self._plan_cache.clear()
+        self._catalog_shape = None
+
+    @property
+    def catalog_shape(self) -> int:
+        """All a plan over this catalog depends on, as a small int: equal
+        for databases whose tables (columns, unique constraints, indexes in
+        order) and aliases are equal, which therefore share every plan."""
+        if self._catalog_shape is None:
+            tables = sorted(
+                (key, ixs.schema.name, ixs.schema.columns, ixs.schema.unique_constraints,
+                 tuple((type(ix), ix.name, ix.columns, getattr(ix, "unique", False))
+                       for ix in ixs.indexes.values()))
+                for key, ixs in self._indexes.items()
+            )
+            aliases = sorted(self.catalog.aliases().items())
+            self._catalog_shape = catalog_shape_id((tuple(tables), tuple(aliases)))
+        return self._catalog_shape
 
     def create_table(self, schema: TableSchema) -> None:
         self.catalog.create_table(schema)
@@ -384,10 +396,18 @@ class Database:
         self.notify("index_dropped", name, key)
 
     def store(self, table: str) -> TableStore | SegmentStore:
-        return self._stores[self.catalog.resolve(table)]
+        # A canonical name (what plans and the commit path hold) needs no
+        # resolving; an alias or another spelling does.
+        store = self._stores.get(table)
+        if store is None:
+            store = self._stores[self.catalog.resolve(table)]
+        return store
 
     def index_set(self, table: str) -> IndexSet:
-        return self._indexes[self.catalog.resolve(table)]
+        indexes = self._indexes.get(table)
+        if indexes is None:
+            indexes = self._indexes[self.catalog.resolve(table)]
+        return indexes
 
     # -- paged storage: persistence, recovery, checkpoint ---------------------
 
@@ -628,54 +648,17 @@ class Database:
 
     # -- SQL --------------------------------------------------------------------
 
-    def select_plan(
-        self, stmt: SelectStmt, sql: str | None
-    ) -> tuple[Any, list[str]]:
-        """The plan for ``stmt``, from the plan cache when possible.
+    def select_plan(self, stmt: SelectStmt) -> tuple[PlanNode, list[str]]:
+        """Plan a SELECT over this catalog (what the plan memo runs on a
+        miss). No isolation level enters it: a snapshot read widens an
+        index probe at run time by the rows moved off their key since."""
+        return build_select_plan(stmt, self)
 
-        ``sql`` is the cache key (None disables caching — e.g. the inner
-        SELECT of INSERT ... SELECT has no statement text of its own); the
-        catalog epoch invalidates plans across DDL. The isolation level
-        is not part of it: an index probe serves every level, a snapshot
-        read widening it at run time by the rows moved off their key since.
-        """
-        if sql is None:
-            return build_select_plan(stmt, self)
-        key = (sql, self.catalog_epoch)
-        entry = self._plan_cache.get(key)
-        if entry is not None:
-            self.plan_cache_stats["hits"] += 1
-            return entry
-        self.plan_cache_stats["misses"] += 1
-        entry = build_select_plan(stmt, self)
-        if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
-            self._plan_cache.clear()
-        self._plan_cache[key] = entry
-        return entry
-
-    def dml_plan(self, stmt: UpdateStmt | DeleteStmt, sql: str | None) -> DmlNode:
-        """The plan of an UPDATE or DELETE, from the plan cache when possible.
-
-        A :class:`~repro.db.sql.executor.DmlNode`: the match-phase scan —
-        the access path a SELECT with the same WHERE gets, index probe
-        and pushed-down filter included — plus an UPDATE's SET list.
-        Shares the epoch-invalidated plan cache with SELECT plans (keys
-        are disjoint tuples); as there, ``sql`` is the key (None disables
-        caching) and one plan serves every isolation level.
-        """
-        if sql is None:
-            return build_dml_plan(stmt, self)
-        key = ("dml", sql, self.catalog_epoch)
-        entry = self._plan_cache.get(key)
-        if entry is not None:
-            self.plan_cache_stats["dml_hits"] += 1
-            return entry
-        self.plan_cache_stats["dml_misses"] += 1
-        entry = build_dml_plan(stmt, self)
-        if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
-            self._plan_cache.clear()
-        self._plan_cache[key] = entry
-        return entry
+    def dml_plan(self, stmt: UpdateStmt | DeleteStmt) -> DmlNode:
+        """Plan an UPDATE or DELETE over this catalog (on a memo miss): the
+        match-phase scan a SELECT with the same WHERE gets, plus the SET
+        list (:class:`~repro.db.sql.executor.DmlNode`)."""
+        return build_dml_plan(stmt, self)
 
     def execute(
         self,
@@ -834,9 +817,9 @@ class Database:
                 "EXPLAIN supports SELECT, UPDATE and DELETE statements only"
             )
         if isinstance(stmt, SelectStmt):
-            plan, _names = self.select_plan(stmt, sql)
+            plan, _names = memo_plan("select", sql, self, self.select_plan, stmt)
         else:
-            plan = self.dml_plan(stmt, sql)
+            plan = memo_plan("dml", sql, self, self.dml_plan, stmt)
         return plan.explain()
 
     # -- direct (non-SQL) access -----------------------------------------------

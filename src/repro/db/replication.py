@@ -384,10 +384,6 @@ class ReplicaSet:
             "stale_fallbacks": 0,
             "catch_up_waits": 0,
         }
-        #: Called after :meth:`resync` swaps a replica's database for a
-        #: fresh one, so an owner caching per-database state (the sharded
-        #: facade's scatter plans) can drop what pins the old instance.
-        self.on_resync: Callable[[], None] | None = None
         for _ in range(n_replicas):
             self.add_replica()
         self._unsub: Callable[[], None] | None = None
@@ -763,8 +759,6 @@ class ReplicaSet:
         for upstream, downstream in self.chains:
             if upstream is replica:
                 downstream.rebase(replica.database)
-        if self.on_resync is not None:
-            self.on_resync()
 
     # -- cascading chains -------------------------------------------------
 

@@ -29,7 +29,7 @@ single database. The pieces:
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro.db.database import Database, StatementTrace
 from repro.db.expr import (
@@ -61,6 +61,7 @@ from repro.db.sql.executor import (
     build_from_where,
     evaluate_as_of,
     execute_statement,
+    memo_plan,
     plan_projection,
 )
 from repro.db.sql.nodes import (
@@ -89,8 +90,6 @@ from repro.errors import (
     TypeCoercionError,
 )
 from repro.runtime.scheduler import CheckpointKind, maybe_checkpoint
-
-_STMT_CACHE_LIMIT = 1024
 
 #: Cooperative-wait bound for the reshard write fence: a parked writer
 #: yields this many times before concluding the migration is stuck.
@@ -284,33 +283,37 @@ class BroadcastRowsNode(PlanNode):
 _COMBINE_NAMES = {"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX": "MAX"}
 
 
-class _AggDecomposition:
-    """Partial/final split of one aggregate query (built once, cached)."""
+class _AggDecomposition(NamedTuple):
+    """Partial/final split of one aggregate query."""
 
-    __slots__ = ("partial_stmt", "final_stmt", "partial_layout", "final_entry")
+    #: What every target shard runs.
+    partial_stmt: SelectStmt
+    #: The coordinator's combine plan over the gathered partial rows, with
+    #: its output column names.
+    final: tuple[PlanNode, list[str]]
 
-    def __init__(
-        self,
-        partial_stmt: SelectStmt,
-        final_stmt: SelectStmt,
-        partial_layout: Layout,
-    ):
-        self.partial_stmt = partial_stmt
-        self.final_stmt = final_stmt
-        self.partial_layout = partial_layout
-        #: Lazily compiled coordinator combine plan (see _merge_rows).
-        self.final_entry: dict[str, Any] | None = None
+
+def _merge_plan(stmt: SelectStmt, database: Database) -> tuple[PlanNode, list[str]]:
+    """The coordinator's half of a scattered SELECT, with its column names.
+
+    Projection, aggregation, ORDER BY and LIMIT over the rows the shards'
+    FROM/WHERE nodes gather, laid out as such a node over ``database``'s
+    catalog lays them out.
+    """
+    layout = build_from_where(stmt, database).layout
+    return plan_projection(stmt, RowsNode(layout))
 
 
 def decompose_aggregate_stmt(stmt: SelectStmt) -> _AggDecomposition | None:
     """Split a single-table aggregate SELECT into partial and final stages.
 
     The partial statement runs on every target shard (grouping locally and
-    computing per-shard partial aggregates); the final statement re-groups
+    computing per-shard partial aggregates); the final plan re-groups
     the partial rows at the coordinator using combine aggregates:
     ``COUNT -> SUM of counts``, ``SUM -> SUM``, ``MIN/MAX -> MIN/MAX``,
     ``AVG -> SUM of sums / SUM of counts``. Returns None when the query
-    has no aggregation or is not decomposable (DISTINCT aggregates).
+    has no aggregation or is not decomposable (DISTINCT aggregates). The
+    split is syntactic: it reads no catalog.
     """
     if stmt.joins or stmt.from_table is None:
         return None
@@ -393,7 +396,8 @@ def decompose_aggregate_stmt(stmt: SelectStmt) -> _AggDecomposition | None:
     partial_layout = Layout()
     for item in partial_items:
         partial_layout.add(None, item.alias)
-    return _AggDecomposition(partial_stmt, final_stmt, partial_layout)
+    final = plan_projection(final_stmt, RowsNode(partial_layout))
+    return _AggDecomposition(partial_stmt, final)
 
 
 def _output_name(expr: Expr) -> str:
@@ -438,10 +442,6 @@ class ShardedDatabase:
         self._shard_key_hints = {
             k.lower(): v.lower() for k, v in (shard_keys or {}).items()
         }
-        self._agg_cache: dict[tuple, _AggDecomposition | None] = {}
-        #: Compiled scatter-gather plans (per-shard FROM/WHERE nodes plus
-        #: the coordinator merge plan) keyed by (sql, epochs).
-        self._select_cache: dict[tuple, dict[str, Any]] = {}
         #: Per-shard replica sets (``attach_replicas``); :meth:`execute_read`
         #: then serves each shard's reads from its set's read target while
         #: DML and 2PC stay on the primaries.
@@ -465,12 +465,6 @@ class ShardedDatabase:
             "fanout_statements": 0,  # hit every shard
             "partial_agg_queries": 0,
             "broadcast_joins": 0,
-            # Coordinator-side merge-plan cache (single-table scatter
-            # plans and aggregate decompositions).
-            "select_cache_hits": 0,
-            "select_cache_misses": 0,
-            "agg_cache_hits": 0,
-            "agg_cache_misses": 0,
             # LIMIT short-circuit: queries that capped per-shard scans,
             # and shards never drained (or begun) because earlier targets
             # already satisfied the limit.
@@ -930,8 +924,8 @@ class ShardedDatabase:
             )
         refs = stmt.table_refs()
         lines: list[str] = []
+        db0 = self.shards[0]
         if refs:
-            db0 = self.shards[0]
             conjuncts = split_conjuncts(stmt.where)
             if len(refs) == 1:
                 canonical = db0.catalog.resolve(refs[0].table)
@@ -952,7 +946,7 @@ class ShardedDatabase:
                     f"broadcast=[{', '.join(sorted(broadcast))}], "
                     f"targets=[{', '.join(self.store_names)}])"
                 )
-        plan, _names = self.shards[0].select_plan(stmt, None)
+        plan, _names = memo_plan("select", sql, db0, db0.select_plan, stmt)
         lines.extend(plan.explain(depth=1))
         return lines
 
@@ -964,8 +958,6 @@ class ShardedDatabase:
         for shard in self.shards:
             shard.create_table(schema)
         self._register_shard_key(schema, shard_key)
-        self._agg_cache.clear()
-        self._select_cache.clear()
 
     def _resolve_shard_key(
         self, schema: TableSchema, shard_key: str | None
@@ -1024,8 +1016,6 @@ class ShardedDatabase:
                 shard.execute(sql, params)
             if canonical is not None:
                 self.router.unregister_table(canonical)
-            self._agg_cache.clear()
-            self._select_cache.clear()
             return ResultSet(kind="ddl")
         db0 = self.shards[0]
         if (
@@ -1081,8 +1071,6 @@ class ShardedDatabase:
             # shard that failed half-populated.
             self._compensate_create(stmt, preexisting)
             raise
-        self._agg_cache.clear()
-        self._select_cache.clear()
         return ResultSet(kind="ddl")
 
     def _compensate_create(
@@ -1170,24 +1158,25 @@ class ShardedDatabase:
             )
         return rows
 
-    def _coordinator_rows(
+    def _merge_rows(
         self,
-        stmt: SelectStmt,
-        source: RowsNode,
+        merge: tuple[PlanNode, list[str]],
+        gathered: list[tuple],
         params: Sequence[Any],
         sql: str | None,
     ) -> ResultSet:
-        plan, out_names = plan_projection(stmt, source)
+        """Run a coordinator plan (and its column names) over the rows this
+        execution gathered."""
+        plan, names = merge
         ctx = ExecContext(
             database=self.shards[0],
             txn=None,  # type: ignore[arg-type]  # merge nodes never touch it
             params=params,
             query_text=sql or "",
             track_reads=False,
+            gathered=gathered,
         )
-        return ResultSet(
-            columns=out_names, rows=_drain_rows(plan, ctx), kind="select"
-        )
+        return ResultSet(columns=names, rows=_drain_rows(plan, ctx), kind="select")
 
     def _execute_select(
         self,
@@ -1229,7 +1218,9 @@ class ShardedDatabase:
             return self._scatter_gather(stmt, params, targets, get_txn, sql, db_for)
 
         # Join path: broadcast nodes embed this execution's gathered
-        # rows, so these plans are rebuilt per statement. A WHERE pin on
+        # rows, and which side stays partitioned depends on the tables'
+        # sizes, so the shard-local join plans are rebuilt per statement
+        # (the merge plan depends on neither). A WHERE pin on
         # the partitioned table's shard key still prunes the partitioned
         # scans (broadcast sides gather from every shard regardless —
         # their rows live everywhere).
@@ -1240,18 +1231,14 @@ class ShardedDatabase:
             stmt, params, get_txn, sql, split, db_for
         )
         gathered: list[tuple] = []
-        layout: Layout | None = None
         for store in targets:
             shard = db_for(store)
             branch = get_txn(store)
             node = build_from_where(stmt, shard, scan_factory=scan_factory)
-            if layout is None:
-                layout = node.layout
             gathered.extend(self._run_plan(shard, branch, node, params, sql))
-        assert layout is not None
-        return self._coordinator_rows(
-            stmt, RowsNode(layout, gathered, label="ShardGather"), params, sql
-        )
+        first = db_for(targets[0])
+        merge = memo_plan("merge", sql, first, _merge_plan, stmt, first)
+        return self._merge_rows(merge, gathered, params, sql)
 
     def _limit_pushdown_cap(
         self, stmt: SelectStmt, params: Sequence[Any]
@@ -1291,42 +1278,18 @@ class ShardedDatabase:
         sql: str | None,
         db_for: Callable[[str], Database],
     ) -> ResultSet:
-        """Single-table scatter with cached per-shard and merge plans.
+        """Single-table scatter: per-shard FROM/WHERE nodes, one merge.
 
-        Per-shard FROM/WHERE nodes and the coordinator projection carry
-        no per-execution state, so they cache exactly like single-node
-        plans: keyed by (sql, catalog epochs), with the
-        gathered rows swapped into the shared RowsNode per execution.
-        Per-database nodes key on (database, its catalog epoch): a shard
-        may be served by its primary or any of its replicas, and a
-        lagging replica applies DDL later than the primary does.
+        Both come from the plan memo: each shard's node under the catalog
+        of the database serving it (its primary or any of its replicas —
+        a lagging replica applies DDL later than the primary does), the
+        merge plan under the first target's.
 
         When the statement qualifies (see :meth:`_limit_pushdown_cap`)
         the gather is capped per shard at limit+offset rows and stops
         visiting shards entirely once the cap is met — later shards never
         even begin their ephemeral read transactions.
         """
-        key = ("select", sql, self._epochs()) if sql is not None else None
-        entry = self._select_cache.get(key) if key is not None else None
-        if entry is not None:
-            self.stats["select_cache_hits"] += 1
-        else:
-            if key is not None:
-                self.stats["select_cache_misses"] += 1
-            db0 = db_for(targets[0])
-            node0 = build_from_where(stmt, db0)
-            source = RowsNode(node0.layout, (), label="ShardGather")
-            plan, names = plan_projection(stmt, source)
-            entry = {
-                "nodes": {(db0, db0.catalog_epoch): node0},
-                "source": source,
-                "plan": plan,
-                "names": names,
-            }
-            if key is not None:
-                if len(self._select_cache) >= _STMT_CACHE_LIMIT:
-                    self._select_cache.clear()
-                self._select_cache[key] = entry
         cap = self._limit_pushdown_cap(stmt, params)
         if cap is not None:
             self.stats["limit_pushdown_queries"] += 1
@@ -1339,18 +1302,7 @@ class ShardedDatabase:
                 break
             branch = get_txn(store)
             database = db_for(store)
-            node_key = (database, database.catalog_epoch)
-            node = entry["nodes"].get(node_key)
-            if node is None:
-                # A replica that applied DDL moved to a new epoch; its
-                # old-epoch nodes are dead weight — evict before adding.
-                stale = [
-                    k for k in entry["nodes"] if k[0] is database and k != node_key
-                ]
-                for k in stale:
-                    del entry["nodes"][k]
-                node = build_from_where(stmt, database)
-                entry["nodes"][node_key] = node
+            node = memo_plan("scatter", sql, database, build_from_where, stmt, database)
             if (
                 cap is not None
                 and not database.track_reads
@@ -1372,30 +1324,9 @@ class ShardedDatabase:
                 gathered.extend(
                     self._run_plan(database, branch, node, params, sql)
                 )
-        return self._merge_rows(entry, gathered, params, sql)
-
-    def _merge_rows(
-        self,
-        entry: dict[str, Any],
-        gathered: list[tuple],
-        params: Sequence[Any],
-        sql: str | None,
-    ) -> ResultSet:
-        """Run a cached coordinator plan over this execution's rows."""
-        source: RowsNode = entry["source"]
-        source.set_rows(gathered)
-        try:
-            ctx = ExecContext(
-                database=self.shards[0],
-                txn=None,  # type: ignore[arg-type]  # merge nodes never touch it
-                params=params,
-                query_text=sql or "",
-                track_reads=False,
-            )
-            rows = _drain_rows(entry["plan"], ctx)
-        finally:
-            source.set_rows(())  # don't pin gathered rows in the cache
-        return ResultSet(columns=entry["names"], rows=rows, kind="select")
+        first = db_for(targets[0])
+        merge = memo_plan("merge", sql, first, _merge_plan, stmt, first)
+        return self._merge_rows(merge, gathered, params, sql)
 
     def _routed_join_targets(
         self,
@@ -1498,17 +1429,8 @@ class ShardedDatabase:
         sql: str | None,
         db_for: Callable[[str], Database],
     ) -> ResultSet | None:
-        key = (sql, self._epochs()) if sql is not None else None
-        if key is not None and key in self._agg_cache:
-            self.stats["agg_cache_hits"] += 1
-            decomposition = self._agg_cache[key]
-        else:
-            decomposition = decompose_aggregate_stmt(stmt)
-            if key is not None:
-                self.stats["agg_cache_misses"] += 1
-                if len(self._agg_cache) >= _STMT_CACHE_LIMIT:
-                    self._agg_cache.clear()
-                self._agg_cache[key] = decomposition
+        # The split is syntactic: keyed on the text alone.
+        decomposition = memo_plan("decompose", sql, None, decompose_aggregate_stmt, stmt)
         if decomposition is None:
             return None
         self.stats["partial_agg_queries"] += 1
@@ -1516,20 +1438,11 @@ class ShardedDatabase:
         for store in targets:
             shard = db_for(store)
             branch = get_txn(store)
-            plan, _names = shard.select_plan(
-                decomposition.partial_stmt,
-                f"#shard-partial#{sql}" if sql is not None else None,
+            plan, _names = memo_plan(
+                "partial", sql, shard, shard.select_plan, decomposition.partial_stmt
             )
             partial_rows.extend(self._run_plan(shard, branch, plan, params, sql))
-        if decomposition.final_entry is None:
-            source = RowsNode(
-                decomposition.partial_layout, (), label="PartialAggGather"
-            )
-            plan, names = plan_projection(decomposition.final_stmt, source)
-            decomposition.final_entry = {
-                "source": source, "plan": plan, "names": names,
-            }
-        return self._merge_rows(decomposition.final_entry, partial_rows, params, sql)
+        return self._merge_rows(decomposition.final, partial_rows, params, sql)
 
     # -- DML -----------------------------------------------------------------
 
@@ -1726,8 +1639,6 @@ class ShardedDatabase:
         self.router._keys = key_registry
         self.reshard_horizon = self.coordinator.reshape(self._by_name)
         self.replica_sets = {}
-        self._select_cache.clear()
-        self._agg_cache.clear()
         return self.reshard_horizon
 
     # -- replication ---------------------------------------------------------
@@ -1752,9 +1663,6 @@ class ShardedDatabase:
             replica_set = self.replica_sets.get(store)
             if replica_set is None:
                 replica_set = ReplicaSet(shard, mode=mode, log_retain=log_retain)
-                # A resync replaces a replica database; cached scan nodes
-                # keyed by the old instance would pin its full data copy.
-                replica_set.on_resync = self._select_cache.clear
                 self.replica_sets[store] = replica_set
             for _ in range(n_replicas):
                 replica_set.add_replica()
@@ -1774,10 +1682,8 @@ class ShardedDatabase:
         into the replicas, and the most-caught-up replica takes over the
         store name — in the shard list, the 2PC coordinator, and the
         replica set (which keeps shipping to the remaining replicas).
-        Scatter/aggregate plan caches are dropped: their compiled nodes
-        are bound to the demoted database's stores. An attached TROD
-        keeps tracing: the promotion hands the demoted primary's
-        observers and ``track_reads`` to the promoted database.
+        An attached TROD keeps tracing: the promotion hands the demoted
+        primary's observers and ``track_reads`` to the promoted database.
         """
         replica_set = self.replica_sets.get(store)
         if replica_set is None:
@@ -1790,8 +1696,6 @@ class ShardedDatabase:
         self.shards[index] = promoted
         self._by_name[store] = promoted
         self.coordinator.replace_store(store, promoted)
-        self._select_cache.clear()
-        self._agg_cache.clear()
         return promoted
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

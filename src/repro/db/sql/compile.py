@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 #: Code objects by generated source text, dropped whole at the limit
-#: (like the plan cache).
+#: (like the plan memo, ``executor._plan_memo``).
 _CODE_MEMO_LIMIT = 4096
 _code_memo: dict[str, CodeType] = {}
 

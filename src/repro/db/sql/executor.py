@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from itertools import chain, islice
+from itertools import chain, count, islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.db.expr import (
     ColumnRef,
@@ -88,6 +88,9 @@ class ExecContext:
     #: starts it at one row — so no scan pulls, or records a read for, a
     #: row the consumer never asked for.
     row_budget: int | None = None
+    #: The rows a :class:`RowsNode` presents: what a sharded statement
+    #: gathered from its shards for this execution.
+    gathered: Sequence[tuple] = ()
 
     def __post_init__(self) -> None:
         if self.batch_size < 0:
@@ -198,29 +201,33 @@ def _bounded_chunks(
 
 
 class RowsNode(PlanNode):
-    """Pre-materialized rows presented under a fixed layout.
+    """The execution's gathered rows (``ctx.gathered``) under a fixed layout.
 
     The sharding layer gathers rows from shard-local plans and feeds them
-    into coordinator-side projection/aggregation through this node; it is
-    also the vehicle for broadcast join sides.
+    into coordinator-side projection/aggregation through this node.
     """
 
-    def __init__(self, layout: Layout, rows: Sequence[tuple], label: str = "Rows"):
+    def __init__(self, layout: Layout):
         self.layout = layout
-        self._rows = rows
-        self.label = label
-
-    def set_rows(self, rows: Sequence[tuple]) -> None:
-        """Swap in this execution's gathered rows (cached-plan reuse)."""
-        self._rows = rows
-
-    def describe(self) -> str:
-        return f"{self.label}({len(self._rows)} rows)"
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         # No more than the consumer still needs at a time: a LIMIT over
         # a big gather projects only the rows it returns.
-        return _bounded_chunks(iter(self._rows), ctx)
+        return _bounded_chunks(iter(ctx.gathered), ctx)
+
+
+class Probe(NamedTuple):
+    """An index access path, naming its index: a scan resolves the name
+    in its database's index set each time it runs."""
+
+    kind: str  # "hash": equality keys; "sorted": a range
+    index: str
+    columns: tuple[str, ...]
+    #: A hash probe's key expressions, one per column.
+    keys: tuple[Expr, ...] = ()
+    #: A range probe's bounds (None: unbounded).
+    low: Expr | None = None
+    high: Expr | None = None
 
 
 class ScanNode(PlanNode):
@@ -232,7 +239,7 @@ class ScanNode(PlanNode):
         binding: str,
         schema: TableSchema,
         conjuncts: Sequence[Expr] = (),
-        probe: tuple | None = None,
+        probe: Probe | None = None,
     ):
         self.table = table
         self.binding = binding
@@ -249,7 +256,7 @@ class ScanNode(PlanNode):
     @cached_property
     def _probe_positions(self) -> tuple[int, ...]:
         """The probe index's column positions in this table's rows."""
-        return tuple(self.schema.index_of(c) for c in self.probe[1].columns)
+        return tuple(self.schema.index_of(c) for c in self.probe.columns)
 
     @cached_property
     def _keep_values(self) -> Callable | None:
@@ -273,10 +280,10 @@ class ScanNode(PlanNode):
         if self.binding.lower() != self.table.lower():
             parts.append(f" AS {self.binding}")
         parts.append(")")
-        if self.probe is not None:
-            kind, index = self.probe[0], self.probe[1]
-            label = "probe" if kind == "hash" else "range"
-            parts.append(f" {label}={index.name}[{', '.join(index.columns)}]")
+        probe = self.probe
+        if probe is not None:
+            label = "probe" if probe.kind == "hash" else "range"
+            parts.append(f" {label}={probe.index}[{', '.join(probe.columns)}]")
         if self.filter_sql:
             parts.append(f" filter[{self.filter_sql}]")
         return "".join(parts)
@@ -380,17 +387,17 @@ class ScanNode(PlanNode):
     def _probe_candidates(self, ctx: ExecContext) -> "Iterable[int]":
         """Candidate row ids from the index; may be a read-only live view."""
         params = ctx.params
-        if self.probe[0] == "hash":
-            _kind, index, key_exprs = self.probe
+        probe = self.probe
+        index = ctx.database.index_set(self.table).indexes[probe.index.lower()]
+        if probe.kind == "hash":
             return index.lookup(
-                tuple(evaluate_rowless(expr, params) for expr in key_exprs)
+                tuple(evaluate_rowless(expr, params) for expr in probe.keys)
             )
-        _kind, index, low_expr, high_expr = self.probe
         low = high = None
-        if low_expr is not None:
-            low = (evaluate_rowless(low_expr, params),)
-        if high_expr is not None:
-            high = (evaluate_rowless(high_expr, params),)
+        if probe.low is not None:
+            low = (evaluate_rowless(probe.low, params),)
+        if probe.high is not None:
+            high = (evaluate_rowless(probe.high, params),)
         if (low is not None and low[0] is None) or (
             high is not None and high[0] is None
         ):
@@ -751,6 +758,65 @@ class LimitNode(PlanNode):
 
 
 # ---------------------------------------------------------------------------
+# The plan memo
+# ---------------------------------------------------------------------------
+
+#: Plans by ``(kind, statement text, catalog shape)``, dropped whole at the
+#: limit. A plan is a function of that key alone — a scan names the index
+#: it probes, and a gather's rows ride on the :class:`ExecContext` — so
+#: every database of the process with the same catalog shape (a replay's
+#: dev databases, shards, replicas) shares one plan per statement, as
+#: :func:`~repro.db.sql.parser.parse_cached` shares parses.
+_PLAN_MEMO_LIMIT = 1024
+_plan_memo: dict[tuple, Any] = {}
+#: Catalog descriptors -> ids (``Database.catalog_shape``); an id is never
+#: reused, so dropping the table at the limit costs only misses.
+_SHAPE_LIMIT = 1024
+_shape_ids: dict[tuple, int] = {}
+_next_shape_id = count(1)
+#: The ``plan_cache_stats`` counters a lookup bumps: (hit, miss).
+_COUNTERS = ("hits", "misses")
+_DML_COUNTERS = ("dml_hits", "dml_misses")
+_MISSING = object()
+
+
+def catalog_shape_id(descriptor: tuple) -> int:
+    """The id of a catalog descriptor: equal descriptors get equal ids."""
+    shape = _shape_ids.get(descriptor)
+    if shape is None:
+        if len(_shape_ids) >= _SHAPE_LIMIT:
+            _shape_ids.clear()
+        shape = _shape_ids[descriptor] = next(_next_shape_id)
+    return shape
+
+
+def memo_plan(
+    kind: str, sql: str | None, database: "Database | None", build: Callable, *args: Any
+) -> Any:
+    """``build(*args)``, run once per ``(kind, sql, catalog shape)``.
+
+    ``database`` is the one whose catalog keys the plan, and the lookup
+    counts in its ``plan_cache_stats`` (``dml_*`` for kind ``"dml"``);
+    None keys on the text alone and counts nowhere. Without ``sql`` —
+    the inner SELECT of an INSERT ... SELECT has no text of its own —
+    nothing is memoised.
+    """
+    if sql is None:
+        return build(*args)
+    key = (kind, sql, None if database is None else database.catalog_shape)
+    plan = _plan_memo.get(key, _MISSING)
+    if database is not None:
+        counters = _DML_COUNTERS if kind == "dml" else _COUNTERS
+        database.plan_cache_stats[counters[plan is _MISSING]] += 1
+    if plan is _MISSING:
+        plan = build(*args)
+        if len(_plan_memo) >= _PLAN_MEMO_LIMIT:
+            _plan_memo.clear()
+        _plan_memo[key] = plan
+    return plan
+
+
+# ---------------------------------------------------------------------------
 # SELECT planning
 # ---------------------------------------------------------------------------
 
@@ -942,14 +1008,16 @@ def _find_probe(
     canonical: str,
     schema: TableSchema,
     own_conjuncts: list[Expr],
-) -> tuple | None:
+) -> Probe | None:
     """Choose an index access path from the pushed-down conjuncts.
 
     Equality conjuncts binding a hash index's columns yield a hash probe
-    ``("hash", index, key_exprs)``; range conjuncts (<, <=, >, >=, BETWEEN)
-    on a single-column sorted index yield a range probe
-    ``("sorted", index, low_expr, high_expr)`` (None: unbounded). Keys and
-    bounds are literals or parameters, evaluated per execution.
+    (its key expressions in the index's column order); range conjuncts
+    (<, <=, >, >=, BETWEEN) on a single-column sorted index yield a range
+    probe (a missing bound is unbounded). Keys and bounds are literals or
+    parameters, evaluated per execution. The probe names its index, so
+    the plan stays a function of the catalog, not of one database's
+    storage.
 
     Probes apply at every isolation level. Shared indexes hold the
     latest committed state, which is what a 2PL reader sees. A reader
@@ -1010,7 +1078,8 @@ def _find_probe(
     if eq_values:
         index = database.index_set(canonical).equality_index_for(set(eq_values))
         if index is not None:
-            return ("hash", index, [eq_values[c.lower()] for c in index.columns])
+            keys = tuple(eq_values[c.lower()] for c in index.columns)
+            return Probe("hash", index.name, index.columns, keys=keys)
 
     for column, sides in bounds.items():
         for index in database.index_set(canonical).indexes.values():
@@ -1019,7 +1088,10 @@ def _find_probe(
                 and len(index.columns) == 1
                 and index.columns[0].lower() == column
             ):
-                return ("sorted", index, sides.get("low"), sides.get("high"))
+                return Probe(
+                    "sorted", index.name, index.columns,
+                    low=sides.get("low"), high=sides.get("high"),
+                )
     return None
 
 
@@ -1217,7 +1289,9 @@ def _execute_select(
     query_text: str,
     stream: bool = False,
 ) -> ResultSet:
-    plan, out_names = database.select_plan(stmt, query_text or None)
+    plan, out_names = memo_plan(
+        "select", query_text or None, database, database.select_plan, stmt
+    )
     ctx = ExecContext(
         database=database,
         txn=txn,
@@ -1256,7 +1330,7 @@ def _execute_insert(
                 "AS OF is not supported inside INSERT ... SELECT; "
                 "run the historical read separately"
             )
-        plan, out_names = database.select_plan(stmt.select, None)
+        plan, out_names = database.select_plan(stmt.select)
         if len(out_names) != len(columns):
             raise ExecutionError(
                 f"INSERT ... SELECT supplies {len(out_names)} column(s) "
@@ -1296,7 +1370,7 @@ def _execute_insert(
 class DmlNode(PlanNode):
     """An UPDATE or DELETE: its match-phase scan, and what to assign.
 
-    The plan :meth:`Database.dml_plan` caches. ``child`` is the
+    The plan :meth:`Database.dml_plan` builds. ``child`` is the
     :class:`ScanNode` a SELECT with the same WHERE would run;
     ``assignments`` holds an UPDATE's ``(column, expression)`` pairs in
     SET order (none for a DELETE).
@@ -1359,7 +1433,7 @@ def _match_rows(
     query_text: str,
 ) -> tuple[DmlNode, list[tuple[int, tuple]]]:
     """The plan of an UPDATE or DELETE and every row it matches."""
-    plan = database.dml_plan(stmt, query_text or None)
+    plan = memo_plan("dml", query_text or None, database, database.dml_plan, stmt)
     ctx = ExecContext(
         database=database,
         txn=txn,

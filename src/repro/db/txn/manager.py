@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import weakref
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -88,6 +89,9 @@ class Transaction:
         info: dict[str, Any] | None = None,
     ):
         self._manager = manager
+        #: The database this transaction reads and writes (its manager
+        #: holds it weakly; a live transaction may hold it).
+        self._database = manager.database
         self.txn_id = txn_id
         self.isolation = isolation
         self.snapshot_csn = snapshot_csn
@@ -155,7 +159,7 @@ class Transaction:
         and the stream stays consistent with its snapshot regardless.
         """
         canonical = self.read_lock(table)
-        store = self._manager.database.store(canonical)
+        store = self._database.store(canonical)
         return self._scan_pinned(
             store.scan(self._read_csn()),
             self._overlay.get(canonical, {}),
@@ -173,7 +177,7 @@ class Transaction:
         one transaction.
         """
         self._check_active()
-        canonical = self._manager.database.catalog.resolve(table)
+        canonical = self._database.catalog.resolve(table)
         if self.isolation is IsolationLevel.SERIALIZABLE:
             self._lock(canonical, LockMode.SHARED)
         return canonical
@@ -192,12 +196,12 @@ class Transaction:
         two serves it.
         """
         self._check_active()
-        canonical = self._manager.database.catalog.resolve(table)
+        canonical = self._database.catalog.resolve(table)
         if self._overlay.get(canonical) or self._inserted.get(canonical):
             return None
         if self.isolation is IsolationLevel.SERIALIZABLE:
             self._lock(canonical, LockMode.SHARED)
-        store = self._manager.database.store(canonical)
+        store = self._database.store(canonical)
         csn = self._read_csn()
         if csn is not None and csn < store.last_write_csn:
             return None
@@ -218,8 +222,8 @@ class Transaction:
         csn = self._read_csn()
         if csn is None:
             return ()
-        canonical = self._manager.database.catalog.resolve(table)
-        return self._manager.database.store(canonical).moved_after(csn, positions)
+        canonical = self._database.catalog.resolve(table)
+        return self._database.store(canonical).moved_after(csn, positions)
 
     @staticmethod
     def _scan_pinned(
@@ -243,12 +247,12 @@ class Transaction:
     def get(self, table: str, row_id: int) -> tuple | None:
         """One row by id under this transaction's visibility rules."""
         self._check_active()
-        canonical = self._manager.database.catalog.resolve(table)
+        canonical = self._database.catalog.resolve(table)
         overlay = self._overlay.get(canonical, {})
         if row_id in overlay:
             patched = overlay[row_id]
             return None if patched is _DELETED else patched
-        store = self._manager.database.store(canonical)
+        store = self._database.store(canonical)
         return store.get(row_id, self._read_csn())
 
     def get_many(
@@ -258,9 +262,9 @@ class Transaction:
         in the order given — a loop of :meth:`get` with one liveness
         check, one catalog resolve, one overlay and one read CSN."""
         self._check_active()
-        canonical = self._manager.database.catalog.resolve(table)
+        canonical = self._database.catalog.resolve(table)
         overlay = self._overlay.get(canonical) or {}
-        get = self._manager.database.store(canonical).get
+        get = self._database.store(canonical).get
         csn = self._read_csn()
         found = []
         for row_id in row_ids:
@@ -286,7 +290,7 @@ class Transaction:
         this row's id unreserved).
         """
         self._check_active()
-        database = self._manager.database
+        database = self._database
         canonical = database.catalog.resolve(table)
         if self.isolation is IsolationLevel.SERIALIZABLE:
             self._lock(canonical, LockMode.EXCLUSIVE)
@@ -337,7 +341,7 @@ class Transaction:
         live in this transaction's view.
         """
         self._check_active()
-        canonical = self._manager.database.catalog.resolve(table)
+        canonical = self._database.catalog.resolve(table)
         if self.isolation is IsolationLevel.SERIALIZABLE:
             self._lock(canonical, LockMode.EXCLUSIVE)
         if self.get(canonical, row_id) is not None:
@@ -345,7 +349,7 @@ class Transaction:
                 f"{self.name}: row {row_id} already live in {canonical}"
             )
         self._check_unique_locally(canonical, values, ignore_row_id=None)
-        store = self._manager.database.store(canonical)
+        store = self._database.store(canonical)
         if row_id >= store._next_row_id:
             store._next_row_id = row_id + 1
         self._buffer_inserts(canonical, (row_id,), (values,))
@@ -354,7 +358,7 @@ class Transaction:
 
     def update(self, table: str, row_id: int, values: tuple) -> None:
         self._check_active()
-        canonical = self._manager.database.catalog.resolve(table)
+        canonical = self._database.catalog.resolve(table)
         if self.isolation is IsolationLevel.SERIALIZABLE:
             self._lock(canonical, LockMode.EXCLUSIVE)
         if self.get(canonical, row_id) is None:
@@ -368,7 +372,7 @@ class Transaction:
 
     def delete(self, table: str, row_id: int) -> None:
         self._check_active()
-        canonical = self._manager.database.catalog.resolve(table)
+        canonical = self._database.catalog.resolve(table)
         if self.isolation is IsolationLevel.SERIALIZABLE:
             self._lock(canonical, LockMode.EXCLUSIVE)
         if self.get(canonical, row_id) is None:
@@ -384,7 +388,7 @@ class Transaction:
         Index probes merge these with committed index hits, because
         uncommitted writes are never reflected in shared indexes.
         """
-        canonical = self._manager.database.catalog.resolve(table)
+        canonical = self._database.catalog.resolve(table)
         overlay = self._overlay.get(canonical, {})
         return [
             (row_id, values)
@@ -408,7 +412,7 @@ class Transaction:
         """
         if not pairs:
             return
-        canonical = self._manager.database.catalog.resolve(table)
+        canonical = self._database.catalog.resolve(table)
         read_set = ReadSet(canonical, query, pairs)
         self.read_records.append(read_set)
         self._statement_reads.append(read_set)
@@ -454,7 +458,7 @@ class Transaction:
         SNAPSHOT isolation a cross-transaction re-check happens again at
         commit.
         """
-        for index in self._manager.database.index_set(canonical).constraint_indexes:
+        for index in self._database.index_set(canonical).constraint_indexes:
             key = index.key_of(values)
             if None in key:
                 continue
@@ -475,7 +479,7 @@ class Transaction:
         An entry outlives a later update or delete of the row; the re-read
         in :meth:`_check_unique_locally` drops such a stale candidate.
         """
-        for index in self._manager.database.index_set(canonical).constraint_indexes:
+        for index in self._database.index_set(canonical).constraint_indexes:
             filed = self._own_keys.setdefault(index, {})
             filed.setdefault(index.key_of(values), set()).add(row_id)
 
@@ -484,7 +488,10 @@ class TransactionManager:
     """Begins, commits, and aborts transactions for one database."""
 
     def __init__(self, database: "Database"):
-        self.database = database
+        #: Held weakly: the database owns its manager, and a cycle would
+        #: keep a dropped database (a replay's dev database) alive until a
+        #: full collection.
+        self._database = weakref.ref(database)
         self.locks = LockManager()
         self._next_txn_id = 1
         self.last_csn = 0
@@ -497,6 +504,10 @@ class TransactionManager:
         #: at the scheduler so other workers can make progress.
         self.wait_hook: Callable[[Transaction, str], None] | None = None
         self.stats = {"begun": 0, "committed": 0, "aborted": 0}
+
+    @property
+    def database(self) -> "Database":
+        return self._database()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -515,7 +526,7 @@ class TransactionManager:
         self._next_txn_id += 1
         self.active[txn.txn_id] = txn
         self.stats["begun"] += 1
-        self.database.notify("txn_began", txn)
+        txn._database.notify("txn_began", txn)
         return txn
 
     def prepare(self, txn: Transaction, *, gtxn_id: int | None = None) -> None:
@@ -543,7 +554,7 @@ class TransactionManager:
             raise
         txn.status = TransactionStatus.PREPARED
         if gtxn_id is not None and txn.write_ops:
-            self.database.wal.append_prepare(
+            txn._database.wal.append_prepare(
                 WalPrepare(
                     gtxn_id=gtxn_id,
                     txn_id=txn.txn_id,
@@ -557,12 +568,13 @@ class TransactionManager:
             raise TransactionError(f"{txn.name} already committed")
         if txn.status is TransactionStatus.ABORTED:
             raise TransactionAborted(f"{txn.name} already aborted")
-        if self.database.fenced:
+        database = txn._database
+        if database.fenced:
             # A transaction begun before the fence must not slip a commit
             # past it: the promoted replica would never see the write.
             self.abort(txn)
             raise FencedError(
-                f"database {self.database.name!r} is fenced; "
+                f"database {database.name!r} is fenced; "
                 f"{txn.name} aborted"
             )
         if txn.status is TransactionStatus.PREPARED:
@@ -575,8 +587,8 @@ class TransactionManager:
                 raise
         csn = self.last_csn + 1
         changes = tuple(self._apply(txn.write_ops, csn))
-        if self.database.backend is not None:
-            self.database.backend.on_commit(len(changes))
+        if database.backend is not None:
+            database.backend.on_commit(len(changes))
         self.last_csn = csn
         txn.status = TransactionStatus.COMMITTED
         txn.commit_csn = csn
@@ -586,10 +598,10 @@ class TransactionManager:
         # The WAL record is the commit's one record: observers receive
         # its ``changes`` tuple itself.
         if changes:
-            self.database.wal.append(WalCommit(csn, txn.txn_id, changes))
+            database.wal.append(WalCommit(csn, txn.txn_id, changes))
         self.locks.release_all(txn.txn_id)
         self.stats["committed"] += 1
-        self.database.notify("txn_committed", txn, csn, changes)
+        database.notify("txn_committed", txn, csn, changes)
         return csn
 
     def abort(self, txn: Transaction) -> None:
@@ -599,11 +611,11 @@ class TransactionManager:
         self.active.pop(txn.txn_id, None)
         self.locks.release_all(txn.txn_id)
         if txn.prepared_gtxn is not None:
-            self.database.wal.append_abort(
+            txn._database.wal.append_abort(
                 WalAbort(txn_id=txn.txn_id, gtxn_id=txn.prepared_gtxn)
             )
         self.stats["aborted"] += 1
-        self.database.notify("txn_aborted", txn)
+        txn._database.notify("txn_aborted", txn)
 
     def commit_recovered(self, prepare: WalPrepare) -> int:
         """Apply an in-doubt prepared branch whose coordinator logged a
@@ -642,7 +654,7 @@ class TransactionManager:
         for op in txn.write_ops:
             if op.op in ("insert", "append") or (op.table, op.row_id) in own_inserts:
                 continue
-            store = self.database.store(op.table)
+            store = txn._database.store(op.table)
             changed = store.last_change_csn(op.row_id)
             if changed is not None and changed > txn.snapshot_csn:
                 raise SerializationError(
@@ -667,7 +679,7 @@ class TransactionManager:
         checked = {
             table
             for table in txn._overlay
-            if self.database.index_set(table).has_unique
+            if txn._database.index_set(table).has_unique
         }
         if not checked:
             return
@@ -682,7 +694,7 @@ class TransactionManager:
             else:
                 writes[op.table].append((op.row_id, op.values))
         for table, table_writes in writes.items():
-            self.database.index_set(table).check_writes(table_writes)
+            txn._database.index_set(table).check_writes(table_writes)
 
     def _apply(self, ops: Iterable[WalChange], csn: int) -> list[WalChange]:
         """Install buffered writes at ``csn``; returns the applied changes.
@@ -694,9 +706,10 @@ class TransactionManager:
         range of their ids.
         """
         applied: list[WalChange] = []
+        database = self.database
         for (kind, table), run in itertools.groupby(ops, _KIND_AND_TABLE):
-            store = self.database.store(table)
-            indexes = self.database.index_set(table)
+            store = database.store(table)
+            indexes = database.index_set(table)
             if kind == "append":
                 for op in run:
                     store.apply_append(op.row_id, op.values, csn)

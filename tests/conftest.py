@@ -12,8 +12,16 @@ from repro.apps import (
 )
 from repro.core import Trod
 from repro.db import Database
+from repro.db.sql import executor
 from repro.runtime import Request, Runtime
 from repro.workload.generators import ForumWorkload
+
+
+@pytest.fixture(autouse=True)
+def cold_plan_memo():
+    """Every test starts with an empty process-wide plan memo, so the
+    ``plan_cache_stats`` of the databases it builds count its own plans."""
+    executor._plan_memo.clear()
 
 
 @pytest.fixture

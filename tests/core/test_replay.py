@@ -1,5 +1,8 @@
 """Bug replay tests (§3.5): faithfulness, injection, breakpoints."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.db import Database, IsolationLevel
@@ -33,6 +36,29 @@ class TestFaithfulReplay:
         assert result.fidelity, result.divergences
         assert result.error is not None
         assert "duplicated" in result.error
+
+    def test_dropped_databases_die_without_the_collector(self, racy_moodle):
+        """A database is freed by reference counting alone: nothing it
+        owns (its transaction manager, its plans) points back at it."""
+        _db, _runtime, trod = racy_moodle
+        trod.flush()
+        gc.collect()
+        gc.disable()
+        try:
+            database = Database()
+            database.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+            database.execute("INSERT INTO t VALUES (1, 'a')")
+            assert database.execute("SELECT v FROM t WHERE k = 1").scalar() == "a"
+            dropped = weakref.ref(database)
+            del database
+            assert dropped() is None
+            result = trod.replayer.replay_request("R1")
+            assert result.fidelity, result.divergences
+            dev_db = weakref.ref(result.dev_db)
+            del result
+            assert dev_db() is None
+        finally:
+            gc.enable()
 
     def test_replay_does_not_touch_production(self, racy_moodle):
         database, _runtime, trod = racy_moodle

@@ -28,6 +28,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db import Database, IsolationLevel, ShardedDatabase
+from repro.db.sql import executor
 
 TABLE_DDL = "CREATE TABLE t (k INTEGER, g INTEGER, v INTEGER)"
 
@@ -246,7 +247,7 @@ def test_dml_matches_model(engine_name, index, isolation, cache_hit):
                     if not cache_hit:
                         # Forget the plan just explained: the statement
                         # under test plans, and generates its programs, anew.
-                        node.db._plan_cache.clear()
+                        executor._plan_memo.clear()
 
                 if state == "autocommit" and isolation is IsolationLevel.SERIALIZABLE:
                     result = engine.execute(sql, params)

@@ -10,6 +10,7 @@ cached plans.
 import pytest
 
 from repro.db import Database
+from repro.db.sql import executor
 from repro.db.txn.manager import IsolationLevel
 from repro.errors import SchemaError
 
@@ -42,7 +43,7 @@ def differential(db: Database, sql: str, params=()):
     hits = db.plan_cache_stats["hits"]
     cached_again = db.execute(sql, params)
     assert db.plan_cache_stats["hits"] == hits + 1
-    db._plan_cache.clear()
+    executor._plan_memo.clear()
     fresh = db.execute(sql, params)
     assert db.plan_cache_stats["hits"] == hits + 1  # planned anew
     assert cached.rows == fresh.rows == cached_again.rows
@@ -109,7 +110,7 @@ class TestPlanCacheDifferential:
             txn.commit()
         assert db.plan_cache_stats["misses"] == 1
         assert db.plan_cache_stats["hits"] == 2
-        (plan,) = [p for k, p in db._plan_cache.items() if k[0] == sql]
+        (plan,) = [p for k, p in executor._plan_memo.items() if k[:2] == ("select", sql)]
         assert any("probe=ix_id" in line for line in plan[0].explain())
 
 
@@ -138,7 +139,7 @@ class TestDmlPlanCache:
         sql = "UPDATE items SET val = ? WHERE grp = ?"
         assert db.execute(sql, (50.0, "g3")).rowcount == 20
         assert db.execute(sql, (50.0, "g3")).rowcount == 20  # a cache hit
-        db._plan_cache.clear()
+        executor._plan_memo.clear()
         assert db.execute(sql, (50.0, "g3")).rowcount == 20  # planned anew
         assert db.plan_cache_stats["dml_misses"] == 2
         assert (
@@ -191,7 +192,7 @@ class TestDmlPlanCache:
             txn.commit()
         assert db.plan_cache_stats["dml_misses"] == 1
         assert db.plan_cache_stats["dml_hits"] == 4
-        (plan,) = [p for k, p in db._plan_cache.items() if k[0] == "dml"]
+        (plan,) = [p for k, p in executor._plan_memo.items() if k[0] == "dml"]
         assert plan.child.probe is not None
         assert db.execute(
             "SELECT val FROM items WHERE id IN (1, 2, 3) ORDER BY id"
@@ -252,8 +253,19 @@ class TestDropIndexDdl:
             db.execute("DROP INDEX ix_id ON items")
 
 
+def plan_stats(*databases) -> dict[str, int]:
+    """``plan_cache_stats`` hits and misses summed over ``databases``."""
+    return {
+        key: sum(db.plan_cache_stats[key] for db in databases)
+        for key in ("hits", "misses")
+    }
+
+
 class TestShardedMergePlanCache:
-    """Coordinator-side merge-plan cache: hit/miss accounting and reuse."""
+    """Scatter, partial-aggregate and merge plans: hit/miss accounting and reuse.
+
+    Each lookup counts in the shard database whose catalog keyed it.
+    """
 
     def build(self):
         from repro.db import ShardedDatabase
@@ -274,19 +286,20 @@ class TestShardedMergePlanCache:
         sharded = self.build()
         sql = "SELECT id, val FROM items WHERE val > ? ORDER BY id"
         first = sharded.execute(sql, (3.0,))
-        assert sharded.stats["select_cache_misses"] == 1
-        assert sharded.stats["select_cache_hits"] == 0
+        # One FROM/WHERE node for the three same-shaped shards, one merge.
+        assert plan_stats(*sharded.shards) == {"hits": 2, "misses": 2}
         again = sharded.execute(sql, (3.0,))
-        assert sharded.stats["select_cache_hits"] == 1
+        assert plan_stats(*sharded.shards) == {"hits": 6, "misses": 2}
         assert again.rows == first.rows
 
     def test_aggregate_decomposition_hits_and_misses(self):
         sharded = self.build()
         sql = "SELECT grp, COUNT(*), SUM(val) FROM items GROUP BY grp ORDER BY grp"
         first = sharded.execute(sql)
-        assert sharded.stats["agg_cache_misses"] == 1
+        # One partial-aggregate plan for the three shards.
+        assert plan_stats(*sharded.shards) == {"hits": 2, "misses": 1}
         again = sharded.execute(sql)
-        assert sharded.stats["agg_cache_hits"] == 1
+        assert plan_stats(*sharded.shards) == {"hits": 5, "misses": 1}
         assert again.rows == first.rows
 
     def test_ddl_invalidates_merged_plans(self):
@@ -295,8 +308,8 @@ class TestShardedMergePlanCache:
         before = sharded.execute(sql, (3.0,)).rows
         sharded.execute("CREATE INDEX ix_val ON items (val)")
         after = sharded.execute(sql, (3.0,))
-        # The epoch moved: a fresh compile, not a stale hit.
-        assert sharded.stats["select_cache_misses"] == 2
+        # The catalog changed shape: fresh plans, not stale hits.
+        assert plan_stats(*sharded.shards)["misses"] == 4
         assert after.rows == before
 
     def test_cached_plan_results_stable_across_writes(self):
@@ -305,7 +318,7 @@ class TestShardedMergePlanCache:
         assert sharded.execute(sql, (30,)).scalar() == 30
         sharded.execute("DELETE FROM items WHERE id = 5")
         assert sharded.execute(sql, (30,)).scalar() == 29
-        assert sharded.stats["agg_cache_hits"] >= 1
+        assert plan_stats(*sharded.shards)["hits"] >= 1
 
     def test_replica_served_reads_share_the_merge_plan(self):
         sharded = self.build()
@@ -314,12 +327,17 @@ class TestShardedMergePlanCache:
 
         conn = connect(sharded)
         sql = "SELECT id, val FROM items WHERE val > ? ORDER BY id"
+        replicas = [
+            replica.database
+            for replica_set in sharded.replica_sets.values()
+            for replica in replica_set.replicas
+        ]
         via_primary = sharded.execute(sql, (3.0,))
-        misses = sharded.stats["select_cache_misses"]
+        misses = plan_stats(*sharded.shards, *replicas)["misses"]
         via_replica = conn.execute(sql, (3.0,))
         assert sharded.cluster_stats["replica_reads"] > 0
-        # Same merged plan entry: per-database scan nodes differ, but the
-        # coordinator plan is shared (a hit, not a recompile).
-        assert sharded.stats["select_cache_misses"] == misses
-        assert sharded.stats["select_cache_hits"] >= 1
+        # Replicas have their primaries' catalog: the scan nodes and the
+        # coordinator plan are shared (hits, not recompiles).
+        assert plan_stats(*sharded.shards, *replicas)["misses"] == misses
+        assert plan_stats(*replicas)["hits"] >= 1
         assert via_replica.rows == via_primary.rows

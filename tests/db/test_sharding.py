@@ -789,14 +789,16 @@ class TestFacadeParity:
         sql = "SELECT v FROM t WHERE k = ?"
         assert sdb.execute(sql, (3,)).scalar() == "v3"
         assert sdb.execute(sql, (4,)).scalar() == "v4"
-        assert len(sdb._select_cache) == 1
-        # DDL drops the cache; a stale plan would miss the new index and,
-        # worse, reference dropped schema objects.
+        # One FROM/WHERE node and one merge plan serve both shards.
+        assert sum(s.plan_cache_stats["misses"] for s in sdb.shards) == 2
+        # DDL changes the catalog's shape: a plan of the old shape would
+        # miss the new index.
         sdb.execute("CREATE INDEX ix_k ON t (k)")
-        assert sdb._select_cache == {}
         assert sdb.execute(sql, (5,)).scalar() == "v5"
-        # The cached merge plan returns fresh rows per execution (the
-        # shared RowsNode is swapped, not accumulated).
+        assert sum(s.plan_cache_stats["misses"] for s in sdb.shards) == 4
+        assert any("probe=ix_k[k]" in line for line in sdb.explain(sql, (5,)))
+        # The memoised merge plan returns fresh rows per execution (the
+        # gathered rows ride on the execution, not on the plan).
         assert len(sdb.execute("SELECT * FROM t WHERE k >= 0").rows) == 10
         assert len(sdb.execute("SELECT * FROM t WHERE k >= 0").rows) == 10
 

@@ -353,9 +353,8 @@ class TestCluster:
         assert widened
         plans = [
             line
-            for entry in sharded._select_cache.values()
-            for node in entry["nodes"].values()
-            for line in node.explain()
+            for sql, params, _pred in QUERIES
+            for line in sharded.explain(sql, params)
         ]
         assert any("probe=ix_k[k]" in line for line in plans)
 
