@@ -7,7 +7,7 @@ committing throughout):
 1. **Tap** every old shard with a :class:`~repro.db.replication.
    ReplicationLog` — from this point no commit can escape the migration.
 2. **Provision** M fresh stores carrying the cluster's schema, indexes,
-   and aliases.
+   aliases and storage (:meth:`~repro.db.database.Database.empty_like`).
 3. **Snapshot copy**: under a SNAPSHOT transaction per old shard, scan
    every table in chunks and insert each row into its new owner (the new
    M-way hash ring). Row ids are assigned fresh — ids are only unique
@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.db.database import Database
-from repro.db.index import SortedIndex
 from repro.db.replication import ReplicationLog, ShipRecord
 from repro.db.sharding import ShardedDatabase, ShardRouter
 from repro.db.txn.manager import IsolationLevel
@@ -48,31 +46,6 @@ from repro.runtime.scheduler import CheckpointKind, maybe_checkpoint
 #: Delta-catch-up rounds before fencing regardless of remaining lag: the
 #: fence absorbs whatever is left, it just stays up a little longer.
 _MAX_LIVE_ROUNDS = 1000
-
-
-def _provision(template: Database, name: str) -> Database:
-    """A fresh, empty store carrying the cluster's schema and indexes."""
-    database = Database(name=name)
-    for table in template.catalog.table_names():
-        schema = template.catalog.get(table)
-        database.create_table(schema)
-        existing = database.index_set(table).indexes
-        for index_name, index in template.index_set(table).indexes.items():
-            if index_name in existing:
-                continue  # constraint-backed uq_* index, auto-created
-            if isinstance(index, SortedIndex):
-                database.create_index(
-                    index.name, schema.name, list(index.columns),
-                    sorted_index=True,
-                )
-            else:
-                database.create_index(
-                    index.name, schema.name, list(index.columns),
-                    unique=index.unique,
-                )
-    for alias, target in template.catalog.aliases().items():
-        database.add_table_alias(alias, target)
-    return database
 
 
 class _Migration:
@@ -86,7 +59,7 @@ class _Migration:
         self.router = ShardRouter(new_names)
         self.router._keys = dict(sharded.router._keys)
         self.new_stores = {
-            name: _provision(self.template, f"{sharded.name}-{name}")
+            name: self.template.empty_like(f"{sharded.name}-{name}")
             for name in new_names
         }
         #: (old store, table, old row id) -> (new store, new row id).

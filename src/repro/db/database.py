@@ -67,13 +67,10 @@ from repro.errors import (
     WalError,
 )
 
-#: Environment knob: overrides the default storage backend when
-#: ``Database(storage=None)``. CI uses it to run the whole suite paged.
-STORAGE_ENV_VAR = "REPRO_STORAGE"
-_STORAGE_BACKENDS = ("memory", "paged")
-#: Append-only, history-free tables (:mod:`repro.db.segments`): asked for
-#: by name only, by the database that owns them, never through the knob.
+#: Append-only, history-free tables (:mod:`repro.db.segments`), asked for
+#: only by the provenance database.
 _SEGMENT = "segment"
+_STORAGE_BACKENDS = ("memory", "paged", _SEGMENT)
 
 #: File inside a paged data directory holding schemas, aliases, secondary
 #: index definitions, and the vacuum horizon — everything recovery needs
@@ -154,7 +151,7 @@ class Database:
         wal_path: str | None = None,
         wal_group_size: int = 1,
         wal_fsync: bool = False,
-        storage: str | None = None,
+        storage: str = "memory",
         data_dir: str | None = None,
         buffer_pool_pages: int = DEFAULT_POOL_PAGES,
         page_size: int = DEFAULT_PAGE_SIZE,
@@ -162,19 +159,15 @@ class Database:
         self.name = name
         self.backend = backend
         self.catalog = Catalog()
-        if storage == _SEGMENT:
-            if data_dir is not None or wal_path is not None:
-                raise StorageError(
-                    "segment storage lives in memory only: no data_dir or wal_path"
-                )
-        else:
-            if storage is None:
-                storage = os.environ.get(STORAGE_ENV_VAR) or "memory"
-            if storage not in _STORAGE_BACKENDS:
-                raise StorageError(
-                    f"unknown storage backend {storage!r} "
-                    f"(expected one of {_STORAGE_BACKENDS})"
-                )
+        if storage not in _STORAGE_BACKENDS:
+            raise StorageError(
+                f"unknown storage backend {storage!r} "
+                f"(expected one of {_STORAGE_BACKENDS})"
+            )
+        if storage == _SEGMENT and (data_dir is not None or wal_path is not None):
+            raise StorageError(
+                "segment storage lives in memory only: no data_dir or wal_path"
+            )
         #: Which storage backend rows live in: "memory" keeps versions in
         #: Python tuples, "paged" in slotted page files under ``data_dir``
         #: behind an LRU buffer pool, and "segment" keeps no versions at
@@ -394,6 +387,34 @@ class Database:
         self.bump_catalog_epoch()
         self._save_catalog_meta()
         self.notify("index_dropped", name, key)
+
+    def empty_like(self, name: str) -> "Database":
+        """A fresh, empty database with this one's tables, secondary
+        indexes, aliases and storage: what a cluster provisions a new node
+        (a replica, a reshard target) from. A paged copy keeps the page
+        geometry and lives in its own ephemeral ``data_dir``."""
+        if self.storage == "paged":
+            database = Database(
+                name=name,
+                storage="paged",
+                buffer_pool_pages=self._buffer_pool.capacity,
+                page_size=self._page_manager.page_size,
+            )
+        else:
+            database = Database(name=name, storage=self.storage)
+        for table in self.catalog.table_names():
+            database.create_table(self.catalog.get(table))
+        for meta in self._index_meta:
+            database.create_index(
+                meta["name"],
+                meta["table"],
+                meta["columns"],
+                unique=meta["unique"],
+                sorted_index=meta["sorted"],
+            )
+        for alias, target in self.catalog.aliases().items():
+            database.add_table_alias(alias, target)
+        return database
 
     def store(self, table: str) -> TableStore | SegmentStore:
         # A canonical name (what plans and the commit path hold) needs no

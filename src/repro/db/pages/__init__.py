@@ -1,7 +1,8 @@
 """Durable paged storage tier: slotted pages, page files, buffer pool.
 
-Opt in via ``Database(storage="paged", data_dir=...)`` (or the
-``REPRO_STORAGE=paged`` environment knob); see ``docs/storage.md``.
+Opt in via ``Database(storage="paged", data_dir=...)``; a replica or a
+reshard target provisioned from a paged database is paged too. See
+``docs/storage.md``.
 """
 
 from repro.db.pages.buffer import DEFAULT_POOL_PAGES, BufferPool, Frame

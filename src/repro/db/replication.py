@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.db.database import Database
-from repro.db.index import SortedIndex
 from repro.db.result import ResultSet
 from repro.db.schema import TableSchema
 from repro.db.sql.executor import evaluate_as_of
@@ -420,7 +419,8 @@ class ReplicaSet:
         return len(self.replicas)
 
     def _bootstrap(self, name: str) -> Database:
-        """A fresh database holding the primary's schema + latest rows.
+        """A fresh database like the primary (storage, schema, indexes)
+        holding its latest rows.
 
         Row ids are preserved (provenance and shipped updates address rows
         by id); the snapshot loads at CSN 0 and the CSN clock is advanced
@@ -430,29 +430,9 @@ class ReplicaSet:
         """
         primary = self.primary
         base_csn = primary.last_csn
-        database = Database(name=name)
+        database = primary.empty_like(name)
         for table in primary.catalog.table_names():
-            schema = primary.catalog.get(table)
-            database.create_table(schema)
-            replica_indexes = database.index_set(table)
-            for index_name, index in primary.index_set(table).indexes.items():
-                if index_name in replica_indexes.indexes:
-                    continue  # constraint-backed uq_* index, auto-created
-                if isinstance(index, SortedIndex):
-                    database.create_index(
-                        index.name, schema.name, list(index.columns),
-                        sorted_index=True,
-                    )
-                else:
-                    database.create_index(
-                        index.name, schema.name, list(index.columns),
-                        unique=index.unique,
-                    )
-            database.bulk_load(
-                schema.name, list(primary.store(table).scan(None))
-            )
-        for alias, target in primary.catalog.aliases().items():
-            database.add_table_alias(alias, target)
+            database.bulk_load(table, list(primary.store(table).scan(None)))
         manager = database.txn_manager
         manager.last_csn = base_csn
         # Carry the commit bookkeeping over so provenance lookups

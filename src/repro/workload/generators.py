@@ -384,9 +384,11 @@ class ConnectionWorkload:
     range reads, aggregates, and ``AS OF`` probes as plain ``(kind, sql,
     params)`` tuples — written once against the Connection API and run
     unchanged over single-node, sharded, and replicated engines. The
-    differential tests drive the *same* stream through all three and
-    assert byte-identical results; :meth:`run` returns per-statement
-    result fingerprints to make that comparison trivial.
+    conformance matrix (``tests/integration/test_conformance.py``) drives
+    the *same* stream through every engine, storage, tracing, read
+    preference and failover cell and asserts identical results;
+    :meth:`run` returns per-statement result fingerprints to make that
+    comparison trivial.
 
     ``AS OF`` probes reference commit positions bookmarked *through the
     connection* (``conn.last_commit_csn``) after each write, because the

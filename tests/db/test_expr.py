@@ -111,6 +111,8 @@ class TestOperators:
     def test_division_by_zero(self):
         with pytest.raises(ExecutionError):
             BinaryOp("/", Literal(1), Literal(0)).eval(Scope())
+        with pytest.raises(ExecutionError, match="modulo by zero"):
+            BinaryOp("%", Literal(1), Literal(0)).eval(Scope())
 
     def test_arithmetic_with_null(self):
         assert BinaryOp("+", Literal(None), Literal(1)).eval(Scope()) is None

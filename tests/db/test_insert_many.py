@@ -7,7 +7,6 @@ their one-row forms. Every test drives twin databases — one through the
 batch form, one through a loop of the one-row form inside one transaction
 — and requires them to be indistinguishable: row ids, read-your-own-writes,
 committed rows, index probes, WAL and the state recovered from the WAL.
-The suite also runs under ``REPRO_STORAGE=paged``.
 """
 
 import pytest

@@ -11,11 +11,11 @@ import random
 
 import pytest
 
-from repro.db import Database
-from repro.db.database import STORAGE_ENV_VAR
+from repro.cluster.reshard import reshard
+from repro.db import Database, ReplicatedDatabase
 from repro.db.pages import PAGE_FILE_SUFFIX, PagedTableStore
 from repro.db.sharding import ShardedDatabase
-from repro.errors import StorageError
+from repro.errors import IntegrityError, StorageError
 
 
 def make_paged(tmp_path, **kwargs):
@@ -46,18 +46,6 @@ class TestBasicContract:
     def test_unknown_backend_rejected(self):
         with pytest.raises(StorageError):
             Database(storage="flash")
-
-    def test_env_knob_selects_backend(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORAGE_ENV_VAR, "paged")
-        db = Database()
-        assert db.storage == "paged"
-        db.close()
-        monkeypatch.delenv(STORAGE_ENV_VAR)
-        assert Database().storage == "memory"
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(STORAGE_ENV_VAR, "paged")
-        assert Database(storage="memory").storage == "memory"
 
     def test_ephemeral_data_dir_cleaned_on_close(self):
         db = Database(storage="paged")
@@ -178,6 +166,22 @@ class TestDurability:
         assert db2.history_horizon == horizon
         db2.close()
 
+    def test_multi_column_unique_constraint_survives_reopen(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        db = Database(storage="paged", data_dir=data_dir)
+        db.execute(
+            "CREATE TABLE t (a INTEGER, b INTEGER, v TEXT, UNIQUE (a, b))"
+        )
+        db.execute("INSERT INTO t VALUES (1, 1, 'x'), (1, 2, 'y')")
+        db.close()
+        db2 = Database(storage="paged", data_dir=data_dir)
+        assert ("a", "b") in db2.catalog.get("t").unique_constraints
+        with pytest.raises(IntegrityError):
+            db2.execute("INSERT INTO t VALUES (1, 2, 'z')")
+        db2.execute("INSERT INTO t VALUES (2, 2, 'z')")
+        assert db2.execute("SELECT COUNT(*) FROM t").scalar() == 3
+        db2.close()
+
     def test_reinserted_row_id_keeps_its_gap_on_reopen(self, tmp_path):
         """A delete, then a re-insert under the same row id a commit
         later: the row is absent in between, before and after reopen."""
@@ -205,11 +209,15 @@ class TestDurability:
             db.execute("INSERT INTO t VALUES (?, ?)", (i, "x" * 64))
         for _ in range(5):
             db.execute("UPDATE t SET v = 'y' WHERE k < 25")
+        db.execute("DELETE FROM t WHERE k >= 45")  # whole chains go
         pages_before = db.store("t")._file.npages
         removed = db.vacuum(db.last_csn)
         assert removed > 0
         assert db.store("t")._file.npages < pages_before
-        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 50
+        assert sorted(db.store("t")._versions) == sorted(
+            db.store("t").live_row_ids()
+        )
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 45
         assert (
             db.execute("SELECT COUNT(*) FROM t WHERE v = 'y'").scalar() == 25
         )
@@ -329,9 +337,19 @@ class TestStorageStats:
         assert stats["file_files"] == 1
         db.close()
 
+    def test_table_store_reports_its_page_file(self, tmp_path):
+        db = make_paged(tmp_path)
+        db.execute("CREATE TABLE t (k TEXT)")
+        db.execute("INSERT INTO t VALUES ('a')")
+        csn = db.checkpoint()
+        stats = db.store("t").stats()
+        assert stats["file_pages"] >= 1
+        assert stats["flushed_csn"] == csn
+        assert stats["orphan_pages_reclaimed"] == 0
+        db.close()
+
     def test_memory_backend_has_no_pool_counters(self):
-        # Explicit: under REPRO_STORAGE=paged a bare Database() is paged.
-        stats = Database(storage="memory").storage_stats
+        stats = Database().storage_stats
         assert stats["storage"] == "memory"
         assert not any(k.startswith("pool_") for k in stats)
 
@@ -358,3 +376,53 @@ class TestStorageStats:
         )
         for shard in shards:
             shard.close()
+
+
+class TestProvisionedNodesInheritStorage:
+    """A node a cluster provisions from a paged database (a replica, a
+    reshard target) is paged, with its source's page geometry, in a data
+    directory of its own."""
+
+    GEOMETRY = {"page_size": 1024, "buffer_pool_pages": 8}
+
+    @staticmethod
+    def assert_paged_like(node, source):
+        assert node.storage == "paged"
+        assert node.data_dir not in (None, source.data_dir)
+        assert node.storage_stats["pool_capacity"] == 8
+        assert node._page_manager.page_size == 1024
+
+    def test_replicas_of_a_paged_primary_are_paged(self, tmp_path):
+        primary = make_paged(tmp_path, **self.GEOMETRY)
+        primary.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+        primary.create_index("ix_t_v", "t", ["v"])
+        primary.execute("INSERT INTO t VALUES (1, 'a')")
+        cluster = ReplicatedDatabase(primary=primary, n_replicas=1)
+        replica = cluster.replica_set.replicas[0].database
+        self.assert_paged_like(replica, primary)
+        assert isinstance(replica.store("t"), PagedTableStore)
+        assert "ix_t_v" in replica.index_set("t").indexes
+        assert replica.execute("SELECT v FROM t WHERE k = 1").scalar() == "a"
+        replica.close()
+        primary.close()
+
+    def test_reshard_targets_of_paged_shards_are_paged(self, tmp_path):
+        shards = [
+            Database(
+                name=f"s{i}",
+                storage="paged",
+                data_dir=str(tmp_path / f"shard{i}"),
+                **self.GEOMETRY,
+            )
+            for i in range(2)
+        ]
+        sharded = ShardedDatabase(databases=shards, shard_keys={"t": "k"})
+        sharded.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+        for i in range(20):
+            sharded.execute("INSERT INTO t VALUES (?, ?)", (i, "x"))
+        reshard(sharded, 3)
+        for node in sharded.shards:
+            self.assert_paged_like(node, shards[0])
+        assert sharded.execute("SELECT COUNT(*) FROM t").scalar() == 20
+        for node in (*shards, *sharded.shards):
+            node.close()

@@ -198,14 +198,11 @@ class TestMechanism:
         assert db.snapshot_rows("kv") == [(1, (1, "a")), (2, (2, "b")), (9, (9, "z"))]
         assert db.store("kv").stats()["runs"] == 2
 
-    def test_memory_only_and_never_through_the_environment(self, monkeypatch, tmp_path):
+    def test_memory_only(self, tmp_path):
         with pytest.raises(StorageError):
             Database(storage="segment", data_dir=str(tmp_path))
         with pytest.raises(StorageError):
             Database(storage="segment", wal_path=str(tmp_path / "wal.jsonl"))
-        monkeypatch.setenv("REPRO_STORAGE", "segment")
-        with pytest.raises(StorageError):
-            Database()
 
     def test_the_provenance_database_is_segments_unless_given_one(self):
         assert ProvenanceStore().db.storage == "segment"
