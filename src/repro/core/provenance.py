@@ -431,7 +431,13 @@ class ProvenanceStore:
     # ------------------------------------------------------------------
 
     def reconstruct_rows(self, table: str, upto_csn: int) -> list[tuple[int, tuple]]:
-        """Rows of ``table`` as of ``upto_csn``, from provenance alone.
+        """Rows of ``table`` as of ``upto_csn``, from provenance alone,
+        in row-id order; the list returned is the caller's own."""
+        return sorted(self._kept_table(table, upto_csn).items())
+
+    def _kept_table(self, table: str, upto_csn: int) -> dict[int, tuple]:
+        """The kept ``row_id -> values`` state of ``table`` at ``upto_csn``
+        itself — read it, never write it.
 
         Starts from the nearest kept state at or before ``upto_csn`` and
         applies only the write events after it; with no such state,
@@ -440,8 +446,8 @@ class ProvenanceStore:
         events come off the ``Csn`` index as positional rows: a Read
         event's ``Csn`` is NULL, outside any range, so none is fetched.
         What was computed — anything but a kept state no event changed —
-        is kept for the next reconstruction; the list returned is the
-        caller's own.
+        is kept for the next reconstruction, in a new dict: a kept state
+        is never changed once kept.
         """
         key = table.lower()
         event_table = self.event_table_of(table)
@@ -476,7 +482,7 @@ class ProvenanceStore:
             state = dict(state or ())
             self._apply_event_rows(state, delta)
             self._keep_state(key, upto_csn, state)
-        return sorted(state.items())
+        return state
 
     @staticmethod
     def _apply_event_rows(state: dict[int, tuple], rows: list[tuple]) -> None:
@@ -536,19 +542,34 @@ class ProvenanceStore:
         self, upto_csn: int, tables: Iterable[str] | None = None
     ) -> dict[str, list[tuple[int, tuple]]]:
         """Traced tables (all, or ``tables``) as of ``upto_csn``: app
-        table name -> its :meth:`reconstruct_rows`. One state may be
-        loaded into any number of databases."""
+        table name -> its :meth:`reconstruct_rows`, lists the caller
+        owns. One state may be loaded into any number of databases."""
+        return {
+            table: sorted(rows.items())
+            for table, rows in self.kept_state(upto_csn, tables).items()
+        }
+
+    def kept_state(
+        self, upto_csn: int, tables: Iterable[str] | None = None
+    ) -> dict[str, dict[int, tuple]]:
+        """:meth:`reconstruct_state` as the kept ``row_id -> values``
+        states themselves, for :meth:`load_state` to hand over by
+        reference: read them, never write them."""
         names = tables if tables is not None else sorted(self._app_schemas)
         return {
-            self.app_schema(table).name: self.reconstruct_rows(table, upto_csn)
+            self.app_schema(table).name: self._kept_table(table, upto_csn)
             for table in names
         }
 
     def load_state(
-        self, target: Database, state: dict[str, list[tuple[int, tuple]]]
+        self,
+        target: Database,
+        state: dict[str, dict[int, tuple] | list[tuple[int, tuple]]],
     ) -> dict[str, int]:
         """Create (where missing) and fill ``state``'s tables in a dev
-        database; the row lists are only read."""
+        database. The rows are only read: an in-memory dev database
+        shares a kept state (:meth:`kept_state`) and copies a row into a
+        version chain on that row's first write."""
         for table, rows in state.items():
             if not target.catalog.has_table(table):
                 target.create_table(self.app_schema(table))
@@ -559,7 +580,7 @@ class ProvenanceStore:
         self, target: Database, upto_csn: int, tables: Iterable[str] | None = None
     ) -> dict[str, int]:
         """Materialize traced tables at ``upto_csn`` into a dev database."""
-        return self.load_state(target, self.reconstruct_state(upto_csn, tables))
+        return self.load_state(target, self.kept_state(upto_csn, tables))
 
     @property
     def event_count(self) -> int:

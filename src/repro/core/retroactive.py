@@ -173,8 +173,8 @@ class RetroactiveEngine:
         followup_requests = [self._request_of(r) for r in followups]
         base_csn = self._base_csn(req_ids)
         # Every pilot and every ordering starts from the same past state:
-        # reconstructed here once, loaded into each fresh dev database.
-        base_state = provenance.reconstruct_state(base_csn)
+        # reconstructed here once, shared by each fresh dev database.
+        base_state = provenance.kept_state(base_csn)
 
         # Pilot: discover the patched code's transaction footprints.
         pilots: list[list[TxnStep]] = []
@@ -269,13 +269,13 @@ class RetroactiveEngine:
                 bases.append(txns[0]["SnapshotCsn"])
         return min(bases) if bases else self.trod.base_csn
 
-    def _fresh_dev_db(self, base_state: dict[str, list], name: str) -> Database:
+    def _fresh_dev_db(self, base_state: dict[str, dict], name: str) -> Database:
         dev = Database(name=name)
         self.trod.provenance.load_state(dev, base_state)
         return dev
 
     def _pilot(
-        self, request: Request, registry: HandlerRegistry, base_state: dict[str, list]
+        self, request: Request, registry: HandlerRegistry, base_state: dict[str, dict]
     ) -> list[tuple[frozenset[str], frozenset[str]]]:
         dev = self._fresh_dev_db(base_state, name=f"pilot-{request.req_id}")
         dev.track_reads = True
@@ -303,7 +303,7 @@ class RetroactiveEngine:
         requests: list[Request],
         followups: list[Request],
         registry: HandlerRegistry,
-        base_state: dict[str, list],
+        base_state: dict[str, dict],
         invariant: Callable[[Database], list[str]] | None,
     ) -> OrderingOutcome:
         dev = self._fresh_dev_db(base_state, name=f"retro-{index}")

@@ -15,7 +15,7 @@ import shutil
 import tempfile
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.db.backend import SimulatedBackend
 from repro.db.index import IndexSet, split_pairs
@@ -901,14 +901,29 @@ class Database:
         """
         return list(self.store(table).scan(None))
 
-    def bulk_load(self, table: str, rows: Sequence[tuple[int, tuple]]) -> None:
+    def bulk_load(
+        self, table: str, rows: Mapping[int, tuple] | Sequence[tuple[int, tuple]]
+    ) -> None:
         """Load pre-validated rows directly at CSN 0 (restore path).
 
-        Row ids are preserved; indexes are maintained. Only meaningful on
-        a table with no committed history of its own.
+        ``rows`` is a ``row_id -> values`` dict or ``(row_id, values)``
+        pairs. Row ids are preserved; indexes are maintained. An empty
+        in-memory table adopts the rows (:meth:`TableStore.adopt`): a
+        dict becomes its base by reference, never copied nor written,
+        and a row gets a version only when first written. Any other
+        table inserts them row by row. Only meaningful on a table with
+        no committed history of its own.
         """
-        self.store(table).apply_inserts(rows, 0)
-        self.index_set(table).on_insert_many(*split_pairs(rows))
+        store = self.store(table)
+        if type(store) is TableStore and store.is_empty():
+            rows = store.adopt(rows)
+        else:
+            if isinstance(rows, Mapping):
+                rows = sorted(rows.items())
+            store.apply_inserts(rows, 0)
+        index_set = self.index_set(table)
+        if index_set.indexes:
+            index_set.on_insert_many(*split_pairs(rows))
 
     # -- maintenance ----------------------------------------------------------
 

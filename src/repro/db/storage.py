@@ -44,6 +44,14 @@ rows where their version at ``csn`` was. A log is built from the version
 chains the first time a read below the last write asks for it, and only
 then kept up by the write path, so a table never read historically pays
 nothing for it.
+
+A store can also start from a *base* (:meth:`TableStore.adopt`, the
+in-memory store only): a ``row_id -> values`` mapping handed over whole,
+visible from CSN 0 and shared by reference. The store never writes into
+it, and a base row costs no version object: it gets a version chain, its
+base version first, only when it is first written. A restore loads a
+kept provenance state this way, so a dev database shares that state and
+copies a row only when the debugged code writes it.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.db.schema import TableSchema
 from repro.errors import DatabaseError
@@ -135,6 +143,12 @@ class TableStore:
         #: those columns, in commit order, as two parallel arrays.
         #: Dropped by vacuum.
         self._move_logs: dict[tuple[int, ...], tuple[array, array]] = {}
+        #: Adopted rows visible from CSN 0 (:meth:`adopt`), never written
+        #: here. A row id is an unwritten base row (in ``_base``, not in
+        #: ``_versions``) or has a chain, never both.
+        self._base: dict[int, tuple] = {}
+        #: How many base rows have no chain yet.
+        self._base_unwritten = 0
 
     # -- version lifecycle (storage-backend hooks) ------------------------
     #
@@ -194,15 +208,16 @@ class TableStore:
         # recovery) may come in any order.
         ascending = all(map(operator.lt, row_ids, itertools.islice(row_ids, 1, None)))
         live, versions, new_version = self._live, self._versions, self._new_version
+        base = self._base
         distinct = ascending or len(set(row_ids)) == len(row_ids)
-        if not (distinct and live.keys().isdisjoint(row_ids)):
+        if not (
+            distinct
+            and live.keys().isdisjoint(row_ids)
+            and (not base or base.keys().isdisjoint(row_ids))
+        ):
             taken = set(live)
-            for row_id in row_ids:
-                if row_id in taken:
-                    raise DatabaseError(
-                        f"{self.schema.name}: row {row_id} already live at insert"
-                    )
-                taken.add(row_id)
+            taken.update(r for r in row_ids if r in base and r not in versions)
+            self._refuse_repeats(row_ids, taken)
         fresh: list[int] = []  # ids with no earlier (dead) version chain
         for row_id, values in rows:
             version = new_version(row_id, csn, values)
@@ -223,6 +238,57 @@ class TableStore:
         self._note_writes(rows)
         self.last_write_csn = csn
         self.write_epoch += len(row_ids)
+
+    def _refuse_repeats(self, row_ids: Iterable[int], taken: set[int]) -> None:
+        """Raise at the first of ``row_ids`` in ``taken`` or given twice."""
+        for row_id in row_ids:
+            if row_id in taken:
+                raise DatabaseError(
+                    f"{self.schema.name}: row {row_id} already live at insert"
+                )
+            taken.add(row_id)
+
+    def is_empty(self) -> bool:
+        """Whether no row, live or dead, was ever installed here."""
+        return not (self._versions or self._base)
+
+    def adopt(
+        self, rows: Mapping[int, tuple] | Sequence[tuple[int, tuple]]
+    ) -> list[tuple[int, tuple]]:
+        """Install ``rows`` on this empty store as its base, visible from
+        CSN 0; returns the published ``(row_id, values)`` list.
+
+        A dict is kept by reference and never written; pairs are made
+        into one, and a repeated id raises with the store untouched. No
+        version is created: a base row gets its chain on its first write.
+        """
+        if not self.is_empty():
+            raise DatabaseError(f"{self.schema.name}: only an empty store adopts rows")
+        if not isinstance(rows, dict):
+            pairs, rows = rows, dict(rows)
+            if len(rows) != len(pairs):
+                self._refuse_repeats((row_id for row_id, _values in pairs), set())
+        if not rows:
+            return []
+        ids = sorted(rows)
+        published = list(zip(ids, map(rows.__getitem__, ids)))
+        self._base = rows
+        self._base_unwritten = len(ids)
+        self._all_ids = ids
+        self._live_ids = ids.copy()
+        self._scan_rows = published
+        self._next_row_id = max(self._next_row_id, ids[-1] + 1)
+        self.last_write_csn = 0
+        self.write_epoch += len(ids)
+        return published
+
+    def _materialize(self, row_id: int) -> RowVersion:
+        """Give unwritten base row ``row_id`` its chain: its base version."""
+        version = RowVersion(row_id, 0, None, self._base[row_id])
+        self._versions[row_id] = [version]
+        self._live[row_id] = version
+        self._base_unwritten -= 1
+        return version
 
     def apply_update(self, row_id: int, values: tuple, csn: int) -> tuple:
         """Supersede the live version of ``row_id``; returns the old values."""
@@ -281,9 +347,11 @@ class TableStore:
     def _live_version(self, row_id: int) -> RowVersion:
         version = self._live.get(row_id)
         if version is None:
-            raise DatabaseError(
-                f"{self.schema.name}: row {row_id} is not live"
-            )
+            if row_id not in self._base or row_id in self._versions:
+                raise DatabaseError(
+                    f"{self.schema.name}: row {row_id} is not live"
+                )
+            version = self._materialize(row_id)
         return version
 
     # -- read path --------------------------------------------------------
@@ -292,10 +360,12 @@ class TableStore:
         """The values of ``row_id`` visible at ``csn`` (latest if None)."""
         if csn is None:
             version = self._live.get(row_id)
-            return version.values if version is not None else None
+            if version is not None:
+                return version.values
+            return None if row_id in self._versions else self._base.get(row_id)
         chain = self._versions.get(row_id)
         if not chain:
-            return None
+            return self._base.get(row_id) if csn >= 0 else None
         # Chains are appended in commit (CSN) order, so ``begin`` values
         # ascend; the candidate is the last version with begin <= csn.
         index = bisect.bisect_right(chain, csn, key=_BEGIN)
@@ -338,8 +408,14 @@ class TableStore:
         """
         rows = self._scan_rows
         if rows is None:
-            live = self._live
-            rows = [(rid, live[rid].values) for rid in self._live_ids]
+            live, base = self._live, self._base
+            if base:
+                rows = [
+                    (rid, live[rid].values if rid in live else base[rid])
+                    for rid in self._live_ids
+                ]
+            else:
+                rows = [(rid, live[rid].values) for rid in self._live_ids]
             self._scan_rows = rows
         elif self._scan_notes:
             rows = self._publish_patched()
@@ -434,7 +510,7 @@ class TableStore:
 
     def row_count(self, csn: int | None = None) -> int:
         if csn is None:
-            return len(self._live)
+            return len(self._live) + self._base_unwritten
         return sum(1 for _ in self.scan(csn))
 
     def last_change_csn(self, row_id: int) -> int | None:
@@ -445,13 +521,17 @@ class TableStore:
         """
         chain = self._versions.get(row_id)
         if not chain:
-            return None
+            return 0 if row_id in self._base else None
         last = chain[-1]
         return last.begin if last.end is None else last.end
 
     def version_count(self) -> int:
-        """Total stored versions (used by GC tests and stats)."""
-        return sum(len(chain) for chain in self._versions.values())
+        """Total stored versions (used by GC tests and stats); an
+        unwritten base row counts as its one version."""
+        return (
+            sum(len(chain) for chain in self._versions.values())
+            + self._base_unwritten
+        )
 
     def live_row_ids(self) -> list[int]:
         return list(self._live_ids)
@@ -465,6 +545,12 @@ class TableStore:
         earlier than ``keep_after_csn`` becomes impossible afterwards;
         the database tracks the resulting horizon.
         """
+        # Every base row gets its chain first: one whose chain is then
+        # vacuumed away must not reappear from the base.
+        for row_id in self._base:
+            if row_id not in self._versions:
+                self._materialize(row_id)
+        self._base = {}
         removed = 0
         for row_id in list(self._versions):
             chain = self._versions[row_id]
@@ -496,7 +582,7 @@ class TableStore:
 
     def stats(self) -> dict[str, int]:
         return {
-            "live_rows": len(self._live),
+            "live_rows": self.row_count(),
             "versions": self.version_count(),
             "next_row_id": self._next_row_id,
         }

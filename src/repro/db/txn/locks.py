@@ -82,25 +82,33 @@ class LockManager:
                 return
             blockers = {t for t in state.holders if t != txn_id}
             self._waits_for[txn_id] = blockers
+            facts = dict(
+                waiter=txn_id,
+                holders=tuple(sorted(blockers)),
+                resource=resource,
+                mode=mode,
+            )
             if self._closes_cycle(txn_id):
                 self._waits_for.pop(txn_id, None)
                 self.stats["deadlocks"] += 1
                 raise DeadlockError(
                     f"txn {txn_id} deadlocked acquiring {mode.value} on "
-                    f"{resource!r} held by {sorted(blockers)}"
+                    f"{resource!r} held by {sorted(blockers)}",
+                    **facts,
                 )
             if wait is None:
                 self._waits_for.pop(txn_id, None)
                 raise LockTimeoutError(
                     f"txn {txn_id} blocked acquiring {mode.value} on "
-                    f"{resource!r} held by {sorted(blockers)} with no waiter"
+                    f"{resource!r} held by {sorted(blockers)} with no waiter",
+                    **facts,
                 )
             self.stats["waits"] += 1
             rounds += 1
             if rounds > self._max_wait_rounds:
                 self._waits_for.pop(txn_id, None)
                 raise LockTimeoutError(
-                    f"txn {txn_id} starved acquiring {resource!r}"
+                    f"txn {txn_id} starved acquiring {resource!r}", **facts
                 )
             wait()
 

@@ -660,7 +660,11 @@ class TransactionManager:
                 raise SerializationError(
                     f"{txn.name}: write-write conflict on "
                     f"{op.table} row {op.row_id} (changed at csn {changed}, "
-                    f"snapshot was {txn.snapshot_csn})"
+                    f"snapshot was {txn.snapshot_csn})",
+                    table=op.table,
+                    row_id=op.row_id,
+                    changed_csn=changed,
+                    snapshot_csn=txn.snapshot_csn,
                 )
 
     def _unique_check_vs_committed(self, txn: Transaction) -> None:

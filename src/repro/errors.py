@@ -62,15 +62,52 @@ class TransactionAborted(TransactionError):
     """The transaction was aborted and can no longer be used."""
 
 
-class DeadlockError(TransactionAborted):
+class LockWaitError(TransactionAborted):
+    """A lock request that ended its transaction, with its facts:
+    ``waiter`` (the requesting transaction), ``holders`` (the sorted
+    tuple of transactions it was blocked by), ``resource`` and ``mode``
+    (what it asked for, a ``LockMode``)."""
+
+    def __init__(
+        self,
+        message: str,
+        waiter: int | None = None,
+        holders: tuple[int, ...] = (),
+        resource: str | None = None,
+        mode: object = None,
+    ):
+        super().__init__(message)
+        self.waiter = waiter
+        self.holders = holders
+        self.resource = resource
+        self.mode = mode
+
+
+class DeadlockError(LockWaitError):
     """The lock manager chose this transaction as a deadlock victim."""
 
 
 class SerializationError(TransactionAborted):
-    """A snapshot-isolation write-write conflict (first-committer-wins)."""
+    """A snapshot-isolation write-write conflict (first-committer-wins):
+    ``row_id`` of ``table`` changed at ``changed_csn``, after the
+    writer's ``snapshot_csn``."""
+
+    def __init__(
+        self,
+        message: str,
+        table: str | None = None,
+        row_id: int | None = None,
+        changed_csn: int | None = None,
+        snapshot_csn: int | None = None,
+    ):
+        super().__init__(message)
+        self.table = table
+        self.row_id = row_id
+        self.changed_csn = changed_csn
+        self.snapshot_csn = snapshot_csn
 
 
-class LockTimeoutError(TransactionAborted):
+class LockTimeoutError(LockWaitError):
     """A lock could not be acquired within the configured bound."""
 
 

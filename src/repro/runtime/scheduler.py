@@ -220,6 +220,10 @@ class CooperativeScheduler:
         except BaseException as exc:  # noqa: BLE001 - reported via outcome
             worker.outcome.error = exc
         finally:
+            # A thunk may close over whoever keeps this scheduler (a
+            # runtime's ``last_scheduler``): dropping it once run leaves
+            # no reference cycle back to that owner.
+            worker.thunk = None
             worker.state = _WorkerState.DONE
             worker.last_kind = CheckpointKind.DONE
             worker.yielded.signal()

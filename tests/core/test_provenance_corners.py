@@ -302,3 +302,40 @@ class TestFailedIngest:
                 ]
             )
         assert prov._next_seq == 1 and prov.event_count == 1  # TraceSchemas row
+
+
+class TestRestoreSharesTheKeptState:
+    """A dev database adopts the kept state a restore reconstructs: a
+    row costs a version object only once the dev database writes it."""
+
+    def test_a_row_gets_versions_only_at_its_first_write(self, moodle_env, monkeypatch):
+        from repro.db import storage
+
+        database, runtime, trod = moodle_env
+        for user in ("U7", "U8"):
+            runtime.submit("subscribeUser", user, "F2")
+        trod.flush()
+        made = []
+        original = storage.RowVersion
+
+        def counted(*args, **kwargs):
+            version = original(*args, **kwargs)
+            made.append(version)
+            return version
+
+        monkeypatch.setattr(storage, "RowVersion", counted)
+        dev = Database()
+        counts = trod.provenance.restore_into(dev, database.last_csn)
+        assert counts["forum_sub"] == 2
+        assert made == []
+        dev.execute("UPDATE forum_sub SET forum = 'F9' WHERE userId = 'U7'")
+        restored, new = made
+        assert (restored.begin, restored.end) == (0, new.begin)
+        assert restored.values == ("U7", "F2") and new.values == ("U7", "F9")
+        dev.execute("UPDATE forum_sub SET forum = 'F8' WHERE userId = 'U7'")
+        assert len(made) == 3
+        # What the dev database wrote never reached the kept state.
+        assert trod.provenance.reconstruct_rows("forum_sub", database.last_csn) == [
+            (1, ("U7", "F2")),
+            (2, ("U8", "F2")),
+        ]

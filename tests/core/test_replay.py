@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from repro.apps.moodle import subscribe_user_fixed
 from repro.db import Database, IsolationLevel
 from repro.errors import ReplayDivergenceError, ReplayError, TransactionError
 from repro.runtime import Request
@@ -57,6 +58,38 @@ class TestFaithfulReplay:
             dev_db = weakref.ref(result.dev_db)
             del result
             assert dev_db() is None
+        finally:
+            gc.enable()
+
+    def test_retroactive_databases_die_without_the_collector(
+        self, racy_moodle, monkeypatch
+    ):
+        """Pilot and ordering databases go with their run's result: the
+        runtime that ran an ordering concurrently keeps its scheduler,
+        which must not hold that runtime (and its database) in a cycle."""
+        _db, _runtime, trod = racy_moodle
+        trod.flush()
+        created = []
+        original = trod.retroactive._fresh_dev_db
+
+        def fresh_dev_db(base_state, name):
+            dev = original(base_state, name)
+            created.append((name, weakref.ref(dev)))
+            return dev
+
+        monkeypatch.setattr(trod.retroactive, "_fresh_dev_db", fresh_dev_db)
+        gc.collect()
+        gc.disable()
+        try:
+            result = trod.retroactive.run(
+                ["R1", "R2"], patches={"subscribeUser": subscribe_user_fixed}
+            )
+            assert result.all_ok
+            del result
+            names = sorted(name for name, _ref in created)
+            assert any(n.startswith("pilot-") for n in names)
+            assert any(n.startswith("retro-") for n in names)
+            assert [name for name, dev in created if dev() is not None] == []
         finally:
             gc.enable()
 

@@ -131,14 +131,16 @@ class TestEngineMechanics:
 
 
 def counting_reconstructions(prov, monkeypatch) -> list:
+    """Spies on ``_kept_table``, the one per-table reconstruction that
+    ``reconstruct_rows`` and ``kept_state`` (a retroactive run's) share."""
     calls = []
-    original = prov.reconstruct_rows
+    original = prov._kept_table
 
     def counted(table, upto_csn):
         calls.append((table, upto_csn))
         return original(table, upto_csn)
 
-    monkeypatch.setattr(prov, "reconstruct_rows", counted)
+    monkeypatch.setattr(prov, "_kept_table", counted)
     return calls
 
 

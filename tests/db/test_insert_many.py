@@ -374,3 +374,29 @@ class TestBulkLoad:
         assert store.get(1, 3) == (1, "again", 1.0)
         assert [rid for rid, _v in store.scan(2)] == [2]
         assert store.write_epoch == 5 and store.version_count() == 4
+
+    @pytest.mark.parametrize("storage", ["memory", "paged"])
+    def test_a_dict_loads_as_its_pairs(self, storage, tmp_path):
+        """A ``row_id -> values`` dict (what a restore hands over) loads
+        as its pairs do: adopted by an empty in-memory table, inserted
+        row by row into a paged one or one that already holds rows."""
+        kept = dict(self.ROWS)
+        loaded = []
+        for label, rows in (("pairs", self.ROWS), ("dict", kept)):
+            extra = {} if storage == "memory" else {"data_dir": str(tmp_path / label)}
+            db = Database(storage=storage, **extra)
+            db.create_table(PLAIN)
+            db.create_index("ix_plain_score", "plain", ["score"], sorted_index=True)
+            db.bulk_load("plain", rows)
+            db.bulk_load("plain", {12: (12, "l", 1.5)})  # onto a non-empty table
+            loaded.append(
+                (
+                    db.snapshot_rows("plain"),
+                    db.execute("SELECT k FROM plain WHERE score > 0.6 ORDER BY k").rows,
+                    db.store("plain").row_count(0),
+                )
+            )
+            db.close()
+        assert loaded[0] == loaded[1]
+        assert loaded[1][0] == sorted(self.ROWS) + [(12, (12, "l", 1.5))]
+        assert kept == dict(self.ROWS)

@@ -40,6 +40,24 @@ class TestSnapshotIsolation:
             t2.commit()
         assert db.execute("SELECT v FROM t").scalar() == 10
 
+    def test_write_write_conflict_carries_its_facts(self, db):
+        t1 = db.begin(IsolationLevel.SNAPSHOT)
+        t2 = db.begin(IsolationLevel.SNAPSHOT)
+        snapshot = t2.snapshot_csn
+        db.execute("UPDATE t SET v = 10 WHERE k = 'a'", txn=t1)
+        db.execute("UPDATE t SET v = 20 WHERE k = 'a'", txn=t2)
+        t1.commit()
+        changed = db.last_csn
+        with pytest.raises(SerializationError) as raised:
+            t2.commit()
+        error = raised.value
+        assert (error.table, error.row_id) == ("t", 1)
+        assert (error.changed_csn, error.snapshot_csn) == (changed, snapshot)
+        assert str(error) == (
+            f"{t2.name}: write-write conflict on t row 1 "
+            f"(changed at csn {changed}, snapshot was {snapshot})"
+        )
+
     def test_delete_delete_conflict(self, db):
         t1 = db.begin(IsolationLevel.SNAPSHOT)
         t2 = db.begin(IsolationLevel.SNAPSHOT)

@@ -125,3 +125,38 @@ class TestDeadlocks:
 
         lm.acquire(2, "a", X, wait=wait)
         assert calls  # waited once, no deadlock raised
+
+
+class TestConflictFacts:
+    """An abort names who waited, on whom, for what — as fields, with
+    the message unchanged."""
+
+    def test_deadlock_names_waiter_holders_resource_and_mode(self):
+        lm = LockManager()
+        lm.acquire(1, "table:t", S)
+        lm.acquire(2, "table:t", S)
+        raised = []
+
+        def wait():  # while 1 waits to upgrade, 2 asks to upgrade too
+            with pytest.raises(DeadlockError) as deadlock:
+                lm.acquire(2, "table:t", X, wait=lambda: None)
+            raised.append(deadlock.value)
+            lm.release_all(2)
+
+        lm.acquire(1, "table:t", X, wait=wait)
+        (error,) = raised
+        assert str(error) == "txn 2 deadlocked acquiring X on 'table:t' held by [1]"
+        assert error.waiter == 2 and error.holders == (1,)
+        assert error.resource == "table:t" and error.mode is X
+
+    def test_no_waiter_names_waiter_holders_resource_and_mode(self):
+        lm = LockManager()
+        lm.acquire(1, "table:t", X)
+        with pytest.raises(LockTimeoutError) as raised:
+            lm.acquire(2, "table:t", S)
+        error = raised.value
+        assert str(error) == (
+            "txn 2 blocked acquiring S on 'table:t' held by [1] with no waiter"
+        )
+        assert error.waiter == 2 and error.holders == (1,)
+        assert error.resource == "table:t" and error.mode is S

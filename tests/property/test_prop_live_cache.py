@@ -11,19 +11,26 @@ while they are *maintained*: a write notes itself beside the published
 list and the next reader gets a fresh patched copy, so a program that
 interleaves readers with writers checks every list it was handed, when
 handed and again at the end, on the in-memory and the paged store.
+
+The last part starts the same programs from a base the store adopts
+(``TableStore.adopt``: no version per row until a row is written) and
+holds it, after every step, to a twin that loaded the base row by row.
 """
 
 import shutil
 import tempfile
 from contextlib import contextmanager
 
-from hypothesis import given, settings, strategies as st
+import pytest
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.db.pages import BufferPool, PageFileManager, PagedTableStore
 from repro.db.pages.file_manager import PageFile
 from repro.db.schema import Column, TableSchema
 from repro.db.storage import _PATCH_LIMIT_DIVISOR, TableStore
 from repro.db.types import ColumnType
+from repro.errors import DatabaseError
 
 
 def make_store() -> TableStore:
@@ -206,10 +213,16 @@ class Maintenance:
                 [(rid, (rid,)) for rid in store.reserve_row_ids(preload)], self.csn
             )
         for op in ops:
-            if len(op) == 1:
-                self.read(op[0])
-            else:
-                self.write(op)
+            self.step(op)
+        self.finish()
+
+    def step(self, op) -> None:
+        if len(op) == 1:
+            self.read(op[0])
+        else:
+            self.write(op)
+
+    def finish(self) -> None:
         self.read("rows")
         self.read("values")
         for handed, copy, expected in self.handed:
@@ -354,3 +367,69 @@ def test_rebuild_threshold_drops_list_and_notes_at_the_write():
     # A bulk insert larger than the allowance never lands in the notes.
     store.apply_inserts([(rid, (0,)) for rid in store.reserve_row_ids(40)], 99)
     assert store._scan_rows is None and not store._scan_notes
+
+
+# ---------------------------------------------------------------------------
+# Adoption: a base adopted by reference behaves as rows loaded at CSN 0
+# ---------------------------------------------------------------------------
+
+#: A base to adopt: distinct ids from the explicit-id space, so programs
+#: delete, re-insert and collide with base rows.
+bases = st.dictionaries(
+    st.integers(1, _ID_SPACE), st.tuples(st.integers(0, 100)), max_size=16
+)
+
+
+def assert_twins_agree(adopted: TableStore, loaded: TableStore, csn: int) -> None:
+    """Every read the two stores answer, at every CSN up to ``csn``."""
+    for at in range(csn + 1):
+        assert list(adopted.scan(at)) == list(loaded.scan(at))
+        assert list(adopted.moved_after(at, (0,))) == list(loaded.moved_after(at, (0,)))
+    assert adopted.stats() == loaded.stats()  # live rows, versions, next id
+    for row_id in range(adopted.stats()["next_row_id"] + 1):
+        assert adopted.get(row_id) == loaded.get(row_id)
+        assert adopted.last_change_csn(row_id) == loaded.last_change_csn(row_id)
+    assert adopted.row_count() == loaded.row_count()
+    assert adopted.version_count() == loaded.version_count()
+    assert adopted.live_row_ids() == loaded.live_row_ids()
+    assert adopted.latest_rows() == loaded.latest_rows()
+    assert adopted.latest_values() == loaded.latest_values()
+    assert adopted.write_epoch == loaded.write_epoch
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=bases, ops=maintenance_ops)
+@example(  # delete a base row, bring it back, update another, vacuum all
+    base={9: (9,), 2: (2,), 5: (5,)},
+    ops=[("delete", 0), ("reinsert", 4), ("update", 1, 8), ("rows",), ("vacuum", 100)],
+)
+def test_an_adopted_base_behaves_as_rows_loaded_at_csn_0(base, ops):
+    kept = dict(base)
+    adopted, loaded = make_store(), make_store()
+    assert adopted.adopt(base) == sorted(kept.items())
+    loaded.apply_inserts(list(kept.items()), 0)
+    twins = Maintenance(adopted), Maintenance(loaded)
+    assert_twins_agree(adopted, loaded, 0)
+    for op in ops:
+        for twin in twins:
+            twin.step(op)
+        assert_twins_agree(adopted, loaded, twins[0].csn)
+    for twin in twins:
+        twin.finish()
+    assert twins[0].fingerprint == twins[1].fingerprint
+    assert base == kept  # the store never wrote into what it adopted
+
+
+def test_adopting_refuses_a_repeated_id_and_a_store_with_rows():
+    store = make_store()
+    with pytest.raises(DatabaseError, match="row 4 already live"):
+        store.adopt([(4, (1,)), (2, (2,)), (4, (3,))])
+    assert store.is_empty() and store.adopt([]) == []
+    base = {3: (3,), 1: (1,)}
+    store.adopt(base)
+    assert store._base is base and store.version_count() == 2
+    with pytest.raises(DatabaseError, match="only an empty store"):
+        store.adopt({8: (8,)})
+    with pytest.raises(DatabaseError, match="row 3 already live"):
+        store.apply_inserts([(9, (9,)), (3, (0,))], 1)
+    assert store.live_row_ids() == [1, 3] and store.get(9) is None
