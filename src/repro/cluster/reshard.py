@@ -137,6 +137,7 @@ class _Migration:
                 continue  # already inside the snapshot copy
             self._apply_delta(store, record)
             applied += 1
+        self.taps[store].release(self.applied_seq[store])
         return applied
 
     def drain_all(self) -> int:

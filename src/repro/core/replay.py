@@ -116,6 +116,21 @@ class _ReplayRuntime(Runtime):
         return txn
 
 
+class _CommitWrites(dict):
+    """``txn_id -> [(table, kind, values), ...]`` for each commit of the
+    database it observes. It holds nothing of that database, so a
+    dropped dev database is still freed by reference counting."""
+
+    __slots__ = ()
+
+    def txn_committed(self, txn: Transaction, csn: int, changes: tuple) -> None:
+        if changes:
+            self[txn.txn_id] = [
+                (change.table, change.op.capitalize(), change.values)
+                for change in changes
+            ]
+
+
 class _ReplayState:
     """Per-replay bookkeeping: the injection plan and breakpoints."""
 
@@ -333,7 +348,8 @@ class ReplayEngine:
             seed=source_runtime.seed if source_runtime else 0,
         )
         handler, args, kwargs, auth_user = provenance.request_args(req_id)
-        start_csn = dev_db.last_csn
+        writes = _CommitWrites()
+        dev_db.add_observer(writes)
         result = dev_runtime.execute_request(
             Request(
                 handler=handler,
@@ -343,9 +359,8 @@ class ReplayEngine:
                 auth_user=auth_user,
             )
         )
-        divergences = self._check_fidelity(
-            request_row, txns, result, dev_db, start_csn, state
-        )
+        dev_db.remove_observer(writes)
+        divergences = self._check_fidelity(request_row, txns, result, writes, state)
         replay_result = ReplayResult(
             req_id=req_id,
             handler=handler,
@@ -398,8 +413,7 @@ class ReplayEngine:
         request_row: dict,
         txns: list[dict],
         result: Any,
-        dev_db: Database,
-        start_csn: int,
+        writes: _CommitWrites,
         state: _ReplayState,
     ) -> list[str]:
         divergences: list[str] = []
@@ -423,7 +437,14 @@ class ReplayEngine:
             )
         # Per-step write-set comparison (row ids excluded: id allocation
         # may legitimately differ in the dev database).
-        replay_writes = self._replay_writes_by_step(dev_db, start_csn, state)
+        replay_writes: dict[int, list[tuple]] = {}
+        for txn_id, txn_writes in writes.items():
+            # Injector transactions never enter ``txn_step_map`` (they
+            # are created directly on the dev database, not through the
+            # replay runtime), so their writes are skipped.
+            step = state.txn_step_map.get(txn_id)
+            if step is not None:
+                replay_writes.setdefault(step, []).extend(txn_writes)
         for index, original in enumerate(txns):
             original_set = self._original_writes(state.events[original["TxnId"]])
             replayed_set = replay_writes.get(index, [])
@@ -450,24 +471,4 @@ class ReplayEngine:
                     else None
                 )
                 out.append((table, event["Type"], values))
-        return out
-
-    def _replay_writes_by_step(
-        self, dev_db: Database, start_csn: int, state: _ReplayState
-    ) -> dict[int, list[tuple]]:
-        """Group the dev database's WAL commits after ``start_csn`` by step.
-
-        Injector transactions never enter ``txn_step_map`` (they are
-        created directly on the dev database, not through the replay
-        runtime) so their commits are skipped automatically.
-        """
-        out: dict[int, list[tuple]] = {}
-        for commit in dev_db.wal.commits(since_csn=start_csn):
-            step = state.txn_step_map.get(commit.txn_id)
-            if step is None:
-                continue
-            out.setdefault(step, []).extend(
-                (change.table, change.op.capitalize(), change.values)
-                for change in commit.changes
-            )
         return out

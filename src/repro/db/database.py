@@ -56,7 +56,7 @@ from repro.db.txn.manager import (
     TransactionManager,
     TransactionStatus,
 )
-from repro.db.txn.wal import WalAbort, WriteAheadLog, recover_into
+from repro.db.txn.wal import WalAbort, WalChange, WalCommit, WriteAheadLog, redo_change
 from repro.errors import (
     ExecutionError,
     FencedError,
@@ -210,8 +210,9 @@ class Database:
         recover_paged = self._meta_path is not None and os.path.exists(
             self._meta_path
         )
+        logged: list[WalCommit] = []
         if recover_paged and wal_path is not None and os.path.exists(wal_path):
-            self.wal = WriteAheadLog.load(
+            self.wal, logged = WriteAheadLog.load(
                 wal_path, attach=True, group_size=wal_group_size, fsync=wal_fsync
             )
         else:
@@ -279,7 +280,7 @@ class Database:
             "dml_misses": 0,
         }
         if recover_paged:
-            self._recover_paged()
+            self._recover_paged(logged)
 
     # -- schema management ---------------------------------------------------
 
@@ -455,7 +456,7 @@ class Database:
             json.dump(meta, handle)
         os.replace(tmp_path, self._meta_path)
 
-    def _recover_paged(self) -> None:
+    def _recover_paged(self, commits: list[WalCommit]) -> None:
         """Open the page files and replay only the WAL tail.
 
         Each table's file header records ``flushed_csn`` — the newest
@@ -482,42 +483,20 @@ class Database:
             for alias, target in meta.get("aliases", {}).items():
                 self.catalog.add_alias(alias, target)
             self.history_horizon = meta.get("history_horizon", 0)
-            manager = self.txn_manager
-            for commit in self.wal.commits():
-                in_tail = False
-                for change in commit.changes:
-                    store = self._stores.get(change.table)
-                    if store is None:
-                        raise WalError(
-                            f"WAL references unknown table {change.table!r}"
-                        )
-                    if commit.csn > store.flushed_csn:
-                        in_tail = True
-                        if store.reconcile(change, commit.csn):
-                            stats["changes_reconciled"] += 1
-                        else:
-                            stats["changes_skipped"] += 1
-                if in_tail:
-                    stats["tail_commits"] += 1
-                manager.commit_index[commit.txn_id] = commit.csn
-                manager.csn_index[commit.csn] = commit.txn_id
-                manager._next_txn_id = max(
-                    manager._next_txn_id, commit.txn_id + 1
-                )
-            # Prepared-but-undecided branches hold txn ids too; the
-            # counter must clear them or a post-recovery transaction
-            # could collide with an in-doubt branch's identity.
-            for prepare in self.wal._prepares:
-                manager._next_txn_id = max(
-                    manager._next_txn_id, prepare.txn_id + 1
-                )
-            stats["wal_commits"] = len(self.wal)
-            last = self.wal.last_csn()
+
+            def reconcile(store: Any, change: WalChange, csn: int) -> bool:
+                if csn <= store.flushed_csn:
+                    return False
+                if store.reconcile(change, csn):
+                    stats["changes_reconciled"] += 1
+                else:
+                    stats["changes_skipped"] += 1
+                return True
+
+            self._redo(commits, reconcile)
             for key, store in self._stores.items():
                 store.finish_recovery()
-                last = max(last, store.last_write_csn)
                 self._indexes[key].on_insert_many(*split_pairs(store.latest_rows()))
-            manager.last_csn = last
             for index_meta in meta.get("indexes", []):
                 self.create_index(
                     index_meta["name"],
@@ -528,6 +507,43 @@ class Database:
                 )
         finally:
             self._recovering = False
+
+    def _redo(
+        self,
+        commits: list[WalCommit],
+        redo: Callable[[Any, WalChange, int], bool],
+    ) -> None:
+        """Redo recovered ``commits`` and rebuild the commit bookkeeping.
+
+        ``redo(store, change, csn)`` applies one change and says whether
+        the commit counts as replayed (``recovery_stats["tail_commits"]``).
+        Every commit's txn id and CSN go into the commit/CSN indexes, and
+        the txn counter moves past them and past the in-doubt prepares:
+        an undecided branch keeps its identity until it is resolved.
+        Nothing keeps ``commits``.
+        """
+        stats = self.recovery_stats
+        manager = self.txn_manager
+        for commit in commits:
+            replayed = False
+            for change in commit.changes:
+                store = self._stores.get(change.table)
+                if store is None:
+                    raise WalError(f"WAL references unknown table {change.table!r}")
+                replayed |= redo(store, change, commit.csn)
+            stats["tail_commits"] += replayed
+            manager.commit_index[commit.txn_id] = commit.csn
+            manager.csn_index[commit.csn] = commit.txn_id
+        stats["wal_commits"] = len(commits)
+        manager._next_txn_id = max(
+            [manager._next_txn_id]
+            + [commit.txn_id + 1 for commit in commits]
+            + [prepare.txn_id + 1 for prepare in self.wal.in_doubt()]
+        )
+        manager.last_csn = max(
+            [self.wal.last_csn]
+            + [store.last_write_csn for store in self._stores.values()]
+        )
 
     def in_doubt_prepares(self) -> list[Any]:
         """Durably prepared 2PC branches with no commit/abort record.
@@ -972,22 +988,17 @@ class Database:
 
     @staticmethod
     def recover(schemas: Sequence[TableSchema], wal_path: str) -> "Database":
-        """Rebuild a database from its schema definitions plus a WAL file."""
+        """Rebuild a database from its schema definitions plus a WAL file.
+
+        The database keeps the file's undecided prepares
+        (:meth:`in_doubt_prepares`) and does not write to the file."""
         db = Database(name="recovered")
         for schema in schemas:
             db.create_table(schema)
-        wal = WriteAheadLog.load(wal_path)
-        stores = {db.catalog.resolve(s.name): db.store(s.name) for s in schemas}
-        last = recover_into(stores, wal.commits())
-        db.txn_manager.last_csn = last
-        for key, store in stores.items():
+        db.wal, commits = WriteAheadLog.load(wal_path)
+        db._redo(commits, redo_change)
+        for key, store in db._stores.items():
             db._indexes[key].on_insert_many(*split_pairs(store.latest_rows()))
-        for commit in wal.commits():
-            db.txn_manager.commit_index[commit.txn_id] = commit.csn
-            db.txn_manager.csn_index[commit.csn] = commit.txn_id
-            db.txn_manager._next_txn_id = max(
-                db.txn_manager._next_txn_id, commit.txn_id + 1
-            )
         return db
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -18,9 +18,11 @@ change stream*, never by copying loose state. The pieces:
   reads work on replicas, and including its own WAL, so replicas can be
   chained or tapped by provenance just like primaries.
 * :class:`ReplicaSet` — N replicas behind one primary with sync/async ship
-  modes, per-replica lag tracking, catch-up with truncation-triggered
-  resync, and promotion: fence the old primary, drain every acknowledged
-  record, promote the most-caught-up replica, re-point the log.
+  modes, per-replica lag tracking, catch-up, and promotion: fence the old
+  primary, drain every acknowledged record, promote the most-caught-up
+  replica, re-point the log. The set releases every record all of its
+  replicas have applied, crashed ones included, so the log holds exactly
+  the backlog of its slowest replica.
 * :class:`Session` — session guarantees as routing: a session carries
   the CSN of its last write, and :meth:`ReplicaSet.read_target` /
   :meth:`ReplicaSet.as_of_target` — the only two places that choose
@@ -80,17 +82,14 @@ class ReplicationLog:
     Attaches as an observer: ``txn_committed`` yields commit records
     (empty commits included — they consume CSNs, and replicas must track
     the primary's CSN clock exactly), and the DDL hooks yield schema
-    records so replicas follow catalog changes in stream order. With
-    ``retain`` set, old records are evicted; a replica whose position
-    predates the retained window must resync from a snapshot.
+    records so replicas follow catalog changes in stream order. Records
+    stay until :meth:`release` lets them go.
     """
 
-    def __init__(self, primary: Database, retain: int | None = None):
+    def __init__(self, primary: Database):
         self.primary = primary
         self._records: list[ShipRecord] = []
         self._next_seq = 1
-        self._retain = retain
-        self._dropped = 0
         self._subscribers: list[Callable[[ShipRecord], None]] = []
         #: Primary CSN when the tap attached; records describe only
         #: history after this point (bootstrap snapshots cover the rest).
@@ -164,33 +163,24 @@ class ReplicationLog:
         )
         self._next_seq += 1
         self._records.append(record)
-        if self._retain is not None and len(self._records) > self._retain:
-            overflow = len(self._records) - self._retain
-            del self._records[:overflow]
-            self._dropped += overflow
         for subscriber in list(self._subscribers):
             subscriber(record)
 
     def since(self, seq: int) -> list[ShipRecord]:
-        """Retained records with sequence number > ``seq``, in order."""
+        """Held records with sequence number > ``seq``, in order."""
         if not self._records:
             return []
         start = max(0, seq + 1 - self._records[0].seq)
         return self._records[start:]
 
-    @property
-    def first_seq(self) -> int:
-        """Oldest retained sequence number (next seq when empty)."""
-        return self._records[0].seq if self._records else self._next_seq
+    def release(self, seq: int) -> None:
+        """Let go of the records with sequence number <= ``seq``."""
+        if self._records and self._records[0].seq <= seq:
+            del self._records[: seq + 1 - self._records[0].seq]
 
     @property
     def last_seq(self) -> int:
         return self._next_seq - 1
-
-    @property
-    def dropped(self) -> int:
-        """Records evicted by the retention limit."""
-        return self._dropped
 
     def __len__(self) -> int:
         return len(self._records)
@@ -329,7 +319,10 @@ class ReplicaSet:
 
     Crashed replicas (``database.crashed``, the cluster failure model)
     are skipped by shipping, routing, and quorum counting; they rejoin
-    via :meth:`catch_up` (or a retention-triggered resync) once revived.
+    via :meth:`catch_up` once revived. The log releases a record once
+    every replica has applied it, so a crashed replica pins the log from
+    its position on until it revives and catches up, or a promotion
+    re-provisions it.
     """
 
     def __init__(
@@ -337,7 +330,6 @@ class ReplicaSet:
         primary: Database,
         n_replicas: int = 0,
         mode: str = "async",
-        log_retain: int | None = None,
         ack_quorum: int = 0,
     ):
         if mode not in ("sync", "async"):
@@ -352,8 +344,7 @@ class ReplicaSet:
         self.primary = primary
         self.mode = mode
         self.ack_quorum = ack_quorum
-        self._log_retain = log_retain
-        self.log = ReplicationLog(primary, retain=log_retain)
+        self.log = ReplicationLog(primary)
         self.replicas: list[Replica] = []
         #: Cascading (replica-of-replica) sets, as (upstream, downstream)
         #: pairs — see :meth:`chain`.
@@ -389,10 +380,17 @@ class ReplicaSet:
         self._subscribe_ship()
 
     def _subscribe_ship(self) -> None:
-        if self.mode == "sync":
-            self._unsub = self.log.subscribe(self._on_record)
-        elif self.ack_quorum > 0:
-            self._unsub = self.log.subscribe(self._on_record_quorum)
+        self._unsub = self.log.subscribe(self._on_record)
+
+    def _release(self) -> None:
+        """Release the records every replica has applied (all of them
+        when there is no replica: a new one starts from a snapshot)."""
+        self.log.release(
+            min(
+                (r.applier.applied_seq for r in self.replicas),
+                default=self.log.last_seq,
+            )
+        )
 
     # -- membership -------------------------------------------------------
 
@@ -559,19 +557,27 @@ class ReplicaSet:
     # -- shipping ---------------------------------------------------------
 
     def _on_record(self, record: ShipRecord) -> None:
-        """Sync mode: apply inside the primary's commit, on every replica.
+        """Ship ``record`` as the mode says, then release what every
+        replica has applied.
 
-        Crashed replicas are skipped — a dead node must not brick the
-        primary's commits; it drains the backlog via :meth:`catch_up`
-        when revived.
+        Sync mode applies it inside the primary's commit, on every
+        replica. Crashed replicas are skipped — a dead node must not
+        brick the primary's commits; it drains the backlog via
+        :meth:`catch_up` when revived.
         """
-        for replica in self.replicas:
-            if replica.database.crashed:
-                continue
-            replica.applier.apply(record)
-            self.stats["shipped_records"] += 1
+        try:
+            if self.mode == "sync":
+                for replica in self.replicas:
+                    if replica.database.crashed:
+                        continue
+                    replica.applier.apply(record)
+                    self.stats["shipped_records"] += 1
+            elif self.ack_quorum > 0:
+                self._ship_quorum(record)
+        finally:
+            self._release()
 
-    def _on_record_quorum(self, record: ShipRecord) -> None:
+    def _ship_quorum(self, record: ShipRecord) -> None:
         """Quorum mode: apply inside the commit until N replicas acked.
 
         Replicas outside the quorum stay async. A replica that lagged out
@@ -649,9 +655,6 @@ class ReplicaSet:
     ) -> int:
         """Apply pending log records; returns the number applied.
 
-        A replica whose position predates the log's retained window has
-        lost records to retention and is rebuilt from a fresh snapshot
-        (counted in ``stats['resyncs']``, not in the return value).
         ``limit`` bounds records applied *per replica* (lag simulation and
         incremental catch-up both use it).
         """
@@ -662,9 +665,6 @@ class ReplicaSet:
         for target in targets:
             if target.database.crashed:
                 continue  # dead node: it drains after revival
-            if target.applier.applied_seq + 1 < self.log.first_seq:
-                self.resync(target)
-                continue
             budget = limit
             for record in self.log.since(target.applier.applied_seq):
                 if budget is not None:
@@ -674,6 +674,7 @@ class ReplicaSet:
                 target.applier.apply(record)
                 applied += 1
         self.stats["shipped_records"] += applied
+        self._release()
         if replica is None:
             # Cascade: downstream sets drain from their (just-advanced)
             # upstream replicas.
@@ -747,7 +748,6 @@ class ReplicaSet:
         upstream: Replica | str,
         n_replicas: int = 1,
         mode: str = "async",
-        log_retain: int | None = None,
     ) -> "ReplicaSet":
         """Cascading replication: a downstream set fed from one replica.
 
@@ -767,12 +767,7 @@ class ReplicaSet:
             raise ReplicationError(
                 f"chain upstream {upstream.name!r} is not in this replica set"
             )
-        downstream = ReplicaSet(
-            upstream.database,
-            n_replicas=n_replicas,
-            mode=mode,
-            log_retain=log_retain,
-        )
+        downstream = ReplicaSet(upstream.database, n_replicas=n_replicas, mode=mode)
         self.chains.append((upstream, downstream))
         return downstream
 
@@ -789,7 +784,7 @@ class ReplicaSet:
             self._unsub = None
         self.log.detach()
         self.primary = primary
-        self.log = ReplicationLog(primary, retain=self._log_retain)
+        self.log = ReplicationLog(primary)
         for replica in self.replicas:
             self.resync(replica)
         self._subscribe_ship()
@@ -805,12 +800,12 @@ class ReplicaSet:
         one) and re-points the remaining replicas at a fresh log on the
         new primary. All drained replicas sit at the same CSN at that
         moment, so the fresh log needs no history. A replica that cannot
-        drain (its position fell out of a retention-bounded log) — or is
-        itself crashed — is resynced (re-provisioned) from the *new*
-        primary. The old primary stays fenced: it accepts no further
-        transactions or commits. Its observers (other than the ship log,
-        which is re-created) and its ``track_reads`` move to the promoted
-        database, so an attached TROD keeps tracing across the failover;
+        drain (an apply fails) — or is itself crashed — is resynced
+        (re-provisioned) from the *new* primary. The old primary stays
+        fenced: it accepts no further transactions or commits. Its
+        observers (other than the ship log, which is re-created) and its
+        ``track_reads`` move to the promoted database, so an attached
+        TROD keeps tracing across the failover;
         the drain above ran before the hand-over, so no acknowledged
         commit is reported to them twice.
 
@@ -843,12 +838,6 @@ class ReplicaSet:
         if target.database.crashed:
             raise ReplicationError(
                 f"replica {target.name!r} is down; promote a healthy replica"
-            )
-        if target.applier.applied_seq + 1 < self.log.first_seq:
-            raise ReplicationError(
-                f"replica {target.name!r} cannot drain the log (its position "
-                f"{target.applier.applied_seq} predates the retained window, "
-                f"first {self.log.first_seq}); promote a fresher replica"
             )
         self.primary.fenced = True
         if self._unsub is not None:
@@ -889,7 +878,7 @@ class ReplicaSet:
         #: rejoins as a fresh replica via :meth:`reprovision`.
         self.retired.append(old_primary)
         self.replicas = [r for r in self.replicas if r is not target]
-        self.log = ReplicationLog(self.primary, retain=self._log_retain)
+        self.log = ReplicationLog(self.primary)
         for replica in self.replicas:
             if replica not in laggards:
                 replica.applier.applied_seq = 0  # fresh log, drained position
@@ -925,12 +914,7 @@ class ReplicaSet:
         return rejoined
 
     def _drain(self, replica: Replica) -> None:
-        """Apply every retained record to ``replica`` (no truncation gap)."""
-        if replica.applier.applied_seq + 1 < self.log.first_seq:
-            raise ReplicationError(
-                f"replica {replica.name!r} at seq {replica.applier.applied_seq} "
-                f"predates the log's retained window (first {self.log.first_seq})"
-            )
+        """Apply every held record ``replica`` has not applied yet."""
         for record in self.log.since(replica.applier.applied_seq):
             replica.applier.apply(record)
             self.stats["shipped_records"] += 1
@@ -1012,7 +996,6 @@ class ReplicatedDatabase:
         primary: Database | None = None,
         n_replicas: int = 1,
         mode: str = "async",
-        log_retain: int | None = None,
         replica_set: ReplicaSet | None = None,
         policy: str = "round_robin",
         name: str = "replicated",
@@ -1025,7 +1008,6 @@ class ReplicatedDatabase:
                 primary if primary is not None else Database(name=name),
                 n_replicas=n_replicas,
                 mode=mode,
-                log_retain=log_retain,
                 ack_quorum=ack_quorum,
             )
         self.policy = policy

@@ -23,8 +23,9 @@ lists are published and never changed afterwards (a write drops them and
 the next reader builds fresh ones). A snapshot scan holds the run lists it
 was started over; a run whose list was handed out is copied before its
 next write, so the scan keeps serving what it pinned. A run built from a
-commit's ``"append"`` change shares that change's list, and the same
-copy-on-write keeps the change as it was logged.
+commit's ``"append"`` change takes that change's list over unshared:
+nothing keeps a commit's changes once its observers have seen them, so
+an erased value leaves no older copy behind in a logged change either.
 
 The backend lives in memory only: it has no page format and no recovery.
 """
@@ -47,7 +48,7 @@ class _Run:
 
     __slots__ = ("first", "csn", "rows", "dead", "changed", "shared")
 
-    def __init__(self, first: int, csn: int, rows: Sequence[tuple], shared: bool):
+    def __init__(self, first: int, csn: int, rows: list[tuple]):
         self.first = first
         self.csn = csn
         #: One slot per row id; None once the row is deleted.
@@ -56,8 +57,8 @@ class _Run:
         self.dead = 0
         #: CSN of the latest write to any row here (the insert, at first).
         self.changed = csn
-        #: Someone else holds ``rows``: copy it before writing to it.
-        self.shared = shared
+        #: A snapshot scan holds ``rows``: copy it before writing to it.
+        self.shared = False
 
     @property
     def end(self) -> int:
@@ -102,11 +103,11 @@ class SegmentStore:
 
     def apply_append(self, first: int, rows: Sequence[tuple], csn: int) -> None:
         """Install ``rows`` under ids ``first, first + 1, ...`` as one run
-        visible from ``csn``. The run keeps ``rows`` itself (the commit's
-        change holds it too) and copies it before any write."""
+        visible from ``csn``. The run takes a list ``rows`` over as its
+        own: the committing transaction was its only other holder."""
         if rows:
             self._check_free(first, len(rows))
-            self._install(first, rows, csn, shared=True)
+            self._install(first, rows if type(rows) is list else list(rows), csn)
 
     def apply_inserts(self, rows: Sequence[tuple[int, tuple]], csn: int) -> None:
         """Install ``(row_id, values)`` pairs, in any id order, as the runs
@@ -127,7 +128,7 @@ class SegmentStore:
         for first, values in pieces:
             self._check_free(first, len(values))
         for first, values in pieces:
-            self._install(first, values, csn, shared=False)
+            self._install(first, values, csn)
 
     def apply_update(self, row_id: int, values: tuple, csn: int) -> tuple:
         """Overwrite ``row_id`` in place; returns the old values."""
@@ -157,7 +158,7 @@ class SegmentStore:
                 "overlap stored rows"
             )
 
-    def _install(self, first: int, rows: Sequence[tuple], csn: int, shared: bool) -> None:
+    def _install(self, first: int, rows: list[tuple], csn: int) -> None:
         """Add a checked run; one that continues the run before it in the
         same commit extends that run instead."""
         at = bisect.bisect_right(self._starts, first)
@@ -170,7 +171,7 @@ class SegmentStore:
                 before.rows.extend(rows)
         else:
             self._starts.insert(at, first)
-            self._runs.insert(at, _Run(first, csn, rows, shared))
+            self._runs.insert(at, _Run(first, csn, rows))
         count = len(rows)
         self._next_row_id = max(self._next_row_id, first + count)
         self._live += count

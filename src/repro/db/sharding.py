@@ -1647,7 +1647,6 @@ class ShardedDatabase:
         self,
         n_replicas: int = 1,
         mode: str = "async",
-        log_retain: int | None = None,
     ) -> dict[str, ReplicaSet]:
         """Give every shard a log-shipping replica set.
 
@@ -1662,7 +1661,7 @@ class ShardedDatabase:
         for store, shard in self.named_shards():
             replica_set = self.replica_sets.get(store)
             if replica_set is None:
-                replica_set = ReplicaSet(shard, mode=mode, log_retain=log_retain)
+                replica_set = ReplicaSet(shard, mode=mode)
                 self.replica_sets[store] = replica_set
             for _ in range(n_replicas):
                 replica_set.add_replica()

@@ -3,8 +3,15 @@
 The engine buffers all writes privately until commit, so the WAL mostly
 needs commit records: each :class:`WalCommit` carries the commit sequence
 number and the full ordered list of row changes. Replaying commits in CSN
-order reconstructs the database exactly — :func:`recover_into` does this
-and is exercised by the crash-recovery tests.
+order reconstructs the database exactly; :meth:`WriteAheadLog.load` hands
+the commits of a file back to the caller (``Database.recover`` and paged
+recovery redo them) and keeps none of them.
+
+The log keeps no commit in memory. What it remembers is the last CSN it
+accepted (an append must carry a higher one) and the durably prepared
+2PC branches nobody has decided yet. A commit goes to the log's file if
+it has one and to the database's observers (``txn_committed``) either
+way; a database without a file forgets it once they return.
 
 Two-phase commit adds two typed records. A :class:`WalPrepare` persists a
 branch's buffered changes at prepare time (flushed immediately — the
@@ -17,9 +24,8 @@ logged, abort otherwise (presumed abort). Commit records keep their
 original untagged JSON shape, so WAL files written before this existed
 replay unchanged; the new records carry a ``"kind"`` discriminator.
 
-The log lives in memory and can optionally mirror to a JSONL file, which is
-how the durability simulation (the "Postgres-like" backend profile) models
-its fsync cost.
+The file is JSONL, which is how the durability simulation (the
+"Postgres-like" backend profile) models its fsync cost.
 
 Group commit: with ``group_size > 1`` file mirroring batches serialized
 commits and drains them in a single ``write`` + ``flush`` (one
@@ -37,7 +43,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 from repro.errors import WalError
 from repro.faults import fault_point
@@ -158,7 +164,7 @@ def _record_from_json(data: Any) -> "WalCommit | WalPrepare | WalAbort":
 
 
 class WriteAheadLog:
-    """Ordered, append-only log of commits."""
+    """Ordered, append-only log of commits (see the module doc)."""
 
     def __init__(
         self,
@@ -168,7 +174,6 @@ class WriteAheadLog:
     ):
         if group_size < 1:
             raise WalError(f"group_size must be >= 1, got {group_size}")
-        self._commits: list[WalCommit] = []
         self._path = path
         self._file = open(path, "a", encoding="utf-8") if path else None
         self._group_size = group_size
@@ -179,56 +184,45 @@ class WriteAheadLog:
         #: Set by :meth:`load` when a truncated trailing record (crash
         #: mid-append) was dropped to reach a clean recovery point.
         self.torn_tail_dropped = False
-        #: 2PC bookkeeping: durably prepared branches and how each was
-        #: resolved. A prepare whose txn_id appears in neither set is in
-        #: doubt after a crash.
-        self._prepares: list[WalPrepare] = []
-        self._committed_txns: set[int] = set()
-        self._aborted_txns: set[int] = set()
+        #: CSN of the last commit appended (0 before the first).
+        self.last_csn = 0
+        #: Durably prepared 2PC branches by txn id; a commit or abort
+        #: record for the txn removes its entry.
+        self._prepared: dict[int, WalPrepare] = {}
 
     def append(self, commit: WalCommit) -> None:
-        if self._commits and commit.csn <= self._commits[-1].csn:
+        if commit.csn <= self.last_csn:
             raise WalError(
-                f"out-of-order commit: csn {commit.csn} after "
-                f"{self._commits[-1].csn}"
+                f"out-of-order commit: csn {commit.csn} after {self.last_csn}"
             )
-        self._commits.append(commit)
-        self._committed_txns.add(commit.txn_id)
-        if self._file is not None:
-            self._pending.append(json.dumps(commit.to_json()))
-            self.flush_stats["appends"] += 1
-            if len(self._pending) >= self._group_size:
-                self.flush()
+        self.last_csn = commit.csn
+        self._prepared.pop(commit.txn_id, None)
+        self._write(commit, self._group_size)
 
     def append_prepare(self, prepare: WalPrepare) -> None:
         """Persist a 2PC branch's prepare record, flushed immediately:
         the coordinator must not log a commit decision until every
         branch's prepared changes are durable."""
-        self._prepares.append(prepare)
-        if self._file is not None:
-            self._pending.append(json.dumps(prepare.to_json()))
-            self.flush_stats["appends"] += 1
-            self.flush()
+        self._prepared[prepare.txn_id] = prepare
+        self._write(prepare, 1)
 
     def append_abort(self, abort: WalAbort) -> None:
         """Close out a durably prepared branch that rolled back (group
         buffered — losing an abort record is harmless under presumed
         abort; recovery re-aborts the undecided prepare)."""
-        self._aborted_txns.add(abort.txn_id)
+        self._prepared.pop(abort.txn_id, None)
+        self._write(abort, self._group_size)
+
+    def _write(self, record: WalCommit | WalPrepare | WalAbort, group: int) -> None:
         if self._file is not None:
-            self._pending.append(json.dumps(abort.to_json()))
+            self._pending.append(json.dumps(record.to_json()))
             self.flush_stats["appends"] += 1
-            if len(self._pending) >= self._group_size:
+            if len(self._pending) >= group:
                 self.flush()
 
     def in_doubt(self) -> list[WalPrepare]:
         """Durably prepared branches with no commit or abort record."""
-        return [
-            p
-            for p in self._prepares
-            if p.txn_id not in self._committed_txns
-            and p.txn_id not in self._aborted_txns
-        ]
+        return list(self._prepared.values())
 
     def flush(self) -> None:
         """Drain buffered commits with one write + flush (the group's
@@ -248,18 +242,6 @@ class WriteAheadLog:
         """Commits appended but not yet made durable."""
         return len(self._pending)
 
-    def commits(self, since_csn: int = 0) -> Iterator[WalCommit]:
-        """Commits with csn > ``since_csn``, in order."""
-        for commit in self._commits:
-            if commit.csn > since_csn:
-                yield commit
-
-    def last_csn(self) -> int:
-        return self._commits[-1].csn if self._commits else 0
-
-    def __len__(self) -> int:
-        return len(self._commits)
-
     def close(self) -> None:
         if self._file is not None:
             self.flush()
@@ -277,8 +259,11 @@ class WriteAheadLog:
         attach: bool = False,
         group_size: int = 1,
         fsync: bool = False,
-    ) -> "WriteAheadLog":
-        """Read a JSONL WAL file back into memory.
+    ) -> "tuple[WriteAheadLog, list[WalCommit]]":
+        """Read a JSONL WAL file: a log that knows its last CSN and its
+        undecided prepares, and the file's commits in order.
+
+        The commits are the caller's: the returned log keeps none of them.
 
         A crash can tear the final record (the process died mid-write),
         leaving a truncated JSON line at the tail. That is a *clean
@@ -295,6 +280,7 @@ class WriteAheadLog:
         bytes forward.
         """
         wal = WriteAheadLog()
+        commits: list[WalCommit] = []
         with open(path, "rb") as handle:
             raw = handle.read()
         bad_at: int | None = None
@@ -321,10 +307,11 @@ class WriteAheadLog:
                         )
                     if isinstance(record, WalCommit):
                         wal.append(record)
+                        commits.append(record)
                     elif isinstance(record, WalPrepare):
-                        wal._prepares.append(record)
+                        wal.append_prepare(record)
                     else:
-                        wal._aborted_txns.add(record.txn_id)
+                        wal.append_abort(record)
                     valid_end = min(next_offset, len(raw))
             offset = next_offset
         wal.torn_tail_dropped = bad_at is not None
@@ -336,29 +323,19 @@ class WriteAheadLog:
             wal._file = open(path, "a", encoding="utf-8")
             wal._group_size = group_size
             wal._fsync = fsync
-        return wal
+        return wal, commits
 
 
-def recover_into(stores: dict[str, Any], commits: Iterable[WalCommit]) -> int:
-    """Redo ``commits`` (in order) against empty table stores.
-
-    ``stores`` maps canonical table name to :class:`TableStore`. Returns
-    the last applied CSN. Used by crash-recovery: rebuild a database from
-    its schema catalog plus the WAL.
-    """
-    last = 0
-    for commit in commits:
-        for change in commit.changes:
-            store = stores.get(change.table)
-            if store is None:
-                raise WalError(f"WAL references unknown table {change.table!r}")
-            if change.op == "insert":
-                store.apply_insert(change.values, commit.csn, row_id=change.row_id)
-            elif change.op == "update":
-                store.apply_update(change.row_id, change.values, commit.csn)
-            elif change.op == "delete":
-                store.apply_delete(change.row_id, commit.csn)
-            else:  # pragma: no cover - constructed only by our code
-                raise WalError(f"unknown WAL op {change.op!r}")
-        last = commit.csn
-    return last
+def redo_change(store: Any, change: WalChange, csn: int) -> bool:
+    """Redo one logged change onto an in-memory table store at ``csn``
+    (recovery rebuilds a database from its schema plus the WAL this way).
+    Always changes the store, so always True."""
+    if change.op == "insert":
+        store.apply_insert(change.values, csn, row_id=change.row_id)
+    elif change.op == "update":
+        store.apply_update(change.row_id, change.values, csn)
+    elif change.op == "delete":
+        store.apply_delete(change.row_id, csn)
+    else:  # pragma: no cover - constructed only by our code
+        raise WalError(f"unknown WAL op {change.op!r}")
+    return True

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
 from repro.apps import (
@@ -13,6 +16,7 @@ from repro.apps import (
 from repro.core import Trod
 from repro.db import Database
 from repro.db.sql import executor
+from repro.db.txn.wal import WalCommit
 from repro.runtime import Request, Runtime
 from repro.workload.generators import ForumWorkload
 
@@ -79,3 +83,91 @@ def profiles_env():
 
 def make_request(handler: str, *args, **kwargs) -> Request:
     return Request(handler, args, kwargs)
+
+
+class CommitTap(list):
+    """The commits a database makes while tapped, as the ``WalCommit``
+    records its log writes (an empty commit logs none, so it is left out
+    here too). The log keeps no commit; a test that reads them taps."""
+
+    def txn_committed(self, txn, csn, changes):
+        if changes:
+            self.append(WalCommit(csn, txn.txn_id, changes))
+
+
+@pytest.fixture(scope="session")
+def commit_tap():
+    """``commit_tap(db)``: a :class:`CommitTap` observing ``db``'s commits
+    from now on."""
+
+    def tap(db) -> CommitTap:
+        observer = CommitTap()
+        db.add_observer(observer)
+        return observer
+
+    return tap
+
+
+#: Not followed by :func:`reaches`: a type, module or function leads to
+#: everything the process holds, the application's own data included.
+_OPAQUE = (
+    type,
+    types.ModuleType,
+    types.FunctionType,
+    types.BuiltinFunctionType,
+    types.CodeType,
+)
+
+
+def reaches(root, value) -> bool:
+    """Whether a walk over ``gc.get_referents`` from ``root`` finds an
+    object of ``value``'s type equal to it."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) in seen or isinstance(ref, _OPAQUE):
+                continue
+            seen.add(id(ref))
+            if type(ref) is type(value) and ref == value:
+                return True
+            stack.append(ref)
+    return False
+
+
+@pytest.fixture(scope="session")
+def erasure_oracle():
+    """``erasure_oracle(trod, value, replay=())``: after a
+    ``forget_value(..., value)``, no way into provenance shows ``value``:
+    not its objects, not ``AS OF`` at any provenance CSN, not a
+    reconstructed state at any commit, not a dev database, and not the
+    writes a replay of each request in ``replay`` injects."""
+
+    def check(trod, value, replay=()) -> None:
+        provenance = trod.provenance
+        assert not reaches(provenance, value), "an object still holds it"
+        db = provenance.db
+        for table in db.catalog.table_names():
+            for csn in range(1, db.last_csn + 1):
+                rows = db.execute(f"SELECT * FROM {table} AS OF {csn}").rows
+                assert not any(value in row for row in rows), (table, csn)
+        csns = sorted(
+            set(
+                db.execute(
+                    "SELECT Csn FROM Executions WHERE Status = 'Committed'"
+                ).column("Csn")
+            )
+        )
+        for table in provenance.traced_tables():
+            for csn in csns:
+                rows = provenance.reconstruct_rows(table, csn)
+                assert not any(value in values for _id, values in rows), (table, csn)
+        dev = trod.replayer.build_dev_db(csns[-1] if csns else trod.base_csn)
+        for table in dev.catalog.table_names():
+            assert not any(value in values for _id, values in dev.snapshot_rows(table))
+        for req_id in replay:
+            for step in trod.replayer.replay_request(req_id).steps:
+                for write in step.injected:
+                    assert value not in (write.values or {}).values(), write
+
+    return check

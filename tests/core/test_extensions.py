@@ -57,7 +57,7 @@ class TestPerformanceProfiler:
         stats = profiler.handler_stats()
         assert sum(row["n"] for row in stats) == 1  # second request unmeasured
 
-    def test_a_flush_is_one_run_of_the_records_in_order(self, moodle_env):
+    def test_a_flush_is_one_run_of_the_records_in_order(self, moodle_env, commit_tap):
         _db, runtime, trod = moodle_env
         profiler = trod.enable_profiling()
         for i in range(3):
@@ -65,11 +65,12 @@ class TestPerformanceProfiler:
         records = [tuple(record.values()) for record in profiler._pending]
         assert len(records) > 3
         db = trod.provenance.db
+        tap = commit_tap(db)
         assert profiler.flush() == len(records)
         assert [values for _rid, values in db.snapshot_rows("PerfEvents")] == records
         (change,) = [
             change
-            for commit in db.wal.commits()
+            for commit in tap
             for change in commit.changes
             if change.table == "perfevents"
         ]
@@ -171,6 +172,13 @@ class TestPrivacy:
         assert trod.query(sql).scalar() == 4
         trod.privacy.forget_value("forum_sub", "userId", "U1")
         assert trod.query(sql).scalar() == 0
+
+    def test_no_way_into_provenance_shows_an_erased_value(
+        self, racy_moodle, erasure_oracle
+    ):
+        _db, _runtime, trod = racy_moodle
+        trod.privacy.forget_value("forum_sub", "userId", "U1")
+        erasure_oracle(trod, "U1", replay=("R1", "R2", "R3"))
 
     def test_request_args_scrubbed(self, racy_moodle):
         _db, _runtime, trod = racy_moodle

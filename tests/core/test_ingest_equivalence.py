@@ -233,22 +233,22 @@ class TestTablesMatchTheModel:
             "SELECT Type, Type_, detail FROM AuditLog ORDER BY Seq"
         ).rows == [("Insert", "debit", "2.5"), ("Insert", None, "closed")]
 
-    def test_one_commit_one_lock_per_table_per_flush(self, backing):
+    def test_one_commit_one_lock_per_table_per_flush(self, backing, commit_tap):
         prov = make_store(backing)
         manager = prov.db.txn_manager
         commits = manager.stats["committed"]
-        wal_commits = len(prov.db.wal)
+        tap = commit_tap(prov.db)
         locks = manager.locks.stats["acquisitions"]
         batch = batches()[0]
         prov.ingest(batch)
         assert manager.stats["committed"] == commits + 1
-        assert len(prov.db.wal) == wal_commits + 1
+        assert len(tap) == 1
         # Executions, Requests, WorkflowEdges, SideEffects, two event tables.
         assert manager.locks.stats["acquisitions"] == locks + 6
         # Changes grouped per table, in event order inside each group: one
         # "append" run per table on segments, one change per stored event
         # (all but the untraced read) on MVCC — the same rows either way.
-        changes = list(prov.db.wal.commits())[-1].changes
+        changes = tap[-1].changes
         tables = [change.table for change in changes]
         assert tables == sorted(tables, key=tables.index)
         if backing == "segment":
@@ -262,11 +262,9 @@ class TestTablesMatchTheModel:
             assert [change.op for change in changes] == ["insert"] * (len(batch) - 1)
             logged = [(c.table, c.row_id, c.values) for c in changes]
         twin = make_store("memory")
+        twin_tap = commit_tap(twin.db)
         twin.ingest(batch)
-        assert logged == [
-            (c.table, c.row_id, c.values)
-            for c in list(twin.db.wal.commits())[-1].changes
-        ]
+        assert logged == [(c.table, c.row_id, c.values) for c in twin_tap[-1].changes]
 
     def test_queries_over_the_ingested_rows(self, ingested):
         prov, _model = ingested

@@ -227,3 +227,29 @@ class TestShardedRecoverySurface:
             sdb.coordinator.decision_log.close()
         finally:
             shutil.rmtree(base, ignore_errors=True)
+
+
+class TestRecoverFromWalFile:
+    def test_recover_keeps_an_in_doubt_prepare_and_its_txn_id(self, tmp_path):
+        """``Database.recover`` keeps a file's undecided prepare, and no
+        later transaction reuses the prepared branch's txn id."""
+        path = str(tmp_path / "wal.jsonl")
+        db = Database(wal_path=path)
+        db.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+        db.execute("INSERT INTO t VALUES (1, 'committed')")
+        txn = db.begin()
+        db.execute("INSERT INTO t VALUES (2, 'prepared')", txn=txn)
+        db.txn_manager.prepare(txn, gtxn_id=7)
+        db.wal.close()
+
+        recovered = Database.recover([db.catalog.get("t")], path)
+        (prepare,) = recovered.in_doubt_prepares()
+        assert (prepare.gtxn_id, prepare.txn_id) == (7, txn.txn_id)
+        assert recovered.begin().txn_id > txn.txn_id
+        assert recovered.resolve_in_doubt(lambda _p: True) == {
+            "committed": 1, "aborted": 0,
+        }
+        assert recovered.in_doubt_prepares() == []
+        assert recovered.execute("SELECT k, v FROM t ORDER BY k").rows == [
+            (1, "committed"), (2, "prepared"),
+        ]

@@ -141,13 +141,19 @@ class Model:
 
 
 class Traces:
-    """Observer collecting every statement trace a node emits."""
+    """Observer collecting every statement trace and every non-empty
+    commit's changes a node emits."""
 
     def __init__(self) -> None:
         self.seen: list = []
+        self.commits: list[tuple] = []
 
     def statement_executed(self, _txn, trace) -> None:
         self.seen.append(trace)
+
+    def txn_committed(self, _txn, _csn, changes) -> None:
+        if changes:
+            self.commits.append(changes)
 
 
 class Node:
@@ -159,13 +165,12 @@ class Node:
         self.traces = Traces()
         db.add_observer(self.traces)
         self.model = Model(db.snapshot_rows("t"))
-        self.start_csn = db.last_csn
 
     def check(self, label: str) -> None:
         db, model = self.db, self.model
         assert dict(db.snapshot_rows("t")) == model.rows, label
-        new_commits = list(db.wal.commits(since_csn=self.start_csn))
-        changes = [c for commit in new_commits for c in commit.changes]
+        new_commits = self.traces.commits
+        changes = [c for commit in new_commits for c in commit]
         logged = [(c.op, c.row_id, c.values, c.old_values) for c in changes]
         assert logged == model.changes, label
         assert len(new_commits) == (1 if model.changes else 0), label

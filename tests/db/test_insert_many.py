@@ -14,6 +14,7 @@ import pytest
 from repro.db import Database, IsolationLevel
 from repro.db.schema import Column, TableSchema
 from repro.db.storage import TableStore
+from repro.db.txn.wal import WriteAheadLog
 from repro.db.types import ColumnType
 from repro.errors import (
     DatabaseError,
@@ -71,6 +72,15 @@ def loop_insert(db: Database, table: str, rows, txn) -> list[int]:
     return [db.insert_row(table, row, txn=txn) for row in rows]
 
 
+def logged(db: Database) -> list[tuple]:
+    """``(csn, txn_id, changes)`` of each commit in ``db``'s WAL file (a
+    recovered database writes none)."""
+    if db.wal.path is None:
+        return []
+    db.wal.flush()
+    return [(c.csn, c.txn_id, c.changes) for c in WriteAheadLog.load(db.wal.path)[1]]
+
+
 def observable(db: Database) -> dict:
     """Everything a client (or a recovering node) can see of ``db``."""
     plain_indexes = db.index_set("plain").indexes
@@ -88,9 +98,7 @@ def observable(db: Database) -> dict:
         "range_probe": plain_indexes["ix_plain_score"].scan_between((0.5,), (1.5,)),
         "sorted_all": plain_indexes["ix_plain_score"].scan_between(None, None),
         "sql_probe": sql_probe,
-        "wal": [
-            (c.csn, c.txn_id, c.changes) for c in db.wal.commits()
-        ],
+        "wal": logged(db),
         "last_csn": db.last_csn,
     }
 
@@ -139,7 +147,7 @@ class TestTwins:
         ]
         # One WAL change per inserted row.
         per_round = len(PLAIN_ROWS) + len(KEYED_ROWS)
-        assert [len(c.changes) for c in batch.wal.commits()] == [per_round] * 2
+        assert [len(changes) for _csn, _txn, changes in logged(batch)] == [per_round] * 2
         # A WAL written by the batch path rebuilds the same database.
         batch.wal.flush()
         single.wal.flush()
@@ -323,13 +331,13 @@ class TestChecksKept:
         (c,) = batch.insert_rows("plain", [(3, "c", 3.0)], txn=txn)
         batch.execute("DELETE FROM plain WHERE k = 2", txn=txn)
         txn.commit()
-        (commit,) = batch.wal.commits()
-        assert [(ch.op, ch.table, ch.row_id) for ch in commit.changes] == [
+        ((_csn, _txn, changes),) = logged(batch)
+        assert [(ch.op, ch.table, ch.row_id) for ch in changes] == [
             ("insert", "plain", a), ("insert", "plain", b), ("update", "plain", a),
             ("insert", "keyed", 1), ("insert", "plain", c), ("delete", "plain", b),
         ]
-        assert commit.changes[2].old_values == (1, "a", 1.0)
-        assert commit.changes[5].old_values == (2, "b", 2.0)
+        assert changes[2].old_values == (1, "a", 1.0)
+        assert changes[5].old_values == (2, "b", 2.0)
         assert batch.snapshot_rows("plain") == [(a, (1, "A", 1.0)), (c, (3, "c", 3.0))]
         assert batch.index_set("plain").indexes["ix_plain_k"].lookup((2,)) == set()
 

@@ -236,30 +236,30 @@ def test_unknown_on_stale_mode_is_rejected():
         cluster.execute_read("SELECT * FROM t", on_stale="nearest")
 
 
-def test_wait_read_that_resyncs_releases_the_replaced_replicas():
-    # A 'wait' read whose catch-up finds the replica's position truncated
-    # out of a retention-bounded log rebuilds it from a snapshot. The
-    # sharded scatter-plan cache keys scan nodes by database instance:
-    # unless the resync invalidates it, the cached plan pins both dead
-    # databases (and their full data copies) for the cluster's lifetime.
+def test_promotion_past_a_crashed_replica_releases_the_replaced_replicas():
+    # A promotion re-provisions a crashed replica from the new primary (a
+    # resync: the replica keeps its name, its database is new). Nothing
+    # may keep the replaced database alive: no plan holds a database, and
+    # the replica set and its log let go of it.
     sharded = ShardedDatabase(2, shard_keys={"t": "k"})
     conn = repro.connect(sharded)
     conn.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
     for k in range(8):
         conn.execute("INSERT INTO t VALUES (?, ?)", (k, 0))
-    sharded.attach_replicas(1, mode="async", log_retain=2)
+    sharded.attach_replicas(2, mode="async")
     sql = "SELECT k, v FROM t WHERE v >= ? ORDER BY k"
-    conn.execute(sql, (0,))  # caches a scatter plan over the replicas
-    doomed = [
-        weakref.ref(replica.database)
-        for rs in sharded.replica_sets.values()
-        for replica in rs.replicas
-    ]
+    conn.execute(sql, (0,))  # plans a scatter read over the replicas
+    crashed = [rs.replicas[0] for rs in sharded.replica_sets.values()]
+    doomed = [weakref.ref(replica.database) for replica in crashed]
+    for replica in crashed:
+        replica.database.crashed = True
     for k in range(8):
         conn.execute("UPDATE t SET v = ? WHERE k = ?", (k + 1, k))
+    for store in sharded.store_names:
+        sharded.failover(store)
     rows = conn.execute(sql, (0,), read_preference="wait").rows
     assert rows == [(k, k + 1) for k in range(8)]
     assert sharded.cluster_stats["resyncs"] == 2
-    assert sharded.cluster_stats["catch_up_waits"] == 2
+    assert not any(replica.database.crashed for replica in crashed)
     gc.collect()
     assert [ref() for ref in doomed] == [None, None]

@@ -10,6 +10,7 @@ guarantees (read-your-writes under lag), promotion/fencing, and the
 replica-aware read path of the sharded facade.
 """
 
+import gc
 import random
 
 import pytest
@@ -21,7 +22,9 @@ from repro.db.replication import (
     ReplicaSet,
     ReplicationLog,
     Session,
+    ShipRecord,
 )
+from repro.db.txn.wal import WalCommit
 from repro.errors import (
     FencedError,
     ReadOnlyError,
@@ -73,15 +76,18 @@ class TestReplicationLog:
             ("ddl", "drop_table"),
         ]
 
-    def test_retention_evicts_and_reports(self):
+    def test_a_set_releases_what_every_replica_applied(self):
         db = build_primary()
-        log = ReplicationLog(db, retain=3)
+        rs = ReplicaSet(db, n_replicas=2, mode="async")
         for i in range(6):
             db.execute("INSERT INTO t VALUES (?, 'g0', 0.0)", (i,))
-        assert len(log) == 3
-        assert log.dropped == 3
-        assert log.first_seq == 4
-        assert [r.seq for r in log.since(0)] == [4, 5, 6]
+        assert len(rs.log) == 6
+        rs.catch_up(rs.replicas[0], limit=4)
+        assert len(rs.log) == 6  # the other replica has applied nothing
+        rs.catch_up(rs.replicas[1], limit=3)
+        assert [r.seq for r in rs.log.since(0)] == [4, 5, 6]
+        rs.catch_up()
+        assert len(rs.log) == 0 and rs.log.last_seq == 6
 
     def test_detach_stops_the_tap(self):
         db = build_primary()
@@ -175,15 +181,16 @@ class TestApplier:
         with pytest.raises(ReplicationError, match="ahead"):
             applier.apply(commits[1])  # replayed twice
 
-    def test_replica_cdc_mirrors_primary_ops(self):
+    def test_replica_cdc_mirrors_primary_ops(self, commit_tap):
         db = build_primary()
         rs = ReplicaSet(db, n_replicas=1)
+        primary_tap = commit_tap(db)
+        replica_tap = commit_tap(rs.replicas[0].database)
         db.execute("INSERT INTO t VALUES (1, 'g0', 1.0)")
         db.execute("UPDATE t SET v = 9.0 WHERE k = 1")
         rs.catch_up()
-        replica = rs.replicas[0].database
-        ops = [(c.csn, c.txn_id, c.changes) for c in replica.wal.commits()]
-        assert ops == [(c.csn, c.txn_id, c.changes) for c in db.wal.commits()]
+        ops = [(c.csn, c.txn_id, c.changes) for c in replica_tap]
+        assert ops == [(c.csn, c.txn_id, c.changes) for c in primary_tap]
         assert [c.op for _, _, changes in ops for c in changes] == ["insert", "update"]
 
     def test_ddl_applies_on_replicas(self):
@@ -287,22 +294,59 @@ class TestReplicaSet:
         rs.catch_up()
         assert replica.last_csn == db.last_csn
 
-    def test_retention_truncation_triggers_resync(self):
+    def test_a_crashed_replica_pins_the_log_until_it_catches_up(self):
         db = build_primary()
-        rs = ReplicaSet(db, n_replicas=1, mode="async", log_retain=3)
+        rs = ReplicaSet(db, n_replicas=2, mode="sync")
+        down = rs.replicas[0]
+        down.database.crashed = True
         for i in range(10):
             db.execute("INSERT INTO t VALUES (?, 'g0', 0.0)", (i,))
-        assert rs.log.dropped > 0
+        assert rs.lag(rs.replicas[1]) == 0
+        assert len(rs.log) == 10  # all unapplied on the crashed replica
+        down.database.crashed = False
         rs.catch_up()
-        assert rs.stats["resyncs"] == 1
-        replica = rs.replicas[0]
-        assert replica.database.execute("SELECT COUNT(*) FROM t").scalar() == 10
-        assert rs.lag(replica) == 0
-        # The rebuilt replica follows the stream normally from here.
+        assert len(rs.log) == 0 and rs.stats["resyncs"] == 0
+        assert down.database.execute("SELECT COUNT(*) FROM t").scalar() == 10
+        assert rs.lag(down) == 0
+        # Both follow the stream inside each commit from here.
         db.execute("INSERT INTO t VALUES (99, 'g0', 0.0)")
+        assert len(rs.log) == 0
+        assert down.database.execute("SELECT COUNT(*) FROM t").scalar() == 11
+
+
+def live(kind: type) -> int:
+    """How many objects of exactly ``kind`` the process holds."""
+    gc.collect()
+    return sum(type(obj) is kind for obj in gc.get_objects())
+
+
+class TestRetentionGuard:
+    """Nothing keeps a commit nobody reads: a database without a WAL file
+    keeps no commit record, and a replica set's log holds exactly the
+    records some replica has not applied."""
+
+    def test_a_sync_set_keeps_no_commit_and_no_ship_record(self):
+        commits, records = live(WalCommit), live(ShipRecord)
+        db = build_primary()
+        rs = ReplicaSet(db, n_replicas=2, mode="sync")
+        for i in range(2000):
+            db.execute("INSERT INTO t VALUES (?, 'g0', 0.0)", (i,))
+        assert rs.max_lag() == 0
+        assert live(WalCommit) - commits == 0
+        assert live(ShipRecord) - records == 0
+
+    def test_an_async_set_holds_its_lag_until_caught_up(self):
+        records = live(ShipRecord)
+        db = build_primary()
+        rs = ReplicaSet(db, n_replicas=2, mode="async")
+        for i in range(500):
+            db.execute("INSERT INTO t VALUES (?, 'g0', 0.0)", (i,))
+        lag = rs.max_lag()
+        assert lag == 500 and len(rs.log) == lag
+        assert live(ShipRecord) - records == lag
         rs.catch_up()
-        assert rs.stats["resyncs"] == 1
-        assert replica.database.execute("SELECT COUNT(*) FROM t").scalar() == 11
+        assert rs.max_lag() == 0
+        assert live(ShipRecord) - records == 0
 
 
 class TestSessionGuarantees:
@@ -435,17 +479,17 @@ class TestFailover:
         """A promotion that cannot proceed must leave the old primary
         unfenced and still serving."""
         db = build_primary()
-        rs = ReplicaSet(db, n_replicas=1, mode="async", log_retain=2)
+        rs = ReplicaSet(db, n_replicas=1, mode="async")
         with pytest.raises(ReplicationError):
             rs.promote("no-such-replica")
         assert not db.fenced
-        # Push the lone replica's position out of the retained window:
-        # it cannot drain, so it must be refused as a target (pre-fence).
+        # A crashed target cannot drain the log, so it is refused
+        # before anything is fenced.
         for i in range(8):
             db.execute("INSERT INTO t VALUES (?, 'g0', 0.0)", (i,))
-        assert rs.log.dropped > 0
-        with pytest.raises(ReplicationError, match="retained window"):
-            rs.promote()
+        rs.replicas[0].database.crashed = True
+        with pytest.raises(ReplicationError, match="is down"):
+            rs.promote(rs.replicas[0])
         assert not db.fenced
         db.execute("INSERT INTO t VALUES (99, 'g0', 0.0)")  # still serving
 

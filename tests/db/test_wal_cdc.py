@@ -6,7 +6,14 @@ from repro.db import Database
 from repro.db.schema import Column, TableSchema
 from repro.db.storage import TableStore
 from repro.db.types import ColumnType
-from repro.db.txn.wal import WalChange, WalCommit, WriteAheadLog, recover_into
+from repro.db.txn.wal import (
+    WalAbort,
+    WalChange,
+    WalCommit,
+    WalPrepare,
+    WriteAheadLog,
+    redo_change,
+)
 from repro.errors import WalError
 
 
@@ -17,12 +24,22 @@ class TestWal:
         with pytest.raises(WalError):
             wal.append(WalCommit(csn=1, txn_id=2, changes=()))
 
-    def test_commits_since(self):
+    def test_last_csn_is_the_last_append(self):
         wal = WriteAheadLog()
         for csn in (1, 2, 3):
             wal.append(WalCommit(csn=csn, txn_id=csn, changes=()))
-        assert [c.csn for c in wal.commits(since_csn=1)] == [2, 3]
-        assert wal.last_csn() == 3
+        assert wal.last_csn == 3
+
+    def test_a_commit_or_abort_record_settles_a_prepare(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        wal = WriteAheadLog(path)
+        for txn_id in (5, 6, 7):
+            wal.append_prepare(WalPrepare(gtxn_id=1, txn_id=txn_id, changes=()))
+        wal.append(WalCommit(csn=1, txn_id=5, changes=()))
+        wal.append_abort(WalAbort(txn_id=6, gtxn_id=1))
+        assert [p.txn_id for p in wal.in_doubt()] == [7]
+        wal.close()
+        assert [p.txn_id for p in WriteAheadLog.load(path)[0].in_doubt()] == [7]
 
     def test_json_roundtrip(self):
         change = WalChange(
@@ -45,11 +62,11 @@ class TestWal:
             )
         )
         wal.close()
-        loaded = WriteAheadLog.load(path)
-        assert len(loaded) == 1
-        assert loaded.commits().__next__().changes[0].values == ("a", 1)
+        loaded, commits = WriteAheadLog.load(path)
+        assert len(commits) == 1 and loaded.last_csn == 1
+        assert commits[0].changes[0].values == ("a", 1)
 
-    def test_recover_into_replays_ops(self):
+    def test_redo_change_replays_ops(self):
         schema = TableSchema(
             "t", [Column("k", ColumnType.TEXT), Column("v", ColumnType.INTEGER)]
         )
@@ -60,15 +77,18 @@ class TestWal:
             WalCommit(3, 3, (WalChange("insert", "t", 2, ("b", 9), None),)),
             WalCommit(4, 4, (WalChange("delete", "t", 2, None, ("b", 9)),)),
         ]
-        last = recover_into({"t": store}, commits)
-        assert last == 4
+        for commit in commits:
+            for change in commit.changes:
+                assert redo_change(store, change, commit.csn)
         assert list(store.scan(None)) == [(1, ("a", 2))]
 
-    def test_recover_unknown_table(self):
-        with pytest.raises(WalError):
-            recover_into(
-                {}, [WalCommit(1, 1, (WalChange("insert", "x", 1, ("a",), None),))]
-            )
+    def test_recover_unknown_table(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        wal = WriteAheadLog(path)
+        wal.append(WalCommit(1, 1, (WalChange("insert", "x", 1, ("a",), None),)))
+        wal.close()
+        with pytest.raises(WalError, match="unknown table"):
+            Database.recover([], path)
 
 
 class TestTornTail:
@@ -92,13 +112,13 @@ class TestTornTail:
         self._write_commits(path, 3)
         with open(path, "ab") as fh:
             fh.write(b'{"csn": 4, "txn_id": 4, "chan')  # torn mid-write
-        loaded = WriteAheadLog.load(path)
-        assert [c.csn for c in loaded.commits()] == [1, 2, 3]
+        loaded, commits = WriteAheadLog.load(path)
+        assert [c.csn for c in commits] == [1, 2, 3]
         assert loaded.torn_tail_dropped
         # A clean file does not claim a drop.
         clean = str(tmp_path / "clean.jsonl")
         self._write_commits(clean, 2)
-        assert not WriteAheadLog.load(clean).torn_tail_dropped
+        assert not WriteAheadLog.load(clean)[0].torn_tail_dropped
 
     def test_torn_json_but_complete_line_also_dropped(self, tmp_path):
         """Truncation can land exactly on a newline boundary from a prior
@@ -107,8 +127,8 @@ class TestTornTail:
         self._write_commits(path, 2)
         with open(path, "ab") as fh:
             fh.write(b'{"csn": 3}\n')  # missing required fields
-        loaded = WriteAheadLog.load(path)
-        assert [c.csn for c in loaded.commits()] == [1, 2]
+        loaded, commits = WriteAheadLog.load(path)
+        assert [c.csn for c in commits] == [1, 2]
         assert loaded.torn_tail_dropped
 
     def test_mid_file_corruption_still_raises(self, tmp_path):
@@ -128,7 +148,7 @@ class TestTornTail:
         self._write_commits(path, 2)
         with open(path, "ab") as fh:
             fh.write(b'{"torn')
-        wal = WriteAheadLog.load(path, attach=True)
+        wal, _commits = WriteAheadLog.load(path, attach=True)
         assert wal.torn_tail_dropped
         wal.append(
             WalCommit(
@@ -139,8 +159,8 @@ class TestTornTail:
         )
         wal.close()
         # The dead bytes are physically gone; the file replays cleanly.
-        reread = WriteAheadLog.load(path)
-        assert [c.csn for c in reread.commits()] == [1, 2, 3]
+        reread, commits = WriteAheadLog.load(path)
+        assert [c.csn for c in commits] == [1, 2, 3]
         assert not reread.torn_tail_dropped
 
 
@@ -178,18 +198,20 @@ class TestCrashRecovery:
 
 
 class TestCdc:
-    """A commit's ``WalCommit`` is its one record: the WAL keeps it, and
-    observers and the replication log receive its ``changes`` tuple."""
+    """A commit's ``WalCommit`` is its one record: the WAL writes it (and
+    keeps none), and observers and the replication log receive its
+    ``changes`` tuple."""
 
-    def test_records_carry_before_and_after_images(self):
+    def test_records_carry_before_and_after_images(self, commit_tap):
         db = Database()
         db.execute("CREATE TABLE t (k TEXT, v INTEGER)")
+        tap = commit_tap(db)
         db.execute("INSERT INTO t VALUES ('a', 1)")
         db.execute("UPDATE t SET v = 2 WHERE k = 'a'")
         db.execute("DELETE FROM t WHERE k = 'a'")
         ops = [
             (c.op, c.values, c.old_values)
-            for commit in db.wal.commits()
+            for commit in tap
             for c in commit.changes
         ]
         assert ops == [
@@ -198,11 +220,12 @@ class TestCdc:
             ("delete", None, ("a", 2)),
         ]
 
-    def test_emission_in_commit_order(self):
+    def test_emission_in_commit_order(self, commit_tap):
         from repro.db import IsolationLevel
 
         db = Database()
         db.execute("CREATE TABLE t (k TEXT)")
+        tap = commit_tap(db)
         # SNAPSHOT so the two writers do not block each other under 2PL.
         t1 = db.begin(IsolationLevel.SNAPSHOT)
         t2 = db.begin(IsolationLevel.SNAPSHOT)
@@ -210,21 +233,22 @@ class TestCdc:
         db.execute("INSERT INTO t VALUES ('early')", txn=t2)
         t2.commit()
         t1.commit()
-        commits = list(db.wal.commits())
+        commits = list(tap)
         assert [c.changes[0].values[0] for c in commits] == ["early", "late"]
         assert [c.txn_id for c in commits] == [t2.txn_id, t1.txn_id]
         csns = [c.csn for c in commits]
         assert csns == sorted(csns)
 
-    def test_aborted_txn_emits_nothing(self):
+    def test_aborted_txn_emits_nothing(self, commit_tap):
         db = Database()
         db.execute("CREATE TABLE t (k TEXT)")
+        tap = commit_tap(db)
         txn = db.begin()
         db.execute("INSERT INTO t VALUES ('x')", txn=txn)
         txn.abort()
-        assert len(db.wal) == 0
+        assert tap == [] and db.wal.last_csn == 0
 
-    def test_observers_and_ship_log_share_the_wal_record(self):
+    def test_observers_and_ship_log_share_the_wal_record(self, commit_tap):
         from repro.db.replication import ReplicaSet
 
         db = Database()
@@ -237,10 +261,12 @@ class TestCdc:
                 received.append(changes)
 
         db.add_observer(Observer())
+        tap = commit_tap(db)
+        shipped = []
+        rs.log.subscribe(shipped.append)
         db.execute("INSERT INTO t VALUES (1), (2)")
         db.execute("SELECT k FROM t")  # read-only: an empty commit
-        (commit,) = db.wal.commits()
-        shipped = [r for r in rs.log.since(0) if r.kind == "commit"]
+        (commit,) = tap
         assert received[0] is commit.changes
         assert shipped[0].changes is commit.changes
         assert [c.row_id for c in commit.changes] == [1, 2]
@@ -263,11 +289,11 @@ class TestGroupCommit:
         # Nothing durable yet: the group is still open.
         assert wal.pending_count == 3
         assert wal.flush_stats == {"appends": 3, "flushes": 0}
-        assert len(WriteAheadLog.load(path)) == 0
+        assert WriteAheadLog.load(path)[1] == []
         wal.append(self._commit(4))  # fills the group: one drain
         assert wal.pending_count == 0
         assert wal.flush_stats == {"appends": 4, "flushes": 1}
-        assert [c.csn for c in WriteAheadLog.load(path).commits()] == [1, 2, 3, 4]
+        assert [c.csn for c in WriteAheadLog.load(path)[1]] == [1, 2, 3, 4]
         wal.close()
 
     def test_close_drains_partial_group(self, tmp_path):
@@ -276,14 +302,14 @@ class TestGroupCommit:
         for csn in (1, 2):
             wal.append(self._commit(csn))
         wal.close()
-        assert [c.csn for c in WriteAheadLog.load(path).commits()] == [1, 2]
+        assert [c.csn for c in WriteAheadLog.load(path)[1]] == [1, 2]
 
     def test_explicit_flush_narrows_the_window(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
         wal = WriteAheadLog(path, group_size=64)
         wal.append(self._commit(1))
         wal.flush()
-        assert len(WriteAheadLog.load(path)) == 1
+        assert len(WriteAheadLog.load(path)[1]) == 1
         assert wal.flush_stats["flushes"] == 1
         wal.flush()  # empty flush is a no-op, not a counted fsync
         assert wal.flush_stats["flushes"] == 1
@@ -295,7 +321,7 @@ class TestGroupCommit:
         for csn in (1, 2, 3):
             wal.append(self._commit(csn))
         assert wal.flush_stats == {"appends": 3, "flushes": 3}
-        assert len(WriteAheadLog.load(path)) == 3
+        assert len(WriteAheadLog.load(path)[1]) == 3
         wal.close()
 
     def test_database_passes_group_size_through(self, tmp_path):
@@ -306,7 +332,7 @@ class TestGroupCommit:
             db.execute("INSERT INTO t VALUES (?)", (i,))
         assert db.wal.pending_count == 5  # buffered: group still open
         db.wal.close()
-        assert len(WriteAheadLog.load(path)) == 5
+        assert len(WriteAheadLog.load(path)[1]) == 5
 
     def test_in_memory_order_check_unaffected(self):
         wal = WriteAheadLog(group_size=4)
@@ -320,7 +346,7 @@ class TestGroupCommit:
 
 
 class TestCdcRetentionEdges:
-    """Retention of the replication log, which taps commits directly."""
+    """What the replication log, which taps commits directly, holds."""
 
     def test_replication_tap_survives_cdc_truncation(self):
         """An async replica catches up from the ship log alone: no
@@ -337,14 +363,17 @@ class TestCdcRetentionEdges:
         assert replica.execute("SELECT COUNT(*) FROM t").scalar() == 10
         assert rs.stats["resyncs"] == 0  # no resync was needed
 
-    def test_replication_log_retention_mirrors_cdc_semantics(self):
+    def test_replication_log_holds_records_until_released(self):
         from repro.db.replication import ReplicationLog
 
         db = Database()
         db.execute("CREATE TABLE t (k INTEGER)")
-        log = ReplicationLog(db, retain=2)
+        log = ReplicationLog(db)
         for i in range(5):
             db.execute("INSERT INTO t VALUES (?)", (i,))
-        # first_seq/dropped expose the truncation to catch-up consumers.
-        assert log.first_seq == 4 and log.dropped == 3
+        assert [r.seq for r in log.since(0)] == [1, 2, 3, 4, 5]
+        log.release(3)
         assert [r.seq for r in log.since(0)] == [4, 5]
+        assert [r.seq for r in log.since(4)] == [5]
+        log.release(9)
+        assert log.since(0) == [] and log.last_seq == 5

@@ -26,8 +26,9 @@ from repro.workload.generators import ForumWorkload, MediaWikiWorkload
 
 
 @pytest.fixture(scope="module")
-def soaked():
+def soaked(commit_tap):
     db = Database()
+    tap = commit_tap(db)
     runtime = Runtime(db)
     names = {}
     names.update(build_moodle_app(db, runtime))
@@ -55,12 +56,12 @@ def soaked():
     runtime.submit("checkout", "C1", "U1", auth_user="U1")
     runtime.submit("updateProfile", "alice", "soaked", auth_user="alice")
     trod.flush()
-    return db, runtime, trod
+    return db, runtime, trod, tap
 
 
 class TestTraceIntegrity:
     def test_every_write_event_joins_to_a_committed_txn(self, soaked):
-        _db, _runtime, trod = soaked
+        _db, _runtime, trod, _tap = soaked
         for table in trod.provenance.traced_tables():
             event_table = trod.provenance.event_table_of(table)
             orphans = trod.query(
@@ -72,8 +73,8 @@ class TestTraceIntegrity:
             assert orphans == 0, f"orphan write events in {event_table}"
 
     def test_write_events_match_cdc_exactly(self, soaked):
-        db, _runtime, trod = soaked
-        wal_count = sum(len(commit.changes) for commit in db.wal.commits())
+        _db, _runtime, trod, tap = soaked
+        wal_count = sum(len(commit.changes) for commit in tap)
         event_count = 0
         for table in trod.provenance.traced_tables():
             event_table = trod.provenance.event_table_of(table)
@@ -84,7 +85,7 @@ class TestTraceIntegrity:
         assert event_count == wal_count
 
     def test_committed_txn_csns_are_unique_and_ordered(self, soaked):
-        _db, _runtime, trod = soaked
+        _db, _runtime, trod, _tap = soaked
         csns = trod.query(
             "SELECT Csn FROM Executions WHERE Status = 'Committed'"
             " ORDER BY Csn"
@@ -93,7 +94,7 @@ class TestTraceIntegrity:
         assert csns == sorted(csns)
 
     def test_every_request_has_reexecutable_args(self, soaked):
-        _db, _runtime, trod = soaked
+        _db, _runtime, trod, _tap = soaked
         req_ids = trod.query("SELECT ReqId FROM Requests").column("ReqId")
         assert len(req_ids) >= 30
         for req_id in req_ids:
@@ -103,7 +104,7 @@ class TestTraceIntegrity:
             assert isinstance(kwargs, dict)
 
     def test_reconstruction_agrees_with_live_database(self, soaked):
-        db, _runtime, trod = soaked
+        db, _runtime, trod, _tap = soaked
         for table in trod.provenance.traced_tables():
             live = dict(db.store(table).scan(None))
             rebuilt = dict(
@@ -112,7 +113,7 @@ class TestTraceIntegrity:
             assert rebuilt == live, f"reconstruction mismatch for {table}"
 
     def test_sampled_requests_replay_faithfully(self, soaked):
-        _db, _runtime, trod = soaked
+        _db, _runtime, trod, _tap = soaked
         rows = trod.query(
             "SELECT DISTINCT ReqId FROM Executions"
             " WHERE Status = 'Committed' AND ReqId IS NOT NULL"
@@ -124,7 +125,7 @@ class TestTraceIntegrity:
             assert result.fidelity, (req_id, result.divergences)
 
     def test_overall_scale(self, soaked):
-        _db, _runtime, trod = soaked
+        _db, _runtime, trod, _tap = soaked
         assert trod.provenance.event_count > 150
         stats = trod.overhead_stats()
         assert stats["requests_traced"] >= 30

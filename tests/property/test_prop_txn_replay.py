@@ -45,9 +45,10 @@ requests_strategy = st.lists(
 class TestSerializability:
     @given(requests_strategy, st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
-    def test_any_schedule_equals_serial_commit_order(self, specs, seed):
+    def test_any_schedule_equals_serial_commit_order(self, commit_tap, specs, seed):
         # Concurrent run with a random (seeded) schedule.
         db1, rt1, _trod1 = build_env()
+        tap = commit_tap(db1)
         requests = [Request(spec[0], tuple(spec[1:])) for spec in specs]
         rt1.run_concurrent(requests, seed=seed)
         realized = rt1.realized_txn_order()
@@ -55,22 +56,22 @@ class TestSerializability:
         # Serial re-execution following the realized txn order is not
         # directly expressible request-wise (requests interleave), so we
         # verify the strict-serializability *consequence*: the committed
-        # state equals replaying the WAL, and commit CSNs are dense.
-        csns = [c.csn for c in db1.wal.commits()]
+        # state equals redoing the commits' changes in order, and commit
+        # CSNs are dense.
+        csns = [c.csn for c in tap]
         assert csns == sorted(csns)
         state = sorted(
             tuple(r.values()) for r in db1.table_rows("forum_sub")
         )
         replayed = Database()
         replayed.create_table(db1.catalog.get("forum_sub"))
-        from repro.db.txn.wal import recover_into
+        from repro.db.txn.wal import redo_change
 
-        recover_into(
-            {"forum_sub": replayed.store("forum_sub")},
-            (c for c in db1.wal.commits() if any(
-                ch.table == "forum_sub" for ch in c.changes
-            )),
-        )
+        store = replayed.store("forum_sub")
+        for commit in tap:
+            for change in commit.changes:
+                if change.table == "forum_sub":
+                    redo_change(store, change, commit.csn)
         assert sorted(
             tuple(r.values()) for r in replayed.table_rows("forum_sub")
         ) == state
