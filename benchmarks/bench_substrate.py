@@ -31,7 +31,7 @@ from pathlib import Path
 
 from repro.cluster import reshard as cluster_reshard
 from repro.cluster.detector import HeartbeatDetector
-from repro.core.events import DataEvent, TxnEvent
+from repro.core.buffer import Staged, TraceBuffer
 from repro.core.provenance import ProvenanceStore
 from repro.db import ConnectionPool, Database, IsolationLevel, ShardedDatabase, connect
 from repro.db.multistore import MultiStoreCoordinator
@@ -139,62 +139,49 @@ def _kv_store() -> ProvenanceStore:
     return prov
 
 
-def _kv_events(n_writes: int, mixed: bool = False) -> list:
-    """A kv write history: inserts, then updates of earlier rows mixed in.
+def _kv_staged(n_writes: int, mixed: bool = False) -> Staged:
+    """A drained trace buffer holding a kv write history: inserts, then
+    updates of earlier rows mixed in.
 
     ``mixed`` gives every write the shape it has in a traced request
     stream: the read that found the row, the write, and its transaction's
-    commit record — three events per write, into two provenance tables.
+    ``Executions`` row — three trace rows per write, into two provenance
+    tables.
     """
-    events: list = []
+    buffer = TraceBuffer(capacity=1 << 30)
     for i in range(n_writes):
         update = i % 3 == 0 and i > n_writes // 2
         row_id = (i % (n_writes // 2)) + 1 if update else i + 1
+        txn = (f"TXN{i}", i)
         if mixed:
-            events.append(
-                DataEvent(
-                    txn_num=i, txn_name=f"TXN{i}", table="kv", kind="Read",
-                    query="bench", csn=None,
-                    rows=[(row_id, (i, i)) if update else (None, None)],
-                )
-            )
-        events.append(
-            DataEvent(
-                txn_num=i,
-                txn_name=f"TXN{i}",
-                table="kv",
-                kind="Update" if update else "Insert",
-                query="bench",
-                csn=i + 1,
-                rows=[(row_id, (i, i))],
-            )
-        )
+            found = (row_id, (i, i)) if update else (None, None)
+            buffer.add_batch("kv", *txn, "Read", "bench", None, [found])
+        kind = "Update" if update else "Insert"
+        buffer.add_batch("kv", *txn, kind, "bench", i + 1, [(row_id, (i, i))])
         if mixed:
-            events.append(
-                TxnEvent(
-                    txn_num=i, txn_name=f"TXN{i}", ts=i, req_id=f"R{i // 5}",
-                    handler="bench", label="put", isolation="SERIALIZABLE",
-                    status="Committed", csn=i + 1, snapshot_csn=i,
-                )
+            buffer.add_row(
+                "Executions",
+                (*txn, i, "bench", f"R{i // 5}", "func:put", "SERIALIZABLE",
+                 "Committed", i + 1, i, None),
             )
-    return events
+    return buffer.drain()
 
 
 def build_provenance() -> ProvenanceStore:
     prov = _kv_store()
-    prov.ingest(_kv_events(N_EVENTS))
+    prov.ingest(_kv_staged(N_EVENTS))
     return prov
 
 
 def _ingest_rate(n_writes: int) -> float:
-    """Events per second of one flush-sized ``ProvenanceStore.ingest``."""
+    """Trace rows per second of one flush-sized ``ProvenanceStore.ingest``."""
     prov = _kv_store()
-    events = _kv_events(n_writes, mixed=True)
+    staged = _kv_staged(n_writes, mixed=True)
     gc.collect()
     start = time.perf_counter_ns()
-    prov.ingest(events)
+    rows = prov.ingest(staged)
     elapsed_s = (time.perf_counter_ns() - start) / 1e9
-    return len(events) / elapsed_s
+    return rows / elapsed_s
 
 
 def test_substrate_throughput(benchmark, emit):
@@ -778,12 +765,12 @@ def test_substrate_throughput(benchmark, emit):
     )
     db.track_reads = False
 
-    # One trace-buffer flush: 60k events (20k writes, each with its read
-    # and its commit record) through ProvenanceStore.ingest, in events/s.
-    # After everything else, behind a collection and on a store of its
-    # own: its allocation burst (a few objects per event, all of them
-    # surviving) would otherwise land full collector passes in whichever
-    # case ran next.
+    # One trace-buffer flush: 60k trace rows (20k writes, each with its
+    # read and its Executions row) through ProvenanceStore.ingest, in
+    # rows/s. After everything else, behind a collection and on a store
+    # of its own: its allocation burst (a row tuple per trace row, all of
+    # them surviving) would otherwise land full collector passes in
+    # whichever case ran next.
     rows.append(
         ["provenance ingest (60k mixed events)", _ingest_rate(_iters(20_000))]
     )

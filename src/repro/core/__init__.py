@@ -10,13 +10,6 @@ Facade: create a :class:`Trod`, attach it to a runtime, and use
 
 from repro.core.buffer import TraceBuffer
 from repro.core.debugger import Debugger
-from repro.core.events import (
-    DataEvent,
-    RequestEvent,
-    SideEffectEvent,
-    TxnEvent,
-    WorkflowEdgeEvent,
-)
 from repro.core.orderings import enumerate_interleavings, naive_interleaving_count
 from repro.core.privacy import PrivacyManager, RedactionReport
 from repro.core.profiling import PerformanceProfiler
@@ -35,7 +28,6 @@ from repro.core.tracer import Trod
 __all__ = [
     "AccessControlChecker",
     "BreakpointInfo",
-    "DataEvent",
     "DataQualityMonitor",
     "Debugger",
     "PerformanceProfiler",
@@ -49,14 +41,10 @@ __all__ = [
     "ProvenanceStore",
     "ReplayEngine",
     "ReplayResult",
-    "RequestEvent",
     "RetroactiveEngine",
     "RetroactiveResult",
-    "SideEffectEvent",
     "TraceBuffer",
     "Trod",
-    "TxnEvent",
-    "WorkflowEdgeEvent",
     "enumerate_interleavings",
     "naive_interleaving_count",
 ]

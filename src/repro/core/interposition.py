@@ -4,12 +4,19 @@ One object implements both interposition surfaces:
 
 * **database observer** — ``txn_began`` / ``statement_executed`` /
   ``txn_committed`` / ``txn_aborted`` / ``table_created``, capturing
-  transaction metadata, read sets (the executor's, one event per scan
-  chunk, its pair list as recorded), and write sets (from the commit's
-  WAL record, so aborted work never produces write provenance);
+  transaction metadata, read sets (the executor's, one batch per scan
+  chunk), and write sets (from the commit's WAL record, so aborted work
+  never produces write provenance);
 * **runtime hooks** — ``request_started`` / ``request_finished`` /
   ``handler_called`` / ``side_effect``, capturing request lifecycles and
   workflow edges.
+
+Each hook stages what it captured in the trace buffer in the layout of
+the provenance table it lands in: a transaction, request, workflow edge
+or side effect as its final ``Executions`` / ``Requests`` /
+``WorkflowEdges`` / ``SideEffects`` row, a read set or a run of a
+commit's changes as one batch of ``(row_id, values)`` pairs whose event
+rows ingest lays out (:class:`~repro.core.buffer.TraceBuffer`).
 
 Every hook self-times with ``perf_counter_ns`` and accumulates into
 ``overhead_ns`` — that counter divided by the request count is the
@@ -18,17 +25,10 @@ Every hook self-times with ``perf_counter_ns`` and accumulates into
 
 from __future__ import annotations
 
+import json
 import time
 from itertools import groupby
 from typing import TYPE_CHECKING, Any
-
-from repro.core.events import (
-    DataEvent,
-    RequestEvent,
-    SideEffectEvent,
-    TxnEvent,
-    WorkflowEdgeEvent,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tracer import Trod
@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class InterpositionLayer:
-    """Builds trace events from database and runtime hook invocations."""
+    """Stages trace records from database and runtime hook invocations."""
 
     def __init__(self, trod: "Trod"):
         self._trod = trod
@@ -53,7 +53,6 @@ class InterpositionLayer:
         self._edge_seq: dict[str, int] = {}
         self.overhead_ns = 0
         self.requests_traced = 0
-        self.events_emitted = 0
 
     # ------------------------------------------------------------------
     # Database observer interface
@@ -69,19 +68,20 @@ class InterpositionLayer:
         start = time.perf_counter_ns()
         statements = self._txn_statements.setdefault(id(txn), [])
         statements.append(trace)
-        # Read provenance is emitted immediately (writes wait for commit).
+        # Read provenance is staged immediately (writes wait for commit).
+        buffer = self._trod.buffer
         for table, query, pairs in trace.reads:
-            self._emit(
-                DataEvent(txn.txn_id, txn.name, table, "Read", query, None, pairs),
-                len(pairs),
-            )
+            if buffer.add_batch(
+                table, txn.name, txn.txn_id, "Read", query, None, pairs
+            ):
+                self._trod.request_flush()
         self.overhead_ns += time.perf_counter_ns() - start
 
     def txn_committed(
         self, txn: "Transaction", csn: int, changes: tuple["WalChange", ...]
     ) -> None:
         start = time.perf_counter_ns()
-        self._emit(self._txn_event(txn, status="Committed", csn=csn))
+        self._add_row("Executions", self._execution_row(txn, "Committed", csn))
         statements = self._txn_statements.pop(id(txn), [])
         # The query text of a change is that of the first statement that
         # wrote the row the same way.
@@ -94,40 +94,34 @@ class InterpositionLayer:
             write = (change.op, change.table, change.row_id)
             return change.table, change.op, queries.get(write, "")
 
+        buffer = self._trod.buffer
         for (table, op, query), run in groupby(changes, run_key):
-            rows = [(change.row_id, change.values) for change in run]
-            self._emit(
-                DataEvent(
-                    txn.txn_id, txn.name, table, op.capitalize(), query, csn, rows
-                ),
-                len(rows),
-            )
+            pairs = [(change.row_id, change.values) for change in run]
+            if buffer.add_batch(
+                table, txn.name, txn.txn_id, op.capitalize(), query, csn, pairs
+            ):
+                self._trod.request_flush()
         self.overhead_ns += time.perf_counter_ns() - start
 
     def txn_aborted(self, txn: "Transaction") -> None:
         start = time.perf_counter_ns()
         self._txn_statements.pop(id(txn), None)
-        self._emit(self._txn_event(txn, status="Aborted", csn=None))
+        self._add_row("Executions", self._execution_row(txn, "Aborted", None))
         self.overhead_ns += time.perf_counter_ns() - start
 
     def table_created(self, schema: "TableSchema") -> None:
         # New table while attached: register it for event capture.
         self._trod.on_table_created(schema)
 
-    def _txn_event(self, txn: "Transaction", status: str, csn: int | None) -> TxnEvent:
+    @staticmethod
+    def _execution_row(txn: "Transaction", status: str, csn: int | None) -> tuple:
         info = txn.info
-        return TxnEvent(
-            txn_num=txn.txn_id,
-            txn_name=txn.name,
-            ts=info.get("ts", 0),
-            req_id=info.get("req_id"),
-            handler=info.get("handler"),
-            label=info.get("label", ""),
-            isolation=txn.isolation.value,
-            status=status,
-            csn=csn,
-            snapshot_csn=txn.snapshot_csn,
-            auth_user=info.get("auth_user"),
+        label = info.get("label")
+        return (
+            txn.name, txn.txn_id, info.get("ts", 0), info.get("handler"),
+            info.get("req_id"), f"func:{label}" if label else "",
+            txn.isolation.value, status, csn, txn.snapshot_csn,
+            info.get("auth_user"),
         )
 
     # ------------------------------------------------------------------
@@ -143,19 +137,17 @@ class InterpositionLayer:
     def request_finished(self, ctx: Any, result: Any) -> None:
         start = time.perf_counter_ns()
         request = getattr(ctx, "_trod_request", None)
-        self._emit(
-            RequestEvent(
-                req_id=result.req_id,
-                handler=result.handler,
-                args=tuple(request.args) if request is not None else (),
-                kwargs=dict(request.kwargs) if request is not None else {},
-                auth_user=ctx.auth_user,
-                start_ts=getattr(ctx, "_trod_start_ts", 0),
-                end_ts=self._trod.clock.tick(),
-                status="OK" if result.ok else "Error",
-                output_repr=repr(result.output) if result.ok else None,
-                error=result.error,
-            )
+        args, kwargs = ((), {}) if request is None else (request.args, request.kwargs)
+        self._add_row(
+            "Requests",
+            (
+                result.req_id, result.handler,
+                json.dumps(list(args), default=repr),
+                json.dumps(dict(kwargs), default=repr),
+                ctx.auth_user, getattr(ctx, "_trod_start_ts", 0),
+                self._trod.clock.tick(), "OK" if result.ok else "Error",
+                repr(result.output) if result.ok else None, result.error,
+            ),
         )
         self._edge_seq.pop(ctx.req_id, None)
         self.requests_traced += 1
@@ -165,37 +157,36 @@ class InterpositionLayer:
         start = time.perf_counter_ns()
         seq = self._edge_seq.get(parent_ctx.req_id, 0) + 1
         self._edge_seq[parent_ctx.req_id] = seq
-        self._emit(
-            WorkflowEdgeEvent(
-                req_id=parent_ctx.req_id,
-                caller=parent_ctx.handler_name,
-                callee=child_ctx.handler_name,
-                seq=seq,
-                ts=self._trod.clock.tick(),
-            )
+        self._add_row(
+            "WorkflowEdges",
+            (
+                parent_ctx.req_id, parent_ctx.handler_name, child_ctx.handler_name,
+                seq, self._trod.clock.tick(),
+            ),
         )
         self.overhead_ns += time.perf_counter_ns() - start
 
     def side_effect(self, ctx: Any, effect: Any) -> None:
         start = time.perf_counter_ns()
-        self._emit(
-            SideEffectEvent(
-                req_id=effect.req_id,
-                handler=effect.handler,
-                channel=effect.channel,
-                payload_repr=repr(effect.payload),
-                ts=effect.ts,
-            )
+        self._add_row(
+            "SideEffects",
+            (
+                effect.req_id, effect.handler, effect.channel,
+                repr(effect.payload), effect.ts,
+            ),
         )
         self.overhead_ns += time.perf_counter_ns() - start
 
     # ------------------------------------------------------------------
 
-    def _emit(self, event: Any, weight: int = 1) -> None:
-        """Buffer one event; ``weight`` is the trace rows it carries."""
-        self.events_emitted += weight
-        if self._trod.buffer.append(event, weight):
+    def _add_row(self, table: str, row: tuple) -> None:
+        if self._trod.buffer.add_row(table, row):
             self._trod.request_flush()
+
+    @property
+    def events_emitted(self) -> int:
+        """Trace rows staged since the layer was made."""
+        return self._trod.buffer.appended
 
     @property
     def overhead_us_per_request(self) -> float:

@@ -19,16 +19,10 @@ from __future__ import annotations
 import bisect
 import json
 from collections import OrderedDict
+from itertools import accumulate
 from typing import Iterable
 
-from repro.core.events import (
-    DataEvent,
-    RequestEvent,
-    SideEffectEvent,
-    TraceEvent,
-    TxnEvent,
-    WorkflowEdgeEvent,
-)
+from repro.core.buffer import Staged
 from repro.db.database import Database
 from repro.db.result import ResultSet
 from repro.db.schema import Column, TableSchema
@@ -65,7 +59,7 @@ def default_event_table_name(table: str) -> str:
 
 
 class ProvenanceStore:
-    """Ingests trace events and answers declarative debugging queries."""
+    """Ingests trace records and answers declarative debugging queries."""
 
     def __init__(self, db: Database | None = None):
         #: Its own database keeps every table as append-only segments (no
@@ -79,10 +73,10 @@ class ProvenanceStore:
         self._app_schemas: dict[str, TableSchema] = {}
         #: app table -> {app column -> event-table column}
         self._column_maps: dict[str, dict[str, str]] = {}
-        #: app table -> (event table, app column names in event-row order,
-        #: the same as a set): what ingest needs to lay an event's
-        #: ``values`` dict out as the tail of a positional row.
-        self._event_layouts: dict[str, tuple[str, tuple, frozenset]] = {}
+        #: app table -> (event table, a None per app column): what ingest
+        #: needs to lay a staged pair's ``values`` out as the tail of a
+        #: positional row.
+        self._event_layouts: dict[str, tuple[str, tuple]] = {}
         #: app table -> CSN of its (earliest) base snapshot, when it has
         #: one: no state before it can be reconstructed.
         self._snapshot_csns: dict[str, int] = {}
@@ -216,89 +210,72 @@ class ProvenanceStore:
             self._snapshot_csns[key] = min(csn, self._snapshot_csns.get(key, csn))
         return len(event_rows)
 
-    def ingest(self, events: list[TraceEvent]) -> int:
-        """Store a batch of drained trace events in one transaction;
-        returns the trace rows they carried.
+    def ingest(self, staged: Staged) -> int:
+        """Store what one :meth:`TraceBuffer.drain
+        <repro.core.buffer.TraceBuffer.drain>` staged, in one transaction;
+        returns the trace rows it held.
 
-        The events become positional rows grouped per provenance table
-        (each group in event order, ``Seq`` numbered across groups in
-        event order; a :class:`DataEvent` batch is laid out straight
-        from its ``(row_id, values)`` tuples), every group is one
-        ``insert_rows`` — one table lock per table per flush — and only
-        once the transaction has committed does ``Seq`` allocation advance
-        and do the kept states a write makes stale go: a batch that fails
-        leaves no trace.
+        Rows of the fixed-width tables go in as staged. Each app table's
+        batches are laid out here, in staging order: a header ``(TxnId,
+        TxnNum, Type, Query, Csn, ordinal, count)`` takes the next
+        ``count`` pairs of its table's pair list, the i-th becoming the
+        row ``(TxnId, TxnNum, Type, Query, Csn, Seq, RowId, *values)``
+        with ``Seq = _next_seq + ordinal + i``, less the pairs of earlier
+        batches on tables nobody traces (skipped, they take no ``Seq``).
+        Every table is one ``insert_rows`` — one table lock per table per
+        flush — and only once the transaction has committed does ``Seq``
+        allocation advance and do the kept states a write makes stale go:
+        a batch that fails leaves no trace.
         """
-        if not events:
+        rows, batches = staged
+        if not (rows or batches):
             return 0
-        groups: dict[str, list[tuple]] = {}
+        count = sum(map(len, rows.values()))
+        groups = dict(rows)
+        traced = []
+        #: (ordinal, count) of each batch on an untraced table (e.g. one
+        #: created after attach without a hook): skipped rather than
+        #: failing the whole flush.
+        skipped: list[tuple[int, int]] = []
+        for table, (headers, pairs) in batches.items():
+            count += len(pairs)
+            layout = self._event_layouts.get(table.lower())
+            if layout is None:
+                skipped += [header[5:] for header in headers]
+            else:
+                traced.append((table, layout, headers, pairs))
+        skipped.sort()
+        skipped_at = [ordinal for ordinal, _count in skipped]
+        skipped_before = list(accumulate((n for _o, n in skipped), initial=0))
         #: app table -> lowest CSN of the writes this batch brings it.
         written: dict[str, int] = {}
-        seq = self._next_seq
-        count = 0
-        layouts = self._event_layouts
-        for event in events:
-            if isinstance(event, DataEvent):
-                count += len(event.rows)
-                key = event.table.lower()
-                layout = layouts.get(key)
-                if layout is None:
-                    # Untraced table (e.g. created after attach without a
-                    # hook): skip rather than fail the whole batch.
-                    continue
-                table, nulls = layout
-                width = len(nulls)
-                group = groups.setdefault(table, [])
-                meta = (
-                    event.txn_name, event.txn_num, event.kind, event.query,
-                    event.csn,
-                )
-                for row_id, values in event.rows:
+        base = self._next_seq
+        for table, (event_table, nulls), headers, pairs in traced:
+            key = table.lower()
+            width = len(nulls)
+            group = groups.setdefault(event_table, [])
+            at = 0
+            for txn_name, txn_num, kind, query, csn, ordinal, n in headers:
+                seq = base + ordinal
+                if skipped:
+                    seq -= skipped_before[bisect.bisect_left(skipped_at, ordinal)]
+                for row_id, values in pairs[at : at + n]:
                     if values is None:
                         # A read that matched nothing, or a delete: every
                         # data column of the event row stays NULL.
                         values = nulls
                     elif len(values) != width:
                         raise ProvenanceError(
-                            f"{event.kind} event on {event.table!r} row "
-                            f"{row_id} carries {len(values)} values for "
-                            f"{width} columns"
+                            f"{kind} event on {table!r} row {row_id} carries "
+                            f"{len(values)} values for {width} columns"
                         )
-                    group.append((*meta, seq, row_id, *values))
+                    group.append(
+                        (txn_name, txn_num, kind, query, csn, seq, row_id, *values)
+                    )
                     seq += 1
-                if event.kind in _WRITE_KINDS and event.csn is not None:
-                    written[key] = min(event.csn, written.get(key, event.csn))
-                continue
-            if isinstance(event, TxnEvent):
-                table = "Executions"
-                row = (
-                    event.txn_name, event.txn_num, event.ts, event.handler,
-                    event.req_id, f"func:{event.label}" if event.label else "",
-                    event.isolation, event.status, event.csn,
-                    event.snapshot_csn, event.auth_user,
-                )
-            elif isinstance(event, RequestEvent):
-                table = "Requests"
-                row = (
-                    event.req_id, event.handler,
-                    json.dumps(list(event.args), default=repr),
-                    json.dumps(event.kwargs, default=repr),
-                    event.auth_user, event.start_ts, event.end_ts,
-                    event.status, event.output_repr, event.error,
-                )
-            elif isinstance(event, WorkflowEdgeEvent):
-                table = "WorkflowEdges"
-                row = (event.req_id, event.caller, event.callee, event.seq, event.ts)
-            elif isinstance(event, SideEffectEvent):
-                table = "SideEffects"
-                row = (
-                    event.req_id, event.handler, event.channel,
-                    event.payload_repr, event.ts,
-                )
-            else:  # pragma: no cover - event union is closed
-                raise ProvenanceError(f"unknown event type {type(event)}")
-            groups.setdefault(table, []).append(row)
-            count += 1
+                at += n
+                if csn is not None and kind in _WRITE_KINDS:
+                    written[key] = min(csn, written.get(key, csn))
         txn = self.db.begin()
         try:
             for table in list(groups):
@@ -307,7 +284,7 @@ class ProvenanceStore:
         except Exception:
             txn.abort()
             raise
-        self._next_seq = seq
+        self._next_seq = base + sum(len(pairs) for *_t, pairs in traced)
         for key, csn in written.items():
             # A write at or before a kept state makes that state stale.
             self._drop_states(key, csn)

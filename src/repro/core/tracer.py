@@ -155,20 +155,20 @@ class Trod:
     def request_flush(self) -> None:
         """Called when the trace buffer holds ``capacity`` trace rows.
 
-        The flush runs inline, on the request whose event filled the
+        The flush runs inline, on the request whose record filled the
         buffer — the paper drains out of band; here that request stalls
         for the whole ingest.
         """
         self.flush()
 
     def flush(self) -> int:
-        """Drain buffered events into the provenance database; returns
-        the trace rows drained."""
-        events = self.buffer.drain()
-        if not events:
+        """Drain the staged trace records into the provenance database;
+        returns the trace rows drained."""
+        if not self.buffer:
             return 0
+        staged = self.buffer.drain()
         start = time.perf_counter_ns()
-        count = self.provenance.ingest(events)
+        count = self.provenance.ingest(staged)
         self.flush_ns += time.perf_counter_ns() - start
         return count
 
@@ -265,7 +265,7 @@ class Trod:
         layer = self.interposition
         return {
             "requests_traced": layer.requests_traced,
-            "events_emitted": layer.events_emitted,
+            "events_emitted": self.buffer.appended,
             "tracing_overhead_us_total": layer.overhead_ns / 1000.0,
             "tracing_overhead_us_per_request": layer.overhead_us_per_request,
             "flush_us_total": self.flush_ns / 1000.0,

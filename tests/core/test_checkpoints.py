@@ -10,7 +10,7 @@ including after a redaction, a late event and an eviction.
 """
 
 from repro.core import provenance as provenance_module
-from repro.core.events import DataEvent
+from repro.core.buffer import TraceBuffer
 
 
 def subscribe_history(moodle_env, n: int = 30, offset: int = 0):
@@ -28,16 +28,13 @@ def cold_reconstruction(prov, table: str, csn: int):
     return prov.reconstruct_rows(table, csn)
 
 
-def late_insert(table: str, csn: int, row_id: int, values: tuple) -> DataEvent:
-    return DataEvent(
-        txn_num=999,
-        txn_name="TXN999",
-        table=table,
-        kind="Insert",
-        query="late arrival",
-        csn=csn,
-        rows=[(row_id, values)],
+def late_insert(table: str, csn: int, row_id: int, values: tuple):
+    """A drained buffer holding one late one-row Insert batch."""
+    buffer = TraceBuffer()
+    buffer.add_batch(
+        table, "TXN999", 999, "Insert", "late arrival", csn, [(row_id, values)]
     )
+    return buffer.drain()
 
 
 class TestKeptStateReconstruction:
@@ -163,7 +160,7 @@ class TestKeptStateInvalidation:
             prov.reconstruct_rows("forum_sub", csn)
         prov.reconstruct_rows("courses", last)
         assert prov.checkpoint_csns("forum_sub") == kept
-        prov.ingest([late_insert("forum_sub", last - 4, 9999, ("UX", "F9"))])
+        prov.ingest(late_insert("forum_sub", last - 4, 9999, ("UX", "F9")))
         assert prov.checkpoint_csns("forum_sub") == [last - 6]
         assert prov.checkpoint_csns("courses") == [last]
         csns = range(last - 7, last + 1)

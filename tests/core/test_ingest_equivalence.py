@@ -1,11 +1,13 @@
 """Provenance ingest held to a plain-Python model.
 
-``ProvenanceStore.ingest`` groups a batch per provenance table and inserts
-each group at once. What must not depend on that: the rows, row ids and
-``Seq`` of every provenance table, every ``reconstruct_rows`` answer and
-every checkpoint payload. The model below derives all of them from the
-event list alone, with no engine code, for a batch that mixes all five
-event kinds, reads that matched nothing, deletes, rows with NULL
+``ProvenanceStore.ingest`` takes a drained trace buffer — rows of the
+fixed-width tables as staged, and per app table one header per batch
+plus one flat pair list — lays the batches out and inserts each table at
+once. What must not depend on that: the rows, row ids and ``Seq`` of
+every provenance table, every ``reconstruct_rows`` answer and every
+checkpoint payload. The model below derives all of them from the staged
+records alone, with no engine code, for a stream that mixes all five
+provenance tables, reads that matched nothing, deletes, rows with NULL
 columns, an aborted transaction and a table nobody registered.
 
 Nor may they depend on what backs the provenance database: its own
@@ -18,13 +20,7 @@ import json
 
 import pytest
 
-from repro.core.events import (
-    DataEvent,
-    RequestEvent,
-    SideEffectEvent,
-    TxnEvent,
-    WorkflowEdgeEvent,
-)
+from repro.core.buffer import TraceBuffer
 from repro.core.provenance import ProvenanceStore
 from repro.db import Database
 from repro.db.schema import Column, TableSchema
@@ -47,13 +43,15 @@ EVENT_TABLES = {"accounts": "AccountsEvents", "audit": "AuditLog"}
 SNAPSHOT = [(1, (1, "ann", 10.0)), (2, (2, "bob", 20.0))]
 BASE_CSN = 4
 
+# A record is ``(provenance table, row)`` for a fixed-width table, or
+# ``(app table, (TxnId, TxnNum, Type, Query, Csn), pairs)`` for a batch.
+
 
 def txn(num, status="Committed", csn=None, req="R1", label="step"):
-    return TxnEvent(
-        txn_num=num, txn_name=f"TXN{num}", ts=100 + num, req_id=req,
-        handler="transfer", label=label, isolation="SERIALIZABLE",
-        status=status, csn=csn, snapshot_csn=(csn or BASE_CSN) - 1,
-        auth_user="ann" if num % 2 else None,
+    return "Executions", (
+        f"TXN{num}", num, 100 + num, "transfer", req,
+        f"func:{label}" if label else "", "SERIALIZABLE", status, csn,
+        (csn or BASE_CSN) - 1, "ann" if num % 2 else None,
     )
 
 
@@ -61,14 +59,29 @@ def data(num, table, kind, row_id, values, csn=None, query="q"):
     """A one-row batch; ``values`` by column name, absent columns NULL."""
     if values is not None:
         values = tuple(values.get(col) for col in APP_COLUMNS.get(table, values))
-    return DataEvent(
-        txn_num=num, txn_name=f"TXN{num}", table=table, kind=kind,
-        query=f"{query}{num}", csn=csn, rows=[(row_id, values)],
-    )
+    return table, (f"TXN{num}", num, kind, f"{query}{num}", csn), [(row_id, values)]
+
+
+def request(req_id, handler, args, kwargs, *rest):
+    """A ``Requests`` row: ``rest`` is AuthUser .. Error, as stored."""
+    args_json, kwargs_json = json.dumps(list(args)), json.dumps(kwargs)
+    return "Requests", (req_id, handler, args_json, kwargs_json, *rest)
+
+
+def stage(records):
+    """What a trace buffer that staged ``records`` drains."""
+    buffer = TraceBuffer()
+    for record in records:
+        if len(record) == 2:
+            buffer.add_row(*record)
+        else:
+            table, meta, pairs = record
+            buffer.add_batch(table, *meta, pairs)
+    return buffer.drain()
 
 
 def batches():
-    """Three flushes' worth of events."""
+    """Three flushes' worth of records."""
     first = [
         data(5, "accounts", "Read", 1, {"id": 1, "owner": "ann", "balance": 10.0}),
         data(5, "accounts", "Read", None, None),  # matched nothing
@@ -77,22 +90,18 @@ def batches():
         data(5, "accounts", "Update", 1, {"id": 1, "owner": "ann", "balance": 7.5}, csn=5),
         data(5, "accounts", "Insert", 3, {"id": 3, "owner": "cy"}, csn=5),  # partial
         data(5, "audit", "Insert", 1, {"Type": "debit", "detail": "2.5"}, csn=5),
-        WorkflowEdgeEvent(req_id="R1", caller="transfer", callee="notify", seq=1, ts=107),
-        SideEffectEvent(req_id="R1", handler="notify", channel="email",
-                        payload_repr="{'to': 'ann'}", ts=108),
+        ("WorkflowEdges", ("R1", "transfer", "notify", 1, 107)),
+        ("SideEffects", ("R1", "notify", "email", "{'to': 'ann'}", 108)),
         txn(6, status="Aborted", label=""),
-        RequestEvent(req_id="R1", handler="transfer", args=("ann", 2.5),
-                     kwargs={"memo": "rent"}, auth_user="ann", start_ts=100,
-                     end_ts=109, status="OK", output_repr="'done'", error=None),
+        request("R1", "transfer", ("ann", 2.5), {"memo": "rent"}, "ann", 100, 109,
+                "OK", "'done'", None),
     ]
     second = [
         txn(7, csn=6, req="R2"),
         data(7, "accounts", "Delete", 2, None, csn=6),
         data(7, "audit", "Insert", 2, {"detail": "closed"}, csn=6),
         data(7, "accounts", "Update", 3, {"id": 3, "owner": "cy", "balance": 1.0}, csn=6),
-        RequestEvent(req_id="R2", handler="close", args=(), kwargs={},
-                     auth_user=None, start_ts=110, end_ts=111, status="Error",
-                     output_repr=None, error="boom"),
+        request("R2", "close", (), {}, None, 110, 111, "Error", None, "boom"),
     ]
     third = [
         txn(8, csn=7, req=None),
@@ -103,7 +112,7 @@ def batches():
 
 
 class Model:
-    """What the provenance tables must hold, from the events alone."""
+    """What the provenance tables must hold, from the records alone."""
 
     def __init__(self):
         self.tables = {
@@ -119,39 +128,20 @@ class Model:
             )
             self.seq += 1
 
-    def add(self, event):
-        if isinstance(event, DataEvent):
-            if event.table not in APP_COLUMNS:
-                return
-            for row_id, values in event.rows:
-                values = values or (None,) * len(APP_COLUMNS[event.table])
-                self.tables[EVENT_TABLES[event.table]].append(
-                    (event.txn_name, event.txn_num, event.kind, event.query,
-                     event.csn, self.seq, row_id, *values)
-                )
-                self.seq += 1
-        elif isinstance(event, TxnEvent):
-            self.tables["Executions"].append(
-                (event.txn_name, event.txn_num, event.ts, event.handler,
-                 event.req_id, f"func:{event.label}" if event.label else "",
-                 event.isolation, event.status, event.csn, event.snapshot_csn,
-                 event.auth_user)
+    def add(self, record):
+        if len(record) == 2:
+            table, row = record
+            self.tables[table].append(row)
+            return
+        table, meta, pairs = record
+        if table not in APP_COLUMNS:
+            return
+        for row_id, values in pairs:
+            values = values or (None,) * len(APP_COLUMNS[table])
+            self.tables[EVENT_TABLES[table]].append(
+                (*meta, self.seq, row_id, *values)
             )
-        elif isinstance(event, RequestEvent):
-            self.tables["Requests"].append(
-                (event.req_id, event.handler, json.dumps(list(event.args)),
-                 json.dumps(event.kwargs), event.auth_user, event.start_ts,
-                 event.end_ts, event.status, event.output_repr, event.error)
-            )
-        elif isinstance(event, WorkflowEdgeEvent):
-            self.tables["WorkflowEdges"].append(
-                (event.req_id, event.caller, event.callee, event.seq, event.ts)
-            )
-        else:
-            self.tables["SideEffects"].append(
-                (event.req_id, event.handler, event.channel, event.payload_repr,
-                 event.ts)
-            )
+            self.seq += 1
 
     def stored(self, table):
         """``(row_id, values)``: ids count up per table in event order."""
@@ -198,9 +188,9 @@ def make_store(backing="segment"):
 def ingest_all(backing):
     prov, model = make_store(backing), Model()
     for batch in batches():
-        assert prov.ingest(batch) == len(batch)
-        for event in batch:
-            model.add(event)
+        assert prov.ingest(stage(batch)) == len(batch)
+        for record in batch:
+            model.add(record)
     return prov, model
 
 
@@ -215,7 +205,7 @@ class TestTablesMatchTheModel:
         for table in model.tables:
             assert prov.db.snapshot_rows(table) == model.stored(table), table
         assert prov._next_seq == model.seq
-        # Seq is one counter across the event tables, in event order.
+        # Seq is one counter across the event tables, in staging order.
         seqs = sorted(
             row[5]
             for table in EVENT_TABLES.values()
@@ -240,14 +230,15 @@ class TestTablesMatchTheModel:
         tap = commit_tap(prov.db)
         locks = manager.locks.stats["acquisitions"]
         batch = batches()[0]
-        prov.ingest(batch)
+        prov.ingest(stage(batch))
         assert manager.stats["committed"] == commits + 1
         assert len(tap) == 1
         # Executions, Requests, WorkflowEdges, SideEffects, two event tables.
         assert manager.locks.stats["acquisitions"] == locks + 6
-        # Changes grouped per table, in event order inside each group: one
-        # "append" run per table on segments, one change per stored event
-        # (all but the untraced read) on MVCC — the same rows either way.
+        # Changes grouped per table, in staging order inside each group:
+        # one "append" run per table on segments, one change per stored
+        # record (all but the untraced read) on MVCC — the same rows
+        # either way.
         changes = tap[-1].changes
         tables = [change.table for change in changes]
         assert tables == sorted(tables, key=tables.index)
@@ -263,8 +254,28 @@ class TestTablesMatchTheModel:
             logged = [(c.table, c.row_id, c.values) for c in changes]
         twin = make_store("memory")
         twin_tap = commit_tap(twin.db)
-        twin.ingest(batch)
+        twin.ingest(stage(batch))
         assert logged == [(c.table, c.row_id, c.values) for c in twin_tap[-1].changes]
+
+    def test_a_batch_lays_out_as_its_pairs_staged_one_by_one(self, backing):
+        """A batch's pairs share one header; its rows and ``Seq`` are
+        those of the same pairs staged as one-row batches, around it as
+        well as in it."""
+        pairs = [(i, (i, f"u{i}", float(i))) for i in range(1, 6)]
+        meta = ("TXN9", 9, "Read", "scan", None)
+        around = [data(9, "accounts", "Read", None, None), txn(9, csn=9)]
+        batched = stage([around[0], ("accounts", meta, pairs), around[1]])
+        one_by_one = stage(
+            [around[0], *[("accounts", meta, [pair]) for pair in pairs], around[1]]
+        )
+        answers = []
+        for staged in (batched, one_by_one):
+            prov = make_store(backing)
+            assert prov.ingest(staged) == len(pairs) + 2
+            answers.append(
+                (prov._next_seq, [prov.db.snapshot_rows(t) for t in Model().tables])
+            )
+        assert answers[0] == answers[1]
 
     def test_queries_over_the_ingested_rows(self, ingested):
         prov, _model = ingested
@@ -314,7 +325,7 @@ class TestReconstructionMatchesTheModel:
         prov.reconstruct_state(5)
         prov.reconstruct_state(7)
         late = data(9, "accounts", "Update", 1, {"id": 1, "owner": "ann", "balance": 0.0}, csn=6)
-        prov.ingest([late])
+        prov.ingest(stage([late]))
         model.add(late)
         assert prov.checkpoint_csns("accounts") == [5]
         assert prov.checkpoint_csns("audit") == [5, 7]

@@ -234,19 +234,24 @@ class TestFailedIngest:
         return prov
 
     @staticmethod
-    def _insert(row_id, values, csn):
-        from repro.core.events import DataEvent
+    def _inserts(*inserts):
+        """A drained buffer holding one one-row Insert batch per
+        ``(row_id, values, csn)``."""
+        from repro.core.buffer import TraceBuffer
 
-        return DataEvent(
-            txn_num=csn, txn_name=f"TXN{csn}", table="kv", kind="Insert",
-            query="INSERT INTO kv ...", csn=csn, rows=[(row_id, values)],
-        )
+        buffer = TraceBuffer()
+        for row_id, values, csn in inserts:
+            buffer.add_batch(
+                "kv", f"TXN{csn}", csn, "Insert", "INSERT INTO kv ...", csn,
+                [(row_id, values)],
+            )
+        return buffer.drain()
 
     def test_failed_ingest_leaves_kept_states_and_tables_untouched(self):
         from repro.errors import TypeCoercionError
 
         prov = self._store()
-        prov.ingest([self._insert(1, (1, "kept"), 1)])
+        prov.ingest(self._inserts((1, (1, "kept"), 1)))
         # Kept at csn 0 and 1: the failing batch writes at csn 0 and 3, so
         # had any of it counted, both states would be gone.
         assert prov.reconstruct_rows("kv", 1) == [(1, (1, "kept"))]
@@ -265,42 +270,36 @@ class TestFailedIngest:
         assert before[1] == [0, 1]
         with pytest.raises(TypeCoercionError, match=r"KvEvents\.id"):
             prov.ingest(
-                [
-                    self._insert(77, (77, "good"), 0),
-                    self._insert(78, ("not-an-int", "bad"), 3),
-                ]
+                self._inserts((77, (77, "good"), 0), (78, ("not-an-int", "bad"), 3))
             )
         assert observed() == before
-        # The rolled-back events reach no reconstruction, warm or cold.
+        # The rolled-back rows reach no reconstruction, warm or cold.
         assert prov.reconstruct_rows("kv", 10) == [(1, (1, "kept"))]
         prov.invalidate_checkpoints()
         assert prov.reconstruct_rows("kv", 10) == [(1, (1, "kept"))]
         # And the store still ingests: Seq continues where it stopped, and
         # a write that does commit drops the states at or after its csn.
-        prov.ingest([self._insert(2, (2, "next"), 1)])
+        prov.ingest(self._inserts((2, (2, "next"), 1)))
         seqs = prov.query("SELECT Seq FROM KvEvents ORDER BY Seq").column("Seq")
         assert seqs == [1, 2]
         assert prov.checkpoint_csns("kv") == []
 
     def test_unknown_column_in_event_fails_the_batch_by_name(self):
         """Rows are positional, so a column the table does not have shows
-        as a row of the wrong arity; the error names the event and row."""
-        from repro.core.events import DataEvent
+        as a row of the wrong arity; the error names the batch and row."""
+        from repro.core.buffer import TraceBuffer
         from repro.errors import ProvenanceError
 
         prov = self._store()
+        buffer = TraceBuffer()
+        buffer.add_batch(
+            "kv", "TXN1", 1, "Insert", "INSERT INTO kv ...", 1,
+            [(1, (1, "ok")), (2, (2, "x", "nope"))],
+        )
         with pytest.raises(
             ProvenanceError, match=r"Insert event on 'kv' row 2 carries 3 values for 2"
         ):
-            prov.ingest(
-                [
-                    DataEvent(
-                        txn_num=1, txn_name="TXN1", table="kv", kind="Insert",
-                        query="INSERT INTO kv ...", csn=1,
-                        rows=[(1, (1, "ok")), (2, (2, "x", "nope"))],
-                    )
-                ]
-            )
+            prov.ingest(buffer.drain())
         assert prov._next_seq == 1 and prov.event_count == 1  # TraceSchemas row
 
 

@@ -20,7 +20,7 @@ import pytest
 from repro.apps import build_ecommerce_app
 from repro.core import Trod
 from repro.core import provenance as provenance_module
-from repro.core.events import DataEvent
+from repro.core.buffer import TraceBuffer
 from repro.db import Database
 from repro.errors import ProvenanceError, TypeCoercionError
 from repro.runtime import Runtime
@@ -194,29 +194,21 @@ def redaction(trod, csn):
 
 def late_write(trod, csn):
     row_id = trod.provenance.reconstruct_rows("orders", csn)[0][0]
-    trod.provenance.ingest(
-        [
-            DataEvent(
-                txn_num=999, txn_name="TXN999", table="orders", kind="Delete",
-                query="late arrival", csn=csn, rows=[(row_id, None)],
-            )
-        ]
+    buffer = TraceBuffer()
+    buffer.add_batch(
+        "orders", "TXN999", 999, "Delete", "late arrival", csn, [(row_id, None)]
     )
+    trod.provenance.ingest(buffer.drain())
 
 
 def failed_ingest(trod, csn):
     row_id, values = trod.provenance.reconstruct_rows("orders", csn)[0]
-    update = dict(
-        txn_num=999, txn_name="TXN999", table="orders", kind="Update",
-        query="never committed", csn=csn,
-    )
+    update = ("orders", "TXN999", 999, "Update", "never committed", csn)
+    buffer = TraceBuffer()
+    buffer.add_batch(*update, [(row_id, values)])
+    buffer.add_batch(*update, [(row_id, ("not", "an", "order", "row", "!"))])
     with pytest.raises(TypeCoercionError):
-        trod.provenance.ingest(
-            [
-                DataEvent(rows=[(row_id, values)], **update),
-                DataEvent(rows=[(row_id, ("not", "an", "order", "row", "!"))], **update),
-            ]
-        )
+        trod.provenance.ingest(buffer.drain())
 
 
 @pytest.mark.parametrize("disturb", [redaction, late_write, failed_ingest])

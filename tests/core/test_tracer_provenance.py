@@ -243,10 +243,12 @@ class TestOverheadAccounting:
         trod.flush()
         assert database.execute("SELECT COUNT(*) FROM count_probe").scalar() == 1000
         # 1000 Read rows and the commit, in (at most) a read batch, the
-        # transaction event and nothing per row.
+        # Executions row and nothing per row.
         assert len(trod.buffer) == trod.buffer.stats()["buffered"] == 1001
-        assert len(trod.buffer.peek()) <= 3
-        assert trod.flush() == 1001
+        rows, batches = staged = trod.buffer.drain()
+        assert [len(staged_rows) for staged_rows in rows.values()] == [1]
+        assert [len(headers) for headers, _pairs in batches.values()] == [1]
+        assert trod.provenance.ingest(staged) == 1001
         events = trod.provenance.event_table_of("count_probe")
         assert trod.query(
             f"SELECT COUNT(*) FROM {events} WHERE Type = 'Read'"

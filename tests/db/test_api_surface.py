@@ -37,6 +37,30 @@ class TestApiSurface:
         ]
         assert not missing, f"repro.db.__all__ dangles: {missing}"
 
+    def test_core_all_resolves(self):
+        import repro.core
+
+        missing = [
+            name for name in repro.core.__all__
+            if not hasattr(repro.core, name)
+        ]
+        assert not missing, f"repro.core.__all__ dangles: {missing}"
+
+    def test_trace_event_classes_are_gone(self):
+        # Deleted, not deprecated: the hooks stage provenance rows in the
+        # trace buffer (docs/api.md).
+        import importlib.util
+
+        import repro.core
+
+        assert importlib.util.find_spec("repro.core.events") is None
+        for name in (
+            "DataEvent", "RequestEvent", "SideEffectEvent", "TxnEvent",
+            "WorkflowEdgeEvent",
+        ):
+            assert name not in repro.core.__all__
+            assert not hasattr(repro.core, name)
+
     def test_read_routers_are_gone(self):
         # Deleted, not deprecated: connect() is the one replica-aware
         # read path (docs/api.md, "Removed").

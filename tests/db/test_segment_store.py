@@ -223,13 +223,13 @@ class TestMechanism:
         trod.flush()
         for _ in range(20):
             traced.execute("SELECT grp, SUM(val) FROM items GROUP BY grp").rows
-        events = trod.buffer.drain()  # kept alive past the second count
+        staged = trod.buffer.drain()  # kept alive past the second count
         gc.collect()
         before = len(gc.get_objects())
-        ingested = trod.provenance.ingest(events)
+        ingested = trod.provenance.ingest(staged)
         gc.collect()
         after = len(gc.get_objects())
-        assert ingested >= 10_000 and events
+        assert ingested >= 10_000 and staged
         return (after - before) / ingested
 
     def test_an_ingest_leaves_almost_nothing_for_the_collector(self):
