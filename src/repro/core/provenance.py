@@ -26,6 +26,7 @@ from repro.core.buffer import Staged
 from repro.db.database import Database
 from repro.db.result import ResultSet
 from repro.db.schema import Column, TableSchema
+from repro.db.storage import KeptRows
 from repro.db.types import ColumnType
 from repro.errors import ProvenanceError
 
@@ -319,7 +320,11 @@ class ProvenanceStore:
 
     def request_args(self, req_id: str) -> tuple[str, tuple, dict, str | None]:
         """(handler, args, kwargs, auth_user) needed to re-execute a request."""
-        row = self.request_row(req_id)
+        return self.call_of(self.request_row(req_id))
+
+    @staticmethod
+    def call_of(row: dict) -> tuple[str, tuple, dict, str | None]:
+        """:meth:`request_args` from a :meth:`request_row` already read."""
         args = tuple(json.loads(row["ArgsJson"] or "[]"))
         kwargs = dict(json.loads(row["KwargsJson"] or "{}"))
         return row["HandlerName"], args, kwargs, row["AuthUser"]
@@ -345,8 +350,7 @@ class ProvenanceStore:
             if tables is not None
             else sorted(self._event_tables)
         )
-        out: list[dict] = []
-        req_of: dict[str, str | None] = {}
+        found: list[tuple[str, dict]] = []
         for table in names:
             if table not in self._event_tables:
                 continue
@@ -356,52 +360,45 @@ class ProvenanceStore:
                 " AND Type IN ('Insert', 'Update', 'Delete')",
                 (low_csn, high_csn),
             ).as_dicts()
-            for row in rows:
-                if row["Query"] == REDACTED:
-                    # Erased under the privacy extension: replay proceeds
-                    # from partial data (§5) rather than leaking values.
-                    continue
-                txn_id = row["TxnId"]
-                if txn_id not in req_of:
-                    req_of[txn_id] = self._req_of_txn(txn_id)
-                if exclude_req is not None and req_of[txn_id] == exclude_req:
-                    continue
-                out.append(
-                    {
-                        "ReqId": req_of[txn_id],
-                        **row,
-                        "_table": self._app_schemas[table].name,
-                    }
-                )
+            name = self._app_schemas[table].name
+            # A redacted row was erased under the privacy extension: replay
+            # proceeds from partial data (§5) rather than leaking values.
+            found += [(name, row) for row in rows if row["Query"] != REDACTED]
+        # Each writer's request, read at once: the first of its
+        # ``Executions`` rows by (TxnNum, Csn); None when it has none.
+        req_of: dict[str, str | None] = {}
+        txn_ids = sorted({row["TxnId"] for _name, row in found})
+        if txn_ids:
+            for txn_id, req_id in self.query(
+                "SELECT TxnId, ReqId FROM Executions"
+                f" WHERE TxnId IN ({', '.join('?' * len(txn_ids))})"
+                " ORDER BY TxnNum, Csn",
+                tuple(txn_ids),
+            ).rows:
+                req_of.setdefault(txn_id, req_id)
+        out = []
+        for name, row in found:
+            req_id = req_of.get(row["TxnId"])
+            if exclude_req is None or req_id != exclude_req:
+                out.append({"ReqId": req_id, **row, "_table": name})
         out.sort(key=lambda r: (r["Csn"], r["Seq"]))
         return out
 
-    def _req_of_txn(self, txn_name: str) -> str | None:
-        """The request a transaction ran for (None: no ``Executions`` row)."""
-        first = self.query(
-            "SELECT ReqId FROM Executions WHERE TxnId = ?"
-            " ORDER BY TxnNum, Csn LIMIT 1",
-            (txn_name,),
-        ).first()
-        return first[0] if first else None
-
-    def events_of_txn(self, txn_name: str) -> dict[str, list[dict]]:
-        """A transaction's data events in ``Seq`` order, keyed by the
-        (canonical) app table — only the tables it read or wrote; one
-        ``TxnId`` probe per event table."""
-        found = {}
-        for table in self._event_tables:
-            events = self.data_events_of_txn(txn_name, table)
-            if events:
-                found[table] = events
+    def events_of_txn(self, txn_names: Iterable[str]) -> dict[str, dict[str, list[dict]]]:
+        """Each transaction's data events in ``Seq`` order, keyed by the
+        (canonical) app table — only the tables it read or wrote, ``{}``
+        when none; one ``TxnId IN`` probe per event table."""
+        found: dict[str, dict[str, list[dict]]] = {name: {} for name in txn_names}
+        if not found:
+            return found
+        marks = ", ".join("?" * len(found))
+        for table, event_table in self._event_tables.items():
+            for event in self.query(
+                f"SELECT * FROM {event_table} WHERE TxnId IN ({marks}) ORDER BY Seq",
+                tuple(found),
+            ).as_dicts():
+                found[event["TxnId"]].setdefault(table, []).append(event)
         return found
-
-    def data_events_of_txn(self, txn_name: str, table: str) -> list[dict]:
-        event_table = self.event_table_of(table)
-        return self.query(
-            f"SELECT * FROM {event_table} WHERE TxnId = ? ORDER BY Seq",
-            (txn_name,),
-        ).as_dicts()
 
     # ------------------------------------------------------------------
     # State reconstruction (replay's substrate)
@@ -456,7 +453,7 @@ class ProvenanceStore:
                 (after_csn, upto_csn),
             ).rows
         if delta or state is None:
-            state = dict(state or ())
+            state = KeptRows(state or ())
             self._apply_event_rows(state, delta)
             self._keep_state(key, upto_csn, state)
         return state

@@ -324,9 +324,7 @@ class ReplayEngine:
         # One pass over each transaction's events answers which tables to
         # restore, which writes each step may be shown, and what each
         # step originally wrote.
-        events = {
-            txn["TxnId"]: provenance.events_of_txn(txn["TxnId"]) for txn in txns
-        }
+        events = provenance.events_of_txn(txn["TxnId"] for txn in txns)
         tables = sorted(set().union(*events.values())) if dependency_filter else None
         dev_db = Database(name=f"dev-{req_id}")
         provenance.restore_into(dev_db, base_csn, tables=tables)
@@ -347,7 +345,7 @@ class ReplayEngine:
             registry=source_runtime.registry if source_runtime else None,
             seed=source_runtime.seed if source_runtime else 0,
         )
-        handler, args, kwargs, auth_user = provenance.request_args(req_id)
+        handler, args, kwargs, auth_user = provenance.call_of(request_row)
         writes = _CommitWrites()
         dev_db.add_observer(writes)
         result = dev_runtime.execute_request(

@@ -169,8 +169,11 @@ class RetroactiveEngine:
         elif patches:
             registry = registry.patched(**patches)
 
-        requests = [self._request_of(r) for r in req_ids]
-        followup_requests = [self._request_of(r) for r in followups]
+        # Each request's traced row, read once: what to re-execute, and
+        # the original outcome every ordering is compared with.
+        originals = {r: provenance.request_row(r) for r in (*req_ids, *followups)}
+        requests = [self._request_of(originals[r]) for r in req_ids]
+        followup_requests = [self._request_of(originals[r]) for r in followups]
         base_csn = self._base_csn(req_ids)
         # Every pilot and every ordering starts from the same past state:
         # reconstructed here once, shared by each fresh dev database.
@@ -215,6 +218,7 @@ class RetroactiveEngine:
                     registry,
                     base_state,
                     invariant,
+                    originals,
                 )
             )
         return RetroactiveResult(
@@ -250,13 +254,13 @@ class RetroactiveEngine:
 
     # ------------------------------------------------------------------
 
-    def _request_of(self, req_id: str) -> Request:
-        handler, args, kwargs, auth_user = self.trod.provenance.request_args(req_id)
+    def _request_of(self, row: dict) -> Request:
+        handler, args, kwargs, auth_user = self.trod.provenance.call_of(row)
         return Request(
             handler=handler,
             args=args,
             kwargs=kwargs,
-            req_id=req_id,
+            req_id=row["ReqId"],
             auth_user=auth_user,
         )
 
@@ -305,6 +309,7 @@ class RetroactiveEngine:
         registry: HandlerRegistry,
         base_state: dict[str, dict],
         invariant: Callable[[Database], list[str]] | None,
+        originals: dict[str, dict],
     ) -> OrderingOutcome:
         dev = self._fresh_dev_db(base_state, name=f"retro-{index}")
         runtime = Runtime(dev, registry=registry, seed=self._seed())
@@ -321,7 +326,7 @@ class RetroactiveEngine:
         results = runtime.run_concurrent(fresh, schedule=schedule)
         outcome = OrderingOutcome(index=index, schedule=schedule)
         for result in results:
-            outcome.requests.append(self._outcome_of(result))
+            outcome.requests.append(self._outcome_of(result, originals))
         for followup in followups:
             result = runtime.execute_request(
                 Request(
@@ -332,7 +337,7 @@ class RetroactiveEngine:
                     auth_user=followup.auth_user,
                 )
             )
-            outcome.followups.append(self._outcome_of(result))
+            outcome.followups.append(self._outcome_of(result, originals))
         for table in self.trod.provenance.traced_tables():
             rows = [values for _rid, values in dev.store(table).scan(None)]
             outcome.final_state[table.lower()] = sorted(rows)
@@ -341,8 +346,9 @@ class RetroactiveEngine:
         outcome.side_effect_count = len(runtime.side_effects)
         return outcome
 
-    def _outcome_of(self, result) -> RetroRequestOutcome:
-        original = self.trod.provenance.request_row(result.req_id)
+    @staticmethod
+    def _outcome_of(result, originals: dict[str, dict]) -> RetroRequestOutcome:
+        original = originals[result.req_id]
         return RetroRequestOutcome(
             req_id=result.req_id,
             handler=result.handler,

@@ -220,10 +220,11 @@ class Probe(NamedTuple):
     """An index access path, naming its index: a scan resolves the name
     in its database's index set each time it runs."""
 
-    kind: str  # "hash": equality keys; "sorted": a range
+    kind: str  # "hash": equality keys; "in": an IN list; "sorted": a range
     index: str
     columns: tuple[str, ...]
-    #: A hash probe's key expressions, one per column.
+    #: A hash probe's key expressions, one per column; an IN probe's
+    #: items, each the key of its single column.
     keys: tuple[Expr, ...] = ()
     #: A range probe's bounds (None: unbounded).
     low: Expr | None = None
@@ -282,8 +283,10 @@ class ScanNode(PlanNode):
         parts.append(")")
         probe = self.probe
         if probe is not None:
-            label = "probe" if probe.kind == "hash" else "range"
+            label = "range" if probe.kind == "sorted" else "probe"
             parts.append(f" {label}={probe.index}[{', '.join(probe.columns)}]")
+            if probe.kind == "in":
+                parts.append(f" in({len(probe.keys)})")
         if self.filter_sql:
             parts.append(f" filter[{self.filter_sql}]")
         return "".join(parts)
@@ -393,6 +396,14 @@ class ScanNode(PlanNode):
             return index.lookup(
                 tuple(evaluate_rowless(expr, params) for expr in probe.keys)
             )
+        if probe.kind == "in":
+            # One bucket per item; a NULL item matches no row.
+            hits: set[int] = set()
+            for expr in probe.keys:
+                value = evaluate_rowless(expr, params)
+                if value is not None:
+                    hits.update(index.lookup((value,)))
+            return hits
         low = high = None
         if probe.low is not None:
             low = (evaluate_rowless(probe.low, params),)
@@ -1012,10 +1023,12 @@ def _find_probe(
     """Choose an index access path from the pushed-down conjuncts.
 
     Equality conjuncts binding a hash index's columns yield a hash probe
-    (its key expressions in the index's column order); range conjuncts
-    (<, <=, >, >=, BETWEEN) on a single-column sorted index yield a range
-    probe (a missing bound is unbounded). Keys and bounds are literals or
-    parameters, evaluated per execution. The probe names its index, so
+    (its key expressions in the index's column order); failing that,
+    ``col IN (...)`` on a single-column hash index yields an IN probe,
+    one bucket lookup per item; range conjuncts (<, <=, >, >=, BETWEEN)
+    on a single-column sorted index yield a range probe (a missing bound
+    is unbounded). Keys, items and bounds are literals or parameters,
+    evaluated per execution. The probe names its index, so
     the plan stays a function of the catalog, not of one database's
     storage.
 
@@ -1029,10 +1042,11 @@ def _find_probe(
     was deleted or re-keyed since, and that list has it. Every candidate
     is read at the snapshot and re-checked by the pushed-down filter.
     """
-    from repro.db.expr import Between, BinaryOp, ColumnRef, Literal, Param
+    from repro.db.expr import Between, BinaryOp, ColumnRef, InList, Literal, Param
     from repro.db.index import SortedIndex
 
     eq_values: dict[str, Expr] = {}
+    in_items: dict[str, tuple[Expr, ...]] = {}
     bounds: dict[str, dict[str, Expr]] = {}  # col -> {"low": e, "high": e}
 
     def note_bound(column: str, side: str, expr: Expr) -> None:
@@ -1050,6 +1064,15 @@ def _find_probe(
             ):
                 note_bound(column, "low", conjunct.low)
                 note_bound(column, "high", conjunct.high)
+            continue
+        if isinstance(conjunct, InList):
+            if (
+                not conjunct.negated
+                and isinstance(conjunct.operand, ColumnRef)
+                and schema.has_column(conjunct.operand.column)
+                and all(isinstance(i, (Literal, Param)) for i in conjunct.items)
+            ):
+                in_items.setdefault(conjunct.operand.column.lower(), conjunct.items)
             continue
         if not isinstance(conjunct, BinaryOp):
             continue
@@ -1080,6 +1103,11 @@ def _find_probe(
         if index is not None:
             keys = tuple(eq_values[c.lower()] for c in index.columns)
             return Probe("hash", index.name, index.columns, keys=keys)
+
+    for column, items in in_items.items():
+        index = database.index_set(canonical).equality_index_for({column})
+        if index is not None:
+            return Probe("in", index.name, index.columns, keys=items)
 
     for column, sides in bounds.items():
         for index in database.index_set(canonical).indexes.values():

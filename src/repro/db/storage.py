@@ -51,7 +51,9 @@ visible from CSN 0 and shared by reference. The store never writes into
 it, and a base row costs no version object: it gets a version chain, its
 base version first, only when it is first written. A restore loads a
 kept provenance state this way, so a dev database shares that state and
-copies a row only when the debugged code writes it.
+copies a row only when the debugged code writes it. A kept state is a
+:class:`KeptRows`, which also carries what its first adoption published,
+so every later restore of it shares those lists as well.
 """
 
 from __future__ import annotations
@@ -91,6 +93,18 @@ class RowVersion:
         if self.begin > csn:
             return False
         return self.end is None or self.end > csn
+
+
+class KeptRows(dict):
+    """A ``row_id -> values`` state nothing writes once it is built.
+
+    :meth:`TableStore.adopt` fills ``published`` at its first adoption —
+    the sorted ids, the ``(row_id, values)`` list and the values alone —
+    and every later adoption shares them, copying only the id lists a
+    store mutates.
+    """
+
+    __slots__ = ("published",)
 
 
 class TableStore:
@@ -261,6 +275,7 @@ class TableStore:
         A dict is kept by reference and never written; pairs are made
         into one, and a repeated id raises with the store untouched. No
         version is created: a base row gets its chain on its first write.
+        A :class:`KeptRows` is published once, at its first adoption.
         """
         if not self.is_empty():
             raise DatabaseError(f"{self.schema.name}: only an empty store adopts rows")
@@ -270,17 +285,24 @@ class TableStore:
                 self._refuse_repeats((row_id for row_id, _values in pairs), set())
         if not rows:
             return []
-        ids = sorted(rows)
-        published = list(zip(ids, map(rows.__getitem__, ids)))
+        published = getattr(rows, "published", None)
+        if published is None:
+            ids = sorted(rows)
+            values = list(map(rows.__getitem__, ids))
+            published = ids, list(zip(ids, values)), values
+            if isinstance(rows, KeptRows):
+                rows.published = published
+        ids, pairs, values = published
         self._base = rows
         self._base_unwritten = len(ids)
-        self._all_ids = ids
+        self._all_ids = ids.copy()
         self._live_ids = ids.copy()
-        self._scan_rows = published
+        self._scan_rows = pairs
+        self._scan_values = values
         self._next_row_id = max(self._next_row_id, ids[-1] + 1)
         self.last_write_csn = 0
         self.write_epoch += len(ids)
-        return published
+        return pairs
 
     def _materialize(self, row_id: int) -> RowVersion:
         """Give unwritten base row ``row_id`` its chain: its base version."""

@@ -280,9 +280,11 @@ class TestTablesMatchTheModel:
     def test_queries_over_the_ingested_rows(self, ingested):
         prov, _model = ingested
         assert [t["TxnId"] for t in prov.txns_of_request("R1")] == ["TXN5"]
-        assert set(prov.events_of_txn("TXN7")) == {"accounts", "audit"}
+        events = prov.events_of_txn(["TXN7", "TXN5", "TXN404"])
+        assert set(events["TXN7"]) == {"accounts", "audit"}
+        assert events["TXN404"] == {}
         assert prov.request_args("R1") == ("transfer", ("ann", 2.5), {"memo": "rent"}, "ann")
-        kinds = [e["Type"] for e in prov.data_events_of_txn("TXN5", "accounts")]
+        kinds = [e["Type"] for e in events["TXN5"]["accounts"]]
         assert kinds == ["Read", "Read", "Update", "Insert"]
         assert [w["RowId"] for w in prov.writes_between(5, 7, tables=["accounts"])] == [
             2, 3, 2
@@ -358,9 +360,7 @@ class TestBackingsAgree:
                 out[table, csn, "from a kept state"] = prov.reconstruct_rows(table, csn)
         out["restores"] = dict(prov.checkpoint_stats)
         out["writes"] = prov.writes_between(0, 9)
-        out["events"] = {
-            txn: prov.events_of_txn(txn) for txn in ("SNAPSHOT", "TXN5", "TXN7", "TXN8")
-        }
+        out["events"] = prov.events_of_txn(("SNAPSHOT", "TXN5", "TXN7", "TXN8"))
         out["txns"] = {
             req: prov.txns_of_request(req, committed_only=False) for req in ("R1", "R2")
         }

@@ -188,6 +188,55 @@ def test_what_a_restore_hands_out_can_be_altered_without_altering_later_ones():
         assert fresh.snapshot_rows(table) == rows
 
 
+def test_two_dev_databases_share_one_kept_state_and_one_writes():
+    database, trod = generated_history()
+    prov = trod.provenance
+    csn = database.last_csn - 3
+    expected = {table: reference_rows(prov, table, csn) for table in prov.traced_tables()}
+    kept = prov.kept_state(csn)
+    writer, reader = Database(), Database()
+    prov.load_state(writer, kept)
+    prov.load_state(reader, kept)
+    contents = {table: dict(rows) for table, rows in kept.items()}
+    # What the first adoption published, shared by both databases.
+    published = {
+        table: tuple(map(list, rows.published))
+        for table, rows in kept.items()
+        if rows
+    }
+    assert len(published) >= 5
+    txn = writer.begin()
+    for table, rows in expected.items():
+        if len(rows) < 2:
+            continue
+        (first, first_values), (_second, second_values) = rows[:2]
+        txn.insert(table, first_values)
+        txn.update(table, first, second_values)
+        txn.delete(table, rows[-1][0])
+    txn.commit()
+    for table, rows in expected.items():
+        if len(rows) >= 2:
+            assert writer.snapshot_rows(table) != rows
+        assert reader.snapshot_rows(table) == rows
+        assert list(reader.store(table).scan(0)) == rows
+        assert dict(kept[table]) == contents[table]
+        if rows:
+            assert tuple(map(list, kept[table].published)) == published[table]
+        assert prov.reconstruct_rows(table, csn) == rows
+        assert prov.reconstruct_rows(table, database.last_csn) == reference_rows(
+            prov, table, database.last_csn
+        )
+    # The reader writes after the writer did, and a third restore of the
+    # same kept state still starts from the past state.
+    reader.execute("DELETE FROM orders")
+    reader.execute("INSERT INTO inventory VALUES ('SKU-Y', 2)")
+    assert reader.table_rows("orders") == []
+    fresh = Database()
+    prov.restore_into(fresh, csn)
+    for table, rows in expected.items():
+        assert fresh.snapshot_rows(table) == rows
+
+
 def redaction(trod, csn):
     trod.privacy.forget_value("users", "email", "u2@example.com")
 

@@ -178,6 +178,28 @@ class TestBreakpointsAndInjection:
         assert all(s.replayed_txn is not None for s in result.steps)
 
 
+def kinds_of(statements: list[str]) -> dict[str, int]:
+    """What each provenance statement of a replay asks, counted."""
+    kinds = {}
+    for sql in statements:
+        if "FROM Requests" in sql:
+            kind = "request"
+        elif "FROM Executions WHERE ReqId" in sql:
+            kind = "transactions"
+        elif "FROM Executions WHERE TxnId IN" in sql:
+            kind = "writers"
+        elif "WHERE TxnId IN" in sql:
+            kind = "events"
+        elif "ORDER BY Csn" in sql:
+            kind = "reconstruction"
+        elif "WHERE Csn >" in sql:
+            kind = "window"
+        else:
+            kind = sql
+        kinds[kind] = kinds.get(kind, 0) + 1
+    return kinds
+
+
 class TestReplayCost:
     """What a replay asks of the provenance database is set by the
     request, not by how much history was captured around it."""
@@ -217,8 +239,23 @@ class TestReplayCost:
 
         capture(50)
         cold = replay_cost(placed[5])  # nothing kept yet: every table in full
-        assert cold <= 45
         assert not any("COUNT(" in sql or "JOIN" in sql for sql in statements)
+        # One question per table, whatever the number of transactions: the
+        # request, its transactions, one ``TxnId IN`` probe per event table
+        # (seven), one reconstruction and one window read per table the
+        # request used (five), and the window writers' requests at once.
+        assert kinds_of(statements) == {
+            "request": 1,
+            "transactions": 1,
+            "events": 7,
+            "reconstruction": 5,
+            "window": 5,
+            "writers": 1,
+        }
+        assert cold == 20
+        for sql in statements:
+            if "TxnId IN" in sql:  # an index probe, not a filtered scan
+                assert "probe=" in trod.provenance.db.explain(sql)[-1], sql
         # A later request starts from the states that replay left (one delta
         # read per table); the same request again finds its own, and reads
         # no event to restore them.

@@ -180,6 +180,29 @@ class TestOneReconstructionPerRun:
             seen.add(len(rows))
         assert seen == {3, 4}  # serial orderings dedupe, racy ones do not
 
+    def test_a_run_reads_each_request_row_once(self, moodle_env, monkeypatch):
+        trod = self.racy_pair_over_existing_rows(moodle_env)
+        prov = trod.provenance
+        reads = []
+        query = prov.query
+
+        def counted(sql, params=()):
+            if "FROM Requests" in sql:
+                reads.append(params)
+            return query(sql, params)
+
+        monkeypatch.setattr(prov, "query", counted)
+        result = trod.retroactive.run(["R3", "R4"], orderings="all", followups=["R1"])
+        assert result.explored == 6
+        # Not once per ordering: the originals are read before the first.
+        assert sorted(reads) == [("R1",), ("R3",), ("R4",)]
+        monkeypatch.undo()
+        for outcome in result.outcomes:
+            for request in outcome.requests + outcome.followups:
+                row = prov.request_row(request.req_id)
+                assert request.original_output == row["Output"]
+                assert request.original_error == row["Error"]
+
     def test_a_run_on_a_warm_store_is_the_run_on_a_cold_one(self, moodle_env):
         trod = self.racy_pair_over_existing_rows(moodle_env)
         prov = trod.provenance
