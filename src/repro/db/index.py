@@ -44,7 +44,16 @@ def split_pairs(pairs: Sequence[tuple[int, tuple]]) -> tuple[list[int], list[tup
 
 
 class HashIndex:
-    """Equality index mapping a column-tuple key to a set of row ids."""
+    """Equality index from a key to the ids of the rows filed under it.
+
+    A single-column index keys its dict on the bare column value, a wider
+    one on the column tuple. A key with one row maps to the bare row id;
+    its second row makes the bucket a ``set``, and a remove that leaves
+    one row makes it the bare id again. Most keys hold one row (a
+    provenance ``TxnId`` or ``ReqId``, a unique constraint), so they
+    cost a dict entry and no object of their own. Callers see tuple keys
+    only: :meth:`key_of`, :meth:`lookup` and the violation message.
+    """
 
     def __init__(self, name: str, schema: TableSchema, columns: Iterable[str], unique: bool = False):
         self.name = name
@@ -52,86 +61,99 @@ class HashIndex:
         self.columns = tuple(schema.column(c).name for c in columns)
         self.positions = tuple(schema.index_of(c) for c in self.columns)
         self.unique = unique
-        #: A row's key columns: a tuple of them, or the one value.
+        self._single = len(self.positions) == 1
+        #: A row's dict key: a tuple of its key columns, or the one value.
         self._key_columns = itemgetter(*self.positions)
-        self._map: dict[tuple, set[int]] = {}
+        self._map: dict[object, int | set[int]] = {}
 
     def key_of(self, values: tuple) -> tuple:
         return tuple(values[i] for i in self.positions)
 
     def add(self, row_id: int, values: tuple) -> None:
-        self._file_each((row_id,), (self.key_of(values),))
+        self._file_each((row_id,), (self._key_columns(values),))
 
     def add_many(self, row_ids: Sequence[int], rows: Sequence[tuple]) -> None:
         """Index ``rows[i]`` under ``row_ids[i]``, in order.
 
         A non-unique index files each stretch of consecutive equal keys
-        into its bucket with one ``set.update`` (``groupby`` and the dict
-        compare keys alike, so the buckets are the per-row loop's). A
-        unique index goes row by row, so a violation names the first
-        clashing key and leaves the rows before it indexed.
+        at once (``groupby`` and the dict compare keys alike, so the
+        buckets are the per-row loop's). A unique index goes row by row,
+        so a violation names the first clashing key and leaves the rows
+        before it indexed.
         """
         keys = map(self._key_columns, rows)
-        if len(self.positions) == 1:
-            keys = zip(keys)
         if self.unique:
             self._file_each(row_ids, keys)
             return
         buckets, ids = self._map, iter(row_ids)
         for key, stretch in itertools.groupby(keys):
-            filed = itertools.islice(ids, len(list(stretch)))
+            count = len(list(stretch))
             bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = set(filed)
-            else:
+            if count == 1 and bucket is None:
+                buckets[key] = next(ids)
+                continue
+            filed = set(itertools.islice(ids, count))
+            if type(bucket) is set:
                 bucket.update(filed)
+                continue
+            if bucket is not None:
+                filed.add(bucket)
+            buckets[key] = filed if len(filed) > 1 else filed.pop()
 
-    def _file_each(self, row_ids: Iterable[int], keys: Iterable[tuple]) -> None:
+    def _file_each(self, row_ids: Iterable[int], keys: Iterable) -> None:
         buckets, unique = self._map, self.unique
         for row_id, key in zip(row_ids, keys):
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = {row_id}
+            bucket = buckets.setdefault(key, row_id)
+            if bucket == row_id:
                 continue
-            if unique and row_id not in bucket and None not in key:
+            if type(bucket) is not set:
+                bucket = {bucket}
+            elif row_id in bucket:
+                continue
+            if unique and None not in self._as_tuple(key):
                 raise IntegrityError(
                     f"unique violation on {self.schema.name}({', '.join(self.columns)}): "
-                    f"key {key!r}"
+                    f"key {self._as_tuple(key)!r}"
                 )
             bucket.add(row_id)
+            buckets[key] = bucket
+
+    def _as_tuple(self, key) -> tuple:
+        """A dict key in the tuple form callers see."""
+        return (key,) if self._single else key
 
     def remove(self, row_id: int, values: tuple) -> None:
-        key = self.key_of(values)
-        bucket = self._map.get(key)
-        if bucket:
+        buckets, key = self._map, self._key_columns(values)
+        bucket = buckets.get(key)
+        if type(bucket) is set:
             bucket.discard(row_id)
-            if not bucket:
-                del self._map[key]
+            if len(bucket) == 1:
+                buckets[key] = bucket.pop()
+        elif bucket == row_id:
+            del buckets[key]
 
     def lookup(self, key: tuple) -> set[int] | frozenset[int]:
-        """Row ids for ``key``.
+        """Row ids for ``key``, a tuple of the index's column values.
 
-        Returns a *live view* of the bucket (or a shared frozen empty set)
-        so the hot probe path allocates nothing; callers must treat the
-        result as read-only and copy before mutating.
+        Callers must treat the result as read-only and copy before
+        mutating: it is the live bucket of a key with several rows, a
+        new frozenset for a key with one, or a shared frozen empty set.
         """
-        return self._map.get(tuple(key), _EMPTY_IDS)
+        bucket = self._map.get(key[0] if self._single else tuple(key))
+        if bucket is None:
+            return _EMPTY_IDS
+        return bucket if type(bucket) is set else frozenset((bucket,))
 
     def would_violate(self, values: tuple, ignore: Container[int] = ()) -> bool:
         """Whether inserting ``values`` would break uniqueness with a row
         whose id is not in ``ignore``."""
-        if not self.unique:
-            return False
         key = self.key_of(values)
-        if None in key:
+        if not self.unique or None in key:
             return False
-        bucket = self._map.get(key)
-        if not bucket:
-            return False
-        return any(rid not in ignore for rid in bucket)
+        return any(rid not in ignore for rid in self.lookup(key))
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._map.values())
+        return sum(len(b) if type(b) is set else 1 for b in self._map.values())
 
 
 class SortedIndex:

@@ -1,5 +1,7 @@
 """Unit tests for hash and sorted indexes."""
 
+import gc
+
 import pytest
 
 from repro.db.index import HashIndex, IndexSet, SortedIndex
@@ -58,6 +60,73 @@ class TestHashIndex:
         index.add(1, ("x", 1, "p"))
         assert index.would_violate(("x", 9, "z")) is True
         assert index.would_violate(("x", 9, "z"), ignore={1}) is False
+
+    @pytest.mark.parametrize(
+        "columns, unique", [(["a"], False), (["a"], True), (["a", "b"], False)]
+    )
+    def test_one_row_keys_add_no_tracked_object(self, columns, unique):
+        """A key holding one row files the bare row id (and a single-column
+        index the bare value): 10 000 distinct keys add no set each."""
+        index = HashIndex("ix", make_schema(), columns, unique=unique)
+        row_ids = list(range(1, 10_001))
+        rows = [(f"k{i}", i, "p") for i in row_ids]
+        gc.collect()
+        before = len(gc.get_objects())
+        index.add_many(row_ids, rows)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100
+        assert len(index) == 10_000
+        assert index.lookup(("k7", 7)[: len(columns)]) == {7}
+
+    @pytest.mark.parametrize("columns", [["a"], ["a", "b"]])
+    def test_bucket_crosses_bare_id_and_set(self, columns):
+        """Adds and removes walk a key through bare id, set, bare id, set
+        and absent; ``lookup`` answers alike at each step and hands out
+        nothing a caller could grow the index through."""
+        index = HashIndex("ix", make_schema(), columns)
+        key = ("x", 1)[: len(columns)]
+        index.add(1, ("x", 1, "p"))
+        assert index.lookup(key) == {1}
+        assert isinstance(index.lookup(key), frozenset)
+        index.add(2, ("x", 1, "q"))
+        index.add(2, ("x", 1, "q"))  # filing a row twice is one entry
+        assert index.lookup(key) == {1, 2}
+        assert len(index) == 2
+        index.remove(1, ("x", 1, "p"))
+        assert index.lookup(key) == {2}
+        assert isinstance(index.lookup(key), frozenset)
+        index.add_many([3], [("x", 1, "r")])  # back to a set, batch path
+        assert index.lookup(key) == {2, 3}
+        index.remove(3, ("x", 1, "r"))
+        index.remove(2, ("x", 1, "q"))
+        assert index.lookup(key) == set()
+        assert len(index) == 0
+        index.remove(2, ("x", 1, "q"))  # an absent row: nothing to do
+        assert len(index) == 0
+
+    def test_null_key_is_filed_and_found(self):
+        index = HashIndex("ix", make_schema(), ["a"], unique=True)
+        index.add(1, (None, 1, "p"))
+        assert index.lookup((None,)) == {1}
+        index.add_many([2, 3], [(None, 2, "q"), ("x", 3, "r")])
+        assert index.lookup((None,)) == {1, 2}
+        assert index.would_violate((None, 9, "z")) is False
+        index.remove(1, (None, 1, "p"))
+        assert index.lookup((None,)) == {2}
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_unique_clash_names_the_tuple_key(self, batch):
+        index = HashIndex("ix", make_schema(), ["a"], unique=True)
+        index.add(1, ("a", 1, "p"))
+        with pytest.raises(IntegrityError, match=r"t\(a\): key \('a',\)$"):
+            if batch:
+                index.add_many([2, 3], [("b", 2, "q"), ("a", 3, "r")])
+            else:
+                index.add(3, ("a", 3, "r"))
+        assert index.lookup(("a",)) == {1}
+        assert index.lookup(("b",)) == ({2} if batch else set())
+        assert index.would_violate(("a", 9, "z")) is True
+        assert index.would_violate(("a", 9, "z"), ignore={1}) is False
 
 
 class TestSortedIndex:

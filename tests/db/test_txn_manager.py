@@ -276,8 +276,9 @@ class TestConstraints:
         assert txn.status is TransactionStatus.ABORTED
         assert txn.txn_id not in db.txn_manager.commit_index
         assert db.execute("SELECT k, v FROM u ORDER BY v").rows == rows
-        entries = db.index_set("u").indexes[index]._map
-        assert {key[0]: len(ids) for key, ids in entries.items()} == keys
+        filed = db.index_set("u").indexes[index]
+        assert {k: len(filed.lookup((k,))) for k in keys} == keys
+        assert len(filed) == sum(keys.values())  # and under no other key
         # The next commit takes the CSN a half-applied commit would have
         # left versions at; it sees none of them, and no lock blocks it.
         db.execute("UPDATE u SET v = v + 10")

@@ -1,12 +1,18 @@
 """Property test: HashIndex against a dict of sets built one row at a time.
 
-A non-unique index files a batch of eight rows or more by stretches of
-equal keys, one ``set.update`` each; the model adds row by row. The
-programs are ``test_prop_sorted_index``'s (one-row, small and 300-row
-batches, removes) plus batches of at least 300 rows made of long runs of
-one value. Keys mix NULL, booleans, ints, floats and text, so ``1``,
+The index files a key's one row as the bare row id and a single-column
+key as the bare value; the model keeps a set under a tuple for every key.
+A non-unique index files a batch by stretches of equal keys; the model
+adds row by row. The programs are ``test_prop_sorted_index``'s (one-row,
+small and 300-row batches, removes) plus batches of at least 300 rows made
+of long runs of one value, and "thin" steps: a key holding several rows
+is removed down to one, the index is checked, and a row is filed under the
+key again, spelled with an equal value of another type where there is one.
+Every program ends with a thin step, so each crosses the set -> bare id ->
+set boundary. Keys mix NULL, booleans, ints, floats and text, so ``1``,
 ``1.0`` and ``True`` are one key to both. After the program every key the
-model holds, and every key over the value pool, is looked up in both.
+model holds, and every key over the value pool and ``1``/``1.0``/``True``,
+is looked up in both.
 
 A unique index files row by row; its model raises on the first row whose
 key (with no NULL) another row holds, leaving the rows before it filed.
@@ -30,10 +36,23 @@ def runs(seed: int) -> list[tuple]:
     return rows
 
 
+def alias(value):
+    """An equal value of another type, where there is one."""
+    if type(value) is bool:
+        return float(value)
+    if type(value) is int:
+        return bool(value) if value in (0, 1) else float(value)
+    if type(value) is float and value.is_integer():
+        return int(value)
+    return value
+
+
+#: thin the i-th key holding several rows, then file under it again
+thin = st.tuples(st.just("thin"), st.integers(0, 1000))
 hash_programs = st.lists(
-    st.one_of(steps, st.tuples(st.just("add"), st.integers(0, 10**6).map(runs))),
+    st.one_of(steps, thin, st.tuples(st.just("add"), st.integers(0, 10**6).map(runs))),
     max_size=25,
-)
+).map(lambda program: program + [("thin", 0)])
 
 
 class Model:
@@ -87,6 +106,30 @@ def run(program, columns: list[str], unique: bool = False):
                 else:
                     raise AssertionError(f"index took a duplicate: {refused}")
             live.update(filed)
+        elif op == "thin":
+            shared = [k for k, ids in model.buckets.items() if len(ids) > 1]
+            if not shared:
+                # A unique index shares only keys with a NULL in them.
+                a = None if unique else POOL[arg % len(POOL)]
+                rows = [(next_id, ("pad", a, "s")), (next_id + 1, ("pad", a, "s"))]
+                next_id += 2
+                index.add_many(*split_pairs(rows))
+                for row_id, row in rows:
+                    model.add(row_id, row)
+                live.update(rows)
+                shared = [model.key(rows[0][1])]
+            key = shared[arg % len(shared)]
+            kept, *others = sorted(model.buckets[key])
+            for row_id in others:
+                row = live.pop(row_id)
+                index.remove(row_id, row)
+                model.remove(row_id, row)
+            assert index.lookup(key) == {kept}
+            row = tuple(map(alias, live[kept]))
+            index.add_many([next_id], [row])
+            model.add(next_id, row)
+            live[next_id] = row
+            next_id += 1
         elif live:
             row_id = sorted(live)[arg % len(live)]
             row = live.pop(row_id)
@@ -96,10 +139,12 @@ def run(program, columns: list[str], unique: bool = False):
 
 
 def assert_same(index: HashIndex, model: Model) -> None:
-    probes = set(model.buckets)
-    probes.update((a,) for a in POOL)
+    # A list: a set would fold the equal probes (1,), (1.0,) and (True,).
+    pool = POOL + [1, 1.0]
+    probes = list(model.buckets)
+    probes += [(a,) for a in pool]
     if len(model.positions) == 2:
-        probes.update((a, b) for a in POOL for b in POOL)
+        probes += [(a, b) for a in pool for b in pool]
     for key in probes:
         assert index.lookup(key) == model.buckets.get(key, set()), key
     assert len(index) == sum(map(len, model.buckets.values()))
