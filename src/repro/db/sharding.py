@@ -9,14 +9,15 @@ single database. The pieces:
   the shard-key value picks the owning store, and WHERE conjuncts that pin
   the key (``k = ?`` / ``k IN (...)``) prune the scatter set down to the
   owning shards (scatter-gather point lookups).
-* SELECT fan-out — each target shard runs the FROM/JOIN/WHERE portion of
-  the plan locally (:func:`~repro.db.sql.executor.build_from_where`, so
-  index probes and predicate pushdown all still apply per shard); the
-  coordinator merges the streams and runs projection / aggregation /
-  ORDER / LIMIT on top. Decomposable aggregates (COUNT/SUM/MIN/MAX/AVG
-  without DISTINCT) are pushed down as partial aggregates and combined at
-  the coordinator; joins broadcast the smaller side to every shard so the
-  join itself also executes shard-locally.
+* SELECT — one plan tree (:func:`plan_sharded_select`), memoised like any
+  other and printed by EXPLAIN as it runs: the coordinator's projection /
+  aggregation / ORDER / LIMIT over an :class:`Exchange`, which runs the
+  FROM/JOIN/WHERE portion on each target shard (index probes and
+  predicate pushdown all still apply per shard) and hands their rows up.
+  Decomposable aggregates (COUNT/SUM/MIN/MAX/AVG without DISTINCT) run
+  as partial aggregates under the exchange and combine above it; a join
+  keeps its largest table partitioned and reads the others through a
+  :class:`BroadcastExchange`, so the join itself executes shard-locally.
 * Writes — DML routes to the owning shard by key; any statement (or
   explicit transaction) touching several shards commits through the
   existing two-phase commit in :class:`~repro.db.multistore.
@@ -42,7 +43,6 @@ from repro.db.expr import (
     IsNull,
     Literal,
     Param,
-    conjoin,
     split_conjuncts,
 )
 from repro.db.multistore import GlobalTransaction, MultiStoreCoordinator
@@ -50,17 +50,18 @@ from repro.faults import active as faults_active
 from repro.db.replication import ReplicaSet
 from repro.db.result import ResultSet
 from repro.db.schema import TableSchema
-from repro.db.sql import compile as codegen
 from repro.db.sql import planner
 from repro.db.sql.executor import (
     ExecContext,
+    HashJoinNode,
     LimitNode,
     PlanNode,
-    RowsNode,
+    ScanNode,
     _drain_rows,
     build_from_where,
+    build_select_plan,
+    catalog_shape_id,
     evaluate_as_of,
-    execute_statement,
     memo_plan,
     plan_projection,
 )
@@ -78,7 +79,7 @@ from repro.db.sql.nodes import (
     UpdateStmt,
 )
 from repro.db.sql.parser import parse_cached
-from repro.db.sql.planner import Layout, evaluate_rowless, limit_and_offset
+from repro.db.sql.planner import evaluate_rowless, limit_and_offset
 from repro.db.txn.manager import IsolationLevel, Transaction
 from repro.db.types import coerce
 from repro.errors import (
@@ -244,71 +245,258 @@ def _key_pinning_exprs(
     return None
 
 
-class BroadcastRowsNode(PlanNode):
-    """A join side replicated to every shard (the smaller relation).
+class ShardContext(NamedTuple):
+    """One sharded SELECT's execution, as its exchanges see it."""
 
-    Holds the full gathered table; the pushed-down single-table filter the
-    planner computed still applies here, per shard, so broadcast sides keep
-    predicate pushdown semantics.
+    cluster: "ShardedDatabase"
+    #: store -> the statement's branch on the database serving it (None
+    #: for EXPLAIN, which begins none).
+    txn: TxnGetter | None
+    #: store -> the database serving it (asked once per shard per statement).
+    database: Callable[[str], Database]
+    #: table -> its rows from every shard, gathered for a broadcast join side.
+    broadcast: dict[str, list[tuple]]
+
+
+def _exchange_line(depth: int, targets: Sequence[str], note: str = "") -> str:
+    return "  " * depth + f"Exchange({note}targets=[{', '.join(targets)}])"
+
+
+class Exchange(PlanNode):
+    """Where a sharded plan leaves the coordinator: the rows of ``stmt``'s
+    shard side from every shard it targets, in target order.
+
+    ``stmt`` is what a shard runs — the statement's FROM/JOIN/WHERE, or
+    the whole partial aggregate of :func:`decompose_aggregate_stmt`. Each
+    execution picks its targets from its parameters
+    (:meth:`ShardRouter.routed_shards`) and plans a shard's side under the
+    catalog of the database serving it, so a replica a DDL behind gets its
+    own plan. A join keeps its largest table partitioned (a LEFT join its
+    FROM table, whose rows must each appear once for null extension) and
+    gathers the others whole, once per execution and before any shard
+    runs, for a :class:`BroadcastExchange` to serve to every shard.
+
+    A shard runs whole (``batch_size=0``), records its null reads and
+    reports to its observers before the next one begins: it holds table
+    locks, and a scheduler yield there could let a 2PC writer close a lock
+    cycle across shards that no shard's deadlock detector sees. Every
+    target runs before the first batch leaves, so a consumer that stops
+    early leaves no traced shard unread — unless ``cap`` holds the LIMIT
+    and OFFSET of a single-table statement the coordinator only projects:
+    then no shard begins once ``limit + offset`` rows came back, and an
+    untraced, unobserved shard stops at the rows still needed.
     """
 
     def __init__(
         self,
-        binding: str,
-        schema: TableSchema,
-        rows: Sequence[tuple],
-        conjuncts: Sequence[Expr],
+        stmt: SelectStmt,
+        tables: list[tuple[str, str, TableSchema]],
+        database: Database,
+        partial: bool = False,
     ):
-        self.layout = Layout.for_table(binding, schema.column_names)
-        self.binding = binding
-        self.table = schema.name
-        self._rows = rows
-        self.filter_expr = conjoin(conjuncts)
-        if self.filter_expr is not None:
-            planner.check_scalar(self.filter_expr, self.layout)
+        self.stmt = stmt
+        #: ``(binding, canonical name, schema)`` per FROM table, the
+        #: binding lowercase.
+        self.tables = tables
+        self.conjuncts = split_conjuncts(stmt.where)
+        self.partial = partial
+        self.cap: tuple[Expr, Expr | None] | None = None
+        self.layout = self._plan_shard(database, tables[0][0]).layout
 
-    def describe(self) -> str:
-        return f"Broadcast({self.table} AS {self.binding}, {len(self._rows)} rows)"
+    def explain(self, depth: int = 0, ctx: ExecContext | None = None) -> list[str]:
+        shards = ctx.shards
+        part = self._partitioned(shards.cluster)
+        targets = self._targets(shards.cluster, part, ctx.params)
+        plan = self._shard_plan(shards.database(targets[0]), part, ctx.query_text)
+        note = "capped, " if self.cap is not None else ""
+        return [_exchange_line(depth, targets, note), *plan.explain(depth + 1, ctx)]
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        rows = self._rows
-        if self.filter_expr is not None:
-            keep = codegen.compile_predicate_batch(self.filter_expr, self.layout)
+        shards, params = ctx.shards, ctx.params
+        cluster = shards.cluster
+        part = self._partitioned(cluster)
+        targets = self._targets(cluster, part, params)
+        cluster._note_targets(targets)
+        if self.partial:
+            cluster.stats["partial_agg_queries"] += 1
+        if len(self.tables) > 1:
+            cluster.stats["broadcast_joins"] += 1
+            self._gather(shards, part, ctx.query_text)
+        cap = None
+        if self.cap is not None:
+            limit, offset = limit_and_offset(*self.cap, params)
+            if limit is not None:
+                cap = limit + offset
+                cluster.stats["limit_pushdown_queries"] += 1
+        gathered: list[list[tuple]] = []
+        produced = 0
+        for position, store in enumerate(targets):
+            if cap is not None and produced >= cap:
+                # Satisfied: the remaining shards are never begun.
+                cluster.stats["limit_shards_skipped"] += len(targets) - position
+                break
+            rows = self._run(ctx, store, part, None if cap is None else cap - produced)
+            produced += len(rows)
+            gathered.append(rows)
+        for rows in gathered:
+            if rows:
+                yield rows
+
+    def _run(
+        self, ctx: ExecContext, store: str, part: str, cap: int | None
+    ) -> list[tuple]:
+        """One shard's rows; ``cap`` bounds them unless the shard is
+        traced or observed, whose trace must see the whole scan."""
+        shards, sql = ctx.shards, ctx.query_text
+        database, branch = shards.database(store), shards.txn(store)
+        plan = self._shard_plan(database, part, sql)
+        if cap is not None and not database.track_reads and not database.observers:
+            plan = LimitNode(plan, Literal(cap), None)
+        rows = _drain_rows(plan, ExecContext(
+            database, branch, ctx.params, sql, database.track_reads,
+            batch_size=0, shards=shards,
+        ))
+        if database.observers:
+            # TROD interposition parity: each shard's observers see the
+            # statement trace for the work executed on that shard.
+            trace = StatementTrace(
+                sql=sql, kind="select", reads=branch.statement_reads(), rowcount=len(rows)
+            )
+            database.notify("statement_executed", branch, trace)
+        return rows
+
+    def _shard_plan(self, database: Database, part: str, sql: str) -> PlanNode:
+        """What a shard runs, memoised per catalog and partitioned binding."""
+        key = (sql, part) if sql else None
+        return memo_plan("shard", key, database, self._plan_shard, database, part)
+
+    def _plan_shard(self, database: Database, part: str) -> PlanNode:
+        if self.partial:
+            return database.select_plan(self.stmt)[0]
+        plan = build_from_where(self.stmt, database)
+        return _broadcast_sides(plan, part) if len(self.tables) > 1 else plan
+
+    def _partitioned(self, cluster: "ShardedDatabase") -> str:
+        """The binding that stays partitioned; every other one broadcasts."""
+        if len(self.tables) == 1 or any(j.kind == "left" for j in self.stmt.joins):
+            return self.tables[0][0]
+
+        def total_rows(table: tuple[str, str, TableSchema]) -> int:
+            return sum(shard.store(table[1]).row_count(None) for shard in cluster.shards)
+
+        return max(self.tables, key=total_rows)[0]
+
+    def _targets(
+        self, cluster: "ShardedDatabase", part: str, params: Sequence[Any]
+    ) -> list[str]:
+        """The shards whose partition of the partitioned table is read.
+
+        A pin counts only when it names that table's key: qualified by its
+        binding, or unqualified when no other table has a column so named.
+        """
+        _binding, table, schema = next(t for t in self.tables if t[0] == part)
+        key = cluster.router.key_column(table)
+        ambiguous = key is not None and any(
+            binding != part and other.has_column(key)
+            for binding, _table, other in self.tables
+        )
+        return cluster.router.routed_shards(
+            table, schema, self.conjuncts, params, binding=part, ambiguous=ambiguous
+        )
+
+    def _gather(self, shards: ShardContext, part: str, sql: str) -> None:
+        """Read each broadcast table from every shard into ``shards``.
+
+        Under the statement's own branches, so a join sees its global
+        transaction's writes. The reads are recorded here, each row once
+        on its owning shard however many local joins it feeds, and an
+        empty table as a null read (Table 2's consulted-but-empty rows).
+        """
+        for binding, table, _schema in self.tables:
+            if binding == part or table in shards.broadcast:
+                continue
+            rows = shards.broadcast[table] = []
+            for store in shards.cluster.store_names:
+                branch = shards.txn(store)
+                pairs = list(branch.scan(table))
+                rows += [values for _row_id, values in pairs]
+                if shards.database(store).track_reads:
+                    branch.record_reads(table, pairs or [(None, None)], sql)
+
+
+class BroadcastExchange(PlanNode):
+    """A join side every shard sees whole: its table as :class:`Exchange`
+    gathered it from every shard for this execution, through the filter
+    pushed into ``child`` — the scan it stands in for."""
+
+    def __init__(self, scan: ScanNode):
+        scan.probe = None  # the gather reads the whole table
+        self.child = scan
+        self.layout = scan.layout
+
+    def explain(self, depth: int = 0, ctx: ExecContext | None = None) -> list[str]:
+        line = _exchange_line(depth, ctx.shards.cluster.store_names, "broadcast, ")
+        return [line, *self.child.explain(depth + 1, ctx)]
+
+    def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
+        rows = ctx.shards.broadcast[self.child.table]
+        keep = self.child._keep_values
+        if keep is not None:
             rows = keep(rows, ctx.params)
         if rows:
             yield rows
+
+
+def _broadcast_sides(node: PlanNode, part: str) -> PlanNode:
+    """A join plan with every scan but the partitioned binding's broadcast."""
+    if isinstance(node, ScanNode):
+        return node if node.binding.lower() == part else BroadcastExchange(node)
+    if isinstance(node, HashJoinNode):
+        node.left = _broadcast_sides(node.left, part)
+        node.right = _broadcast_sides(node.right, part)
+    else:
+        node.child = _broadcast_sides(node.child, part)
+    return node
+
+
+def plan_sharded_select(
+    stmt: SelectStmt, database: Database
+) -> tuple[PlanNode, list[str]]:
+    """A sharded SELECT's plan over ``database``'s catalog, with its column
+    names: the coordinator's operators over an :class:`Exchange`.
+
+    A decomposable aggregate combines the partial rows its shards compute;
+    any other statement projects, aggregates, sorts and limits the rows
+    its shards join and filter. A FROM-less SELECT reads no shard.
+    """
+    if stmt.from_table is None:
+        return build_select_plan(stmt, database)
+    tables = [
+        (ref.binding.lower(), database.catalog.resolve(ref.table), database.catalog.get(ref.table))
+        for ref in stmt.table_refs()
+    ]
+    split = decompose_aggregate_stmt(stmt)
+    if split is None:
+        exchange = Exchange(stmt, tables, database)
+    else:
+        exchange = Exchange(split[0], tables, database, partial=True)
+        stmt = split[1]
+    plan, names = plan_projection(stmt, exchange)
+    if len(tables) == 1 and isinstance(plan, LimitNode) and plan.child.child is exchange:
+        # A LIMIT over rows the coordinator only projects caps the gather.
+        exchange.cap = (plan.limit, plan.offset)
+    return plan, names
 
 
 #: Aggregates with a partial/final decomposition (DISTINCT forms excluded).
 _COMBINE_NAMES = {"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX": "MAX"}
 
 
-class _AggDecomposition(NamedTuple):
-    """Partial/final split of one aggregate query."""
-
-    #: What every target shard runs.
-    partial_stmt: SelectStmt
-    #: The coordinator's combine plan over the gathered partial rows, with
-    #: its output column names.
-    final: tuple[PlanNode, list[str]]
-
-
-def _merge_plan(stmt: SelectStmt, database: Database) -> tuple[PlanNode, list[str]]:
-    """The coordinator's half of a scattered SELECT, with its column names.
-
-    Projection, aggregation, ORDER BY and LIMIT over the rows the shards'
-    FROM/WHERE nodes gather, laid out as such a node over ``database``'s
-    catalog lays them out.
-    """
-    layout = build_from_where(stmt, database).layout
-    return plan_projection(stmt, RowsNode(layout))
-
-
-def decompose_aggregate_stmt(stmt: SelectStmt) -> _AggDecomposition | None:
+def decompose_aggregate_stmt(stmt: SelectStmt) -> tuple[SelectStmt, SelectStmt] | None:
     """Split a single-table aggregate SELECT into partial and final stages.
 
     The partial statement runs on every target shard (grouping locally and
-    computing per-shard partial aggregates); the final plan re-groups
+    computing per-shard partial aggregates); the final statement re-groups
     the partial rows at the coordinator using combine aggregates:
     ``COUNT -> SUM of counts``, ``SUM -> SUM``, ``MIN/MAX -> MIN/MAX``,
     ``AVG -> SUM of sums / SUM of counts``. Returns None when the query
@@ -393,11 +581,7 @@ def decompose_aggregate_stmt(stmt: SelectStmt) -> _AggDecomposition | None:
         offset=stmt.offset,
         param_count=stmt.param_count,
     )
-    partial_layout = Layout()
-    for item in partial_items:
-        partial_layout.add(None, item.alias)
-    final = plan_projection(final_stmt, RowsNode(partial_layout))
-    return _AggDecomposition(partial_stmt, final)
+    return partial_stmt, final_stmt
 
 
 def _output_name(expr: Expr) -> str:
@@ -408,8 +592,8 @@ class ShardedDatabase:
     """N hash-partitioned stores behind a single-database ``execute`` API.
 
     DDL applies to every shard (so schemas and indexes stay uniform); DML
-    routes by shard key and commits through 2PC when it spans shards;
-    SELECTs scatter to the owning shards and merge at the coordinator.
+    routes by shard key and commits through 2PC when it spans shards; a
+    SELECT's plan reads the owning shards through its exchanges.
     """
 
     def __init__(
@@ -567,6 +751,18 @@ class ShardedDatabase:
     def catalog(self):
         """The logical catalog (shard 0's; DDL keeps all shards uniform)."""
         return self.shards[0].catalog
+
+    @property
+    def catalog_shape(self) -> int:
+        """What a coordinator plan depends on: shard 0's catalog, marked
+        so that no single database's plan of the same text is shared."""
+        return catalog_shape_id(("sharded", self.shards[0].catalog_shape))
+
+    @property
+    def plan_cache_stats(self) -> dict[str, int]:
+        """Shard 0's plan-memo counters: coordinator plans are built over
+        its catalog, and their lookups count there."""
+        return self.shards[0].plan_cache_stats
 
     @property
     def last_global_csn(self) -> int:
@@ -898,57 +1094,30 @@ class ShardedDatabase:
         return out
 
     def explain(self, sql: str, params: Sequence[Any] = ()) -> list[str]:
-        """The distributed strategy plus shard 0's local subplan.
+        """The plan a statement would execute, root first.
 
-        Pass the statement's ``params`` to see the routing decision for a
-        parameterized point lookup; without them, a ``key = ?`` pin
-        cannot be evaluated and the plan conservatively shows full
-        fan-out. An UPDATE or DELETE prints the shards it is routed to
-        over shard 0's plan of it.
+        A SELECT's is the tree that runs, each :class:`Exchange` naming
+        the shards it reads for ``params`` — without them a ``key = ?``
+        pin cannot be evaluated and shows full fan-out. An UPDATE or
+        DELETE prints the shards it is routed to over shard 0's plan of it.
         """
         stmt = parse_cached(sql)
-        if isinstance(stmt, (UpdateStmt, DeleteStmt)):
-            db0 = self.shards[0]
-            canonical = db0.catalog.resolve(stmt.table.table)
-            targets = self.router.routed_shards(
-                canonical,
-                db0.catalog.get(canonical),
-                split_conjuncts(stmt.where),
-                params,
+        if isinstance(stmt, SelectStmt):
+            plan, _names = self._select_plan(stmt, sql)
+            return plan.explain(
+                ctx=self._context(params, sql, None, self._by_name.__getitem__)
             )
-            lines = [f"ShardedWrite(targets=[{', '.join(targets)}])"]
-            return lines + ["  " + line for line in db0.explain(sql)]
-        if not isinstance(stmt, SelectStmt):
+        if not isinstance(stmt, (UpdateStmt, DeleteStmt)):
             raise ExecutionError(
                 "EXPLAIN supports SELECT, UPDATE and DELETE statements only"
             )
-        refs = stmt.table_refs()
-        lines: list[str] = []
         db0 = self.shards[0]
-        if refs:
-            conjuncts = split_conjuncts(stmt.where)
-            if len(refs) == 1:
-                canonical = db0.catalog.resolve(refs[0].table)
-                schema = db0.catalog.get(canonical)
-                targets = self.router.routed_shards(
-                    canonical, schema, conjuncts, params
-                )
-                if decompose_aggregate_stmt(stmt) is not None:
-                    mode = "PartialAggregate"
-                else:
-                    mode = "ScatterGather"
-                lines.append(f"Sharded{mode}(targets=[{', '.join(targets)}])")
-            else:
-                part_binding, broadcast = self._join_split(stmt)
-                lines.append(
-                    "ShardedBroadcastJoin("
-                    f"partitioned={part_binding}, "
-                    f"broadcast=[{', '.join(sorted(broadcast))}], "
-                    f"targets=[{', '.join(self.store_names)}])"
-                )
-        plan, _names = memo_plan("select", sql, db0, db0.select_plan, stmt)
-        lines.extend(plan.explain(depth=1))
-        return lines
+        canonical = db0.catalog.resolve(stmt.table.table)
+        targets = self.router.routed_shards(
+            canonical, db0.catalog.get(canonical), split_conjuncts(stmt.where), params
+        )
+        lines = [f"ShardedWrite(targets=[{', '.join(targets)}])"]
+        return lines + ["  " + line for line in db0.explain(sql)]
 
     # -- DDL -----------------------------------------------------------------
 
@@ -1109,75 +1278,6 @@ class ShardedDatabase:
 
         return get_txn
 
-    def _run_plan(
-        self,
-        shard: Database,
-        txn: Transaction,
-        plan: PlanNode,
-        params: Sequence[Any],
-        sql: str | None,
-        cap: int | None = None,
-    ) -> list[tuple]:
-        """Drain a shard-local plan; ``cap`` bounds rows (LIMIT pushdown).
-
-        ``batch_size=0`` disables mid-scan scheduler yields here: scatter
-        branches hold per-shard table locks, and each shard's deadlock
-        detector only sees its own waits-for graph — a baton yield while
-        holding shard A's lock would let a 2PC writer build an A/B cycle
-        no detector can break. Gathers therefore run mid-statement
-        exactly as before batching (single-node scans, where detection
-        is complete, keep yielding).
-
-        Callers pass ``cap`` only when no provenance or observer needs
-        the full drain. The cap is a LIMIT over the shard's plan, so the
-        shard's scan stops at the row that fills it.
-        """
-        if cap is not None:
-            plan = LimitNode(plan, Literal(cap), None)
-        ctx = ExecContext(
-            database=shard,
-            txn=txn,
-            params=params,
-            query_text=sql or "",
-            track_reads=shard.track_reads,
-            batch_size=0,
-        )
-        rows = _drain_rows(plan, ctx)
-        if shard.observers:
-            # TROD interposition parity: each shard's observers see the
-            # statement trace for the work executed on that shard.
-            shard.notify(
-                "statement_executed",
-                txn,
-                StatementTrace(
-                    sql=sql or "",
-                    kind="select",
-                    reads=txn.statement_reads(),
-                    rowcount=len(rows),
-                ),
-            )
-        return rows
-
-    def _merge_rows(
-        self,
-        merge: tuple[PlanNode, list[str]],
-        gathered: list[tuple],
-        params: Sequence[Any],
-        sql: str | None,
-    ) -> ResultSet:
-        """Run a coordinator plan (and its column names) over the rows this
-        execution gathered."""
-        plan, names = merge
-        ctx = ExecContext(
-            database=self.shards[0],
-            txn=None,  # type: ignore[arg-type]  # merge nodes never touch it
-            params=params,
-            query_text=sql or "",
-            track_reads=False,
-            gathered=gathered,
-        )
-        return ResultSet(columns=names, rows=_drain_rows(plan, ctx), kind="select")
-
     def _execute_select(
         self,
         stmt: SelectStmt,
@@ -1186,263 +1286,38 @@ class ShardedDatabase:
         sql: str | None,
         db_for: Callable[[str], Database] | None = None,
     ) -> ResultSet:
-        """Scatter a SELECT to the target shards and merge the streams.
+        """Run a SELECT's plan; its exchanges read the shards it targets.
 
         ``db_for(store)`` names the database that answers for a shard —
         the primary by default, a replica when :meth:`execute_read` chose
         one. It must agree with ``get_txn``: the branch returned for a
         store must belong to the database ``db_for`` names.
         """
-        if db_for is None:
-            db_for = self._by_name.__getitem__
-        refs = stmt.table_refs()
-        if not refs:
-            # FROM-less SELECT: any one shard answers it.
-            store = self.store_names[0]
-            return execute_statement(
-                db_for(store), get_txn(store), stmt, params, sql or ""
-            )
-        db0 = self.shards[0]
-        conjuncts = split_conjuncts(stmt.where)
+        plan, names = self._select_plan(stmt, sql)
+        ctx = self._context(params, sql, get_txn, db_for or self._by_name.__getitem__)
+        return ResultSet(columns=names, rows=_drain_rows(plan, ctx), kind="select")
 
-        if len(refs) == 1:
-            canonical = db0.catalog.resolve(refs[0].table)
-            schema = db0.catalog.get(canonical)
-            targets = self.router.routed_shards(canonical, schema, conjuncts, params)
-            self._note_targets(targets)
-            partial = self._partial_aggregate(
-                stmt, params, targets, get_txn, sql, db_for
-            )
-            if partial is not None:
-                return partial
-            return self._scatter_gather(stmt, params, targets, get_txn, sql, db_for)
+    def _select_plan(
+        self, stmt: SelectStmt, sql: str | None
+    ) -> tuple[PlanNode, list[str]]:
+        return memo_plan("select", sql, self, plan_sharded_select, stmt, self.shards[0])
 
-        # Join path: broadcast nodes embed this execution's gathered
-        # rows, and which side stays partitioned depends on the tables'
-        # sizes, so the shard-local join plans are rebuilt per statement
-        # (the merge plan depends on neither). A WHERE pin on
-        # the partitioned table's shard key still prunes the partitioned
-        # scans (broadcast sides gather from every shard regardless —
-        # their rows live everywhere).
-        split = self._join_split(stmt)
-        targets = self._routed_join_targets(split, refs, conjuncts, params)
-        self._note_targets(targets)
-        scan_factory = self._broadcast_factory(
-            stmt, params, get_txn, sql, split, db_for
-        )
-        gathered: list[tuple] = []
-        for store in targets:
-            shard = db_for(store)
-            branch = get_txn(store)
-            node = build_from_where(stmt, shard, scan_factory=scan_factory)
-            gathered.extend(self._run_plan(shard, branch, node, params, sql))
-        first = db_for(targets[0])
-        merge = memo_plan("merge", sql, first, _merge_plan, stmt, first)
-        return self._merge_rows(merge, gathered, params, sql)
-
-    def _limit_pushdown_cap(
-        self, stmt: SelectStmt, params: Sequence[Any]
-    ) -> int | None:
-        """Rows per shard after which a LIMIT query is satisfiable, or None.
-
-        Only single-table SELECTs whose merge step neither reorders nor
-        collapses rows qualify: ORDER BY needs every row before it can
-        pick winners, DISTINCT / GROUP BY / aggregates reduce rows after
-        the gather, and HAVING filters groups. For everything else the
-        coordinator concatenates shard streams in target order and
-        applies LIMIT/OFFSET on the prefix — so capping the gather at
-        ``limit + offset`` rows changes *which rows are scanned*, never
-        which rows come back.
-        """
-        if stmt.limit is None:
-            return None
-        if (
-            stmt.order_by
-            or stmt.distinct
-            or stmt.group_by
-            or stmt.having is not None
-        ):
-            return None
-        exprs = [item.expr for item in stmt.items if not item.star]
-        if planner.find_aggregates(exprs):
-            return None
-        limit, offset = limit_and_offset(stmt.limit, stmt.offset, params)
-        return None if limit is None else limit + offset
-
-    def _scatter_gather(
+    def _context(
         self,
-        stmt: SelectStmt,
         params: Sequence[Any],
-        targets: Sequence[str],
-        get_txn: TxnGetter,
         sql: str | None,
+        get_txn: TxnGetter | None,
         db_for: Callable[[str], Database],
-    ) -> ResultSet:
-        """Single-table scatter: per-shard FROM/WHERE nodes, one merge.
-
-        Both come from the plan memo: each shard's node under the catalog
-        of the database serving it (its primary or any of its replicas —
-        a lagging replica applies DDL later than the primary does), the
-        merge plan under the first target's.
-
-        When the statement qualifies (see :meth:`_limit_pushdown_cap`)
-        the gather is capped per shard at limit+offset rows and stops
-        visiting shards entirely once the cap is met — later shards never
-        even begin their ephemeral read transactions.
-        """
-        cap = self._limit_pushdown_cap(stmt, params)
-        if cap is not None:
-            self.stats["limit_pushdown_queries"] += 1
-        gathered: list[tuple] = []
-        for position, store in enumerate(targets):
-            if cap is not None and len(gathered) >= cap:
-                # Coordinator satisfied: remaining shards are never
-                # drained — nor their read transactions begun.
-                self.stats["limit_shards_skipped"] += len(targets) - position
-                break
-            branch = get_txn(store)
-            database = db_for(store)
-            node = memo_plan("scatter", sql, database, build_from_where, stmt, database)
-            if (
-                cap is not None
-                and not database.track_reads
-                and not database.observers
-            ):
-                gathered.extend(
-                    self._run_plan(
-                        database,
-                        branch,
-                        node,
-                        params,
-                        sql,
-                        cap=cap - len(gathered),
-                    )
-                )
-            else:
-                # Provenance/trace parity trumps the short-circuit: a
-                # TROD-observed shard drains fully, exactly as before.
-                gathered.extend(
-                    self._run_plan(database, branch, node, params, sql)
-                )
-        first = db_for(targets[0])
-        merge = memo_plan("merge", sql, first, _merge_plan, stmt, first)
-        return self._merge_rows(merge, gathered, params, sql)
-
-    def _routed_join_targets(
-        self,
-        split: tuple[str, set[str]],
-        refs: Sequence[Any],
-        conjuncts: Sequence[Expr],
-        params: Sequence[Any],
-    ) -> list[str]:
-        """Shards whose partitioned-table partition a join must scan."""
-        db0 = self.shards[0]
-        part_binding, _broadcast = split
-        part_ref = next(r for r in refs if r.binding.lower() == part_binding)
-        canonical = db0.catalog.resolve(part_ref.table)
-        schema = db0.catalog.get(canonical)
-        key_col = self.router.key_column(canonical)
-        if key_col is None:
-            return list(self.store_names)
-        ambiguous = any(
-            r.binding.lower() != part_binding
-            and db0.catalog.get(r.table).has_column(key_col)
-            for r in refs
+    ) -> ExecContext:
+        """The coordinator's context for one execution (or EXPLAIN)."""
+        return ExecContext(
+            database=self.shards[0],
+            txn=None,  # type: ignore[arg-type]  # coordinator nodes never touch it
+            params=params,
+            query_text=sql or "",
+            track_reads=False,
+            shards=ShardContext(self, get_txn, db_for, {}),
         )
-        return self.router.routed_shards(
-            canonical, schema, conjuncts, params,
-            binding=part_binding, ambiguous=ambiguous,
-        )
-
-    def _join_split(self, stmt: SelectStmt) -> tuple[str, set[str]]:
-        """Pick the partitioned binding; everything else broadcasts.
-
-        LEFT joins force the FROM table to stay partitioned (its rows must
-        appear exactly once across shards for null-extension to be
-        correct); otherwise the largest table by total committed rows
-        stays put and the smaller sides travel.
-        """
-        refs = stmt.table_refs()
-        db0 = self.shards[0]
-        if any(join.kind == "left" for join in stmt.joins):
-            part = refs[0].binding.lower()
-        else:
-            def total_rows(ref) -> int:
-                canonical = db0.catalog.resolve(ref.table)
-                return sum(s.store(canonical).row_count(None) for s in self.shards)
-
-            part = max(refs, key=total_rows).binding.lower()
-        broadcast = {r.binding.lower() for r in refs if r.binding.lower() != part}
-        return part, broadcast
-
-    def _broadcast_factory(
-        self,
-        stmt: SelectStmt,
-        params: Sequence[Any],
-        get_txn: TxnGetter,
-        sql: str | None,
-        split: tuple[str, set[str]],
-        db_for: Callable[[str], Database],
-    ):
-        part_binding, broadcast_bindings = split
-        self.stats["broadcast_joins"] += 1
-        db0 = self.shards[0]
-        # Gather each broadcast table once, from every shard, under the
-        # statement's transaction branches (so a join sees this global
-        # transaction's own uncommitted writes too). Read provenance is
-        # recorded here, at gather time — each row is read once from its
-        # owning shard, however many shard-local joins it then feeds.
-        broadcast_rows: dict[str, list[tuple]] = {}
-        for ref in stmt.table_refs():
-            if ref.binding.lower() == part_binding:
-                continue
-            canonical = db0.catalog.resolve(ref.table)
-            if canonical in broadcast_rows:
-                continue
-            rows: list[tuple] = []
-            for store in self.store_names:
-                branch = get_txn(store)
-                pairs = list(branch.scan(canonical))
-                rows += [values for _row_id, values in pairs]
-                if db_for(store).track_reads:
-                    # Consulted-but-empty parity (Table 2's null reads).
-                    branch.record_reads(
-                        canonical, pairs or [(None, None)], sql or ""
-                    )
-            broadcast_rows[canonical] = rows
-
-        def factory(binding, canonical, schema, own_conjuncts):
-            if binding.lower() == part_binding:
-                return None  # partitioned side: default shard-local scan
-            return BroadcastRowsNode(
-                binding, schema, broadcast_rows[canonical], own_conjuncts
-            )
-
-        return factory
-
-    def _partial_aggregate(
-        self,
-        stmt: SelectStmt,
-        params: Sequence[Any],
-        targets: Sequence[str],
-        get_txn: TxnGetter,
-        sql: str | None,
-        db_for: Callable[[str], Database],
-    ) -> ResultSet | None:
-        # The split is syntactic: keyed on the text alone.
-        decomposition = memo_plan("decompose", sql, None, decompose_aggregate_stmt, stmt)
-        if decomposition is None:
-            return None
-        self.stats["partial_agg_queries"] += 1
-        partial_rows: list[tuple] = []
-        for store in targets:
-            shard = db_for(store)
-            branch = get_txn(store)
-            plan, _names = memo_plan(
-                "partial", sql, shard, shard.select_plan, decomposition.partial_stmt
-            )
-            partial_rows.extend(self._run_plan(shard, branch, plan, params, sql))
-        return self._merge_rows(decomposition.final, partial_rows, params, sql)
 
     # -- DML -----------------------------------------------------------------
 

@@ -4,7 +4,7 @@
 parsing. SELECTs are compiled into a small tree of pull-based plan nodes
 (scan -> join -> filter -> aggregate -> sort -> project -> limit) that
 exchange *batches* of rows (:meth:`PlanNode.batches`) — traced or not,
-streamed or drained, single-node or scatter branch. UPDATE and DELETE
+streamed or drained, on one database or on a shard. UPDATE and DELETE
 find their rows through the same scan node a SELECT's WHERE would get
 (:meth:`ScanNode.match_pairs`: index probe, pushed compiled filter), then
 write through the transaction; INSERT and DDL execute directly against
@@ -62,6 +62,7 @@ from repro.errors import ExecutionError, PlanningError, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.database import Database
+    from repro.db.sharding import ShardContext
     from repro.db.txn.manager import Transaction
 
 
@@ -75,9 +76,7 @@ class ExecContext:
     query_text: str
     track_reads: bool
     #: Rows a scan pulls between cooperative-scheduler yield points
-    #: (0 disables yielding). Defaults to the database's knob, so every
-    #: execution path — single-node, scatter branches, merge plans —
-    #: inherits the same batching.
+    #: (0 disables yielding). Defaults to the database's knob.
     batch_size: int = -1
     #: table scanned this statement -> read records its scans emitted.
     read_counts: dict[str, int] = field(default_factory=dict)
@@ -88,9 +87,10 @@ class ExecContext:
     #: starts it at one row — so no scan pulls, or records a read for, a
     #: row the consumer never asked for.
     row_budget: int | None = None
-    #: The rows a :class:`RowsNode` presents: what a sharded statement
-    #: gathered from its shards for this execution.
-    gathered: Sequence[tuple] = ()
+    #: A sharded SELECT's execution as its exchanges see it: which
+    #: database serves each shard, under which branch; None on one
+    #: database.
+    shards: "ShardContext | None" = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 0:
@@ -150,11 +150,13 @@ class PlanNode:
     def children_nodes(self) -> list["PlanNode"]:
         return [] if self.child is None else [self.child]
 
-    def explain(self, depth: int = 0) -> list[str]:
-        """Indented plan tree, root first (the EXPLAIN output)."""
+    def explain(self, depth: int = 0, ctx: ExecContext | None = None) -> list[str]:
+        """Indented plan tree, root first (the EXPLAIN output). A sharded
+        plan's exchanges need ``ctx``: they name their targets from its
+        parameters and shards."""
         lines = ["  " * depth + self.describe()]
         for child in self.children_nodes():
-            lines.extend(child.explain(depth + 1))
+            lines.extend(child.explain(depth + 1, ctx))
         return lines
 
 
@@ -198,22 +200,6 @@ def _bounded_chunks(
                 api.maybe_checkpoint(api.CheckpointKind.SCAN_BATCH, table)
                 until_yield = batch
         yield chunk
-
-
-class RowsNode(PlanNode):
-    """The execution's gathered rows (``ctx.gathered``) under a fixed layout.
-
-    The sharding layer gathers rows from shard-local plans and feeds them
-    into coordinator-side projection/aggregation through this node.
-    """
-
-    def __init__(self, layout: Layout):
-        self.layout = layout
-
-    def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
-        # No more than the consumer still needs at a time: a LIMIT over
-        # a big gather projects only the rows it returns.
-        return _bounded_chunks(iter(ctx.gathered), ctx)
 
 
 class Probe(NamedTuple):
@@ -774,7 +760,7 @@ class LimitNode(PlanNode):
 
 #: Plans by ``(kind, statement text, catalog shape)``, dropped whole at the
 #: limit. A plan is a function of that key alone — a scan names the index
-#: it probes, and a gather's rows ride on the :class:`ExecContext` — so
+#: it probes, and what a sharded plan gathers rides on its execution — so
 #: every database of the process with the same catalog shape (a replay's
 #: dev databases, shards, replicas) shares one plan per statement, as
 #: :func:`~repro.db.sql.parser.parse_cached` shares parses.
@@ -802,15 +788,16 @@ def catalog_shape_id(descriptor: tuple) -> int:
 
 
 def memo_plan(
-    kind: str, sql: str | None, database: "Database | None", build: Callable, *args: Any
+    kind: str, sql: str | tuple | None, database: Any, build: Callable, *args: Any
 ) -> Any:
     """``build(*args)``, run once per ``(kind, sql, catalog shape)``.
 
     ``database`` is the one whose catalog keys the plan, and the lookup
     counts in its ``plan_cache_stats`` (``dml_*`` for kind ``"dml"``);
-    None keys on the text alone and counts nowhere. Without ``sql`` —
-    the inner SELECT of an INSERT ... SELECT has no text of its own —
-    nothing is memoised.
+    None keys on the text alone and counts nowhere. ``sql`` is the
+    statement text, or a tuple of it and what else the plan depends on.
+    Without it — the inner SELECT of an INSERT ... SELECT has no text of
+    its own — nothing is memoised.
     """
     if sql is None:
         return build(*args)
@@ -830,13 +817,6 @@ def memo_plan(
 # ---------------------------------------------------------------------------
 # SELECT planning
 # ---------------------------------------------------------------------------
-
-
-#: Builds the access-path node for one table reference from its binding,
-#: canonical name, schema and the conjuncts pushed down to it; returning
-#: None falls back to a plain ScanNode. The sharding layer uses this to
-#: substitute broadcast row sources for non-partitioned join sides.
-ScanFactory = Callable[[str, str, TableSchema, list[Expr]], PlanNode | None]
 
 
 def build_select_plan(
@@ -884,16 +864,11 @@ def _stream_rows(plan: PlanNode, ctx: ExecContext) -> Iterator[tuple]:
             ctx.row_budget = ctx.batch_size
 
 
-def build_from_where(
-    stmt: SelectStmt,
-    database: "Database",
-    scan_factory: ScanFactory | None = None,
-) -> PlanNode:
+def build_from_where(stmt: SelectStmt, database: "Database") -> PlanNode:
     """The FROM/JOIN/WHERE portion of a SELECT plan (no projection).
 
     Returns a node producing fully filtered joined rows in the combined
-    FROM layout. ``scan_factory`` lets callers substitute custom access
-    paths per table (see :data:`ScanFactory`).
+    FROM layout.
     """
     refs = stmt.table_refs()
     bindings: list[tuple[str, str, TableSchema]] = []  # (binding, canonical, schema)
@@ -931,8 +906,7 @@ def build_from_where(
 
     def make_scan(binding: str, canonical: str, schema: TableSchema) -> PlanNode:
         return _table_scan(
-            database, binding, canonical, schema,
-            pushed.get(binding.lower(), []), scan_factory,
+            database, binding, canonical, schema, pushed.get(binding.lower(), [])
         )
 
     binding0, canonical0, schema0 = bindings[0]
@@ -998,18 +972,13 @@ def _table_scan(
     canonical: str,
     schema: TableSchema,
     own_conjuncts: list[Expr],
-    scan_factory: ScanFactory | None = None,
-) -> PlanNode:
+) -> ScanNode:
     """The access path for one table: probe choice plus pushed-down filter.
 
     ``own_conjuncts`` are the WHERE conjuncts that reference this table
     alone. The one place a scan is planned — under a SELECT's joins and
     as the match phase of an UPDATE or DELETE.
     """
-    if scan_factory is not None:
-        node = scan_factory(binding, canonical, schema, own_conjuncts)
-        if node is not None:
-            return node
     probe = _find_probe(database, canonical, schema, own_conjuncts)
     return ScanNode(canonical, binding, schema, own_conjuncts, probe)
 

@@ -150,7 +150,7 @@ class TestConnectionExecution:
         sharded = ShardedDatabase(2, shard_keys={"t": "id"})
         sharded.execute("CREATE TABLE t (id INTEGER, v TEXT)")
         lines = connect(sharded).explain("SELECT * FROM t WHERE id = ?", (1,))
-        assert any("ShardedScatterGather" in line for line in lines)
+        assert any("Exchange(targets=[shard" in line for line in lines)
 
 
 class TestConnectionTransactions:

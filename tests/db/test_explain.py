@@ -176,3 +176,58 @@ class TestExplainDml:
         fanned = sharded.explain("DELETE FROM t WHERE b = 1")
         assert fanned[0] == "ShardedWrite(targets=[shard0, shard1])"
         assert fanned[1] == "  Delete(t)"
+
+
+class TestExplainSharded:
+    """A sharded SELECT prints the tree that runs, exchanges and all."""
+
+    @pytest.fixture
+    def sharded(self):
+        from repro.db import ShardedDatabase
+
+        cluster = ShardedDatabase(2, shard_keys={"t": "b", "u": "c"})
+        cluster.execute("CREATE TABLE t (a TEXT, b INTEGER)")
+        cluster.execute("CREATE TABLE u (a TEXT, c INTEGER)")
+        for b in range(6):
+            cluster.execute("INSERT INTO t VALUES (?, ?)", (f"x{b % 2}", b))
+        cluster.execute("INSERT INTO u VALUES ('x1', 1)")
+        return cluster
+
+    def test_partial_aggregate_combines_above_the_exchange(self, sharded):
+        assert sharded.explain("SELECT a, COUNT(*), SUM(b) FROM t GROUP BY a") == [
+            "Project(a, COUNT(*), SUM(b))",
+            "  Aggregate(groups=1, aggs=[SUM, SUM])",
+            "    Exchange(targets=[shard0, shard1])",
+            "      Project(_g0, _p0, _p1)",
+            "        Aggregate(groups=1, aggs=[COUNT, SUM])",
+            "          Scan(t)",
+        ]
+
+    def test_join_reads_its_smaller_side_through_a_broadcast(self, sharded):
+        sql = "SELECT t.b, u.c FROM t JOIN u ON t.a = u.a WHERE u.c > 0"
+        assert sharded.explain(sql) == [
+            "Project(b, c)",
+            "  Exchange(targets=[shard0, shard1])",
+            "    HashJoin(inner, 1 key(s))",
+            "      Scan(t)",
+            "      Exchange(broadcast, targets=[shard0, shard1])",
+            "        Scan(u) filter[(u.c > 0)]",
+        ]
+        assert sorted(sharded.execute(sql).rows) == [(1, 1), (3, 1), (5, 1)]
+
+    def test_a_bound_key_pin_names_one_target(self, sharded):
+        sql = "SELECT a FROM t WHERE b = ?"
+        pinned = sharded.explain(sql, (4,))
+        assert pinned[1].startswith("  Exchange(targets=[shard")
+        assert pinned[1].count("shard") == 1
+        assert sharded.explain(sql)[1] == "  Exchange(targets=[shard0, shard1])"
+
+    def test_a_plain_limit_caps_the_exchange(self, sharded):
+        assert sharded.explain("SELECT a FROM t LIMIT 2")[:3] == [
+            "Limit",
+            "  Project(a)",
+            "    Exchange(capped, targets=[shard0, shard1])",
+        ]
+
+    def test_a_from_less_select_starts_at_depth_zero(self, sharded):
+        assert sharded.explain("SELECT 1") == ["Project(1)", "  SingleRow"]

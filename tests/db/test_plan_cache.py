@@ -262,9 +262,10 @@ def plan_stats(*databases) -> dict[str, int]:
 
 
 class TestShardedMergePlanCache:
-    """Scatter, partial-aggregate and merge plans: hit/miss accounting and reuse.
+    """Shard-side and coordinator plans: hit/miss accounting and reuse.
 
-    Each lookup counts in the shard database whose catalog keyed it.
+    Each lookup counts in the shard database whose catalog keyed it; a
+    coordinator plan's counts in shard 0's.
     """
 
     def build(self):
@@ -286,7 +287,8 @@ class TestShardedMergePlanCache:
         sharded = self.build()
         sql = "SELECT id, val FROM items WHERE val > ? ORDER BY id"
         first = sharded.execute(sql, (3.0,))
-        # One FROM/WHERE node for the three same-shaped shards, one merge.
+        # One FROM/WHERE node for the three same-shaped shards, one
+        # coordinator plan.
         assert plan_stats(*sharded.shards) == {"hits": 2, "misses": 2}
         again = sharded.execute(sql, (3.0,))
         assert plan_stats(*sharded.shards) == {"hits": 6, "misses": 2}
@@ -296,10 +298,10 @@ class TestShardedMergePlanCache:
         sharded = self.build()
         sql = "SELECT grp, COUNT(*), SUM(val) FROM items GROUP BY grp ORDER BY grp"
         first = sharded.execute(sql)
-        # One partial-aggregate plan for the three shards.
-        assert plan_stats(*sharded.shards) == {"hits": 2, "misses": 1}
+        # One partial-aggregate plan for the three shards, one combine plan.
+        assert plan_stats(*sharded.shards) == {"hits": 2, "misses": 2}
         again = sharded.execute(sql)
-        assert plan_stats(*sharded.shards) == {"hits": 5, "misses": 1}
+        assert plan_stats(*sharded.shards) == {"hits": 6, "misses": 2}
         assert again.rows == first.rows
 
     def test_ddl_invalidates_merged_plans(self):

@@ -20,6 +20,7 @@ from repro.db.connection import connect
 from repro.db.index import HashIndex, IndexSet, SortedIndex
 from repro.db.pages import PagedTableStore
 from repro.db.segments import SegmentStore
+from repro.db.sharding import BroadcastExchange
 from repro.db.sql import executor
 from repro.db.storage import TableStore
 
@@ -103,10 +104,35 @@ class TestSharing:
         aggregate = "SELECT v, COUNT(*) FROM t GROUP BY v"
         sharded.execute(scatter, ("v",))
         sharded.execute(aggregate)
-        kinds = [key[0] for key in executor._plan_memo]
-        assert kinds.count("scatter") == 1
-        assert kinds.count("partial") == 1
-        assert sum(builds(shard) for shard in sharded.shards) == 3  # + the merge
+        kinds = sorted(key[0] for key in executor._plan_memo)
+        # A coordinator plan and a shard-side plan per statement: the
+        # FROM/WHERE node and the partial aggregate serve all four shards.
+        assert kinds == ["select", "select", "shard", "shard"]
+        assert sum(builds(shard) for shard in sharded.shards) == 4
+
+    def test_a_sharded_join_is_planned_once(self, monkeypatch):
+        sharded = ShardedDatabase(4, shard_keys={"t": "k"})
+        sharded.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+        for k in range(20):
+            sharded.execute("INSERT INTO t VALUES (?, ?)", (k, f"v{k}"))
+        joins = []
+        original = executor.HashJoinNode.__init__
+        monkeypatch.setattr(
+            executor.HashJoinNode, "__init__",
+            lambda self, *args: joins.append(self) or original(self, *args),
+        )
+        sql = "SELECT a.k, b.v FROM t a JOIN t b ON a.v = b.v WHERE a.k < ? ORDER BY a.k"
+        first = sharded.execute(sql, (12,)).rows
+        built = len(joins)
+        misses = sum(shard.plan_cache_stats["misses"] for shard in sharded.shards)
+        assert sharded.execute(sql, (12,)).rows == first == [
+            (k, f"v{k}") for k in range(12)
+        ]
+        # The four shards share one shard-side join (and the coordinator
+        # plan its layout): built once, and not again the second time.
+        assert built <= 2
+        assert len(joins) == built
+        assert sum(shard.plan_cache_stats["misses"] for shard in sharded.shards) == misses
 
 
 #: What no memoised plan may hold: anything that belongs to one database.
@@ -115,13 +141,14 @@ STORAGE = (
 )
 
 
-def held_storage(value, seen: set[int]) -> list:
-    """Storage objects reachable from a plan (nodes, tuples, programs)."""
+def reachable(value, seen: set[int]):
+    """What a plan reaches (nodes, tuples, programs), stopping at storage."""
     if id(value) in seen:
-        return []
+        return
     seen.add(id(value))
+    yield value
     if isinstance(value, STORAGE):
-        return [value]
+        return
     if isinstance(value, (tuple, list, set, frozenset)):
         children = list(value)
     elif isinstance(value, dict):
@@ -137,8 +164,14 @@ def held_storage(value, seen: set[int]) -> list:
         if value.__code__.co_filename == "<repro-codegen>":
             children += list(value.__globals__.values())
     else:
-        return []
-    return [found for child in children for found in held_storage(child, seen)]
+        return
+    for child in children:
+        yield from reachable(child, seen)
+
+
+def held_storage(value, seen: set[int]) -> list:
+    """Storage objects reachable from a plan."""
+    return [found for found in reachable(value, seen) if isinstance(found, STORAGE)]
 
 
 class TestPlansHoldNoStorage:
@@ -157,6 +190,11 @@ class TestPlansHoldNoStorage:
         conn.execute("SELECT v FROM t WHERE k > ? AND k < ?", (1, 6))
         assert executor._plan_memo
         assert held_storage(executor._plan_memo, set()) == []
+        # The sharded join's plan is memoised too, and holds no rows.
+        held = list(reachable(executor._plan_memo, set()))
+        assert any(isinstance(node, BroadcastExchange) for node in held)
+        rows = [values for _row_id, values in sharded.snapshot_rows("t")]
+        assert [value for value in held if isinstance(value, tuple) and value in rows] == []
 
     def test_a_dropped_database_is_not_kept_by_its_plans(self):
         db = build()

@@ -256,25 +256,30 @@ class TestDifferentialJoins:
         )
 
 
+def exchange_line(sharded, sql, params=()):
+    """The EXPLAIN line of a SELECT's (first) exchange."""
+    return next(line for line in sharded.explain(sql, params) if "Exchange(" in line)
+
+
 class TestRouting:
     def test_point_query_prunes_to_one_shard(self, pair):
         sharded, _ = pair
-        [line] = sharded.explain("SELECT * FROM items WHERE id = 42")[:1]
-        assert "ShardedScatterGather" in line
+        line = exchange_line(sharded, "SELECT * FROM items WHERE id = 42")
+        assert "Exchange(targets=[" in line
         assert line.count("shard") == 1
 
     def test_explain_routes_with_bound_params(self, pair):
         sharded, _ = pair
         sql = "SELECT * FROM items WHERE id = ?"
-        [with_params] = sharded.explain(sql, (42,))[:1]
+        with_params = exchange_line(sharded, sql, (42,))
         assert with_params.count("shard") == 1
         # Without the binding the pin cannot be evaluated: full fan-out.
-        [without] = sharded.explain(sql)[:1]
+        without = exchange_line(sharded, sql)
         assert without.count("shard") == sharded.n_shards
 
     def test_range_query_fans_out(self, pair):
         sharded, _ = pair
-        [line] = sharded.explain("SELECT * FROM items WHERE id > 42")[:1]
+        line = exchange_line(sharded, "SELECT * FROM items WHERE id > 42")
         assert line.count("shard") == sharded.n_shards
 
     def test_rows_land_on_hashed_shard(self, pair):
@@ -789,7 +794,7 @@ class TestFacadeParity:
         sql = "SELECT v FROM t WHERE k = ?"
         assert sdb.execute(sql, (3,)).scalar() == "v3"
         assert sdb.execute(sql, (4,)).scalar() == "v4"
-        # One FROM/WHERE node and one merge plan serve both shards.
+        # One FROM/WHERE node and one coordinator plan serve both shards.
         assert sum(s.plan_cache_stats["misses"] for s in sdb.shards) == 2
         # DDL changes the catalog's shape: a plan of the old shape would
         # miss the new index.
@@ -797,8 +802,8 @@ class TestFacadeParity:
         assert sdb.execute(sql, (5,)).scalar() == "v5"
         assert sum(s.plan_cache_stats["misses"] for s in sdb.shards) == 4
         assert any("probe=ix_k[k]" in line for line in sdb.explain(sql, (5,)))
-        # The memoised merge plan returns fresh rows per execution (the
-        # gathered rows ride on the execution, not on the plan).
+        # The memoised plan returns fresh rows per execution (what its
+        # exchange gathers rides on the execution, not on the plan).
         assert len(sdb.execute("SELECT * FROM t WHERE k >= 0").rows) == 10
         assert len(sdb.execute("SELECT * FROM t WHERE k >= 0").rows) == 10
 
