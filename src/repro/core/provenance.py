@@ -19,11 +19,13 @@ from __future__ import annotations
 import bisect
 import json
 from collections import OrderedDict
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import add
 from typing import Iterable
 
 from repro.core.buffer import Staged
 from repro.db.database import Database
+from repro.db.index import split_pairs
 from repro.db.result import ResultSet
 from repro.db.schema import Column, TableSchema
 from repro.db.storage import KeptRows
@@ -51,6 +53,25 @@ REDACTED = "[redacted]"
 #: Rows the reconstructed-state memo may hold across all its states; the
 #: newest state stays whatever its size.
 _STATE_MEMO_ROWS = 16384
+
+
+def _kinds(tuples: Iterable[tuple]) -> set[tuple[type, ...]]:
+    """The distinct type signatures of ``tuples``."""
+    return set(map(tuple, map(map, repeat(type), tuples)))
+
+
+def _raise_wrong_width(
+    table: str, headers: list, row_ids: list, values: list, width: int
+) -> None:
+    """Raise for the first of ``values`` that is not ``width`` long."""
+    ends = list(accumulate(header[6] for header in headers))
+    for at, row in enumerate(values):
+        if len(row) != width:
+            kind = headers[bisect.bisect_right(ends, at)][2]
+            raise ProvenanceError(
+                f"{kind} event on {table!r} row {row_ids[at]} carries "
+                f"{len(row)} values for {width} columns"
+            )
 
 
 def default_event_table_name(table: str) -> str:
@@ -223,8 +244,11 @@ class ProvenanceStore:
         row ``(TxnId, TxnNum, Type, Query, Csn, Seq, RowId, *values)``
         with ``Seq = _next_seq + ordinal + i``, less the pairs of earlier
         batches on tables nobody traces (skipped, they take no ``Seq``).
-        Every table is one ``insert_rows`` — one table lock per table per
-        flush — and only once the transaction has committed does ``Seq``
+        An event table whose headers, row ids and values all have the
+        types its columns store takes its rows as laid out; any other
+        table is coerced row by row (:meth:`Database.insert_rows`).
+        Every table is one insert — one table lock per table per flush —
+        and only once the transaction has committed does ``Seq``
         allocation advance and do the kept states a write makes stale go:
         a batch that fails leaves no trace.
         """
@@ -233,6 +257,9 @@ class ProvenanceStore:
             return 0
         count = sum(map(len, rows.values()))
         groups = dict(rows)
+        #: Tables whose rows go through coercion: every fixed-width one,
+        #: and each event table a batch failed the type check on.
+        coerced = set(rows)
         traced = []
         #: (ordinal, count) of each batch on an untraced table (e.g. one
         #: created after attach without a hook): skipped rather than
@@ -252,35 +279,46 @@ class ProvenanceStore:
         written: dict[str, int] = {}
         base = self._next_seq
         for table, (event_table, nulls), headers, pairs in traced:
-            key = table.lower()
-            width = len(nulls)
-            group = groups.setdefault(event_table, [])
-            at = 0
-            for txn_name, txn_num, kind, query, csn, ordinal, n in headers:
-                seq = base + ordinal
-                if skipped:
-                    seq -= skipped_before[bisect.bisect_left(skipped_at, ordinal)]
-                for row_id, values in pairs[at : at + n]:
-                    if values is None:
-                        # A read that matched nothing, or a delete: every
-                        # data column of the event row stays NULL.
-                        values = nulls
-                    elif len(values) != width:
-                        raise ProvenanceError(
-                            f"{kind} event on {table!r} row {row_id} carries "
-                            f"{len(values)} values for {width} columns"
-                        )
-                    group.append(
-                        (txn_name, txn_num, kind, query, csn, seq, row_id, *values)
-                    )
-                    seq += 1
-                at += n
-                if csn is not None and kind in _WRITE_KINDS:
-                    written[key] = min(csn, written.get(key, csn))
+            heads = [header[:5] for header in headers]
+            counts = [header[6] for header in headers]
+            starts = [
+                base + o - skipped_before[bisect.bisect_left(skipped_at, o)]
+                for _h, _n, _k, _q, _c, o, _count in headers
+            ]
+            row_ids, values = split_pairs(pairs)
+            if None in values:
+                # A read that matched nothing, or a delete: every data
+                # column of the event row stays NULL.
+                values = [nulls if v is None else v for v in values]
+            # Read pairs share the store's tuples: each is checked once.
+            distinct = dict(zip(map(id, values), values)).values()
+            if set(map(len, distinct)) - {len(nulls)}:
+                _raise_wrong_width(table, headers, row_ids, values, len(nulls))
+            # Headers fill columns 0-4, row ids RowId (6), values 7 on.
+            schema = self.db.catalog.get(event_table)
+            if not (
+                all(map(schema.stores_as_is, _kinds(set(heads))))
+                and all(map(schema.stores_as_is, _kinds(distinct), repeat(7)))
+                and all(schema.stores_as_is((k,), 6) for k in set(map(type, row_ids)))
+            ):
+                coerced.add(event_table)
+            seqs = chain.from_iterable(map(range, starts, map(add, starts, counts)))
+            heads_per_row = chain.from_iterable(map(repeat, heads, counts))
+            groups.setdefault(event_table, []).extend(
+                map(add, map(add, heads_per_row, zip(seqs, row_ids)), values)
+            )
+            csns = [h[4] for h in heads if h[4] is not None and h[2] in _WRITE_KINDS]
+            if csns:
+                key = table.lower()
+                written[key] = min(written.get(key, csns[0]), *csns)
         txn = self.db.begin()
         try:
             for table in list(groups):
-                self.db.insert_rows(table, groups.pop(table), txn=txn)
+                group = groups.pop(table)
+                if table in coerced:
+                    self.db.insert_rows(table, group, txn=txn)
+                else:
+                    txn.insert_many(table, group)
             txn.commit()
         except Exception:
             txn.abort()

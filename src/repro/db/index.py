@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from operator import itemgetter
+from operator import is_not, itemgetter
 from typing import Container, Iterable, Sequence
 
 from repro.db.schema import TableSchema
@@ -157,7 +157,12 @@ class HashIndex:
 
 
 class SortedIndex:
-    """Ordered index supporting range scans over a column tuple."""
+    """Ordered index supporting range scans over a column tuple.
+
+    A row whose leading column is NULL is not filed: the index's one
+    reader is a range probe, and no comparison with NULL is true, so such
+    a row could never be a probe's answer.
+    """
 
     def __init__(self, name: str, schema: TableSchema, columns: Iterable[str]):
         self.name = name
@@ -174,14 +179,21 @@ class SortedIndex:
         return index_key([values[i] for i in self.positions])
 
     def add(self, row_id: int, values: tuple) -> None:
-        bisect.insort(self._entries, self.key_of(values) + (row_id,))
+        if values[self.positions[0]] is not None:
+            bisect.insort(self._entries, self.key_of(values) + (row_id,))
 
     def add_many(self, row_ids: Sequence[int], rows: Sequence[tuple]) -> None:
-        """Index ``rows[i]`` under ``row_ids[i]``.
+        """Index ``rows[i]`` under ``row_ids[i]``, less those whose
+        leading column is NULL.
 
         The entries are zipped from columns, ``(class, value, ...,
         row_id)``, which is ``key_of(values) + (row_id,)`` built in C.
         """
+        leading = list(map(self._getters[0], rows))
+        if None in leading:
+            filed = list(map(is_not, leading, itertools.repeat(None)))
+            row_ids = list(itertools.compress(row_ids, filed))
+            rows = list(itertools.compress(rows, filed))
         columns: list[Iterable] = []
         for getter in self._getters:
             values = list(map(getter, rows))

@@ -81,10 +81,11 @@ class TableSchema:
         if self.primary_key:
             uniques.insert(0, self.primary_key)
         self.unique_constraints: tuple[tuple[str, ...], ...] = tuple(uniques)
-        #: Per column: the Python type :func:`coerce` returns unchanged, and
-        #: whether NULL is allowed.
+        #: Per column: the Python types it stores as they are — its storage
+        #: type, and NoneType if NULL is allowed.
         self._stored_as = tuple(
-            (STORAGE_TYPES[col.col_type], col.nullable) for col in self.columns
+            frozenset((STORAGE_TYPES[col.col_type], type(None))[: 1 + col.nullable])
+            for col in self.columns
         )
         #: Type signatures (``tuple(map(type, row))``) of rows already
         #: stored unchanged. Each column admits at most two types, its
@@ -157,11 +158,18 @@ class TableSchema:
                 f"table {self.name!r} expects {len(self.columns)} values, "
                 f"got {len(row)}"
             )
-        for value, (kind, nullable) in zip(row, self._stored_as):
-            if type(value) is not kind and not (value is None and nullable):
-                return self._coerce_each(row)
-        self._accepted.add(tuple(map(type, row)))
+        kinds = tuple(map(type, row))
+        if not self.stores_as_is(kinds):
+            return self._coerce_each(row)
+        self._accepted.add(kinds)
         return row
+
+    def stores_as_is(self, kinds: Sequence[type], start: int = 0) -> bool:
+        """Whether values of the Python types ``kinds``, laid out in
+        columns ``start`` onward, are stored as they are: each is its
+        column's storage type, or a NULL in a nullable column. Values past
+        the last column are not checked; the caller checks arity."""
+        return all(map(frozenset.__contains__, self._stored_as[start:], kinds))
 
     def _positional(self, values: Mapping[str, Any]) -> tuple:
         lowered = {k.lower(): v for k, v in values.items()}

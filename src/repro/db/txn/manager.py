@@ -157,13 +157,20 @@ class Transaction:
         or aborts. Streamed cursors rely on exactly this: the ephemeral
         read transaction is finished as soon as the pipeline is primed,
         and the stream stays consistent with its snapshot regardless.
+        With no write of its own on ``table`` it gets the store's source
+        itself, latest-state when its snapshot covers the last write.
         """
         canonical = self.read_lock(table)
         store = self._database.store(canonical)
+        csn = self._read_csn()
+        if csn is not None and csn >= store.last_write_csn:
+            csn = None
+        committed = store.scan(csn)
+        overlay = self._overlay.get(canonical)
+        if not overlay:
+            return committed
         return self._scan_pinned(
-            store.scan(self._read_csn()),
-            self._overlay.get(canonical, {}),
-            self._inserted.get(canonical, ()),
+            committed, overlay, self._inserted.get(canonical, ())
         )
 
     def read_lock(self, table: str) -> str:

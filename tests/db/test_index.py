@@ -145,11 +145,19 @@ class TestSortedIndex:
         index.remove(1, ("x", 5, "p"))
         assert index.scan_between(None, None) == [2]
 
-    def test_null_keys_sort_first(self):
+    def test_null_leading_keys_are_not_filed(self):
+        # A range probe never matches NULL, so a NULL key costs no entry,
+        # whether it comes one row or a batch at a time, or by an update.
         index = SortedIndex("ix", make_schema(), ["b"])
         index.add(1, ("x", None, "p"))
         index.add(2, ("x", 0, "q"))
-        assert index.scan_between(None, None) == [1, 2]
+        index.add_many([3, 4, 5], [("x", None, "r"), ("x", -1, "s"), ("x", None, "t")])
+        assert index.scan_between(None, None) == [4, 2]
+        assert len(index) == 2
+        index.remove(1, ("x", None, "p"))  # not filed: a no-op
+        index.add(1, ("x", 7, "p"))
+        index.remove(2, ("x", 0, "q"))
+        assert index.scan_between(None, None) == [4, 1]
 
 
 class TestIndexSet:
