@@ -84,19 +84,29 @@ class InterpositionLayer:
         self._add_row("Executions", self._execution_row(txn, "Committed", csn))
         statements = self._txn_statements.pop(id(txn), [])
         # The query text of a change is that of the first statement that
-        # wrote the row the same way.
+        # wrote the row the same way. An "append" is a segment table's run
+        # of inserts from one call, named by its first row id; each of its
+        # rows is recorded as an insert.
         queries: dict[tuple[str, str, int], str] = {}
         for trace in statements:
             for write in trace.writes:
                 queries.setdefault(write, trace.sql)
 
         def run_key(change: "WalChange") -> tuple[str, str, str]:
-            write = (change.op, change.table, change.row_id)
-            return change.table, change.op, queries.get(write, "")
+            op = change.op
+            write = ("insert" if op == "append" else op, change.table, change.row_id)
+            return change.table, op, queries.get(write, "")
 
         buffer = self._trod.buffer
         for (table, op, query), run in groupby(changes, run_key):
-            pairs = [(change.row_id, change.values) for change in run]
+            if op == "append":
+                op = "insert"
+                pairs = [
+                    pair for change in run
+                    for pair in enumerate(change.values, change.row_id)
+                ]
+            else:
+                pairs = [(change.row_id, change.values) for change in run]
             if buffer.add_batch(
                 table, txn.name, txn.txn_id, op.capitalize(), query, csn, pairs
             ):

@@ -20,12 +20,12 @@ import bisect
 import json
 from collections import OrderedDict
 from itertools import accumulate, chain, repeat
-from operator import add
-from typing import Iterable
+from operator import add, itemgetter
+from typing import Callable, Collection, Iterable, Iterator
 
 from repro.core.buffer import Staged
 from repro.db.database import Database
-from repro.db.index import split_pairs
+from repro.db.index import HashIndex, SortedIndex, split_pairs
 from repro.db.result import ResultSet
 from repro.db.schema import Column, TableSchema
 from repro.db.storage import KeptRows
@@ -44,6 +44,13 @@ _EVENT_META = [
 ]
 
 _WRITE_KINDS = ("Insert", "Update", "Delete")
+#: What a full reconstruction folds: the base snapshot, then the writes.
+_HISTORY_KINDS = ("Snapshot", *_WRITE_KINDS)
+
+#: Sort keys over a positional event row, and its values in a stored pair.
+_CSN_SEQ = itemgetter(4, 5)
+_SEQ = itemgetter(5)
+_VALUES = itemgetter(1)
 
 #: Written into the ``Query`` column of a redacted event
 #: (:mod:`repro.core.privacy`); reconstruction treats the row as absent
@@ -177,8 +184,8 @@ class ProvenanceStore:
             columns.append(Column(name=out_name, col_type=col.col_type, nullable=True))
         self.db.create_table(TableSchema(name, columns))
         self.db.create_index(f"ix_{name}_txn".lower(), name, ["TxnId"])
-        # Range probes over Csn keep reconstruction from a kept state
-        # O(delta): the query reads only the events after that state.
+        # A read of a Csn range (``_writes``) keeps reconstruction from a
+        # kept state O(delta): it fetches only the events after that state.
         self.db.create_index(
             f"ix_{name}_csn".lower(), name, ["Csn"], sorted_index=True
         )
@@ -380,6 +387,8 @@ class ProvenanceStore:
         transaction depends on. ``tables`` restricts to the data the
         transaction actually uses (ablation A1); ``exclude_req`` drops the
         replayed request's own writes (re-execution recreates them).
+        Each table's events come off its ``Csn`` index (:meth:`_writes`);
+        the writers' requests are one ``Executions`` statement.
         """
         if high_csn <= low_csn:
             return []  # an empty range: nothing to ask the event tables
@@ -388,24 +397,25 @@ class ProvenanceStore:
             if tables is not None
             else sorted(self._event_tables)
         )
-        found: list[tuple[str, dict]] = []
+        # (app table name, event table columns, event row) of each write.
+        found: list[tuple[str, tuple, tuple]] = []
         for table in names:
-            if table not in self._event_tables:
-                continue
-            rows = self.query(
-                f"SELECT * FROM {self._event_tables[table]}"
-                " WHERE Csn > ? AND Csn <= ?"
-                " AND Type IN ('Insert', 'Update', 'Delete')",
-                (low_csn, high_csn),
-            ).as_dicts()
-            name = self._app_schemas[table].name
-            # A redacted row was erased under the privacy extension: replay
-            # proceeds from partial data (§5) rather than leaking values.
-            found += [(name, row) for row in rows if row["Query"] != REDACTED]
+            event_table = self._event_tables.get(table)
+            if event_table is not None:
+                name = self._app_schemas[table].name
+                columns = self.db.catalog.get(event_table).column_names
+                # A redacted row was erased under the privacy extension:
+                # replay proceeds from partial data (§5) rather than
+                # leaking values.
+                found += [
+                    (name, columns, row)
+                    for row in self._writes(event_table, low_csn, high_csn)
+                    if row[3] != REDACTED
+                ]
         # Each writer's request, read at once: the first of its
         # ``Executions`` rows by (TxnNum, Csn); None when it has none.
         req_of: dict[str, str | None] = {}
-        txn_ids = sorted({row["TxnId"] for _name, row in found})
+        txn_ids = sorted({row[0] for _name, _columns, row in found})
         if txn_ids:
             for txn_id, req_id in self.query(
                 "SELECT TxnId, ReqId FROM Executions"
@@ -414,29 +424,43 @@ class ProvenanceStore:
                 tuple(txn_ids),
             ).rows:
                 req_of.setdefault(txn_id, req_id)
+        found.sort(key=lambda write: _CSN_SEQ(write[2]))
         out = []
-        for name, row in found:
-            req_id = req_of.get(row["TxnId"])
+        for name, columns, row in found:
+            req_id = req_of.get(row[0])
             if exclude_req is None or req_id != exclude_req:
-                out.append({"ReqId": req_id, **row, "_table": name})
-        out.sort(key=lambda r: (r["Csn"], r["Seq"]))
+                out.append({"ReqId": req_id, **dict(zip(columns, row)), "_table": name})
         return out
 
     def events_of_txn(self, txn_names: Iterable[str]) -> dict[str, dict[str, list[dict]]]:
         """Each transaction's data events in ``Seq`` order, keyed by the
         (canonical) app table — only the tables it read or wrote, ``{}``
-        when none; one ``TxnId IN`` probe per event table."""
+        when none (an unknown name too). Each event table's rows are the
+        names' entries in its ``TxnId`` index, read by :meth:`_event_rows`."""
         found: dict[str, dict[str, list[dict]]] = {name: {} for name in txn_names}
         if not found:
             return found
-        marks = ", ".join("?" * len(found))
         for table, event_table in self._event_tables.items():
-            for event in self.query(
-                f"SELECT * FROM {event_table} WHERE TxnId IN ({marks}) ORDER BY Seq",
-                tuple(found),
-            ).as_dicts():
-                found[event["TxnId"]].setdefault(table, []).append(event)
+            index = self._index(event_table, "txn")
+            row_ids = sorted(set().union(*(index.lookup((name,)) for name in found)))
+            columns = self.db.catalog.get(event_table).column_names
+            for row in self._event_rows(event_table, row_ids, key=_SEQ):
+                found[row[0]].setdefault(table, []).append(dict(zip(columns, row)))
         return found
+
+    def history(
+        self, table: str, upto_csn: int | None = None
+    ) -> Iterator[tuple[str, int, int, str, tuple]]:
+        """``table``'s base snapshot and write events with ``Csn <=
+        upto_csn`` (all if None), in (Csn, Seq) order, each as ``(kind,
+        row_id, csn, txn_id, values)``: the fold a reconstruction makes,
+        one event at a time, for a caller that checks every step
+        (:mod:`repro.core.quality`). Read off the ``Csn`` index
+        (:meth:`_writes`)."""
+        tail = len(_EVENT_META)
+        event_table = self.event_table_of(table)
+        for row in self._writes(event_table, -1, upto_csn, snapshots=True):
+            yield row[2], row[6], row[4], row[0], row[tail:]
 
     # ------------------------------------------------------------------
     # State reconstruction (replay's substrate)
@@ -454,9 +478,10 @@ class ProvenanceStore:
         Starts from the nearest kept state at or before ``upto_csn`` and
         applies only the write events after it; with no such state,
         applies the base snapshot and then every committed write event
-        with ``Csn <= upto_csn`` in (Csn, Seq) order. Either way the
-        events come off the ``Csn`` index as positional rows: a Read
-        event's ``Csn`` is NULL, outside any range, so none is fetched.
+        with ``Csn <= upto_csn``. Either way the events are the ids the
+        ``Csn`` index holds in that range, read as positional rows in
+        (Csn, Seq) order (:meth:`_writes`): a Read event's ``Csn`` is
+        NULL and the index files no NULL, so none is fetched.
         What was computed — anything but a kept state no event changed —
         is kept for the next reconstruction, in a new dict: a kept state
         is never changed once kept.
@@ -467,7 +492,7 @@ class ProvenanceStore:
         at = bisect.bisect_right(csns, upto_csn)
         if at:
             self.checkpoint_stats["checkpoint_restores"] += 1
-            after_csn, kinds = csns[at - 1], "'Insert', 'Update', 'Delete'"
+            after_csn = csns[at - 1]
             state = self._states[key, after_csn]
             self._states.move_to_end((key, after_csn))
         else:
@@ -479,22 +504,54 @@ class ProvenanceStore:
                     f"snapshot was taken at csn {snapshot_csn}"
                 )
             state = None
-            # A lower bound below every CSN keeps the range two-sided: the
-            # index probe then starts past the NULL keys of the Read events.
-            after_csn, kinds = -1, "'Snapshot', 'Insert', 'Update', 'Delete'"
+            after_csn = -1  # below every CSN
         delta = ()
         if upto_csn > after_csn:
-            delta = self.query(
-                f"SELECT * FROM {event_table}"
-                f" WHERE Csn > ? AND Csn <= ? AND Type IN ({kinds})"
-                " ORDER BY Csn ASC, Seq ASC",
-                (after_csn, upto_csn),
-            ).rows
+            delta = self._writes(event_table, after_csn, upto_csn, state is None)
         if delta or state is None:
             state = KeptRows(state or ())
             self._apply_event_rows(state, delta)
             self._keep_state(key, upto_csn, state)
         return state
+
+    def _writes(
+        self,
+        event_table: str,
+        after_csn: int,
+        upto_csn: int | None,
+        snapshots: bool = False,
+    ) -> list[tuple]:
+        """The write events in ``event_table`` with ``after_csn < Csn <=
+        upto_csn`` (no upper bound if None) — the base snapshot rows too
+        if ``snapshots`` — as positional rows in (Csn, Seq) order: the
+        ids the ``Csn`` index holds in that range, read by
+        :meth:`_event_rows`."""
+        row_ids = self._index(event_table, "csn").scan_between(
+            (after_csn,), None if upto_csn is None else (upto_csn,)
+        )
+        kinds = _HISTORY_KINDS if snapshots else _WRITE_KINDS
+        return [
+            row
+            for row in self._event_rows(event_table, row_ids)
+            if row[2] in kinds and row[4] != after_csn
+        ]
+
+    def _event_rows(
+        self, event_table: str, row_ids: Collection[int], key: Callable = _CSN_SEQ
+    ) -> list[tuple]:
+        """The rows of ``event_table`` under ``row_ids``, positional as
+        :meth:`ingest` lays them out, sorted by ``key`` — (Csn, Seq) or
+        ``Seq``, never by row id. One batch read of the store fetches them
+        at its latest committed state, the state the index the ids came
+        from describes."""
+        pairs = self.db.store(event_table).get_many(row_ids)
+        return sorted(map(_VALUES, pairs), key=key)
+
+    def _index(self, event_table: str, column: str) -> HashIndex | SortedIndex:
+        """``ix_<event_table>_<column>``, the index :meth:`register_app_table`
+        made."""
+        name = f"ix_{event_table}_{column}".lower()
+        return self.db.index_set(event_table).indexes[name]
 
     @staticmethod
     def _apply_event_rows(state: dict[int, tuple], rows: list[tuple]) -> None:

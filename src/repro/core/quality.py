@@ -97,40 +97,27 @@ class DataQualityMonitor:
     def first_degradation(
         self, check_name: str, upto_csn: int | None = None
     ) -> QualityViolation | None:
-        """Walk the write history until ``check_name`` first fails."""
+        """Walk the write history until ``check_name`` first fails: the
+        base snapshot and the write events up to ``upto_csn``, in (Csn,
+        Seq) order (:meth:`ProvenanceStore.history
+        <repro.core.provenance.ProvenanceStore.history>`)."""
         self._trod.flush()
         check = self._checks[check_name]
         provenance = self._trod.provenance
         schema = provenance.app_schema(check.table)
-        column_map = provenance._column_maps[check.table]
-        event_table = provenance.event_table_of(check.table)
-        rows = provenance.query(
-            f"SELECT * FROM {event_table}"
-            " WHERE Type IN ('Snapshot', 'Insert', 'Update', 'Delete')"
-            " ORDER BY Csn ASC, Seq ASC"
-        ).as_dicts()
         state: dict[int, dict[str, Any]] = {}
         key_counts: dict[tuple, int] = {}
-
-        def row_values(event: dict) -> dict[str, Any]:
-            return {c: event[column_map[c]] for c in schema.column_names}
 
         def key_of(values: dict[str, Any]) -> tuple:
             return tuple(values[c] for c in check.columns)
 
-        for event in rows:
-            csn = event["Csn"] or 0
-            if upto_csn is not None and csn > upto_csn:
-                break
-            kind = event["Type"]
-            row_id = event["RowId"]
-            changed: dict[str, Any] | None = None
+        for kind, row_id, csn, txn_id, row in provenance.history(check.table, upto_csn):
             if kind == "Delete":
                 removed = state.pop(row_id, None)
                 if check.kind == "unique" and removed is not None:
                     key_counts[key_of(removed)] -= 1
                 continue
-            values = row_values(event)
+            values = schema.row_dict(row)
             if check.kind == "unique":
                 previous = state.get(row_id)
                 if previous is not None:
@@ -139,21 +126,22 @@ class DataQualityMonitor:
                 key_counts[key] = key_counts.get(key, 0) + 1
                 if key_counts[key] > 1 and kind != "Snapshot":
                     return self._violation(
-                        check, event, f"key {key!r} now appears "
+                        check, csn, txn_id, f"key {key!r} now appears "
                         f"{key_counts[key]} times"
                     )
             state[row_id] = values
             if check.kind == "row" and kind != "Snapshot":
                 if not check.predicate(values):
                     return self._violation(
-                        check, event, f"row {values!r} failed predicate"
+                        check, csn, txn_id, f"row {values!r} failed predicate"
                     )
         return None
 
     def _violation(
-        self, check: _Check, event: dict, detail: str
+        self, check: _Check, csn: int, txn_id: str, detail: str
     ) -> QualityViolation:
-        txn_id = event["TxnId"]
+        """The violation at the event ``txn_id`` wrote at ``csn``, with
+        the request and handler of that transaction."""
         execution = self._trod.provenance.query(
             "SELECT ReqId, HandlerName FROM Executions WHERE TxnId = ?",
             (txn_id,),
@@ -163,7 +151,7 @@ class DataQualityMonitor:
         return QualityViolation(
             check=check.name,
             table=check.table,
-            csn=event["Csn"] or 0,
+            csn=csn,
             txn_id=txn_id,
             req_id=req_id,
             handler=handler,

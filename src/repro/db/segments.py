@@ -35,7 +35,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.db.schema import TableSchema
 from repro.errors import DatabaseError
@@ -221,6 +221,33 @@ class SegmentStore:
         if run is None or (csn is not None and run.csn > csn):
             return None
         return run.rows[offset]
+
+    def get_many(
+        self, row_ids: Iterable[int], csn: int | None = None
+    ) -> list[tuple[int, tuple]]:
+        """``(row_id, values)`` of those of ``row_ids`` that :meth:`get`
+        would return, in the order given: one walk that bisects the run
+        starts again only when an id leaves the run the last one was in."""
+        starts, runs = self._starts, self._runs
+        found = []
+        first = end = 0  # the id span of the current run: none yet
+        rows: list = []
+        for row_id in row_ids:
+            if not first <= row_id < end:
+                at = bisect.bisect_right(starts, row_id) - 1
+                if at < 0:
+                    continue
+                run = runs[at]
+                first, end = run.first, run.end
+                # A run committed after ``csn`` serves none of its ids.
+                rows = run.rows if csn is None or run.csn <= csn else []
+                if row_id >= end:
+                    continue
+            if row_id - first < len(rows):
+                values = rows[row_id - first]
+                if values is not None:
+                    found.append((row_id, values))
+        return found
 
     def scan(self, csn: int | None = None) -> Iterator[tuple[int, tuple]]:
         """An iterator of ``(row_id, values)`` in row-id order over the

@@ -398,6 +398,19 @@ class TableStore:
             return version.values
         return None
 
+    def get_many(
+        self, row_ids: Iterable[int], csn: int | None = None
+    ) -> list[tuple[int, tuple]]:
+        """``(row_id, values)`` of those of ``row_ids`` visible at
+        ``csn``, in the order given: a loop of :meth:`get`."""
+        get = self.get
+        found = []
+        for row_id in row_ids:
+            values = get(row_id, csn)
+            if values is not None:
+                found.append((row_id, values))
+        return found
+
     def scan(self, csn: int | None = None) -> Iterator[tuple[int, tuple]]:
         """An iterator of ``(row_id, values)`` for rows visible at ``csn``.
 

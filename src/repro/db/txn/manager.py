@@ -266,19 +266,21 @@ class Transaction:
         self, table: str, row_ids: Iterable[int]
     ) -> list[tuple[int, tuple]]:
         """``(row_id, values)`` of those of ``row_ids`` that are visible,
-        in the order given — a loop of :meth:`get` with one liveness
-        check, one catalog resolve, one overlay and one read CSN."""
+        in the order given: one liveness check, one catalog resolve and
+        one batch read of the store, this transaction's own writes laid
+        over it."""
         self._check_active()
         canonical = self._database.catalog.resolve(table)
-        overlay = self._overlay.get(canonical) or {}
-        get = self._database.store(canonical).get
-        csn = self._read_csn()
-        found = []
-        for row_id in row_ids:
-            values = overlay[row_id] if row_id in overlay else get(row_id, csn)
-            if values is not None and values is not _DELETED:
-                found.append((row_id, values))
-        return found
+        store = self._database.store(canonical)
+        overlay = self._overlay.get(canonical)
+        if not overlay:
+            return store.get_many(row_ids, self._read_csn())
+        row_ids = list(row_ids)
+        seen = dict(
+            store.get_many([r for r in row_ids if r not in overlay], self._read_csn())
+        )
+        seen.update((r, overlay[r]) for r in row_ids if r in overlay)
+        return [(r, seen[r]) for r in row_ids if seen.get(r, _DELETED) is not _DELETED]
 
     def insert(self, table: str, values: tuple) -> int:
         """Buffer an insert; returns the new row id (visible to self)."""

@@ -338,3 +338,39 @@ class TestRestoreSharesTheKeptState:
             (1, ("U7", "F2")),
             (2, ("U8", "F2")),
         ]
+
+
+class TestSegmentAppDatabase:
+    """A traced app database on segment storage logs an INSERT as one
+    ``"append"`` change holding all its rows; provenance records each row
+    as its own Insert event, with the query text of its statement."""
+
+    def test_traced_inserts_flush_and_reconstruct(self):
+        db = Database(storage="segment")
+        db.execute("CREATE TABLE t (id INTEGER, k INTEGER, v TEXT)")
+        db.insert_rows("t", [(0, 0, "seed")])
+        trod = Trod(db).attach()
+        first = "INSERT INTO t VALUES (1, 2, 'a'), (2, 3, 'b')"
+        second = "INSERT INTO t VALUES (3, 2, 'c')"
+        txn = db.begin()
+        db.execute(first, txn=txn)
+        db.execute(second, txn=txn)
+        txn.commit()
+        db.execute("INSERT INTO t VALUES (4, 5, 'd')")
+        trod.flush()
+        events = trod.query(
+            "SELECT Type, Query, Csn, RowId, id FROM TEvents"
+            " WHERE Type = 'Insert' ORDER BY Seq"
+        ).rows
+        csn = db.last_csn
+        assert events == [
+            ("Insert", first, csn - 1, 2, 1),
+            ("Insert", first, csn - 1, 3, 2),
+            ("Insert", second, csn - 1, 4, 3),
+            ("Insert", "INSERT INTO t VALUES (4, 5, 'd')", csn, 5, 4),
+        ]
+        prov = trod.provenance
+        assert prov.reconstruct_rows("t", csn) == db.snapshot_rows("t")
+        assert [v for _rid, v in prov.reconstruct_rows("t", csn - 1)] == [
+            (0, 0, "seed"), (1, 2, "a"), (2, 3, "b"), (3, 2, "c")
+        ]

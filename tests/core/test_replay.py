@@ -188,12 +188,6 @@ def kinds_of(statements: list[str]) -> dict[str, int]:
             kind = "transactions"
         elif "FROM Executions WHERE TxnId IN" in sql:
             kind = "writers"
-        elif "WHERE TxnId IN" in sql:
-            kind = "events"
-        elif "ORDER BY Csn" in sql:
-            kind = "reconstruction"
-        elif "WHERE Csn >" in sql:
-            kind = "window"
         else:
             kind = sql
         kinds[kind] = kinds.get(kind, 0) + 1
@@ -222,56 +216,62 @@ class TestReplayCost:
                 if request.handler == "checkout":
                     placed.append(result.req_id)
 
+        prov = trod.provenance
         statements = []
-        query = trod.provenance.query
+        query = prov.query
         monkeypatch.setattr(
-            trod.provenance,
+            prov,
             "query",
             lambda sql, params=(): statements.append(sql) or query(sql, params),
         )
+        #: The event table of each positional read off an index.
+        reads = []
+        event_rows = prov._event_rows
+        monkeypatch.setattr(
+            prov,
+            "_event_rows",
+            lambda table, *args, **kw: reads.append(table) or event_rows(table, *args, **kw),
+        )
 
         def replay_cost(req_id):
-            del statements[:]
+            del statements[:], reads[:]
             result = trod.replayer.replay_request(req_id)
             assert result.fidelity, result.divergences
             assert len(result.steps) == 4
-            return len(statements)
+            return len(statements), len(reads)
 
         capture(50)
         cold = replay_cost(placed[5])  # nothing kept yet: every table in full
         assert not any("COUNT(" in sql or "JOIN" in sql for sql in statements)
-        # One question per table, whatever the number of transactions: the
-        # request, its transactions, one ``TxnId IN`` probe per event table
-        # (seven), one reconstruction and one window read per table the
-        # request used (five), and the window writers' requests at once.
-        assert kinds_of(statements) == {
-            "request": 1,
-            "transactions": 1,
-            "events": 7,
-            "reconstruction": 5,
-            "window": 5,
-            "writers": 1,
-        }
-        assert cold == 20
+        # Three statements, whatever the number of transactions: the
+        # request, its transactions, and the window writers' requests at
+        # once. The rest is read off the event tables' indexes: each
+        # transaction's events by ``TxnId`` (every event table), and one
+        # reconstruction and one window read by ``Csn`` per table the
+        # request used (five).
+        assert kinds_of(statements) == {"request": 1, "transactions": 1, "writers": 1}
+        used = {table for table in reads if reads.count(table) == 3}
+        assert len(used) == 5 and len(set(reads)) == 7
+        assert cold == (3, 7 + 5 + 5)
         for sql in statements:
             if "TxnId IN" in sql:  # an index probe, not a filtered scan
-                assert "probe=" in trod.provenance.db.explain(sql)[-1], sql
+                assert "probe=" in prov.db.explain(sql)[-1], sql
         # A later request starts from the states that replay left (one delta
         # read per table); the same request again finds its own, and reads
         # no event to restore them.
         assert replay_cost(placed[-1]) == cold
-        restores = dict(trod.provenance.checkpoint_stats)
+        restores = dict(prov.checkpoint_stats)
         warm = replay_cost(placed[5])
-        assert warm < cold
-        assert trod.provenance.checkpoint_stats == {
+        assert warm == (3, cold[1] - 5)
+        assert prov.checkpoint_stats == {
             **restores,
-            "checkpoint_restores": restores["checkpoint_restores"] + cold - warm,
+            "checkpoint_restores": restores["checkpoint_restores"] + 5,
         }
         capture(350)
         assert len(placed) == 400
         assert replay_cost(placed[5]) == warm
         assert replay_cost(placed[-1]) == cold
-        trod.provenance.invalidate_checkpoints()
+        prov.invalidate_checkpoints()
         assert replay_cost(placed[5]) == cold
 
 

@@ -72,7 +72,7 @@ def run(storage: str, own: str, statement: str, isolation: IsolationLevel):
     return answer, reads, db.snapshot_rows("t"), events
 
 
-@pytest.mark.parametrize("storage", ["memory", "paged"])
+@pytest.mark.parametrize("storage", ["memory", "paged", "segment"])
 @pytest.mark.parametrize(
     "isolation", [IsolationLevel.SERIALIZABLE, IsolationLevel.SNAPSHOT]
 )
