@@ -22,14 +22,17 @@ hash-sharded cluster, or a replica-routed deployment.
   ``description`` / ``lastrowid``) over :class:`~repro.db.result.Row`
   objects with attribute-style column access.
 
-Reads through a connection never consume CSNs, on any engine: SELECTs run
-under transactions that are aborted afterwards, so the commit clock
-advances identically whether a workload runs on one node or twelve.
-There is one replica-aware read path: both cluster engines expose
-``execute_read(sql, params, floor=, on_stale=, prefer_replica=)``, and
-the choice between a replica and the primary is made only by
-:meth:`ReplicaSet.read_target <repro.db.replication.ReplicaSet.read_target>`
-/ ``as_of_target``, which also count it (``ReplicaSet.stats``).
+A connection makes each call once, whatever engine it holds: every
+engine answers ``execute_read(sql, params, floor=, on_stale=,
+prefer_replica=)``, ``execute``, ``begin`` and ``explain``, and owns its
+DDL's replica catch-up. Reads never consume CSNs, on any engine: SELECTs
+run under transactions that are aborted afterwards, so the commit clock
+advances identically whether a workload runs on one node or twelve. On
+the cluster engines the choice between a replica and the primary is made
+only by :meth:`ReplicaSet.read_target
+<repro.db.replication.ReplicaSet.read_target>` / ``as_of_target``, which
+also count it (``ReplicaSet.stats``). A :class:`Session` holds one CSN:
+the engine's ``last_commit_csn`` after the session's last write.
 """
 
 from __future__ import annotations
@@ -38,14 +41,8 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.db.database import Database
-from repro.db.replication import (
-    ReplicaSet,
-    ReplicatedDatabase,
-    Session,
-    _read_on,
-)
+from repro.db.replication import ReplicaSet, ReplicatedDatabase, Session
 from repro.db.result import ResultSet, Row, _name_slots
-from repro.db.sharding import ShardedDatabase
 from repro.db.sql.nodes import (
     CreateIndexStmt,
     CreateTableStmt,
@@ -77,7 +74,13 @@ class Engine(Protocol):
 
     * ``execute(sql, params=(), txn=None)`` — run one statement,
       autocommitting without ``txn``; ``SELECT ... AS OF <csn>`` must
-      execute natively.
+      execute natively, and DDL returns only once any replicas have it.
+    * ``execute_read(sql, params=(), floor=0, on_stale="primary",
+      prefer_replica=True)`` — a SELECT that consumes no CSN; ``floor``
+      is the session's last ``last_commit_csn``, and the routing
+      keywords mean something only where replicas exist.
+    * ``explain(sql, params=())`` — the plan lines for a SELECT, UPDATE
+      or DELETE.
     * ``begin(isolation=..., info=None)`` — a transaction object with
       ``commit() -> csn``, ``abort()``, and ``status``.
     * ``last_commit_csn`` — the engine-neutral commit position (local CSN
@@ -96,7 +99,18 @@ class Engine(Protocol):
         self, sql: str, params: Sequence[Any] = (), txn: Any = None
     ) -> ResultSet: ...
 
+    def execute_read(
+        self,
+        sql: str,
+        params: Sequence[Any] = (),
+        floor: int = 0,
+        on_stale: str = "primary",
+        prefer_replica: bool = True,
+    ) -> ResultSet: ...
+
     def begin(self, isolation: Any = ..., info: Any = None) -> Any: ...
+
+    def explain(self, sql: str, params: Sequence[Any] = ()) -> list[str]: ...
 
     def add_observer(self, observer: Any) -> None: ...
 
@@ -109,7 +123,9 @@ class Engine(Protocol):
 
 _ENGINE_SURFACE = (
     "execute",
+    "execute_read",
     "begin",
+    "explain",
     "catalog",
     "last_commit_csn",
     "add_observer",
@@ -177,10 +193,9 @@ class Connection:
     """A DB-API-flavored handle over one :class:`Engine`.
 
     Statements route by kind: SELECTs take the engine's read path
-    (replica-aware where replicas exist, never consuming CSNs), DML
-    autocommits on the authoritative path and advances the session token,
-    and DDL fans out plus synchronizes replicas. Explicit transactions
-    come from :meth:`transaction`.
+    (replica-aware where replicas exist, never consuming CSNs); DML and
+    DDL autocommit on the authoritative path, DML advancing the session
+    token. Explicit transactions come from :meth:`transaction`.
     """
 
     def __init__(
@@ -257,24 +272,23 @@ class Connection:
         snapshot (see docs/api.md, "Streaming & concurrency").
         """
         self._check_open()
-        if read_preference is not None and read_preference not in READ_PREFERENCES:
+        pref = self.read_preference if read_preference is None else read_preference
+        if pref not in READ_PREFERENCES:
             # Validated for every statement kind: a typo set on a write
             # must not wait for the first SELECT to surface.
             raise InterfaceError(
-                f"unknown read_preference {read_preference!r} "
+                f"unknown read_preference {pref!r} "
                 f"(choose from {', '.join(READ_PREFERENCES)})"
             )
         stmt = parse_cached(sql)
         if isinstance(stmt, SelectStmt):
             self.stats["reads"] += 1
-            return self._retry_routed(
-                lambda: self._execute_read(stmt, sql, params, read_preference)
-            )
+            return self._retry_routed(lambda: self._execute_read(sql, params, pref))
         if isinstance(
             stmt, (CreateTableStmt, DropTableStmt, CreateIndexStmt, DropIndexStmt)
         ):
             self.stats["ddl"] += 1
-            return self._retry_routed(lambda: self._execute_ddl(sql, params))
+            return self._retry_routed(lambda: self.engine.execute(sql, params))
         self.stats["writes"] += 1
         return self._retry_routed(lambda: self._execute_write(sql, params))
 
@@ -324,10 +338,7 @@ class Connection:
         """The engine's plan for a SELECT, UPDATE or DELETE (distributed
         strategy included)."""
         self._check_open()
-        engine = self.engine
-        if isinstance(engine, ShardedDatabase):
-            return engine.explain(sql, params)
-        return engine.explain(sql)
+        return self.engine.explain(sql, params)
 
     @property
     def last_commit_csn(self) -> int:
@@ -336,76 +347,20 @@ class Connection:
 
     # -- read path --------------------------------------------------------
 
-    def _execute_read(
-        self,
-        stmt: SelectStmt,
-        sql: str,
-        params: Sequence[Any],
-        read_preference: str | None = None,
-    ) -> ResultSet:
-        pref = (
-            self.read_preference if read_preference is None else read_preference
+    def _execute_read(self, sql: str, params: Sequence[Any], pref: str) -> ResultSet:
+        return self.engine.execute_read(
+            sql,
+            params,
+            floor=self.session.last_write_csn,
+            on_stale="wait" if pref == "wait" else "primary",
+            prefer_replica=pref != "primary",
         )
-        if pref not in READ_PREFERENCES:
-            raise InterfaceError(
-                f"unknown read_preference {pref!r} "
-                f"(choose from {', '.join(READ_PREFERENCES)})"
-            )
-        engine = self.engine
-        if isinstance(engine, ReplicatedDatabase):
-            return engine.execute_read(
-                sql,
-                params,
-                floor=self.session.last_write_csn,
-                on_stale="wait" if pref == "wait" else "primary",
-                prefer_replica=pref != "primary",
-                stream=True,
-            )
-        if isinstance(engine, ShardedDatabase):
-            return engine.execute_read(
-                sql,
-                params,
-                floor=self.session.last_global_csn,
-                on_stale="wait" if pref == "wait" else "primary",
-                prefer_replica=pref != "primary",
-            )
-        if stmt.as_of is not None:
-            # Historical reads manage their own ephemeral snapshot.
-            return engine.execute(sql, params)
-        # Single node: the same CSN-free read the cluster engines use. On
-        # a real Database the result streams; custom Engine
-        # implementations only promise the documented surface (no
-        # ``stream`` keyword), so they materialize.
-        return _read_on(engine, sql, params, stream=isinstance(engine, Database))
 
     # -- write path -------------------------------------------------------
 
     def _execute_write(self, sql: str, params: Sequence[Any]) -> ResultSet:
-        engine = self.engine
-        if isinstance(engine, ShardedDatabase):
-            # Explicit global transaction: autocommit would swallow the
-            # global CSN the session token needs.
-            gtxn = engine.begin()
-            try:
-                result = engine.execute(sql, params, txn=gtxn)
-                global_csn = gtxn.commit()
-            except Exception:
-                if gtxn.status is TransactionStatus.ACTIVE:
-                    gtxn.abort()
-                raise
-            self.session.note_global_write(global_csn)
-            return result
-        result = engine.execute(sql, params)
-        self.session.note_write(engine.last_commit_csn)
-        return result
-
-    def _execute_ddl(self, sql: str, params: Sequence[Any]) -> ResultSet:
-        engine = self.engine
-        result = engine.execute(sql, params)
-        if isinstance(engine, ShardedDatabase) and engine.replica_sets:
-            # DDL ship records consume no CSN, so no session floor can
-            # gate their visibility; synchronize replicas now.
-            engine.catch_up_replicas()
+        result = self.engine.execute(sql, params)
+        self.session.note_write(self.engine.last_commit_csn)
         return result
 
     # -- explicit transactions --------------------------------------------
@@ -457,10 +412,7 @@ class ConnectionTransaction:
     def commit(self) -> int:
         csn = self._txn.commit()
         self.csn = csn
-        if isinstance(self._conn.engine, ShardedDatabase):
-            self._conn.session.note_global_write(csn)
-        else:
-            self._conn.session.note_write(csn)
+        self._conn.session.note_write(csn)
         return csn
 
     def abort(self) -> None:

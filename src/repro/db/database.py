@@ -840,13 +840,37 @@ class Database:
         """Read-only convenience wrapper around :meth:`execute`."""
         return self.execute(sql, params)
 
-    def explain(self, sql: str) -> list[str]:
+    def execute_read(
+        self,
+        sql: str,
+        params: Sequence[Any] = (),
+        floor: int = 0,
+        on_stale: str = "primary",
+        prefer_replica: bool = True,
+    ) -> ResultSet:
+        """A streamed SELECT that consumes no CSN (the routing keywords
+        matter only on the cluster engines): it runs under a transaction
+        aborted once ``execute`` has pinned the stream to its snapshot, so
+        the commit clock moves alike on every engine and a replica's stays
+        in step with its shipped stream. ``AS OF`` reads pin their own."""
+        stmt = parse_cached(sql)
+        if not isinstance(stmt, SelectStmt):
+            raise ExecutionError("execute_read supports SELECT statements only")
+        if stmt.as_of is not None:
+            return self.execute(sql, params)
+        txn = self.begin()
+        try:
+            return self.execute(sql, params, txn=txn, stream=True)
+        finally:
+            txn.abort()
+
+    def explain(self, sql: str, params: Sequence[Any] = ()) -> list[str]:
         """The plan tree a statement would execute (root first, indented).
 
         Useful for verifying pushdown, join algorithm, and index-probe
         decisions. SELECT, UPDATE and DELETE have plans; the latter two
         print as ``Update(table)`` / ``Delete(table)`` over the scan that
-        finds their rows.
+        finds their rows. A single node's plan ignores ``params``.
         """
         stmt = parse_cached(sql)
         if not isinstance(stmt, (SelectStmt, UpdateStmt, DeleteStmt)):

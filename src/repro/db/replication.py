@@ -35,9 +35,10 @@ change stream*, never by copying loose state. The pieces:
   once, in :attr:`ReplicaSet.stats`.
 
 Replicas are read-only by convention, and reads against them must not
-consume CSNs (that would desynchronize the shipped stream), so
-:func:`_read_on` serves SELECTs under a transaction it *aborts* — the
-same trick the sharded facade uses for scatter reads.
+consume CSNs (that would desynchronize the shipped stream), so the
+serving database's own :meth:`~repro.db.database.Database.execute_read`
+runs each SELECT under a transaction it *aborts* — the same trick the
+sharded facade uses for scatter reads.
 
 TROD observes primaries only, so a replica set whose primary has
 ``track_reads`` on serves every read from that primary: the events a
@@ -487,8 +488,9 @@ class ReplicaSet:
                 return replica
         return None
 
-    def pick(self, policy: str = "round_robin", min_csn: int = 0) -> Replica | None:
-        """A healthy replica whose CSN is at/after ``min_csn``, or None.
+    def pick(self, min_csn: int = 0) -> Replica | None:
+        """A healthy replica whose CSN is at/after ``min_csn``, round robin,
+        or None.
 
         ``min_csn`` is the session-guarantee floor: a session that wrote
         at CSN *c* may only read from replicas that have applied *c*.
@@ -496,10 +498,6 @@ class ReplicaSet:
         eligible = [r for r in self.healthy_replicas() if r.csn >= min_csn]
         if not eligible:
             return None
-        if policy == "least_lagged":
-            return max(eligible, key=lambda r: r.csn)
-        if policy != "round_robin":
-            raise ReplicationError(f"unknown routing policy {policy!r}")
         self._rr += 1
         return eligible[self._rr % len(eligible)]
 
@@ -508,12 +506,11 @@ class ReplicaSet:
         floor: int = 0,
         on_stale: str = "primary",
         prefer_replica: bool = True,
-        policy: str = "round_robin",
     ) -> Database:
         """The database that serves one live read; counts the decision.
 
         A replica at/after ``floor`` (the session-guarantee minimum: the
-        CSN of the caller's last acknowledged write) chosen by ``policy``;
+        CSN of the caller's last acknowledged write), round robin;
         when every replica is stale, ``on_stale='wait'`` forces a catch-up
         and picks again, ``'primary'`` falls back to the primary.
         ``prefer_replica=False`` pins the read to the primary — as does a
@@ -526,11 +523,11 @@ class ReplicaSet:
         if not (prefer_replica and self.replicas) or self.primary.track_reads:
             self.stats["primary_reads"] += 1
             return self.primary
-        replica = self.pick(policy, min_csn=floor)
+        replica = self.pick(min_csn=floor)
         if replica is None and on_stale == "wait":
             self.catch_up()
             self.stats["catch_up_waits"] += 1
-            replica = self.pick(policy, min_csn=floor)
+            replica = self.pick(min_csn=floor)
         if replica is None:
             self.stats["stale_fallbacks"] += 1
             return self.primary
@@ -930,51 +927,21 @@ class ReplicaSet:
 class Session:
     """Causal token for session guarantees (read-your-writes).
 
-    Carries the CSN of the session's last acknowledged write — local CSN
-    against a single primary, global CSN against a sharded cluster — and
-    the read targets only serve its reads from replicas at/after that point.
+    Carries the engine's ``last_commit_csn`` after the session's last
+    acknowledged write — a local CSN against a single primary, a global
+    CSN against a sharded cluster — and the read targets only serve its
+    reads from replicas at/after that point.
     """
 
     def __init__(self, name: str = "session"):
         self.name = name
         self.last_write_csn = 0
-        self.last_global_csn = 0
 
     def note_write(self, csn: int) -> None:
         self.last_write_csn = max(self.last_write_csn, csn)
 
-    def note_global_write(self, global_csn: int) -> None:
-        self.last_global_csn = max(self.last_global_csn, global_csn)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<Session {self.name!r} csn={self.last_write_csn} "
-            f"gcsn={self.last_global_csn}>"
-        )
-
-
-def _read_on(
-    database: Any, sql: str, params: Sequence[Any], stream: bool = False
-) -> ResultSet:
-    """Run a SELECT without consuming a CSN (replica reads must not).
-
-    Autocommitted reads advance the commit clock; on a replica that would
-    desynchronize the shipped stream — and on a single node it would make
-    the clock advance differently from every other engine a workload runs
-    on. Reads therefore run under a transaction that is aborted
-    afterwards — aborts burn no CSN. With ``stream=True`` (a real
-    :class:`Database` only; the :class:`~repro.db.connection.Engine`
-    protocol promises no such keyword) the result streams: the pipeline
-    is pinned to its snapshot before ``execute`` returns, so the abort
-    below is safe.
-    """
-    txn = database.begin()
-    try:
-        if stream:
-            return database.execute(sql, params, txn=txn, stream=True)
-        return database.execute(sql, params, txn=txn)
-    finally:
-        txn.abort()
+        return f"<Session {self.name!r} csn={self.last_write_csn}>"
 
 
 class ReplicatedDatabase:
@@ -997,7 +964,6 @@ class ReplicatedDatabase:
         n_replicas: int = 1,
         mode: str = "async",
         replica_set: ReplicaSet | None = None,
-        policy: str = "round_robin",
         name: str = "replicated",
         ack_quorum: int = 0,
     ):
@@ -1010,7 +976,6 @@ class ReplicatedDatabase:
                 mode=mode,
                 ack_quorum=ack_quorum,
             )
-        self.policy = policy
 
     # -- plumbing ---------------------------------------------------------
 
@@ -1071,16 +1036,13 @@ class ReplicatedDatabase:
         floor: int = 0,
         on_stale: str = "primary",
         prefer_replica: bool = True,
-        stream: bool = False,
     ) -> ResultSet:
         """A SELECT served by a replica at/after ``floor``, CSN-free.
 
         ``floor``, ``on_stale`` and ``prefer_replica`` are
         :meth:`ReplicaSet.read_target`'s; ``AS OF`` reads go to
-        :meth:`ReplicaSet.as_of_target`. Reads never consume CSNs, on
-        whichever database serves them. With ``stream=True``
-        non-historical reads return a streamed result pinned to the
-        serving database's snapshot.
+        :meth:`ReplicaSet.as_of_target`. The serving database's own
+        ``execute_read`` runs the read, so it streams and consumes no CSN.
         """
         stmt = parse_cached(sql)
         if not isinstance(stmt, SelectStmt):
@@ -1088,18 +1050,15 @@ class ReplicatedDatabase:
                 "execute_read supports SELECT statements only"
             )
         if stmt.as_of is not None:
-            # Historical reads manage their own ephemeral snapshot.
             target = self.replica_set.as_of_target(
                 evaluate_as_of(stmt, params), prefer_replica
             )
-            return target.execute(sql, params)
-        target = self.replica_set.read_target(
-            floor, on_stale, prefer_replica, self.policy
-        )
-        return _read_on(target, sql, params, stream=stream)
+        else:
+            target = self.replica_set.read_target(floor, on_stale, prefer_replica)
+        return target.execute_read(sql, params)
 
-    def explain(self, sql: str) -> list[str]:
-        return self.primary.explain(sql)
+    def explain(self, sql: str, params: Sequence[Any] = ()) -> list[str]:
+        return self.primary.explain(sql, params)
 
     def table_rows(self, table: str) -> list[dict[str, Any]]:
         return self.primary.table_rows(table)

@@ -913,6 +913,10 @@ class ShardedDatabase:
     ) -> ResultSet:
         """Execute one statement; multi-shard writes autocommit via 2PC.
 
+        DDL catches every replica set up before returning: schema ship
+        records consume no CSN, so no session floor could otherwise gate
+        their visibility (as on a ``ReplicatedDatabase``).
+
         DML results merge per-shard ``row_ids``; each id is meaningful
         only within its owning shard's id space (ids from different
         shards may collide), so correlate rows by shard key, not row id.
@@ -921,7 +925,9 @@ class ShardedDatabase:
         if isinstance(
             stmt, (CreateTableStmt, DropTableStmt, CreateIndexStmt, DropIndexStmt)
         ):
-            return self._execute_ddl(stmt, sql, params)
+            result = self._execute_ddl(stmt, sql, params)
+            self.catch_up_replicas()
+            return result
         if stmt.param_count != len(params):
             raise ExecutionError(
                 f"statement expects {stmt.param_count} parameter(s), "
@@ -1122,11 +1128,13 @@ class ShardedDatabase:
     # -- DDL -----------------------------------------------------------------
 
     def create_table(self, schema: TableSchema, shard_key: str | None = None) -> None:
-        """Programmatic CREATE TABLE on every shard, registering the key."""
+        """Programmatic CREATE TABLE on every shard, registering the key;
+        replicas are caught up as after DDL through :meth:`execute`."""
         self._resolve_shard_key(schema, shard_key)  # validate before DDL
         for shard in self.shards:
             shard.create_table(schema)
         self._register_shard_key(schema, shard_key)
+        self.catch_up_replicas()
 
     def _resolve_shard_key(
         self, schema: TableSchema, shard_key: str | None
@@ -1530,8 +1538,8 @@ class ShardedDatabase:
         :meth:`execute_read` — what :func:`repro.connect` calls for every
         SELECT — then serves scatter-gather reads from them, shard by
         shard. DML, 2PC, and DDL continue to run on the primaries (DDL
-        reaches replicas through the shipped stream like any other
-        change).
+        reaches replicas through the shipped stream, caught up before
+        :meth:`execute` / :meth:`create_table` return).
         """
         for store, shard in self.named_shards():
             replica_set = self.replica_sets.get(store)

@@ -24,6 +24,22 @@ def seeded_db() -> Database:
     return db
 
 
+def seeded_sharded() -> ShardedDatabase:
+    sharded = ShardedDatabase(2, shard_keys={"t": "id"})
+    sharded.execute("CREATE TABLE t (id INTEGER, v TEXT)")
+    for i in range(5):
+        sharded.execute("INSERT INTO t VALUES (?, ?)", (i, f"v{i}"))
+    return sharded
+
+
+ENGINES = [
+    seeded_db,
+    lambda: ReplicatedDatabase(seeded_db(), n_replicas=1),
+    seeded_sharded,
+]
+ENGINE_IDS = ["database", "replicated", "sharded"]
+
+
 class TestConnect:
     def test_connect_is_exported_at_top_level(self):
         assert repro.connect is connect
@@ -76,8 +92,14 @@ class TestConnect:
             def execute(self, sql, params=(), txn=None):
                 return self._db.execute(sql, params, txn=txn)
 
+            def execute_read(self, sql, params=(), floor=0, **routing):
+                return self._db.execute_read(sql, params)
+
             def begin(self, isolation=None, info=None):
                 return self._db.begin(info=info)
+
+            def explain(self, sql, params=()):
+                return self._db.explain(sql, params)
 
             def add_observer(self, observer):
                 self._db.add_observer(observer)
@@ -95,6 +117,7 @@ class TestConnect:
         conn.execute("INSERT INTO t VALUES (?, ?)", (9, "v9"))
         assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 6
         assert conn.session.last_write_csn > 0
+        assert any("Scan" in line for line in conn.explain("SELECT * FROM t"))
 
 
 class TestConnectionExecution:
@@ -123,18 +146,20 @@ class TestConnectionExecution:
                 conn.execute("SELECT COUNT(*) FROM t")
             assert conn.last_commit_csn == before, type(engine).__name__
 
-    def test_writes_advance_the_session_token(self):
-        conn = connect(seeded_db())
+    @pytest.mark.parametrize("make_engine", ENGINES, ids=ENGINE_IDS)
+    def test_writes_advance_the_session_token(self, make_engine):
+        """One token on every engine: after each write the session holds
+        the engine's ``last_commit_csn`` (global CSN when sharded)."""
+        engine = make_engine()
+        conn = connect(engine)
         assert conn.session.last_write_csn == 0
-        conn.execute("UPDATE t SET v = ? WHERE id = ?", ("x", 1))
-        assert conn.session.last_write_csn == conn.engine.last_csn
-
-    def test_sharded_writes_note_the_global_csn(self):
-        sharded = ShardedDatabase(2, shard_keys={"t": "id"})
-        conn = connect(sharded)
-        conn.execute("CREATE TABLE t (id INTEGER, v TEXT)")
-        conn.execute("INSERT INTO t VALUES (?, ?)", (1, "a"))
-        assert conn.session.last_global_csn == sharded.last_global_csn == 1
+        conn.execute("INSERT INTO t VALUES (?, ?)", (7, "a"))
+        assert conn.session.last_write_csn == engine.last_commit_csn > 0
+        conn.execute("UPDATE t SET v = ? WHERE id = ?", ("x", 7))
+        assert conn.session.last_write_csn == engine.last_commit_csn
+        with conn.transaction() as txn:
+            txn.execute("DELETE FROM t WHERE id = ?", (7,))
+        assert conn.session.last_write_csn == engine.last_commit_csn == txn.csn
 
     def test_shared_session_across_connections(self):
         session = Session("shared")
@@ -144,13 +169,15 @@ class TestConnectionExecution:
         c1.execute("UPDATE t SET v = ? WHERE id = ?", ("w", 2))
         assert c2.session.last_write_csn == db.last_csn
 
-    def test_explain_passes_through(self):
-        conn = connect(seeded_db())
-        assert any("Scan" in line for line in conn.explain("SELECT * FROM t"))
-        sharded = ShardedDatabase(2, shard_keys={"t": "id"})
-        sharded.execute("CREATE TABLE t (id INTEGER, v TEXT)")
-        lines = connect(sharded).explain("SELECT * FROM t WHERE id = ?", (1,))
-        assert any("Exchange(targets=[shard" in line for line in lines)
+    @pytest.mark.parametrize("make_engine", ENGINES, ids=ENGINE_IDS)
+    def test_explain_passes_through(self, make_engine):
+        engine = make_engine()
+        sql, params = "SELECT * FROM t WHERE id = ?", (1,)
+        lines = connect(engine).explain(sql, params)
+        assert lines == engine.explain(sql, params)
+        assert any("Scan" in line for line in lines)
+        if isinstance(engine, ShardedDatabase):
+            assert any("Exchange(targets=[shard" in line for line in lines)
 
 
 class TestConnectionTransactions:
@@ -201,7 +228,7 @@ class TestConnectionTransactions:
             for i in range(6):
                 txn.execute("INSERT INTO t VALUES (?, ?)", (i, "x"))
         assert txn.csn == 1  # one atomic global commit
-        assert conn.session.last_global_csn == 1
+        assert conn.session.last_write_csn == 1
         assert len(txn.raw.stores_joined()) > 1
 
 

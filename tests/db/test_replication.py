@@ -24,6 +24,7 @@ from repro.db.replication import (
     Session,
     ShipRecord,
 )
+from repro.db.schema import Column, ColumnType, TableSchema
 from repro.db.txn.wal import WalCommit
 from repro.errors import (
     FencedError,
@@ -247,10 +248,9 @@ class TestReplicaSet:
         r0, r1 = rs.replicas
         rs.catch_up(r0, limit=3)
         assert rs.least_lagged() is r0
-        assert rs.pick("least_lagged") is r0
         # The floor excludes the laggard entirely.
-        assert rs.pick("round_robin", min_csn=r0.csn) is r0
-        assert rs.pick("round_robin", min_csn=db.last_csn + 1) is None
+        assert rs.pick(min_csn=r0.csn) is r0
+        assert rs.pick(min_csn=db.last_csn + 1) is None
 
     def test_bootstrap_mid_stream_snapshot_and_horizon(self):
         db = build_primary(rows=20)
@@ -681,7 +681,7 @@ class TestShardedReplication:
         session = Session("u")
         conn = repro.connect(sharded, session=session)
         conn.execute("UPDATE items SET val = 99.0 WHERE id = ?", (3,))
-        assert session.last_global_csn == sharded.last_global_csn
+        assert session.last_write_csn == sharded.last_global_csn
         # Replicas lag; the session still reads its write (fallback).
         observed = conn.execute("SELECT val FROM items WHERE id = ?", (3,))
         assert observed.scalar() == 99.0
@@ -764,6 +764,24 @@ class TestShardedReplication:
         conn.execute("CREATE TABLE extra (id INTEGER, x FLOAT)")
         # Routed reads go to replicas; the shipped DDL must be there.
         assert conn.execute("SELECT COUNT(*) FROM extra").scalar() == 0
+        assert sharded.cluster_stats["replica_reads"] == 3
+
+    @pytest.mark.parametrize("via", ["execute", "create_table"])
+    def test_ddl_on_the_engine_reaches_replicas(self, via):
+        """The engine, not the connection, catches replicas up after DDL."""
+        sharded = self.build(n_replicas=1, mode="async")
+        if via == "execute":
+            sharded.execute("CREATE TABLE u (id INTEGER, x FLOAT)")
+        else:
+            sharded.create_table(
+                TableSchema(
+                    "u",
+                    [Column("id", ColumnType.INTEGER), Column("x", ColumnType.FLOAT)],
+                ),
+                shard_key="id",
+            )
+        conn = repro.connect(sharded)
+        assert conn.execute("SELECT COUNT(*) FROM u").scalar() == 0
         assert sharded.cluster_stats["replica_reads"] == 3
 
     def test_snapshot_reads_on_replicas_match(self):
