@@ -26,6 +26,7 @@ Every hook self-times with ``perf_counter_ns`` and accumulates into
 from __future__ import annotations
 
 import json
+import sys
 import time
 from itertools import groupby
 from typing import TYPE_CHECKING, Any
@@ -36,6 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.db.schema import TableSchema
     from repro.db.txn.manager import Transaction
     from repro.db.txn.wal import WalChange
+
+#: A change's kind as its event rows spell it. Like ``txn.name`` and the
+#: interned ``Metadata`` text, one string object serves every record:
+#: the provenance store keeps a pointer per row, not a copy.
+_EVENT_KIND = {"insert": "Insert", "update": "Update", "delete": "Delete"}
 
 
 class InterpositionLayer:
@@ -108,7 +114,7 @@ class InterpositionLayer:
             else:
                 pairs = [(change.row_id, change.values) for change in run]
             if buffer.add_batch(
-                table, txn.name, txn.txn_id, op.capitalize(), query, csn, pairs
+                table, txn.name, txn.txn_id, _EVENT_KIND[op], query, csn, pairs
             ):
                 self._trod.request_flush()
         self.overhead_ns += time.perf_counter_ns() - start
@@ -129,7 +135,7 @@ class InterpositionLayer:
         label = info.get("label")
         return (
             txn.name, txn.txn_id, info.get("ts", 0), info.get("handler"),
-            info.get("req_id"), f"func:{label}" if label else "",
+            info.get("req_id"), sys.intern(f"func:{label}") if label else "",
             txn.isolation.value, status, csn, txn.snapshot_csn,
             info.get("auth_user"),
         )

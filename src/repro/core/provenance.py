@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import json
+from array import array
 from collections import OrderedDict
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
@@ -28,6 +29,7 @@ from repro.db.database import Database
 from repro.db.index import HashIndex, SortedIndex, split_pairs
 from repro.db.result import ResultSet
 from repro.db.schema import Column, TableSchema
+from repro.db.segments import ColumnBatch, transpose
 from repro.db.storage import KeptRows
 from repro.db.types import ColumnType
 from repro.errors import ProvenanceError
@@ -245,25 +247,28 @@ class ProvenanceStore:
         returns the trace rows it held.
 
         Rows of the fixed-width tables go in as staged. Each app table's
-        batches are laid out here, in staging order: a header ``(TxnId,
-        TxnNum, Type, Query, Csn, ordinal, count)`` takes the next
-        ``count`` pairs of its table's pair list, the i-th becoming the
-        row ``(TxnId, TxnNum, Type, Query, Csn, Seq, RowId, *values)``
-        with ``Seq = _next_seq + ordinal + i``, less the pairs of earlier
-        batches on tables nobody traces (skipped, they take no ``Seq``).
-        An event table whose headers, row ids and values all have the
-        types its columns store takes its rows as laid out; any other
-        table is coerced row by row (:meth:`Database.insert_rows`).
-        Every table is one insert — one table lock per table per flush —
-        and only once the transaction has committed does ``Seq``
-        allocation advance and do the kept states a write makes stale go:
-        a batch that fails leaves no trace.
+        batches become one :class:`~repro.db.segments.ColumnBatch` of its
+        event table, in staging order: a header ``(TxnId, TxnNum, Type,
+        Query, Csn, ordinal, count)`` is one stretch of the leading
+        columns over the next ``count`` pairs of its table's pair list,
+        the i-th of them the row ``(TxnId, TxnNum, Type, Query, Csn, Seq,
+        RowId, *values)`` with ``Seq = _next_seq + ordinal + i``, less the
+        pairs of earlier batches on tables nobody traces (skipped, they
+        take no ``Seq``). The ``Seq``, ``RowId`` and value columns are
+        built from the pairs directly; no row tuple is made. An event
+        table whose headers, row ids and values all have the types its
+        columns store takes the batch as it is; any other table is
+        coerced row by row (:meth:`Database.insert_rows`). Every table is
+        one insert — one table lock per table per flush — and only once
+        the transaction has committed does ``Seq`` allocation advance and
+        do the kept states a write makes stale go: a batch that fails
+        leaves no trace.
         """
         rows, batches = staged
         if not (rows or batches):
             return 0
         count = sum(map(len, rows.values()))
-        groups = dict(rows)
+        groups: dict[str, list[tuple] | ColumnBatch] = dict(rows)
         #: Tables whose rows go through coercion: every fixed-width one,
         #: and each event table a batch failed the type check on.
         coerced = set(rows)
@@ -309,11 +314,18 @@ class ProvenanceStore:
                 and all(schema.stores_as_is((k,), 6) for k in set(map(type, row_ids)))
             ):
                 coerced.add(event_table)
-            seqs = chain.from_iterable(map(range, starts, map(add, starts, counts)))
-            heads_per_row = chain.from_iterable(map(repeat, heads, counts))
-            groups.setdefault(event_table, []).extend(
-                map(add, map(add, heads_per_row, zip(seqs, row_ids)), values)
+            seqs = array(
+                "q", chain.from_iterable(map(range, starts, map(add, starts, counts)))
             )
+            batch = ColumnBatch(
+                [seqs, row_ids, *transpose(values, len(nulls))],
+                heads,
+                counts,
+                len(pairs),
+            )
+            if event_table in groups:  # the app table staged under two spellings
+                batch = ColumnBatch.concat([groups[event_table], batch])
+            groups[event_table] = batch
             csns = [h[4] for h in heads if h[4] is not None and h[2] in _WRITE_KINDS]
             if csns:
                 key = table.lower()

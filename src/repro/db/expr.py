@@ -369,14 +369,22 @@ class Between(Expr):
         return (self.operand, self.low, self.high)
 
     def eval(self, scope: Scope) -> Any:
+        """Three-valued ``low <= value AND value <= high``: a NULL bound
+        leaves the answer NULL only while the other bound does not already
+        make it false."""
         value = self.operand.eval(scope)
         low = self.low.eval(scope)
         high = self.high.eval(scope)
-        if value is None or low is None or high is None:
+        if value is None:
             return None
-        inside = (
-            compare_values(value, low) >= 0 and compare_values(value, high) <= 0
-        )
+        above = None if low is None else compare_values(value, low) >= 0
+        below = None if high is None else compare_values(value, high) <= 0
+        if above is False or below is False:
+            inside = False
+        elif above is None or below is None:
+            return None
+        else:
+            inside = True
         return not inside if self.negated else inside
 
     def sql(self) -> str:

@@ -9,7 +9,12 @@ PRIMARY KEY / UNIQUE constraints at commit time.
 
 A batch reaches an index as two parallel sequences, row ids and row
 tuples, and its keys are built by ``itemgetter`` mapped over the rows, so
-no per-row Python frame runs while a flush of many rows is indexed.
+no per-row Python frame runs while a flush of many rows is indexed. A
+segment table's append arrives as a
+:class:`~repro.db.segments.ColumnBatch` instead, and the keys are its
+columns: a one-column index's keys are the column itself, and a hash
+index files each stretch of equal keys (a read set's ``TxnId``) as one id
+range.
 """
 
 from __future__ import annotations
@@ -18,11 +23,14 @@ import bisect
 import itertools
 import math
 from operator import is_not, itemgetter
-from typing import Container, Iterable, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Sequence
 
 from repro.db.schema import TableSchema
 from repro.db.types import SORT_CLASS, index_key
 from repro.errors import IntegrityError, SchemaError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.db.segments import ColumnBatch
 
 #: Shared empty result for missing keys; frozen so a probe that holds it
 #: cannot accidentally grow a phantom bucket.
@@ -73,7 +81,19 @@ class HashIndex:
         self._file_each((row_id,), (self._key_columns(values),))
 
     def add_many(self, row_ids: Sequence[int], rows: Sequence[tuple]) -> None:
-        """Index ``rows[i]`` under ``row_ids[i]``, in order.
+        """Index ``rows[i]`` under ``row_ids[i]``, in order."""
+        self._add_keys(row_ids, map(self._key_columns, rows))
+
+    def add_batch(self, row_ids: Sequence[int], batch: "ColumnBatch") -> None:
+        """Index the rows of ``batch`` under ``row_ids``, keys read off its
+        columns: a one-column index's keys are the column itself."""
+        if self._single:
+            self._add_keys(row_ids, batch.column(self.positions[0]))
+        else:
+            self._add_keys(row_ids, zip(*map(batch.column, self.positions)))
+
+    def _add_keys(self, row_ids: Sequence[int], keys: Iterable) -> None:
+        """File ``keys[i]`` under ``row_ids[i]``, in order.
 
         A non-unique index files each stretch of consecutive equal keys
         at once (``groupby`` and the dict compare keys alike, so the
@@ -81,7 +101,6 @@ class HashIndex:
         so a violation names the first clashing key and leaves the rows
         before it indexed.
         """
-        keys = map(self._key_columns, rows)
         if self.unique:
             self._file_each(row_ids, keys)
             return
@@ -184,21 +203,33 @@ class SortedIndex:
 
     def add_many(self, row_ids: Sequence[int], rows: Sequence[tuple]) -> None:
         """Index ``rows[i]`` under ``row_ids[i]``, less those whose
-        leading column is NULL.
+        leading column is NULL."""
+        self._add_columns(row_ids, [list(map(get, rows)) for get in self._getters])
+
+    def add_batch(self, row_ids: Sequence[int], batch: "ColumnBatch") -> None:
+        """Index the rows of ``batch`` under ``row_ids``, keys read off its
+        columns. A stretched leading column whose stretches are all NULL
+        (a flush of Read events' ``Csn``) files nothing, unexpanded."""
+        stretched = batch.stretches(self.positions[0])
+        if stretched is not None and stretched[0].count(None) == len(stretched[0]):
+            return
+        self._add_columns(row_ids, list(map(batch.column, self.positions)))
+
+    def _add_columns(self, row_ids: Sequence[int], columns: list[Sequence]) -> None:
+        """File the rows whose key columns are ``columns`` under the
+        parallel ``row_ids``.
 
         The entries are zipped from columns, ``(class, value, ...,
         row_id)``, which is ``key_of(values) + (row_id,)`` built in C.
         """
-        leading = list(map(self._getters[0], rows))
-        if None in leading:
-            filed = list(map(is_not, leading, itertools.repeat(None)))
+        if None in columns[0]:
+            filed = list(map(is_not, columns[0], itertools.repeat(None)))
             row_ids = list(itertools.compress(row_ids, filed))
-            rows = list(itertools.compress(rows, filed))
-        columns: list[Iterable] = []
-        for getter in self._getters:
-            values = list(map(getter, rows))
-            columns += (map(SORT_CLASS.__getitem__, map(type, values)), values)
-        new = sorted(zip(*columns, row_ids))
+            columns = [list(itertools.compress(c, filed)) for c in columns]
+        keys: list[Iterable] = []
+        for values in columns:
+            keys += (map(SORT_CLASS.__getitem__, map(type, values)), values)
+        new = sorted(zip(*keys, row_ids))
         entries = self._entries
         if not new:
             return
@@ -292,6 +323,12 @@ class IndexSet:
         at a time."""
         for index in self.indexes.values():
             index.add_many(row_ids, rows)
+
+    def on_append(self, row_ids: range, batch: "ColumnBatch") -> None:
+        """Index a segment table's appended ``batch`` under ``row_ids``
+        in every index, keys read off its columns."""
+        for index in self.indexes.values():
+            index.add_batch(row_ids, batch)
 
     def on_update(self, row_id: int, old_values: tuple, new_values: tuple) -> None:
         for index in self.indexes.values():

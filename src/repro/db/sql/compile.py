@@ -379,14 +379,18 @@ class _Emitter:
         hi = self.localize(self.emit(expr.high))
         out = self.tmp()
         self.env.setdefault("_cmp", compare_values)
-        self.line(f"if {value} is None or {lo} is None or {hi} is None:")
+        # Three-valued ``lo <= value AND value <= hi``: either bound that
+        # is not NULL and fails makes it false, whatever the other is.
+        self.line(f"if {value} is None:")
+        self.line(f"    {out} = None")
+        self.line(f"elif ({lo} is not None and _cmp({value}, {lo}) < 0) or (")
+        self.line(f"    {hi} is not None and _cmp({value}, {hi}) > 0")
+        self.line("):")
+        self.line(f"    {out} = {expr.negated}")
+        self.line(f"elif {lo} is None or {hi} is None:")
         self.line(f"    {out} = None")
         self.line("else:")
-        inside = f"_cmp({value}, {lo}) >= 0 and _cmp({value}, {hi}) <= 0"
-        if expr.negated:
-            self.line(f"    {out} = not ({inside})")
-        else:
-            self.line(f"    {out} = {inside}")
+        self.line(f"    {out} = {not expr.negated}")
         return out
 
     def _emit_in(self, expr: InList) -> str:

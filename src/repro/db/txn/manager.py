@@ -22,6 +22,7 @@ import weakref
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from repro.db.segments import ColumnBatch
 from repro.db.txn.locks import LockManager, LockMode
 from repro.db.txn.wal import WalAbort, WalChange, WalCommit, WalPrepare
 from repro.errors import (
@@ -93,6 +94,9 @@ class Transaction:
         #: holds it weakly; a live transaction may hold it).
         self._database = manager.database
         self.txn_id = txn_id
+        #: Display name used throughout provenance ("TXN7"): one string,
+        #: however many trace records carry it.
+        self.name = f"TXN{txn_id}"
         self.isolation = isolation
         self.snapshot_csn = snapshot_csn
         self.status = TransactionStatus.ACTIVE
@@ -106,6 +110,9 @@ class Transaction:
         self.read_records: list[ReadSet] = []
         self._overlay: dict[str, dict[int, Any]] = {}  # table -> row_id -> values|_DELETED
         self._inserted: dict[str, list[int]] = {}  # table -> ordered new row ids
+        #: Table -> its ``"append"`` changes not yet laid into the overlay:
+        #: :meth:`_own_writes` does that when this transaction reads the table.
+        self._appends: dict[str, list[WalChange]] = {}
         #: Constraint index -> key -> ids of own writes filed under it.
         self._own_keys: dict["HashIndex", dict[tuple, set[int]]] = {}
         self._statement_reads: list[ReadSet] = []
@@ -115,13 +122,6 @@ class Transaction:
         #: global transaction; an abort must then write a WAL abort
         #: record so the prepare never reads as in-doubt after a crash.
         self.prepared_gtxn: int | None = None
-
-    # -- naming --------------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        """Display name used throughout provenance ("TXN7")."""
-        return f"TXN{self.txn_id}"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Transaction {self.name} {self.isolation.value} {self.status.value}>"
@@ -166,7 +166,7 @@ class Transaction:
         if csn is not None and csn >= store.last_write_csn:
             csn = None
         committed = store.scan(csn)
-        overlay = self._overlay.get(canonical)
+        overlay = self._own_writes(canonical)
         if not overlay:
             return committed
         return self._scan_pinned(
@@ -204,7 +204,7 @@ class Transaction:
         """
         self._check_active()
         canonical = self._database.catalog.resolve(table)
-        if self._overlay.get(canonical) or self._inserted.get(canonical):
+        if self._own_writes(canonical) or self._inserted.get(canonical):
             return None
         if self.isolation is IsolationLevel.SERIALIZABLE:
             self._lock(canonical, LockMode.SHARED)
@@ -255,7 +255,7 @@ class Transaction:
         """One row by id under this transaction's visibility rules."""
         self._check_active()
         canonical = self._database.catalog.resolve(table)
-        overlay = self._overlay.get(canonical, {})
+        overlay = self._own_writes(canonical) or {}
         if row_id in overlay:
             patched = overlay[row_id]
             return None if patched is _DELETED else patched
@@ -272,7 +272,7 @@ class Transaction:
         self._check_active()
         canonical = self._database.catalog.resolve(table)
         store = self._database.store(canonical)
-        overlay = self._overlay.get(canonical)
+        overlay = self._own_writes(canonical)
         if not overlay:
             return store.get_many(row_ids, self._read_csn())
         row_ids = list(row_ids)
@@ -286,17 +286,21 @@ class Transaction:
         """Buffer an insert; returns the new row id (visible to self)."""
         return self.insert_many(table, (values,))[0]
 
-    def insert_many(self, table: str, rows: Sequence[tuple]) -> Sequence[int]:
+    def insert_many(
+        self, table: str, rows: Sequence[tuple] | ColumnBatch
+    ) -> Sequence[int]:
         """Buffer inserts of coerced rows; returns their new row ids.
 
         One liveness check, catalog resolve and table lock for the whole
         batch. Without unique constraints nothing a row does can fail,
         and the ids are one contiguous reservation — on a segment table
-        logged as one ``"append"`` change holding ``rows`` itself, which
-        the caller must not alter afterwards; with them, each row is
-        checked against the rows buffered before it, exactly as a loop
-        of single inserts would (a violation leaves those buffered and
-        this row's id unreserved).
+        logged as one ``"append"`` change holding the rows as a
+        :class:`~repro.db.segments.ColumnBatch` (``rows`` itself when it
+        is one, which the caller must not alter afterwards), and laid
+        into this transaction's own view only if it reads the table;
+        with them, each row is checked against the rows buffered before
+        it, exactly as a loop of single inserts would (a violation leaves
+        those buffered and this row's id unreserved).
         """
         self._check_active()
         database = self._database
@@ -304,13 +308,18 @@ class Transaction:
         if self.isolation is IsolationLevel.SERIALIZABLE:
             self._lock(canonical, LockMode.EXCLUSIVE)
         store = database.store(canonical)
-        if not database.catalog.get(canonical).unique_constraints:
-            return self._buffer_inserts(
-                canonical,
-                store.reserve_row_ids(len(rows)),
-                rows,
-                append=database.storage == "segment",
-            )
+        schema = database.catalog.get(canonical)
+        if not schema.unique_constraints:
+            row_ids = store.reserve_row_ids(len(rows))
+            if database.storage != "segment":
+                return self._buffer_inserts(canonical, row_ids, rows)
+            if rows:
+                if type(rows) is not ColumnBatch:
+                    rows = ColumnBatch.from_rows(rows, len(schema.columns))
+                change = WalChange("append", canonical, row_ids.start, rows, None)
+                self.write_ops.append(change)
+                self._appends.setdefault(canonical, []).append(change)
+            return row_ids
         row_ids = []
         for values in rows:
             self._check_unique_locally(canonical, values, ignore_row_id=None)
@@ -321,26 +330,32 @@ class Transaction:
         return row_ids
 
     def _buffer_inserts(
-        self,
-        canonical: str,
-        row_ids: Sequence[int],
-        rows: Sequence[tuple],
-        append: bool = False,
+        self, canonical: str, row_ids: Sequence[int], rows: Sequence[tuple]
     ) -> Sequence[int]:
+        self._own_writes(canonical)  # earlier appends keep their place
         self._overlay.setdefault(canonical, {}).update(zip(row_ids, rows))
         self._inserted.setdefault(canonical, []).extend(row_ids)
-        if append and rows:
-            self.write_ops.append(
-                WalChange("append", canonical, row_ids[0], rows, None)
-            )
-        else:
-            self.write_ops.extend(
-                [
-                    WalChange("insert", canonical, row_id, values, None)
-                    for row_id, values in zip(row_ids, rows)
-                ]
-            )
+        self.write_ops.extend(
+            [
+                WalChange("insert", canonical, row_id, values, None)
+                for row_id, values in zip(row_ids, rows)
+            ]
+        )
         return row_ids
+
+    def _own_writes(self, canonical: str) -> dict[int, Any] | None:
+        """This transaction's writes on ``canonical`` (row id -> values
+        or ``_DELETED``), None when it has none: the appends it logged on
+        the table are laid into the overlay here, at its first read."""
+        appends = self._appends.pop(canonical, None)
+        if appends:
+            overlay = self._overlay.setdefault(canonical, {})
+            inserted = self._inserted.setdefault(canonical, [])
+            for change in appends:
+                row_ids = range(change.row_id, change.row_id + len(change.values))
+                overlay.update(zip(row_ids, change.values))
+                inserted += row_ids
+        return self._overlay.get(canonical)
 
     def insert_with_id(self, table: str, values: tuple, row_id: int) -> int:
         """Insert preserving an explicit row id.
@@ -398,7 +413,7 @@ class Transaction:
         uncommitted writes are never reflected in shared indexes.
         """
         canonical = self._database.catalog.resolve(table)
-        overlay = self._overlay.get(canonical, {})
+        overlay = self._own_writes(canonical) or {}
         return [
             (row_id, values)
             for row_id, values in sorted(overlay.items())
@@ -691,7 +706,7 @@ class TransactionManager:
         """
         checked = {
             table
-            for table in txn._overlay
+            for table in txn.tables_written
             if txn._database.index_set(table).has_unique
         }
         if not checked:
@@ -701,9 +716,7 @@ class TransactionManager:
             if op.table not in checked:
                 continue
             if op.op == "append":
-                writes[op.table] += zip(
-                    range(op.row_id, op.row_id + len(op.values)), op.values
-                )
+                writes[op.table] += enumerate(op.values, op.row_id)
             else:
                 writes[op.table].append((op.row_id, op.values))
         for table, table_writes in writes.items():
@@ -714,9 +727,10 @@ class TransactionManager:
 
         Each run of consecutive same-table inserts goes to the store and
         its indexes as one batch (a one-row run is the degenerate case),
-        and its buffered ops are its applied changes as they stand. So does each ``"append"``, whose
-        rows the store keeps as they are and the indexes take beside the
-        range of their ids.
+        and its buffered ops are its applied changes as they stand. So do
+        consecutive ``"append"`` changes: those whose ids continue each
+        other are one :class:`~repro.db.segments.ColumnBatch`, whose
+        columns the store keeps and the indexes file their keys from.
         """
         applied: list[WalChange] = []
         database = self.database
@@ -724,12 +738,20 @@ class TransactionManager:
             store = database.store(table)
             indexes = database.index_set(table)
             if kind == "append":
-                for op in run:
-                    store.apply_append(op.row_id, op.values, csn)
-                    indexes.on_insert_many(
-                        range(op.row_id, op.row_id + len(op.values)), op.values
-                    )
-                    applied.append(op)
+                appends = list(run)
+                # [first id, row count, batches] of each contiguous stretch.
+                pieces: list[list] = []
+                for op in appends:
+                    if pieces and pieces[-1][0] + pieces[-1][1] == op.row_id:
+                        pieces[-1][1] += len(op.values)
+                        pieces[-1][2].append(op.values)
+                    else:
+                        pieces.append([op.row_id, len(op.values), [op.values]])
+                for first, count, batches in pieces:
+                    batch = ColumnBatch.concat(batches)
+                    store.apply_append(first, batch, csn)
+                    indexes.on_append(range(first, first + count), batch)
+                applied += appends
             elif kind == "insert":
                 inserts = list(run)
                 rows = [(op.row_id, op.values) for op in inserts]

@@ -54,14 +54,17 @@ class WalChange:
     """One row change inside a commit.
 
     ``"append"`` is a segment table's run (:mod:`repro.db.segments`):
-    ``row_id`` is its first id and ``values`` its rows. Segment tables
-    live in memory only, so an append has no JSON form.
+    ``row_id`` is its first id and ``values`` a
+    :class:`~repro.db.segments.ColumnBatch`, the rows held as columns,
+    which the run takes over at commit. Iterating it yields the row
+    tuples, which is all an observer sees. Segment tables live in memory
+    only, so an append has no JSON form.
     """
 
     op: str  # 'insert' | 'update' | 'delete' | 'append'
     table: str
     row_id: int
-    values: tuple | None  # new values (None for delete; rows for append)
+    values: tuple | None  # new values (None for delete; a ColumnBatch for append)
     old_values: tuple | None  # previous values (None for insert)
 
     def to_json(self) -> dict[str, Any]:

@@ -105,7 +105,7 @@ def coerce(value: Any, col_type: ColumnType) -> Any:
         if isinstance(value, bool):
             raise TypeCoercionError(f"expected {col_type}, got BOOLEAN {value!r}")
         if isinstance(value, int):
-            return value
+            return value if type(value) is int else int(value)  # an exact int
         if isinstance(value, float) and value.is_integer():
             return int(value)
         raise TypeCoercionError(f"expected {col_type}, got {value!r}")

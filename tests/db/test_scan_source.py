@@ -51,7 +51,7 @@ def overlay_always(self: Transaction, table: str):
     canonical = self.read_lock(table)
     return Transaction._scan_pinned(
         self._database.store(canonical).scan(self._read_csn()),
-        self._overlay.get(canonical, {}),
+        self._own_writes(canonical) or {},
         self._inserted.get(canonical, ()),
     )
 

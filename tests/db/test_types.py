@@ -1,5 +1,6 @@
 """Unit tests for column types, coercion, and value comparison."""
 
+import enum
 from functools import cmp_to_key
 
 import pytest
@@ -65,6 +66,13 @@ class TestCoercion:
     def test_integral_float_narrows_to_int(self):
         assert coerce(3.0, ColumnType.INTEGER) == 3
         assert isinstance(coerce(3.0, ColumnType.INTEGER), int)
+
+    def test_an_int_subclass_is_stored_as_an_exact_int(self):
+        # A segment table keeps an INTEGER column as array('q'), which would
+        # hand back a plain int anyway: every storage stores the same value.
+        for col_type in (ColumnType.INTEGER, ColumnType.TIMESTAMP):
+            value = coerce(enum.IntEnum("Level", "LOW HIGH").HIGH, col_type)
+            assert type(value) is int and value == 2
 
     def test_fractional_float_rejected_as_int(self):
         with pytest.raises(TypeCoercionError):
