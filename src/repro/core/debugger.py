@@ -77,7 +77,8 @@ class Debugger:
         return out
 
     def request_timeline(self, req_id: str) -> list[dict]:
-        """Every transaction a request executed, in commit order."""
+        """Every transaction a request executed, aborted ones included,
+        in execution order."""
         return self._trod.provenance.txns_of_request(req_id, committed_only=False)
 
     def requests(self, status: str | None = None) -> ResultSet:

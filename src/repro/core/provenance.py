@@ -20,7 +20,7 @@ import bisect
 import json
 from array import array
 from collections import OrderedDict
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, itemgetter
 from typing import Callable, Collection, Iterable, Iterator
 
@@ -83,6 +83,110 @@ def _raise_wrong_width(
             )
 
 
+class RowHistory:
+    """Where each row's history lies in one event table: the Snapshot /
+    Insert / Update / Delete events as three parallel ``array('q')``
+    columns — app ``row_ids``, ``csns`` and ``positions`` (the event's
+    row id in the event store) — sorted by (row id, Csn, position), and
+    the same events' ``Csn`` values ascending in ``by_csn`` beside the
+    highest app row id among them up to each in ``highest_by_csn``. It
+    holds ints only, never a value: an erased value lives in the event
+    row alone. ``indexed`` counts the ``Csn``-index entries it has
+    looked at, ``newest`` is their highest ``Csn`` and ``end`` one past
+    their highest position.
+    """
+
+    __slots__ = (
+        "row_ids", "csns", "positions", "by_csn", "highest_by_csn",
+        "indexed", "newest", "end",
+    )
+
+    def __init__(self) -> None:
+        self.row_ids = array("q")
+        self.csns = array("q")
+        self.positions = array("q")
+        self.by_csn = array("q")
+        self.highest_by_csn = array("q")
+        self.indexed = 0
+        self.newest = -1  # below every CSN
+        self.end = 0
+
+    def add(self, pairs: list[tuple[int, tuple]]) -> None:
+        """File the history events among positional ``(position, event
+        row)`` pairs, all past :attr:`end`."""
+        if not pairs:
+            return
+        self.indexed += len(pairs)
+        self.end = max(self.end, max(map(itemgetter(0), pairs)) + 1)
+        self.newest = max(self.newest, max(row[4] for _position, row in pairs))
+        events = sorted(
+            (row[6], row[4], position)
+            for position, row in pairs
+            if row[2] in _HISTORY_KINDS
+        )
+        if events:
+            self._file(events)
+            self._file_by_csn(sorted(map(itemgetter(1, 0), events)))
+
+    def _file(self, events: list[tuple[int, int, int]]) -> None:
+        """Merge sorted ``(row id, Csn, position)`` keys into the columns:
+        appended when they all sort last (a first build; inserts of new
+        rows), inserted one by one when they are few, else re-sorted."""
+        row_ids, csns, positions = self.row_ids, self.csns, self.positions
+        if not row_ids or events[0] > (row_ids[-1], csns[-1], positions[-1]):
+            row_ids.extend(map(itemgetter(0), events))
+            csns.extend(map(itemgetter(1), events))
+            positions.extend(map(itemgetter(2), events))
+        elif len(events) * 16 <= len(row_ids):
+            for row_id, csn, position in events:
+                low = bisect.bisect_left(row_ids, row_id)
+                high = bisect.bisect_right(row_ids, row_id, low)
+                low = bisect.bisect_left(csns, csn, low, high)
+                high = bisect.bisect_right(csns, csn, low, high)
+                at = bisect.bisect_right(positions, position, low, high)
+                row_ids.insert(at, row_id)
+                csns.insert(at, csn)
+                positions.insert(at, position)
+        else:
+            merged = sorted(chain(zip(row_ids, csns, positions), events))
+            self.row_ids = array("q", map(itemgetter(0), merged))
+            self.csns = array("q", map(itemgetter(1), merged))
+            self.positions = array("q", map(itemgetter(2), merged))
+
+    def _file_by_csn(self, events: list[tuple[int, int]]) -> None:
+        """Extend ``by_csn`` / ``highest_by_csn`` with sorted ``(Csn, row
+        id)`` keys, or re-derive both from the columns when a key is not
+        above every one filed."""
+        by_csn, highest = self.by_csn, self.highest_by_csn
+        if by_csn and events[0][0] <= by_csn[-1]:
+            events = sorted(zip(self.csns, self.row_ids))
+            self.by_csn = by_csn = array("q")
+            self.highest_by_csn = highest = array("q")
+        start = highest[-1] if highest else events[0][1]
+        by_csn.extend(map(itemgetter(0), events))
+        running = accumulate(map(itemgetter(1), events), max, initial=start)
+        highest.extend(islice(running, 1, None))
+
+    def latest(self, row_id: int, upto_csn: int) -> array:
+        """Positions of ``row_id``'s events at the highest ``Csn`` at or
+        below ``upto_csn`` (none if it has none): each event carries the
+        whole row, so they alone decide its state then."""
+        low = bisect.bisect_left(self.row_ids, row_id)
+        high = bisect.bisect_right(self.row_ids, row_id, low)
+        at = bisect.bisect_right(self.csns, upto_csn, low, high)
+        if at == low:
+            return self.positions[:0]
+        first = bisect.bisect_left(self.csns, self.csns[at - 1], low, at)
+        return self.positions[first:at]
+
+    def highest_at(self, upto_csn: int) -> int:
+        """The highest app row id with an event at or below ``upto_csn``
+        (0 if none): the highest id the table had handed out by then,
+        deleted rows' included."""
+        at = bisect.bisect_right(self.by_csn, upto_csn)
+        return self.highest_by_csn[at - 1] if at else 0
+
+
 def default_event_table_name(table: str) -> str:
     """forum_sub -> ForumSubEvents."""
     camel = "".join(part.capitalize() for part in table.split("_"))
@@ -120,6 +224,8 @@ class ProvenanceStore:
         #: app table -> ascending csns of its kept states.
         self._state_csns: dict[str, list[int]] = {}
         self._state_rows = 0
+        #: event table -> its :class:`RowHistory`, built on first use.
+        self._row_histories: dict[str, RowHistory] = {}
         self.checkpoint_stats = {"checkpoint_restores": 0, "full_restores": 0}
         self._create_base_tables()
 
@@ -356,15 +462,18 @@ class ProvenanceStore:
         return self.db.execute(sql, params)
 
     def txns_of_request(self, req_id: str, committed_only: bool = True) -> list[dict]:
-        """This request's transactions in commit order."""
+        """This request's committed transactions in commit order, or with
+        ``committed_only=False`` all of them (aborted ones have no
+        ``Csn``) in execution order (``TxnNum``)."""
         sql = (
             "SELECT TxnId, TxnNum, Timestamp, HandlerName, Metadata, Csn,"
             " SnapshotCsn, Isolation, Status"
             " FROM Executions WHERE ReqId = ?"
         )
         if committed_only:
-            sql += " AND Status = 'Committed'"
-        sql += " ORDER BY Csn ASC, TxnNum ASC"
+            sql += " AND Status = 'Committed' ORDER BY Csn ASC, TxnNum ASC"
+        else:
+            sql += " ORDER BY TxnNum ASC"
         return self.query(sql, (req_id,)).as_dicts()
 
     def request_row(self, req_id: str) -> dict:
@@ -478,10 +587,63 @@ class ProvenanceStore:
     # State reconstruction (replay's substrate)
     # ------------------------------------------------------------------
 
-    def reconstruct_rows(self, table: str, upto_csn: int) -> list[tuple[int, tuple]]:
+    def reconstruct_rows(
+        self, table: str, upto_csn: int, row_ids: Iterable[int] | None = None
+    ) -> list[tuple[int, tuple]]:
         """Rows of ``table`` as of ``upto_csn``, from provenance alone,
-        in row-id order; the list returned is the caller's own."""
-        return sorted(self._kept_table(table, upto_csn).items())
+        in row-id order; the list returned is the caller's own.
+
+        With ``row_ids``, only those of them that exist then: per row, its
+        events at the highest ``Csn`` at or below ``upto_csn``
+        (:meth:`RowHistory.latest`), all read in one :meth:`_event_rows`
+        call. No kept state is read or kept, and what is read does not
+        grow with the history after ``upto_csn``."""
+        if row_ids is None:
+            return sorted(self._kept_table(table, upto_csn).items())
+        self._check_floor(table, upto_csn)
+        event_table = self.event_table_of(table)
+        latest = self._row_history(event_table).latest
+        positions = sorted(
+            chain.from_iterable(map(latest, set(row_ids), repeat(upto_csn)))
+        )
+        state: dict[int, tuple] = {}
+        if positions:
+            self._apply_event_rows(state, self._event_rows(event_table, positions))
+        return sorted(state.items())
+
+    def _row_history(self, event_table: str) -> RowHistory:
+        """``event_table``'s :class:`RowHistory`, current with the store.
+
+        Kept current off the ``Csn`` index, which holds every history
+        event (a Read event has no ``Csn``): when the index has entries
+        the history has not looked at, they are the ones at or above its
+        newest ``Csn`` and past its end, read in one batch. Anything else
+        (a history event filed below that ``Csn``) rebuilds it from the
+        whole index. Ingest does nothing for it, so tracing pays nothing."""
+        index = self._index(event_table, "csn")
+        history = self._row_histories.get(event_table) or RowHistory()
+        if history.indexed != len(index):
+            new = [
+                position
+                for position in index.scan_between((history.newest,), None)
+                if position >= history.end
+            ]
+            if history.indexed + len(new) != len(index):
+                history = RowHistory()
+                new = index.scan_between(None, None)
+            history.add(self.db.store(event_table).get_many(sorted(new)))
+        self._row_histories[event_table] = history
+        return history
+
+    def _check_floor(self, table: str, upto_csn: int) -> None:
+        """Raise unless ``table`` has a state at ``upto_csn``: none lies
+        before its base snapshot."""
+        snapshot_csn = self._snapshot_csns.get(table.lower())
+        if snapshot_csn is not None and snapshot_csn > upto_csn:
+            raise ProvenanceError(
+                f"cannot reconstruct {table!r} at csn {upto_csn}: base "
+                f"snapshot was taken at csn {snapshot_csn}"
+            )
 
     def _kept_table(self, table: str, upto_csn: int) -> dict[int, tuple]:
         """The kept ``row_id -> values`` state of ``table`` at ``upto_csn``
@@ -509,12 +671,7 @@ class ProvenanceStore:
             self._states.move_to_end((key, after_csn))
         else:
             self.checkpoint_stats["full_restores"] += 1
-            snapshot_csn = self._snapshot_csns.get(key)
-            if snapshot_csn is not None and snapshot_csn > upto_csn:
-                raise ProvenanceError(
-                    f"cannot reconstruct {table!r} at csn {upto_csn}: base "
-                    f"snapshot was taken at csn {snapshot_csn}"
-                )
+            self._check_floor(table, upto_csn)
             state = None
             after_csn = -1  # below every CSN
         delta = ()
@@ -662,6 +819,33 @@ class ProvenanceStore:
     ) -> dict[str, int]:
         """Materialize traced tables at ``upto_csn`` into a dev database."""
         return self.load_state(target, self.kept_state(upto_csn, tables))
+
+    def restore_footprint(
+        self, target: Database, upto_csn: int, footprint: dict[str, Iterable[int]]
+    ) -> dict[str, int]:
+        """Materialize only the rows ``footprint`` names (app table ->
+        row ids) as of ``upto_csn`` into a dev database
+        (:meth:`reconstruct_rows`). Each table's next row id starts above
+        the highest id the table had handed out by ``upto_csn``
+        (:meth:`RowHistory.highest_at`), as the original table's did, and
+        an injected insert raises it as the original insert did: so a
+        replayed insert takes the id its original took, and a later
+        injected write of that row finds it."""
+        counts = self.load_state(
+            target,
+            {
+                self.app_schema(table).name: self.reconstruct_rows(
+                    table, upto_csn, row_ids
+                )
+                for table, row_ids in footprint.items()
+            },
+        )
+        for table in footprint:
+            history = self._row_history(self.event_table_of(table))
+            store = target.store(table)
+            highest = history.highest_at(upto_csn)
+            store._next_row_id = max(store._next_row_id, highest + 1)
+        return counts
 
     @property
     def event_count(self) -> int:

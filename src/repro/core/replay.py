@@ -5,7 +5,10 @@ database while TROD reconstructs, at every transaction boundary, the state
 the original transaction saw:
 
 1. the development database is restored — from provenance alone — to the
-   snapshot before the request's first transaction;
+   snapshot before the request's first transaction: the request's
+   *footprint* (the rows its transactions read, updated or deleted) of
+   each table it used, or whole tables where a footprint cannot be known
+   to suffice (:meth:`ReplayEngine.replay_request`);
 2. before re-executing the request's k-th transaction, the write events of
    *other* transactions that committed in between are injected, so the
    replayed transaction reads exactly what the original read;
@@ -26,7 +29,7 @@ against its recorded snapshot rather than the serial prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Collection
 
 from repro.db.database import Database
 from repro.db.txn.manager import IsolationLevel, Transaction
@@ -81,6 +84,11 @@ class ReplayStep:
 
 @dataclass
 class ReplayResult:
+    """What a replay did. ``dev_db`` holds the request's footprint as of
+    its first snapshot (whole tables where the replay restored them
+    whole) plus every write shown to it and every write the replay made;
+    each :class:`BreakpointInfo` sees that database as it stood then."""
+
     req_id: str
     handler: str
     output: Any
@@ -141,6 +149,7 @@ class _ReplayState:
         txns: list[dict],
         events: dict[str, dict[str, list[dict]]],
         tables: list[str] | None,
+        footprint_tables: frozenset[str],
         dev_db: Database,
         breakpoint_cb: Callable[[BreakpointInfo], None] | None,
     ):
@@ -151,6 +160,8 @@ class _ReplayState:
         self.events = events
         #: Under the dependency filter, the tables the request used.
         self.tables = tables
+        #: The tables restored as footprints, lower-cased.
+        self.footprint_tables = footprint_tables
         self.dev_db = dev_db
         self.breakpoint_cb = breakpoint_cb
         self.steps: list[ReplayStep] = []
@@ -210,9 +221,11 @@ class _ReplayState:
         SERIALIZABLE (2PL) transactions read the latest committed state,
         which at transaction granularity is csn - 1; SNAPSHOT transactions
         read their recorded begin snapshot — replaying against it is
-        GProM-style reenactment.
+        GProM-style reenactment. An aborted transaction has no commit to
+        bound it: its snapshot does.
         """
-        if original["Isolation"] == IsolationLevel.SNAPSHOT.value:
+        snapshot = original["Isolation"] == IsolationLevel.SNAPSHOT.value
+        if snapshot or original["Csn"] is None:
             return original["SnapshotCsn"]
         return max(original["SnapshotCsn"], original["Csn"] - 1)
 
@@ -224,7 +237,9 @@ class _ReplayState:
             # Only what this step's own transaction read or wrote.
             used = self.events[original["TxnId"]]
             events = [e for e in events if e["_table"].lower() in used]
-        injected = self.engine.apply_writes(self.dev_db, events)
+        injected = self.engine.apply_writes(
+            self.dev_db, events, footprint_tables=self.footprint_tables
+        )
         self.applied_csn = bound
         return injected
 
@@ -250,13 +265,21 @@ class ReplayEngine:
         return dev
 
     def apply_writes(
-        self, dev_db: Database, events: list[dict]
+        self,
+        dev_db: Database,
+        events: list[dict],
+        footprint_tables: Collection[str] = (),
     ) -> list[InjectedWrite]:
         """Apply write events (from provenance) to the dev database;
         returns them as applied.
 
         Runs as a single transaction labeled ``_trod.injector`` so that
-        injected changes are distinguishable from replayed execution.
+        injected changes are distinguishable from replayed execution. In
+        ``footprint_tables`` (lower-cased names of tables restored as a
+        footprint, which hold only the rows a request used) an Update of a
+        row the dev database does not hold installs it, and a Delete of
+        one is returned but changes nothing; elsewhere a missing row is a
+        reconstruction fault and raises.
         """
         applied: list[InjectedWrite] = []
         if not events:
@@ -278,6 +301,12 @@ class ReplayEngine:
                     values = schema.coerce_row(values_dict)
                 if kind == "Insert":
                     txn.insert_with_id(table, values, row_id)
+                elif (
+                    table.lower() in footprint_tables
+                    and txn.get(table, row_id) is None
+                ):
+                    if kind == "Update":
+                        txn.insert_with_id(table, values, row_id)
                 elif kind == "Update":
                     txn.update(table, row_id, values)
                 elif kind == "Delete":
@@ -308,26 +337,39 @@ class ReplayEngine:
         dependency_filter: bool = True,
         strict: bool = False,
     ) -> ReplayResult:
-        """Faithfully replay one traced request (§3.5)."""
+        """Faithfully replay one traced request (§3.5): each of its
+        transactions, aborted ones included, in execution order.
+
+        The dev database starts as the request's footprint at its first
+        snapshot: per table the request used, the rows its transactions
+        read, updated or deleted. A table is restored whole instead when
+        it has a UNIQUE or PRIMARY KEY constraint (a uniqueness check
+        reads rows no Read event records); every traced table is, when
+        the request has an aborted transaction (its reads are not all
+        kept) or ``dependency_filter`` is False.
+        """
         self.trod.flush()
         provenance = self.trod.provenance
         try:
             request_row = provenance.request_row(req_id)
         except ProvenanceError as exc:
             raise ReplayError(str(exc)) from None
-        txns = provenance.txns_of_request(req_id)
+        txns = provenance.txns_of_request(req_id, committed_only=False)
         if not txns:
-            raise ReplayError(
-                f"request {req_id!r} has no committed transactions to replay"
-            )
+            raise ReplayError(f"request {req_id!r} has no transactions to replay")
         base_csn = txns[0]["SnapshotCsn"]
-        # One pass over each transaction's events answers which tables to
+        # One pass over each transaction's events answers which rows to
         # restore, which writes each step may be shown, and what each
         # step originally wrote.
         events = provenance.events_of_txn(txn["TxnId"] for txn in txns)
-        tables = sorted(set().union(*events.values())) if dependency_filter else None
+        whole = not dependency_filter or any(txn["Csn"] is None for txn in txns)
+        tables = None if whole else sorted(set().union(*events.values()))
         dev_db = Database(name=f"dev-{req_id}")
-        provenance.restore_into(dev_db, base_csn, tables=tables)
+        footprint_tables: frozenset[str] = frozenset()
+        if tables is None:
+            provenance.restore_into(dev_db, base_csn)
+        else:
+            footprint_tables = self._restore_footprint(dev_db, base_csn, tables, events)
 
         state = _ReplayState(
             engine=self,
@@ -335,6 +377,7 @@ class ReplayEngine:
             txns=txns,
             events=events,
             tables=tables,
+            footprint_tables=footprint_tables,
             dev_db=dev_db,
             breakpoint_cb=breakpoint_cb,
         )
@@ -375,6 +418,33 @@ class ReplayEngine:
                 f"replay of {req_id} diverged: {divergences}"
             )
         return replay_result
+
+    def _restore_footprint(
+        self,
+        dev_db: Database,
+        base_csn: int,
+        tables: list[str],
+        events: dict[str, dict[str, list[dict]]],
+    ) -> frozenset[str]:
+        """Restore ``tables`` at ``base_csn``: each constrained one whole,
+        each other one as the rows ``events`` read, updated or deleted;
+        returns the latter."""
+        provenance = self.trod.provenance
+        whole = [t for t in tables if provenance.app_schema(t).unique_constraints]
+        footprint: dict[str, set[int]] = {t: set() for t in tables if t not in whole}
+        for by_table in events.values():
+            for table, table_events in by_table.items():
+                row_ids = footprint.get(table)
+                if row_ids is not None:
+                    row_ids.update(
+                        event["RowId"]
+                        for event in table_events
+                        if event["Type"] != "Insert" and event["RowId"] is not None
+                    )
+        if whole:
+            provenance.restore_into(dev_db, base_csn, tables=whole)
+        provenance.restore_footprint(dev_db, base_csn, footprint)
+        return frozenset(footprint)
 
     def verify_determinism(self, req_id: str, runs: int = 3) -> bool:
         """Check principle P3: replaying a request repeatedly must agree.

@@ -9,6 +9,7 @@ filtered out.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Sequence
@@ -190,7 +191,14 @@ def _mod(a: Any, b: Any) -> Any:
         raise TypeError("modulo requires numeric operands")
     if b == 0:
         raise ExecutionError("modulo by zero")
-    return a % b
+    if isinstance(a, float) or isinstance(b, float):
+        # Truncated division's remainder, as Postgres computes it (SQLite
+        # truncates float operands to integers first).
+        return math.fmod(a, b)
+    # The remainder takes the dividend's sign, as in SQLite, Postgres and
+    # MySQL: -7 % 3 is -1, 7 % -3 is 1.
+    remainder = abs(a) % abs(b)
+    return -remainder if a < 0 else remainder
 
 
 def _concat(a: Any, b: Any) -> Any:

@@ -1429,7 +1429,11 @@ def _match_rows(
     params: Sequence[Any],
     query_text: str,
 ) -> tuple[DmlNode, list[tuple[int, tuple]]]:
-    """The plan of an UPDATE or DELETE and every row it matches."""
+    """The plan of an UPDATE or DELETE and every row it matches. Under
+    ``database.track_reads`` a statement that matched nothing records one
+    null read, as a SELECT does (:func:`_drain_rows`): the rows a write
+    touched are its provenance, and an empty match still consulted its
+    table."""
     plan = memo_plan("dml", query_text or None, database, database.dml_plan, stmt)
     ctx = ExecContext(
         database=database,
@@ -1438,7 +1442,10 @@ def _match_rows(
         query_text=query_text,
         track_reads=False,
     )
-    return plan, plan.child.match_pairs(ctx)
+    matches = plan.child.match_pairs(ctx)
+    if not matches and database.track_reads:
+        txn.record_read(stmt.table.table, None, None, query_text)
+    return plan, matches
 
 
 def _execute_update(

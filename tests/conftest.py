@@ -81,6 +81,49 @@ def profiles_env():
     return database, runtime, trod
 
 
+def build_notes_app(database: Database, runtime: Runtime) -> None:
+    """``postNote`` inserts a note, then lists its author's notes in a
+    second transaction; ``editNotes`` and ``dropNotes`` rewrite and
+    delete an author's notes."""
+    database.execute("CREATE TABLE notes (author TEXT, body TEXT)")
+
+    def post_note(ctx, author, body):
+        with ctx.txn(label="addNote") as t:
+            t.execute("INSERT INTO notes (author, body) VALUES (?, ?)", (author, body))
+        with ctx.txn(label="listNotes") as t:
+            return t.execute(
+                "SELECT body FROM notes WHERE author = ?", (author,)
+            ).rows
+
+    def edit_notes(ctx, author):
+        with ctx.txn(label="editNotes") as t:
+            t.execute("UPDATE notes SET body = 'final' WHERE author = ?", (author,))
+
+    def drop_notes(ctx, author):
+        with ctx.txn(label="dropNotes") as t:
+            t.execute("DELETE FROM notes WHERE author = ?", (author,))
+
+    runtime.register("postNote", post_note)
+    runtime.register("editNotes", edit_notes)
+    runtime.register("dropNotes", drop_notes)
+
+
+@pytest.fixture(scope="session")
+def notes_env():
+    """``notes_env()``: a fresh (db, runtime, trod) with the notes app
+    (:func:`build_notes_app`) built and TROD attached — a request that
+    reads, in a later transaction, a row it inserted."""
+
+    def build():
+        database = Database()
+        runtime = Runtime(database)
+        build_notes_app(database, runtime)
+        trod = Trod(database).attach(runtime)
+        return database, runtime, trod
+
+    return build
+
+
 def make_request(handler: str, *args, **kwargs) -> Request:
     return Request(handler, args, kwargs)
 

@@ -99,16 +99,26 @@ class TestKeptStateReconstruction:
 
     def test_replay_fidelity_on_a_warm_store(self, racy_moodle):
         database, runtime, trod = racy_moodle
+        prov = trod.provenance
         first = trod.replayer.replay_request("R1")
-        before = dict(trod.provenance.checkpoint_stats)
+        # A footprint replay reads the rows' own events: no kept state.
+        stats = dict(prov.checkpoint_stats)
         result = trod.replayer.replay_request("R1")
-        served = trod.provenance.checkpoint_stats
-        assert served["checkpoint_restores"] > before["checkpoint_restores"]
-        assert served["full_restores"] == before["full_restores"]
+        assert prov.checkpoint_stats == stats
         assert result.fidelity, result.divergences
         assert len(result.dev_db.table_rows("forum_sub")) == 2
         assert result.steps == first.steps
         assert result.dev_db.table_rows("forum_sub") == \
+            first.dev_db.table_rows("forum_sub")
+        # A whole-table replay starts from the state the first one kept.
+        trod.replayer.replay_request("R1", dependency_filter=False)
+        before = dict(prov.checkpoint_stats)
+        unfiltered = trod.replayer.replay_request("R1", dependency_filter=False)
+        served = prov.checkpoint_stats
+        assert served["checkpoint_restores"] > before["checkpoint_restores"]
+        assert served["full_restores"] == before["full_restores"]
+        assert unfiltered.fidelity, unfiltered.divergences
+        assert unfiltered.dev_db.table_rows("forum_sub") == \
             first.dev_db.table_rows("forum_sub")
 
 

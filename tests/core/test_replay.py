@@ -1,6 +1,7 @@
 """Bug replay tests (§3.5): faithfulness, injection, breakpoints."""
 
 import gc
+from collections import Counter
 import weakref
 
 import pytest
@@ -178,6 +179,182 @@ class TestBreakpointsAndInjection:
         assert all(s.replayed_txn is not None for s in result.steps)
 
 
+def members_env():
+    """A traced app whose ``members.name`` is UNIQUE: ``join`` reads the
+    team's members, then inserts in a second transaction; ``joinSoft``
+    does both in one and answers "exists" when the insert is refused."""
+    from repro.core import Trod
+    from repro.errors import IntegrityError
+    from repro.runtime import Runtime
+
+    database = Database()
+    runtime = Runtime(database)
+    database.execute("CREATE TABLE members (name TEXT UNIQUE, team TEXT)")
+
+    def join(ctx, name, team):
+        with ctx.txn(label="teamSize") as t:
+            size = t.execute(
+                "SELECT COUNT(*) FROM members WHERE team = ?", (team,)
+            ).scalar()
+        with ctx.txn(label="addMember") as t:
+            t.execute("INSERT INTO members (name, team) VALUES (?, ?)", (name, team))
+        return size
+
+    def join_soft(ctx, name, team):
+        with ctx.txn(label="addMember") as t:
+            t.execute("SELECT name FROM members WHERE team = ?", (team,))
+            try:
+                t.execute(
+                    "INSERT INTO members (name, team) VALUES (?, ?)", (name, team)
+                )
+            except IntegrityError:
+                return "exists"
+        return "added"
+
+    runtime.register("join", join)
+    runtime.register("joinSoft", join_soft)
+    trod = Trod(database).attach(runtime)
+    return database, runtime, trod
+
+
+class TestFootprintRestore:
+    """A replay restores the rows its request read, updated or deleted,
+    as of its first snapshot; whole tables only where that cannot do."""
+
+    def test_dev_db_holds_the_requests_footprint(self, moodle_env):
+        database, runtime, trod = moodle_env
+        for user in ("U1", "U2", "U3", "U4"):
+            runtime.submit("subscribeUser", user, "F1")
+        again = runtime.submit("subscribeUser", "U3", "F1").req_id
+        result = trod.replayer.replay_request(again)
+        assert result.fidelity, result.divergences
+        # Its one read found U3's row: that row is the whole footprint.
+        assert result.dev_db.table_rows("forum_sub") == [
+            {"userId": "U3", "forum": "F1"}
+        ]
+        whole = trod.replayer.replay_request(again, dependency_filter=False)
+        assert whole.fidelity and len(whole.dev_db.table_rows("forum_sub")) == 4
+
+    def test_a_replayed_insert_takes_the_id_its_original_took(self, racy_moodle):
+        database, _runtime, trod = racy_moodle
+        trod.flush()
+        prov = trod.provenance
+        history = prov._row_history(prov.event_table_of("forum_sub"))
+        r1 = prov.txns_of_request("R1")
+        # By R1's snapshot no subscription existed; both exist by now.
+        assert history.highest_at(r1[0]["SnapshotCsn"]) == 0
+        assert history.highest_at(database.last_csn) == 2
+        result = trod.replayer.replay_request("R1")
+        assert result.fidelity, result.divergences
+        # R2's insert is injected under its own id, and R1's takes the next.
+        assert [w.row_id for step in result.steps for w in step.injected] == [1]
+        assert result.dev_db.snapshot_rows("forum_sub") == \
+            database.snapshot_rows("forum_sub")
+
+    def test_a_history_event_below_the_newest_csn_rebuilds_the_history(
+        self, racy_moodle
+    ):
+        """Events ingested since are read off the ``Csn`` index above the
+        history's newest ``Csn``; one filed below it (a late snapshot) is
+        not there, so the history is built again, as from scratch."""
+        _db, _runtime, trod = racy_moodle
+        trod.flush()
+        prov = trod.provenance
+        event_table = prov.event_table_of("forum_sub")
+        before = prov._row_history(event_table)
+        assert before.newest > 0
+        prov.capture_snapshot("forum_sub", [(9, ("U9", "F9"))], 0)
+        after = prov._row_history(event_table)
+        assert after is not before and after.highest_at(0) == 9
+        assert prov.reconstruct_rows("forum_sub", 0, [9]) == [(9, ("U9", "F9"))]
+        prov._row_histories.clear()
+        built = prov._row_history(event_table)
+        for name in type(built).__slots__:
+            assert getattr(after, name) == getattr(built, name), name
+
+    @pytest.mark.parametrize("change", ["editNotes", "dropNotes"])
+    def test_a_row_the_request_inserted_changed_by_another(self, notes_env, change):
+        """The request inserts a row, another request updates or deletes
+        it, then the request reads the table again: the replayed insert
+        takes the original id, so the injected write finds its row."""
+        database, runtime, trod = notes_env()
+        runtime.submit("postNote", "al", "hello")
+        results = runtime.run_concurrent(
+            [Request("postNote", ("bo", "draft")), Request(change, ("bo",))],
+            schedule=[0, 1, 0],
+        )
+        original = results[0]
+        assert original.output == ([("final",)] if change == "editNotes" else [])
+        result = trod.replayer.replay_request(original.req_id)
+        assert result.fidelity, result.divergences
+        assert result.output == original.output
+        assert result.dev_db.snapshot_rows("notes") == [
+            (row_id, values)
+            for row_id, values in database.snapshot_rows("notes")
+            if values[0] == "bo"
+        ]
+
+    def test_an_injected_update_installs_and_a_delete_only_reports(
+        self, moodle_env
+    ):
+        database, runtime, trod = moodle_env
+        runtime.submit("createCourse", "C1", "Intro", [])
+        runtime.submit("subscribeUser", "U9", "F9")
+        before = database.last_csn
+        runtime.submit("deleteCourse", "C1")
+        runtime.submit("unsubscribeUser", "U9", "F9")
+        trod.flush()
+        events = trod.provenance.writes_between(before, database.last_csn)
+        assert [e["Type"] for e in events] == ["Update", "Delete"]
+        dev = Database()
+        for table in ("courses", "forum_sub"):
+            dev.create_table(trod.provenance.app_schema(table))
+        # Only a table restored as a footprint may lack a row.
+        with pytest.raises(TransactionError, match="missing row"):
+            trod.replayer.apply_writes(dev, events)
+        applied = trod.replayer.apply_writes(
+            dev, events, footprint_tables={"courses", "forum_sub"}
+        )
+        assert [(w.table, w.kind) for w in applied] == [
+            ("courses", "Update"), ("forum_sub", "Delete")
+        ]
+        assert dev.snapshot_rows("courses") == [
+            (events[0]["RowId"], ("C1", "Intro", "deleted"))
+        ]
+        assert dev.snapshot_rows("forum_sub") == []
+
+    def test_a_unique_table_is_restored_whole(self):
+        """The insert's uniqueness check met a row no event of the request
+        records (another team's member): the table comes back whole."""
+        database, runtime, trod = members_env()
+        runtime.submit("join", "ann", "red")
+        soft = runtime.submit("joinSoft", "ann", "blue")
+        assert soft.output == "exists"
+        trod.flush()
+        events = trod.provenance.events_of_txn(soft.txn_names)
+        assert {e["RowId"] for e in events[soft.txn_names[0]]["members"]} == {None}
+        result = trod.replayer.replay_request(soft.req_id)
+        assert result.fidelity, result.divergences
+        assert result.output == "exists"
+        assert result.dev_db.table_rows("members") == [{"name": "ann", "team": "red"}]
+
+    def test_a_request_with_an_aborted_transaction_replays_it(self):
+        """A committed read, then an insert refused as a duplicate: both
+        transactions replay, the second aborting as it did."""
+        database, runtime, trod = members_env()
+        runtime.submit("join", "ann", "red")
+        failed = runtime.submit("join", "ann", "red")
+        assert failed.error.startswith("IntegrityError")
+        trod.flush()
+        txns = trod.provenance.txns_of_request(failed.req_id, committed_only=False)
+        assert [t["Status"] for t in txns] == ["Committed", "Aborted"]
+        result = trod.replayer.replay_request(failed.req_id)
+        assert result.fidelity, result.divergences
+        assert result.error == failed.error
+        assert [s.label for s in result.steps] == ["teamSize", "addMember"]
+        assert result.dev_db.table_rows("members") == [{"name": "ann", "team": "red"}]
+
+
 def kinds_of(statements: list[str]) -> dict[str, int]:
     """What each provenance statement of a replay asks, counted."""
     kinds = {}
@@ -224,55 +401,68 @@ class TestReplayCost:
             "query",
             lambda sql, params=(): statements.append(sql) or query(sql, params),
         )
-        #: The event table of each positional read off an index.
+        #: (event table, rows fetched) of each positional read off an index.
         reads = []
         event_rows = prov._event_rows
-        monkeypatch.setattr(
-            prov,
-            "_event_rows",
-            lambda table, *args, **kw: reads.append(table) or event_rows(table, *args, **kw),
-        )
+
+        def read(table, *args, **kw):
+            rows = event_rows(table, *args, **kw)
+            reads.append((table, len(rows)))
+            return rows
+
+        monkeypatch.setattr(prov, "_event_rows", read)
+        #: Event rows each footprint restore fetched.
+        restored = []
+        restore_footprint = prov.restore_footprint
+
+        def restore(*args, **kw):
+            start = len(reads)
+            counts = restore_footprint(*args, **kw)
+            restored.append(sum(n for _table, n in reads[start:]))
+            return counts
+
+        monkeypatch.setattr(prov, "restore_footprint", restore)
 
         def replay_cost(req_id):
             del statements[:], reads[:]
             result = trod.replayer.replay_request(req_id)
             assert result.fidelity, result.divergences
             assert len(result.steps) == 4
-            return len(statements), len(reads)
+            return len(statements), Counter(table for table, _n in reads), restored[-1]
 
         capture(50)
-        cold = replay_cost(placed[5])  # nothing kept yet: every table in full
+        cold = replay_cost(placed[5])
         assert not any("COUNT(" in sql or "JOIN" in sql for sql in statements)
         # Three statements, whatever the number of transactions: the
         # request, its transactions, and the window writers' requests at
         # once. The rest is read off the event tables' indexes: each
-        # transaction's events by ``TxnId`` (every event table), and one
-        # reconstruction and one window read by ``Csn`` per table the
-        # request used (five).
+        # transaction's events by ``TxnId`` (every event table), one
+        # window read by ``Csn`` per table the request used (five), and
+        # one footprint read per table whose rows it read or changed
+        # (three: orders and payments it only inserted into).
         assert kinds_of(statements) == {"request": 1, "transactions": 1, "writers": 1}
-        used = {table for table in reads if reads.count(table) == 3}
-        assert len(used) == 5 and len(set(reads)) == 7
-        assert cold == (3, 7 + 5 + 5)
+        assert cold == (3, {
+            "CartEvents": 3, "CartItemEvents": 3, "InventoryEvents": 3,
+            "OrderEvents": 2, "PaymentEvents": 2, "UserEvents": 1,
+            "StagingEvents": 1,
+        }, 3)
         for sql in statements:
             if "TxnId IN" in sql:  # an index probe, not a filtered scan
                 assert "probe=" in prov.db.explain(sql)[-1], sql
-        # A later request starts from the states that replay left (one delta
-        # read per table); the same request again finds its own, and reads
-        # no event to restore them.
-        assert replay_cost(placed[-1]) == cold
-        restores = dict(prov.checkpoint_stats)
-        warm = replay_cost(placed[5])
-        assert warm == (3, cold[1] - 5)
-        assert prov.checkpoint_stats == {
-            **restores,
-            "checkpoint_restores": restores["checkpoint_restores"] + 5,
-        }
+        # A footprint restore fetches one event per row it restores (the
+        # cart, its item and that item's inventory row), keeps no state,
+        # and costs the same again.
+        assert replay_cost(placed[5]) == cold
+        assert prov.checkpoint_stats == {"checkpoint_restores": 0, "full_restores": 0}
+        later = replay_cost(placed[-1])
+        assert later[:2] == cold[:2]
+        # Seven times the history: the same statements, the same index
+        # reads, and the same event rows fetched for the same request.
         capture(350)
         assert len(placed) == 400
-        assert replay_cost(placed[5]) == warm
-        assert replay_cost(placed[-1]) == cold
-        prov.invalidate_checkpoints()
         assert replay_cost(placed[5]) == cold
+        assert replay_cost(placed[-1])[:2] == cold[:2]
+        assert prov.checkpoint_stats == {"checkpoint_restores": 0, "full_restores": 0}
 
 
 class TestDivergenceDetection:
