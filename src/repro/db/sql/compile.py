@@ -14,20 +14,22 @@ are kept per source text (:data:`_code_memo`): a plan that runs once — a
 replay's fresh dev database, a shard, a broadcast join rebuilt per
 statement — reuses what any database of the process already compiled.
 
-Semantics are ``Expr.eval``'s, exactly, and the property suite holds every
-form to it: SQL three-valued logic with the engine's truth normalization,
-``compare_values`` total-order comparisons (with a direct-operator fast
-path guarded against NaN, whose ordering under ``compare_values`` differs
-from Python's), the same error messages, and lazy CASE/AND/OR/IN
-evaluation. What a row could never evaluate — an unknown column, ``*``,
-an aggregate call — is a :class:`PlanningError`, as it is from
-:func:`~repro.db.sql.planner.check_scalar` at plan time; there is no
-other path to fall back to.
+These programs are the engine's one expression semantics, held to stdlib
+``sqlite3`` by the tests (``tests/sql_oracle.py`` lists every declared
+difference): three-valued logic with one truth rule (:func:`_truth`),
+``compare_values``' total order (a direct-operator fast path guarded
+against NaN, which ``compare_values`` orders greatest), lazy CASE, AND,
+OR and IN. What a row could never evaluate — an unknown column, ``*``, an
+aggregate call — is a :class:`PlanningError`, as it is from
+:func:`~repro.db.sql.planner.check_scalar` at plan time.
 """
 
 from __future__ import annotations
 
+import math
+import re
 import warnings
+from functools import lru_cache
 from types import CodeType
 from typing import Any, Callable, Sequence
 
@@ -44,9 +46,6 @@ from repro.db.expr import (
     Literal,
     Param,
     UnaryOp,
-    _div,
-    _mod,
-    like_regex,
 )
 from repro.db.sql import planner
 from repro.db.sql.functions import (
@@ -98,6 +97,71 @@ _CMP_ZERO = {
     "=": "== 0", "==": "== 0", "!=": "!= 0", "<>": "!= 0",
     "<": "< 0", "<=": "<= 0", ">": "> 0", ">=": ">= 0",
 }
+
+
+def _div(a: Any, b: Any) -> Any:
+    if a.__class__ is str or b.__class__ is str:
+        raise TypeError("arithmetic on TEXT")
+    if b == 0:
+        raise ExecutionError("division by zero")
+    result = a / b
+    if isinstance(a, int) and isinstance(b, int) and result == int(result):
+        return int(result)
+    return result
+
+
+def _mod(a: Any, b: Any) -> Any:
+    if a.__class__ is str or b.__class__ is str:
+        # ``str % x`` is printf formatting in Python, not arithmetic.
+        raise TypeError("arithmetic on TEXT")
+    if b == 0:
+        raise ExecutionError("modulo by zero")
+    if isinstance(a, float) or isinstance(b, float):
+        # Truncated division's remainder, as Postgres computes it (SQLite
+        # truncates float operands to integers first).
+        return math.fmod(a, b)
+    # The remainder takes the dividend's sign, as in SQLite, Postgres and
+    # MySQL: -7 % 3 is -1, 7 % -3 is 1.
+    remainder = abs(a) % abs(b)
+    return -remainder if a < 0 else remainder
+
+
+def _truth(value: Any) -> bool:
+    """The truth of a value in boolean position (AND, OR, NOT, CASE WHEN,
+    WHERE, HAVING, ON) that is not TRUE, FALSE or NULL: a number is TRUE
+    exactly when it is nonzero, as in SQLite; TEXT is an error."""
+    if value.__class__ is str:
+        raise ExecutionError(f"TEXT {value!r} is not a truth value")
+    return value != 0
+
+
+@lru_cache(maxsize=512)
+def like_regex(pattern: str) -> re.Pattern:
+    """The regex a LIKE pattern means: ``%`` any run, ``_`` any one character.
+
+    Kept per pattern text, so a pattern that arrives as a parameter or a
+    column value is translated once, not once per row it is matched against.
+    """
+    out = []
+    for char in pattern:
+        if char == "%":
+            out.append(".*")
+        elif char == "_":
+            out.append(".")
+        else:
+            out.append(re.escape(char))
+    return re.compile("".join(out), re.DOTALL)
+
+
+def _is_predicate(expr: Expr) -> bool:
+    """Whether ``expr`` can only be TRUE, FALSE or NULL."""
+    if isinstance(expr, BinaryOp):
+        return expr.op in _CMP_PY or expr.op == "AND" or expr.op == "OR"
+    if isinstance(expr, UnaryOp):
+        return expr.op == "NOT"
+    if isinstance(expr, Literal):
+        return expr.value is None or expr.value.__class__ is bool
+    return isinstance(expr, (IsNull, InList, Between, Like))
 
 
 def _pget(params: Sequence[Any], index: int) -> Any:
@@ -161,11 +225,14 @@ class _Emitter:
             self.env.setdefault("_pget", _pget)
         return name
 
-    def per_row(self, exprs: Sequence[Expr]) -> tuple[list[str], list[str]]:
-        """Lower ``exprs`` as a row loop's body: (fragments, body lines)."""
+    def per_row(
+        self, exprs: Sequence[Expr], lower: Callable[[Expr], str] | None = None
+    ) -> tuple[list[str], list[str]]:
+        """Lower ``exprs`` (with ``lower``, by default :meth:`emit`) as a
+        row loop's body: (fragments, body lines)."""
         outer, self.lines = self.lines, []
         self.indent = 2
-        frags = [self.emit(e) for e in exprs]
+        frags = [(lower or self.emit)(e) for e in exprs]
         body, self.lines = self.lines, outer
         self.indent = 1
         return frags, body
@@ -178,6 +245,22 @@ class _Emitter:
         return _bind(source, fn_name, self.env)
 
     # -- expression lowering ------------------------------------------------
+
+    def truth(self, expr: Expr) -> str:
+        """``expr`` in boolean position: a fragment that is TRUE, FALSE or
+        NULL. A bool or NULL stays on the ``is True`` / ``is False`` path;
+        anything else goes through :func:`_truth`."""
+        frag = self.emit(expr)
+        if _is_predicate(expr):
+            return frag
+        value = self.localize(frag)
+        out = self.tmp()
+        self.env.setdefault("_truth", _truth)
+        self.line(
+            f"{out} = {value} if {value} is None or ({value}).__class__ is bool "
+            f"else _truth({value})"
+        )
+        return out
 
     def emit(self, expr: Expr) -> str:
         if isinstance(expr, Literal):
@@ -221,14 +304,14 @@ class _Emitter:
     def _emit_binary(self, expr: BinaryOp) -> str:
         op = expr.op
         if op == "AND" or op == "OR":
-            a = self.emit(expr.left)
+            a = self.truth(expr.left)
             out = self.tmp()
             stop = "False" if op == "AND" else "True"
             self.line(f"if {a} is {stop}:")
             self.line(f"    {out} = {stop}")
             self.line("else:")
             self.indent += 1
-            b = self.emit(expr.right)
+            b = self.truth(expr.right)
             self.line(f"if {b} is {stop}:")
             self.line(f"    {out} = {stop}")
             self.line(f"elif {a} is None or {b} is None:")
@@ -345,9 +428,13 @@ class _Emitter:
         else:
             helper = self.bind(_div if op == "/" else _mod, "_h")
             value = f"{helper}({a}, {b})"
-        return self._emit_guarded(
-            f"{a} is None or {b} is None", value, f"invalid operands for {op}"
-        )
+        complaint = f"invalid operands for {op}"
+        out = self._emit_guarded(f"{a} is None or {b} is None", value, complaint)
+        if op == "+" or op == "*":
+            # TEXT is no number, though Python makes 'a' + 'b' and 'a' * 2.
+            self.line(f"if {out}.__class__ is str:")
+            self.line(f"    raise ExecutionError({complaint!r})")
+        return out
 
     def _emit_guarded(self, is_null: str, value: str, complaint: str) -> str:
         """``value``, NULL under ``is_null``; a TypeError is ``complaint``."""
@@ -362,11 +449,12 @@ class _Emitter:
         return out
 
     def _emit_unary(self, expr: UnaryOp) -> str:
-        operand = self.localize(self.emit(expr.operand))
         if expr.op == "NOT":
+            truth = self.truth(expr.operand)
             out = self.tmp()
-            self.line(f"{out} = None if {operand} is None else not {operand}")
+            self.line(f"{out} = None if {truth} is None else not {truth}")
             return out
+        operand = self.localize(self.emit(expr.operand))
         if expr.op == "-":
             return self._emit_guarded(
                 f"{operand} is None", f"-{operand}", "invalid operand for -"
@@ -459,7 +547,7 @@ class _Emitter:
         self.line("while True:")
         self.indent += 1
         for cond_expr, value_expr in expr.branches:
-            cond = self.emit(cond_expr)
+            cond = self.truth(cond_expr)
             self.line(f"if {cond} is True:")
             self.indent += 1
             self.line(f"{out} = {self.emit(value_expr)}")
@@ -494,7 +582,7 @@ def _bind(source: str, fn_name: str, env: dict) -> Callable:
     if code is None:
         with warnings.catch_warnings():
             # Generated identity tests like ``_t1 is True`` are deliberate
-            # (SQL truth normalization); silence CPython's literal-is lint.
+            # (the truth rule's bool path); silence CPython's literal-is lint.
             warnings.simplefilter("ignore", SyntaxWarning)
             code = compile(source, "<repro-codegen>", "exec")
         if len(_code_memo) >= _CODE_MEMO_LIMIT:
@@ -519,14 +607,15 @@ def compile_scalar(expr: Expr, layout: planner.Layout) -> Callable:
 def compile_predicate_batch(
     expr: Expr, layout: planner.Layout, pairs: bool = False
 ) -> Callable:
-    """``(rows, params) -> list[row]`` keeping rows where expr IS TRUE.
+    """``(rows, params) -> list[row]`` keeping rows where expr is TRUE
+    under the truth rule (a nonzero number is TRUE).
 
     With ``pairs`` the batch holds ``(row_id, values)`` pairs — a scan
     recording read provenance, or the match phase of an UPDATE or DELETE
     — and the predicate reads ``values``.
     """
     emitter = _Emitter(layout)
-    (frag,), per_row = emitter.per_row([expr])
+    (frag,), per_row = emitter.per_row([expr], emitter.truth)
     emitter.line("out = []")
     emitter.line("ap = out.append")
     if pairs:
@@ -714,7 +803,7 @@ def compile_join_probe(
         # The residual reads the joined row; nothing after it reads ``r``.
         emitter.row, emitter.layout = "c", combined_layout
         emitter.line("c = r + rr")
-        emitter.line(f"if {emitter.emit(residual_expr)} is True:")
+        emitter.line(f"if {emitter.truth(residual_expr)} is True:")
         if left_join:
             emitter.line("    matched = True")
         emitter.line("    ap(c)")

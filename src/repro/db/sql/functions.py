@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable, Sequence
 
 from repro.db.types import compare_values
@@ -37,10 +38,14 @@ def _abs(value: Any) -> Any:
 
 
 def _round(value: Any, digits: Any = 0) -> Any:
-    if value is None:
+    """Python's ``round`` on the binary value (half to even), an INTEGER
+    for 0 digits: a declared difference from SQLite, which rounds half
+    away from zero on the decimal text and always returns a REAL."""
+    if value is None or digits is None:
         return None
-    result = round(_arg("ROUND", value, float), _arg("ROUND", digits, int))
-    return _arg("ROUND", result, int) if digits == 0 else result
+    number, places = _arg("ROUND", value, float), _arg("ROUND", digits, int)
+    result = round(number, places)
+    return _arg("ROUND", result, int) if places == 0 else result
 
 
 def _coalesce(*args: Any) -> Any:
@@ -60,27 +65,45 @@ def _ifnull(a: Any, b: Any) -> Any:
     return b if a is None else a
 
 
-def _substr(value: Any, start: Any, length: Any = None) -> Any:
-    """1-based SUBSTR, matching common SQL engines."""
-    if value is None or start is None:
+def _substr(value: Any, start: Any, *length: Any) -> Any:
+    """1-based SUBSTR, as SQLite computes it.
+
+    Positions before the first character count against the length
+    (``SUBSTR('hello', 0, 2)`` is ``'h'``), a negative start counts from
+    the end (``SUBSTR('hello', -3)`` is ``'llo'``), and a negative length
+    takes the characters before the start (``SUBSTR('hello', 3, -2)`` is
+    ``'he'``; Postgres raises an error there). A NULL length is NULL.
+    """
+    if value is None or start is None or None in length:
         return None
     text = str(value)
-    begin = _arg("SUBSTR", start, int) - 1
-    if begin < 0:
-        begin = 0
-    if length is None:
-        return text[begin:]
-    return text[begin : begin + _arg("SUBSTR", length, int)]
+    begin = _arg("SUBSTR", start, int)
+    count = _arg("SUBSTR", length[0], int) if length else sys.maxsize
+    if begin < 0:  # from the end; what falls before the text is lost
+        begin += len(text)
+        count, begin = (max(count + begin, 0), 0) if begin < 0 else (count, begin)
+    elif begin > 0:
+        begin -= 1
+    elif count > 0:
+        count -= 1  # position 0 is before the first character
+    if count < 0:  # the characters before the start
+        begin, count = max(begin + count, 0), min(-count, begin)
+    return text[begin : begin + count]
 
 
 def _trim(value: Any) -> Any:
-    return None if value is None else str(value).strip()
+    """Spaces off both ends (not tabs or newlines), as SQLite and Postgres."""
+    return None if value is None else str(value).strip(" ")
 
 
 def _replace(value: Any, old: Any, new: Any) -> Any:
+    """Every ``old`` in ``value``'s text made ``new``. An empty ``old``
+    returns ``value`` as it is, as SQLite does (Python's ``str.replace``
+    would insert ``new`` between every two characters)."""
     if value is None or old is None or new is None:
         return None
-    return str(value).replace(str(old), str(new))
+    old = str(old)
+    return str(value).replace(old, str(new)) if old else value
 
 
 def _concat(*args: Any) -> Any:

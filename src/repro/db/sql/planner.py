@@ -1,12 +1,12 @@
 """Row layouts, name resolution and expression rewrites.
 
 The executor works on flat row tuples. A :class:`Layout` maps qualified and
-unqualified column names to tuple slots. Expressions have two evaluators
-with two jobs: everything evaluated per row runs as a generated program
-(:mod:`repro.db.sql.compile`), and everything no row feeds runs on the
-reference tree interpreter ``Expr.eval`` through :func:`evaluate_rowless`
-— as does constant folding. :func:`check_scalar` is the plan-time half of
-both: it reports what no row could evaluate.
+unqualified column names to tuple slots. Every expression runs as a
+generated program (:mod:`repro.db.sql.compile`): per row over its plan
+node's layout, or — for what no row feeds, and for constant folding —
+over :data:`NO_COLUMNS` through :func:`evaluate_rowless`, which keeps the
+program on the expression. :func:`check_scalar` is the plan-time half: it
+reports what no row could evaluate.
 
 This module also hosts the aggregate rewrite: expressions over GROUP BY
 results are rebuilt so aggregate calls and group keys become direct slot
@@ -29,7 +29,6 @@ from repro.db.expr import (
     Like,
     Literal,
     Param,
-    Scope,
     Star,
     UnaryOp,
 )
@@ -123,9 +122,6 @@ class SlotRef(Expr):
         self.index = index
         self.label = label
 
-    def eval(self, scope) -> Any:  # pragma: no cover - programs only
-        raise ExecutionError("SlotRef cannot be interpreted")
-
     def sql(self) -> str:
         return self.label or f"$slot{self.index}"
 
@@ -170,13 +166,21 @@ NO_COLUMNS = Layout()
 
 
 def evaluate_rowless(expr: Expr, params: Sequence[Any]) -> Any:
-    """Evaluate an expression that no row feeds, on the reference evaluator.
+    """Evaluate an expression that no row feeds.
 
     LIMIT, OFFSET, AS OF, INSERT VALUES, column DEFAULT, index-probe keys
-    and bounds: each runs once per statement, so none is worth a program.
+    and bounds, a sharded statement's key pins: each runs once per
+    statement, on the same program any row would run — generated over
+    :data:`NO_COLUMNS` the first time the expression runs and kept on it
+    (``Expr.rowless``), since a parsed statement serves every execution.
     """
-    check_scalar(expr, NO_COLUMNS)
-    return expr.eval(Scope(params))
+    program = expr.rowless
+    if program is None:
+        from repro.db.sql.compile import compile_scalar
+
+        check_scalar(expr, NO_COLUMNS)
+        program = expr.rowless = compile_scalar(expr, NO_COLUMNS)
+    return program((), params)
 
 
 def checked_count(value: Any, complaint: str) -> int:
@@ -340,9 +344,9 @@ def fold_constants(expr: Expr) -> Expr:
     literals; any evaluation error leaves the subtree unfolded so the
     error still surfaces at execution, exactly where it used to. The only
     non-constant rewrites applied are the left-literal short circuits
-    ``FALSE AND x -> FALSE`` and ``TRUE OR x -> TRUE``, which both
-    evaluators perform without touching ``x`` anyway.
-    (``TRUE AND x`` is *not* ``x``: AND normalizes truthy operands.)
+    ``FALSE AND x -> FALSE`` and ``TRUE OR x -> TRUE``, which the
+    programs perform without touching ``x`` anyway. (``TRUE AND x`` is
+    *not* ``x``: AND turns a nonzero number into TRUE.)
     """
     folded = map_children(expr, fold_constants)
     if isinstance(folded, BinaryOp) and isinstance(folded.left, Literal):
@@ -353,7 +357,7 @@ def fold_constants(expr: Expr) -> Expr:
     if isinstance(folded, Literal) or not is_const_expr(folded):
         return folded
     try:
-        value = folded.eval(Scope())
+        value = evaluate_rowless(folded, ())
     except Exception:
         return folded
     return Literal(value)

@@ -3,9 +3,9 @@
 ``x BETWEEN lo AND hi`` is three-valued ``lo <= x AND x <= hi``: a bound
 that is not NULL and fails makes it false (so its NOT true) whatever the
 other bound is, and it is NULL only when no bound fails and one is NULL.
-Both evaluators run every case: ``Expr.eval`` through rowless
-``SELECT`` lists, and the generated programs through ``WHERE`` filters and
-computed columns over a table.
+Every case runs as a rowless program (constant ``SELECT`` lists and
+``evaluate_rowless``) and as a per-row program (``WHERE`` filters and
+computed columns over a table).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 
 from repro.db import Database
 from repro.db.expr import Between, Literal
+from repro.db.sql.planner import evaluate_rowless
 
 ROWS = [
     (1, 5, None, 3),
@@ -93,14 +94,14 @@ def test_a_constant_is_what_sqlite_computes(pair, expression):
 
 
 @pytest.mark.parametrize("negated", [False, True])
-def test_the_reference_evaluator_agrees(pair, negated):
+def test_the_rowless_program_agrees(pair, negated):
     _db, lite = pair
     for value in (5, None):
         for low in (1, 7, None):
             for high in (3, 9, None):
-                got = Between(
-                    Literal(value), Literal(low), Literal(high), negated
-                ).eval(None)
+                got = evaluate_rowless(
+                    Between(Literal(value), Literal(low), Literal(high), negated), ()
+                )
                 word = "NOT BETWEEN" if negated else "BETWEEN"
                 want = lite.execute(f"SELECT ? {word} ? AND ?", (value, low, high))
                 assert as_sqlite(got) == want.fetchone()[0], (value, low, high)

@@ -1,4 +1,12 @@
-"""Unit tests for expression evaluation (interpreter path) and helpers."""
+"""Unit tests for expression evaluation and the AST helpers.
+
+Each expression runs as its rowless program (``evaluate_rowless``, the
+program any row would run) and through ``tests/sql_oracle.py`` — SQLite, or
+the declared dialect difference that covers it — and the two must agree
+on the value and its type before the case checks the value itself.
+"""
+
+import sqlite3
 
 import pytest
 
@@ -13,53 +21,40 @@ from repro.db.expr import (
     Like,
     Literal,
     Param,
-    Scope,
     UnaryOp,
     assign_param_indexes,
     conjoin,
     contains_aggregate,
     split_conjuncts,
-    truthy,
 )
+from repro.db.sql.planner import evaluate_rowless
 from repro.errors import ExecutionError
+from sql_oracle import reference
 
 
-def scope(**bindings) -> Scope:
-    s = Scope()
-    for name, value in bindings.items():
-        s.bind("t", name, value)
-    return s
+def value(expr, params=()):
+    """``expr``'s value, once the program and the oracle agree on it."""
+    got = evaluate_rowless(expr, params)
+    want = reference(expr, (), params)
+    assert (type(got), got) == (type(want), want), (expr, got, want)
+    return got
 
 
-class TestScope:
-    def test_qualified_and_unqualified(self):
-        s = scope(a=1)
-        assert s.lookup("t", "a") == 1
-        assert s.lookup(None, "a") == 1
-
-    def test_case_insensitive(self):
-        s = scope(UserId="U1")
-        assert s.lookup(None, "userid") == "U1"
-        assert s.lookup("T", "USERID") == "U1"
-
-    def test_ambiguous_unqualified(self):
-        s = Scope()
-        s.bind("a", "x", 1)
-        s.bind("b", "x", 2)
-        with pytest.raises(ExecutionError, match="ambiguous"):
-            s.lookup(None, "x")
-        assert s.lookup("a", "x") == 1
-        assert s.lookup("b", "x") == 2
-
-    def test_unknown_column(self):
-        with pytest.raises(ExecutionError):
-            scope(a=1).lookup(None, "zzz")
+def error(expr, params=()) -> str:
+    """The message ``expr`` fails with, once the program and the oracle
+    fail alike."""
+    with pytest.raises(ExecutionError) as raised:
+        evaluate_rowless(expr, params)
+    with pytest.raises(ExecutionError) as modelled:
+        reference(expr, (), params)
+    assert str(raised.value) == str(modelled.value)
+    return str(raised.value)
 
 
 class TestThreeValuedLogic:
     def test_comparison_with_null_is_null(self):
         expr = BinaryOp("=", Literal(None), Literal(1))
-        assert expr.eval(Scope()) is None
+        assert value(expr) is None
 
     def test_and_kleene(self):
         cases = [
@@ -71,7 +66,7 @@ class TestThreeValuedLogic:
         ]
         for a, b, expected in cases:
             expr = BinaryOp("AND", Literal(a), Literal(b))
-            assert expr.eval(Scope()) is expected
+            assert value(expr) is expected
 
     def test_or_kleene(self):
         cases = [
@@ -83,90 +78,111 @@ class TestThreeValuedLogic:
         ]
         for a, b, expected in cases:
             expr = BinaryOp("OR", Literal(a), Literal(b))
-            assert expr.eval(Scope()) is expected
+            assert value(expr) is expected
 
     def test_not_null_is_null(self):
-        assert UnaryOp("NOT", Literal(None)).eval(Scope()) is None
+        assert value(UnaryOp("NOT", Literal(None))) is None
 
-    def test_truthy_only_on_true(self):
-        assert truthy(True)
-        assert not truthy(None)
-        assert not truthy(False)
-        assert not truthy(1)
+    def test_truth_rule_on_true_false_null_and_numbers(self):
+        """A number is TRUE exactly when it is nonzero — in AND, OR, NOT,
+        CASE WHEN and WHERE — and each answer is sqlite3's."""
+        lite = sqlite3.connect(":memory:")
+        operands = [True, False, None, 0, 1, 2, 0.0, -0.5]
+        for a in operands:
+            for b in operands:
+                for op in ("AND", "OR"):
+                    want = lite.execute(f"SELECT ? {op} ?", (a, b)).fetchone()[0]
+                    got = value(BinaryOp(op, Literal(a), Literal(b)))
+                    assert got == (None if want is None else bool(want)), (a, op, b)
+            want = lite.execute("SELECT NOT ?", (a,)).fetchone()[0]
+            assert value(UnaryOp("NOT", Literal(a))) == (
+                None if want is None else bool(want)
+            )
+            case = Case([(Literal(a), Literal("yes"))], Literal("no"))
+            assert value(case) == lite.execute(
+                "SELECT CASE WHEN ? THEN 'yes' ELSE 'no' END", (a,)
+            ).fetchone()[0]
+
+    def test_text_is_no_truth_value(self):
+        assert error(BinaryOp("AND", Literal("a"), Literal(True))) == (
+            "TEXT 'a' is not a truth value"
+        )
+        assert error(UnaryOp("NOT", Literal("1"))) == "TEXT '1' is not a truth value"
 
 
 class TestOperators:
     def test_arithmetic(self):
-        s = Scope()
-        assert BinaryOp("+", Literal(2), Literal(3)).eval(s) == 5
-        assert BinaryOp("-", Literal(2), Literal(3)).eval(s) == -1
-        assert BinaryOp("*", Literal(2), Literal(3)).eval(s) == 6
-        assert BinaryOp("%", Literal(7), Literal(3)).eval(s) == 1
+        assert value(BinaryOp("+", Literal(2), Literal(3))) == 5
+        assert value(BinaryOp("-", Literal(2), Literal(3))) == -1
+        assert value(BinaryOp("*", Literal(2), Literal(3))) == 6
+        assert value(BinaryOp("%", Literal(7), Literal(3))) == 1
 
     def test_integer_division_stays_integer_when_exact(self):
-        assert BinaryOp("/", Literal(6), Literal(3)).eval(Scope()) == 2
-        assert isinstance(BinaryOp("/", Literal(6), Literal(3)).eval(Scope()), int)
-        assert BinaryOp("/", Literal(7), Literal(2)).eval(Scope()) == 3.5
+        assert value(BinaryOp("/", Literal(6), Literal(3))) == 2
+        assert isinstance(value(BinaryOp("/", Literal(6), Literal(3))), int)
+        assert value(BinaryOp("/", Literal(7), Literal(2))) == 3.5
 
     def test_division_by_zero(self):
-        with pytest.raises(ExecutionError):
-            BinaryOp("/", Literal(1), Literal(0)).eval(Scope())
-        with pytest.raises(ExecutionError, match="modulo by zero"):
-            BinaryOp("%", Literal(1), Literal(0)).eval(Scope())
+        assert error(BinaryOp("/", Literal(1), Literal(0))) == "division by zero"
+        assert error(BinaryOp("%", Literal(1), Literal(0))) == "modulo by zero"
+
+    def test_arithmetic_on_text_is_an_error(self):
+        assert error(BinaryOp("+", Literal("a"), Literal("b"))) == "invalid operands for +"
+        assert error(BinaryOp("*", Literal("a"), Literal(2))) == "invalid operands for *"
+        assert value(BinaryOp("+", Literal("a"), Literal(None))) is None
 
     def test_arithmetic_with_null(self):
-        assert BinaryOp("+", Literal(None), Literal(1)).eval(Scope()) is None
+        assert value(BinaryOp("+", Literal(None), Literal(1))) is None
 
     def test_concat(self):
-        assert BinaryOp("||", Literal("a"), Literal("b")).eval(Scope()) == "ab"
+        assert value(BinaryOp("||", Literal("a"), Literal("b"))) == "ab"
 
     def test_comparisons(self):
-        s = Scope()
-        assert BinaryOp("<", Literal(1), Literal(2)).eval(s) is True
-        assert BinaryOp(">=", Literal(2), Literal(2)).eval(s) is True
-        assert BinaryOp("!=", Literal(1), Literal(2)).eval(s) is True
-        assert BinaryOp("<>", Literal(1), Literal(1)).eval(s) is False
+        assert value(BinaryOp("<", Literal(1), Literal(2))) is True
+        assert value(BinaryOp(">=", Literal(2), Literal(2))) is True
+        assert value(BinaryOp("!=", Literal(1), Literal(2))) is True
+        assert value(BinaryOp("<>", Literal(1), Literal(1))) is False
 
     def test_unary_minus(self):
-        assert UnaryOp("-", Literal(5)).eval(Scope()) == -5
-        assert UnaryOp("-", Literal(None)).eval(Scope()) is None
+        assert value(UnaryOp("-", Literal(5))) == -5
+        assert value(UnaryOp("-", Literal(None))) is None
 
 
 class TestPredicates:
     def test_is_null(self):
-        assert IsNull(Literal(None)).eval(Scope()) is True
-        assert IsNull(Literal(1)).eval(Scope()) is False
-        assert IsNull(Literal(1), negated=True).eval(Scope()) is True
+        assert value(IsNull(Literal(None))) is True
+        assert value(IsNull(Literal(1))) is False
+        assert value(IsNull(Literal(1), negated=True)) is True
 
     def test_in_list(self):
         expr = InList(Literal(2), [Literal(1), Literal(2)])
-        assert expr.eval(Scope()) is True
+        assert value(expr) is True
         expr = InList(Literal(3), [Literal(1), Literal(2)])
-        assert expr.eval(Scope()) is False
+        assert value(expr) is False
 
     def test_in_list_null_semantics(self):
         # 3 IN (1, NULL) is NULL (unknown), not FALSE.
         expr = InList(Literal(3), [Literal(1), Literal(None)])
-        assert expr.eval(Scope()) is None
+        assert value(expr) is None
         # 1 IN (1, NULL) is TRUE.
         expr = InList(Literal(1), [Literal(1), Literal(None)])
-        assert expr.eval(Scope()) is True
+        assert value(expr) is True
 
     def test_not_in(self):
         expr = InList(Literal(3), [Literal(1)], negated=True)
-        assert expr.eval(Scope()) is True
+        assert value(expr) is True
 
     def test_between(self):
-        assert Between(Literal(2), Literal(1), Literal(3)).eval(Scope()) is True
-        assert Between(Literal(0), Literal(1), Literal(3)).eval(Scope()) is False
+        assert value(Between(Literal(2), Literal(1), Literal(3))) is True
+        assert value(Between(Literal(0), Literal(1), Literal(3))) is False
         assert (
-            Between(Literal(0), Literal(1), Literal(3), negated=True).eval(Scope())
+            value(Between(Literal(0), Literal(1), Literal(3), negated=True))
             is True
         )
 
     def test_like_patterns(self):
-        def like(value, pattern):
-            return Like(Literal(value), Literal(pattern)).eval(Scope())
+        def like(text, pattern):
+            return value(Like(Literal(text), Literal(pattern)))
 
         assert like("hello", "h%") is True
         assert like("hello", "%llo") is True
@@ -174,20 +190,19 @@ class TestPredicates:
         assert like("hello", "x%") is False
         assert like("h.llo", "h.llo") is True  # dot is literal
         assert like("hxllo", "h.llo") is False
+        assert like("Hello", "h%") is False  # case-sensitive: a declared difference
 
     def test_case(self):
         expr = Case(
             [(BinaryOp("=", Param(0), Literal(1)), Literal("one"))],
             Literal("other"),
         )
-        s = Scope(params=(1,))
-        assert expr.eval(s) == "one"
-        s = Scope(params=(2,))
-        assert expr.eval(s) == "other"
+        assert value(expr, (1,)) == "one"
+        assert value(expr, (2,)) == "other"
 
     def test_case_without_else_yields_null(self):
         expr = Case([(Literal(False), Literal("x"))], None)
-        assert expr.eval(Scope()) is None
+        assert value(expr) is None
 
 
 class TestHelpers:
@@ -215,8 +230,9 @@ class TestHelpers:
         assert (p1.index, p2.index) == (0, 1)
 
     def test_param_out_of_range(self):
-        with pytest.raises(ExecutionError):
-            Param(2).eval(Scope(params=(1,)))
+        assert error(Param(2), (1,)) == (
+            "statement uses parameter #3 but only 1 were supplied"
+        )
 
     def test_sql_rendering_roundtrip_shapes(self):
         expr = BinaryOp(

@@ -1,5 +1,7 @@
 """Unit tests for scalar and aggregate SQL functions."""
 
+import sqlite3
+
 import pytest
 
 from repro.db.sql.functions import (
@@ -42,6 +44,25 @@ class TestScalars:
         assert call_scalar("SUBSTR", ["hello", 2, 3]) == "ell"
         assert call_scalar("SUBSTR", ["hello", 1, 1]) == "h"
         assert call_scalar("SUBSTRING", ["hello", 1, 2]) == "he"
+
+    def test_substr_positions_before_the_first_character_count(self):
+        """SQLite's rule, held to sqlite3 over starts and lengths of every
+        sign: SUBSTR('hello', 0, 2) is 'h', SUBSTR('hello', 2, -1) is 'h'."""
+        lite = sqlite3.connect(":memory:")
+        for start in (-7, -5, -2, -1, 0, 1, 2, 5, 6):
+            for length in ((), (-9,), (-2,), (-1,), (0,), (1,), (2,), (9,)):
+                args = ["hello", start, *length]
+                marks = ", ".join("?" * len(args))
+                want = lite.execute(f"SELECT SUBSTR({marks})", args).fetchone()[0]
+                assert call_scalar("SUBSTR", args) == want, args
+        assert call_scalar("SUBSTR", ["hello", 0, 2]) == "h"
+        assert call_scalar("SUBSTR", ["hello", 2, -1]) == "h"
+        assert call_scalar("SUBSTR", ["hello", 1, None]) is None
+
+    def test_replace_with_an_empty_search_changes_nothing(self):
+        assert call_scalar("REPLACE", ["abc", "", "x"]) == "abc"
+        assert call_scalar("REPLACE", [12, "", "x"]) == 12
+        assert call_scalar("TRIM", ["\t x \n"]) == "\t x \n"
 
     def test_trim_replace_concat(self):
         assert call_scalar("TRIM", ["  x "]) == "x"

@@ -2,9 +2,9 @@
 
 ``-7 % 3`` is -1 and ``7 % -3`` is 1 in SQLite, Postgres and MySQL (a
 floored remainder would give 2 and -2). Integer operands are held to
-SQLite. Both evaluators run every case: ``Expr.eval`` through rowless
-``SELECT`` lists, and the generated programs through ``WHERE`` filters
-and computed columns over a table.
+SQLite. Every case runs as a rowless program (constant ``SELECT`` lists
+and ``evaluate_rowless``) and as a per-row program (``WHERE`` filters and
+computed columns over a table).
 
 Float operands follow ``math.fmod``, as Postgres does; that is a declared
 difference from SQLite, which truncates float operands to integers first
@@ -20,6 +20,7 @@ import pytest
 
 from repro.db import Database
 from repro.db.expr import BinaryOp, Literal
+from repro.db.sql.planner import evaluate_rowless
 
 PAIRS = [
     (-7, 3),
@@ -73,9 +74,9 @@ def test_a_constant_is_what_sqlite_computes(pair, a, b):
 
 
 @pytest.mark.parametrize("a, b", PAIRS)
-def test_the_reference_evaluator_agrees(pair, a, b):
+def test_the_rowless_program_agrees(pair, a, b):
     _db, lite = pair
-    got = BinaryOp("%", Literal(a), Literal(b)).eval(None)
+    got = evaluate_rowless(BinaryOp("%", Literal(a), Literal(b)), ())
     assert got == lite.execute("SELECT ? % ?", (a, b)).fetchone()[0]
 
 

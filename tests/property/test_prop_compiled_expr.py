@@ -1,13 +1,15 @@
-"""Property tests: every generated program form against ``Expr.eval``.
+"""Property tests: every generated program form against ``sqlite3``.
 
-The engine evaluates per-row expressions one way only — the programs of
-``repro.db.sql.compile`` — so this suite is what stands between that single
-evaluator and a wrong result. The reference is the tree interpreter
-``Expr.eval`` (which the engine itself uses for constant folding and for
-everything no row feeds), and each form is held to a model written over it
-in plain Python: same values, same value *types* (1 vs 1.0 vs TRUE), and
-the same ``ExecutionError`` message when a row cannot be evaluated. Any
-other exception escaping a program fails the test.
+The engine evaluates expressions one way only — the programs of
+``repro.db.sql.compile``, per row and rowless alike — so this suite is what
+stands between that single evaluator and a wrong result. The reference is
+``tests/sql_oracle.py``: SQLite computes each operator, and the table of
+declared dialect differences covers the rest (BOOLEAN as a type, errors,
+TEXT where a number or a truth value is wanted, INTEGER ``/``, ...). Each
+form is held to a model written over that reference in plain Python: same
+values, same value *types* (1 vs 1.0 vs TRUE), and the same
+``ExecutionError`` message when a row cannot be evaluated. Any other
+exception escaping a program fails the test.
 
 Forms: scalar; predicate batch over value tuples and over ``(row_id,
 values)`` pairs; projection; sort key; UPDATE assignment; join build +
@@ -37,7 +39,6 @@ from repro.db.expr import (
     Like,
     Literal,
     Param,
-    Scope,
     UnaryOp,
 )
 from repro.db.sql import compile as codegen
@@ -45,6 +46,8 @@ from repro.db.sql import planner
 from repro.db.sql.functions import make_accumulator
 from repro.db.types import SORT_CLASS, compare_values, index_key
 from repro.errors import ExecutionError
+import sql_oracle
+from sql_oracle import equal, truth
 
 COLUMNS = ["a", "b", "c", "d"]
 LAYOUT = planner.Layout.for_table("t", COLUMNS)
@@ -122,12 +125,9 @@ def _compound(children: st.SearchStrategy) -> st.SearchStrategy:
 expr_strategy = st.recursive(leaf_strategy, _compound, max_leaves=12)
 
 
-def reference(expr: Expr, row, params=(), layout=None):
-    """``expr`` over ``row`` on the tree interpreter."""
-    scope = Scope(params)
-    for (qualifier, column), value in zip((layout or LAYOUT)._slots, row):
-        scope.bind(qualifier, column, value)
-    return expr.eval(scope)
+def reference(expr: Expr, row, params=(), layout=LAYOUT):
+    """``expr`` over ``row``: SQLite, or the declared difference."""
+    return sql_oracle.reference(expr, row, params, layout)
 
 
 def outcome(fn, *args):
@@ -162,7 +162,7 @@ def test_scalar(expr, rows, params):
 @settings(max_examples=300, deadline=None)
 @given(expr=expr_strategy, rows=st.lists(row_strategy, max_size=6), params=params_strategy)
 def test_predicate_batch_over_values_and_over_pairs(expr, rows, params):
-    want = outcome(lambda: [r for r in rows if reference(expr, r, params) is True])
+    want = outcome(lambda: [r for r in rows if truth(reference(expr, r, params)) is True])
     over_values = codegen.compile_predicate_batch(expr, LAYOUT)
     assert_same(outcome(over_values, rows, params), want)
     pairs = [(10 + i, row) for i, row in enumerate(rows)]
@@ -268,7 +268,9 @@ def test_known_edges():
             )
         keep = codegen.compile_predicate_batch(expr, LAYOUT)
         want = outcome(
-            lambda: [r for r in EDGE_ROWS if reference(expr, r, EDGE_PARAMS) is True]
+            lambda: [
+                r for r in EDGE_ROWS if truth(reference(expr, r, EDGE_PARAMS)) is True
+            ]
         )
         assert_same(outcome(keep, EDGE_ROWS, EDGE_PARAMS), want)
     # The list is doing its job: errors, NULLs and values all occur.
@@ -395,10 +397,10 @@ def test_join_build_and_probe(
             for right_row, right_key in right_side:
                 if None in key or None in right_key:
                     continue  # NULL never equi-joins
-                if any(compare_values(x, y) != 0 for x, y in zip(key, right_key)):
+                if any(equal(x, y) is not True for x, y in zip(key, right_key)):
                     continue
                 joined = left_row + right_row
-                if residual is None or reference(residual, joined, layout=JOINED) is True:
+                if residual is None or truth(reference(residual, joined, layout=JOINED)) is True:
                     matched = True
                     out.append(joined)
             if not matched and kind == "left":

@@ -1,8 +1,10 @@
 """Property tests: expression SQL rendering round-trips through the parser.
 
 Every expression node renders via ``.sql()``; parsing that text back and
-evaluating both trees over random bindings must agree. This pins the
-renderer (used by EXPLAIN, provenance Query columns, and the aggregate
+evaluating both trees over random bindings must agree — the original
+through the reference (``tests/sql_oracle.py``: SQLite, or a declared
+dialect difference), the reparsed one as the engine's program. This pins
+the renderer (used by EXPLAIN, provenance Query columns, and the aggregate
 rewrite's structural matching) to the parser.
 """
 
@@ -18,10 +20,14 @@ from repro.db.expr import (
     IsNull,
     Like,
     Literal,
-    Scope,
     UnaryOp,
 )
+from repro.db.sql.compile import compile_scalar
 from repro.db.sql.parser import parse_sql
+from repro.db.sql.planner import Layout
+from sql_oracle import reference
+
+LAYOUT = Layout.for_table("t", ["a", "b", "c"])
 
 literal_values = st.one_of(
     st.none(),
@@ -67,11 +73,12 @@ def exprs(depth: int = 2) -> st.SearchStrategy[Expr]:
     )
 
 
-def eval_or_error(expr: Expr, scope: Scope):
+def eval_or_error(evaluate, *args):
     try:
-        return ("ok", expr.eval(scope))
+        value = evaluate(*args)
     except Exception as exc:  # noqa: BLE001 - compared structurally
         return ("error", type(exc).__name__)
+    return ("ok", type(value), value)
 
 
 class TestSqlRoundTrip:
@@ -81,11 +88,10 @@ class TestSqlRoundTrip:
         text = expr.sql()
         stmt = parse_sql(f"SELECT {text}")
         reparsed = stmt.items[0].expr
-        scope = Scope()
-        scope.bind("t", "a", a)
-        scope.bind("t", "b", b)
-        scope.bind("t", "c", c)
-        assert eval_or_error(expr, scope) == eval_or_error(reparsed, scope)
+        row = (a, b, c)
+        assert eval_or_error(reference, expr, row, (), LAYOUT) == eval_or_error(
+            compile_scalar(reparsed, LAYOUT), row, ()
+        )
 
     @given(exprs())
     @settings(max_examples=100, deadline=None)
