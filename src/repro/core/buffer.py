@@ -19,12 +19,18 @@ is a few lists per table: once a young collection has untracked the
 tuples, the collector has O(tables) objects to walk, not O(records).
 
 Everything is counted in *trace rows*: ``capacity``, ``len()``,
-``appended``. Once the buffer holds ``capacity`` rows an append signals
-that a flush is needed; the tracer then drains it into the provenance
-database inline, on the request that filled it, not out of band as in the
-paper. Nothing is ever dropped — replay must see every record — and a
-batch is never split, so the buffer can overshoot its capacity by less
-than one batch, and by more if the caller does not flush.
+``appended``. The tracer drains the buffer into the provenance database in
+bounded slices, at transaction boundaries: a commit or abort that leaves
+``capacity // DRAIN_SLICES`` rows or more staged drains them, on the
+committing thread, after the transaction's own trace is staged. The
+paper drains out of band; here a drain ingests less than one slice plus
+the rows staged since the previous boundary. ``capacity`` is the hard
+bound: once the buffer holds that many rows an append inside a
+transaction signals that a flush is needed, and the tracer drains inline
+(back-pressure, for a statement that stages nearly ``capacity`` rows).
+Nothing is ever dropped — replay must see every record — and a batch is
+never split, so the buffer can overshoot its capacity by less than one
+batch, and by more if the caller does not flush.
 """
 
 from __future__ import annotations
@@ -35,6 +41,13 @@ from typing import Sequence
 #: takes: ``(rows, batches)``, provenance table -> its staged rows, and
 #: app table -> ``(headers, pairs)``.
 Staged = tuple[dict[str, list[tuple]], dict[str, tuple[list[tuple], list[tuple]]]]
+
+#: A transaction boundary drains the buffer once it holds a
+#: ``1 / DRAIN_SLICES`` share of its capacity (4 096 rows by default).
+#: Smaller slices pay a drain's fixed cost more often and put a drain on
+#: more requests' tail latency; larger ones hold more staged rows and stall
+#: the request that drains longer.
+DRAIN_SLICES = 16
 
 
 class TraceBuffer:
@@ -109,6 +122,12 @@ class TraceBuffer:
     @property
     def high_water(self) -> bool:
         return self._count >= self.capacity
+
+    @property
+    def slice_staged(self) -> bool:
+        """True when a transaction boundary should drain: one slice,
+        ``capacity // DRAIN_SLICES`` rows, or more is staged."""
+        return self._count >= self.capacity // DRAIN_SLICES
 
     def stats(self) -> dict[str, int]:
         return {

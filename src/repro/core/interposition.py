@@ -20,7 +20,9 @@ rows ingest lays out (:class:`~repro.core.buffer.TraceBuffer`).
 
 Every hook self-times with ``perf_counter_ns`` and accumulates into
 ``overhead_ns`` — that counter divided by the request count is the
-"<100µs per request" figure of §3.7, which benchmark E7 reports.
+"<100µs per request" figure of §3.7, which benchmark E7 reports. A
+commit or abort hook then drains the buffer once it holds a slice of its
+capacity (:data:`~repro.core.buffer.DRAIN_SLICES`), outside that timing.
 """
 
 from __future__ import annotations
@@ -118,12 +120,23 @@ class InterpositionLayer:
             ):
                 self._trod.request_flush()
         self.overhead_ns += time.perf_counter_ns() - start
+        self._drain_at_boundary()
 
     def txn_aborted(self, txn: "Transaction") -> None:
         start = time.perf_counter_ns()
         self._txn_statements.pop(id(txn), None)
         self._add_row("Executions", self._execution_row(txn, "Aborted", None))
         self.overhead_ns += time.perf_counter_ns() - start
+        self._drain_at_boundary()
+
+    def _drain_at_boundary(self) -> None:
+        """A transaction boundary drains the buffer once it holds a slice.
+
+        Called after the hook's self-timing closed: the drain's time is
+        ``Trod.flush_ns``, and ``overhead_ns`` stays the hooks alone.
+        """
+        if self._trod.buffer.slice_staged:
+            self._trod.flush()
 
     def table_created(self, schema: "TableSchema") -> None:
         # New table while attached: register it for event capture.

@@ -226,6 +226,11 @@ class ProvenanceStore:
         self._state_rows = 0
         #: event table -> its :class:`RowHistory`, built on first use.
         self._row_histories: dict[str, RowHistory] = {}
+        #: event table -> the ``values`` tuples of its last ingested batch,
+        #: by ``id``, when their types passed the check: a read of the same
+        #: store rows in the next drain is not checked again. Holding the
+        #: tuples keeps their ids from naming any other object.
+        self._checked: dict[str, dict[int, tuple]] = {}
         self.checkpoint_stats = {"checkpoint_restores": 0, "full_restores": 0}
         self._create_base_tables()
 
@@ -408,17 +413,22 @@ class ProvenanceStore:
                 # A read that matched nothing, or a delete: every data
                 # column of the event row stays NULL.
                 values = [nulls if v is None else v for v in values]
-            # Read pairs share the store's tuples: each is checked once.
-            distinct = dict(zip(map(id, values), values)).values()
-            if set(map(len, distinct)) - {len(nulls)}:
+            # Read pairs share the store's tuples: each is checked once,
+            # and not at all when the table's last drain checked it.
+            distinct = dict(zip(map(id, values), values))
+            checked = self._checked.pop(event_table, {})
+            fresh = list(map(distinct.__getitem__, distinct.keys() - checked.keys()))
+            if set(map(len, fresh)) - {len(nulls)}:
                 _raise_wrong_width(table, headers, row_ids, values, len(nulls))
             # Headers fill columns 0-4, row ids RowId (6), values 7 on.
             schema = self.db.catalog.get(event_table)
-            if not (
+            if (
                 all(map(schema.stores_as_is, _kinds(set(heads))))
-                and all(map(schema.stores_as_is, _kinds(distinct), repeat(7)))
+                and all(map(schema.stores_as_is, _kinds(fresh), repeat(7)))
                 and all(schema.stores_as_is((k,), 6) for k in set(map(type, row_ids)))
             ):
+                self._checked[event_table] = distinct
+            else:
                 coerced.add(event_table)
             seqs = array(
                 "q", chain.from_iterable(map(range, starts, map(add, starts, counts)))
@@ -763,14 +773,17 @@ class ProvenanceStore:
         del csns[at:]
 
     def invalidate_checkpoints(self, table: str | None = None) -> None:
-        """Drop kept states (all tables, or one) after out-of-band edits.
+        """Drop kept states (all tables, or one) after out-of-band edits,
+        and the values tuples ingest keeps as checked (all tables).
 
         The privacy extension rewrites event rows in place; a state
-        reconstructed beforehand would resurrect the erased values.
+        reconstructed beforehand would resurrect the erased values, and a
+        kept tuple would still hold them.
         """
         keys = [table.lower()] if table is not None else list(self._state_csns)
         for key in keys:
             self._drop_states(key)
+        self._checked.clear()
 
     def checkpoint_csns(self, table: str) -> list[int]:
         """CSNs at which a state of ``table`` is kept, ascending."""

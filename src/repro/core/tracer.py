@@ -66,6 +66,7 @@ class Trod:
         self.attached = False
         self.base_csn = 0
         self.flush_ns = 0
+        self.flush_ns_max = 0  # the longest single drain
         self._event_names = {k.lower(): v for k, v in (event_names or {}).items()}
         self._debugger: "Debugger | None" = None
         self._replayer: "ReplayEngine | None" = None
@@ -155,9 +156,12 @@ class Trod:
     def request_flush(self) -> None:
         """Called when the trace buffer holds ``capacity`` trace rows.
 
-        The flush runs inline, on the request whose record filled the
-        buffer — the paper drains out of band; here that request stalls
-        for the whole ingest.
+        This is back-pressure, not the usual drain: every commit and abort
+        drains the buffer once it holds a slice (``capacity //
+        DRAIN_SLICES`` rows), so the buffer fills only when more than
+        ``capacity`` minus a slice rows are staged between two boundaries,
+        as by one statement that reads that many. It drains inline,
+        inside the hook that staged the row.
         """
         self.flush()
 
@@ -169,7 +173,9 @@ class Trod:
         staged = self.buffer.drain()
         start = time.perf_counter_ns()
         count = self.provenance.ingest(staged)
-        self.flush_ns += time.perf_counter_ns() - start
+        elapsed = time.perf_counter_ns() - start
+        self.flush_ns += elapsed
+        self.flush_ns_max = max(self.flush_ns_max, elapsed)
         return count
 
     # ------------------------------------------------------------------
@@ -269,5 +275,6 @@ class Trod:
             "tracing_overhead_us_total": layer.overhead_ns / 1000.0,
             "tracing_overhead_us_per_request": layer.overhead_us_per_request,
             "flush_us_total": self.flush_ns / 1000.0,
+            "flush_us_max": self.flush_ns_max / 1000.0,
             "buffer": self.buffer.stats(),
         }

@@ -4,7 +4,8 @@ A flush ingests whatever the buffer staged since the last one, and a
 batch's ``Seq`` is the store's counter plus the batch's ordinal in that
 drain. The same traced app stream at four buffer capacities — a flush
 per record, every few records, every few requests, and one at the end —
-must leave every provenance table identical, ``Seq`` included; and at
+must leave every provenance table identical, ``Seq`` included, as must
+a stream long enough that commits drain the default buffer in slices; and at
 each of them a batch that fails to ingest fails whole, leaving ``Seq``
 and the kept states as they were.
 """
@@ -28,7 +29,7 @@ def abandon(ctx, cart):
         raise ValueError("changed my mind")
 
 
-def traced_stream(capacity):
+def traced_stream(capacity, orders=12):
     """Checkout orders with workflow edges and side effects, aborted
     transactions, a failed request and a multi-row read set."""
     database = Database()
@@ -39,7 +40,7 @@ def traced_stream(capacity):
     generator.seed_database(runtime)  # these rows become the base snapshot
     trod = Trod(database, event_names=event_names, buffer_capacity=capacity)
     trod.attach(runtime)
-    for i, request in enumerate(generator.requests(12)):
+    for i, request in enumerate(generator.requests(orders)):
         runtime.execute_request(request)
         if i % 7 == 2:
             runtime.submit("abandon", request.args[0])
@@ -86,6 +87,14 @@ def test_every_table_and_seq_is_the_same_at_any_capacity(capacity, reference):
     }
     assert kinds == {"Snapshot", "Read", "Insert", "Update"}
     assert seq > 100 and database.last_csn > 50
+
+
+def test_a_stream_past_one_slice_drains_at_boundaries_at_the_default_capacity():
+    # More than capacity // DRAIN_SLICES = 4 096 rows: commits drain slices.
+    database, trod = traced_stream(65536, orders=240)
+    assert trod.buffer.appended > 4096
+    assert trod.buffer.stats()["flushes"] >= 1 + trod.buffer.appended // 4096
+    assert provenance(trod) == provenance(traced_stream(10**9, orders=240)[1])
 
 
 @pytest.mark.parametrize("capacity", CAPACITIES)

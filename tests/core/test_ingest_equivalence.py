@@ -277,6 +277,28 @@ class TestTablesMatchTheModel:
             )
         assert answers[0] == answers[1]
 
+    def test_a_tuple_the_last_drain_checked_is_not_checked_again(self, backing):
+        """Read pairs share the store's tuples, so ingest keeps the values
+        tuples of a table's last batch whose types passed and checks only
+        the others in the next drain: a new tuple that needs coercion
+        beside a kept one is still coerced."""
+        prov = make_store(backing)
+        row = (1, "ann", 10.0)
+        meta = ("TXN5", 5, "Read", "scan", None)
+        prov.ingest(stage([("accounts", meta, [(1, row)])]))
+        assert list(prov._checked["AccountsEvents"].values()) == [row]
+        prov.ingest(stage([("accounts", meta, [(1, row), (2, (2, "bob", 20))])]))
+        balances = [
+            values[-1] for _row_id, values in prov.db.snapshot_rows("AccountsEvents")
+        ]
+        assert balances[-3:] == [10.0, 10.0, 20.0]
+        assert type(balances[-1]) is float
+        assert "AccountsEvents" not in prov._checked
+        prov.ingest(stage([("accounts", meta, [(1, row)])]))
+        assert prov._checked
+        prov.invalidate_checkpoints()  # an erasure calls it: no value is kept
+        assert not prov._checked
+
     def test_queries_over_the_ingested_rows(self, ingested):
         prov, _model = ingested
         assert [t["TxnId"] for t in prov.txns_of_request("R1")] == ["TXN5"]

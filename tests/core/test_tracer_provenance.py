@@ -235,6 +235,19 @@ class TestOverheadAccounting:
         assert stats["events_emitted"] > 0
         assert stats["tracing_overhead_us_per_request"] > 0
 
+    def test_flush_us_max_is_the_longest_single_drain(self, racy_moodle):
+        _db, runtime, trod = racy_moodle
+        assert trod.overhead_stats()["flush_us_max"] == 0.0
+        trod.flush()
+        first = trod.overhead_stats()
+        assert 0 < first["flush_us_max"] == first["flush_us_total"]
+        runtime.submit("fetchSubscribers", "F1")
+        trod.flush()
+        stats = trod.overhead_stats()
+        assert stats["buffer"]["flushes"] == 2
+        assert stats["flush_us_max"] >= first["flush_us_max"]
+        assert stats["flush_us_max"] < stats["flush_us_total"]
+
     def test_a_traced_scan_buffers_a_batch_not_an_object_per_row(self):
         database = Database()
         database.execute("CREATE TABLE count_probe (k INTEGER, v TEXT)")
