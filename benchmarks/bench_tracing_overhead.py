@@ -6,7 +6,8 @@ negligible overhead when using the on-disk database Postgres."
 
 We run identical checkout-workflow request streams with and without TROD
 attached, on the in-memory ("voltdb") and on-disk ("postgres") simulated
-backend profiles, and report:
+backend profiles (a :class:`CostModel` observer on the database), and
+report:
 
 * interposition self-time per request (the <100µs figure),
 * end-to-end per-request latency traced vs untraced,
@@ -22,15 +23,57 @@ from conftest import fresh_ecommerce
 
 N_CHECKOUTS = 120
 
+#: Simulated backend costs in microseconds: (begin, statement, row write,
+#: commit). Neither engine is available offline, and TROD's tracing cost
+#: is a roughly fixed number of microseconds per request, so its relative
+#: overhead shrinks as the backend's own cost grows.
+PROFILES = {
+    # In-memory, single-threaded execution engine: cheap everywhere.
+    "voltdb": (2.0, 10.0, 1.0, 15.0),
+    # Conventional disk-based engine: commit pays a simulated fsync.
+    "postgres": (30.0, 80.0, 10.0, 2000.0),
+}
 
-def run_stream(backend_name: str, attach_trod: bool) -> dict:
+
+def busy_wait_us(microseconds: float) -> None:
+    """Spin: sleep granularity is far coarser than the costs modeled."""
+    deadline = time.perf_counter_ns() + int(microseconds * 1000)
+    while time.perf_counter_ns() < deadline:
+        pass
+
+
+class CostModel:
+    """A database observer that spends a profile's costs where the
+    backend would: at each transaction begin, statement and commit."""
+
+    def __init__(self, backend: str):
+        costs = PROFILES[backend]
+        self.begin_us, self.statement_us, self.row_us, self.commit_us = costs
+
+    def txn_began(self, txn) -> None:
+        busy_wait_us(self.begin_us)
+
+    def statement_executed(self, txn, trace) -> None:
+        busy_wait_us(self.statement_us)
+
+    def txn_committed(self, txn, csn, changes) -> None:
+        busy_wait_us(self.commit_us + len(changes) * self.row_us)
+
+
+def ecommerce_on(backend: str, attach_trod: bool):
+    db, runtime, trod = fresh_ecommerce(attach_trod=attach_trod)
+    db.add_observer(CostModel(backend))
+    return db, runtime, trod
+
+
+def run_stream(backend: str, attach_trod: bool) -> dict:
     """Per-request latencies, summarized by the median.
 
     This machine class shows multi-millisecond OS-scheduler stalls;
     totals (or means) over a 240-request stream would let one stall
     swamp a ~70µs effect, while the median is stall-immune.
     """
-    db, runtime, trod = fresh_ecommerce(backend_name, attach_trod=attach_trod)
+    db, runtime, trod = ecommerce_on(backend, attach_trod)
     workload = CheckoutWorkload(n_users=20, n_skus=10, seed=7)
     workload.seed_database(runtime)
     requests = list(workload.requests(N_CHECKOUTS))
@@ -66,7 +109,7 @@ def test_tracing_overhead_voltdb_vs_postgres(benchmark, emit):
         }
 
     # The benchmarked operation: one traced request on the fast backend.
-    db, runtime, trod = fresh_ecommerce("voltdb", attach_trod=True)
+    db, runtime, trod = ecommerce_on("voltdb", attach_trod=True)
     workload = CheckoutWorkload(n_users=20, n_skus=10, seed=7)
     workload.seed_database(runtime)
     requests = iter(workload.requests(100_000))

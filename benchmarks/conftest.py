@@ -17,7 +17,7 @@ from repro.apps import (
     build_profiles_app,
 )
 from repro.core import Trod
-from repro.db import Database, SimulatedBackend
+from repro.db import Database
 from repro.runtime import Runtime
 from repro.workload.generators import ForumWorkload
 
@@ -34,9 +34,8 @@ def emit(capsys):
     return _emit
 
 
-def fresh_moodle(backend_name: str | None = None, attach_trod: bool = True):
-    backend = SimulatedBackend.named(backend_name) if backend_name else None
-    db = Database(backend=backend)
+def fresh_moodle(attach_trod: bool = True):
+    db = Database()
     runtime = Runtime(db)
     names = build_moodle_app(db, runtime)
     trod = None
@@ -53,9 +52,8 @@ def fresh_mediawiki():
     return db, runtime, trod
 
 
-def fresh_ecommerce(backend_name: str | None = None, attach_trod: bool = True):
-    backend = SimulatedBackend.named(backend_name) if backend_name else None
-    db = Database(backend=backend)
+def fresh_ecommerce(attach_trod: bool = True):
+    db = Database()
     runtime = Runtime(db)
     names = build_ecommerce_app(db, runtime)
     trod = None

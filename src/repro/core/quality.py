@@ -79,9 +79,6 @@ class DataQualityMonitor:
             name=name, table=table.lower(), kind="unique", columns=resolved
         )
 
-    def check_names(self) -> list[str]:
-        return sorted(self._checks)
-
     # -- scanning ------------------------------------------------------------------
 
     def scan(self, upto_csn: int | None = None) -> list[QualityViolation]:

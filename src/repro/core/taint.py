@@ -58,16 +58,6 @@ class ExfiltrationTracker:
         )
         return {row[0] for row in rows}
 
-    def requests_writing(self, table: str) -> set[str]:
-        event_table = self._trod.provenance.event_table_of(table)
-        rows = self._trod.query(
-            "SELECT DISTINCT E.ReqId AS ReqId"
-            f" FROM Executions AS E, {event_table} AS F ON E.TxnId = F.TxnId"
-            " WHERE F.Type IN ('Insert', 'Update', 'Delete')"
-            " AND E.ReqId IS NOT NULL"
-        )
-        return {row[0] for row in rows}
-
     def tables_written_by(self, req_id: str) -> set[str]:
         out: set[str] = set()
         for table in self._trod.provenance.traced_tables():

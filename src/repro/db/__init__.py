@@ -12,20 +12,11 @@ Public surface:
 * :class:`TableSchema` / :class:`Column` / :class:`ColumnType` — schemas
 * :class:`IsolationLevel` / :class:`Transaction` — transaction control
 * :class:`ResultSet` / :class:`Row` — query results
-* :class:`SimulatedBackend` and the latency profiles — backend cost models
 * :class:`FencedError` / :class:`UnavailableError` /
   :class:`ReplicationError` — the failover-story exceptions surfaced by
   :func:`connect`'s transparent retry (see ``docs/cluster.md``)
 """
 
-from repro.db.backend import (
-    NULL_PROFILE,
-    POSTGRES_PROFILE,
-    PROFILES,
-    VOLTDB_PROFILE,
-    LatencyProfile,
-    SimulatedBackend,
-)
 from repro.db.connection import (
     Connection,
     ConnectionPool,
@@ -67,10 +58,6 @@ __all__ = [
     "Engine",
     "FencedError",
     "IsolationLevel",
-    "LatencyProfile",
-    "NULL_PROFILE",
-    "POSTGRES_PROFILE",
-    "PROFILES",
     "ReadSet",
     "Replica",
     "ReplicaSet",
@@ -83,12 +70,10 @@ __all__ = [
     "ShardRouter",
     "ShardedDatabase",
     "ShipRecord",
-    "SimulatedBackend",
     "StatementTrace",
     "TableSchema",
     "Transaction",
     "TransactionStatus",
     "UnavailableError",
-    "VOLTDB_PROFILE",
     "connect",
 ]

@@ -23,11 +23,11 @@ hash-sharded cluster, or a replica-routed deployment.
   objects with attribute-style column access.
 
 A connection makes each call once, whatever engine it holds: every
-engine answers ``execute_read(sql, params, floor=, on_stale=,
-prefer_replica=)``, ``execute``, ``begin`` and ``explain``, and owns its
-DDL's replica catch-up. Reads never consume CSNs, on any engine: SELECTs
-run under transactions that are aborted afterwards, so the commit clock
-advances identically whether a workload runs on one node or twelve. On
+engine answers ``execute_read(sql, params, floor=, preference=)``,
+``execute``, ``begin`` and ``explain``, and owns its DDL's replica
+catch-up. Reads never consume CSNs, on any engine: SELECTs run under
+transactions that are aborted afterwards, so the commit clock advances
+identically whether a workload runs on one node or twelve. On
 the cluster engines the choice between a replica and the primary is made
 only by :meth:`ReplicaSet.read_target
 <repro.db.replication.ReplicaSet.read_target>` / ``as_of_target``, which
@@ -40,7 +40,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
-from repro.db.database import Database
+from repro.db.database import READ_PREFERENCES, Database, check_read_preference
 from repro.db.replication import ReplicaSet, ReplicatedDatabase, Session
 from repro.db.result import ResultSet, Row, _name_slots
 from repro.db.sql.nodes import (
@@ -56,14 +56,6 @@ from repro.errors import FencedError, InterfaceError, UnavailableError
 from repro.faults import BackoffPolicy
 from repro.runtime.scheduler import CheckpointKind, maybe_checkpoint
 
-#: Read routing choices. ``replica`` serves SELECTs from replicas that
-#: satisfy the session's causal floor, falling back to the primary;
-#: ``wait`` forces a catch-up instead of falling back; ``primary`` pins
-#: every read to the primaries. Engines without replicas read identically
-#: under all three.
-READ_PREFERENCES = ("primary", "replica", "wait")
-
-
 @runtime_checkable
 class Engine(Protocol):
     """What a deployment shape must speak to sit behind a Connection.
@@ -75,10 +67,11 @@ class Engine(Protocol):
     * ``execute(sql, params=(), txn=None)`` — run one statement,
       autocommitting without ``txn``; ``SELECT ... AS OF <csn>`` must
       execute natively, and DDL returns only once any replicas have it.
-    * ``execute_read(sql, params=(), floor=0, on_stale="primary",
-      prefer_replica=True)`` — a SELECT that consumes no CSN; ``floor``
-      is the session's last ``last_commit_csn``, and the routing
-      keywords mean something only where replicas exist.
+    * ``execute_read(sql, params=(), floor=0, preference="replica")`` —
+      a SELECT that consumes no CSN; ``floor`` is the session's last
+      ``last_commit_csn``, and ``preference`` (one of
+      :data:`READ_PREFERENCES`, anything else refused) routes reads only
+      where replicas exist.
     * ``explain(sql, params=())`` — the plan lines for a SELECT, UPDATE
       or DELETE.
     * ``begin(isolation=..., info=None)`` — a transaction object with
@@ -104,8 +97,7 @@ class Engine(Protocol):
         sql: str,
         params: Sequence[Any] = (),
         floor: int = 0,
-        on_stale: str = "primary",
-        prefer_replica: bool = True,
+        preference: str = "replica",
     ) -> ResultSet: ...
 
     def begin(self, isolation: Any = ..., info: Any = None) -> Any: ...
@@ -207,11 +199,7 @@ class Connection:
         max_failover_retries: int = _MAX_FAILOVER_RETRIES,
         retry_backoff: "BackoffPolicy | None" = None,
     ):
-        if read_preference not in READ_PREFERENCES:
-            raise InterfaceError(
-                f"unknown read_preference {read_preference!r} "
-                f"(choose from {', '.join(READ_PREFERENCES)})"
-            )
+        check_read_preference(read_preference)
         self.engine = engine
         self.session = session if session is not None else Session()
         self.trod = trod
@@ -273,13 +261,9 @@ class Connection:
         """
         self._check_open()
         pref = self.read_preference if read_preference is None else read_preference
-        if pref not in READ_PREFERENCES:
-            # Validated for every statement kind: a typo set on a write
-            # must not wait for the first SELECT to surface.
-            raise InterfaceError(
-                f"unknown read_preference {pref!r} "
-                f"(choose from {', '.join(READ_PREFERENCES)})"
-            )
+        # Validated for every statement kind: a typo set on a write must
+        # not wait for the first SELECT to surface.
+        check_read_preference(pref)
         stmt = parse_cached(sql)
         if isinstance(stmt, SelectStmt):
             self.stats["reads"] += 1
@@ -349,11 +333,7 @@ class Connection:
 
     def _execute_read(self, sql: str, params: Sequence[Any], pref: str) -> ResultSet:
         return self.engine.execute_read(
-            sql,
-            params,
-            floor=self.session.last_write_csn,
-            on_stale="wait" if pref == "wait" else "primary",
-            prefer_replica=pref != "primary",
+            sql, params, floor=self.session.last_write_csn, preference=pref
         )
 
     # -- write path -------------------------------------------------------

@@ -17,7 +17,6 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.db.backend import SimulatedBackend
 from repro.db.index import IndexSet, split_pairs
 from repro.db.pages import BufferPool, PageFileManager, PagedTableStore
 from repro.db.pages.buffer import DEFAULT_POOL_PAGES
@@ -60,6 +59,7 @@ from repro.db.txn.wal import WalAbort, WalChange, WalCommit, WriteAheadLog, redo
 from repro.errors import (
     ExecutionError,
     FencedError,
+    InterfaceError,
     ReadOnlyError,
     StorageError,
     TimeTravelError,
@@ -72,10 +72,26 @@ from repro.errors import (
 _SEGMENT = "segment"
 _STORAGE_BACKENDS = ("memory", "paged", _SEGMENT)
 
+#: Read routing choices, taken by every engine's ``execute_read``.
+#: ``replica`` serves SELECTs from replicas that satisfy the session's
+#: causal floor, falling back to the primary; ``wait`` forces a catch-up
+#: instead of falling back; ``primary`` pins every read to the primaries.
+#: Engines without replicas read identically under all three.
+READ_PREFERENCES = ("primary", "replica", "wait")
+
 #: File inside a paged data directory holding schemas, aliases, secondary
 #: index definitions, and the vacuum horizon — everything recovery needs
 #: that is not in the WAL.
 CATALOG_FILE = "catalog.json"
+
+
+def check_read_preference(preference: str) -> None:
+    """Refuse a read preference outside :data:`READ_PREFERENCES`."""
+    if preference not in READ_PREFERENCES:
+        raise InterfaceError(
+            f"unknown read_preference {preference!r} "
+            f"(choose from {', '.join(READ_PREFERENCES)})"
+        )
 
 
 def _schema_to_meta(schema: TableSchema) -> dict[str, Any]:
@@ -147,7 +163,6 @@ class Database:
     def __init__(
         self,
         name: str = "db",
-        backend: SimulatedBackend | None = None,
         wal_path: str | None = None,
         wal_group_size: int = 1,
         wal_fsync: bool = False,
@@ -157,7 +172,6 @@ class Database:
         page_size: int = DEFAULT_PAGE_SIZE,
     ):
         self.name = name
-        self.backend = backend
         self.catalog = Catalog()
         if storage not in _STORAGE_BACKENDS:
             raise StorageError(
@@ -679,8 +693,6 @@ class Database:
                 f"database {self.name!r} is fenced (demoted primary); "
                 "route traffic to the promoted replica"
             )
-        if self.backend is not None:
-            self.backend.on_begin()
         return self.txn_manager.begin(isolation=isolation, info=info)
 
     # -- SQL --------------------------------------------------------------------
@@ -741,8 +753,6 @@ class Database:
         autocommit = txn is None
         active = txn if txn is not None else self.begin()
         try:
-            if self.backend is not None:
-                self.backend.on_statement()
             active.begin_statement()
             streaming = (
                 stream
@@ -807,8 +817,6 @@ class Database:
         active = self.begin(IsolationLevel.SNAPSHOT)
         active.snapshot_csn = csn
         try:
-            if self.backend is not None:
-                self.backend.on_statement()
             active.begin_statement()
             result = execute_statement(self, active, stmt, params, sql)
             trace = StatementTrace(
@@ -845,14 +853,16 @@ class Database:
         sql: str,
         params: Sequence[Any] = (),
         floor: int = 0,
-        on_stale: str = "primary",
-        prefer_replica: bool = True,
+        preference: str = "replica",
     ) -> ResultSet:
-        """A streamed SELECT that consumes no CSN (the routing keywords
-        matter only on the cluster engines): it runs under a transaction
-        aborted once ``execute`` has pinned the stream to its snapshot, so
-        the commit clock moves alike on every engine and a replica's stays
-        in step with its shipped stream. ``AS OF`` reads pin their own."""
+        """A streamed SELECT that consumes no CSN (``floor`` and
+        ``preference`` route reads only on the cluster engines, but an
+        unknown preference is refused here too): it runs under a
+        transaction aborted once ``execute`` has pinned the stream to its
+        snapshot, so the commit clock moves alike on every engine and a
+        replica's stays in step with its shipped stream. ``AS OF`` reads
+        pin their own."""
+        check_read_preference(preference)
         stmt = parse_cached(sql)
         if not isinstance(stmt, SelectStmt):
             raise ExecutionError("execute_read supports SELECT statements only")

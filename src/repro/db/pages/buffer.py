@@ -140,19 +140,6 @@ class BufferPool:
             self.stats["writebacks"] += written
         return written
 
-    def flush_all(self) -> int:
-        written = 0
-        for frame in self._frames.values():
-            if frame.dirty and not frame.file.defunct:
-                if written == 0 and self.before_write is not None:
-                    self.before_write()
-                frame.file.write_page(frame.page)
-                frame.dirty = False
-                written += 1
-        if written:
-            self.stats["writebacks"] += written
-        return written
-
     def drop_file(self, file: PageFile) -> None:
         """Discard every frame of ``file`` without writing back (the file
         is being deleted or replaced)."""

@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.db.database import Database
+from repro.db.database import Database, check_read_preference
 from repro.db.result import ResultSet
 from repro.db.schema import TableSchema
 from repro.db.sql.executor import evaluate_as_of
@@ -501,30 +501,24 @@ class ReplicaSet:
         self._rr += 1
         return eligible[self._rr % len(eligible)]
 
-    def read_target(
-        self,
-        floor: int = 0,
-        on_stale: str = "primary",
-        prefer_replica: bool = True,
-    ) -> Database:
+    def read_target(self, floor: int = 0, preference: str = "replica") -> Database:
         """The database that serves one live read; counts the decision.
 
         A replica at/after ``floor`` (the session-guarantee minimum: the
         CSN of the caller's last acknowledged write), round robin;
-        when every replica is stale, ``on_stale='wait'`` forces a catch-up
-        and picks again, ``'primary'`` falls back to the primary.
-        ``prefer_replica=False`` pins the read to the primary — as does a
+        when every replica is stale, ``preference='wait'`` forces a
+        catch-up and picks again, ``'replica'`` falls back to the primary.
+        ``preference='primary'`` pins the read to the primary — as does a
         primary with ``track_reads`` on: TROD observes primaries only, and
         the events a read emits must not depend on who was asked to serve
         it (see the module docstring).
         """
-        if on_stale not in ("primary", "wait"):
-            raise ReplicationError(f"unknown on_stale mode {on_stale!r}")
-        if not (prefer_replica and self.replicas) or self.primary.track_reads:
+        check_read_preference(preference)
+        if preference == "primary" or not self.replicas or self.primary.track_reads:
             self.stats["primary_reads"] += 1
             return self.primary
         replica = self.pick(min_csn=floor)
-        if replica is None and on_stale == "wait":
+        if replica is None and preference == "wait":
             self.catch_up()
             self.stats["catch_up_waits"] += 1
             replica = self.pick(min_csn=floor)
@@ -534,16 +528,18 @@ class ReplicaSet:
         self.stats["replica_reads"] += 1
         return replica.database
 
-    def as_of_target(self, csn: int, prefer_replica: bool = True) -> Database:
+    def as_of_target(self, csn: int, preference: str = "replica") -> Database:
         """The database that serves one ``AS OF csn`` read.
 
         Any replica whose shipped history covers ``csn`` answers
         identically to the primary (session floors do not apply to
-        historical reads); otherwise — or with ``prefer_replica=False``,
-        or under tracing, as in :meth:`read_target` — the primary.
+        historical reads, and nothing is waited for); otherwise — or with
+        ``preference='primary'``, or under tracing, as in
+        :meth:`read_target` — the primary.
         """
+        check_read_preference(preference)
         replica = None
-        if prefer_replica and not self.primary.track_reads:
+        if preference != "primary" and not self.primary.track_reads:
             replica = self.covering_replica(csn)
         if replica is None:
             self.stats["primary_reads"] += 1
@@ -1034,15 +1030,14 @@ class ReplicatedDatabase:
         sql: str,
         params: Sequence[Any] = (),
         floor: int = 0,
-        on_stale: str = "primary",
-        prefer_replica: bool = True,
+        preference: str = "replica",
     ) -> ResultSet:
         """A SELECT served by a replica at/after ``floor``, CSN-free.
 
-        ``floor``, ``on_stale`` and ``prefer_replica`` are
-        :meth:`ReplicaSet.read_target`'s; ``AS OF`` reads go to
-        :meth:`ReplicaSet.as_of_target`. The serving database's own
-        ``execute_read`` runs the read, so it streams and consumes no CSN.
+        ``floor`` and ``preference`` are :meth:`ReplicaSet.read_target`'s;
+        ``AS OF`` reads go to :meth:`ReplicaSet.as_of_target`. The serving
+        database's own ``execute_read`` runs the read, so it streams and
+        consumes no CSN.
         """
         stmt = parse_cached(sql)
         if not isinstance(stmt, SelectStmt):
@@ -1051,10 +1046,10 @@ class ReplicatedDatabase:
             )
         if stmt.as_of is not None:
             target = self.replica_set.as_of_target(
-                evaluate_as_of(stmt, params), prefer_replica
+                evaluate_as_of(stmt, params), preference
             )
         else:
-            target = self.replica_set.read_target(floor, on_stale, prefer_replica)
+            target = self.replica_set.read_target(floor, preference)
         return target.execute_read(sql, params)
 
     def explain(self, sql: str, params: Sequence[Any] = ()) -> list[str]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
-from repro.db.database import Database, StatementTrace
+from repro.db.database import Database, StatementTrace, check_read_preference
 from repro.db.expr import (
     BinaryOp,
     Case,
@@ -765,10 +765,6 @@ class ShardedDatabase:
         return self.shards[0].plan_cache_stats
 
     @property
-    def last_global_csn(self) -> int:
-        return self.coordinator.global_csn
-
-    @property
     def last_commit_csn(self) -> int:
         """The engine-neutral commit position (global CSN here).
 
@@ -964,8 +960,7 @@ class ShardedDatabase:
         sql: str,
         params: Sequence[Any] = (),
         floor: int = 0,
-        on_stale: str = "primary",
-        prefer_replica: bool = True,
+        preference: str = "replica",
     ) -> ResultSet:
         """A SELECT with each shard's reads served by its replica set.
 
@@ -978,6 +973,7 @@ class ShardedDatabase:
         for an ``AS OF`` read) names the database that answers. A shard
         without a replica set is served by its primary.
         """
+        check_read_preference(preference)
         floors = self.coordinator.local_csns_at(floor) if floor else {}
 
         def db_for(store: str, as_of: int | None) -> Database:
@@ -985,10 +981,8 @@ class ShardedDatabase:
             if replica_set is None:
                 return self._by_name[store]
             if as_of is not None:
-                return replica_set.as_of_target(as_of, prefer_replica)
-            return replica_set.read_target(
-                floors.get(store, 0), on_stale, prefer_replica
-            )
+                return replica_set.as_of_target(as_of, preference)
+            return replica_set.read_target(floors.get(store, 0), preference)
 
         return self.select_routed(sql, params, db_for)
 

@@ -611,8 +611,6 @@ class TransactionManager:
                 raise
         csn = self.last_csn + 1
         changes = tuple(self._apply(txn.write_ops, csn))
-        if database.backend is not None:
-            database.backend.on_commit(len(changes))
         self.last_csn = csn
         txn.status = TransactionStatus.COMMITTED
         txn.commit_csn = csn

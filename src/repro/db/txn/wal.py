@@ -24,9 +24,6 @@ logged, abort otherwise (presumed abort). Commit records keep their
 original untagged JSON shape, so WAL files written before this existed
 replay unchanged; the new records carry a ``"kind"`` discriminator.
 
-The file is JSONL, which is how the durability simulation (the
-"Postgres-like" backend profile) models its fsync cost.
-
 Group commit: with ``group_size > 1`` file mirroring batches serialized
 commits and drains them in a single ``write`` + ``flush`` (one
 fsync-equivalent per batch) instead of one per commit. Concurrent

@@ -76,7 +76,3 @@ _default_registry = HandlerRegistry()
 def handler(name: str) -> Callable[[HandlerFn], HandlerFn]:
     """Register on the module-level default registry."""
     return _default_registry.handler(name)
-
-
-def default_registry() -> HandlerRegistry:
-    return _default_registry

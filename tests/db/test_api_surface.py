@@ -72,6 +72,28 @@ class TestApiSurface:
             assert not hasattr(repro.db, name)
             assert not hasattr(repro.db.replication, name)
 
+    def test_simulated_backend_is_gone(self):
+        # Deleted, not deprecated: a backend cost model lives in the
+        # benchmark that uses it, as a database observer (docs/api.md,
+        # "Removed").
+        from importlib.util import find_spec
+
+        import repro.db
+
+        assert find_spec("repro.db.backend") is None
+        for name in (
+            "SimulatedBackend",
+            "LatencyProfile",
+            "PROFILES",
+            "VOLTDB_PROFILE",
+            "POSTGRES_PROFILE",
+            "NULL_PROFILE",
+        ):
+            assert name not in repro.db.__all__
+            assert not hasattr(repro.db, name)
+        with pytest.raises(TypeError):
+            repro.db.Database(backend=None)
+
     def test_engine_protocol_documents_the_contract(self):
         from repro.db import (
             Database,

@@ -216,7 +216,7 @@ class TestSharded:
         sharded = self.make()
         sharded.attach_replicas(1)
         sharded.catch_up_replicas()
-        bookmark = sharded.last_global_csn
+        bookmark = sharded.last_commit_csn
         conn = connect(sharded)
         conn.execute("UPDATE t SET v = 99 WHERE id = 4")
         # Replicas lag behind the update but cover the bookmark.

@@ -1,54 +1,9 @@
-"""Backend latency simulation and Database-level behaviours."""
-
-import time
+"""Database-level behaviours: shared parses, programmatic inserts,
+observers, aliases, bulk loads and non-transactional DDL."""
 
 import pytest
 
-from repro.db import (
-    Database,
-    NULL_PROFILE,
-    POSTGRES_PROFILE,
-    SimulatedBackend,
-    VOLTDB_PROFILE,
-)
-from repro.db.backend import busy_wait_us
-
-
-class TestBackend:
-    def test_profiles_registered(self):
-        assert VOLTDB_PROFILE.commit_us < POSTGRES_PROFILE.commit_us
-        assert NULL_PROFILE.commit_us == 0.0
-
-    def test_busy_wait_is_at_least_requested(self):
-        start = time.perf_counter_ns()
-        busy_wait_us(200)
-        elapsed_us = (time.perf_counter_ns() - start) / 1000
-        assert elapsed_us >= 200
-
-    def test_busy_wait_zero_is_noop(self):
-        busy_wait_us(0)
-        busy_wait_us(-5)
-
-    def test_backend_hooks_fire(self):
-        backend = SimulatedBackend(NULL_PROFILE)
-        db = Database(backend=backend)
-        db.execute("CREATE TABLE t (x INTEGER)")
-        db.execute("INSERT INTO t VALUES (1)")
-        db.execute("SELECT * FROM t")
-        assert backend.calls["begin"] >= 2
-        assert backend.calls["statement"] >= 2
-        assert backend.calls["commit"] >= 2
-
-    def test_simulated_time_accumulates(self):
-        backend = SimulatedBackend(VOLTDB_PROFILE)
-        db = Database(backend=backend)
-        db.execute("CREATE TABLE t (x INTEGER)")
-        db.execute("INSERT INTO t VALUES (1)")
-        expected_min = VOLTDB_PROFILE.begin_us + VOLTDB_PROFILE.statement_us
-        assert backend.total_simulated_us >= expected_min
-
-    def test_named_constructor(self):
-        assert SimulatedBackend.named("postgres").profile is POSTGRES_PROFILE
+from repro.db import Database
 
 
 class TestDatabaseMisc:

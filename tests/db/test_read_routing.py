@@ -227,13 +227,38 @@ def test_counters_survive_reconnects_and_preference_flips():
     assert replica_set.stats["primary_reads"] == 1
 
 
-def test_unknown_on_stale_mode_is_rejected():
-    from repro.errors import ReplicationError
+def sharded_with_replicas() -> ShardedDatabase:
+    sharded = ShardedDatabase(2)
+    sharded.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+    sharded.attach_replicas()
+    return sharded
 
-    cluster = ReplicatedDatabase(n_replicas=1)
-    cluster.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
-    with pytest.raises(ReplicationError, match="on_stale"):
-        cluster.execute_read("SELECT * FROM t", on_stale="nearest")
+
+@pytest.mark.parametrize("sql", ("SELECT * FROM t", "SELECT * FROM t AS OF ?"))
+@pytest.mark.parametrize(
+    "make_engine",
+    (
+        Database,
+        lambda: ReplicatedDatabase(n_replicas=1),
+        lambda: ShardedDatabase(2),
+        sharded_with_replicas,
+    ),
+    ids=("database", "replicated", "sharded", "sharded_replicas"),
+)
+def test_unknown_read_preference_is_rejected(make_engine, sql):
+    # Refused alike whether or not the engine has replicas to route to:
+    # a typo must not read as "replica" on some engines and fail on others.
+    from repro.errors import InterfaceError
+
+    engine = make_engine()
+    if not engine.catalog.has_table("t"):
+        engine.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+    engine.execute("INSERT INTO t VALUES (1, 1)")
+    params = (engine.last_commit_csn,) if "AS OF" in sql else ()
+    with pytest.raises(
+        InterfaceError, match=r"'nearest' \(choose from primary, replica, wait\)"
+    ):
+        engine.execute_read(sql, params, preference="nearest")
 
 
 def test_promotion_past_a_crashed_replica_releases_the_replaced_replicas():

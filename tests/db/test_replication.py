@@ -681,7 +681,7 @@ class TestShardedReplication:
         session = Session("u")
         conn = repro.connect(sharded, session=session)
         conn.execute("UPDATE items SET val = 99.0 WHERE id = ?", (3,))
-        assert session.last_write_csn == sharded.last_global_csn
+        assert session.last_write_csn == sharded.last_commit_csn
         # Replicas lag; the session still reads its write (fallback).
         observed = conn.execute("SELECT val FROM items WHERE id = ?", (3,))
         assert observed.scalar() == 99.0
@@ -702,7 +702,7 @@ class TestShardedReplication:
 
     def test_execute_as_of_via_replicas(self):
         sharded = self.build(n_replicas=1, mode="sync")
-        before = sharded.last_global_csn
+        before = sharded.last_commit_csn
         sql = "SELECT id, val FROM items ORDER BY id AS OF ?"
         expected = sharded.execute(sql, (before,)).rows
         gtxn = sharded.begin()
@@ -714,7 +714,7 @@ class TestShardedReplication:
 
     def test_as_of_via_replicas_sees_rows_deleted_later(self):
         sharded = self.build(n_replicas=1, mode="sync")
-        csn = sharded.last_global_csn
+        csn = sharded.last_commit_csn
         gtxn = sharded.begin()
         sharded.execute("DELETE FROM items WHERE id < 10", txn=gtxn)
         gtxn.commit()

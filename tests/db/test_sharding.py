@@ -619,7 +619,7 @@ class TestShardedAsOf:
 
     def test_updates_are_versioned_across_shards(self):
         sdb, checkpoints = self.build()
-        before = sdb.last_global_csn
+        before = sdb.last_commit_csn
         sdb.execute("UPDATE kv SET v = 'patched'")
         assert sdb.execute(
             "SELECT COUNT(*) FROM kv WHERE v = 'patched' AS OF ?", (before,)

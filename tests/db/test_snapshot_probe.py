@@ -336,7 +336,7 @@ class TestCluster:
         single = Database()
         same_statements((sharded, single))
         last = single.last_csn
-        assert sharded.last_global_csn == last
+        assert sharded.last_commit_csn == last
         conn = connect(sharded)
         widened = 0
         for csn in range(1, last + 1):
