@@ -46,6 +46,8 @@ class CostModel:
     """A database observer that spends a profile's costs where the
     backend would: at each transaction begin, statement and commit."""
 
+    events = ("txn_began", "statement_executed", "txn_committed")
+
     def __init__(self, backend: str):
         costs = PROFILES[backend]
         self.begin_us, self.statement_us, self.row_us, self.commit_us = costs

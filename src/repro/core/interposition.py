@@ -1,15 +1,17 @@
 """The TROD interposition layer (§3.1, §3.4).
 
-One object implements both interposition surfaces:
+One observer, added to both the database and the runtime, declares the
+events it takes from each (:mod:`repro.events`):
 
-* **database observer** — ``txn_began`` / ``statement_executed`` /
+* **database events** — ``txn_began`` / ``statement_executed`` /
   ``txn_committed`` / ``txn_aborted`` / ``table_created``, capturing
   transaction metadata, read sets (the executor's, one batch per scan
   chunk), and write sets (from the commit's WAL record, so aborted work
   never produces write provenance);
-* **runtime hooks** — ``request_started`` / ``request_finished`` /
+* **runtime events** — ``request_started`` / ``request_finished`` /
   ``handler_called`` / ``side_effect``, capturing request lifecycles and
-  workflow edges.
+  workflow edges. Its ``statement_executed`` subscription is what makes
+  a traced database materialize reads: a trace needs the whole scan.
 
 Each hook stages what it captured in the trace buffer in the layout of
 the provenance table it lands in: a transaction, request, workflow edge
@@ -48,6 +50,12 @@ _EVENT_KIND = {"insert": "Insert", "update": "Update", "delete": "Delete"}
 
 class InterpositionLayer:
     """Stages trace records from database and runtime hook invocations."""
+
+    events = (
+        "txn_began", "statement_executed", "txn_committed", "txn_aborted",
+        "table_created", "request_started", "request_finished", "handler_called",
+        "side_effect",
+    )
 
     def __init__(self, trod: "Trod"):
         self._trod = trod

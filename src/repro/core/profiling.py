@@ -6,11 +6,11 @@ metrics such as latencies of individual handlers and end-to-end
 executions, and store this information in a structured and queryable
 format."
 
-The profiler is an optional second set of runtime hooks / database
-observers that measures wall-clock durations (performance is inherently
-non-deterministic, so these live in their own ``PerfEvents`` table and
-never participate in replay) and exposes APM-style analyses: slowest
-requests, per-handler latency summaries, per-transaction-label costs.
+The profiler is an optional second runtime / database observer that
+measures wall-clock durations (performance is inherently non-deterministic,
+so these live in their own ``PerfEvents`` table and never participate in
+replay) and exposes APM-style analyses: slowest requests, per-handler
+latency summaries, per-transaction-label costs.
 """
 
 from __future__ import annotations
@@ -27,10 +27,14 @@ if TYPE_CHECKING:  # pragma: no cover
 class PerformanceProfiler:
     """Latency recording over the same interposition points TROD uses."""
 
+    events = (
+        "request_started", "request_finished", "handler_called",
+        "handler_returned", "txn_began", "txn_committed", "txn_aborted",
+    )
+
     def __init__(self, trod: "Trod"):
         self._trod = trod
         self._pending: list[dict[str, Any]] = []
-        self._request_starts: dict[int, int] = {}  # id(ctx) -> ns
         self._txn_starts: dict[int, int] = {}  # txn_id -> ns
         self.enabled = False
         self._ensure_table()
@@ -53,7 +57,7 @@ class PerformanceProfiler:
             return self
         if self._trod.runtime is None:
             raise RuntimeError("attach TROD to a runtime before profiling")
-        self._trod.runtime.add_hook(self)
+        self._trod.runtime.add_observer(self)
         self._trod.database.add_observer(self)
         self.enabled = True
         return self
@@ -62,47 +66,25 @@ class PerformanceProfiler:
         if not self.enabled:
             return
         if self._trod.runtime is not None:
-            self._trod.runtime.remove_hook(self)
+            self._trod.runtime.remove_observer(self)
         self._trod.database.remove_observer(self)
         self.enabled = False
 
     # -- runtime hooks ------------------------------------------------------------
 
     def request_started(self, ctx: Any, request: Any) -> None:
-        self._request_starts[id(ctx)] = time.perf_counter_ns()
+        ctx._perf_start_ns = time.perf_counter_ns()
 
     def request_finished(self, ctx: Any, result: Any) -> None:
-        started = self._request_starts.pop(id(ctx), None)
-        if started is None:
-            return
-        self._pending.append(
-            {
-                "ReqId": result.req_id,
-                "HandlerName": result.handler,
-                "Kind": "request",
-                "Label": "end-to-end",
-                "DurationUs": (time.perf_counter_ns() - started) / 1000.0,
-                "Timestamp": self._trod.clock.now(),
-            }
-        )
+        started = getattr(ctx, "_perf_start_ns", None)
+        self._record(started, result.req_id, result.handler, "request", "end-to-end")
 
     def handler_called(self, parent_ctx: Any, child_ctx: Any) -> None:
         child_ctx._perf_start_ns = time.perf_counter_ns()
 
     def handler_returned(self, child_ctx: Any, output: Any) -> None:
         started = getattr(child_ctx, "_perf_start_ns", None)
-        if started is None:
-            return
-        self._pending.append(
-            {
-                "ReqId": child_ctx.req_id,
-                "HandlerName": child_ctx.handler_name,
-                "Kind": "handler",
-                "Label": "rpc",
-                "DurationUs": (time.perf_counter_ns() - started) / 1000.0,
-                "Timestamp": self._trod.clock.now(),
-            }
-        )
+        self._record(started, child_ctx.req_id, child_ctx.handler_name, "handler", "rpc")
 
     # -- database observer ------------------------------------------------------------
 
@@ -116,19 +98,21 @@ class PerformanceProfiler:
         self._finish_txn(txn)
 
     def _finish_txn(self, txn: Any) -> None:
-        started = self._txn_starts.pop(txn.txn_id, None)
+        started, info = self._txn_starts.pop(txn.txn_id, None), txn.info
+        label = info.get("label") or txn.name
+        self._record(started, info.get("req_id"), info.get("handler"), "txn", label)
+
+    def _record(
+        self, started: int | None, req_id: Any, handler: Any, kind: str, label: str
+    ) -> None:
+        """Stage one span that began at ``started`` (ns), if it was timed."""
         if started is None:
             return
-        self._pending.append(
-            {
-                "ReqId": txn.info.get("req_id"),
-                "HandlerName": txn.info.get("handler"),
-                "Kind": "txn",
-                "Label": txn.info.get("label") or txn.name,
-                "DurationUs": (time.perf_counter_ns() - started) / 1000.0,
-                "Timestamp": self._trod.clock.now(),
-            }
-        )
+        duration_us = (time.perf_counter_ns() - started) / 1000.0
+        self._pending.append({
+            "ReqId": req_id, "HandlerName": handler, "Kind": kind, "Label": label,
+            "DurationUs": duration_us, "Timestamp": self._trod.clock.now(),
+        })
 
     # -- persistence & queries ------------------------------------------------------------
 

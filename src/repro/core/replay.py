@@ -130,6 +130,7 @@ class _CommitWrites(dict):
     dropped dev database is still freed by reference counting."""
 
     __slots__ = ()
+    events = ("txn_committed",)
 
     def txn_committed(self, txn: Transaction, csn: int, changes: tuple) -> None:
         if changes:

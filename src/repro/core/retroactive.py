@@ -69,6 +69,12 @@ class OrderingOutcome:
     invariant_violations: list[str] = field(default_factory=list)
     side_effect_count: int = 0
 
+    #: A runtime observer of its dev run: it counts the side effects.
+    events = ("side_effect",)
+
+    def side_effect(self, ctx, effect) -> None:
+        self.side_effect_count += 1
+
     @property
     def ok(self) -> bool:
         """No handler errors and no invariant violations anywhere."""
@@ -120,16 +126,15 @@ class RetroactiveResult:
         return "\n".join(lines)
 
 
-class _FootprintCollector:
-    """Database observer recording per-transaction table footprints."""
+class _Footprints(list):
+    """Database observer recording each commit's ``(tables read, tables
+    written)`` footprint."""
 
-    def __init__(self):
-        self.footprints: list[tuple[frozenset[str], frozenset[str]]] = []
+    events = ("txn_committed",)
 
     def txn_committed(self, txn, csn, changes) -> None:
         reads = frozenset(r.table for r in txn.read_records)
-        writes = frozenset(c.table for c in changes)
-        self.footprints.append((reads, writes))
+        self.append((reads, frozenset(c.table for c in changes)))
 
 
 class RetroactiveEngine:
@@ -283,8 +288,8 @@ class RetroactiveEngine:
     ) -> list[tuple[frozenset[str], frozenset[str]]]:
         dev = self._fresh_dev_db(base_state, name=f"pilot-{request.req_id}")
         dev.track_reads = True
-        collector = _FootprintCollector()
-        dev.add_observer(collector)
+        footprints = _Footprints()
+        dev.add_observer(footprints)
         runtime = Runtime(dev, registry=registry, seed=self._seed())
         runtime.execute_request(
             Request(
@@ -295,7 +300,7 @@ class RetroactiveEngine:
                 auth_user=request.auth_user,
             )
         )
-        return collector.footprints
+        return footprints
 
     def _seed(self) -> int:
         return self.trod.runtime.seed if self.trod.runtime else 0
@@ -313,6 +318,8 @@ class RetroactiveEngine:
     ) -> OrderingOutcome:
         dev = self._fresh_dev_db(base_state, name=f"retro-{index}")
         runtime = Runtime(dev, registry=registry, seed=self._seed())
+        outcome = OrderingOutcome(index=index, schedule=schedule)
+        runtime.add_observer(outcome)  # counts the run's side effects
         fresh = [
             Request(
                 handler=r.handler,
@@ -324,7 +331,6 @@ class RetroactiveEngine:
             for r in requests
         ]
         results = runtime.run_concurrent(fresh, schedule=schedule)
-        outcome = OrderingOutcome(index=index, schedule=schedule)
         for result in results:
             outcome.requests.append(self._outcome_of(result, originals))
         for followup in followups:
@@ -343,7 +349,6 @@ class RetroactiveEngine:
             outcome.final_state[table.lower()] = sorted(rows)
         if invariant is not None:
             outcome.invariant_violations = list(invariant(dev))
-        outcome.side_effect_count = len(runtime.side_effects)
         return outcome
 
     @staticmethod

@@ -10,15 +10,17 @@ Typical use::
     trod.replayer.replay_request("R1")
     trod.retroactive.run(["R1", "R2"], patches={...})
 
-Attaching registers the interposition layer on both the database (observer
-API) and the runtime (hook API), switches on read tracking, snapshots
-every application table into the provenance store (so past states can be
-rebuilt from provenance alone), and records each table's DDL.
+Attaching adds the interposition layer as an observer of both the
+database and the runtime (:mod:`repro.events`), switches on read
+tracking, snapshots every application table into the provenance store (so
+past states can be rebuilt from provenance alone), and records each
+table's DDL.
 """
 
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 from repro.core.buffer import TraceBuffer
@@ -68,14 +70,6 @@ class Trod:
         self.flush_ns = 0
         self.flush_ns_max = 0  # the longest single drain
         self._event_names = {k.lower(): v for k, v in (event_names or {}).items()}
-        self._debugger: "Debugger | None" = None
-        self._replayer: "ReplayEngine | None" = None
-        self._retroactive: "RetroactiveEngine | None" = None
-        self._security: "AccessControlChecker | None" = None
-        self._taint: "ExfiltrationTracker | None" = None
-        self._profiler = None
-        self._quality = None
-        self._privacy = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -122,7 +116,7 @@ class Trod:
         self.database.add_observer(self.interposition)
         self.database.track_reads = True
         if runtime is not None:
-            runtime.add_hook(self.interposition)
+            runtime.add_observer(self.interposition)
         self.attached = True
         return self
 
@@ -133,7 +127,7 @@ class Trod:
         self.database.remove_observer(self.interposition)
         self.database.track_reads = False
         if self.runtime is not None:
-            self.runtime.remove_hook(self.interposition)
+            self.runtime.remove_observer(self.interposition)
         self.attached = False
 
     def _register_table(self, schema: TableSchema) -> None:
@@ -187,81 +181,61 @@ class Trod:
         self.flush()
         return self.provenance.query(sql, params)
 
-    @property
+    @cached_property
     def debugger(self) -> "Debugger":
-        if self._debugger is None:
-            from repro.core.debugger import Debugger
+        from repro.core.debugger import Debugger
 
-            self._debugger = Debugger(self)
-        return self._debugger
+        return Debugger(self)
 
-    @property
+    @cached_property
     def replayer(self) -> "ReplayEngine":
-        if self._replayer is None:
-            from repro.core.replay import ReplayEngine
+        from repro.core.replay import ReplayEngine
 
-            self._replayer = ReplayEngine(self)
-        return self._replayer
+        return ReplayEngine(self)
 
-    @property
+    @cached_property
     def retroactive(self) -> "RetroactiveEngine":
-        if self._retroactive is None:
-            from repro.core.retroactive import RetroactiveEngine
+        from repro.core.retroactive import RetroactiveEngine
 
-            self._retroactive = RetroactiveEngine(self)
-        return self._retroactive
+        return RetroactiveEngine(self)
 
-    @property
+    @cached_property
     def security(self) -> "AccessControlChecker":
-        if self._security is None:
-            from repro.core.security import AccessControlChecker
+        from repro.core.security import AccessControlChecker
 
-            self._security = AccessControlChecker(self)
-        return self._security
+        return AccessControlChecker(self)
 
-    @property
+    @cached_property
     def taint(self) -> "ExfiltrationTracker":
-        if self._taint is None:
-            from repro.core.taint import ExfiltrationTracker
+        from repro.core.taint import ExfiltrationTracker
 
-            self._taint = ExfiltrationTracker(self)
-        return self._taint
+        return ExfiltrationTracker(self)
 
     # -- §5 extensions --------------------------------------------------------
 
     def enable_profiling(self):
         """Attach the §5 performance profiler; returns it."""
-        from repro.core.profiling import PerformanceProfiler
+        return self.profiler.attach()
 
-        if self._profiler is None:
-            self._profiler = PerformanceProfiler(self)
-        return self._profiler.attach()
-
-    @property
+    @cached_property
     def profiler(self):
         from repro.core.profiling import PerformanceProfiler
 
-        if self._profiler is None:
-            self._profiler = PerformanceProfiler(self)
-        return self._profiler
+        return PerformanceProfiler(self)
 
-    @property
+    @cached_property
     def quality(self):
         """The §5 data-quality monitor."""
         from repro.core.quality import DataQualityMonitor
 
-        if self._quality is None:
-            self._quality = DataQualityMonitor(self)
-        return self._quality
+        return DataQualityMonitor(self)
 
-    @property
+    @cached_property
     def privacy(self):
         """The §5 privacy/redaction manager."""
         from repro.core.privacy import PrivacyManager
 
-        if self._privacy is None:
-            self._privacy = PrivacyManager(self)
-        return self._privacy
+        return PrivacyManager(self)
 
     # ------------------------------------------------------------------
     # Stats (benchmark E7's numbers come from here)

@@ -56,6 +56,7 @@ from repro.db.txn.manager import (
     TransactionStatus,
 )
 from repro.db.txn.wal import WalAbort, WalChange, WalCommit, WriteAheadLog, redo_change
+from repro.events import Observers
 from repro.errors import (
     ExecutionError,
     FencedError,
@@ -240,7 +241,7 @@ class Database:
             # replay cannot fill in).
             self._buffer_pool.before_write = self.wal.flush
         self.txn_manager = TransactionManager(self)
-        self.observers: list[Any] = []
+        self.observers = Observers()
         #: Set by replication failover: a fenced (demoted) primary accepts
         #: no new transactions and no further commits, so a split brain
         #: cannot acknowledge writes the promoted replica never sees.
@@ -334,7 +335,7 @@ class Database:
         self._indexes[key] = IndexSet(schema)
         self.bump_catalog_epoch()
         self._save_catalog_meta()
-        self.notify("table_created", schema)
+        self.observers.notify("table_created", schema)
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
         if if_exists and not self.catalog.has_table(name):
@@ -349,13 +350,13 @@ class Database:
         self._index_meta = [m for m in self._index_meta if m["table"] != key]
         self.bump_catalog_epoch()
         self._save_catalog_meta()
-        self.notify("table_dropped", key)
+        self.observers.notify("table_dropped", key)
 
     def add_table_alias(self, alias: str, table: str) -> None:
         self.catalog.add_alias(alias, table)
         self.bump_catalog_epoch()
         self._save_catalog_meta()
-        self.notify("alias_added", alias, table)
+        self.observers.notify("alias_added", alias, table)
 
     def create_index(
         self,
@@ -383,7 +384,7 @@ class Database:
         )
         self.bump_catalog_epoch()
         self._save_catalog_meta()
-        self.notify(
+        self.observers.notify(
             "index_created", name, key, tuple(columns), unique, sorted_index
         )
 
@@ -401,7 +402,7 @@ class Database:
         ]
         self.bump_catalog_epoch()
         self._save_catalog_meta()
-        self.notify("index_dropped", name, key)
+        self.observers.notify("index_dropped", name, key)
 
     def empty_like(self, name: str) -> "Database":
         """A fresh, empty database with this one's tables, secondary
@@ -531,7 +532,7 @@ class Database:
 
         ``redo(store, change, csn)`` applies one change and says whether
         the commit counts as replayed (``recovery_stats["tail_commits"]``).
-        Every commit's txn id and CSN go into the commit/CSN indexes, and
+        Every commit's txn id and CSN go into the commit index, and
         the txn counter moves past them and past the in-doubt prepares:
         an undecided branch keeps its identity until it is resolved.
         Nothing keeps ``commits``.
@@ -547,7 +548,6 @@ class Database:
                 replayed |= redo(store, change, commit.csn)
             stats["tail_commits"] += replayed
             manager.commit_index[commit.txn_id] = commit.csn
-            manager.csn_index[commit.csn] = commit.txn_id
         stats["wal_commits"] = len(commits)
         manager._next_txn_id = max(
             [manager._next_txn_id]
@@ -726,9 +726,9 @@ class Database:
         snapshot even though the backing (ephemeral or autocommitted)
         transaction finishes immediately. Streaming silently degrades to
         materialization when read provenance is on (``track_reads`` —
-        TROD's statement traces need the full drain) or any observer is
-        attached (statement traces carry rowcounts), and for non-SELECT
-        statements.
+        TROD's statement traces need the full drain) or an observer takes
+        ``statement_executed`` (statement traces carry rowcounts), and for
+        non-SELECT statements.
         """
         stmt = parse_cached(sql)
         self._check_available()
@@ -754,11 +754,10 @@ class Database:
         active = txn if txn is not None else self.begin()
         try:
             active.begin_statement()
+            observed = self.observers.wants("statement_executed")
             streaming = (
-                stream
-                and isinstance(stmt, SelectStmt)
-                and not self.track_reads
-                and not self.observers
+                stream and isinstance(stmt, SelectStmt)
+                and not (self.track_reads or observed)
             )
             result = execute_statement(
                 self, active, stmt, params, sql, stream=streaming
@@ -768,15 +767,11 @@ class Database:
                 # autocommit below finishes it; every scan resolves its
                 # snapshot here, so the stream survives the commit/abort.
                 result.prime()
-            else:
-                trace = StatementTrace(
-                    sql=sql,
-                    kind=result.kind,
-                    reads=active.statement_reads(),
-                    writes=self._writes_of(stmt, result),
-                    rowcount=result.rowcount,
+            elif observed:
+                self.report_statement(
+                    active, sql, result.kind, result.rowcount,
+                    self._writes_of(stmt, result),
                 )
-                self.notify("statement_executed", active, trace)
             if autocommit:
                 if self.read_only:
                     # Replica read: committing would consume a CSN and
@@ -819,30 +814,31 @@ class Database:
         try:
             active.begin_statement()
             result = execute_statement(self, active, stmt, params, sql)
-            trace = StatementTrace(
-                sql=sql,
-                kind=result.kind,
-                reads=active.statement_reads(),
-                rowcount=result.rowcount,
-            )
-            self.notify("statement_executed", active, trace)
+            if self.observers.wants("statement_executed"):
+                self.report_statement(active, sql, result.kind, result.rowcount)
             return result
         finally:
             self.txn_manager.abort(active)
+
+    def report_statement(
+        self, txn: Transaction, sql: str, kind: str, rowcount: int,
+        writes: list[tuple[str, str, int]] | None = None,
+    ) -> None:
+        """Hand ``statement_executed`` subscribers (callers ask first) a trace."""
+        trace = StatementTrace(sql, kind, txn.statement_reads(), writes or [], rowcount)
+        self.observers.notify("statement_executed", txn, trace)
 
     def _writes_of(
         self, stmt: Statement, result: ResultSet
     ) -> list[tuple[str, str, int]]:
         if isinstance(stmt, InsertStmt):
-            table = self.catalog.resolve(stmt.table)
-            return [("insert", table, rid) for rid in result.row_ids]
-        if isinstance(stmt, UpdateStmt):
-            table = self.catalog.resolve(stmt.table.table)
-            return [("update", table, rid) for rid in result.row_ids]
-        if isinstance(stmt, DeleteStmt):
-            table = self.catalog.resolve(stmt.table.table)
-            return [("delete", table, rid) for rid in result.row_ids]
-        return []
+            table = stmt.table
+        elif isinstance(stmt, (UpdateStmt, DeleteStmt)):
+            table = stmt.table.table
+        else:
+            return []
+        table = self.catalog.resolve(table)
+        return [(result.kind, table, rid) for rid in result.row_ids]
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Read-only convenience wrapper around :meth:`execute`."""
@@ -1004,19 +1000,10 @@ class Database:
     # -- observers ---------------------------------------------------------------
 
     def add_observer(self, observer: Any) -> None:
-        self.observers.append(observer)
+        self.observers.add(observer)
 
     def remove_observer(self, observer: Any) -> None:
-        try:
-            self.observers.remove(observer)
-        except ValueError:
-            pass
-
-    def notify(self, event: str, *args: Any) -> None:
-        for observer in self.observers:
-            hook = getattr(observer, event, None)
-            if hook is not None:
-                hook(*args)
+        self.observers.remove(observer)
 
     # -- recovery ------------------------------------------------------------------
 

@@ -83,9 +83,15 @@ class ReplicationLog:
     Attaches as an observer: ``txn_committed`` yields commit records
     (empty commits included — they consume CSNs, and replicas must track
     the primary's CSN clock exactly), and the DDL hooks yield schema
-    records so replicas follow catalog changes in stream order. Records
+    records so replicas follow catalog changes in stream order. It takes
+    no ``statement_executed``, so its primary still streams reads. Records
     stay until :meth:`release` lets them go.
     """
+
+    events = (
+        "txn_committed", "table_created", "table_dropped",
+        "index_created", "index_dropped", "alias_added",
+    )
 
     def __init__(self, primary: Database):
         self.primary = primary
@@ -120,26 +126,24 @@ class ReplicationLog:
         self._append("commit", csn, txn.txn_id, changes=changes)
 
     def table_created(self, schema: TableSchema) -> None:
-        self._append("ddl", self.primary.last_csn, 0, ddl=("create_table", schema))
+        self._ddl("create_table", schema)
 
     def table_dropped(self, name: str) -> None:
-        self._append("ddl", self.primary.last_csn, 0, ddl=("drop_table", name))
+        self._ddl("drop_table", name)
 
     def index_created(
         self, name: str, table: str, columns: tuple, unique: bool, sorted_index: bool
     ) -> None:
-        self._append(
-            "ddl",
-            self.primary.last_csn,
-            0,
-            ddl=("create_index", name, table, columns, unique, sorted_index),
-        )
+        self._ddl("create_index", name, table, columns, unique, sorted_index)
 
     def index_dropped(self, name: str, table: str) -> None:
-        self._append("ddl", self.primary.last_csn, 0, ddl=("drop_index", name, table))
+        self._ddl("drop_index", name, table)
 
     def alias_added(self, alias: str, table: str) -> None:
-        self._append("ddl", self.primary.last_csn, 0, ddl=("alias", alias, table))
+        self._ddl("alias", alias, table)
+
+    def _ddl(self, *ddl: Any) -> None:
+        self._append("ddl", self.primary.last_csn, 0, ddl=ddl)
 
     # -- record plumbing --------------------------------------------------
 
@@ -194,7 +198,7 @@ class Applier:
     WAL, indexes, and observers all behave exactly as on the
     primary) and must land on the very next CSN — the replica's commit
     counter then assigns ``record.csn`` by construction, and the
-    commit/CSN indexes are re-pointed at the *primary's* transaction id so
+    commit index is keyed by the *primary's* transaction id so
     provenance lookups agree across the fleet. Any CSN mismatch means the
     stream has a gap (or the replica was written to directly) and raises
     :class:`ReplicationError` rather than applying a torn history.
@@ -231,12 +235,11 @@ class Applier:
             # catch-up over a read-mostly stream stays O(1) per record.
             manager.last_csn = record.csn
             manager.commit_index[record.txn_id] = record.csn
-            manager.csn_index[record.csn] = record.txn_id
             return
         # Pin the transaction counter so the apply transaction carries
-        # the PRIMARY's txn id natively: commit_index/csn_index then
-        # agree across the fleet with no re-keying (re-keying collides
-        # when a local counter value matches an earlier primary id).
+        # the PRIMARY's txn id natively: commit_index then agrees across
+        # the fleet with no re-keying (re-keying collides when a local
+        # counter value matches an earlier primary id).
         manager._next_txn_id = record.txn_id
         txn = self.replica.begin(info={"replication_apply": True})
         assert txn.txn_id == record.txn_id
@@ -438,7 +441,6 @@ class ReplicaSet:
         # (txn id <-> csn) answer identically on any node, and the
         # replica's txn counter continues from the primary's.
         manager.commit_index = dict(primary.txn_manager.commit_index)
-        manager.csn_index = dict(primary.txn_manager.csn_index)
         manager._next_txn_id = primary.txn_manager._next_txn_id
         if base_csn:
             database.history_horizon = base_csn
@@ -860,7 +862,7 @@ class ReplicaSet:
         self.primary = target.database
         self.primary.read_only = False  # promoted: it now takes writes
         self.primary.read_only_reason = None
-        for observer in list(old_primary.observers):
+        for observer in old_primary.observers:
             old_primary.remove_observer(observer)
             self.primary.add_observer(observer)
         self.primary.track_reads = old_primary.track_reads

@@ -32,7 +32,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
-from repro.db.database import Database, StatementTrace, check_read_preference
+from repro.db.database import Database, check_read_preference
 from repro.db.expr import (
     BinaryOp,
     Case,
@@ -345,24 +345,22 @@ class Exchange(PlanNode):
     def _run(
         self, ctx: ExecContext, store: str, part: str, cap: int | None
     ) -> list[tuple]:
-        """One shard's rows; ``cap`` bounds them unless the shard is
-        traced or observed, whose trace must see the whole scan."""
+        """One shard's rows; ``cap`` bounds them unless the shard tracks
+        reads or takes ``statement_executed``, whose trace sees it all."""
         shards, sql = ctx.shards, ctx.query_text
         database, branch = shards.database(store), shards.txn(store)
         plan = self._shard_plan(database, part, sql)
-        if cap is not None and not database.track_reads and not database.observers:
+        observed = database.observers.wants("statement_executed")
+        if cap is not None and not database.track_reads and not observed:
             plan = LimitNode(plan, Literal(cap), None)
         rows = _drain_rows(plan, ExecContext(
             database, branch, ctx.params, sql, database.track_reads,
             batch_size=0, shards=shards,
         ))
-        if database.observers:
-            # TROD interposition parity: each shard's observers see the
+        if observed:
+            # TROD interposition parity: each shard's subscribers see the
             # statement trace for the work executed on that shard.
-            trace = StatementTrace(
-                sql=sql, kind="select", reads=branch.statement_reads(), rowcount=len(rows)
-            )
-            database.notify("statement_executed", branch, trace)
+            database.report_statement(branch, sql, "select", len(rows))
         return rows
 
     def _shard_plan(self, database: Database, part: str, sql: str) -> PlanNode:
@@ -780,10 +778,12 @@ class ShardedDatabase:
         """Register a database observer on every shard.
 
         TROD interposition attaches here exactly as it does on a single
-        database: each shard emits ``txn_began`` / ``statement_executed``
-        / ``txn_committed`` events for the work it executed, so the
-        debugger-visible stream covers the whole cluster. Transaction and
-        row ids are meaningful within their owning shard's id space.
+        database: each shard emits the events the observer declared
+        (``txn_began`` / ``statement_executed`` / ``txn_committed`` ...)
+        for the work it executed, so the debugger-visible stream covers
+        the whole cluster; only a ``statement_executed`` subscriber lifts
+        a shard's LIMIT cap. Transaction and row ids are meaningful within
+        their owning shard's id space.
         """
         for shard in self.shards:
             shard.add_observer(observer)
@@ -1377,21 +1377,10 @@ class ShardedDatabase:
             per_store.setdefault(store, []).append(row_id)
         for store, store_row_ids in per_store.items():
             shard = self._by_name[store]
-            if shard.observers:
-                branch = gtxn.on(store)
-                shard.notify(
-                    "statement_executed",
-                    branch,
-                    StatementTrace(
-                        sql=sql or "",
-                        kind="insert",
-                        reads=branch.statement_reads(),
-                        writes=[
-                            ("insert", canonical, row_id)
-                            for row_id in store_row_ids
-                        ],
-                        rowcount=len(store_row_ids),
-                    ),
+            if shard.observers.wants("statement_executed"):
+                writes = [("insert", canonical, row_id) for row_id in store_row_ids]
+                shard.report_statement(
+                    gtxn.on(store), sql or "", "insert", len(store_row_ids), writes
                 )
         self._note_targets(sorted(per_store) if per_store else [self.store_names[0]])
         return ResultSet(kind="insert", rowcount=len(row_ids), row_ids=row_ids)

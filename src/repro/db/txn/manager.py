@@ -523,7 +523,6 @@ class TransactionManager:
         #: txn_id -> commit csn for every committed transaction; TROD's
         #: provenance uses this mapping.
         self.commit_index: dict[int, int] = {}
-        self.csn_index: dict[int, int] = {}  # csn -> txn_id
         #: Called when a lock acquisition must wait; the runtime points this
         #: at the scheduler so other workers can make progress.
         self.wait_hook: Callable[[Transaction, str], None] | None = None
@@ -550,7 +549,7 @@ class TransactionManager:
         self._next_txn_id += 1
         self.active[txn.txn_id] = txn
         self.stats["begun"] += 1
-        txn._database.notify("txn_began", txn)
+        txn._database.observers.notify("txn_began", txn)
         return txn
 
     def prepare(self, txn: Transaction, *, gtxn_id: int | None = None) -> None:
@@ -615,7 +614,6 @@ class TransactionManager:
         txn.status = TransactionStatus.COMMITTED
         txn.commit_csn = csn
         self.commit_index[txn.txn_id] = csn
-        self.csn_index[csn] = txn.txn_id
         self.active.pop(txn.txn_id, None)
         # The WAL record is the commit's one record: observers receive
         # its ``changes`` tuple itself.
@@ -623,7 +621,7 @@ class TransactionManager:
             database.wal.append(WalCommit(csn, txn.txn_id, changes))
         self.locks.release_all(txn.txn_id)
         self.stats["committed"] += 1
-        database.notify("txn_committed", txn, csn, changes)
+        database.observers.notify("txn_committed", txn, csn, changes)
         return csn
 
     def abort(self, txn: Transaction) -> None:
@@ -637,14 +635,14 @@ class TransactionManager:
                 WalAbort(txn_id=txn.txn_id, gtxn_id=txn.prepared_gtxn)
             )
         self.stats["aborted"] += 1
-        txn._database.notify("txn_aborted", txn)
+        txn._database.observers.notify("txn_aborted", txn)
 
     def commit_recovered(self, prepare: WalPrepare) -> int:
         """Apply an in-doubt prepared branch whose coordinator logged a
         commit decision before the crash (recovery-only phase-2 repair).
 
         The prepare record carries the branch's full change list; it is
-        applied at the next CSN, stamped into the commit/CSN indexes
+        applied at the next CSN, stamped into the commit index
         under its original txn_id, and re-logged as a normal WAL commit
         record so the prepare stops reading as in-doubt on later opens.
         """
@@ -652,7 +650,6 @@ class TransactionManager:
         self._apply(prepare.changes, csn)
         self.last_csn = csn
         self.commit_index[prepare.txn_id] = csn
-        self.csn_index[csn] = prepare.txn_id
         self._next_txn_id = max(self._next_txn_id, prepare.txn_id + 1)
         self.database.wal.append(
             WalCommit(csn=csn, txn_id=prepare.txn_id, changes=prepare.changes)
@@ -788,6 +785,3 @@ class TransactionManager:
 
     def csn_of(self, txn_id: int) -> int | None:
         return self.commit_index.get(txn_id)
-
-    def txn_at_csn(self, csn: int) -> int | None:
-        return self.csn_index.get(csn)

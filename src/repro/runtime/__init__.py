@@ -9,7 +9,7 @@ order (:meth:`Runtime.run_concurrent`).
 
 from repro.runtime.clock import LogicalClock
 from repro.runtime.context import RequestContext, SideEffect, TxnHandle
-from repro.runtime.handlers import HandlerRegistry, handler
+from repro.runtime.handlers import HandlerRegistry
 from repro.runtime.scheduler import (
     CheckpointKind,
     CooperativeScheduler,
@@ -31,5 +31,4 @@ __all__ = [
     "SideEffect",
     "TaskOutcome",
     "TxnHandle",
-    "handler",
 ]

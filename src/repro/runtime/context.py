@@ -151,7 +151,7 @@ class RequestContext:
             payload=payload,
             ts=self.runtime.clock.tick(),
         )
-        self.runtime.record_side_effect(self, effect)
+        self.runtime.observers.notify("side_effect", self, effect)
         return effect
 
     def fail(self, message: str) -> None:

@@ -67,12 +67,3 @@ class HandlerRegistry:
 
     def __len__(self) -> int:
         return len(self._handlers)
-
-
-#: Module-level default registry, for the decorator-only usage pattern.
-_default_registry = HandlerRegistry()
-
-
-def handler(name: str) -> Callable[[HandlerFn], HandlerFn]:
-    """Register on the module-level default registry."""
-    return _default_registry.handler(name)

@@ -7,9 +7,9 @@ transaction interleaving — the mechanism by which this reproduction makes
 the paper's race conditions (and their retroactive re-executions)
 deterministic.
 
-TROD attaches through ``runtime.hooks`` (request/handler/side-effect
-events) and through the database's observer list (transaction/statement
-events); the runtime works identically with no hooks attached.
+TROD attaches as an observer (:mod:`repro.events`) of the runtime
+(request/handler/side-effect events) and of its database (transaction and
+statement events); the runtime works identically with none attached.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from typing import Any, Callable, Sequence
 from repro.db.database import Database
 from repro.db.txn.manager import IsolationLevel, Transaction
 from repro.errors import HandlerError
+from repro.events import Observers
 from repro.runtime.clock import LogicalClock
-from repro.runtime.context import RequestContext, SideEffect
+from repro.runtime.context import RequestContext
 from repro.runtime.handlers import HandlerRegistry
 from repro.runtime.scheduler import CooperativeScheduler
 
@@ -72,8 +73,7 @@ class Runtime:
         self.seed = seed
         self.isolation = isolation
         #: TROD's runtime-side interposition points.
-        self.hooks: list[Any] = []
-        self.side_effects: list[SideEffect] = []
+        self.observers = Observers()
         self._req_counter = 0
         #: The scheduler of the most recent run_concurrent (kept after the
         #: run so callers can inspect the realized schedule).
@@ -88,22 +88,13 @@ class Runtime:
         self._req_counter += 1
         return f"R{self._req_counter}"
 
-    # -- hooks ---------------------------------------------------------------------
+    # -- observers -----------------------------------------------------------------
 
-    def add_hook(self, hook: Any) -> None:
-        self.hooks.append(hook)
+    def add_observer(self, observer: Any) -> None:
+        self.observers.add(observer)
 
-    def remove_hook(self, hook: Any) -> None:
-        try:
-            self.hooks.remove(hook)
-        except ValueError:
-            pass
-
-    def _notify(self, event: str, *args: Any) -> None:
-        for hook in self.hooks:
-            fn = getattr(hook, event, None)
-            if fn is not None:
-                fn(*args)
+    def remove_observer(self, observer: Any) -> None:
+        self.observers.remove(observer)
 
     # -- transaction plumbing (called by RequestContext) -----------------------------
 
@@ -124,10 +115,6 @@ class Runtime:
         )
         ctx.txn_names.append(txn.name)
         return txn
-
-    def record_side_effect(self, ctx: RequestContext, effect: SideEffect) -> None:
-        self.side_effects.append(effect)
-        self._notify("side_effect", ctx, effect)
 
     # -- execution ----------------------------------------------------------------------
 
@@ -161,7 +148,7 @@ class Runtime:
             req_id=req_id, handler=request.handler, start_ts=self.clock.tick()
         )
         result.txn_names = ctx.txn_names
-        self._notify("request_started", ctx, request)
+        self.observers.notify("request_started", ctx, request)
         try:
             fn = self.registry.get(request.handler)
             result.output = fn(ctx, *request.args, **request.kwargs)
@@ -169,7 +156,7 @@ class Runtime:
             result.error = f"{type(exc).__name__}: {exc}"
             result.exception = exc
         result.end_ts = self.clock.tick()
-        self._notify("request_finished", ctx, result)
+        self.observers.notify("request_finished", ctx, result)
         return result
 
     def invoke_child(
@@ -188,13 +175,13 @@ class Runtime:
             auth_user=parent.auth_user,
             parent=parent,
         )
-        self._notify("handler_called", parent, child)
+        self.observers.notify("handler_called", parent, child)
         try:
             output = fn(child, *args, **kwargs)
         except Exception as exc:
-            self._notify("handler_failed", child, exc)
+            self.observers.notify("handler_failed", child, exc)
             raise HandlerError(handler_name, parent.req_id, exc) from exc
-        self._notify("handler_returned", child, output)
+        self.observers.notify("handler_returned", child, output)
         return output
 
     def run_concurrent(

@@ -24,10 +24,11 @@ class TestCheckout:
         assert db.table_rows("payments")[0]["amount"] == 10.0
         assert db.table_rows("inventory")[0]["stock"] == 8
 
-    def test_checkout_emits_receipt_email(self, stocked_shop):
+    def test_checkout_emits_receipt_email(self, stocked_shop, side_effect_tap):
         _db, runtime, _trod = stocked_shop
+        tap = side_effect_tap(runtime)
         runtime.submit("checkout", "C1", "U1")
-        emails = [e for e in runtime.side_effects if e.channel == "email"]
+        emails = [e for e in tap if e.channel == "email"]
         assert len(emails) == 1
 
     def test_wrong_user_rejected(self, stocked_shop):

@@ -133,6 +133,8 @@ class CommitTap(list):
     records its log writes (an empty commit logs none, so it is left out
     here too). The log keeps no commit; a test that reads them taps."""
 
+    events = ("txn_committed",)
+
     def txn_committed(self, txn, csn, changes):
         if changes:
             self.append(WalCommit(csn, txn.txn_id, changes))
@@ -146,6 +148,29 @@ def commit_tap():
     def tap(db) -> CommitTap:
         observer = CommitTap()
         db.add_observer(observer)
+        return observer
+
+    return tap
+
+
+class SideEffectTap(list):
+    """The side effects a runtime records while tapped. The runtime keeps
+    none; a test that reads them taps."""
+
+    events = ("side_effect",)
+
+    def side_effect(self, ctx, effect):
+        self.append(effect)
+
+
+@pytest.fixture(scope="session")
+def side_effect_tap():
+    """``side_effect_tap(runtime)``: a :class:`SideEffectTap` observing
+    ``runtime``'s side effects from now on."""
+
+    def tap(runtime) -> SideEffectTap:
+        observer = SideEffectTap()
+        runtime.add_observer(observer)
         return observer
 
     return tap

@@ -69,6 +69,8 @@ class DrainProbe:
         trod.request_flush = counting_request_flush
         trod.database.add_observer(self)
 
+    events = ("txn_committed", "txn_aborted")
+
     def txn_committed(self, txn, csn, changes) -> None:
         self._boundary(txn)
 

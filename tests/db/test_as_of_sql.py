@@ -138,7 +138,9 @@ class TestHistory:
     def test_state_before_a_transaction(self):
         """The state a transaction saw is ``AS OF`` its CSN minus one."""
         db = insert_update_delete_db()
-        txn_id = db.txn_manager.txn_at_csn(3)  # the UPDATE
+        [txn_id] = [  # the UPDATE
+            t for t, c in db.txn_manager.commit_index.items() if c == 3
+        ]
         csn = db.txn_manager.csn_of(txn_id)
         assert csn == 3
         assert self.rows_at(db, csn - 1) == [("a", 1), ("b", 2)]

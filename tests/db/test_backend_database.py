@@ -57,20 +57,24 @@ class TestDatabaseMisc:
             db.table_rows("t", csn=1)
 
     def test_observer_receives_events(self):
-        events = []
+        seen = []
 
         class Observer:
+            events = (
+                "txn_began", "txn_committed", "txn_aborted", "statement_executed"
+            )
+
             def txn_began(self, txn):
-                events.append(("began", txn.txn_id))
+                seen.append(("began", txn.txn_id))
 
             def txn_committed(self, txn, csn, changes):
-                events.append(("committed", csn, len(changes)))
+                seen.append(("committed", csn, len(changes)))
 
             def txn_aborted(self, txn):
-                events.append(("aborted", txn.txn_id))
+                seen.append(("aborted", txn.txn_id))
 
             def statement_executed(self, txn, trace):
-                events.append(("stmt", trace.kind))
+                seen.append(("stmt", trace.kind))
 
         db = Database()
         db.execute("CREATE TABLE t (x INTEGER)")
@@ -78,18 +82,25 @@ class TestDatabaseMisc:
         db.execute("INSERT INTO t VALUES (1)")
         txn = db.begin()
         txn.abort()
-        kinds = [e[0] for e in events]
+        kinds = [e[0] for e in seen]
         assert "began" in kinds and "committed" in kinds
         assert "aborted" in kinds and "stmt" in kinds
 
     def test_remove_observer(self):
         db = Database()
         db.execute("CREATE TABLE t (x INTEGER)")
-        observer = object()
+
+        class Observer:
+            events = ("txn_began",)
+
+            def txn_began(self, txn):
+                pass
+
+        observer = Observer()
         db.add_observer(observer)
         db.remove_observer(observer)
         db.remove_observer(observer)  # idempotent
-        assert db.observers == []
+        assert list(db.observers) == []
 
     def test_alias_query(self):
         db = Database()

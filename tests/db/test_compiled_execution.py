@@ -308,6 +308,8 @@ class TestShapesOnlyClosuresRan:
 
 
 class _TraceCollector:
+    events = ("statement_executed",)
+
     def __init__(self):
         self.traces = []
 

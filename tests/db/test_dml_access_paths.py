@@ -144,6 +144,8 @@ class Traces:
     """Observer collecting every statement trace and every non-empty
     commit's changes a node emits."""
 
+    events = ("statement_executed", "txn_committed")
+
     def __init__(self) -> None:
         self.seen: list = []
         self.commits: list[tuple] = []

@@ -311,6 +311,8 @@ class TestChecksKept:
         seen = []
 
         class Observer:
+            events = ("txn_committed",)
+
             def txn_committed(self, txn, csn, records):
                 seen.append((csn, [(r.op, r.row_id, r.values) for r in records]))
 

@@ -67,6 +67,8 @@ class TestContextApi:
         labels = []
 
         class Spy:
+            events = ("txn_began",)
+
             def txn_began(self, txn):
                 labels.append(txn.info.get("label"))
 
@@ -100,6 +102,8 @@ class TestContextApi:
         seen = []
 
         class Spy:
+            events = ("txn_began",)
+
             def txn_began(self, txn):
                 seen.append(txn.isolation)
 
@@ -122,6 +126,8 @@ class TestContextApi:
         seen = []
 
         class Spy:
+            events = ("txn_began",)
+
             def txn_began(self, txn):
                 seen.append(txn.isolation)
 

@@ -829,14 +829,16 @@ class TestFacadeParity:
         sdb.execute("INSERT INTO t VALUES (1)")
 
         class Outcomes:
+            events = ("txn_committed", "txn_aborted")
+
             def __init__(self):
-                self.events = []
+                self.outcomes = []
 
             def txn_committed(self, txn, csn, changes):
-                self.events.append("committed")
+                self.outcomes.append("committed")
 
             def txn_aborted(self, txn):
-                self.events.append("aborted")
+                self.outcomes.append("aborted")
 
         observers = []
         for _store, shard in sdb.named_shards():
@@ -846,7 +848,7 @@ class TestFacadeParity:
         gtxn = sdb.begin(IsolationLevel.SNAPSHOT)  # joins both branches
         sdb.execute("SELECT COUNT(*) FROM t", txn=gtxn)
         gtxn.commit()
-        events = [e for o in observers for e in o.events]
+        events = [e for o in observers for e in o.outcomes]
         assert events == ["committed", "committed"]
         assert len(sdb.coordinator.aligned_log) == 1  # just the INSERT
 
@@ -868,6 +870,8 @@ class TestFacadeParity:
         sdb.execute("CREATE TABLE t (k INTEGER, v TEXT)")
 
         class Collector:
+            events = ("statement_executed",)
+
             def __init__(self):
                 self.traces = []
 

@@ -203,6 +203,8 @@ class TestCursorStreaming:
         db = seeded_db(5)
 
         class Observer:
+            events = ("statement_executed",)
+
             def statement_executed(self, txn, trace):
                 self.trace = trace
 
@@ -348,6 +350,8 @@ class TestShardedLimitPushdown:
         traces = []
 
         class Observer:
+            events = ("statement_executed",)
+
             def statement_executed(self, txn, trace):
                 traces.append(trace)
 

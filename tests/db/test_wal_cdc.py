@@ -257,6 +257,8 @@ class TestCdc:
         received: list[tuple] = []
 
         class Observer:
+            events = ("txn_committed",)
+
             def txn_committed(self, txn, csn, changes):
                 received.append(changes)
 

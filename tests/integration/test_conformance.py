@@ -210,7 +210,7 @@ def check_invariants(engine, trod: Trod | None = None) -> None:
     applied = {
         csn
         for primary, _replicas in nodes
-        for csn in primary.txn_manager.csn_index
+        for csn in primary.txn_manager.commit_index.values()
         if csn > trod.base_csn
     }
     repeated = sorted(csn for csn, n in committed.items() if n > 1)

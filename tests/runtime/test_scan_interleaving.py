@@ -244,6 +244,8 @@ class TestTraceParityUnderBatching:
         traces: list = []
 
         class Observer:
+            events = ("statement_executed",)
+
             def statement_executed(self, txn, trace):
                 traces.append(
                     (

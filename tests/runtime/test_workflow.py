@@ -184,8 +184,9 @@ class TestRpcWorkflows:
         result = rt.submit("parent")
         assert not result.ok
 
-    def test_side_effects_recorded(self, env):
+    def test_side_effects_recorded(self, env, side_effect_tap):
         _db, rt = env
+        tap = side_effect_tap(rt)
 
         def notify(ctx):
             ctx.emit("email", {"to": "x"})
@@ -193,7 +194,7 @@ class TestRpcWorkflows:
 
         rt.register("notify", notify)
         rt.submit("notify")
-        assert [e.channel for e in rt.side_effects] == ["email", "export"]
+        assert [e.channel for e in tap] == ["email", "export"]
 
 
 class TestRunConcurrent:
