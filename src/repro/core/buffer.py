@@ -12,7 +12,14 @@ provenance table it lands in, per table:
   as one header ``(TxnId, TxnNum, Type, Query, Csn, ordinal, count)``
   plus its ``count`` ``(row_id, values)`` pairs, appended to one flat
   pair list per app table. ``ordinal`` is the number of pairs staged
-  before it (on any table): ingest numbers the batch's ``Seq`` from there.
+  before it (on any table): ingest numbers the batch's ``Seq`` from there;
+* a whole-table scan's predicate (a
+  :class:`~repro.db.txn.manager.ScanRead`) is staged as one trace row: a
+  ``Read`` header whose ``count`` is the scan's survivor count, extended
+  by the CSN it read at, in one header list per app table, and its
+  params and filter in two parallel lists. Its ``count`` advances ``ordinal``
+  as that many pairs would, so the Read rows the provenance store expands
+  it into later take the ``Seq`` values they would have taken as pairs.
 
 Rows are laid out from the pairs only at flush, and a buffer of any size
 is a few lists per table: once a young collection has untracked the
@@ -35,12 +42,20 @@ batch, and by more if the caller does not flush.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.db.txn.manager import ScanRead
 
 #: What :meth:`TraceBuffer.drain` returns and ``ProvenanceStore.ingest``
-#: takes: ``(rows, batches)``, provenance table -> its staged rows, and
-#: app table -> ``(headers, pairs)``.
-Staged = tuple[dict[str, list[tuple]], dict[str, tuple[list[tuple], list[tuple]]]]
+#: takes: ``(rows, batches, scans)``, provenance table -> its staged rows,
+#: app table -> ``(headers, pairs)``, and app table -> ``(headers,
+#: params, filters)`` of its scan predicates (:meth:`TraceBuffer.add_scan`).
+Staged = tuple[
+    dict[str, list[tuple]],
+    dict[str, tuple[list[tuple], list[tuple]]],
+    dict[str, tuple[list[tuple], list[tuple], list[Callable | None]]],
+]
 
 #: A transaction boundary drains the buffer once it holds a
 #: ``1 / DRAIN_SLICES`` share of its capacity (4 096 rows by default).
@@ -59,6 +74,9 @@ class TraceBuffer:
         self.capacity = capacity
         self._rows: dict[str, list[tuple]] = {}
         self._batches: dict[str, tuple[list[tuple], list[tuple]]] = {}
+        self._scans: dict[
+            str, tuple[list[tuple], list[tuple], list[Callable | None]]
+        ] = {}
         self._count = 0  # trace rows staged
         self._ordinal = 0  # pairs staged: the next batch's Seq offset
         self._drained = 0
@@ -97,14 +115,34 @@ class TraceBuffer:
         self._count += count
         return self._count >= self.capacity
 
+    def add_scan(self, txn_name: str, txn_num: int, read: "ScanRead") -> bool:
+        """Stage a whole-table scan's predicate as one trace row: the
+        header ``(TxnId, TxnNum, "Read", Query, None, ordinal, count,
+        csn)``, reserving the ``count`` ordinals its Read rows take, its
+        params and its filter (each list holds no container of another,
+        so a young collection untracks the headers and params). True when
+        a flush is due."""
+        staged = self._scans.get(read.table)
+        if staged is None:
+            staged = self._scans[read.table] = ([], [], [])
+        staged[0].append(
+            (txn_name, txn_num, "Read", read.query, None, self._ordinal, read.count,
+             read.csn)
+        )
+        staged[1].append(read.params)
+        staged[2].append(read.keep)
+        self._ordinal += read.count
+        self._count += 1
+        return self._count >= self.capacity
+
     def drain(self) -> Staged:
         """Remove and return everything staged, each table's records
         oldest first; only a drain that returns records counts as a
         flush."""
-        if not (self._rows or self._batches):
-            return {}, {}
-        staged = self._rows, self._batches
-        self._rows, self._batches = {}, {}
+        if not (self._rows or self._batches or self._scans):
+            return {}, {}, {}
+        staged = self._rows, self._batches, self._scans
+        self._rows, self._batches, self._scans = {}, {}, {}
         self._drained += self._count
         self._count = self._ordinal = 0
         self.flushes += 1

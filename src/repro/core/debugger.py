@@ -131,6 +131,6 @@ class Debugger:
             "SELECT DISTINCT E.TxnId AS TxnId, E.ReqId AS ReqId,"
             " E.HandlerName AS HandlerName, E.Csn AS Csn"
             f" FROM Executions AS E, {event_table} AS F ON E.TxnId = F.TxnId"
-            f" {where} ORDER BY Csn",
+            f" {where} ORDER BY Csn, TxnId",
             params,
         )

@@ -4,10 +4,13 @@ One observer, added to both the database and the runtime, declares the
 events it takes from each (:mod:`repro.events`):
 
 * **database events** — ``txn_began`` / ``statement_executed`` /
-  ``txn_committed`` / ``txn_aborted`` / ``table_created``, capturing
-  transaction metadata, read sets (the executor's, one batch per scan
-  chunk), and write sets (from the commit's WAL record, so aborted work
-  never produces write provenance);
+  ``txn_committed`` / ``txn_aborted`` / ``table_created`` /
+  ``table_dropped``, capturing
+  transaction metadata, read sets (the executor's: a whole-table scan's
+  predicate, which the provenance store expands into its rows when they
+  are read, else one batch of rows per scan chunk), and write sets (from
+  the commit's WAL record, so aborted work never produces write
+  provenance);
 * **runtime events** — ``request_started`` / ``request_finished`` /
   ``handler_called`` / ``side_effect``, capturing request lifecycles and
   workflow edges. Its ``statement_executed`` subscription is what makes
@@ -18,7 +21,8 @@ the provenance table it lands in: a transaction, request, workflow edge
 or side effect as its final ``Executions`` / ``Requests`` /
 ``WorkflowEdges`` / ``SideEffects`` row, a read set or a run of a
 commit's changes as one batch of ``(row_id, values)`` pairs whose event
-rows ingest lays out (:class:`~repro.core.buffer.TraceBuffer`).
+rows ingest lays out, a scan predicate as one record
+(:class:`~repro.core.buffer.TraceBuffer`).
 
 Every hook self-times with ``perf_counter_ns`` and accumulates into
 ``overhead_ns`` — that counter divided by the request count is the
@@ -34,6 +38,9 @@ import sys
 import time
 from itertools import groupby
 from typing import TYPE_CHECKING, Any
+
+from repro.db.txn.manager import ScanRead
+from repro.errors import ProvenanceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tracer import Trod
@@ -53,8 +60,8 @@ class InterpositionLayer:
 
     events = (
         "txn_began", "statement_executed", "txn_committed", "txn_aborted",
-        "table_created", "request_started", "request_finished", "handler_called",
-        "side_effect",
+        "table_created", "table_dropped", "request_started", "request_finished",
+        "handler_called", "side_effect",
     )
 
     def __init__(self, trod: "Trod"):
@@ -86,10 +93,29 @@ class InterpositionLayer:
         statements.append(trace)
         # Read provenance is staged immediately (writes wait for commit).
         buffer = self._trod.buffer
-        for table, query, pairs in trace.reads:
-            if buffer.add_batch(
-                table, txn.name, txn.txn_id, "Read", query, None, pairs
-            ):
+        for read in trace.reads:
+            if type(read) is not ScanRead:
+                due = buffer.add_batch(
+                    read.table, txn.name, txn.txn_id, "Read", read.query, None,
+                    read.pairs,
+                )
+            elif self._trod.provenance.reenacts(read.table):
+                due = buffer.add_scan(txn.name, txn.txn_id, read)
+            else:
+                # The history no longer gives the rows: stage the ones the
+                # scan read, the committed state at its CSN (the statement
+                # has run, so the transaction may see writes of its own).
+                store = self._trod.database.store(read.table)
+                pairs = read.reenact(sorted(store.scan(read.csn)))
+                if len(pairs) != read.count:
+                    raise ProvenanceError(
+                        f"{txn.name}'s scan of {read.table!r} at csn {read.csn} "
+                        f"read {read.count} rows; the store there gives {len(pairs)}"
+                    )
+                due = buffer.add_batch(
+                    read.table, txn.name, txn.txn_id, "Read", read.query, None, pairs
+                )
+            if due:
                 self._trod.request_flush()
         self.overhead_ns += time.perf_counter_ns() - start
 
@@ -149,6 +175,11 @@ class InterpositionLayer:
     def table_created(self, schema: "TableSchema") -> None:
         # New table while attached: register it for event capture.
         self._trod.on_table_created(schema)
+
+    def table_dropped(self, table: str) -> None:
+        # Its rows leave no Delete events: its history no longer gives
+        # the rows of a table created under its name.
+        self._trod.provenance.stop_reenacting(table)
 
     @staticmethod
     def _execution_row(txn: "Transaction", status: str, csn: int | None) -> tuple:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.provenance import REDACTED
+from repro.errors import ProvenanceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tracer import Trod
@@ -66,6 +67,17 @@ class PrivacyManager:
         """
         self._trod.flush()
         provenance = self._trod.provenance
+        # A scan predicate of the table reenacts its rows from the history
+        # about to lose the value, and any predicate's params may hold it:
+        # expand those first. One that cannot be expanded stays pending
+        # (its table's readers raise) without the value.
+        holding = {
+            read.table for read in provenance.pending_scans() if value in read.params
+        }
+        try:
+            provenance.expand_reads({table, *holding})
+        except ProvenanceError:
+            provenance.scrub_pending(value)
         schema = provenance.app_schema(table)
         column_map = provenance._column_maps[table.lower()]
         event_table = provenance.event_table_of(table)
@@ -83,6 +95,8 @@ class PrivacyManager:
         # States reconstructed before the redaction still hold the erased
         # values; drop them so reconstruction cannot resurrect data.
         provenance.invalidate_checkpoints(table)
+        if events_redacted:
+            provenance.stop_reenacting(table)
 
         requests_scrubbed = self._scrub_request_args(value)
         report = RedactionReport(

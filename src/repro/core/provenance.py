@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import re
 from array import array
 from collections import OrderedDict
 from itertools import accumulate, chain, islice, repeat
@@ -31,6 +32,7 @@ from repro.db.result import ResultSet
 from repro.db.schema import Column, TableSchema
 from repro.db.segments import ColumnBatch, transpose
 from repro.db.storage import KeptRows
+from repro.db.txn.manager import ScanRead
 from repro.db.types import ColumnType
 from repro.errors import ProvenanceError
 
@@ -63,6 +65,10 @@ REDACTED = "[redacted]"
 #: newest state stays whatever its size.
 _STATE_MEMO_ROWS = 16384
 
+#: Read rows :meth:`ProvenanceStore.expand_reads` inserts per transaction
+#: (a slice ends with the predicate that reaches it).
+_EXPAND_SLICE_ROWS = 16384
+
 
 def _kinds(tuples: Iterable[tuple]) -> set[tuple[type, ...]]:
     """The distinct type signatures of ``tuples``."""
@@ -70,13 +76,13 @@ def _kinds(tuples: Iterable[tuple]) -> set[tuple[type, ...]]:
 
 
 def _raise_wrong_width(
-    table: str, headers: list, row_ids: list, values: list, width: int
+    table: str, heads: list, counts: list, row_ids: list, values: list, width: int
 ) -> None:
     """Raise for the first of ``values`` that is not ``width`` long."""
-    ends = list(accumulate(header[6] for header in headers))
+    ends = list(accumulate(counts))
     for at, row in enumerate(values):
         if len(row) != width:
-            kind = headers[bisect.bisect_right(ends, at)][2]
+            kind = heads[bisect.bisect_right(ends, at)][2]
             raise ProvenanceError(
                 f"{kind} event on {table!r} row {row_ids[at]} carries "
                 f"{len(row)} values for {width} columns"
@@ -231,6 +237,14 @@ class ProvenanceStore:
         #: store rows in the next drain is not checked again. Holding the
         #: tuples keeps their ids from naming any other object.
         self._checked: dict[str, dict[int, tuple]] = {}
+        #: App table -> its scan predicates ingested and not yet expanded,
+        #: oldest first: headers ``(TxnId, TxnNum, "Read", Query, None,
+        #: Seq, count, csn)`` and, in parallel lists, params and filters.
+        self._pending: dict[
+            str, tuple[list[tuple], list[tuple], list[Callable | None]]
+        ] = {}
+        #: App tables (canonical) :meth:`stop_reenacting` named.
+        self._unreenactable: set[str] = set()
         self.checkpoint_stats = {"checkpoint_restores": 0, "full_restores": 0}
         self._create_base_tables()
 
@@ -339,6 +353,10 @@ class ProvenanceStore:
     ) -> int:
         """Record the full content of ``table`` as Type='Snapshot' events."""
         event_table = self.event_table_of(table)
+        if self.db.store(event_table).row_count(None):
+            # A row deleted before this snapshot and after the history
+            # here keeps its last event: its later scans are not reenacted.
+            self.stop_reenacting(table)
         # A new base snapshot redefines the table's reconstruction floor.
         self.invalidate_checkpoints(table)
         event_rows = [
@@ -364,19 +382,21 @@ class ProvenanceStore:
         columns over the next ``count`` pairs of its table's pair list,
         the i-th of them the row ``(TxnId, TxnNum, Type, Query, Csn, Seq,
         RowId, *values)`` with ``Seq = _next_seq + ordinal + i``, less the
-        pairs of earlier batches on tables nobody traces (skipped, they
-        take no ``Seq``). The ``Seq``, ``RowId`` and value columns are
-        built from the pairs directly; no row tuple is made. An event
-        table whose headers, row ids and values all have the types its
-        columns store takes the batch as it is; any other table is
-        coerced row by row (:meth:`Database.insert_rows`). Every table is
-        one insert — one table lock per table per flush — and only once
-        the transaction has committed does ``Seq`` allocation advance and
-        do the kept states a write makes stale go: a batch that fails
-        leaves no trace.
+        pairs of earlier batches and scans on tables nobody traces
+        (skipped, they take no ``Seq``). The ``Seq``, ``RowId`` and value
+        columns are built from the pairs directly; no row tuple is made.
+        An event table whose headers, row ids and values all have the
+        types its columns store takes the batch as it is; any other table
+        is coerced row by row (:meth:`Database.insert_rows`). Every table
+        is one insert — one table lock per table per flush — and only
+        once the transaction has committed does ``Seq`` allocation
+        advance, do the kept states a write makes stale go and does each
+        scan predicate, with the ``Seq`` its header numbers, join the
+        pending ones :meth:`expand_reads` turns into Read rows: a batch
+        that fails leaves no trace.
         """
-        rows, batches = staged
-        if not (rows or batches):
+        rows, batches, scans = staged
+        if not (rows or batches or scans):
             return 0
         count = sum(map(len, rows.values()))
         groups: dict[str, list[tuple] | ColumnBatch] = dict(rows)
@@ -384,68 +404,117 @@ class ProvenanceStore:
         #: and each event table a batch failed the type check on.
         coerced = set(rows)
         traced = []
-        #: (ordinal, count) of each batch on an untraced table (e.g. one
-        #: created after attach without a hook): skipped rather than
-        #: failing the whole flush.
+        #: (ordinal, count) of each batch or scan on an untraced table
+        #: (e.g. one created after attach without a hook): skipped rather
+        #: than failing the whole flush.
         skipped: list[tuple[int, int]] = []
         for table, (headers, pairs) in batches.items():
             count += len(pairs)
-            layout = self._event_layouts.get(table.lower())
-            if layout is None:
-                skipped += [header[5:] for header in headers]
+            if table.lower() in self._event_layouts:
+                traced.append((table, headers, pairs))
             else:
-                traced.append((table, layout, headers, pairs))
+                skipped += [header[5:] for header in headers]
+        traced_scans = []
+        for table, (headers, params, keeps) in scans.items():
+            count += len(headers)
+            if table.lower() in self._event_layouts:
+                traced_scans.append((table, headers, params, keeps))
+            else:
+                skipped += [header[5:7] for header in headers]
         skipped.sort()
         skipped_at = [ordinal for ordinal, _count in skipped]
         skipped_before = list(accumulate((n for _o, n in skipped), initial=0))
+        base = self._next_seq
+
+        def seq(ordinal: int) -> int:
+            return base + ordinal - skipped_before[bisect.bisect_left(skipped_at, ordinal)]
+
         #: app table -> lowest CSN of the writes this batch brings it.
         written: dict[str, int] = {}
-        base = self._next_seq
-        for table, (event_table, nulls), headers, pairs in traced:
+        for table, headers, pairs in traced:
             heads = [header[:5] for header in headers]
-            counts = [header[6] for header in headers]
-            starts = [
-                base + o - skipped_before[bisect.bisect_left(skipped_at, o)]
-                for _h, _n, _k, _q, _c, o, _count in headers
-            ]
-            row_ids, values = split_pairs(pairs)
-            if None in values:
-                # A read that matched nothing, or a delete: every data
-                # column of the event row stays NULL.
-                values = [nulls if v is None else v for v in values]
-            # Read pairs share the store's tuples: each is checked once,
-            # and not at all when the table's last drain checked it.
-            distinct = dict(zip(map(id, values), values))
-            checked = self._checked.pop(event_table, {})
-            fresh = list(map(distinct.__getitem__, distinct.keys() - checked.keys()))
-            if set(map(len, fresh)) - {len(nulls)}:
-                _raise_wrong_width(table, headers, row_ids, values, len(nulls))
-            # Headers fill columns 0-4, row ids RowId (6), values 7 on.
-            schema = self.db.catalog.get(event_table)
-            if (
-                all(map(schema.stores_as_is, _kinds(set(heads))))
-                and all(map(schema.stores_as_is, _kinds(fresh), repeat(7)))
-                and all(schema.stores_as_is((k,), 6) for k in set(map(type, row_ids)))
-            ):
-                self._checked[event_table] = distinct
-            else:
-                coerced.add(event_table)
-            seqs = array(
-                "q", chain.from_iterable(map(range, starts, map(add, starts, counts)))
+            starts = [seq(header[5]) for header in headers]
+            self._lay_out(
+                groups, coerced, table, heads, [h[6] for h in headers], starts, pairs
             )
-            batch = ColumnBatch(
-                [seqs, row_ids, *transpose(values, len(nulls))],
-                heads,
-                counts,
-                len(pairs),
-            )
-            if event_table in groups:  # the app table staged under two spellings
-                batch = ColumnBatch.concat([groups[event_table], batch])
-            groups[event_table] = batch
             csns = [h[4] for h in heads if h[4] is not None and h[2] in _WRITE_KINDS]
             if csns:
                 key = table.lower()
                 written[key] = min(written.get(key, csns[0]), *csns)
+        self._insert(groups, coerced)
+        self._next_seq = base + sum(len(pairs) for *_t, pairs in traced) + sum(
+            header[6] for _t, headers, *_r in traced_scans for header in headers
+        )
+        for table, headers, params, keeps in traced_scans:
+            pending = self._pending.setdefault(table, ([], [], []))
+            pending[0].extend(
+                (*header[:5], seq(header[5]), *header[6:]) for header in headers
+            )
+            pending[1].extend(params)
+            pending[2].extend(keeps)
+        for key, csn in written.items():
+            # A write at or before a kept state makes that state stale.
+            self._drop_states(key, csn)
+        return count
+
+    def _lay_out(
+        self,
+        groups: dict[str, list[tuple] | ColumnBatch],
+        coerced: set[str],
+        table: str,
+        heads: list[tuple],
+        counts: list[int],
+        starts: list[int],
+        pairs: list[tuple[int | None, tuple | None]],
+    ) -> None:
+        """Lay app table ``table``'s batches out as one ``ColumnBatch`` of
+        its event table in ``groups``, adding the event table to
+        ``coerced`` when a value's type is not one its column stores: the
+        i-th batch is the leading columns ``heads[i]`` over the next
+        ``counts[i]`` pairs, numbered from ``Seq`` ``starts[i]``."""
+        event_table, nulls = self._event_layouts[table.lower()]
+        row_ids, values = split_pairs(pairs)
+        if None in values:
+            # A read that matched nothing, or a delete: every data
+            # column of the event row stays NULL.
+            values = [nulls if v is None else v for v in values]
+        # Read pairs share the store's tuples: each is checked once,
+        # and not at all when the table's last drain checked it.
+        distinct = dict(zip(map(id, values), values))
+        checked = self._checked.pop(event_table, {})
+        fresh = list(map(distinct.__getitem__, distinct.keys() - checked.keys()))
+        if set(map(len, fresh)) - {len(nulls)}:
+            _raise_wrong_width(table, heads, counts, row_ids, values, len(nulls))
+        # Headers fill columns 0-4, row ids RowId (6), values 7 on.
+        schema = self.db.catalog.get(event_table)
+        if (
+            all(map(schema.stores_as_is, _kinds(set(heads))))
+            and all(map(schema.stores_as_is, _kinds(fresh), repeat(7)))
+            and all(schema.stores_as_is((k,), 6) for k in set(map(type, row_ids)))
+        ):
+            self._checked[event_table] = distinct
+        else:
+            coerced.add(event_table)
+        seqs = array(
+            "q", chain.from_iterable(map(range, starts, map(add, starts, counts)))
+        )
+        batch = ColumnBatch(
+            [seqs, row_ids, *transpose(values, len(nulls))],
+            heads,
+            counts,
+            len(pairs),
+        )
+        if event_table in groups:  # the app table staged under two spellings
+            batch = ColumnBatch.concat([groups[event_table], batch])
+        groups[event_table] = batch
+
+    def _insert(
+        self, groups: dict[str, list[tuple] | ColumnBatch], coerced: set[str]
+    ) -> None:
+        """Insert each table's rows in ``groups`` in one transaction, the
+        tables in ``coerced`` through coercion."""
+        if not groups:
+            return
         txn = self.db.begin()
         try:
             for table in list(groups):
@@ -458,17 +527,127 @@ class ProvenanceStore:
         except Exception:
             txn.abort()
             raise
-        self._next_seq = base + sum(len(pairs) for *_t, pairs in traced)
-        for key, csn in written.items():
-            # A write at or before a kept state makes that state stale.
-            self._drop_states(key, csn)
-        return count
+
+    # ------------------------------------------------------------------
+    # Scan predicates (reads recorded as the scan, expanded when read)
+    # ------------------------------------------------------------------
+
+    def reenacts(self, table: str) -> bool:
+        """Whether a scan of ``table`` may be kept as its predicate: its
+        history here gives, at every CSN, the rows its scans read."""
+        return table.lower() not in self._unreenactable
+
+    def stop_reenacting(self, table: str) -> None:
+        """``table``'s history stops giving its live rows — an erasure
+        redacted some of its events, it was dropped while traced (a table
+        created under its name continues its event table), or a later
+        base snapshot joined its history: its later scans are staged as
+        rows (:meth:`reenacts`)."""
+        self._unreenactable.add(table.lower())
+
+    def pending_scans(self) -> list[ScanRead]:
+        """The scan predicates ingested and not yet expanded."""
+        return [
+            ScanRead(table, header[3], params, header[7], keep, header[6])
+            for table, pending in self._pending.items()
+            for header, params, keep in zip(*pending)
+        ]
+
+    def scrub_pending(self, value: object) -> None:
+        """Replace ``value`` in the params of every pending predicate with
+        the redaction marker: one an erasure could not expand keeps no
+        copy of the erased value."""
+        for _headers, params_of, _keeps in self._pending.values():
+            params_of[:] = [
+                tuple(REDACTED if p == value else p for p in params)
+                for params in params_of
+            ]
+
+    def expand_reads(self, tables: Iterable[str] | None = None) -> int:
+        """Replace the pending scan predicates of ``tables`` (app tables),
+        or of every table, with their Read rows; returns the rows added.
+        Every reader of Read events runs this first, on the tables it
+        reads.
+
+        A predicate's rows are its reenactment
+        (:meth:`~repro.db.txn.manager.ScanRead.reenact`) over
+        :meth:`reconstruct_rows` of its table at its CSN, numbered from
+        the ``Seq`` its header took at ingest: the rows and ``Seq`` values
+        the scan's pairs would have had, staged as a batch. They go in in
+        slices of about :data:`_EXPAND_SLICE_ROWS` rows, one transaction
+        each, and a predicate leaves the pending ones only with its
+        slice. Each table is expanded on its own: a reenactment that
+        disagrees with the recorded count leaves that predicate and its
+        table's later ones pending, and the table's later scans stage
+        their rows (:meth:`stop_reenacting`); the other tables are
+        expanded all the same, and then the disagreement is raised.
+        """
+        wanted = None if tables is None else {table.lower() for table in tables}
+        added, failures = 0, []
+        for table in list(self._pending):
+            if wanted is None or table.lower() in wanted:
+                try:
+                    added += self._expand(table)
+                except ProvenanceError as exc:
+                    self.stop_reenacting(table)
+                    failures.append(str(exc))
+        if failures:
+            raise ProvenanceError("; ".join(failures))
+        return added
+
+    def _expand(self, table: str) -> int:
+        """Expand ``table``'s pending predicates (:meth:`expand_reads`)."""
+        added = 0
+        headers, params_of, keeps = self._pending[table]
+        state_csn, state = None, []  # the table's rows at state_csn
+        while headers:
+            heads, counts, starts, pairs = [], [], [], []
+            for cut, (header, params, keep) in enumerate(
+                zip(headers, params_of, keeps), 1
+            ):
+                txn_id, _num, _kind, query, _csn, seq, count, csn = header
+                if csn != state_csn:
+                    state_csn, state = csn, self.reconstruct_rows(table, csn)
+                read = ScanRead(table, query, params, csn, keep, count)
+                kept = read.reenact(state)
+                if len(kept) != count:
+                    raise ProvenanceError(
+                        f"{txn_id}'s scan of {table!r} at csn {csn} read "
+                        f"{count} rows; its reenactment finds {len(kept)}"
+                    )
+                heads.append(header[:5])
+                counts.append(count)
+                starts.append(seq)
+                pairs += kept
+                if len(pairs) >= _EXPAND_SLICE_ROWS:
+                    break
+            groups: dict[str, list[tuple] | ColumnBatch] = {}
+            coerced: set[str] = set()
+            self._lay_out(groups, coerced, table, heads, counts, starts, pairs)
+            self._insert(groups, coerced)
+            del headers[:cut], params_of[:cut], keeps[:cut]
+            added += len(pairs)
+        del self._pending[table]
+        return added
+
+    def _named_in(self, sql: str) -> list[str]:
+        """The app tables with pending predicates whose event table
+        ``sql`` names."""
+        words = set(re.findall(r"\w+", sql.lower()))
+        return [
+            table for table in self._pending
+            if self._event_tables[table.lower()].lower() in words
+        ]
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
     def query(self, sql: str, params: tuple = ()) -> ResultSet:
+        """SQL over the provenance database, the scan predicates of every
+        event table it names expanded."""
+        if self._pending:
+            self.expand_reads(self._named_in(sql))
         return self.db.execute(sql, params)
 
     def txns_of_request(self, req_id: str, committed_only: bool = True) -> list[dict]:
@@ -571,6 +750,10 @@ class ProvenanceStore:
         found: dict[str, dict[str, list[dict]]] = {name: {} for name in txn_names}
         if not found:
             return found
+        self.expand_reads(
+            table for table, (headers, _params, _keeps) in self._pending.items()
+            if any(header[0] in found for header in headers)
+        )
         for table, event_table in self._event_tables.items():
             index = self._index(event_table, "txn")
             row_ids = sorted(set().union(*(index.lookup((name,)) for name in found)))
@@ -862,8 +1045,12 @@ class ProvenanceStore:
 
     @property
     def event_count(self) -> int:
-        """Total rows across all provenance tables (benchmark E8's x-axis)."""
-        total = 0
+        """Total rows across all provenance tables (benchmark E8's x-axis),
+        a pending scan predicate's Read rows counted unexpanded."""
+        total = sum(
+            header[6] for headers, _params, _keeps in self._pending.values()
+            for header in headers
+        )
         for name in self.db.catalog.table_names():
             total += self.db.store(name).row_count(None)
         return total

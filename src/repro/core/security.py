@@ -83,7 +83,9 @@ class AccessControlChecker:
             " E.HandlerName AS HandlerName, P.Type AS Kind\n"
             f"FROM Executions as E, {event_table} as P\n"
             "ON E.TxnId = P.TxnId\n"
-            f"WHERE E.AuthUser IS NULL AND P.Type IN ({kind_list})"
+            f"WHERE E.AuthUser IS NULL AND P.Type IN ({kind_list})\n"
+            # The first access of each kind, whatever the storage order.
+            "ORDER BY Timestamp, P.Seq"
         ).as_dicts()
         seen: set[tuple] = set()
         out: list[PatternViolation] = []

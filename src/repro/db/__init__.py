@@ -40,6 +40,7 @@ from repro.db.sharding import ShardedDatabase, ShardRouter
 from repro.db.txn.manager import (
     IsolationLevel,
     ReadSet,
+    ScanRead,
     Transaction,
     TransactionStatus,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "ReplicationLog",
     "ResultSet",
     "Row",
+    "ScanRead",
     "Session",
     "ShardRouter",
     "ShardedDatabase",

@@ -51,6 +51,7 @@ from repro.db.storage import TableStore
 from repro.db.txn.manager import (
     IsolationLevel,
     ReadSet,
+    ScanRead,
     Transaction,
     TransactionManager,
     TransactionStatus,
@@ -145,7 +146,8 @@ def _schema_from_meta(meta: dict[str, Any]) -> TableSchema:
 class StatementTrace:
     """What one executed statement did; handed to observers.
 
-    Reads are :class:`ReadSet` entries, one per scan chunk (flatten with
+    Reads are a whole-table scan's :class:`ScanRead` predicate or a
+    :class:`ReadSet` per scan chunk of any other read (flatten with
     ``ReadSet.rows()``); writes are ``(op, table, row_id)`` triples so
     TROD can later attach the query text to the ``WalChange`` records
     the commit will log.
@@ -153,7 +155,7 @@ class StatementTrace:
 
     sql: str
     kind: str  # 'select' | 'insert' | 'update' | 'delete' | 'ddl'
-    reads: list[ReadSet] = field(default_factory=list)
+    reads: list[ReadSet | ScanRead] = field(default_factory=list)
     writes: list[tuple[str, str, int]] = field(default_factory=list)
     rowcount: int = 0
 
@@ -773,10 +775,11 @@ class Database:
                     self._writes_of(stmt, result),
                 )
             if autocommit:
-                if self.read_only:
-                    # Replica read: committing would consume a CSN and
-                    # desynchronize the shipped stream; aborting returns
-                    # the same rows and burns nothing.
+                if self.read_only or isinstance(stmt, SelectStmt):
+                    # A read commits nothing: committing would consume a
+                    # CSN (and ship a commit to every replica, or on a
+                    # replica desynchronize the shipped stream); aborting
+                    # returns the same rows and burns nothing.
                     self.txn_manager.abort(active)
                 else:
                     active.commit()

@@ -10,11 +10,15 @@ find their rows through the same scan node a SELECT's WHERE would get
 write through the transaction; INSERT and DDL execute directly against
 the transaction / catalog.
 
-Read provenance: row ids ride with a scan's value batches, and the rows
-a scan produces (after pushed-down filtering) are recorded on the
-transaction a chunk at a time, each chunk's pair list as one
-:class:`ReadSet`; when a statement scans a table but matches nothing, a
-single null read is recorded — this is exactly the shape of the paper's Table 2.
+Read provenance: a traced whole-table scan in one chunk records its
+predicate — table, query, params, snapshot CSN, pushed filter and
+survivor count, one :class:`ScanRead` that TROD's provenance store
+reenacts into the rows when they are read. Every other scan carries row
+ids with its value batches, and the rows it produces (after pushed-down
+filtering) are recorded on the transaction a chunk at a time, each
+chunk's pair list as one :class:`ReadSet`. When a statement scans a table
+but matches nothing, a single null read is recorded — this is exactly the
+shape of the paper's Table 2.
 """
 
 from __future__ import annotations
@@ -304,32 +308,52 @@ class ScanNode(PlanNode):
             return ctx.txn.get_many(self.table, sorted(candidates))
         return ctx.txn.scan(self.table)
 
+    def _reenactable(self, ctx: ExecContext, batch: int) -> bool:
+        """Whether a traced run of this scan may record its predicate (a
+        :class:`~repro.db.txn.manager.ScanRead`) instead of its rows: a
+        whole-table scan (no probe), in one chunk (no live scheduler's
+        ``batch``, no row budget), on one database (a shard numbers its
+        commits on its own). Every pushed filter qualifies: every scalar
+        function is deterministic. A write of the transaction's own on the
+        table, or a snapshot below the table's last write, is
+        :meth:`Transaction.scan_materialized`'s to refuse."""
+        return (
+            self.probe is None and not batch
+            and ctx.row_budget is None and ctx.shards is None
+        )
+
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         """Batch scan: whole chunks, filtered and recorded a chunk at a time.
 
-        An untracked latest-state scan with no row budget serves straight
-        off the store's shared materialized row list when the
-        transaction's snapshot covers the table's last write
-        (:meth:`Transaction.scan_materialized` — same locking and
-        liveness side effects as ``scan``). Every other scan pulls
-        ``(row_id, values)`` pairs, so under ``ctx.track_reads`` the
-        survivors of the pushed-down filter become the chunk's read
-        records. With neither a row budget nor a live cooperative
-        scheduler the whole scan is one chunk.
+        A latest-state scan with no row budget serves straight off the
+        store's shared materialized row list when the transaction's
+        snapshot covers the table's last write and it wrote no row of the
+        table (:meth:`Transaction.scan_materialized` — same locking and
+        liveness side effects as ``scan``): untracked, and under
+        ``ctx.track_reads`` when the scan is :meth:`_reenactable`, which
+        then records its predicate and survivor count rather than its
+        rows. Every other scan pulls ``(row_id, values)`` pairs, so under
+        ``ctx.track_reads`` the survivors of the pushed-down filter become
+        the chunk's read records. With neither a row budget nor a live
+        cooperative scheduler the whole scan is one chunk.
         """
         table = self.table
         params = ctx.params
         stats = ctx.database.executor_stats
         ctx.read_counts.setdefault(table, 0)
         track = ctx.track_reads
+        batch = ctx.batch_size if _scheduler().current_scheduler() is not None else 0
+        predicate = track and self._reenactable(ctx, batch)
         rows = None
-        if self.probe is None and not track and ctx.row_budget is None:
+        if self.probe is None and ctx.row_budget is None and (predicate or not track):
             rows = ctx.txn.scan_materialized(table)
         if rows is None:
+            predicate = False
             rows = self._resolve_source(ctx)
             if not track:
                 rows = map(_VALUES_OF_PAIR, rows)
-        batch = ctx.batch_size if _scheduler().current_scheduler() is not None else 0
+        elif predicate:
+            track = False  # values flow; the predicate is the read record
         if batch or ctx.row_budget is not None:
             chunks = _bounded_chunks(iter(rows), ctx, batch, table)
         else:
@@ -348,6 +372,11 @@ class ScanNode(PlanNode):
                 ctx.txn.record_reads(table, out, ctx.query_text)
                 ctx.read_counts[table] += len(out)
                 out = list(map(_VALUES_OF_PAIR, out))
+            elif predicate:
+                ctx.txn.record_scan(
+                    table, ctx.query_text, params, self._keep_pairs, len(out)
+                )
+                ctx.read_counts[table] += len(out)
             if out:
                 yield out
 

@@ -1,4 +1,11 @@
-"""Scalar and aggregate SQL functions."""
+"""Scalar and aggregate SQL functions.
+
+Every scalar function is deterministic: a traced whole-table scan keeps
+its pushed filter to re-run it over the same rows later (a
+:class:`~repro.db.txn.manager.ScanRead`), so a function whose result
+could change between two calls must not be added without excluding its
+filters there (``ScanNode._reenactable``).
+"""
 
 from __future__ import annotations
 

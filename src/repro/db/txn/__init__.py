@@ -4,6 +4,7 @@ from repro.db.txn.locks import LockManager, LockMode
 from repro.db.txn.manager import (
     IsolationLevel,
     ReadSet,
+    ScanRead,
     Transaction,
     TransactionManager,
     TransactionStatus,
@@ -15,6 +16,7 @@ __all__ = [
     "LockManager",
     "LockMode",
     "ReadSet",
+    "ScanRead",
     "Transaction",
     "TransactionManager",
     "TransactionStatus",

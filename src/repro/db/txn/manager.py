@@ -78,6 +78,31 @@ class ReadSet(NamedTuple):
             yield self.table, row_id, values, self.query
 
 
+class ScanRead(NamedTuple):
+    """Provenance of a whole-table scan as its predicate, not its rows.
+
+    The scan read ``table``'s committed state as of ``csn`` (the
+    transaction had no write of its own on it), and ``count`` rows passed
+    ``keep`` — its pushed filter over ``(row_id, values)`` pairs, None
+    when it has none — with ``params``. The filter over that state, in
+    row-id order, is the scan's read set again: its reenactment lists
+    exactly the pairs a :class:`ReadSet` of the same scan would hold.
+    """
+
+    table: str
+    query: str
+    params: tuple
+    csn: int
+    keep: Callable[[list, Sequence[Any]], list] | None
+    count: int
+
+    def reenact(
+        self, rows: list[tuple[int, tuple]]
+    ) -> list[tuple[int, tuple]]:
+        """The pairs of ``rows`` (the table at :attr:`csn`) the scan kept."""
+        return rows if self.keep is None else self.keep(rows, self.params)
+
+
 class Transaction:
     """A single transaction; created via :meth:`TransactionManager.begin`."""
 
@@ -107,7 +132,7 @@ class Transaction:
         #: already in their WAL form: an insert is logged as buffered, an
         #: update or delete once commit has filled in the old values.
         self.write_ops: list[WalChange] = []
-        self.read_records: list[ReadSet] = []
+        self.read_records: list[ReadSet | ScanRead] = []
         self._overlay: dict[str, dict[int, Any]] = {}  # table -> row_id -> values|_DELETED
         self._inserted: dict[str, list[int]] = {}  # table -> ordered new row ids
         #: Table -> its ``"append"`` changes not yet laid into the overlay:
@@ -115,7 +140,7 @@ class Transaction:
         self._appends: dict[str, list[WalChange]] = {}
         #: Constraint index -> key -> ids of own writes filed under it.
         self._own_keys: dict["HashIndex", dict[tuple, set[int]]] = {}
-        self._statement_reads: list[ReadSet] = []
+        self._statement_reads: list[ReadSet | ScanRead] = []
         self._statement_csn = snapshot_csn
         self.commit_csn: int | None = None
         #: Set when this branch was durably prepared on behalf of a
@@ -135,7 +160,7 @@ class Transaction:
         if self.isolation is IsolationLevel.READ_COMMITTED:
             self._statement_csn = self._manager.last_csn
 
-    def statement_reads(self) -> list[ReadSet]:
+    def statement_reads(self) -> list[ReadSet | ScanRead]:
         return list(self._statement_reads)
 
     def _read_csn(self) -> int | None:
@@ -440,6 +465,29 @@ class Transaction:
         read_set = ReadSet(canonical, query, pairs)
         self.read_records.append(read_set)
         self._statement_reads.append(read_set)
+
+    def record_scan(
+        self,
+        table: str,
+        query: str,
+        params: Sequence[Any],
+        keep: Callable[[list, Sequence[Any]], list] | None,
+        count: int,
+    ) -> None:
+        """One :class:`ScanRead` for a whole-table scan served by
+        :meth:`scan_materialized` that kept ``count`` rows; nothing when
+        it kept none. Its CSN is the commit the state it read stands at:
+        this transaction's snapshot, or under SERIALIZABLE (which reads
+        the latest state, its table lock held) the last commit now."""
+        if not count:
+            return
+        csn = self._read_csn()
+        if csn is None:
+            csn = self._manager.last_csn
+        canonical = self._database.catalog.resolve(table)
+        read = ScanRead(canonical, query, tuple(params), csn, keep, count)
+        self.read_records.append(read)
+        self._statement_reads.append(read)
 
     # -- lifecycle ------------------------------------------------------------
 

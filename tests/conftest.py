@@ -207,12 +207,15 @@ def reaches(root, value) -> bool:
 def erasure_oracle():
     """``erasure_oracle(trod, value, replay=())``: after a
     ``forget_value(..., value)``, no way into provenance shows ``value``:
-    not its objects, not ``AS OF`` at any provenance CSN, not a
-    reconstructed state at any commit, not a dev database, and not the
-    writes a replay of each request in ``replay`` injects."""
+    not the params of a scan predicate still pending, not its objects,
+    not ``AS OF`` at any provenance CSN, not a reconstructed state at any
+    commit, not a dev database, and not the writes a replay of each
+    request in ``replay`` injects."""
 
     def check(trod, value, replay=()) -> None:
         provenance = trod.provenance
+        for read in provenance.pending_scans():
+            assert value not in read.params, f"a pending scan's params: {read.query}"
         assert not reaches(provenance, value), "an object still holds it"
         db = provenance.db
         for table in db.catalog.table_names():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import Trod
 from repro.core.buffer import TraceBuffer
-from repro.db import Database
+from repro.db import Database, ScanRead
 
 EXEC_ROW = ("TXN1", 1, 10, None, None, "", "SERIALIZABLE", "Committed", 1, 0, None)
 
@@ -22,7 +22,7 @@ class TestAppend:
         for i in range(3):
             buffer.add_row("Executions", (f"TXN{i}", i))
         assert buffer.drain() == (
-            {"Executions": [("TXN0", 0), ("TXN1", 1), ("TXN2", 2)]}, {}
+            {"Executions": [("TXN0", 0), ("TXN1", 1), ("TXN2", 2)]}, {}, {}
         )
         assert len(buffer) == 0
 
@@ -38,7 +38,7 @@ class TestAppend:
         # Heavier than the remaining room: kept whole, and the flush is due.
         assert read(buffer, 2, [(i, (i,)) for i in range(5)]) is True
         assert len(buffer) == 12 and buffer.high_water
-        rows, batches = buffer.drain()
+        rows, batches, _scans = buffer.drain()
         assert rows == {}
         headers, pairs = batches["kv"]
         assert headers == [
@@ -55,11 +55,26 @@ class TestAppend:
         buffer.add_row("Executions", EXEC_ROW)  # takes no ordinal
         read(buffer, 1, [(None, None)], table="b")
         read(buffer, 2, [(3, (3,))], table="a")
-        _rows, batches = buffer.drain()
+        _rows, batches, _scans = buffer.drain()
         assert [h[5:] for h in batches["a"][0]] == [(0, 2), (3, 1)]
         assert [h[5:] for h in batches["b"][0]] == [(2, 1)]
         read(buffer, 3, [(4, (4,))], table="b")
         assert buffer.drain()[1]["b"][0][0][5:] == (0, 1)
+
+    def test_a_scan_predicate_is_one_row_that_reserves_its_count(self):
+        buffer = TraceBuffer(capacity=3)
+        read(buffer, 1, [(1, (1,))], table="a")
+        keep = object()
+        predicate = ScanRead("kv", "q", (5,), 7, keep, 40)
+        assert buffer.add_scan("TXN2", 2, predicate) is False
+        read(buffer, 3, [(2, (2,))], table="a")
+        assert len(buffer) == buffer.appended == 3 and buffer.high_water
+        _rows, batches, scans = buffer.drain()
+        assert scans == {
+            "kv": ([("TXN2", 2, "Read", "q", None, 1, 40, 7)], [(5,)], [keep])
+        }
+        # The next batch numbers its rows after the predicate's 40.
+        assert [h[5:] for h in batches["a"][0]] == [(0, 1), (41, 1)]
 
     def test_a_batch_keeps_no_reference_to_the_callers_pairs(self):
         buffer = TraceBuffer()
@@ -78,7 +93,7 @@ class TestAppend:
             buffer.add_row("Executions", (i,))
         # Nothing dropped; caller is responsible for flushing.
         assert len(buffer) == buffer.appended == 4
-        assert buffer.drain() == ({"Executions": [(0,), (1,), (2,), (3,)]}, {})
+        assert buffer.drain() == ({"Executions": [(0,), (1,), (2,), (3,)]}, {}, {})
 
 
 class TestStats:
@@ -95,10 +110,10 @@ class TestStats:
 
     def test_only_a_drain_that_returns_records_is_a_flush(self):
         buffer = TraceBuffer()
-        assert buffer.drain() == ({}, {})
+        assert buffer.drain() == ({}, {}, {})
         buffer.add_row("Executions", EXEC_ROW)
-        assert buffer.drain() == ({"Executions": [EXEC_ROW]}, {})
-        assert buffer.drain() == ({}, {})
+        assert buffer.drain() == ({"Executions": [EXEC_ROW]}, {}, {})
+        assert buffer.drain() == ({}, {}, {})
         assert buffer.stats()["flushes"] == 1
 
     def test_queries_on_an_idle_buffer_flush_nothing(self):
@@ -113,7 +128,7 @@ class TestStats:
         buffer.add_row("Executions", EXEC_ROW)
         stats = buffer.stats()
         assert (stats["appended"], stats["buffered"]) == (41, 41)
-        rows, batches = buffer.drain()
+        rows, batches, _scans = buffer.drain()
         assert len(rows["Executions"]) == 1 and len(batches["kv"][0]) == 1
 
     def test_high_water(self):

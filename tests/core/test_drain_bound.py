@@ -14,7 +14,12 @@ the ``scan_traced`` benchmark workload:
   never fills and that flushes once, at the end.
 
 A single statement that stages more than ``capacity`` rows still drains
-inline, in the hook that staged them, with the same provenance.
+inline, in the hook that staged them, with the same provenance. The scan
+streams run under the eager read recorder (``eager_reads.py``), which
+stages every row a scan reads: with scan predicates, the ``scan_traced``
+mix stages a row or two per statement and never fills a slice — which
+the last tests here pin, with the expansion of each predicate left to
+the first reader.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from repro.core.buffer import DRAIN_SLICES
 from repro.db import Database
 from repro.runtime import Runtime
 from repro.workload.generators import CheckoutWorkload
+
+from eager_reads import eager_reads, provenance_tables
 
 NEVER_FULL = 10**9
 ORDERS = 1500
@@ -159,10 +166,8 @@ SCAN_OPS = (
 )
 
 
-def scan_stream(capacity: int, probe: bool, ops: int = 150):
-    """Analytic statements through ``connect()``, one transaction each,
-    over 1 000 items and 50 groups, plus an occasional update."""
-    rng = random.Random(7)
+def scan_engine(rng: random.Random) -> Database:
+    """1 000 items and 50 groups, ``items.id`` indexed."""
     engine = Database(name="scan")
     loader = repro.connect(engine)
     loader.execute("CREATE TABLE items (id INTEGER, grp INTEGER, val INTEGER, tag TEXT)")
@@ -176,6 +181,14 @@ def scan_stream(capacity: int, probe: bool, ops: int = 150):
         for g in range(50):
             txn.execute("INSERT INTO grps VALUES (?, ?)", (g, REGIONS[g % 4]))
     loader.execute("CREATE INDEX ix_items_id ON items (id)")
+    return engine
+
+
+def scan_stream(capacity: int, probe: bool, ops: int = 150):
+    """Analytic statements through ``connect()``, one transaction each,
+    over :func:`scan_engine`, plus an occasional update."""
+    rng = random.Random(7)
+    engine = scan_engine(rng)
     trod = Trod(engine, buffer_capacity=capacity)
     conn = repro.connect(engine, trod=trod)
     checker = DrainProbe(trod) if probe else None
@@ -204,15 +217,103 @@ def test_a_checkout_stream_drains_in_slices_at_the_default_capacity():
 
 
 def test_a_connect_scan_stream_drains_in_slices_at_the_default_capacity():
-    trod, probe = scan_stream(65536, probe=True)
+    with eager_reads():
+        trod, probe = scan_stream(65536, probe=True)
+        twin = scan_stream(NEVER_FULL, probe=False)[0]
     assert probe.boundary_drains >= trod.buffer.appended // probe.slice // 2 >= 4
     assert probe.inline_drains == 0
-    assert provenance(trod) == provenance(scan_stream(NEVER_FULL, probe=False)[0])
+    assert provenance(trod) == provenance(twin)
 
 
 def test_a_statement_staging_more_than_capacity_still_drains_inline():
     # Each GROUP BY and top-k reads 1 000 rows in one statement.
-    trod, probe = scan_stream(256, probe=True, ops=40)
+    with eager_reads():
+        trod, probe = scan_stream(256, probe=True, ops=40)
+        twin = scan_stream(NEVER_FULL, probe=False, ops=40)[0]
     assert probe.inline_drains >= 8
     assert probe.boundary_drains >= 8
-    assert provenance(trod) == provenance(scan_stream(NEVER_FULL, probe=False, ops=40)[0])
+    assert provenance(trod) == provenance(twin)
+
+
+class ExpansionSpy:
+    """Counts ``trod.provenance.expand_reads`` calls that expanded rows,
+    and those made inside one of ``trod``'s drains."""
+
+    def __init__(self, trod: Trod):
+        self.expanded = 0
+        self.in_drain = 0
+        self._draining = False
+        expand, flush = trod.provenance.expand_reads, trod.flush
+
+        def spying_expand(tables=None) -> int:
+            rows = expand(tables)
+            self.expanded += bool(rows)
+            self.in_drain += self._draining
+            return rows
+
+        def spying_flush() -> int:
+            self._draining = True
+            try:
+                return flush()
+            finally:
+                self._draining = False
+
+        trod.provenance.expand_reads = spying_expand
+        trod.flush = spying_flush
+
+
+def scan_mix(
+    capacity: int, statements: int = 250
+) -> tuple[Trod, ExpansionSpy, list[str]]:
+    """``statements`` of the ``scan_traced`` mix through ``connect()``;
+    returns the tracer, the spy on its expansions, and a problem per
+    statement that staged more than one row per scan in its plan plus its
+    ``Executions`` row."""
+    rng = random.Random(11)
+    engine = scan_engine(rng)
+    trod = Trod(engine, buffer_capacity=capacity)
+    spy = ExpansionSpy(trod)
+    conn = repro.connect(engine, trod=trod)
+    problems = []
+    for i in range(statements):
+        sql, draw = SCAN_OPS[i % len(SCAN_OPS)]
+        params = draw(rng)
+        scans = sum("Scan(" in line for line in engine.explain(sql, params))
+        before = trod.buffer.appended
+        conn.execute(sql, params).rows
+        staged = trod.buffer.appended - before
+        if staged > scans + 1:
+            problems.append(f"{sql} {params}: {staged} rows for {scans} scans")
+    return trod, spy, problems
+
+
+def test_the_scan_traced_mix_stages_a_row_per_scan_and_expands_when_read():
+    trod, spy, problems = scan_mix(65536)
+    assert not problems, problems[:5]
+    assert trod.buffer.stats()["flushes"] == 0  # no boundary drain
+    trod.flush()
+    assert trod.buffer.stats()["flushes"] == 1
+    assert spy.expanded == 0  # not even the closing flush expands
+    reads = trod.query(
+        "SELECT COUNT(*) FROM ItemsEvents WHERE Type = 'Read'"
+    ).scalar()
+    assert spy.expanded == 1 and spy.in_drain == 0
+    # 50 of each statement: GROUP BY, top-k and join read all 1 000 items,
+    # the filter about 100, the probe one.
+    assert reads > 150 * 1000
+
+
+def test_a_boundary_drain_never_expands_a_predicate():
+    # An 80-row buffer drains at nearly every boundary (its slice is 5).
+    trod, spy, _problems = scan_mix(80, statements=60)
+    with eager_reads():
+        eager, _spy, _problems = scan_mix(80, statements=60)
+    assert trod.buffer.stats()["flushes"] >= 20
+    assert spy.expanded == spy.in_drain == 0
+    pending = trod.provenance.pending_scans()
+    assert pending
+    assert provenance_tables(trod) == provenance_tables(eager)
+    # The readers expanded, once per event table with a predicate.
+    tables = {read.table for read in pending}
+    assert spy.expanded == len(tables) and spy.in_drain == 0
+    assert not trod.provenance.pending_scans()

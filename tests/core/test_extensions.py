@@ -167,6 +167,7 @@ class TestPrivacy:
         OF`` a CSN before it finds the erased value nowhere."""
         _db, _runtime, trod = racy_moodle
         trod.flush()
+        trod.provenance.expand_reads()  # the Read rows too lie before it
         before = trod.provenance.db.last_csn
         sql = f"SELECT COUNT(*) FROM ForumEvents AS OF {before} WHERE UserId = 'U1'"
         assert trod.query(sql).scalar() == 4

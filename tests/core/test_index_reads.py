@@ -149,6 +149,7 @@ def test_the_history_holds_every_kind_of_row(traced):
 def test_the_reader_returns_the_stored_rows_in_the_order_asked(traced):
     _database, trod, _kept = traced
     prov = trod.provenance
+    prov.expand_reads()  # the stores are read directly below
     rng = random.Random(3)
     read = 0
     for event_table in prov._event_tables.values():

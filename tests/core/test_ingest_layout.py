@@ -28,6 +28,8 @@ from repro.db.schema import Column, TableSchema
 from repro.db.types import ColumnType
 from repro.errors import ProvenanceError, TypeCoercionError
 
+from eager_reads import eager_reads
+
 ACCOUNTS = TableSchema(
     "accounts",
     [
@@ -217,8 +219,9 @@ def test_read_events_cost_no_csn_index_entry(backing):
     ).rows == [("Delete",), ("Update",), ("Insert",)]
 
 
-def scan_traced_flush(rows: int = 65536) -> tuple:
-    """What ``scan_traced``'s statements stage until ``rows`` are due."""
+def scan_traced(rows: int) -> tuple:
+    """``scan_traced``'s statements, run until the trace buffer holds
+    ``rows`` rows: the tracer, and the number of statements run."""
     rng = random.Random(7)
     db = Database(name="scan", storage="memory")
     loader = repro.connect(db)
@@ -247,7 +250,36 @@ def scan_traced_flush(rows: int = 65536) -> tuple:
     while len(trod.buffer) < rows:
         conn.execute(*statements[step % len(statements)]).rows
         step += 1
+    return trod, step
+
+
+def scan_traced_flush(rows: int = 65536) -> tuple:
+    """What ``scan_traced``'s statements stage, every row they read as a
+    row (``eager_reads``), until ``rows`` are due."""
+    with eager_reads():
+        trod, _step = scan_traced(rows)
     return trod, trod.buffer.drain()
+
+
+def test_an_expansion_makes_few_python_calls():
+    """The Read rows of ``scan_traced``'s predicates go in set-oriented,
+    as a flush of the same rows staged as pairs does."""
+    trod, statements = scan_traced(2 * 5 * 60)
+    trod.flush()
+    assert len(trod.provenance.pending_scans()) >= 3 * 60
+    profile = cProfile.Profile()
+    profile.enable()
+    expanded = trod.provenance.expand_reads()
+    profile.disable()
+    assert expanded >= 65536 and not trod.provenance.pending_scans()
+    # Python functions, that is: a filter's program appends each row it
+    # keeps, as the scan's did.
+    python_calls = sum(
+        calls
+        for (file, _line, _name), (_cc, calls, *_rest) in pstats.Stats(profile).stats.items()
+        if file != "~"
+    )
+    assert python_calls < 10 * statements  # O(predicates), not O(rows)
 
 
 def test_a_scan_traced_flush_makes_few_python_calls():

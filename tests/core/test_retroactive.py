@@ -232,6 +232,8 @@ class TestOneReconstructionPerRun:
             runtime.execute_request(request).req_id
             for request in generator.requests(1)
         ]
+        trod.flush()
+        trod.provenance.expand_reads()  # the reader barrier's own reconstructions
         calls = counting_reconstructions(trod.provenance, monkeypatch)
         result = trod.retroactive.run([added, placed])
         assert result.all_ok and result.explored >= 1

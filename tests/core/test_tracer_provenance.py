@@ -8,6 +8,8 @@ from repro.errors import ProvenanceError, TrodError
 from repro.runtime import Request, Runtime
 from repro.workload.generators import ForumWorkload
 
+from eager_reads import eager_reads
+
 
 class TestAttachment:
     def test_attach_requires_shared_database(self, moodle_env):
@@ -254,18 +256,29 @@ class TestOverheadAccounting:
         database.insert_rows("count_probe", [(i, f"v{i}") for i in range(1000)])
         trod = Trod(database).attach()
         trod.flush()
-        assert database.execute("SELECT COUNT(*) FROM count_probe").scalar() == 1000
+        sql = "SELECT COUNT(*) FROM count_probe"
+        with eager_reads():
+            assert database.execute(sql).scalar() == 1000
         # 1000 Read rows and the commit, in (at most) a read batch, the
         # Executions row and nothing per row.
         assert len(trod.buffer) == trod.buffer.stats()["buffered"] == 1001
-        rows, batches = staged = trod.buffer.drain()
+        rows, batches, scans = staged = trod.buffer.drain()
         assert [len(staged_rows) for staged_rows in rows.values()] == [1]
         assert [len(headers) for headers, _pairs in batches.values()] == [1]
+        assert scans == {}
         assert trod.provenance.ingest(staged) == 1001
+        # Recorded as its predicate, the scan stages one row.
+        assert database.execute(sql).scalar() == 1000
+        assert len(trod.buffer) == 2
+        rows, batches, scans = staged = trod.buffer.drain()
+        assert [len(staged_rows) for staged_rows in rows.values()] == [1]
+        assert batches == {}
+        assert [len(headers) for headers, *_r in scans.values()] == [1]
+        assert trod.provenance.ingest(staged) == 2
         events = trod.provenance.event_table_of("count_probe")
         assert trod.query(
             f"SELECT COUNT(*) FROM {events} WHERE Type = 'Read'"
-        ).scalar() == 1000
+        ).scalar() == 2000
 
     def test_buffer_autoflush_on_capacity(self):
         database = Database()

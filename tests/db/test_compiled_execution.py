@@ -21,6 +21,8 @@ from repro.db import Database, IsolationLevel, ShardedDatabase
 from repro.db.types import compare_values
 from repro.errors import ExecutionError, PlanningError
 
+from eager_reads import read_rows
+
 
 def build_db() -> Database:
     db = Database()
@@ -317,8 +319,8 @@ class _TraceCollector:
         self.traces.append(trace)
 
 
-def _read_tuples(traces):
-    return [row for t in traces for read_set in t.reads for row in read_set.rows()]
+def _read_tuples(traces, db):
+    return [row for t in traces for row in read_rows(t.reads, db)]
 
 
 class TestTrodParity:
@@ -340,7 +342,7 @@ class TestTrodParity:
                 db.add_observer(collector)
                 rows = db.query(sql).rows
                 db.remove_observer(collector)
-                runs.append((rows, _read_tuples(collector.traces)))
+                runs.append((rows, _read_tuples(collector.traces, db)))
             assert runs[0] == runs[1], sql
             assert runs[0][1], sql  # a null read at the least
 
@@ -359,7 +361,7 @@ class TestTrodParity:
             collected = []
             for shard, collector in collectors:
                 shard.remove_observer(collector)
-                collected.extend(_read_tuples(collector.traces))
+                collected.extend(_read_tuples(collector.traces, shard))
             runs.append((_canon(rows), collected))
         assert runs[0] == runs[1]
         assert len(runs[0][1]) == 301
@@ -375,7 +377,7 @@ class TestTrodParity:
         before = db.executor_stats["batches_processed"]
         assert db.query(sql).rows == untraced
         assert db.executor_stats["batches_processed"] > before
-        assert len(_read_tuples(collector.traces[-1:])) == len(untraced)
+        assert len(_read_tuples(collector.traces[-1:], db)) == len(untraced)
 
 
 class TestExecutorStats:

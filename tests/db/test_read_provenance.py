@@ -18,6 +18,7 @@ from repro.core import Trod
 from repro.db import Database, ShardedDatabase
 from repro.runtime.scheduler import CooperativeScheduler
 
+from eager_reads import read_rows
 from test_compiled_execution import MIXED_KEY, QUERIES, _populate
 
 # items(id, grp, val) / grps(grp, label) predicates in SQL's three-valued
@@ -261,8 +262,8 @@ def expected_on_shard(sql, rows_of):
     return out + records(sql, [(partitioned, passing(rows_of(partitioned), pred))])
 
 
-def as_tuples(read_sets):
-    return [row for read_set in read_sets for row in read_set.rows()]
+def as_tuples(read_sets, db):
+    return read_rows(read_sets, db)
 
 
 def test_the_model_covers_every_compiled_execution_shape():
@@ -290,7 +291,7 @@ def test_database_reads_match_the_model(traced_db, sql):
     txn = traced_db.begin()
     try:
         traced_db.execute(sql, txn=txn)
-        assert as_tuples(txn.read_records) == expected_single(
+        assert as_tuples(txn.read_records, traced_db) == expected_single(
             sql, traced_db.snapshot_rows
         )
     finally:
@@ -305,7 +306,9 @@ def test_every_shard_reads_match_the_model(traced_cluster, sql):
         joined = gtxn.stores_joined()
         cap, gathered = shard_visit_cap(sql), 0
         for store, shard in traced_cluster.named_shards():
-            got = as_tuples(gtxn.on(store).read_records) if store in joined else []
+            got = (
+                as_tuples(gtxn.on(store).read_records, shard) if store in joined else []
+            )
             if cap is not None and gathered >= cap:
                 assert got == [], store  # coordinator satisfied: never visited
                 continue
@@ -327,7 +330,7 @@ def test_cache_hits_record_the_same_reads():
         for _run in ("first execution", "cache hit"):
             txn = db.begin()
             db.execute(sql, txn=txn)
-            assert as_tuples(txn.read_records) == want, (sql, _run)
+            assert as_tuples(txn.read_records, db) == want, (sql, _run)
             txn.abort()
         assert db.plan_cache_stats["hits"] == hits + 1, sql
 
@@ -348,7 +351,7 @@ class TestInsertSelectProvenance:
         sql = "INSERT INTO dst SELECT id, v FROM src WHERE id > 1"
         txn = db.begin()
         db.execute(sql, txn=txn)
-        assert as_tuples(txn.read_records) == [
+        assert as_tuples(txn.read_records, db) == [
             ("src", rid, values, sql)
             for rid, values in db.snapshot_rows("src")
             if values[0] > 1
@@ -360,7 +363,7 @@ class TestInsertSelectProvenance:
         sql = "INSERT INTO dst SELECT id, v FROM src"
         txn = db.begin()
         db.execute(sql, txn=txn)
-        assert as_tuples(txn.read_records) == [("src", None, None, sql)]
+        assert as_tuples(txn.read_records, db) == [("src", None, None, sql)]
         assert txn.tables_read == {"src"}
         txn.abort()
 
@@ -383,7 +386,7 @@ class TestChunkingInvariance:
             for sql in ALL_SHAPES:
                 txn = db.begin()
                 rows = db.execute(sql, txn=txn).rows
-                seen[sql] = (rows, as_tuples(txn.read_records))
+                seen[sql] = (rows, as_tuples(txn.read_records, db))
                 txn.abort()
 
         if scheduled:
@@ -391,10 +394,11 @@ class TestChunkingInvariance:
             assert all(o.ok for o in outcomes)
         else:
             thunk()
-        trod.flush()
         prov = trod.provenance
         for table in prov.traced_tables():
-            seen[table] = prov.db.snapshot_rows(prov.event_table_of(table))
+            seen[table] = trod.query(
+                f"SELECT * FROM {prov.event_table_of(table)} ORDER BY Seq"
+            ).rows
         return seen
 
     @pytest.mark.parametrize("scheduled", [False, True])
@@ -402,7 +406,7 @@ class TestChunkingInvariance:
     def test_rows_and_reads_do_not_depend_on_chunking(self, batch_size, scheduled):
         reference = self.run_all(256, scheduled=False)
         got = self.run_all(batch_size, scheduled)
-        assert sum(row[2] == "Read" for _id, row in reference["items"]) > 1000
+        assert sum(row[2] == "Read" for row in reference["items"]) > 1000
         for key in reference:  # every query shape, then every event table
             assert got[key] == reference[key], key
 

@@ -60,6 +60,17 @@ class TestReplicationLog:
         assert [r.csn for r in records] == [db.last_csn - 1, db.last_csn]
         assert records[0].changes and not records[1].changes
 
+    def test_an_autocommitted_select_consumes_no_csn_and_ships_nothing(self):
+        db = build_primary(rows=3)
+        log = ReplicationLog(db)
+        before = db.last_commit_csn
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 3
+        assert db.execute("SELECT k FROM t AS OF ?", (before,)).rows
+        assert db.last_commit_csn == before
+        assert log.since(0) == []
+        db.execute("INSERT INTO t VALUES (9, 'g0', 0.0)")
+        assert [r.csn for r in log.since(0)] == [before + 1]
+
     def test_ddl_recorded_in_stream_order(self):
         db = Database()
         log = ReplicationLog(db)

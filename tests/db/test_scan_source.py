@@ -6,7 +6,8 @@ writes through ``_scan_pinned`` otherwise. The oracle here is a scan
 that goes through ``_scan_pinned`` every time: a traced SELECT, UPDATE
 or DELETE must return, record and leave in provenance exactly what it
 does there, with and without an own pending insert, update or delete on
-the table. A pinned
+the table — recorded by the eager read recorder (``eager_reads.py``)
+where the scan under test records its predicate. A pinned
 source keeps serving its rows after a concurrent commit, and nothing
 written to a read set or a provenance flush alters the store's
 published row list.
@@ -20,6 +21,8 @@ from repro.core import Trod
 from repro.db import Database, IsolationLevel
 from repro.db.txn.manager import Transaction
 from repro.runtime.scheduler import CooperativeScheduler
+
+from eager_reads import eager_reads, read_rows
 
 N_ROWS = 40
 
@@ -65,10 +68,11 @@ def run(storage: str, own: str, statement: str, isolation: IsolationLevel):
         db.execute(OWN_WRITES[own], txn=txn)
     result = db.execute(STATEMENTS[statement], txn=txn)
     answer = result.rows if result.kind == "select" else result.rowcount
-    reads = [row for read_set in txn.read_records for row in read_set.rows()]
+    reads = read_rows(txn.read_records, db)
     txn.commit()
-    trod.flush()
-    events = trod.provenance.db.snapshot_rows(trod.provenance.event_table_of("t"))
+    events = trod.query(
+        f"SELECT * FROM {trod.provenance.event_table_of('t')} ORDER BY Seq"
+    ).rows
     return answer, reads, db.snapshot_rows("t"), events
 
 
@@ -93,13 +97,14 @@ def test_store_source_matches_the_overlay_path(
     # Only a transaction with its own writes on the table overlays them.
     assert bool(overlaid) is (own != "none")
     monkeypatch.setattr(Transaction, "scan", overlay_always)
-    assert got == run(storage, own, statement, isolation)
+    with eager_reads():
+        assert got == run(storage, own, statement, isolation)
     answer, reads, _table, events = got
     if statement.startswith("select"):
         assert answer == [values for _t, _rid, values, _q in reads]
     else:
         assert answer and not reads  # a write's provenance is its writes
-    assert any(row[2] != "Snapshot" for _rid, row in events)
+    assert any(row[2] != "Snapshot" for row in events)
 
 
 def test_own_writes_are_seen_in_scan_order():

@@ -25,6 +25,8 @@ from repro.db.segments import SegmentStore
 from repro.db.txn.manager import IsolationLevel
 from repro.errors import SerializationError, StorageError
 
+from eager_reads import eager_reads
+
 QUERIES = [
     ("SELECT id, val FROM ev WHERE grp = ?", (2,)),  # hash probe
     ("SELECT id FROM ev WHERE val >= ? AND val < ?", (200, 400)),  # range probe
@@ -221,8 +223,9 @@ class TestMechanism:
         trod = Trod(db, provenance=provenance, buffer_capacity=1 << 30)
         traced = repro.connect(db, trod=trod)
         trod.flush()
-        for _ in range(20):
-            traced.execute("SELECT grp, SUM(val) FROM items GROUP BY grp").rows
+        with eager_reads():  # the scans stage their rows
+            for _ in range(20):
+                traced.execute("SELECT grp, SUM(val) FROM items GROUP BY grp").rows
         staged = trod.buffer.drain()  # kept alive past the second count
         gc.collect()
         before = len(gc.get_objects())

@@ -267,12 +267,14 @@ class TestCdc:
         shipped = []
         rs.log.subscribe(shipped.append)
         db.execute("INSERT INTO t VALUES (1), (2)")
-        db.execute("SELECT k FROM t")  # read-only: an empty commit
+        db.execute("DELETE FROM t WHERE k = 3")  # matches nothing: an empty commit
+        db.execute("SELECT k FROM t")  # a read: no commit at all
         (commit,) = tap
         assert received[0] is commit.changes
         assert shipped[0].changes is commit.changes
         assert [c.row_id for c in commit.changes] == [1, 2]
         assert received[1] == () and shipped[1].changes == ()
+        assert len(received) == len(shipped) == 2
 
 
 class TestGroupCommit:

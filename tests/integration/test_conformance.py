@@ -16,8 +16,10 @@ untraced): every result fingerprint, every bookmarked ``AS OF`` answer and
 the columns of a GROUP BY. A traced cell must also record the event stream
 of the single-node traced cell, and a traced single-node cell the very
 stream, in order, of the 256 cell on its storage. Each cell ends in one
-:func:`check_invariants`; a traced cell then erases a value and checks
-that no way into provenance shows it.
+:func:`check_invariants`; a traced cell then holds every provenance table,
+``Seq`` for ``Seq``, to a run of the same cell under the eager read
+recorder (``tests/eager_reads.py``), erases a value and checks that no way
+into provenance shows it.
 """
 
 import os
@@ -31,6 +33,8 @@ import pytest
 from repro.core import Trod
 from repro.db import Database, ReplicatedDatabase, ShardedDatabase, connect
 from repro.workload.generators import ConnectionWorkload
+
+from eager_reads import eager_reads, provenance_tables
 
 N_STATEMENTS = 150
 #: Replicas catch up every 40 statements, so a run ends with them behind
@@ -351,6 +355,12 @@ def test_cell_matches_the_simplest_cell(cell, seed, erasure_oracle):
         )
         check_invariants(run.engine, run.trod)
         if cell.traced:
+            with eager_reads():
+                eager = run_cell(cell, seed)
+            try:
+                assert provenance_tables(run.trod) == provenance_tables(eager.trod)
+            finally:
+                close(eager.engine)
             run.trod.privacy.forget_value("ledger", "region", "north")
             erasure_oracle(run.trod, "north")
     finally:

@@ -10,7 +10,10 @@ same traced database — and:
 * every provenance table and ``Seq`` equal those of a twin whose buffer
   never fills and that flushes once, at the end;
 * a batch that fails to ingest fails whole, leaving ``Seq`` and the kept
-  states as they were, wherever the drains before it fell.
+  states as they were, wherever the drains before it fell;
+* the scan predicates the mix leaves pending expand into the provenance
+  the eager read recorder (``tests/eager_reads.py``) stores, ``Seq`` for
+  ``Seq``, with the same replay of every request.
 """
 
 import pytest
@@ -23,6 +26,8 @@ from repro.db import Database
 from repro.errors import ProvenanceError
 from repro.runtime import Runtime
 from repro.workload.generators import CheckoutWorkload
+
+from eager_reads import answers, eager_reads
 
 NEVER_FULL = 10**9
 
@@ -57,12 +62,15 @@ def traced_mix(capacity, mix):
     conn = repro.connect(database, trod=trod)
     orders = generator.requests(len(mix))
     cart = "C0"
+    req_ids = []
     for step in mix:
         if step == "order":
             add, checkout = next(orders), next(orders)
             cart = add.args[0]
-            runtime.execute_request(add)
-            runtime.execute_request(checkout)
+            req_ids += [
+                runtime.execute_request(add).req_id,
+                runtime.execute_request(checkout).req_id,
+            ]
         elif step == "abandon":
             runtime.submit("abandon", cart)
         elif step == "fail":
@@ -76,7 +84,7 @@ def traced_mix(capacity, mix):
         else:
             conn.execute("UPDATE inventory SET stock = stock + 5 WHERE sku = ?", ("SKU1",))
     trod.flush()
-    return database, trod
+    return database, trod, req_ids
 
 
 def provenance(trod):
@@ -90,7 +98,7 @@ def provenance(trod):
 @settings(max_examples=40, deadline=None)
 @given(capacity=capacities, mix=mixes)
 def test_drains_at_any_capacity_leave_one_final_flushs_provenance(capacity, mix):
-    _database, trod = traced_mix(capacity, mix)
+    _database, trod, _req_ids = traced_mix(capacity, mix)
     assert len(trod.buffer) == 0
     assert provenance(trod) == provenance(traced_mix(NEVER_FULL, mix)[1])
 
@@ -98,7 +106,7 @@ def test_drains_at_any_capacity_leave_one_final_flushs_provenance(capacity, mix)
 @settings(max_examples=25, deadline=None)
 @given(capacity=capacities, mix=mixes)
 def test_a_failing_batch_fails_whole_at_any_capacity(capacity, mix):
-    database, trod = traced_mix(capacity, mix)
+    database, trod, _req_ids = traced_mix(capacity, mix)
     prov = trod.provenance
     last = database.last_csn
     prov.reconstruct_state(max(trod.base_csn, last - 3))
@@ -127,3 +135,13 @@ def test_a_failing_batch_fails_whole_at_any_capacity(capacity, mix):
         trod.flush()
     assert len(trod.buffer) == 0  # drained, not retried
     assert observed() == before
+
+
+@settings(max_examples=15, deadline=None)
+@given(capacity=capacities, mix=mixes)
+def test_expanded_reads_equal_the_eager_recorders(capacity, mix):
+    _database, trod, req_ids = traced_mix(capacity, mix)
+    with eager_reads():
+        _database, eager, eager_ids = traced_mix(capacity, mix)
+    assert req_ids == eager_ids
+    assert answers(trod, req_ids) == answers(eager, eager_ids)
