@@ -351,24 +351,32 @@ class ProvenanceStore:
     def capture_snapshot(
         self, table: str, rows: Iterable[tuple[int, tuple]], csn: int
     ) -> int:
-        """Record the full content of ``table`` as Type='Snapshot' events."""
+        """Record the full content of ``table`` as Type='Snapshot' events.
+
+        A row the earlier history holds live at ``csn`` and ``rows`` lacks
+        (deleted while nobody traced the table) gets a Delete event at
+        ``csn`` first, so the history gives the table's rows from then on.
+        """
+        snapshot = dict(rows)
         event_table = self.event_table_of(table)
-        if self.db.store(event_table).row_count(None):
-            # A row deleted before this snapshot and after the history
-            # here keeps its last event: its later scans are not reenacted.
-            self.stop_reenacting(table)
+        live: dict[int, tuple] = {}
+        self._apply_event_rows(live, self._writes(event_table, -1, csn, snapshots=True))
+        nulls = self._event_layouts[table.lower()][1]
+        gone = sorted(live.keys() - snapshot.keys())
+        events = [("Delete", row_id, nulls) for row_id in gone]
+        events += [("Snapshot", row_id, values) for row_id, values in snapshot.items()]
         # A new base snapshot redefines the table's reconstruction floor.
         self.invalidate_checkpoints(table)
         event_rows = [
-            ("SNAPSHOT", 0, "Snapshot", "base snapshot", csn, seq, row_id, *values)
-            for seq, (row_id, values) in enumerate(rows, self._next_seq)
+            ("SNAPSHOT", 0, kind, "base snapshot", csn, seq, row_id, *values)
+            for seq, (kind, row_id, values) in enumerate(events, self._next_seq)
         ]
         self.db.insert_rows(event_table, event_rows)
         self._next_seq += len(event_rows)
-        if event_rows:
+        if snapshot:
             key = table.lower()
             self._snapshot_csns[key] = min(csn, self._snapshot_csns.get(key, csn))
-        return len(event_rows)
+        return len(snapshot)
 
     def ingest(self, staged: Staged) -> int:
         """Store what one :meth:`TraceBuffer.drain
@@ -539,10 +547,9 @@ class ProvenanceStore:
 
     def stop_reenacting(self, table: str) -> None:
         """``table``'s history stops giving its live rows — an erasure
-        redacted some of its events, it was dropped while traced (a table
-        created under its name continues its event table), or a later
-        base snapshot joined its history: its later scans are staged as
-        rows (:meth:`reenacts`)."""
+        redacted some of its events, or it was dropped while traced (a
+        table created under its name continues its event table): its later
+        scans are staged as rows (:meth:`reenacts`)."""
         self._unreenactable.add(table.lower())
 
     def pending_scans(self) -> list[ScanRead]:

@@ -530,14 +530,13 @@ class Database:
         commits: list[WalCommit],
         redo: Callable[[Any, WalChange, int], bool],
     ) -> None:
-        """Redo recovered ``commits`` and rebuild the commit bookkeeping.
+        """Redo recovered ``commits`` and move the commit clocks past them.
 
         ``redo(store, change, csn)`` applies one change and says whether
         the commit counts as replayed (``recovery_stats["tail_commits"]``).
-        Every commit's txn id and CSN go into the commit index, and
-        the txn counter moves past them and past the in-doubt prepares:
-        an undecided branch keeps its identity until it is resolved.
-        Nothing keeps ``commits``.
+        The txn counter moves past every commit's txn id and past the
+        in-doubt prepares: an undecided branch keeps its identity until it
+        is resolved. Nothing keeps ``commits``.
         """
         stats = self.recovery_stats
         manager = self.txn_manager
@@ -549,7 +548,6 @@ class Database:
                     raise WalError(f"WAL references unknown table {change.table!r}")
                 replayed |= redo(store, change, commit.csn)
             stats["tail_commits"] += replayed
-            manager.commit_index[commit.txn_id] = commit.csn
         stats["wal_commits"] = len(commits)
         manager._next_txn_id = max(
             [manager._next_txn_id]
@@ -579,7 +577,10 @@ class Database:
         True to commit — the branch's prepared changes are applied at the
         next CSN and re-logged as a normal commit — or False to abort,
         which appends a WAL abort record so the prepare never reads as
-        in-doubt again. Returns ``{"committed": n, "aborted": n}``.
+        in-doubt again. A committed branch's CSN joins the loaded WAL's
+        (:attr:`WriteAheadLog.branch_csns
+        <repro.db.txn.wal.WriteAheadLog.branch_csns>`) for the coordinator
+        to take. Returns ``{"committed": n, "aborted": n}``.
         """
         resolved = {"committed": 0, "aborted": 0}
         for prepare in self.in_doubt_prepares():
@@ -592,7 +593,9 @@ class Database:
                 self.txn_manager.locks.release_all(prepare.txn_id)
                 zombie.status = TransactionStatus.ABORTED
             if decide(prepare):
-                self.txn_manager.commit_recovered(prepare)
+                self.wal.branch_csns[prepare.txn_id] = (
+                    self.txn_manager.commit_recovered(prepare)
+                )
                 resolved["committed"] += 1
             else:
                 self.wal.append_abort(

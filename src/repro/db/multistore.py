@@ -23,6 +23,7 @@ import json
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from repro.db.database import Database
@@ -57,15 +58,22 @@ class DecisionLog:
     transaction has a decision record here; with no decision, the crash
     happened before the point of no return and the branch aborts.
 
-    ``path=None`` keeps the log in memory — correct for single-process
-    clusters that never restart, and free.
+    In memory the log holds what recovery reads, no more. A running log
+    keeps each decision only until its end record (the coordinator's
+    aligned log holds the end). A loaded one also keeps the file's end
+    records: a reopened coordinator rebuilds its aligned log from them,
+    and an ended transaction still reads as decided, since a group-commit
+    crash can leave its branch in doubt. ``path=None`` keeps no file —
+    correct for single-process clusters that never restart, and free.
     """
 
     def __init__(self, path: str | None = None):
         self._path = path
-        #: gtxn id -> {store name: branch txn_id}
+        #: gtxn id -> {store name: branch txn_id} of each decided
+        #: transaction with no end record yet
         self.decisions: dict[int, dict[str, int]] = {}
-        #: gtxn id -> (global_csn, {store name: local csn})
+        #: Loaded from the file only: gtxn id -> (global_csn, {store name:
+        #: local csn}) of each ended transaction
         self.ends: dict[int, tuple[int, dict[str, int]]] = {}
         self._file = None
         if path is not None:
@@ -94,6 +102,7 @@ class DecisionLog:
                             int(data["end"]),
                             {k: int(v) for k, v in data["local_csns"].items()},
                         )
+                        self.decisions.pop(gtxn_id, None)
                     else:
                         self.decisions[gtxn_id] = {
                             k: int(v) for k, v in data["branches"].items()
@@ -126,14 +135,15 @@ class DecisionLog:
     def record_end(
         self, gtxn_id: int, global_csn: int, local_csns: dict[str, int]
     ) -> None:
-        """Log that phase 2 completed, with the aligned commit positions."""
-        self.ends[gtxn_id] = (global_csn, dict(local_csns))
+        """Log that phase 2 completed, with the aligned commit positions,
+        and forget the decision."""
+        self.decisions.pop(gtxn_id, None)
         self._write(
             {"gtxn": gtxn_id, "end": global_csn, "local_csns": dict(local_csns)}
         )
 
     def decided_commit(self, gtxn_id: int) -> bool:
-        return gtxn_id in self.decisions
+        return gtxn_id in self.decisions or gtxn_id in self.ends
 
     @property
     def path(self) -> str | None:
@@ -258,7 +268,7 @@ class GlobalTransaction:
             if txn.status is TransactionStatus.ACTIVE:  # read-only branch
                 txn.commit()
         self._finish(TransactionStatus.COMMITTED)
-        global_csn = self._coordinator._record_commit(self, local_csns)
+        global_csn = self._coordinator._record_commit(self.txn_id, local_csns)
         fault_point("2pc.end", gtxn=self.txn_id)
         self._coordinator._log_end(self, global_csn, local_csns)
         return global_csn
@@ -375,16 +385,10 @@ class MultiStoreCoordinator:
         self._next_txn_id += 1
         return gtxn
 
-    def _record_commit(
-        self, gtxn: GlobalTransaction, local_csns: dict[str, int]
-    ) -> int:
+    def _record_commit(self, gtxn_id: int, local_csns: dict[str, int]) -> int:
         self.global_csn += 1
         self.aligned_log.append(
-            AlignedCommit(
-                global_csn=self.global_csn,
-                txn_id=gtxn.txn_id,
-                local_csns=dict(local_csns),
-            )
+            AlignedCommit(self.global_csn, gtxn_id, dict(local_csns))
         )
         return self.global_csn
 
@@ -415,33 +419,36 @@ class MultiStoreCoordinator:
         clock are rebuilt from durable end records first, and decided
         commits that crashed before their end record get a repaired
         aligned entry once every surviving branch is resolved — so AS-OF
-        translation keeps working across the crash.
+        translation keeps working across the crash. Each branch's local
+        CSN comes from its store's recovery: its commit record in the WAL
+        the store loaded, or the commit recovery just made.
 
         Returns ``{"committed": n, "aborted": n, "repaired_ends": n}``.
         Idempotent: a second call finds nothing in doubt.
         """
         log = self.decision_log
         if not self.aligned_log and log.ends:
-            for gtxn_id, (global_csn, local_csns) in sorted(
-                log.ends.items(), key=lambda kv: kv[1][0]
-            ):
-                self.aligned_log.append(
-                    AlignedCommit(
-                        global_csn=global_csn,
-                        txn_id=gtxn_id,
-                        local_csns=dict(local_csns),
-                    )
-                )
+            self.aligned_log = sorted(
+                (
+                    AlignedCommit(global_csn, gtxn_id, dict(local_csns))
+                    for gtxn_id, (global_csn, local_csns) in log.ends.items()
+                ),
+                key=attrgetter("global_csn"),
+            )
             self.global_csn = max(self.global_csn, self.aligned_log[-1].global_csn)
         known = set(log.decisions) | set(log.ends)
         if known:
             self._next_txn_id = max(self._next_txn_id, max(known) + 1)
 
         resolved = {"committed": 0, "aborted": 0, "repaired_ends": 0}
+        # store -> {branch txn id: local csn}, held until this returns
+        branch_csns: dict[str, dict[int, int]] = {}
         for name in sorted(self._stores):
-            outcome = self._stores[name].resolve_in_doubt(
+            database = self._stores[name]
+            outcome = database.resolve_in_doubt(
                 lambda prep: log.decided_commit(prep.gtxn_id)
             )
+            branch_csns[name], database.wal.branch_csns = database.wal.branch_csns, {}
             resolved["committed"] += outcome["committed"]
             resolved["aborted"] += outcome["aborted"]
 
@@ -449,32 +456,15 @@ class MultiStoreCoordinator:
         # is now applied (pre-crash via the WAL, or just above), so stamp
         # the missing aligned entry. Decision-log insertion order is
         # commit-decision order, preserving the original global ordering.
-        for gtxn_id in [g for g in log.decisions if g not in log.ends]:
-            branches = log.decisions[gtxn_id]
-            local_csns: dict[str, int] = {}
-            complete = True
-            for store, branch_txn_id in branches.items():
-                database = self._stores.get(store)
-                csn = (
-                    database.txn_manager.commit_index.get(branch_txn_id)
-                    if database is not None
-                    else None
-                )
-                if csn is None:
-                    complete = False  # store departed or branch lost
-                else:
-                    local_csns[store] = csn
-            if not complete or not local_csns:
-                continue
-            self.global_csn += 1
-            self.aligned_log.append(
-                AlignedCommit(
-                    global_csn=self.global_csn,
-                    txn_id=gtxn_id,
-                    local_csns=local_csns,
-                )
-            )
-            log.record_end(gtxn_id, self.global_csn, local_csns)
+        for gtxn_id, branches in list(log.decisions.items()):
+            local_csns = {
+                store: branch_csns.get(store, {}).get(branch_txn_id)
+                for store, branch_txn_id in branches.items()
+            }
+            if not local_csns or None in local_csns.values():
+                continue  # a store departed or a branch was lost
+            global_csn = self._record_commit(gtxn_id, local_csns)
+            log.record_end(gtxn_id, global_csn, local_csns)
             resolved["repaired_ends"] += 1
         self.stats["in_doubt_committed"] += resolved["committed"]
         self.stats["in_doubt_aborted"] += resolved["aborted"]

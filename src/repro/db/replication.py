@@ -228,19 +228,17 @@ class Applier:
                 "has a gap (resync required)"
             )
         manager = self.replica.txn_manager
+        # Pin the transaction counter to the PRIMARY's txn id: a promoted
+        # replica's txn ids then continue the primary's instead of reusing
+        # ids its history already holds.
+        manager._next_txn_id = record.txn_id
         if not record.changes:
             # Empty commit (a read-only transaction on the primary): it
-            # only advances the CSN clock. Register the bookkeeping
-            # directly rather than spinning up a whole transaction —
+            # only advances the clocks, with no transaction spun up —
             # catch-up over a read-mostly stream stays O(1) per record.
             manager.last_csn = record.csn
-            manager.commit_index[record.txn_id] = record.csn
+            manager._next_txn_id += 1
             return
-        # Pin the transaction counter so the apply transaction carries
-        # the PRIMARY's txn id natively: commit_index then agrees across
-        # the fleet with no re-keying (re-keying collides when a local
-        # counter value matches an earlier primary id).
-        manager._next_txn_id = record.txn_id
         txn = self.replica.begin(info={"replication_apply": True})
         assert txn.txn_id == record.txn_id
         try:
@@ -437,10 +435,8 @@ class ReplicaSet:
             database.bulk_load(table, list(primary.store(table).scan(None)))
         manager = database.txn_manager
         manager.last_csn = base_csn
-        # Carry the commit bookkeeping over so provenance lookups
-        # (txn id <-> csn) answer identically on any node, and the
-        # replica's txn counter continues from the primary's.
-        manager.commit_index = dict(primary.txn_manager.commit_index)
+        # The replica's txn counter continues from the primary's, so a
+        # promoted replica never reuses a txn id the history holds.
         manager._next_txn_id = primary.txn_manager._next_txn_id
         if base_csn:
             database.history_horizon = base_csn

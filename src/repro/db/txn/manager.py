@@ -568,9 +568,6 @@ class TransactionManager:
         self._next_txn_id = 1
         self.last_csn = 0
         self.active: dict[int, Transaction] = {}
-        #: txn_id -> commit csn for every committed transaction; TROD's
-        #: provenance uses this mapping.
-        self.commit_index: dict[int, int] = {}
         #: Called when a lock acquisition must wait; the runtime points this
         #: at the scheduler so other workers can make progress.
         self.wait_hook: Callable[[Transaction, str], None] | None = None
@@ -661,7 +658,6 @@ class TransactionManager:
         self.last_csn = csn
         txn.status = TransactionStatus.COMMITTED
         txn.commit_csn = csn
-        self.commit_index[txn.txn_id] = csn
         self.active.pop(txn.txn_id, None)
         # The WAL record is the commit's one record: observers receive
         # its ``changes`` tuple itself.
@@ -690,14 +686,13 @@ class TransactionManager:
         commit decision before the crash (recovery-only phase-2 repair).
 
         The prepare record carries the branch's full change list; it is
-        applied at the next CSN, stamped into the commit index
-        under its original txn_id, and re-logged as a normal WAL commit
-        record so the prepare stops reading as in-doubt on later opens.
+        applied at the next CSN and re-logged as a normal WAL commit record
+        under its original txn_id, so the prepare stops reading as
+        in-doubt on later opens. Returns that CSN.
         """
         csn = self.last_csn + 1
         self._apply(prepare.changes, csn)
         self.last_csn = csn
-        self.commit_index[prepare.txn_id] = csn
         self._next_txn_id = max(self._next_txn_id, prepare.txn_id + 1)
         self.database.wal.append(
             WalCommit(csn=csn, txn_id=prepare.txn_id, changes=prepare.changes)
@@ -828,8 +823,3 @@ class TransactionManager:
             mode,
             wait=wait if self.wait_hook is not None else None,
         )
-
-    # -- introspection ---------------------------------------------------------
-
-    def csn_of(self, txn_id: int) -> int | None:
-        return self.commit_index.get(txn_id)

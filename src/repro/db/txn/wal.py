@@ -9,9 +9,11 @@ recovery redo them) and keeps none of them.
 
 The log keeps no commit in memory. What it remembers is the last CSN it
 accepted (an append must carry a higher one) and the durably prepared
-2PC branches nobody has decided yet. A commit goes to the log's file if
-it has one and to the database's observers (``txn_committed``) either
-way; a database without a file forgets it once they return.
+2PC branches nobody has decided yet; a loaded log also holds where the
+file's committed branches landed, until recovery takes them. A commit
+goes to the log's file if it has one and to the database's observers
+(``txn_committed``) either way; a database without a file forgets it
+once they return.
 
 Two-phase commit adds two typed records. A :class:`WalPrepare` persists a
 branch's buffered changes at prepare time (flushed immediately — the
@@ -189,6 +191,10 @@ class WriteAheadLog:
         #: Durably prepared 2PC branches by txn id; a commit or abort
         #: record for the txn removes its entry.
         self._prepared: dict[int, WalPrepare] = {}
+        #: txn id -> CSN of each 2PC branch recovery found committed (in
+        #: the loaded file, or by ``Database.resolve_in_doubt``), until the
+        #: coordinator's recovery takes them; a running log adds none.
+        self.branch_csns: dict[int, int] = {}
 
     def append(self, commit: WalCommit) -> None:
         if commit.csn <= self.last_csn:
@@ -260,8 +266,9 @@ class WriteAheadLog:
         group_size: int = 1,
         fsync: bool = False,
     ) -> "tuple[WriteAheadLog, list[WalCommit]]":
-        """Read a JSONL WAL file: a log that knows its last CSN and its
-        undecided prepares, and the file's commits in order.
+        """Read a JSONL WAL file: a log that knows its last CSN, its
+        undecided prepares and its committed 2PC branches' CSNs
+        (:attr:`branch_csns`), and the file's commits in order.
 
         The commits are the caller's: the returned log keeps none of them.
 
@@ -306,6 +313,8 @@ class WriteAheadLog:
                             "is followed by valid records"
                         )
                     if isinstance(record, WalCommit):
+                        if record.txn_id in wal._prepared:
+                            wal.branch_csns[record.txn_id] = record.csn
                         wal.append(record)
                         commits.append(record)
                     elif isinstance(record, WalPrepare):

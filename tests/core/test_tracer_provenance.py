@@ -192,6 +192,34 @@ class TestRequestsAndSnapshots:
         counts = trod.provenance.restore_into(dev, upto_csn=10**9)
         assert counts["forum_sub"] == 2
 
+    def test_a_row_deleted_while_detached_is_gone_after_reattach(self):
+        """The snapshot a re-attach takes lacks the row; the history gets
+        its Delete at that CSN, so no reconstruction brings it back."""
+        database = Database()
+        database.execute("CREATE TABLE t (a INTEGER)")
+        database.execute("INSERT INTO t VALUES (1), (2), (3)")
+        trod = Trod(database).attach()
+        database.execute("SELECT * FROM t")
+        trod.detach()
+        database.execute("UPDATE t SET a = 30 WHERE a = 3")
+        database.execute("DELETE FROM t WHERE a = 2")
+        trod.attach()
+        database.execute("SELECT * FROM t")
+        trod.flush()
+        prov = trod.provenance
+        last = database.last_csn
+        live = database.snapshot_rows("t")
+        assert [v for _rid, v in live] == [(1,), (30,)]
+        assert prov.reconstruct_rows("t", last) == live
+        assert prov.reconstruct_rows("t", last, row_ids=[1, 2, 3]) == live
+        dev = trod.replayer.build_dev_db(last)
+        assert dev.snapshot_rows("t") == live
+        # Before the re-attach the history still holds every row.
+        assert len(prov.reconstruct_rows("t", 1)) == 3
+        assert prov.query(
+            "SELECT Type, Csn, RowId FROM TEvents WHERE Type = 'Delete'"
+        ).rows == [("Delete", last, 2)]
+
 
 class TestWorkflowEdgesAndEffects:
     def test_workflow_edges_recorded(self, ecommerce_env):

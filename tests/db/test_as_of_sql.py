@@ -138,22 +138,22 @@ class TestHistory:
     def test_state_before_a_transaction(self):
         """The state a transaction saw is ``AS OF`` its CSN minus one."""
         db = insert_update_delete_db()
-        [txn_id] = [  # the UPDATE
-            t for t, c in db.txn_manager.commit_index.items() if c == 3
-        ]
-        csn = db.txn_manager.csn_of(txn_id)
-        assert csn == 3
-        assert self.rows_at(db, csn - 1) == [("a", 1), ("b", 2)]
-        assert self.rows_at(db, csn) == [("a", 10), ("b", 2)]
+        txn = db.begin()
+        db.execute("UPDATE t SET v = 20 WHERE k = 'a'", txn=txn)
+        txn.commit()
+        csn = txn.commit_csn
+        assert csn == 5
+        assert self.rows_at(db, csn - 1) == [("a", 10)]
+        assert self.rows_at(db, csn) == [("a", 20)]
 
     def test_open_transaction_has_no_csn_and_is_not_read(self):
         db = insert_update_delete_db()
         txn = db.begin()
         db.execute("INSERT INTO t VALUES ('c', 3)", txn=txn)
-        assert db.txn_manager.csn_of(txn.txn_id) is None
+        assert txn.commit_csn is None
         assert self.rows_at(db, db.last_csn) == [("a", 10)]
         csn = txn.commit()
-        assert db.txn_manager.csn_of(txn.txn_id) == csn
+        assert txn.commit_csn == csn
         assert self.rows_at(db, csn - 1) == [("a", 10)]
         assert self.rows_at(db, csn) == [("a", 10), ("c", 3)]
 

@@ -138,42 +138,66 @@ class TestApplier:
         for csn in range(db.last_csn + 1):
             assert list(replica.store("t").scan(csn)) == list(db.store("t").scan(csn))
 
-    def test_txn_ids_agree_across_fleet(self):
+    def test_txn_ids_agree_across_fleet(self, commit_tap):
         db = build_primary()
         rs = ReplicaSet(db, n_replicas=1)
+        replica = rs.replicas[0].database
+        primary_commits, replica_commits = commit_tap(db), commit_tap(replica)
         result = db.execute("INSERT INTO t VALUES (1, 'g0', 1.0)")
         assert result.rowcount == 1
         rs.catch_up()
-        replica = rs.replicas[0].database
-        # The same txn id answers csn lookups on both nodes.
-        csn = db.last_csn
-        [txn_id] = [t for t, c in db.txn_manager.commit_index.items() if c == csn]
-        assert replica.txn_manager.csn_of(txn_id) == csn
-        assert replica.txn_manager.commit_index == db.txn_manager.commit_index
+        # The same txn id commits at the same csn on both nodes.
+        [commit] = primary_commits
+        assert (commit.txn_id, commit.csn) == (1, db.last_csn)
+        assert [(c.txn_id, c.csn) for c in replica_commits] == [(1, db.last_csn)]
 
-    def test_commit_index_survives_skewed_txn_counters(self):
-        """Aborted primary txns skew local vs primary txn ids; the
-        commit bookkeeping must never lose or clobber a mapping."""
+    def test_txn_ids_survive_skewed_txn_counters(self, commit_tap):
+        """Aborted primary txns skew local vs primary txn ids; the replica
+        applies each commit under the primary's txn id all the same."""
         db = build_primary()
         rs = ReplicaSet(db, n_replicas=1)
+        replica = rs.replicas[0].database
+        primary_commits, replica_commits = commit_tap(db), commit_tap(replica)
         aborted = db.begin()  # consumes primary txn id 1, never commits
         db.execute("INSERT INTO t VALUES (0, 'g0', 0.0)", txn=aborted)
         aborted.abort()
         db.execute("INSERT INTO t VALUES (1, 'g0', 1.0)")  # txn 2 -> csn 1
         db.execute("INSERT INTO t VALUES (2, 'g0', 2.0)")  # txn 3 -> csn 2
         rs.catch_up()
-        replica = rs.replicas[0].database
-        assert replica.txn_manager.commit_index == db.txn_manager.commit_index
+        expected = [(2, 1), (3, 2)]
+        assert [(c.txn_id, c.csn) for c in primary_commits] == expected
+        assert [(c.txn_id, c.csn) for c in replica_commits] == expected
+        assert replica.txn_manager._next_txn_id == db.txn_manager._next_txn_id
 
-    def test_bootstrap_carries_commit_bookkeeping(self):
+    def test_bootstrap_carries_the_txn_counter(self, commit_tap):
         db = build_primary()
         db.execute("INSERT INTO t VALUES (1, 'g0', 1.0)")
         rs = ReplicaSet(db, n_replicas=1)  # bootstraps after the commit
         replica = rs.replicas[0].database
-        assert replica.txn_manager.commit_index == db.txn_manager.commit_index
+        assert replica.txn_manager._next_txn_id == db.txn_manager._next_txn_id
+        primary_commits, replica_commits = commit_tap(db), commit_tap(replica)
         db.execute("INSERT INTO t VALUES (2, 'g0', 2.0)")
         rs.catch_up()
-        assert replica.txn_manager.commit_index == db.txn_manager.commit_index
+        assert [(c.txn_id, c.csn) for c in replica_commits] == [
+            (c.txn_id, c.csn) for c in primary_commits
+        ]
+        assert replica.txn_manager._next_txn_id == db.txn_manager._next_txn_id
+
+    def test_a_promoted_replica_continues_the_primarys_txn_ids(self):
+        """Read-only commits take txn ids too: the replica's counter moves
+        past them, so the promoted node reuses none."""
+        db = build_primary()
+        rs = ReplicaSet(db, n_replicas=1)
+        db.execute("INSERT INTO t VALUES (1, 'g0', 1.0)")
+        for _ in range(2):
+            reader = db.begin()
+            db.execute("SELECT * FROM t", txn=reader)
+            reader.commit()
+        rs.catch_up()
+        rs.promote(rs.replicas[0].name)
+        txn = rs.primary.begin()
+        assert txn.txn_id == reader.txn_id + 1
+        txn.abort()
 
     def test_gap_detection_behind_and_ahead(self):
         db = build_primary()

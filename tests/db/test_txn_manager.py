@@ -27,7 +27,7 @@ class TestLifecycle:
         db.execute("INSERT INTO t VALUES ('b', 2)", txn=t2)
         csn2 = t2.commit()
         assert csn2 == csn1 + 1
-        assert db.txn_manager.csn_of(t1.txn_id) == csn1
+        assert t1.commit_csn == csn1
 
     def test_txn_names(self, db):
         txn = db.begin()
@@ -274,7 +274,7 @@ class TestConstraints:
         """``txn`` is aborted with nothing applied: table ``u`` holds
         ``rows`` and its unique ``index`` files exactly ``keys``."""
         assert txn.status is TransactionStatus.ABORTED
-        assert txn.txn_id not in db.txn_manager.commit_index
+        assert txn.commit_csn is None
         assert db.execute("SELECT k, v FROM u ORDER BY v").rows == rows
         filed = db.index_set("u").indexes[index]
         assert {k: len(filed.lookup((k,))) for k in keys} == keys
