@@ -71,7 +71,7 @@ class Controller:
         re-provisioned by the next promote.
         """
         wanted: set[str] = set()
-        for store in list(self.sharded.store_names):
+        for store in self.sharded.store_names:
             name = f"primary:{store}"
             wanted.add(name)
             if name not in self.detector.watching():
@@ -122,7 +122,7 @@ class Controller:
         rounds = 0
         while not self.stop_requested:
             try:
-                got = self.sharded.catch_up_replicas(limit=self.ship_batch)
+                got = self.sharded.catch_up(limit=self.ship_batch)
             except ReplicationError:
                 # A primary died mid-drain; the detection loop will
                 # promote and the next round ships from the new primary.

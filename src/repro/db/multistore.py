@@ -301,7 +301,9 @@ class MultiStoreCoordinator:
     ):
         if not stores:
             raise TransactionError("coordinator needs at least one store")
-        self._stores = dict(stores)
+        #: name -> database, in the order the stores were given (a
+        #: sharded engine's shard order); the one map of its stores.
+        self.stores = dict(stores)
         self._next_txn_id = 1
         self.global_csn = 0
         self.aligned_log: list[AlignedCommit] = []
@@ -318,14 +320,11 @@ class MultiStoreCoordinator:
 
     def store(self, name: str) -> Database:
         try:
-            return self._stores[name]
+            return self.stores[name]
         except KeyError:
             raise TransactionError(
-                f"unknown store {name!r} (known: {sorted(self._stores)})"
+                f"unknown store {name!r} (known: {sorted(self.stores)})"
             ) from None
-
-    def store_names(self) -> list[str]:
-        return sorted(self._stores)
 
     def replace_store(self, name: str, database: Database) -> None:
         """Re-point a store name at a new database (replica promotion).
@@ -334,11 +333,11 @@ class MultiStoreCoordinator:
         stays valid as long as the replacement carries the same committed
         history — which a drained, promoted replica does by construction.
         """
-        if name not in self._stores:
+        if name not in self.stores:
             raise TransactionError(
-                f"unknown store {name!r} (known: {sorted(self._stores)})"
+                f"unknown store {name!r} (known: {sorted(self.stores)})"
             )
-        self._stores[name] = database
+        self.stores[name] = database
 
     def reshape(self, stores: dict[str, Database]) -> int:
         """Replace the whole store map in place (online resharding).
@@ -362,7 +361,7 @@ class MultiStoreCoordinator:
         """
         if not stores:
             raise TransactionError("coordinator needs at least one store")
-        self._stores = dict(stores)
+        self.stores = dict(stores)
         self.global_csn += 1
         self.aligned_log.append(
             AlignedCommit(
@@ -370,7 +369,7 @@ class MultiStoreCoordinator:
                 txn_id=0,
                 local_csns={
                     name: database.last_commit_csn
-                    for name, database in self._stores.items()
+                    for name, database in self.stores.items()
                 },
             )
         )
@@ -421,7 +420,9 @@ class MultiStoreCoordinator:
         aligned entry once every surviving branch is resolved — so AS-OF
         translation keeps working across the crash. Each branch's local
         CSN comes from its store's recovery: its commit record in the WAL
-        the store loaded, or the commit recovery just made.
+        the store loaded, or the commit recovery just made. Run in the
+        process that crashed at ``2pc.end``, it writes the end record
+        from the aligned entry that process already stamped.
 
         Returns ``{"committed": n, "aborted": n, "repaired_ends": n}``.
         Idempotent: a second call finds nothing in doubt.
@@ -443,8 +444,8 @@ class MultiStoreCoordinator:
         resolved = {"committed": 0, "aborted": 0, "repaired_ends": 0}
         # store -> {branch txn id: local csn}, held until this returns
         branch_csns: dict[str, dict[int, int]] = {}
-        for name in sorted(self._stores):
-            database = self._stores[name]
+        for name in sorted(self.stores):
+            database = self.stores[name]
             outcome = database.resolve_in_doubt(
                 lambda prep: log.decided_commit(prep.gtxn_id)
             )
@@ -453,18 +454,28 @@ class MultiStoreCoordinator:
             resolved["aborted"] += outcome["aborted"]
 
         # Decided commits that never logged an end record: every branch
-        # is now applied (pre-crash via the WAL, or just above), so stamp
-        # the missing aligned entry. Decision-log insertion order is
-        # commit-decision order, preserving the original global ordering.
+        # is now applied (pre-crash via the WAL, or just above). One this
+        # process already stamped (a crash at ``2pc.end``) ends from its
+        # aligned entry; any other gets the missing entry stamped now.
+        # Decision-log insertion order is commit-decision order,
+        # preserving the original global ordering.
+        stamped = {
+            commit.txn_id: commit
+            for commit in self.aligned_log
+            if commit.txn_id in log.decisions
+        }
         for gtxn_id, branches in list(log.decisions.items()):
-            local_csns = {
-                store: branch_csns.get(store, {}).get(branch_txn_id)
-                for store, branch_txn_id in branches.items()
-            }
-            if not local_csns or None in local_csns.values():
-                continue  # a store departed or a branch was lost
-            global_csn = self._record_commit(gtxn_id, local_csns)
-            log.record_end(gtxn_id, global_csn, local_csns)
+            commit = stamped.get(gtxn_id)
+            if commit is None:
+                local_csns = {
+                    store: branch_csns.get(store, {}).get(branch_txn_id)
+                    for store, branch_txn_id in branches.items()
+                }
+                if not local_csns or None in local_csns.values():
+                    continue  # a store departed or a branch was lost
+                self._record_commit(gtxn_id, local_csns)
+                commit = self.aligned_log[-1]
+            log.record_end(gtxn_id, commit.global_csn, commit.local_csns)
             resolved["repaired_ends"] += 1
         self.stats["in_doubt_committed"] += resolved["committed"]
         self.stats["in_doubt_aborted"] += resolved["aborted"]
@@ -502,7 +513,7 @@ class MultiStoreCoordinator:
                 f"global csn {global_csn} outside committed range "
                 f"[0, {self.global_csn}]"
             )
-        out: dict[str, int] = {name: 0 for name in self._stores}
+        out: dict[str, int] = {name: 0 for name in self.stores}
         end = bisect_right(
             self.aligned_log, global_csn, key=lambda c: c.global_csn
         )

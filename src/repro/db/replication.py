@@ -198,8 +198,8 @@ class Applier:
     WAL, indexes, and observers all behave exactly as on the
     primary) and must land on the very next CSN — the replica's commit
     counter then assigns ``record.csn`` by construction, and the
-    commit index is keyed by the *primary's* transaction id so
-    provenance lookups agree across the fleet. Any CSN mismatch means the
+    transaction takes the *primary's* transaction id so provenance
+    lookups agree across the fleet. Any CSN mismatch means the
     stream has a gap (or the replica was written to directly) and raises
     :class:`ReplicationError` rather than applying a torn history.
     """
@@ -320,11 +320,11 @@ class ReplicaSet:
     the quorum was not met.
 
     Crashed replicas (``database.crashed``, the cluster failure model)
-    are skipped by shipping, routing, and quorum counting; they rejoin
-    via :meth:`catch_up` once revived. The log releases a record once
-    every replica has applied it, so a crashed replica pins the log from
-    its position on until it revives and catches up, or a promotion
-    re-provisions it.
+    are skipped by shipping, routing, and quorum counting; once revived
+    they drain their backlog on the next :meth:`catch_up` or shipped
+    commit. The log releases a record once every replica has applied it,
+    so a crashed replica pins the log from its position on until it
+    revives and catches up, or a promotion re-provisions it.
     """
 
     def __init__(
@@ -552,21 +552,40 @@ class ReplicaSet:
         replica has applied.
 
         Sync mode applies it inside the primary's commit, on every
-        replica. Crashed replicas are skipped — a dead node must not
-        brick the primary's commits; it drains the backlog via
-        :meth:`catch_up` when revived.
+        replica; a replica revived since its crash first drains the
+        backlog the log held for it, so the stream it applies stays
+        gap-free. Crashed replicas are skipped — a dead node must not
+        brick the primary's commits; it drains once it answers again.
         """
         try:
             if self.mode == "sync":
                 for replica in self.replicas:
-                    if replica.database.crashed:
-                        continue
-                    replica.applier.apply(record)
-                    self.stats["shipped_records"] += 1
+                    if not replica.database.crashed:
+                        self._ship(replica, upto=record.seq)
             elif self.ack_quorum > 0:
                 self._ship_quorum(record)
         finally:
             self._release()
+
+    def _ship(
+        self, replica: Replica, upto: int | None = None, limit: int | None = None
+    ) -> int:
+        """Apply ``replica``'s held records from its applied position on,
+        through sequence number ``upto`` (the log's end when None) and at
+        most ``limit`` of them; returns how many it applied.
+
+        The one place a shipped record reaches a replica: sync and quorum
+        shipping, :meth:`catch_up` and promotion all call it, and differ
+        only in which replicas they pass and which errors they swallow.
+        """
+        applied = 0
+        for record in self.log.since(replica.applier.applied_seq):
+            if applied == limit or (upto is not None and record.seq > upto):
+                break
+            replica.applier.apply(record)
+            applied += 1
+            self.stats["shipped_records"] += 1
+        return applied
 
     def _ship_quorum(self, record: ShipRecord) -> None:
         """Quorum mode: apply inside the commit until N replicas acked.
@@ -592,11 +611,7 @@ class ReplicaSet:
             if replica.database.crashed:
                 continue
             try:
-                for pending in self.log.since(replica.applier.applied_seq):
-                    if pending.seq > record.seq:
-                        break
-                    replica.applier.apply(pending)
-                    self.stats["shipped_records"] += 1
+                self._ship(replica, upto=record.seq)
             except (ReplicationError, UnavailableError):
                 continue  # cannot ack (gap or died mid-apply); try the next
             acked += 1
@@ -654,17 +669,8 @@ class ReplicaSet:
         targets = [replica] if replica is not None else list(self.replicas)
         applied = 0
         for target in targets:
-            if target.database.crashed:
-                continue  # dead node: it drains after revival
-            budget = limit
-            for record in self.log.since(target.applier.applied_seq):
-                if budget is not None:
-                    if budget <= 0:
-                        break
-                    budget -= 1
-                target.applier.apply(record)
-                applied += 1
-        self.stats["shipped_records"] += applied
+            if not target.database.crashed:  # a dead node drains after revival
+                applied += self._ship(target, limit=limit)
         self._release()
         if replica is None:
             # Cascade: downstream sets drain from their (just-advanced)
@@ -835,7 +841,7 @@ class ReplicaSet:
             self._unsub()
             self._unsub = None
         try:
-            self._drain(target)
+            self._ship(target)
         except Exception:
             # Unexpected apply failure: roll the fence back so the old
             # primary keeps serving rather than bricking the cluster.
@@ -850,7 +856,7 @@ class ReplicaSet:
                 laggards.append(replica)  # re-provision from the new primary
                 continue
             try:
-                self._drain(replica)
+                self._ship(replica)
             except (ReplicationError, UnavailableError):
                 laggards.append(replica)
         self.log.detach()
@@ -903,12 +909,6 @@ class ReplicaSet:
         if rejoined:
             self._maybe_restore()
         return rejoined
-
-    def _drain(self, replica: Replica) -> None:
-        """Apply every held record ``replica`` has not applied yet."""
-        for record in self.log.since(replica.applier.applied_seq):
-            replica.applier.apply(record)
-            self.stats["shipped_records"] += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -1079,6 +1079,11 @@ class ReplicatedDatabase:
 
     def catch_up(self, limit: int | None = None) -> int:
         return self.replica_set.catch_up(limit=limit)
+
+    @property
+    def cluster_stats(self) -> dict[str, int]:
+        """The replica set's counters (a sharded engine sums its sets')."""
+        return self.replica_set.stats
 
     def ship_loop(
         self,

@@ -401,18 +401,10 @@ class SegmentStore:
             )
 
     def _install(self, first: int, batch: ColumnBatch, csn: int) -> None:
-        """Add a checked run; one that continues the run before it in the
-        same commit is re-encoded with that run instead."""
+        """Add a checked run."""
         at = bisect.bisect_right(self._starts, first)
-        before = self._runs[at - 1] if at else None
-        if before is not None and before.csn == csn and before.end == first:
-            merged = ColumnBatch.concat([before.batch(), batch])
-            run = _Run(before.first, csn, merged, self._kinds)
-            run.deleted, run.changed = before.deleted, before.changed
-            self._runs[at - 1] = run
-        else:
-            self._starts.insert(at, first)
-            self._runs.insert(at, _Run(first, csn, batch, self._kinds))
+        self._starts.insert(at, first)
+        self._runs.insert(at, _Run(first, csn, batch, self._kinds))
         count = len(batch)
         self._next_row_id = max(self._next_row_id, first + count)
         self._live += count

@@ -30,6 +30,7 @@ single database. The pieces:
 from __future__ import annotations
 
 import zlib
+from functools import partial
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro.db.database import Database, check_read_preference
@@ -62,6 +63,7 @@ from repro.db.sql.executor import (
     build_select_plan,
     catalog_shape_id,
     evaluate_as_of,
+    insert_rows,
     memo_plan,
     plan_projection,
 )
@@ -609,14 +611,13 @@ class ShardedDatabase:
                 raise SchemaError("a sharded database needs at least one shard")
             shards = [Database(name=f"{name}-shard{i}") for i in range(n_shards)]
         self.name = name
-        self.shards = shards
-        self.store_names = [f"shard{i}" for i in range(len(shards))]
-        self._by_name = dict(zip(self.store_names, shards))
+        #: The one shard map (``coordinator.stores``, in shard order).
         #: ``decision_log`` names a JSONL file for the coordinator's 2PC
         #: decision log — pass the same path on reopen and
         #: :meth:`recover_in_doubt` resolves crashed-mid-commit branches.
         self.coordinator = MultiStoreCoordinator(
-            self._by_name, decision_log=decision_log
+            {f"shard{i}": shard for i, shard in enumerate(shards)},
+            decision_log=decision_log,
         )
         self.router = ShardRouter(self.store_names)
         #: Explicit shard-key choices (table -> column), consulted before
@@ -667,45 +668,22 @@ class ShardedDatabase:
         must agree (DDL keeps them uniform from here on) and every table
         needs a shard key before any statement can route.
         """
-        def catalog_shape(shard: Database) -> dict[str, tuple[str, tuple]]:
-            """Table -> (schema DDL, index definitions) for comparison."""
-            shape = {}
-            for name in shard.catalog.table_names():
-                canonical = shard.catalog.resolve(name)
-                indexes = tuple(
-                    sorted(
-                        (
-                            index_name,
-                            type(index).__name__,
-                            tuple(index.columns),
-                            getattr(index, "unique", False),
-                        )
-                        for index_name, index in shard.index_set(
-                            canonical
-                        ).indexes.items()
-                    )
-                )
-                shape[canonical] = (shard.catalog.get(canonical).ddl(), indexes)
-            return shape
-
-        reference_shape = catalog_shape(self.shards[0])
-        reference = sorted(reference_shape)
+        db0 = self.shards[0]
         for store, shard in self.named_shards():
-            shape = catalog_shape(shard)
-            if shape != reference_shape:
+            if shard.catalog_shape != db0.catalog_shape:
                 raise SchemaError(
                     f"adopted store {store} diverges from shard0's schema "
-                    "(tables, column layouts, and indexes must be "
+                    "(tables, column layouts, indexes and aliases must be "
                     "uniform across shards)"
                 )
-        for table in reference:
-            schema = self.shards[0].catalog.get(table)
+        for table in sorted(map(db0.catalog.resolve, db0.catalog.table_names())):
+            schema = db0.catalog.get(table)
             self._register_shard_key(schema, None)
             # Adopted unique indexes obey the same co-location rule the
             # DDL path enforces: per-shard uniqueness is only global
             # uniqueness when the shard key is among the indexed columns.
             key_col = self.router.key_column(table)
-            for index_name, index in self.shards[0].index_set(table).indexes.items():
+            for index_name, index in db0.index_set(table).indexes.items():
                 if getattr(index, "unique", False) and key_col not in {
                     column.lower() for column in index.columns
                 }:
@@ -736,14 +714,24 @@ class ShardedDatabase:
         return tuple(shard.catalog_epoch for shard in self.shards)
 
     @property
+    def shards(self) -> list[Database]:
+        """The shard databases, in shard order."""
+        return list(self.coordinator.stores.values())
+
+    @property
+    def store_names(self) -> list[str]:
+        """The shard names, ``shard0``, ``shard1``, ... in shard order."""
+        return list(self.coordinator.stores)
+
+    @property
     def n_shards(self) -> int:
-        return len(self.shards)
+        return len(self.coordinator.stores)
 
     def named_shards(self) -> list[tuple[str, Database]]:
-        return list(zip(self.store_names, self.shards))
+        return list(self.coordinator.stores.items())
 
     def shard_named(self, name: str) -> Database:
-        return self._by_name[name]
+        return self.coordinator.store(name)
 
     @property
     def catalog(self):
@@ -894,7 +882,7 @@ class ShardedDatabase:
         return gtxn
 
     def _note_targets(self, targets: Sequence[str]) -> None:
-        if len(targets) < len(self.store_names):
+        if len(targets) < self.n_shards:
             self.stats["routed_statements"] += 1
         else:
             self.stats["fanout_statements"] += 1
@@ -922,7 +910,7 @@ class ShardedDatabase:
             stmt, (CreateTableStmt, DropTableStmt, CreateIndexStmt, DropIndexStmt)
         ):
             result = self._execute_ddl(stmt, sql, params)
-            self.catch_up_replicas()
+            self.catch_up()
             return result
         if stmt.param_count != len(params):
             raise ExecutionError(
@@ -979,7 +967,7 @@ class ShardedDatabase:
         def db_for(store: str, as_of: int | None) -> Database:
             replica_set = self.replica_sets.get(store)
             if replica_set is None:
-                return self._by_name[store]
+                return self.coordinator.store(store)
             if as_of is not None:
                 return replica_set.as_of_target(as_of, preference)
             return replica_set.read_target(floors.get(store, 0), preference)
@@ -1051,7 +1039,7 @@ class ShardedDatabase:
             database = serving.get(store)
             if database is None:
                 if db_for is None:
-                    database = self._by_name[store]
+                    database = self.coordinator.store(store)
                 else:
                     database = db_for(
                         store, None if local_csns is None else local_csns[store]
@@ -1105,7 +1093,7 @@ class ShardedDatabase:
         if isinstance(stmt, SelectStmt):
             plan, _names = self._select_plan(stmt, sql)
             return plan.explain(
-                ctx=self._context(params, sql, None, self._by_name.__getitem__)
+                ctx=self._context(params, sql, None, self.coordinator.store)
             )
         if not isinstance(stmt, (UpdateStmt, DeleteStmt)):
             raise ExecutionError(
@@ -1128,7 +1116,7 @@ class ShardedDatabase:
         for shard in self.shards:
             shard.create_table(schema)
         self._register_shard_key(schema, shard_key)
-        self.catch_up_replicas()
+        self.catch_up()
 
     def _resolve_shard_key(
         self, schema: TableSchema, shard_key: str | None
@@ -1296,7 +1284,7 @@ class ShardedDatabase:
         store must belong to the database ``db_for`` names.
         """
         plan, names = self._select_plan(stmt, sql)
-        ctx = self._context(params, sql, get_txn, db_for or self._by_name.__getitem__)
+        ctx = self._context(params, sql, get_txn, db_for or self.coordinator.store)
         return ResultSet(columns=names, rows=_drain_rows(plan, ctx), kind="select")
 
     def _select_plan(
@@ -1333,50 +1321,22 @@ class ShardedDatabase:
         db0 = self.shards[0]
         canonical = db0.catalog.resolve(stmt.table)
         schema = db0.catalog.get(canonical)
-        columns = stmt.columns or list(schema.column_names)
-        for column in columns:
-            schema.column(column)  # validates existence
         get_txn = self._branch_getter(gtxn)
 
-        source_rows: list[dict[str, Any]]
-        if stmt.select is not None:
-            if stmt.select.as_of is not None:
-                raise ExecutionError(
-                    "AS OF is not supported inside INSERT ... SELECT; "
-                    "run the historical read separately"
-                )
-            inner = self._execute_select(stmt.select, params, get_txn, None)
-            if len(inner.columns) != len(columns):
-                raise ExecutionError(
-                    f"INSERT ... SELECT supplies {len(inner.columns)} "
-                    f"column(s) for {len(columns)}"
-                )
-            source_rows = [dict(zip(columns, row)) for row in inner.rows]
-        else:
-            source_rows = []
-            for row_exprs in stmt.rows:
-                if len(row_exprs) != len(columns):
-                    raise ExecutionError(
-                        f"INSERT supplies {len(row_exprs)} values for "
-                        f"{len(columns)} column(s)"
-                    )
-                source_rows.append(
-                    {
-                        column: evaluate_rowless(expr, params)
-                        for column, expr in zip(columns, row_exprs)
-                    }
-                )
+        def run_select(select: SelectStmt) -> tuple[list[str], Callable[[], list[tuple]]]:
+            plan, names = self._select_plan(select, None)
+            ctx = self._context(params, None, get_txn, self.coordinator.store)
+            return names, partial(_drain_rows, plan, ctx)
 
         row_ids: list[int] = []
         per_store: dict[str, list[int]] = {}
-        for values in source_rows:
-            coerced = schema.coerce_row(values)
-            store = self.router.shard_for_row(canonical, schema, coerced)
-            row_id = get_txn(store).insert(canonical, coerced)
+        for values in insert_rows(stmt, schema, params, run_select):
+            store = self.router.shard_for_row(canonical, schema, values)
+            row_id = get_txn(store).insert(canonical, values)
             row_ids.append(row_id)
             per_store.setdefault(store, []).append(row_id)
         for store, store_row_ids in per_store.items():
-            shard = self._by_name[store]
+            shard = self.coordinator.store(store)
             if shard.observers.wants("statement_executed"):
                 writes = [("insert", canonical, row_id) for row_id in store_row_ids]
                 shard.report_statement(
@@ -1414,7 +1374,7 @@ class ShardedDatabase:
             # boundaries (READ_COMMITTED refresh) and TROD's
             # statement_executed observers behave exactly as on a
             # single database.
-            result = self._by_name[store].execute(
+            result = self.coordinator.store(store).execute(
                 sql, params, txn=gtxn.on(store)
             )
             rowcount += result.rowcount
@@ -1497,13 +1457,8 @@ class ShardedDatabase:
                 f"{self._active_gtxns} write transaction(s) still in "
                 "flight; drain_writers() before swapping the topology"
             )
-        key_registry = dict(self.router._keys)
-        self.shards = list(new_stores.values())
-        self.store_names = list(new_stores)
-        self._by_name = dict(new_stores)
-        self.router = ShardRouter(self.store_names)
-        self.router._keys = key_registry
-        self.reshard_horizon = self.coordinator.reshape(self._by_name)
+        self.reshard_horizon = self.coordinator.reshape(new_stores)
+        self.router.shard_names = self.store_names
         self.replica_sets = {}
         return self.reshard_horizon
 
@@ -1533,8 +1488,9 @@ class ShardedDatabase:
                 replica_set.add_replica()
         return self.replica_sets
 
-    def catch_up_replicas(self, limit: int | None = None) -> int:
-        """Apply pending ship records on every shard's replicas."""
+    def catch_up(self, limit: int | None = None) -> int:
+        """Apply pending ship records on every shard's replicas (at most
+        ``limit`` per replica); returns the number applied."""
         return sum(
             replica_set.catch_up(limit=limit)
             for replica_set in self.replica_sets.values()
@@ -1545,8 +1501,8 @@ class ShardedDatabase:
 
         The old primary is fenced, every acknowledged commit is drained
         into the replicas, and the most-caught-up replica takes over the
-        store name — in the shard list, the 2PC coordinator, and the
-        replica set (which keeps shipping to the remaining replicas).
+        store name — in the coordinator's shard map, and in the replica
+        set (which keeps shipping to the remaining replicas).
         An attached TROD keeps tracing: the promotion hands the demoted
         primary's observers and ``track_reads`` to the promoted database.
         """
@@ -1555,11 +1511,7 @@ class ShardedDatabase:
             raise ReplicationError(
                 f"shard {store!r} has no replica set; call attach_replicas()"
             )
-        old_primary = self._by_name[store]
         promoted = replica_set.promote()
-        index = self.shards.index(old_primary)
-        self.shards[index] = promoted
-        self._by_name[store] = promoted
         self.coordinator.replace_store(store, promoted)
         return promoted
 

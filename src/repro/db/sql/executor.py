@@ -1346,7 +1346,32 @@ def _execute_insert(
     params: Sequence[Any],
     query_text: str = "",
 ) -> ResultSet:
+    def run_select(select: SelectStmt) -> tuple[list[str], Callable[[], list[tuple]]]:
+        plan, names = database.select_plan(select)
+        ctx = ExecContext(database, txn, params, query_text, database.track_reads)
+        return names, partial(_drain_rows, plan, ctx)
+
     schema = database.catalog.get(stmt.table)
+    row_ids = []
+    for values in insert_rows(stmt, schema, params, run_select):
+        row_ids.append(txn.insert(stmt.table, values))
+    return ResultSet(kind="insert", rowcount=len(row_ids), row_ids=row_ids)
+
+
+def insert_rows(
+    stmt: InsertStmt,
+    schema: TableSchema,
+    params: Sequence[Any],
+    run_select: Callable[[SelectStmt], tuple[list[str], Callable[[], list[tuple]]]],
+) -> list[tuple]:
+    """The rows an INSERT adds to ``schema``'s table, coerced, in order.
+
+    VALUES rows are evaluated with ``params``; an ``INSERT ... SELECT``
+    asks ``run_select`` for the inner SELECT's column names and a thunk
+    that runs it, so the width is checked before anything is read. The
+    SELECT's rows are all read before any is inserted: it may read the
+    target table, and inserting while scanning would change what it sees.
+    """
     columns = stmt.columns or list(schema.column_names)
     for column in columns:
         schema.column(column)  # validates existence
@@ -1356,41 +1381,29 @@ def _execute_insert(
                 "AS OF is not supported inside INSERT ... SELECT; "
                 "run the historical read separately"
             )
-        plan, out_names = database.select_plan(stmt.select)
-        if len(out_names) != len(columns):
+        names, read = run_select(stmt.select)
+        if len(names) != len(columns):
             raise ExecutionError(
-                f"INSERT ... SELECT supplies {len(out_names)} column(s) "
+                f"INSERT ... SELECT supplies {len(names)} column(s) "
                 f"for {len(columns)}"
             )
-        ctx = ExecContext(
-            database=database,
-            txn=txn,
-            params=params,
-            query_text=query_text,
-            track_reads=database.track_reads,
-        )
-        # Materialize first: the SELECT may read the target table, and
-        # inserting while scanning would mutate the txn's overlay mid-walk.
-        source_rows = _drain_rows(plan, ctx)
-        row_ids = []
-        for source_row in source_rows:
-            coerced = schema.coerce_row(dict(zip(columns, source_row)))
-            row_ids.append(txn.insert(stmt.table, coerced))
-        return ResultSet(kind="insert", rowcount=len(row_ids), row_ids=row_ids)
-    row_ids = []
+        return [schema.coerce_row(dict(zip(columns, row))) for row in read()]
+    rows = []
     for row_exprs in stmt.rows:
         if len(row_exprs) != len(columns):
             raise ExecutionError(
                 f"INSERT supplies {len(row_exprs)} values for "
                 f"{len(columns)} column(s)"
             )
-        values = {
-            column: evaluate_rowless(expr, params)
-            for column, expr in zip(columns, row_exprs)
-        }
-        coerced = schema.coerce_row(values)
-        row_ids.append(txn.insert(stmt.table, coerced))
-    return ResultSet(kind="insert", rowcount=len(row_ids), row_ids=row_ids)
+        rows.append(
+            schema.coerce_row(
+                {
+                    column: evaluate_rowless(expr, params)
+                    for column, expr in zip(columns, row_exprs)
+                }
+            )
+        )
+    return rows
 
 
 class DmlNode(PlanNode):

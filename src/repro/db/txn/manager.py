@@ -761,36 +761,30 @@ class TransactionManager:
             txn._database.index_set(table).check_writes(table_writes)
 
     def _apply(self, ops: Iterable[WalChange], csn: int) -> list[WalChange]:
-        """Install buffered writes at ``csn``; returns the applied changes.
+        """Install buffered writes at ``csn``; returns the applied changes,
+        in op order.
 
         Each run of consecutive same-table inserts goes to the store and
         its indexes as one batch (a one-row run is the degenerate case),
-        and its buffered ops are its applied changes as they stand. So do
-        consecutive ``"append"`` changes: those whose ids continue each
-        other are one :class:`~repro.db.segments.ColumnBatch`, whose
-        columns the store keeps and the indexes file their keys from.
+        and its buffered ops are its applied changes as they stand. A
+        table's ``"append"`` changes wait (in ``appends``) until another
+        kind of write to that table, or the end of the commit: however
+        they interleave with other tables' writes, they install together.
         """
         applied: list[WalChange] = []
         database = self.database
+        appends: dict[str, list[WalChange]] = {}
         for (kind, table), run in itertools.groupby(ops, _KIND_AND_TABLE):
+            if kind == "append":
+                run = list(run)
+                appends.setdefault(table, []).extend(run)
+                applied += run
+                continue
+            if table in appends:
+                self._install_appends(table, appends.pop(table), csn)
             store = database.store(table)
             indexes = database.index_set(table)
-            if kind == "append":
-                appends = list(run)
-                # [first id, row count, batches] of each contiguous stretch.
-                pieces: list[list] = []
-                for op in appends:
-                    if pieces and pieces[-1][0] + pieces[-1][1] == op.row_id:
-                        pieces[-1][1] += len(op.values)
-                        pieces[-1][2].append(op.values)
-                    else:
-                        pieces.append([op.row_id, len(op.values), [op.values]])
-                for first, count, batches in pieces:
-                    batch = ColumnBatch.concat(batches)
-                    store.apply_append(first, batch, csn)
-                    indexes.on_append(range(first, first + count), batch)
-                applied += appends
-            elif kind == "insert":
+            if kind == "insert":
                 inserts = list(run)
                 rows = [(op.row_id, op.values) for op in inserts]
                 store.apply_inserts(rows, csn)
@@ -808,7 +802,31 @@ class TransactionManager:
                     old = store.apply_delete(op.row_id, csn)
                     indexes.on_delete(op.row_id, old)
                     applied.append(WalChange("delete", table, op.row_id, None, old))
+        for table, pending in appends.items():
+            self._install_appends(table, pending, csn)
         return applied
+
+    def _install_appends(
+        self, table: str, appends: list[WalChange], csn: int
+    ) -> None:
+        """Install one table's ``"append"`` changes, each stretch of ids
+        that continue each other as one :class:`~repro.db.segments.
+        ColumnBatch`, whose columns the store keeps and the indexes file
+        their keys from."""
+        # [first id, row count, batches] of each contiguous stretch.
+        pieces: list[list] = []
+        for op in appends:
+            if pieces and pieces[-1][0] + pieces[-1][1] == op.row_id:
+                pieces[-1][1] += len(op.values)
+                pieces[-1][2].append(op.values)
+            else:
+                pieces.append([op.row_id, len(op.values), [op.values]])
+        store = self.database.store(table)
+        indexes = self.database.index_set(table)
+        for first, count, batches in pieces:
+            batch = ColumnBatch.concat(batches)
+            store.apply_append(first, batch, csn)
+            indexes.on_append(range(first, first + count), batch)
 
     # -- locks -------------------------------------------------------------------
 

@@ -312,7 +312,7 @@ class ReplicatedReadWorkload:
 
         The routing counters (``replica_reads`` / ``primary_reads`` /
         ``stale_fallbacks`` / ``catch_up_waits``) are this run's share of
-        ``ReplicaSet.stats``, summed over the engine's replica sets.
+        the engine's ``cluster_stats`` (its replica sets' ``stats``).
         Raises :class:`~repro.errors.ReplicationError` if a session ever
         fails to read its own write — the invariant this workload exists
         to hammer.
@@ -321,16 +321,18 @@ class ReplicatedReadWorkload:
         from repro.db.replication import Session
         from repro.errors import ReplicationError
 
-        if hasattr(engine, "replica_sets"):  # sharded: one set per shard
-            replica_sets = list(engine.replica_sets.values())
-            catch_up = engine.catch_up_replicas
-        else:
-            replica_sets = [getattr(engine, "replica_set", engine)]
-            catch_up = engine.catch_up
+        conns = [
+            connect(
+                engine, session=Session(f"s{i}"), read_preference=read_preference
+            )
+            for i in range(self.n_sessions)
+        ]
+        engine = conns[0].engine  # a bare ReplicaSet comes back wrapped
 
         def routing_counters() -> dict[str, int]:
+            stats = engine.cluster_stats
             return {
-                key: sum(rs.stats[key] for rs in replica_sets)
+                key: stats.get(key, 0)
                 for key in (
                     "replica_reads",
                     "primary_reads",
@@ -340,12 +342,6 @@ class ReplicatedReadWorkload:
             }
 
         before = routing_counters()
-        conns = [
-            connect(
-                engine, session=Session(f"s{i}"), read_preference=read_preference
-            )
-            for i in range(self.n_sessions)
-        ]
         write_mark = int(write_ratio * 100)
         counts = {"reads": 0, "writes": 0, "ryw_checks": 0}
         for i in range(count):
@@ -371,7 +367,7 @@ class ReplicatedReadWorkload:
                 conn.execute("SELECT val FROM kv WHERE k = ?", (key,))
                 counts["reads"] += 1
             if ship_every and i % ship_every == ship_every - 1:
-                catch_up()
+                engine.catch_up()
         for key, value in routing_counters().items():
             counts[key] = value - before[key]
         return counts
@@ -508,9 +504,7 @@ class ConnectionWorkload:
 
         pool = conn if hasattr(conn, "checkout") else None
         engine = conn.engine
-        catch_up = getattr(engine, "catch_up_replicas", None) or getattr(
-            engine, "catch_up", None
-        )
+        catch_up = getattr(engine, "catch_up", None)  # a lone Database has none
 
         def run_statement(sql, params):
             if pool is None:

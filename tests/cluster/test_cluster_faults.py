@@ -356,7 +356,7 @@ class TestClusterStatsSurface:
                 "INSERT INTO kv VALUES (?, ?)", (k, f"v{k}"), txn=gtxn
             )
         gtxn.commit()
-        sharded.catch_up_replicas()
+        sharded.catch_up()
         controller.detection_loop(max_polls=1)
 
         stats = controller.cluster_stats

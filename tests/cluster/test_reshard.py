@@ -106,7 +106,7 @@ class TestReshard:
         assert sharded.replica_sets == {}
         sharded.attach_replicas(1)
         sharded.execute("INSERT INTO kv VALUES (?, ?)", (60, "shipped"))
-        sharded.catch_up_replicas()
+        sharded.catch_up()
         for replica_set in sharded.replica_sets.values():
             for replica in replica_set.replicas:
                 assert replica.csn == replica_set.primary.last_csn

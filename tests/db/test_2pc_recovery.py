@@ -229,6 +229,33 @@ class TestShardedRecoverySurface:
             shutil.rmtree(base, ignore_errors=True)
 
 
+class TestInProcessRecovery:
+    def test_a_crash_at_the_end_record_ends_from_the_stamped_entry(self):
+        """Recovery in the process that crashed at ``2pc.end`` writes the
+        end record from the aligned entry the commit already stamped, and
+        stamps no second one."""
+        coordinator = MultiStoreCoordinator(
+            {name: Database(name=name) for name in ("a", "b")}
+        )
+        seed(coordinator)
+        gtxn = run_doomed(coordinator)
+        injector = FaultInjector()
+        injector.fail("2pc.end")
+        with injector.installed():
+            with pytest.raises(CrashPoint):
+                gtxn.commit()
+        global_csn = coordinator.global_csn
+        assert list(coordinator.decision_log.decisions) == [gtxn.txn_id]
+
+        outcome = coordinator.recover_in_doubt()
+        assert outcome == {"committed": 0, "aborted": 0, "repaired_ends": 1}
+        entries = [c for c in coordinator.aligned_log if c.txn_id == gtxn.txn_id]
+        assert len(entries) == 1
+        assert coordinator.decision_log.decisions == {}
+        assert coordinator.global_csn == global_csn
+        assert coordinator.recover_in_doubt()["repaired_ends"] == 0
+
+
 class TestRecoverFromWalFile:
     def test_recover_keeps_an_in_doubt_prepare_and_its_txn_id(self, tmp_path):
         """``Database.recover`` keeps a file's undecided prepare, and no

@@ -217,7 +217,7 @@ class TestSharded:
     def test_served_by_covering_replicas_through_connection(self):
         sharded = self.make()
         sharded.attach_replicas(1)
-        sharded.catch_up_replicas()
+        sharded.catch_up()
         bookmark = sharded.last_commit_csn
         conn = connect(sharded)
         conn.execute("UPDATE t SET v = 99 WHERE id = 4")

@@ -336,7 +336,7 @@ class TestReadPreferences:
         for i in range(6):
             conn.execute("INSERT INTO t VALUES (?, ?)", (i, f"v{i}"))
         sharded.attach_replicas(1)
-        sharded.catch_up_replicas()
+        sharded.catch_up()
         # Same connection: reads now route through the per-shard replica
         # sets, and read-your-writes still holds under lag.
         assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 6

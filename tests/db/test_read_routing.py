@@ -94,7 +94,7 @@ class Cluster:
         if self.sharded:
             engine.attach_replicas(n_replicas, mode="async")
             self.replica_sets = list(engine.replica_sets.values())
-            self.catch_up = engine.catch_up_replicas
+            self.catch_up = engine.catch_up
         else:
             replica_set = ReplicaSet(engine, n_replicas=n_replicas, mode="async")
             self.replica_sets = [replica_set]

@@ -16,7 +16,7 @@ import random
 import pytest
 
 import repro
-from repro.db import Database, IsolationLevel, ShardedDatabase
+from repro.db import Database, IsolationLevel, ReplicatedDatabase, ShardedDatabase
 from repro.db.replication import (
     Applier,
     ReplicaSet,
@@ -346,6 +346,47 @@ class TestReplicaSet:
         db.execute("INSERT INTO t VALUES (99, 'g0', 0.0)")
         assert len(rs.log) == 0
         assert down.database.execute("SELECT COUNT(*) FROM t").scalar() == 11
+
+
+class TestRevivedSyncReplica:
+    """A sync replica revived after a crash drains its backlog inside the
+    next commit, ahead of that commit's record."""
+
+    @pytest.mark.parametrize("lagging", [1, 2])
+    def test_the_next_commit_heals_every_revived_replica(self, lagging):
+        db = build_primary()
+        rs = ReplicaSet(db, n_replicas=3, mode="sync")
+        db.execute("INSERT INTO t VALUES (0, 'g0', 0.0)")
+        down = rs.replicas[:lagging]
+        for replica in down:
+            replica.database.crashed = True
+        db.execute("INSERT INTO t VALUES (1, 'g0', 0.0)")
+        for replica in down:
+            replica.database.crashed = False
+        for k in range(2, 5):
+            db.execute("INSERT INTO t VALUES (?, 'g0', 0.0)", (k,))
+        assert [replica.csn for replica in rs.replicas] == [db.last_csn] * 3
+        assert len(rs.log) == 0
+        # Five commits, each applied once on each of three replicas.
+        assert rs.stats["shipped_records"] == 5 * 3
+        for replica in rs.replicas:
+            assert replica.database.execute("SELECT COUNT(*) FROM t").scalar() == 5
+
+    def test_through_connect_on_a_replicated_database(self):
+        engine = ReplicatedDatabase(n_replicas=2, mode="sync")
+        conn = repro.connect(engine)
+        conn.execute("CREATE TABLE t (k INTEGER)")
+        rs = engine.replica_set
+        conn.execute("INSERT INTO t VALUES (0)")
+        rs.replicas[0].database.crashed = True
+        conn.execute("INSERT INTO t VALUES (1)")
+        rs.replicas[0].database.crashed = False
+        conn.execute("INSERT INTO t VALUES (2)")
+        assert [r.csn for r in rs.replicas] == [engine.last_commit_csn] * 2
+        assert len(rs.log) == 0
+        for _ in rs.replicas:  # round robin: each replica answers once
+            assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 3
+        assert rs.stats["replica_reads"] == 2
 
 
 def live(kind: type) -> int:
@@ -720,7 +761,7 @@ class TestShardedReplication:
         observed = conn.execute("SELECT val FROM items WHERE id = ?", (3,))
         assert observed.scalar() == 99.0
         assert sharded.cluster_stats["stale_fallbacks"] >= 1
-        sharded.catch_up_replicas()
+        sharded.catch_up()
         observed = conn.execute("SELECT val FROM items WHERE id = ?", (3,))
         assert observed.scalar() == 99.0
         assert sharded.cluster_stats["replica_reads"] >= 1
@@ -781,10 +822,22 @@ class TestShardedReplication:
         # (served by replicas, including the failed-over shard's) agree.
         rs = sharded.replica_sets["shard1"]
         assert rs.primary is promoted
-        sharded.catch_up_replicas()
+        sharded.catch_up()
         rows = repro.connect(sharded).execute("SELECT COUNT(*) FROM items")
         assert rows.scalar() == 63
         assert sharded.cluster_stats["replica_reads"] == 3
+
+    def test_failover_names_the_promoted_database_everywhere(self):
+        sharded = self.build(n_replicas=2, mode="sync")
+        old = sharded.shard_named("shard1")
+        promoted = sharded.failover("shard1")
+        assert promoted is not old
+        assert sharded.store_names == ["shard0", "shard1", "shard2"]
+        assert sharded.shards[1] is promoted and old not in sharded.shards
+        assert sharded.shard_named("shard1") is promoted
+        assert dict(sharded.named_shards())["shard1"] is promoted
+        assert sharded.coordinator.store("shard1") is promoted
+        assert sharded.replica_sets["shard1"].primary is promoted
 
     def test_failover_without_replicas_raises(self):
         sharded = ShardedDatabase(2, shard_keys={"items": "id"})

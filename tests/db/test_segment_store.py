@@ -21,6 +21,7 @@ import repro
 from repro.core import Trod
 from repro.core.provenance import ProvenanceStore
 from repro.db import Database
+from repro.db import segments
 from repro.db.segments import SegmentStore
 from repro.db.txn.manager import IsolationLevel
 from repro.errors import SerializationError, StorageError
@@ -189,6 +190,36 @@ class TestMechanism:
         txn.commit()
         assert store.stats()["runs"] == 2
         assert db.execute("SELECT COUNT(*) FROM ev WHERE id >= 50").scalar() == 3
+
+    def test_interleaved_single_row_inserts_build_one_run_per_table(
+        self, commit_tap, monkeypatch
+    ):
+        """A commit's appends install per table, however they interleave
+        with another table's: one run each, and no run is re-encoded."""
+        db = open_db("segment")
+        db.execute("CREATE TABLE other (id INTEGER, note TEXT)")
+        tap = commit_tap(db)
+        built = []
+        build = segments._Run.__init__
+
+        def spy(run, first, csn, batch, kinds):
+            built.append((first, len(batch)))
+            build(run, first, csn, batch, kinds)
+
+        monkeypatch.setattr(segments._Run, "__init__", spy)
+        txn = db.begin()
+        for i, row in enumerate(rows(0, 20)):
+            db.insert_row("ev", row, txn=txn)
+            db.insert_row("other", (i, f"n{i}"), txn=txn)
+        txn.commit()
+        assert built == [(1, 20), (1, 20)]
+        assert db.store("ev").stats()["runs"] == db.store("other").stats()["runs"] == 1
+        # The commit's changes stay in the order they were made.
+        ((*changes,),) = [commit.changes for commit in tap]
+        assert [(c.table, c.row_id) for c in changes] == [
+            (table, i) for i in range(1, 21) for table in ("ev", "other")
+        ]
+        assert db.execute("SELECT COUNT(*) FROM other").scalar() == 20
 
     def test_unique_tables_and_explicit_ids_log_row_inserts(self, commit_tap):
         db = Database(storage="segment")

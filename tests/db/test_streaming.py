@@ -418,7 +418,7 @@ class TestPerStatementReadPreference:
     def test_sharded_override_keeps_the_routing_counters(self):
         sdb = seeded_sharded(40, shards=2)
         sdb.attach_replicas(1)
-        sdb.catch_up_replicas()
+        sdb.catch_up()
         conn = connect(sdb)  # default replica
         conn.execute("SELECT COUNT(*) FROM t")
         assert sdb.cluster_stats["replica_reads"] == 2

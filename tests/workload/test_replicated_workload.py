@@ -51,7 +51,7 @@ class TestReplicatedReadWorkload:
         assert counts["ryw_checks"] == counts["writes"] > 0
         assert counts["replica_reads"] > 0
         # Final state agrees between primaries and caught-up replicas.
-        sharded.catch_up_replicas()
+        sharded.catch_up()
         expected = sharded.execute("SELECT k, val FROM kv ORDER BY k").rows
         routed = repro.connect(sharded).execute(
             "SELECT k, val FROM kv ORDER BY k"
