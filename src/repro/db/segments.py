@@ -512,7 +512,12 @@ class SegmentStore:
             )
         return values
 
-    def moved_after(self, csn: int, positions: tuple[int, ...]) -> Sequence[int]:
+    def moved_after(
+        self,
+        csn: int,
+        positions: tuple[int, ...],
+        keys: Iterable[tuple] | None = None,
+    ) -> Sequence[int]:
         """Always empty: no row keeps an older key to be found under."""
         return ()
 

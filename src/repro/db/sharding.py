@@ -668,7 +668,7 @@ class ShardedDatabase:
         must agree (DDL keeps them uniform from here on) and every table
         needs a shard key before any statement can route.
         """
-        db0 = self.shards[0]
+        db0 = self._first_shard
         for store, shard in self.named_shards():
             if shard.catalog_shape != db0.catalog_shape:
                 raise SchemaError(
@@ -719,6 +719,12 @@ class ShardedDatabase:
         return list(self.coordinator.stores.values())
 
     @property
+    def _first_shard(self) -> Database:
+        """The first shard's database, whose catalog every shard shares:
+        read off the shard map, with no list built."""
+        return next(iter(self.coordinator.stores.values()))
+
+    @property
     def store_names(self) -> list[str]:
         """The shard names, ``shard0``, ``shard1``, ... in shard order."""
         return list(self.coordinator.stores)
@@ -736,19 +742,19 @@ class ShardedDatabase:
     @property
     def catalog(self):
         """The logical catalog (shard 0's; DDL keeps all shards uniform)."""
-        return self.shards[0].catalog
+        return self._first_shard.catalog
 
     @property
     def catalog_shape(self) -> int:
         """What a coordinator plan depends on: shard 0's catalog, marked
         so that no single database's plan of the same text is shared."""
-        return catalog_shape_id(("sharded", self.shards[0].catalog_shape))
+        return catalog_shape_id(("sharded", self._first_shard.catalog_shape))
 
     @property
     def plan_cache_stats(self) -> dict[str, int]:
         """Shard 0's plan-memo counters: coordinator plans are built over
         its catalog, and their lookups count there."""
-        return self.shards[0].plan_cache_stats
+        return self._first_shard.plan_cache_stats
 
     @property
     def last_commit_csn(self) -> int:
@@ -1099,7 +1105,7 @@ class ShardedDatabase:
             raise ExecutionError(
                 "EXPLAIN supports SELECT, UPDATE and DELETE statements only"
             )
-        db0 = self.shards[0]
+        db0 = self._first_shard
         canonical = db0.catalog.resolve(stmt.table.table)
         targets = self.router.routed_shards(
             canonical, db0.catalog.get(canonical), split_conjuncts(stmt.where), params
@@ -1152,7 +1158,7 @@ class ShardedDatabase:
     def _register_shard_key(
         self, schema: TableSchema, shard_key: str | None
     ) -> None:
-        canonical = self.shards[0].catalog.resolve(schema.name)
+        canonical = self._first_shard.catalog.resolve(schema.name)
         self.router.register_table(
             canonical, self._resolve_shard_key(schema, shard_key)
         )
@@ -1164,7 +1170,7 @@ class ShardedDatabase:
         # feet; it parks behind the same fence as write transactions.
         self._fence_wait()
         if isinstance(stmt, DropTableStmt):
-            db0 = self.shards[0]
+            db0 = self._first_shard
             canonical = None
             if db0.catalog.has_table(stmt.name):
                 canonical = db0.catalog.resolve(stmt.name)
@@ -1176,7 +1182,7 @@ class ShardedDatabase:
             if canonical is not None:
                 self.router.unregister_table(canonical)
             return ResultSet(kind="ddl")
-        db0 = self.shards[0]
+        db0 = self._first_shard
         if (
             isinstance(stmt, CreateIndexStmt)
             and stmt.unique
@@ -1220,7 +1226,7 @@ class ShardedDatabase:
                     # constraints include it) against the real schema
                     # before committing the rest of the cluster to it.
                     self._register_shard_key(
-                        self.shards[0].catalog.get(stmt.name), None
+                        self._first_shard.catalog.get(stmt.name), None
                     )
         except Exception:
             # A mid-fan-out failure (a bad shard key, or CREATE UNIQUE
@@ -1290,7 +1296,9 @@ class ShardedDatabase:
     def _select_plan(
         self, stmt: SelectStmt, sql: str | None
     ) -> tuple[PlanNode, list[str]]:
-        return memo_plan("select", sql, self, plan_sharded_select, stmt, self.shards[0])
+        return memo_plan(
+            "select", sql, self, plan_sharded_select, stmt, self._first_shard
+        )
 
     def _context(
         self,
@@ -1301,7 +1309,7 @@ class ShardedDatabase:
     ) -> ExecContext:
         """The coordinator's context for one execution (or EXPLAIN)."""
         return ExecContext(
-            database=self.shards[0],
+            database=self._first_shard,
             txn=None,  # type: ignore[arg-type]  # coordinator nodes never touch it
             params=params,
             query_text=sql or "",
@@ -1318,7 +1326,7 @@ class ShardedDatabase:
         gtxn: GlobalTransaction,
         sql: str | None,
     ) -> ResultSet:
-        db0 = self.shards[0]
+        db0 = self._first_shard
         canonical = db0.catalog.resolve(stmt.table)
         schema = db0.catalog.get(canonical)
         get_txn = self._branch_getter(gtxn)
@@ -1352,7 +1360,7 @@ class ShardedDatabase:
         gtxn: GlobalTransaction,
         sql: str | None,
     ) -> ResultSet:
-        db0 = self.shards[0]
+        db0 = self._first_shard
         canonical = db0.catalog.resolve(stmt.table.table)
         schema = db0.catalog.get(canonical)
         key_col = self.router.key_column(canonical)

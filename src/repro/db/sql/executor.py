@@ -23,10 +23,11 @@ shape of the paper's Table 2.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from itertools import chain, count, islice
-from operator import itemgetter
+from itertools import chain, compress, count, islice
+from operator import itemgetter, not_
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.db.expr import (
@@ -91,6 +92,11 @@ class ExecContext:
     #: starts it at one row — so no scan pulls, or records a read for, a
     #: row the consumer never asked for.
     row_budget: int | None = None
+    #: Most rows the consumer takes in all, when a LIMIT bounds the pull
+    #: (its ``limit + offset`` still wanted); None otherwise. Unlike the
+    #: row budget it is not narrowed per pull: a streamed cursor's first
+    #: pull asks for one row, and may go on to take every row.
+    row_limit: int | None = None
     #: A sharded SELECT's execution as its exchanges see it: which
     #: database serves each shard, under which branch; None on one
     #: database.
@@ -290,11 +296,14 @@ class ScanNode(PlanNode):
             ctx.txn.read_lock(self.table)
             # ``candidates`` may be a live view of an index bucket; it is
             # only read (sorted() copies), never mutated.
-            candidates: Iterable[int] = self._probe_candidates(ctx)
+            candidates, keys = self._probe_candidates(ctx)
             pending = ctx.txn.pending_rows(self.table)
             # Below the latest state the index can miss a row whose older
-            # version matches; every such row has left its key since.
-            later = ctx.txn.moved_since_snapshot(self.table, self._probe_positions)
+            # version matches; every such row has left its key since (one
+            # of the probed keys, for an equality probe).
+            later = ctx.txn.moved_since_snapshot(
+                self.table, self._probe_positions, keys
+            )
             if pending or later:
                 merged = set(candidates)
                 merged.update(rid for rid, _ in pending)
@@ -402,23 +411,27 @@ class ScanNode(PlanNode):
         stats["batches_processed"] += 1
         return pairs
 
-    def _probe_candidates(self, ctx: ExecContext) -> "Iterable[int]":
-        """Candidate row ids from the index; may be a read-only live view."""
+    def _probe_candidates(
+        self, ctx: ExecContext
+    ) -> tuple[Iterable[int], tuple[tuple, ...] | None]:
+        """Candidate row ids from the index (maybe a read-only live view),
+        and an equality probe's keys, each a tuple of the index's column
+        values (an IN list's NULL items dropped: they match no row); None
+        for a range probe."""
         params = ctx.params
         probe = self.probe
         index = ctx.database.index_set(self.table).indexes[probe.index.lower()]
         if probe.kind == "hash":
-            return index.lookup(
-                tuple(evaluate_rowless(expr, params) for expr in probe.keys)
-            )
+            key = tuple(evaluate_rowless(expr, params) for expr in probe.keys)
+            return index.lookup(key), (key,)
         if probe.kind == "in":
-            # One bucket per item; a NULL item matches no row.
+            # One bucket per item.
+            items = [evaluate_rowless(expr, params) for expr in probe.keys]
+            keys = tuple((item,) for item in items if item is not None)
             hits: set[int] = set()
-            for expr in probe.keys:
-                value = evaluate_rowless(expr, params)
-                if value is not None:
-                    hits.update(index.lookup((value,)))
-            return hits
+            for key in keys:
+                hits.update(index.lookup(key))
+            return hits, keys
         low = high = None
         if probe.low is not None:
             low = (evaluate_rowless(probe.low, params),)
@@ -427,8 +440,8 @@ class ScanNode(PlanNode):
         if (low is not None and low[0] is None) or (
             high is not None and high[0] is None
         ):
-            return ()  # NULL bound: comparison can never be TRUE
-        return index.scan_between(low, high)
+            return (), None  # NULL bound: comparison can never be TRUE
+        return index.scan_between(low, high), None
 
 
 class FilterNode(PlanNode):
@@ -658,6 +671,21 @@ class AggregateNode(PlanNode):
 
 
 class SortNode(PlanNode):
+    """ORDER BY: drains its child whole, then sorts only what is pulled.
+
+    Under a LIMIT that wants ``k`` rows (``ctx.row_limit``: its ``limit +
+    offset``), fewer than the input holds, a pull gets the *head*: the
+    rows whose leading key is at or before the ``k``-th best one, ties
+    included, in ORDER BY order. Every head key sorts strictly before
+    every other row's, so head then rest is the whole sort, and the rest
+    is sorted only if the consumer pulls again. Every key that can raise
+    (any but a bare column) is still evaluated over every row first, as
+    the whole sort does, so whether a statement fails does not hang on
+    its LIMIT. A pull with no LIMIT above it sorts every row: a streamed
+    cursor's first pull asks for one row but usually goes on to take them
+    all.
+    """
+
     def __init__(self, child: PlanNode, keys: Sequence[tuple[Expr, bool]]):
         self.child = child
         self.keys = keys  # (expression, ascending) in ORDER BY order
@@ -672,6 +700,18 @@ class SortNode(PlanNode):
             for expr, ascending in self.keys
         ]
 
+    @cached_property
+    def _fallible_keys(self) -> list[Callable]:
+        """The programs of the keys after the first that can raise, last
+        first: all but bare columns (a stored value always has a sort
+        class)."""
+        later = list(zip(self.keys, self._key_programs))[1:]
+        return [
+            program
+            for (expr, _ascending), (program, _asc) in reversed(later)
+            if not isinstance(expr, (ColumnRef, planner.SlotRef))
+        ]
+
     def describe(self) -> str:
         dirs = ", ".join("asc" if asc else "desc" for _expr, asc in self.keys)
         return f"Sort({dirs})"
@@ -684,16 +724,48 @@ class SortNode(PlanNode):
         for chunk in self.child.batches(ctx):
             rows.extend(chunk)
         ctx.row_budget = outer
-        # Stable multi-key sort: apply keys from last to first, each pass
-        # ordering row positions by that key's (class, value) pairs.
-        for program, ascending in reversed(self._key_programs):
-            keys = program(rows, ctx.params)
-            order = sorted(
-                range(len(rows)), key=keys.__getitem__, reverse=not ascending
-            )
-            rows = [rows[i] for i in order]
-        if rows:
-            yield rows
+        if not rows:
+            return
+        params = ctx.params
+        # A drain above (no row budget) takes every row, whatever LIMIT
+        # is further up.
+        limit = None if ctx.row_budget is None else ctx.row_limit
+        if limit is None or limit >= len(rows):
+            yield self._ordered(rows, params)
+            return
+        for program in self._fallible_keys:
+            program(rows, params)  # raises here if the whole sort would
+        program, ascending = self._key_programs[0]
+        lead = program(rows, params)
+        best = heapq.nsmallest if ascending else heapq.nlargest
+        bound = best(limit, lead)[-1]
+        in_head = list(map(bound.__ge__ if ascending else bound.__le__, lead))
+        head = list(compress(rows, in_head))
+        if head:  # empty only if a key does not order (a float NaN)
+            yield self._ordered(head, params, list(compress(lead, in_head)))
+        in_rest = list(map(not_, in_head))
+        rest = list(compress(rows, in_rest))
+        if rest:
+            yield self._ordered(rest, params, list(compress(lead, in_rest)))
+
+    def _ordered(
+        self, rows: list[tuple], params: Sequence[Any], lead: list | None = None
+    ) -> list[tuple]:
+        """``rows`` in ORDER BY order, given their leading keys ``lead``
+        if already evaluated.
+
+        Stable multi-key sort: one pass per key, last to first, each
+        ordering positions by that key's (class, value) pairs.
+        """
+        order: Iterable[int] = range(len(rows))
+        (program, ascending), *others = self._key_programs
+        for other, other_ascending in reversed(others):
+            keys = other(rows, params)
+            order = sorted(order, key=keys.__getitem__, reverse=not other_ascending)
+        if lead is None:
+            lead = program(rows, params)
+        order = sorted(order, key=lead.__getitem__, reverse=not ascending)
+        return [rows[i] for i in order]
 
 
 class ProjectNode(PlanNode):
@@ -769,8 +841,15 @@ class LimitNode(PlanNode):
         need = None if limit is None else limit + offset
         chunks = self.child.batches(ctx)
         # Handing the remaining need down as the row budget is what stops
-        # the scans below right at the last wanted row.
-        while need != 0 and (chunk := _pull(chunks, ctx, need)) is not None:
+        # the scans below right at the last wanted row, and as the row
+        # limit what lets a sort below order only that many.
+        outer = ctx.row_limit
+        while need != 0:
+            ctx.row_limit = need
+            chunk = _pull(chunks, ctx, need)
+            ctx.row_limit = outer
+            if chunk is None:
+                return
             if need is not None:
                 if len(chunk) > need:
                     chunk = chunk[:need]

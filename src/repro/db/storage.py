@@ -38,7 +38,10 @@ Snapshot reads through an index probe need one more thing: the latest-state
 index misses a row whose old version matched, so a probe at ``csn`` also
 looks at :meth:`TableStore.moved_after` — the rows that left their key
 over the index's columns after ``csn`` (deleted, or updated to another
-key), from a ``(csn, row_id)`` log kept in commit order. Inserts and
+key), from a :class:`MoveLog` of ``(csn, row_id)`` entries kept in commit
+order, each also filed under the key the row left. A range probe takes
+every entry after ``csn``; an equality probe takes only its own keys'
+entries, so the rows other keys lost cost it nothing. Inserts and
 updates that keep the key are not in it: the index already files those
 rows where their version at ``csn`` was. A log is built from the version
 chains the first time a read below the last write asks for it, and only
@@ -73,6 +76,7 @@ from repro.errors import DatabaseError
 INFINITY = None
 
 _BEGIN = attrgetter("begin")
+_STAMP_AND_ID = operator.itemgetter(0, 1)
 
 #: A published row list is dropped (and later rebuilt whole) once more
 #: than one in this many of its rows have a write noted against them.
@@ -105,6 +109,40 @@ class KeptRows(dict):
     """
 
     __slots__ = ("published",)
+
+
+class MoveLog:
+    """The rows that left their key over one tuple of column positions:
+    the CSN and row id of every delete, and of every update that changed
+    one of those columns, in commit order as two parallel arrays, each
+    entry also filed under the key the row left."""
+
+    __slots__ = ("csns", "ids", "_by_key")
+
+    def __init__(self) -> None:
+        self.csns = array("q")
+        self.ids = array("q")
+        #: Key left -> positions of its entries in ``csns`` / ``ids``.
+        self._by_key: dict[tuple, list[int]] = {}
+
+    def add(self, csn: int, row_id: int, key: tuple) -> None:
+        """Log that ``row_id`` left ``key`` at ``csn`` (commit order)."""
+        self._by_key.setdefault(key, []).append(len(self.ids))
+        self.csns.append(csn)
+        self.ids.append(row_id)
+
+    def after(self, csn: int, keys: Iterable[tuple] | None = None) -> Sequence[int]:
+        """Ids logged after ``csn``: all of them, or only under ``keys``."""
+        csns, ids = self.csns, self.ids
+        if keys is None:
+            return ids[bisect.bisect_right(csns, csn):]
+        moved: list[int] = []
+        for key in keys:
+            at = self._by_key.get(key)
+            if at is not None:
+                start = bisect.bisect_right(at, csn, key=csns.__getitem__)
+                moved.extend([ids[i] for i in at[start:]])
+        return moved
 
 
 class TableStore:
@@ -152,11 +190,8 @@ class TableStore:
         #: so it does not move this.
         self.last_write_csn = 0
         #: The logs behind :meth:`moved_after`, one per tuple of column
-        #: positions a historical read has asked about: the CSN and row
-        #: id of every delete, and of every update that changed one of
-        #: those columns, in commit order, as two parallel arrays.
-        #: Dropped by vacuum.
-        self._move_logs: dict[tuple[int, ...], tuple[array, array]] = {}
+        #: positions a historical read has asked about. Dropped by vacuum.
+        self._move_logs: dict[tuple[int, ...], MoveLog] = {}
         #: Adopted rows visible from CSN 0 (:meth:`adopt`), never written
         #: here. A row id is an unwritten base row (in ``_base``, not in
         #: ``_versions``) or has a chain, never both.
@@ -321,10 +356,9 @@ class TableStore:
         self._versions[row_id].append(version)
         self._live[row_id] = version
         self._note_writes(((row_id, values),))
-        for positions, (csns, ids) in self._move_logs.items():
+        for positions, log in self._move_logs.items():
             if any(old_values[i] != values[i] for i in positions):
-                csns.append(csn)
-                ids.append(row_id)
+                log.add(csn, row_id, tuple(old_values[i] for i in positions))
         self.last_write_csn = csn
         self.write_epoch += 1
         return old_values
@@ -337,9 +371,8 @@ class TableStore:
         del self._live[row_id]
         self._remove_sorted(self._live_ids, row_id)
         self._note_writes(((row_id, None),))
-        for csns, ids in self._move_logs.values():
-            csns.append(csn)
-            ids.append(row_id)
+        for positions, log in self._move_logs.items():
+            log.add(csn, row_id, tuple(old_values[i] for i in positions))
         self.last_write_csn = csn
         self.write_epoch += 1
         return old_values
@@ -491,10 +524,16 @@ class TableStore:
         self._scan_notes = {}
         return rows
 
-    def moved_after(self, csn: int, positions: tuple[int, ...]) -> Sequence[int]:
+    def moved_after(
+        self,
+        csn: int,
+        positions: tuple[int, ...],
+        keys: Iterable[tuple] | None = None,
+    ) -> Sequence[int]:
         """Ids of the rows that left their key over ``positions`` after
         ``csn`` — deleted, or updated to new values at one of those
-        column positions — in commit order.
+        column positions — in commit order; with ``keys``, only the rows
+        that left one of those keys (key by key).
 
         A row whose version at ``csn`` has some key there, but whose
         latest version is not filed under it, is among them: that is
@@ -507,32 +546,30 @@ class TableStore:
         log = self._move_logs.get(positions)
         if log is None:
             log = self._move_logs[positions] = self._build_move_log(positions)
-        csns, ids = log
-        return ids[bisect.bisect_right(csns, csn):]
+        return log.after(csn, keys)
 
-    def _build_move_log(self, positions: tuple[int, ...]) -> tuple[array, array]:
+    def _build_move_log(self, positions: tuple[int, ...]) -> MoveLog:
         """The :meth:`moved_after` log over ``positions``, from the chains.
 
-        Only rows with more than one version have their values read (a
-        page read each on the paged tier); a delete is an end stamp not
-        followed by a version beginning there.
+        Only rows that changed, with more than one version or deleted,
+        have their values read (a page read each on the paged tier); a
+        delete is an end stamp not followed by a version beginning there.
         """
         entries = []
         for row_id, chain in self._versions.items():
-            if len(chain) > 1:
-                keys = [
-                    tuple(version.values[i] for i in positions) for version in chain
-                ]
-                for at, (older, newer) in enumerate(zip(chain, chain[1:])):
-                    if older.end != newer.begin or keys[at] != keys[at + 1]:
-                        entries.append((older.end, row_id))
+            if len(chain) == 1 and chain[0].end is None:
+                continue
+            keys = [tuple(version.values[i] for i in positions) for version in chain]
+            for at, (older, newer) in enumerate(zip(chain, chain[1:])):
+                if older.end != newer.begin or keys[at] != keys[at + 1]:
+                    entries.append((older.end, row_id, keys[at]))
             if chain[-1].end is not None:
-                entries.append((chain[-1].end, row_id))
-        entries.sort()
-        return (
-            array("q", [stamp for stamp, _ in entries]),
-            array("q", [row_id for _, row_id in entries]),
-        )
+                entries.append((chain[-1].end, row_id, keys[-1]))
+        entries.sort(key=_STAMP_AND_ID)
+        log = MoveLog()
+        for stamp, row_id, key in entries:
+            log.add(stamp, row_id, key)
+        return log
 
     def _scan_versions(
         self, row_ids: list[int], csn: int

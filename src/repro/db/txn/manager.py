@@ -240,10 +240,14 @@ class Transaction:
         return store.latest_values()
 
     def moved_since_snapshot(
-        self, table: str, positions: tuple[int, ...]
+        self,
+        table: str,
+        positions: tuple[int, ...],
+        keys: Iterable[tuple] | None = None,
     ) -> Sequence[int]:
         """Ids of ``table``'s rows that left their key over ``positions``
-        in commits after this transaction's snapshot.
+        in commits after this transaction's snapshot (with ``keys``, only
+        those that left one of these keys).
 
         Shared indexes hold the latest committed state; a row whose
         version in this snapshot matches an index probe over those
@@ -255,7 +259,7 @@ class Transaction:
         if csn is None:
             return ()
         canonical = self._database.catalog.resolve(table)
-        return self._database.store(canonical).moved_after(csn, positions)
+        return self._database.store(canonical).moved_after(csn, positions, keys)
 
     @staticmethod
     def _scan_pinned(
@@ -535,7 +539,9 @@ class Transaction:
             if None in key:
                 continue
             candidates = set(index.lookup(key))
-            candidates.update(self.moved_since_snapshot(canonical, index.positions))
+            candidates.update(
+                self.moved_since_snapshot(canonical, index.positions, (key,))
+            )
             candidates.update(self._own_keys.get(index, {}).get(key, ()))
             candidates.discard(ignore_row_id)
             for _row_id, existing in self.get_many(canonical, candidates):

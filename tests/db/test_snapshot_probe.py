@@ -175,7 +175,7 @@ class TestAsOfDifferential:
         store = db.store("t")
         assert not store._move_logs  # no historical read yet
         probed(db, kind, db.last_csn - 1)
-        _csns, ids = store._move_logs[K]
+        ids = store._move_logs[K].ids
         before = len(ids)
         # Inserts and updates that keep the key add nothing ...
         assert db.execute("UPDATE t SET v = 'x' WHERE k = 1").rowcount == 2
@@ -188,6 +188,45 @@ class TestAsOfDifferential:
         assert len(ids) == before + moved
         assert check_all_csns(db, kind) > 0
         db.close()
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_an_old_probe_fetches_only_rows_that_held_its_key(storage, tmp_path):
+    """Deletes and re-keys of other keys do not widen an equality probe:
+    one for k = 3 at an old CSN fetches the rows filed under 3 now and
+    the rows that left 3 since (one of them re-keyed 3 -> 50 -> 3), and
+    no row that never held 3."""
+    db = open_db(storage, tmp_path)
+    create_table(db, "hash")
+    for ident in range(40):
+        db.execute("INSERT INTO t VALUES (?, ?, ?)", (ident, ident % 8, f"v{ident}"))
+    old = db.last_csn
+    for ident in range(40):
+        if ident % 8 == 3:
+            continue
+        if ident % 2:
+            db.execute("DELETE FROM t WHERE id = ?", (ident,))
+        else:
+            db.execute("UPDATE t SET k = ? WHERE id = ?", (100 + ident, ident))
+    db.execute("UPDATE t SET k = 50 WHERE id = 3")
+    db.execute("UPDATE t SET k = 3 WHERE id = 3")
+    db.execute("UPDATE t SET k = 51 WHERE id = 11")
+    store = db.store("t")
+    held = {rid for rid, row in store.scan(old) if row[1] == 3}
+    assert len(held) == 5 and len(store.moved_after(old, K)) > 30
+    fetched: list[int] = []
+    get = store.get
+
+    def recording(row_id, csn=None):
+        fetched.append(row_id)
+        return get(row_id, csn)
+
+    store.get = recording
+    rows = db.execute("SELECT id, k, v FROM t WHERE k = ? AS OF ?", (3, old)).rows
+    store.get = get
+    assert sorted(fetched) == sorted(held)
+    assert sorted(rows) == versioned(db, old, lambda row, p: row[1] == 3, ())
+    db.close()
 
 
 @pytest.mark.parametrize("kind", INDEX_KINDS)

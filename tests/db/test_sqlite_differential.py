@@ -17,6 +17,10 @@ The generator keeps to the dialect both engines share. ``DIFFERENCES`` in
 else is. The examples of every row run here too, so a difference that
 stops being one shows.
 
+Every ``ORDER BY ... LIMIT`` below its input's size sorts only the
+LIMIT's head (``SortNode``); the test counts those statements, so the
+oracle provably covers that path.
+
 ``REPRO_SQL_SEED`` runs one seed and ``REPRO_SQL_STATEMENTS`` sets its
 stream's length (CI: 10 000 per seed). By default four seeds run 500
 statements each.
@@ -29,12 +33,15 @@ import random
 import re
 import sqlite3
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
+from unittest import mock
 
 import pytest
 
 from repro.db import Database
+from repro.db.sql import executor
 from repro.errors import ReproError
 from sql_oracle import DIFFERENCES, ERROR, EXAMPLE_TABLE
 
@@ -332,19 +339,38 @@ class Generator:
                 yield sql, (), "select", ordered
 
 
-def run(seed: int, count: int) -> tuple[int, list[str]]:
+@contextmanager
+def head_sorts() -> Iterator[list[int]]:
+    """Count, in the yielded one-item list, the sorts ``SortNode`` gives
+    a LIMIT's head (or the rest after it): those handed leading keys it
+    evaluated to find the head."""
+    found = [0]
+    ordered = executor.SortNode._ordered
+
+    def spy(self, rows, params, lead=None):
+        found[0] += lead is not None
+        return ordered(self, rows, params, lead)
+
+    with mock.patch.object(executor.SortNode, "_ordered", spy):
+        yield found
+
+
+def run(seed: int, count: int) -> tuple[int, list[str], int]:
     """Run ``count`` statements of ``seed``'s stream on both engines:
-    (statements run, undeclared mismatches)."""
+    (statements run, undeclared mismatches, SELECTs whose ORDER BY took
+    the bounded path)."""
     db = Database()
     lite = sqlite3.connect(":memory:")
     lite.execute("PRAGMA case_sensitive_like = ON")  # the "LIKE" row
     mismatches: list[str] = []
-    ran = 0
+    ran = bounded = 0
     for sql, params, kind, ordered in Generator(seed).stream(count):
         ran += 1
         try:
-            result = db.execute(sql, params)
-            ours: Any = result.rows if kind == "select" else result.rowcount
+            with head_sorts() as found:
+                result = db.execute(sql, params)
+                ours: Any = result.rows if kind == "select" else result.rowcount
+            bounded += found[0] > 0
         except ReproError as exc:
             ours = f"error: {exc}"
         try:
@@ -361,13 +387,14 @@ def run(seed: int, count: int) -> tuple[int, list[str]]:
                 ours, theirs = Counter(ours), Counter(theirs)
         if ours != theirs:
             mismatches.append(f"{sql} {params!r}\n    engine: {ours}\n    sqlite: {theirs}")
-    return ran, mismatches
+    return ran, mismatches, bounded
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_engine_answers_what_sqlite_answers(seed):
-    ran, mismatches = run(seed, STATEMENTS)
+    ran, mismatches, bounded = run(seed, STATEMENTS)
     assert ran == STATEMENTS
+    assert bounded > 0, f"seed {seed}: no ORDER BY took the bounded path"
     assert not mismatches, (
         f"seed {seed}: {len(mismatches)} of {ran} statements answered "
         f"differently; replay with REPRO_SQL_SEED={seed} "
