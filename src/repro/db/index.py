@@ -163,6 +163,21 @@ class HashIndex:
             return _EMPTY_IDS
         return bucket if type(bucket) is set else frozenset((bucket,))
 
+    def lookup_many(self, keys: Iterable[tuple]) -> set[int]:
+        """Row ids filed under any of ``keys`` (each as :meth:`lookup`
+        takes it), as a new set the caller owns."""
+        buckets, single = self._map, self._single
+        hits: set[int] = set()
+        for key in keys:
+            bucket = buckets.get(key[0] if single else tuple(key))
+            if bucket is None:
+                continue
+            if type(bucket) is set:
+                hits.update(bucket)
+            else:
+                hits.add(bucket)
+        return hits
+
     def would_violate(self, values: tuple, ignore: Container[int] = ()) -> bool:
         """Whether inserting ``values`` would break uniqueness with a row
         whose id is not in ``ignore``."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.db.types import render_value
 from repro.errors import ExecutionError
@@ -58,6 +58,12 @@ def _name_slots(columns: list[str]) -> dict[str, int]:
     return names
 
 
+#: What a streamed source yields first when priming pinned its snapshot
+#: but produced no row yet: a sort waits to hear how many rows its
+#: consumer takes (``first()``: 1, ``one()``: 2) before it sorts.
+PINNED = object()
+
+
 class ResultSet:
     """Rows returned by a statement.
 
@@ -85,12 +91,18 @@ class ResultSet:
         kind: str = "select",
         row_ids: list[int] | None = None,
         source: Iterator[tuple] | None = None,
+        limit_rows: Callable[[int], None] | None = None,
     ):
         self.columns = columns or []
+        #: Tells the pipeline behind ``source`` the most rows its next pull
+        #: must serve, counting the one it asks for (a sort there then
+        #: orders only that many); None for a plain iterator.
+        self._limit_rows = limit_rows
         self.kind = kind
         self.row_ids = row_ids or []
         self._source = source if rows is None else None
         self._pending: tuple | None = None  # primed row awaiting next_row
+        self._primed = False
         self._consumed = 0  # rows handed out through the streaming API
         if self._source is not None:
             self._rows: list[tuple] = []
@@ -107,7 +119,8 @@ class ResultSet:
         return self._source is not None or self._pending is not None
 
     def prime(self) -> None:
-        """Start the pipeline: pull (and hold) the first row.
+        """Start the pipeline: pull (and hold) the first row, or only pin
+        it when the source yields :data:`PINNED` first.
 
         The engine calls this while the statement's read transaction is
         still live, so every scan in the pipeline resolves its snapshot
@@ -115,15 +128,20 @@ class ResultSet:
         pinned — it serves that snapshot however long the consumer takes
         and whatever commits or aborts happen meanwhile.
         """
-        if self._source is None or self._pending is not None or self._consumed:
+        if self._source is None or self._primed:
             return
+        self._primed = True
         try:
-            self._pending = next(self._source)
+            row = next(self._source)
         except StopIteration:
             self._finish()
+            return
+        if row is not PINNED:
+            self._pending = row
 
     def next_row(self) -> tuple | None:
         """The next streamed row, or None when the stream is exhausted."""
+        self.prime()
         if self._pending is not None:
             row = self._pending
             self._pending = None
@@ -179,6 +197,7 @@ class ResultSet:
                 "before fetching)"
             )
         if self._source is not None or self._pending is not None:
+            self.prime()
             drained = []
             if self._pending is not None:
                 drained.append(self._pending)
@@ -228,9 +247,17 @@ class ResultSet:
             return True  # rows already streamed off: the result had rows
         return bool(self.rows) or self.rowcount > 0
 
+    def _expect(self, count: int) -> None:
+        """Before a pull: the caller takes at most ``count`` more rows."""
+        if self._pending is None and self._limit_rows is not None:
+            self._limit_rows(count)
+
     def first(self) -> tuple | None:
-        """The first row (pulling just one from a streamed result)."""
+        """The first row (pulling just one from a streamed result, whose
+        sort orders only the rows that can come first)."""
         if self.streaming and not self._consumed:
+            self.prime()
+            self._expect(1)
             row = self.next_row()
             self.close()
             return row
@@ -247,7 +274,14 @@ class ResultSet:
         short-circuit).
         """
         if self.streaming and not self._consumed:
-            got = self.take(2)
+            self.prime()
+            got = []
+            for count in (2, 1):
+                self._expect(count)
+                row = self.next_row()
+                if row is None:
+                    break
+                got.append(row)
             self.close()
             if len(got) != 1:
                 raise ExecutionError(

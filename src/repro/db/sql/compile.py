@@ -107,7 +107,7 @@ def _div(a: Any, b: Any) -> Any:
     result = a / b
     if isinstance(a, int) and isinstance(b, int) and result == int(result):
         return int(result)
-    return result
+    return None if result != result else result  # inf / inf is NaN: NULL
 
 
 def _mod(a: Any, b: Any) -> Any:
@@ -118,8 +118,12 @@ def _mod(a: Any, b: Any) -> Any:
         raise ExecutionError("modulo by zero")
     if isinstance(a, float) or isinstance(b, float):
         # Truncated division's remainder, as Postgres computes it (SQLite
-        # truncates float operands to integers first).
-        return math.fmod(a, b)
+        # truncates float operands to integers first). An infinite
+        # dividend has none: NaN, so NULL.
+        try:
+            return math.fmod(a, b)
+        except ValueError:
+            return None
     # The remainder takes the dividend's sign, as in SQLite, Postgres and
     # MySQL: -7 % 3 is -1, 7 % -3 is 1.
     remainder = abs(a) % abs(b)
@@ -165,13 +169,21 @@ def _is_predicate(expr: Expr) -> bool:
 
 
 def _pget(params: Sequence[Any], index: int) -> Any:
+    """Parameter ``index`` as bound: a float NaN binds as NULL, as in
+    SQLite."""
     try:
-        return params[index]
+        value = params[index]
     except IndexError:
         raise ExecutionError(
             f"statement uses parameter #{index + 1} but only "
             f"{len(params)} were supplied"
         ) from None
+    return None if value != value else value
+
+
+def _not_nan(value: Any) -> Any:
+    """``value``, or NULL for a float NaN (a SUM of both infinities)."""
+    return None if value != value else value
 
 
 class _Emitter:
@@ -434,6 +446,11 @@ class _Emitter:
             # TEXT is no number, though Python makes 'a' + 'b' and 'a' * 2.
             self.line(f"if {out}.__class__ is str:")
             self.line(f"    raise ExecutionError({complaint!r})")
+        if op in ("+", "-", "*"):
+            # Infinities can meet in a NaN (inf - inf, inf * 0): NULL, as
+            # in SQLite. ``/`` and ``%`` see to it in their helpers.
+            self.line(f"if {out} != {out}:")
+            self.line(f"    {out} = None")
         return out
 
     def _emit_guarded(self, is_null: str, value: str, complaint: str) -> str:
@@ -871,11 +888,12 @@ def compile_aggregate_programs(
         elif name in ("SUM", "AVG"):
             inits.append("0")
             inits.append("0")
+            env["_not_nan"] = _not_nan
             if name == "SUM":
-                fins.append(f"(st[{slot}] if st[{slot + 1}] else None)")
+                fins.append(f"(_not_nan(st[{slot}]) if st[{slot + 1}] else None)")
             else:
                 fins.append(
-                    f"(st[{slot}] / st[{slot + 1}] if st[{slot + 1}] else None)"
+                    f"(_not_nan(st[{slot}] / st[{slot + 1}]) if st[{slot + 1}] else None)"
                 )
             updates.append(
                 (

@@ -24,6 +24,7 @@ shape of the paper's Table 2.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import chain, compress, count, islice
@@ -38,7 +39,7 @@ from repro.db.expr import (
     conjoin,
     split_conjuncts,
 )
-from repro.db.result import ResultSet
+from repro.db.result import PINNED, ResultSet
 from repro.db.schema import Column, TableSchema
 from repro.db.sql import compile as codegen
 from repro.db.sql import planner
@@ -62,7 +63,7 @@ from repro.db.sql.planner import (
     evaluate_rowless,
     limit_and_offset,
 )
-from repro.db.types import index_key, type_from_sql_name
+from repro.db.types import ColumnType, index_key, type_from_sql_name
 from repro.errors import ExecutionError, PlanningError, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,9 +94,11 @@ class ExecContext:
     #: row the consumer never asked for.
     row_budget: int | None = None
     #: Most rows the consumer takes in all, when a LIMIT bounds the pull
-    #: (its ``limit + offset`` still wanted); None otherwise. Unlike the
-    #: row budget it is not narrowed per pull: a streamed cursor's first
-    #: pull asks for one row, and may go on to take every row.
+    #: (its ``limit + offset`` still wanted) or a streamed cursor's
+    #: consumer said so (``first()``, ``one()``); 0 on a streamed
+    #: cursor's priming pull, which takes no row yet; None otherwise.
+    #: Unlike the row budget it is not narrowed per pull: a streamed
+    #: cursor's pull asks for one row, and may go on to take every row.
     row_limit: int | None = None
     #: A sharded SELECT's execution as its exchanges see it: which
     #: database serves each shard, under which branch; None on one
@@ -216,15 +219,40 @@ class Probe(NamedTuple):
     """An index access path, naming its index: a scan resolves the name
     in its database's index set each time it runs."""
 
-    kind: str  # "hash": equality keys; "in": an IN list; "sorted": a range
+    #: "hash": equality keys; "in": an IN list; "sorted": a range over a
+    #: sorted index; "span": a two-sided range over a hash-indexed
+    #: INTEGER or TIMESTAMP column, probed key by key (:data:`SPAN_ROWS_PER_KEY`).
+    kind: str
     index: str
     columns: tuple[str, ...]
     #: A hash probe's key expressions, one per column; an IN probe's
     #: items, each the key of its single column.
     keys: tuple[Expr, ...] = ()
-    #: A range probe's bounds (None: unbounded).
+    #: A range or span probe's bounds (None: unbounded; a span has both).
     low: Expr | None = None
     high: Expr | None = None
+
+
+#: A span probe looks its keys up one by one only while the table holds at
+#: least this many live rows per key; a wider span scans the table, as a
+#: range on an unindexed column does. Measured with ``SELECT acct, balance
+#: FROM ledger WHERE acct >= ? AND acct < ? ORDER BY acct`` through
+#: ``repro.connect`` on a 5 300-row ledger (``acct`` unique, under a hash
+#: index; 2-vCPU VM, median of 60), probe against scan in µs. Paged, a
+#: 16-page pool: 8 keys 82 / 576, 64 keys 296 / 612, 96 keys 424-701 /
+#: 573-591, 128 keys 536-648 / 601-607, 192 keys 1 326 / 669; so the
+#: break-even lies at 100-130 keys, 40-50 rows per key. In memory: 256
+#: keys 193 / 647, 1 024 keys 1 091 / 1 405, about 5 rows per key. The
+#: paged tier sets the cutoff: 48 rows per key, 110 keys on that ledger.
+SPAN_ROWS_PER_KEY = 48
+#: Column types a span probe serves: ``coerce`` stores only exact ints there.
+_SPAN_TYPES = (ColumnType.INTEGER, ColumnType.TIMESTAMP)
+
+
+def _finite_number(value: Any) -> bool:
+    """Whether ``value`` is an int or a finite float (a bool is neither)."""
+    kind = value.__class__
+    return kind is int or (kind is float and math.isfinite(value))
 
 
 class ScanNode(PlanNode):
@@ -279,7 +307,7 @@ class ScanNode(PlanNode):
         parts.append(")")
         probe = self.probe
         if probe is not None:
-            label = "range" if probe.kind == "sorted" else "probe"
+            label = {"sorted": "range", "span": "span"}.get(probe.kind, "probe")
             parts.append(f" {label}={probe.index}[{', '.join(probe.columns)}]")
             if probe.kind == "in":
                 parts.append(f" in({len(probe.keys)})")
@@ -287,49 +315,75 @@ class ScanNode(PlanNode):
             parts.append(f" filter[{self.filter_sql}]")
         return "".join(parts)
 
-    def _resolve_source(self, ctx: ExecContext) -> Iterable[tuple[int, tuple]]:
-        """The ``(row_id, values)`` source, pinned at call time."""
-        if self.probe is not None:
-            # A probe reads the shared index, so it takes the table lock
-            # a scan would — before looking, or a writer could commit
-            # between the lookup and the row fetch.
-            ctx.txn.read_lock(self.table)
-            # ``candidates`` may be a live view of an index bucket; it is
-            # only read (sorted() copies), never mutated.
-            candidates, keys = self._probe_candidates(ctx)
-            pending = ctx.txn.pending_rows(self.table)
-            # Below the latest state the index can miss a row whose older
-            # version matches; every such row has left its key since (one
-            # of the probed keys, for an equality probe).
-            later = ctx.txn.moved_since_snapshot(
-                self.table, self._probe_positions, keys
-            )
-            if pending or later:
-                merged = set(candidates)
-                merged.update(rid for rid, _ in pending)
-                merged.update(later)
-                candidates = merged
-            # Resolve probe hits against the transaction now, as one set:
-            # probes are bounded index lookups, and materializing them
-            # keeps a streamed pipeline independent of the transaction's
-            # later lifecycle (txn.get_many checks liveness, whereas
-            # txn.scan below returns an iterator pinned at call time).
-            return ctx.txn.get_many(self.table, sorted(candidates))
-        return ctx.txn.scan(self.table)
+    def _access(self, ctx: ExecContext) -> tuple[bool, tuple[tuple, ...] | None]:
+        """How this execution reads the table: ``(probes, keys)``, whether
+        it goes through the probe, and the keys it looks up there, each a
+        tuple of the probe index's column values: an equality probe's one
+        key, an IN list's items (NULL ones dropped: they match no row), a
+        span's (:meth:`_span_keys`). A range probe has none: it reads its
+        sorted index between its bounds."""
+        probe = self.probe
+        if probe is None:
+            return False, None
+        params = ctx.params
+        if probe.kind == "hash":
+            return True, (tuple([evaluate_rowless(expr, params) for expr in probe.keys]),)
+        if probe.kind == "in":
+            items = [evaluate_rowless(expr, params) for expr in probe.keys]
+            return True, tuple([(item,) for item in items if item is not None])
+        if probe.kind == "span":
+            keys = self._span_keys(ctx)
+            return keys is not None, keys
+        return True, None
+
+    def _resolve_source(
+        self, ctx: ExecContext, probes: bool, keys: tuple[tuple, ...] | None
+    ) -> Iterable[tuple[int, tuple]]:
+        """The ``(row_id, values)`` source, pinned at call time: the probe's
+        hits for ``keys`` when ``probes`` (see :meth:`_access`), else the
+        whole table."""
+        if not probes:
+            return ctx.txn.scan(self.table)
+        # A probe reads the shared index, so it takes the table lock a
+        # scan would — before looking, or a writer could commit between
+        # the lookup and the row fetch.
+        ctx.txn.read_lock(self.table)
+        index = ctx.database.index_set(self.table).indexes[self.probe.index.lower()]
+        # ``candidates`` may be a live view of an index bucket; it is only
+        # read (sorted() copies), never mutated.
+        if keys is None:
+            candidates = self._range_hits(index, ctx.params)
+        elif len(keys) == 1:
+            candidates = index.lookup(keys[0])
+        else:
+            candidates = index.lookup_many(keys)
+        pending = ctx.txn.pending_rows(self.table)
+        # Below the latest state the index can miss a row whose older
+        # version matches; every such row has left its key since (one of
+        # the probed keys, for an equality, IN or span probe).
+        later = ctx.txn.moved_since_snapshot(self.table, self._probe_positions, keys)
+        if pending or later:
+            merged = set(candidates)
+            merged.update(rid for rid, _ in pending)
+            merged.update(later)
+            candidates = merged
+        # Resolve probe hits against the transaction now, as one set:
+        # probes are bounded index lookups, and materializing them keeps a
+        # streamed pipeline independent of the transaction's later
+        # lifecycle (txn.get_many checks liveness, whereas txn.scan above
+        # returns an iterator pinned at call time).
+        return ctx.txn.get_many(self.table, sorted(candidates))
 
     def _reenactable(self, ctx: ExecContext, batch: int) -> bool:
-        """Whether a traced run of this scan may record its predicate (a
-        :class:`~repro.db.txn.manager.ScanRead`) instead of its rows: a
-        whole-table scan (no probe), in one chunk (no live scheduler's
-        ``batch``, no row budget), on one database (a shard numbers its
-        commits on its own). Every pushed filter qualifies: every scalar
-        function is deterministic. A write of the transaction's own on the
-        table, or a snapshot below the table's last write, is
+        """Whether a traced run of this whole-table scan (no probe) may
+        record its predicate (a :class:`~repro.db.txn.manager.ScanRead`)
+        instead of its rows: in one chunk (no live scheduler's ``batch``,
+        no row budget), on one database (a shard numbers its commits on
+        its own). Every pushed filter qualifies: every scalar function is
+        deterministic. A write of the transaction's own on the table, or a
+        snapshot below the table's last write, is
         :meth:`Transaction.scan_materialized`'s to refuse."""
-        return (
-            self.probe is None and not batch
-            and ctx.row_budget is None and ctx.shards is None
-        )
+        return not batch and ctx.row_budget is None and ctx.shards is None
 
     def batches(self, ctx: ExecContext) -> Iterator[list[tuple]]:
         """Batch scan: whole chunks, filtered and recorded a chunk at a time.
@@ -352,13 +406,14 @@ class ScanNode(PlanNode):
         ctx.read_counts.setdefault(table, 0)
         track = ctx.track_reads
         batch = ctx.batch_size if _scheduler().current_scheduler() is not None else 0
-        predicate = track and self._reenactable(ctx, batch)
+        probes, keys = self._access(ctx)
+        predicate = track and not probes and self._reenactable(ctx, batch)
         rows = None
-        if self.probe is None and ctx.row_budget is None and (predicate or not track):
+        if not probes and ctx.row_budget is None and (predicate or not track):
             rows = ctx.txn.scan_materialized(table)
         if rows is None:
             predicate = False
-            rows = self._resolve_source(ctx)
+            rows = self._resolve_source(ctx, probes, keys)
             if not track:
                 rows = map(_VALUES_OF_PAIR, rows)
         elif predicate:
@@ -399,7 +454,7 @@ class ScanNode(PlanNode):
         and a statement yields nowhere it did not before; and no read
         records: the rows a write touched are its provenance.
         """
-        pairs = self._resolve_source(ctx)
+        pairs = self._resolve_source(ctx, *self._access(ctx))
         if type(pairs) is not list:
             pairs = list(pairs)
         stats = ctx.database.executor_stats
@@ -411,27 +466,30 @@ class ScanNode(PlanNode):
         stats["batches_processed"] += 1
         return pairs
 
-    def _probe_candidates(
-        self, ctx: ExecContext
-    ) -> tuple[Iterable[int], tuple[tuple, ...] | None]:
-        """Candidate row ids from the index (maybe a read-only live view),
-        and an equality probe's keys, each a tuple of the index's column
-        values (an IN list's NULL items dropped: they match no row); None
-        for a range probe."""
-        params = ctx.params
+    def _span_keys(self, ctx: ExecContext) -> tuple[tuple, ...] | None:
+        """A span probe's keys: every integer from its low bound to its
+        high one, since the column stores only exact ints (the pushed
+        filter re-checks strictness); none for a NULL bound, which no
+        comparison passes. None, to scan the table as it would without
+        the index, when a bound is not a finite number (TEXT, a BOOLEAN,
+        an infinity) or the span has more keys than the table has live
+        rows per :data:`SPAN_ROWS_PER_KEY`."""
+        probe, params = self.probe, ctx.params
+        low = evaluate_rowless(probe.low, params)
+        high = evaluate_rowless(probe.high, params)
+        if low is None or high is None:
+            return ()
+        if not (_finite_number(low) and _finite_number(high)):
+            return None
+        first, last = math.ceil(low), math.floor(high)
+        live = ctx.database.store(self.table).row_count()
+        if (last - first + 1) * SPAN_ROWS_PER_KEY > live:
+            return None
+        return tuple((key,) for key in range(first, last + 1))
+
+    def _range_hits(self, index: Any, params: Sequence[Any]) -> list[int]:
+        """A range probe's row ids: its sorted index between its bounds."""
         probe = self.probe
-        index = ctx.database.index_set(self.table).indexes[probe.index.lower()]
-        if probe.kind == "hash":
-            key = tuple(evaluate_rowless(expr, params) for expr in probe.keys)
-            return index.lookup(key), (key,)
-        if probe.kind == "in":
-            # One bucket per item.
-            items = [evaluate_rowless(expr, params) for expr in probe.keys]
-            keys = tuple((item,) for item in items if item is not None)
-            hits: set[int] = set()
-            for key in keys:
-                hits.update(index.lookup(key))
-            return hits, keys
         low = high = None
         if probe.low is not None:
             low = (evaluate_rowless(probe.low, params),)
@@ -440,8 +498,8 @@ class ScanNode(PlanNode):
         if (low is not None and low[0] is None) or (
             high is not None and high[0] is None
         ):
-            return (), None  # NULL bound: comparison can never be TRUE
-        return index.scan_between(low, high), None
+            return []  # NULL bound: comparison can never be TRUE
+        return index.scan_between(low, high)
 
 
 class FilterNode(PlanNode):
@@ -673,17 +731,18 @@ class AggregateNode(PlanNode):
 class SortNode(PlanNode):
     """ORDER BY: drains its child whole, then sorts only what is pulled.
 
-    Under a LIMIT that wants ``k`` rows (``ctx.row_limit``: its ``limit +
-    offset``), fewer than the input holds, a pull gets the *head*: the
-    rows whose leading key is at or before the ``k``-th best one, ties
-    included, in ORDER BY order. Every head key sorts strictly before
-    every other row's, so head then rest is the whole sort, and the rest
-    is sorted only if the consumer pulls again. Every key that can raise
-    (any but a bare column) is still evaluated over every row first, as
-    the whole sort does, so whether a statement fails does not hang on
-    its LIMIT. A pull with no LIMIT above it sorts every row: a streamed
-    cursor's first pull asks for one row but usually goes on to take them
-    all.
+    Under a row limit of ``k`` (``ctx.row_limit``: a LIMIT's ``limit +
+    offset``, or what a streamed cursor's consumer said it takes), fewer
+    than the input holds, a pull gets the *head*: the rows whose leading
+    key is at or before the ``k``-th best one, ties included, in ORDER BY
+    order. Every head key sorts strictly before every other row's, so
+    head then rest is the whole sort, and the rest is sorted only if the
+    consumer pulls again. A streamed cursor's priming pull (a row limit
+    of 0) gets an empty chunk: the input is drained and the keys are
+    evaluated, but nothing is sorted until the next pull's limit says how
+    much to. Every key that can raise (any but a bare column) is
+    evaluated over every row before any of this, as the whole sort does,
+    so whether a statement fails does not hang on its LIMIT.
     """
 
     def __init__(self, child: PlanNode, keys: Sequence[tuple[Expr, bool]]):
@@ -701,15 +760,14 @@ class SortNode(PlanNode):
         ]
 
     @cached_property
-    def _fallible_keys(self) -> list[Callable]:
-        """The programs of the keys after the first that can raise, last
+    def _fallible_keys(self) -> list[int]:
+        """The positions of the keys after the first that can raise, last
         first: all but bare columns (a stored value always has a sort
         class)."""
-        later = list(zip(self.keys, self._key_programs))[1:]
         return [
-            program
-            for (expr, _ascending), (program, _asc) in reversed(later)
-            if not isinstance(expr, (ColumnRef, planner.SlotRef))
+            position
+            for position in range(len(self.keys) - 1, 0, -1)
+            if not isinstance(self.keys[position][0], (ColumnRef, planner.SlotRef))
         ]
 
     def describe(self) -> str:
@@ -727,44 +785,55 @@ class SortNode(PlanNode):
         if not rows:
             return
         params = ctx.params
-        # A drain above (no row budget) takes every row, whatever LIMIT
-        # is further up.
-        limit = None if ctx.row_budget is None else ctx.row_limit
+        limit = self._limit(ctx)
         if limit is None or limit >= len(rows):
             yield self._ordered(rows, params)
             return
-        for program in self._fallible_keys:
-            program(rows, params)  # raises here if the whole sort would
-        program, ascending = self._key_programs[0]
-        lead = program(rows, params)
+        programs = self._key_programs
+        # Raises here if the whole sort would.
+        known = {at: programs[at][0](rows, params) for at in self._fallible_keys}
+        program, ascending = programs[0]
+        lead = known[0] = program(rows, params)
+        if limit == 0:
+            yield []  # pinned; a layer that drops it pulls on with no limit
+            limit = self._limit(ctx) or None
+            if limit is None or limit >= len(rows):
+                yield self._ordered(rows, params, known)
+                return
         best = heapq.nsmallest if ascending else heapq.nlargest
         bound = best(limit, lead)[-1]
         in_head = list(map(bound.__ge__ if ascending else bound.__le__, lead))
         head = list(compress(rows, in_head))
-        if head:  # empty only if a key does not order (a float NaN)
-            yield self._ordered(head, params, list(compress(lead, in_head)))
+        if head:  # empty only if a key does not order (a stored float NaN)
+            yield self._ordered(head, params, {0: list(compress(lead, in_head))})
         in_rest = list(map(not_, in_head))
         rest = list(compress(rows, in_rest))
         if rest:
-            yield self._ordered(rest, params, list(compress(lead, in_rest)))
+            yield self._ordered(rest, params, {0: list(compress(lead, in_rest))})
+
+    @staticmethod
+    def _limit(ctx: ExecContext) -> int | None:
+        """The most rows this pull's consumer takes; None for a drain above
+        (no row budget), which takes every row whatever LIMIT is further
+        up."""
+        return None if ctx.row_budget is None else ctx.row_limit
 
     def _ordered(
-        self, rows: list[tuple], params: Sequence[Any], lead: list | None = None
+        self, rows: list[tuple], params: Sequence[Any], known: dict | None = None
     ) -> list[tuple]:
-        """``rows`` in ORDER BY order, given their leading keys ``lead``
-        if already evaluated.
+        """``rows`` in ORDER BY order, given the key lists ``known`` (key
+        position -> each row's key) already evaluated over them.
 
         Stable multi-key sort: one pass per key, last to first, each
         ordering positions by that key's (class, value) pairs.
         """
         order: Iterable[int] = range(len(rows))
-        (program, ascending), *others = self._key_programs
-        for other, other_ascending in reversed(others):
-            keys = other(rows, params)
-            order = sorted(order, key=keys.__getitem__, reverse=not other_ascending)
-        if lead is None:
-            lead = program(rows, params)
-        order = sorted(order, key=lead.__getitem__, reverse=not ascending)
+        for at in range(len(self.keys) - 1, -1, -1):
+            program, ascending = self._key_programs[at]
+            keys = known.get(at) if known else None
+            if keys is None:
+                keys = program(rows, params)
+            order = sorted(order, key=keys.__getitem__, reverse=not ascending)
         return [rows[i] for i in order]
 
 
@@ -963,9 +1032,19 @@ def _stream_rows(plan: PlanNode, ctx: ExecContext) -> Iterator[tuple]:
     batch size: priming the cursor, ``first()`` or ``one()`` touch only
     the rows they hand out, while a consumer that keeps fetching soon
     gets whole batches — never buffering more than it has already taken.
+    The first pull, the priming, has a row limit of 0: every scan still
+    resolves its snapshot, but a sort, which drains its input to do so,
+    sorts nothing yet and hands out an empty chunk, so the stream's first
+    item is :data:`~repro.db.result.PINNED` instead of a row. Before its
+    next pull the consumer may set the row limit to what it takes
+    (``ResultSet.first``: 1, ``one``: 2), and a sort orders only those;
+    otherwise a pull has none.
     """
-    ctx.row_budget = 1
+    ctx.row_budget, ctx.row_limit = 1, 0
     for chunk in plan.batches(ctx):
+        ctx.row_limit = None
+        if not chunk:
+            yield PINNED
         yield from chunk
         ctx.row_budget *= 2
         if ctx.batch_size and ctx.row_budget > ctx.batch_size:
@@ -1104,8 +1183,12 @@ def _find_probe(
     ``col IN (...)`` on a single-column hash index yields an IN probe,
     one bucket lookup per item; range conjuncts (<, <=, >, >=, BETWEEN)
     on a single-column sorted index yield a range probe (a missing bound
-    is unbounded). Keys, items and bounds are literals or parameters,
-    evaluated per execution. The probe names its index, so
+    is unbounded); failing that, a low and a high bound on an INTEGER or
+    TIMESTAMP column with a single-column hash index yield a span probe,
+    one bucket lookup per integer between them, which scans instead when
+    its bounds are not finite numbers or span too many keys
+    (:meth:`ScanNode._span_keys`). Keys, items and bounds are literals or
+    parameters, evaluated per execution. The probe names its index, so
     the plan stays a function of the catalog, not of one database's
     storage.
 
@@ -1196,6 +1279,15 @@ def _find_probe(
                 return Probe(
                     "sorted", index.name, index.columns,
                     low=sides.get("low"), high=sides.get("high"),
+                )
+
+    for column, sides in bounds.items():
+        if len(sides) == 2 and schema.column(column).col_type in _SPAN_TYPES:
+            index = database.index_set(canonical).equality_index_for({column})
+            if index is not None:
+                return Probe(
+                    "span", index.name, index.columns,
+                    low=sides["low"], high=sides["high"],
                 )
     return None
 
@@ -1411,7 +1503,10 @@ def _execute_select(
         # statement trace carries every read and the row count, so
         # TROD-attached databases drain instead.
         return ResultSet(
-            columns=out_names, kind="select", source=_stream_rows(plan, ctx)
+            columns=out_names,
+            kind="select",
+            source=_stream_rows(plan, ctx),
+            limit_rows=partial(setattr, ctx, "row_limit"),
         )
     return ResultSet(
         columns=out_names, rows=_drain_rows(plan, ctx), kind="select"

@@ -225,8 +225,8 @@ class _SumAcc(Accumulator):
             return None
         total = sum(self._values)
         if self._average:
-            return total / len(self._values)
-        return total
+            total /= len(self._values)
+        return None if total != total else total  # inf + -inf is NaN: NULL
 
 
 class _MinMaxAcc(Accumulator):

@@ -10,7 +10,9 @@ the visible rows does. The model below is that loop; the matrix crosses
     index        none | hash (k) | sorted (k) | hash (k, g)
     isolation    SERIALIZABLE | SNAPSHOT | READ_COMMITTED
     predicate    equality | range | equality + residual | NULL key |
-                 no match | no WHERE
+                 no match | no WHERE | the spans: strict, BETWEEN with
+                 float bounds, low above high, a NULL bound, a TEXT
+                 bound, wider than the table
     transaction  autocommit | a matching row inserted earlier | the indexed
                  column changed earlier (the shared index is stale both
                  ways) | a matching row deleted earlier
@@ -21,6 +23,12 @@ on a :class:`Database` and on every shard of a :class:`ShardedDatabase`,
 and compares ``rowcount``, ``row_ids``, the final rows, the WAL changes
 of the commit, and the read provenance (none: a write's
 provenance is the rows it wrote).
+
+A range with both bounds under the hash index on ``k`` is a span probe;
+the module lowers its cutoff to one live row per key
+(``executor.SPAN_ROWS_PER_KEY``), so a narrow span on these small tables
+looks its keys up and the wide one scans, as do the spans whose bounds
+are not finite numbers.
 """
 
 from __future__ import annotations
@@ -29,6 +37,11 @@ import pytest
 
 from repro.db import Database, IsolationLevel, ShardedDatabase
 from repro.db.sql import executor
+
+
+@pytest.fixture(autouse=True)
+def narrow_span_cutoff(monkeypatch):
+    monkeypatch.setattr(executor, "SPAN_ROWS_PER_KEY", 1)
 
 TABLE_DDL = "CREATE TABLE t (k INTEGER, g INTEGER, v INTEGER)"
 
@@ -63,7 +76,33 @@ PREDICATES = {
     "null key": ("WHERE k = ?", (None,), lambda k, g, v: False),
     "no match": ("WHERE k = ?", (999,), lambda k, g, v: False),
     "no where": ("", (), lambda k, g, v: True),
+    "span strict": (
+        "WHERE k > ? AND k <= ?",
+        (1, 3),
+        lambda k, g, v: k is not None and 1 < k <= 3,
+    ),
+    "span between floats": (
+        "WHERE k BETWEEN ? AND ?",
+        (1.5, 3.5),
+        lambda k, g, v: k is not None and 1.5 <= k <= 3.5,
+    ),
+    "span empty": ("WHERE k >= ? AND k < ?", (4, 2), lambda k, g, v: False),
+    "span null bound": ("WHERE k >= ? AND k < ?", (None, 3), lambda k, g, v: False),
+    "span text bound": (
+        # Every number sorts below TEXT.
+        "WHERE k > ? AND k < ?",
+        (2, "a"),
+        lambda k, g, v: k is not None and k > 2,
+    ),
+    "span wide": (
+        "WHERE ? <= k AND k < ?",
+        (-1000, 1000),
+        lambda k, g, v: k is not None,
+    ),
 }
+
+SPANS = ("range", "span strict", "span between floats", "span empty",
+         "span null bound", "span text bound", "span wide")
 
 #: (index, predicate) -> what the plan's scan line must show, under every
 #: isolation level. Every other cell is a plain scan.
@@ -72,8 +111,9 @@ PROBES = {
     ("hash", "equality+residual"): "probe=ix[k]",
     ("hash", "null key"): "probe=ix[k]",
     ("hash", "no match"): "probe=ix[k]",
-    ("sorted", "range"): "range=ix[k]",
     ("hash2", "equality+residual"): "probe=ix[k, g]",
+    **{("sorted", span): "range=ix[k]" for span in SPANS},
+    **{("hash", span): "span=ix[k]" for span in SPANS},
 }
 
 STATEMENTS = {
@@ -318,3 +358,34 @@ def test_dml_records_no_reads_where_a_select_does():
     # Tracking was on all along.
     assert len([row for read_set in txn.read_records for row in read_set.rows()]) == 3
     txn.commit()
+
+
+def test_each_span_takes_its_path(monkeypatch):
+    """Under the hash index a narrow span looks its keys up, an empty one
+    (low above high, a NULL bound) looks up nothing, and one with a TEXT
+    bound or wider than the table's live rows scans."""
+    taken: list = []
+    span_keys = executor.ScanNode._span_keys
+
+    def spy(self, ctx):
+        keys = span_keys(self, ctx)
+        taken.append(keys)
+        return keys
+
+    monkeypatch.setattr(executor.ScanNode, "_span_keys", spy)
+    expected = {
+        "range": ((2,), (3,), (4,), (5,)),
+        "span strict": ((1,), (2,), (3,)),
+        "span between floats": ((2,), (3,)),
+        "span empty": (),
+        "span null bound": (),
+        "span text bound": None,
+        "span wide": None,
+    }
+    for predicate, keys in expected.items():
+        for statement, (template, _rewrite) in STATEMENTS.items():
+            db, _nodes = single_node("hash")
+            where, params, _matches = PREDICATES[predicate]
+            taken.clear()
+            db.execute(template.format(where=where), params)
+            assert taken == [keys], (predicate, statement)

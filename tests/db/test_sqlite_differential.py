@@ -21,6 +21,15 @@ Every ``ORDER BY ... LIMIT`` below its input's size sorts only the
 LIMIT's head (``SortNode``); the test counts those statements, so the
 oracle provably covers that path.
 
+Most tables get an index on one INTEGER column, a hash index or now and
+then a SORTED one, and SELECT, UPDATE and DELETE bound that column on
+both sides now and then: strict and inclusive, ``BETWEEN``, float, NULL
+and TEXT bounds, low above high, narrow spans and wide ones. Under a hash
+index such a range is a span probe (``ScanNode._span_keys``), which looks
+its keys up one by one or, past its cutoff, scans; the run lowers the
+cutoff to one live row per key, so small tables take both paths, and the
+test counts the statements that probed.
+
 ``REPRO_SQL_SEED`` runs one seed and ``REPRO_SQL_STATEMENTS`` sets its
 stream's length (CI: 10 000 per seed). By default four seeds run 500
 statements each.
@@ -84,6 +93,14 @@ class Generator:
             kinds = [INT, FLOAT, TEXT, self.rng.choice([INT, FLOAT, TEXT])]
             self.rng.shuffle(kinds)
             self.tables[name] = [("id", INT)] + [(f"c{i}", k) for i, k in enumerate(kinds)]
+        #: table -> (the INTEGER column its ranges bound, its index DDL or
+        #: ""): t0's index is a hash index, t1's any kind or none.
+        self.spanned: dict[str, tuple[str, str]] = {}
+        for name, columns in self.tables.items():
+            column = self.rng.choice([c for c, kind in columns if kind == INT])
+            kind = "" if name == "t0" else self.rng.choice(["", "", "SORTED ", None])
+            ddl = "" if kind is None else f"CREATE {kind}INDEX ix_{name} ON {name} ({column})"
+            self.spanned[name] = (column, ddl)
 
     # -- values and leaves ---------------------------------------------------
 
@@ -226,11 +243,56 @@ class Generator:
         scope = self.scope_of(table)
         targets = self.rng.sample(self.tables[table][1:], self.rng.randint(1, 2))
         sets = ", ".join(f"{name} = {self.bounded(kind, scope)}" for name, kind in targets)
-        return f"UPDATE {table} SET {sets} WHERE {self.condition(scope)}"
+        return f"UPDATE {table} SET {sets} WHERE {self.where(table, scope)}"
 
     def delete(self) -> str:
         table = self.rng.choice(list(self.tables))
-        return f"DELETE FROM {table} WHERE {self.condition(self.scope_of(table))}"
+        return f"DELETE FROM {table} WHERE {self.where(table, self.scope_of(table))}"
+
+    def where(self, table: str, scope, prefix: str = "") -> str:
+        """A WHERE condition on ``table``, now and then led by a span."""
+        if self.rng.random() < 0.35:
+            span = self.span(table, prefix)
+            if self.rng.random() < 0.5:
+                return span
+            return f"{span} AND {self.condition(scope)}"
+        return self.condition(scope)
+
+    def span_bound(self, column: str) -> str:
+        """A bound near ``column``'s values: ids grow, other INTEGERs stay
+        in [-4, 4]. Now and then a float, NULL, or TEXT (never a numeric
+        one, so SQLite's column affinity leaves it TEXT, which every
+        number sorts below in both engines)."""
+        rng = self.rng
+        roll = rng.random()
+        if roll < 0.05:
+            return "NULL"
+        if roll < 0.1:
+            return literal(rng.choice(TEXTS))
+        value = rng.randint(-1, self.next_id) if column == "id" else rng.randint(-6, 6)
+        if roll < 0.3:
+            return literal(value + 0.5)
+        return literal(value)
+
+    def span(self, table: str, prefix: str = "") -> str:
+        """Two bounds on ``table``'s spanned column, as one conjunct pair:
+        strict or inclusive, either side first, ``BETWEEN`` now and then,
+        low above high as it falls, and a wide span one time in ten."""
+        rng = self.rng
+        column = self.spanned[table][0]
+        ref = prefix + column
+        low, high = self.span_bound(column), self.span_bound(column)
+        if rng.random() < 0.1:
+            low, high = literal(-50 - rng.randint(0, 9)), literal(self.next_id + 50)
+        if rng.random() < 0.25:
+            return f"{ref} BETWEEN {low} AND {high}"
+        lower = f"{ref} {rng.choice(['>', '>='])} {low}"
+        upper = f"{ref} {rng.choice(['<', '<='])} {high}"
+        if rng.random() < 0.3:
+            lower = f"{low} {rng.choice(['<', '<='])} {ref}"
+        pair = [lower, upper]
+        rng.shuffle(pair)
+        return " AND ".join(pair)
 
     def items(self, scope, count: int) -> list[str]:
         return [
@@ -259,7 +321,8 @@ class Generator:
         """A SELECT and whether its ORDER BY covers every output column."""
         rng = self.rng
         source, scope = self.from_clause()
-        where = f" WHERE {self.condition(scope)}" if rng.random() < 0.7 else ""
+        table = source.split()[0]
+        where = f" WHERE {self.where(table, scope, 'x.')}" if rng.random() < 0.7 else ""
         shape = rng.choice(["plain", "plain", "distinct", "aggregate", "aggregate", "ordered"])
         if shape == "aggregate":
             # A key that is a bare number would be a position to SQLite.
@@ -319,13 +382,17 @@ class Generator:
 
     def stream(self, count: int):
         """``count`` statements: ``(sql, params, kind, ordered)``."""
+        prelude = 0
         for name, columns in self.tables.items():
             body = ", ".join(f"{column} {kind}" for column, kind in columns)
             yield f"CREATE TABLE {name} ({body})", (), "ddl", False
+            if self.spanned[name][1]:
+                yield self.spanned[name][1], (), "ddl", False
+                prelude += 1
         for _ in range(6):
             sql, args = self.insert(params=True)
             yield sql, args, "dml", False
-        for _ in range(count - 8):
+        for _ in range(count - 8 - prelude):
             roll = self.rng.random()
             if roll < 0.1:
                 sql, args = self.insert(params=self.rng.random() < 0.5)
@@ -347,34 +414,57 @@ def head_sorts() -> Iterator[list[int]]:
     found = [0]
     ordered = executor.SortNode._ordered
 
-    def spy(self, rows, params, lead=None):
-        found[0] += lead is not None
-        return ordered(self, rows, params, lead)
+    def spy(self, rows, params, known=None):
+        found[0] += known is not None
+        return ordered(self, rows, params, known)
 
     with mock.patch.object(executor.SortNode, "_ordered", spy):
         yield found
 
 
-def run(seed: int, count: int) -> tuple[int, list[str], int]:
+@contextmanager
+def span_probes() -> Iterator[list[int]]:
+    """Count, in the yielded ``[probed, scanned]``, the span probes that
+    looked their keys up and those that scanned the table instead; the
+    cutoff is one live row per key throughout."""
+    found = [0, 0]
+    span_keys = executor.ScanNode._span_keys
+
+    def spy(self, ctx):
+        keys = span_keys(self, ctx)
+        found[keys is None] += 1
+        return keys
+
+    with mock.patch.object(executor.ScanNode, "_span_keys", spy), \
+            mock.patch.object(executor, "SPAN_ROWS_PER_KEY", 1):
+        yield found
+
+
+def run(seed: int, count: int) -> tuple[int, list[str], int, list[int]]:
     """Run ``count`` statements of ``seed``'s stream on both engines:
     (statements run, undeclared mismatches, SELECTs whose ORDER BY took
-    the bounded path)."""
+    the bounded path, statements whose span probe [looked its keys up,
+    scanned])."""
     db = Database()
     lite = sqlite3.connect(":memory:")
     lite.execute("PRAGMA case_sensitive_like = ON")  # the "LIKE" row
     mismatches: list[str] = []
     ran = bounded = 0
+    spans = [0, 0]
     for sql, params, kind, ordered in Generator(seed).stream(count):
         ran += 1
         try:
-            with head_sorts() as found:
+            with head_sorts() as found, span_probes() as probes:
                 result = db.execute(sql, params)
                 ours: Any = result.rows if kind == "select" else result.rowcount
             bounded += found[0] > 0
+            for path, taken in enumerate(probes):
+                spans[path] += taken > 0
         except ReproError as exc:
             ours = f"error: {exc}"
         try:
-            cursor = lite.execute(sql, params)
+            # SQLite has one kind of index.
+            cursor = lite.execute(sql.replace("CREATE SORTED INDEX", "CREATE INDEX"), params)
             theirs: Any = cursor.fetchall() if kind == "select" else cursor.rowcount
         except sqlite3.Error as exc:
             theirs = f"error: {exc}"
@@ -387,14 +477,16 @@ def run(seed: int, count: int) -> tuple[int, list[str], int]:
                 ours, theirs = Counter(ours), Counter(theirs)
         if ours != theirs:
             mismatches.append(f"{sql} {params!r}\n    engine: {ours}\n    sqlite: {theirs}")
-    return ran, mismatches, bounded
+    return ran, mismatches, bounded, spans
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_engine_answers_what_sqlite_answers(seed):
-    ran, mismatches, bounded = run(seed, STATEMENTS)
+    ran, mismatches, bounded, (probed, scanned) = run(seed, STATEMENTS)
     assert ran == STATEMENTS
     assert bounded > 0, f"seed {seed}: no ORDER BY took the bounded path"
+    assert probed > 0, f"seed {seed}: no span probe looked its keys up"
+    assert scanned > 0, f"seed {seed}: no span probe scanned past its cutoff"
     assert not mismatches, (
         f"seed {seed}: {len(mismatches)} of {ran} statements answered "
         f"differently; replay with REPRO_SQL_SEED={seed} "
@@ -431,3 +523,28 @@ def test_docs_show_the_one_table():
     section = docs.split("## SQL dialect", 1)[1].split("\n## ", 1)[0]
     names = re.findall(r"^\| \*\*(.+?)\*\* \|", section, flags=re.M)
     assert names == [row.name for row in DIFFERENCES]
+
+
+def test_a_nan_parameter_binds_as_null():
+    """A float NaN binds as NULL in both engines: it reads as NULL,
+    matches nothing, and a NOT NULL column refuses it."""
+    nan = float("nan")
+    db = Database()
+    lite = sqlite3.connect(":memory:")
+    for statement in ("CREATE TABLE n (a FLOAT, b INTEGER NOT NULL)",
+                      "INSERT INTO n VALUES (1.5, 1)"):
+        db.execute(statement)
+        lite.execute(statement)
+    for sql in ("SELECT ?", "SELECT ? IS NULL", "SELECT COUNT(*) FROM n WHERE a < ?",
+                "SELECT COALESCE(?, 'null')"):
+        ours = db.execute(sql, (nan,)).scalar()
+        theirs = lite.execute(sql, (nan,)).fetchone()[0]
+        assert normalised((ours,)) == normalised((theirs,)), sql
+    db.execute("INSERT INTO n VALUES (?, 2)", (nan,))
+    lite.execute("INSERT INTO n VALUES (?, 2)", (nan,))
+    assert db.execute("SELECT a FROM n WHERE b = 2").scalar() is None
+    assert lite.execute("SELECT a FROM n WHERE b = 2").fetchone()[0] is None
+    with pytest.raises(ReproError):
+        db.execute("INSERT INTO n VALUES (1.0, ?)", (nan,))
+    with pytest.raises(sqlite3.IntegrityError):
+        lite.execute("INSERT INTO n VALUES (1.0, ?)", (nan,))

@@ -4,8 +4,9 @@
 raise, over every row. Under a LIMIT wanting ``k`` rows (``limit +
 offset``), fewer than its input, a pull then hands the full multi-key
 sort only the head: the rows at or before the ``k``-th best leading key,
-ties included. The rest is sorted only if a consumer pulls again. These
-tests spy on ``SortNode._ordered`` to see how many rows each sort was
+ties included. The rest is sorted only if a consumer pulls again. A
+streamed cursor's priming pull sorts nothing, and ``first()`` (one row)
+or ``one()`` (two) set the limit of the pull after it. These tests spy on ``SortNode._ordered`` to see how many rows each sort was
 given, hold a key that raises outside the head to failing the statement,
 and hold a traced top-k to the read provenance a whole sort records.
 """
@@ -62,9 +63,9 @@ def sorted_sizes(monkeypatch) -> list[int]:
     sizes: list[int] = []
     ordered = executor.SortNode._ordered
 
-    def spy(self, rows, params, lead=None):
+    def spy(self, rows, params, known=None):
         sizes.append(len(rows))
-        return ordered(self, rows, params, lead)
+        return ordered(self, rows, params, known)
 
     monkeypatch.setattr(executor.SortNode, "_ordered", spy)
     return sizes
@@ -77,14 +78,39 @@ def test_a_top_k_sorts_only_its_head(sorted_sizes):
     assert HEAD < 20
 
 
-def test_a_streamed_limit_sorts_its_head_and_a_bare_stream_sorts_whole(sorted_sizes):
+#: The head of a stream's first row: every row with the largest val.
+FIRST_HEAD = head_size(1)
+BARE = "SELECT id, val FROM items ORDER BY val DESC, id"
+
+
+def test_a_streamed_limit_sorts_its_head(sorted_sizes):
     conn = repro.connect(loaded())
     # The stream's first pull asks for one row; the LIMIT's ten bound the head.
     assert [tuple(row) for row in conn.execute(SQL)] == expected(10)
     assert sorted_sizes == [HEAD]
-    sorted_sizes.clear()
-    sql = "SELECT id, val FROM items ORDER BY val DESC, id"
-    assert conn.execute(sql).first() == expected(1)[0]
+
+
+def test_first_on_a_bare_stream_sorts_only_the_first_rows_head(sorted_sizes):
+    """No LIMIT: priming pins the stream and sorts nothing, then
+    ``first()`` asks for one row, so the sort orders only that row's
+    head."""
+    conn = repro.connect(loaded())
+    assert conn.execute(BARE).first() == expected(1)[0]
+    assert sorted_sizes == [FIRST_HEAD]
+    assert FIRST_HEAD < 20
+
+
+def test_one_on_a_bare_stream_sorts_a_two_row_head_and_fails(sorted_sizes):
+    db = loaded()
+    with pytest.raises(ExecutionError, match="several"):
+        db.execute(BARE, stream=True).one()
+    assert sorted_sizes == [head_size(2)]
+    assert head_size(2) < 20
+
+
+def test_a_bare_stream_taken_whole_sorts_whole(sorted_sizes):
+    conn = repro.connect(loaded())
+    assert [tuple(row) for row in conn.execute(BARE)] == expected(N_ROWS)
     assert sorted_sizes == [N_ROWS]
 
 

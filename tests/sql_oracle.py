@@ -216,6 +216,17 @@ def _division_by_zero(node: Expr, values: Sequence[Any]) -> Any:
     return PASS
 
 
+def _infinities(node: Expr, values: Sequence[Any]) -> Any:
+    if not _nonnull(values) or not any(isinstance(v, float) and math.isinf(v) for v in values):
+        return PASS
+    if isinstance(node, BinaryOp) and node.op == "%" and values[1] != 0:
+        if isinstance(values[0], float) and math.isinf(values[0]):
+            return None
+    elif isinstance(node, FuncCall) and node.name == "ROUND" and math.isinf(values[0]):
+        raise ExecutionError(f"ROUND() cannot take {values[0]!r}")
+    return PASS
+
+
 def _boolean(node: Expr, values: Sequence[Any]) -> Any:
     """Where a BOOLEAN meets a number or TEXT: it sorts below both. BETWEEN,
     IN and NULLIF are then their standard definitions over ``=``/``<=``."""
@@ -378,6 +389,23 @@ DIFFERENCES: tuple[Difference, ...] = (
         _division_by_zero,
     ),
     Difference(
+        "Infinities",
+        "A FLOAT past the largest double is an infinity, as in SQLite. Where "
+        "infinities meet in a NaN (inf - inf, inf * 0, inf / inf, a SUM or "
+        "AVG of both) the value is NULL, and a NaN parameter binds as NULL, "
+        "both as in SQLite. But an infinite dividend of % gives NULL, and "
+        "ROUND of an infinity is an error.",
+        "% truncates an infinite dividend to an integer first; ROUND keeps "
+        "an infinity.",
+        "avoid: values stay small, so no expression reaches an infinity",
+        (("SELECT 1e308 * 10 - 1e308 * 10", None, None),
+         ("SELECT (1e308 * 10) * 0", None, None),
+         ("SELECT (1e308 * 10) / (1e308 * 10)", None, None),
+         ("SELECT (1e308 * 10) % 2", None, 1.0),
+         ("SELECT ROUND(1e308 * 10)", ERROR, math.inf)),
+        _infinities,
+    ),
+    Difference(
         "BOOLEAN",
         "TRUE and FALSE are a type of their own. Predicates return them; they "
         "sort below every number and TEXT and equal none of them (TRUE = 1 is "
@@ -462,7 +490,8 @@ DIFFERENCES: tuple[Difference, ...] = (
         "A number never equals TEXT; numbers sort below all TEXT.",
         "The same for values, but a column's affinity first turns '5' into 5 "
         "when compared with an INTEGER column.",
-        "avoid: every comparison, IN and BETWEEN has operands of one kind",
+        "avoid: every comparison, IN and BETWEEN has operands of one kind, "
+        "save a span's TEXT bound on an INTEGER column, never numeric text",
         (("SELECT i = '5' FROM t", False, 1),),
     ),
     Difference(
