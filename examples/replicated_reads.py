@@ -1,6 +1,6 @@
 """One API, three replicas: session-guaranteed reads over a replica set.
 
-``repro.connect()`` over a `ReplicatedDatabase` bakes read-your-writes in:
+``repro.connect()`` over a `ReplicaSet` bakes read-your-writes in:
 each connection carries a session token (the CSN of its last acknowledged
 write) and SELECTs are served only by replicas that have applied it,
 falling back to the primary when replication lag would violate the
@@ -11,11 +11,11 @@ Run:  python examples/replicated_reads.py
 """
 
 import repro
-from repro.db import ReplicatedDatabase
+from repro.db import Database, ReplicaSet
 
 
 def main() -> None:
-    cluster = ReplicatedDatabase(n_replicas=3, mode="async")
+    cluster = ReplicaSet(Database(name="replicated"), n_replicas=3, mode="async")
     conn = repro.connect(cluster)  # read_preference="replica" is the default
 
     conn.execute("CREATE TABLE inventory (sku TEXT, stock INTEGER)")
@@ -23,7 +23,7 @@ def main() -> None:
         conn.execute("INSERT INTO inventory VALUES (?, ?)", (f"SKU{i}", 100))
     cluster.catch_up()
     restock_point = conn.last_commit_csn
-    routing = cluster.replica_set.stats  # who answered each read, and why
+    routing = cluster.stats  # who answered each read, and why
 
     # Replicas are now caught up: reads are served by them round-robin.
     for _ in range(6):
@@ -65,7 +65,7 @@ def main() -> None:
 
     # Failover: promote the most caught-up replica; the same connection
     # keeps working against the new primary.
-    cluster.failover()
+    cluster.promote()
     conn.execute("UPDATE inventory SET stock = 500 WHERE sku = ?", ("SKU0",))
     print(f"after failover, writes land on {cluster.primary.name!r}: "
           f"SKU0 stock = "

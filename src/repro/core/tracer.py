@@ -48,8 +48,8 @@ class Trod:
     :class:`~repro.db.database.Database`, a
     :class:`~repro.db.sharding.ShardedDatabase` facade (every shard's
     transaction/statement events flow into one provenance stream), or a
-    :class:`~repro.db.replication.ReplicatedDatabase` (the primary is
-    observed; replicas replay the same commits by construction).
+    :class:`~repro.db.replication.ReplicaSet` (the primary is observed;
+    replicas replay the same commits by construction).
     """
 
     def __init__(

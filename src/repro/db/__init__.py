@@ -8,7 +8,7 @@ Public surface:
 * :class:`Engine` — the protocol all deployment shapes implement
 * :class:`Database` — embedded multi-version SQL database
 * :class:`ShardedDatabase` — hash-partitioned execution over N stores
-* :class:`ReplicatedDatabase` — a primary plus log-shipping replicas
+* :class:`ReplicaSet` — a primary plus log-shipping replicas
 * :class:`TableSchema` / :class:`Column` / :class:`ColumnType` — schemas
 * :class:`IsolationLevel` / :class:`Transaction` — transaction control
 * :class:`ResultSet` / :class:`Row` — query results
@@ -29,7 +29,6 @@ from repro.db.replication import (
     Applier,
     Replica,
     ReplicaSet,
-    ReplicatedDatabase,
     ReplicationLog,
     Session,
     ShipRecord,
@@ -62,7 +61,6 @@ __all__ = [
     "ReadSet",
     "Replica",
     "ReplicaSet",
-    "ReplicatedDatabase",
     "ReplicationError",
     "ReplicationLog",
     "ResultSet",

@@ -11,7 +11,7 @@ hash-sharded cluster, or a replica-routed deployment.
 * :class:`Engine` — the protocol every deployment shape implements
   (:class:`~repro.db.database.Database`,
   :class:`~repro.db.sharding.ShardedDatabase`,
-  :class:`~repro.db.replication.ReplicatedDatabase`).
+  :class:`~repro.db.replication.ReplicaSet`).
 * :func:`connect` — ``repro.connect(engine, *, session=..., trod=...,
   read_preference=...)`` returning a :class:`Connection`.
 * :class:`Connection` — ``execute`` / ``cursor()`` / context-managed
@@ -29,9 +29,8 @@ catch-up. Reads never consume CSNs, on any engine: SELECTs run under
 transactions that are aborted afterwards, so the commit clock advances
 identically whether a workload runs on one node or twelve. On
 the cluster engines the choice between a replica and the primary is made
-only by :meth:`ReplicaSet.read_target
-<repro.db.replication.ReplicaSet.read_target>` / ``as_of_target``, which
-also count it (``ReplicaSet.stats``). A :class:`Session` holds one CSN:
+only by :meth:`ReplicaSet.target <repro.db.replication.ReplicaSet.target>`,
+which also counts it (``ReplicaSet.stats``). A :class:`Session` holds one CSN:
 the engine's ``last_commit_csn`` after the session's last write.
 """
 
@@ -41,7 +40,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.db.database import READ_PREFERENCES, Database, check_read_preference
-from repro.db.replication import ReplicaSet, ReplicatedDatabase, Session
+from repro.db.replication import Session
 from repro.db.result import ResultSet, Row, _name_slots
 from repro.db.sql.nodes import (
     CreateIndexStmt,
@@ -60,7 +59,7 @@ from repro.runtime.scheduler import CheckpointKind, maybe_checkpoint
 class Engine(Protocol):
     """What a deployment shape must speak to sit behind a Connection.
 
-    ``Database``, ``ShardedDatabase``, and ``ReplicatedDatabase`` all
+    ``Database``, ``ShardedDatabase``, and ``ReplicaSet`` all
     implement this structurally; the protocol exists so new topologies
     (and tests) know the exact contract:
 
@@ -143,9 +142,9 @@ def connect(
     """Open a :class:`Connection` over any :class:`Engine`.
 
     ``engine`` is a :class:`~repro.db.database.Database`,
-    :class:`~repro.db.sharding.ShardedDatabase`,
-    :class:`~repro.db.replication.ReplicatedDatabase`, or a bare
-    :class:`~repro.db.replication.ReplicaSet` (wrapped automatically).
+    :class:`~repro.db.sharding.ShardedDatabase` or
+    :class:`~repro.db.replication.ReplicaSet`, and the connection holds it
+    as it is.
     ``session`` carries read-your-writes guarantees across connections;
     one is created per connection by default. ``trod`` attaches a
     :class:`~repro.core.tracer.Trod` debugger to the engine (any engine —
@@ -153,8 +152,6 @@ def connect(
     node). ``read_preference`` is one of ``primary`` / ``replica`` /
     ``wait``.
     """
-    if isinstance(engine, ReplicaSet):
-        engine = ReplicatedDatabase(replica_set=engine)
     missing = [attr for attr in _ENGINE_SURFACE if not hasattr(engine, attr)]
     if missing:
         raise InterfaceError(
@@ -162,10 +159,7 @@ def connect(
             f"protocol (missing: {', '.join(missing)})"
         )
     if trod is not None:
-        underlying = (
-            engine.primary if isinstance(engine, ReplicatedDatabase) else engine
-        )
-        if trod.database is not engine and trod.database is not underlying:
+        if trod.database is not engine:
             raise InterfaceError(
                 "trod is bound to a different database than this engine"
             )

@@ -22,14 +22,15 @@ change stream*, never by copying loose state. The pieces:
   primary, drain every acknowledged record, promote the most-caught-up
   replica, re-point the log. The set releases every record all of its
   replicas have applied, crashed ones included, so the log holds exactly
-  the backlog of its slowest replica.
+  the backlog of its slowest replica. It is also the replicated engine:
+  :func:`repro.connect` takes it as it is, writes, DDL and transactions
+  run on the primary, and SELECTs are routed.
 * :class:`Session` — session guarantees as routing: a session carries
-  the CSN of its last write, and :meth:`ReplicaSet.read_target` /
-  :meth:`ReplicaSet.as_of_target` — the only two places that choose
-  between a replica and the primary — serve its reads from replicas
-  at/after it (read-your-writes), falling back to the primary or forcing
-  a catch-up when every replica is stale. Every engine reaches them
-  through ``execute_read`` (:class:`ReplicatedDatabase` here,
+  the CSN of its last write, and :meth:`ReplicaSet.target` — the one
+  place that chooses between a replica and the primary — serves its
+  reads from replicas at/after it (read-your-writes), falling back to
+  the primary or forcing a catch-up when every replica is stale. Every
+  engine reaches it through ``execute_read`` (:class:`ReplicaSet` here,
   :class:`~repro.db.sharding.ShardedDatabase` per shard), which is what
   :func:`repro.connect` calls; "which node answered, and why" is counted
   once, in :attr:`ReplicaSet.stats`.
@@ -325,6 +326,11 @@ class ReplicaSet:
     commit. The log releases a record once every replica has applied it,
     so a crashed replica pins the log from its position on until it
     revives and catches up, or a promotion re-provisions it.
+
+    The set is an :class:`~repro.db.connection.Engine`: ``execute``,
+    ``begin``, ``explain``, observers and ``track_reads`` act on the
+    current primary, and :meth:`execute_read` serves each SELECT from the
+    database :meth:`target` names.
     """
 
     def __init__(
@@ -369,8 +375,8 @@ class ReplicaSet:
             "degradations": 0,
             "restorations": 0,
             "reprovisions": 0,
-            # Which node answered each read, and why (:meth:`read_target`
-            # and :meth:`as_of_target` are the only writers).
+            # Which node answered each read, and why (:meth:`target` is
+            # the only writer).
             "replica_reads": 0,
             "primary_reads": 0,
             "stale_fallbacks": 0,
@@ -414,9 +420,6 @@ class ReplicaSet:
         raise ReplicationError(
             f"no replica {name!r} (have {[r.name for r in self.replicas]})"
         )
-
-    def __len__(self) -> int:
-        return len(self.replicas)
 
     def _bootstrap(self, name: str) -> Database:
         """A fresh database like the primary (storage, schema, indexes)
@@ -476,7 +479,7 @@ class ReplicaSet:
 
         Coverage means the replica has applied the commit (its CSN is
         at/after ``csn``) *and* its bootstrap horizon predates it — the
-        qualification :meth:`as_of_target` applies for every engine.
+        qualification :meth:`target` applies to an ``AS OF`` read.
         """
         for replica in self.healthy_replicas():
             if (
@@ -499,51 +502,128 @@ class ReplicaSet:
         self._rr += 1
         return eligible[self._rr % len(eligible)]
 
-    def read_target(self, floor: int = 0, preference: str = "replica") -> Database:
-        """The database that serves one live read; counts the decision.
+    def target(
+        self, floor: int = 0, as_of: int | None = None, preference: str = "replica"
+    ) -> Database:
+        """The database that serves one read; counts the decision.
 
-        A replica at/after ``floor`` (the session-guarantee minimum: the
-        CSN of the caller's last acknowledged write), round robin;
-        when every replica is stale, ``preference='wait'`` forces a
-        catch-up and picks again, ``'replica'`` falls back to the primary.
-        ``preference='primary'`` pins the read to the primary — as does a
-        primary with ``track_reads`` on: TROD observes primaries only, and
-        the events a read emits must not depend on who was asked to serve
-        it (see the module docstring).
+        A live read (``as_of`` None) goes to a replica at/after ``floor``
+        (the session-guarantee minimum: the CSN of the caller's last
+        acknowledged write), round robin; when every replica is stale,
+        ``preference='wait'`` forces a catch-up and picks again,
+        ``'replica'`` falls back to the primary. An ``AS OF`` read goes to
+        any replica whose shipped history covers ``as_of`` — it answers
+        identically to the primary, so floors do not apply and nothing is
+        waited for — else to the primary. ``preference='primary'`` pins
+        the read to the primary, as does a primary with ``track_reads``
+        on: TROD observes primaries only, and the events a read emits must
+        not depend on who was asked to serve it (see the module docstring).
         """
         check_read_preference(preference)
         if preference == "primary" or not self.replicas or self.primary.track_reads:
             self.stats["primary_reads"] += 1
             return self.primary
-        replica = self.pick(min_csn=floor)
-        if replica is None and preference == "wait":
-            self.catch_up()
-            self.stats["catch_up_waits"] += 1
+        if as_of is not None:
+            replica = self.covering_replica(as_of)
+            if replica is None:
+                self.stats["primary_reads"] += 1
+                return self.primary
+        else:
             replica = self.pick(min_csn=floor)
-        if replica is None:
-            self.stats["stale_fallbacks"] += 1
-            return self.primary
+            if replica is None and preference == "wait":
+                self.catch_up()
+                self.stats["catch_up_waits"] += 1
+                replica = self.pick(min_csn=floor)
+            if replica is None:
+                self.stats["stale_fallbacks"] += 1
+                return self.primary
         self.stats["replica_reads"] += 1
         return replica.database
 
-    def as_of_target(self, csn: int, preference: str = "replica") -> Database:
-        """The database that serves one ``AS OF csn`` read.
+    # -- the Engine surface: statements run on the primary ------------------
 
-        Any replica whose shipped history covers ``csn`` answers
-        identically to the primary (session floors do not apply to
-        historical reads, and nothing is waited for); otherwise — or with
-        ``preference='primary'``, or under tracing, as in
-        :meth:`read_target` — the primary.
+    @property
+    def name(self) -> str:
+        return self.primary.name
+
+    @property
+    def catalog(self):
+        return self.primary.catalog
+
+    @property
+    def last_commit_csn(self) -> int:
+        """The engine-neutral commit position (the primary's local CSN)."""
+        return self.primary.last_csn
+
+    def execute(
+        self,
+        sql: str,
+        params: Sequence[Any] = (),
+        txn: Transaction | None = None,
+    ) -> ResultSet:
+        """Authoritative execution on the primary.
+
+        DDL is immediately shipped to the replicas: schema records consume
+        no CSN, so no session floor could otherwise gate their visibility.
+        Use :meth:`execute_read` for replica-served SELECTs.
         """
-        check_read_preference(preference)
-        replica = None
-        if preference != "primary" and not self.primary.track_reads:
-            replica = self.covering_replica(csn)
-        if replica is None:
-            self.stats["primary_reads"] += 1
-            return self.primary
-        self.stats["replica_reads"] += 1
-        return replica.database
+        result = self.primary.execute(sql, params, txn=txn)
+        if result.kind == "ddl":
+            self.catch_up()
+        return result
+
+    def execute_read(
+        self,
+        sql: str,
+        params: Sequence[Any] = (),
+        floor: int = 0,
+        preference: str = "replica",
+    ) -> ResultSet:
+        """A SELECT served by the database :meth:`target` names, CSN-free:
+        that database's own ``execute_read`` runs it, so it streams."""
+        stmt = parse_cached(sql)
+        if not isinstance(stmt, SelectStmt):
+            raise ReplicationError("execute_read supports SELECT statements only")
+        as_of = None if stmt.as_of is None else evaluate_as_of(stmt, params)
+        return self.target(floor, as_of, preference).execute_read(sql, params)
+
+    def begin(
+        self,
+        isolation: IsolationLevel = IsolationLevel.SERIALIZABLE,
+        info: dict[str, Any] | None = None,
+    ) -> Transaction:
+        return self.primary.begin(isolation=isolation, info=info)
+
+    def explain(self, sql: str, params: Sequence[Any] = ()) -> list[str]:
+        return self.primary.explain(sql, params)
+
+    def table_rows(self, table: str) -> list[dict[str, Any]]:
+        return self.primary.table_rows(table)
+
+    def snapshot_rows(self, table: str) -> list[tuple[int, tuple]]:
+        return self.primary.snapshot_rows(table)
+
+    # TROD attaches to the primary; a promotion hands its observers and
+    # ``track_reads`` to the promoted database.
+
+    def add_observer(self, observer: Any) -> None:
+        self.primary.add_observer(observer)
+
+    def remove_observer(self, observer: Any) -> None:
+        self.primary.remove_observer(observer)
+
+    @property
+    def track_reads(self) -> bool:
+        return self.primary.track_reads
+
+    @track_reads.setter
+    def track_reads(self, value: bool) -> None:
+        self.primary.track_reads = value
+
+    @property
+    def cluster_stats(self) -> dict[str, int]:
+        """The set's counters (a sharded engine sums its sets')."""
+        return self.stats
 
     # -- shipping ---------------------------------------------------------
 
@@ -936,177 +1016,3 @@ class Session:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Session {self.name!r} csn={self.last_write_csn}>"
-
-
-class ReplicatedDatabase:
-    """A primary plus its log-shipping replicas behind the one-database API.
-
-    The replica-routed cluster as a first-class engine: it speaks the same
-    ``execute`` / ``begin`` surface as :class:`~repro.db.database.Database`
-    and :class:`~repro.db.sharding.ShardedDatabase`, so
-    :func:`repro.connect` (and anything written against the
-    :class:`~repro.db.connection.Engine` protocol) runs over it unchanged.
-    Writes, DDL, and explicit transactions execute on the primary;
-    :meth:`execute_read` serves SELECTs from whichever database
-    :meth:`ReplicaSet.read_target` / :meth:`ReplicaSet.as_of_target` name
-    (the routing counters live in ``replica_set.stats``).
-    """
-
-    def __init__(
-        self,
-        primary: Database | None = None,
-        n_replicas: int = 1,
-        mode: str = "async",
-        replica_set: ReplicaSet | None = None,
-        name: str = "replicated",
-        ack_quorum: int = 0,
-    ):
-        if replica_set is not None:
-            self.replica_set = replica_set
-        else:
-            self.replica_set = ReplicaSet(
-                primary if primary is not None else Database(name=name),
-                n_replicas=n_replicas,
-                mode=mode,
-                ack_quorum=ack_quorum,
-            )
-
-    # -- plumbing ---------------------------------------------------------
-
-    @property
-    def primary(self) -> Database:
-        return self.replica_set.primary
-
-    @property
-    def name(self) -> str:
-        return self.primary.name
-
-    @property
-    def catalog(self):
-        return self.primary.catalog
-
-    @property
-    def last_csn(self) -> int:
-        return self.primary.last_csn
-
-    @property
-    def last_commit_csn(self) -> int:
-        """The engine-neutral commit position (the primary's local CSN)."""
-        return self.primary.last_csn
-
-    # -- the Engine surface -----------------------------------------------
-
-    def execute(
-        self,
-        sql: str,
-        params: Sequence[Any] = (),
-        txn: Transaction | None = None,
-    ) -> ResultSet:
-        """Authoritative execution on the primary.
-
-        DDL is immediately shipped to the replicas: schema records consume
-        no CSN, so no session floor could otherwise gate their visibility.
-        Use :meth:`execute_read` for replica-served SELECTs.
-        """
-        result = self.primary.execute(sql, params, txn=txn)
-        if result.kind == "ddl":
-            self.replica_set.catch_up()
-        return result
-
-    def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        return self.execute(sql, params)
-
-    def begin(
-        self,
-        isolation: IsolationLevel = IsolationLevel.SERIALIZABLE,
-        info: dict[str, Any] | None = None,
-    ) -> Transaction:
-        return self.primary.begin(isolation=isolation, info=info)
-
-    def execute_read(
-        self,
-        sql: str,
-        params: Sequence[Any] = (),
-        floor: int = 0,
-        preference: str = "replica",
-    ) -> ResultSet:
-        """A SELECT served by a replica at/after ``floor``, CSN-free.
-
-        ``floor`` and ``preference`` are :meth:`ReplicaSet.read_target`'s;
-        ``AS OF`` reads go to :meth:`ReplicaSet.as_of_target`. The serving
-        database's own ``execute_read`` runs the read, so it streams and
-        consumes no CSN.
-        """
-        stmt = parse_cached(sql)
-        if not isinstance(stmt, SelectStmt):
-            raise ReplicationError(
-                "execute_read supports SELECT statements only"
-            )
-        if stmt.as_of is not None:
-            target = self.replica_set.as_of_target(
-                evaluate_as_of(stmt, params), preference
-            )
-        else:
-            target = self.replica_set.read_target(floor, preference)
-        return target.execute_read(sql, params)
-
-    def explain(self, sql: str, params: Sequence[Any] = ()) -> list[str]:
-        return self.primary.explain(sql, params)
-
-    def table_rows(self, table: str) -> list[dict[str, Any]]:
-        return self.primary.table_rows(table)
-
-    def snapshot_rows(self, table: str) -> list[tuple[int, tuple]]:
-        return self.primary.snapshot_rows(table)
-
-    # -- observers (TROD interposition attaches to the primary) -----------
-
-    def add_observer(self, observer: Any) -> None:
-        self.primary.add_observer(observer)
-
-    def remove_observer(self, observer: Any) -> None:
-        self.primary.remove_observer(observer)
-
-    @property
-    def track_reads(self) -> bool:
-        return self.primary.track_reads
-
-    @track_reads.setter
-    def track_reads(self, value: bool) -> None:
-        self.primary.track_reads = value
-
-    # -- cluster management ------------------------------------------------
-
-    def catch_up(self, limit: int | None = None) -> int:
-        return self.replica_set.catch_up(limit=limit)
-
-    @property
-    def cluster_stats(self) -> dict[str, int]:
-        """The replica set's counters (a sharded engine sums its sets')."""
-        return self.replica_set.stats
-
-    def ship_loop(
-        self,
-        scheduler: Any = None,
-        batch: int = 32,
-        max_batches: int | None = None,
-    ) -> int:
-        """Background catch-up (see :meth:`ReplicaSet.ship_loop`)."""
-        return self.replica_set.ship_loop(
-            scheduler=scheduler, batch=batch, max_batches=max_batches
-        )
-
-    def failover(self, target: Replica | str | None = None) -> Database:
-        """Promote a replica (see :meth:`ReplicaSet.promote`).
-
-        An attached TROD observer keeps tracing: the promotion hands the
-        demoted primary's observers and ``track_reads`` to the promoted
-        database.
-        """
-        return self.replica_set.promote(target)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<ReplicatedDatabase primary={self.primary.name!r} "
-            f"replicas={len(self.replica_set)} mode={self.replica_set.mode}>"
-        )

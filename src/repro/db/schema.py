@@ -87,6 +87,11 @@ class TableSchema:
             frozenset((STORAGE_TYPES[col.col_type], type(None))[: 1 + col.nullable])
             for col in self.columns
         )
+        #: Positions of the FLOAT columns: the one type a signature cannot
+        #: vouch for, since a float NaN must be stored as NULL.
+        self._float_positions = tuple(
+            i for i, col in enumerate(self.columns) if col.col_type is ColumnType.FLOAT
+        )
         #: Type signatures (``tuple(map(type, row))``) of rows already
         #: stored unchanged. Each column admits at most two types, its
         #: storage type and NoneType, so the set stays small.
@@ -134,9 +139,12 @@ class TableSchema:
         conversion; only rows holding anything else pay for :func:`coerce`.
         That test depends on nothing but the row's type signature, so a
         row whose signature an earlier row passed with is taken as it is,
-        with no per-value loop.
+        with no per-value loop — save for a float NaN, which is stored as
+        NULL and so makes a NOT NULL column refuse the row: a table with
+        FLOAT columns also looks at their values.
         """
         accepted = self._accepted
+        floats = self._float_positions
         out = []
         for values in rows:
             if type(values) is tuple:
@@ -147,6 +155,8 @@ class TableSchema:
                 row = tuple(values)
             if tuple(map(type, row)) not in accepted:
                 row = self._checked(row)
+            if floats and any(row[i] != row[i] for i in floats):  # NaN != NaN
+                row = self._coerce_each(row)
             out.append(row)
         return out
 

@@ -905,7 +905,7 @@ class ShardedDatabase:
 
         DDL catches every replica set up before returning: schema ship
         records consume no CSN, so no session floor could otherwise gate
-        their visibility (as on a ``ReplicatedDatabase``).
+        their visibility (as on a :class:`~repro.db.replication.ReplicaSet`).
 
         DML results merge per-shard ``row_ids``; each id is meaningful
         only within its owning shard's id space (ids from different
@@ -958,14 +958,13 @@ class ShardedDatabase:
     ) -> ResultSet:
         """A SELECT with each shard's reads served by its replica set.
 
-        The sharded twin of :meth:`ReplicatedDatabase.execute_read
-        <repro.db.replication.ReplicatedDatabase.execute_read>`: ``floor``
-        is the *global* CSN of the caller's last acknowledged write,
-        translated through the aligned commit log into each shard's local
-        floor; per shard, :meth:`ReplicaSet.read_target
-        <repro.db.replication.ReplicaSet.read_target>` (or ``as_of_target``
-        for an ``AS OF`` read) names the database that answers. A shard
-        without a replica set is served by its primary.
+        The sharded twin of :meth:`ReplicaSet.execute_read
+        <repro.db.replication.ReplicaSet.execute_read>`: ``floor`` is the
+        *global* CSN of the caller's last acknowledged write, translated
+        through the aligned commit log into each shard's local floor; per
+        shard, :meth:`ReplicaSet.target
+        <repro.db.replication.ReplicaSet.target>` names the database that
+        answers. A shard without a replica set is served by its primary.
         """
         check_read_preference(preference)
         floors = self.coordinator.local_csns_at(floor) if floor else {}
@@ -974,9 +973,7 @@ class ShardedDatabase:
             replica_set = self.replica_sets.get(store)
             if replica_set is None:
                 return self.coordinator.store(store)
-            if as_of is not None:
-                return replica_set.as_of_target(as_of, preference)
-            return replica_set.read_target(floors.get(store, 0), preference)
+            return replica_set.target(floors.get(store, 0), as_of, preference)
 
         return self.select_routed(sql, params, db_for)
 

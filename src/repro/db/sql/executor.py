@@ -804,8 +804,7 @@ class SortNode(PlanNode):
         bound = best(limit, lead)[-1]
         in_head = list(map(bound.__ge__ if ascending else bound.__le__, lead))
         head = list(compress(rows, in_head))
-        if head:  # empty only if a key does not order (a stored float NaN)
-            yield self._ordered(head, params, {0: list(compress(lead, in_head))})
+        yield self._ordered(head, params, {0: list(compress(lead, in_head))})
         in_rest = list(map(not_, in_head))
         rest = list(compress(rows, in_rest))
         if rest:

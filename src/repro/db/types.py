@@ -91,9 +91,9 @@ def coerce(value: Any, col_type: ColumnType) -> Any:
     """Coerce ``value`` to ``col_type``, raising :class:`TypeCoercionError`.
 
     ``None`` passes through (nullability is enforced by the schema, not
-    here). Lossless widenings are allowed (int -> float); lossy or
-    cross-kind conversions (str -> int) are rejected to keep the engine
-    predictable.
+    here), and a float NaN is stored as NULL, as a NaN parameter binds.
+    Lossless widenings are allowed (int -> float); lossy or cross-kind
+    conversions (str -> int) are rejected to keep the engine predictable.
     """
     if value is None:
         return None
@@ -113,7 +113,8 @@ def coerce(value: Any, col_type: ColumnType) -> Any:
         if isinstance(value, bool):
             raise TypeCoercionError(f"expected FLOAT, got BOOLEAN {value!r}")
         if isinstance(value, (int, float)):
-            return float(value)
+            value = float(value)
+            return value if value == value else None
         raise TypeCoercionError(f"expected FLOAT, got {value!r}")
     if col_type is ColumnType.TEXT:
         if isinstance(value, str):

@@ -264,8 +264,8 @@ class ReplicatedReadWorkload:
     """Read-heavy session traffic against a replicated database.
 
     Drives one :func:`repro.connect` connection per session over a
-    replicated engine (a ``ReplicaSet``, a ``ReplicatedDatabase``, or a
-    ``ShardedDatabase`` with replicas attached): most operations are
+    replicated engine (a ``ReplicaSet`` or a ``ShardedDatabase`` with
+    replicas attached): most operations are
     Zipf-popular point reads served by replicas; the rest update the
     chosen row and immediately read it back *through the same
     connection* — the read-your-writes probe. In async ship mode replicas
@@ -327,7 +327,6 @@ class ReplicatedReadWorkload:
             )
             for i in range(self.n_sessions)
         ]
-        engine = conns[0].engine  # a bare ReplicaSet comes back wrapped
 
         def routing_counters() -> dict[str, int]:
             stats = engine.cluster_stats

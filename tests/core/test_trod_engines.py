@@ -11,7 +11,7 @@ exact one-shard order, and the collisions a multi-shard history has.
 import pytest
 
 from repro.core import Trod
-from repro.db import Database, ReplicatedDatabase, ShardedDatabase, connect
+from repro.db import Database, ReplicaSet, ShardedDatabase, connect
 
 
 def drive(conn) -> None:
@@ -50,6 +50,18 @@ class TestEventStreamParity:
         single = run_engine(Database())
         facade = run_engine(ShardedDatabase(1, shard_keys={"acct": "id"}))
         assert write_events(facade) == write_events(single)
+
+    def test_replica_set_without_replicas_matches_exactly(self):
+        # A set with no replicas is still an engine (not a falsy one):
+        # the debugger attaches to it and every read comes from the primary.
+        single = run_engine(Database())
+        replica_set = ReplicaSet(Database())
+        trod = run_engine(replica_set)
+        assert trod.attached
+        assert trod.interposition in replica_set.primary.observers
+        assert write_events(trod) == write_events(single)
+        assert replica_set.stats["primary_reads"] == 1
+        assert replica_set.stats["replica_reads"] == 0
 
     def test_txn_outcomes_are_visible_on_the_sharded_facade(self):
         trod = run_engine(ShardedDatabase(2, shard_keys={"acct": "id"}))
@@ -144,11 +156,11 @@ class TestTracingSurvivesFailover:
 
     @pytest.mark.parametrize("mode", ["sync", "async"])
     def test_replicated_engine(self, mode):
-        cluster = ReplicatedDatabase(n_replicas=2, mode=mode)
+        cluster = ReplicaSet(Database(name="replicated"), n_replicas=2, mode=mode)
         trod = Trod(cluster)
         conn = connect(cluster, trod=trod)
         old_primary = cluster.primary
-        self.drive_across(conn, cluster.failover)
+        self.drive_across(conn, cluster.promote)
         assert cluster.primary is not old_primary
         assert cluster.track_reads
         assert trod.interposition in cluster.primary.observers

@@ -97,13 +97,13 @@ class TestApiSurface:
     def test_engine_protocol_documents_the_contract(self):
         from repro.db import (
             Database,
-            ReplicatedDatabase,
+            ReplicaSet,
             ShardedDatabase,
         )
         from repro.db.connection import _ENGINE_SURFACE
 
         sharded = ShardedDatabase(1)
-        engines = [Database(), sharded, ReplicatedDatabase(n_replicas=0)]
+        engines = [Database(), sharded, ReplicaSet(Database())]
         for engine in engines:
             for attr in _ENGINE_SURFACE:
                 assert hasattr(engine, attr), (type(engine).__name__, attr)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db import Database, ReplicatedDatabase, ShardedDatabase, connect
+from repro.db import Database, ReplicaSet, ShardedDatabase, connect
 from repro.db.sql.parser import parse_sql
 from repro.errors import ExecutionError, SqlSyntaxError, TimeTravelError
 
@@ -233,7 +233,7 @@ class TestSharded:
 
 class TestReplicated:
     def test_covering_replica_serves_the_read(self):
-        cluster = ReplicatedDatabase(history_db(), n_replicas=1, mode="async")
+        cluster = ReplicaSet(history_db(), n_replicas=1, mode="async")
         cluster.catch_up()
         bookmark = cluster.last_commit_csn
         conn = connect(cluster)
@@ -244,10 +244,10 @@ class TestReplicated:
             ).scalar()
             == "third"
         )
-        assert cluster.replica_set.stats["replica_reads"] == 1
+        assert cluster.stats["replica_reads"] == 1
 
     def test_uncovered_csn_falls_back_to_primary(self):
-        cluster = ReplicatedDatabase(history_db(), n_replicas=1, mode="async")
+        cluster = ReplicaSet(history_db(), n_replicas=1, mode="async")
         # The replica bootstrapped at csn 3: history before that is only
         # on the primary.
         conn = connect(cluster)
@@ -255,4 +255,4 @@ class TestReplicated:
             conn.execute("SELECT v FROM t WHERE id = 1 AS OF 1").scalar()
             == "first"
         )
-        assert cluster.replica_set.stats["primary_reads"] == 1
+        assert cluster.stats["primary_reads"] == 1

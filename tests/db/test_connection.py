@@ -7,7 +7,6 @@ from repro.db import (
     Database,
     IsolationLevel,
     ReplicaSet,
-    ReplicatedDatabase,
     Row,
     Session,
     ShardedDatabase,
@@ -34,7 +33,7 @@ def seeded_sharded() -> ShardedDatabase:
 
 ENGINES = [
     seeded_db,
-    lambda: ReplicatedDatabase(seeded_db(), n_replicas=1),
+    lambda: ReplicaSet(seeded_db(), n_replicas=1),
     seeded_sharded,
 ]
 ENGINE_IDS = ["database", "replicated", "sharded"]
@@ -53,10 +52,10 @@ class TestConnect:
         with pytest.raises(InterfaceError, match="read_preference"):
             connect(Database(), read_preference="nearest")
 
-    def test_wraps_a_bare_replica_set(self):
+    def test_takes_a_replica_set_as_its_engine(self):
         rs = ReplicaSet(seeded_db(), n_replicas=1, mode="sync")
         conn = connect(rs)
-        assert isinstance(conn.engine, ReplicatedDatabase)
+        assert conn.engine is rs
         assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 5
 
     def test_closed_connection_refuses_work(self):
@@ -134,7 +133,7 @@ class TestConnectionExecution:
     def test_reads_consume_no_csns_on_any_engine(self):
         engines = [
             seeded_db(),
-            ReplicatedDatabase(seeded_db(), n_replicas=1),
+            ReplicaSet(seeded_db(), n_replicas=1),
         ]
         sharded = ShardedDatabase(2, shard_keys={"t": "id"})
         sharded.execute("CREATE TABLE t (id INTEGER, v TEXT)")
@@ -275,8 +274,8 @@ class TestCursor:
 
 
 class TestReadPreferences:
-    def make_cluster(self) -> ReplicatedDatabase:
-        cluster = ReplicatedDatabase(seeded_db(), n_replicas=2, mode="async")
+    def make_cluster(self) -> ReplicaSet:
+        cluster = ReplicaSet(seeded_db(), n_replicas=2, mode="async")
         cluster.catch_up()
         return cluster
 
@@ -285,15 +284,15 @@ class TestReadPreferences:
         conn = connect(cluster)
         for _ in range(4):
             conn.execute("SELECT COUNT(*) FROM t")
-        assert cluster.replica_set.stats["replica_reads"] == 4
+        assert cluster.stats["replica_reads"] == 4
 
     def test_primary_preference_pins_reads(self):
         cluster = self.make_cluster()
         conn = connect(cluster, read_preference="primary")
         for _ in range(4):
             conn.execute("SELECT COUNT(*) FROM t")
-        assert cluster.replica_set.stats["replica_reads"] == 0
-        assert cluster.replica_set.stats["primary_reads"] == 4
+        assert cluster.stats["replica_reads"] == 0
+        assert cluster.stats["primary_reads"] == 4
 
     def test_read_your_writes_under_lag(self):
         cluster = self.make_cluster()
@@ -304,15 +303,15 @@ class TestReadPreferences:
         assert (
             conn.execute("SELECT v FROM t WHERE id = 1").scalar() == "fresh"
         )
-        assert cluster.replica_set.stats["stale_fallbacks"] == 1
+        assert cluster.stats["stale_fallbacks"] == 1
 
     def test_wait_preference_catches_up_instead(self):
         cluster = self.make_cluster()
         conn = connect(cluster, read_preference="wait")
         conn.execute("UPDATE t SET v = ? WHERE id = ?", ("w", 1))
         assert conn.execute("SELECT v FROM t WHERE id = 1").scalar() == "w"
-        assert cluster.replica_set.stats["catch_up_waits"] == 1
-        assert cluster.replica_set.stats["stale_fallbacks"] == 0
+        assert cluster.stats["catch_up_waits"] == 1
+        assert cluster.stats["stale_fallbacks"] == 0
 
     def test_read_preference_reassignment_reaches_sharded_routing(self):
         sharded = ShardedDatabase(2, shard_keys={"t": "id"})

@@ -7,7 +7,7 @@ from repro.db import (
     Connection,
     ConnectionPool,
     Database,
-    ReplicatedDatabase,
+    ReplicaSet,
     Session,
     ShardedDatabase,
 )
@@ -143,7 +143,7 @@ class TestPooledSessionGuarantees:
         pool.checkin(b)
 
     def test_read_your_writes_across_pooled_connections(self):
-        cluster = ReplicatedDatabase(seeded_db(), n_replicas=2, mode="async")
+        cluster = ReplicaSet(seeded_db(), n_replicas=2, mode="async")
         cluster.catch_up()
         pool = ConnectionPool(cluster, size=2)
         writer = pool.checkout()
@@ -157,7 +157,7 @@ class TestPooledSessionGuarantees:
             == "fresh"
         )
         pool.checkin(reader)
-        assert cluster.replica_set.stats["stale_fallbacks"] == 1
+        assert cluster.stats["stale_fallbacks"] == 1
 
     def test_explicit_session_is_shared_outside_the_pool(self):
         session = Session("external")

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.cluster.reshard import reshard
-from repro.db import Database, ReplicatedDatabase
+from repro.db import Database, ReplicaSet
 from repro.db.pages import PAGE_FILE_SUFFIX, PagedTableStore
 from repro.db.sharding import ShardedDatabase
 from repro.errors import IntegrityError, StorageError
@@ -397,8 +397,7 @@ class TestProvisionedNodesInheritStorage:
         primary.execute("CREATE TABLE t (k INTEGER, v TEXT)")
         primary.create_index("ix_t_v", "t", ["v"])
         primary.execute("INSERT INTO t VALUES (1, 'a')")
-        cluster = ReplicatedDatabase(primary=primary, n_replicas=1)
-        replica = cluster.replica_set.replicas[0].database
+        replica = ReplicaSet(primary, n_replicas=1).replicas[0].database
         self.assert_paged_like(replica, primary)
         assert isinstance(replica.store("t"), PagedTableStore)
         assert "ix_t_v" in replica.index_set("t").indexes

@@ -1,12 +1,12 @@
 """The one replica-aware read path, held to a table.
 
-``ReplicaSet.read_target`` / ``as_of_target`` are the only code that
-chooses between a replica and the primary, and every engine reaches them
-through ``repro.connect()``. This file states the routing decision as a
-plain-Python model — *who answers* — and checks it over
+``ReplicaSet.target`` is the only code that chooses between a replica
+and the primary, and every engine reaches it through ``execute_read``,
+which is what ``repro.connect()`` calls. This file states the routing
+decision as a plain-Python model — *who answers* — and checks it over
 
-    engine          {ReplicaSet via connect, ReplicatedDatabase,
-                     ShardedDatabase + replicas}
+    engine          {ReplicaSet, ShardedDatabase + replicas}
+  x path            {a connection, the engine's own execute_read}
   x read_preference {primary, replica, wait}
   x replica state   {caught up, behind the session floor, crashed,
                      none attached}
@@ -25,10 +25,11 @@ import weakref
 import pytest
 
 import repro
-from repro.db import Database, ReplicaSet, ReplicatedDatabase, ShardedDatabase
+from repro.db import Database, ReplicaSet, ShardedDatabase
 from repro.db.connection import READ_PREFERENCES
 
-ENGINES = ("replica_set", "replicated", "sharded")
+ENGINES = ("replica_set", "sharded")
+PATHS = ("connect", "execute_read")
 STATES = ("caught_up", "behind", "crashed", "none")
 STATEMENTS = ("live", "as_of_covered", "as_of_below_horizon")
 ROUTING_COUNTERS = (
@@ -99,11 +100,8 @@ class Cluster:
             replica_set = ReplicaSet(engine, n_replicas=n_replicas, mode="async")
             self.replica_sets = [replica_set]
             self.catch_up = replica_set.catch_up
-            engine = (
-                replica_set
-                if engine_kind == "replica_set"
-                else ReplicatedDatabase(replica_set=replica_set)
-            )
+            engine = replica_set
+        self.read_preference = read_preference
         self.conn = repro.connect(engine, read_preference=read_preference)
         # One shipped write (the covered AS OF bookmark), one more that
         # sets the session floor and — in 'behind' — stays unshipped.
@@ -131,6 +129,18 @@ class Cluster:
     def _rows(bumps: int) -> list[tuple]:
         return [(k, 10 * k + bumps) for k in range(N_KEYS)]
 
+    def read(self, path: str, sql: str, params: tuple = ()) -> list:
+        """One SELECT through a connection, or straight to the engine with
+        the session floor and preference a connection would pass."""
+        if path == "connect":
+            return self.conn.execute(sql, params).rows
+        return self.conn.engine.execute_read(
+            sql,
+            params,
+            floor=self.conn.session.last_write_csn,
+            preference=self.read_preference,
+        ).rows
+
     def replicas(self):
         return [r for rs in self.replica_sets for r in rs.replicas]
 
@@ -149,16 +159,16 @@ class Cluster:
 
 
 @pytest.mark.parametrize(
-    "engine_kind, read_preference, state, statement",
-    list(itertools.product(ENGINES, READ_PREFERENCES, STATES, STATEMENTS)),
+    "engine_kind, path, read_preference, state, statement",
+    list(itertools.product(ENGINES, PATHS, READ_PREFERENCES, STATES, STATEMENTS)),
 )
-def test_routing_table(engine_kind, read_preference, state, statement):
+def test_routing_table(engine_kind, path, read_preference, state, statement):
     cluster = Cluster(engine_kind, state, read_preference)
     counters_before = cluster.counters()
     primaries_before, replicas_before = cluster.csn_positions()
 
     if statement == "live":
-        rows = cluster.conn.execute(LIVE_SQL).rows
+        rows = cluster.read(path, LIVE_SQL)
         # Read-your-writes: the session's last (maybe unshipped) write.
         expected_rows = cluster.latest
     else:
@@ -167,7 +177,7 @@ def test_routing_table(engine_kind, read_preference, state, statement):
             if statement == "as_of_covered"
             else cluster.below_horizon
         )
-        rows = cluster.conn.execute(AS_OF_SQL, (bookmark,)).rows
+        rows = cluster.read(path, AS_OF_SQL, (bookmark,))
         expected_rows = cluster.model[bookmark]
     assert [tuple(row) for row in rows] == expected_rows
 
@@ -197,6 +207,32 @@ def test_routing_table(engine_kind, read_preference, state, statement):
         assert replicas_after == replicas_before
 
 
+@pytest.mark.parametrize(
+    "read_preference, state, statement",
+    list(itertools.product(READ_PREFERENCES, STATES, STATEMENTS)),
+)
+def test_target_names_the_modelled_node(read_preference, state, statement):
+    # The choice itself, with no statement run: the session floor goes in
+    # with every read, and an AS OF read ignores it.
+    cluster = Cluster("replica_set", state, read_preference)
+    (replica_set,) = cluster.replica_sets
+    floor = cluster.conn.session.last_write_csn
+    as_of = {
+        "live": None,
+        "as_of_covered": cluster.covered,
+        "as_of_below_horizon": cluster.below_horizon,
+    }[statement]
+    before = cluster.counters()
+    served = replica_set.target(floor, as_of, read_preference)
+    after = cluster.counters()
+    expected = who_answers(read_preference, state, statement)
+    assert {key: after[key] - before[key] for key in ROUTING_COUNTERS} == expected
+    if expected["replica_reads"]:
+        assert served in [replica.database for replica in replica_set.replicas]
+    else:
+        assert served is replica_set.primary
+
+
 def test_sharded_engine_without_replica_sets_reads_primaries():
     # No attach_replicas() at all: nothing to count, same rows, no CSNs.
     sharded = ShardedDatabase(N_SHARDS, shard_keys={"t": "k"})
@@ -212,9 +248,9 @@ def test_sharded_engine_without_replica_sets_reads_primaries():
 
 
 def test_counters_survive_reconnects_and_preference_flips():
-    # They live on the replica set, not on whatever object happened to
-    # route the statement: a new connection (which re-wraps a bare
-    # ReplicaSet) or a per-statement override accumulates, never resets.
+    # They live on the replica set, not on the connection that routed the
+    # statement: a new connection or a per-statement override
+    # accumulates, never resets.
     db = Database()
     Cluster._seed(db)
     replica_set = ReplicaSet(db, n_replicas=1, mode="sync")
@@ -239,11 +275,11 @@ def sharded_with_replicas() -> ShardedDatabase:
     "make_engine",
     (
         Database,
-        lambda: ReplicatedDatabase(n_replicas=1),
+        lambda: ReplicaSet(Database(), n_replicas=1),
         lambda: ShardedDatabase(2),
         sharded_with_replicas,
     ),
-    ids=("database", "replicated", "sharded", "sharded_replicas"),
+    ids=("database", "replica_set", "sharded", "sharded_replicas"),
 )
 def test_unknown_read_preference_is_rejected(make_engine, sql):
     # Refused alike whether or not the engine has replicas to route to:

@@ -16,7 +16,7 @@ import random
 import pytest
 
 import repro
-from repro.db import Database, IsolationLevel, ReplicatedDatabase, ShardedDatabase
+from repro.db import Database, IsolationLevel, ShardedDatabase
 from repro.db.replication import (
     Applier,
     ReplicaSet,
@@ -373,16 +373,15 @@ class TestRevivedSyncReplica:
             assert replica.database.execute("SELECT COUNT(*) FROM t").scalar() == 5
 
     def test_through_connect_on_a_replicated_database(self):
-        engine = ReplicatedDatabase(n_replicas=2, mode="sync")
-        conn = repro.connect(engine)
+        rs = ReplicaSet(Database(name="replicated"), n_replicas=2, mode="sync")
+        conn = repro.connect(rs)
         conn.execute("CREATE TABLE t (k INTEGER)")
-        rs = engine.replica_set
         conn.execute("INSERT INTO t VALUES (0)")
         rs.replicas[0].database.crashed = True
         conn.execute("INSERT INTO t VALUES (1)")
         rs.replicas[0].database.crashed = False
         conn.execute("INSERT INTO t VALUES (2)")
-        assert [r.csn for r in rs.replicas] == [engine.last_commit_csn] * 2
+        assert [r.csn for r in rs.replicas] == [rs.last_commit_csn] * 2
         assert len(rs.log) == 0
         for _ in rs.replicas:  # round robin: each replica answers once
             assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 3

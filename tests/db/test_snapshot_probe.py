@@ -18,7 +18,7 @@ import pytest
 
 from repro.apps import build_ecommerce_app
 from repro.core import Trod
-from repro.db import Database, ReplicatedDatabase, ShardedDatabase, connect
+from repro.db import Database, ReplicaSet, ShardedDatabase, connect
 from repro.db.txn.manager import IsolationLevel
 from repro.errors import SerializationError
 from repro.runtime import Runtime
@@ -402,8 +402,8 @@ class TestCluster:
         primary, single = Database(), Database()
         primary.execute("CREATE TABLE t (id INTEGER, k INTEGER, v TEXT)")
         primary.create_index("ix_k", "t", ["k"], sorted_index=kind == "sorted")
-        cluster = ReplicatedDatabase(primary, n_replicas=1, mode="sync")
-        (replica,) = cluster.replica_set.replicas
+        cluster = ReplicaSet(primary, n_replicas=1, mode="sync")
+        (replica,) = cluster.replicas
         single.execute("CREATE TABLE t (id INTEGER, k INTEGER, v TEXT)")
         conn = connect(cluster)
         for ident in range(12):
@@ -424,7 +424,7 @@ class TestCluster:
             single.execute(sql)
         last = single.last_csn
         assert primary.last_csn == last
-        served = cluster.replica_set.stats["replica_reads"]
+        served = cluster.stats["replica_reads"]
         for csn in range(1, last + 1):
             for sql, params, _pred in QUERIES:
                 read = sql + " AS OF ?"
@@ -434,7 +434,7 @@ class TestCluster:
             assert list(replica.database.store("t").moved_after(csn, K)) == list(
                 primary.store("t").moved_after(csn, K)
             )
-        assert cluster.replica_set.stats["replica_reads"] > served
+        assert cluster.stats["replica_reads"] > served
         sql, access = ACCESS[kind]
         assert access in replica.database.explain(sql)[1]
 

@@ -51,7 +51,7 @@ import pytest
 
 from repro.db import Database
 from repro.db.sql import executor
-from repro.errors import ReproError
+from repro.errors import IntegrityError, ReproError
 from sql_oracle import DIFFERENCES, ERROR, EXAMPLE_TABLE
 
 if "REPRO_SQL_SEED" in os.environ:
@@ -548,3 +548,28 @@ def test_a_nan_parameter_binds_as_null():
         db.execute("INSERT INTO n VALUES (1.0, ?)", (nan,))
     with pytest.raises(sqlite3.IntegrityError):
         lite.execute("INSERT INTO n VALUES (1.0, ?)", (nan,))
+
+
+def test_a_stored_nan_is_null_on_every_insert_path():
+    """``Database.insert_rows`` stores a float NaN as NULL too, as a NaN
+    parameter binds: a NOT NULL column refuses it, and it orders as NULL."""
+    nan = float("nan")
+    db = Database()
+    lite = sqlite3.connect(":memory:")
+    for statement in ("CREATE TABLE n (a FLOAT, b INTEGER)",
+                      "CREATE TABLE m (a FLOAT NOT NULL, b INTEGER)"):
+        db.execute(statement)
+        lite.execute(statement)
+    rows = [(2.5, 1), (nan, 2), (-1.0, 3)]
+    db.insert_rows("n", rows)
+    db.insert_rows("n", [{"a": nan, "b": 4}])
+    lite.executemany("INSERT INTO n VALUES (?, ?)", [*rows, (nan, 4)])
+    for sql in ("SELECT * FROM n ORDER BY a LIMIT 1",
+                "SELECT * FROM n ORDER BY a DESC, b LIMIT 3",
+                "SELECT b FROM n WHERE a IS NULL ORDER BY b"):
+        assert db.execute(sql).rows == lite.execute(sql).fetchall(), sql
+    with pytest.raises(IntegrityError, match="NOT NULL"):
+        db.insert_rows("m", [(1.0, 1), (nan, 2)])
+    with pytest.raises(sqlite3.IntegrityError):
+        lite.execute("INSERT INTO m VALUES (?, 2)", (nan,))
+    assert db.execute("SELECT COUNT(*) FROM m").scalar() == 0

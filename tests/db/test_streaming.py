@@ -11,7 +11,7 @@ import pytest
 
 from repro.db import (
     Database,
-    ReplicatedDatabase,
+    ReplicaSet,
     ResultSet,
     Row,
     ShardedDatabase,
@@ -232,12 +232,12 @@ class TestCursorStreaming:
             cur.fetchone()
 
     def test_replicated_reads_stream_too(self):
-        cluster = ReplicatedDatabase(seeded_db(15), n_replicas=1, mode="sync")
+        cluster = ReplicaSet(seeded_db(15), n_replicas=1, mode="sync")
         conn = connect(cluster)
         result = conn.execute("SELECT k FROM t")
         assert result.streaming
         assert sorted(r[0] for r in result) == list(range(15))
-        assert cluster.replica_set.stats["replica_reads"] == 1
+        assert cluster.stats["replica_reads"] == 1
 
 
 class TestShortCircuit:
@@ -371,8 +371,8 @@ class TestShardedLimitPushdown:
 
 
 class TestPerStatementReadPreference:
-    def make_cluster(self) -> ReplicatedDatabase:
-        cluster = ReplicatedDatabase(seeded_db(10), n_replicas=2, mode="async")
+    def make_cluster(self) -> ReplicaSet:
+        cluster = ReplicaSet(seeded_db(10), n_replicas=2, mode="async")
         cluster.catch_up()
         return cluster
 
@@ -380,12 +380,12 @@ class TestPerStatementReadPreference:
         cluster = self.make_cluster()
         conn = connect(cluster)  # default: replica
         conn.execute("SELECT COUNT(*) FROM t")
-        assert cluster.replica_set.stats["replica_reads"] == 1
+        assert cluster.stats["replica_reads"] == 1
         conn.execute("SELECT COUNT(*) FROM t", read_preference="primary")
-        assert cluster.replica_set.stats["primary_reads"] == 1
+        assert cluster.stats["primary_reads"] == 1
         # The connection default is untouched.
         conn.execute("SELECT COUNT(*) FROM t")
-        assert cluster.replica_set.stats["replica_reads"] == 2
+        assert cluster.stats["replica_reads"] == 2
 
     def test_wait_override_forces_catch_up(self):
         cluster = self.make_cluster()
@@ -395,15 +395,15 @@ class TestPerStatementReadPreference:
             "SELECT v FROM t WHERE k = ?", (1,), read_preference="wait"
         ).scalar()
         assert value == "fresh"
-        assert cluster.replica_set.stats["catch_up_waits"] == 1
-        assert cluster.replica_set.stats["stale_fallbacks"] == 0
+        assert cluster.stats["catch_up_waits"] == 1
+        assert cluster.stats["stale_fallbacks"] == 0
 
     def test_cursor_passes_the_override_through(self):
         cluster = self.make_cluster()
         cur = connect(cluster).cursor()
         cur.execute("SELECT COUNT(*) FROM t", read_preference="primary")
         assert cur.fetchone() == (10,)
-        assert cluster.replica_set.stats["primary_reads"] == 1
+        assert cluster.stats["primary_reads"] == 1
 
     def test_unknown_override_rejected(self):
         conn = connect(seeded_db(3))

@@ -31,7 +31,7 @@ from itertools import product
 import pytest
 
 from repro.core import Trod
-from repro.db import Database, ReplicatedDatabase, ShardedDatabase, connect
+from repro.db import Database, ReplicaSet, ShardedDatabase, connect
 from repro.workload.generators import ConnectionWorkload
 
 from eager_reads import eager_reads, provenance_tables
@@ -82,8 +82,8 @@ ENGINES = {
     "single": (lambda storage: node("single", storage), False),
     "sharded3": (sharded, False),
     "replicated2": (
-        lambda storage: ReplicatedDatabase(
-            primary=node("replicated", storage), n_replicas=2, mode="async"
+        lambda storage: ReplicaSet(
+            node("replicated", storage), n_replicas=2, mode="async"
         ),
         True,
     ),
@@ -156,16 +156,16 @@ def topology(engine) -> list[tuple[Database, list[Database]]]:
             )
             for store, shard in engine.named_shards()
         ]
-    if isinstance(engine, ReplicatedDatabase):
-        return [(engine.primary, [r.database for r in engine.replica_set.replicas])]
+    if isinstance(engine, ReplicaSet):
+        return [(engine.primary, [r.database for r in engine.replicas])]
     return [(engine, [])]
 
 
 def replica_reads(engine) -> int:
     if isinstance(engine, ShardedDatabase):
         return engine.cluster_stats.get("replica_reads", 0)
-    if isinstance(engine, ReplicatedDatabase):
-        return engine.replica_set.stats["replica_reads"]
+    if isinstance(engine, ReplicaSet):
+        return engine.stats["replica_reads"]
     return 0
 
 
@@ -233,9 +233,9 @@ def check_invariants(engine, trod: Trod | None = None) -> None:
 def fail_over(engine) -> None:
     """Promote a replica of every primary, then rejoin each demoted
     primary as a fresh replica bootstrapped from its successor."""
-    if isinstance(engine, ReplicatedDatabase):
-        engine.failover()
-        replica_sets = [engine.replica_set]
+    if isinstance(engine, ReplicaSet):
+        engine.promote()
+        replica_sets = [engine]
     else:
         for store in engine.store_names:
             engine.failover(store)
