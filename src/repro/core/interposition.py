@@ -103,9 +103,10 @@ class InterpositionLayer:
                 due = buffer.add_scan(txn.name, txn.txn_id, read)
             else:
                 # The history no longer gives the rows: stage the ones the
-                # scan read, the committed state at its CSN (the statement
-                # has run, so the transaction may see writes of its own).
-                store = self._trod.database.store(read.table)
+                # scan read, the committed state at its CSN of the database
+                # it ran on (the statement has run, so the transaction may
+                # see writes of its own).
+                store = txn._database.store(read.table)
                 pairs = read.reenact(sorted(store.scan(read.csn)))
                 if len(pairs) != read.count:
                     raise ProvenanceError(

@@ -10,25 +10,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.db.result import text_table
 from repro.db.types import render_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tracer import Trod
-
-
-def _text_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        " | ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "-+-".join("-" * w for w in widths),
-    ]
-    lines.extend(
-        " | ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows
-    )
-    return "\n".join(lines)
 
 
 def render_table1(trod: "Trod", req_ids: list[str] | None = None) -> str:
@@ -52,7 +38,7 @@ def render_table1(trod: "Trod", req_ids: list[str] | None = None) -> str:
         ]
         for r in rows
     ]
-    return _text_table(["TxnId", "Timestamp", "HandlerName", "ReqId", "Metadata"], cells)
+    return text_table(["TxnId", "Timestamp", "HandlerName", "ReqId", "Metadata"], cells)
 
 
 def render_table2(trod: "Trod", table: str, include_snapshot: bool = False) -> str:
@@ -77,7 +63,7 @@ def render_table2(trod: "Trod", table: str, include_snapshot: bool = False) -> s
         ]
         for r in rows
     ]
-    return _text_table(headers, cells)
+    return text_table(headers, cells)
 
 
 def render_retroactive(result) -> str:

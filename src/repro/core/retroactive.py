@@ -20,7 +20,7 @@ database snapshot. Unlike replay, the transaction log cannot be re-applied
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.orderings import (
@@ -291,15 +291,7 @@ class RetroactiveEngine:
         footprints = _Footprints()
         dev.add_observer(footprints)
         runtime = Runtime(dev, registry=registry, seed=self._seed())
-        runtime.execute_request(
-            Request(
-                handler=request.handler,
-                args=request.args,
-                kwargs=dict(request.kwargs),
-                req_id=request.req_id,
-                auth_user=request.auth_user,
-            )
-        )
+        runtime.execute_request(replace(request, kwargs=dict(request.kwargs)))
         return footprints
 
     def _seed(self) -> int:
@@ -320,28 +312,13 @@ class RetroactiveEngine:
         runtime = Runtime(dev, registry=registry, seed=self._seed())
         outcome = OrderingOutcome(index=index, schedule=schedule)
         runtime.add_observer(outcome)  # counts the run's side effects
-        fresh = [
-            Request(
-                handler=r.handler,
-                args=r.args,
-                kwargs=dict(r.kwargs),
-                req_id=r.req_id,
-                auth_user=r.auth_user,
-            )
-            for r in requests
-        ]
+        fresh = [replace(r, kwargs=dict(r.kwargs)) for r in requests]
         results = runtime.run_concurrent(fresh, schedule=schedule)
         for result in results:
             outcome.requests.append(self._outcome_of(result, originals))
         for followup in followups:
             result = runtime.execute_request(
-                Request(
-                    handler=followup.handler,
-                    args=followup.args,
-                    kwargs=dict(followup.kwargs),
-                    req_id=followup.req_id,
-                    auth_user=followup.auth_user,
-                )
+                replace(followup, kwargs=dict(followup.kwargs))
             )
             outcome.followups.append(self._outcome_of(result, originals))
         for table in self.trod.provenance.traced_tables():

@@ -37,6 +37,7 @@ the engine's ``last_commit_csn`` after the session's last write.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import islice
 from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.db.database import READ_PREFERENCES, Database, check_read_preference
@@ -416,7 +417,8 @@ class Cursor:
     pipeline as ``fetchone`` / ``fetchmany`` / iteration ask for them, so
     the cursor holds O(fetch size) rows, never O(result). The stream is
     pinned to the statement's snapshot; ``rowcount`` is ``-1`` until it
-    is exhausted (DB-API's "unknown"), then the total fetched.
+    is exhausted (DB-API's "unknown"), then the total fetched. A
+    materialized result is read the same way, through its iterator.
     """
 
     arraysize = 1
@@ -424,11 +426,9 @@ class Cursor:
     def __init__(self, conn: Connection):
         self._conn = conn
         self._closed = False
-        self._rows: list[Row] = []
-        self._pos = 0
-        self._stream: ResultSet | None = None
+        #: The current result's rows, pulled as fetches ask for them.
+        self._source: Iterator[tuple] = iter(())
         self._names: dict[str, int] = {}
-        self._fetched = 0
         self.description: list[tuple] | None = None
         self.rowcount = -1
         self.lastrowid: int | None = None
@@ -440,10 +440,9 @@ class Cursor:
 
     def close(self) -> None:
         self._closed = True
-        self._rows = []
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
+        self._source = iter(())
+        if self.result is not None:
+            self.result.close()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -476,78 +475,50 @@ class Cursor:
         return self
 
     def _load(self, result: ResultSet) -> None:
-        if self._stream is not None:
-            self._stream.close()  # abandon any previous statement's tail
+        if self.result is not None:
+            self.result.close()  # abandon any previous statement's tail
         self.result = result
-        self._stream = None
-        self._fetched = 0
+        self._source = iter(result)
         if result.kind == "select":
             self._names = _name_slots(result.columns)
             self.description = [
                 (name, None, None, None, None, None, None)
                 for name in result.columns
             ]
-            if result.streaming:
-                self._rows = []
-            else:
-                self._rows = [Row(row, self._names) for row in result.rows]
         else:
             self.description = None
-            self._rows = []
-        if result.kind == "select" and result.streaming:
-            self._stream = result
-        self._pos = 0
         self.rowcount = result.rowcount
         self.lastrowid = result.row_ids[-1] if result.row_ids else None
 
-    def _next_streamed(self) -> Row | None:
-        assert self._stream is not None
-        raw = self._stream.next_row()
-        if raw is None:
-            self.rowcount = self._stream.rowcount
-            self._stream = None
-            return None
-        self._fetched += 1
-        return Row(raw, self._names)
+    def _fetch(self, count: int | None) -> list[Row]:
+        """Up to ``count`` more rows (every one left for None)."""
+        self._check_open()
+        names = self._names
+        rows = [Row(raw, names) for raw in islice(self._source, count)]
+        if count is None or len(rows) < count:
+            self._ended()
+        return rows
+
+    def _ended(self) -> None:
+        """The source ran dry: a stream's row count is known now."""
+        if self.rowcount == -1 and self.result is not None:
+            self.rowcount = self.result.rowcount
 
     def fetchone(self) -> Row | None:
         self._check_open()
-        if self._stream is not None:
-            return self._next_streamed()
-        if self._pos >= len(self._rows):
+        raw = next(self._source, None)
+        if raw is None:
+            self._ended()
             return None
-        row = self._rows[self._pos]
-        self._pos += 1
-        return row
+        return Row(raw, self._names)
 
     def fetchmany(self, size: int | None = None) -> list[Row]:
-        self._check_open()
-        count = self.arraysize if size is None else size
-        if self._stream is not None:
-            chunk: list[Row] = []
-            while len(chunk) < count:
-                row = self._next_streamed()
-                if row is None:
-                    break
-                chunk.append(row)
-            return chunk
-        chunk = self._rows[self._pos : self._pos + count]
-        self._pos += len(chunk)
-        return chunk
+        """Up to ``size`` more rows (``arraysize`` for None; none for a
+        negative size)."""
+        return self._fetch(max(0, self.arraysize if size is None else size))
 
     def fetchall(self) -> list[Row]:
-        self._check_open()
-        if self._stream is not None:
-            chunk: list[Row] = []
-            while True:
-                row = self._next_streamed()
-                if row is None:
-                    break
-                chunk.append(row)
-            return chunk
-        chunk = self._rows[self._pos :]
-        self._pos = len(self._rows)
-        return chunk
+        return self._fetch(None)
 
     def __iter__(self) -> Iterator[Row]:
         while True:

@@ -29,6 +29,7 @@ from typing import Any, Callable, Sequence
 from repro.db.database import Database
 from repro.db.result import ResultSet
 from repro.db.txn.manager import IsolationLevel, Transaction, TransactionStatus
+from repro.db.txn.wal import read_log
 from repro.errors import CrashPoint, TransactionError
 from repro.faults import fault_point
 
@@ -42,13 +43,22 @@ class AlignedCommit:
     local_csns: dict[str, int] = field(hash=False, default_factory=dict)
 
 
+def _decision_from_json(data: Any) -> tuple[int, int | None, dict[str, int]]:
+    """One decision-log line: (gtxn id, None, branch txn ids) for a
+    decision, (gtxn id, global CSN, local CSNs) for an end record."""
+    end = int(data["end"]) if "end" in data else None
+    csns = data["branches" if end is None else "local_csns"]
+    return int(data["gtxn"]), end, {k: int(v) for k, v in csns.items()}
+
+
 class DecisionLog:
     """The coordinator's durable commit decisions (presumed abort).
 
-    Two record kinds, both JSONL. A *decision* is written — and flushed —
-    after every writing branch is durably prepared and before any branch
-    commits: it names the global transaction and each branch's local
-    txn_id, and is the coordinator's point of no return. An *end* record
+    Two record kinds, both JSONL. A *decision* is written — flushed, and
+    fsynced when a writing branch's WAL fsyncs its commits — after every
+    writing branch is durably prepared and before any branch commits: it
+    names the global transaction and each branch's local txn_id, and is
+    the coordinator's point of no return. An *end* record
     is written after phase 2 completes, carrying the aligned commit
     (global CSN -> per-store local CSNs) so a reopened coordinator can
     rebuild its clock and aligned log.
@@ -82,55 +92,33 @@ class DecisionLog:
             self._file = open(path, "a", encoding="utf-8")
 
     def _load(self, path: str) -> None:
-        """Replay an existing log file; a torn final line (crash during
-        append) is dropped and physically truncated, exactly like the
-        WAL's torn-tail handling."""
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        valid_end = 0
-        offset = 0
-        bad_at: int | None = None
-        for raw_line in raw.split(b"\n"):
-            next_offset = offset + len(raw_line) + 1
-            stripped = raw_line.strip()
-            if stripped:
-                try:
-                    data = json.loads(stripped.decode("utf-8"))
-                    gtxn_id = int(data["gtxn"])
-                    if "end" in data:
-                        self.ends[gtxn_id] = (
-                            int(data["end"]),
-                            {k: int(v) for k, v in data["local_csns"].items()},
-                        )
-                        self.decisions.pop(gtxn_id, None)
-                    else:
-                        self.decisions[gtxn_id] = {
-                            k: int(v) for k, v in data["branches"].items()
-                        }
-                except (ValueError, KeyError, TypeError):
-                    if bad_at is None:
-                        bad_at = offset
-                else:
-                    if bad_at is not None:
-                        raise TransactionError(
-                            f"{path}: corrupt decision record at byte "
-                            f"{bad_at} is followed by valid records"
-                        )
-                    valid_end = min(next_offset, len(raw))
-            offset = next_offset
-        if bad_at is not None:
-            with open(path, "r+b") as handle:
-                handle.truncate(valid_end)
+        """Replay an existing log file by the WAL's rule
+        (:func:`~repro.db.txn.wal.read_log`): a torn final line (crash
+        during append) is dropped and physically truncated."""
+        records, _torn = read_log(
+            path, _decision_from_json, "decision", TransactionError, True
+        )
+        for gtxn_id, end, csns in records:
+            if end is None:
+                self.decisions[gtxn_id] = csns
+            else:
+                self.ends[gtxn_id] = (end, csns)
+                self.decisions.pop(gtxn_id, None)
 
-    def _write(self, record: dict[str, Any]) -> None:
+    def _write(self, record: dict[str, Any], sync: bool = False) -> None:
         if self._file is not None:
             self._file.write(json.dumps(record) + "\n")
             self._file.flush()
+            if sync:
+                os.fsync(self._file.fileno())
 
-    def record_commit(self, gtxn_id: int, branches: dict[str, int]) -> None:
-        """Log (durably) that ``gtxn_id`` decided to commit."""
+    def record_commit(
+        self, gtxn_id: int, branches: dict[str, int], sync: bool = False
+    ) -> None:
+        """Log (durably) that ``gtxn_id`` decided to commit; ``sync``
+        also fsyncs the record, as the branch WALs fsync theirs."""
         self.decisions[gtxn_id] = dict(branches)
-        self._write({"gtxn": gtxn_id, "branches": dict(branches)})
+        self._write({"gtxn": gtxn_id, "branches": dict(branches)}, sync)
 
     def record_end(
         self, gtxn_id: int, global_csn: int, local_csns: dict[str, int]
@@ -394,8 +382,13 @@ class MultiStoreCoordinator:
     def _log_decision(
         self, gtxn: GlobalTransaction, prepared: list[tuple[str, Transaction]]
     ) -> None:
+        # The decision lets the branches commit, so it is synced whenever
+        # one of their WALs syncs its commits: a branch commit must not
+        # outlive, on disk, the decision that allowed it.
         self.decision_log.record_commit(
-            gtxn.txn_id, {store: txn.txn_id for store, txn in prepared}
+            gtxn.txn_id,
+            {store: txn.txn_id for store, txn in prepared},
+            any(self.stores[store].wal.fsync for store, _txn in prepared),
         )
         self.stats["decisions_logged"] += 1
 

@@ -760,12 +760,7 @@ class ReplicaSet:
         self._maybe_restore()
         return applied
 
-    def ship_loop(
-        self,
-        scheduler: Any = None,
-        batch: int = 32,
-        max_batches: int | None = None,
-    ) -> int:
+    def ship_loop(self, batch: int = 32, max_batches: int | None = None) -> int:
         """Drain the replication log in batches, yielding between batches.
 
         The background catch-up shape: run this as a cooperative-scheduler
@@ -775,13 +770,9 @@ class ReplicaSet:
         interleave with replica catch-up instead of waiting behind the
         whole backlog. Records appended by foreground commits *during*
         the loop are picked up by later batches. Returns the total number
-        of records applied.
-
-        ``scheduler`` may name the driving
-        :class:`~repro.runtime.scheduler.CooperativeScheduler` explicitly;
-        by default the ambient worker's scheduler is used (and the yield
-        is a no-op on unscheduled threads, so the loop doubles as a plain
-        bounded-batch drain).
+        of records applied. The yield goes to the ambient worker's
+        scheduler, and is a no-op on unscheduled threads, so the loop
+        doubles as a plain bounded-batch drain.
         """
         if batch < 1:
             raise ReplicationError(f"ship batch must be >= 1, got {batch}")
@@ -795,10 +786,7 @@ class ReplicaSet:
             batches += 1
             if max_batches is not None and batches >= max_batches:
                 return applied
-            if scheduler is not None:
-                scheduler.checkpoint(CheckpointKind.SCAN_BATCH, "ship_loop")
-            else:
-                maybe_checkpoint(CheckpointKind.SCAN_BATCH, "ship_loop")
+            maybe_checkpoint(CheckpointKind.SCAN_BATCH, "ship_loop")
 
     def resync(self, replica: Replica | str) -> None:
         """Rebuild a replica from a fresh primary snapshot (in place).

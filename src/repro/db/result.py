@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.db.types import render_value
 from repro.errors import ExecutionError
@@ -56,6 +56,21 @@ def _name_slots(columns: list[str]) -> dict[str, int]:
     for i, column in enumerate(columns):
         names.setdefault(column.lower(), i)
     return names
+
+
+def text_table(headers: Sequence[str], cells: Sequence[Sequence[str]]) -> str:
+    """Align already-formatted cells under their headers, one text line a
+    row (``ResultSet.pretty``, the paper's tables, benchmark output)."""
+    widths = [len(h) for h in headers]
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [
+        " | ".join(h.ljust(w) for h, w in zip(headers, widths)),
+        "-+-".join("-" * w for w in widths),
+    ]
+    lines.extend(" | ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells)
+    return "\n".join(lines)
 
 
 #: What a streamed source yields first when priming pinned its snapshot
@@ -222,18 +237,15 @@ class ResultSet:
         return self._iter_stream()
 
     def _iter_stream(self) -> Iterator[tuple]:
-        while True:
-            if not self.streaming:
-                # Materialized out from under us — list(result) probes
-                # __len__ as a length hint after creating the iterator.
-                # No streamed row was handed out yet (``rows`` refuses
-                # otherwise), so the buffer is the complete result.
-                yield from self._rows
-                return
-            row = self.next_row()
-            if row is None:
-                return
+        next_row = self.next_row
+        while (row := next_row()) is not None:
             yield row
+        if not self._consumed:
+            # Materialized out from under us — list(result) probes
+            # __len__ as a length hint after creating the iterator. No
+            # streamed row was handed out (``rows`` refuses otherwise),
+            # so the buffer is the complete result.
+            yield from self._rows
 
     def __len__(self) -> int:
         if self._consumed:
@@ -324,22 +336,12 @@ class ResultSet:
     def pretty(self, max_rows: int | None = None) -> str:
         """Render as an aligned text table (used by examples and benches)."""
         shown = self.rows if max_rows is None else self.rows[:max_rows]
-        cells = [[render_value(v) for v in row] for row in shown]
-        headers = list(self.columns)
-        widths = [len(h) for h in headers]
-        for row in cells:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = [
-            " | ".join(h.ljust(w) for h, w in zip(headers, widths)),
-            "-+-".join("-" * w for w in widths),
-        ]
-        lines.extend(
-            " | ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells
+        text = text_table(
+            self.columns, [[render_value(v) for v in row] for row in shown]
         )
         if max_rows is not None and len(self.rows) > max_rows:
-            lines.append(f"... ({len(self.rows) - max_rows} more rows)")
-        return "\n".join(lines)
+            text += f"\n... ({len(self.rows) - max_rows} more rows)"
+        return text
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.streaming:

@@ -588,6 +588,22 @@ def _output_name(expr: Expr) -> str:
     return expr.column if isinstance(expr, ColumnRef) else expr.sql()
 
 
+def _require_shard_key(key: str, columns: Sequence[str], what: str) -> None:
+    """Refuse a unique column set that leaves out the shard key.
+
+    Uniqueness is enforced per shard by local indexes, so a UNIQUE or
+    PRIMARY KEY constraint, or a unique index, holds cluster-wide only
+    when the shard key is one of its columns (all candidate duplicates
+    then hash to the same shard). Anything else is rejected up front
+    rather than silently accepting cross-shard duplicates.
+    """
+    if key not in {column.lower() for column in columns}:
+        raise SchemaError(
+            f"{what}({', '.join(columns)}) does not include the shard key "
+            f"{key!r}; per-shard indexes cannot enforce it across shards"
+        )
+
+
 class ShardedDatabase:
     """N hash-partitioned stores behind a single-database ``execute`` API.
 
@@ -679,19 +695,14 @@ class ShardedDatabase:
         for table in sorted(map(db0.catalog.resolve, db0.catalog.table_names())):
             schema = db0.catalog.get(table)
             self._register_shard_key(schema, None)
-            # Adopted unique indexes obey the same co-location rule the
-            # DDL path enforces: per-shard uniqueness is only global
-            # uniqueness when the shard key is among the indexed columns.
+            # Adopted unique indexes obey the DDL path's rule.
             key_col = self.router.key_column(table)
             for index_name, index in db0.index_set(table).indexes.items():
-                if getattr(index, "unique", False) and key_col not in {
-                    column.lower() for column in index.columns
-                }:
-                    raise SchemaError(
-                        f"adopted unique index {index_name} on {table}"
-                        f"({', '.join(index.columns)}) does not include "
-                        f"the shard key {key_col!r}; per-shard indexes "
-                        "cannot enforce it across shards"
+                if getattr(index, "unique", False):
+                    _require_shard_key(
+                        key_col,
+                        index.columns,
+                        f"adopted unique index {index_name} on {table}",
                     )
             # Pre-existing rows must already sit on their hash owner:
             # data loaded under a different shard count, order, or
@@ -701,7 +712,6 @@ class ShardedDatabase:
                 for _row_id, values in shard.store(table).scan(None):
                     owner = self.router.shard_for_row(table, schema, values)
                     if owner != store:
-                        key_col = self.router.key_column(table)
                         key_val = values[schema.index_of(key_col)]
                         raise SchemaError(
                             f"adopted store {store} holds {table} row with "
@@ -1113,25 +1123,21 @@ class ShardedDatabase:
     # -- DDL -----------------------------------------------------------------
 
     def create_table(self, schema: TableSchema, shard_key: str | None = None) -> None:
-        """Programmatic CREATE TABLE on every shard, registering the key;
-        replicas are caught up as after DDL through :meth:`execute`."""
+        """Programmatic CREATE TABLE on every shard or on none (SQL DDL's
+        fan-out), registering the key; replicas are caught up as after
+        DDL through :meth:`execute`."""
         self._resolve_shard_key(schema, shard_key)  # validate before DDL
-        for shard in self.shards:
-            shard.create_table(schema)
-        self._register_shard_key(schema, shard_key)
+        self._fan_out(
+            lambda shard: shard.create_table(schema), schema.name, None, shard_key
+        )
         self.catch_up()
 
     def _resolve_shard_key(
         self, schema: TableSchema, shard_key: str | None
     ) -> str:
-        """The validated shard-key column for a table's schema.
-
-        Uniqueness is enforced per shard by local indexes, so a UNIQUE or
-        PRIMARY KEY constraint can only be honored cluster-wide when the
-        shard key is one of its columns (all candidate duplicates then
-        hash to the same shard). Anything else is rejected up front
-        rather than silently accepting cross-shard duplicates.
-        """
+        """The validated shard-key column for a table's schema: every
+        UNIQUE or PRIMARY KEY constraint must include it
+        (:func:`_require_shard_key`)."""
         key = (
             shard_key
             or self._shard_key_hints.get(schema.name.lower())
@@ -1143,13 +1149,7 @@ class ShardedDatabase:
                 f"shard key {key!r} is not a column of {schema.name}"
             )
         for constraint in schema.unique_constraints:
-            if key not in {column.lower() for column in constraint}:
-                raise SchemaError(
-                    f"unique constraint on {schema.name}"
-                    f"({', '.join(constraint)}) does not include the shard "
-                    f"key {key!r}; per-shard indexes cannot enforce it "
-                    "across shards"
-                )
+            _require_shard_key(key, constraint, f"unique constraint on {schema.name}")
         return key
 
     def _register_shard_key(
@@ -1163,99 +1163,78 @@ class ShardedDatabase:
     def _execute_ddl(
         self, stmt: Statement, sql: str, params: Sequence[Any]
     ) -> ResultSet:
-        # DDL mid-migration would change the schema under the copier's
-        # feet; it parks behind the same fence as write transactions.
-        self._fence_wait()
-        if isinstance(stmt, DropTableStmt):
-            db0 = self._first_shard
-            canonical = None
-            if db0.catalog.has_table(stmt.name):
-                canonical = db0.catalog.resolve(stmt.name)
-            # Drops validate against the (uniform) catalog on the first
-            # shard before mutating anything, so a failure cannot leave
-            # the cluster divergent.
-            for shard in self.shards:
-                shard.execute(sql, params)
-            if canonical is not None:
-                self.router.unregister_table(canonical)
-            return ResultSet(kind="ddl")
+        def run(shard: Database) -> None:
+            shard.execute(sql, params)
+
         db0 = self._first_shard
-        if (
-            isinstance(stmt, CreateIndexStmt)
-            and stmt.unique
-            and db0.catalog.has_table(stmt.table)
-        ):
-            # Same co-location rule as table-level UNIQUE constraints:
-            # a per-shard unique index can only enforce global
-            # uniqueness when the shard key is among its columns.
-            key_col = self.router.key_column(db0.catalog.resolve(stmt.table))
-            if key_col is not None and key_col not in {
-                column.lower() for column in stmt.columns
-            }:
-                raise SchemaError(
-                    f"unique index {stmt.name} on {stmt.table}"
-                    f"({', '.join(stmt.columns)}) does not include the "
-                    f"shard key {key_col!r}; per-shard indexes cannot "
-                    "enforce it across shards"
-                )
-        preexisting: set[str] = set()
         if isinstance(stmt, CreateTableStmt):
-            preexisting = {
-                store
-                for store, shard in self.named_shards()
-                if shard.catalog.has_table(stmt.name)
-            }
+            self._fan_out(run, stmt.name)
         elif isinstance(stmt, CreateIndexStmt):
-            # IndexSet keys are lowercased; match them that way or a
-            # duplicate CREATE differing only in case would compensate
-            # away the genuinely pre-existing index.
-            preexisting = {
-                store
-                for store, shard in self.named_shards()
-                if shard.catalog.has_table(stmt.table)
-                and stmt.name.lower() in shard.index_set(stmt.table).indexes
-            }
-        try:
-            for i, shard in enumerate(self.shards):
-                shard.execute(sql, params)
-                if i == 0 and isinstance(stmt, CreateTableStmt):
-                    # Validate routing (shard key exists, unique
-                    # constraints include it) against the real schema
-                    # before committing the rest of the cluster to it.
-                    self._register_shard_key(
-                        self._first_shard.catalog.get(stmt.name), None
+            if stmt.unique and db0.catalog.has_table(stmt.table):
+                key_col = self.router.key_column(db0.catalog.resolve(stmt.table))
+                if key_col is not None:
+                    _require_shard_key(
+                        key_col, stmt.columns, f"unique index {stmt.name} on {stmt.table}"
                     )
-        except Exception:
-            # A mid-fan-out failure (a bad shard key, or CREATE UNIQUE
-            # INDEX hitting duplicates that only one shard's partition
-            # contains) must not leave some shards with schema the
-            # others lack: undo the statement everywhere, including the
-            # shard that failed half-populated.
-            self._compensate_create(stmt, preexisting)
-            raise
+            self._fan_out(run, stmt.table, stmt.name)
+        else:  # a drop validates against shard 0's uniform catalog first
+            self._fence_wait()
+            dropped = None
+            if isinstance(stmt, DropTableStmt) and db0.catalog.has_table(stmt.name):
+                dropped = db0.catalog.resolve(stmt.name)
+            for shard in self.shards:
+                run(shard)
+            if dropped is not None:
+                self.router.unregister_table(dropped)
         return ResultSet(kind="ddl")
 
-    def _compensate_create(
-        self, stmt: Statement, preexisting: set[str]
+    def _fan_out(
+        self,
+        run: Callable[[Database], Any],
+        table: str,
+        index: str | None = None,
+        shard_key: str | None = None,
     ) -> None:
-        """Best-effort undo of a failed CREATE fan-out on every shard.
+        """Run one CREATE (of ``table``, or of its ``index``) on every
+        shard, in shard order: on all of them or on none.
 
-        ``preexisting`` names the stores that already had the table
-        before this statement (IF NOT EXISTS no-ops there) — those are
-        left alone; everywhere else the created object is dropped.
+        A CREATE TABLE registers its shard key once shard 0 holds the
+        table, checking the key against the real schema before the other
+        shards take it. A CREATE that fails on any shard is dropped again
+        everywhere, the shard that failed half-populated included; shards
+        that held the object before (IF NOT EXISTS no-ops there) keep it.
+        DDL mid-migration would change the schema under the copier's
+        feet, so it parks behind the same fence as write transactions.
         """
-        for store, shard in self.named_shards():
-            if store in preexisting:
-                continue  # the object predates this statement; keep it
-            try:
-                if isinstance(stmt, CreateIndexStmt):
-                    shard.drop_index(stmt.name, stmt.table, if_exists=True)
-                elif isinstance(stmt, CreateTableStmt):
-                    shard.drop_table(stmt.name, if_exists=True)
-            except Exception:  # pragma: no cover - keep unwinding
-                pass
-        if isinstance(stmt, CreateTableStmt) and not preexisting:
-            self.router.unregister_table(stmt.name)
+        self._fence_wait()
+        # IndexSet keys are lowercased; match them that way or a
+        # duplicate CREATE differing only in case would compensate
+        # away the genuinely pre-existing index.
+        preexisting = {
+            store
+            for store, shard in self.named_shards()
+            if shard.catalog.has_table(table)
+            and (index is None or index.lower() in shard.index_set(table).indexes)
+        }
+        try:
+            for i, shard in enumerate(self.shards):
+                run(shard)
+                if i == 0 and index is None:
+                    self._register_shard_key(shard.catalog.get(table), shard_key)
+        except Exception:
+            for store, shard in self.named_shards():
+                if store in preexisting:
+                    continue
+                try:
+                    if index is not None:
+                        shard.drop_index(index, table, if_exists=True)
+                    else:
+                        shard.drop_table(table, if_exists=True)
+                except Exception:  # pragma: no cover - keep unwinding
+                    pass
+            if index is None and not self._first_shard.catalog.has_table(table):
+                self.router.unregister_table(table)
+            raise
 
     # -- SELECT --------------------------------------------------------------
 

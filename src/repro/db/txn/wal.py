@@ -42,10 +42,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from repro.errors import WalError
 from repro.faults import fault_point
+
+R = TypeVar("R")
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,7 +181,8 @@ class WriteAheadLog:
         self._path = path
         self._file = open(path, "a", encoding="utf-8") if path else None
         self._group_size = group_size
-        self._fsync = fsync
+        #: Each flush also fsyncs; a 2PC decision log follows its stores'.
+        self.fsync = fsync
         #: Serialized commits awaiting their group's flush.
         self._pending: list[str] = []
         self.flush_stats = {"appends": 0, "flushes": 0}
@@ -238,7 +241,7 @@ class WriteAheadLog:
         fault_point("wal.flush", path=self._path, pending=len(self._pending))
         self._file.write("\n".join(self._pending) + "\n")
         self._file.flush()
-        if self._fsync:
+        if self.fsync:
             os.fsync(self._file.fileno())
         self._pending.clear()
         self.flush_stats["flushes"] += 1
@@ -272,67 +275,85 @@ class WriteAheadLog:
 
         The commits are the caller's: the returned log keeps none of them.
 
-        A crash can tear the final record (the process died mid-write),
-        leaving a truncated JSON line at the tail. That is a *clean
-        recovery point*, not corruption: every record before it replays
-        and the partial tail is dropped (``torn_tail_dropped`` is set on
-        the returned log). An unparsable record *followed by further
-        valid records* is genuine corruption and still raises
+        The file is read by :func:`read_log`: a torn final record is
+        dropped (``torn_tail_dropped`` is set on the returned log), and
+        a corrupt one followed by valid records raises
         :class:`~repro.errors.WalError`.
 
         With ``attach=True`` the log stays bound to ``path`` for
         continued appends — the recovery path uses this so a reopened
-        database keeps writing the same file. A dropped torn tail is
-        physically truncated away first so the file never carries dead
-        bytes forward.
+        database keeps writing the same file, its torn tail truncated
+        away first.
         """
+        records, torn = read_log(path, _record_from_json, "WAL", WalError, attach)
         wal = WriteAheadLog()
         commits: list[WalCommit] = []
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        bad_at: int | None = None
-        valid_end = 0  # byte offset just past the last valid record
-        offset = 0
-        for raw_line in raw.split(b"\n"):
-            next_offset = offset + len(raw_line) + 1
-            stripped = raw_line.strip()
-            if stripped:
-                try:
-                    record = _record_from_json(
-                        json.loads(stripped.decode("utf-8"))
-                    )
-                except (ValueError, KeyError, TypeError):
-                    record = None
-                if record is None:
-                    if bad_at is None:
-                        bad_at = offset
-                else:
-                    if bad_at is not None:
-                        raise WalError(
-                            f"{path}: corrupt WAL record at byte {bad_at} "
-                            "is followed by valid records"
-                        )
-                    if isinstance(record, WalCommit):
-                        if record.txn_id in wal._prepared:
-                            wal.branch_csns[record.txn_id] = record.csn
-                        wal.append(record)
-                        commits.append(record)
-                    elif isinstance(record, WalPrepare):
-                        wal.append_prepare(record)
-                    else:
-                        wal.append_abort(record)
-                    valid_end = min(next_offset, len(raw))
-            offset = next_offset
-        wal.torn_tail_dropped = bad_at is not None
+        for record in records:
+            if isinstance(record, WalCommit):
+                if record.txn_id in wal._prepared:
+                    wal.branch_csns[record.txn_id] = record.csn
+                wal.append(record)
+                commits.append(record)
+            elif isinstance(record, WalPrepare):
+                wal.append_prepare(record)
+            else:
+                wal.append_abort(record)
+        wal.torn_tail_dropped = torn
         if attach:
-            if bad_at is not None:
-                with open(path, "r+b") as handle:
-                    handle.truncate(valid_end)
             wal._path = path
             wal._file = open(path, "a", encoding="utf-8")
             wal._group_size = group_size
-            wal._fsync = fsync
+            wal.fsync = fsync
         return wal, commits
+
+
+def read_log(
+    path: str,
+    parse: Callable[[Any], R],
+    kind: str,
+    error: type[Exception],
+    truncate: bool,
+) -> tuple[list[R], bool]:
+    """The records of a JSON-lines log file, in order, each through
+    ``parse``, and whether a torn final record was dropped.
+
+    Every log this engine keeps (a WAL, a 2PC decision log) recovers by
+    this one rule. A crash can tear the final record (the process died
+    mid-write), leaving a truncated line at the tail. That is a *clean
+    recovery point*, not corruption: every record before it is returned
+    and the tail is dropped — with ``truncate``, also cut from the file,
+    so the file never carries dead bytes forward. A line ``parse``
+    refuses (ValueError, KeyError or TypeError) *followed by further
+    valid records* is genuine corruption and raises ``error``.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    records: list[R] = []
+    bad_at: int | None = None
+    valid_end = 0  # byte offset just past the last valid record
+    offset = 0
+    for raw_line in raw.split(b"\n"):
+        next_offset = offset + len(raw_line) + 1
+        stripped = raw_line.strip()
+        if stripped:
+            try:
+                record = parse(json.loads(stripped.decode("utf-8")))
+            except (ValueError, KeyError, TypeError):
+                if bad_at is None:
+                    bad_at = offset
+            else:
+                if bad_at is not None:
+                    raise error(
+                        f"{path}: corrupt {kind} record at byte {bad_at} "
+                        "is followed by valid records"
+                    )
+                records.append(record)
+                valid_end = min(next_offset, len(raw))
+        offset = next_offset
+    if truncate and bad_at is not None:
+        with open(path, "r+b") as handle:
+            handle.truncate(valid_end)
+    return records, bad_at is not None
 
 
 def redo_change(store: Any, change: WalChange, csn: int) -> bool:

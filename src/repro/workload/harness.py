@@ -5,6 +5,8 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
+from repro.db.result import text_table
+
 
 class Timer:
     """Context-manager stopwatch reporting microseconds."""
@@ -54,19 +56,7 @@ def summarize_us(samples_us: Sequence[float]) -> dict[str, float]:
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Aligned text table for benchmark output."""
-    cells = [[_fmt(value) for value in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        " | ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "-+-".join("-" * w for w in widths),
-    ]
-    lines.extend(
-        " | ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells
-    )
-    return "\n".join(lines)
+    return text_table(headers, [[_fmt(value) for value in row] for row in rows])
 
 
 def _fmt(value: object) -> str:

@@ -1,0 +1,54 @@
+"""Sharded DDL has one fan-out: ``create_table`` and SQL CREATE TABLE
+change every shard or none."""
+
+import pytest
+
+from repro.db import ShardedDatabase
+from repro.db.schema import Column, ColumnType, TableSchema
+from repro.errors import SchemaError
+
+NEW_T = TableSchema(
+    "t", [Column("k", ColumnType.INTEGER), Column("v", ColumnType.TEXT)]
+)
+
+
+def diverged_cluster() -> ShardedDatabase:
+    """Three shards, the last already holding a different ``t``."""
+    sharded = ShardedDatabase(3, name="ddl")
+    sharded.shard_named("shard2").execute("CREATE TABLE t (other TEXT)")
+    return sharded
+
+
+def layouts(sharded: ShardedDatabase) -> dict:
+    return {
+        store: shard.catalog.get("t").column_names
+        if shard.catalog.has_table("t")
+        else None
+        for store, shard in sharded.named_shards()
+    }
+
+
+UNCHANGED = {"shard0": None, "shard1": None, "shard2": ("other",)}
+
+
+class TestCreateEverywhereOrNowhere:
+    def test_create_table_refused_by_one_shard_changes_none(self):
+        sharded = diverged_cluster()
+        with pytest.raises(SchemaError):
+            sharded.create_table(NEW_T, shard_key="k")
+        assert layouts(sharded) == UNCHANGED
+        assert sharded.router.key_column("t") is None
+
+    def test_sql_create_table_refused_by_one_shard_changes_none(self):
+        sharded = diverged_cluster()
+        with pytest.raises(SchemaError):
+            sharded.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+        assert layouts(sharded) == UNCHANGED
+        assert sharded.router.key_column("t") is None
+
+    def test_create_table_succeeds_on_every_shard(self):
+        sharded = ShardedDatabase(3, name="ddl")
+        sharded.create_table(NEW_T, shard_key="v")
+        assert set(layouts(sharded).values()) == {("k", "v")}
+        assert sharded.router.key_column("t") == "v"
+
