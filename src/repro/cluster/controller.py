@@ -42,6 +42,8 @@ class Controller:
         probe_timeout: float | None = None,
         probe_backoff: "BackoffPolicy | None" = None,
     ):
+        if ship_batch < 1:
+            raise ReplicationError(f"ship batch must be >= 1, got {ship_batch}")
         self.sharded = sharded
         self.detector = HeartbeatDetector(
             suspicion_threshold,
@@ -111,12 +113,15 @@ class Controller:
         return confirmed
 
     def ship_loop(self, max_rounds: int | None = None) -> int:
-        """Drain replica shipping in batches until stopped.
+        """Drain replica shipping in batches until stopped (or until
+        ``max_rounds``); returns the number of records applied.
 
-        Unlike :meth:`ReplicaSet.ship_loop`, this loop does not exit
-        when the logs run dry — it idles (still yielding) so commits
-        that arrive later keep flowing to replicas for as long as the
-        controller runs.
+        The one background catch-up loop: each round applies at most
+        ``ship_batch`` records per replica and parks at a SCAN_BATCH
+        checkpoint, so foreground work interleaves with the drain. It
+        does not exit when the logs run dry — it idles (still yielding)
+        so commits that arrive later keep flowing to replicas for as
+        long as the controller runs.
         """
         applied = 0
         rounds = 0

@@ -14,9 +14,9 @@ change stream*, never by copying loose state. The pieces:
 * :class:`Applier` — replays ship records onto one replica database
   *transactionally*, preserving CSNs and row ids exactly. A caught-up
   replica is therefore bit-identical to the primary — including its
-  version chains from the bootstrap point on, so time-travel / AS-OF
-  reads work on replicas, and including its own WAL, so replicas can be
-  chained or tapped by provenance just like primaries.
+  row version history from the bootstrap point on, so time-travel / AS-OF
+  reads work on replicas, and including its own WAL, so a replica can be
+  tapped by provenance just like a primary.
 * :class:`ReplicaSet` — N replicas behind one primary with sync/async ship
   modes, per-replica lag tracking, catch-up, and promotion: fence the old
   primary, drain every acknowledged record, promote the most-caught-up
@@ -63,7 +63,6 @@ from repro.db.txn.manager import IsolationLevel, Transaction
 from repro.db.txn.wal import WalChange
 from repro.errors import ReplicationError, UnavailableError
 from repro.faults import fault_point
-from repro.runtime.scheduler import CheckpointKind, maybe_checkpoint
 
 
 @dataclass(frozen=True)
@@ -354,9 +353,6 @@ class ReplicaSet:
         self.ack_quorum = ack_quorum
         self.log = ReplicationLog(primary)
         self.replicas: list[Replica] = []
-        #: Cascading (replica-of-replica) sets, as (upstream, downstream)
-        #: pairs — see :meth:`chain`.
-        self.chains: list[tuple[Replica, "ReplicaSet"]] = []
         self._rr = 0  # round-robin cursor
         self._made = 0  # names stay unique across promote/resync
         self._promoting = False
@@ -384,10 +380,6 @@ class ReplicaSet:
         }
         for _ in range(n_replicas):
             self.add_replica()
-        self._unsub: Callable[[], None] | None = None
-        self._subscribe_ship()
-
-    def _subscribe_ship(self) -> None:
         self._unsub = self.log.subscribe(self._on_record)
 
     def _release(self) -> None:
@@ -752,49 +744,16 @@ class ReplicaSet:
             if not target.database.crashed:  # a dead node drains after revival
                 applied += self._ship(target, limit=limit)
         self._release()
-        if replica is None:
-            # Cascade: downstream sets drain from their (just-advanced)
-            # upstream replicas.
-            for _upstream, downstream in self.chains:
-                applied += downstream.catch_up(limit=limit)
         self._maybe_restore()
         return applied
-
-    def ship_loop(self, batch: int = 32, max_batches: int | None = None) -> int:
-        """Drain the replication log in batches, yielding between batches.
-
-        The background catch-up shape: run this as a cooperative-scheduler
-        task and it applies at most ``batch`` records per replica, hands
-        the baton back at a SCAN_BATCH checkpoint, and repeats until the
-        log is drained (or ``max_batches`` is hit) — so foreground readers
-        interleave with replica catch-up instead of waiting behind the
-        whole backlog. Records appended by foreground commits *during*
-        the loop are picked up by later batches. Returns the total number
-        of records applied. The yield goes to the ambient worker's
-        scheduler, and is a no-op on unscheduled threads, so the loop
-        doubles as a plain bounded-batch drain.
-        """
-        if batch < 1:
-            raise ReplicationError(f"ship batch must be >= 1, got {batch}")
-        applied = 0
-        batches = 0
-        while True:
-            got = self.catch_up(limit=batch)
-            applied += got
-            if got == 0:
-                return applied
-            batches += 1
-            if max_batches is not None and batches >= max_batches:
-                return applied
-            maybe_checkpoint(CheckpointKind.SCAN_BATCH, "ship_loop")
 
     def resync(self, replica: Replica | str) -> None:
         """Rebuild a replica from a fresh primary snapshot (in place).
 
         The :class:`Replica` wrapper keeps its identity so callers holding
-        references keep working; only the database underneath is new.
-        Downstream chains fed from this replica are rebased onto the new
-        database (their replicas resync from it).
+        references keep working; only the database underneath is new. The
+        replica now stands at the log's end, so the records it had not
+        applied are released unless another replica still needs them.
         """
         if isinstance(replica, str):
             replica = self.replica(replica)
@@ -802,57 +761,7 @@ class ReplicaSet:
         replica.applier = Applier(replica.database)
         replica.applier.applied_seq = self.log.last_seq
         self.stats["resyncs"] += 1
-        for upstream, downstream in self.chains:
-            if upstream is replica:
-                downstream.rebase(replica.database)
-
-    # -- cascading chains -------------------------------------------------
-
-    def chain(
-        self,
-        upstream: Replica | str,
-        n_replicas: int = 1,
-        mode: str = "async",
-    ) -> "ReplicaSet":
-        """Cascading replication: a downstream set fed from one replica.
-
-        The upstream replica applies shipped commits through real
-        transactions with the primary's CSNs and txn ids, so its own
-        observer stream is identical to the primary's — a second
-        :class:`ReplicaSet` tapped on it replicates the same history one
-        hop removed. Fan-out then scales by adding chain tiers without
-        widening the primary's ship (or quorum) set. :meth:`catch_up`
-        cascades into chains after draining the direct replicas; if the
-        upstream is ever resynced, the downstream set rebases onto its
-        replacement database automatically.
-        """
-        if isinstance(upstream, str):
-            upstream = self.replica(upstream)
-        if upstream not in self.replicas:
-            raise ReplicationError(
-                f"chain upstream {upstream.name!r} is not in this replica set"
-            )
-        downstream = ReplicaSet(upstream.database, n_replicas=n_replicas, mode=mode)
-        self.chains.append((upstream, downstream))
-        return downstream
-
-    def rebase(self, primary: Database) -> None:
-        """Re-point this set at a replacement primary database.
-
-        Used when a cascading upstream was resynced or promoted away: the
-        old tap is detached and every replica resyncs from the new
-        database (their shipped positions are meaningless against a fresh
-        log).
-        """
-        if self._unsub is not None:
-            self._unsub()
-            self._unsub = None
-        self.log.detach()
-        self.primary = primary
-        self.log = ReplicationLog(primary)
-        for replica in self.replicas:
-            self.resync(replica)
-        self._subscribe_ship()
+        self._release()
 
     # -- failover ---------------------------------------------------------
 
@@ -905,16 +814,14 @@ class ReplicaSet:
                 f"replica {target.name!r} is down; promote a healthy replica"
             )
         self.primary.fenced = True
-        if self._unsub is not None:
-            self._unsub()
-            self._unsub = None
+        self._unsub()
         try:
             self._ship(target)
         except Exception:
             # Unexpected apply failure: roll the fence back so the old
             # primary keeps serving rather than bricking the cluster.
             self.primary.fenced = False
-            self._subscribe_ship()
+            self._unsub = self.log.subscribe(self._on_record)
             raise
         laggards: list[Replica] = []
         for replica in self.replicas:
@@ -949,7 +856,7 @@ class ReplicaSet:
                 replica.applier.applied_seq = 0  # fresh log, drained position
         for replica in laggards:
             self.resync(replica)
-        self._subscribe_ship()
+        self._unsub = self.log.subscribe(self._on_record)
         self.stats["promotions"] += 1
         return self.primary
 

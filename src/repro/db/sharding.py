@@ -1200,9 +1200,12 @@ class ShardedDatabase:
 
         A CREATE TABLE registers its shard key once shard 0 holds the
         table, checking the key against the real schema before the other
-        shards take it. A CREATE that fails on any shard is dropped again
-        everywhere, the shard that failed half-populated included; shards
-        that held the object before (IF NOT EXISTS no-ops there) keep it.
+        shards take it. Afterwards every shard's ``catalog_shape`` must be
+        shard 0's (the rule :meth:`_adopt_existing_tables` applies), so an
+        IF NOT EXISTS that met a different object on some shard fails. A
+        CREATE that fails on any shard is dropped again everywhere, the
+        shard that failed half-populated included; shards that held the
+        object before (IF NOT EXISTS no-ops there) keep it.
         DDL mid-migration would change the schema under the copier's
         feet, so it parks behind the same fence as write transactions.
         """
@@ -1216,11 +1219,19 @@ class ShardedDatabase:
             if shard.catalog.has_table(table)
             and (index is None or index.lower() in shard.index_set(table).indexes)
         }
+        registered = self.router.key_column(table) is not None
         try:
             for i, shard in enumerate(self.shards):
                 run(shard)
                 if i == 0 and index is None:
                     self._register_shard_key(shard.catalog.get(table), shard_key)
+            shape = self._first_shard.catalog_shape
+            for store, shard in self.named_shards():
+                if shard.catalog_shape != shape:
+                    raise SchemaError(
+                        f"{store} diverges from shard0's schema after creating "
+                        f"{index or table} (an existing object differs)"
+                    )
         except Exception:
             for store, shard in self.named_shards():
                 if store in preexisting:
@@ -1232,7 +1243,7 @@ class ShardedDatabase:
                         shard.drop_table(table, if_exists=True)
                 except Exception:  # pragma: no cover - keep unwinding
                     pass
-            if index is None and not self._first_shard.catalog.has_table(table):
+            if index is None and not registered:
                 self.router.unregister_table(table)
             raise
 

@@ -1,4 +1,5 @@
-"""Quorum replication: ack_quorum commits and cascading replica chains."""
+"""Quorum replication: ack_quorum commits, applied synchronously to the
+first N healthy replicas of one primary."""
 
 import pytest
 
@@ -81,36 +82,3 @@ class TestAckQuorum:
                 == "short"
             )
 
-
-class TestCascadingChains:
-    def test_chain_replicates_one_hop_removed(self):
-        primary = make_primary()
-        replica_set = ReplicaSet(primary, n_replicas=2)
-        downstream = replica_set.chain(replica_set.replicas[0], n_replicas=2)
-        primary.execute("INSERT INTO kv VALUES (?, ?)", (20, "deep"))
-        replica_set.catch_up()  # cascades into the chain
-        for replica in downstream.replicas:
-            assert (
-                replica.database.execute(
-                    "SELECT v FROM kv WHERE k = ?", (20,)
-                ).scalar()
-                == "deep"
-            )
-            assert replica.csn == primary.last_csn
-
-    def test_chain_upstream_must_be_a_member(self):
-        primary = make_primary()
-        replica_set = ReplicaSet(primary, n_replicas=1)
-        other = ReplicaSet(make_primary(), n_replicas=1)
-        with pytest.raises(ReplicationError, match="not in this replica set"):
-            replica_set.chain(other.replicas[0])
-
-    def test_quorum_and_chain_compose(self):
-        """Fan-out scales by chaining without widening the quorum set."""
-        primary = make_primary()
-        replica_set = ReplicaSet(primary, n_replicas=2, ack_quorum=1)
-        downstream = replica_set.chain(replica_set.replicas[0], n_replicas=1)
-        primary.execute("INSERT INTO kv VALUES (?, ?)", (21, "both"))
-        assert replica_set.replicas[0].csn == primary.last_csn
-        replica_set.catch_up()
-        assert downstream.replicas[0].csn == primary.last_csn

@@ -348,6 +348,43 @@ class TestReplicaSet:
         assert down.database.execute("SELECT COUNT(*) FROM t").scalar() == 11
 
 
+class TestResync:
+    """``resync`` rebuilds a replica from a fresh primary snapshot, in
+    place, and puts it at the end of the log."""
+
+    def lagging_set(self):
+        db = build_primary(rows=5)
+        rs = ReplicaSet(db, n_replicas=1, mode="async")
+        for i in range(4):
+            db.execute("INSERT INTO t VALUES (?, 'g1', 1.0)", (100 + i,))
+        assert len(rs.log) == 4
+        return db, rs
+
+    def test_rebuilds_in_place_at_the_log_end(self):
+        db, rs = self.lagging_set()
+        replica = rs.replicas[0]
+        old_database = replica.database
+        resyncs = rs.stats["resyncs"]
+        rs.resync(replica)
+        assert rs.replicas == [replica]
+        assert replica.database is not old_database
+        assert replica.applier.applied_seq == rs.log.last_seq
+        assert rs.stats["resyncs"] == resyncs + 1
+        assert len(rs.log) == 0
+        assert replica.database.execute("SELECT COUNT(*) FROM t").scalar() == 9
+        assert rs.lag(replica) == 0
+
+    def test_a_later_commit_reaches_the_rebuilt_database(self):
+        db, rs = self.lagging_set()
+        rs.resync(rs.replicas[0].name)
+        db.execute("INSERT INTO t VALUES (200, 'g2', 2.0)")
+        assert rs.catch_up() == 1
+        rebuilt = rs.replicas[0].database
+        assert rebuilt.execute("SELECT v FROM t WHERE k = 200").scalar() == 2.0
+        assert rebuilt.last_csn == db.last_csn
+        assert len(rs.log) == 0
+
+
 class TestRevivedSyncReplica:
     """A sync replica revived after a crash drains its backlog inside the
     next commit, ahead of that commit's record."""

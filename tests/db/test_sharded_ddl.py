@@ -1,5 +1,6 @@
 """Sharded DDL has one fan-out: ``create_table`` and SQL CREATE TABLE
-change every shard or none."""
+change every shard or none, and leave every shard with shard 0's
+catalog."""
 
 import pytest
 
@@ -52,3 +53,23 @@ class TestCreateEverywhereOrNowhere:
         assert set(layouts(sharded).values()) == {("k", "v")}
         assert sharded.router.key_column("t") == "v"
 
+
+    @pytest.mark.parametrize("holder", ["shard0", "shard2"])
+    def test_if_not_exists_meeting_a_different_table_changes_none(self, holder):
+        sharded = ShardedDatabase(3, name="ddl")
+        sharded.shard_named(holder).execute("CREATE TABLE t (other TEXT)")
+        with pytest.raises(SchemaError, match="diverges from shard0"):
+            sharded.execute("CREATE TABLE IF NOT EXISTS t (k INTEGER, v TEXT)")
+        assert layouts(sharded) == {
+            store: ("other",) if store == holder else None
+            for store in sharded.store_names
+        }
+        assert sharded.router.key_column("t") is None
+
+    def test_if_not_exists_meeting_the_same_table_succeeds(self):
+        sharded = ShardedDatabase(3, name="ddl")
+        sharded.shard_named("shard2").execute("CREATE TABLE t (k INTEGER, v TEXT)")
+        sharded.execute("CREATE TABLE IF NOT EXISTS t (k INTEGER, v TEXT)")
+        assert set(layouts(sharded).values()) == {("k", "v")}
+        assert len({shard.catalog_shape for shard in sharded.shards}) == 1
+        assert sharded.router.key_column("t") == "k"

@@ -9,8 +9,11 @@ traces are unchanged by batching; and the background replica ship loop
 drains in batches that interleave with foreground work.
 """
 
-from repro.db import Database, IsolationLevel, ReplicaSet, ShardedDatabase
-from repro.errors import DeadlockError
+import pytest
+
+from repro.cluster import Controller
+from repro.db import Database, IsolationLevel, ShardedDatabase
+from repro.errors import DeadlockError, ReplicationError
 from repro.runtime import Runtime
 from repro.runtime.scheduler import CheckpointKind, CooperativeScheduler
 
@@ -294,34 +297,46 @@ class TestTraceParityUnderBatching:
         assert sum(len(reads) for *_trace, reads in per_granularity["txn"]) == 450
 
 
+def shipping_cluster(n_rows: int, backlog: int):
+    """One shard with one async replica, ``backlog`` commits behind."""
+    sharded = ShardedDatabase(1, name="ship", shard_keys={"items": "k"})
+    sharded.execute("CREATE TABLE items (k INTEGER, v INTEGER)")
+    primary = sharded.shard_named("shard0")
+    primary.scan_batch_size = BATCH
+    txn = primary.begin()
+    for i in range(n_rows):
+        primary.execute("INSERT INTO items VALUES (?, ?)", (i, i * 3), txn=txn)
+    txn.commit()
+    replica_set = sharded.attach_replicas(1, mode="async")["shard0"]
+    for i in range(backlog):
+        primary.execute("INSERT INTO items VALUES (?, ?)", (n_rows + i, 0))
+    assert replica_set.max_lag() == backlog
+    return sharded, primary, replica_set
+
+
 class TestShipLoop:
     def test_drains_backlog_in_batches(self):
-        primary = seeded_db(10)
-        rs = ReplicaSet(primary, n_replicas=1, mode="async")
-        for i in range(40):
-            primary.execute("INSERT INTO items VALUES (?, ?)", (10 + i, 0))
-        assert rs.max_lag() == 40
-        applied = rs.ship_loop(batch=6)
-        assert applied == 40
-        assert rs.max_lag() == 0
+        sharded, _primary, replica_set = shipping_cluster(10, backlog=40)
+        controller = Controller(sharded, ship_batch=6)
+        assert controller.ship_loop(max_rounds=7) == 40
+        assert replica_set.max_lag() == 0
 
-    def test_max_batches_bounds_one_slice(self):
-        primary = seeded_db(10)
-        rs = ReplicaSet(primary, n_replicas=1, mode="async")
-        for i in range(40):
-            primary.execute("INSERT INTO items VALUES (?, ?)", (10 + i, 0))
-        assert rs.ship_loop(batch=6, max_batches=2) == 12
-        assert rs.max_lag() == 28
+    def test_max_rounds_bounds_one_slice(self):
+        sharded, _primary, replica_set = shipping_cluster(10, backlog=40)
+        controller = Controller(sharded, ship_batch=6)
+        assert controller.ship_loop(max_rounds=2) == 12
+        assert replica_set.max_lag() == 28
+
+    def test_a_batch_below_one_is_refused(self):
+        sharded, _primary, _replica_set = shipping_cluster(10, backlog=0)
+        with pytest.raises(ReplicationError, match="ship batch"):
+            Controller(sharded, ship_batch=0)
 
     def test_interleaves_with_foreground_reads_under_scheduler(self):
-        primary = seeded_db(200)
-        primary.scan_batch_size = 50
-        rs = ReplicaSet(primary, n_replicas=1, mode="async")
         backlog = 30
-        for i in range(backlog):
-            primary.execute(
-                "INSERT INTO items VALUES (?, ?)", (N_ROWS + i, 0)
-            )
+        sharded, primary, replica_set = shipping_cluster(200, backlog)
+        primary.scan_batch_size = 50
+        controller = Controller(sharded, ship_batch=4)
         reads: list = []
 
         def reader():
@@ -339,7 +354,7 @@ class TestShipLoop:
             schedule=[0, 1] * 20, granularity="batch"
         )
         outcomes = scheduler.run(
-            [lambda: rs.ship_loop(batch=4), reader]
+            [lambda: controller.ship_loop(max_rounds=9), reader]
         )
         assert all(o.ok for o in outcomes)
         record = scheduler.record
@@ -356,5 +371,5 @@ class TestShipLoop:
         assert reads == [200 + backlog]
         # The loop still drained everything it could see (the reader's
         # aborted txn ships nothing).
-        assert outcomes[0].result >= backlog
-        assert rs.max_lag() == 0
+        assert outcomes[0].result == backlog
+        assert replica_set.max_lag() == 0
