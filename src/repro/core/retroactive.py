@@ -128,12 +128,19 @@ class RetroactiveResult:
 
 class _Footprints(list):
     """Database observer recording each commit's ``(tables read, tables
-    written)`` footprint."""
+    written)`` footprint; the tables read come from its statements' traces."""
 
-    events = ("txn_committed",)
+    events = ("statement_executed", "txn_committed")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._reads: dict[int, set[str]] = {}  # txn id -> tables read
+
+    def statement_executed(self, txn, trace) -> None:
+        self._reads.setdefault(txn.txn_id, set()).update(r.table for r in trace.reads)
 
     def txn_committed(self, txn, csn, changes) -> None:
-        reads = frozenset(r.table for r in txn.read_records)
+        reads = frozenset(self._reads.pop(txn.txn_id, ()))
         self.append((reads, frozenset(c.table for c in changes)))
 
 
@@ -287,7 +294,6 @@ class RetroactiveEngine:
         self, request: Request, registry: HandlerRegistry, base_state: dict[str, dict]
     ) -> list[tuple[frozenset[str], frozenset[str]]]:
         dev = self._fresh_dev_db(base_state, name=f"pilot-{request.req_id}")
-        dev.track_reads = True
         footprints = _Footprints()
         dev.add_observer(footprints)
         runtime = Runtime(dev, registry=registry, seed=self._seed())

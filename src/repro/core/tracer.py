@@ -114,7 +114,6 @@ class Trod:
             schema = self.database.catalog.get(name)
             self._register_table(schema)
         self.database.add_observer(self.interposition)
-        self.database.track_reads = True
         if runtime is not None:
             runtime.add_observer(self.interposition)
         self.attached = True
@@ -125,7 +124,6 @@ class Trod:
             return
         self.flush()
         self.database.remove_observer(self.interposition)
-        self.database.track_reads = False
         if self.runtime is not None:
             self.runtime.remove_observer(self.interposition)
         self.attached = False

@@ -79,9 +79,10 @@ class Engine(Protocol):
     * ``last_commit_csn`` — the engine-neutral commit position (local CSN
       on single-node/replicated engines, global CSN on sharded ones);
       session tokens and ``AS OF`` bookmarks are taken from it.
-    * ``add_observer`` / ``remove_observer`` / ``track_reads`` — the TROD
-      interposition surface; sharded facades fan these out so the whole
-      cluster emits one debugger-visible event stream.
+    * ``add_observer`` / ``remove_observer`` — the TROD interposition
+      surface; sharded facades fan these out so the whole cluster emits
+      one debugger-visible event stream. A ``statement_executed``
+      subscriber is what turns read tracking on.
     * ``snapshot_rows(table)`` / ``table_rows(table)`` / ``catalog`` —
       attach-time snapshot capture and schema introspection.
     """

@@ -263,11 +263,6 @@ class Database:
         #: this so rejected writers learn the quorum is lost (and that
         #: the condition is temporary), not that they hit a replica.
         self.read_only_reason: str | None = None
-        #: When True, SELECTs record read provenance on their
-        #: transaction: each scan hands the ``(row_id, values)`` pairs
-        #: that survive its filter to ``Transaction.record_reads``, a
-        #: batch at a time. TROD switches this on when it attaches.
-        self.track_reads = False
         #: Rows a scan pulls between cooperative-scheduler yield points,
         #: and the most a streamed cursor's scan reads ahead in one
         #: chunk. 0 disables the yield points entirely (and leaves the
@@ -730,10 +725,9 @@ class Database:
         snapshot before this method returns — it keeps serving that
         snapshot even though the backing (ephemeral or autocommitted)
         transaction finishes immediately. Streaming silently degrades to
-        materialization when read provenance is on (``track_reads`` —
-        TROD's statement traces need the full drain) or an observer takes
-        ``statement_executed`` (statement traces carry rowcounts), and for
-        non-SELECT statements.
+        materialization while an observer takes ``statement_executed``
+        (a statement trace carries every read and the rowcount, so it
+        needs the full drain), and for non-SELECT statements.
         """
         stmt = parse_cached(sql)
         self._check_available()
@@ -760,10 +754,7 @@ class Database:
         try:
             active.begin_statement()
             observed = self.observers.wants("statement_executed")
-            streaming = (
-                stream and isinstance(stmt, SelectStmt)
-                and not (self.track_reads or observed)
-            )
+            streaming = stream and not observed and isinstance(stmt, SelectStmt)
             result = execute_statement(
                 self, active, stmt, params, sql, stream=streaming
             )
@@ -1004,6 +995,15 @@ class Database:
         return self.txn_manager.last_csn
 
     # -- observers ---------------------------------------------------------------
+
+    @property
+    def track_reads(self) -> bool:
+        """Whether SELECTs record read provenance: exactly while an observer
+        takes ``statement_executed``, whose :attr:`StatementTrace.reads` are
+        the read sets' one consumer. Each scan then hands the
+        ``(row_id, values)`` pairs that survive its filter to
+        ``Transaction.record_reads``, a batch at a time."""
+        return self.observers.wants("statement_executed")
 
     def add_observer(self, observer: Any) -> None:
         self.observers.add(observer)

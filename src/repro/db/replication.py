@@ -41,11 +41,11 @@ serving database's own :meth:`~repro.db.database.Database.execute_read`
 runs each SELECT under a transaction it *aborts* — the same trick the
 sharded facade uses for scatter reads.
 
-TROD observes primaries only, so a replica set whose primary has
-``track_reads`` on serves every read from that primary: the events a
-SELECT produces must not depend on the read preference. That is the cost
-of tracing a replicated deployment — replicas stop offloading reads while
-a debugger is attached.
+TROD observes primaries only, so a replica set whose primary has a
+``statement_executed`` subscriber serves every read from that primary:
+the events a SELECT produces must not depend on the read preference.
+That is the cost of tracing a replicated deployment — replicas stop
+offloading reads while a debugger is attached.
 """
 
 from __future__ import annotations
@@ -327,9 +327,9 @@ class ReplicaSet:
     revives and catches up, or a promotion re-provisions it.
 
     The set is an :class:`~repro.db.connection.Engine`: ``execute``,
-    ``begin``, ``explain``, observers and ``track_reads`` act on the
-    current primary, and :meth:`execute_read` serves each SELECT from the
-    database :meth:`target` names.
+    ``begin``, ``explain`` and observers act on the current primary, and
+    :meth:`execute_read` serves each SELECT from the database
+    :meth:`target` names.
     """
 
     def __init__(
@@ -507,9 +507,10 @@ class ReplicaSet:
         any replica whose shipped history covers ``as_of`` — it answers
         identically to the primary, so floors do not apply and nothing is
         waited for — else to the primary. ``preference='primary'`` pins
-        the read to the primary, as does a primary with ``track_reads``
-        on: TROD observes primaries only, and the events a read emits must
-        not depend on who was asked to serve it (see the module docstring).
+        the read to the primary, as does a primary that tracks reads (one
+        with a ``statement_executed`` subscriber): TROD observes primaries
+        only, and the events a read emits must not depend on who was asked
+        to serve it (see the module docstring).
         """
         check_read_preference(preference)
         if preference == "primary" or not self.replicas or self.primary.track_reads:
@@ -595,22 +596,14 @@ class ReplicaSet:
     def snapshot_rows(self, table: str) -> list[tuple[int, tuple]]:
         return self.primary.snapshot_rows(table)
 
-    # TROD attaches to the primary; a promotion hands its observers and
-    # ``track_reads`` to the promoted database.
+    # TROD attaches to the primary; a promotion hands its observers to the
+    # promoted database.
 
     def add_observer(self, observer: Any) -> None:
         self.primary.add_observer(observer)
 
     def remove_observer(self, observer: Any) -> None:
         self.primary.remove_observer(observer)
-
-    @property
-    def track_reads(self) -> bool:
-        return self.primary.track_reads
-
-    @track_reads.setter
-    def track_reads(self, value: bool) -> None:
-        self.primary.track_reads = value
 
     @property
     def cluster_stats(self) -> dict[str, int]:
@@ -777,9 +770,9 @@ class ReplicaSet:
         drain (an apply fails) — or is itself crashed — is resynced
         (re-provisioned) from the *new* primary. The old primary stays
         fenced: it accepts no further transactions or commits. Its
-        observers (other than the ship log, which is re-created) and its
-        ``track_reads`` move to the promoted database, so an attached
-        TROD keeps tracing across the failover;
+        observers (other than the ship log, which is re-created) move to
+        the promoted database, so an attached TROD keeps tracing across
+        the failover;
         the drain above ran before the hand-over, so no acknowledged
         commit is reported to them twice.
 
@@ -842,7 +835,6 @@ class ReplicaSet:
         for observer in old_primary.observers:
             old_primary.remove_observer(observer)
             self.primary.add_observer(observer)
-        self.primary.track_reads = old_primary.track_reads
         # The new primary starts with a full healthy replica set view; any
         # quorum degradation belonged to the old topology.
         self.degraded = False

@@ -347,17 +347,16 @@ class Exchange(PlanNode):
     def _run(
         self, ctx: ExecContext, store: str, part: str, cap: int | None
     ) -> list[tuple]:
-        """One shard's rows; ``cap`` bounds them unless the shard tracks
-        reads or takes ``statement_executed``, whose trace sees it all."""
+        """One shard's rows; ``cap`` bounds them unless the shard takes
+        ``statement_executed``, whose trace sees it all."""
         shards, sql = ctx.shards, ctx.query_text
         database, branch = shards.database(store), shards.txn(store)
         plan = self._shard_plan(database, part, sql)
-        observed = database.observers.wants("statement_executed")
-        if cap is not None and not database.track_reads and not observed:
+        observed = database.track_reads
+        if cap is not None and not observed:
             plan = LimitNode(plan, Literal(cap), None)
         rows = _drain_rows(plan, ExecContext(
-            database, branch, ctx.params, sql, database.track_reads,
-            batch_size=0, shards=shards,
+            database, branch, ctx.params, sql, observed, batch_size=0, shards=shards,
         ))
         if observed:
             # TROD interposition parity: each shard's subscribers see the
@@ -645,6 +644,8 @@ class ShardedDatabase:
         #: then serves each shard's reads from its set's read target while
         #: DML and 2PC stay on the primaries.
         self.replica_sets: dict[str, ReplicaSet] = {}
+        #: What :meth:`add_observer` subscribed, for a reshard's new shards.
+        self._observers: list[Any] = []
         #: Online-resharding state. While a migration's brief write fence
         #: is up, new write transactions park in a cooperative wait until
         #: the topology swap completes; ``reshard_horizon`` is the global
@@ -787,23 +788,17 @@ class ShardedDatabase:
         for the work it executed, so the debugger-visible stream covers
         the whole cluster; only a ``statement_executed`` subscriber lifts
         a shard's LIMIT cap. Transaction and row ids are meaningful within
-        their owning shard's id space.
+        their owning shard's id space. A reshard subscribes the observer
+        to every new shard.
         """
+        self._observers.append(observer)
         for shard in self.shards:
             shard.add_observer(observer)
 
     def remove_observer(self, observer: Any) -> None:
+        self._observers = [o for o in self._observers if o is not observer]
         for shard in self.shards:
             shard.remove_observer(observer)
-
-    @property
-    def track_reads(self) -> bool:
-        return all(shard.track_reads for shard in self.shards)
-
-    @track_reads.setter
-    def track_reads(self, value: bool) -> None:
-        for shard in self.shards:
-            shard.track_reads = value
 
     @property
     def executor_stats(self) -> dict[str, int]:
@@ -1455,6 +1450,9 @@ class ShardedDatabase:
         self.reshard_horizon = self.coordinator.reshape(new_stores)
         self.router.shard_names = self.store_names
         self.replica_sets = {}
+        for shard in new_stores.values():
+            for observer in self._observers:
+                shard.add_observer(observer)
         return self.reshard_horizon
 
     # -- replication ---------------------------------------------------------
@@ -1499,7 +1497,7 @@ class ShardedDatabase:
         store name — in the coordinator's shard map, and in the replica
         set (which keeps shipping to the remaining replicas).
         An attached TROD keeps tracing: the promotion hands the demoted
-        primary's observers and ``track_reads`` to the promoted database.
+        primary's observers to the promoted database.
         """
         replica_set = self.replica_sets.get(store)
         if replica_set is None:

@@ -1495,12 +1495,11 @@ def _execute_select(
         query_text=query_text,
         track_reads=database.track_reads,
     )
-    if stream and not ctx.track_reads:
+    if stream:
         # Cursor streaming: hand the generator pipeline to the ResultSet
         # instead of draining it. The caller must prime() the result
-        # while the transaction is live (Database.execute does); a
-        # statement trace carries every read and the row count, so
-        # TROD-attached databases drain instead.
+        # while the transaction is live (Database.execute does, and asks
+        # for a stream only with no statement trace to fill).
         return ResultSet(
             columns=out_names,
             kind="select",

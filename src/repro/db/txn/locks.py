@@ -8,17 +8,19 @@ paper's workloads and keeps conflicts easy to reason about in tests.
 
 Because the runtime's cooperative scheduler admits one worker at a time,
 the manager's data structures need no internal synchronization; a blocked
-acquisition instead *yields* via an injectable wait callback so the
-scheduler can run other workers until the lock frees up. Deadlocks are
-detected eagerly on every blocked acquisition by searching the waits-for
-graph; the requesting transaction is the victim, which is deterministic.
+acquisition instead *yields* to the scheduler driving its thread (a
+``LOCK_WAIT`` checkpoint, as the reshard fence and scan batches park) so
+other workers run until the lock frees up. Deadlocks are detected eagerly
+on every blocked acquisition by searching the waits-for graph; the
+requesting transaction is the victim, which is deterministic. Each
+manager sees only its own database's locks: a cycle through two shards
+closes in no one graph and ends at the starvation bound instead.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.errors import DeadlockError, LockTimeoutError
 
@@ -57,21 +59,16 @@ class LockManager:
 
     # -- public API -------------------------------------------------------
 
-    def acquire(
-        self,
-        txn_id: int,
-        resource: str,
-        mode: LockMode,
-        wait: Callable[[], None] | None = None,
-    ) -> None:
+    def acquire(self, txn_id: int, resource: str, mode: LockMode) -> None:
         """Acquire ``resource`` in ``mode`` for ``txn_id``.
 
-        If the lock is unavailable, ``wait`` is called repeatedly (it should
-        yield to the scheduler) until the lock frees. Without a ``wait``
-        callback a blocked acquisition raises :class:`LockTimeoutError`
-        immediately — in single-threaded use contention means a programming
-        error, not a race. Raises :class:`DeadlockError` when blocking would
-        close a cycle in the waits-for graph.
+        If the lock is unavailable, the scheduler driving this thread is
+        yielded to repeatedly until the lock frees. On a thread no
+        scheduler drives, a blocked acquisition raises
+        :class:`LockTimeoutError` immediately — in single-threaded use
+        contention means a programming error, not a race. Raises
+        :class:`DeadlockError` when blocking would close a cycle in the
+        waits-for graph.
         """
         rounds = 0
         while True:
@@ -96,7 +93,12 @@ class LockManager:
                     f"{resource!r} held by {sorted(blockers)}",
                     **facts,
                 )
-            if wait is None:
+            # Only a blocked acquisition looks the scheduler up (the import
+            # cycles at module level: repro.runtime imports repro.db).
+            from repro.runtime.scheduler import CheckpointKind, current_scheduler
+
+            scheduler = current_scheduler()
+            if scheduler is None:
                 self._waits_for.pop(txn_id, None)
                 raise LockTimeoutError(
                     f"txn {txn_id} blocked acquiring {mode.value} on "
@@ -110,7 +112,7 @@ class LockManager:
                 raise LockTimeoutError(
                     f"txn {txn_id} starved acquiring {resource!r}", **facts
                 )
-            wait()
+            scheduler.checkpoint(CheckpointKind.LOCK_WAIT, resource)
 
     def release_all(self, txn_id: int) -> None:
         """Release every lock held by ``txn_id`` (commit/abort time)."""

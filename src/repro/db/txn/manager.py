@@ -132,7 +132,6 @@ class Transaction:
         #: already in their WAL form: an insert is logged as buffered, an
         #: update or delete once commit has filled in the old values.
         self.write_ops: list[WalChange] = []
-        self.read_records: list[ReadSet | ScanRead] = []
         self._overlay: dict[str, dict[int, Any]] = {}  # table -> row_id -> values|_DELETED
         self._inserted: dict[str, list[int]] = {}  # table -> ordered new row ids
         #: Table -> its ``"append"`` changes not yet laid into the overlay:
@@ -466,9 +465,7 @@ class Transaction:
         if not pairs:
             return
         canonical = self._database.catalog.resolve(table)
-        read_set = ReadSet(canonical, query, pairs)
-        self.read_records.append(read_set)
-        self._statement_reads.append(read_set)
+        self._statement_reads.append(ReadSet(canonical, query, pairs))
 
     def record_scan(
         self,
@@ -489,9 +486,9 @@ class Transaction:
         if csn is None:
             csn = self._manager.last_csn
         canonical = self._database.catalog.resolve(table)
-        read = ScanRead(canonical, query, tuple(params), csn, keep, count)
-        self.read_records.append(read)
-        self._statement_reads.append(read)
+        self._statement_reads.append(
+            ScanRead(canonical, query, tuple(params), csn, keep, count)
+        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -505,10 +502,6 @@ class Transaction:
     def tables_written(self) -> set[str]:
         return {op.table for op in self.write_ops}
 
-    @property
-    def tables_read(self) -> set[str]:
-        return {r.table for r in self.read_records}
-
     # -- internals --------------------------------------------------------------
 
     def _check_active(self) -> None:
@@ -518,7 +511,7 @@ class Transaction:
             )
 
     def _lock(self, canonical: str, mode: LockMode) -> None:
-        self._manager.acquire_lock(self, f"table:{canonical}", mode)
+        self._manager.locks.acquire(self.txn_id, f"table:{canonical}", mode)
 
     def _check_unique_locally(
         self, canonical: str, values: tuple, ignore_row_id: int | None
@@ -574,9 +567,6 @@ class TransactionManager:
         self._next_txn_id = 1
         self.last_csn = 0
         self.active: dict[int, Transaction] = {}
-        #: Called when a lock acquisition must wait; the runtime points this
-        #: at the scheduler so other workers can make progress.
-        self.wait_hook: Callable[[Transaction, str], None] | None = None
         self.stats = {"begun": 0, "committed": 0, "aborted": 0}
 
     @property
@@ -833,17 +823,3 @@ class TransactionManager:
             batch = ColumnBatch.concat(batches)
             store.apply_append(first, batch, csn)
             indexes.on_append(range(first, first + count), batch)
-
-    # -- locks -------------------------------------------------------------------
-
-    def acquire_lock(self, txn: Transaction, resource: str, mode: LockMode) -> None:
-        def wait() -> None:
-            if self.wait_hook is not None:
-                self.wait_hook(txn, resource)
-
-        self.locks.acquire(
-            txn.txn_id,
-            resource,
-            mode,
-            wait=wait if self.wait_hook is not None else None,
-        )

@@ -183,10 +183,6 @@ class CooperativeScheduler:
             raise SchedulerError("scheduler aborted")
         worker.state = _WorkerState.RUNNING
 
-    def lock_wait(self) -> None:
-        """Entry point for the transaction manager's wait hook."""
-        self.checkpoint(CheckpointKind.LOCK_WAIT)
-
     # -- scheduler-side -----------------------------------------------------------
 
     def run(self, thunks: Sequence[Callable[[], Any]]) -> list[TaskOutcome]:

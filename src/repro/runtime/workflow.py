@@ -207,15 +207,9 @@ class Runtime:
             schedule=schedule, seed=seed, granularity=granularity
         )
         self.last_scheduler = scheduler
-        previous_hook = self.database.txn_manager.wait_hook
-        self.database.txn_manager.wait_hook = lambda txn, resource: scheduler.lock_wait()
-        try:
-            thunks = [
-                (lambda req=request: self.execute_request(req)) for request in requests
-            ]
-            outcomes = scheduler.run(thunks)
-        finally:
-            self.database.txn_manager.wait_hook = previous_hook
+        outcomes = scheduler.run(
+            [(lambda req=request: self.execute_request(req)) for request in requests]
+        )
         results: list[RequestResult] = []
         for request, outcome in zip(requests, outcomes):
             if outcome.error is not None:

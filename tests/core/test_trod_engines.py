@@ -10,8 +10,11 @@ exact one-shard order, and the collisions a multi-shard history has.
 
 import pytest
 
+from repro.cluster import reshard
 from repro.core import Trod
 from repro.db import Database, ReplicaSet, ShardedDatabase, connect
+
+from eager_reads import ReadLog
 
 
 def drive(conn) -> None:
@@ -99,12 +102,12 @@ class TestEventStreamParity:
         assert all(
             trod.interposition in shard.observers for shard in sharded.shards
         )
-        assert sharded.track_reads
+        assert all(shard.track_reads for shard in sharded.shards)
         trod.detach()
         assert not any(
             trod.interposition in shard.observers for shard in sharded.shards
         )
-        assert not sharded.track_reads
+        assert not any(shard.track_reads for shard in sharded.shards)
 
     def test_attach_to_populated_multi_shard_engine_is_rejected(self):
         # Pre-attach rows would snapshot under the global CSN space while
@@ -141,8 +144,8 @@ class TestEventStreamParity:
 
 
 class TestTracingSurvivesFailover:
-    """The promoted database inherits the interposition observer and
-    ``track_reads``. That the events recorded across a failover match a
+    """The promoted database inherits the interposition observer, and
+    with it read tracking. That the events recorded across a failover match a
     single node's is the conformance matrix's failover cells."""
 
     @staticmethod
@@ -162,12 +165,12 @@ class TestTracingSurvivesFailover:
         old_primary = cluster.primary
         self.drive_across(conn, cluster.promote)
         assert cluster.primary is not old_primary
-        assert cluster.track_reads
+        assert cluster.primary.track_reads
         assert trod.interposition in cluster.primary.observers
         assert trod.interposition not in old_primary.observers
         trod.detach()
         assert trod.interposition not in cluster.primary.observers
-        assert not cluster.track_reads
+        assert not cluster.primary.track_reads
 
     @pytest.mark.parametrize("mode", ["sync", "async"])
     def test_sharded_engine(self, mode):
@@ -181,7 +184,7 @@ class TestTracingSurvivesFailover:
                 sharded.failover(store)
 
         self.drive_across(conn, fail_over_every_shard)
-        assert sharded.track_reads
+        assert all(shard.track_reads for shard in sharded.shards)
         assert all(
             trod.interposition in shard.observers for shard in sharded.shards
         )
@@ -230,3 +233,87 @@ class TestRowsOfScansThatCannotBeReenacted:
             # connection prefers: TROD observes primaries only.
             assert target.stats["primary_reads"] == 1
             assert target.stats["replica_reads"] == 0
+
+
+class TestReadTrackingFollowsTheSubscription:
+    """Read tracking is on exactly while a ``statement_executed``
+    subscriber listens; there is no switch to set or to forget."""
+
+    ENGINES = {
+        "single": Database,
+        "sharded": lambda: ShardedDatabase(2, shard_keys={"t": "k"}),
+        "replicated": lambda: ReplicaSet(Database(), n_replicas=1, mode="sync"),
+    }
+
+    def test_there_is_no_switch(self):
+        with pytest.raises(AttributeError):
+            Database().track_reads = True
+        assert not hasattr(ShardedDatabase(2), "track_reads")
+        assert not hasattr(ReplicaSet(Database()), "track_reads")
+
+    @staticmethod
+    def statement_reads(txn) -> list:
+        """What ``txn``'s last statement recorded, on every branch."""
+        if hasattr(txn, "stores_joined"):
+            return [r for s in txn.stores_joined() for r in txn.on(s).statement_reads()]
+        return txn.statement_reads()
+
+    @staticmethod
+    def served_by(engine, read) -> tuple:
+        """``read()``'s result and which kind of node served it."""
+        before = dict(getattr(engine, "cluster_stats", {}))
+        result = read()
+        after = getattr(engine, "cluster_stats", {})
+        kinds = ("primary_reads", "replica_reads")
+        return result, [k for k in kinds if after.get(k, 0) > before.get(k, 0)]
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_subscribing_is_what_tracks_reads(self, name):
+        engine = self.ENGINES[name]()
+        engine.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+        for k in range(5):
+            engine.execute("INSERT INTO t VALUES (?, ?)", (k, f"v{k}"))
+        if name == "sharded":
+            engine.attach_replicas(1, mode="sync")
+        replicated = name != "single"
+        sql = "SELECT v FROM t WHERE k = 3"
+
+        log = ReadLog.on(engine)
+        txn = engine.begin()
+        engine.execute(sql, txn=txn)
+        traced = self.statement_reads(txn)
+        txn.abort()
+        assert {read.table for read in traced} == {"t"}
+        assert [read for reads in log.values() for read in reads] == traced
+        result, served = self.served_by(engine, lambda: engine.execute_read(sql))
+        assert not result.streaming and result.rows == [("v3",)]
+        assert served == (["primary_reads"] if replicated else [])
+
+        engine.remove_observer(log)
+        txn = engine.begin()
+        engine.execute(sql, txn=txn)
+        assert self.statement_reads(txn) == []
+        txn.abort()
+        result, served = self.served_by(engine, lambda: engine.execute_read(sql))
+        # A sharded read gathers its shards' rows whole; the others stream.
+        assert result.streaming is (name != "sharded")
+        assert result.rows == [("v3",)]
+        assert served == (["replica_reads"] if replicated else [])
+
+    def test_a_reshard_keeps_tracing(self):
+        sharded = ShardedDatabase(2, shard_keys={"t": "k"})
+        trod = Trod(sharded).attach()
+        sharded.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+        for k in range(10):
+            sharded.execute("INSERT INTO t VALUES (?, ?)", (k, f"v{k}"))
+        reshard(sharded, 3)
+        for k in range(10, 20):
+            sharded.execute("INSERT INTO t VALUES (?, ?)", (k, f"v{k}"))
+        assert sharded.execute("SELECT v FROM t WHERE k = 15").rows == [("v15",)]
+        trod.flush()
+        counts = dict(trod.query("SELECT Type, COUNT(*) FROM TEvents GROUP BY Type").rows)
+        assert counts.get("Insert") == 20 and counts.get("Read") == 1
+        assert sharded.n_shards == 3
+        assert all(trod.interposition in shard.observers for shard in sharded.shards)
+        trod.detach()
+        assert not any(shard.track_reads for shard in sharded.shards)

@@ -328,7 +328,6 @@ class TestTrodParity:
 
     def test_track_reads_identical_single_node(self):
         db = build_db()
-        db.track_reads = True
         probe = [
             "SELECT id FROM items WHERE val > 6.0",
             "SELECT grp, COUNT(*) FROM items GROUP BY grp",
@@ -348,7 +347,6 @@ class TestTrodParity:
 
     def test_track_reads_identical_sharded(self):
         sdb = build_sharded()
-        sdb.track_reads = True
         sql = "SELECT grp, COUNT(*) FROM items GROUP BY grp"
         runs = []
         for _run in ("first execution", "cache hit"):
@@ -371,7 +369,6 @@ class TestTrodParity:
         db = build_db()
         sql = "SELECT id FROM items WHERE val > 6.0"
         untraced = db.query(sql).rows
-        db.track_reads = True
         collector = _TraceCollector()
         db.add_observer(collector)
         before = db.executor_stats["batches_processed"]
@@ -398,7 +395,7 @@ class TestExecutorStats:
         assert db.explain(sql) and calls == []  # planning generates nothing
         untraced = db.query(sql).rows
         assert calls == [False]
-        db.track_reads = True
+        db.add_observer(_TraceCollector())  # tracing: the scan keeps pairs
         assert db.query(sql).rows == untraced
         assert calls == [False, True]
         assert db.query(sql).rows == untraced

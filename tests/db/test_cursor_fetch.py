@@ -8,6 +8,8 @@ import pytest
 
 from repro.db import Database, connect
 
+from eager_reads import ReadLog
+
 
 @pytest.fixture(params=["streamed", "materialized"])
 def cursor(request):
@@ -15,7 +17,8 @@ def cursor(request):
     db.execute("CREATE TABLE t (k INTEGER)")
     for k in range(5):
         db.execute("INSERT INTO t VALUES (?)", (k,))
-    db.track_reads = request.param == "materialized"
+    if request.param == "materialized":
+        db.add_observer(ReadLog())  # a statement trace needs the full drain
     cur = connect(db).cursor()
     cur.execute("SELECT k FROM t ORDER BY k")
     assert cur.result.streaming is (request.param == "streamed")

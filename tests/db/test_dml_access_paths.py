@@ -38,6 +38,8 @@ import pytest
 from repro.db import Database, IsolationLevel, ShardedDatabase
 from repro.db.sql import executor
 
+from eager_reads import ReadLog
+
 
 @pytest.fixture(autouse=True)
 def narrow_span_cutoff(monkeypatch):
@@ -203,9 +205,8 @@ class Node:
 
     def __init__(self, db: Database):
         self.db = db
-        db.track_reads = True  # a SELECT would now record its reads
         self.traces = Traces()
-        db.add_observer(self.traces)
+        db.add_observer(self.traces)  # a SELECT now records its reads
         self.model = Model(db.snapshot_rows("t"))
 
     def check(self, label: str) -> None:
@@ -350,13 +351,14 @@ def test_match_drains_before_the_first_write():
 
 def test_dml_records_no_reads_where_a_select_does():
     db, (node,) = single_node("hash")
+    log = ReadLog.on(db)
     txn = db.begin()
     db.execute("UPDATE t SET v = 1 WHERE k = ?", (3,), txn=txn)
     db.execute("DELETE FROM t WHERE k = ?", (4,), txn=txn)
-    assert txn.read_records == []
+    assert log[txn] == []
     db.execute("SELECT v FROM t WHERE k = ?", (3,), txn=txn)
     # Tracking was on all along.
-    assert len([row for read_set in txn.read_records for row in read_set.rows()]) == 3
+    assert len([row for read_set in log[txn] for row in read_set.rows()]) == 3
     txn.commit()
 
 

@@ -4,9 +4,32 @@ import pytest
 
 from repro.db.txn.locks import LockManager, LockMode
 from repro.errors import DeadlockError, LockTimeoutError
+from repro.runtime import scheduler
 
 S = LockMode.SHARED
 X = LockMode.EXCLUSIVE
+
+
+class DrivingScheduler:
+    """Stands in for the scheduler driving this thread: a blocked
+    acquisition parks at its ``LOCK_WAIT`` checkpoint, which runs
+    ``wait`` — what the other workers do before the baton comes back."""
+
+    def __init__(self) -> None:
+        self.wait = lambda: None
+        self.parked: list[str] = []
+
+    def checkpoint(self, kind, label="") -> None:
+        assert kind is scheduler.CheckpointKind.LOCK_WAIT
+        self.parked.append(label)
+        self.wait()
+
+
+@pytest.fixture
+def driven(monkeypatch) -> DrivingScheduler:
+    stand_in = DrivingScheduler()
+    monkeypatch.setattr(scheduler._current, "scheduler", stand_in, raising=False)
+    return stand_in
 
 
 class TestGrants:
@@ -70,7 +93,7 @@ class TestGrants:
 
 
 class TestWaiting:
-    def test_wait_callback_retries_until_release(self):
+    def test_a_blocked_acquisition_parks_until_release(self, driven):
         lm = LockManager()
         lm.acquire(1, "t", X)
         attempts = []
@@ -80,19 +103,29 @@ class TestWaiting:
             if len(attempts) == 2:
                 lm.release_all(1)
 
-        lm.acquire(2, "t", X, wait=wait)
+        driven.wait = wait
+        lm.acquire(2, "t", X)
         assert lm.holders_of("t") == {2}
         assert len(attempts) == 2
+        assert driven.parked == ["t", "t"]
 
-    def test_starvation_guard(self):
+    def test_an_uncontended_acquisition_never_parks(self, driven):
+        lm = LockManager()
+        lm.acquire(1, "t", S)
+        lm.acquire(2, "t", S)
+        lm.acquire(1, "u", X)
+        assert driven.parked == []
+
+    def test_starvation_guard(self, driven):
         lm = LockManager(max_wait_rounds=5)
         lm.acquire(1, "t", X)
         with pytest.raises(LockTimeoutError, match="starved"):
-            lm.acquire(2, "t", X, wait=lambda: None)
+            lm.acquire(2, "t", X)
+        assert len(driven.parked) == 5
 
 
 class TestDeadlocks:
-    def test_two_party_deadlock_detected(self):
+    def test_two_party_deadlock_detected(self, driven):
         lm = LockManager()
         lm.acquire(1, "a", X)
         lm.acquire(2, "b", X)
@@ -100,10 +133,10 @@ class TestDeadlocks:
         lm._waits_for[1] = {2}
         # ...and 2 tries to take a (held by 1): cycle.
         with pytest.raises(DeadlockError):
-            lm.acquire(2, "a", X, wait=lambda: None)
+            lm.acquire(2, "a", X)
         assert lm.stats["deadlocks"] == 1
 
-    def test_three_party_cycle_detected(self):
+    def test_three_party_cycle_detected(self, driven):
         lm = LockManager()
         lm.acquire(1, "a", X)
         lm.acquire(2, "b", X)
@@ -111,9 +144,9 @@ class TestDeadlocks:
         lm._waits_for[1] = {2}
         lm._waits_for[2] = {3}
         with pytest.raises(DeadlockError):
-            lm.acquire(3, "a", X, wait=lambda: None)
+            lm.acquire(3, "a", X)
 
-    def test_chain_without_cycle_is_not_deadlock(self):
+    def test_chain_without_cycle_is_not_deadlock(self, driven):
         lm = LockManager()
         lm.acquire(1, "a", X)
         lm._waits_for[3] = {2}  # unrelated edge
@@ -123,7 +156,8 @@ class TestDeadlocks:
             calls.append(1)
             lm.release_all(1)
 
-        lm.acquire(2, "a", X, wait=wait)
+        driven.wait = wait
+        lm.acquire(2, "a", X)
         assert calls  # waited once, no deadlock raised
 
 
@@ -131,7 +165,7 @@ class TestConflictFacts:
     """An abort names who waited, on whom, for what — as fields, with
     the message unchanged."""
 
-    def test_deadlock_names_waiter_holders_resource_and_mode(self):
+    def test_deadlock_names_waiter_holders_resource_and_mode(self, driven):
         lm = LockManager()
         lm.acquire(1, "table:t", S)
         lm.acquire(2, "table:t", S)
@@ -139,11 +173,12 @@ class TestConflictFacts:
 
         def wait():  # while 1 waits to upgrade, 2 asks to upgrade too
             with pytest.raises(DeadlockError) as deadlock:
-                lm.acquire(2, "table:t", X, wait=lambda: None)
+                lm.acquire(2, "table:t", X)
             raised.append(deadlock.value)
             lm.release_all(2)
 
-        lm.acquire(1, "table:t", X, wait=wait)
+        driven.wait = wait
+        lm.acquire(1, "table:t", X)
         (error,) = raised
         assert str(error) == "txn 2 deadlocked acquiring X on 'table:t' held by [1]"
         assert error.waiter == 2 and error.holders == (1,)

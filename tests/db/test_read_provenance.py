@@ -1,6 +1,6 @@
 """Read provenance against a plain-Python model — not a second executor.
 
-Under ``track_reads`` a statement's read rows (its :class:`ReadSet` list,
+With a ``statement_executed`` subscriber a statement's read rows (its :class:`ReadSet` list,
 flattened through ``ReadSet.rows()``) are fully determined by the
 tables' rows in scan order: per scan (a join's build side before its
 probe side) the rows passing the conjuncts pushed into
@@ -18,7 +18,7 @@ from repro.core import Trod
 from repro.db import Database, ShardedDatabase
 from repro.runtime.scheduler import CooperativeScheduler
 
-from eager_reads import read_rows
+from eager_reads import ReadLog, read_rows
 from test_compiled_execution import MIXED_KEY, QUERIES, _populate
 
 # items(id, grp, val) / grps(grp, label) predicates in SQL's three-valued
@@ -274,24 +274,23 @@ def test_the_model_covers_every_compiled_execution_shape():
 def traced_db():
     db = Database()
     populate(db)
-    db.track_reads = True
-    return db
+    return db, ReadLog.on(db)
 
 
 @pytest.fixture(scope="module")
 def traced_cluster():
     sdb = ShardedDatabase(3, shard_keys={"items": "id", "nothing": "id"})
     populate(sdb)
-    sdb.track_reads = True
-    return sdb
+    return sdb, ReadLog.on(sdb)
 
 
 @pytest.mark.parametrize("sql", ALL_SHAPES)
 def test_database_reads_match_the_model(traced_db, sql):
+    traced_db, log = traced_db
     txn = traced_db.begin()
     try:
         traced_db.execute(sql, txn=txn)
-        assert as_tuples(txn.read_records, traced_db) == expected_single(
+        assert as_tuples(log[txn], traced_db) == expected_single(
             sql, traced_db.snapshot_rows
         )
     finally:
@@ -300,6 +299,7 @@ def test_database_reads_match_the_model(traced_db, sql):
 
 @pytest.mark.parametrize("sql", ALL_SHAPES)
 def test_every_shard_reads_match_the_model(traced_cluster, sql):
+    traced_cluster, log = traced_cluster
     gtxn = traced_cluster.begin()
     try:
         traced_cluster.execute(sql, txn=gtxn)
@@ -307,7 +307,7 @@ def test_every_shard_reads_match_the_model(traced_cluster, sql):
         cap, gathered = shard_visit_cap(sql), 0
         for store, shard in traced_cluster.named_shards():
             got = (
-                as_tuples(gtxn.on(store).read_records, shard) if store in joined else []
+                as_tuples(log[gtxn.on(store)], shard) if store in joined else []
             )
             if cap is not None and gathered >= cap:
                 assert got == [], store  # coordinator satisfied: never visited
@@ -323,14 +323,14 @@ def test_cache_hits_record_the_same_reads():
     """A plan's later executions carry provenance exactly like its first."""
     db = Database()
     populate(db)
-    db.track_reads = True
+    log = ReadLog.on(db)
     for sql in ALL_SHAPES:
         want = expected_single(sql, db.snapshot_rows)
         hits = db.plan_cache_stats["hits"]
         for _run in ("first execution", "cache hit"):
             txn = db.begin()
             db.execute(sql, txn=txn)
-            assert as_tuples(txn.read_records, db) == want, (sql, _run)
+            assert as_tuples(log[txn], db) == want, (sql, _run)
             txn.abort()
         assert db.plan_cache_stats["hits"] == hits + 1, sql
 
@@ -342,7 +342,7 @@ class TestInsertSelectProvenance:
         db = Database()
         db.execute("CREATE TABLE src (id INTEGER, v TEXT)")
         db.execute("CREATE TABLE dst (id INTEGER, v TEXT)")
-        db.track_reads = True
+        self.log = ReadLog.on(db)
         return db
 
     def test_reads_carry_the_statement_text(self):
@@ -351,7 +351,7 @@ class TestInsertSelectProvenance:
         sql = "INSERT INTO dst SELECT id, v FROM src WHERE id > 1"
         txn = db.begin()
         db.execute(sql, txn=txn)
-        assert as_tuples(txn.read_records, db) == [
+        assert as_tuples(self.log[txn], db) == [
             ("src", rid, values, sql)
             for rid, values in db.snapshot_rows("src")
             if values[0] > 1
@@ -363,8 +363,8 @@ class TestInsertSelectProvenance:
         sql = "INSERT INTO dst SELECT id, v FROM src"
         txn = db.begin()
         db.execute(sql, txn=txn)
-        assert as_tuples(txn.read_records, db) == [("src", None, None, sql)]
-        assert txn.tables_read == {"src"}
+        assert as_tuples(self.log[txn], db) == [("src", None, None, sql)]
+        assert self.log.tables(txn) == {"src"}
         txn.abort()
 
 
@@ -378,7 +378,8 @@ class TestChunkingInvariance:
     def run_all(batch_size: int, scheduled: bool):
         db = Database()
         populate(db)
-        trod = Trod(db).attach()  # switches track_reads on
+        trod = Trod(db).attach()
+        log = ReadLog.on(db)
         db.scan_batch_size = batch_size
         seen = {}
 
@@ -386,7 +387,7 @@ class TestChunkingInvariance:
             for sql in ALL_SHAPES:
                 txn = db.begin()
                 rows = db.execute(sql, txn=txn).rows
-                seen[sql] = (rows, as_tuples(txn.read_records, db))
+                seen[sql] = (rows, as_tuples(log[txn], db))
                 txn.abort()
 
         if scheduled:

@@ -22,7 +22,7 @@ from repro.db import Database, IsolationLevel
 from repro.db.txn.manager import Transaction
 from repro.runtime.scheduler import CooperativeScheduler
 
-from eager_reads import eager_reads, read_rows
+from eager_reads import ReadLog, eager_reads, read_rows
 
 N_ROWS = 40
 
@@ -63,12 +63,13 @@ def run(storage: str, own: str, statement: str, isolation: IsolationLevel):
     """Everything observable: the answer, the read sets, the table after
     commit and every event row provenance holds."""
     db, trod = seeded(storage)
+    log = ReadLog.on(db)
     txn = db.begin(isolation)
     if OWN_WRITES[own]:
         db.execute(OWN_WRITES[own], txn=txn)
     result = db.execute(STATEMENTS[statement], txn=txn)
     answer = result.rows if result.kind == "select" else result.rowcount
-    reads = read_rows(txn.read_records, db)
+    reads = read_rows(log[txn], db)
     txn.commit()
     events = trod.query(
         f"SELECT * FROM {trod.provenance.event_table_of('t')} ORDER BY Seq"
@@ -124,6 +125,7 @@ def test_pinned_source_survives_a_concurrent_commit():
     """A traced reader parked between scan chunks keeps serving the rows
     it pinned while a writer commits, and records exactly those."""
     db, trod = seeded()
+    log = ReadLog.on(db)
     db.scan_batch_size = 8
     before = db.snapshot_rows("t")
     seen = {}
@@ -133,7 +135,7 @@ def test_pinned_source_survives_a_concurrent_commit():
         result = db.execute("SELECT id, k, v FROM t", txn=txn)
         seen["rows"] = result.rows
         seen["reads"] = [
-            (rid, values) for read_set in txn.read_records
+            (rid, values) for read_set in log[txn]
             for _t, rid, values, _q in read_set.rows()
         ]
         txn.commit()

@@ -22,6 +22,8 @@ from repro.errors import (
     TransactionError,
 )
 
+from eager_reads import ReadLog
+
 N_ROWS = 120
 
 
@@ -771,8 +773,7 @@ class TestFacadeParity:
             sdb.execute("INSERT INTO items VALUES (?, ?)", (i, f"g{i % 2}"))
         for g in range(2):
             sdb.execute("INSERT INTO grps VALUES (?, ?)", (f"g{g}", f"l{g}"))
-        for _store, shard in sdb.named_shards():
-            shard.track_reads = True
+        log = ReadLog.on(sdb)
         gtxn = sdb.begin()
         sdb.execute(
             "SELECT COUNT(*) FROM items i JOIN grps g ON i.grp = g.grp",
@@ -780,9 +781,7 @@ class TestFacadeParity:
         )
         tables_read = set()
         for store in gtxn.stores_joined():
-            tables_read.update(
-                record.table for record in gtxn.on(store).read_records
-            )
+            tables_read |= log.tables(gtxn.on(store))
         gtxn.abort()
         assert tables_read == {"items", "grps"}
 

@@ -19,6 +19,8 @@ from repro.db import (
 )
 from repro.errors import ExecutionError, InterfaceError
 
+from eager_reads import ReadLog, read_rows
+
 
 def seeded_db(n: int = 100) -> Database:
     db = Database()
@@ -192,11 +194,12 @@ class TestCursorStreaming:
 
     def test_streaming_disabled_under_read_tracking(self):
         db = seeded_db(5)
-        db.track_reads = True
+        log = ReadLog.on(db)
         txn = db.begin()
         result = db.execute("SELECT k FROM t", txn=txn, stream=True)
         assert not result.streaming  # provenance requires the full drain
         assert len(result.rows) == 5
+        assert len(read_rows(log[txn], db)) == 5
         txn.abort()
 
     def test_streaming_disabled_with_observers(self):

@@ -10,6 +10,8 @@ from repro.errors import (
     TransactionError,
 )
 
+from eager_reads import ReadLog
+
 
 @pytest.fixture
 def db() -> Database:
@@ -361,11 +363,11 @@ class TestInfoAndFootprints:
         txn.commit()
 
     def test_tables_read_tracks_scans(self, db):
-        db.track_reads = True
+        log = ReadLog.on(db)
         db.execute("INSERT INTO t VALUES ('a', 1)")
         txn = db.begin()
         db.execute("SELECT * FROM t", txn=txn)
-        assert txn.tables_read == {"t"}
+        assert log.tables(txn) == {"t"}
         txn.commit()
 
     def test_pending_rows(self, db):

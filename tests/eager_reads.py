@@ -35,9 +35,37 @@ def eager_reads() -> Iterator[None]:
         ScanNode._reenactable = reenactable
 
 
+class ReadLog(dict):
+    """A ``statement_executed`` subscriber: ``log[txn]`` is every read the
+    traces of ``txn``'s statements carried, in order (``[]`` for a
+    transaction that read nothing). Subscribing it is what turns read
+    tracking on; :meth:`on` subscribes a new one to an engine.
+
+    On a sharded engine each shard reports its own branch's statements:
+    ``log[gtxn.on(store)]``."""
+
+    events = ("statement_executed",)
+
+    @classmethod
+    def on(cls, engine) -> "ReadLog":
+        log = cls()
+        engine.add_observer(log)
+        return log
+
+    def __missing__(self, txn) -> list:
+        return []
+
+    def statement_executed(self, txn, trace) -> None:
+        self.setdefault(txn, []).extend(trace.reads)
+
+    def tables(self, txn) -> set[str]:
+        """The tables ``txn``'s statements read."""
+        return {read.table for read in self[txn]}
+
+
 def read_rows(reads, db) -> list[tuple]:
-    """One ``(table, row_id, values, query)`` per row ``reads`` (a
-    transaction's read records or a statement trace's) read from ``db``,
+    """One ``(table, row_id, values, query)`` per row ``reads`` (the read
+    records of a :class:`ReadLog` or of one statement trace) read from ``db``,
     in order: a read set's rows, and a scan predicate reenacted over
     ``db``'s own version store at its CSN."""
     out = []

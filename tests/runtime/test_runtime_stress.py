@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import Database
+from repro.errors import LockTimeoutError
 from repro.runtime import Request, Runtime
 
 
@@ -129,8 +130,16 @@ class TestSchedulerReuse:
         assert result.ok
         assert db.execute("SELECT COUNT(*) FROM log").scalar() == 2
 
-    def test_wait_hook_restored_after_batch(self, env):
+    def test_no_scheduler_outlives_its_batch(self, env):
+        """A lock wait yields to the scheduler driving its thread; after a
+        batch none drives the caller's, so contention raises at once."""
         db, runtime = env
-        assert db.txn_manager.wait_hook is None
         runtime.run_concurrent([Request("work", ("a", 1))], seed=0)
-        assert db.txn_manager.wait_hook is None
+        holder = db.begin()
+        db.execute("INSERT INTO log VALUES ('x', 0)", txn=holder)
+        waiter = db.begin()
+        with pytest.raises(LockTimeoutError, match="with no waiter"):
+            db.execute("INSERT INTO log VALUES ('y', 0)", txn=waiter)
+        waiter.abort()
+        holder.commit()
+        assert db.execute("SELECT COUNT(*) FROM log").scalar() == 2

@@ -208,30 +208,26 @@ class TestLockSafetyUnderBatching:
         scheduler = CooperativeScheduler(
             schedule=[0, 1, 0, 1] * 50, granularity="batch"
         )
-        db.txn_manager.wait_hook = lambda txn, res: scheduler.lock_wait()
-        try:
 
-            def joining_reader():
-                # The hash join builds on items (600 rows): the reader
-                # S-locks items, parks at a batch boundary mid-build,
-                # and only then acquires other for the probe side — the
-                # classic held-while-acquiring shape.
-                return len(
-                    db.execute(
-                        "SELECT * FROM other o JOIN items i ON i.k = o.k"
-                    ).rows
-                )
+        def joining_reader():
+            # The hash join builds on items (600 rows): the reader
+            # S-locks items, parks at a batch boundary mid-build,
+            # and only then acquires other for the probe side — the
+            # classic held-while-acquiring shape.
+            return len(
+                db.execute(
+                    "SELECT * FROM other o JOIN items i ON i.k = o.k"
+                ).rows
+            )
 
-            def opposite_writer():
-                txn = db.begin()
-                db.execute("UPDATE other SET k = 2", txn=txn)
-                db.execute("UPDATE items SET v = 0 WHERE k = 1", txn=txn)
-                txn.commit()
-                return "write"
+        def opposite_writer():
+            txn = db.begin()
+            db.execute("UPDATE other SET k = 2", txn=txn)
+            db.execute("UPDATE items SET v = 0 WHERE k = 1", txn=txn)
+            txn.commit()
+            return "write"
 
-            outcomes = scheduler.run([joining_reader, opposite_writer])
-        finally:
-            db.txn_manager.wait_hook = None
+        outcomes = scheduler.run([joining_reader, opposite_writer])
         errors = [o for o in outcomes if not o.ok]
         assert len(errors) == 1
         assert isinstance(errors[0].error, DeadlockError)
@@ -243,7 +239,6 @@ class TestLockSafetyUnderBatching:
 class TestTraceParityUnderBatching:
     def build(self):
         db = seeded_db(300)
-        db.track_reads = True
         traces: list = []
 
         class Observer:
